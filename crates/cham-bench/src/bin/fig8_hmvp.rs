@@ -84,18 +84,20 @@ fn main() {
         eng(parallel_s),
     );
 
-    // Fused-vs-unfused ablation on the same workload: the unfused
-    // reference kernel does strict per-term MODMUL + MODADD with per-term
-    // allocations; the fused kernel accumulates in u128 lanes over
-    // worker-pinned scratch. Both serial, so the ratio isolates the
-    // lazy-accumulation + scratch-reuse gain from pool parallelism. A
-    // second, wide shape (many column tiles per row) exercises the deep
-    // accumulation regime the fused kernel targets — one-tile rows are
-    // dominated by the shared rescale/extract stage.
+    // Fused-vs-unfused ablation on the same workload. "Unfused" is the
+    // oracle path: strict per-term MODMUL + MODADD with per-term
+    // allocations, a materialised product ciphertext, then the public
+    // `rescale` + `extract_lwe` (six inverse transforms per row). The
+    // fused kernel accumulates in u128 lanes over worker-pinned scratch
+    // and runs the streaming row tail (three inverse transforms, a lane
+    // sum for `b`). Both serial, so the ratio isolates kernel work from
+    // pool parallelism. A second, wide shape (many column tiles per row)
+    // exercises the deep accumulation regime — one-tile rows are
+    // dominated by the row tail.
     let unfused_s = bench.seconds_unfused(3);
     let fused_speedup = unfused_s / serial_s;
     println!(
-        "dot-product phase ({rows} rows, 1 tile/row): {} unfused vs {} fused => {fused_speedup:.2}x",
+        "dot-product phase ({rows} rows, 1 tile/row): {} unfused (oracle path) vs {} fused => {fused_speedup:.2}x",
         eng(unfused_s),
         eng(serial_s),
     );
@@ -106,7 +108,7 @@ fn main() {
     let wide_unfused_s = wide.seconds_unfused(3);
     let wide_fused_speedup = wide_unfused_s / wide_fused_s;
     println!(
-        "dot-product phase ({wide_rows} rows, {wide_tiles} tiles/row): {} unfused vs {} fused => {wide_fused_speedup:.2}x",
+        "dot-product phase ({wide_rows} rows, {wide_tiles} tiles/row): {} unfused (oracle path) vs {} fused => {wide_fused_speedup:.2}x",
         eng(wide_unfused_s),
         eng(wide_fused_s),
     );

@@ -442,10 +442,11 @@ impl DotPhaseBench {
     }
 
     /// Best-of-`reps` wall-clock seconds for one dot-product phase through
-    /// the pre-fusion reference kernel (`dot_products_unfused`): strict
-    /// per-term MODMUL/MODADD with per-term allocations, serial over rows.
+    /// the oracle path (`dot_products_unfused`): strict per-term
+    /// MODMUL/MODADD with per-term allocations, then `rescale` +
+    /// `extract_lwe` on a materialised ciphertext, serial over rows.
     /// Paired with [`DotPhaseBench::seconds`] at `threads = 1` this isolates
-    /// the lazy-accumulation + scratch-reuse gain from pool parallelism.
+    /// the fused MAC + streaming row tail from pool parallelism.
     ///
     /// # Panics
     /// Panics if the dot-product phase fails (cannot happen for the

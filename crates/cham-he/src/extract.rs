@@ -16,30 +16,29 @@
 //! PPUs in the same pipeline stage as RESCALE (§III-A).
 
 use crate::ciphertext::{LweCiphertext, RlweCiphertext};
+use crate::ops::in_coeff_form;
 use crate::{HeError, Result};
-use cham_math::poly::Poly;
-use cham_math::rns::{Form, RnsPoly};
+use cham_math::rns::RnsPoly;
+use cham_math::Modulus;
+use std::borrow::Cow;
 
-/// The Eq. 3 coefficient rearrangement: `â₀ = a₀`, `â_{N−j} = −a_j`.
-/// An involution (applying twice is the identity).
-fn rearrange(a: &RnsPoly) -> RnsPoly {
+/// The Eq. 3 coefficient rearrangement, in place: `â₀ = a₀`,
+/// `â_{N−j} = −a_j`. An involution (applying twice is the identity) —
+/// which is why the fused multiply path, going from a rescaled row
+/// straight to a pack leaf, applies it zero times instead of twice.
+pub(crate) fn rearrange_in_place(a: &mut RnsPoly) {
     let ctx = a.context().clone();
-    let n = ctx.degree();
-    let limbs = a
-        .limbs()
-        .iter()
-        .zip(ctx.moduli())
-        .map(|(limb, m)| {
-            let src = limb.coeffs();
-            let mut out = vec![0u64; n];
-            out[0] = src[0];
-            for j in 1..n {
-                out[n - j] = m.neg(src[j]);
-            }
-            Poly::from_coeffs(out)
-        })
-        .collect();
-    RnsPoly::from_limbs(&ctx, limbs, Form::Coeff).expect("limbs match context")
+    for (limb, m) in a.limbs_mut().iter_mut().zip(ctx.moduli()) {
+        rearrange_limb(limb.coeffs_mut(), m);
+    }
+}
+
+fn rearrange_limb(coeffs: &mut [u64], m: &Modulus) {
+    let tail = &mut coeffs[1..];
+    tail.reverse();
+    for c in tail {
+        *c = m.neg(*c);
+    }
 }
 
 /// `EXTRACTLWES` at coefficient `index`: converts an RLWE ciphertext into
@@ -60,23 +59,17 @@ pub fn extract_lwe(ct: &RlweCiphertext, index: usize) -> Result<LweCiphertext> {
             got: index,
         });
     }
-    let mut c = ct.clone();
-    c.to_coeff();
+    let (mut b, mut a) = (in_coeff_form(ct.b()), in_coeff_form(ct.a()));
     // Shift the wanted coefficient into position 0: multiplying by X^{-i}
     // = -X^{N-i} moves coefficient i to 0 (and is exactly how the PPUs do
     // it, via SHIFTNEG).
-    let shifted = if index == 0 {
-        c
-    } else {
-        c.mul_monomial(2 * n - index)?
-    };
-    let b_res: Vec<u64> = shifted
-        .b()
-        .limbs()
-        .iter()
-        .map(|limb| limb.coeffs()[0])
-        .collect();
-    let a_hat = rearrange(shifted.a());
+    if index != 0 {
+        b = Cow::Owned(b.shift_neg(2 * n - index)?);
+        a = Cow::Owned(a.shift_neg(2 * n - index)?);
+    }
+    let b_res: Vec<u64> = b.limbs().iter().map(|limb| limb.coeffs()[0]).collect();
+    let mut a_hat = a.into_owned();
+    rearrange_in_place(&mut a_hat);
     LweCiphertext::new(b_res, a_hat)
 }
 
@@ -84,21 +77,36 @@ pub fn extract_lwe(ct: &RlweCiphertext, index: usize) -> Result<LweCiphertext> {
 /// plaintext carries the payload in its constant coefficient (non-constant
 /// coefficients are meaningless "garbage" that `PACKLWES` overwrites).
 pub fn lwe_to_rlwe(lwe: &LweCiphertext) -> RlweCiphertext {
-    let ctx = lwe.a().context().clone();
-    let n = ctx.degree();
-    // b(X) = b0 (constant coefficient only).
-    let b_limbs = lwe
-        .b()
-        .iter()
-        .map(|&b0| {
-            let mut v = vec![0u64; n];
-            v[0] = b0;
-            Poly::from_coeffs(v)
-        })
-        .collect();
-    let b = RnsPoly::from_limbs(&ctx, b_limbs, Form::Coeff).expect("limbs match context");
-    let a = rearrange(lwe.a());
-    RlweCiphertext::new(b, a).expect("components share context and form")
+    let ctx = lwe.a().context();
+    let mut ct = RlweCiphertext {
+        b: RnsPoly::zero(ctx),
+        a: RnsPoly::zero(ctx),
+    };
+    lwe_to_rlwe_into(lwe, &mut ct);
+    ct
+}
+
+/// [`lwe_to_rlwe`] into an existing coefficient-form ciphertext over the
+/// LWE's basis, overwriting every coefficient (so `dst` may be a recycled
+/// buffer).
+pub(crate) fn lwe_to_rlwe_into(lwe: &LweCiphertext, dst: &mut RlweCiphertext) {
+    debug_assert_eq!(dst.a.context(), lwe.a().context());
+    write_constant(&mut dst.b, lwe.b());
+    let moduli = lwe.a().context().moduli();
+    let limbs = dst.a.limbs_mut().iter_mut().zip(lwe.a().limbs());
+    for ((out, src), m) in limbs.zip(moduli) {
+        out.coeffs_mut().copy_from_slice(src.coeffs());
+        rearrange_limb(out.coeffs_mut(), m);
+    }
+}
+
+/// `b(X) ← b₀`: the constant polynomial with one residue per limb.
+pub(crate) fn write_constant(b: &mut RnsPoly, residues: &[u64]) {
+    for (limb, &b0) in b.limbs_mut().iter_mut().zip(residues) {
+        let coeffs = limb.coeffs_mut();
+        coeffs.fill(0);
+        coeffs[0] = b0;
+    }
 }
 
 #[cfg(test)]
@@ -165,7 +173,11 @@ mod tests {
         let (params, _, _, _, mut rng) = setup();
         let ctx = params.ciphertext_context();
         let a = cham_math::sampling::uniform_rns_poly(ctx, &mut rng);
-        assert_eq!(rearrange(&rearrange(&a)), a);
+        let mut twice = a.clone();
+        rearrange_in_place(&mut twice);
+        assert_ne!(twice, a);
+        rearrange_in_place(&mut twice);
+        assert_eq!(twice, a);
     }
 
     #[test]

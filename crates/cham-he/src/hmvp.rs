@@ -12,6 +12,12 @@
 //! 5. **extract** the constant coefficient as an LWE ciphertext (stage 4),
 //! 6. **pack** the `m` LWEs into `⌈m/N⌉` RLWE ciphertexts (stages 5–9).
 //!
+//! Steps 4–6 are one streaming pipeline, as on the accelerator: a row's
+//! accumulators are rescaled and extracted in per-worker scratch without
+//! ever becoming a ciphertext, and [`Hmvp::multiply`] hands each result
+//! straight to the pack's reduce buffer, computing rows in the order the
+//! pack tree consumes them (DESIGN.md, "HMVP back half").
+//!
 //! Complexity is `O(m)` ciphertext operations — the paper's headline
 //! advantage over batch-encoded HMVP's `O(m log N)` (§II-E). Together with
 //! mini-batching this supports "data of any scale" (§V-B.3).
@@ -19,11 +25,12 @@
 use crate::ciphertext::{LweCiphertext, RlweCiphertext};
 use crate::encoding::CoeffEncoder;
 use crate::encrypt::{Decryptor, Encryptor};
-use crate::extract::extract_lwe;
+use crate::extract::{extract_lwe, rearrange_in_place, write_constant};
 use crate::keys::GaloisKeys;
-use crate::ops::{lift_plaintext_ntt, rescale};
-use crate::pack::{pack_lwes, PackedRlwe};
+use crate::ops::{lift_plaintext_ntt, rescale, rescale_lanes_into};
+use crate::pack::{pack_with, PackedRlwe};
 use crate::params::ChamParams;
+use crate::scratch::{DotScratch, ScratchPool};
 use crate::{HeError, Result};
 use cham_math::rns::{FusedAccumulator, RnsPoly};
 use cham_telemetry::span::{phase, Span};
@@ -240,6 +247,16 @@ impl Hmvp {
         })
     }
 
+    fn check_tiling(matrix: &EncodedMatrix, cts: &[RlweCiphertext]) -> Result<()> {
+        if cts.len() != matrix.col_tiles() {
+            return Err(HeError::ShapeMismatch {
+                expected: matrix.col_tiles(),
+                got: cts.len(),
+            });
+        }
+        Ok(())
+    }
+
     /// Computes the dot-product/extract phase: one LWE ciphertext per row
     /// (Alg. 1 lines 1–4).
     ///
@@ -251,12 +268,7 @@ impl Hmvp {
         matrix: &EncodedMatrix,
         cts: &[RlweCiphertext],
     ) -> Result<Vec<LweCiphertext>> {
-        if cts.len() != matrix.col_tiles() {
-            return Err(HeError::ShapeMismatch {
-                expected: matrix.col_tiles(),
-                got: cts.len(),
-            });
-        }
+        Self::check_tiling(matrix, cts)?;
         let cts_ntt = Self::lift_inputs_ntt(cts);
         matrix
             .tiles
@@ -282,46 +294,94 @@ impl Hmvp {
         })
     }
 
-    /// One row's dot product against NTT-form inputs: fused pointwise
-    /// multiply-accumulate per column tile ("a row residing in multiple
-    /// ciphertexts needs to be aggregated", §V-B.2), then a single INTT /
-    /// rescale / extract for the row.
+    /// One row through pipeline stages 1–4 in `s`, nothing allocated:
     ///
-    /// Products are accumulated with reduction deferred
-    /// ([`FusedAccumulator`]) into per-worker scratch, so the tile loop
-    /// performs no modular correction and no heap allocation — bit-identical
-    /// to the strict [`Hmvp::dot_products_unfused`] twin.
-    fn dot_row(
+    /// * **MAC** — fused pointwise multiply-accumulate per column tile ("a
+    ///   row residing in multiple ciphertexts needs to be aggregated",
+    ///   §V-B.2) with reduction deferred ([`FusedAccumulator`]),
+    /// * **`a`** — reduced into scratch, inverse-transformed there and
+    ///   rescaled straight into `a_out` (normal basis, coefficient form),
+    /// * **`b`** — only its constant coefficient survives extraction, and
+    ///   coefficient 0 of a negacyclic INTT is `n⁻¹·Σ lanes`: a lane sum
+    ///   and a scalar rescale per limb replace three transforms.
+    ///
+    /// Returns the rescaled `b₀` residues (one per normal-basis limb),
+    /// borrowed from `s`. Bit-identical to `extract_lwe(&rescale(ct)?, 0)`
+    /// up to the Eq. 3 rearrangement of `a`, which the caller applies (or
+    /// cancels against the pack's own).
+    fn dot_row_fused<'s>(
         &self,
-        row_tiles: &[cham_math::rns::RnsPoly],
+        row_tiles: &[RnsPoly],
         cts_ntt: &[RlweCiphertext],
-    ) -> Result<LweCiphertext> {
+        s: &'s mut DotScratch,
+        a_out: &mut RnsPoly,
+    ) -> Result<&'s [u64]> {
         let aug = self.params.augmented_context();
-        let lanes = aug.len() * aug.degree();
+        let (n, limbs) = (aug.degree(), aug.len());
+        let lanes = limbs * n;
+        debug_assert_eq!(a_out.context(), self.params.ciphertext_context());
         let dot_span = Span::enter(phase::DOT);
-        let (b, a) = crate::scratch::with_dot_scratch(lanes, |s| -> Result<_> {
-            let mut b_acc = FusedAccumulator::new(aug, &mut s.b_acc)?;
-            let mut a_acc = FusedAccumulator::new(aug, &mut s.a_acc)?;
-            for (pt_ntt, ct) in row_tiles.iter().zip(cts_ntt) {
-                b_acc.accumulate(ct.b(), pt_ntt)?;
-                a_acc.accumulate(ct.a(), pt_ntt)?;
-            }
-            Ok((b_acc.finish(), a_acc.finish()))
-        })?;
+        let mut b_acc = FusedAccumulator::new(aug, &mut s.b_acc)?;
+        let mut a_acc = FusedAccumulator::new(aug, &mut s.a_acc)?;
+        for (pt_ntt, ct) in row_tiles.iter().zip(cts_ntt) {
+            b_acc.accumulate(ct.b(), pt_ntt)?;
+            a_acc.accumulate(ct.a(), pt_ntt)?;
+        }
         drop(dot_span);
         let _span = Span::enter(phase::RESCALE);
-        let rescaled = rescale(&RlweCiphertext::new(b, a)?, &self.params)?;
-        extract_lwe(&rescaled, 0)
+        cham_telemetry::counter_add!("cham_he.ops.rescale", 1);
+        cham_telemetry::counter_add!("cham_he.extract.extract_lwe", 1);
+        a_acc.finish_lanes_into(&mut s.words[..lanes])?;
+        for (limb, table) in s.words[..lanes].chunks_exact_mut(n).zip(aug.tables()) {
+            table.inverse(limb);
+        }
+        rescale_lanes_into(aug, &s.words, 0, a_out);
+        // b₀ over the augmented basis, then over the normal basis, staged
+        // just past the `a` lanes.
+        let (b0_aug, b0) = s.words[lanes..lanes + 2 * limbs].split_at_mut(limbs);
+        b_acc.finish_constant_coeffs(b0_aug)?;
+        for i in 0..limbs - 1 {
+            aug.rescale_limb_into(i, &b0_aug[i..=i], &b0_aug[limbs - 1..], &mut b0[i..=i]);
+        }
+        Ok(&b0[..limbs - 1])
     }
 
-    /// Strict-reduction, allocating twin of [`Hmvp::dot_row`] — kept for
-    /// equivalence tests and the `fig8_hmvp` ablation column.
+    /// One row's LWE ciphertext: [`Hmvp::dot_row_fused`] plus the Eq. 3
+    /// rearrangement, applied once in place.
+    fn dot_row(&self, row_tiles: &[RnsPoly], cts_ntt: &[RlweCiphertext]) -> Result<LweCiphertext> {
+        let mut a = RnsPoly::zero(self.params.ciphertext_context());
+        let b = ScratchPool::global().with(self.params.augmented_context(), |s| {
+            self.dot_row_fused(row_tiles, cts_ntt, s, &mut a)
+                .map(<[u64]>::to_vec)
+        })?;
+        rearrange_in_place(&mut a);
+        LweCiphertext::new(b, a)
+    }
+
+    /// The row as a pack leaf `(b₀·X⁰, a)`: `EXTRACTLWES` followed by
+    /// `LWE-TO-RLWE` applies the Eq. 3 involution twice, so the fused path
+    /// applies it not at all.
+    fn dot_row_leaf(
+        &self,
+        row_tiles: &[RnsPoly],
+        cts_ntt: &[RlweCiphertext],
+        s: &mut DotScratch,
+        leaf: &mut RlweCiphertext,
+    ) -> Result<()> {
+        let b0 = self.dot_row_fused(row_tiles, cts_ntt, s, &mut leaf.a)?;
+        write_constant(&mut leaf.b, b0);
+        Ok(())
+    }
+
+    /// The oracle for [`Hmvp::dot_row`]: strict per-tile multiply/add, then
+    /// the public `rescale` + `extract_lwe(_, 0)` composition on a
+    /// materialised ciphertext.
     fn dot_row_unfused(
         &self,
-        row_tiles: &[cham_math::rns::RnsPoly],
+        row_tiles: &[RnsPoly],
         cts_ntt: &[RlweCiphertext],
     ) -> Result<LweCiphertext> {
-        let mut acc: Option<(cham_math::rns::RnsPoly, cham_math::rns::RnsPoly)> = None;
+        let mut acc: Option<(RnsPoly, RnsPoly)> = None;
         for (pt_ntt, ct) in row_tiles.iter().zip(cts_ntt) {
             let b = ct.b().mul_pointwise(pt_ntt)?;
             let a = ct.a().mul_pointwise(pt_ntt)?;
@@ -335,24 +395,22 @@ impl Hmvp {
         extract_lwe(&rescaled, 0)
     }
 
-    /// Dot-product phase through the strict per-tile multiply/add path (no
-    /// deferred reduction, two allocations per row×tile) — the ablation
-    /// baseline for the fused kernel; results are bit-identical to
-    /// [`Hmvp::dot_products`].
+    /// Dot-product phase through the oracle path: strict per-tile
+    /// multiply/add (no deferred reduction, two allocations per row×tile),
+    /// a materialised product ciphertext, six inverse transforms and the
+    /// public `rescale` + `extract_lwe` per row. Kept for the equivalence
+    /// tests and the `fig8_hmvp` ablation column; results are bit-identical
+    /// to [`Hmvp::dot_products`].
     ///
     /// # Errors
     /// Same conditions as [`Hmvp::dot_products`].
+    #[doc(hidden)]
     pub fn dot_products_unfused(
         &self,
         matrix: &EncodedMatrix,
         cts: &[RlweCiphertext],
     ) -> Result<Vec<LweCiphertext>> {
-        if cts.len() != matrix.col_tiles() {
-            return Err(HeError::ShapeMismatch {
-                expected: matrix.col_tiles(),
-                got: cts.len(),
-            });
-        }
+        Self::check_tiling(matrix, cts)?;
         let cts_ntt = Self::lift_inputs_ntt(cts);
         matrix
             .tiles
@@ -377,12 +435,7 @@ impl Hmvp {
         cts: &[RlweCiphertext],
         threads: usize,
     ) -> Result<Vec<LweCiphertext>> {
-        if cts.len() != matrix.col_tiles() {
-            return Err(HeError::ShapeMismatch {
-                expected: matrix.col_tiles(),
-                got: cts.len(),
-            });
-        }
+        Self::check_tiling(matrix, cts)?;
         let cts_ntt = Self::lift_inputs_ntt(cts);
         cham_pool::map_capped(&matrix.tiles, threads.max(1), |_, row_tiles| {
             self.dot_row(row_tiles, &cts_ntt)
@@ -391,7 +444,8 @@ impl Hmvp {
         .collect()
     }
 
-    /// Full HMVP (Alg. 1): dot products, extraction, and packing.
+    /// Full HMVP (Alg. 1): dot products, extraction, and packing, fanned
+    /// out across the whole shared pool.
     ///
     /// # Errors
     /// Propagates shape mismatches and missing Galois keys.
@@ -401,26 +455,15 @@ impl Hmvp {
         cts: &[RlweCiphertext],
         gkeys: &GaloisKeys,
     ) -> Result<HmvpResult> {
-        cham_telemetry::counter_add!("cham_he.hmvp.multiply", 1);
-        cham_telemetry::time_scope!("cham_he.hmvp.multiply");
-        let lwes = self.dot_products(matrix, cts)?;
-        let n = self.params.degree();
-        let pack_span = Span::enter(phase::KEYSWITCH);
-        let packed = lwes
-            .chunks(n)
-            .map(|chunk| pack_lwes(chunk, gkeys, &self.params))
-            .collect::<Result<Vec<_>>>()?;
-        drop(pack_span);
-        Ok(HmvpResult {
-            packed,
-            len: matrix.rows,
-        })
+        self.multiply_parallel(matrix, cts, gkeys, usize::MAX)
     }
 
-    /// Full HMVP with the dot-product phase fanned out across the shared
-    /// pool, capped at `threads` concurrent rows (packing parallelises
-    /// per level inside [`pack_lwes`] — the reduction tree's pairs at one
-    /// level are independent).
+    /// Full HMVP with at most `threads` concurrent tasks on the shared
+    /// pool. Each `N`-row block is one `PACKLWES`; its leaves are the
+    /// block's rows, computed on demand in the order the pack tree
+    /// consumes them, so a worker owns one contiguous subtree end to end —
+    /// MAC, rescale, extract and every reduction beneath the subtree root
+    /// (see [`pack_with`]). No LWE is ever stored.
     ///
     /// # Errors
     /// Propagates shape mismatches and missing Galois keys.
@@ -433,14 +476,21 @@ impl Hmvp {
     ) -> Result<HmvpResult> {
         cham_telemetry::counter_add!("cham_he.hmvp.multiply", 1);
         cham_telemetry::time_scope!("cham_he.hmvp.multiply");
-        let lwes = self.dot_products_parallel(matrix, cts, threads)?;
-        let n = self.params.degree();
-        let pack_span = Span::enter(phase::KEYSWITCH);
-        let packed = lwes
-            .chunks(n)
-            .map(|chunk| pack_lwes(chunk, gkeys, &self.params))
+        Self::check_tiling(matrix, cts)?;
+        let cts_ntt = Self::lift_inputs_ntt(cts);
+        let packed = matrix
+            .tiles
+            .chunks(self.params.degree())
+            .map(|rows| {
+                pack_with(
+                    rows.len(),
+                    threads.max(1),
+                    |i, leaf, s| self.dot_row_leaf(&rows[i], &cts_ntt, s, leaf),
+                    gkeys,
+                    &self.params,
+                )
+            })
             .collect::<Result<Vec<_>>>()?;
-        drop(pack_span);
         Ok(HmvpResult {
             packed,
             len: matrix.rows,
@@ -473,12 +523,7 @@ impl Hmvp {
         cham_telemetry::counter_add!("cham_he.hmvp.multiply_many", 1);
         cham_telemetry::time_scope!("cham_he.hmvp.multiply_many");
         for cts in inputs {
-            if cts.len() != matrix.col_tiles() {
-                return Err(HeError::ShapeMismatch {
-                    expected: matrix.col_tiles(),
-                    got: cts.len(),
-                });
-            }
+            Self::check_tiling(matrix, cts)?;
         }
         match inputs.len() {
             0 => Ok(Vec::new()),
@@ -512,6 +557,7 @@ impl Hmvp {
 mod tests {
     use super::*;
     use crate::keys::SecretKey;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn setup() -> (
@@ -639,48 +685,43 @@ mod tests {
         assert!(hmvp.dot_products_parallel(&em, &cts[..1], 2).is_err());
     }
 
-    #[test]
-    fn fused_dot_products_match_unfused() {
-        let (params, _, enc, _, _, mut rng) = setup();
-        let t = params.plain_modulus();
-        // 2 column tiles exercises cross-tile accumulation; 37 rows the
-        // odd-count path.
-        let a = Matrix::random(37, 300, t.value(), &mut rng);
-        let v: Vec<u64> = (0..300).map(|_| rng.gen_range(0..t.value())).collect();
-        let hmvp = Hmvp::new(&params);
-        let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
-        let em = hmvp.encode_matrix(&a).unwrap();
-        let fused = hmvp.dot_products(&em, &cts).unwrap();
-        let unfused = hmvp.dot_products_unfused(&em, &cts).unwrap();
-        assert_eq!(fused, unfused, "lazy datapath must be bit-identical");
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
 
-    #[test]
-    fn steady_state_dot_phase_does_not_allocate_scratch() {
-        let (params, _, enc, _, _, mut rng) = setup();
-        let t = params.plain_modulus();
-        let a = Matrix::random(16, 300, t.value(), &mut rng);
-        let v: Vec<u64> = (0..300).map(|_| rng.gen_range(0..t.value())).collect();
-        let hmvp = Hmvp::new(&params);
-        let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
-        let em = hmvp.encode_matrix(&a).unwrap();
-        // Warm-up populates every worker's scratch slot.
-        hmvp.dot_products_parallel(&em, &cts, 4).unwrap();
-        // Concurrently running tests share slot 0 and can steal a buffer
-        // mid-measurement; retry so only a systematic per-row miss fails.
-        let mut flat = false;
-        for _ in 0..5 {
-            let (_, misses_before) = crate::scratch::scratch_stats();
-            for _ in 0..3 {
-                hmvp.dot_products_parallel(&em, &cts, 4).unwrap();
-            }
-            let (_, misses_after) = crate::scratch::scratch_stats();
-            if misses_after == misses_before {
-                flat = true;
-                break;
+        /// The fused row tail against the oracle path — strict MAC, a
+        /// materialised product, `rescale` + `extract_lwe(_, 0)` — lane
+        /// for lane, and the pack leaf against `lwe_to_rlwe` of the
+        /// oracle's LWE (the rearrange-involution cancellation).
+        #[test]
+        fn fused_row_tail_matches_rescale_then_extract(
+            rows in 1usize..10,
+            cols in proptest::sample::select(vec![1usize, 255, 256, 257, 700]),
+            seed in any::<u64>(),
+        ) {
+            let (params, _, enc, _, _, _) = setup();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let t = params.plain_modulus();
+            let a = Matrix::random(rows, cols, t.value(), &mut rng);
+            let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t.value())).collect();
+            let hmvp = Hmvp::new(&params);
+            let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
+            let em = hmvp.encode_matrix(&a).unwrap();
+            let oracle = hmvp.dot_products_unfused(&em, &cts).unwrap();
+            prop_assert!(hmvp.dot_products(&em, &cts).unwrap() == oracle, "lwe path");
+            let cts_ntt = Hmvp::lift_inputs_ntt(&cts);
+            // One dirty leaf reused for every row: the tail must overwrite
+            // every coefficient.
+            let mut leaf = crate::extract::lwe_to_rlwe(&oracle[0]);
+            leaf.b = leaf.a.clone();
+            for (row_tiles, lwe) in em.tiles().iter().zip(&oracle) {
+                ScratchPool::global()
+                    .with(params.augmented_context(), |s| {
+                        hmvp.dot_row_leaf(row_tiles, &cts_ntt, s, &mut leaf)
+                    })
+                    .unwrap();
+                prop_assert!(leaf == crate::extract::lwe_to_rlwe(lwe), "leaf path");
             }
         }
-        assert!(flat, "steady-state dot phase must not allocate scratch");
     }
 
     #[test]

@@ -62,6 +62,8 @@ pub mod hmvp;
 pub mod keys;
 pub mod noise;
 pub mod ops;
+#[cfg(test)]
+pub(crate) mod oracle;
 pub mod pack;
 pub mod params;
 pub mod scratch;

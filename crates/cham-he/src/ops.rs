@@ -12,8 +12,24 @@ use crate::ciphertext::RlweCiphertext;
 use crate::encoding::Plaintext;
 use crate::keys::{GaloisKeys, KeySwitchKey};
 use crate::params::ChamParams;
+use crate::scratch::{DotScratch, ScratchPool};
 use crate::{HeError, Result};
 use cham_math::rns::{Form, FusedAccumulator, RnsContext, RnsPoly};
+use cham_math::Modulus;
+use std::borrow::Cow;
+
+/// `p` in coefficient form: borrowed when it already is, one clone and
+/// inverse transform otherwise.
+pub(crate) fn in_coeff_form(p: &RnsPoly) -> Cow<'_, RnsPoly> {
+    match p.form() {
+        Form::Coeff => Cow::Borrowed(p),
+        Form::Ntt => {
+            let mut c = p.clone();
+            c.to_coeff();
+            Cow::Owned(c)
+        }
+    }
+}
 
 /// Lifts a plaintext into an RNS basis with **centred** coefficients (so
 /// multiplication noise scales with `t/2`, not `t`), returning it in NTT
@@ -163,10 +179,7 @@ pub fn rescale(ct: &RlweCiphertext, params: &ChamParams) -> Result<RlweCiphertex
         ));
     }
     let target = params.ciphertext_context();
-    let mut b = ct.b().clone();
-    let mut a = ct.a().clone();
-    b.to_coeff();
-    a.to_coeff();
+    let (b, a) = (in_coeff_form(ct.b()), in_coeff_form(ct.a()));
     RlweCiphertext::new(b.rescale_by_last(target)?, a.rescale_by_last(target)?)
 }
 
@@ -187,11 +200,167 @@ pub fn mod_switch_to_single(ct: &RlweCiphertext, params: &ChamParams) -> Result<
         ));
     }
     let target = params.ciphertext_context().drop_last()?;
-    let mut b = ct.b().clone();
-    let mut a = ct.a().clone();
-    b.to_coeff();
-    a.to_coeff();
+    let (b, a) = (in_coeff_form(ct.b()), in_coeff_form(ct.a()));
     RlweCiphertext::new(b.rescale_by_last(&target)?, a.rescale_by_last(&target)?)
+}
+
+/// `dst[σ_k(j)] ← put(±src[i])` for every coefficient: the `AUTOMORPH`
+/// pass `X → X^k` (odd `k`) as a scatter, with the sign of each wrap past
+/// `X^N = −1` applied in `q`. `src` may be stored rotated — `src[i]` holds
+/// logical coefficient `j = (i + rot) mod N` — which is how
+/// [`monomial_butterfly`] leaves its difference.
+fn automorph_scatter(
+    src: &[u64],
+    dst: &mut [u64],
+    k: usize,
+    rot: usize,
+    q: &Modulus,
+    put: impl Fn(&mut u64, u64),
+) {
+    let n = src.len();
+    let mask = n - 1;
+    for (i, &v) in src.iter().enumerate() {
+        let jk = ((i + rot) & mask) * k;
+        // (−1)^{⌊jk/N⌋}: bit log2(N) of jk.
+        let v = if jk & n != 0 { q.neg(v) } else { v };
+        put(&mut dst[jk & mask], v);
+    }
+}
+
+/// Lines 1–3 of Alg. 2 in one in-place pass over a limb:
+/// `even ← even + X^g·odd` and `odd[i] ← (even − X^g·odd)[(i + g) mod N]`.
+/// The difference is left rotated by `g` so that no coefficient is read
+/// after it has been overwritten; [`automorph_scatter`] undoes the
+/// rotation for free.
+pub(crate) fn monomial_butterfly(even: &mut [u64], odd: &mut [u64], g: usize, q: &Modulus) {
+    let n = even.len();
+    let (even_wrapped, even_shifted) = even.split_at_mut(g);
+    let (odd_shifted, odd_wrapped) = odd.split_at_mut(n - g);
+    for (e, o) in even_shifted.iter_mut().zip(odd_shifted) {
+        (*e, *o) = (q.add(*e, *o), q.sub(*e, *o));
+    }
+    // Coefficients shifted past X^N come back negated: the term is −odd[i].
+    for (e, o) in even_wrapped.iter_mut().zip(odd_wrapped) {
+        (*e, *o) = (q.sub(*e, *o), q.add(*e, *o));
+    }
+}
+
+/// Writes the key-switch digits of `σ_k(a)` into `words` in coefficient
+/// form: digit `d` is limb `d` of the automorphed polynomial — integers
+/// below `q_d` — re-embedded into every limb of `aug` (`len·N` words per
+/// digit, limb-major). `k = 1, rot = 0` is the plain decomposition.
+///
+/// Re-embedding a value `v < q_d` modulo `q_l` is a per-pair decision made
+/// outside the loop: nothing when `q_d ≤ q_l`, one compare-subtract when
+/// `q_d < 2·q_l` (every pair of the CHAM chain), Barrett otherwise.
+fn write_digits(a: &RnsPoly, k: usize, rot: usize, aug: &RnsContext, words: &mut [u64]) {
+    let n = aug.degree();
+    let lanes = aug.len() * n;
+    for (d, (limb, from)) in a.limbs().iter().zip(a.context().moduli()).enumerate() {
+        let src = limb.coeffs();
+        let digit = &mut words[d * lanes..(d + 1) * lanes];
+        for (dst, to) in digit.chunks_exact_mut(n).zip(aug.moduli()) {
+            let q = to.value();
+            if from.value() <= q {
+                automorph_scatter(src, dst, k, rot, from, |slot, v| *slot = v);
+            } else if from.value() < 2 * q {
+                automorph_scatter(src, dst, k, rot, from, |slot, v| {
+                    *slot = if v >= q { v - q } else { v };
+                });
+            } else {
+                automorph_scatter(src, dst, k, rot, from, |slot, v| *slot = to.reduce(v));
+            }
+        }
+    }
+}
+
+/// The KEYSWITCH functional unit on scratch: RNS digit decomposition of
+/// `σ_k(a)`, one NTT-domain multiply-accumulate per digit against the
+/// KSK, inverse transform. On return `s.words[..lanes]` and
+/// `s.words[lanes..2·lanes]` hold the `(b, a)` correction pair over the
+/// augmented basis in coefficient form — one [`rescale_lanes_into`] /
+/// [`rescale_lanes_add`] away from the normal basis.
+///
+/// Everything runs on the calling thread: callers are already one task of
+/// a parallel region (a pack subtree, a batch member), and a nested
+/// dispatch of 2–3 limb transforms costs more than it buys.
+fn keyswitch_to_scratch(
+    a: &RnsPoly,
+    k: usize,
+    rot: usize,
+    ksk: &KeySwitchKey,
+    params: &ChamParams,
+    s: &mut DotScratch,
+) -> Result<()> {
+    cham_telemetry::counter_add!("cham_he.ops.keyswitch", 1);
+    cham_telemetry::time_scope!("cham_he.ops.keyswitch");
+    let aug = params.augmented_context();
+    let n = aug.degree();
+    let lanes = aug.len() * n;
+    let digits = a.context().len();
+    if a.form() != Form::Coeff || a.context().degree() != n {
+        return Err(HeError::Incompatible(
+            "key-switch expects a coefficient-form mask of the ring degree",
+        ));
+    }
+    if digits != ksk.digit_count() || digits + 1 != aug.len() {
+        return Err(HeError::Incompatible(
+            "digit count does not match the key-switch key",
+        ));
+    }
+    let DotScratch {
+        b_acc,
+        a_acc,
+        words,
+        ..
+    } = s;
+    write_digits(a, k, rot, aug, words);
+    let transform = |words: &mut [u64], f: fn(&cham_math::NttTable, &mut [u64])| {
+        for (limb, table) in words.chunks_exact_mut(n).zip(aug.tables().iter().cycle()) {
+            f(table, limb);
+        }
+    };
+    transform(&mut words[..digits * lanes], cham_math::NttTable::forward);
+    // Deferred reduction over per-worker scratch: the sum of products is
+    // the same residues the strict multiply/add sequence produces.
+    let mut acc_b = FusedAccumulator::new(aug, b_acc)?;
+    let mut acc_a = FusedAccumulator::new(aug, a_acc)?;
+    for (d, digit) in words[..digits * lanes].chunks_exact(lanes).enumerate() {
+        acc_b.accumulate_lanes(digit, &ksk.b[d])?;
+        acc_a.accumulate_lanes(digit, &ksk.a[d])?;
+    }
+    // The digits are consumed; their storage takes the two sums.
+    acc_b.finish_lanes_into(&mut words[..lanes])?;
+    acc_a.finish_lanes_into(&mut words[lanes..2 * lanes])?;
+    transform(&mut words[..2 * lanes], cham_math::NttTable::inverse);
+    Ok(())
+}
+
+/// RESCALE of the augmented-basis polynomial at `words[at..at + lanes]`
+/// (coefficient form, limb-major) straight into the limbs of the
+/// normal-basis `dst`.
+pub(crate) fn rescale_lanes_into(aug: &RnsContext, words: &[u64], at: usize, dst: &mut RnsPoly) {
+    let n = aug.degree();
+    let src = &words[at..at + aug.len() * n];
+    let last = &src[(aug.len() - 1) * n..];
+    for (i, limb) in dst.limbs_mut().iter_mut().enumerate() {
+        aug.rescale_limb_into(i, &src[i * n..(i + 1) * n], last, limb.coeffs_mut());
+    }
+}
+
+/// [`rescale_lanes_into`] that adds the rescaled polynomial to what `dst`
+/// already holds, staging one limb at a time in the tail of `words`.
+fn rescale_lanes_add(aug: &RnsContext, words: &mut [u64], at: usize, dst: &mut RnsPoly) {
+    let n = aug.degree();
+    let (body, stage) = words.split_at_mut(words.len() - n);
+    let src = &body[at..at + aug.len() * n];
+    let last = &src[(aug.len() - 1) * n..];
+    for (i, (limb, q)) in dst.limbs_mut().iter_mut().zip(aug.moduli()).enumerate() {
+        aug.rescale_limb_into(i, &src[i * n..(i + 1) * n], last, stage);
+        for (o, &v) in limb.coeffs_mut().iter_mut().zip(stage.iter()) {
+            *o = q.add(*o, v);
+        }
+    }
 }
 
 /// Key-switches the mask `a` (currently keyed to some `s_old`) to the
@@ -209,41 +378,47 @@ pub fn keyswitch_mask(
     ksk: &KeySwitchKey,
     params: &ChamParams,
 ) -> Result<(RnsPoly, RnsPoly)> {
-    cham_telemetry::counter_add!("cham_he.ops.keyswitch", 1);
-    cham_telemetry::time_scope!("cham_he.ops.keyswitch");
     let aug = params.augmented_context();
     let target = params.ciphertext_context();
-    let mut a_coeff = a.clone();
-    a_coeff.to_coeff();
-    let mut digits = a_coeff.decompose_digits(aug)?;
-    if digits.len() != ksk.digit_count() {
-        return Err(HeError::Incompatible(
-            "digit count does not match the key-switch key",
-        ));
-    }
-    // The per-digit NTTs are independent — fan them out across the pool.
-    // The digit × KSK multiplies then run through one fused accumulator
-    // pair over per-worker scratch (deferred reduction, no per-term
-    // allocation); the sum of products is the same residues the strict
-    // multiply/add sequence produces, so the result stays bit-identical.
-    cham_pool::for_each_mut(&mut digits, |_, d| d.to_ntt());
     let lanes = aug.len() * aug.degree();
-    let (mut acc_b, mut acc_a) =
-        crate::scratch::with_dot_scratch(lanes, |s| -> Result<(RnsPoly, RnsPoly)> {
-            let mut b_acc = FusedAccumulator::new(aug, &mut s.b_acc)?;
-            let mut a_acc = FusedAccumulator::new(aug, &mut s.a_acc)?;
-            for (i, d) in digits.iter().enumerate() {
-                b_acc.accumulate(d, &ksk.b[i])?;
-                a_acc.accumulate(d, &ksk.a[i])?;
-            }
-            Ok((b_acc.finish(), a_acc.finish()))
-        })?;
-    acc_b.to_coeff();
-    acc_a.to_coeff();
-    Ok((
-        acc_b.rescale_by_last(target)?,
-        acc_a.rescale_by_last(target)?,
-    ))
+    let a = in_coeff_form(a);
+    ScratchPool::global().with(aug, |s| {
+        keyswitch_to_scratch(&a, 1, 0, ksk, params, s)?;
+        let (mut ks_b, mut ks_a) = (RnsPoly::zero(target), RnsPoly::zero(target));
+        rescale_lanes_into(aug, &s.words, 0, &mut ks_b);
+        rescale_lanes_into(aug, &s.words, lanes, &mut ks_a);
+        Ok((ks_b, ks_a))
+    })
+}
+
+/// AUTOMORPHISM + KEYSWITCH folded into an accumulator (Alg. 2 lines
+/// 4–6): `acc ← acc + KS_k(σ_k((b, a)))`, all in place. `(b, a)` may be
+/// stored rotated by `rot` (see [`monomial_butterfly`]); everything is
+/// normal-basis, coefficient form.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn add_galois_of(
+    acc: &mut RlweCiphertext,
+    b: &RnsPoly,
+    a: &RnsPoly,
+    rot: usize,
+    k: usize,
+    ksk: &KeySwitchKey,
+    params: &ChamParams,
+    s: &mut DotScratch,
+) -> Result<()> {
+    cham_telemetry::counter_add!("cham_he.ops.apply_galois", 1);
+    let aug = params.augmented_context();
+    let lanes = aug.len() * aug.degree();
+    keyswitch_to_scratch(a, k, rot, ksk, params, s)?;
+    let moduli = b.context().moduli();
+    for ((dst, src), q) in acc.b.limbs_mut().iter_mut().zip(b.limbs()).zip(moduli) {
+        automorph_scatter(src.coeffs(), dst.coeffs_mut(), k, rot, q, |slot, v| {
+            *slot = q.add(*slot, v);
+        });
+    }
+    rescale_lanes_add(aug, &mut s.words, 0, &mut acc.b);
+    rescale_lanes_add(aug, &mut s.words, lanes, &mut acc.a);
+    Ok(())
 }
 
 /// AUTOMORPHISM + KEYSWITCH (Alg. 2 lines 4–5): applies the Galois map
@@ -259,19 +434,23 @@ pub fn apply_galois(
     gkeys: &GaloisKeys,
     params: &ChamParams,
 ) -> Result<RlweCiphertext> {
-    cham_telemetry::counter_add!("cham_he.ops.apply_galois", 1);
     if ct.b().context() != params.ciphertext_context() {
         return Err(HeError::Incompatible(
             "apply_galois expects a normal-basis ciphertext",
         ));
     }
     let ksk = gkeys.get(k)?;
-    let mut c = ct.clone();
-    c.to_coeff();
-    let b_k = c.b().automorph(k)?;
-    let a_k = c.a().automorph(k)?;
-    let (ks_b, ks_a) = keyswitch_mask(&a_k, ksk, params)?;
-    RlweCiphertext::new(b_k.add(&ks_b)?, ks_a)
+    if k.is_multiple_of(2) {
+        return Err(
+            cham_math::MathError::InvalidParameter("automorphism index must be odd").into(),
+        );
+    }
+    let (b, a) = (in_coeff_form(ct.b()), in_coeff_form(ct.a()));
+    let mut acc = ct.zero_like();
+    ScratchPool::global().with(params.augmented_context(), |s| {
+        add_galois_of(&mut acc, &b, &a, 0, k, ksk, params, s)
+    })?;
+    Ok(acc)
 }
 
 #[cfg(test)]
@@ -280,6 +459,7 @@ mod tests {
     use crate::encoding::CoeffEncoder;
     use crate::encrypt::{Decryptor, Encryptor};
     use crate::keys::SecretKey;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
     fn setup() -> (
@@ -378,6 +558,48 @@ mod tests {
             .unwrap();
         assert_eq!(report.plaintext.values(), expect.coeffs());
         assert!(report.budget_bits > 10.0, "budget {}", report.budget_bits);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn streaming_keyswitch_and_galois_match_the_oracle(seed in any::<u64>()) {
+            let (params, sk, enc, _, coder, _) = setup();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let gkeys =
+                GaloisKeys::generate_for_packing(&sk, params.max_pack_log(), &mut rng).unwrap();
+            let vals: Vec<u64> = (0..params.degree()).map(|_| rng.gen_range(0..65537)).collect();
+            let ct = enc.encrypt(&coder.encode_vector(&vals).unwrap(), &mut rng);
+            let mut ct_ntt = ct.clone();
+            ct_ntt.to_ntt();
+            for h in 1..=params.max_pack_log() {
+                let k = (1usize << h) + 1;
+                let ksk = gkeys.get(k).unwrap();
+                let want = crate::oracle::keyswitch_mask(ct.a(), ksk, &params).unwrap();
+                for a in [ct.a(), ct_ntt.a()] {
+                    let got = keyswitch_mask(a, ksk, &params).unwrap();
+                    prop_assert!(got == want, "keyswitch k={} form={:?}", k, a.form());
+                }
+                let want = crate::oracle::apply_galois(&ct, k, &gkeys, &params).unwrap();
+                for c in [&ct, &ct_ntt] {
+                    let got = apply_galois(c, k, &gkeys, &params).unwrap();
+                    prop_assert!(got == want, "apply_galois k={} form={:?}", k, c.form());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keyswitch_rejects_foreign_masks() {
+        let (params, sk, enc, _, coder, mut rng) = setup();
+        let ksk = KeySwitchKey::generate(&sk, sk.coeffs(), &mut rng).unwrap();
+        // An augmented-basis mask has one digit too many for the key.
+        let aug = enc.encrypt_augmented(&coder.encode_vector(&[1]).unwrap(), &mut rng);
+        assert!(matches!(
+            keyswitch_mask(aug.a(), &ksk, &params),
+            Err(HeError::Incompatible(_))
+        ));
     }
 
     #[test]

@@ -420,9 +420,19 @@ impl Modulus {
     /// Maps a signed value into canonical form `[0, q)`.
     #[inline]
     pub fn from_signed(&self, x: i64) -> u64 {
-        let q = self.value as i128;
-        let r = (x as i128 % q + q) % q;
-        r as u64
+        let mag = x.unsigned_abs();
+        // Plaintext and noise coefficients are almost always below `q`
+        // in magnitude; only the rare large input pays a division.
+        let r = if mag < self.value {
+            mag
+        } else {
+            mag % self.value
+        };
+        if x < 0 && r != 0 {
+            self.value - r
+        } else {
+            r
+        }
     }
 }
 
@@ -565,6 +575,52 @@ mod tests {
         assert_eq!(q.from_signed(-1), 16);
         assert_eq!(q.from_signed(-17), 0);
         assert_eq!(q.from_signed(35), 1);
+    }
+
+    #[test]
+    fn from_signed_matches_the_two_remainder_formula() {
+        let strict = |q: u64, x: i64| {
+            let q = q as i128;
+            ((x as i128 % q + q) % q) as u64
+        };
+        for &qv in &[
+            2u64,
+            17,
+            97,
+            Q0,
+            Q1,
+            SPECIAL_P,
+            (1 << 61) - 1,
+            (1 << 62) - 1,
+        ] {
+            let q = Modulus::new(qv).unwrap();
+            let qi = qv as i64;
+            let edges = [
+                i64::MIN,
+                i64::MIN + 1,
+                i64::MAX,
+                i64::MAX - 1,
+                qi,
+                -qi,
+                qi - 1,
+                -(qi - 1),
+                qi + 1,
+                -(qi + 1),
+                0,
+                1,
+                -1,
+            ];
+            for x in edges {
+                assert_eq!(q.from_signed(x), strict(qv, x), "q={qv} x={x}");
+            }
+            let mut rng = rng();
+            for _ in 0..2000 {
+                let x: i64 = rng.gen();
+                assert_eq!(q.from_signed(x), strict(qv, x), "q={qv} x={x}");
+                let small = x % (2 * qi.min(1 << 40));
+                assert_eq!(q.from_signed(small), strict(qv, small), "q={qv} x={small}");
+            }
+        }
     }
 
     #[test]

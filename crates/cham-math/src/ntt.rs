@@ -217,6 +217,14 @@ impl NttTable {
         crate::simd::reduce_from_lazy_slice(backend, a, q);
     }
 
+    /// `x · n^{−1} mod q` for canonical `x` — the transform scaling on its
+    /// own, for callers that need a single output coefficient of the
+    /// inverse transform rather than all `n`.
+    #[inline]
+    pub(crate) fn scale_by_n_inv(&self, x: u64) -> u64 {
+        self.q.mul_shoup(x, self.n_inv, self.n_inv_shoup)
+    }
+
     /// In-place inverse negacyclic NTT. Input in bit-reversed order, output
     /// in normal order, scaled by `n^{-1}`. Lazy Gentleman–Sande datapath:
     /// values stay in `[0, 2q)` between stages, and the `n^{-1}` scaling is

@@ -52,8 +52,19 @@ pub struct RnsContext {
     degree: usize,
     moduli: Arc<Vec<Modulus>>,
     tables: Arc<Vec<NttTable>>,
-    /// inv(p_last) mod q_i for each limb i < len-1 — rescale constant.
-    inv_last: Arc<Vec<u64>>,
+    /// Divide-and-round constants for each limb i < len-1.
+    rescale: Arc<Vec<RescaleConst>>,
+}
+
+/// Per-surviving-limb constants of the rescale by the last prime `p`.
+#[derive(Debug, Clone, Copy)]
+struct RescaleConst {
+    /// `p^{-1} mod q_i` and its Shoup companion word.
+    inv: u64,
+    inv_shoup: u64,
+    /// The smallest multiple of `q_i` that is `>= p`: added before the
+    /// dropped residue is subtracted so the difference never goes negative.
+    offset: u64,
 }
 
 impl PartialEq for RnsContext {
@@ -97,15 +108,22 @@ impl RnsContext {
             .map(|&m| NttTable::new(degree, m))
             .collect::<Result<_>>()?;
         let last = *primes.last().expect("non-empty");
-        let inv_last = moduli[..moduli.len() - 1]
+        let rescale = moduli[..moduli.len() - 1]
             .iter()
-            .map(|m| m.inv(last % m.value()))
+            .map(|m| {
+                let inv = m.inv(last % m.value())?;
+                Ok(RescaleConst {
+                    inv,
+                    inv_shoup: m.shoup(inv),
+                    offset: last.div_ceil(m.value()) * m.value(),
+                })
+            })
             .collect::<Result<Vec<_>>>()?;
         Ok(Self {
             degree,
             moduli: Arc::new(moduli),
             tables: Arc::new(tables),
-            inv_last: Arc::new(inv_last),
+            rescale: Arc::new(rescale),
         })
     }
 
@@ -167,6 +185,53 @@ impl RnsContext {
             .map(Modulus::value)
             .collect();
         Self::new(self.degree, &primes)
+    }
+
+    /// The rescale kernel on raw limb slices: for surviving limb `i`,
+    /// `out[j] = (x[j] − [last[j]]) · p^{−1} mod q_i`, where `[·]` is the
+    /// centred lift of the dropped residue (`r > p/2 ? r − p : r`) — the
+    /// divide-and-round by the last prime `p` of this chain. `x` holds
+    /// limb-`i` residues and `last` the matching last-limb residues, all
+    /// canonical and in coefficient form; any common length works, so a
+    /// single coefficient is rescaled the same way as a whole limb.
+    ///
+    /// The centred lift never materialises: `x + offset (+ p) − r` is a
+    /// non-negative representative of the difference (`offset` is a
+    /// multiple of `q_i` no smaller than `p`), and a Shoup multiply by the
+    /// precomputed `p^{−1}` accepts any `u64` operand.
+    ///
+    /// # Panics
+    /// Panics if `i` is not a surviving limb or the slice lengths differ.
+    pub fn rescale_limb_into(&self, i: usize, x: &[u64], last: &[u64], out: &mut [u64]) {
+        assert!(i + 1 < self.len(), "limb {i} does not survive the rescale");
+        assert!(
+            x.len() == last.len() && x.len() == out.len(),
+            "operand length mismatch"
+        );
+        let q = &self.moduli[i];
+        let p = self.moduli[self.len() - 1].value();
+        let half = p / 2;
+        let c = self.rescale[i];
+        // q_i, p < 2^62, so x + offset + p < q_i + (p + q_i) + p < 2^64.
+        let (keep, wrap) = (c.offset, c.offset + p);
+        for ((o, &xi), &r) in out.iter_mut().zip(x).zip(last) {
+            let lifted = xi + if r > half { wrap } else { keep } - r;
+            *o = q.mul_shoup(lifted, c.inv, c.inv_shoup);
+        }
+    }
+
+    /// True when `target` is this chain with the last prime dropped (same
+    /// degree, same prime prefix). Structural on purpose: building the
+    /// dropped context would derive NTT tables, far too expensive for a
+    /// per-rescale check.
+    fn drops_to(&self, target: &RnsContext) -> bool {
+        target.degree == self.degree
+            && target.len() + 1 == self.len()
+            && target
+                .moduli
+                .iter()
+                .zip(self.moduli.iter())
+                .all(|(a, b)| a.value() == b.value())
     }
 
     /// Reconstructs the integer value of a single coefficient from its limb
@@ -584,52 +649,82 @@ impl RnsPoly {
     /// **Rescale** (pipeline stage-4): divide-and-round by the last prime,
     /// dropping it from the basis. For a coefficient `c` over `Q·p`, the
     /// result over `Q` is `round(c / p)`, computed limb-locally as
-    /// `(c_i − [c_p]) · p^{−1} mod q_i` with a centred lift of `c_p`.
+    /// `(c_i − [c_p]) · p^{−1} mod q_i` with a centred lift of `c_p`
+    /// ([`RnsContext::rescale_limb_into`] is the per-limb kernel).
     ///
     /// # Errors
-    /// [`MathError::ContextMismatch`] when in NTT form;
+    /// [`MathError::ContextMismatch`] when in NTT form or when `target` is
+    /// not this context minus its last prime;
     /// [`MathError::InvalidParameter`] for single-limb operands.
     pub fn rescale_by_last(&self, target: &RnsContext) -> Result<Self> {
+        self.check_rescale(target)?;
+        let k = self.ctx.len();
+        let last = self.limbs[k - 1].coeffs();
+        let limbs = self.limbs[..k - 1]
+            .iter()
+            .enumerate()
+            .map(|(i, limb)| {
+                let mut out = vec![0u64; last.len()];
+                self.ctx.rescale_limb_into(i, limb.coeffs(), last, &mut out);
+                Poly::from_coeffs(out)
+            })
+            .collect();
+        Ok(Self {
+            ctx: target.clone(),
+            limbs,
+            form: Form::Coeff,
+        })
+    }
+
+    fn check_rescale(&self, target: &RnsContext) -> Result<()> {
         if self.form != Form::Coeff {
             return Err(MathError::ContextMismatch);
         }
-        let k = self.ctx.len();
-        if k < 2 {
+        if self.ctx.len() < 2 {
             return Err(MathError::InvalidParameter(
                 "rescale requires at least two limbs",
             ));
         }
-        // Validate structurally (degree + prime prefix) instead of building
-        // the dropped context: constructing an RnsContext derives NTT
-        // tables, far too expensive for a per-rescale check.
-        let prefix_ok = target.degree == self.ctx.degree
-            && target.len() == k - 1
-            && target
-                .moduli
-                .iter()
-                .zip(self.ctx.moduli.iter())
-                .all(|(a, b)| a.value() == b.value());
-        if !prefix_ok {
+        if !self.ctx.drops_to(target) {
             return Err(MathError::ContextMismatch);
         }
-        let p_mod = self.ctx.moduli()[k - 1];
-        let last = &self.limbs[k - 1];
-        let n = self.ctx.degree();
-        // Each surviving limb is computed independently from (its own
-        // residues, the dropped residues) — fan out across the pool.
-        let limbs = cham_pool::map(&self.ctx.moduli()[..k - 1], |i, m| {
-            let inv_p = self.ctx.inv_last[i];
-            let mut out = Vec::with_capacity(n);
-            for j in 0..n {
-                // Centred lift of the dropped residue implements rounding
-                // (|error| <= 1/2 of a unit in the target).
-                let cp = p_mod.center(last.coeffs()[j]);
-                let cp_in_qi = m.from_signed(cp);
-                let diff = m.sub(self.limbs[i].coeffs()[j], cp_in_qi);
-                out.push(m.mul(diff, inv_p));
-            }
-            Poly::from_coeffs(out)
-        });
+        Ok(())
+    }
+
+    /// The textbook rescale — centre the dropped residue, map it into
+    /// `q_i` with two signed remainders, subtract, Barrett-multiply by
+    /// `p^{−1}` — kept as the oracle the property tests compare
+    /// [`RnsPoly::rescale_by_last`] against. Not for production use.
+    ///
+    /// # Errors
+    /// Same conditions as [`RnsPoly::rescale_by_last`].
+    #[doc(hidden)]
+    pub fn rescale_by_last_strict(&self, target: &RnsContext) -> Result<Self> {
+        self.check_rescale(target)?;
+        let k = self.ctx.len();
+        let p = self.ctx.moduli[k - 1].value();
+        let last = self.limbs[k - 1].coeffs();
+        let limbs = self.limbs[..k - 1]
+            .iter()
+            .zip(self.ctx.moduli.iter())
+            .map(|(limb, m)| {
+                let q = m.value() as i128;
+                let inv_p = m.inv(p % m.value()).expect("chain primes are coprime");
+                limb.coeffs()
+                    .iter()
+                    .zip(last)
+                    .map(|(&c, &r)| {
+                        let centred = if r > p / 2 {
+                            r as i128 - p as i128
+                        } else {
+                            r as i128
+                        };
+                        let lifted = ((centred % q + q) % q) as u64;
+                        m.mul(m.sub(c, lifted), inv_p)
+                    })
+                    .collect()
+            })
+            .collect();
         Ok(Self {
             ctx: target.clone(),
             limbs,
@@ -734,7 +829,33 @@ impl<'a> FusedAccumulator<'a> {
     /// [`MathError::ContextMismatch`] unless both operands are in NTT form
     /// over this accumulator's context.
     pub fn accumulate(&mut self, a: &RnsPoly, b: &RnsPoly) -> Result<()> {
-        if a.ctx != self.ctx || b.ctx != self.ctx || a.form != Form::Ntt || b.form != Form::Ntt {
+        if a.ctx != self.ctx || a.form != Form::Ntt {
+            return Err(MathError::ContextMismatch);
+        }
+        self.accumulate_with(|i| a.limbs[i].coeffs(), b)
+    }
+
+    /// [`Self::accumulate`] for a left operand that lives in flat scratch
+    /// rather than an [`RnsPoly`]: `a` holds `len · degree` NTT-domain
+    /// residues, limb-major — the layout of the accumulator itself.
+    ///
+    /// # Errors
+    /// [`MathError::ContextMismatch`] unless `a` has `len · degree` lanes
+    /// and `b` is in NTT form over this accumulator's context.
+    pub fn accumulate_lanes(&mut self, a: &[u64], b: &RnsPoly) -> Result<()> {
+        if a.len() != self.acc.len() {
+            return Err(MathError::ContextMismatch);
+        }
+        let n = self.ctx.degree();
+        self.accumulate_with(|i| &a[i * n..(i + 1) * n], b)
+    }
+
+    fn accumulate_with<'s>(
+        &mut self,
+        a_limb: impl Fn(usize) -> &'s [u64],
+        b: &RnsPoly,
+    ) -> Result<()> {
+        if b.ctx != self.ctx || b.form != Form::Ntt {
             return Err(MathError::ContextMismatch);
         }
         if self.pending == crate::poly::LAZY_ACC_BOUND {
@@ -746,8 +867,8 @@ impl<'a> FusedAccumulator<'a> {
         } else {
             crate::poly::mul_pointwise_accumulate
         };
-        for (i, (la, lb)) in a.limbs.iter().zip(&b.limbs).enumerate() {
-            write(&mut self.acc[i * n..(i + 1) * n], la.coeffs(), lb.coeffs());
+        for (i, lb) in b.limbs.iter().enumerate() {
+            write(&mut self.acc[i * n..(i + 1) * n], a_limb(i), lb.coeffs());
         }
         self.fresh = false;
         self.pending += 1;
@@ -777,18 +898,73 @@ impl<'a> FusedAccumulator<'a> {
         if out.ctx != self.ctx {
             return Err(MathError::ContextMismatch);
         }
-        let n = self.ctx.degree();
-        for (i, m) in self.ctx.moduli().iter().enumerate() {
-            let limb = out.limbs[i].coeffs_mut();
-            if self.fresh {
-                // No term was ever accumulated: the sum is zero and the
-                // scratch contents are stale — do not reduce them.
-                limb.fill(0);
-            } else {
-                crate::poly::finish_accumulator(&self.acc[i * n..(i + 1) * n], m, limb);
-            }
+        for (i, limb) in out.limbs.iter_mut().enumerate() {
+            self.finish_limb(i, limb.coeffs_mut());
         }
         out.form = Form::Ntt;
+        Ok(())
+    }
+
+    /// [`Self::finish_into`] for flat scratch: `out` receives the
+    /// `len · degree` canonical NTT-domain residues, limb-major.
+    ///
+    /// # Errors
+    /// [`MathError::ContextMismatch`] if `out.len() != len · degree`.
+    pub fn finish_lanes_into(self, out: &mut [u64]) -> Result<()> {
+        if out.len() != self.acc.len() {
+            return Err(MathError::ContextMismatch);
+        }
+        for (i, limb) in out.chunks_exact_mut(self.ctx.degree()).enumerate() {
+            self.finish_limb(i, limb);
+        }
+        Ok(())
+    }
+
+    fn finish_limb(&self, i: usize, limb: &mut [u64]) {
+        let n = self.ctx.degree();
+        if self.fresh {
+            // No term was ever accumulated: the sum is zero and the
+            // scratch contents are stale — do not reduce them.
+            limb.fill(0);
+        } else {
+            let m = &self.ctx.moduli()[i];
+            crate::poly::finish_accumulator(&self.acc[i * n..(i + 1) * n], m, limb);
+        }
+    }
+
+    /// The constant coefficient of the accumulated sum, per limb, without
+    /// an inverse transform: coefficient 0 of a negacyclic INTT is
+    /// `n^{−1} · Σ lanes`, because every twiddle `ψ^{−(2k+1)·0}` it weighs
+    /// the lanes with is 1. `out[i]` is exactly what
+    /// `finish()` → `to_coeff()` would leave at index 0 of limb `i`.
+    ///
+    /// # Errors
+    /// [`MathError::ContextMismatch`] if `out.len() != len`.
+    pub fn finish_constant_coeffs(self, out: &mut [u64]) -> Result<()> {
+        if out.len() != self.ctx.len() {
+            return Err(MathError::ContextMismatch);
+        }
+        if self.fresh {
+            out.fill(0);
+            return Ok(());
+        }
+        let n = self.ctx.degree();
+        for (i, (o, m)) in out.iter_mut().zip(self.ctx.moduli()).enumerate() {
+            // Lanes are unreduced and may each be close to 2^128, so sum
+            // their 64-bit halves separately (n ≤ 2^20 of them fit a u128
+            // with room to spare) and reduce once:
+            // Σ lanes = Σ hi · 2^64 + Σ lo.
+            let (hi, lo) = self.acc[i * n..(i + 1) * n]
+                .iter()
+                .fold((0u128, 0u128), |(hi, lo), &lane| {
+                    (hi + (lane >> 64), lo + (lane as u64) as u128)
+                });
+            let sum = m.add(
+                m.mul(m.reduce_u128(hi), m.reduce_u128(1 << 64)),
+                m.reduce_u128(lo),
+            );
+            *o = self.ctx.tables[i].scale_by_n_inv(sum);
+        }
         Ok(())
     }
 
@@ -1076,6 +1252,107 @@ mod tests {
         let fused = acc.finish();
         assert_eq!(fused, strict.unwrap());
         assert_eq!(fused.form(), Form::Ntt);
+    }
+
+    #[test]
+    fn fused_accumulator_lane_forms_match_the_poly_forms() {
+        let c = ctx3(64);
+        let n = c.degree();
+        let mut rng = rng();
+        // Uniform NTT-form operands, plus an all-(q−1) pair: sixteen such
+        // products put every lane at the top of the u128 headroom.
+        let uniform = |rng: &mut rand::rngs::StdRng| {
+            let limbs = c
+                .moduli()
+                .iter()
+                .map(|m| (0..n).map(|_| rng.gen_range(0..m.value())).collect())
+                .collect();
+            RnsPoly::from_limbs(&c, limbs, Form::Ntt).unwrap()
+        };
+        let top = RnsPoly::from_limbs(
+            &c,
+            c.moduli()
+                .iter()
+                .map(|m| Poly::from_coeffs(vec![m.value() - 1; n]))
+                .collect(),
+            Form::Ntt,
+        )
+        .unwrap();
+        for terms in [
+            1usize,
+            2,
+            crate::poly::LAZY_ACC_BOUND,
+            crate::poly::LAZY_ACC_BOUND + 1,
+        ] {
+            let pairs: Vec<(RnsPoly, RnsPoly)> = (0..terms)
+                .map(|t| {
+                    if t % 2 == 0 {
+                        (top.clone(), top.clone())
+                    } else {
+                        (uniform(&mut rng), uniform(&mut rng))
+                    }
+                })
+                .collect();
+            fn run<'s>(
+                c: &RnsContext,
+                pairs: &[(RnsPoly, RnsPoly)],
+                lanes: bool,
+                scratch: &'s mut [u128],
+            ) -> FusedAccumulator<'s> {
+                let mut acc = FusedAccumulator::new(c, scratch).unwrap();
+                for (a, b) in pairs {
+                    if lanes {
+                        let flat: Vec<u64> =
+                            a.limbs().iter().flat_map(|l| l.coeffs().to_vec()).collect();
+                        acc.accumulate_lanes(&flat, b).unwrap();
+                    } else {
+                        acc.accumulate(a, b).unwrap();
+                    }
+                }
+                acc
+            }
+            let mut scratch = vec![u128::MAX; c.len() * n];
+            let want = run(&c, &pairs, false, &mut scratch).finish();
+            let mut flat = vec![0u64; c.len() * n];
+            run(&c, &pairs, true, &mut scratch)
+                .finish_lanes_into(&mut flat)
+                .unwrap();
+            let want_flat: Vec<u64> = want
+                .limbs()
+                .iter()
+                .flat_map(|l| l.coeffs().to_vec())
+                .collect();
+            assert_eq!(flat, want_flat, "terms={terms}");
+            // Constant coefficients without the inverse transform.
+            let mut constant = vec![0u64; c.len()];
+            run(&c, &pairs, true, &mut scratch)
+                .finish_constant_coeffs(&mut constant)
+                .unwrap();
+            let mut coeff = want.clone();
+            coeff.to_coeff();
+            let want_constant: Vec<u64> = coeff.limbs().iter().map(|l| l.coeffs()[0]).collect();
+            assert_eq!(constant, want_constant, "terms={terms}");
+        }
+        // Nothing accumulated: zero, not the stale scratch.
+        let mut scratch = vec![u128::MAX; c.len() * n];
+        let mut constant = vec![7u64; c.len()];
+        FusedAccumulator::new(&c, &mut scratch)
+            .unwrap()
+            .finish_constant_coeffs(&mut constant)
+            .unwrap();
+        assert_eq!(constant, vec![0; c.len()]);
+        let mut flat = vec![7u64; c.len() * n];
+        FusedAccumulator::new(&c, &mut scratch)
+            .unwrap()
+            .finish_lanes_into(&mut flat)
+            .unwrap();
+        assert!(flat.iter().all(|&x| x == 0));
+        // Shape checks.
+        let mut acc = FusedAccumulator::new(&c, &mut scratch).unwrap();
+        assert!(acc.accumulate_lanes(&flat[1..], &top).is_err());
+        assert!(acc.finish_lanes_into(&mut flat[1..]).is_err());
+        let acc = FusedAccumulator::new(&c, &mut scratch).unwrap();
+        assert!(acc.finish_constant_coeffs(&mut constant[1..]).is_err());
     }
 
     #[test]

@@ -276,3 +276,112 @@ proptest! {
         assert_lazy_equals_strict(4096, &a);
     }
 }
+
+// ---- rescale: the Shoup/offset kernel against the textbook formula ----
+
+/// Chains that put every workspace modulus in both roles: dropped last
+/// prime and surviving limb (the production chain first, then the
+/// mod-switch chain, then two rotations).
+const RESCALE_CHAINS: [&[u64]; 4] = [
+    &[Q0, Q1, SPECIAL_P],
+    &[Q0, Q1],
+    &[Q1, SPECIAL_P, Q0],
+    &[SPECIAL_P, Q0, Q1],
+];
+
+/// One context per (chain, degree); NTT tables at N = 4096 are too
+/// expensive to rebuild per proptest case.
+fn rescale_contexts() -> &'static [RnsContext] {
+    static CTX: std::sync::OnceLock<Vec<RnsContext>> = std::sync::OnceLock::new();
+    CTX.get_or_init(|| {
+        RESCALE_CHAINS
+            .iter()
+            .flat_map(|chain| [16usize, 256, 4096].map(|n| RnsContext::new(n, chain).unwrap()))
+            .collect()
+    })
+}
+
+/// Builds the polynomial whose limb `i` is `lane(i, j)` at coefficient
+/// `j` (reduced into the limb's modulus) and checks fast == strict.
+fn assert_rescale_matches_strict(ctx: &RnsContext, lane: impl Fn(usize, usize) -> u64) {
+    let limbs = ctx
+        .moduli()
+        .iter()
+        .enumerate()
+        .map(|(i, m)| (0..ctx.degree()).map(|j| m.reduce(lane(i, j))).collect())
+        .collect();
+    let a = cham_math::RnsPoly::from_limbs(ctx, limbs, cham_math::rns::Form::Coeff).unwrap();
+    let target = ctx.drop_last().unwrap();
+    let fast = a.rescale_by_last(&target).unwrap();
+    let strict = a.rescale_by_last_strict(&target).unwrap();
+    assert_eq!(
+        fast,
+        strict,
+        "chain {:?} n={}",
+        ctx.moduli().iter().map(Modulus::value).collect::<Vec<_>>(),
+        ctx.degree()
+    );
+}
+
+#[test]
+fn rescale_kernel_matches_strict_on_boundary_residues() {
+    for ctx in rescale_contexts() {
+        let k = ctx.len();
+        let p = ctx.moduli()[k - 1].value();
+        // Every lane at q−1 (the largest operand of the offset sum), and
+        // every rounding boundary of the dropped residue against surviving
+        // residues 0, 1, q−2, q−1.
+        assert_rescale_matches_strict(ctx, |i, _| ctx.moduli()[i].value() - 1);
+        for r in [0, 1, p / 2 - 1, p / 2, p / 2 + 1, p - 2, p - 1] {
+            assert_rescale_matches_strict(ctx, |i, j| {
+                if i == k - 1 {
+                    r
+                } else {
+                    let q = ctx.moduli()[i].value();
+                    [0, 1, q - 2, q - 1][j % 4]
+                }
+            });
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn rescale_kernel_matches_strict_on_random_lanes(seed in any::<u64>()) {
+        for ctx in rescale_contexts() {
+            // SplitMix64 per (limb, coefficient): full-width values that
+            // `assert_rescale_matches_strict` reduces per modulus.
+            assert_rescale_matches_strict(ctx, |i, j| {
+                let mut z = seed
+                    .wrapping_add(((i as u64) << 32 | j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            });
+        }
+    }
+
+    #[test]
+    fn rescale_limb_kernel_handles_any_length(
+        xs in vec(any::<u64>(), 1..40),
+        r in any::<u64>(),
+    ) {
+        // A single coefficient rescales exactly like a full limb — the
+        // fused row tail relies on this for b₀.
+        let ctx = &rescale_contexts()[0];
+        let k = ctx.len();
+        let last: Vec<u64> = xs.iter().map(|&x| ctx.moduli()[k - 1].reduce(x ^ r)).collect();
+        for i in 0..k - 1 {
+            let x: Vec<u64> = xs.iter().map(|&v| ctx.moduli()[i].reduce(v)).collect();
+            let mut whole = vec![0u64; x.len()];
+            ctx.rescale_limb_into(i, &x, &last, &mut whole);
+            for j in 0..x.len() {
+                let mut one = [0u64];
+                ctx.rescale_limb_into(i, &x[j..=j], &last[j..=j], &mut one);
+                prop_assert_eq!(one[0], whole[j]);
+            }
+        }
+    }
+}

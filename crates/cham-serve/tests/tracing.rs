@@ -128,20 +128,23 @@ fn introspect_and_flight_dump_round_trip() {
             stat.count
         );
     }
-    // Attributed phase time accounts for the end-to-end latency (the
-    // same invariant `serve_throughput` gates at 10%; looser here since
-    // debug builds run requests in microseconds where the fixed channel
-    // handoff costs are proportionally larger).
+    // Attributed phase time tiles the end-to-end latency within 10 % (the
+    // invariant `serve_throughput` gates): the kernel's `dot`, `rescale`
+    // and `keyswitch` spans interleave per row and per pack carry, and
+    // whatever of the execution they miss is booked to `batch`, so the
+    // remainder is channel handoff.
     let attributed: u64 = snap
         .phases
         .iter()
         .filter(|p| phase::ALL.contains(&p.name.as_str()))
         .map(|p| p.sum_ns)
         .sum();
+    let coverage = attributed as f64 / total.sum_ns as f64;
     assert!(
-        attributed as f64 >= 0.5 * total.sum_ns as f64,
-        "attributed {attributed} ns of {} ns total",
-        total.sum_ns
+        (0.9..=1.1).contains(&coverage),
+        "attributed {attributed} ns of {} ns total ({:.1} %)",
+        total.sum_ns,
+        100.0 * coverage
     );
 
     // The structured snapshot serializes under the stable schema tag.

@@ -167,3 +167,90 @@ fn noise_survives_paper_scale_dot_product() {
     let decoded = packed.decode(&report.plaintext, &params).unwrap();
     assert!(decoded.iter().all(|&x| x == expect));
 }
+
+/// FNV-1a 64 over a byte string — the digest the golden KAT pins.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Shapes of the whole-HMVP golden KAT: two packs with a padded second
+/// one, three column tiles, and a full-degree square.
+const KAT_SHAPES: [(usize, usize); 3] = [(300, 16), (8, 700), (256, 256)];
+
+/// Digests of the `cham_he::wire` bytes of every packed ciphertext, one
+/// slice per `KAT_SHAPES` entry, generated at commit e25d67e — before the
+/// streaming row tail and reduce-buffer pack — from seed `0xC4A3_0012`.
+/// They must never change: a refactor of the back half is a re-ordering
+/// of exact modular arithmetic, not a new function.
+const KAT_DIGESTS: [&[u64]; 3] = [
+    &[0xd7633eaa27c3e3e5, 0xec40040ae28b97b9],
+    &[0xdcb4677655b68872],
+    &[0x2a48d6b8996e0217],
+];
+
+/// Which `Hmvp` entry point a KAT arm drives.
+#[derive(Debug, Clone, Copy)]
+enum KatEntry {
+    Multiply,
+    Parallel,
+    Many,
+}
+
+#[test]
+fn golden_kat_pins_packed_ciphertext_bytes() {
+    use cham::math::Backend;
+    for backend in Backend::all_available() {
+        // Tables capture the SIMD backend at construction, so the whole
+        // fixture is rebuilt from the fixed seed under each one.
+        Backend::force(backend);
+        let (params, _, enc, _, gkeys, mut rng) = setup(0xC4A3_0012);
+        let t = params.plain_modulus().value();
+        let hmvp = Hmvp::new(&params);
+        let cases: Vec<_> = KAT_SHAPES
+            .iter()
+            .map(|&(m, n)| {
+                let a = Matrix::random(m, n, t, &mut rng);
+                let v: Vec<u64> = (0..n).map(|_| rng.gen_range(0..t)).collect();
+                let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
+                (hmvp.encode_matrix(&a).unwrap(), cts)
+            })
+            .collect();
+        for threads in [1usize, 2, 4] {
+            let pool = cham_pool::ThreadPool::new(threads);
+            for entry in [KatEntry::Multiply, KatEntry::Parallel, KatEntry::Many] {
+                let results: Vec<_> = pool.install(|| {
+                    cases
+                        .iter()
+                        .flat_map(|(em, cts)| match entry {
+                            KatEntry::Multiply => vec![hmvp.multiply(em, cts, &gkeys).unwrap()],
+                            KatEntry::Parallel => {
+                                vec![hmvp.multiply_parallel(em, cts, &gkeys, threads).unwrap()]
+                            }
+                            KatEntry::Many => hmvp
+                                .multiply_many(em, &[cts.clone(), cts.clone()], &gkeys, threads)
+                                .unwrap(),
+                        })
+                        .collect()
+                });
+                // `Many` multiplies each input twice: both copies must pin.
+                let copies = results.len() / KAT_SHAPES.len();
+                let want: Vec<u64> = KAT_DIGESTS
+                    .iter()
+                    .flat_map(|per_shape| per_shape.repeat(copies))
+                    .collect();
+                let got: Vec<u64> = results
+                    .iter()
+                    .flat_map(|r| &r.packed)
+                    .map(|p| fnv1a64(&cham::he::wire::rlwe_to_bytes(&p.ciphertext)))
+                    .collect();
+                assert_eq!(
+                    got, want,
+                    "backend={backend} pool={threads} entry={entry:?}: {got:#018x?}"
+                );
+            }
+        }
+    }
+    Backend::force(Backend::detect_auto());
+}
