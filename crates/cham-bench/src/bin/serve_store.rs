@@ -1,5 +1,5 @@
 //! Persistent data plane: cold-start vs warm-restart time-to-first-result,
-//! and streamed vs monolithic upload memory behavior.
+//! and the memory high-water mark of a chunked upload.
 //!
 //! Cold pass: a fresh server over an empty `--store-dir` analogue pays
 //! the one-time NTT matrix encode before its first HMVP result. Warm
@@ -9,11 +9,10 @@
 //! paper's encode-once amortization made durable across process
 //! lifetimes.
 //!
-//! The upload comparison streams one matrix in bounded chunks
-//! (protocol v5) and uploads a second, distinct matrix monolithically,
-//! reading the process peak-RSS high-water mark around each (Linux
-//! `VmHWM`, reset via `clear_refs` where permitted; both metrics are 0
-//! when the kernel interface is unavailable). Scatter-gather serialize
+//! The upload probe streams one fresh matrix in bounded chunks and reads
+//! the process peak-RSS high-water mark around it (Linux `VmHWM`, reset
+//! via `clear_refs` where permitted; the metric is 0 when the kernel
+//! interface is unavailable). Scatter-gather serialize
 //! counters (`wire.vectored_writes` / `wire.gathered_parts`) land in the
 //! run record when the `telemetry` feature is compiled in.
 //!
@@ -177,8 +176,8 @@ fn main() {
     let warm_speedup = cold_seconds / warm_seconds.max(1e-9);
     println!("time-to-first-result speedup: {warm_speedup:.2}x");
 
-    // --- Streamed vs monolithic upload peak RSS (fresh content each so
-    // neither dedups onto a cached entry). ---
+    // --- Chunked upload peak RSS (fresh content, so it does not dedup
+    // onto a cached entry). ---
     let streamed_matrix = Matrix::random(ROWS, COLS, t.value(), &mut rng);
     reset_peak_rss();
     let up = client
@@ -186,15 +185,8 @@ fn main() {
         .expect("streamed upload");
     let streamed_peak = peak_rss_bytes();
     assert!(up.chunks_sent > 0);
-    let mono_matrix = Matrix::random(ROWS, COLS, t.value(), &mut rng);
-    reset_peak_rss();
-    client
-        .load_matrix_monolithic(&mono_matrix)
-        .expect("monolithic upload");
-    let mono_peak = peak_rss_bytes();
     println!(
-        "upload peak RSS: streamed {streamed_peak} B vs monolithic {mono_peak} B \
-         ({} chunk(s) of {} B)",
+        "upload peak RSS: {streamed_peak} B ({} chunk(s) of {} B)",
         up.chunks_sent,
         protocol::DEFAULT_CHUNK_BYTES
     );
@@ -225,7 +217,6 @@ fn main() {
         .metric("warm_chunks_sent", u64::from(warm_up.chunks_sent))
         .metric("warm_chunks_skipped", u64::from(warm_up.chunks_skipped))
         .metric("streamed_upload_peak_rss_bytes", streamed_peak)
-        .metric("monolithic_upload_peak_rss_bytes", mono_peak)
         .metric("wire_vectored_writes", vectored_writes)
         .metric("wire_gathered_parts", gathered_parts);
     run.finish();

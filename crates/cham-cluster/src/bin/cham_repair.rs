@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Default mode runs anti-entropy rounds against the fleet: diff each
-//! node's reported segment inventory (protocol v6 `StoreList`) against
+//! node's reported segment inventory (`StoreList`) against
 //! the ring's replica sets, stream missing segments replica→replica
 //! over the resumable chunked path, and repeat until a round plans
 //! nothing. Prints one line per round and `repair: converged after N

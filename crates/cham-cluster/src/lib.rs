@@ -27,17 +27,15 @@
 //!   [`ClusterClient::quarantine_node`] so routing stops dialing dead
 //!   replicas for longer than the optimistic per-failure cooldown.
 //! * [`repair`] — anti-entropy: diff each node's reported inventory
-//!   (protocol v6 `StoreList`) against the ring's replica sets, then
+//!   (`StoreList`) against the ring's replica sets, then
 //!   stream missing segments replica→replica over the resumable
 //!   chunked-upload path until the fleet converges back to full
 //!   replication — including backfilling a restarted node that
 //!   rejoined with a stale (or empty) store.
 //!
-//! The wire protocol is unchanged except for protocol v4's trailing
-//! cluster block in the hello response (`node_id`, `shard_index`,
-//! `shard_count`, ring epoch), which v2/v3 peers never see — a
-//! cluster-aware client talking to a pre-cluster server simply runs
-//! single-node, and vice versa.
+//! On the wire the cluster layer adds nothing of its own: it reads the
+//! cluster block every hello response carries (`node_id`,
+//! `shard_index`, `shard_count`, ring epoch) and the `WrongShard` error.
 
 pub mod client;
 pub mod health;

@@ -3,7 +3,7 @@
 //!
 //! The planner is pure set arithmetic over what the fleet *reports*:
 //!
-//! 1. Fetch every node's matrix inventory (`StoreList`, protocol v6 —
+//! 1. Fetch every node's matrix inventory (`StoreList` —
 //!    RAM ∪ persistent store). Unreachable nodes report `None` and are
 //!    neither sources nor targets this round; the next round sees them.
 //! 2. The expected universe is the union of all reported ids — content
@@ -82,9 +82,9 @@ pub struct RepairReport {
     pub unsourced: u64,
 }
 
-/// Fetches each node's matrix inventory over protocol v6. Unreachable
-/// or pre-v6 nodes yield `None` — the planner treats them as absent
-/// this round rather than failing the whole sweep.
+/// Fetches each node's matrix inventory. Unreachable nodes yield `None`
+/// — the planner treats them as absent this round rather than failing
+/// the whole sweep.
 #[must_use]
 pub fn fetch_inventories(
     topology: &Topology,

@@ -541,12 +541,22 @@ impl Hmvp {
     /// Decrypts and decodes an HMVP result into the `m` output values.
     ///
     /// # Errors
-    /// Decode-shape errors from the packing layer.
+    /// Decode-shape errors from the packing layer, and
+    /// [`HeError::ShapeMismatch`] when the packed ciphertexts hold fewer
+    /// than `result.len` values.
     pub fn decrypt_result(&self, result: &HmvpResult, dec: &Decryptor) -> Result<Vec<u64>> {
-        let mut out = Vec::with_capacity(result.len);
+        // Sized by what the ciphertexts hold, not by `len`: both may have
+        // come off the wire, and only the former is bounded by `N` each.
+        let mut out = Vec::new();
         for packed in &result.packed {
             let pt = dec.decrypt(&packed.ciphertext);
             out.extend(packed.decode(&pt, &self.params)?);
+        }
+        if out.len() < result.len {
+            return Err(HeError::ShapeMismatch {
+                expected: result.len,
+                got: out.len(),
+            });
         }
         out.truncate(result.len);
         Ok(out)

@@ -73,13 +73,21 @@ impl PackedRlwe {
     ///
     /// # Errors
     /// [`HeError::ShapeMismatch`] when the plaintext length differs from
-    /// the ring degree.
+    /// the ring degree; [`HeError::InvalidParams`] when `log_count`
+    /// exceeds `log2 N` or `count` exceeds `2^log_count` (the fields are
+    /// public and may have come off the wire).
     pub fn decode(&self, pt: &crate::encoding::Plaintext, params: &ChamParams) -> Result<Vec<u64>> {
         if pt.len() != params.degree() {
             return Err(HeError::ShapeMismatch {
                 expected: params.degree(),
                 got: pt.len(),
             });
+        }
+        if self.log_count > params.max_pack_log() {
+            return Err(HeError::InvalidParams("packed log_count exceeds log2 N"));
+        }
+        if self.count > 1 << self.log_count {
+            return Err(HeError::InvalidParams("packed count exceeds 2^log_count"));
         }
         let stride = self.stride(params);
         let f = self.decode_factor(params);

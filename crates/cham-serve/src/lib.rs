@@ -9,7 +9,7 @@
 //! forms and per-modulus tables:
 //!
 //! * [`protocol`] — a length-prefixed framed wire protocol
-//!   (`Hello`/`LoadKeys`/`LoadMatrix`/`Hmvp`/`Result`/`Error`) whose
+//!   (`Hello`/`LoadKeys`/`MatrixChunk*`/`Hmvp`/`Result`/`Error`) whose
 //!   ciphertext payloads reuse `cham_he::wire`,
 //! * [`cache`] — a content-addressed session cache: Galois key sets and
 //!   NTT-form [`cham_he::hmvp::EncodedMatrix`] encodings are stored once
@@ -36,7 +36,7 @@
 //!   `Introspect` wire op (plus `cham-telemetry` counters and histograms
 //!   when the `telemetry` feature is enabled).
 //!
-//! Every request is traced end to end: protocol v3 clients stamp a
+//! Every request is traced end to end: clients stamp a
 //! `cham_telemetry::span::TraceId` into the `Hmvp` frame, the server
 //! propagates it through queue → batch → kernel phases → serialization
 //! via a [`cham_telemetry::span::SpanRecorder`], and the completed
@@ -96,14 +96,14 @@ pub enum ServeError {
     UnknownKey(u64),
     /// The referenced matrix is not (or no longer) cached.
     UnknownMatrix(u64),
-    /// Client and server parameter sets (or protocol versions) differ.
+    /// Client and server parameter sets (or protocol revisions) differ.
     Incompatible(&'static str),
     /// The server is shutting down.
     Shutdown,
     /// The request was routed to a server that does not own the
     /// referenced content hash under its shard ring. Carries the
     /// server's ring epoch so a stale client refreshes its topology
-    /// instead of retrying blindly (protocol v4).
+    /// instead of retrying blindly.
     WrongShard {
         /// The server's topology epoch.
         epoch: u64,
@@ -112,7 +112,7 @@ pub enum ServeError {
         /// Total slots in the server's ring.
         shard_count: u16,
     },
-    /// A streamed matrix chunk failed its content check (protocol v5):
+    /// A matrix chunk failed its content check:
     /// the chunk's FNV checksum disagreed with its data, or a commit's
     /// reassembled bytes hashed to something other than the declared
     /// matrix id. Carries the upload and chunk so the client re-sends

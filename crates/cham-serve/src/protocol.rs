@@ -7,91 +7,74 @@
 //! ```
 //!
 //! `len` counts the kind byte plus the body, so an empty body frames as
-//! `len = 1`. Fourteen frame kinds exist; ciphertext and key payloads inside
-//! bodies reuse the versioned `cham_he::wire` codecs unchanged, so the
-//! serving layer inherits their parameter validation (foreign modulus
-//! chains, out-of-range coefficients and truncation are rejected at the
-//! payload layer, not re-implemented here).
+//! `len = 1`. Ciphertext and key payloads inside bodies reuse the
+//! `cham_he::wire` codecs unchanged, so the serving layer inherits their
+//! parameter validation (foreign modulus chains, out-of-range
+//! coefficients and truncation are rejected at the payload layer, not
+//! re-implemented here).
 //!
 //! | kind | direction | body |
 //! |------|-----------|------|
-//! | `Hello` (1) | c→s | `[proto u16] [degree u32] [t u64] [n u8] [ct primes u64×n] [special u64]` |
+//! | `Hello` (1) | c→s | `[revision u16] [degree u32] [t u64] [n u8] [ct primes u64×n] [special u64]` |
 //! | `LoadKeys` (2) | c→s | `cham_he::wire::galois_keys_to_bytes` payload |
-//! | `LoadMatrix` (3) | c→s | `[rows u32] [cols u32] [values u64 × rows·cols]` |
-//! | `Hmvp` (4) | c→s | `[key_id u64] [matrix_id u64] [deadline_ms u32] ([trace_id u64] in v3) [k u16] ([len u32] [rlwe bytes])×k` |
+//! | (3) | — | retired (the single-frame matrix upload); rejected as an unknown kind |
+//! | `Hmvp` (4) | c→s | `[key_id u64] [matrix_id u64] [deadline_ms u32] [trace_id u64] [k u16] ([len u32] [rlwe bytes])×k` |
 //! | `Result` (5) | s→c | `[tag u8] [tag-specific payload]` (see [`Response`]) |
 //! | `Error` (6) | s→c | `[code u8] [msg_len u16] [utf-8 message]` |
-//! | `Ping` (7) | c→s | empty — health check; answered with a [`Response::Pong`] stats snapshot |
-//! | `Introspect` (8) | c→s | empty — answered with a [`Response::IntrospectReport`] snapshot (v3) |
-//! | `FlightDump` (9) | c→s | empty — answered with a [`Response::FlightDump`] trace JSON (v3) |
-//! | `MatrixChunkStart` (10) | c→s | `[matrix_id u64] [total_len u64] [chunk_size u32] [chunk_count u32] [rows u32] [cols u32]` (v5) |
-//! | `MatrixChunk` (11) | c→s | `[matrix_id u64] [index u32] [checksum u64] [data]` (v5) |
-//! | `MatrixChunkCommit` (12) | c→s | `[matrix_id u64]` (v5) |
-//! | `StoreList` (13) | c→s | empty — segment inventory; answered with a [`Response::StoreListReport`] (v6) |
-//! | `StoreFetch` (14) | c→s | `[store_id u64]` — answered with a [`Response::SegmentData`] encoded segment (v6) |
+//! | `Ping` (7) | c→s | empty — health check; answered with a [`Response::Pong`] counter snapshot |
+//! | `Introspect` (8) | c→s | empty — answered with a [`Response::IntrospectReport`] snapshot |
+//! | `FlightDump` (9) | c→s | empty — answered with a [`Response::FlightDump`] trace JSON |
+//! | `MatrixChunkStart` (10) | c→s | `[matrix_id u64] [total_len u64] [chunk_size u32] [chunk_count u32] [rows u32] [cols u32]` |
+//! | `MatrixChunk` (11) | c→s | `[matrix_id u64] [index u32] [checksum u64] [data]` |
+//! | `MatrixChunkCommit` (12) | c→s | `[matrix_id u64]` |
+//! | `StoreList` (13) | c→s | empty — segment inventory; answered with a [`Response::StoreListReport`] |
+//! | `StoreFetch` (14) | c→s | `[store_id u64]` — answered with a [`Response::SegmentData`] encoded segment |
 //!
-//! ## Streamed matrix uploads (protocol v5)
+//! There is one revision, [`PROTOCOL_VERSION`]: a hello carrying any
+//! other value is answered with one `Incompatible` error, and a client
+//! that reads any other value back in the hello response gives up with
+//! the same error after that one connection attempt.
 //!
-//! `LoadMatrix` is one giant frame: the whole matrix must fit in memory
-//! twice (sender buffer + receiver body) before the server even parses a
-//! shape. Revision 5 adds a chunked path: `MatrixChunkStart` declares the
-//! exact monolithic `LoadMatrix` body (its FNV-1a content hash **is** the
-//! `matrix_id`, so both upload paths resolve to the same cache entry),
-//! then `MatrixChunk` frames carry bounded slices of that body — each
-//! with its own FNV checksum, validated *before* any copy into the
-//! assembly buffer — and `MatrixChunkCommit` reassembles, re-hashes and
-//! encodes. Start and every chunk are acknowledged with a
-//! [`Response::ChunkAck`] carrying the received-chunk bitmap, which is
-//! what makes re-upload resumable: after a disconnect the client replays
-//! `MatrixChunkStart`, reads the bitmap, and sends only the missing
-//! chunks. Chunks may arrive in any order and duplicates are idempotent.
+//! ## Matrix uploads
 //!
-//! ## Anti-entropy repair (protocol v6)
+//! A matrix travels as its *declared body* —
+//! `[rows u32] [cols u32] [values u64 × rows·cols]`
+//! ([`matrix_to_bytes`]) — cut into chunks. `MatrixChunkStart` declares
+//! the body (its FNV-1a content hash **is** the `matrix_id`), then
+//! `MatrixChunk` frames carry bounded slices of it — each with its own
+//! FNV checksum, validated *before* any copy into the assembly buffer —
+//! and `MatrixChunkCommit` reassembles, re-hashes and encodes. Start and
+//! every chunk are acknowledged with a [`Response::ChunkAck`] carrying
+//! the received-chunk bitmap, which is what makes re-upload resumable:
+//! after a disconnect the client replays `MatrixChunkStart`, reads the
+//! bitmap, and sends only the missing chunks. Chunks may arrive in any
+//! order and duplicates are idempotent.
 //!
-//! Re-replicating a lost matrix after a node dies needs two things the
-//! wire lacked before revision 6: a way to ask a replica *what it has*
-//! (`StoreList` answers with every content id resident in RAM or on
-//! disk) and a way to pull the *encoded* segment back out
-//! (`StoreFetch` returns the `cham_he::wire` encoded-matrix bytes — the
+//! ## Anti-entropy repair
+//!
+//! `StoreList` answers with every content id resident in RAM or on disk,
+//! and `StoreFetch` returns the `cham_he::wire` encoded-matrix bytes (the
 //! plaintext was discarded at encode time, so the NTT-form segment is
 //! the only transferable artifact). The repaired bytes travel
-//! replica→replica over the **same** resumable chunk frames as client
-//! uploads, in *segment mode*: a `MatrixChunkStart` whose `rows` and
-//! `cols` are both the `0` sentinel declares a body of shape
-//! `[store_id u64][encoded segment bytes]`, content-hashed exactly like
-//! a monolithic upload so the per-chunk checksums, received-bitmaps and
-//! whole-body verification of revision 5 apply unchanged. At commit the
-//! server strips the prefix, validates the segment through the wire
-//! codec, installs it under `store_id` (RAM + persistent store), and
-//! answers `MatrixLoaded` for that id.
+//! replica→replica over the same chunk frames in *segment mode*: a
+//! `MatrixChunkStart` whose `rows` and `cols` are both the `0` sentinel
+//! declares a body of shape `[store_id u64][encoded segment bytes]`,
+//! content-hashed exactly like a matrix body so the per-chunk checksums,
+//! received-bitmaps and whole-body verification apply unchanged. At
+//! commit the server strips the prefix, validates the segment through
+//! the wire codec, installs it under `store_id` (RAM + persistent
+//! store), and answers `MatrixLoaded` for that id.
 //!
-//! ## Version negotiation
-//!
-//! The `Hmvp` body is *version-dependent* (revision 3 inserted the
-//! `trace_id` field), so both ends must agree on a revision before any
-//! request flows. The hello exchange negotiates it: the client states
-//! the highest revision it speaks, the server accepts anything in
-//! `MIN_PROTOCOL_VERSION ..`, and the agreed revision is
-//! `min(client, PROTOCOL_VERSION)` — echoed back in the
-//! [`Response::Hello`] `version` field. A v2 client never sees the new
-//! field (the server serializes its hello response in v2 shape for it,
-//! and parses its `Hmvp` bodies as v2), and a v3 client talking to an
-//! older server reads the missing echo as "2" and downgrades. Revision
-//! 4 appends a cluster-identity block to the hello *response* (and the
-//! `WrongShard` error code) with the same trailing-field trick: the
-//! block is serialized only when the negotiated revision is ≥ 4, so the
-//! client hello body never changed shape and v2/v3 interop is
-//! untouched.
+//! ## Deadlines and ids
 //!
 //! `deadline_ms` uses an explicit sentinel: [`DEADLINE_NONE`]
 //! (`u32::MAX`) means "no deadline". A literal `0` is **rejected** as a
-//! `BadFrame` — an already-expired deadline is always a client bug, and
-//! protocol revision 1 silently conflated it with "no deadline" (the
-//! reason [`PROTOCOL_VERSION`] is now 2). Key and matrix ids are content
-//! hashes (FNV-1a 64 of the raw payload bytes), so retransmitting the same
-//! material from any connection resolves to the same cache entry — which
-//! is what makes `LoadKeys`/`LoadMatrix` idempotent and therefore safe
-//! for [`crate::retry::RetryClient`] to replay after an eviction.
+//! `BadFrame` — an already-expired deadline is always a client bug. Key
+//! and matrix ids are content hashes (FNV-1a 64 of the raw payload
+//! bytes), so retransmitting the same material from any connection
+//! resolves to the same cache entry — which is what makes uploads
+//! idempotent and therefore safe for [`crate::retry::RetryClient`] to
+//! replay after an eviction.
 
 use crate::shard::ClusterIdentity;
 use crate::stats::{IntrospectSnapshot, PhaseStat, StatsSnapshot};
@@ -103,40 +86,9 @@ use cham_he::params::ChamParams;
 use cham_he::wire;
 use std::io::{Read, Write};
 
-/// Protocol revision spoken by this crate. Revision 2 added the `Ping`
-/// frame and the explicit [`DEADLINE_NONE`] sentinel (revision 1 used
-/// `deadline_ms = 0` for "no deadline", conflating it with an explicit
-/// zero-millisecond deadline). Revision 3 added the `trace_id` field to
-/// `Hmvp` bodies, the `version` echo in hello responses, and the
-/// `Introspect`/`FlightDump` frames. Revision 4 added the trailing
-/// cluster-identity block to hello responses, the `WrongShard` error
-/// code, and node-identity counters in `IntrospectReport` (all via the
-/// same trailing-field trick revision 3 used, so v2/v3 peers interop
-/// unchanged). Revision 5 added the streamed-matrix-upload frames
-/// (`MatrixChunkStart`/`MatrixChunk`/`MatrixChunkCommit`), the
-/// `ChunkAck` response, and the `ChunkMismatch` error code; the hello
-/// bodies are byte-identical to v4 — the echoed revision alone gates
-/// whether a client may stream, so v4-and-older peers fall back to the
-/// monolithic `LoadMatrix` in both skew directions. Revision 6 added
-/// the anti-entropy repair ops (`StoreList`/`StoreFetch`, answered by
-/// `StoreListReport`/`SegmentData`), the segment mode of
-/// `MatrixChunkStart` (`rows = cols = 0`) for replica→replica encoded
-/// transfers, and the trailing `reaped_uploads` counter on
-/// `Pong`/`IntrospectReport` stats blocks; hello bodies are again
-/// byte-identical to the previous revision — the echoed revision alone
-/// gates the new ops, so v5-and-older peers interop unchanged.
-pub const PROTOCOL_VERSION: u16 = 6;
-
-/// Oldest protocol revision this crate still accepts from a peer.
-/// Revision 2 clients interoperate (their requests simply carry no trace
-/// ids); revision 1's deadline ambiguity keeps it unsupported.
-pub const MIN_PROTOCOL_VERSION: u16 = 2;
-
-/// The revision two peers settle on: the older of the two speakers.
-#[must_use]
-pub fn negotiate_version(peer: u16) -> u16 {
-    peer.min(PROTOCOL_VERSION)
-}
+/// The one protocol revision this crate speaks; both ends refuse any
+/// other value.
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Wire sentinel for "no deadline" in `Hmvp` frames. Any other value is
 /// a deadline in milliseconds; `0` is rejected as malformed.
@@ -147,9 +99,9 @@ pub const DEADLINE_NONE: u32 = u32::MAX;
 /// header).
 pub const MAX_FRAME_BYTES: usize = 256 << 20;
 
-/// Upper bound on one streamed matrix chunk's data slice (protocol v5).
-/// Bounds the server's per-chunk working memory no matter what the peer
-/// declares; oversize chunks are rejected before allocation.
+/// Upper bound on one matrix chunk's data slice. Bounds the server's
+/// per-chunk working memory no matter what the peer declares; oversize
+/// chunks are rejected before allocation.
 pub const MAX_CHUNK_BYTES: usize = 4 << 20;
 
 /// Upper bound on the chunk count one streamed upload may declare. Caps
@@ -170,8 +122,6 @@ pub enum FrameKind {
     Hello = 1,
     /// Galois key set upload.
     LoadKeys = 2,
-    /// Plain matrix upload (server encodes to NTT form once).
-    LoadMatrix = 3,
     /// One HMVP request against cached keys + matrix.
     Hmvp = 4,
     /// Success response (tagged by request kind).
@@ -182,30 +132,27 @@ pub enum FrameKind {
     Ping = 7,
     /// Live introspection: empty body, answered with a structured
     /// snapshot of stats, queue/pool occupancy, and per-phase latency
-    /// histograms (protocol v3).
+    /// histograms.
     Introspect = 8,
     /// On-demand flight-recorder dump: empty body, answered with the
-    /// recorder's Chrome-trace JSON (protocol v3).
+    /// recorder's Chrome-trace JSON.
     FlightDump = 9,
-    /// Opens (or resumes) a streamed matrix upload: declares the
-    /// monolithic body's content hash, length, shape, and chunking;
-    /// answered with a [`Response::ChunkAck`] received-bitmap
-    /// (protocol v5).
+    /// Opens (or resumes) a matrix upload: declares the body's content
+    /// hash, length, shape, and chunking; answered with a
+    /// [`Response::ChunkAck`] received-bitmap.
     MatrixChunkStart = 10,
-    /// One chunk of a streamed matrix upload, FNV-checksummed
-    /// individually (protocol v5).
+    /// One chunk of a matrix upload, FNV-checksummed individually.
     MatrixChunk = 11,
-    /// Finishes a streamed upload: the server reassembles, verifies the
-    /// whole-body hash, encodes, and answers `MatrixLoaded`
-    /// (protocol v5).
+    /// Finishes an upload: the server reassembles, verifies the
+    /// whole-body hash, encodes, and answers `MatrixLoaded`.
     MatrixChunkCommit = 12,
     /// Asks for the node's segment inventory — every matrix content id
     /// resident in RAM or the persistent store; empty body, answered
-    /// with a [`Response::StoreListReport`] (protocol v6).
+    /// with a [`Response::StoreListReport`].
     StoreList = 13,
     /// Pulls one encoded matrix segment back off the node for
     /// replica→replica repair; answered with a
-    /// [`Response::SegmentData`] (protocol v6).
+    /// [`Response::SegmentData`].
     StoreFetch = 14,
 }
 
@@ -213,12 +160,12 @@ impl FrameKind {
     /// Parses a frame-kind byte.
     ///
     /// # Errors
-    /// [`ServeError::BadFrame`] for unknown discriminators.
+    /// [`ServeError::BadFrame`] for unknown discriminators (including
+    /// the retired kind 3).
     pub fn from_u8(v: u8) -> Result<Self> {
         match v {
             1 => Ok(FrameKind::Hello),
             2 => Ok(FrameKind::LoadKeys),
-            3 => Ok(FrameKind::LoadMatrix),
             4 => Ok(FrameKind::Hmvp),
             5 => Ok(FrameKind::Result),
             6 => Ok(FrameKind::Error),
@@ -255,13 +202,13 @@ pub enum ErrorCode {
     Shutdown = 7,
     /// HE-layer or other internal failure.
     Internal = 8,
-    /// The content hash is not owned by this shard (protocol v4; the
-    /// message carries the server's ring epoch and slot so the client
+    /// The content hash is not owned by this shard (the message
+    /// carries the server's ring epoch and slot so the client
     /// can refresh its topology).
     WrongShard = 9,
-    /// A streamed matrix chunk failed its content check — per-chunk
+    /// A matrix chunk failed its content check — per-chunk
     /// checksum mismatch, or a commit whose reassembled bytes hash to
-    /// something other than the declared `matrix_id` (protocol v5). The
+    /// something other than the declared `matrix_id`. The
     /// message carries the id and chunk index so the client re-sends
     /// exactly the bad chunk.
     ChunkMismatch = 10,
@@ -560,18 +507,14 @@ impl Hello {
         }
     }
 
-    /// Checks the fingerprint against a local parameter set and returns
-    /// the negotiated protocol revision (the older of the two speakers).
-    ///
-    /// Peers newer than us are fine — they downgrade to our revision via
-    /// the hello response's version echo. Peers older than
-    /// [`MIN_PROTOCOL_VERSION`] are rejected.
+    /// Checks the revision and the fingerprint against a local parameter
+    /// set.
     ///
     /// # Errors
     /// [`ServeError::Incompatible`] naming the first mismatching field.
-    pub fn check(&self, params: &ChamParams) -> Result<u16> {
-        if self.version < MIN_PROTOCOL_VERSION {
-            return Err(ServeError::Incompatible("protocol version too old"));
+    pub fn check(&self, params: &ChamParams) -> Result<()> {
+        if self.version != PROTOCOL_VERSION {
+            return Err(ServeError::Incompatible("protocol revision mismatch"));
         }
         let local = Self::for_params(params);
         if self.degree != local.degree {
@@ -586,7 +529,7 @@ impl Hello {
         if self.special_prime != local.special_prime {
             return Err(ServeError::Incompatible("special prime mismatch"));
         }
-        Ok(negotiate_version(self.version))
+        Ok(())
     }
 
     /// Serializes the hello body.
@@ -630,9 +573,10 @@ impl Hello {
     }
 }
 
-// ----------------------------------------------------------- LoadMatrix
+// ---------------------------------------------------------- matrix body
 
-/// Serializes a `LoadMatrix` body.
+/// Serializes a matrix into the body a chunked upload declares and
+/// slices: `[rows u32] [cols u32] [values u64 × rows·cols]`.
 #[must_use]
 pub fn matrix_to_bytes(m: &Matrix) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + 8 * m.rows() * m.cols());
@@ -646,8 +590,8 @@ pub fn matrix_to_bytes(m: &Matrix) -> Vec<u8> {
     out
 }
 
-/// Parses a `LoadMatrix` body. Entries must be below the plaintext
-/// modulus.
+/// Parses a reassembled matrix body. Entries must be below the
+/// plaintext modulus.
 ///
 /// # Errors
 /// [`ServeError::BadFrame`] for truncation, trailing bytes, implausible
@@ -678,37 +622,37 @@ pub fn matrix_from_bytes(body: &[u8], params: &ChamParams) -> Result<Matrix> {
     Matrix::from_data(rows, cols, data).map_err(ServeError::He)
 }
 
-// -------------------------------------------- streamed chunks (v5)
+// ------------------------------------------------------ upload chunks
 
 /// Sentinel chunk index in a [`ServeError::ChunkMismatch`]: the whole
 /// reassembled body mismatched at commit, not any single chunk.
 pub const CHUNK_INDEX_NONE: u32 = u32::MAX;
 
 /// A parsed `MatrixChunkStart` body: the declaration that opens (or
-/// resumes) a streamed matrix upload.
+/// resumes) a matrix upload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatrixChunkStart {
-    /// FNV-1a 64 content hash of the full monolithic `LoadMatrix` body —
-    /// identical to the id the monolithic path would cache under.
+    /// FNV-1a 64 content hash of the full body — the id the matrix is
+    /// cached under.
     pub matrix_id: u64,
-    /// Exact byte length of the monolithic body.
+    /// Exact byte length of the body.
     pub total_len: u64,
     /// Bytes per chunk (every chunk but the last is exactly this size).
     pub chunk_size: u32,
     /// Number of chunks (`⌈total_len / chunk_size⌉`).
     pub chunk_count: u32,
     /// Declared row count (validated against `total_len` up front).
-    /// `rows == 0 && cols == 0` is the v6 *segment mode* sentinel: the
+    /// `rows == 0 && cols == 0` is the *segment mode* sentinel: the
     /// body is `[store_id u64][encoded segment bytes]` instead of a
-    /// monolithic `LoadMatrix` body, and no shape validation applies.
+    /// matrix body, and no shape validation applies.
     pub rows: u32,
-    /// Declared column count (see `rows` for the v6 zero sentinel).
+    /// Declared column count (see `rows` for the zero sentinel).
     pub cols: u32,
 }
 
 impl MatrixChunkStart {
-    /// Builds the declaration for a monolithic body of `total_len` bytes
-    /// split into `chunk_size`-byte chunks.
+    /// Builds the declaration for a body of `total_len` bytes split into
+    /// `chunk_size`-byte chunks.
     #[must_use]
     pub fn new(matrix_id: u64, total_len: usize, chunk_size: usize, rows: u32, cols: u32) -> Self {
         Self {
@@ -721,7 +665,7 @@ impl MatrixChunkStart {
         }
     }
 
-    /// Builds the declaration for a v6 segment-mode transfer: the body
+    /// Builds the declaration for a segment-mode transfer: the body
     /// is `[store_id u64][encoded segment bytes]` and `upload_id` is its
     /// content hash (distinct from the `store_id` it installs under).
     #[must_use]
@@ -729,7 +673,7 @@ impl MatrixChunkStart {
         Self::new(upload_id, total_len, chunk_size, 0, 0)
     }
 
-    /// Whether this declaration is a v6 segment-mode transfer.
+    /// Whether this declaration is a segment-mode transfer.
     #[must_use]
     pub fn is_segment(&self) -> bool {
         self.rows == 0 && self.cols == 0
@@ -789,9 +733,9 @@ impl MatrixChunkStart {
             return Err(ServeError::BadFrame("too many chunks"));
         }
         if start.is_segment() {
-            // v6 segment mode: the body is an opaque prefixed segment,
-            // so no plaintext-shape arithmetic applies — but it must at
-            // least hold the 8-byte store-id prefix plus one byte.
+            // Segment mode: the body is an opaque prefixed segment, so no
+            // plaintext-shape arithmetic applies — but it must at least
+            // hold the 8-byte store-id prefix plus one byte.
             if start.total_len <= 8 {
                 return Err(ServeError::BadFrame("segment transfer too short"));
             }
@@ -859,7 +803,7 @@ pub fn matrix_chunk_commit_from_bytes(body: &[u8]) -> Result<u64> {
     Ok(matrix_id)
 }
 
-// ------------------------------------------- repair transfers (v6)
+// ---------------------------------------------------- repair transfers
 
 /// Serializes a `StoreFetch` body.
 #[must_use]
@@ -878,10 +822,10 @@ pub fn store_fetch_from_bytes(body: &[u8]) -> Result<u64> {
     Ok(store_id)
 }
 
-/// Builds the monolithic body of a v6 segment-mode transfer:
+/// Builds the body of a segment-mode transfer:
 /// `[store_id u64][encoded segment bytes]`. Its FNV-1a content hash is
-/// the transfer's upload id, so the v5 per-chunk checksums and
-/// whole-body commit verification apply to repair traffic unchanged.
+/// the transfer's upload id, so the per-chunk checksums and whole-body
+/// commit verification apply to repair traffic unchanged.
 #[must_use]
 pub fn segment_body_to_bytes(store_id: u64, segment: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + segment.len());
@@ -890,7 +834,7 @@ pub fn segment_body_to_bytes(store_id: u64, segment: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Splits a reassembled v6 segment-mode body back into
+/// Splits a reassembled segment-mode body back into
 /// `(store_id, encoded segment bytes)`.
 ///
 /// # Errors
@@ -929,16 +873,14 @@ pub struct HmvpRequest {
     pub matrix_id: u64,
     /// Deadline in milliseconds from receipt; [`DEADLINE_NONE`] = none.
     pub deadline_ms: u32,
-    /// Client-stamped trace id (v3; `0` = unset, and always `0` when the
-    /// connection negotiated v2).
+    /// Client-stamped trace id (`0` = unset: the server assigns one).
     pub trace_id: u64,
     /// The encrypted vector, one ciphertext per column tile.
     pub cts: Vec<RlweCiphertext>,
 }
 
-/// Serializes an `Hmvp` request body in the given protocol revision's
-/// shape. `trace_id` only travels in v3 bodies (0 = "unset", letting the
-/// server assign one); v2 bodies silently drop it.
+/// Serializes an `Hmvp` request body (`trace_id` 0 = "unset", letting
+/// the server assign one).
 #[must_use]
 pub fn hmvp_request_to_bytes(
     key_id: u64,
@@ -946,15 +888,12 @@ pub fn hmvp_request_to_bytes(
     deadline_ms: u32,
     trace_id: u64,
     cts: &[RlweCiphertext],
-    version: u16,
 ) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&key_id.to_le_bytes());
     out.extend_from_slice(&matrix_id.to_le_bytes());
     out.extend_from_slice(&deadline_ms.to_le_bytes());
-    if version >= 3 {
-        out.extend_from_slice(&trace_id.to_le_bytes());
-    }
+    out.extend_from_slice(&trace_id.to_le_bytes());
     out.extend_from_slice(&(cts.len() as u16).to_le_bytes());
     for ct in cts {
         let bytes = wire::rlwe_to_bytes(ct);
@@ -964,31 +903,27 @@ pub fn hmvp_request_to_bytes(
     out
 }
 
-/// Parses an `Hmvp` request body in the given protocol revision's shape
-/// (ciphertexts validated against `params`).
+/// Parses an `Hmvp` request body (ciphertexts validated against
+/// `params`).
 ///
 /// # Errors
-/// [`ServeError::BadFrame`] for framing faults — including a v2-shaped
-/// body arriving on a v3 connection (the missing trace-id field desyncs
-/// the ciphertext lengths); HE-layer errors for invalid ciphertext
-/// payloads.
-pub fn hmvp_request_from_bytes(
-    body: &[u8],
-    params: &ChamParams,
-    version: u16,
-) -> Result<HmvpRequest> {
+/// [`ServeError::BadFrame`] for framing faults; [`ServeError::He`] for a
+/// well-framed ciphertext payload the HE codec refuses (foreign modulus,
+/// out-of-range residue). A body without the trace-id field desyncs the
+/// count and lengths behind it and ends in whichever comes first.
+pub fn hmvp_request_from_bytes(body: &[u8], params: &ChamParams) -> Result<HmvpRequest> {
     let mut r = Reader::new(body);
     let key_id = r.u64()?;
     let matrix_id = r.u64()?;
     let deadline_ms = r.u32()?;
     if deadline_ms == 0 {
-        // An already-expired deadline is always a client bug; revision 1
-        // silently read it as "no deadline", which is worse than loud.
+        // An already-expired deadline is always a client bug; reading it
+        // as "no deadline" would be worse than loud.
         return Err(ServeError::BadFrame(
             "deadline_ms = 0 (use DEADLINE_NONE for no deadline)",
         ));
     }
-    let trace_id = if version >= 3 { r.u64()? } else { 0 };
+    let trace_id = r.u64()?;
     let k = r.u16()? as usize;
     if k == 0 {
         return Err(ServeError::BadFrame("hmvp request with no ciphertexts"));
@@ -1027,41 +962,40 @@ enum ResponseTag {
     SegmentData = 10,
 }
 
-/// Number of `u64` counter fields a `Pong` body carries. The body is
-/// `[count u8][u64 × count]` so future revisions can append counters
-/// without breaking older readers (which parse the prefix they know).
-const PONG_FIELDS: usize = 11;
+/// Appends a self-describing scalar list:
+/// `[count u8] ([name_len u8] [name] [value u64])×count`. The names come
+/// from the field tables in [`crate::stats`], so adding a counter there
+/// is not a protocol event.
+fn put_named(out: &mut Vec<u8>, fields: impl Iterator<Item = (&'static str, u64)>) {
+    let count_at = out.len();
+    out.push(0);
+    for (name, value) in fields {
+        out[count_at] += 1;
+        out.push(name.len() as u8);
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(&value.to_le_bytes());
+    }
+}
 
-/// Counters appended to the `IntrospectReport` stats block. Protocol
-/// v4 added `node_id`, `shard_index`, `shard_count`; v5 appends the
-/// SIMD dispatch quartet `simd_backend`, `simd_lanes`,
-/// `simd_vector_elems`, `simd_tail_elems`; v6 appends
-/// `reaped_uploads`. Older readers skip unknown trailing counters by
-/// count; older *senders* simply omit them and the parser reads zeros
-/// (standalone / scalar / no reaps).
-const INTROSPECT_EXTRA_FIELDS: usize = 8;
-
-fn snapshot_fields(s: &StatsSnapshot) -> [u64; PONG_FIELDS] {
-    [
-        s.accepted,
-        s.rejected_busy,
-        s.timed_out,
-        s.completed,
-        s.failed,
-        s.batches,
-        s.batch_requests,
-        s.peak_queue_depth,
-        s.internal_errors,
-        s.rejected_shutdown,
-        s.faults_injected,
-    ]
+/// Reads a [`put_named`] list, handing each pair to `set` (which skips
+/// names it does not know; names it never sees keep their zero).
+fn read_named(r: &mut Reader<'_>, mut set: impl FnMut(&str, u64)) -> Result<()> {
+    for _ in 0..r.u8()? {
+        let len = r.u8()? as usize;
+        let name = r.take(len)?;
+        let value = r.u64()?;
+        if let Ok(name) = std::str::from_utf8(name) {
+            set(name, value);
+        }
+    }
+    Ok(())
 }
 
 /// A parsed `Result` frame.
 #[derive(Debug, Clone)]
 pub enum Response {
-    /// Answer to `Hello`: the server's serving shape plus the
-    /// negotiated protocol revision.
+    /// Answer to `Hello`: the server's serving shape plus the revision
+    /// it speaks.
     Hello {
         /// Worker pool size.
         workers: u16,
@@ -1069,14 +1003,11 @@ pub enum Response {
         queue_capacity: u32,
         /// Maximum coalesced batch size.
         max_batch: u32,
-        /// Negotiated protocol revision. Serialized as a trailing `u16`
-        /// **only when ≥ 3** — a v2 peer's strict parser must see the
-        /// exact v2 body, and reads the missing field as "2".
+        /// The server's protocol revision; the client refuses anything
+        /// but [`PROTOCOL_VERSION`].
         version: u16,
         /// Cluster identity of the answering server (`None` on a
-        /// standalone server). Serialized as a trailing presence byte +
-        /// fields **only when the negotiated revision is ≥ 4**, so v2/v3
-        /// peers parse the exact body their revision defined.
+        /// standalone server), serialized as a presence byte + fields.
         cluster: Option<ClusterIdentity>,
     },
     /// Answer to `LoadKeys`: the content hash the set is cached under.
@@ -1084,7 +1015,7 @@ pub enum Response {
         /// Content hash id.
         key_id: u64,
     },
-    /// Answer to `LoadMatrix`: the content hash + accepted shape.
+    /// Answer to `MatrixChunkCommit`: the content hash + accepted shape.
     MatrixLoaded {
         /// Content hash id.
         matrix_id: u64,
@@ -1106,23 +1037,22 @@ pub enum Response {
         /// The server's service counters at the moment of the ping.
         stats: StatsSnapshot,
     },
-    /// Answer to `Introspect`: the full structured snapshot (protocol
-    /// v3).
+    /// Answer to `Introspect`: the full structured snapshot.
     IntrospectReport {
         /// Live stats, occupancy, and per-phase latency breakdown.
         snapshot: IntrospectSnapshot,
     },
     /// Answer to `FlightDump`: the flight recorder's contents rendered
-    /// as Chrome-trace JSON (protocol v3).
+    /// as Chrome-trace JSON.
     FlightDump {
         /// Perfetto-loadable trace JSON.
         json: String,
     },
-    /// Answer to `MatrixChunkStart` and `MatrixChunk` (protocol v5): the
-    /// server's view of the upload so far. The bitmap (bit `i` = chunk
-    /// `i` received) is what makes re-upload resumable — a client
-    /// resuming after a disconnect reads it off the `Start` ack and
-    /// sends only the zero bits.
+    /// Answer to `MatrixChunkStart` and `MatrixChunk`: the server's view
+    /// of the upload so far. The bitmap (bit `i` = chunk `i` received) is
+    /// what makes re-upload resumable — a client resuming after a
+    /// disconnect reads it off the `Start` ack and sends only the zero
+    /// bits.
     ChunkAck {
         /// The upload's declared content hash.
         matrix_id: u64,
@@ -1131,16 +1061,16 @@ pub enum Response {
         /// Received-chunk bitmap, `⌈chunk_count/8⌉` bytes, LSB-first.
         bitmap: Vec<u8>,
     },
-    /// Answer to `StoreList` (protocol v6): every matrix content id this
-    /// node can serve — RAM cache and persistent store combined. The
-    /// repair planner diffs these inventories against the ring's
-    /// expected replica sets.
+    /// Answer to `StoreList`: every matrix content id this node can
+    /// serve — RAM cache and persistent store combined. The repair
+    /// planner diffs these inventories against the ring's expected
+    /// replica sets.
     StoreListReport {
         /// Resident content ids, sorted ascending.
         ids: Vec<u64>,
     },
-    /// Answer to `StoreFetch` (protocol v6): one encoded matrix segment
-    /// pulled for replica→replica repair.
+    /// Answer to `StoreFetch`: one encoded matrix segment pulled for
+    /// replica→replica repair.
     SegmentData {
         /// The content id the segment is stored under.
         store_id: u64,
@@ -1166,26 +1096,16 @@ impl Response {
                 out.extend_from_slice(&workers.to_le_bytes());
                 out.extend_from_slice(&queue_capacity.to_le_bytes());
                 out.extend_from_slice(&max_batch.to_le_bytes());
-                // v2 peers parse strictly (no trailing bytes allowed),
-                // so the version echo only appears when it is ≥ 3 — and
-                // a v2 reader never sees it because the server builds
-                // the response with the *negotiated* revision.
-                if *version >= 3 {
-                    out.extend_from_slice(&version.to_le_bytes());
-                }
-                // The v4 cluster block rides the same trick one revision
-                // later: a presence byte, then the identity fields.
-                if *version >= 4 {
-                    match cluster {
-                        Some(id) => {
-                            out.push(1);
-                            out.extend_from_slice(&id.node_id.to_le_bytes());
-                            out.extend_from_slice(&id.shard_index.to_le_bytes());
-                            out.extend_from_slice(&id.shard_count.to_le_bytes());
-                            out.extend_from_slice(&id.epoch.to_le_bytes());
-                        }
-                        None => out.push(0),
+                out.extend_from_slice(&version.to_le_bytes());
+                match cluster {
+                    Some(id) => {
+                        out.push(1);
+                        out.extend_from_slice(&id.node_id.to_le_bytes());
+                        out.extend_from_slice(&id.shard_index.to_le_bytes());
+                        out.extend_from_slice(&id.shard_count.to_le_bytes());
+                        out.extend_from_slice(&id.epoch.to_le_bytes());
                     }
+                    None => out.push(0),
                 }
             }
             Response::KeysLoaded { key_id } => {
@@ -1216,54 +1136,11 @@ impl Response {
             }
             Response::Pong { stats } => {
                 out.push(ResponseTag::Pong as u8);
-                // v6 appends reaped_uploads as a trailing counter; older
-                // readers skip it by count.
-                out.push((PONG_FIELDS + 1) as u8);
-                for field in snapshot_fields(stats) {
-                    out.extend_from_slice(&field.to_le_bytes());
-                }
-                out.extend_from_slice(&stats.reaped_uploads.to_le_bytes());
+                put_named(&mut out, stats.named());
             }
             Response::IntrospectReport { snapshot } => {
                 out.push(ResponseTag::IntrospectReport as u8);
-                // Counter block reuses the extensible Pong idiom; the
-                // node-identity fields (v4) travel as appended counters,
-                // which pre-v4 readers skip by count.
-                out.push((PONG_FIELDS + INTROSPECT_EXTRA_FIELDS) as u8);
-                for field in snapshot_fields(&snapshot.stats) {
-                    out.extend_from_slice(&field.to_le_bytes());
-                }
-                for field in [
-                    snapshot.node_id,
-                    u64::from(snapshot.shard_index),
-                    u64::from(snapshot.shard_count),
-                    u64::from(snapshot.simd_backend),
-                    u64::from(snapshot.simd_lanes),
-                    snapshot.simd_vector_elems,
-                    snapshot.simd_tail_elems,
-                    snapshot.stats.reaped_uploads,
-                ] {
-                    out.extend_from_slice(&field.to_le_bytes());
-                }
-                for v in [
-                    snapshot.queue_depth,
-                    snapshot.queue_capacity,
-                    snapshot.workers,
-                    snapshot.max_batch,
-                    snapshot.key_cache_len,
-                    snapshot.matrix_cache_len,
-                    snapshot.pool_threads,
-                    snapshot.flight_traces,
-                ] {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                for v in [
-                    snapshot.pool_tasks,
-                    snapshot.pool_steals,
-                    snapshot.flight_dropped,
-                ] {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+                put_named(&mut out, snapshot.named());
                 out.push(snapshot.phases.len() as u8);
                 for p in &snapshot.phases {
                     let name = p.name.as_bytes();
@@ -1352,24 +1229,16 @@ impl Response {
                 let workers = r.u16()?;
                 let queue_capacity = r.u32()?;
                 let max_batch = r.u32()?;
-                // A pre-v3 server sends no version echo; read absence
-                // as "the peer negotiated 2".
-                let version = if r.remaining() > 0 { r.u16()? } else { 2 };
-                // The body is self-describing: the echoed revision says
-                // whether the cluster block follows.
-                let cluster = if version >= 4 {
-                    match r.u8()? {
-                        0 => None,
-                        1 => Some(ClusterIdentity {
-                            node_id: r.u64()?,
-                            shard_index: r.u16()?,
-                            shard_count: r.u16()?,
-                            epoch: r.u64()?,
-                        }),
-                        _ => return Err(ServeError::BadFrame("bad cluster presence byte")),
-                    }
-                } else {
-                    None
+                let version = r.u16()?;
+                let cluster = match r.u8()? {
+                    0 => None,
+                    1 => Some(ClusterIdentity {
+                        node_id: r.u64()?,
+                        shard_index: r.u16()?,
+                        shard_count: r.u16()?,
+                        epoch: r.u64()?,
+                    }),
+                    _ => return Err(ServeError::BadFrame("bad cluster presence byte")),
                 };
                 Response::Hello {
                     workers,
@@ -1392,6 +1261,14 @@ impl Response {
                 for _ in 0..count {
                     let log_count = u32::from(r.u8()?);
                     let filled = r.u32()? as usize;
+                    // Bounded here so no later shift or index can be
+                    // driven out of range by a forged reply.
+                    if log_count > params.max_pack_log() {
+                        return Err(ServeError::BadFrame("packed log_count exceeds log2 N"));
+                    }
+                    if filled > 1 << log_count {
+                        return Err(ServeError::BadFrame("packed count exceeds 2^log_count"));
+                    }
                     let ct_len = r.u32()? as usize;
                     let bytes = r.take(ct_len)?;
                     packed.push(PackedRlwe {
@@ -1403,27 +1280,15 @@ impl Response {
                 Response::HmvpDone { len, packed }
             }
             t if t == ResponseTag::Pong as u8 => {
-                let (mut stats, extras) = read_stats_block(&mut r)?;
-                // v6 appends reaped_uploads; a pre-v6 pong reads zero.
-                stats.reaped_uploads = extras.first().copied().unwrap_or(0);
+                let mut stats = StatsSnapshot::default();
+                read_named(&mut r, |name, v| {
+                    stats.set_named(name, v);
+                })?;
                 Response::Pong { stats }
             }
             t if t == ResponseTag::IntrospectReport as u8 => {
-                let (mut stats, extras) = read_stats_block(&mut r)?;
-                // v6 appends reaped_uploads to the extras; pre-v6
-                // reports read zero.
-                stats.reaped_uploads = extras.get(7).copied().unwrap_or(0);
-                let queue_depth = r.u32()?;
-                let queue_capacity = r.u32()?;
-                let workers = r.u32()?;
-                let max_batch = r.u32()?;
-                let key_cache_len = r.u32()?;
-                let matrix_cache_len = r.u32()?;
-                let pool_threads = r.u32()?;
-                let flight_traces = r.u32()?;
-                let pool_tasks = r.u64()?;
-                let pool_steals = r.u64()?;
-                let flight_dropped = r.u64()?;
+                let mut snapshot = IntrospectSnapshot::default();
+                read_named(&mut r, |name, v| snapshot.set_named(name, v))?;
                 let n = r.u8()? as usize;
                 let mut phases = Vec::with_capacity(n);
                 for _ in 0..n {
@@ -1439,34 +1304,8 @@ impl Response {
                         max_ns: r.u64()?,
                     });
                 }
-                Response::IntrospectReport {
-                    snapshot: IntrospectSnapshot {
-                        stats,
-                        queue_depth,
-                        queue_capacity,
-                        workers,
-                        max_batch,
-                        key_cache_len,
-                        matrix_cache_len,
-                        pool_threads,
-                        pool_tasks,
-                        pool_steals,
-                        flight_traces,
-                        flight_dropped,
-                        // Node identity rides the appended counters; a
-                        // pre-v4 report has none and reads standalone.
-                        node_id: extras.first().copied().unwrap_or(0),
-                        shard_index: extras.get(1).map_or(0, |&v| v as u32),
-                        shard_count: extras.get(2).map_or(0, |&v| v as u32),
-                        // SIMD dispatch rides the v5 counters; a pre-v5
-                        // report has none and reads scalar/zeros.
-                        simd_backend: extras.get(3).map_or(0, |&v| v as u32),
-                        simd_lanes: extras.get(4).map_or(0, |&v| v as u32),
-                        simd_vector_elems: extras.get(5).copied().unwrap_or(0),
-                        simd_tail_elems: extras.get(6).copied().unwrap_or(0),
-                        phases,
-                    },
-                }
+                snapshot.phases = phases;
+                Response::IntrospectReport { snapshot }
             }
             t if t == ResponseTag::FlightDump as u8 => {
                 let len = r.u32()? as usize;
@@ -1512,42 +1351,6 @@ impl Response {
         r.done()?;
         Ok(resp)
     }
-}
-
-/// Parses the `[count u8][u64 × count]` stats block `Pong` and
-/// `IntrospectReport` share. Counters appended by a newer peer come
-/// back in the extras vector (callers that predate them ignore it);
-/// fewer than [`PONG_FIELDS`] is malformed.
-fn read_stats_block(r: &mut Reader<'_>) -> Result<(StatsSnapshot, Vec<u64>)> {
-    let count = r.u8()? as usize;
-    if count < PONG_FIELDS {
-        return Err(ServeError::BadFrame("stats snapshot too short"));
-    }
-    let mut fields = [0u64; PONG_FIELDS];
-    for slot in &mut fields {
-        *slot = r.u64()?;
-    }
-    let mut extras = Vec::with_capacity(count - PONG_FIELDS);
-    for _ in PONG_FIELDS..count {
-        extras.push(r.u64()?);
-    }
-    Ok((
-        StatsSnapshot {
-            accepted: fields[0],
-            rejected_busy: fields[1],
-            timed_out: fields[2],
-            completed: fields[3],
-            failed: fields[4],
-            batches: fields[5],
-            batch_requests: fields[6],
-            peak_queue_depth: fields[7],
-            internal_errors: fields[8],
-            rejected_shutdown: fields[9],
-            faults_injected: fields[10],
-            reaped_uploads: 0,
-        },
-        extras,
-    ))
 }
 
 /// Serializes an `Error` frame body.
@@ -1601,12 +1404,17 @@ mod tests {
         // Oversized length prefix — rejected before allocation.
         let huge = (u32::MAX).to_le_bytes();
         assert!(read_frame(&mut huge.as_slice()).is_err());
-        // Unknown kind.
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&2u32.to_le_bytes());
-        bad.push(99);
-        bad.push(0);
-        assert!(read_frame(&mut bad.as_slice()).is_err());
+        // Unknown kinds, the retired single-frame upload (3) among them.
+        for kind in [99u8, 3, 0] {
+            let mut bad = Vec::new();
+            bad.extend_from_slice(&2u32.to_le_bytes());
+            bad.push(kind);
+            bad.push(0);
+            assert!(matches!(
+                read_frame(&mut bad.as_slice()),
+                Err(ServeError::BadFrame(_))
+            ));
+        }
         // Truncated body.
         assert!(read_frame(&mut buf[..6].as_ref()).is_err());
     }
@@ -1617,8 +1425,7 @@ mod tests {
         let hello = Hello::for_params(&p);
         let back = Hello::from_bytes(&hello.to_bytes()).unwrap();
         assert_eq!(back, hello);
-        // A same-version peer negotiates the current revision.
-        assert_eq!(back.check(&p).unwrap(), PROTOCOL_VERSION);
+        back.check(&p).unwrap();
 
         // Any field mismatch is named.
         let other = cham_he::params::ChamParamsBuilder::new()
@@ -1629,15 +1436,14 @@ mod tests {
             back.check(&other),
             Err(ServeError::Incompatible(_))
         ));
-        // A newer peer downgrades to our revision; an older-than-minimum
-        // peer is rejected outright.
-        let mut v = hello.clone();
-        v.version = 9;
-        assert_eq!(v.check(&p).unwrap(), PROTOCOL_VERSION);
-        v.version = MIN_PROTOCOL_VERSION;
-        assert_eq!(v.check(&p).unwrap(), MIN_PROTOCOL_VERSION);
-        v.version = 1;
-        assert!(matches!(v.check(&p), Err(ServeError::Incompatible(_))));
+        // Any other revision — older or newer — is rejected outright.
+        for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, 0, u16::MAX] {
+            let v = Hello {
+                version,
+                ..hello.clone()
+            };
+            assert!(matches!(v.check(&p), Err(ServeError::Incompatible(_))));
+        }
         let mut t = hello.clone();
         t.plain_modulus += 2;
         assert!(t.check(&p).is_err());
@@ -1688,8 +1494,8 @@ mod tests {
         let enc = Encryptor::new(&p, &sk);
         let coder = CoeffEncoder::new(&p);
         let ct = enc.encrypt_augmented(&coder.encode_vector(&[1, 2, 3]).unwrap(), &mut rng);
-        let body = hmvp_request_to_bytes(7, 9, 250, 0xFACE, std::slice::from_ref(&ct), 3);
-        let req = hmvp_request_from_bytes(&body, &p, 3).unwrap();
+        let body = hmvp_request_to_bytes(7, 9, 250, 0xFACE, std::slice::from_ref(&ct));
+        let req = hmvp_request_from_bytes(&body, &p).unwrap();
         assert_eq!(req.key_id, 7);
         assert_eq!(req.matrix_id, 9);
         assert_eq!(req.deadline_ms, 250);
@@ -1698,285 +1504,43 @@ mod tests {
         assert_eq!(req.cts[0], ct);
 
         // The no-deadline sentinel round-trips.
-        let none_body = hmvp_request_to_bytes(7, 9, DEADLINE_NONE, 0, std::slice::from_ref(&ct), 3);
-        let req = hmvp_request_from_bytes(&none_body, &p, 3).unwrap();
+        let none_body = hmvp_request_to_bytes(7, 9, DEADLINE_NONE, 0, std::slice::from_ref(&ct));
+        let req = hmvp_request_from_bytes(&none_body, &p).unwrap();
         assert_eq!(req.deadline_ms, DEADLINE_NONE);
         assert_eq!(req.trace_id, 0);
 
         // A literal zero deadline is a malformed frame, not "no deadline".
-        let zero = hmvp_request_to_bytes(7, 9, 0, 0, std::slice::from_ref(&ct), 3);
+        let zero = hmvp_request_to_bytes(7, 9, 0, 0, std::slice::from_ref(&ct));
         assert!(matches!(
-            hmvp_request_from_bytes(&zero, &p, 3),
+            hmvp_request_from_bytes(&zero, &p),
             Err(ServeError::BadFrame(_))
         ));
 
         // No ciphertexts / truncation rejected.
-        let none = hmvp_request_to_bytes(1, 2, DEADLINE_NONE, 0, &[], 3);
-        assert!(hmvp_request_from_bytes(&none, &p, 3).is_err());
-        assert!(hmvp_request_from_bytes(&body[..20], &p, 3).is_err());
-    }
+        let none = hmvp_request_to_bytes(1, 2, DEADLINE_NONE, 0, &[]);
+        assert!(hmvp_request_from_bytes(&none, &p).is_err());
+        assert!(hmvp_request_from_bytes(&body[..20], &p).is_err());
 
-    #[test]
-    fn hmvp_request_version_shapes() {
-        let p = params();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let sk = SecretKey::generate(&p, &mut rng);
-        let enc = Encryptor::new(&p, &sk);
-        let coder = CoeffEncoder::new(&p);
-        let ct = enc.encrypt_augmented(&coder.encode_vector(&[5, 6]).unwrap(), &mut rng);
-
-        // A v2 body carries no trace id and parses as trace_id = 0.
-        let v2 = hmvp_request_to_bytes(1, 2, 100, 0xABCD, std::slice::from_ref(&ct), 2);
-        let v3 = hmvp_request_to_bytes(1, 2, 100, 0xABCD, std::slice::from_ref(&ct), 3);
-        assert_eq!(v3.len(), v2.len() + 8);
-        let req = hmvp_request_from_bytes(&v2, &p, 2).unwrap();
-        assert_eq!(req.trace_id, 0);
-
-        // Version-shape mismatches desync the framing and are rejected —
-        // a v2 body on a v3 connection and vice versa never half-parse.
-        assert!(hmvp_request_from_bytes(&v2, &p, 3).is_err());
-        assert!(hmvp_request_from_bytes(&v3, &p, 2).is_err());
-
-        // A body truncated inside the trace-id field is malformed.
+        // The trace id is not optional: a body cut off inside the field
+        // is malformed, and one without it desyncs — the count and the
+        // first length are read as the id and the parse runs off the end
+        // (here into a zero count).
+        let mut without = body[..20].to_vec();
+        without.extend_from_slice(&1u16.to_le_bytes());
+        without.extend_from_slice(&4u32.to_le_bytes());
+        without.extend_from_slice(&[0u8; 4]);
         assert!(matches!(
-            hmvp_request_from_bytes(&v3[..24], &p, 3),
+            hmvp_request_from_bytes(&without, &p),
+            Err(ServeError::BadFrame(_))
+        ));
+        assert!(matches!(
+            hmvp_request_from_bytes(&body[..24], &p),
             Err(ServeError::BadFrame(_))
         ));
     }
 
     #[test]
-    fn response_roundtrips() {
-        let p = params();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let sk = SecretKey::generate(&p, &mut rng);
-        let enc = Encryptor::new(&p, &sk);
-        let coder = CoeffEncoder::new(&p);
-        let ct = enc.encrypt(&coder.encode_vector(&[4]).unwrap(), &mut rng);
-
-        let phases = vec![
-            PhaseStat {
-                name: "dot".into(),
-                count: 12,
-                sum_ns: 3400,
-                p50_ns: 200,
-                p99_ns: 400,
-                p999_ns: 410,
-                max_ns: 412,
-            },
-            PhaseStat {
-                name: "total".into(),
-                count: 12,
-                sum_ns: 9000,
-                p50_ns: 700,
-                p99_ns: 900,
-                p999_ns: 950,
-                max_ns: 980,
-            },
-        ];
-        let cases = [
-            Response::Hello {
-                workers: 4,
-                queue_capacity: 64,
-                max_batch: 8,
-                version: 3,
-                cluster: None,
-            },
-            Response::Hello {
-                workers: 4,
-                queue_capacity: 64,
-                max_batch: 8,
-                version: 4,
-                cluster: Some(ClusterIdentity {
-                    node_id: 0xA11CE,
-                    shard_index: 1,
-                    shard_count: 3,
-                    epoch: 7,
-                }),
-            },
-            Response::KeysLoaded { key_id: 0xDEAD },
-            Response::MatrixLoaded {
-                matrix_id: 0xBEEF,
-                rows: 10,
-                cols: 20,
-            },
-            Response::HmvpDone {
-                len: 3,
-                packed: vec![PackedRlwe {
-                    ciphertext: ct,
-                    log_count: 2,
-                    count: 3,
-                }],
-            },
-            Response::Pong {
-                stats: StatsSnapshot {
-                    accepted: 1,
-                    rejected_busy: 2,
-                    timed_out: 3,
-                    completed: 4,
-                    failed: 5,
-                    batches: 6,
-                    batch_requests: 7,
-                    peak_queue_depth: 8,
-                    internal_errors: 9,
-                    rejected_shutdown: 10,
-                    faults_injected: 11,
-                    reaped_uploads: 12,
-                },
-            },
-            Response::IntrospectReport {
-                snapshot: IntrospectSnapshot {
-                    stats: StatsSnapshot {
-                        accepted: 100,
-                        completed: 98,
-                        failed: 2,
-                        ..StatsSnapshot::default()
-                    },
-                    queue_depth: 3,
-                    queue_capacity: 64,
-                    workers: 2,
-                    max_batch: 8,
-                    key_cache_len: 1,
-                    matrix_cache_len: 2,
-                    pool_threads: 4,
-                    pool_tasks: 555,
-                    pool_steals: 12,
-                    flight_traces: 9,
-                    flight_dropped: 1,
-                    node_id: 0xC0FFEE,
-                    shard_index: 2,
-                    shard_count: 3,
-                    simd_backend: 1,
-                    simd_lanes: 4,
-                    simd_vector_elems: 1 << 40,
-                    simd_tail_elems: 17,
-                    phases,
-                },
-            },
-            Response::FlightDump {
-                json: "{\"traceEvents\":[]}".into(),
-            },
-            Response::StoreListReport {
-                ids: vec![3, 0xFEED, u64::MAX],
-            },
-            Response::SegmentData {
-                store_id: 0xFEED,
-                bytes: vec![1, 2, 3, 4],
-            },
-        ];
-        for case in cases {
-            let bytes = case.to_bytes();
-            let back = Response::from_bytes(&bytes, &p).unwrap();
-            match (&case, &back) {
-                (
-                    Response::Hello {
-                        workers: a,
-                        queue_capacity: b,
-                        max_batch: c,
-                        version: v,
-                        cluster: cl,
-                    },
-                    Response::Hello {
-                        workers: x,
-                        queue_capacity: y,
-                        max_batch: z,
-                        version: w,
-                        cluster: cm,
-                    },
-                ) => assert_eq!((a, b, c, v, cl), (x, y, z, w, cm)),
-                (Response::KeysLoaded { key_id: a }, Response::KeysLoaded { key_id: b }) => {
-                    assert_eq!(a, b);
-                }
-                (
-                    Response::MatrixLoaded {
-                        matrix_id: a,
-                        rows: r1,
-                        cols: c1,
-                    },
-                    Response::MatrixLoaded {
-                        matrix_id: b,
-                        rows: r2,
-                        cols: c2,
-                    },
-                ) => assert_eq!((a, r1, c1), (b, r2, c2)),
-                (
-                    Response::HmvpDone { len: a, packed: pa },
-                    Response::HmvpDone { len: b, packed: pb },
-                ) => {
-                    assert_eq!(a, b);
-                    assert_eq!(pa.len(), pb.len());
-                    assert_eq!(pa[0].log_count, pb[0].log_count);
-                    assert_eq!(pa[0].count, pb[0].count);
-                }
-                (Response::Pong { stats: a }, Response::Pong { stats: b }) => {
-                    assert_eq!(a, b);
-                }
-                (
-                    Response::IntrospectReport { snapshot: a },
-                    Response::IntrospectReport { snapshot: b },
-                ) => assert_eq!(a, b),
-                (Response::FlightDump { json: a }, Response::FlightDump { json: b }) => {
-                    assert_eq!(a, b);
-                }
-                (Response::StoreListReport { ids: a }, Response::StoreListReport { ids: b }) => {
-                    assert_eq!(a, b)
-                }
-                (
-                    Response::SegmentData {
-                        store_id: a,
-                        bytes: ab,
-                    },
-                    Response::SegmentData {
-                        store_id: b,
-                        bytes: bb,
-                    },
-                ) => assert_eq!((a, ab), (b, bb)),
-                _ => panic!("response kind changed across the wire"),
-            }
-            // Trailing garbage rejected for every tag.
-            let mut bad = case.to_bytes();
-            bad.push(0);
-            assert!(Response::from_bytes(&bad, &p).is_err());
-        }
-        assert!(Response::from_bytes(&[99], &p).is_err());
-    }
-
-    #[test]
-    fn hello_response_version_echo_shapes() {
-        let p = params();
-        // A negotiated-v2 hello response serializes in the exact v2 shape
-        // (no trailing version field) and reads back as revision 2...
-        let v2 = Response::Hello {
-            workers: 1,
-            queue_capacity: 2,
-            max_batch: 3,
-            version: 2,
-            cluster: None,
-        };
-        let v3 = Response::Hello {
-            workers: 1,
-            queue_capacity: 2,
-            max_batch: 3,
-            version: 3,
-            cluster: None,
-        };
-        let v2_bytes = v2.to_bytes();
-        let v3_bytes = v3.to_bytes();
-        assert_eq!(v3_bytes.len(), v2_bytes.len() + 2);
-        match Response::from_bytes(&v2_bytes, &p).unwrap() {
-            Response::Hello { version, .. } => assert_eq!(version, 2),
-            other => panic!("unexpected response {other:?}"),
-        }
-        // ...and the v3 echo round-trips.
-        match Response::from_bytes(&v3_bytes, &p).unwrap() {
-            Response::Hello { version, .. } => assert_eq!(version, 3),
-            other => panic!("unexpected response {other:?}"),
-        }
-        // A torn version echo (one trailing byte) is malformed.
-        assert!(Response::from_bytes(&v3_bytes[..v3_bytes.len() - 1], &p).is_err());
-    }
-
-    #[test]
-    fn hello_response_cluster_block_shapes() {
+    fn hello_response_cluster_block() {
         let p = params();
         let id = ClusterIdentity {
             node_id: 42,
@@ -1984,54 +1548,34 @@ mod tests {
             shard_count: 3,
             epoch: 5,
         };
-        // A negotiated-v3 response drops the cluster block even when the
-        // server is shard-configured — v3 peers parse their exact shape.
-        let v3_clustered = Response::Hello {
+        let hello = |cluster| Response::Hello {
             workers: 1,
             queue_capacity: 2,
             max_batch: 3,
-            version: 3,
-            cluster: Some(id),
+            version: PROTOCOL_VERSION,
+            cluster,
         };
-        match Response::from_bytes(&v3_clustered.to_bytes(), &p).unwrap() {
-            Response::Hello {
-                version, cluster, ..
-            } => {
-                assert_eq!(version, 3);
-                assert_eq!(cluster, None);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
-        // A v4 standalone response carries an explicit "absent" byte...
-        let v4_alone = Response::Hello {
-            workers: 1,
-            queue_capacity: 2,
-            max_batch: 3,
-            version: 4,
-            cluster: None,
-        };
-        let alone_bytes = v4_alone.to_bytes();
-        // One extra byte on the wire: the "no cluster block" marker.
-        assert_eq!(alone_bytes.len(), v3_clustered.to_bytes().len() + 1);
+        // A standalone response carries an explicit "absent" byte...
+        let alone_bytes = hello(None).to_bytes();
         match Response::from_bytes(&alone_bytes, &p).unwrap() {
             Response::Hello { cluster, .. } => assert_eq!(cluster, None),
             other => panic!("unexpected response {other:?}"),
         }
-        // ...and a clustered v4 response round-trips the identity.
-        let v4 = Response::Hello {
-            workers: 1,
-            queue_capacity: 2,
-            max_batch: 3,
-            version: 4,
-            cluster: Some(id),
-        };
-        let v4_bytes = v4.to_bytes();
-        match Response::from_bytes(&v4_bytes, &p).unwrap() {
-            Response::Hello { cluster, .. } => assert_eq!(cluster, Some(id)),
+        // ...and a clustered one round-trips the identity.
+        let bytes = hello(Some(id)).to_bytes();
+        match Response::from_bytes(&bytes, &p).unwrap() {
+            Response::Hello {
+                version, cluster, ..
+            } => {
+                assert_eq!(version, PROTOCOL_VERSION);
+                assert_eq!(cluster, Some(id));
+            }
             other => panic!("unexpected response {other:?}"),
         }
-        // Torn identity fields and garbage presence bytes are malformed.
-        assert!(Response::from_bytes(&v4_bytes[..v4_bytes.len() - 1], &p).is_err());
+        // Torn identity fields, a missing block and garbage presence
+        // bytes are malformed.
+        assert!(Response::from_bytes(&bytes[..bytes.len() - 1], &p).is_err());
+        assert!(Response::from_bytes(&alone_bytes[..alone_bytes.len() - 1], &p).is_err());
         let mut bad = alone_bytes;
         let last = bad.len() - 1;
         bad[last] = 9;
@@ -2249,53 +1793,6 @@ mod tests {
     }
 
     #[test]
-    fn hello_response_v6_shape_matches_v5() {
-        let p = params();
-        let id = ClusterIdentity {
-            node_id: 42,
-            shard_index: 2,
-            shard_count: 3,
-            epoch: 5,
-        };
-        // The v6 hello response is byte-identical in *shape* to v5 —
-        // only the echoed revision value differs — in both the
-        // clustered and standalone forms. This is the interop pin: a v5
-        // peer's strict parser accepts a v6 server's response and vice
-        // versa, and the echoed revision alone gates the repair ops.
-        for cluster in [None, Some(id)] {
-            let mk = |version: u16| Response::Hello {
-                workers: 1,
-                queue_capacity: 2,
-                max_batch: 3,
-                version,
-                cluster,
-            };
-            let v5_bytes = mk(5).to_bytes();
-            let v6_bytes = mk(6).to_bytes();
-            assert_eq!(v5_bytes.len(), v6_bytes.len());
-            // Everything but the two version-echo bytes (offsets 11–12,
-            // after tag + workers + queue + max_batch) is identical.
-            assert_eq!(v5_bytes[..11], v6_bytes[..11]);
-            assert_eq!(v5_bytes[13..], v6_bytes[13..]);
-            match Response::from_bytes(&v6_bytes, &p).unwrap() {
-                Response::Hello {
-                    version,
-                    cluster: back,
-                    ..
-                } => {
-                    assert_eq!(version, 6);
-                    assert_eq!(back, cluster);
-                }
-                other => panic!("unexpected response {other:?}"),
-            }
-            match Response::from_bytes(&v5_bytes, &p).unwrap() {
-                Response::Hello { version, .. } => assert_eq!(version, 5),
-                other => panic!("unexpected response {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn segment_mode_chunk_start() {
         // rows = cols = 0 declares a segment transfer: shape checks are
         // skipped, the structural bounds still apply.
@@ -2364,39 +1861,53 @@ mod tests {
     }
 
     #[test]
-    fn pong_reaped_uploads_shapes() {
+    fn stats_travel_by_name() {
         let p = params();
-        // A v6 pong carries the trailing reaped counter...
-        let pong = Response::Pong {
-            stats: StatsSnapshot {
-                accepted: 1,
-                reaped_uploads: 42,
-                ..StatsSnapshot::default()
-            },
-        };
-        match Response::from_bytes(&pong.to_bytes(), &p).unwrap() {
-            Response::Pong { stats } => {
-                assert_eq!(stats.accepted, 1);
-                assert_eq!(stats.reaped_uploads, 42);
+        // A hand-built pong: one known counter, one this build has never
+        // heard of, and a name that is not even UTF-8.
+        let mut body = vec![5u8, 3]; // Pong tag, three entries
+        for (name, value) in [
+            (&b"completed"[..], 7u64),
+            (&b"invented_later"[..], 99),
+            (&[0xFF, 0xFE][..], 1),
+        ] {
+            body.push(name.len() as u8);
+            body.extend_from_slice(name);
+            body.extend_from_slice(&value.to_le_bytes());
+        }
+        match Response::from_bytes(&body, &p).unwrap() {
+            // Unknown names are skipped; absent ones read 0.
+            Response::Pong { stats } => assert_eq!(
+                stats,
+                StatsSnapshot {
+                    completed: 7,
+                    ..StatsSnapshot::default()
+                }
+            ),
+            other => panic!("unexpected response {other:?}"),
+        }
+        // The same rule covers the gauges of an introspection report, and
+        // a value too wide for its field saturates.
+        let mut body = vec![6u8, 3]; // IntrospectReport tag, three entries
+        for (name, value) in [("workers", u64::MAX), ("timed_out", 4), ("novel_gauge", 1)] {
+            body.push(name.len() as u8);
+            body.extend_from_slice(name.as_bytes());
+            body.extend_from_slice(&value.to_le_bytes());
+        }
+        body.push(0); // no phases
+        match Response::from_bytes(&body, &p).unwrap() {
+            Response::IntrospectReport { snapshot } => {
+                let mut expect = IntrospectSnapshot {
+                    workers: u32::MAX,
+                    ..IntrospectSnapshot::default()
+                };
+                expect.stats.timed_out = 4;
+                assert_eq!(snapshot, expect);
             }
             other => panic!("unexpected response {other:?}"),
         }
-        // ...and a pre-v6 sender's 11-field block still parses, reading
-        // the missing counter as zero.
-        let mut old = Vec::new();
-        old.push(5u8); // Pong tag
-        old.push(11u8);
-        for v in 1u64..=11 {
-            old.extend_from_slice(&v.to_le_bytes());
-        }
-        match Response::from_bytes(&old, &p).unwrap() {
-            Response::Pong { stats } => {
-                assert_eq!(stats.accepted, 1);
-                assert_eq!(stats.faults_injected, 11);
-                assert_eq!(stats.reaped_uploads, 0);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        // A list cut off inside an entry is malformed.
+        assert!(Response::from_bytes(&body[..body.len() - 4], &p).is_err());
     }
 
     #[test]

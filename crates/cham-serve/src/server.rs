@@ -90,7 +90,7 @@ pub struct ServerConfig {
     /// the wire via the `FlightDump` op regardless).
     pub flight_dump_path: Option<PathBuf>,
     /// Cluster membership (`None` = standalone). A shard-configured
-    /// server enforces ring ownership: `LoadMatrix`/`Hmvp` requests
+    /// server enforces ring ownership: matrix uploads and `Hmvp` requests
     /// whose content hash it does not own are answered with a typed
     /// [`ServeError::WrongShard`] carrying the ring epoch, so stale
     /// clients refresh their topology instead of retrying blindly.
@@ -197,8 +197,8 @@ impl ServerShared {
         }
     }
 
-    /// The identity block a v4 hello response advertises (`None` when
-    /// this server is standalone).
+    /// The identity block a hello response advertises (`None` when this
+    /// server is standalone).
     fn cluster_identity(&self) -> Option<ClusterIdentity> {
         self.config.shard.as_ref().map(|s| ClusterIdentity {
             node_id: self.config.node_id,
@@ -525,9 +525,6 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
     let config = &shared.config;
     let stats = &shared.stats;
     let faults = config.faults.as_deref();
-    // Until a Hello negotiates otherwise, speak the floor version — a
-    // peer that skips Hello gets v2 framing (no trace ids).
-    let mut version: u16 = protocol::MIN_PROTOCOL_VERSION;
     loop {
         let (kind, mut body) =
             match read_frame_interruptible(&mut stream, &shared.shutdown, config.max_frame_bytes) {
@@ -569,7 +566,7 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
                 body.truncate(body.len() - 1);
             }
         }
-        match handle_frame(kind, &body, shared, &mut version) {
+        match handle_frame(kind, &body, shared) {
             Ok(outcome) => {
                 let trace_id = outcome.trace.as_ref().map(|(rec, _, _)| rec.trace_id());
                 if let Some(f) = faults {
@@ -645,30 +642,20 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
     }
 }
 
-/// Dispatches one request frame to the cache/scheduler. `version` is the
-/// connection's negotiated protocol version: it starts at the floor and
-/// is updated in place when a `Hello` negotiates higher.
-fn handle_frame(
-    kind: FrameKind,
-    body: &[u8],
-    shared: &ServerShared,
-    version: &mut u16,
-) -> Result<FrameOutcome> {
+/// Dispatches one request frame to the cache/scheduler.
+fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<FrameOutcome> {
     let cache = &shared.cache;
     let scheduler = &shared.scheduler;
     let stats = &shared.stats;
     let config = &shared.config;
     match kind {
         FrameKind::Hello => {
-            let hello = Hello::from_bytes(body)?;
-            let negotiated = hello.check(cache.params())?;
-            *version = negotiated;
+            Hello::from_bytes(body)?.check(cache.params())?;
             Ok(FrameOutcome::plain(Response::Hello {
                 workers: config.workers as u16,
                 queue_capacity: scheduler.capacity() as u32,
                 max_batch: scheduler.max_batch() as u32,
-                version: negotiated,
-                // Serialized only when the negotiated revision is ≥ 4.
+                version: protocol::PROTOCOL_VERSION,
                 cluster: shared.cluster_identity(),
             }))
         }
@@ -700,26 +687,12 @@ fn handle_frame(
             let key_id = cache.put_keys_bytes(body)?;
             Ok(FrameOutcome::plain(Response::KeysLoaded { key_id }))
         }
-        FrameKind::LoadMatrix => {
-            // Ownership is enforced before the (expensive) NTT encode:
-            // a misrouted upload costs the cluster nothing but the
-            // frame, and the typed reply tells the client which map
-            // revision to refresh against.
-            shared.check_owned(content_hash(body))?;
-            let matrix = protocol::matrix_from_bytes(body, cache.params())?;
-            let matrix_id = cache.put_matrix(body, &matrix)?;
-            Ok(FrameOutcome::plain(Response::MatrixLoaded {
-                matrix_id,
-                rows: matrix.rows() as u32,
-                cols: matrix.cols() as u32,
-            }))
-        }
         FrameKind::Hmvp => {
-            let req = protocol::hmvp_request_from_bytes(body, cache.params(), *version)?;
+            let req = protocol::hmvp_request_from_bytes(body, cache.params())?;
             shared.check_owned(req.matrix_id)?;
             // A client-stamped id continues the client's trace; an unset
-            // or v2 request gets a server-side id so every request shows
-            // up in the flight recorder either way.
+            // one gets a server-side id so every request shows up in the
+            // flight recorder either way.
             let trace_id = TraceId::from_wire(req.trace_id).unwrap_or_else(TraceId::generate);
             let trace = Arc::new(SpanRecorder::new(trace_id));
             let started = Instant::now();
@@ -792,30 +765,22 @@ fn handle_frame(
             })
         }
         FrameKind::MatrixChunkStart => {
-            if *version < 5 {
-                return Err(ServeError::Incompatible(
-                    "streamed uploads need protocol v5",
-                ));
-            }
             let start = protocol::MatrixChunkStart::from_bytes(body)?;
-            if start.is_segment() {
-                // Repair transfers need the v6 segment framing; ownership
-                // is enforced against the *store id* inside the body at
-                // commit time — the upload id here is a synthetic content
-                // hash of the prefixed body, which the ring never keyed.
-                if *version < 6 {
-                    return Err(ServeError::Incompatible(
-                        "segment transfers need protocol v6",
-                    ));
-                }
-            } else {
+            // Ownership is enforced before a byte of assembly memory is
+            // spent: a misrouted upload costs the cluster nothing but
+            // this frame, and the typed reply tells the client which map
+            // revision to refresh against. A repair transfer is checked
+            // against the *store id* inside its body at commit time
+            // instead — its upload id is a synthetic content hash of the
+            // prefixed body, which the ring never keyed.
+            if !start.is_segment() {
                 shared.check_owned(start.matrix_id)?;
             }
             let bitmap_len = (start.chunk_count as usize).div_ceil(8);
             // Already resident (RAM, or restored from the persistent
             // store): ack everything received so the client skips
-            // straight to commit — content addressing makes the
-            // streamed re-upload as idempotent as the monolithic one.
+            // straight to commit — content addressing makes a re-upload
+            // idempotent.
             if !start.is_segment() && cache.get_matrix(start.matrix_id).is_ok() {
                 let mut bitmap = vec![0u8; bitmap_len];
                 for i in 0..start.chunk_count as usize {
@@ -880,11 +845,6 @@ fn handle_frame(
             }))
         }
         FrameKind::MatrixChunk => {
-            if *version < 5 {
-                return Err(ServeError::Incompatible(
-                    "streamed uploads need protocol v5",
-                ));
-            }
             let (matrix_id, index, checksum, data) = protocol::matrix_chunk_from_bytes(body)?;
             let mut uploads = shared.uploads.lock().expect("uploads table poisoned");
             let asm = uploads
@@ -920,29 +880,32 @@ fn handle_frame(
             }))
         }
         FrameKind::MatrixChunkCommit => {
-            if *version < 5 {
-                return Err(ServeError::Incompatible(
-                    "streamed uploads need protocol v5",
-                ));
-            }
             let matrix_id = protocol::matrix_chunk_commit_from_bytes(body)?;
             let asm = {
                 let mut uploads = shared.uploads.lock().expect("uploads table poisoned");
                 match uploads.get(&matrix_id) {
-                    Some(asm) if asm.received != asm.start.chunk_count => {
-                        // Keep the assembly: the client reads the error,
-                        // re-sends the missing chunks, and commits again.
-                        return Err(ServeError::BadFrame(
-                            "commit before every chunk was received",
-                        ));
+                    Some(asm) if asm.received == asm.start.chunk_count => {
+                        uploads.remove(&matrix_id).expect("assembly vanished")
                     }
-                    Some(_) => uploads.remove(&matrix_id).expect("assembly vanished"),
-                    None => {
-                        // No assembly: the Start may have answered from
-                        // cache, or this is a duplicate commit. Either
-                        // way resident content makes it idempotent.
+                    partial => {
+                        // No complete assembly: the Start may have answered
+                        // from cache, this is a duplicate commit, or the
+                        // content arrived by another route while someone
+                        // else's upload of it sits half-filled. Resident
+                        // content makes the commit idempotent; the partial
+                        // assembly is left to its uploader (or the reaper).
+                        let premature = partial.is_some();
                         drop(uploads);
-                        let encoded = cache.get_matrix(matrix_id)?;
+                        // Not resident and chunks missing: keep the assembly;
+                        // the client reads the error, re-sends them, and
+                        // commits again.
+                        let encoded = cache.get_matrix(matrix_id).map_err(|e| {
+                            if premature {
+                                ServeError::BadFrame("commit before every chunk was received")
+                            } else {
+                                e
+                            }
+                        })?;
                         let (rows, cols) = encoded.shape();
                         return Ok(FrameOutcome::plain(Response::MatrixLoaded {
                             matrix_id,
@@ -989,9 +952,6 @@ fn handle_frame(
             }))
         }
         FrameKind::StoreList => {
-            if *version < 6 {
-                return Err(ServeError::Incompatible("store listing needs protocol v6"));
-            }
             if !body.is_empty() {
                 return Err(ServeError::BadFrame("store-list frame with a body"));
             }
@@ -1000,9 +960,6 @@ fn handle_frame(
             }))
         }
         FrameKind::StoreFetch => {
-            if *version < 6 {
-                return Err(ServeError::Incompatible("store fetch needs protocol v6"));
-            }
             let store_id = protocol::store_fetch_from_bytes(body)?;
             let bytes = cache.segment_bytes(store_id)?;
             counter_add!("cham_serve.chunks.segments_served", 1);

@@ -43,7 +43,7 @@ pub fn mix64(mut x: u64) -> u64 {
 /// Construction is deterministic: two rings built with the same
 /// `(nodes, vnodes, replication)` agree on every lookup, so clients and
 /// servers never exchange ring state — only the three parameters (which
-/// travel in the protocol-v4 hello) and the epoch.
+/// travel in the hello response) and the epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashRing {
     /// Sorted `(point, slot)` pairs — the unit circle.
@@ -178,8 +178,8 @@ impl ShardSpec {
     }
 }
 
-/// Cluster identity a protocol-v4 server advertises in its hello
-/// response (absent pre-v4 and on standalone servers). Clients use the
+/// Cluster identity a shard-configured server advertises in its hello
+/// response (absent on standalone servers). Clients use the
 /// advertised `shard_index` to rebuild a stale address map without any
 /// out-of-band discovery service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -19,6 +19,46 @@ use cham_telemetry::json::JsonValue;
 use cham_telemetry::span::{phase, PhaseSpan};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// One named scalar of a snapshot: the name it travels under on the wire
+/// and in JSON, and how to read and write it.
+struct Field<T> {
+    name: &'static str,
+    get: fn(&T) -> u64,
+    set: fn(&mut T, u64),
+}
+
+impl<T> Field<T> {
+    /// `value`'s fields as `(name, value)` pairs, in table order.
+    fn read_all<'a>(
+        table: &'static [Self],
+        value: &'a T,
+    ) -> impl Iterator<Item = (&'static str, u64)> + 'a {
+        table.iter().map(move |f| (f.name, (f.get)(value)))
+    }
+
+    /// Stores `v` into the field of `value` called `name`; `false` when
+    /// the table has no such name.
+    fn write_one(table: &[Self], value: &mut T, name: &str, v: u64) -> bool {
+        let field = table.iter().find(|f| f.name == name);
+        if let Some(f) = field {
+            (f.set)(value, v);
+        }
+        field.is_some()
+    }
+}
+
+/// Builds a field table from field names. A wire value too large for a
+/// narrower field saturates instead of truncating.
+macro_rules! fields {
+    ($($name:ident),* $(,)?) => {
+        &[$(Field {
+            name: stringify!($name),
+            get: |s| u64::from(s.$name),
+            set: |s, v| s.$name = v.try_into().unwrap_or(!0),
+        }),*]
+    };
+}
+
 /// Live counters for one server instance. All methods are lock-free and
 /// safe to call from any thread.
 #[derive(Debug, Default)]
@@ -147,11 +187,40 @@ pub struct StatsSnapshot {
     /// Fault-injection sites that fired (0 on a production server).
     pub faults_injected: u64,
     /// Pending chunk-upload assemblies reaped for idling past the
-    /// configured deadline (protocol v6, additive).
+    /// configured deadline.
     pub reaped_uploads: u64,
 }
 
 impl StatsSnapshot {
+    /// Every counter, in wire and JSON order. Adding a counter is one
+    /// line here: peers that predate it skip the name, peers that
+    /// postdate a removed one read 0.
+    const FIELDS: &'static [Field<Self>] = fields![
+        accepted,
+        rejected_busy,
+        timed_out,
+        completed,
+        failed,
+        batches,
+        batch_requests,
+        peak_queue_depth,
+        internal_errors,
+        rejected_shutdown,
+        faults_injected,
+        reaped_uploads,
+    ];
+
+    /// The counters as `(name, value)` pairs — the `Pong` body.
+    pub(crate) fn named(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        Field::read_all(Self::FIELDS, self)
+    }
+
+    /// Stores `value` into the counter called `name`; `false` when no
+    /// counter has that name.
+    pub(crate) fn set_named(&mut self, name: &str, value: u64) -> bool {
+        Field::write_one(Self::FIELDS, self, name, value)
+    }
+
     /// Mean requests per dispatched batch (0 when no batch ran).
     #[must_use]
     pub fn avg_batch_size(&self) -> f64 {
@@ -317,7 +386,7 @@ pub struct IntrospectSnapshot {
     /// Request traces evicted from the flight recorder ring so far.
     pub flight_dropped: u64,
     /// Operator-assigned node id (`0` = unset) — distinguishes a fleet
-    /// of `cham-serve-top` reports (protocol v4, additive).
+    /// of `cham-serve-top` reports.
     pub node_id: u64,
     /// The ring slot this server serves (`0` when standalone — check
     /// `shard_count` to tell the difference).
@@ -325,7 +394,7 @@ pub struct IntrospectSnapshot {
     /// Total ring slots in the server's cluster (`0` = standalone).
     pub shard_count: u32,
     /// Resolved SIMD backend code (`cham_math::Backend::code`):
-    /// 0 = scalar, 1 = avx2, 2 = neon (protocol v5, additive).
+    /// 0 = scalar, 1 = avx2, 2 = neon.
     pub simd_backend: u32,
     /// Lane width of the resolved backend (1 = scalar fallback).
     pub simd_lanes: u32,
@@ -339,27 +408,53 @@ pub struct IntrospectSnapshot {
 }
 
 impl IntrospectSnapshot {
+    /// Every scalar beside the counters, in wire and JSON order.
+    const GAUGES: &'static [Field<Self>] = fields![
+        queue_depth,
+        queue_capacity,
+        workers,
+        max_batch,
+        key_cache_len,
+        matrix_cache_len,
+        pool_threads,
+        pool_tasks,
+        pool_steals,
+        flight_traces,
+        flight_dropped,
+        node_id,
+        shard_index,
+        shard_count,
+        simd_backend,
+        simd_lanes,
+        simd_vector_elems,
+        simd_tail_elems,
+    ];
+
+    fn gauges(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        Field::read_all(Self::GAUGES, self)
+    }
+
+    /// Counters then gauges as `(name, value)` pairs — the scalar part
+    /// of an `IntrospectReport` body.
+    pub(crate) fn named(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.stats.named().chain(self.gauges())
+    }
+
+    /// Stores `value` into the counter or gauge called `name`; unknown
+    /// names are ignored.
+    pub(crate) fn set_named(&mut self, name: &str, value: u64) {
+        if !self.stats.set_named(name, value) {
+            Field::write_one(Self::GAUGES, self, name, value);
+        }
+    }
+
     /// Renders the snapshot as a JSON object — the schema the CI
     /// introspection check validates and `cham-serve-top --json` emits.
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
-        let s = &self.stats;
-        let stats = JsonValue::Object(vec![
-            ("accepted".into(), s.accepted.into()),
-            ("rejected_busy".into(), s.rejected_busy.into()),
-            ("timed_out".into(), s.timed_out.into()),
-            ("completed".into(), s.completed.into()),
-            ("failed".into(), s.failed.into()),
-            ("batches".into(), s.batches.into()),
-            ("batch_requests".into(), s.batch_requests.into()),
-            ("peak_queue_depth".into(), s.peak_queue_depth.into()),
-            ("internal_errors".into(), s.internal_errors.into()),
-            ("rejected_shutdown".into(), s.rejected_shutdown.into()),
-            ("faults_injected".into(), s.faults_injected.into()),
-            // v6: additive key, same compatibility rule as the ones
-            // appended before it.
-            ("reaped_uploads".into(), s.reaped_uploads.into()),
-        ]);
+        fn json(pairs: impl Iterator<Item = (&'static str, u64)>) -> Vec<(String, JsonValue)> {
+            pairs.map(|(n, v)| (n.to_string(), v.into())).collect()
+        }
         let phases = JsonValue::Array(
             self.phases
                 .iter()
@@ -376,38 +471,13 @@ impl IntrospectSnapshot {
                 })
                 .collect(),
         );
-        JsonValue::Object(vec![
+        let mut top: Vec<(String, JsonValue)> = vec![
             ("schema".into(), JsonValue::from("cham-introspect/v1")),
-            ("stats".into(), stats),
-            ("queue_depth".into(), u64::from(self.queue_depth).into()),
-            (
-                "queue_capacity".into(),
-                u64::from(self.queue_capacity).into(),
-            ),
-            ("workers".into(), u64::from(self.workers).into()),
-            ("max_batch".into(), u64::from(self.max_batch).into()),
-            ("key_cache_len".into(), u64::from(self.key_cache_len).into()),
-            (
-                "matrix_cache_len".into(),
-                u64::from(self.matrix_cache_len).into(),
-            ),
-            ("pool_threads".into(), u64::from(self.pool_threads).into()),
-            ("pool_tasks".into(), self.pool_tasks.into()),
-            ("pool_steals".into(), self.pool_steals.into()),
-            ("flight_traces".into(), u64::from(self.flight_traces).into()),
-            ("flight_dropped".into(), self.flight_dropped.into()),
-            // Node identity (v4): additive keys — consumers of the v1
-            // schema that predate them keep parsing unchanged.
-            ("node_id".into(), self.node_id.into()),
-            ("shard_index".into(), u64::from(self.shard_index).into()),
-            ("shard_count".into(), u64::from(self.shard_count).into()),
-            // SIMD dispatch (v5): additive keys, same compatibility rule.
-            ("simd_backend".into(), u64::from(self.simd_backend).into()),
-            ("simd_lanes".into(), u64::from(self.simd_lanes).into()),
-            ("simd_vector_elems".into(), self.simd_vector_elems.into()),
-            ("simd_tail_elems".into(), self.simd_tail_elems.into()),
-            ("phases".into(), phases),
-        ])
+            ("stats".into(), JsonValue::Object(json(self.stats.named()))),
+        ];
+        top.extend(json(self.gauges()));
+        top.push(("phases".into(), phases));
+        JsonValue::Object(top)
     }
 
     /// The phase summary named `name`, if present.

@@ -1,9 +1,9 @@
-//! Property tests for the streamed chunked-upload protocol (v5).
+//! Property tests for the chunked-upload protocol.
 //!
 //! The invariant under test: *however* a matrix reaches the server —
-//! one monolithic `LoadMatrix` frame, orderly chunks, shuffled chunks,
-//! duplicated chunks, or a resumed upload after a disconnect — it lands
-//! under the same content address and serves the same bytes. The chunk
+//! orderly chunks of any size, shuffled chunks, duplicated chunks, or a
+//! resumed upload after a disconnect — it lands under the content
+//! address of its declared body and serves the same bytes. The chunk
 //! protocol is a transport detail; content addressing is the contract.
 //!
 //! Uses the insecure N=256 test parameters; every case runs a real
@@ -42,7 +42,7 @@ fn matrix_from_cells(rows: usize, cols: usize, cells: &[u64]) -> Matrix {
     Matrix::from_data(rows, cols, data).unwrap()
 }
 
-/// A raw protocol-v5 connection: hello exchanged, ready for hand-built
+/// A raw connection: hello exchanged, ready for hand-built
 /// frames. Lets a test send chunks in whatever order it likes.
 fn raw_connect(server: &Server) -> TcpStream {
     let mut s = TcpStream::connect(server.local_addr()).unwrap();
@@ -67,10 +67,9 @@ fn roundtrip_ack(s: &mut TcpStream, kind: FrameKind, body: &[u8]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Streamed and monolithic uploads of the same matrix resolve to the
-    /// same content address — for arbitrary shapes and chunk sizes,
-    /// including chunk sizes that leave a short final chunk or exceed
-    /// the whole body.
+    /// A chunked upload resolves to the content address of the whole
+    /// declared body — for arbitrary shapes and chunk sizes, including
+    /// chunk sizes that leave a short final chunk or exceed the body.
     #[test]
     fn streamed_upload_matches_monolithic_content_address(
         rows in 1usize..5,
@@ -83,7 +82,6 @@ proptest! {
         let body = protocol::matrix_to_bytes(&matrix);
 
         let mut streaming = ServeClient::connect(server.local_addr(), Arc::clone(params())).unwrap();
-        prop_assert!(streaming.server_info().version >= 5);
         let up = streaming.load_matrix_streamed(&matrix, chunk_bytes).unwrap();
         prop_assert_eq!(up.matrix_id, content_hash(&body));
         // A fresh upload sends every chunk and skips none.
@@ -91,10 +89,6 @@ proptest! {
         prop_assert_eq!(up.chunks_sent as usize, body.len().div_ceil(clamped));
         prop_assert_eq!(up.chunks_skipped, 0);
 
-        // The monolithic path dedups onto the very same cache entry.
-        let mut mono = ServeClient::connect(server.local_addr(), Arc::clone(params())).unwrap();
-        let mono_id = mono.load_matrix_monolithic(&matrix).unwrap();
-        prop_assert_eq!(mono_id, up.matrix_id);
         prop_assert_eq!(server.cache().lens().1, 1);
         server.shutdown();
     }
@@ -152,10 +146,12 @@ proptest! {
             }
             other => panic!("expected MatrixLoaded, got {other:?}"),
         }
-        // The entry is byte-equivalent to a monolithic upload: a second
-        // client's monolithic load dedups onto it without growing the cache.
-        let mut mono = ServeClient::connect(server.local_addr(), Arc::clone(params())).unwrap();
-        prop_assert_eq!(mono.load_matrix_monolithic(&matrix).unwrap(), matrix_id);
+        // The entry is the one an orderly upload lands on: a second
+        // client's upload dedups onto it without sending a chunk or
+        // growing the cache.
+        let mut again = ServeClient::connect(server.local_addr(), Arc::clone(params())).unwrap();
+        let up = again.load_matrix_streamed(&matrix, protocol::DEFAULT_CHUNK_BYTES).unwrap();
+        prop_assert_eq!((up.matrix_id, up.chunks_sent), (matrix_id, 0));
         prop_assert_eq!(server.cache().lens().1, 1);
         server.shutdown();
     }

@@ -6,11 +6,20 @@
 //! `TcpListener` that replies with deliberately broken bytes); the
 //! server-side tests run a real [`Server`] and speak raw frames at it.
 
-use cham_serve::protocol::{self, ErrorCode, FrameKind, Hello, DEADLINE_NONE, MAX_FRAME_BYTES};
+use cham_he::encoding::CoeffEncoder;
+use cham_he::encrypt::{Decryptor, Encryptor};
+use cham_he::hmvp::{Hmvp, HmvpResult};
+use cham_he::keys::SecretKey;
+use cham_he::pack::PackedRlwe;
+use cham_he::HeError;
+use cham_serve::protocol::{
+    self, ErrorCode, FrameKind, Hello, Response, DEADLINE_NONE, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+};
 use cham_serve::server::{Server, ServerConfig};
-use cham_serve::{ServeClient, ServeError};
+use cham_serve::{ClientConfig, RetryClient, RetryPolicy, ServeClient, ServeError};
+use rand::SeedableRng;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
 fn params() -> Arc<cham_he::params::ChamParams> {
@@ -125,7 +134,7 @@ fn server_rejects_oversized_frame_with_typed_error() {
 }
 
 /// A zero deadline on the wire is rejected as malformed rather than
-/// silently read as "no deadline" (the protocol v1 conflation).
+/// silently read as "no deadline".
 #[test]
 fn server_rejects_zero_deadline_on_the_wire() {
     let p = params();
@@ -153,6 +162,168 @@ fn server_rejects_zero_deadline_on_the_wire() {
     assert!(message.contains("deadline_ms"), "message: {message}");
     assert_ne!(DEADLINE_NONE, 0);
     server.shutdown();
+}
+
+/// A rogue listener that answers every hello with `reply` and records
+/// the revision each one offered. Calling the returned closure stops it
+/// (with a `Ping` on a connection of its own, queued behind any attempt
+/// the client made) and returns the offers — one per connection attempt.
+fn hello_recorder(
+    reply: impl Fn(&mut TcpStream) + Send + 'static,
+) -> (SocketAddr, impl FnOnce() -> Vec<u16>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || {
+        let mut offers = Vec::new();
+        loop {
+            let (mut stream, _) = listener.accept().unwrap();
+            let (kind, body) = protocol::read_frame(&mut stream).unwrap();
+            if kind != FrameKind::Hello {
+                return offers;
+            }
+            offers.push(Hello::from_bytes(&body).unwrap().version);
+            reply(&mut stream);
+        }
+    });
+    (addr, move || {
+        let mut stop = TcpStream::connect(addr).unwrap();
+        protocol::write_frame(&mut stop, FrameKind::Ping, &[]).unwrap();
+        handle.join().unwrap()
+    })
+}
+
+/// There is one revision. A server refuses a hello offering any other
+/// with one typed `Incompatible`; a client refused that way — or
+/// answered with a different revision — gives up after that single
+/// hello, with or without a retry policy around it.
+#[test]
+fn revision_mismatch_is_one_typed_error() {
+    let p = params();
+
+    // Server side: a raw socket offering a neighbouring revision.
+    let server = Server::start("127.0.0.1:0", Arc::clone(&p), &ServerConfig::default()).unwrap();
+    for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let hello = Hello {
+            version,
+            ..Hello::for_params(&p)
+        };
+        protocol::write_frame(&mut stream, FrameKind::Hello, &hello.to_bytes()).unwrap();
+        let (kind, body) = protocol::read_frame(&mut stream).unwrap();
+        assert_eq!(kind, FrameKind::Error, "revision {version} was accepted");
+        let (code, _) = protocol::error_from_body(&body).unwrap();
+        assert_eq!(code, ErrorCode::Incompatible);
+    }
+    server.shutdown();
+
+    // Client side, refused: exactly one hello, at the one revision.
+    let refuse = |stream: &mut TcpStream| {
+        let body = protocol::error_body(ErrorCode::Incompatible, "go away");
+        protocol::write_frame(stream, FrameKind::Error, &body).unwrap();
+    };
+    let incompatible = |e: &ServeError| {
+        matches!(
+            e,
+            ServeError::Remote {
+                code: ErrorCode::Incompatible,
+                ..
+            }
+        )
+    };
+    let (addr, offers) = hello_recorder(refuse);
+    let err = ServeClient::connect(addr, Arc::clone(&p)).err().unwrap();
+    assert!(incompatible(&err), "got {err:?}");
+    assert_eq!(offers(), vec![PROTOCOL_VERSION]);
+
+    let (addr, offers) = hello_recorder(refuse);
+    let err = RetryClient::connect_with(
+        addr.to_string(),
+        Arc::clone(&p),
+        ClientConfig::default(),
+        RetryPolicy::default(),
+    )
+    .err()
+    .unwrap();
+    assert!(incompatible(&err), "got {err:?}");
+    assert_eq!(offers(), vec![PROTOCOL_VERSION]);
+
+    // Client side, answered at another revision: same ending.
+    let (addr, offers) = hello_recorder(|stream| {
+        let resp = Response::Hello {
+            workers: 1,
+            queue_capacity: 8,
+            max_batch: 4,
+            version: PROTOCOL_VERSION + 1,
+            cluster: None,
+        };
+        protocol::write_frame(stream, FrameKind::Result, &resp.to_bytes()).unwrap();
+    });
+    let err = ServeClient::connect(addr, Arc::clone(&p)).err().unwrap();
+    assert!(matches!(err, ServeError::Incompatible(_)), "got {err:?}");
+    assert_eq!(offers(), vec![PROTOCOL_VERSION]);
+}
+
+/// A forged `HmvpDone` whose packing bookkeeping is out of range is
+/// refused at decode, and the HE layer refuses the same values with
+/// typed errors of its own instead of a shift overflow or an
+/// out-of-bounds index.
+#[test]
+fn forged_hmvp_done_bookkeeping_is_a_typed_error() {
+    let p = params();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xF0);
+    let sk = SecretKey::generate(&p, &mut rng);
+    let enc = Encryptor::new(&p, &sk);
+    let dec = Decryptor::new(&p, &sk);
+    let pt = CoeffEncoder::new(&p).encode_vector(&[4]).unwrap();
+    let ct = enc.encrypt(&pt, &mut rng);
+    let hmvp = Hmvp::from_arc(Arc::clone(&p));
+
+    for (log_count, count) in [(255, 1), (0, 5000)] {
+        let packed = PackedRlwe {
+            ciphertext: ct.clone(),
+            log_count,
+            count,
+        };
+        assert!(matches!(
+            packed.decode(&dec.decrypt(&ct), &p),
+            Err(HeError::InvalidParams(_))
+        ));
+        let forged = HmvpResult {
+            packed: vec![packed],
+            len: count,
+        };
+        assert!(hmvp.decrypt_result(&forged, &dec).is_err());
+        let body = Response::HmvpDone {
+            len: forged.len as u64,
+            packed: forged.packed,
+        }
+        .to_bytes();
+        assert!(
+            matches!(
+                Response::from_bytes(&body, &p),
+                Err(ServeError::BadFrame(_))
+            ),
+            "log_count {log_count}, count {count} decoded"
+        );
+    }
+
+    // A reply that decodes but carries fewer values than it claims is an
+    // error too — not a silently short vector, and not an allocation
+    // sized by the claim.
+    for len in [3, usize::MAX] {
+        let short = HmvpResult {
+            packed: vec![PackedRlwe {
+                ciphertext: ct.clone(),
+                log_count: 1,
+                count: 2,
+            }],
+            len,
+        };
+        match hmvp.decrypt_result(&short, &dec) {
+            Err(HeError::ShapeMismatch { expected, got }) => assert_eq!((expected, got), (len, 2)),
+            other => panic!("len {len}: {other:?}"),
+        }
+    }
 }
 
 /// Every wire error code maps back to the intended client-side variant —
