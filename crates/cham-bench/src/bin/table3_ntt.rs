@@ -95,92 +95,97 @@ fn main() {
     println!("lazy-reduction speedup:         {lazy_speedup:.2}x");
 
     // Scalar-vs-SIMD ablation: the same lazy datapath, pinned to the scalar
-    // backend and to the host's best vector backend via `with_backend` (the
-    // in-process equivalent of two `CHAM_SIMD=scalar`/`=auto` runs), over
-    // all four hot kernels. `NttTable::new` above already captured the
+    // backend and to every vector backend the host can run via
+    // `with_backend` (the in-process equivalent of `CHAM_SIMD=scalar` /
+    // `=avx2` / … runs). `NttTable::new` above already captured the
     // env-selected backend, so `ntt_lazy_seconds` stays the production
-    // path; the rows below isolate the vectorization factor.
-    let simd_backend = Backend::detect_auto();
+    // path; the rows below isolate the vectorization factor per tier. The
+    // un-suffixed metrics are the tier `CHAM_SIMD=auto` resolves to.
+    let auto_backend = Backend::detect_auto();
     let scalar_table = NttTable::with_backend(n, q, Backend::Scalar).expect("NTT table");
-    let simd_table = NttTable::with_backend(n, q, simd_backend).expect("NTT table");
     let fwd_scalar_s = time_ntt(reps, || scalar_table.forward(&mut poly));
-    let fwd_simd_s = time_ntt(reps, || simd_table.forward(&mut poly));
     let inv_scalar_s = time_ntt(reps, || scalar_table.inverse(&mut poly));
-    let inv_simd_s = time_ntt(reps, || simd_table.inverse(&mut poly));
-    // Element-wise kernels on single-limb N-length slices. The mul-lazy
-    // constants must be canonical (< q); the MAC runs a full
-    // LAZY_ACC_BOUND window (1 write + 15 accumulates) per rep so the
-    // u128 lanes never outrun their headroom proof.
+    let per = reps as f64;
+    println!();
+    println!("=== Ablation: scalar vs SIMD backends (N = {n}, `auto` = {auto_backend}) ===");
+    println!(
+        "{:>12} {:>5} {:>16} {:>14} {:>14} {:>10}",
+        "backend", "lanes", "kernel", "scalar s", "simd s", "speedup"
+    );
+    let row = |backend: Backend, kernel: &str, scalar_s: f64, simd_s: f64| {
+        println!(
+            "{:>12} {:>5} {kernel:>16} {scalar_s:>14.3e} {simd_s:>14.3e} {:>9.2}x",
+            backend.name(),
+            backend.lanes(),
+            scalar_s / simd_s
+        );
+    };
+    run.param("degree", params.degree());
+    run.param("simd_ablation_backend", auto_backend.name());
+    for backend in Backend::all_available() {
+        if backend == Backend::Scalar {
+            continue;
+        }
+        let table = NttTable::with_backend(n, q, backend).expect("NTT table");
+        let fwd_s = time_ntt(reps, || table.forward(&mut poly));
+        let inv_s = time_ntt(reps, || table.inverse(&mut poly));
+        row(backend, "forward NTT", fwd_scalar_s / per, fwd_s / per);
+        row(backend, "inverse NTT", inv_scalar_s / per, inv_s / per);
+        run.metric(
+            format!("simd_speedup_fwd_ntt_{backend}"),
+            fwd_scalar_s / fwd_s,
+        )
+        .metric(
+            format!("simd_speedup_inv_ntt_{backend}"),
+            inv_scalar_s / inv_s,
+        );
+        if backend == auto_backend {
+            run.metric("ntt_simd_seconds", fwd_s / per)
+                .metric("simd_speedup_fwd_ntt", fwd_scalar_s / fwd_s)
+                .metric("simd_speedup_inv_ntt", inv_scalar_s / inv_s);
+        }
+    }
+    // Element-wise kernels on single-limb N-length slices. Only the
+    // two-lane blocked arm exists beside scalar (the AVX2 arms did not
+    // beat it and were deleted; every x86 backend dispatches these to
+    // scalar), so these rows are that arm. The mul-lazy constants must
+    // be canonical (< q); the MAC runs a full LAZY_ACC_BOUND window
+    // (1 write + 15 accumulates) per rep so the u128 lanes never outrun
+    // their headroom proof.
     let w: Vec<u64> = (0..n as u64).map(|i| (i * 7 + 3) % q.value()).collect();
     let ws: Vec<u64> = w.iter().map(|&x| q.shoup(x)).collect();
-    let mul_scalar_s = time_ntt(reps, || {
-        simd::mul_shoup_lazy_slice(Backend::Scalar, &mut poly, &w, &ws, &q);
-    });
-    let mul_simd_s = time_ntt(reps, || {
-        simd::mul_shoup_lazy_slice(simd_backend, &mut poly, &w, &ws, &q);
-    });
-    let mut acc = vec![0u128; n];
-    let mut mac_window = |backend: Backend| {
-        simd::mac_write(backend, &mut acc, &w, &w);
-        for _ in 1..LAZY_ACC_BOUND {
-            simd::mac_accumulate(backend, &mut acc, &w, &w);
-        }
+    let mut mul = |backend: Backend| {
+        time_ntt(reps, || {
+            simd::mul_shoup_lazy_slice(backend, &mut poly, &w, &ws, &q);
+        })
     };
+    let (mul_scalar_s, mul_blocked_s) = (mul(Backend::Scalar), mul(Backend::Neon));
+    let mut acc = vec![0u128; n];
     let mac_reps = reps / LAZY_ACC_BOUND + 1;
-    let mac_scalar_s = time_ntt(mac_reps, || mac_window(Backend::Scalar));
-    let mac_simd_s = time_ntt(mac_reps, || mac_window(simd_backend));
-    let speedup_fwd = fwd_scalar_s / fwd_simd_s;
-    let speedup_inv = inv_scalar_s / inv_simd_s;
-    let speedup_mul = mul_scalar_s / mul_simd_s;
-    let speedup_mac = mac_scalar_s / mac_simd_s;
-    println!();
-    println!(
-        "=== Ablation: scalar vs SIMD backend `{}` ({} lanes, N = {n}) ===",
-        simd_backend,
-        simd_backend.lanes()
-    );
-    println!(
-        "{:>24} {:>14} {:>14} {:>10}",
-        "kernel", "scalar s", "simd s", "speedup"
-    );
-    let per = reps as f64;
+    let mut mac = |backend: Backend| {
+        time_ntt(mac_reps, || {
+            simd::mac_write(backend, &mut acc, &w, &w);
+            for _ in 1..LAZY_ACC_BOUND {
+                simd::mac_accumulate(backend, &mut acc, &w, &w);
+            }
+        })
+    };
+    let (mac_scalar_s, mac_blocked_s) = (mac(Backend::Scalar), mac(Backend::Neon));
     let mac_per = (mac_reps * LAZY_ACC_BOUND) as f64;
-    for (name, s, v, sp) in [
-        (
-            "forward NTT",
-            fwd_scalar_s / per,
-            fwd_simd_s / per,
-            speedup_fwd,
-        ),
-        (
-            "inverse NTT",
-            inv_scalar_s / per,
-            inv_simd_s / per,
-            speedup_inv,
-        ),
-        (
-            "mul_shoup_lazy",
-            mul_scalar_s / per,
-            mul_simd_s / per,
-            speedup_mul,
-        ),
-        (
-            "mac (fused dot)",
-            mac_scalar_s / mac_per,
-            mac_simd_s / mac_per,
-            speedup_mac,
-        ),
-    ] {
-        println!("{name:>24} {s:>14.3e} {v:>14.3e} {sp:>9.2}x");
-    }
-
-    run.param("degree", params.degree());
-    run.param("simd_ablation_backend", simd_backend.name());
-    run.metric("ntt_simd_seconds", fwd_simd_s / reps as f64)
-        .metric("simd_speedup_fwd_ntt", speedup_fwd)
-        .metric("simd_speedup_inv_ntt", speedup_inv)
-        .metric("simd_speedup_mul_lazy", speedup_mul)
-        .metric("simd_speedup_mac", speedup_mac);
+    row(
+        Backend::Neon,
+        "mul_shoup_lazy",
+        mul_scalar_s / per,
+        mul_blocked_s / per,
+    );
+    row(
+        Backend::Neon,
+        "mac (fused dot)",
+        mac_scalar_s / mac_per,
+        mac_blocked_s / mac_per,
+    );
+    run.metric("simd_speedup_mul_lazy_neon", mul_scalar_s / mul_blocked_s)
+        .metric("simd_speedup_mac_neon", mac_scalar_s / mac_blocked_s);
     run.metric("ntt_strict_seconds", strict_s / reps as f64)
         .metric("ntt_lazy_seconds", lazy_s / reps as f64)
         .metric("ntt_lazy_speedup", lazy_speedup);

@@ -1,7 +1,8 @@
 //! End-to-end SIMD dispatch equivalence: the full HMVP pipeline (encrypt →
 //! encode → dot phase → rescale → pack) must produce byte-identical
-//! ciphertexts whether the process runs on the scalar backend or whatever
-//! `CHAM_SIMD=auto` resolves to on this host.
+//! ciphertexts whether the process runs on the scalar backend or on any
+//! other backend this host can run — whatever `CHAM_SIMD=auto` resolves to
+//! among them.
 //!
 //! The backend is process-global and captured by every `NttTable` at
 //! construction, so each arm pins the global with `Backend::force` and
@@ -52,17 +53,19 @@ fn run_pipeline(backend: Backend, seed: u64) -> Vec<Vec<u64>> {
 fn scalar_and_auto_produce_identical_ciphertext_bytes() {
     const SEED: u64 = 0x0051_D0D1;
     let scalar = run_pipeline(Backend::Scalar, SEED);
-    let auto = run_pipeline(Backend::detect_auto(), SEED);
     assert!(!scalar.is_empty());
-    assert_eq!(
-        scalar,
-        auto,
-        "CHAM_SIMD=scalar and =auto diverged (auto={})",
-        Backend::detect_auto()
-    );
-    // Also pin the portable two-lane backend, available on every host.
-    let neon = run_pipeline(Backend::Neon, SEED);
-    assert_eq!(scalar, neon, "CHAM_SIMD=scalar and =neon diverged");
+    // Whatever `CHAM_SIMD=auto` resolves to is one of these, and so are
+    // the tiers below it and the portable two-lane backend; one the host
+    // cannot run is not listed, so its arm skips.
+    let auto = Backend::detect_auto();
+    assert!(Backend::all_available().contains(&auto));
+    for backend in Backend::all_available() {
+        assert_eq!(
+            scalar,
+            run_pipeline(backend, SEED),
+            "CHAM_SIMD=scalar and ={backend} diverged (auto={auto})"
+        );
+    }
     // Leave the process default restored for any tests that follow.
-    Backend::force(Backend::detect_auto());
+    Backend::force(auto);
 }

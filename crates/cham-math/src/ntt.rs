@@ -95,7 +95,10 @@ impl NttTable {
     /// In addition to the [`NttTable::new`] errors, returns
     /// [`MathError::InvalidParameter`] when the backend cannot run on this
     /// host (e.g. `avx2` without the CPU feature) — silently degrading a
-    /// pinned ablation arm would corrupt the measurement.
+    /// pinned ablation arm would corrupt the measurement. An available
+    /// `avx512ifma` request is different: it resolves to `avx2` for a
+    /// modulus of 2^50 or more (or `n < 16`), which the 52-bit kernels
+    /// cannot hold — see [`NttTable::backend`] for what a table runs.
     pub fn with_backend(n: usize, q: Modulus, backend: Backend) -> Result<Self> {
         if !backend.available() {
             return Err(MathError::InvalidParameter(
@@ -142,11 +145,13 @@ impl NttTable {
             inv_last_scaled,
             inv_last_scaled_shoup: q.shoup(inv_last_scaled),
             psi,
-            backend,
+            backend: backend.for_table(n, &q),
         })
     }
 
-    /// The SIMD backend this table dispatches its lazy transforms to.
+    /// The SIMD backend this table dispatches its lazy transforms to —
+    /// the one it was built for, except that `avx512ifma` becomes `avx2`
+    /// when the modulus or size is outside what the 52-bit kernels take.
     #[inline]
     pub const fn backend(&self) -> Backend {
         self.backend
@@ -189,6 +194,14 @@ impl NttTable {
         let q = &self.q;
         let backend = self.backend;
         let half = (self.n / 2) as u64;
+        if backend == Backend::Avx512Ifma {
+            // Every stage in vector registers, normalization fused into
+            // the last one.
+            crate::simd::ifma_forward(a, &self.root_powers, &self.root_powers_shoup, q);
+            crate::simd::record_kernel(Kernel::FwdButterfly, half * u64::from(self.log_n), 0);
+            crate::simd::record_kernel(Kernel::Normalize, self.n as u64, 0);
+            return;
+        }
         let (mut vec_bf, mut tail_bf) = (0u64, 0u64);
         let mut t = self.n;
         let mut m = 1usize;
@@ -205,7 +218,7 @@ impl NttTable {
                 &self.root_powers_shoup,
                 q,
             );
-            if backend.is_vector() && t >= backend.lanes() {
+            if backend.vectorises_stage(t) {
                 vec_bf += half;
             } else {
                 tail_bf += half;
@@ -240,6 +253,21 @@ impl NttTable {
         let two_q = q.two_q();
         let backend = self.backend;
         let half = (self.n / 2) as u64;
+        if backend == Backend::Avx512Ifma {
+            // Every stage in vector registers, the fused last one included.
+            crate::simd::ifma_inverse(
+                a,
+                &self.inv_root_powers,
+                &self.inv_root_powers_shoup,
+                [
+                    (self.n_inv, self.n_inv_shoup),
+                    (self.inv_last_scaled, self.inv_last_scaled_shoup),
+                ],
+                q,
+            );
+            crate::simd::record_kernel(Kernel::InvButterfly, half * u64::from(self.log_n), 0);
+            return;
+        }
         let (mut vec_bf, mut tail_bf) = (0u64, 0u64);
         let mut t = 1usize;
         let mut m = self.n;
@@ -254,7 +282,7 @@ impl NttTable {
                 &self.inv_root_powers_shoup,
                 q,
             );
-            if backend.is_vector() && t >= backend.lanes() {
+            if backend.vectorises_stage(t) {
                 vec_bf += half;
             } else {
                 tail_bf += half;
@@ -262,8 +290,9 @@ impl NttTable {
             t <<= 1;
             m = h;
         }
-        // The fused final stage below stays scalar: it runs strict Shoup
-        // multiplies with per-leg constants, not the lazy GS kernel.
+        // The fused final stage below is scalar on these backends: it runs
+        // strict Shoup multiplies with per-leg constants, not the lazy GS
+        // kernel.
         crate::simd::record_kernel(Kernel::InvButterfly, vec_bf, tail_bf + half);
         // Last stage (m == 2): a single twiddle across n/2 butterflies;
         // scale both legs by n^{-1} via pre-scaled constants, producing

@@ -239,7 +239,7 @@ impl CgNttTable {
     /// width covers at least one lane block.
     fn record_butterflies(&self, kernel: Kernel) {
         let total = (self.n / 2) as u64 * u64::from(self.log_n);
-        if self.backend.is_vector() && self.n / 2 >= self.backend.lanes() {
+        if self.backend.vectorises_stage(self.n / 2) {
             crate::simd::record_kernel(kernel, total, 0);
         } else {
             crate::simd::record_kernel(kernel, 0, total);

@@ -2,8 +2,8 @@
 //!
 //! This is the CPU analogue of CHAM's BFU array: where the FPGA instantiates
 //! `n_bf` butterfly units that chew through a stage in lock-step, a vector
-//! register processes `lanes` butterflies per instruction. The four hot
-//! kernels of the lazy datapath (PR 4) get vector twins here:
+//! register processes `lanes` butterflies per instruction. The hot kernels
+//! of the lazy datapath (PR 4) are dispatched from here:
 //!
 //! * the forward Harvey butterfly (`[0, 4q)` lazy, one conditional `−2q`),
 //! * the inverse Gentleman–Sande butterfly (`[0, 2q)` lazy),
@@ -18,33 +18,50 @@
 //! ## Dispatch model
 //!
 //! A [`Backend`] is resolved **once** per process — `CHAM_SIMD`
-//! (`scalar|avx2|neon|auto`, default `auto`) combined with runtime feature
-//! detection (`is_x86_feature_detected!("avx2")`) — and then stored on every
-//! [`crate::NttTable`]/[`crate::CgNttTable`] at construction. Kernel entry
-//! points take the backend as a value, so there is exactly one branch per
-//! *stage or slice*, never per butterfly. Benches and tests can pin a table
-//! to a specific backend with the `with_backend` constructors (for in-process
-//! A/B ablations) or flip the process default with [`Backend::force`].
+//! (`scalar|avx2|avx512ifma|neon|auto`, default `auto`) combined with
+//! runtime feature detection (`is_x86_feature_detected!`) — and then stored
+//! on every [`crate::NttTable`]/[`crate::CgNttTable`] at construction.
+//! Kernel entry points take the backend as a value, so there is exactly one
+//! branch per *transform, stage or slice*, never per butterfly. Benches and
+//! tests can pin a table to a specific backend with the `with_backend`
+//! constructors (for in-process A/B ablations) or flip the process default
+//! with [`Backend::force`].
 //!
 //! ## Why the lazy ranges make the vector kernels branch-free
 //!
 //! Every arithmetic step of the lazy datapath is a pure function of the lane:
 //! wrapping multiplies, wrapping add/sub, and *conditional subtraction* —
-//! which vectorizes as `x - (m & (x >= m))` with an unsigned compare mask.
-//! There is no carry chain between lanes and no data-dependent branch, so a
-//! vector lane computes bit-for-bit what the scalar twin computes. The
-//! strict datapath's per-butterfly canonical corrections would need two such
+//! which vectorizes as `x - (m & (x >= m))` with an unsigned compare mask
+//! (or `min(x, x − m)` where an unsigned 64-bit minimum exists). There is
+//! no carry chain between lanes and no data-dependent branch. The strict
+//! datapath's per-butterfly canonical corrections would need two such
 //! masked subtractions per leg; the lazy discipline pays one, which is why
 //! the vector kernels target the lazy twins only.
 //!
 //! ## Backends
 //!
-//! * `scalar` — the PR 4 lazy datapath, unchanged; always available and the
+//! * `scalar` — the PR 4 lazy datapath; always available and the
 //!   correctness oracle for everything else.
-//! * `avx2` — `std::arch::x86_64`, 4 × u64 lanes. AVX2 has no 64×64→128
-//!   multiply, so the Shoup high-half is computed exactly with the classic
-//!   32-bit split (`_mm256_mul_epu32` partial products + carry folding) —
-//!   the same construction Intel HEXL uses on pre-IFMA parts.
+//! * `avx2` — `std::arch::x86_64`, 4 × u64 lanes, butterfly stages (plain
+//!   and constant-geometry) and the normalization pass. AVX2 has no
+//!   64×64→128 multiply, so the Shoup high-half is computed exactly with
+//!   the classic 32-bit split (`_mm256_mul_epu32` partial products + carry
+//!   folding) — the same construction Intel HEXL uses on pre-IFMA parts.
+//!   Strides below four butterflies run the scalar kernel. Its `u128` MAC
+//!   arm lost to scalar (0.47–0.63×) and its element-wise multiply arm
+//!   never beat it beyond noise (0.71–1.14× across records), so both were
+//!   deleted: on every x86 backend those two kernels *are* the scalar ones.
+//! * `avx512ifma` — 8 × u64 lanes, whole [`crate::NttTable`] transforms:
+//!   every stage, the forward normalization and the inverse's `n⁻¹` last
+//!   stage run in 512-bit registers on the 52-bit multiply-add
+//!   (`vpmadd52{lo,hi}uq`), strides 8/4/2/1 in-register with lane permutes
+//!   (the HEXL recipe). The 52-bit Shoup companion is the table's 64-bit
+//!   one shifted right by 12, so the tier adds no tables. It needs every
+//!   lazy value (`< 4q`) to fit 52 bits: a table whose modulus is 2^50 or
+//!   more — a property of the input, nothing to configure — resolves to
+//!   `avx2` instead. Every other kernel under this backend runs the best
+//!   arm that exists (AVX2 stages/normalization, scalar element-wise).
+//!   `auto` picks it when `avx512f` + `avx512ifma` are detected.
 //! * `neon` — the two-lane blocked datapath. On aarch64 the correction
 //!   passes use `std::arch::aarch64` vector compares (`vcgeq_u64`), while
 //!   the 64×64→128 products deliberately stay on the scalar `mul`/`umulh`
@@ -54,9 +71,19 @@
 //!   portable Rust, so it can be forced (and is tested) on any
 //!   architecture.
 //!
-//! Every vector kernel is bit-identical — lane for lane, including the lazy
-//! representative ranges — to its scalar twin. The equivalence suites in
-//! `tests/simd_equivalence.rs` and the per-backend golden KATs pin this.
+//! ## The equivalence contract
+//!
+//! Every public kernel output is bit-identical to the scalar twin's on
+//! every backend: canonical transform outputs — and therefore every
+//! ciphertext byte the layers above produce — and, for the per-stage and
+//! per-slice kernels, the lazy representatives too. The one place
+//! representatives may differ is *inside* an `avx512ifma` transform: its
+//! quotient estimate is 52-bit where the scalar one is 64-bit, so an
+//! intermediate may sit a multiple of `q` from the scalar kernel's — always
+//! congruent, always inside the documented `[0, 4q)` / `[0, 2q)` range, and
+//! gone by the time the last stage writes canonical values.
+//! `tests/simd_equivalence.rs`, the per-backend golden KATs and the
+//! per-stage congruence test beside the IFMA kernels pin this.
 
 use crate::modulus::Modulus;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -73,6 +100,10 @@ pub enum Backend {
     /// elsewhere — see the module docs for why there is no 64-bit NEON
     /// multiplier to use).
     Neon = 2,
+    /// AVX-512 IFMA52 (`std::arch::x86_64`): 8 × u64 lanes, 52-bit Shoup
+    /// butterflies on `vpmadd52{lo,hi}uq`, every stage of an
+    /// [`crate::NttTable`] transform in 512-bit registers.
+    Avx512Ifma = 3,
 }
 
 /// Global backend choice: `u8::MAX` = not yet resolved, otherwise a
@@ -80,6 +111,12 @@ pub enum Backend {
 /// overridable via [`Backend::force`] (last write wins — tables capture the
 /// value at construction, so a flip never changes an existing table).
 static GLOBAL: AtomicU8 = AtomicU8::new(u8::MAX);
+
+/// Largest modulus width the IFMA kernels take: lazy values reach `4q − 1`
+/// and must fit the 52-bit multiplier inputs.
+const IFMA_MAX_MODULUS_BITS: u32 = 50;
+/// Smallest transform the IFMA kernels take: one two-register block.
+const IFMA_MIN_N: usize = 16;
 
 impl Backend {
     /// Number of `u64` lanes one kernel step processes.
@@ -90,6 +127,7 @@ impl Backend {
             Backend::Scalar => 1,
             Backend::Avx2 => 4,
             Backend::Neon => 2,
+            Backend::Avx512Ifma => 8,
         }
     }
 
@@ -100,6 +138,7 @@ impl Backend {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
             Backend::Neon => "neon",
+            Backend::Avx512Ifma => "avx512ifma",
         }
     }
 
@@ -117,6 +156,7 @@ impl Backend {
             0 => Some(Backend::Scalar),
             1 => Some(Backend::Avx2),
             2 => Some(Backend::Neon),
+            3 => Some(Backend::Avx512Ifma),
             _ => None,
         }
     }
@@ -129,6 +169,7 @@ impl Backend {
             "scalar" => Some(Backend::Scalar),
             "avx2" => Some(Backend::Avx2),
             "neon" => Some(Backend::Neon),
+            "avx512ifma" => Some(Backend::Avx512Ifma),
             "auto" | "" => Some(Self::detect_auto()),
             _ => None,
         }
@@ -143,21 +184,23 @@ impl Backend {
 
     /// True when this backend can execute on the current host.
     /// `scalar` and `neon` (portable blocked form) always can; `avx2`
-    /// needs an x86-64 with the feature bit set.
+    /// needs an x86-64 with the feature bit set, and `avx512ifma` needs
+    /// `avx512f` + `avx512ifma` on top of it (the kernels it has no arm of
+    /// its own for run the AVX2 ones).
     #[must_use]
     pub fn available(self) -> bool {
         match self {
             Backend::Scalar | Backend::Neon => true,
-            Backend::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    std::arch::is_x86_feature_detected!("avx2")
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    false
-                }
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512Ifma => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512ifma")
             }
+            #[cfg(not(target_arch = "x86_64"))]
+            Backend::Avx2 | Backend::Avx512Ifma => false,
         }
     }
 
@@ -165,29 +208,43 @@ impl Backend {
     /// order of the per-backend equivalence suites and golden KATs.
     #[must_use]
     pub fn all_available() -> Vec<Self> {
-        [Backend::Scalar, Backend::Avx2, Backend::Neon]
-            .into_iter()
-            .filter(|b| b.available())
-            .collect()
+        [
+            Backend::Scalar,
+            Backend::Avx2,
+            Backend::Neon,
+            Backend::Avx512Ifma,
+        ]
+        .into_iter()
+        .filter(|b| b.available())
+        .collect()
     }
 
-    /// The best backend the host supports: AVX2 on x86-64 with the feature
-    /// bit, the NEON-tuned blocked path on aarch64 (NEON is baseline
-    /// there), scalar everywhere else.
+    /// The best backend the host supports: AVX-512 IFMA, else AVX2, on
+    /// x86-64 with the feature bits; the NEON-tuned blocked path on aarch64
+    /// (NEON is baseline there); scalar everywhere else.
     #[must_use]
     pub fn detect_auto() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Backend::Avx2;
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
+        if cfg!(target_arch = "aarch64") {
             return Backend::Neon;
         }
-        #[allow(unreachable_code)]
-        Backend::Scalar
+        [Backend::Avx512Ifma, Backend::Avx2]
+            .into_iter()
+            .find(|b| b.available())
+            .unwrap_or(Backend::Scalar)
+    }
+
+    /// The backend an [`crate::NttTable`] of size `n` over `q` actually
+    /// runs when asked for `self`. The IFMA kernels keep every lazy value
+    /// (`< 4q`) in 52 bits and work on 16-element blocks, so a modulus of
+    /// 2^50 or more, or a transform smaller than one block, runs the AVX2
+    /// kernels instead — a property of the table's input, not a switch.
+    #[must_use]
+    pub(crate) fn for_table(self, n: usize, q: &Modulus) -> Self {
+        if self == Backend::Avx512Ifma && (q.bits() > IFMA_MAX_MODULUS_BITS || n < IFMA_MIN_N) {
+            Backend::Avx2
+        } else {
+            self
+        }
     }
 
     /// The process-wide backend, resolving `CHAM_SIMD` on first call.
@@ -207,6 +264,25 @@ impl Backend {
                 resolved
             }
         }
+    }
+
+    /// The backend whose arm the per-stage and normalization kernels run
+    /// under `self`: `Avx512Ifma` has arms only for whole [`crate::NttTable`]
+    /// transforms, so those kernels run it on the AVX2 arm.
+    #[inline]
+    const fn stage_arm(self) -> Self {
+        match self {
+            Backend::Avx512Ifma => Backend::Avx2,
+            b => b,
+        }
+    }
+
+    /// True when the per-stage kernels run a stage of `stride` butterflies
+    /// per twiddle group in vector lanes rather than on the scalar kernel.
+    #[inline]
+    pub(crate) const fn vectorises_stage(self, stride: usize) -> bool {
+        let arm = self.stage_arm();
+        arm.is_vector() && stride >= arm.lanes()
     }
 
     /// This backend if the host can run it, else the scalar fallback.
@@ -322,6 +398,9 @@ fn record_dispatch(backend: Backend) {
         Backend::Scalar => cham_telemetry::counter_add!("cham_math.simd.dispatch.scalar", 1),
         Backend::Avx2 => cham_telemetry::counter_add!("cham_math.simd.dispatch.avx2", 1),
         Backend::Neon => cham_telemetry::counter_add!("cham_math.simd.dispatch.neon", 1),
+        Backend::Avx512Ifma => {
+            cham_telemetry::counter_add!("cham_math.simd.dispatch.avx512ifma", 1);
+        }
     }
 }
 
@@ -370,6 +449,11 @@ pub fn simd_stats() -> SimdStats {
 }
 
 // ------------------------------------------------------- kernel dispatch
+//
+// `Avx512Ifma` has arms of its own only for the whole `NttTable`
+// transforms (`ifma_forward`/`ifma_inverse`); every per-stage and per-slice
+// kernel below runs it on the best arm that exists — `stage_arm()` (AVX2)
+// for the stage and normalization kernels, scalar for the element-wise ones.
 
 /// One forward CT stage over `a` in Harvey lazy form: `m` twiddle groups of
 /// `t` butterflies, constants from `roots[m..2m]`. Inputs/outputs `[0, 4q)`.
@@ -383,9 +467,10 @@ pub(crate) fn fwd_ntt_stage(
     shoups: &[u64],
     q: &Modulus,
 ) {
-    match backend {
+    match backend.stage_arm() {
         #[cfg(target_arch = "x86_64")]
-        // Safety: an `Avx2` value only exists where detection succeeded
+        // Safety: the `Avx2` arm comes from an `Avx2` or `Avx512Ifma` value,
+        // which only exists where detection of `avx2` succeeded
         // (`or_available` in dispatch, `available()` in `with_backend`).
         Backend::Avx2 => unsafe { avx2::fwd_ntt_stage(a, m, t, roots, shoups, q) },
         Backend::Neon => blocked2::fwd_ntt_stage(a, m, t, roots, shoups, q),
@@ -405,7 +490,7 @@ pub(crate) fn inv_ntt_stage(
     shoups: &[u64],
     q: &Modulus,
 ) {
-    match backend {
+    match backend.stage_arm() {
         #[cfg(target_arch = "x86_64")]
         // Safety: see `fwd_ntt_stage`.
         Backend::Avx2 => unsafe { avx2::inv_ntt_stage(a, h, t, roots, shoups, q) },
@@ -426,7 +511,7 @@ pub(crate) fn fwd_cg_stage(
     ws: &[u64],
     q: &Modulus,
 ) {
-    match backend {
+    match backend.stage_arm() {
         #[cfg(target_arch = "x86_64")]
         // Safety: see `fwd_ntt_stage`.
         Backend::Avx2 => unsafe { avx2::fwd_cg_stage(src, dst, w, ws, q) },
@@ -446,7 +531,7 @@ pub(crate) fn inv_cg_stage(
     ws: &[u64],
     q: &Modulus,
 ) {
-    match backend {
+    match backend.stage_arm() {
         #[cfg(target_arch = "x86_64")]
         // Safety: see `fwd_ntt_stage`.
         Backend::Avx2 => unsafe { avx2::inv_cg_stage(src, dst, w, ws, q) },
@@ -455,20 +540,71 @@ pub(crate) fn inv_cg_stage(
     }
 }
 
+/// Panics unless the IFMA kernels can run a transform of `n` points over
+/// `q` on this host — the detection their call sites cite. A table only
+/// resolves to `Avx512Ifma` where all of this holds, so the check (three
+/// cached feature-bit loads) never fires from one.
+fn assert_ifma_runs(n: usize, q: &Modulus) {
+    assert!(
+        Backend::Avx512Ifma.for_table(n, q) == Backend::Avx512Ifma
+            && Backend::Avx512Ifma.available(),
+        "avx512ifma transform outside what the tier takes on this host"
+    );
+}
+
+/// A whole lazy forward transform in 512-bit registers: every stage, and
+/// the `[0, 4q) → [0, q)` normalization fused into the last one. `roots` /
+/// `shoups` are the table's Harvey-layout constants with their **64-bit**
+/// Shoup companions; the 52-bit companions are derived in-register.
+///
+/// # Panics
+/// Panics if the table should not have resolved to `Avx512Ifma`.
+pub(crate) fn ifma_forward(a: &mut [u64], roots: &[u64], shoups: &[u64], q: &Modulus) {
+    assert_ifma_runs(a.len(), q);
+    #[cfg(target_arch = "x86_64")]
+    // Safety: `assert_ifma_runs` just detected `avx512f` + `avx512ifma`.
+    unsafe {
+        ifma::forward(a, roots, shoups, q);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (roots, shoups);
+}
+
+/// The inverse twin of [`ifma_forward`]: every GS stage in 512-bit
+/// registers, the last one multiplying by the `n⁻¹`-scaled constants
+/// `last = [(n⁻¹, shoup), (ψ-twiddle · n⁻¹, shoup)]` and writing canonical
+/// output.
+///
+/// # Panics
+/// Panics if the table should not have resolved to `Avx512Ifma`.
+pub(crate) fn ifma_inverse(
+    a: &mut [u64],
+    roots: &[u64],
+    shoups: &[u64],
+    last: [(u64, u64); 2],
+    q: &Modulus,
+) {
+    assert_ifma_runs(a.len(), q);
+    #[cfg(target_arch = "x86_64")]
+    // Safety: `assert_ifma_runs` just detected `avx512f` + `avx512ifma`.
+    unsafe {
+        ifma::inverse(a, roots, shoups, last, q);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (roots, shoups, last);
+}
+
 /// Element-wise lazy Shoup multiply against a prepared constant table:
 /// `a[i] = mul_shoup_lazy(a[i], w[i], ws[i])`. Any `u64` input, output in
-/// `[0, 2q)` — the vector twin of a ψ-twist or prepared pointwise multiply.
+/// `[0, 2q)` — the ψ-twist or a prepared pointwise multiply.
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
 pub fn mul_shoup_lazy_slice(backend: Backend, a: &mut [u64], w: &[u64], ws: &[u64], q: &Modulus) {
     assert_eq!(a.len(), w.len(), "operand length mismatch");
     assert_eq!(a.len(), ws.len(), "operand length mismatch");
-    let (vec, tail) = split_elems(backend, a.len());
+    let (vec, tail) = split_elems(elementwise_lanes(backend), a.len());
     match backend {
-        #[cfg(target_arch = "x86_64")]
-        // Safety: see `fwd_ntt_stage`.
-        Backend::Avx2 => unsafe { avx2::mul_shoup_lazy_slice(a, w, ws, q) },
         Backend::Neon => blocked2::mul_shoup_lazy_slice(a, w, ws, q),
         _ => scalar::mul_shoup_lazy_slice(a, w, ws, q),
     }
@@ -476,23 +612,13 @@ pub fn mul_shoup_lazy_slice(backend: Backend, a: &mut [u64], w: &[u64], ws: &[u6
 }
 
 /// Fused multiply-accumulate: `acc[i] += a[i] · b[i]` with the reduction
-/// deferred — the vector lanes behind [`crate::poly::mul_pointwise_accumulate`].
+/// deferred — the lanes behind [`crate::poly::mul_pointwise_accumulate`].
 /// Callers own the [`crate::poly::LAZY_ACC_BOUND`] headroom obligation.
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
 pub fn mac_accumulate(backend: Backend, acc: &mut [u128], a: &[u64], b: &[u64]) {
-    assert_eq!(acc.len(), a.len(), "operand length mismatch");
-    assert_eq!(acc.len(), b.len(), "operand length mismatch");
-    let (vec, tail) = split_elems(backend, acc.len());
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        // Safety: see `fwd_ntt_stage`.
-        Backend::Avx2 => unsafe { avx2::mac(acc, a, b, false) },
-        Backend::Neon => blocked2::mac(acc, a, b, false),
-        _ => scalar::mac(acc, a, b, false),
-    }
-    record_kernel(Kernel::Mac, vec, tail);
+    mac(backend, acc, a, b, false);
 }
 
 /// Overwriting MAC: `acc[i] = a[i] · b[i]` — lets the first term of an
@@ -501,15 +627,16 @@ pub fn mac_accumulate(backend: Backend, acc: &mut [u128], a: &[u64], b: &[u64]) 
 /// # Panics
 /// Panics if the slice lengths differ.
 pub fn mac_write(backend: Backend, acc: &mut [u128], a: &[u64], b: &[u64]) {
+    mac(backend, acc, a, b, true);
+}
+
+fn mac(backend: Backend, acc: &mut [u128], a: &[u64], b: &[u64], overwrite: bool) {
     assert_eq!(acc.len(), a.len(), "operand length mismatch");
     assert_eq!(acc.len(), b.len(), "operand length mismatch");
-    let (vec, tail) = split_elems(backend, acc.len());
+    let (vec, tail) = split_elems(elementwise_lanes(backend), acc.len());
     match backend {
-        #[cfg(target_arch = "x86_64")]
-        // Safety: see `fwd_ntt_stage`.
-        Backend::Avx2 => unsafe { avx2::mac(acc, a, b, true) },
-        Backend::Neon => blocked2::mac(acc, a, b, true),
-        _ => scalar::mac(acc, a, b, true),
+        Backend::Neon => blocked2::mac(acc, a, b, overwrite),
+        _ => scalar::mac(acc, a, b, overwrite),
     }
     record_kernel(Kernel::Mac, vec, tail);
 }
@@ -518,8 +645,9 @@ pub fn mac_write(backend: Backend, acc: &mut [u128], a: &[u64], b: &[u64]) {
 /// with two masked subtractions — the single pass that finishes a lazy
 /// forward transform.
 pub fn reduce_from_lazy_slice(backend: Backend, a: &mut [u64], q: &Modulus) {
-    let (vec, tail) = split_elems(backend, a.len());
-    match backend {
+    let arm = backend.stage_arm();
+    let (vec, tail) = split_elems(arm.lanes(), a.len());
+    match arm {
         #[cfg(target_arch = "x86_64")]
         // Safety: see `fwd_ntt_stage`.
         Backend::Avx2 => unsafe { avx2::reduce_from_lazy_slice(a, q) },
@@ -529,12 +657,27 @@ pub fn reduce_from_lazy_slice(backend: Backend, a: &mut [u64], q: &Modulus) {
     record_kernel(Kernel::Normalize, vec, tail);
 }
 
-/// Splits a slice length into `(vector, tail)` element counts for the
-/// backend's lane width.
+/// Lane width of the arm the element-wise kernels (`mul_shoup_lazy_slice`,
+/// the `u128` MAC) run under `backend`. Only the two-lane blocked arm exists
+/// beside scalar: the AVX2 arms did not beat it (MAC 0.47–0.63×, multiply
+/// 0.71–1.14× — no 64×64→128 vector multiply, and a carry chain across
+/// `u128` halves), so they were deleted and every x86 backend runs the
+/// scalar kernels.
 #[inline]
-fn split_elems(backend: Backend, len: usize) -> (u64, u64) {
-    if backend.is_vector() {
-        let tail = len % backend.lanes();
+fn elementwise_lanes(backend: Backend) -> usize {
+    if backend == Backend::Neon {
+        2
+    } else {
+        1
+    }
+}
+
+/// Splits a slice length into `(vector, tail)` element counts for an arm
+/// `lanes` wide.
+#[inline]
+fn split_elems(lanes: usize, len: usize) -> (u64, u64) {
+    if lanes > 1 {
+        let tail = len % lanes;
         ((len - tail) as u64, tail as u64)
     } else {
         (0, len as u64)
@@ -543,8 +686,10 @@ fn split_elems(backend: Backend, len: usize) -> (u64, u64) {
 
 // ----------------------------------------------------------- scalar twin
 
-/// The PR 4 scalar lazy datapath, verbatim — the always-available fallback
-/// and the oracle the vector paths are tested against.
+/// The PR 4 scalar lazy datapath — the always-available fallback and the
+/// oracle the vector paths are tested against. The stage loops walk
+/// `chunks_exact_mut`/`split_at_mut` pairs, so the butterflies carry no
+/// bounds checks.
 mod scalar {
     use super::Modulus;
 
@@ -557,20 +702,19 @@ mod scalar {
         q: &Modulus,
     ) {
         let two_q = q.two_q();
-        for i in 0..m {
-            let w = roots[m + i];
-            let ws = shoups[m + i];
-            let j1 = 2 * i * t;
-            for j in j1..j1 + t {
+        let groups = a.chunks_exact_mut(2 * t);
+        for ((group, &w), &ws) in groups.zip(&roots[m..2 * m]).zip(&shoups[m..2 * m]) {
+            let (lo, hi) = group.split_at_mut(t);
+            for (x, y) in lo.iter_mut().zip(hi) {
                 // Harvey butterfly: operands live in [0, 4q); one
                 // conditional −2q on u is the only correction.
-                let mut u = a[j];
+                let mut u = *x;
                 if u >= two_q {
                     u -= two_q;
                 }
-                let v = q.mul_shoup_lazy(a[j + t], w, ws);
-                a[j] = u + v;
-                a[j + t] = u + two_q - v;
+                let v = q.mul_shoup_lazy(*y, w, ws);
+                *x = u + v;
+                *y = u + two_q - v;
             }
         }
     }
@@ -584,13 +728,11 @@ mod scalar {
         q: &Modulus,
     ) {
         let two_q = q.two_q();
-        let mut j1 = 0usize;
-        for i in 0..h {
-            let w = roots[h + i];
-            let ws = shoups[h + i];
-            for j in j1..j1 + t {
-                let u = a[j];
-                let v = a[j + t];
+        let groups = a.chunks_exact_mut(2 * t);
+        for ((group, &w), &ws) in groups.zip(&roots[h..2 * h]).zip(&shoups[h..2 * h]) {
+            let (lo, hi) = group.split_at_mut(t);
+            for (x, y) in lo.iter_mut().zip(hi) {
+                let (u, v) = (*x, *y);
                 // Lazy GS: one conditional −2q on the sum; the difference
                 // leg absorbs its 2q offset in the Shoup multiply's
                 // implicit reduction to [0, 2q).
@@ -598,10 +740,9 @@ mod scalar {
                 if s >= two_q {
                     s -= two_q;
                 }
-                a[j] = s;
-                a[j + t] = q.mul_shoup_lazy(u + two_q - v, w, ws);
+                *x = s;
+                *y = q.mul_shoup_lazy(u + two_q - v, w, ws);
             }
-            j1 += 2 * t;
         }
     }
 
@@ -870,8 +1011,9 @@ mod blocked2 {
 // ------------------------------------------------------------------ AVX2
 
 /// AVX2 datapath: 4 × u64 lanes. Every function is `target_feature(avx2)`
-/// and must only be reached through a [`Backend::Avx2`] value, which
-/// existence-proves detection.
+/// and must only be reached through a [`Backend::Avx2`] or
+/// [`Backend::Avx512Ifma`] value, either of which existence-proves
+/// detection of `avx2`.
 ///
 /// AVX2 has no 64×64→128 multiply, so the Shoup high half is assembled
 /// exactly from `_mm256_mul_epu32` 32-bit partial products with full carry
@@ -1114,81 +1256,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mul_shoup_lazy_slice(a: &mut [u64], w: &[u64], ws: &[u64], q: &Modulus) {
-        let qv = _mm256_set1_epi64x(q.value() as i64);
-        let n = a.len();
-        let vec = n - n % LANES;
-        let p = a.as_mut_ptr();
-        for j in (0..vec).step_by(LANES) {
-            let x = _mm256_loadu_si256(p.add(j).cast::<__m256i>());
-            let r = mul_shoup_lazy_v(
-                x,
-                _mm256_loadu_si256(w.as_ptr().add(j).cast::<__m256i>()),
-                _mm256_loadu_si256(ws.as_ptr().add(j).cast::<__m256i>()),
-                qv,
-            );
-            _mm256_storeu_si256(p.add(j).cast::<__m256i>(), r);
-        }
-        for j in vec..n {
-            a[j] = q.mul_shoup_lazy(a[j], w[j], ws[j]);
-        }
-    }
-
-    /// Vector MAC over `u128` accumulator lanes. Each 256-bit register
-    /// holds two `(lo, hi)` little-endian accumulator words; the product's
-    /// lo/hi vectors are interleaved to match, added lane-wise, and the
-    /// lo-lane carry (`sum_lo < p_lo` unsigned) is shifted into the hi
-    /// lane with an in-128-bit-lane byte shift and folded in — exactly the
-    /// scalar `u128` wrapping add.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mac(acc: &mut [u128], a: &[u64], b: &[u64], overwrite: bool) {
-        let sign = _mm256_set1_epi64x(i64::MIN);
-        let n = acc.len();
-        let vec = n - n % LANES;
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let accp = acc.as_mut_ptr().cast::<u64>();
-        for j in (0..vec).step_by(LANES) {
-            let x = _mm256_loadu_si256(ap.add(j).cast::<__m256i>());
-            let y = _mm256_loadu_si256(bp.add(j).cast::<__m256i>());
-            let lo = mul_lo(x, y);
-            let hi = mul_hi_exact(x, y);
-            let (p01, p23) = super::avx2::interleave(lo, hi);
-            let a01 = accp.add(2 * j).cast::<__m256i>();
-            let a23 = accp.add(2 * j + 4).cast::<__m256i>();
-            if overwrite {
-                _mm256_storeu_si256(a01, p01);
-                _mm256_storeu_si256(a23, p23);
-            } else {
-                _mm256_storeu_si256(a01, add_u128x2(_mm256_loadu_si256(a01), p01, sign));
-                _mm256_storeu_si256(a23, add_u128x2(_mm256_loadu_si256(a23), p23, sign));
-            }
-        }
-        for j in vec..n {
-            let p = a[j] as u128 * b[j] as u128;
-            if overwrite {
-                acc[j] = p;
-            } else {
-                acc[j] += p;
-            }
-        }
-    }
-
-    /// Adds two pairs of 128-bit little-endian integers lane-wise with
-    /// carry propagation from the lo to the hi word.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn add_u128x2(acc: __m256i, p: __m256i, sign: __m256i) -> __m256i {
-        let sum = _mm256_add_epi64(acc, p);
-        // Unsigned sum < p per 64-bit lane: meaningful in lo-word lanes,
-        // where it flags a carry out of the low 64 bits.
-        let lt = _mm256_cmpgt_epi64(_mm256_xor_si256(p, sign), _mm256_xor_si256(sum, sign));
-        // Move each lo-lane mask onto its hi lane (per 128-bit half) and
-        // subtract: mask is −1, so subtracting adds exactly the carry.
-        _mm256_sub_epi64(sum, _mm256_slli_si256(lt, 8))
-    }
-
-    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn reduce_from_lazy_slice(a: &mut [u64], q: &Modulus) {
         let qv = _mm256_set1_epi64x(q.value() as i64);
         let two_qv = _mm256_set1_epi64x(q.two_q() as i64);
@@ -1203,6 +1270,418 @@ mod avx2 {
         }
         for j in vec..n {
             a[j] = q.reduce_from_lazy(a[j]);
+        }
+    }
+}
+
+// -------------------------------------------------------- AVX-512 IFMA52
+
+/// AVX-512 IFMA52 datapath: 8 × u64 lanes, whole transforms only. Reached
+/// through [`ifma_forward`]/[`ifma_inverse`], i.e. only from a table that
+/// resolved to [`Backend::Avx512Ifma`]: `n ≥ 16` and `q < 2^50`.
+///
+/// `vpmadd52{lo,hi}uq` multiply the low 52 bits of two lanes and add the
+/// low / high 52 bits of the 104-bit product to a third. With every lazy
+/// value below `4q < 2^52`, the Shoup multiply becomes
+/// `x·w − ⌊x·w'/2^52⌋·q mod 2^52` with `w' = ⌊w·2^52/q⌋`, which is the
+/// table's 64-bit companion shifted right by 12
+/// (`⌊⌊w·2^64/q⌋/2^12⌋ = ⌊w·2^52/q⌋`) — no second table. The result lies in
+/// `[0, 2q)` by the same argument as the 64-bit form, but the 52-bit
+/// quotient estimate can differ from the 64-bit one by one, so a lazy
+/// intermediate may sit one `q` away from the scalar kernel's; canonical
+/// outputs are equal. Conditional subtraction is `min(x, x − m)` unsigned:
+/// `x − m` wraps above `x` exactly when `x < m`.
+///
+/// Strides of 16 and more broadcast one twiddle per group. Strides 8, 4, 2
+/// and 1 never leave a 16-element block, so each block is loaded into two
+/// registers once, taken through all four stages with lane permutes in
+/// between, and stored once — the forward pass normalizing to `[0, q)` on
+/// the way out.
+///
+/// Everything here is safe code over bounds-checked slices except the
+/// `load`/`store`/`tile` wrappers; the entry points are `target_feature`
+/// functions, so calling them is what needs the detection proof.
+#[cfg(target_arch = "x86_64")]
+mod ifma {
+    use super::Modulus;
+    use std::arch::x86_64::*;
+
+    const LANES: usize = 8;
+    type Lanes = [u64; LANES];
+
+    /// Per-transform broadcast constants.
+    struct Consts {
+        q: __m512i,
+        /// `−q`: its low 52 bits are `2^52 − q`.
+        neg_q: __m512i,
+        two_q: __m512i,
+        mask52: __m512i,
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(x: &Lanes) -> __m512i {
+        // Safety: `x` is 64 readable bytes; `loadu` takes any alignment.
+        unsafe { _mm512_loadu_si512(x.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store(x: &mut Lanes, v: __m512i) {
+        // Safety: `x` is 64 writable bytes; `storeu` takes any alignment.
+        unsafe { _mm512_storeu_si512(x.as_mut_ptr().cast(), v) }
+    }
+
+    /// A twiddle and its 52-bit Shoup companion, lane for lane.
+    type Twiddle = (__m512i, __m512i);
+
+    /// One twiddle and its 52-bit companion in every lane.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn splat(w: u64, shoup64: u64) -> Twiddle {
+        (
+            _mm512_set1_epi64(w as i64),
+            _mm512_set1_epi64((shoup64 >> 12) as i64),
+        )
+    }
+
+    /// `x − (x ≥ m ? m : 0)` per lane.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn csub(x: __m512i, m: __m512i) -> __m512i {
+        _mm512_min_epu64(x, _mm512_sub_epi64(x, m))
+    }
+
+    /// Lane-wise lazy Shoup multiply of `x < 2^52` by a twiddle `< q`;
+    /// result in `[0, 2q)`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn mul_lazy(x: __m512i, (w, ws): Twiddle, c: &Consts) -> __m512i {
+        let zero = _mm512_setzero_si512();
+        let quot = _mm512_madd52hi_epu64(zero, x, ws);
+        let prod = _mm512_madd52lo_epu64(zero, x, w);
+        // Adding lo52(quot · (2^52 − q)) subtracts quot·q mod 2^52; the sum
+        // can carry into bit 52, which the mask drops.
+        _mm512_and_si512(_mm512_madd52lo_epu64(prod, quot, c.neg_q), c.mask52)
+    }
+
+    /// One butterfly on `(x, y)`: Gentleman–Sande (lazy `[0, 2q)` in and
+    /// out) when `INVERSE`, else Harvey (lazy `[0, 4q)` in and out).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn butterfly<const INVERSE: bool>(x: &mut __m512i, y: &mut __m512i, tw: Twiddle, c: &Consts) {
+        if INVERSE {
+            let (u, v) = (*x, *y);
+            *x = csub(_mm512_add_epi64(u, v), c.two_q);
+            *y = mul_lazy(_mm512_sub_epi64(_mm512_add_epi64(u, c.two_q), v), tw, c);
+        } else {
+            let u = csub(*x, c.two_q);
+            let v = mul_lazy(*y, tw, c);
+            *x = _mm512_add_epi64(u, v);
+            *y = _mm512_sub_epi64(_mm512_add_epi64(u, c.two_q), v);
+        }
+    }
+
+    /// One stage of `groups` twiddle groups whose stride is a whole number
+    /// of registers, over `v` = the polynomial as 8-lane rows.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn wide_stage<const INVERSE: bool>(
+        v: &mut [Lanes],
+        groups: usize,
+        roots: &[u64],
+        shoups: &[u64],
+        c: &Consts,
+    ) {
+        let rows = v.len() / (2 * groups);
+        let twiddles = roots[groups..2 * groups]
+            .iter()
+            .zip(&shoups[groups..2 * groups]);
+        for (group, (&w, &ws)) in v.chunks_exact_mut(2 * rows).zip(twiddles) {
+            let tw = splat(w, ws);
+            let (lo, hi) = group.split_at_mut(rows);
+            for (l, h) in lo.iter_mut().zip(hi) {
+                let (mut x, mut y) = (load(l), load(h));
+                butterfly::<INVERSE>(&mut x, &mut y, tw, c);
+                store(l, x);
+                store(h, y);
+            }
+        }
+    }
+
+    /// `w` (1, 2, 4 or 8 words) repeated until it fills the lanes:
+    /// `[w0 … w_{k−1}, w0 …]` — a broadcasting load, no shuffle.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn tile(w: &[u64]) -> __m512i {
+        let p = w.as_ptr();
+        // Safety (all three): the matched length is the number of words
+        // the load reads; `loadu` takes any alignment.
+        match w.len() {
+            1 => _mm512_set1_epi64(w[0] as i64),
+            2 => _mm512_broadcast_i32x4(unsafe { _mm_loadu_si128(p.cast()) }),
+            4 => _mm512_broadcast_i64x4(unsafe { _mm256_loadu_si256(p.cast()) }),
+            LANES => unsafe { _mm512_loadu_si512(p.cast()) },
+            _ => unreachable!("stage strides divide the lane count"),
+        }
+    }
+
+    // A 16-element block lives in a (low, high) register pair. In the
+    // layout for stride `t` (8, 4, 2 or 1) the block's `8 / t` twiddle
+    // groups are interleaved across the lanes: lane `p` of `low` holds the
+    // low butterfly leg number `p / groups` of group `p % groups`, and
+    // `high` holds its partner `t` elements later. That order makes every
+    // stage's twiddle vector a `tile` of consecutive table words, and makes
+    // stride 8 the block's memory order (`low` = elements 0–7).
+
+    /// The block element in lane `lane` of `low` in the stride-`t` layout.
+    const fn element(t: usize, lane: usize) -> usize {
+        let groups = LANES / t;
+        (lane % groups) * 2 * t + lane / groups
+    }
+
+    /// Where block element `e` sits in the stride-`t` layout, as a
+    /// two-source permute index: lanes of `low`, then 8 + lanes of `high`.
+    const fn locate(t: usize, e: usize) -> u64 {
+        let groups = LANES / t;
+        let (group, leg) = (e / (2 * t), e % (2 * t));
+        let lane = (leg % t) * groups + group;
+        (if leg < t { lane } else { LANES + lane }) as u64
+    }
+
+    /// Permute indices taking a pair from the stride-`from` layout to the
+    /// stride-`to` one: `[low, high]`.
+    const fn relayout(from: usize, to: usize) -> [Lanes; 2] {
+        let mut idx = [[0; LANES]; 2];
+        let mut lane = 0;
+        while lane < LANES {
+            let e = element(to, lane);
+            idx[0][lane] = locate(from, e);
+            idx[1][lane] = locate(from, e + to);
+            lane += 1;
+        }
+        idx
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn relay<const FROM: usize, const TO: usize>(low: &mut __m512i, high: &mut __m512i) {
+        let idx = const { relayout(FROM, TO) };
+        (*low, *high) = (
+            _mm512_permutex2var_epi64(*low, load(&idx[0]), *high),
+            _mm512_permutex2var_epi64(*low, load(&idx[1]), *high),
+        );
+    }
+
+    /// The stride-`T` stage of block `i − blocks` on a pair in that
+    /// stride's layout; `i` is the block's stride-8 twiddle index, so its
+    /// `8 / T` twiddles for this stage start at `roots[8 / T · i]`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn block_stage<const T: usize, const INVERSE: bool>(
+        low: &mut __m512i,
+        high: &mut __m512i,
+        roots: &[u64],
+        shoups: &[u64],
+        i: usize,
+        c: &Consts,
+    ) {
+        let groups = LANES / T;
+        let span = groups * i..groups * (i + 1);
+        let tw = (
+            tile(&roots[span.clone()]),
+            _mm512_srli_epi64::<12>(tile(&shoups[span])),
+        );
+        butterfly::<INVERSE>(low, high, tw, c);
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn consts(q: &Modulus) -> Consts {
+        Consts {
+            q: _mm512_set1_epi64(q.value() as i64),
+            neg_q: _mm512_set1_epi64((q.value() as i64).wrapping_neg()),
+            two_q: _mm512_set1_epi64(q.two_q() as i64),
+            mask52: _mm512_set1_epi64((1i64 << 52) - 1),
+        }
+    }
+
+    /// The polynomial as 8-lane rows (`n` is a power of two ≥ 16).
+    #[inline]
+    fn rows(a: &mut [u64]) -> &mut [Lanes] {
+        let (rows, rest) = a.as_chunks_mut::<LANES>();
+        debug_assert!(rest.is_empty() && rows.len() >= 2);
+        rows
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn forward(a: &mut [u64], roots: &[u64], shoups: &[u64], q: &Modulus) {
+        let c = consts(q);
+        let v = rows(a);
+        let blocks = v.len() / 2;
+        let mut groups = 1;
+        while groups < blocks {
+            wide_stage::<false>(v, groups, roots, shoups, &c);
+            groups *= 2;
+        }
+        for (block, i) in v.chunks_exact_mut(2).zip(blocks..) {
+            let [lo, hi] = block else { unreachable!() };
+            let (mut x, mut y) = (load(lo), load(hi));
+            block_stage::<8, false>(&mut x, &mut y, roots, shoups, i, &c);
+            relay::<8, 4>(&mut x, &mut y);
+            block_stage::<4, false>(&mut x, &mut y, roots, shoups, i, &c);
+            relay::<4, 2>(&mut x, &mut y);
+            block_stage::<2, false>(&mut x, &mut y, roots, shoups, i, &c);
+            relay::<2, 1>(&mut x, &mut y);
+            block_stage::<1, false>(&mut x, &mut y, roots, shoups, i, &c);
+            relay::<1, 8>(&mut x, &mut y);
+            store(lo, csub(csub(x, c.two_q), c.q));
+            store(hi, csub(csub(y, c.two_q), c.q));
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn inverse(
+        a: &mut [u64],
+        roots: &[u64],
+        shoups: &[u64],
+        last: [(u64, u64); 2],
+        q: &Modulus,
+    ) {
+        let c = consts(q);
+        let v = rows(a);
+        let blocks = v.len() / 2;
+        for (block, i) in v.chunks_exact_mut(2).zip(blocks..) {
+            let [lo, hi] = block else { unreachable!() };
+            let (mut x, mut y) = (load(lo), load(hi));
+            relay::<8, 1>(&mut x, &mut y);
+            block_stage::<1, true>(&mut x, &mut y, roots, shoups, i, &c);
+            relay::<1, 2>(&mut x, &mut y);
+            block_stage::<2, true>(&mut x, &mut y, roots, shoups, i, &c);
+            relay::<2, 4>(&mut x, &mut y);
+            block_stage::<4, true>(&mut x, &mut y, roots, shoups, i, &c);
+            relay::<4, 8>(&mut x, &mut y);
+            // At n = 16 the stride-8 stage is the scaled last one, below.
+            if blocks > 1 {
+                block_stage::<8, true>(&mut x, &mut y, roots, shoups, i, &c);
+            }
+            store(lo, x);
+            store(hi, y);
+        }
+        let mut groups = blocks / 2;
+        while groups > 1 {
+            wide_stage::<true>(v, groups, roots, shoups, &c);
+            groups /= 2;
+        }
+        // Last stage: one group, both legs scaled by n⁻¹ through the
+        // pre-scaled constants and reduced to canonical form.
+        let [scale, twiddle] = last.map(|(w, shoup64)| splat(w, shoup64));
+        let (lo, hi) = v.split_at_mut(blocks);
+        for (l, h) in lo.iter_mut().zip(hi) {
+            let (x, y) = (load(l), load(h));
+            let sum = _mm512_add_epi64(x, y);
+            let diff = _mm512_sub_epi64(_mm512_add_epi64(x, c.two_q), y);
+            store(l, csub(mul_lazy(sum, scale, &c), c.q));
+            store(h, csub(mul_lazy(diff, twiddle, &c), c.q));
+        }
+    }
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::modulus::{Q0, Q1, SPECIAL_P};
+        use crate::simd::{scalar, Backend};
+        use rand::{Rng, SeedableRng};
+
+        /// One IFMA stage of `groups` twiddle groups on its own: the wide
+        /// kernel, or the block kernel between a relay to its layout and
+        /// one back to memory order.
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn stage<const INVERSE: bool>(
+            a: &mut [u64],
+            groups: usize,
+            roots: &[u64],
+            shoups: &[u64],
+            q: &Modulus,
+        ) {
+            let c = consts(q);
+            let v = rows(a);
+            let blocks = v.len() / 2;
+            if groups < blocks {
+                return wide_stage::<INVERSE>(v, groups, roots, shoups, &c);
+            }
+            for (block, i) in v.chunks_exact_mut(2).zip(blocks..) {
+                let [lo, hi] = block else { unreachable!() };
+                let (mut x, mut y) = (load(lo), load(hi));
+                macro_rules! at_stride {
+                    ($t:literal) => {{
+                        relay::<8, $t>(&mut x, &mut y);
+                        block_stage::<$t, INVERSE>(&mut x, &mut y, roots, shoups, i, &c);
+                        relay::<$t, 8>(&mut x, &mut y);
+                    }};
+                }
+                match groups / blocks {
+                    1 => at_stride!(8),
+                    2 => at_stride!(4),
+                    4 => at_stride!(2),
+                    _ => at_stride!(1),
+                }
+                store(lo, x);
+                store(hi, y);
+            }
+        }
+
+        /// Every stage of every size, over the whole lazy input domain:
+        /// the 52-bit quotient may pick a different representative than
+        /// the scalar kernel, never a different residue or one outside the
+        /// documented range.
+        #[test]
+        fn every_stage_is_congruent_to_scalar_and_in_lazy_range() {
+            if !Backend::Avx512Ifma.available() {
+                return;
+            }
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x1F3A);
+            for q in [Q0, Q1, SPECIAL_P].map(|q| Modulus::new(q).unwrap()) {
+                for n in [16usize, 32, 256, 4096] {
+                    // A stage is correct for any canonical constants, so
+                    // random ones stand in for a table's twiddles.
+                    let w: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.value())).collect();
+                    let ws: Vec<u64> = w.iter().map(|&x| q.shoup(x)).collect();
+                    // (domain bound, inverse?) — forward legs live in
+                    // [0, 4q), inverse legs in [0, 2q).
+                    for (bound, inverse) in [(4 * q.value(), false), (2 * q.value(), true)] {
+                        let inputs = [
+                            (0..n).map(|_| rng.gen_range(0..bound)).collect(),
+                            vec![bound - 1; n],
+                            vec![0u64; n],
+                        ];
+                        let mut groups = 1;
+                        while groups < n {
+                            let t = n / (2 * groups);
+                            for input in &inputs {
+                                let (mut expect, mut got): (Vec<u64>, Vec<u64>) =
+                                    (input.clone(), input.clone());
+                                // Safety: `available()` was checked above.
+                                if inverse {
+                                    scalar::inv_ntt_stage(&mut expect, groups, t, &w, &ws, &q);
+                                    unsafe { stage::<true>(&mut got, groups, &w, &ws, &q) };
+                                } else {
+                                    scalar::fwd_ntt_stage(&mut expect, groups, t, &w, &ws, &q);
+                                    unsafe { stage::<false>(&mut got, groups, &w, &ws, &q) };
+                                }
+                                for (g, e) in got.iter().zip(&expect) {
+                                    assert!(*g < bound, "n={n} q={q} t={t} inverse={inverse}");
+                                    assert_eq!(
+                                        g % q.value(),
+                                        e % q.value(),
+                                        "n={n} q={q} t={t} inverse={inverse}"
+                                    );
+                                }
+                            }
+                            groups *= 2;
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -1226,10 +1705,23 @@ mod tests {
 
     #[test]
     fn backend_codes_roundtrip() {
-        for b in [Backend::Scalar, Backend::Avx2, Backend::Neon] {
+        // Codes and names resolve on every host, runnable there or not:
+        // a stats frame from an IFMA node must still be nameable here.
+        for (code, b) in [
+            Backend::Scalar,
+            Backend::Avx2,
+            Backend::Neon,
+            Backend::Avx512Ifma,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert_eq!(usize::from(b.code()), code);
             assert_eq!(Backend::from_code(b.code()), Some(b));
             assert_eq!(Backend::from_name(b.name()), Some(b));
         }
+        assert_eq!(Backend::Avx512Ifma.name(), "avx512ifma");
+        assert_eq!(Backend::Avx512Ifma.lanes(), 8);
         assert_eq!(Backend::from_code(7), None);
         assert_eq!(Backend::from_name("amx"), None);
         assert_eq!(Backend::from_name("auto"), Some(Backend::detect_auto()));

@@ -1,0 +1,80 @@
+//! Vector/tail accounting of the dispatch counters, per backend.
+//!
+//! The counters are process-wide, so this file holds exactly one test:
+//! nothing else runs in its process and the deltas are exact. A stage (or
+//! slice) is booked as vector when the arm that ran it used vector lanes —
+//! not when the backend's nominal lane count would have allowed it.
+
+use cham_math::modulus::Q0;
+use cham_math::simd::{self, Kernel};
+use cham_math::{Backend, Modulus, NttTable};
+
+/// `(vector, tail)` elements booked for `kernel` while `f` ran.
+fn booked(kernel: Kernel, f: impl FnOnce()) -> (u64, u64) {
+    let before = simd::simd_stats().kernels[kernel as usize];
+    f();
+    let after = simd::simd_stats().kernels[kernel as usize];
+    (
+        after.vector_elems - before.vector_elems,
+        after.tail_elems - before.tail_elems,
+    )
+}
+
+#[test]
+fn counters_follow_the_arm_that_ran() {
+    let q = Modulus::new(Q0).unwrap();
+    let n = 2048usize;
+    let (stages, half) = (11u64, n as u64 / 2);
+    for backend in Backend::all_available() {
+        // Vectorised stages of the forward transform and of the inverse
+        // one (whose last stage is the fused n⁻¹ one): every stage under
+        // IFMA, strides of at least the arm's lane width otherwise.
+        let (fwd, inv, normalize_lanes, elementwise_lanes) = match backend {
+            Backend::Scalar => (0, 0, 1, 1),
+            Backend::Neon => (10, 9, 2, 2),
+            Backend::Avx2 => (9, 8, 4, 1),
+            Backend::Avx512Ifma => (11, 11, 8, 1),
+        };
+        let table = NttTable::with_backend(n, q, backend).unwrap();
+        let mut a = vec![1u64; n];
+        assert_eq!(
+            booked(Kernel::FwdButterfly, || table.forward(&mut a)),
+            (fwd * half, (stages - fwd) * half),
+            "fwd backend={backend}"
+        );
+        assert_eq!(
+            booked(Kernel::InvButterfly, || table.inverse(&mut a)),
+            (inv * half, (stages - inv) * half),
+            "inv backend={backend}"
+        );
+        let whole = |lanes: usize, len: usize| {
+            if lanes > 1 {
+                ((len - len % lanes) as u64, (len % lanes) as u64)
+            } else {
+                (0, len as u64)
+            }
+        };
+        assert_eq!(
+            booked(Kernel::Normalize, || table.forward(&mut a)),
+            whole(normalize_lanes, n),
+            "normalize backend={backend}"
+        );
+        // The element-wise kernels have no x86 vector arm: the AVX2 ones
+        // lost to scalar and were deleted, so only `neon` books lanes.
+        let len = 37;
+        let (w, mut x, mut acc) = (vec![1u64; len], vec![2u64; len], vec![0u128; len]);
+        assert_eq!(
+            booked(Kernel::Mac, || simd::mac_write(backend, &mut acc, &w, &w)),
+            whole(elementwise_lanes, len),
+            "mac backend={backend}"
+        );
+        let ws: Vec<u64> = w.iter().map(|&v| q.shoup(v)).collect();
+        assert_eq!(
+            booked(Kernel::MulShoupLazy, || {
+                simd::mul_shoup_lazy_slice(backend, &mut x, &w, &ws, &q);
+            }),
+            whole(elementwise_lanes, len),
+            "mul_shoup_lazy backend={backend}"
+        );
+    }
+}

@@ -5,14 +5,23 @@
 //! host can execute, every vector kernel must produce **bit-identical**
 //! output — lane for lane, including the lazy representative ranges — on
 //! random inputs, the `q − 1` worst case, and all workspace moduli, at
-//! N = 16 / 1024 / 4096.
+//! N = 16 / 32 / 256 / 1024 / 4096. (N = 16 is one 8-lane register per
+//! butterfly leg and no wide stage at all; N = 32 is the first size with
+//! one.) "Bit-identical" is about what a kernel hands back: inside a
+//! transform the `avx512ifma` tier's lazy intermediates may sit a multiple
+//! of `q` from the scalar ones — its own per-stage test in `simd.rs` pins
+//! residue and range — but every public output is canonical and equal.
+//!
+//! Backends the host cannot run are absent from `Backend::all_available`,
+//! so their arms skip rather than fail.
 
 use cham_math::modulus::{Q0, Q1, SPECIAL_P};
 use cham_math::ntt_cg::CgNttTable;
+use cham_math::primality::is_prime;
 use cham_math::{simd, Backend, Modulus, NttTable};
 use rand::{Rng, SeedableRng};
 
-const SIZES: [usize; 3] = [16, 1024, 4096];
+const SIZES: [usize; 5] = [16, 32, 256, 1024, 4096];
 
 fn rng() -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(0x0051_D0E9)
@@ -64,6 +73,53 @@ fn forward_and_inverse_match_scalar_bit_for_bit() {
             }
         }
     }
+}
+
+/// The largest prime below `2^bits` that hosts a negacyclic NTT of size `n`.
+fn largest_ntt_prime(bits: u32, n: usize) -> Modulus {
+    let step = 2 * n as u64;
+    let mut q = ((1u64 << bits) - 1) / step * step + 1;
+    while !is_prime(q) {
+        q -= step;
+    }
+    Modulus::new(q).unwrap()
+}
+
+#[test]
+fn ifma_takes_moduli_below_2_pow_50_and_hands_wider_ones_to_avx2() {
+    if !Backend::Avx512Ifma.available() {
+        return;
+    }
+    let mut rng = rng();
+    for n in [16usize, 1024] {
+        // 50 bits is the widest modulus whose lazy values (< 4q) fit the
+        // 52-bit multiplier; 51 and 60 bits are properties of the input
+        // that resolve the table to the AVX2 kernels, not errors.
+        for (bits, expect) in [
+            (50, Backend::Avx512Ifma),
+            (51, Backend::Avx2),
+            (60, Backend::Avx2),
+        ] {
+            let q = largest_ntt_prime(bits, n);
+            assert_eq!(q.bits(), bits);
+            let scalar = NttTable::with_backend(n, q, Backend::Scalar).unwrap();
+            let table = NttTable::with_backend(n, q, Backend::Avx512Ifma).unwrap();
+            assert_eq!(table.backend(), expect, "n={n} bits={bits}");
+            for input in test_inputs(n, &q, &mut rng) {
+                let (mut want, mut got) = (input.clone(), input.clone());
+                scalar.forward(&mut want);
+                table.forward(&mut got);
+                assert_eq!(got, want, "fwd n={n} bits={bits}");
+                scalar.inverse(&mut want);
+                table.inverse(&mut got);
+                assert_eq!(got, want, "inv n={n} bits={bits}");
+                assert_eq!(got, input, "roundtrip n={n} bits={bits}");
+            }
+        }
+    }
+    // Below one 16-element block the request resolves the same way.
+    let tiny = NttTable::with_backend(8, moduli()[0], Backend::Avx512Ifma).unwrap();
+    assert_eq!(tiny.backend(), Backend::Avx2);
 }
 
 #[test]

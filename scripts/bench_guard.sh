@@ -6,8 +6,12 @@
 #   scripts/bench_guard.sh <baseline.json> <current.json>
 #
 # The guarded metric set is chosen by the record's "name" field:
-#   table3_ntt       -> cpu_ntt_ops_per_sec, simd_speedup_fwd_ntt (higher
-#                       is better), ntt_lazy_seconds, ntt_simd_seconds
+#   table3_ntt       -> cpu_ntt_ops_per_sec, simd_speedup_{fwd,inv}_ntt
+#                       (higher is better; the tier `auto` resolves to —
+#                       the per-tier `_<backend>` twins are informational,
+#                       and the mul_lazy/mac rows are the neon arm only
+#                       since the AVX2 arms that lost to scalar are gone),
+#                       ntt_lazy_seconds, ntt_simd_seconds
 #                       (lower is better); additionally fails on a silent
 #                       scalar fallback — a record whose params say the
 #                       host should vectorize (simd_expect_vector = 1) but
@@ -56,6 +60,7 @@ GUARDS = {
         "ntt_lazy_seconds": "lower",
         "ntt_simd_seconds": "lower",
         "simd_speedup_fwd_ntt": "higher",
+        "simd_speedup_inv_ntt": "higher",
     },
     "fig8_hmvp": {
         "dot_phase_serial_seconds": "lower",
