@@ -8,8 +8,7 @@
 
 use cham_bench::{si, BenchRun, CpuCosts};
 use cham_he::params::ChamParams;
-use cham_math::poly::LAZY_ACC_BOUND;
-use cham_math::{simd, Backend, NttTable};
+use cham_math::{Backend, NttTable};
 use cham_sim::baselines::published_ntt;
 use cham_sim::pipeline::HmvpCycleModel;
 use cham_sim::report::table3;
@@ -145,47 +144,6 @@ fn main() {
                 .metric("simd_speedup_inv_ntt", inv_scalar_s / inv_s);
         }
     }
-    // Element-wise kernels on single-limb N-length slices. Only the
-    // two-lane blocked arm exists beside scalar (the AVX2 arms did not
-    // beat it and were deleted; every x86 backend dispatches these to
-    // scalar), so these rows are that arm. The mul-lazy constants must
-    // be canonical (< q); the MAC runs a full LAZY_ACC_BOUND window
-    // (1 write + 15 accumulates) per rep so the u128 lanes never outrun
-    // their headroom proof.
-    let w: Vec<u64> = (0..n as u64).map(|i| (i * 7 + 3) % q.value()).collect();
-    let ws: Vec<u64> = w.iter().map(|&x| q.shoup(x)).collect();
-    let mut mul = |backend: Backend| {
-        time_ntt(reps, || {
-            simd::mul_shoup_lazy_slice(backend, &mut poly, &w, &ws, &q);
-        })
-    };
-    let (mul_scalar_s, mul_blocked_s) = (mul(Backend::Scalar), mul(Backend::Neon));
-    let mut acc = vec![0u128; n];
-    let mac_reps = reps / LAZY_ACC_BOUND + 1;
-    let mut mac = |backend: Backend| {
-        time_ntt(mac_reps, || {
-            simd::mac_write(backend, &mut acc, &w, &w);
-            for _ in 1..LAZY_ACC_BOUND {
-                simd::mac_accumulate(backend, &mut acc, &w, &w);
-            }
-        })
-    };
-    let (mac_scalar_s, mac_blocked_s) = (mac(Backend::Scalar), mac(Backend::Neon));
-    let mac_per = (mac_reps * LAZY_ACC_BOUND) as f64;
-    row(
-        Backend::Neon,
-        "mul_shoup_lazy",
-        mul_scalar_s / per,
-        mul_blocked_s / per,
-    );
-    row(
-        Backend::Neon,
-        "mac (fused dot)",
-        mac_scalar_s / mac_per,
-        mac_blocked_s / mac_per,
-    );
-    run.metric("simd_speedup_mul_lazy_neon", mul_scalar_s / mul_blocked_s)
-        .metric("simd_speedup_mac_neon", mac_scalar_s / mac_blocked_s);
     run.metric("ntt_strict_seconds", strict_s / reps as f64)
         .metric("ntt_lazy_seconds", lazy_s / reps as f64)
         .metric("ntt_lazy_speedup", lazy_speedup);

@@ -123,9 +123,7 @@ impl BenchRun {
         let requested = std::env::var("CHAM_SIMD").unwrap_or_else(|_| "auto".into());
         #[cfg(target_arch = "x86_64")]
         let host_vector = std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(target_arch = "aarch64")]
-        let host_vector = true;
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         let host_vector = false;
         let expect_vector = host_vector && !requested.trim().eq_ignore_ascii_case("scalar");
         record.param("simd_backend", backend.name());

@@ -473,15 +473,14 @@ impl ClusterClient {
 
     /// Quarantines one node's address in every route that can reach it
     /// — the sink for the health loop's confirmed-down verdicts. The
-    /// cooldown is the policy's `down_quarantine` (`None`) or an
-    /// explicit override; either way it outlasts the optimistic
-    /// per-failure cooldown, so routing stops re-dialing a node the
-    /// monitor has condemned until it has actually answered probes
-    /// again. Returns how many routes held the address.
-    pub fn quarantine_node(&mut self, addr: &str, cooldown: Option<Duration>) -> usize {
+    /// cooldown is the policy's `down_quarantine`, which outlasts the
+    /// optimistic per-failure cooldown, so routing stops re-dialing a
+    /// node the monitor has condemned until it has actually answered
+    /// probes again. Returns how many routes held the address.
+    pub fn quarantine_node(&mut self, addr: &str) -> usize {
         let mut hit = 0;
         for rc in self.routes.values_mut() {
-            if rc.quarantine_endpoint(addr, cooldown) {
+            if rc.quarantine_endpoint(addr) {
                 hit += 1;
             }
         }

@@ -10,7 +10,9 @@
 //!    packing is the corresponding slice of the single-node packing).
 //! 2. **Replica failover is invisible**: killing a replica mid-run
 //!    loses zero requests — the routes quarantine the dead node and the
-//!    surviving replica (which holds every band by replication) serves.
+//!    surviving replica (which holds every band by replication) serves,
+//!    also with concurrent clients and seeded faults firing on a
+//!    survivor.
 //! 3. **Misrouting heals by refresh, not by retry**: a client started
 //!    with a stale (rotated) address map gets a typed `WrongShard`,
 //!    rebuilds the map from the fleet's own hello answers, and
@@ -31,15 +33,17 @@ use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::{ChamParams, ChamParamsBuilder};
 use cham_serve::server::{Server, ServerConfig};
 use cham_serve::shard::{HashRing, ShardSpec};
-use cham_serve::{ClientConfig, RetryClient, RetryPolicy, ServeClient};
+use cham_serve::{ClientConfig, FaultConfig, FaultInjector, RetryClient, RetryPolicy, ServeClient};
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 const DEGREE: usize = 64;
 const NODES: u16 = 3;
 const VNODES: u32 = 128;
+/// The slot [`start_fleet`] arms seeded faults on, when given a spec.
+const FAULTED: u16 = 1;
 
 struct Fixture {
     params: Arc<ChamParams>,
@@ -77,11 +81,28 @@ fn quick_policy(seed: u64) -> RetryPolicy {
     }
 }
 
+/// A retry budget that a dead replica plus seeded faults on a survivor
+/// cannot exhaust (the per-attempt fault rate is ~13 %): a verdict under
+/// it rests on the bound, not on which thread draws which fault.
+fn patient_policy(seed: u64) -> RetryPolicy {
+    RetryPolicy {
+        max_attempts: 40,
+        max_backoff: Duration::from_millis(50),
+        ..quick_policy(seed)
+    }
+}
+
 /// Starts a `NODES`-shard fleet with `replication`, returning the
-/// servers (slot order) and the matching topology.
-fn start_fleet(replication: u16, epoch: u64) -> (Vec<Option<Server>>, Topology) {
+/// servers (slot order) and the matching topology. A `faults` spec
+/// ([`FaultConfig::parse`]) arms its seeded faults on slot [`FAULTED`].
+fn start_fleet(
+    replication: u16,
+    epoch: u64,
+    faults: Option<&str>,
+) -> (Vec<Option<Server>>, Topology) {
     let f = fixture();
     let ring = HashRing::new(NODES, VNODES, replication);
+    let faults = faults.map(|spec| Arc::new(FaultInjector::new(FaultConfig::parse(spec).unwrap())));
     let mut servers = Vec::new();
     for i in 0..NODES {
         let config = ServerConfig {
@@ -90,6 +111,7 @@ fn start_fleet(replication: u16, epoch: u64) -> (Vec<Option<Server>>, Topology) 
             max_batch: 2,
             shard: Some(ShardSpec::new(ring.clone(), i, epoch)),
             node_id: 0xA0 + u64::from(i),
+            faults: faults.clone().filter(|_| i == FAULTED),
             ..ServerConfig::default()
         };
         servers.push(Some(
@@ -156,7 +178,7 @@ fn sharded_hmvp_is_bit_exact_vs_single_node() {
     single.shutdown();
 
     // Cluster: 3 shards, bands spread by content id.
-    let (mut servers, topology) = start_fleet(2, 1);
+    let (mut servers, topology) = start_fleet(2, 1, None);
     let mut cc = ClusterClient::with_config(
         topology,
         Arc::clone(&f.params),
@@ -182,62 +204,135 @@ fn sharded_hmvp_is_bit_exact_vs_single_node() {
     }
 }
 
-/// Killing a replica mid-run: zero failed requests, failover observed.
+/// Killing a replica mid-run: zero failed requests, failover observed —
+/// with one client on a healthy fleet, and with three concurrent clients
+/// on six bands while seeded faults fire on a replica that survives.
 #[test]
 fn replica_kill_mid_run_loses_no_requests() {
+    kill_replica_mid_run(3, 1, None);
+    kill_replica_mid_run(
+        6,
+        3,
+        Some("seed=7,conn_reset=0.05,corrupt_frame=0.03,spurious_busy=0.05"),
+    );
+}
+
+/// `clients` closed-loop [`ClusterClient`]s each send `REQUESTS`
+/// decrypt-verified requests against a `bands`-band matrix; client 0
+/// kills a replica after its first half, whatever the others are doing
+/// at that instant.
+fn kill_replica_mid_run(bands: usize, clients: usize, faults: Option<&str>) {
+    const REQUESTS: usize = 8;
     let f = fixture();
     let t = f.params.plain_modulus();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x6B1);
-    let matrix = Matrix::random(192, DEGREE, t.value(), &mut rng);
+    let matrix = Matrix::random(
+        bands * DEGREE,
+        DEGREE,
+        t.value(),
+        &mut rand::rngs::StdRng::seed_from_u64(0x6B1),
+    );
     let hmvp = Hmvp::from_arc(Arc::clone(&f.params));
     let enc = Encryptor::new(&f.params, &f.sk);
     let dec = Decryptor::new(&f.params, &f.sk);
-    let reference_rhs: Vec<Vec<u64>> = (0..8)
-        .map(|_| {
-            (0..matrix.cols())
-                .map(|_| rng.gen_range(0..t.value()))
-                .collect()
-        })
-        .collect();
 
-    let (mut servers, topology) = start_fleet(2, 1);
-    let mut cc = ClusterClient::with_config(
-        topology,
-        Arc::clone(&f.params),
-        ClientConfig::default(),
-        quick_policy(0x6B1),
-    );
-    let key_id = cc.load_keys(&f.gkeys, &f.indices).unwrap();
-    let sharded = cc.load_matrix_sharded(&matrix, DEGREE).unwrap();
-    // Kill the primary of the first band — guaranteed to be serving at
-    // least that band when the axe falls.
-    let victim = sharded.bands[0].replicas[0];
+    let (servers, topology) = start_fleet(2, 1, faults);
+    let servers = Mutex::new(servers);
+    let stats: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                let (topology, matrix, servers) = (topology.clone(), &matrix, &servers);
+                let (hmvp, enc, dec) = (&hmvp, &enc, &dec);
+                scope.spawn(move || {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(0x6B1 + c as u64);
+                    let mut cc = ClusterClient::with_config(
+                        topology,
+                        Arc::clone(&f.params),
+                        ClientConfig::default(),
+                        patient_policy(0x6B1 + c as u64),
+                    );
+                    // Uploads are content-addressed and idempotent, so
+                    // every client does its own.
+                    let key_id = cc.load_keys(&f.gkeys, &f.indices).unwrap();
+                    let sharded = cc.load_matrix_sharded(matrix, DEGREE).unwrap();
+                    assert_eq!(sharded.bands.len(), bands);
+                    // The victim is the first band primary that is not the
+                    // faulted slot — serving at least that band when the
+                    // axe falls. Placement is a pure function of the band
+                    // content ids, so every client names the same one.
+                    let victim = sharded
+                        .bands
+                        .iter()
+                        .map(|b| b.replicas[0])
+                        .find(|&p| faults.is_none() || p != FAULTED)
+                        .unwrap();
+                    // Once it is gone, a band replicated on {victim, s} can
+                    // only be answered by s: with such a band for each
+                    // survivor, "every survivor served" below does not
+                    // depend on which request draws which fault.
+                    for s in (0..NODES).filter(|&s| s != victim) {
+                        assert!(
+                            sharded
+                                .bands
+                                .iter()
+                                .any(|b| b.replicas.contains(&victim) && b.replicas.contains(&s)),
+                            "slot {s} shares no band with victim {victim}: {:?}",
+                            sharded.bands
+                        );
+                    }
+                    for i in 0..REQUESTS {
+                        if c == 0 && i == REQUESTS / 2 {
+                            let server = servers.lock().unwrap()[usize::from(victim)].take();
+                            server.unwrap().shutdown();
+                        }
+                        let v: Vec<u64> = (0..matrix.cols())
+                            .map(|_| rng.gen_range(0..t.value()))
+                            .collect();
+                        let cts = hmvp.encrypt_vector(&v, enc, &mut rng).unwrap();
+                        let result = cc.hmvp_sharded(key_id, &sharded, &cts, None).unwrap();
+                        let got = hmvp.decrypt_result(&result, dec).unwrap();
+                        assert_eq!(
+                            got,
+                            matrix.mul_vector_mod(&v, t).unwrap(),
+                            "client {c} request {i}"
+                        );
+                    }
+                    cc.stats()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
 
-    for (i, v) in reference_rhs.iter().enumerate() {
-        if i == reference_rhs.len() / 2 {
-            servers[usize::from(victim)].take().unwrap().shutdown();
-        }
-        let cts = hmvp.encrypt_vector(v, &enc, &mut rng).unwrap();
-        let result = cc.hmvp_sharded(key_id, &sharded, &cts, None).unwrap();
-        let got = hmvp.decrypt_result(&result, &dec).unwrap();
-        assert_eq!(got, matrix.mul_vector_mod(v, t).unwrap(), "request {i}");
-    }
-
-    let stats = cc.stats();
     assert!(
-        stats.failovers >= 1,
+        stats.iter().map(|s| s.failovers).sum::<u64>() >= 1,
         "the killed primary was never failed over: {stats:?}"
     );
-    // Balance attribution saw the fleet, and nothing after the kill was
-    // credited wrongly: only live slots serve.
-    assert_eq!(stats.per_node_requests.len(), usize::from(NODES));
-    assert!(stats.per_node_requests.iter().sum::<u64>() > 0);
-
-    for s in &mut servers {
-        if let Some(s) = s.take() {
-            s.shutdown();
+    // The survivors' books balance: each one served, and completed at
+    // least the band requests the clients credit to it (a retried request
+    // may complete twice).
+    let mut served = vec![0u64; usize::from(NODES)];
+    for s in &stats {
+        for (slot, n) in s.per_node_requests.iter().enumerate() {
+            served[slot] += n;
         }
     }
+    assert_eq!(
+        served.iter().sum::<u64>(),
+        (clients * REQUESTS * bands) as u64,
+        "every band request is credited to the slot that answered: {served:?}"
+    );
+    let mut survivors = 0;
+    for (slot, server) in servers.into_inner().unwrap().into_iter().enumerate() {
+        let Some(server) = server else { continue };
+        survivors += 1;
+        let completed = server.shutdown().completed;
+        assert!(served[slot] > 0, "slot {slot} served nothing: {served:?}");
+        assert!(
+            completed >= served[slot],
+            "slot {slot} completed {completed}, credited {served:?}"
+        );
+    }
+    assert_eq!(survivors, usize::from(NODES) - 1);
 }
 
 /// A stale (rotated) address map heals through one typed `WrongShard`
@@ -254,7 +349,7 @@ fn wrong_shard_triggers_reroute_not_retry_loop() {
 
     // Replication 1: exactly one correct home per id, so a rotated map
     // *always* misroutes.
-    let (mut servers, topology) = start_fleet(1, 7);
+    let (mut servers, topology) = start_fleet(1, 7, None);
     let mut rotated_nodes = topology.nodes().to_vec();
     rotated_nodes.rotate_left(1);
     let stale = Topology::new(rotated_nodes)
@@ -313,7 +408,7 @@ fn killed_replica_rejoins_and_repair_converges() {
     let hmvp = Hmvp::from_arc(Arc::clone(&f.params));
     let enc = Encryptor::new(&f.params, &f.sk);
 
-    let (mut servers, topology) = start_fleet(2, 1);
+    let (mut servers, topology) = start_fleet(2, 1, None);
     let mut cc = ClusterClient::with_config(
         topology.clone(),
         Arc::clone(&f.params),
@@ -371,7 +466,7 @@ fn killed_replica_rejoins_and_repair_converges() {
     for tr in &t2 {
         if tr.to == NodeHealth::Down {
             assert!(
-                cc.quarantine_node(&tr.addr, None) >= 1,
+                cc.quarantine_node(&tr.addr) >= 1,
                 "the dead node was in no route"
             );
         }

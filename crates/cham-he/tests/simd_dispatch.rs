@@ -55,8 +55,8 @@ fn scalar_and_auto_produce_identical_ciphertext_bytes() {
     let scalar = run_pipeline(Backend::Scalar, SEED);
     assert!(!scalar.is_empty());
     // Whatever `CHAM_SIMD=auto` resolves to is one of these, and so are
-    // the tiers below it and the portable two-lane backend; one the host
-    // cannot run is not listed, so its arm skips.
+    // the tiers below it; one the host cannot run is not listed, so its
+    // arm skips.
     let auto = Backend::detect_auto();
     assert!(Backend::all_available().contains(&auto));
     for backend in Backend::all_available() {

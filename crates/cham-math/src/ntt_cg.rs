@@ -15,6 +15,10 @@
 //! into the load stage. Output order is bit-reversed, matching the iterative
 //! transform in [`crate::ntt`] so the two are interchangeable (and tested to
 //! be equal).
+//!
+//! This table is the golden model of the hardware dataflow (`cham-sim`
+//! drives it); no HE path reaches it, so its stages are the scalar lazy
+//! kernels under every `CHAM_SIMD` setting.
 
 use crate::modulus::Modulus;
 use crate::primality::min_primitive_root_of_unity;
@@ -52,9 +56,6 @@ pub struct CgNttTable {
     /// ψ^{-j} · n^{-1} untwist factors (fused into the inverse epilogue).
     untwist: Vec<u64>,
     untwist_shoup: Vec<u64>,
-    /// SIMD backend captured at construction ([`Backend::active`] unless
-    /// pinned via [`CgNttTable::with_backend`]).
-    backend: Backend,
 }
 
 impl CgNttTable {
@@ -64,23 +65,6 @@ impl CgNttTable {
     /// Same conditions as [`crate::ntt::NttTable::new`]: `n` must be a power
     /// of two in `[4, 2^20]` and `q ≡ 1 (mod 2n)`.
     pub fn new(n: usize, q: Modulus) -> Result<Self> {
-        Self::with_backend(n, q, Backend::active())
-    }
-
-    /// Like [`CgNttTable::new`] but pins the table to a specific SIMD
-    /// [`Backend`] — the A/B hook matching
-    /// [`crate::ntt::NttTable::with_backend`].
-    ///
-    /// # Errors
-    /// In addition to the [`CgNttTable::new`] errors, returns
-    /// [`MathError::InvalidParameter`] when the backend cannot run on this
-    /// host.
-    pub fn with_backend(n: usize, q: Modulus, backend: Backend) -> Result<Self> {
-        if !backend.available() {
-            return Err(MathError::InvalidParameter(
-                "requested SIMD backend is not available on this host",
-            ));
-        }
         if !n.is_power_of_two() || !(4..=(1 << 20)).contains(&n) {
             return Err(MathError::InvalidDegree(n));
         }
@@ -126,14 +110,7 @@ impl CgNttTable {
             n,
             log_n,
             q,
-            backend,
         })
-    }
-
-    /// The SIMD backend this table dispatches its stages to.
-    #[inline]
-    pub const fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Transform size.
@@ -165,21 +142,25 @@ impl CgNttTable {
 
     /// One forward CG stage (scatter dataflow) in Harvey lazy form: inputs
     /// in `[0, 4q)`, outputs in `[0, 4q)`, a single conditional `−2q` on the
-    /// `u` leg per butterfly.
+    /// `u` leg per butterfly. Butterfly `j` reads `src[j], src[j + N/2]` and
+    /// writes `dst[2j], dst[2j + 1]`.
     #[inline]
     fn forward_stage_lazy(&self, i: usize, src: &[u64], dst: &mut [u64]) {
         let half = self.n / 2;
         let base = i * half;
-        // Stage twiddles stream contiguously from the flat ROM — exactly
-        // the layout vector lanes want (per-lane loads, no gathers).
-        crate::simd::fwd_cg_stage(
-            self.backend,
-            src,
-            dst,
-            &self.twiddles[base..base + half],
-            &self.twiddles_shoup[base..base + half],
-            &self.q,
-        );
+        // Stage twiddles stream contiguously from the flat ROM.
+        let w = &self.twiddles[base..base + half];
+        let ws = &self.twiddles_shoup[base..base + half];
+        let two_q = self.q.two_q();
+        for j in 0..half {
+            let mut u = src[j];
+            if u >= two_q {
+                u -= two_q;
+            }
+            let v = self.q.mul_shoup_lazy(src[j + half], w[j], ws[j]);
+            dst[2 * j] = u + v;
+            dst[2 * j + 1] = u + two_q - v;
+        }
     }
 
     /// Forward negacyclic CG-NTT. Input normal order, output bit-reversed —
@@ -198,7 +179,7 @@ impl CgNttTable {
         let q = &self.q;
         // Twist: fold ψ^j into the load stage. Lazy product lands in
         // [0, 2q) ⊂ [0, 4q), the stage input invariant.
-        crate::simd::mul_shoup_lazy_slice(self.backend, a, &self.twist, &self.twist_shoup, q);
+        crate::simd::mul_shoup_lazy_slice(Backend::Scalar, a, &self.twist, &self.twist_shoup, q);
         let mut scratch = vec![0u64; self.n];
         let mut in_a = true;
         for i in 0..self.log_n as usize {
@@ -215,35 +196,35 @@ impl CgNttTable {
         if !in_a {
             a.copy_from_slice(&scratch);
         }
-        crate::simd::reduce_from_lazy_slice(self.backend, a, q);
+        crate::simd::reduce_from_lazy_slice(Backend::Scalar, a, q);
     }
 
     /// One inverse CG stage (gather dataflow) in lazy form: inputs and
-    /// outputs both in `[0, 2q)`.
+    /// outputs both in `[0, 2q)`. Butterfly `j` reads `src[2j], src[2j + 1]`
+    /// and writes `dst[j], dst[j + N/2]`.
     #[inline]
     fn inverse_stage_lazy(&self, i: usize, src: &[u64], dst: &mut [u64]) {
         let half = self.n / 2;
         let base = i * half;
-        crate::simd::inv_cg_stage(
-            self.backend,
-            src,
-            dst,
-            &self.inv_twiddles[base..base + half],
-            &self.inv_twiddles_shoup[base..base + half],
-            &self.q,
-        );
+        let w = &self.inv_twiddles[base..base + half];
+        let ws = &self.inv_twiddles_shoup[base..base + half];
+        let two_q = self.q.two_q();
+        for j in 0..half {
+            let (x, y) = (src[2 * j], src[2 * j + 1]);
+            let mut s = x + y;
+            if s >= two_q {
+                s -= two_q;
+            }
+            dst[j] = s;
+            dst[j + half] = self.q.mul_shoup_lazy(x + two_q - y, w[j], ws[j]);
+        }
     }
 
     /// Books one transform's butterfly counts into the dispatch stats:
-    /// every CG stage has `n/2` butterflies, vectorized whenever the stage
-    /// width covers at least one lane block.
+    /// every CG stage has `n/2` butterflies, all on the scalar kernel.
     fn record_butterflies(&self, kernel: Kernel) {
         let total = (self.n / 2) as u64 * u64::from(self.log_n);
-        if self.backend.vectorises_stage(self.n / 2) {
-            crate::simd::record_kernel(kernel, total, 0);
-        } else {
-            crate::simd::record_kernel(kernel, 0, total);
-        }
+        crate::simd::record_kernel(kernel, 0, total);
     }
 
     /// Inverse negacyclic CG-NTT. Input bit-reversed, output normal order.

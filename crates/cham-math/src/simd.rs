@@ -18,14 +18,14 @@
 //! ## Dispatch model
 //!
 //! A [`Backend`] is resolved **once** per process — `CHAM_SIMD`
-//! (`scalar|avx2|avx512ifma|neon|auto`, default `auto`) combined with
+//! (`scalar|avx2|avx512ifma|auto`, default `auto`) combined with
 //! runtime feature detection (`is_x86_feature_detected!`) — and then stored
-//! on every [`crate::NttTable`]/[`crate::CgNttTable`] at construction.
+//! on every [`crate::NttTable`] at construction.
 //! Kernel entry points take the backend as a value, so there is exactly one
 //! branch per *transform, stage or slice*, never per butterfly. Benches and
-//! tests can pin a table to a specific backend with the `with_backend`
-//! constructors (for in-process A/B ablations) or flip the process default
-//! with [`Backend::force`].
+//! tests can pin a table to a specific backend with
+//! [`crate::NttTable::with_backend`] (for in-process A/B ablations) or flip
+//! the process default with [`Backend::force`].
 //!
 //! ## Why the lazy ranges make the vector kernels branch-free
 //!
@@ -42,15 +42,17 @@
 //!
 //! * `scalar` — the PR 4 lazy datapath; always available and the
 //!   correctness oracle for everything else.
-//! * `avx2` — `std::arch::x86_64`, 4 × u64 lanes, butterfly stages (plain
-//!   and constant-geometry) and the normalization pass. AVX2 has no
-//!   64×64→128 multiply, so the Shoup high-half is computed exactly with
-//!   the classic 32-bit split (`_mm256_mul_epu32` partial products + carry
-//!   folding) — the same construction Intel HEXL uses on pre-IFMA parts.
+//! * `avx2` — `std::arch::x86_64`, 4 × u64 lanes, butterfly stages and the
+//!   normalization pass. AVX2 has no 64×64→128 multiply, so the Shoup
+//!   high-half is computed exactly with the classic 32-bit split
+//!   (`_mm256_mul_epu32` partial products + carry folding) — the same
+//!   construction Intel HEXL uses on pre-IFMA parts.
 //!   Strides below four butterflies run the scalar kernel. Its `u128` MAC
 //!   arm lost to scalar (0.47–0.63×) and its element-wise multiply arm
 //!   never beat it beyond noise (0.71–1.14× across records), so both were
-//!   deleted: on every x86 backend those two kernels *are* the scalar ones.
+//!   deleted: on every backend those two kernels *are* the scalar ones.
+//!   ([`crate::CgNttTable`] — the hardware golden model, reached by no HE
+//!   path and no committed record — runs scalar stage loops of its own.)
 //! * `avx512ifma` — 8 × u64 lanes, whole [`crate::NttTable`] transforms:
 //!   every stage, the forward normalization and the inverse's `n⁻¹` last
 //!   stage run in 512-bit registers on the 52-bit multiply-add
@@ -62,14 +64,6 @@
 //!   `avx2` instead. Every other kernel under this backend runs the best
 //!   arm that exists (AVX2 stages/normalization, scalar element-wise).
 //!   `auto` picks it when `avx512f` + `avx512ifma` are detected.
-//! * `neon` — the two-lane blocked datapath. On aarch64 the correction
-//!   passes use `std::arch::aarch64` vector compares (`vcgeq_u64`), while
-//!   the 64×64→128 products deliberately stay on the scalar `mul`/`umulh`
-//!   pair: A64 NEON has no 64-bit vector multiplier, and `mul`+`umulh`
-//!   dual-issue on every big core, so lane-blocking the loads and the
-//!   add/compare halves is the entire available win. The blocked form is
-//!   portable Rust, so it can be forced (and is tested) on any
-//!   architecture.
 //!
 //! ## The equivalence contract
 //!
@@ -96,10 +90,8 @@ pub enum Backend {
     Scalar = 0,
     /// AVX2 (`std::arch::x86_64`): 4 × u64 lanes, split-multiply Shoup.
     Avx2 = 1,
-    /// Two-lane blocked datapath (NEON-tuned on aarch64, portable Rust
-    /// elsewhere — see the module docs for why there is no 64-bit NEON
-    /// multiplier to use).
-    Neon = 2,
+    // Code 2 is retired (the two-lane blocked "neon" backend): it stays
+    // unassigned so an old stats frame can never be misnamed.
     /// AVX-512 IFMA52 (`std::arch::x86_64`): 8 × u64 lanes, 52-bit Shoup
     /// butterflies on `vpmadd52{lo,hi}uq`, every stage of an
     /// [`crate::NttTable`] transform in 512-bit registers.
@@ -126,7 +118,6 @@ impl Backend {
         match self {
             Backend::Scalar => 1,
             Backend::Avx2 => 4,
-            Backend::Neon => 2,
             Backend::Avx512Ifma => 8,
         }
     }
@@ -137,7 +128,6 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
-            Backend::Neon => "neon",
             Backend::Avx512Ifma => "avx512ifma",
         }
     }
@@ -155,7 +145,6 @@ impl Backend {
         match code {
             0 => Some(Backend::Scalar),
             1 => Some(Backend::Avx2),
-            2 => Some(Backend::Neon),
             3 => Some(Backend::Avx512Ifma),
             _ => None,
         }
@@ -168,7 +157,6 @@ impl Backend {
         match name.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Backend::Scalar),
             "avx2" => Some(Backend::Avx2),
-            "neon" => Some(Backend::Neon),
             "avx512ifma" => Some(Backend::Avx512Ifma),
             "auto" | "" => Some(Self::detect_auto()),
             _ => None,
@@ -182,15 +170,14 @@ impl Backend {
         self.lanes() > 1
     }
 
-    /// True when this backend can execute on the current host.
-    /// `scalar` and `neon` (portable blocked form) always can; `avx2`
-    /// needs an x86-64 with the feature bit set, and `avx512ifma` needs
-    /// `avx512f` + `avx512ifma` on top of it (the kernels it has no arm of
-    /// its own for run the AVX2 ones).
+    /// True when this backend can execute on the current host. `scalar`
+    /// always can; `avx2` needs an x86-64 with the feature bit set, and
+    /// `avx512ifma` needs `avx512f` + `avx512ifma` on top of it (the kernels
+    /// it has no arm of its own for run the AVX2 ones).
     #[must_use]
     pub fn available(self) -> bool {
         match self {
-            Backend::Scalar | Backend::Neon => true,
+            Backend::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
@@ -208,25 +195,17 @@ impl Backend {
     /// order of the per-backend equivalence suites and golden KATs.
     #[must_use]
     pub fn all_available() -> Vec<Self> {
-        [
-            Backend::Scalar,
-            Backend::Avx2,
-            Backend::Neon,
-            Backend::Avx512Ifma,
-        ]
-        .into_iter()
-        .filter(|b| b.available())
-        .collect()
+        [Backend::Scalar, Backend::Avx2, Backend::Avx512Ifma]
+            .into_iter()
+            .filter(|b| b.available())
+            .collect()
     }
 
     /// The best backend the host supports: AVX-512 IFMA, else AVX2, on
-    /// x86-64 with the feature bits; the NEON-tuned blocked path on aarch64
-    /// (NEON is baseline there); scalar everywhere else.
+    /// x86-64 with the feature bits; scalar everywhere else (aarch64
+    /// included, until a record measured there supports a vector tier).
     #[must_use]
     pub fn detect_auto() -> Self {
-        if cfg!(target_arch = "aarch64") {
-            return Backend::Neon;
-        }
         [Backend::Avx512Ifma, Backend::Avx2]
             .into_iter()
             .find(|b| b.available())
@@ -397,7 +376,6 @@ fn record_dispatch(backend: Backend) {
     match backend {
         Backend::Scalar => cham_telemetry::counter_add!("cham_math.simd.dispatch.scalar", 1),
         Backend::Avx2 => cham_telemetry::counter_add!("cham_math.simd.dispatch.avx2", 1),
-        Backend::Neon => cham_telemetry::counter_add!("cham_math.simd.dispatch.neon", 1),
         Backend::Avx512Ifma => {
             cham_telemetry::counter_add!("cham_math.simd.dispatch.avx512ifma", 1);
         }
@@ -473,7 +451,6 @@ pub(crate) fn fwd_ntt_stage(
         // which only exists where detection of `avx2` succeeded
         // (`or_available` in dispatch, `available()` in `with_backend`).
         Backend::Avx2 => unsafe { avx2::fwd_ntt_stage(a, m, t, roots, shoups, q) },
-        Backend::Neon => blocked2::fwd_ntt_stage(a, m, t, roots, shoups, q),
         _ => scalar::fwd_ntt_stage(a, m, t, roots, shoups, q),
     }
 }
@@ -494,49 +471,7 @@ pub(crate) fn inv_ntt_stage(
         #[cfg(target_arch = "x86_64")]
         // Safety: see `fwd_ntt_stage`.
         Backend::Avx2 => unsafe { avx2::inv_ntt_stage(a, h, t, roots, shoups, q) },
-        Backend::Neon => blocked2::inv_ntt_stage(a, h, t, roots, shoups, q),
         _ => scalar::inv_ntt_stage(a, h, t, roots, shoups, q),
-    }
-}
-
-/// One forward constant-geometry (scatter) stage: butterfly `j` reads
-/// `src[j], src[j + half]`, writes `dst[2j], 2j+1]`, twiddles stream
-/// contiguously from `w`/`ws`. Lazy `[0, 4q)` in and out.
-#[inline]
-pub(crate) fn fwd_cg_stage(
-    backend: Backend,
-    src: &[u64],
-    dst: &mut [u64],
-    w: &[u64],
-    ws: &[u64],
-    q: &Modulus,
-) {
-    match backend.stage_arm() {
-        #[cfg(target_arch = "x86_64")]
-        // Safety: see `fwd_ntt_stage`.
-        Backend::Avx2 => unsafe { avx2::fwd_cg_stage(src, dst, w, ws, q) },
-        Backend::Neon => blocked2::fwd_cg_stage(src, dst, w, ws, q),
-        _ => scalar::fwd_cg_stage(src, dst, w, ws, q),
-    }
-}
-
-/// One inverse constant-geometry (gather) stage: butterfly `j` reads
-/// `src[2j], 2j+1]`, writes `dst[j], dst[j + half]`. Lazy `[0, 2q)`.
-#[inline]
-pub(crate) fn inv_cg_stage(
-    backend: Backend,
-    src: &[u64],
-    dst: &mut [u64],
-    w: &[u64],
-    ws: &[u64],
-    q: &Modulus,
-) {
-    match backend.stage_arm() {
-        #[cfg(target_arch = "x86_64")]
-        // Safety: see `fwd_ntt_stage`.
-        Backend::Avx2 => unsafe { avx2::inv_cg_stage(src, dst, w, ws, q) },
-        Backend::Neon => blocked2::inv_cg_stage(src, dst, w, ws, q),
-        _ => scalar::inv_cg_stage(src, dst, w, ws, q),
     }
 }
 
@@ -596,19 +531,17 @@ pub(crate) fn ifma_inverse(
 
 /// Element-wise lazy Shoup multiply against a prepared constant table:
 /// `a[i] = mul_shoup_lazy(a[i], w[i], ws[i])`. Any `u64` input, output in
-/// `[0, 2q)` — the ψ-twist or a prepared pointwise multiply.
+/// `[0, 2q)` — the ψ-twist or a prepared pointwise multiply. Every backend
+/// runs the scalar kernel (see the module docs), so all elements are
+/// booked as tail.
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
-pub fn mul_shoup_lazy_slice(backend: Backend, a: &mut [u64], w: &[u64], ws: &[u64], q: &Modulus) {
+pub fn mul_shoup_lazy_slice(_backend: Backend, a: &mut [u64], w: &[u64], ws: &[u64], q: &Modulus) {
     assert_eq!(a.len(), w.len(), "operand length mismatch");
     assert_eq!(a.len(), ws.len(), "operand length mismatch");
-    let (vec, tail) = split_elems(elementwise_lanes(backend), a.len());
-    match backend {
-        Backend::Neon => blocked2::mul_shoup_lazy_slice(a, w, ws, q),
-        _ => scalar::mul_shoup_lazy_slice(a, w, ws, q),
-    }
-    record_kernel(Kernel::MulShoupLazy, vec, tail);
+    scalar::mul_shoup_lazy_slice(a, w, ws, q);
+    record_kernel(Kernel::MulShoupLazy, 0, a.len() as u64);
 }
 
 /// Fused multiply-accumulate: `acc[i] += a[i] · b[i]` with the reduction
@@ -617,8 +550,8 @@ pub fn mul_shoup_lazy_slice(backend: Backend, a: &mut [u64], w: &[u64], ws: &[u6
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
-pub fn mac_accumulate(backend: Backend, acc: &mut [u128], a: &[u64], b: &[u64]) {
-    mac(backend, acc, a, b, false);
+pub fn mac_accumulate(_backend: Backend, acc: &mut [u128], a: &[u64], b: &[u64]) {
+    mac(acc, a, b, false);
 }
 
 /// Overwriting MAC: `acc[i] = a[i] · b[i]` — lets the first term of an
@@ -626,19 +559,17 @@ pub fn mac_accumulate(backend: Backend, acc: &mut [u128], a: &[u64], b: &[u64]) 
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
-pub fn mac_write(backend: Backend, acc: &mut [u128], a: &[u64], b: &[u64]) {
-    mac(backend, acc, a, b, true);
+pub fn mac_write(_backend: Backend, acc: &mut [u128], a: &[u64], b: &[u64]) {
+    mac(acc, a, b, true);
 }
 
-fn mac(backend: Backend, acc: &mut [u128], a: &[u64], b: &[u64], overwrite: bool) {
+/// Every backend runs the scalar `u128` MAC (see the module docs), so all
+/// elements are booked as tail.
+fn mac(acc: &mut [u128], a: &[u64], b: &[u64], overwrite: bool) {
     assert_eq!(acc.len(), a.len(), "operand length mismatch");
     assert_eq!(acc.len(), b.len(), "operand length mismatch");
-    let (vec, tail) = split_elems(elementwise_lanes(backend), acc.len());
-    match backend {
-        Backend::Neon => blocked2::mac(acc, a, b, overwrite),
-        _ => scalar::mac(acc, a, b, overwrite),
-    }
-    record_kernel(Kernel::Mac, vec, tail);
+    scalar::mac(acc, a, b, overwrite);
+    record_kernel(Kernel::Mac, 0, acc.len() as u64);
 }
 
 /// Normalization pass: maps every `a[i] ∈ [0, 4q)` to canonical `[0, q)`
@@ -651,25 +582,9 @@ pub fn reduce_from_lazy_slice(backend: Backend, a: &mut [u64], q: &Modulus) {
         #[cfg(target_arch = "x86_64")]
         // Safety: see `fwd_ntt_stage`.
         Backend::Avx2 => unsafe { avx2::reduce_from_lazy_slice(a, q) },
-        Backend::Neon => blocked2::reduce_from_lazy_slice(a, q),
         _ => scalar::reduce_from_lazy_slice(a, q),
     }
     record_kernel(Kernel::Normalize, vec, tail);
-}
-
-/// Lane width of the arm the element-wise kernels (`mul_shoup_lazy_slice`,
-/// the `u128` MAC) run under `backend`. Only the two-lane blocked arm exists
-/// beside scalar: the AVX2 arms did not beat it (MAC 0.47–0.63×, multiply
-/// 0.71–1.14× — no 64×64→128 vector multiply, and a carry chain across
-/// `u128` halves), so they were deleted and every x86 backend runs the
-/// scalar kernels.
-#[inline]
-fn elementwise_lanes(backend: Backend) -> usize {
-    if backend == Backend::Neon {
-        2
-    } else {
-        1
-    }
 }
 
 /// Splits a slice length into `(vector, tail)` element counts for an arm
@@ -746,35 +661,6 @@ mod scalar {
         }
     }
 
-    pub(super) fn fwd_cg_stage(src: &[u64], dst: &mut [u64], w: &[u64], ws: &[u64], q: &Modulus) {
-        let two_q = q.two_q();
-        let half = w.len();
-        for j in 0..half {
-            let mut u = src[j];
-            if u >= two_q {
-                u -= two_q;
-            }
-            let v = q.mul_shoup_lazy(src[j + half], w[j], ws[j]);
-            dst[2 * j] = u + v;
-            dst[2 * j + 1] = u + two_q - v;
-        }
-    }
-
-    pub(super) fn inv_cg_stage(src: &[u64], dst: &mut [u64], w: &[u64], ws: &[u64], q: &Modulus) {
-        let two_q = q.two_q();
-        let half = w.len();
-        for j in 0..half {
-            let x = src[2 * j];
-            let y = src[2 * j + 1];
-            let mut s = x + y;
-            if s >= two_q {
-                s -= two_q;
-            }
-            dst[j] = s;
-            dst[j + half] = q.mul_shoup_lazy(x + two_q - y, w[j], ws[j]);
-        }
-    }
-
     pub(super) fn mul_shoup_lazy_slice(a: &mut [u64], w: &[u64], ws: &[u64], q: &Modulus) {
         for (x, (&wi, &wsi)) in a.iter_mut().zip(w.iter().zip(ws)) {
             *x = q.mul_shoup_lazy(*x, wi, wsi);
@@ -795,214 +681,6 @@ mod scalar {
 
     pub(super) fn reduce_from_lazy_slice(a: &mut [u64], q: &Modulus) {
         for x in a.iter_mut() {
-            *x = q.reduce_from_lazy(*x);
-        }
-    }
-}
-
-// ------------------------------------------------- two-lane blocked (neon)
-
-/// Two-lane blocked datapath. Each loop body processes an aligned pair of
-/// butterflies/elements, so on aarch64 LLVM keeps the loads, stores, and
-/// masked-subtract halves in NEON `q` registers while the 64×64→128
-/// products use the scalar `mul`/`umulh` pair (there is no 64-bit NEON
-/// multiplier — see the module docs). The arithmetic is identical to the
-/// scalar twin, so bit-exactness holds by construction on every
-/// architecture, which is also what lets non-aarch64 hosts force and test
-/// this backend.
-mod blocked2 {
-    use super::Modulus;
-
-    /// Masked conditional subtraction over one pair: `x - (x >= m ? m : 0)`.
-    /// On aarch64 this is a genuine `std::arch::aarch64` vector step
-    /// (`vcgeq_u64` + `vandq_u64` + `vsubq_u64`); elsewhere a branch-free
-    /// scalar pair with the same semantics.
-    #[inline]
-    fn csub2(x: &mut [u64], m: u64) {
-        debug_assert_eq!(x.len(), 2);
-        #[cfg(target_arch = "aarch64")]
-        // Safety: NEON is baseline on aarch64; `x` holds two readable,
-        // writable lanes.
-        unsafe {
-            use std::arch::aarch64::{
-                vandq_u64, vcgeq_u64, vdupq_n_u64, vld1q_u64, vst1q_u64, vsubq_u64,
-            };
-            let p = x.as_mut_ptr();
-            let v = vld1q_u64(p);
-            let mv = vdupq_n_u64(m);
-            let ge = vcgeq_u64(v, mv);
-            vst1q_u64(p, vsubq_u64(v, vandq_u64(ge, mv)));
-        }
-        #[cfg(not(target_arch = "aarch64"))]
-        for lane in x.iter_mut() {
-            *lane -= m & (0u64.wrapping_sub(u64::from(*lane >= m)));
-        }
-    }
-
-    #[inline]
-    fn butterfly_pair_fwd(
-        lo: &mut [u64],
-        hi: &mut [u64],
-        w: u64,
-        ws: u64,
-        q: &Modulus,
-        two_q: u64,
-    ) {
-        let mut u = [lo[0], lo[1]];
-        csub2(&mut u, two_q);
-        let v = [
-            q.mul_shoup_lazy(hi[0], w, ws),
-            q.mul_shoup_lazy(hi[1], w, ws),
-        ];
-        lo[0] = u[0] + v[0];
-        lo[1] = u[1] + v[1];
-        hi[0] = u[0] + two_q - v[0];
-        hi[1] = u[1] + two_q - v[1];
-    }
-
-    pub(super) fn fwd_ntt_stage(
-        a: &mut [u64],
-        m: usize,
-        t: usize,
-        roots: &[u64],
-        shoups: &[u64],
-        q: &Modulus,
-    ) {
-        if t < 2 {
-            return super::scalar::fwd_ntt_stage(a, m, t, roots, shoups, q);
-        }
-        let two_q = q.two_q();
-        for i in 0..m {
-            let w = roots[m + i];
-            let ws = shoups[m + i];
-            let j1 = 2 * i * t;
-            let (lo, hi) = a[j1..j1 + 2 * t].split_at_mut(t);
-            for (lo2, hi2) in lo.chunks_exact_mut(2).zip(hi.chunks_exact_mut(2)) {
-                butterfly_pair_fwd(lo2, hi2, w, ws, q, two_q);
-            }
-        }
-    }
-
-    pub(super) fn inv_ntt_stage(
-        a: &mut [u64],
-        h: usize,
-        t: usize,
-        roots: &[u64],
-        shoups: &[u64],
-        q: &Modulus,
-    ) {
-        if t < 2 {
-            return super::scalar::inv_ntt_stage(a, h, t, roots, shoups, q);
-        }
-        let two_q = q.two_q();
-        let mut j1 = 0usize;
-        for i in 0..h {
-            let w = roots[h + i];
-            let ws = shoups[h + i];
-            let (lo, hi) = a[j1..j1 + 2 * t].split_at_mut(t);
-            for (lo2, hi2) in lo.chunks_exact_mut(2).zip(hi.chunks_exact_mut(2)) {
-                let mut s = [lo2[0] + hi2[0], lo2[1] + hi2[1]];
-                csub2(&mut s, two_q);
-                let d0 = lo2[0] + two_q - hi2[0];
-                let d1 = lo2[1] + two_q - hi2[1];
-                lo2[0] = s[0];
-                lo2[1] = s[1];
-                hi2[0] = q.mul_shoup_lazy(d0, w, ws);
-                hi2[1] = q.mul_shoup_lazy(d1, w, ws);
-            }
-            j1 += 2 * t;
-        }
-    }
-
-    pub(super) fn fwd_cg_stage(src: &[u64], dst: &mut [u64], w: &[u64], ws: &[u64], q: &Modulus) {
-        let half = w.len();
-        if half < 2 {
-            return super::scalar::fwd_cg_stage(src, dst, w, ws, q);
-        }
-        let two_q = q.two_q();
-        let (src_lo, src_hi) = src.split_at(half);
-        for j in (0..half).step_by(2) {
-            let mut u = [src_lo[j], src_lo[j + 1]];
-            csub2(&mut u, two_q);
-            let v = [
-                q.mul_shoup_lazy(src_hi[j], w[j], ws[j]),
-                q.mul_shoup_lazy(src_hi[j + 1], w[j + 1], ws[j + 1]),
-            ];
-            dst[2 * j] = u[0] + v[0];
-            dst[2 * j + 1] = u[0] + two_q - v[0];
-            dst[2 * j + 2] = u[1] + v[1];
-            dst[2 * j + 3] = u[1] + two_q - v[1];
-        }
-    }
-
-    pub(super) fn inv_cg_stage(src: &[u64], dst: &mut [u64], w: &[u64], ws: &[u64], q: &Modulus) {
-        let half = w.len();
-        if half < 2 {
-            return super::scalar::inv_cg_stage(src, dst, w, ws, q);
-        }
-        let two_q = q.two_q();
-        let (dst_lo, dst_hi) = dst.split_at_mut(half);
-        for j in (0..half).step_by(2) {
-            let x = [src[2 * j], src[2 * j + 2]];
-            let y = [src[2 * j + 1], src[2 * j + 3]];
-            let mut s = [x[0] + y[0], x[1] + y[1]];
-            csub2(&mut s, two_q);
-            dst_lo[j] = s[0];
-            dst_lo[j + 1] = s[1];
-            dst_hi[j] = q.mul_shoup_lazy(x[0] + two_q - y[0], w[j], ws[j]);
-            dst_hi[j + 1] = q.mul_shoup_lazy(x[1] + two_q - y[1], w[j + 1], ws[j + 1]);
-        }
-    }
-
-    pub(super) fn mul_shoup_lazy_slice(a: &mut [u64], w: &[u64], ws: &[u64], q: &Modulus) {
-        let pairs = a.len() / 2 * 2;
-        let (head, tail_a) = a.split_at_mut(pairs);
-        for (i, pair) in head.chunks_exact_mut(2).enumerate() {
-            let j = 2 * i;
-            pair[0] = q.mul_shoup_lazy(pair[0], w[j], ws[j]);
-            pair[1] = q.mul_shoup_lazy(pair[1], w[j + 1], ws[j + 1]);
-        }
-        for (k, x) in tail_a.iter_mut().enumerate() {
-            *x = q.mul_shoup_lazy(*x, w[pairs + k], ws[pairs + k]);
-        }
-    }
-
-    pub(super) fn mac(acc: &mut [u128], a: &[u64], b: &[u64], overwrite: bool) {
-        // u128 lanes already keep the scalar core saturated (`mul`/`umulh`
-        // plus a 128-bit add); the pair unroll exposes the independent
-        // chains to the scheduler.
-        let pairs = acc.len() / 2 * 2;
-        for j in (0..pairs).step_by(2) {
-            let p0 = a[j] as u128 * b[j] as u128;
-            let p1 = a[j + 1] as u128 * b[j + 1] as u128;
-            if overwrite {
-                acc[j] = p0;
-                acc[j + 1] = p1;
-            } else {
-                acc[j] += p0;
-                acc[j + 1] += p1;
-            }
-        }
-        if pairs < acc.len() {
-            let p = a[pairs] as u128 * b[pairs] as u128;
-            if overwrite {
-                acc[pairs] = p;
-            } else {
-                acc[pairs] += p;
-            }
-        }
-    }
-
-    pub(super) fn reduce_from_lazy_slice(a: &mut [u64], q: &Modulus) {
-        let two_q = q.two_q();
-        let qv = q.value();
-        let pairs = a.len() / 2 * 2;
-        let (head, tail) = a.split_at_mut(pairs);
-        for pair in head.chunks_exact_mut(2) {
-            csub2(pair, two_q);
-            csub2(pair, qv);
-        }
-        for x in tail.iter_mut() {
             *x = q.reduce_from_lazy(*x);
         }
     }
@@ -1155,103 +833,6 @@ mod avx2 {
                     mul_shoup_lazy_v(d, wv, wsv, qv),
                 );
             }
-        }
-    }
-
-    /// Interleaves `[x0..x3]`/`[y0..y3]` into `([x0,y0,x1,y1], [x2,y2,x3,y3])`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn interleave(x: __m256i, y: __m256i) -> (__m256i, __m256i) {
-        let t0 = _mm256_unpacklo_epi64(x, y); // [x0,y0,x2,y2]
-        let t1 = _mm256_unpackhi_epi64(x, y); // [x1,y1,x3,y3]
-        (
-            _mm256_permute2x128_si256(t0, t1, 0x20),
-            _mm256_permute2x128_si256(t0, t1, 0x31),
-        )
-    }
-
-    /// Inverse of [`interleave`]: splits `[x0,y0,x1,y1], [x2,y2,x3,y3]`
-    /// back into `([x0..x3], [y0..y3])`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn deinterleave(p01: __m256i, p23: __m256i) -> (__m256i, __m256i) {
-        let t0 = _mm256_permute2x128_si256(p01, p23, 0x20); // [x0,y0,x2,y2]
-        let t1 = _mm256_permute2x128_si256(p01, p23, 0x31); // [x1,y1,x3,y3]
-        (_mm256_unpacklo_epi64(t0, t1), _mm256_unpackhi_epi64(t0, t1))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn fwd_cg_stage(
-        src: &[u64],
-        dst: &mut [u64],
-        w: &[u64],
-        ws: &[u64],
-        q: &Modulus,
-    ) {
-        let half = w.len();
-        if half < LANES {
-            return super::scalar::fwd_cg_stage(src, dst, w, ws, q);
-        }
-        let qv = _mm256_set1_epi64x(q.value() as i64);
-        let two_qv = _mm256_set1_epi64x(q.two_q() as i64);
-        let sign = _mm256_set1_epi64x(i64::MIN);
-        let src_lo = src.as_ptr();
-        let src_hi = src_lo.add(half);
-        let out = dst.as_mut_ptr();
-        for j in (0..half).step_by(LANES) {
-            let u = csub(
-                _mm256_loadu_si256(src_lo.add(j).cast::<__m256i>()),
-                two_qv,
-                sign,
-            );
-            let v = mul_shoup_lazy_v(
-                _mm256_loadu_si256(src_hi.add(j).cast::<__m256i>()),
-                _mm256_loadu_si256(w.as_ptr().add(j).cast::<__m256i>()),
-                _mm256_loadu_si256(ws.as_ptr().add(j).cast::<__m256i>()),
-                qv,
-            );
-            let x = _mm256_add_epi64(u, v);
-            let y = _mm256_sub_epi64(_mm256_add_epi64(u, two_qv), v);
-            let (d01, d23) = interleave(x, y);
-            _mm256_storeu_si256(out.add(2 * j).cast::<__m256i>(), d01);
-            _mm256_storeu_si256(out.add(2 * j + LANES).cast::<__m256i>(), d23);
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn inv_cg_stage(
-        src: &[u64],
-        dst: &mut [u64],
-        w: &[u64],
-        ws: &[u64],
-        q: &Modulus,
-    ) {
-        let half = w.len();
-        if half < LANES {
-            return super::scalar::inv_cg_stage(src, dst, w, ws, q);
-        }
-        let qv = _mm256_set1_epi64x(q.value() as i64);
-        let two_qv = _mm256_set1_epi64x(q.two_q() as i64);
-        let sign = _mm256_set1_epi64x(i64::MIN);
-        let inp = src.as_ptr();
-        let dst_lo = dst.as_mut_ptr();
-        let dst_hi = dst_lo.add(half);
-        for j in (0..half).step_by(LANES) {
-            let p01 = _mm256_loadu_si256(inp.add(2 * j).cast::<__m256i>());
-            let p23 = _mm256_loadu_si256(inp.add(2 * j + LANES).cast::<__m256i>());
-            let (x, y) = deinterleave(p01, p23);
-            let s = csub(_mm256_add_epi64(x, y), two_qv, sign);
-            let d = _mm256_sub_epi64(_mm256_add_epi64(x, two_qv), y);
-            _mm256_storeu_si256(dst_lo.add(j).cast::<__m256i>(), s);
-            _mm256_storeu_si256(
-                dst_hi.add(j).cast::<__m256i>(),
-                mul_shoup_lazy_v(
-                    d,
-                    _mm256_loadu_si256(w.as_ptr().add(j).cast::<__m256i>()),
-                    _mm256_loadu_si256(ws.as_ptr().add(j).cast::<__m256i>()),
-                    qv,
-                ),
-            );
         }
     }
 
@@ -1708,18 +1289,18 @@ mod tests {
         // Codes and names resolve on every host, runnable there or not:
         // a stats frame from an IFMA node must still be nameable here.
         for (code, b) in [
-            Backend::Scalar,
-            Backend::Avx2,
-            Backend::Neon,
-            Backend::Avx512Ifma,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            assert_eq!(usize::from(b.code()), code);
-            assert_eq!(Backend::from_code(b.code()), Some(b));
+            (0, Backend::Scalar),
+            (1, Backend::Avx2),
+            (3, Backend::Avx512Ifma),
+        ] {
+            assert_eq!(b.code(), code);
+            assert_eq!(Backend::from_code(code), Some(b));
             assert_eq!(Backend::from_name(b.name()), Some(b));
         }
+        // The retired two-lane backend: its code stays unassigned, and its
+        // name is an unknown value (`active()` degrades that to detection).
+        assert_eq!(Backend::from_code(2), None);
+        assert_eq!(Backend::from_name("neon"), None);
         assert_eq!(Backend::Avx512Ifma.name(), "avx512ifma");
         assert_eq!(Backend::Avx512Ifma.lanes(), 8);
         assert_eq!(Backend::from_code(7), None);
@@ -1729,12 +1310,10 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_neon_always_available() {
+    fn scalar_always_available() {
         assert!(Backend::Scalar.available());
-        assert!(Backend::Neon.available());
         let all = Backend::all_available();
         assert_eq!(all[0], Backend::Scalar);
-        assert!(all.contains(&Backend::Neon));
         assert!(Backend::detect_auto().available());
     }
 
@@ -1820,16 +1399,22 @@ mod tests {
         let q = Modulus::new(Q0).unwrap();
         let before = simd_stats();
         let mut a = vec![1u64; 11];
-        reduce_from_lazy_slice(Backend::Neon, &mut a, &q);
+        // Four lanes where the host has a vector arm, all tail otherwise.
+        let (backend, vector, tail) = if Backend::Avx2.available() {
+            (Backend::Avx2, 8, 3)
+        } else {
+            (Backend::Scalar, 0, 11)
+        };
+        reduce_from_lazy_slice(backend, &mut a, &q);
         let after = simd_stats();
         let k = Kernel::Normalize as usize;
         assert_eq!(
             after.kernels[k].vector_elems - before.kernels[k].vector_elems,
-            10
+            vector
         );
         assert_eq!(
             after.kernels[k].tail_elems - before.kernels[k].tail_elems,
-            1
+            tail
         );
         assert!(after.totals().0 >= after.kernels[k].vector_elems);
     }

@@ -28,12 +28,13 @@ fn counters_follow_the_arm_that_ran() {
     for backend in Backend::all_available() {
         // Vectorised stages of the forward transform and of the inverse
         // one (whose last stage is the fused n⁻¹ one): every stage under
-        // IFMA, strides of at least the arm's lane width otherwise.
-        let (fwd, inv, normalize_lanes, elementwise_lanes) = match backend {
-            Backend::Scalar => (0, 0, 1, 1),
-            Backend::Neon => (10, 9, 2, 2),
-            Backend::Avx2 => (9, 8, 4, 1),
-            Backend::Avx512Ifma => (11, 11, 8, 1),
+        // IFMA, strides of at least the arm's lane width otherwise. Then
+        // the normalization pass's `(vector, tail)`: `n` is a multiple of
+        // every lane width, so it is all one or all the other.
+        let (fwd, inv, normalize) = match backend {
+            Backend::Scalar => (0, 0, (0, n as u64)),
+            Backend::Avx2 => (9, 8, (n as u64, 0)),
+            Backend::Avx512Ifma => (11, 11, (n as u64, 0)),
         };
         let table = NttTable::with_backend(n, q, backend).unwrap();
         let mut a = vec![1u64; n];
@@ -47,25 +48,18 @@ fn counters_follow_the_arm_that_ran() {
             (inv * half, (stages - inv) * half),
             "inv backend={backend}"
         );
-        let whole = |lanes: usize, len: usize| {
-            if lanes > 1 {
-                ((len - len % lanes) as u64, (len % lanes) as u64)
-            } else {
-                (0, len as u64)
-            }
-        };
         assert_eq!(
             booked(Kernel::Normalize, || table.forward(&mut a)),
-            whole(normalize_lanes, n),
+            normalize,
             "normalize backend={backend}"
         );
-        // The element-wise kernels have no x86 vector arm: the AVX2 ones
-        // lost to scalar and were deleted, so only `neon` books lanes.
+        // The element-wise kernels have no vector arm (the AVX2 ones lost
+        // to scalar and were deleted): every backend books them as tail.
         let len = 37;
         let (w, mut x, mut acc) = (vec![1u64; len], vec![2u64; len], vec![0u128; len]);
         assert_eq!(
             booked(Kernel::Mac, || simd::mac_write(backend, &mut acc, &w, &w)),
-            whole(elementwise_lanes, len),
+            (0, len as u64),
             "mac backend={backend}"
         );
         let ws: Vec<u64> = w.iter().map(|&v| q.shoup(v)).collect();
@@ -73,7 +67,7 @@ fn counters_follow_the_arm_that_ran() {
             booked(Kernel::MulShoupLazy, || {
                 simd::mul_shoup_lazy_slice(backend, &mut x, &w, &ws, &q);
             }),
-            whole(elementwise_lanes, len),
+            (0, len as u64),
             "mul_shoup_lazy backend={backend}"
         );
     }

@@ -124,22 +124,23 @@ fn ifma_takes_moduli_below_2_pow_50_and_hands_wider_ones_to_avx2() {
 
 #[test]
 fn constant_geometry_matches_scalar_bit_for_bit() {
+    // The CG table has no vector arm: under whatever `CHAM_SIMD` this
+    // process runs, it lands every lane where the scalar iterative
+    // transform does.
     let mut rng = rng();
     for q in moduli() {
         for n in SIZES {
-            let scalar = CgNttTable::with_backend(n, q, Backend::Scalar).unwrap();
-            for backend in vector_backends() {
-                let table = CgNttTable::with_backend(n, q, backend).unwrap();
-                for input in test_inputs(n, &q, &mut rng) {
-                    let mut expect = input.clone();
-                    scalar.forward(&mut expect);
-                    let mut got = input.clone();
-                    table.forward(&mut got);
-                    assert_eq!(got, expect, "cg fwd n={n} q={q} backend={backend}");
-                    scalar.inverse(&mut expect);
-                    table.inverse(&mut got);
-                    assert_eq!(got, expect, "cg inv n={n} q={q} backend={backend}");
-                }
+            let scalar = NttTable::with_backend(n, q, Backend::Scalar).unwrap();
+            let table = CgNttTable::new(n, q).unwrap();
+            for input in test_inputs(n, &q, &mut rng) {
+                let mut expect = input.clone();
+                scalar.forward(&mut expect);
+                let mut got = input.clone();
+                table.forward(&mut got);
+                assert_eq!(got, expect, "cg fwd n={n} q={q}");
+                scalar.inverse(&mut expect);
+                table.inverse(&mut got);
+                assert_eq!(got, expect, "cg inv n={n} q={q}");
             }
         }
     }

@@ -72,7 +72,7 @@ pub struct RetryPolicy {
     /// on every reconnect, short enough that a restarted one rejoins
     /// promptly. Scaled by jitter in `[1.0, 1.5]` at quarantine time so
     /// a fleet of clients does not re-dial a recovering node in
-    /// lockstep. Overridden per-pool by [`Endpoints::with_cooldown`].
+    /// lockstep.
     pub quarantine: Duration,
     /// Quarantine applied when an *external authority* (the cluster
     /// health loop) has confirmed an endpoint dead — much longer than
@@ -89,7 +89,7 @@ impl Default for RetryPolicy {
             max_backoff: Duration::from_secs(2),
             jitter_seed: 0,
             total_deadline: None,
-            quarantine: DEFAULT_QUARANTINE,
+            quarantine: Duration::from_millis(500),
             down_quarantine: Duration::from_secs(5),
         }
     }
@@ -105,45 +105,22 @@ fn backoff_for(policy: &RetryPolicy, rng: &mut SplitMix64, attempt: u32) -> Dura
     capped.mul_f64(0.5 + 0.5 * rng.next_f64())
 }
 
-/// Default for [`RetryPolicy::quarantine`] and the cooldown of a pool
-/// built outside a [`RetryClient`].
-const DEFAULT_QUARANTINE: Duration = Duration::from_millis(500);
-
-/// One address in a fixed endpoint pool, with its quarantine state.
-struct FixedEndpoint {
+/// One address in an endpoint pool, with its quarantine state.
+struct Endpoint {
     addr: String,
     quarantined_until: Option<Instant>,
 }
 
-enum EndpointsKind {
-    /// A known list of interchangeable endpoints (replicas of one
-    /// shard, or a single server). Dead entries are quarantined for a
-    /// cooldown and skipped while any live entry remains.
-    Fixed {
-        list: Vec<FixedEndpoint>,
-        cursor: usize,
-        cooldown: Duration,
-        /// Whether [`Endpoints::with_cooldown`] pinned the cooldown —
-        /// a pinned value wins over the owning client's policy.
-        cooldown_pinned: bool,
-    },
-    /// Caller-supplied resolution: invoked with a monotonically
-    /// increasing attempt counter on every (re)connect, so DNS-style
-    /// re-resolution and custom rotation schemes share the retry loop
-    /// instead of reimplementing it.
-    Provider {
-        provide: Box<dyn FnMut(u64) -> String + Send>,
-        calls: u64,
-        current: Option<String>,
-    },
-}
-
-/// Where a [`RetryClient`] connects. Built from a single address (the
-/// common case — `From<&str>`/`From<String>`), a replica list
-/// (`From<Vec<String>>` / [`Endpoints::fixed`]), or a provider closure
-/// ([`Endpoints::provider`]).
+/// Where a [`RetryClient`] connects: a list of interchangeable endpoints
+/// (replicas of one shard, or a single server). Built from a single
+/// address (the common case — `From<&str>`/`From<String>`) or a replica
+/// list (`From<Vec<String>>` / [`Endpoints::fixed`]). Dead entries are
+/// quarantined for a cooldown — [`RetryPolicy::quarantine`] per failure,
+/// [`RetryPolicy::down_quarantine`] on a confirmed-down verdict — and
+/// skipped while any live entry remains.
 pub struct Endpoints {
-    kind: EndpointsKind,
+    list: Vec<Endpoint>,
+    cursor: usize,
 }
 
 impl Endpoints {
@@ -155,166 +132,73 @@ impl Endpoints {
         S: Into<String>,
     {
         Self {
-            kind: EndpointsKind::Fixed {
-                list: addrs
-                    .into_iter()
-                    .map(|a| FixedEndpoint {
-                        addr: a.into(),
-                        quarantined_until: None,
-                    })
-                    .collect(),
-                cursor: 0,
-                cooldown: DEFAULT_QUARANTINE,
-                cooldown_pinned: false,
-            },
+            list: addrs
+                .into_iter()
+                .map(|a| Endpoint {
+                    addr: a.into(),
+                    quarantined_until: None,
+                })
+                .collect(),
+            cursor: 0,
         }
     }
 
-    /// Endpoint resolution via a closure called with the number of
-    /// prior calls (0 on the first connect).
-    pub fn provider(provide: impl FnMut(u64) -> String + Send + 'static) -> Self {
-        Self {
-            kind: EndpointsKind::Provider {
-                provide: Box::new(provide),
-                calls: 0,
-                current: None,
-            },
-        }
-    }
-
-    /// Overrides the quarantine cooldown of a fixed pool (no effect on
-    /// provider endpoints — the closure owns rotation policy there).
-    #[must_use]
-    pub fn with_cooldown(mut self, cooldown: Duration) -> Self {
-        if let EndpointsKind::Fixed {
-            cooldown: c,
-            cooldown_pinned,
-            ..
-        } = &mut self.kind
-        {
-            *c = cooldown;
-            *cooldown_pinned = true;
-        }
-        self
-    }
-
-    /// Adopts a policy-level cooldown unless [`Self::with_cooldown`]
-    /// already pinned one (explicit per-pool configuration wins).
-    fn adopt_policy_cooldown(&mut self, cooldown: Duration) {
-        if let EndpointsKind::Fixed {
-            cooldown: c,
-            cooldown_pinned: false,
-            ..
-        } = &mut self.kind
-        {
-            *c = cooldown;
-        }
-    }
-
-    /// Quarantines a specific address for `cooldown` regardless of the
-    /// pool's per-failure cooldown — the entry point for externally
-    /// confirmed down verdicts (the cluster health loop). Returns
-    /// whether the address was found in a fixed pool; provider pools
-    /// own their rotation policy and ignore this.
+    /// Quarantines a specific address for `cooldown` without it having
+    /// failed a dial here — the entry point for externally confirmed
+    /// down verdicts (the cluster health loop). Returns whether the
+    /// address was in the pool.
     pub fn quarantine_addr(&mut self, addr: &str, cooldown: Duration) -> bool {
-        if let EndpointsKind::Fixed { list, .. } = &mut self.kind {
-            for ep in list.iter_mut() {
-                if ep.addr == addr {
-                    ep.quarantined_until = Some(Instant::now() + cooldown);
-                    return true;
-                }
+        match self.list.iter_mut().find(|ep| ep.addr == addr) {
+            Some(ep) => {
+                ep.quarantined_until = Some(Instant::now() + cooldown);
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Whether failover can reach a *different* endpoint — the condition
     /// under which `Shutdown` is worth absorbing instead of surfacing.
     fn multi(&self) -> bool {
-        match &self.kind {
-            EndpointsKind::Fixed { list, .. } => list.len() > 1,
-            EndpointsKind::Provider { .. } => true,
-        }
+        self.list.len() > 1
     }
 
-    /// The address the next connect should dial.
-    ///
-    /// Fixed pools return the cursor's endpoint, skipping quarantined
-    /// entries while any live one remains; with everything quarantined
-    /// the earliest-expiring entry is returned (the pool never refuses —
-    /// the retry policy, not the pool, decides when to give up).
+    /// The address the next connect should dial: the cursor's endpoint,
+    /// skipping quarantined entries while any live one remains; with
+    /// everything quarantined the earliest-expiring entry is returned
+    /// (the pool never refuses — the retry policy, not the pool, decides
+    /// when to give up).
     fn current(&mut self) -> Result<String> {
-        match &mut self.kind {
-            EndpointsKind::Fixed { list, cursor, .. } => {
-                if list.is_empty() {
-                    return Err(ServeError::Io(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        "endpoint pool is empty",
-                    )));
-                }
-                let now = Instant::now();
-                for off in 0..list.len() {
-                    let i = (*cursor + off) % list.len();
-                    if list[i].quarantined_until.is_none_or(|t| t <= now) {
-                        *cursor = i;
-                        return Ok(list[i].addr.clone());
-                    }
-                }
-                let i = (0..list.len())
-                    .min_by_key(|&i| list[i].quarantined_until)
-                    .expect("non-empty list");
-                *cursor = i;
-                Ok(list[i].addr.clone())
-            }
-            EndpointsKind::Provider {
-                provide,
-                calls,
-                current,
-            } => {
-                if current.is_none() {
-                    let addr = provide(*calls);
-                    *calls += 1;
-                    *current = Some(addr);
-                }
-                Ok(current.clone().expect("just provided"))
-            }
+        let list = &self.list;
+        if list.is_empty() {
+            return Err(ServeError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "endpoint pool is empty",
+            )));
         }
+        let now = Instant::now();
+        let live = (0..list.len())
+            .map(|off| (self.cursor + off) % list.len())
+            .find(|&i| list[i].quarantined_until.is_none_or(|t| t <= now));
+        self.cursor = live.unwrap_or_else(|| {
+            (0..list.len())
+                .min_by_key(|&i| list[i].quarantined_until)
+                .expect("non-empty list")
+        });
+        Ok(list[self.cursor].addr.clone())
     }
 
-    /// Marks the current endpoint failed: fixed pools quarantine it for
-    /// the cooldown and advance the cursor; provider endpoints drop the
-    /// cached address so the closure resolves afresh. Returns whether
-    /// the next [`Self::current`] can name a different endpoint (i.e.
-    /// whether this counts as a failover).
-    #[cfg(test)]
-    fn fail_current(&mut self) -> bool {
-        self.fail_current_jittered(1.0)
-    }
-
-    /// [`Self::fail_current`] with the cooldown scaled by `factor` —
-    /// the retry client passes a seeded factor in `[1.0, 1.5]` so
-    /// replicas of one fleet do not re-dial a dead node in lockstep.
-    fn fail_current_jittered(&mut self, factor: f64) -> bool {
-        match &mut self.kind {
-            EndpointsKind::Fixed {
-                list,
-                cursor,
-                cooldown,
-                ..
-            } => {
-                if list.is_empty() {
-                    return false;
-                }
-                list[*cursor].quarantined_until =
-                    Some(Instant::now() + cooldown.mul_f64(factor.max(0.0)));
-                *cursor = (*cursor + 1) % list.len();
-                list.len() > 1
-            }
-            EndpointsKind::Provider { current, .. } => {
-                *current = None;
-                true
-            }
+    /// Marks the current endpoint failed: quarantines it for `cooldown`
+    /// and advances the cursor. Returns whether the next
+    /// [`Self::current`] can name a different endpoint (i.e. whether
+    /// this counts as a failover).
+    fn fail_current(&mut self, cooldown: Duration) -> bool {
+        if self.list.is_empty() {
+            return false;
         }
+        self.list[self.cursor].quarantined_until = Some(Instant::now() + cooldown);
+        self.cursor = (self.cursor + 1) % self.list.len();
+        self.multi()
     }
 }
 
@@ -390,10 +274,8 @@ impl RetryClient {
         config: ClientConfig,
         policy: RetryPolicy,
     ) -> Self {
-        let mut endpoints = endpoints.into();
-        endpoints.adopt_policy_cooldown(policy.quarantine);
         Self {
-            endpoints,
+            endpoints: endpoints.into(),
             params,
             config,
             policy,
@@ -658,25 +540,34 @@ impl RetryClient {
     fn fail_over(&mut self) {
         self.client = None;
         self.connected_addr = None;
+        self.quarantine_current();
+    }
+
+    /// Quarantines the pool's current endpoint for the policy's
+    /// per-failure cooldown, scaled by a seeded factor in `[1.0, 1.5]`
+    /// so replicas of one fleet do not re-dial a dead node in lockstep.
+    fn quarantine_current(&mut self) {
         let factor = 1.0 + 0.5 * self.rng.next_f64();
-        if self.endpoints.fail_current_jittered(factor) {
+        if self
+            .endpoints
+            .fail_current(self.policy.quarantine.mul_f64(factor))
+        {
             self.stats.failovers += 1;
         }
     }
 
-    /// Quarantines a specific endpoint address for `cooldown` (the
-    /// policy's `down_quarantine` when `None`), dropping the live
-    /// connection if it points there. This is how the cluster health
-    /// loop's confirmed-down verdicts outlast the optimistic
-    /// per-failure cooldown: the node stays out of rotation until the
-    /// monitor has seen it answer again.
-    pub fn quarantine_endpoint(&mut self, addr: &str, cooldown: Option<Duration>) -> bool {
-        let cooldown = cooldown.unwrap_or(self.policy.down_quarantine);
+    /// Quarantines a specific endpoint address for the policy's
+    /// `down_quarantine`, dropping the live connection if it points
+    /// there. This is how the cluster health loop's confirmed-down
+    /// verdicts outlast the optimistic per-failure cooldown: the node
+    /// stays out of rotation until the monitor has seen it answer again.
+    pub fn quarantine_endpoint(&mut self, addr: &str) -> bool {
         if self.connected_addr.as_deref() == Some(addr) {
             self.client = None;
             self.connected_addr = None;
         }
-        self.endpoints.quarantine_addr(addr, cooldown)
+        self.endpoints
+            .quarantine_addr(addr, self.policy.down_quarantine)
     }
 
     fn ensure_connected(&mut self) -> Result<&mut ServeClient> {
@@ -695,10 +586,7 @@ impl RetryClient {
                     // The endpoint refused or timed out — quarantine it
                     // so the next attempt dials the next replica instead
                     // of hot-looping a dead address.
-                    let factor = 1.0 + 0.5 * self.rng.next_f64();
-                    if self.endpoints.fail_current_jittered(factor) {
-                        self.stats.failovers += 1;
-                    }
+                    self.quarantine_current();
                     return Err(e);
                 }
             }
@@ -845,20 +733,20 @@ mod tests {
 
     #[test]
     fn fixed_pool_quarantines_and_rotates() {
-        let mut eps =
-            Endpoints::fixed(["a:1", "b:2", "c:3"]).with_cooldown(Duration::from_millis(40));
+        let cooldown = Duration::from_millis(40);
+        let mut eps = Endpoints::fixed(["a:1", "b:2", "c:3"]);
         assert!(eps.multi());
         assert_eq!(eps.current().unwrap(), "a:1");
         // Repeated calls without failure stay put.
         assert_eq!(eps.current().unwrap(), "a:1");
         // Failing the current endpoint advances past it...
-        assert!(eps.fail_current());
+        assert!(eps.fail_current(cooldown));
         assert_eq!(eps.current().unwrap(), "b:2");
-        assert!(eps.fail_current());
+        assert!(eps.fail_current(cooldown));
         assert_eq!(eps.current().unwrap(), "c:3");
         // ...and with every endpoint quarantined the earliest-expiring
         // one is still offered (the pool never refuses).
-        assert!(eps.fail_current());
+        assert!(eps.fail_current(cooldown));
         assert_eq!(eps.current().unwrap(), "a:1");
         // After the cooldown the first endpoint is live again.
         std::thread::sleep(Duration::from_millis(60));
@@ -866,52 +754,22 @@ mod tests {
     }
 
     #[test]
-    fn provider_endpoints_resolve_per_failure() {
-        let mut eps = Endpoints::provider(|n| format!("node-{n}:9"));
-        assert!(eps.multi());
-        // Stable until a failure...
-        assert_eq!(eps.current().unwrap(), "node-0:9");
-        assert_eq!(eps.current().unwrap(), "node-0:9");
-        // ...then re-resolved with the bumped counter.
-        assert!(eps.fail_current());
-        assert_eq!(eps.current().unwrap(), "node-1:9");
-        assert!(eps.fail_current());
-        assert_eq!(eps.current().unwrap(), "node-2:9");
-    }
-
-    #[test]
     fn addr_quarantine_and_policy_cooldown() {
         // A health-style address quarantine takes one endpoint out of
         // rotation without that endpoint ever failing a dial here.
-        let mut eps = Endpoints::fixed(["a:1", "b:2"]).with_cooldown(Duration::from_millis(30));
+        let mut eps = Endpoints::fixed(["a:1", "b:2"]);
         assert!(eps.quarantine_addr("a:1", Duration::from_millis(60)));
         assert!(!eps.quarantine_addr("nope:0", Duration::from_millis(60)));
         assert_eq!(eps.current().unwrap(), "b:2");
         std::thread::sleep(Duration::from_millis(80));
         // Cursor stays where the live endpoint was; "a:1" is dialable
         // again after its cooldown.
-        assert!(eps.fail_current());
+        assert!(eps.fail_current(Duration::from_millis(30)));
         assert_eq!(eps.current().unwrap(), "a:1");
 
-        // An explicit with_cooldown pin survives policy adoption; an
-        // unpinned pool takes the policy's quarantine.
-        let mut pinned = Endpoints::fixed(["x:1"]).with_cooldown(Duration::from_millis(7));
-        pinned.adopt_policy_cooldown(Duration::from_secs(9));
-        if let EndpointsKind::Fixed { cooldown, .. } = &pinned.kind {
-            assert_eq!(*cooldown, Duration::from_millis(7));
-        } else {
-            unreachable!("fixed pool");
-        }
-        let mut plain = Endpoints::fixed(["x:1"]);
-        plain.adopt_policy_cooldown(Duration::from_secs(9));
-        if let EndpointsKind::Fixed { cooldown, .. } = &plain.kind {
-            assert_eq!(*cooldown, Duration::from_secs(9));
-        } else {
-            unreachable!("fixed pool");
-        }
-
-        // The client-level entry point honours the down-quarantine
-        // default and reports unknown addresses.
+        // The client-level entry point applies the policy's
+        // down-quarantine — the condemned address leaves rotation — and
+        // reports unknown addresses.
         let params = Arc::new(cham_he::params::ChamParams::insecure_test_default().unwrap());
         let mut client = RetryClient::new(
             vec!["a:1".to_string(), "b:2".to_string()],
@@ -919,8 +777,9 @@ mod tests {
             ClientConfig::default(),
             RetryPolicy::default(),
         );
-        assert!(client.quarantine_endpoint("b:2", None));
-        assert!(!client.quarantine_endpoint("ghost:3", None));
+        assert!(client.quarantine_endpoint("a:1"));
+        assert_eq!(client.endpoints.current().unwrap(), "b:2");
+        assert!(!client.quarantine_endpoint("ghost:3"));
     }
 
     #[test]
@@ -928,6 +787,6 @@ mod tests {
         let mut eps = Endpoints::fixed(Vec::<String>::new());
         assert!(!eps.multi());
         assert!(matches!(eps.current(), Err(ServeError::Io(_))));
-        assert!(!eps.fail_current());
+        assert!(!eps.fail_current(Duration::ZERO));
     }
 }

@@ -394,7 +394,7 @@ pub struct IntrospectSnapshot {
     /// Total ring slots in the server's cluster (`0` = standalone).
     pub shard_count: u32,
     /// Resolved SIMD backend code (`cham_math::Backend::code`):
-    /// 0 = scalar, 1 = avx2, 2 = neon, 3 = avx512ifma.
+    /// 0 = scalar, 1 = avx2, 3 = avx512ifma (2 is retired).
     pub simd_backend: u32,
     /// Lane width of the resolved backend (1 = scalar fallback).
     pub simd_lanes: u32,

@@ -121,11 +121,11 @@ fn introspect_and_flight_dump_round_trip() {
             stat.count
         );
     }
-    // Attributed phase time tiles the end-to-end latency within 10 % (the
-    // invariant `serve_throughput` gates): the kernel's `dot`, `rescale`
-    // and `keyswitch` spans interleave per row and per pack carry, and
-    // whatever of the execution they miss is booked to `batch`, so the
-    // remainder is channel handoff.
+    // Attributed phase time tiles the end-to-end latency within 10 % (this
+    // assertion is the gate on that invariant): the kernel's `dot`,
+    // `rescale` and `keyswitch` spans interleave per row and per pack
+    // carry, and whatever of the execution they miss is booked to `batch`,
+    // so the remainder is channel handoff.
     let attributed: u64 = snap
         .phases
         .iter()
