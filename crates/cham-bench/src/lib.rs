@@ -42,8 +42,7 @@ pub fn bench_rng() -> rand::rngs::StdRng {
 ///
 /// * `--json <path>` — write a structured [`RunRecord`]
 ///   (`cham-run-record/v1`, see `DESIGN.md` § Observability) when the
-///   run finishes. With the `telemetry` feature enabled the record
-///   embeds the full counter/timer snapshot.
+///   run finishes; it embeds the full counter/timer snapshot.
 /// * `--threads <n>` — CPU-baseline parallelism for measurements that
 ///   support it (see [`CpuCosts::measure_with_threads`]). Defaults to 1;
 ///   always recorded as the `threads` param of the run record. The value
@@ -168,9 +167,9 @@ impl BenchRun {
     /// its results should fail loudly).
     ///
     /// Pool activity (`pool_tasks`, `pool_steals`, `pool_parks`,
-    /// `pool_idle_ns`) is snapshotted into the record's metrics — these
-    /// counters are always on (plain atomics), independent of the
-    /// `telemetry` feature.
+    /// `pool_idle_ns`) is snapshotted into the record's metrics: the
+    /// pool's counters are per instance, so they are not in the record's
+    /// process-wide `counters` object.
     ///
     /// # Panics
     /// Panics when the record file cannot be written.
@@ -182,15 +181,15 @@ impl BenchRun {
             self.record.metric("pool_idle_ns", stats.idle_ns);
         }
         // Lazy-reduction datapath activity: deferred-reduction flush passes
-        // and scratch-pool reuse. Always-on atomics, like the pool stats.
+        // and scratch-pool reuse.
         self.record
             .metric("lazy_flushes", cham_math::modulus::lazy_flush_count());
         let (hits, misses) = cham_he::scratch::scratch_stats();
         self.record.metric("scratch_hits", hits);
         self.record.metric("scratch_misses", misses);
-        // SIMD dispatch accounting (always-on atomics): totals across the
-        // kernel families, so a run that claims a vector backend but did
-        // all its work in scalar tails is visible in the record.
+        // SIMD dispatch accounting: totals across the kernel families, so
+        // a run that claims a vector backend but did all its work in
+        // scalar tails is visible in the record.
         let simd = cham_math::simd_stats();
         let (vector_elems, tail_elems) = simd.totals();
         self.record.metric("simd_vector_elems", vector_elems);

@@ -26,14 +26,11 @@
 //! verdict into routing (`ClusterClient::quarantine_node`, backed by
 //! `RetryPolicy::down_quarantine`) is the caller's choice — the
 //! monitor never mutates routing state behind the client's back.
-//! Every probe and transition lands in always-on
-//! `cham_cluster.health.*` counters, and an attached
-//! [`FlightRecorder`] gets one event per state change.
+//! An attached [`FlightRecorder`] gets one event per state change.
 
 use crate::topology::Topology;
 use cham_he::params::ChamParams;
 use cham_serve::{ClientConfig, ServeClient};
-use cham_telemetry::counter_add;
 use cham_telemetry::flight::{FlightEventKind, FlightRecorder};
 use std::sync::Arc;
 use std::time::Duration;
@@ -235,14 +232,12 @@ impl HealthMonitor {
         let addrs: Vec<String> = self.topology.nodes().to_vec();
         let mut transitions = Vec::new();
         for (i, addr) in addrs.iter().enumerate() {
-            counter_add!("cham_cluster.health.probes", 1);
             let answered = probe(addr);
             let s = &mut self.states[i];
             if answered {
                 s.hits += 1;
                 s.misses = 0;
             } else {
-                counter_add!("cham_cluster.health.misses", 1);
                 s.misses += 1;
                 s.hits = 0;
             }
@@ -258,11 +253,6 @@ impl HealthMonitor {
             if next != s.health {
                 let from = s.health;
                 s.health = next;
-                match next {
-                    NodeHealth::Up => counter_add!("cham_cluster.health.recovered", 1),
-                    NodeHealth::Suspect => counter_add!("cham_cluster.health.suspected", 1),
-                    NodeHealth::Down => counter_add!("cham_cluster.health.down", 1),
-                }
                 if let Some(flight) = &self.flight {
                     let kind = match next {
                         NodeHealth::Up => FlightEventKind::Shutdown,

@@ -32,7 +32,6 @@ use crate::topology::Topology;
 use cham_he::params::ChamParams;
 use cham_serve::protocol::DEFAULT_CHUNK_BYTES;
 use cham_serve::{ClientConfig, Result, ServeClient, ServeError};
-use cham_telemetry::counter_add;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -165,8 +164,6 @@ pub fn plan(ring: &HashRing, inventories: &[Option<Vec<u64>>], expected: &[u64])
             }
         }
     }
-    counter_add!("cham_cluster.repair.planned", transfers.len() as u64);
-    counter_add!("cham_cluster.repair.unsourced", unsourced.len() as u64);
     RepairPlan {
         transfers: transfers.into_values().collect(),
         unsourced,
@@ -241,10 +238,8 @@ pub fn execute(
         });
         if installed {
             report.repaired_segments += 1;
-            counter_add!("cham_cluster.repair.repaired", 1);
         } else {
             report.failed_transfers += 1;
-            counter_add!("cham_cluster.repair.failed", 1);
         }
     }
     report

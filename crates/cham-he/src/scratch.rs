@@ -20,13 +20,13 @@
 //! * slot depth is bounded ([`MAX_PER_SLOT`]); excess buffers are dropped
 //!   rather than hoarded.
 //!
-//! Hit/miss counts are always-on atomics, kept per pool instance (so a
-//! test can watch a private pool no sibling test touches) and mirrored
-//! into process totals ([`scratch_stats`]) that run records report without
-//! the `telemetry` feature; with the feature they are also mirrored to the
-//! `cham_he.hmvp.scratch.{hit,miss}` counters.
+//! Hit/miss counts are kept per pool instance (so a test can watch a
+//! private pool no sibling test touches) and in the process-wide
+//! `cham_he.hmvp.scratch.{hit,miss}` counters that [`scratch_stats`] and
+//! run records read.
 
 use cham_math::rns::RnsContext;
+use cham_telemetry::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -72,8 +72,8 @@ pub(crate) struct ScratchPool {
     misses: AtomicU64,
 }
 
-static PROCESS_HITS: AtomicU64 = AtomicU64::new(0);
-static PROCESS_MISSES: AtomicU64 = AtomicU64::new(0);
+static HITS: Counter = Counter::new("cham_he.hmvp.scratch.hit");
+static MISSES: Counter = Counter::new("cham_he.hmvp.scratch.miss");
 
 impl ScratchPool {
     /// A pool with `slots` worker stacks (at least one).
@@ -117,14 +117,12 @@ impl ScratchPool {
             match stack.iter().position(|s| s.fits(ctx)) {
                 Some(pos) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    PROCESS_HITS.fetch_add(1, Ordering::Relaxed);
-                    cham_telemetry::counter_add!("cham_he.hmvp.scratch.hit", 1);
+                    HITS.add(1);
                     stack.swap_remove(pos)
                 }
                 None => {
                     self.misses.fetch_add(1, Ordering::Relaxed);
-                    PROCESS_MISSES.fetch_add(1, Ordering::Relaxed);
-                    cham_telemetry::counter_add!("cham_he.hmvp.scratch.miss", 1);
+                    MISSES.add(1);
                     DotScratch::new(ctx)
                 }
             }
@@ -145,10 +143,7 @@ impl ScratchPool {
 /// the zero-allocation steady-state witness reported in run records.
 #[must_use]
 pub fn scratch_stats() -> (u64, u64) {
-    (
-        PROCESS_HITS.load(Ordering::Relaxed),
-        PROCESS_MISSES.load(Ordering::Relaxed),
-    )
+    (HITS.get(), MISSES.get())
 }
 
 #[cfg(test)]

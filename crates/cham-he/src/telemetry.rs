@@ -8,7 +8,7 @@
 //! bits), and the *predicted* per-op noise-budget deltas from the
 //! [`crate::noise::NoiseEstimator`] (cumulative bit counters per op),
 //! so a run record shows both what the estimator promised and what the
-//! ciphertexts actually did. No-ops without the `telemetry` feature.
+//! ciphertexts actually did.
 
 use cham_telemetry::{counter_add, Histogram};
 

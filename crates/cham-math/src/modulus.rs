@@ -15,27 +15,24 @@
 //! all prime and all `≡ 1 (mod 2^13)`, hence NTT-friendly for `N = 4096`.
 
 use crate::{MathError, Result};
-use std::sync::atomic::{AtomicU64, Ordering};
+use cham_telemetry::Counter;
 
-/// Count of deferred-reduction flushes (always-on relaxed atomic, mirrored
-/// into the `cham_math.modulus.reduce.lazy_flush` telemetry counter when the
-/// `telemetry` feature is enabled). A *flush* is one canonical-reduction
-/// pass over a lazy `u128` accumulator vector — see
+/// Deferred-reduction flushes. A *flush* is one canonical-reduction pass
+/// over a lazy `u128` accumulator vector — see
 /// [`crate::poly::flush_accumulator`].
-static LAZY_FLUSHES: AtomicU64 = AtomicU64::new(0);
+static LAZY_FLUSH: Counter = Counter::new("cham_math.modulus.reduce.lazy_flush");
 
 /// Number of deferred-reduction flushes performed by lazy accumulation
-/// kernels since process start. Exposed so run records can report flush
-/// activity even without the `telemetry` feature (like the pool stats).
+/// kernels since process start (the `cham_math.modulus.reduce.lazy_flush`
+/// counter of a run record).
 pub fn lazy_flush_count() -> u64 {
-    LAZY_FLUSHES.load(Ordering::Relaxed)
+    LAZY_FLUSH.get()
 }
 
 /// Records one deferred-reduction flush pass.
 #[inline]
 pub(crate) fn record_lazy_flush() {
-    LAZY_FLUSHES.fetch_add(1, Ordering::Relaxed);
-    cham_telemetry::counter_add!("cham_math.modulus.reduce.lazy_flush", 1);
+    LAZY_FLUSH.add(1);
 }
 
 /// CHAM ciphertext modulus `q0 = 2^34 + 2^27 + 1`.
@@ -173,7 +170,6 @@ impl Modulus {
     /// Barrett reduction of a 128-bit value to `[0, q)`.
     #[inline]
     pub fn reduce_u128(&self, x: u128) -> u64 {
-        cham_telemetry::counter_add!("cham_math.modulus.reduce.barrett", 1);
         let (xlo, xhi) = (x as u64, (x >> 64) as u64);
         let (rlo, rhi) = self.ratio;
         // Estimate the quotient: high 128 bits of x * ratio / 2^128.
@@ -206,7 +202,6 @@ impl Modulus {
     /// should check [`Modulus::low_hamming_form`] first (the public entry
     /// point [`Modulus::reduce_u128`] never panics).
     pub fn reduce_u128_shift_add(&self, x: u128) -> u64 {
-        cham_telemetry::counter_add!("cham_math.modulus.reduce.shift_add", 1);
         let form = self
             .low_hamming
             .expect("shift-add reduction requires a 2^a + 2^b + 1 modulus");

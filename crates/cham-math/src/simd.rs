@@ -80,7 +80,8 @@
 //! per-stage congruence test beside the IFMA kernels pin this.
 
 use crate::modulus::Modulus;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use cham_telemetry::Counter;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// The vector datapath a table or kernel call dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -331,44 +332,30 @@ impl Kernel {
     ];
 }
 
-/// Always-on dispatch counters (like the pool and scratch stats): elements
-/// processed by full vector lanes vs the scalar tail, per kernel family.
-static VECTOR_ELEMS: [AtomicU64; KERNELS] = [const { AtomicU64::new(0) }; KERNELS];
-static TAIL_ELEMS: [AtomicU64; KERNELS] = [const { AtomicU64::new(0) }; KERNELS];
+/// Elements processed by full vector lanes vs the scalar tail, per kernel
+/// family, indexed like [`Kernel::ALL`]. These named counters are the one
+/// booking: [`simd_stats`] and run records both read them.
+static VECTOR: [Counter; KERNELS] = [
+    Counter::new("cham_math.simd.fwd_butterfly.vector"),
+    Counter::new("cham_math.simd.inv_butterfly.vector"),
+    Counter::new("cham_math.simd.mul_shoup_lazy.vector"),
+    Counter::new("cham_math.simd.mac.vector"),
+    Counter::new("cham_math.simd.normalize.vector"),
+];
+static TAIL: [Counter; KERNELS] = [
+    Counter::new("cham_math.simd.fwd_butterfly.tail"),
+    Counter::new("cham_math.simd.inv_butterfly.tail"),
+    Counter::new("cham_math.simd.mul_shoup_lazy.tail"),
+    Counter::new("cham_math.simd.mac.tail"),
+    Counter::new("cham_math.simd.normalize.tail"),
+];
 
 /// Records one kernel invocation's lane accounting. Callers batch: one call
 /// per transform or per slice pass, never per butterfly.
 #[inline]
 pub(crate) fn record_kernel(kernel: Kernel, vector_elems: u64, tail_elems: u64) {
-    let i = kernel as usize;
-    if vector_elems > 0 {
-        VECTOR_ELEMS[i].fetch_add(vector_elems, Ordering::Relaxed);
-    }
-    if tail_elems > 0 {
-        TAIL_ELEMS[i].fetch_add(tail_elems, Ordering::Relaxed);
-    }
-    match kernel {
-        Kernel::FwdButterfly => {
-            cham_telemetry::counter_add!("cham_math.simd.fwd_butterfly.vector", vector_elems);
-            cham_telemetry::counter_add!("cham_math.simd.fwd_butterfly.tail", tail_elems);
-        }
-        Kernel::InvButterfly => {
-            cham_telemetry::counter_add!("cham_math.simd.inv_butterfly.vector", vector_elems);
-            cham_telemetry::counter_add!("cham_math.simd.inv_butterfly.tail", tail_elems);
-        }
-        Kernel::MulShoupLazy => {
-            cham_telemetry::counter_add!("cham_math.simd.mul_shoup_lazy.vector", vector_elems);
-            cham_telemetry::counter_add!("cham_math.simd.mul_shoup_lazy.tail", tail_elems);
-        }
-        Kernel::Mac => {
-            cham_telemetry::counter_add!("cham_math.simd.mac.vector", vector_elems);
-            cham_telemetry::counter_add!("cham_math.simd.mac.tail", tail_elems);
-        }
-        Kernel::Normalize => {
-            cham_telemetry::counter_add!("cham_math.simd.normalize.vector", vector_elems);
-            cham_telemetry::counter_add!("cham_math.simd.normalize.tail", tail_elems);
-        }
-    }
+    VECTOR[kernel as usize].add(vector_elems);
+    TAIL[kernel as usize].add(tail_elems);
 }
 
 /// Records a backend selection into the `cham_math.simd.dispatch.*` family.
@@ -412,13 +399,13 @@ impl SimdStats {
     }
 }
 
-/// Snapshot of the always-on dispatch counters.
+/// Snapshot of the dispatch counters.
 #[must_use]
 pub fn simd_stats() -> SimdStats {
     let mut kernels = [KernelStats::default(); KERNELS];
     for (i, k) in kernels.iter_mut().enumerate() {
-        k.vector_elems = VECTOR_ELEMS[i].load(Ordering::Relaxed);
-        k.tail_elems = TAIL_ELEMS[i].load(Ordering::Relaxed);
+        k.vector_elems = VECTOR[i].get();
+        k.tail_elems = TAIL[i].get();
     }
     SimdStats {
         backend: Backend::active(),
@@ -1307,6 +1294,15 @@ mod tests {
         assert_eq!(Backend::from_name("amx"), None);
         assert_eq!(Backend::from_name("auto"), Some(Backend::detect_auto()));
         assert_eq!(Backend::from_name("  AVX2 "), Some(Backend::Avx2));
+    }
+
+    #[test]
+    fn lane_counters_are_named_in_kernel_order() {
+        for k in Kernel::ALL {
+            let (v, t) = (&VECTOR[k as usize], &TAIL[k as usize]);
+            assert_eq!(v.name(), format!("cham_math.simd.{}.vector", k.name()));
+            assert_eq!(t.name(), format!("cham_math.simd.{}.tail", k.name()));
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! modulus qualifier is `q0`/`q1`/`p` for the CHAM parameter set and
 //! `other` for everything else (test scaffolding moduli). Hot loops
 //! batch their increments — one counter add per transform or vector
-//! pass, never per butterfly — so the `telemetry` feature's runtime
-//! cost stays at a handful of relaxed atomics per kernel call. Without
-//! the feature every hook in here compiles down to nothing.
+//! pass, never per butterfly or per modular reduction — so the cost
+//! stays at a handful of relaxed atomics per kernel call. The hooks are
+//! always live; `Modulus::mul`/`reduce_u128` are deliberately not
+//! instrumented (they run ~10⁷ times per HMVP).
 
 use crate::modulus::{Modulus, Q0, Q1, SPECIAL_P};
 use cham_telemetry::counter_add;

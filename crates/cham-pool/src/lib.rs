@@ -22,9 +22,10 @@
 //!   `CHAM_POOL_THREADS` environment variable (falling back to
 //!   `available_parallelism`), and [`ThreadPool::builder`] builds private
 //!   pools for tests and embedders,
-//! * **telemetry** — tasks executed, steals, parks, and idle time are kept
-//!   in always-on relaxed atomics ([`ThreadPool::stats`]) and mirrored
-//!   into `cham-telemetry` counters when the `telemetry` feature is on.
+//! * **stats** — tasks executed, steals, parks, and idle time are kept in
+//!   relaxed atomics on the pool instance ([`ThreadPool::stats`],
+//!   [`global_stats`] for the process-global pool) — a process may hold
+//!   several pools, so nothing is booked process-wide.
 //!
 //! The high-level helpers kernels actually use are [`map`],
 //! [`map_capped`], and [`for_each_mut`] — deterministic, order-preserving
@@ -65,8 +66,8 @@ pub const ENV_THREADS: &str = "CHAM_POOL_THREADS";
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// Always-on pool counters (relaxed atomics, incremented per *task*, so
-/// the cost is negligible at kernel grain).
+/// Per-pool counters (relaxed atomics, incremented per *task*, so the
+/// cost is negligible at kernel grain).
 #[derive(Debug, Default)]
 struct StatsInner {
     tasks: AtomicU64,
@@ -141,7 +142,6 @@ impl Shared {
                 if let Some(t) = q.pop_back() {
                     self.pending.fetch_sub(1, Ordering::AcqRel);
                     self.stats.steals.fetch_add(1, Ordering::Relaxed);
-                    cham_telemetry::counter_add!("cham_pool.steals", 1);
                     return Some(t);
                 }
             }
@@ -182,7 +182,6 @@ impl Shared {
 
     fn run_task(&self, task: Task) {
         self.stats.tasks.fetch_add(1, Ordering::Relaxed);
-        cham_telemetry::counter_add!("cham_pool.tasks", 1);
         task();
     }
 
@@ -197,14 +196,12 @@ impl Shared {
             return;
         }
         self.stats.parks.fetch_add(1, Ordering::Relaxed);
-        cham_telemetry::counter_add!("cham_pool.parks", 1);
         let t0 = Instant::now();
         // The timeout is a liveness backstop only — every push and every
         // scope completion notifies the condvar.
         let _unused = self.cv.wait_timeout(guard, Duration::from_millis(100));
         let ns = t0.elapsed().as_nanos() as u64;
         self.stats.idle_ns.fetch_add(ns, Ordering::Relaxed);
-        cham_telemetry::counter_add!("cham_pool.idle_ns", ns);
     }
 
     fn notify_all(&self) {

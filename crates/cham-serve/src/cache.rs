@@ -14,7 +14,6 @@ use crate::{Result, ServeError};
 use cham_he::hmvp::{EncodedMatrix, Hmvp, Matrix};
 use cham_he::keys::GaloisKeys;
 use cham_he::params::ChamParams;
-use cham_telemetry::counter_add;
 use cham_telemetry::flight::{FlightEventKind, FlightRecorder};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,6 +112,8 @@ pub struct SessionCache {
     flight: Option<Arc<FlightRecorder>>,
     store: Option<Arc<SegmentStore>>,
     store_restores: AtomicU64,
+    spill_errors: AtomicU64,
+    decode_errors: AtomicU64,
 }
 
 impl SessionCache {
@@ -129,6 +130,8 @@ impl SessionCache {
             flight: None,
             store: None,
             store_restores: AtomicU64::new(0),
+            spill_errors: AtomicU64::new(0),
+            decode_errors: AtomicU64::new(0),
         }
     }
 
@@ -165,11 +168,27 @@ impl SessionCache {
     }
 
     /// Matrices restored from the persistent store into the RAM LRU
-    /// without an NTT encode — the warm-restart savings, always-on (the
-    /// `cham_serve.store.restores` telemetry counter mirrors it).
+    /// without an NTT encode — the warm-restart savings.
     #[must_use]
     pub fn store_restores(&self) -> u64 {
         self.store_restores.load(Ordering::Relaxed)
+    }
+
+    /// Spills to the persistent store that failed (serialize or write).
+    /// The spill is best-effort and the failure is swallowed here, so
+    /// this count — served as `spill_errors` in `Pong`/`Introspect` — is
+    /// the only place a store that has stopped persisting shows up.
+    #[must_use]
+    pub fn spill_errors(&self) -> u64 {
+        self.spill_errors.load(Ordering::Relaxed)
+    }
+
+    /// Stored segments that passed their CRC but failed to decode against
+    /// this cache's parameters; each was dropped from the store and read
+    /// as a miss. Served as `decode_errors` in `Pong`/`Introspect`.
+    #[must_use]
+    pub fn decode_errors(&self) -> u64 {
+        self.decode_errors.load(Ordering::Relaxed)
     }
 
     /// Tries to restore the encoded matrix `id` from the persistent
@@ -190,16 +209,14 @@ impl SessionCache {
                     .expect("matrix cache poisoned")
                     .insert(id, Arc::clone(&encoded));
                 self.store_restores.fetch_add(1, Ordering::Relaxed);
-                counter_add!("cham_serve.store.restores", 1);
                 if evicted {
-                    counter_add!("cham_serve.cache.matrix_evict", 1);
                     self.on_evict("matrix (lru, store restore)".into());
                 }
                 Some(encoded)
             }
             Err(_) => {
                 store.remove(id);
-                counter_add!("cham_serve.store.decode_errors", 1);
+                self.decode_errors.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -212,13 +229,10 @@ impl SessionCache {
         let Some(store) = self.store.as_ref() else {
             return;
         };
-        match cham_he::wire::encoded_matrix_to_bytes(encoded) {
-            Ok(bytes) => {
-                if store.put(id, &bytes).is_err() {
-                    counter_add!("cham_serve.store.spill_errors", 1);
-                }
-            }
-            Err(_) => counter_add!("cham_serve.store.spill_errors", 1),
+        let spilled = cham_he::wire::encoded_matrix_to_bytes(encoded)
+            .is_ok_and(|bytes| store.put(id, &bytes).is_ok());
+        if !spilled {
+            self.spill_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -251,7 +265,6 @@ impl SessionCache {
         {
             let mut keys = self.keys.lock().expect("keys cache poisoned");
             if keys.contains(id) {
-                counter_add!("cham_serve.cache.keys_hit", 1);
                 // Refresh recency for the dedup hit.
                 let _ = keys.get(id);
                 return Ok(id);
@@ -263,9 +276,7 @@ impl SessionCache {
             .lock()
             .expect("keys cache poisoned")
             .insert(id, Arc::new(parsed));
-        counter_add!("cham_serve.cache.keys_insert", 1);
         if evicted {
-            counter_add!("cham_serve.cache.keys_evict", 1);
             self.on_evict("keys (lru)".into());
         }
         Ok(id)
@@ -294,7 +305,6 @@ impl SessionCache {
         {
             let mut matrices = self.matrices.lock().expect("matrix cache poisoned");
             if matrices.contains(id) {
-                counter_add!("cham_serve.cache.matrix_hit", 1);
                 let _ = matrices.get(id);
                 return Ok(id);
             }
@@ -320,9 +330,7 @@ impl SessionCache {
             .lock()
             .expect("matrix cache poisoned")
             .insert(id, Arc::new(encoded));
-        counter_add!("cham_serve.cache.matrix_insert", 1);
         if evicted {
-            counter_add!("cham_serve.cache.matrix_evict", 1);
             self.on_evict("matrix (lru)".into());
         }
         Ok(id)
@@ -394,7 +402,7 @@ impl SessionCache {
         let shape = encoded.shape();
         if let Some(store) = &self.store {
             if store.put(id, bytes).is_err() {
-                counter_add!("cham_serve.store.spill_errors", 1);
+                self.spill_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
         let evicted = self
@@ -402,9 +410,7 @@ impl SessionCache {
             .lock()
             .expect("matrix cache poisoned")
             .insert(id, Arc::new(encoded));
-        counter_add!("cham_serve.cache.matrix_insert", 1);
         if evicted {
-            counter_add!("cham_serve.cache.matrix_evict", 1);
             self.on_evict("matrix (lru, repair install)".into());
         }
         Ok(shape)
@@ -529,6 +535,27 @@ mod tests {
         assert!(held.col_tiles() >= 1);
         assert!(cache.evict_keys(id));
         assert!(matches!(cache.get_keys(id), Err(ServeError::UnknownKey(_))));
+    }
+
+    #[test]
+    fn undecodable_stored_segment_is_dropped_and_counted() {
+        // A segment that is sound on disk (CRC passes) but is not an
+        // encoding under these params: the restore reads as a miss, the
+        // segment leaves the store, and the swallowed error is counted.
+        let params = Arc::new(ChamParams::insecure_test_default().unwrap());
+        let dir = std::env::temp_dir().join(format!("cham-cache-decode-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(SegmentStore::open(&dir, 0).unwrap());
+        store.put(7, b"not an encoded matrix").unwrap();
+        let cache = SessionCache::new(params, 1, 2).with_store(Some(Arc::clone(&store)));
+        assert!(matches!(
+            cache.get_matrix(7),
+            Err(ServeError::UnknownMatrix(7))
+        ));
+        assert_eq!(cache.decode_errors(), 1);
+        assert!(!store.contains(7));
+        assert_eq!((cache.spill_errors(), cache.store_restores()), (0, 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -33,7 +33,6 @@
 //! interleaving varies, which is precisely the space of schedules the
 //! resilience layer must survive.
 
-use cham_telemetry::counter_add;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -341,18 +340,6 @@ impl FaultInjector {
         let hit = p >= 1.0 || self.rng.lock().expect("fault rng poisoned").next_f64() < p;
         if hit {
             self.injected[fault.index()].fetch_add(1, Ordering::Relaxed);
-            counter_add!("cham_serve.faults.injected", 1);
-            match fault {
-                Fault::TornWrite => counter_add!("cham_serve.faults.torn_write", 1),
-                Fault::CorruptFrame => counter_add!("cham_serve.faults.corrupt_frame", 1),
-                Fault::ConnReset => counter_add!("cham_serve.faults.conn_reset", 1),
-                Fault::DelayedRead => counter_add!("cham_serve.faults.delayed_read", 1),
-                Fault::SpuriousBusy => counter_add!("cham_serve.faults.spurious_busy", 1),
-                Fault::ForcedEviction => counter_add!("cham_serve.faults.forced_eviction", 1),
-                Fault::SlowBatch => counter_add!("cham_serve.faults.slow_batch", 1),
-                Fault::WorkerPanic => counter_add!("cham_serve.faults.worker_panic", 1),
-                Fault::TornSnapshot => counter_add!("cham_serve.faults.torn_snapshot", 1),
-            }
         }
         hit
     }

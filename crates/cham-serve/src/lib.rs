@@ -31,10 +31,9 @@
 //!   rename, CRC-guarded headers, quarantine-on-corruption recovery)
 //!   spilling NTT-form encodings under the LRU so restarts come back
 //!   warm with zero re-encodes,
-//! * [`stats`] — always-on service counters, per-phase latency
+//! * [`stats`] — per-instance service counters, per-phase latency
 //!   histograms, and the [`stats::IntrospectSnapshot`] served by the
-//!   `Introspect` wire op (plus `cham-telemetry` counters and histograms
-//!   when the `telemetry` feature is enabled).
+//!   `Introspect` wire op.
 //!
 //! Every request is traced end to end: clients stamp a
 //! `cham_telemetry::span::TraceId` into the `Hmvp` frame, the server

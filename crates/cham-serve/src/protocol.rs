@@ -396,8 +396,6 @@ pub fn write_frame_vectored(w: &mut impl Write, kind: FrameKind, parts: &[&[u8]]
         offset += n;
     }
     w.flush()?;
-    cham_telemetry::counter_add!("cham_serve.wire.vectored_writes", 1);
-    cham_telemetry::counter_add!("cham_serve.wire.gathered_parts", parts.len() as u64);
     Ok(())
 }
 

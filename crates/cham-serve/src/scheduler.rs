@@ -31,7 +31,6 @@ use crate::{Result, ServeError};
 use cham_he::ciphertext::RlweCiphertext;
 use cham_he::hmvp::{EncodedMatrix, HmvpResult};
 use cham_he::keys::GaloisKeys;
-use cham_telemetry::counter_add;
 use cham_telemetry::flight::{FlightEventKind, FlightRecorder};
 use cham_telemetry::span::{phase, SpanRecorder};
 use std::collections::VecDeque;
@@ -160,7 +159,6 @@ impl Scheduler {
             if f.should(Fault::SpuriousBusy) {
                 self.stats.on_fault_injected();
                 self.stats.on_rejected_busy();
-                counter_add!("cham_serve.queue.rejected_busy", 1);
                 if let Some(flight) = &self.flight {
                     flight.record_event(
                         FlightEventKind::Fault,
@@ -178,22 +176,12 @@ impl Scheduler {
         if inner.queue.len() >= self.capacity {
             drop(inner);
             self.stats.on_rejected_busy();
-            counter_add!("cham_serve.queue.rejected_busy", 1);
             return Err(ServeError::Busy);
         }
         inner.queue.push_back(job);
         let depth = inner.queue.len();
         drop(inner);
         self.stats.on_accepted(depth);
-        counter_add!("cham_serve.queue.submitted", 1);
-        {
-            static QUEUE_DEPTH: cham_telemetry::histogram::Histogram =
-                cham_telemetry::histogram::Histogram::with_unit(
-                    "cham_serve.queue.depth",
-                    "requests",
-                );
-            QUEUE_DEPTH.record(depth as u64);
-        }
         self.available.notify_one();
         Ok(())
     }
@@ -216,7 +204,6 @@ impl Scheduler {
                 if inner.queue[i].expired(now) {
                     let job = inner.queue.remove(i).expect("index in bounds");
                     self.stats.on_timed_out();
-                    counter_add!("cham_serve.queue.timed_out", 1);
                     let _ = job.reply.send(Err(ServeError::TimedOut));
                 } else {
                     i += 1;
@@ -238,27 +225,13 @@ impl Scheduler {
                 }
                 drop(inner);
                 self.stats.on_batch(batch.len());
-                counter_add!("cham_serve.batch.dispatched", 1);
-                {
-                    static BATCH_SIZE: cham_telemetry::histogram::Histogram =
-                        cham_telemetry::histogram::Histogram::with_unit(
-                            "cham_serve.batch.size",
-                            "requests",
-                        );
-                    BATCH_SIZE.record(batch.len() as u64);
-                }
-                {
-                    static QUEUE_WAIT: cham_telemetry::histogram::Histogram =
-                        cham_telemetry::histogram::Histogram::new("cham_serve.queue.wait");
-                    let now = Instant::now();
-                    for job in &batch {
-                        let wait = now.duration_since(job.enqueued).as_nanos() as u64;
-                        QUEUE_WAIT.record(wait);
-                        // Queue time is the one phase no Span can cover
-                        // (the job sits in a queue, not on a thread), so
-                        // it goes straight into the request's recorder.
-                        job.trace.record(phase::QUEUE, wait);
-                    }
+                let now = Instant::now();
+                for job in &batch {
+                    // Queue time is the one phase no Span can cover (the
+                    // job sits in a queue, not on a thread), so it goes
+                    // straight into the request's recorder.
+                    let wait = now.duration_since(job.enqueued).as_nanos() as u64;
+                    job.trace.record(phase::QUEUE, wait);
                 }
                 return Some(batch);
             }

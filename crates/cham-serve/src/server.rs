@@ -33,7 +33,6 @@ use crate::store::SegmentStore;
 use crate::worker::{WorkerContext, WorkerPool};
 use crate::{Result, ServeError};
 use cham_he::params::ChamParams;
-use cham_telemetry::counter_add;
 use cham_telemetry::flight::{FlightEventKind, FlightRecorder, RequestTrace};
 use cham_telemetry::span::{self, phase, SpanRecorder, TraceId};
 use std::collections::HashMap;
@@ -158,6 +157,16 @@ struct ServerShared {
 }
 
 impl ServerShared {
+    /// The counters `Pong` serves: the scheduler-side [`ServeStats`] plus
+    /// the store errors the cache swallowed.
+    fn stats(&self) -> StatsSnapshot {
+        StatsSnapshot {
+            spill_errors: self.cache.spill_errors(),
+            decode_errors: self.cache.decode_errors(),
+            ..self.stats.snapshot()
+        }
+    }
+
     /// Builds the structured snapshot the `Introspect` op serves.
     fn introspect(&self) -> IntrospectSnapshot {
         let (key_cache_len, matrix_cache_len) = self.cache.lens();
@@ -166,7 +175,7 @@ impl ServerShared {
         let simd = cham_math::simd_stats();
         let (simd_vector_elems, simd_tail_elems) = simd.totals();
         IntrospectSnapshot {
-            stats: self.stats.snapshot(),
+            stats: self.stats(),
             queue_depth: self.scheduler.queue_len() as u32,
             queue_capacity: self.scheduler.capacity() as u32,
             workers: self.config.workers as u32,
@@ -325,7 +334,7 @@ impl Server {
     /// Point-in-time service counters.
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+        self.shared.stats()
     }
 
     /// Structured introspection snapshot — the same data the `Introspect`
@@ -385,7 +394,7 @@ impl Server {
         if let Some(path) = &self.shared.config.flight_dump_path {
             let _ = self.shared.flight.dump_to(path);
         }
-        self.shared.stats.snapshot()
+        self.shared.stats()
     }
 }
 
@@ -493,7 +502,6 @@ fn drain_shutdown(
             break;
         }
         stats.on_rejected_shutdown();
-        counter_add!("cham_serve.requests.rejected_shutdown", 1);
         if send_error(stream, &ServeError::Shutdown).is_err() {
             break;
         }
@@ -664,7 +672,7 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
                 return Err(ServeError::BadFrame("ping frame with a body"));
             }
             Ok(FrameOutcome::plain(Response::Pong {
-                stats: stats.snapshot(),
+                stats: shared.stats(),
             }))
         }
         FrameKind::Introspect => {
@@ -820,7 +828,6 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
                     Some(k) => {
                         uploads.remove(&k);
                         stats.on_reaped_uploads(1);
-                        counter_add!("cham_serve.chunks.reaped_uploads", 1);
                     }
                     None => return Err(ServeError::Busy),
                 }
@@ -837,7 +844,6 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
                     touched: Instant::now(),
                 },
             );
-            counter_add!("cham_serve.chunks.uploads_started", 1);
             Ok(FrameOutcome::plain(Response::ChunkAck {
                 matrix_id: start.matrix_id,
                 chunk_count: start.chunk_count,
@@ -864,14 +870,12 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
                 return Err(ServeError::ChunkMismatch { matrix_id, index });
             }
             asm.touched = Instant::now();
-            if protocol::bitmap_get(&asm.bitmap, index as usize) {
-                counter_add!("cham_serve.chunks.duplicates", 1);
-            } else {
+            // A duplicate chunk is acknowledged, not written twice.
+            if !protocol::bitmap_get(&asm.bitmap, index as usize) {
                 let off = index as usize * asm.start.chunk_size as usize;
                 asm.buf[off..off + data.len()].copy_from_slice(data);
                 protocol::bitmap_set(&mut asm.bitmap, index as usize);
                 asm.received += 1;
-                counter_add!("cham_serve.chunks.received", 1);
             }
             Ok(FrameOutcome::plain(Response::ChunkAck {
                 matrix_id,
@@ -934,7 +938,6 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
                 let (store_id, segment) = protocol::segment_body_from_bytes(&asm.buf)?;
                 shared.check_owned(store_id)?;
                 let (rows, cols) = cache.put_segment_bytes(store_id, segment)?;
-                counter_add!("cham_serve.chunks.segments_committed", 1);
                 return Ok(FrameOutcome::plain(Response::MatrixLoaded {
                     matrix_id: store_id,
                     rows: rows as u32,
@@ -944,7 +947,6 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
             let matrix = protocol::matrix_from_bytes(&asm.buf, cache.params())?;
             let loaded_id = cache.put_matrix(&asm.buf, &matrix)?;
             debug_assert_eq!(loaded_id, matrix_id);
-            counter_add!("cham_serve.chunks.committed", 1);
             Ok(FrameOutcome::plain(Response::MatrixLoaded {
                 matrix_id: loaded_id,
                 rows: matrix.rows() as u32,
@@ -962,7 +964,6 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
         FrameKind::StoreFetch => {
             let store_id = protocol::store_fetch_from_bytes(body)?;
             let bytes = cache.segment_bytes(store_id)?;
-            counter_add!("cham_serve.chunks.segments_served", 1);
             Ok(FrameOutcome::plain(Response::SegmentData {
                 store_id,
                 bytes,

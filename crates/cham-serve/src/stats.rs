@@ -1,18 +1,16 @@
-//! Always-on service counters and per-phase latency accounting.
+//! Per-instance service counters and per-phase latency accounting.
 //!
 //! The scheduler and worker pool record what the service actually did —
 //! accepted/rejected/expired requests, batches, queue depth — into plain
-//! relaxed atomics that work in every build. With the `telemetry` cargo
-//! feature the same events additionally flow into the process-wide
-//! `cham-telemetry` registries (so run records and text reports pick them
-//! up); without it this struct is the only (and sufficient) source.
+//! relaxed atomics owned by one server instance. Several servers share a
+//! test process and `Pong`/`Introspect` answer per node, so this struct
+//! is the one record of those events: nothing in this crate books into
+//! the process-wide `cham-telemetry` registries.
 //!
-//! [`PhaseHistograms`] extends the same always-on principle to latency:
-//! one [`LiveHistogram`] per request phase (plus end-to-end and
-//! matrix-encode), folded from each request's span recorder when its
-//! reply is written. The `Introspect` wire op serves these as
-//! [`IntrospectSnapshot`] — the breakdown must exist in a default
-//! (telemetry-off) build because live operators consume it.
+//! [`PhaseHistograms`] does the same for latency: one [`LiveHistogram`]
+//! per request phase (plus end-to-end and matrix-encode), folded from
+//! each request's span recorder when its reply is written. The
+//! `Introspect` wire op serves these as [`IntrospectSnapshot`].
 
 use cham_telemetry::histogram::{HistogramSnapshot, LiveHistogram};
 use cham_telemetry::json::JsonValue;
@@ -156,6 +154,10 @@ impl ServeStats {
             rejected_shutdown: self.rejected_shutdown.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             reaped_uploads: self.reaped_uploads.load(Ordering::Relaxed),
+            // Booked on the `SessionCache` that swallows them; the server
+            // fills them in when it serves a snapshot.
+            spill_errors: 0,
+            decode_errors: 0,
         }
     }
 }
@@ -189,6 +191,12 @@ pub struct StatsSnapshot {
     /// Pending chunk-upload assemblies reaped for idling past the
     /// configured deadline.
     pub reaped_uploads: u64,
+    /// Best-effort spills to the persistent store that failed and were
+    /// swallowed (`SessionCache::spill_errors`).
+    pub spill_errors: u64,
+    /// Stored segments dropped because they did not decode against this
+    /// node's parameters (`SessionCache::decode_errors`).
+    pub decode_errors: u64,
 }
 
 impl StatsSnapshot {
@@ -208,6 +216,8 @@ impl StatsSnapshot {
         rejected_shutdown,
         faults_injected,
         reaped_uploads,
+        spill_errors,
+        decode_errors,
     ];
 
     /// The counters as `(name, value)` pairs — the `Pong` body.

@@ -43,7 +43,6 @@
 
 use crate::faults::{Fault, FaultInjector};
 use crate::{Result, ServeError};
-use cham_telemetry::counter_add;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -167,7 +166,6 @@ impl SegmentStore {
                 // A crash between write and rename: the segment was never
                 // visible, so the leftover is garbage, not data.
                 let _ = fs::remove_file(&path);
-                counter_add!("cham_serve.store.stale_tmps", 1);
                 continue;
             }
             if path.extension().and_then(|e| e.to_str()) != Some(SEGMENT_EXT) {
@@ -185,7 +183,6 @@ impl SegmentStore {
                 }
             }
         }
-        counter_add!("cham_serve.store.recovered", recovered);
         Ok(Self {
             dir,
             cap_bytes,
@@ -307,7 +304,6 @@ impl SegmentStore {
         if let Ok(d) = File::open(&self.dir) {
             let _ = d.sync_all();
         }
-        counter_add!("cham_serve.store.writes", 1);
 
         let evict: Vec<u64> = {
             let mut index = self.index.lock().expect("store index poisoned");
@@ -342,7 +338,6 @@ impl SegmentStore {
         };
         for id in evict {
             let _ = fs::remove_file(self.segment_path(id));
-            counter_add!("cham_serve.store.evictions", 1);
         }
         Ok(())
     }
@@ -362,7 +357,6 @@ impl SegmentStore {
                 Some(entry) => entry.tick = tick,
                 None => {
                     self.misses.fetch_add(1, Ordering::Relaxed);
-                    counter_add!("cham_serve.store.misses", 1);
                     return None;
                 }
             }
@@ -371,14 +365,12 @@ impl SegmentStore {
         match read_segment(&path, Some(id)) {
             Ok(payload) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                counter_add!("cham_serve.store.hits", 1);
                 Some(payload)
             }
             Err(_) => {
                 self.drop_entry(id);
                 quarantine(&path, &self.quarantined);
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                counter_add!("cham_serve.store.misses", 1);
                 None
             }
         }
@@ -436,7 +428,6 @@ fn recover_segment(path: &Path) -> Result<(u64, u64)> {
         // Excess tail (e.g. a crash mid-append by some future writer):
         // everything past the declared length is garbage by definition.
         file.set_len(expected_len)?;
-        counter_add!("cham_serve.store.truncated_tails", 1);
     }
     Ok((id, payload_len))
 }
@@ -488,7 +479,6 @@ fn quarantine(path: &Path, counter: &AtomicU64) {
         let _ = fs::remove_file(path);
     }
     counter.fetch_add(1, Ordering::Relaxed);
-    counter_add!("cham_serve.store.corrupt_segments", 1);
 }
 
 #[cfg(test)]

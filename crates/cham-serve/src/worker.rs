@@ -30,7 +30,6 @@ use crate::faults::{Fault, FaultInjector};
 use crate::scheduler::{HmvpJob, Scheduler};
 use crate::stats::ServeStats;
 use crate::ServeError;
-use cham_telemetry::counter_add;
 use cham_telemetry::flight::{FlightEventKind, FlightRecorder};
 use cham_telemetry::span::{self, phase};
 use std::panic::AssertUnwindSafe;
@@ -143,7 +142,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// leans on: once a batch leaves the scheduler, every reply channel in
 /// it receives exactly one message.
 fn execute_batch(ctx: &WorkerContext, batch: Vec<HmvpJob>) {
-    cham_telemetry::time_scope!("cham_serve.batch.execute");
     let stats = &ctx.stats;
     let faults = ctx.faults.as_deref();
     let batch_started = Instant::now();
@@ -155,7 +153,6 @@ fn execute_batch(ctx: &WorkerContext, batch: Vec<HmvpJob>) {
         .partition(|j| j.deadline.is_none_or(|d| d > now));
     for job in expired {
         stats.on_timed_out();
-        counter_add!("cham_serve.queue.timed_out", 1);
         let _ = job.reply.send(Err(ServeError::TimedOut));
     }
     if live.is_empty() {
@@ -240,14 +237,12 @@ fn execute_batch(ctx: &WorkerContext, batch: Vec<HmvpJob>) {
         Ok(Ok(results)) => {
             debug_assert_eq!(results.len(), live.len());
             stats.on_completed(live.len());
-            counter_add!("cham_serve.requests.completed", live.len() as u64);
             for (job, result) in live.into_iter().zip(results) {
                 let _ = job.reply.send(Ok(result));
             }
         }
         Ok(Err(e)) => {
             stats.on_failed(live.len());
-            counter_add!("cham_serve.requests.failed", live.len() as u64);
             for job in live {
                 let _ = job.reply.send(Err(ServeError::He(e.clone())));
             }
@@ -255,7 +250,6 @@ fn execute_batch(ctx: &WorkerContext, batch: Vec<HmvpJob>) {
         Err(payload) => {
             let message = panic_message(payload.as_ref());
             stats.on_internal_error(replies.len());
-            counter_add!("cham_serve.requests.panicked", replies.len() as u64);
             ctx.flight.record_event(
                 FlightEventKind::Panic,
                 message.clone(),

@@ -117,6 +117,8 @@ fn full_stats() -> StatsSnapshot {
         rejected_shutdown: 10,
         faults_injected: 11,
         reaped_uploads: 12,
+        spill_errors: 13,
+        decode_errors: 14,
     }
 }
 

@@ -193,6 +193,9 @@ fn every_kill_point_recovers_a_consistent_prefix() {
                     .unwrap()
             );
             assert_eq!(faults.injected(Fault::TornSnapshot), 1);
+            // The cache swallowed the failed spill; `Pong` is where an
+            // operator can still see it.
+            assert_eq!(client.ping().unwrap().spill_errors, 1);
             server.shutdown();
         }
 
@@ -290,6 +293,8 @@ fn seeded_fault_schedule_recovers_exactly_the_untorn_segments() {
                 durable.push(store.contains(id));
                 ids.push(id);
             }
+            let torn = faults.injected(Fault::TornSnapshot);
+            assert_eq!(client.introspect().unwrap().stats.spill_errors, torn);
             server.shutdown();
         }
         let torn = faults.injected(Fault::TornSnapshot);

@@ -11,22 +11,20 @@
 //! ([`HistogramSnapshot::quantile_upper_nanos`]) or linearly interpolated
 //! within it ([`HistogramSnapshot::percentile`]).
 //!
-//! Two flavors share the bucket math:
-//!
-//! * [`Histogram`] — `static`, named, registered globally on first
-//!   record, and compiled out entirely without the `telemetry` feature.
-//! * [`LiveHistogram`] — caller-owned and **always on** regardless of
-//!   features; used where the data is a product surface (the serving
-//!   stack's `Introspect` phase breakdown) rather than a debugging aid.
+//! There is one histogram body, [`LiveHistogram`]: caller-owned and
+//! anonymous, so it can live in a struct field (the serving stack's
+//! per-instance `Introspect` phase breakdown). A [`Histogram`] is a
+//! `static` name and unit around one, registered globally on first
+//! record so run records can enumerate it. The registry is keyed by
+//! name: [`snapshot`] merges same-named statics (one per
+//! [`time_scope!`](crate::time_scope) call site) bucket-wise.
 
-#[cfg(feature = "telemetry")]
-use std::sync::atomic::AtomicBool;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 const BUCKETS: usize = 65;
 
-/// A named concurrent log₂ histogram. The default domain is
+/// A named, globally registered log₂ histogram. The default domain is
 /// nanoseconds (scoped timers); [`Histogram::with_unit`] repurposes the
 /// same machinery for other non-negative integer quantities (e.g. noise
 /// bits).
@@ -34,12 +32,7 @@ const BUCKETS: usize = 65;
 pub struct Histogram {
     name: &'static str,
     unit: &'static str,
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-    #[cfg(feature = "telemetry")]
+    live: LiveHistogram,
     registered: AtomicBool,
 }
 
@@ -57,12 +50,7 @@ impl Histogram {
         Self {
             name,
             unit,
-            buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-            #[cfg(feature = "telemetry")]
+            live: LiveHistogram::new(),
             registered: AtomicBool::new(false),
         }
     }
@@ -79,70 +67,40 @@ impl Histogram {
         self.unit
     }
 
-    /// Records one value (nanoseconds). Inlined no-op without the
-    /// `telemetry` feature.
+    /// Records one value (nanoseconds unless built
+    /// [`with_unit`](Self::with_unit)).
     #[inline]
-    pub fn record(&'static self, nanos: u64) {
-        #[cfg(feature = "telemetry")]
-        {
-            if !self.registered.load(Ordering::Relaxed)
-                && !self.registered.swap(true, Ordering::AcqRel)
-            {
-                registry()
-                    .lock()
-                    .expect("histogram registry poisoned")
-                    .push(self);
-            }
-            let idx = bucket_index(nanos);
-            self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(nanos, Ordering::Relaxed);
-            self.min.fetch_min(nanos, Ordering::Relaxed);
-            self.max.fetch_max(nanos, Ordering::Relaxed);
+    pub fn record(&'static self, value: u64) {
+        if !self.registered.load(Ordering::Relaxed) {
+            self.register();
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = nanos;
+        self.live.record(value);
     }
 
-    /// Copies out an immutable view of the current state.
+    #[cold]
+    fn register(&'static self) {
+        if !self.registered.swap(true, Ordering::AcqRel) {
+            registry()
+                .lock()
+                .expect("histogram registry poisoned")
+                .push(self);
+        }
+    }
+
+    /// Copies out an immutable view of this static's state (not the
+    /// per-name merge).
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        HistogramSnapshot {
-            name: self.name,
-            unit: self.unit,
-            count: self.count.load(Ordering::Relaxed),
-            sum_nanos: self.sum.load(Ordering::Relaxed),
-            min_nanos: self.min.load(Ordering::Relaxed),
-            max_nanos: self.max.load(Ordering::Relaxed),
-            buckets,
-        }
-    }
-
-    fn reset_inner(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
+        self.live.snapshot(self.name, self.unit)
     }
 }
 
-/// A caller-owned log₂ histogram that records regardless of the
-/// `telemetry` feature.
+/// A caller-owned, anonymous log₂ histogram.
 ///
-/// Where [`Histogram`] instruments *debugging* paths (and compiles out
-/// by default), `LiveHistogram` backs *product* surfaces — the serving
-/// stack's per-phase latency breakdown served over the `Introspect` wire
-/// op must work in a default build. It is `const`-constructible for use
-/// in `static`s, never registers itself globally, and costs five relaxed
-/// atomics per record.
+/// Instance-scoped data — the serving stack's per-phase latency
+/// breakdown served over the `Introspect` wire op — lives in one of
+/// these per owner. It is `const`-constructible, never registers itself
+/// globally, and costs five relaxed atomics per record.
 #[derive(Debug)]
 pub struct LiveHistogram {
     buckets: [AtomicU64; BUCKETS],
@@ -171,7 +129,7 @@ impl LiveHistogram {
         }
     }
 
-    /// Records one value. Always live — not feature-gated.
+    /// Records one value.
     #[inline]
     pub fn record(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
@@ -275,6 +233,17 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Folds `other` (same name, same bucket layout) into `self`.
+    fn merge(&mut self, other: &Self) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum_nanos += other.sum_nanos;
+        self.min_nanos = self.min_nanos.min(other.min_nanos);
+        self.max_nanos = self.max_nanos.max(other.max_nanos);
+    }
+
     /// Mean recorded value in nanoseconds (0 when empty).
     #[must_use]
     pub fn mean_nanos(&self) -> f64 {
@@ -342,8 +311,9 @@ fn registry() -> &'static Mutex<Vec<&'static Histogram>> {
     REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Snapshots of every registered histogram, sorted by name. Histograms
-/// are registered on first record; empty when the feature is off.
+/// Snapshots of every registered histogram name, sorted by name, with
+/// same-named statics merged bucket-wise into one entry. Histograms are
+/// registered on first record.
 #[must_use]
 pub fn snapshot() -> Vec<HistogramSnapshot> {
     let mut out: Vec<HistogramSnapshot> = registry()
@@ -352,7 +322,14 @@ pub fn snapshot() -> Vec<HistogramSnapshot> {
         .iter()
         .map(|h| h.snapshot())
         .collect();
-    out.sort_unstable_by_key(|s| s.name);
+    out.sort_by_key(|s| s.name);
+    out.dedup_by(|later, kept| {
+        let same = later.name == kept.name;
+        if same {
+            kept.merge(later);
+        }
+        same
+    });
     out
 }
 
@@ -363,7 +340,7 @@ pub fn reset() {
         .expect("histogram registry poisoned")
         .iter()
     {
-        h.reset_inner();
+        h.live.reset();
     }
 }
 
@@ -408,24 +385,39 @@ mod tests {
             H.record(v);
         }
         let s = H.snapshot();
-        if crate::enabled() {
-            assert_eq!(s.count, 6);
-            assert_eq!(s.sum_nanos, 1_001_106);
-            assert_eq!(s.min_nanos, 1);
-            assert_eq!(s.max_nanos, 1_000_000);
-            assert!(s.mean_nanos() > 0.0);
-            // Median rank 3 of {1,2,3,100,1000,1e6} is 3 → bucket (2,4].
-            assert_eq!(s.quantile_upper_nanos(0.5), 4);
-            assert_eq!(s.quantile_upper_nanos(1.0), 1_000_000);
-            assert!(snapshot().iter().any(|x| x.name == s.name));
-        } else {
-            assert_eq!(s.count, 0);
-            assert_eq!(s.quantile_upper_nanos(0.5), 0);
-        }
+        assert_eq!(s.count, 6);
+        assert_eq!(s.sum_nanos, 1_001_106);
+        assert_eq!(s.min_nanos, 1);
+        assert_eq!(s.max_nanos, 1_000_000);
+        assert!(s.mean_nanos() > 0.0);
+        // Median rank 3 of {1,2,3,100,1000,1e6} is 3 → bucket (2,4].
+        assert_eq!(s.quantile_upper_nanos(0.5), 4);
+        assert_eq!(s.quantile_upper_nanos(1.0), 1_000_000);
+        assert!(snapshot().iter().any(|x| x.name == s.name));
     }
 
     #[test]
-    fn live_histogram_records_without_the_feature() {
+    fn same_named_statics_merge_bucket_wise() {
+        let _guard = crate::test_guard();
+        static A: Histogram = Histogram::new("cham_telemetry.histogram.test_twin");
+        static B: Histogram = Histogram::new("cham_telemetry.histogram.test_twin");
+        reset();
+        A.record(3);
+        A.record(100);
+        B.record(4);
+        B.record(1_000);
+        let all = snapshot();
+        let twins: Vec<_> = all.iter().filter(|s| s.name == A.name()).collect();
+        assert_eq!(twins.len(), 1, "one entry per name");
+        let s = twins[0];
+        assert_eq!((s.count, s.sum_nanos), (4, 1_107));
+        assert_eq!((s.min_nanos, s.max_nanos), (3, 1_000));
+        // 3 and 4 share bucket (2,4]: the merge adds bucket counts.
+        assert_eq!(s.buckets[bucket_index(4)], 2);
+    }
+
+    #[test]
+    fn live_histogram_is_anonymous_and_resettable() {
         let h = LiveHistogram::new();
         for v in [8u64, 8, 8, 8] {
             h.record(v);

@@ -3,35 +3,35 @@
 //! Every other crate in the workspace reports *what it actually did*
 //! through this one: how many NTTs ran and over which modulus, how many
 //! modular multiplies an HMVP cost, how long each pipeline phase took,
-//! and what a whole benchmark run looked like. Three primitives:
+//! and what a whole benchmark run looked like. The primitives:
 //!
 //! * **Counters** ([`counter_add!`]) — process-wide relaxed atomics named
 //!   `<crate>.<module>.<op>`, e.g. `cham_math.ntt.forward`.
-//! * **Histograms + scoped timers** ([`time_scope!`]) — RAII spans that
-//!   record wall-time into log₂ latency histograms and maintain a
-//!   thread-local span stack; with runtime tracing enabled they also emit
-//!   Chrome Trace Event Format (Perfetto) complete events.
-//! * **Exporters** — a human text report ([`report::text_report`]), a JSON
-//!   metrics dump, Chrome trace JSON ([`trace`]), and the structured
-//!   benchmark [`record::RunRecord`] schema that `cham-bench --json`
-//!   binaries emit.
+//! * **Histograms + scoped timers** ([`time_scope!`]) — RAII scopes that
+//!   record wall-time into log₂ latency histograms.
+//! * **Exporters** — the structured benchmark [`record::RunRecord`]
+//!   schema that `cham-bench --json` binaries emit (counters and timers
+//!   included, one key per name), and Chrome trace JSON ([`trace`]).
 //! * **Request tracing** ([`span`], [`flight`]) — per-request trace IDs
 //!   and phase recorders plus a bounded flight recorder of recent
-//!   request traces. Unlike the process-wide machinery these are *not*
-//!   feature-gated: ID propagation and the serving stack's phase
-//!   breakdown are product surfaces, and their cost is opt-in per
-//!   request at runtime rather than per build.
+//!   request traces; their cost is opt-in per request at runtime.
 //!
-//! Everything hot is gated behind the `telemetry` cargo feature. With the
-//! feature **disabled** (the default) the recording hooks are inlined
-//! empty functions — zero branches, zero atomics — so production/bench
-//! builds pay nothing. With it **enabled** the cost is one relaxed
-//! `fetch_add` per hook, and instrumented code batches increments (e.g.
-//! one add per transform, not per butterfly) to keep the tax small.
+//! There is one build and every hook in it is live: a counter add is one
+//! relaxed flag load plus one relaxed `fetch_add`. Instrumented code
+//! therefore batches — one add per transform or vector pass, never per
+//! butterfly or per modular reduction — and a site too hot to batch is
+//! not instrumented at all.
+//!
+//! Scope rule: the named registries here are **process-wide**, which
+//! fits the kernel crates (`cham-math`, `cham-he`, `cham-sim`) whose
+//! work belongs to no instance. Crates whose state is per instance
+//! (`cham-pool`, `cham-serve`, `cham-cluster` — several servers share
+//! one test process) keep their counts on the instance and serve them
+//! per node; they book nothing here.
 //!
 //! Naming convention: `<crate>.<module>.<op>[.<qualifier>]`, all
 //! lower-snake segments joined by dots. Qualifiers name a modulus
-//! (`.q0`/`.q1`/`.p`) or a strategy (`.barrett`/`.shift_add`).
+//! (`.q0`/`.q1`/`.p`) or a lane class (`.vector`/`.tail`).
 
 #![warn(missing_docs)]
 
@@ -54,27 +54,20 @@ pub use record::RunRecord;
 pub use span::{Span, SpanRecorder, TraceId};
 pub use timer::ScopedTimer;
 
-/// `true` when the crate was compiled with the `telemetry` feature.
-#[inline]
-#[must_use]
-pub const fn enabled() -> bool {
-    cfg!(feature = "telemetry")
-}
-
-/// Resets all registered counters and histograms to zero and clears any
-/// buffered runtime trace events. Intended for tests and for isolating
-/// phases of a benchmark run.
+/// Resets all registered counters and histograms to zero. Intended for
+/// tests. The named counters are the atomics behind `simd_stats()`,
+/// `scratch_stats()` and `lazy_flush_count()`, so a process that takes
+/// deltas of those must not call this between the two readings.
 pub fn reset() {
     counters::reset();
     histogram::reset();
-    trace::clear();
 }
 
 /// Adds `$n` to the process-wide counter named `$name`.
 ///
-/// The name must be a string literal (`<crate>.<module>.<op>`). Compiles
-/// to an inlined no-op without the `telemetry` feature; the count
-/// expression is still type-checked but its value is discarded.
+/// The name must be a string literal (`<crate>.<module>.<op>`). Each
+/// call site owns its own static; sites sharing a name are summed into
+/// one entry by [`counters::snapshot`].
 ///
 /// ```
 /// cham_telemetry::counter_add!("cham_math.ntt.forward", 1);
@@ -89,9 +82,7 @@ macro_rules! counter_add {
 
 /// Opens an RAII timing span covering the rest of the enclosing scope.
 ///
-/// Records the span's wall time into a log₂ histogram named `$name`, and
-/// (when runtime tracing is enabled via [`trace::enable`]) emits a Chrome
-/// trace complete event. No-op without the `telemetry` feature.
+/// Records the scope's wall time into a log₂ histogram named `$name`.
 ///
 /// ```
 /// # fn transform() {}
@@ -123,18 +114,17 @@ pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn enabled_matches_feature() {
-        assert_eq!(super::enabled(), cfg!(feature = "telemetry"));
-    }
-
-    #[test]
-    fn macros_compile_under_both_features() {
+    fn macros_record_into_the_registries() {
         let _guard = crate::test_guard();
-        crate::counter_add!("cham_telemetry.test.macro_compiles", 2);
+        crate::counter_add!("cham_telemetry.test.macro_counter", 2);
         {
-            crate::time_scope!("cham_telemetry.test.scope");
+            crate::time_scope!("cham_telemetry.test.macro_scope");
             std::hint::black_box(1 + 1);
         }
+        assert!(crate::counters::snapshot().contains(&("cham_telemetry.test.macro_counter", 2)));
+        assert!(crate::histogram::snapshot()
+            .iter()
+            .any(|h| h.name == "cham_telemetry.test.macro_scope" && h.count == 1));
         crate::reset();
     }
 }

@@ -71,7 +71,6 @@ pub struct RunRecord {
     rustc_version: String,
     cpu_model: String,
     threads: usize,
-    telemetry_enabled: bool,
     params: Vec<(String, JsonValue)>,
     metrics: Vec<(String, JsonValue)>,
     started: Instant,
@@ -89,7 +88,6 @@ impl RunRecord {
             rustc_version: rustc_version(),
             cpu_model: cpu_model(),
             threads: thread_count(),
-            telemetry_enabled: crate::enabled(),
             params: Vec::new(),
             metrics: Vec::new(),
             started: Instant::now(),
@@ -133,10 +131,6 @@ impl RunRecord {
             ),
             ("cpu_model".into(), JsonValue::from(self.cpu_model.as_str())),
             ("threads".into(), JsonValue::from(self.threads)),
-            (
-                "telemetry_enabled".into(),
-                JsonValue::Bool(self.telemetry_enabled),
-            ),
             ("params".into(), JsonValue::Object(self.params.clone())),
             ("wall_seconds".into(), JsonValue::Float(wall)),
             ("metrics".into(), JsonValue::Object(self.metrics.clone())),
@@ -177,9 +171,7 @@ mod tests {
         assert!(json.contains("\"n\":4096"));
         assert!(json.contains("\"answer\":42"));
         assert!(json.contains("\"wall_seconds\":"));
-        if crate::enabled() {
-            assert!(json.contains("\"cham_telemetry.record.test_counter\":3"));
-        }
+        assert!(json.contains("\"cham_telemetry.record.test_counter\":3"));
         assert!(rec.threads >= 1);
         crate::reset();
     }

@@ -1,69 +1,9 @@
-//! Exporters over the counter/histogram registries: a human-readable
-//! text report and a JSON metrics dump.
+//! JSON views of the counter and histogram registries — the `counters`
+//! and `timers` objects of a [`RunRecord`](crate::record::RunRecord).
+//! Both registries are keyed by name, so no key appears twice.
 
-use crate::fmt::eng_nanos;
 use crate::json::JsonValue;
-
-/// Formats a histogram value in its native unit.
-fn fmt_value(v: u64, unit: &str) -> String {
-    if unit == "ns" {
-        eng_nanos(v)
-    } else {
-        format!("{v} {unit}")
-    }
-}
 use crate::{counters, histogram};
-use std::fmt::Write as _;
-
-/// Renders every registered counter and histogram as an aligned text
-/// table (the `telemetry report` a binary prints on exit).
-#[must_use]
-pub fn text_report() -> String {
-    let counters = counters::snapshot();
-    let hists = histogram::snapshot();
-    let mut out = String::new();
-    if counters.is_empty() && hists.is_empty() {
-        out.push_str("telemetry: no data recorded");
-        out.push('\n');
-        if !crate::enabled() {
-            out.push_str("(build with `--features telemetry` to record counters and timers)\n");
-        }
-        return out;
-    }
-    if !counters.is_empty() {
-        let _ = writeln!(out, "== counters ==");
-        let width = counters.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-        for (name, value) in &counters {
-            let _ = writeln!(
-                out,
-                "{name:<width$}  {value:>16}  ({})",
-                crate::fmt::si(*value as f64)
-            );
-        }
-    }
-    if !hists.is_empty() {
-        let _ = writeln!(out, "== timers ==");
-        let width = hists.iter().map(|h| h.name.len()).max().unwrap_or(0);
-        let _ = writeln!(
-            out,
-            "{:<width$}  {:>10} {:>12} {:>12} {:>12} {:>12}",
-            "span", "count", "mean", "p50<=", "p95<=", "max"
-        );
-        for h in &hists {
-            let _ = writeln!(
-                out,
-                "{:<width$}  {:>10} {:>12} {:>12} {:>12} {:>12}",
-                h.name,
-                h.count,
-                fmt_value(h.mean_nanos() as u64, h.unit),
-                fmt_value(h.quantile_upper_nanos(0.5), h.unit),
-                fmt_value(h.quantile_upper_nanos(0.95), h.unit),
-                fmt_value(if h.count == 0 { 0 } else { h.max_nanos }, h.unit),
-            );
-        }
-    }
-    out
-}
 
 /// Counter snapshot as a JSON object (`{"name": value, ...}`).
 #[must_use]
@@ -109,15 +49,6 @@ pub fn histograms_json() -> JsonValue {
     )
 }
 
-/// Full metrics dump: `{"counters": {...}, "timers": {...}}`.
-#[must_use]
-pub fn metrics_json() -> JsonValue {
-    JsonValue::Object(vec![
-        ("counters".into(), counters_json()),
-        ("timers".into(), histograms_json()),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,23 +56,28 @@ mod tests {
     #[test]
     fn report_renders_with_and_without_data() {
         let _guard = crate::test_guard();
-        crate::reset();
         crate::counter_add!("cham_telemetry.report.test_counter", 5);
         {
             crate::time_scope!("cham_telemetry.report.test_span");
             std::hint::black_box(0);
         }
-        let text = text_report();
-        let json = metrics_json().to_string();
-        if crate::enabled() {
-            assert!(text.contains("cham_telemetry.report.test_counter"));
-            assert!(text.contains("== timers =="));
-            assert!(json.contains("\"cham_telemetry.report.test_counter\":5"));
-            assert!(json.contains("p50_upper"));
-            assert!(json.contains("\"unit\":\"ns\""));
-        } else {
-            assert!(text.contains("no data recorded"));
-            assert!(json.contains("\"counters\":{}"));
-        }
+        let timers = histograms_json();
+        let span = timers.get("cham_telemetry.report.test_span").expect("span");
+        assert_eq!(span.get("count").and_then(JsonValue::as_u64), Some(1));
+        assert_eq!(span.get("unit").and_then(JsonValue::as_str), Some("ns"));
+        assert!(span.get("p50_upper").is_some());
+        assert!(counters_json()
+            .to_string()
+            .contains("\"cham_telemetry.report.test_counter\":5"));
+        // A reset keeps the names and renders them empty: an empty
+        // histogram's `min` reads 0, not its `u64::MAX` sentinel.
+        crate::reset();
+        let timers = histograms_json();
+        let span = timers.get("cham_telemetry.report.test_span").expect("span");
+        assert_eq!(span.get("count").and_then(JsonValue::as_u64), Some(0));
+        assert_eq!(span.get("min").and_then(JsonValue::as_u64), Some(0));
+        assert!(counters_json()
+            .to_string()
+            .contains("\"cham_telemetry.report.test_counter\":0"));
     }
 }

@@ -3,21 +3,19 @@
 //!
 //! Process-wide counters and histograms answer *"how slow is phase X on
 //! average"*; this module answers *"where did **this** request's time
-//! go"*. The design splits the always-on from the optional:
+//! go"*:
 //!
-//! * **ID propagation is feature-gate-free.** A [`TraceId`] is a plain
-//!   `u64` that travels over the wire and through thread hops; carrying
-//!   it costs a copy. Likewise the [`SpanRecorder`] machinery is always
-//!   compiled — the serving stack's `Introspect` phase breakdown is a
-//!   product surface, not a debugging aid.
+//! * **ID propagation is free.** A [`TraceId`] is a plain `u64` that
+//!   travels over the wire and through thread hops; carrying it costs a
+//!   copy.
 //! * **Cost is opt-in per request.** A [`Span`] only reads the clock
 //!   when the current thread has a recorder installed
 //!   ([`with_recorder`]); with none installed (every non-serving code
 //!   path, and every request nobody is tracing) constructing and
 //!   dropping a `Span` is one thread-local `Option` check.
-//! * **Global histogram timing stays behind the `telemetry` feature**
-//!   (the existing [`crate::time_scope!`] machinery) — this module does
-//!   not replace it, it rides alongside.
+//! * **Global histogram timing is separate** (the
+//!   [`crate::time_scope!`] machinery) — this module does not replace
+//!   it, it rides alongside.
 //!
 //! ## Aggregation model
 //!

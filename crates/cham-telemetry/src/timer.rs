@@ -1,46 +1,11 @@
-//! RAII scoped timers with a thread-local span stack.
+//! RAII scoped timers.
 //!
 //! A [`ScopedTimer`] measures the wall time between its construction and
-//! drop, records it into its [`Histogram`], and — while runtime tracing
-//! is enabled ([`crate::trace::enable`]) — emits a Chrome trace complete
-//! event on the current thread's track. Spans nest: each thread keeps a
-//! stack of open span names, so an exported trace shows `encrypt` and
-//! the `ntt.forward` calls inside it as nested slices, and the recorded
-//! trace event carries its depth and parent span.
+//! drop and records it into its [`Histogram`]. Scopes may nest; each
+//! records its own inclusive time.
 
 use crate::histogram::Histogram;
-#[cfg(feature = "telemetry")]
-use std::cell::RefCell;
-#[cfg(feature = "telemetry")]
 use std::time::Instant;
-
-#[cfg(feature = "telemetry")]
-thread_local! {
-    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Number of spans currently open on this thread (0 when the `telemetry`
-/// feature is off).
-#[must_use]
-pub fn span_depth() -> usize {
-    #[cfg(feature = "telemetry")]
-    {
-        SPAN_STACK.with(|s| s.borrow().len())
-    }
-    #[cfg(not(feature = "telemetry"))]
-    0
-}
-
-/// Name of the innermost open span on this thread, if any.
-#[must_use]
-pub fn current_span() -> Option<&'static str> {
-    #[cfg(feature = "telemetry")]
-    {
-        SPAN_STACK.with(|s| s.borrow().last().copied())
-    }
-    #[cfg(not(feature = "telemetry"))]
-    None
-}
 
 /// An RAII span: times from construction to drop.
 ///
@@ -48,14 +13,8 @@ pub fn current_span() -> Option<&'static str> {
 /// the per-call-site static histogram.
 #[derive(Debug)]
 pub struct ScopedTimer {
-    #[cfg(feature = "telemetry")]
     hist: &'static Histogram,
-    #[cfg(feature = "telemetry")]
     start: Instant,
-    #[cfg(feature = "telemetry")]
-    parent: Option<&'static str>,
-    #[cfg(not(feature = "telemetry"))]
-    _empty: (),
 }
 
 impl ScopedTimer {
@@ -63,37 +22,17 @@ impl ScopedTimer {
     #[inline]
     #[must_use]
     pub fn new(hist: &'static Histogram) -> Self {
-        #[cfg(feature = "telemetry")]
-        {
-            let parent = current_span();
-            SPAN_STACK.with(|s| s.borrow_mut().push(hist.name()));
-            Self {
-                hist,
-                start: Instant::now(),
-                parent,
-            }
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = hist;
-            Self { _empty: () }
+        Self {
+            hist,
+            start: Instant::now(),
         }
     }
 }
 
-#[cfg(feature = "telemetry")]
 impl Drop for ScopedTimer {
     fn drop(&mut self) {
-        let elapsed = self.start.elapsed();
-        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.hist.record(nanos);
-        SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            debug_assert_eq!(stack.last().copied(), Some(self.hist.name()));
-            stack.pop();
-        });
-        let depth = span_depth();
-        crate::trace::record_span(self.hist.name(), self.start, elapsed, depth, self.parent);
     }
 }
 
@@ -106,28 +45,20 @@ mod tests {
         let _guard = crate::test_guard();
         static OUTER: Histogram = Histogram::new("cham_telemetry.timer.test_outer");
         static INNER: Histogram = Histogram::new("cham_telemetry.timer.test_inner");
-        assert_eq!(span_depth(), 0);
         {
             let _outer = ScopedTimer::new(&OUTER);
-            if crate::enabled() {
-                assert_eq!(span_depth(), 1);
-                assert_eq!(current_span(), Some("cham_telemetry.timer.test_outer"));
-            }
             {
                 let _inner = ScopedTimer::new(&INNER);
-                if crate::enabled() {
-                    assert_eq!(span_depth(), 2);
-                }
                 std::hint::black_box(42);
             }
-            if crate::enabled() {
-                assert_eq!(span_depth(), 1);
-            }
+            assert_eq!(INNER.snapshot().count, 1, "inner closed first");
+            assert_eq!(OUTER.snapshot().count, 0, "outer still open");
         }
-        assert_eq!(span_depth(), 0);
-        if crate::enabled() {
-            assert_eq!(OUTER.snapshot().count, 1);
-            assert_eq!(INNER.snapshot().count, 1);
-        }
+        let (outer, inner) = (OUTER.snapshot(), INNER.snapshot());
+        assert_eq!((outer.count, inner.count), (1, 1));
+        assert!(
+            outer.sum_nanos >= inner.sum_nanos,
+            "outer time is inclusive"
+        );
     }
 }

@@ -1,21 +1,15 @@
 //! Chrome Trace Event Format (Perfetto) export.
 //!
-//! Two producers share one output format:
-//!
-//! * the **runtime collector** — scoped timers append complete events
-//!   while tracing is [`enable`]d, one track per OS thread;
-//! * **synthetic traces** — `cham-sim` converts its cycle-accurate Gantt
-//!   schedule into a [`ChromeTrace`] directly, one track per pipeline
-//!   stage.
+//! A [`ChromeTrace`] is assembled by its producer and written out:
+//! `cham-sim` converts its cycle-accurate Gantt schedule into one (one
+//! track per pipeline stage), and the flight recorder dumps request
+//! traces as one (one track per request).
 //!
 //! The emitted JSON is the `{"traceEvents": [...]}` object form of the
 //! [Trace Event Format](https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU)
 //! and loads in `chrome://tracing` or <https://ui.perfetto.dev>.
 
 use crate::json::JsonValue;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 /// One event destined for the `traceEvents` array.
 #[derive(Debug, Clone)]
@@ -219,132 +213,6 @@ pub fn read_chrome_trace(json: &str) -> Result<Vec<ReadEvent>, String> {
     Ok(out)
 }
 
-// ---------------------------------------------------------------------------
-// Runtime collector (fed by ScopedTimer drops).
-// ---------------------------------------------------------------------------
-
-/// A span captured at runtime by a scoped timer.
-#[derive(Debug, Clone, Copy)]
-struct RuntimeSpan {
-    name: &'static str,
-    parent: Option<&'static str>,
-    tid: u64,
-    ts_us: f64,
-    dur_us: f64,
-    depth: usize,
-}
-
-/// Hard cap on buffered runtime spans (~64 B each) so a forgotten
-/// `enable()` cannot grow memory without bound.
-const MAX_RUNTIME_SPANS: usize = 1 << 20;
-
-static TRACING: AtomicBool = AtomicBool::new(false);
-static DROPPED: AtomicU64 = AtomicU64::new(0);
-
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-fn spans() -> &'static Mutex<Vec<RuntimeSpan>> {
-    static SPANS: OnceLock<Mutex<Vec<RuntimeSpan>>> = OnceLock::new();
-    SPANS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn current_tid() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    TID.with(|t| *t)
-}
-
-/// Starts buffering runtime span events (idempotent). Call before the
-/// region of interest; export with [`export_chrome_trace`].
-pub fn enable() {
-    let _ = epoch();
-    TRACING.store(true, Ordering::Release);
-}
-
-/// Stops buffering runtime span events (buffered events are kept).
-pub fn disable() {
-    TRACING.store(false, Ordering::Release);
-}
-
-/// `true` while the runtime collector accepts events.
-#[must_use]
-pub fn is_enabled() -> bool {
-    TRACING.load(Ordering::Acquire)
-}
-
-/// Discards buffered runtime events.
-pub fn clear() {
-    spans().lock().expect("trace buffer poisoned").clear();
-    DROPPED.store(0, Ordering::Relaxed);
-}
-
-/// Number of spans dropped because the runtime buffer was full.
-#[must_use]
-pub fn dropped_spans() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
-}
-
-/// Called by [`crate::timer::ScopedTimer`] on drop.
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
-pub(crate) fn record_span(
-    name: &'static str,
-    start: Instant,
-    dur: Duration,
-    depth: usize,
-    parent: Option<&'static str>,
-) {
-    if !is_enabled() {
-        return;
-    }
-    let ts_us = start
-        .checked_duration_since(epoch())
-        .unwrap_or(Duration::ZERO)
-        .as_secs_f64()
-        * 1e6;
-    let span = RuntimeSpan {
-        name,
-        parent,
-        tid: current_tid(),
-        ts_us,
-        dur_us: dur.as_secs_f64() * 1e6,
-        depth,
-    };
-    let mut buf = spans().lock().expect("trace buffer poisoned");
-    if buf.len() >= MAX_RUNTIME_SPANS {
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    buf.push(span);
-}
-
-/// Builds a [`ChromeTrace`] from the buffered runtime spans (one track
-/// per thread) and returns its JSON. Empty-but-valid JSON when nothing
-/// was collected.
-#[must_use]
-pub fn export_chrome_trace() -> String {
-    let buf = spans().lock().expect("trace buffer poisoned");
-    let mut trace = ChromeTrace::new();
-    let mut tids: Vec<u64> = buf.iter().map(|s| s.tid).collect();
-    tids.sort_unstable();
-    tids.dedup();
-    for tid in tids {
-        trace.thread_name(tid, format!("thread-{tid}"));
-    }
-    for s in buf.iter() {
-        let mut args = vec![("depth".into(), JsonValue::UInt(s.depth as u64))];
-        if let Some(parent) = s.parent {
-            args.push(("parent".into(), JsonValue::from(parent)));
-        }
-        trace.complete(s.tid, s.name, "span", s.ts_us, s.dur_us, args);
-    }
-    trace.to_json()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,28 +274,5 @@ mod tests {
         assert!(
             read_chrome_trace(r#"{"traceEvents":[{"name":"a","ph":"X","tid":1,"ts":0}]}"#).is_err()
         );
-    }
-
-    #[test]
-    fn runtime_collector_gates_on_enable() {
-        let _guard = crate::test_guard();
-        clear();
-        disable();
-        record_span("t.off", Instant::now(), Duration::from_micros(5), 0, None);
-        assert!(export_chrome_trace().contains("\"traceEvents\":[]"));
-        enable();
-        record_span(
-            "t.on",
-            Instant::now(),
-            Duration::from_micros(5),
-            1,
-            Some("t.parent"),
-        );
-        disable();
-        let json = export_chrome_trace();
-        assert!(json.contains("t.on"));
-        assert!(json.contains("t.parent"));
-        assert_eq!(dropped_spans(), 0);
-        clear();
     }
 }

@@ -3,19 +3,14 @@
 # suite and Criterion benches. Usage: scripts/reproduce.sh [results_dir]
 #
 # RESULTS_JSON=1 additionally writes one structured run record
-# ($OUT/<bin>.json, schema cham-run-record/v1) per figure binary and
-# builds with the `telemetry` feature so the records carry the full
-# counter/timer snapshot.
+# ($OUT/<bin>.json, schema cham-run-record/v1, counter/timer snapshot
+# included) per figure binary. The build is the same either way.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 OUT="${1:-results}"
 mkdir -p "$OUT"
 
 RESULTS_JSON="${RESULTS_JSON:-0}"
-FEATURES=()
-if [[ "$RESULTS_JSON" == "1" ]]; then
-  FEATURES=(--features telemetry)
-fi
 
 BINS=(
   fig2a_roofline
@@ -31,7 +26,7 @@ BINS=(
 )
 
 echo "== building workspace (release) =="
-cargo build --workspace --release "${FEATURES[@]}"
+cargo build --workspace --release
 
 for bin in "${BINS[@]}"; do
   echo "== $bin =="
@@ -39,7 +34,7 @@ for bin in "${BINS[@]}"; do
   if [[ "$RESULTS_JSON" == "1" ]]; then
     EXTRA=(--json "$OUT/$bin.json")
   fi
-  cargo run --release -p cham-bench "${FEATURES[@]}" --bin "$bin" -- "${EXTRA[@]}" \
+  cargo run --release -p cham-bench --bin "$bin" -- "${EXTRA[@]}" \
     | tee "$OUT/$bin.txt"
 done
 
@@ -48,7 +43,7 @@ GOLDEN_EXTRA=()
 if [[ "$RESULTS_JSON" == "1" ]]; then
   GOLDEN_EXTRA=(--json "$OUT/golden_dump.json")
 fi
-cargo run --release -p cham-bench "${FEATURES[@]}" --bin golden_dump -- \
+cargo run --release -p cham-bench --bin golden_dump -- \
   4096 1 1 "${GOLDEN_EXTRA[@]}" > "$OUT/golden_vectors.txt"
 
 echo "== test suite =="
