@@ -48,7 +48,7 @@ pub fn bench_rng() -> rand::rngs::StdRng {
 ///   always recorded as the `threads` param of the run record. The value
 ///   also sizes the process-global `cham-pool` kernel pool (unless
 ///   `CHAM_POOL_THREADS` or an earlier pool use already fixed its size),
-///   so limb/row-parallel kernels fan out to exactly this many workers.
+///   so tile/row-parallel kernels fan out to exactly this many workers.
 ///
 /// Binaries call [`BenchRun::from_env`] first, attach `param`s and
 /// `metric`s while printing their usual tables, and end with
@@ -180,20 +180,6 @@ impl BenchRun {
             self.record.metric("pool_parks", stats.parks);
             self.record.metric("pool_idle_ns", stats.idle_ns);
         }
-        // Lazy-reduction datapath activity: deferred-reduction flush passes
-        // and scratch-pool reuse.
-        self.record
-            .metric("lazy_flushes", cham_math::modulus::lazy_flush_count());
-        let (hits, misses) = cham_he::scratch::scratch_stats();
-        self.record.metric("scratch_hits", hits);
-        self.record.metric("scratch_misses", misses);
-        // SIMD dispatch accounting: totals across the kernel families, so
-        // a run that claims a vector backend but did all its work in
-        // scalar tails is visible in the record.
-        let simd = cham_math::simd_stats();
-        let (vector_elems, tail_elems) = simd.totals();
-        self.record.metric("simd_vector_elems", vector_elems);
-        self.record.metric("simd_tail_elems", tail_elems);
         self.record.finish();
         if let Some(path) = &self.json_path {
             self.record

@@ -269,7 +269,7 @@ impl Hmvp {
         cts: &[RlweCiphertext],
     ) -> Result<Vec<LweCiphertext>> {
         Self::check_tiling(matrix, cts)?;
-        let cts_ntt = Self::lift_inputs_ntt(cts);
+        let cts_ntt = Self::lift_inputs_ntt(cts, 1);
         matrix
             .tiles
             .iter()
@@ -279,15 +279,15 @@ impl Hmvp {
 
     /// Transforms the input ciphertexts to NTT form once; every matrix row
     /// reuses them (the pipeline keeps the vector resident in the NTT
-    /// domain across the whole DOTPRODUCT stage, §V-B.1). The per-tile
-    /// transforms are independent, so they fan out across the shared
-    /// `cham-pool` thread pool.
-    fn lift_inputs_ntt(cts: &[RlweCiphertext]) -> Vec<RlweCiphertext> {
+    /// domain across the whole DOTPRODUCT stage, §V-B.1). A column tile
+    /// (one ciphertext, six limb transforms) is the smallest unit that
+    /// becomes a pool task, and only under the caller's `threads` cap.
+    fn lift_inputs_ntt(cts: &[RlweCiphertext], threads: usize) -> Vec<RlweCiphertext> {
         // Request-scoped phase span: free when no recorder is installed
         // (see cham_telemetry::span), so the kernel stays uninstrumented
         // outside the serving stack's traced requests.
         let _span = Span::enter(phase::ENCODE);
-        cham_pool::map(cts, |_, ct| {
+        cham_pool::map_capped(cts, threads.max(1), |_, ct| {
             let mut c = ct.clone();
             c.to_ntt();
             c
@@ -411,7 +411,7 @@ impl Hmvp {
         cts: &[RlweCiphertext],
     ) -> Result<Vec<LweCiphertext>> {
         Self::check_tiling(matrix, cts)?;
-        let cts_ntt = Self::lift_inputs_ntt(cts);
+        let cts_ntt = Self::lift_inputs_ntt(cts, 1);
         matrix
             .tiles
             .iter()
@@ -419,13 +419,13 @@ impl Hmvp {
             .collect()
     }
 
-    /// Multi-threaded dot-product phase: rows fan out across the shared
-    /// `cham-pool` work-stealing pool (the multi-thread host side of
-    /// Fig. 1b; also the honest way to measure a parallel CPU baseline).
-    /// `threads` caps the row-level parallelism; actual concurrency is
-    /// additionally bounded by the pool's worker count. Results are
-    /// bit-identical to [`Hmvp::dot_products`] at any thread count — every
-    /// row's reduction runs whole on one task.
+    /// Multi-threaded dot-product phase: the input lift fans out over
+    /// column tiles and the rows over the shared `cham-pool` work-stealing
+    /// pool (the multi-thread host side of Fig. 1b; also the honest way to
+    /// measure a parallel CPU baseline). `threads` caps both fan-outs;
+    /// actual concurrency is additionally bounded by the pool's worker
+    /// count. Results are bit-identical to [`Hmvp::dot_products`] at any
+    /// thread count — every row's reduction runs whole on one task.
     ///
     /// # Errors
     /// Same conditions as [`Hmvp::dot_products`].
@@ -436,7 +436,7 @@ impl Hmvp {
         threads: usize,
     ) -> Result<Vec<LweCiphertext>> {
         Self::check_tiling(matrix, cts)?;
-        let cts_ntt = Self::lift_inputs_ntt(cts);
+        let cts_ntt = Self::lift_inputs_ntt(cts, threads);
         cham_pool::map_capped(&matrix.tiles, threads.max(1), |_, row_tiles| {
             self.dot_row(row_tiles, &cts_ntt)
         })
@@ -459,8 +459,10 @@ impl Hmvp {
     }
 
     /// Full HMVP with at most `threads` concurrent tasks on the shared
-    /// pool. Each `N`-row block is one `PACKLWES`; its leaves are the
-    /// block's rows, computed on demand in the order the pack tree
+    /// pool — the cap governs every fan-out inside the call (the lift's
+    /// column tiles, then rows / pack subtrees), and `threads = 1` queues
+    /// no task at all. Each `N`-row block is one `PACKLWES`; its leaves
+    /// are the block's rows, computed on demand in the order the pack tree
     /// consumes them, so a worker owns one contiguous subtree end to end —
     /// MAC, rescale, extract and every reduction beneath the subtree root
     /// (see [`pack_with`]). No LWE is ever stored.
@@ -477,7 +479,7 @@ impl Hmvp {
         cham_telemetry::counter_add!("cham_he.hmvp.multiply", 1);
         cham_telemetry::time_scope!("cham_he.hmvp.multiply");
         Self::check_tiling(matrix, cts)?;
-        let cts_ntt = Self::lift_inputs_ntt(cts);
+        let cts_ntt = Self::lift_inputs_ntt(cts, threads);
         let packed = matrix
             .tiles
             .chunks(self.params.degree())
@@ -495,47 +497,6 @@ impl Hmvp {
             packed,
             len: matrix.rows,
         })
-    }
-
-    /// One coalesced dispatch of the same matrix against many encrypted
-    /// vectors: the batch fans out across the shared `cham-pool` pool
-    /// (capped at `threads` concurrent inputs), each task running the full
-    /// per-vector pipeline (dot products + packing).
-    ///
-    /// This is the service-layer entry point: a batching scheduler that
-    /// has coalesced `k` queued requests against one [`EncodedMatrix`]
-    /// pays zero thread spawns — the work rides the persistent kernel
-    /// pool, so many serve workers compose without oversubscribing the
-    /// machine. Results come back in input order. A single-element batch
-    /// falls through to [`Hmvp::multiply_parallel`] so the row-partitioned
-    /// path still applies.
-    ///
-    /// # Errors
-    /// Propagates shape mismatches and missing Galois keys; the first
-    /// failing input aborts the batch.
-    pub fn multiply_many(
-        &self,
-        matrix: &EncodedMatrix,
-        inputs: &[Vec<RlweCiphertext>],
-        gkeys: &GaloisKeys,
-        threads: usize,
-    ) -> Result<Vec<HmvpResult>> {
-        cham_telemetry::counter_add!("cham_he.hmvp.multiply_many", 1);
-        cham_telemetry::time_scope!("cham_he.hmvp.multiply_many");
-        for cts in inputs {
-            Self::check_tiling(matrix, cts)?;
-        }
-        match inputs.len() {
-            0 => Ok(Vec::new()),
-            1 => Ok(vec![
-                self.multiply_parallel(matrix, &inputs[0], gkeys, threads)?
-            ]),
-            _ => cham_pool::map_capped(inputs, threads.max(1), |_, cts| {
-                self.multiply(matrix, cts, gkeys)
-            })
-            .into_iter()
-            .collect(),
-        }
     }
 
     /// Decrypts and decodes an HMVP result into the `m` output values.
@@ -718,7 +679,7 @@ mod tests {
             let em = hmvp.encode_matrix(&a).unwrap();
             let oracle = hmvp.dot_products_unfused(&em, &cts).unwrap();
             prop_assert!(hmvp.dot_products(&em, &cts).unwrap() == oracle, "lwe path");
-            let cts_ntt = Hmvp::lift_inputs_ntt(&cts);
+            let cts_ntt = Hmvp::lift_inputs_ntt(&cts, 1);
             // One dirty leaf reused for every row: the tail must overwrite
             // every coefficient.
             let mut leaf = crate::extract::lwe_to_rlwe(&oracle[0]);
@@ -732,40 +693,6 @@ mod tests {
                 prop_assert!(leaf == crate::extract::lwe_to_rlwe(lwe), "leaf path");
             }
         }
-    }
-
-    #[test]
-    fn multiply_many_matches_per_request_results() {
-        let (params, _, enc, dec, gkeys, mut rng) = setup();
-        let t = params.plain_modulus();
-        let a = Matrix::random(16, 300, t.value(), &mut rng); // 2 column tiles
-        let hmvp = Hmvp::from_arc(std::sync::Arc::new(params.clone()));
-        let em = hmvp.encode_matrix(&a).unwrap();
-        // A cheap handle clone must see the same tiles.
-        let em2 = em.clone();
-        assert_eq!(em2.shape(), em.shape());
-        let inputs: Vec<Vec<RlweCiphertext>> = (0..5)
-            .map(|_| {
-                let v: Vec<u64> = (0..300).map(|_| rng.gen_range(0..t.value())).collect();
-                hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap()
-            })
-            .collect();
-        for threads in [1usize, 2, 8] {
-            let batch = hmvp.multiply_many(&em2, &inputs, &gkeys, threads).unwrap();
-            assert_eq!(batch.len(), inputs.len());
-            for (cts, result) in inputs.iter().zip(&batch) {
-                let single = hmvp.multiply(&em, cts, &gkeys).unwrap();
-                assert_eq!(
-                    hmvp.decrypt_result(result, &dec).unwrap(),
-                    hmvp.decrypt_result(&single, &dec).unwrap(),
-                    "threads={threads}"
-                );
-            }
-        }
-        // Empty batch is a no-op; a bad input aborts the batch.
-        assert!(hmvp.multiply_many(&em, &[], &gkeys, 2).unwrap().is_empty());
-        let bad = vec![inputs[0][..1].to_vec()];
-        assert!(hmvp.multiply_many(&em, &bad, &gkeys, 2).is_err());
     }
 
     #[test]

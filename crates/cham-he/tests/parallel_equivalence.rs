@@ -1,18 +1,19 @@
 //! Parallel-equivalence suite for the cham-he entry points that ride the
-//! `cham-pool` thread pool: the HMVP dot-product phase, the batched
-//! service dispatch, key-switching, and the LWE→RLWE pack tree.
+//! `cham-pool` thread pool: the HMVP dot-product phase, the full
+//! multiply, and the LWE→RLWE pack tree.
 //!
 //! Each test computes a *sequential twin* on a single-thread pool (the
 //! pool's inline fast path — identical code, no tasks queued) and asserts
 //! **bit-exact** equality at pool sizes {1, 2, 3, 7, 8}. HE ciphertexts
 //! make good witnesses here: a single flipped bit anywhere in a limb
-//! shows up directly in the comparison, long before decryption.
+//! shows up directly in the comparison, long before decryption. The last
+//! test pins the grain rule itself with the pool's task counter: the
+//! `threads` cap a caller passes governs every fan-out inside the call.
 
 use cham_he::ciphertext::RlweCiphertext;
 use cham_he::encrypt::Encryptor;
-use cham_he::hmvp::{Hmvp, Matrix};
-use cham_he::keys::{GaloisKeys, KeySwitchKey, SecretKey};
-use cham_he::ops::keyswitch_mask;
+use cham_he::hmvp::{Hmvp, HmvpResult, Matrix};
+use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::pack::pack_lwes;
 use cham_he::params::ChamParams;
 use cham_pool::ThreadPool;
@@ -23,7 +24,6 @@ const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 7, 8];
 
 struct Fixture {
     params: ChamParams,
-    sk: SecretKey,
     enc: Encryptor,
     gkeys: GaloisKeys,
     rng: rand::rngs::StdRng,
@@ -37,7 +37,6 @@ fn fixture(seed: u64) -> Fixture {
     let gkeys = GaloisKeys::generate_for_packing(&sk, params.max_pack_log(), &mut rng).unwrap();
     Fixture {
         params,
-        sk,
         enc,
         gkeys,
         rng,
@@ -70,8 +69,18 @@ fn dot_products_bit_exact_across_pool_sizes() {
     }
 }
 
+fn assert_same_packed(got: &HmvpResult, expect: &HmvpResult, ctx: &str) {
+    assert_eq!(got.len, expect.len, "{ctx}");
+    assert_eq!(got.packed.len(), expect.packed.len(), "{ctx}");
+    for (gp, ep) in got.packed.iter().zip(&expect.packed) {
+        assert_eq!(gp.ciphertext, ep.ciphertext, "{ctx}");
+        assert_eq!(gp.log_count, ep.log_count, "{ctx}");
+        assert_eq!(gp.count, ep.count, "{ctx}");
+    }
+}
+
 #[test]
-fn multiply_many_bit_exact_across_pool_sizes() {
+fn multiply_parallel_bit_exact_across_pool_sizes() {
     let mut f = fixture(0x5EED_0002);
     let t = f.params.plain_modulus();
     let a = Matrix::random(12, 300, t.value(), &mut f.rng);
@@ -91,34 +100,43 @@ fn multiply_many_bit_exact_across_pool_sizes() {
     });
     for threads in THREAD_COUNTS {
         let pool = ThreadPool::new(threads);
-        let got = pool.install(|| hmvp.multiply_many(&em, &inputs, &f.gkeys, threads).unwrap());
-        assert_eq!(got.len(), expect.len(), "threads={threads}");
-        for (g, e) in got.iter().zip(&expect) {
-            assert_eq!(g.len, e.len, "threads={threads}");
-            assert_eq!(g.packed.len(), e.packed.len(), "threads={threads}");
-            for (gp, ep) in g.packed.iter().zip(&e.packed) {
-                assert_eq!(gp.ciphertext, ep.ciphertext, "threads={threads}");
-                assert_eq!(gp.log_count, ep.log_count, "threads={threads}");
-                assert_eq!(gp.count, ep.count, "threads={threads}");
-            }
+        for (cts, e) in inputs.iter().zip(&expect) {
+            let got = pool.install(|| hmvp.multiply_parallel(&em, cts, &f.gkeys, threads).unwrap());
+            assert_same_packed(&got, e, &format!("threads={threads}"));
         }
     }
 }
 
+/// The grain rule as a count: a cap of 1 means *no* pool task — not for
+/// the lift's column tiles, not for a limb under them, not for a row or a
+/// pack subtree — and the serial `dot_products` never dispatches either.
 #[test]
-fn keyswitch_bit_exact_across_pool_sizes() {
+fn threads_cap_governs_every_fan_out_inside_the_call() {
     let mut f = fixture(0x5EED_0003);
-    let ksk = KeySwitchKey::generate(&f.sk, f.sk.coeffs(), &mut f.rng).unwrap();
-    let coder = cham_he::encoding::CoeffEncoder::new(&f.params);
-    let ct = f
-        .enc
-        .encrypt(&coder.encode_vector(&[42, 17, 999]).unwrap(), &mut f.rng);
-    let expect = sequential(|| keyswitch_mask(ct.a(), &ksk, &f.params).unwrap());
-    for threads in THREAD_COUNTS {
-        let pool = ThreadPool::new(threads);
-        let got = pool.install(|| keyswitch_mask(ct.a(), &ksk, &f.params).unwrap());
-        assert_eq!(got, expect, "threads={threads}");
-    }
+    let t = f.params.plain_modulus();
+    // 12 rows (≥ 8) over 2 column tiles.
+    let a = Matrix::random(12, 300, t.value(), &mut f.rng);
+    let v: Vec<u64> = (0..300).map(|_| f.rng.gen_range(0..t.value())).collect();
+    let hmvp = Hmvp::new(&f.params);
+    let cts = hmvp.encrypt_vector(&v, &f.enc, &mut f.rng).unwrap();
+    let em = hmvp.encode_matrix(&a).unwrap();
+    assert!(em.col_tiles() >= 2);
+    let pool = ThreadPool::new(4);
+
+    let before = pool.stats().tasks;
+    let serial = pool.install(|| hmvp.multiply_parallel(&em, &cts, &f.gkeys, 1).unwrap());
+    assert_eq!(pool.stats().tasks, before, "threads=1 queued pool tasks");
+
+    let fanned = pool.install(|| hmvp.multiply_parallel(&em, &cts, &f.gkeys, 4).unwrap());
+    assert!(
+        pool.stats().tasks > before,
+        "threads=4 never reached the pool"
+    );
+    assert_same_packed(&fanned, &serial, "threads=4 vs threads=1");
+
+    let before = pool.stats().tasks;
+    pool.install(|| hmvp.dot_products(&em, &cts).unwrap());
+    assert_eq!(pool.stats().tasks, before, "dot_products queued pool tasks");
 }
 
 #[test]

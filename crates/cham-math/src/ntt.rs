@@ -410,26 +410,6 @@ impl NttTable {
         self.inverse(&mut v);
         v
     }
-
-    /// Forward NTT over a batch of polynomials, fanned out across the
-    /// current `cham-pool` thread pool (one task per polynomial chunk).
-    /// Each transform is the same in-place [`NttTable::forward`], so the
-    /// result is bit-identical to the sequential loop at any thread count.
-    ///
-    /// # Panics
-    /// Panics if any polynomial's length differs from `self.n()`.
-    pub fn forward_batch(&self, polys: &mut [Vec<u64>]) {
-        cham_pool::for_each_mut(polys, |_, p| self.forward(p));
-    }
-
-    /// Inverse NTT over a batch of polynomials — the batched twin of
-    /// [`NttTable::inverse`], parallelised like [`NttTable::forward_batch`].
-    ///
-    /// # Panics
-    /// Panics if any polynomial's length differs from `self.n()`.
-    pub fn inverse_batch(&self, polys: &mut [Vec<u64>]) {
-        cham_pool::for_each_mut(polys, |_, p| self.inverse(p));
-    }
 }
 
 /// Schoolbook negacyclic multiplication — the `O(N^2)` oracle used to

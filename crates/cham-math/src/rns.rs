@@ -399,30 +399,27 @@ impl RnsPoly {
 
     /// Converts to NTT form in place (no-op when already there).
     ///
-    /// The limb transforms are independent (one prime each — exactly the
-    /// parallelism the FPGA exploits with per-limb functional units), so
-    /// they fan out across the `cham-pool` thread pool.
+    /// One limb transform after another on the calling thread: a transform
+    /// is microseconds, below any dispatch grain, so threading is the
+    /// caller's (it fans out over ciphertexts or rows, never over limbs).
     pub fn to_ntt(&mut self) {
         if self.form == Form::Ntt {
             return;
         }
-        let tables = self.ctx.tables.as_slice();
-        cham_pool::for_each_mut(&mut self.limbs, |i, limb| {
-            tables[i].forward(limb.coeffs_mut());
-        });
+        for (table, limb) in self.ctx.tables.iter().zip(&mut self.limbs) {
+            table.forward(limb.coeffs_mut());
+        }
         self.form = Form::Ntt;
     }
 
     /// Converts to coefficient form in place (no-op when already there).
-    /// Limb-parallel like [`RnsPoly::to_ntt`].
     pub fn to_coeff(&mut self) {
         if self.form == Form::Coeff {
             return;
         }
-        let tables = self.ctx.tables.as_slice();
-        cham_pool::for_each_mut(&mut self.limbs, |i, limb| {
-            tables[i].inverse(limb.coeffs_mut());
-        });
+        for (table, limb) in self.ctx.tables.iter().zip(&mut self.limbs) {
+            table.inverse(limb.coeffs_mut());
+        }
         self.form = Form::Coeff;
     }
 
@@ -430,7 +427,6 @@ impl RnsPoly {
     /// buffers with `NTT(self)` via [`NttTable::forward_into`], so repeated
     /// conversions (e.g. lifting rows into scratch) allocate nothing.
     /// `self` stays in coefficient form; `dst` ends in NTT form.
-    /// Limb-parallel like [`RnsPoly::to_ntt`].
     ///
     /// # Errors
     /// [`MathError::ContextMismatch`] unless `self` is in coefficient form
@@ -439,11 +435,9 @@ impl RnsPoly {
         if self.form != Form::Coeff || self.ctx != dst.ctx {
             return Err(MathError::ContextMismatch);
         }
-        let tables = self.ctx.tables.as_slice();
-        let src = self.limbs.as_slice();
-        cham_pool::for_each_mut(&mut dst.limbs, |i, limb| {
-            tables[i].forward_into(src[i].coeffs(), limb.coeffs_mut());
-        });
+        for ((table, src), limb) in self.ctx.tables.iter().zip(&self.limbs).zip(&mut dst.limbs) {
+            table.forward_into(src.coeffs(), limb.coeffs_mut());
+        }
         dst.form = Form::Ntt;
         Ok(())
     }
@@ -743,14 +737,10 @@ impl RnsPoly {
         if self.form != Form::Coeff {
             return Err(MathError::ContextMismatch);
         }
-        // Digit i depends only on limb i; the basis extension (a reduction
-        // of every coefficient into each target modulus) is the dominant
-        // cost of key-switching, so build the digits limb-parallel.
-        cham_pool::map(&self.limbs, |_, limb| {
-            RnsPoly::from_unsigned(target, limb.coeffs())
-        })
-        .into_iter()
-        .collect()
+        self.limbs
+            .iter()
+            .map(|limb| RnsPoly::from_unsigned(target, limb.coeffs()))
+            .collect()
     }
 
     /// Max centred infinity norm across limbs — only meaningful when the

@@ -1,7 +1,7 @@
 //! # cham-pool — the workspace's shared work-stealing thread pool
 //!
 //! CHAM's FPGA runs the HMVP pipeline stages in parallel functional units;
-//! on the CPU side the same limb/row-level decomposition wants a *single
+//! on the CPU side the tile/row-level decomposition wants a *single
 //! bounded* set of threads shared by every kernel, instead of per-call
 //! `thread::spawn` bursts. This crate provides that substrate:
 //!
@@ -22,16 +22,18 @@
 //!   `CHAM_POOL_THREADS` environment variable (falling back to
 //!   `available_parallelism`), and [`ThreadPool::builder`] builds private
 //!   pools for tests and embedders,
-//! * **stats** — tasks executed, steals, parks, and idle time are kept in
-//!   relaxed atomics on the pool instance ([`ThreadPool::stats`],
-//!   [`global_stats`] for the process-global pool) — a process may hold
-//!   several pools, so nothing is booked process-wide.
+//! * **stats** — tasks executed, sibling-deque steals, parks, and idle
+//!   time are kept in relaxed atomics on the pool instance
+//!   ([`ThreadPool::stats`], [`global_stats`] for the process-global pool)
+//!   — a process may hold several pools, so nothing is booked process-wide.
 //!
-//! The high-level helpers kernels actually use are [`map`],
-//! [`map_capped`], and [`for_each_mut`] — deterministic, order-preserving
-//! data-parallel loops whose results are bit-identical to their sequential
-//! twins at every thread count (see the parallel-equivalence suites in
-//! `cham-math` and `cham-he`).
+//! The one data-parallel helper kernels use is [`map_capped`] — a
+//! deterministic, order-preserving map whose result is bit-identical to
+//! the sequential loop at every thread count and every cap (see
+//! `cham-he/tests/parallel_equivalence.rs`). Its callers fan out one
+//! request's column tiles and its rows / pack subtrees under the cap that
+//! request was given; nothing smaller (a limb transform, a digit) is worth
+//! a task, so there is no uncapped or in-place variant.
 //!
 //! ## Pool resolution
 //!
@@ -46,7 +48,7 @@
 //!
 //! ```
 //! let pool = cham_pool::ThreadPool::builder().threads(3).build();
-//! let doubled = pool.install(|| cham_pool::map(&[1u64, 2, 3, 4], |_, &x| x * 2));
+//! let doubled = pool.install(|| cham_pool::map_capped(&[1u64, 2, 3, 4], 2, |_, &x| x * 2));
 //! assert_eq!(doubled, vec![2, 4, 6, 8]);
 //! ```
 
@@ -83,7 +85,12 @@ pub struct PoolStats {
     pub threads: usize,
     /// Tasks executed to completion (including panicked ones).
     pub tasks: u64,
-    /// Tasks taken from another worker's deque or by a helping waiter.
+    /// Tasks popped from a *sibling worker's deque* — i.e. work a pool
+    /// worker spawned that another thread ran. A task submitted from a
+    /// non-pool thread (every served request's fan-out) travels through the
+    /// shared injector and is never a steal, whoever runs it, so this is
+    /// not "tasks that crossed threads": it stays near 0 unless pool tasks
+    /// themselves spawn.
     pub steals: u64,
     /// Times a thread parked on the condvar with nothing to run.
     pub parks: u64,
@@ -127,8 +134,7 @@ impl Shared {
         }
         if let Some(t) = self.injector.lock().ok()?.pop_front() {
             self.pending.fetch_sub(1, Ordering::AcqRel);
-            // Injector pops by helpers/thieves still count as steals only
-            // when crossing queues; treat the injector as common property.
+            // The injector is common property: popping it is not a steal.
             return Some(t);
         }
         let start = own.map_or(0, |i| i + 1);
@@ -354,7 +360,7 @@ impl ThreadPool {
     }
 
     /// Runs `f` with this pool as the current pool on this thread: every
-    /// [`scope`]/[`map`]/[`for_each_mut`] call inside resolves to it.
+    /// [`scope`]/[`map_capped`] call inside resolves to it.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
         struct Guard;
         impl Drop for Guard {
@@ -558,23 +564,13 @@ fn task_count(len: usize, cap: usize, threads: usize) -> usize {
     len.min(cap).min(threads.saturating_mul(4)).max(1)
 }
 
-/// Order-preserving parallel map: `out[i] = f(i, &items[i])`.
+/// Order-preserving parallel map, `out[i] = f(i, &items[i])`, split into
+/// at most `cap` chunks (the caller's requested parallelism).
 ///
 /// Bit-identical to the sequential loop at every thread count (each `f`
 /// call sees exactly one item; chunk boundaries only affect scheduling).
-/// Falls back to the plain loop on a single-thread pool or a short input.
-pub fn map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    map_capped(items, usize::MAX, f)
-}
-
-/// [`map`] with the effective parallelism capped at `cap` chunks — the
-/// shared-pool successor of the old "spawn `threads` OS threads" entry
-/// points, which keep their `threads` argument as this cap.
+/// Runs the plain loop inline — no task is queued — when `cap` is 1, on a
+/// single-thread pool, or on a one-item input.
 pub fn map_capped<T, U, F>(items: &[T], cap: usize, f: F) -> Vec<U>
 where
     T: Sync,
@@ -591,61 +587,25 @@ where
     let mut out: Vec<Option<U>> = Vec::with_capacity(len);
     out.resize_with(len, || None);
     let f = &f;
-    scope(|s| {
-        for (ci, (in_chunk, out_chunk)) in
-            items.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
-        {
-            s.spawn(move || {
-                let base = ci * chunk;
-                for (j, (x, slot)) in in_chunk.iter().zip(out_chunk.iter_mut()).enumerate() {
-                    *slot = Some(f(base + j, x));
-                }
-            });
-        }
+    // The chunks of one request run side by side: `fan_out` books the
+    // spans they record as the fan-out's wall time, not its CPU time.
+    cham_telemetry::span::fan_out(|| {
+        scope(|s| {
+            for (ci, (in_chunk, out_chunk)) in
+                items.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
+            {
+                s.spawn(move || {
+                    let base = ci * chunk;
+                    for (j, (x, slot)) in in_chunk.iter().zip(out_chunk.iter_mut()).enumerate() {
+                        *slot = Some(f(base + j, x));
+                    }
+                });
+            }
+        });
     });
     out.into_iter()
         .map(|slot| slot.expect("scope joined every chunk"))
         .collect()
-}
-
-/// Order-preserving parallel for-each over mutable items:
-/// `f(i, &mut items[i])` — the in-place twin of [`map`], used for
-/// limb-batched NTTs.
-pub fn for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    for_each_mut_capped(items, usize::MAX, f);
-}
-
-/// [`for_each_mut`] with parallelism capped at `cap` chunks.
-pub fn for_each_mut_capped<T, F>(items: &mut [T], cap: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let len = items.len();
-    let threads = current_threads();
-    let tasks = task_count(len, cap, threads);
-    if len <= 1 || tasks <= 1 || threads <= 1 {
-        for (i, x) in items.iter_mut().enumerate() {
-            f(i, x);
-        }
-        return;
-    }
-    let chunk = len.div_ceil(tasks);
-    let f = &f;
-    scope(|s| {
-        for (ci, chunk_items) in items.chunks_mut(chunk).enumerate() {
-            s.spawn(move || {
-                let base = ci * chunk;
-                for (j, x) in chunk_items.iter_mut().enumerate() {
-                    f(base + j, x);
-                }
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -711,7 +671,7 @@ mod tests {
         let expect: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
         for threads in [1usize, 2, 3, 7, 8] {
             let pool = ThreadPool::new(threads);
-            let got = pool.install(|| map(&items, |_, &x| x * x + 1));
+            let got = pool.install(|| map_capped(&items, usize::MAX, |_, &x| x * x + 1));
             assert_eq!(got, expect, "threads={threads}");
         }
     }
@@ -727,11 +687,24 @@ mod tests {
     }
 
     #[test]
-    fn for_each_mut_writes_every_slot_in_order() {
-        let pool = ThreadPool::new(7);
-        let mut data = vec![0usize; 1000];
-        pool.install(|| for_each_mut(&mut data, |i, slot| *slot = i * 3));
-        assert!(data.iter().enumerate().all(|(i, &v)| v == i * 3));
+    fn map_capped_books_task_spans_as_wall_time() {
+        use cham_telemetry::span::{self, phase, Span, SpanRecorder, TraceId};
+        let pool = ThreadPool::new(4);
+        let rec = Arc::new(SpanRecorder::new(TraceId(7)));
+        let started = Instant::now();
+        span::with_recorder(Arc::clone(&rec), || {
+            pool.install(|| {
+                map_capped(&[(); 4], 4, |_, _| {
+                    let _span = Span::enter(phase::DOT);
+                    std::thread::sleep(Duration::from_millis(5));
+                })
+            })
+        });
+        let elapsed = started.elapsed().as_nanos() as u64;
+        // Four 5 ms spans side by side are ≈ 5 ms of the request, not 20.
+        let spans = rec.finish();
+        assert_eq!((spans.len(), spans[0].count), (1, 4));
+        assert!(spans[0].dur_ns <= elapsed, "{spans:?} in {elapsed} ns");
     }
 
     #[test]
@@ -767,8 +740,8 @@ mod tests {
         }));
         assert!(result.is_err(), "scope must rethrow the task panic");
         // The pool is still functional afterwards.
-        let sum = pool.install(|| map(&[1u32, 2, 3, 4], |_, &x| x).iter().sum::<u32>());
-        assert_eq!(sum, 10);
+        let got = pool.install(|| map_capped(&[1u32, 2, 3, 4], 4, |_, &x| x));
+        assert_eq!(got, [1, 2, 3, 4]);
     }
 
     #[test]

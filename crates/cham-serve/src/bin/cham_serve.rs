@@ -3,7 +3,7 @@
 //! ```text
 //! cham-serve [--addr HOST:PORT] [--params test|default|large]
 //!            [--workers N] [--queue N] [--max-batch N]
-//!            [--batch-threads N] [--key-cache N] [--matrix-cache N]
+//!            [--key-cache N] [--matrix-cache N]
 //!            [--max-frame BYTES] [--faults SPEC] [--stats-every SECS]
 //!            [--flight N] [--flight-dump PATH]
 //!            [--store-dir PATH] [--store-cap-bytes N]
@@ -107,7 +107,6 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => args.config.workers = parse_num(&value("--workers")?)?,
             "--queue" => args.config.queue_capacity = parse_num(&value("--queue")?)?,
             "--max-batch" => args.config.max_batch = parse_num(&value("--max-batch")?)?,
-            "--batch-threads" => args.config.batch_threads = parse_num(&value("--batch-threads")?)?,
             "--key-cache" => args.config.key_cache = parse_num(&value("--key-cache")?)?,
             "--matrix-cache" => args.config.matrix_cache = parse_num(&value("--matrix-cache")?)?,
             "--max-frame" => args.config.max_frame_bytes = parse_num(&value("--max-frame")?)?,
@@ -156,7 +155,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: cham-serve [--addr HOST:PORT] [--params test|default|large] \
-                            [--workers N] [--queue N] [--max-batch N] [--batch-threads N] \
+                            [--workers N] [--queue N] [--max-batch N] \
                             [--key-cache N] [--matrix-cache N] [--max-frame BYTES] \
                             [--faults SPEC] [--stats-every SECS] \
                             [--flight N] [--flight-dump PATH] \
@@ -286,12 +285,8 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "params={} workers={} queue={} max_batch={} batch_threads={}",
-        args.params,
-        args.config.workers,
-        args.config.queue_capacity,
-        args.config.max_batch,
-        args.config.batch_threads
+        "params={} workers={} queue={} max_batch={}",
+        args.params, args.config.workers, args.config.queue_capacity, args.config.max_batch
     );
 
     let every = args.stats_every.map(Duration::from_secs);

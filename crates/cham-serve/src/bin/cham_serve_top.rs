@@ -117,7 +117,7 @@ fn render(snap: &IntrospectSnapshot) {
         s.faults_injected
     );
     println!(
-        "occupancy queue={}/{} workers={} max_batch={} pool_threads={} pool_tasks={} pool_steals={}",
+        "occupancy queue={}/{} workers={} max_batch={} pool_threads={} pool_tasks={} pool_deque_steals={}",
         snap.queue_depth,
         snap.queue_capacity,
         snap.workers,

@@ -18,7 +18,8 @@
 //!   queued requests against the same matrix coalesce into one batch, and
 //!   a full queue rejects with [`ServeError::Busy`] instead of growing,
 //! * [`worker`] — a fixed-size pool of `std::thread` workers with graceful
-//!   shutdown; each batch becomes one `Hmvp::multiply_many` dispatch,
+//!   shutdown; a batch is a loop of `Hmvp::multiply_parallel` calls on the
+//!   worker that dequeued it,
 //! * [`server`] / [`client`] — the blocking TCP server and client library,
 //! * [`retry`] — a resilient client wrapper: bounded exponential backoff
 //!   with deterministic jitter, reconnect-and-re-handshake on transport
@@ -47,7 +48,7 @@
 //!   clients ──TCP──▶ conn threads ──▶ bounded queue ──▶ worker pool
 //!                        │                (Busy when full,   │
 //!                        │                 TimedOut on       ▼
-//!                        │                 expiry)     multiply_many
+//!                        │                 expiry)   multiply_parallel
 //!                        ◀───────────── mpsc reply ──────────┘
 //! ```
 //!

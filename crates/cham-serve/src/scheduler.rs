@@ -2,9 +2,9 @@
 //!
 //! Requests enter a bounded FIFO queue. Workers pull *batches*: the
 //! oldest live request plus every other queued request against the same
-//! `(key set, matrix)` pair, up to `max_batch` — one coalesced
-//! `Hmvp::multiply_many` dispatch reuses the NTT-form matrix across all
-//! of them. Two policies are deliberately explicit rather than emergent:
+//! `(key set, matrix)` pair, up to `max_batch` — one worker runs them
+//! back to back against the same resident NTT-form matrix. Two policies
+//! are deliberately explicit rather than emergent:
 //!
 //! * **Backpressure**: a submit against a full queue fails immediately
 //!   with [`ServeError::Busy`]. The queue never grows past its bound, so

@@ -58,15 +58,14 @@ struct ChunkAssembly {
 /// Serving shape: pool size, queue bound, batching and cache limits.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing batches.
+    /// Worker threads executing batches. A batch is a loop on the worker
+    /// that dequeued it, and each request in it may fan its tiles and rows
+    /// out into at most `max(1, kernel-pool threads / workers)` pool tasks.
     pub workers: usize,
     /// Bounded queue capacity (requests beyond it get `Busy`).
     pub queue_capacity: usize,
     /// Maximum requests coalesced into one batch.
     pub max_batch: usize,
-    /// Intra-batch parallelism cap each worker hands to `multiply_many`
-    /// (kernel-pool task fan-out per batch, not OS threads).
-    pub batch_threads: usize,
     /// LRU bound on cached Galois key sets.
     pub key_cache: usize,
     /// LRU bound on cached NTT-form matrices.
@@ -123,7 +122,6 @@ impl Default for ServerConfig {
             workers: 2,
             queue_capacity: 64,
             max_batch: 8,
-            batch_threads: 1,
             key_cache: 4,
             matrix_cache: 8,
             max_frame_bytes: protocol::MAX_FRAME_BYTES,
@@ -274,7 +272,6 @@ impl Server {
             WorkerContext {
                 cache: Arc::clone(&cache),
                 stats: Arc::clone(&stats),
-                batch_threads: config.batch_threads,
                 faults: config.faults.clone(),
                 flight: Arc::clone(&flight),
                 dump_path: config.flight_dump_path.clone().map(Arc::new),

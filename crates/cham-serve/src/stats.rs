@@ -389,7 +389,9 @@ pub struct IntrospectSnapshot {
     pub pool_threads: u32,
     /// Tasks the compute pool has executed.
     pub pool_tasks: u64,
-    /// Tasks obtained by work stealing.
+    /// Tasks popped from a sibling pool worker's deque
+    /// (`cham_pool::PoolStats::steals`): a request's own fan-out enters
+    /// through the injector and never counts, whoever runs it.
     pub pool_steals: u64,
     /// Request traces currently held by the flight recorder.
     pub flight_traces: u32,

@@ -1,9 +1,10 @@
 //! Fixed-size worker pool over `std::thread`.
 //!
-//! Each worker blocks on [`Scheduler::next_batch`], executes the batch as
-//! one [`Hmvp::multiply_many`](cham_he::hmvp::Hmvp::multiply_many)
-//! dispatch (reusing the cached NTT-form matrix across every request in
-//! the batch), and sends each job's result down its `mpsc` reply channel.
+//! Each worker blocks on [`Scheduler::next_batch`], runs the batch's
+//! requests one after another through
+//! [`Hmvp::multiply_parallel`](cham_he::hmvp::Hmvp::multiply_parallel)
+//! (every request in a batch shares the cached NTT-form matrix and key
+//! set), and sends each job's result down its `mpsc` reply channel.
 //! Workers exit when the scheduler is shut down and its queue has
 //! drained, so `join` is a graceful drain, not an abort.
 //!
@@ -16,14 +17,15 @@
 //! every job in the batch, the worker survives, and the panic payload's
 //! message travels to the client for diagnosis.
 //!
-//! **Composition with the kernel pool.** `multiply_many` no longer spawns
-//! OS threads per call: batch items (and the limb/row loops underneath)
-//! run as tasks on the shared `cham-pool` work-stealing pool, whose size
-//! is fixed process-wide (`CHAM_POOL_THREADS`, default
-//! `available_parallelism`). However many serve workers dispatch
-//! concurrently, kernel concurrency stays bounded by that one pool —
-//! workers merely *feed* it, so workers × batch_threads can exceed the
-//! core count without oversubscribing the machine.
+//! **Composition with the kernel pool.** A batch is a loop on the worker
+//! that dequeued it; the only pool tasks a request creates are its own
+//! column tiles and rows / pack subtrees, under the cap
+//! `max(1, pool threads / workers)` ([`WorkerPool::spawn`]). That cap is 1
+//! — fully inline, the worker thread *is* the kernel thread — whenever
+//! `workers` already covers the shared `cham-pool` pool, whose size is
+//! fixed process-wide (`CHAM_POOL_THREADS`, default
+//! `available_parallelism`), so kernel concurrency never exceeds
+//! workers + pool threads however many batches run at once.
 
 use crate::cache::SessionCache;
 use crate::faults::{Fault, FaultInjector};
@@ -48,8 +50,6 @@ pub struct WorkerContext {
     pub cache: Arc<SessionCache>,
     /// Live service counters.
     pub stats: Arc<ServeStats>,
-    /// Intra-batch parallelism cap handed to the kernel dispatch.
-    pub batch_threads: usize,
     /// Seeded fault injection, when armed.
     pub faults: Option<Arc<FaultInjector>>,
     /// Flight recorder receiving panic/fault events.
@@ -69,22 +69,19 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Spawns `workers` threads executing batches from `scheduler`.
     ///
-    /// `ctx.batch_threads` is the intra-batch parallelism cap each
-    /// worker hands to the kernel dispatch (how many batch items may run
-    /// as concurrent kernel-pool tasks) — keep it at 1 when `workers`
-    /// already covers the cores, raise it for few-worker/large-batch
-    /// deployments. It caps task fan-out, not OS threads: actual
-    /// concurrency is always bounded by the shared kernel pool.
+    /// Each request a worker runs may fan its tiles and rows out into at
+    /// most `max(1, pool threads / workers)` kernel-pool tasks: 1 (no
+    /// dispatch at all) when the workers cover the pool, more when few
+    /// workers sit in front of a wide pool.
     ///
     /// `ctx.faults`, when set, arms the worker-layer injection sites
     /// ([`Fault::SlowBatch`], [`Fault::WorkerPanic`]).
     #[must_use]
     pub fn spawn(scheduler: Arc<Scheduler>, workers: usize, ctx: WorkerContext) -> Self {
         assert!(workers > 0, "worker pool must have at least one thread");
-        let ctx = WorkerContext {
-            batch_threads: ctx.batch_threads.max(1),
-            ..ctx
-        };
+        // The workers are plain threads, so the pool their kernels
+        // resolve is the global one.
+        let threads = (cham_pool::global().threads() / workers).max(1);
         let handles = (0..workers)
             .map(|i| {
                 let scheduler = Arc::clone(&scheduler);
@@ -92,7 +89,7 @@ impl WorkerPool {
                 std::thread::Builder::new()
                     .name(format!("cham-serve-worker-{i}"))
                     .spawn(move || {
-                        worker_loop(&scheduler, &ctx);
+                        worker_loop(&scheduler, &ctx, threads);
                     })
                     .expect("spawn worker thread")
             })
@@ -120,9 +117,9 @@ impl WorkerPool {
     }
 }
 
-fn worker_loop(scheduler: &Scheduler, ctx: &WorkerContext) {
+fn worker_loop(scheduler: &Scheduler, ctx: &WorkerContext, threads: usize) {
     while let Some(batch) = scheduler.next_batch() {
-        execute_batch(ctx, batch);
+        execute_batch(ctx, batch, threads);
     }
 }
 
@@ -140,8 +137,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Runs one coalesced batch and replies to every job in it — on success,
 /// on HE failure, and on panic alike. The invariant the chaos suite
 /// leans on: once a batch leaves the scheduler, every reply channel in
-/// it receives exactly one message.
-fn execute_batch(ctx: &WorkerContext, batch: Vec<HmvpJob>) {
+/// it receives exactly one message. `threads` caps each request's own
+/// tile/row fan-out; the batch itself is a loop on this thread.
+fn execute_batch(ctx: &WorkerContext, batch: Vec<HmvpJob>, threads: usize) {
     let stats = &ctx.stats;
     let faults = ctx.faults.as_deref();
     let batch_started = Instant::now();
@@ -174,27 +172,24 @@ fn execute_batch(ctx: &WorkerContext, batch: Vec<HmvpJob>) {
     // All jobs in a batch share (key_id, matrix_id) by construction.
     let keys = Arc::clone(&live[0].keys);
     let matrix = Arc::clone(&live[0].matrix);
-    let inputs: Vec<Vec<_>> = live.iter().map(|j| j.cts.clone()).collect();
     // Clone the reply senders out *before* entering the unwind boundary:
     // whatever execution does, the replies survive to carry the outcome.
     let replies: Vec<_> = live.iter().map(|j| j.reply.clone()).collect();
-    // Batch prep (deadline partition, input/reply clones, injected batch
+    // Batch prep (deadline partition, reply clones, injected batch
     // delays) charges every live request equally.
     let prep_ns = u64::try_from(batch_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     for job in &live {
         job.trace.record(phase::BATCH, prep_ns);
     }
-    let traces: Vec<_> = live.iter().map(|j| Arc::clone(&j.trace)).collect();
-    let batch_threads = ctx.batch_threads;
     let hmvp = ctx.cache.hmvp();
     // Replies only go out once the whole batch has finished, so every
     // job's latency spans the full execution window. Snapshot what each
     // trace has attributed so far: the window time *not* spent in a
-    // job's own kernel phases is batching-induced wait (riding behind
-    // siblings on a saturated pool) and is charged to `batch` below —
-    // without it, coalesced requests lose their wait time and the
-    // phase-coverage invariant only holds on idle machines.
-    let recorded_before: Vec<u64> = traces.iter().map(|t| t.total_recorded_ns()).collect();
+    // job's own kernel phases is batching-induced wait (its siblings'
+    // turns in the loop) and is charged to `batch` below — without it,
+    // coalesced requests lose their wait time and the phase-coverage
+    // invariant fails for every batch of two or more.
+    let recorded_before: Vec<u64> = live.iter().map(|j| j.trace.total_recorded_ns()).collect();
     let exec_started = Instant::now();
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         if let Some(f) = faults {
@@ -203,34 +198,29 @@ fn execute_batch(ctx: &WorkerContext, batch: Vec<HmvpJob>) {
                 ctx.flight.record_event(
                     FlightEventKind::Fault,
                     "worker_panic",
-                    Some(traces[0].trace_id()),
+                    Some(live[0].trace.trace_id()),
                 );
                 panic!("injected worker panic");
             }
         }
-        // Mirrors `Hmvp::multiply_many`'s dispatch exactly, but installs
-        // each job's span recorder around its slice of the work so the
-        // kernel phase spans (encode/dot/keyswitch/rescale) attribute to
-        // the right request even when the batch fans out.
-        match inputs.len() {
-            1 => span::with_recorder(Arc::clone(&traces[0]), || {
-                hmvp.multiply_parallel(&matrix, &inputs[0], &keys, batch_threads)
-                    .map(|r| vec![r])
-            }),
-            _ => cham_pool::map_capped(&inputs, batch_threads, |i, cts| {
-                span::with_recorder(Arc::clone(&traces[i]), || {
-                    hmvp.multiply(&matrix, cts, &keys)
+        // Each job's span recorder is installed around its own multiply,
+        // so the kernel phase spans (encode/dot/keyswitch/rescale)
+        // attribute to the right request; the first failing input fails
+        // the batch.
+        live.iter()
+            .map(|job| {
+                span::with_recorder(Arc::clone(&job.trace), || {
+                    hmvp.multiply_parallel(&matrix, &job.cts, &keys, threads)
                 })
             })
-            .into_iter()
-            .collect(),
-        }
+            .collect::<Result<Vec<_>, _>>()
     }));
     let exec_ns = u64::try_from(exec_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     if outcome.is_ok() {
-        for (trace, before) in traces.iter().zip(&recorded_before) {
-            let own_ns = trace.total_recorded_ns().saturating_sub(*before);
-            trace.record(phase::BATCH, exec_ns.saturating_sub(own_ns));
+        for (job, before) in live.iter().zip(&recorded_before) {
+            let own_ns = job.trace.total_recorded_ns().saturating_sub(*before);
+            job.trace
+                .record(phase::BATCH, exec_ns.saturating_sub(own_ns));
         }
     }
     match outcome {
@@ -253,7 +243,7 @@ fn execute_batch(ctx: &WorkerContext, batch: Vec<HmvpJob>) {
             ctx.flight.record_event(
                 FlightEventKind::Panic,
                 message.clone(),
-                Some(traces[0].trace_id()),
+                Some(live[0].trace.trace_id()),
             );
             // A worker panic is exactly the moment the flight recorder
             // exists for: dump what the last requests were doing.

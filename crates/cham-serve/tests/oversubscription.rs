@@ -1,13 +1,12 @@
 //! Oversubscription stress test: kernel-pool threads > serve workers >
 //! physical cores, driven by more client connections than either.
 //!
-//! Before the shared pool, every `multiply_many` call spawned its own
-//! OS threads, so `workers × batch_threads` multiplied into the thread
-//! count under load. Now the workers all feed one fixed-size pool, so
-//! this configuration must (a) finish without deadlock — workers block
-//! on pool results while pool threads outnumber cores, (b) deliver
-//! every reply bit-correctly, and (c) keep the process's OS thread
-//! count bounded by configuration, not by request volume.
+//! The workers all feed one fixed-size pool (each request under a cap of
+//! pool threads / workers = 2 here), so this configuration must (a)
+//! finish without deadlock — workers block on pool results while pool
+//! threads outnumber cores, (b) deliver every reply bit-correctly, and
+//! (c) keep the process's OS thread count bounded by configuration, not
+//! by request volume.
 //!
 //! Lives in its own integration-test binary (one process) because it
 //! pins the global pool size with `configure_global`, which is
@@ -59,7 +58,6 @@ fn oversubscribed_pool_serves_every_request_with_bounded_threads() {
             workers: WORKERS,
             queue_capacity: 64,
             max_batch: 4,
-            batch_threads: 4,
             ..ServerConfig::default()
         },
     )

@@ -26,9 +26,9 @@
 //! name** (insertion-ordered, bounded), and [`SpanRecorder::finish`]
 //! lays the aggregated phases out *sequentially* on a cumulative
 //! timeline. The resulting [`RequestTrace`](crate::flight::RequestTrace)
-//! phases are monotonic and non-overlapping by construction; under
-//! serial per-request execution (the server default) their sum matches
-//! the real elapsed time.
+//! phases are monotonic and non-overlapping by construction, and their
+//! sum matches the real elapsed time: serially that is immediate, and a
+//! fan-out books its tasks' spans as wall time through [`fan_out`].
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -153,15 +153,20 @@ impl SpanRecorder {
 
     /// Folds `dur_ns` into the phase named `name`.
     pub fn record(&self, name: &'static str, dur_ns: u64) {
+        self.record_spans(name, dur_ns, 1);
+    }
+
+    /// Folds `count` spans totalling `dur_ns` into the phase named `name`.
+    fn record_spans(&self, name: &'static str, dur_ns: u64, count: u64) {
         let mut inner = self
             .inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if let Some(entry) = inner.phases.iter_mut().find(|(n, _, _)| *n == name) {
             entry.1 = entry.1.saturating_add(dur_ns);
-            entry.2 += 1;
+            entry.2 += count;
         } else if inner.phases.len() < MAX_PHASES {
-            inner.phases.push((name, dur_ns, 1));
+            inner.phases.push((name, dur_ns, count));
         } else {
             inner.overflow += 1;
         }
@@ -257,6 +262,34 @@ pub fn current_recorder() -> Option<Arc<SpanRecorder>> {
 #[must_use]
 pub fn propagate() -> Option<Arc<SpanRecorder>> {
     current_recorder()
+}
+
+/// Runs `f`, a fan-out whose tasks record spans side by side, so that the
+/// request's phases still sum to elapsed time: the tasks record into a
+/// scratch recorder (installed for `f`, so [`propagate`] hands *it* to
+/// them), and their per-phase sums are folded into the current recorder
+/// scaled by `elapsed / Σ task spans` whenever the tasks together recorded
+/// more than the fan-out took (`k` tasks in parallel record ≈ `k ×` the
+/// window). Spans that cover less than the window are folded as they are.
+/// Without a recorder installed this is `f()`.
+pub fn fan_out<R>(f: impl FnOnce() -> R) -> R {
+    let Some(request) = current_recorder() else {
+        return f();
+    };
+    let tasks = Arc::new(SpanRecorder::new(request.trace_id));
+    let started = Instant::now();
+    let out = with_recorder(Arc::clone(&tasks), f);
+    let wall = started.elapsed().as_nanos();
+    let recorded = u128::from(tasks.total_recorded_ns());
+    for span in tasks.finish() {
+        let dur_ns = if recorded > wall {
+            (u128::from(span.dur_ns) * wall / recorded) as u64
+        } else {
+            span.dur_ns
+        };
+        request.record_spans(span.name, dur_ns, span.count);
+    }
+    out
 }
 
 /// An RAII phase span: times from construction to drop and folds the
@@ -405,6 +438,38 @@ mod tests {
             let _s = Span::enter(phase::KEYSWITCH);
             std::hint::black_box(0u64);
         }
+    }
+
+    #[test]
+    fn fan_out_books_parallel_spans_as_wall_time() {
+        let rec = Arc::new(SpanRecorder::new(TraceId(6)));
+        let started = Instant::now();
+        with_recorder(Arc::clone(&rec), || {
+            // Two "tasks" that claim far more time than really passes —
+            // what k parallel workers do to a shared recorder.
+            fan_out(|| {
+                let tasks = propagate().expect("fan_out installs a recorder");
+                assert!(!Arc::ptr_eq(&tasks, &rec));
+                tasks.record(phase::DOT, 3_000_000_000_000);
+                tasks.record(phase::DOT, 3_000_000_000_000);
+                tasks.record(phase::KEYSWITCH, 2_000_000_000_000);
+            });
+            // Spans that fit inside the window are folded unscaled.
+            fan_out(|| {
+                current_recorder().unwrap().record(phase::ENCODE, 1);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            });
+        });
+        let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap();
+        assert!(rec.total_recorded_ns() <= elapsed);
+        let spans = rec.finish();
+        let by_name = |n| spans.iter().find(|s| s.name == n).unwrap();
+        let (dot, ks) = (by_name(phase::DOT), by_name(phase::KEYSWITCH));
+        assert_eq!((dot.count, ks.count), (2, 1));
+        assert!(dot.dur_ns > 0 && dot.dur_ns.abs_diff(3 * ks.dur_ns) <= 3);
+        assert_eq!(by_name(phase::ENCODE).dur_ns, 1);
+        // No recorder installed: a plain call.
+        assert_eq!(fan_out(|| 7), 7);
     }
 
     #[test]

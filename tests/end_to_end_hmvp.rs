@@ -195,7 +195,6 @@ const KAT_DIGESTS: [&[u64]; 3] = [
 enum KatEntry {
     Multiply,
     Parallel,
-    Many,
 }
 
 #[test]
@@ -219,27 +218,19 @@ fn golden_kat_pins_packed_ciphertext_bytes() {
             .collect();
         for threads in [1usize, 2, 4] {
             let pool = cham_pool::ThreadPool::new(threads);
-            for entry in [KatEntry::Multiply, KatEntry::Parallel, KatEntry::Many] {
+            for entry in [KatEntry::Multiply, KatEntry::Parallel] {
                 let results: Vec<_> = pool.install(|| {
                     cases
                         .iter()
-                        .flat_map(|(em, cts)| match entry {
-                            KatEntry::Multiply => vec![hmvp.multiply(em, cts, &gkeys).unwrap()],
+                        .map(|(em, cts)| match entry {
+                            KatEntry::Multiply => hmvp.multiply(em, cts, &gkeys).unwrap(),
                             KatEntry::Parallel => {
-                                vec![hmvp.multiply_parallel(em, cts, &gkeys, threads).unwrap()]
+                                hmvp.multiply_parallel(em, cts, &gkeys, threads).unwrap()
                             }
-                            KatEntry::Many => hmvp
-                                .multiply_many(em, &[cts.clone(), cts.clone()], &gkeys, threads)
-                                .unwrap(),
                         })
                         .collect()
                 });
-                // `Many` multiplies each input twice: both copies must pin.
-                let copies = results.len() / KAT_SHAPES.len();
-                let want: Vec<u64> = KAT_DIGESTS
-                    .iter()
-                    .flat_map(|per_shape| per_shape.repeat(copies))
-                    .collect();
+                let want = KAT_DIGESTS.concat();
                 let got: Vec<u64> = results
                     .iter()
                     .flat_map(|r| &r.packed)
