@@ -108,7 +108,6 @@ fn start_fleet(
         let config = ServerConfig {
             workers: 1,
             queue_capacity: 16,
-            max_batch: 2,
             shard: Some(ShardSpec::new(ring.clone(), i, epoch)),
             node_id: 0xA0 + u64::from(i),
             faults: faults.clone().filter(|_| i == FAULTED),
@@ -165,7 +164,6 @@ fn sharded_hmvp_is_bit_exact_vs_single_node() {
         &ServerConfig {
             workers: 1,
             queue_capacity: 8,
-            max_batch: 2,
             ..ServerConfig::default()
         },
     )
@@ -488,7 +486,6 @@ fn killed_replica_rejoins_and_repair_converges() {
         &ServerConfig {
             workers: 1,
             queue_capacity: 16,
-            max_batch: 2,
             shard: Some(ShardSpec::new(ring, victim, 1)),
             node_id: 0xA0 + u64::from(victim),
             ..ServerConfig::default()

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cham-serve [--addr HOST:PORT] [--params test|default|large]
-//!            [--workers N] [--queue N] [--max-batch N]
+//!            [--workers N] [--queue N]
 //!            [--key-cache N] [--matrix-cache N]
 //!            [--max-frame BYTES] [--faults SPEC] [--stats-every SECS]
 //!            [--flight N] [--flight-dump PATH]
@@ -106,7 +106,6 @@ fn parse_args() -> Result<Args, String> {
             "--params" => args.params = value("--params")?,
             "--workers" => args.config.workers = parse_num(&value("--workers")?)?,
             "--queue" => args.config.queue_capacity = parse_num(&value("--queue")?)?,
-            "--max-batch" => args.config.max_batch = parse_num(&value("--max-batch")?)?,
             "--key-cache" => args.config.key_cache = parse_num(&value("--key-cache")?)?,
             "--matrix-cache" => args.config.matrix_cache = parse_num(&value("--matrix-cache")?)?,
             "--max-frame" => args.config.max_frame_bytes = parse_num(&value("--max-frame")?)?,
@@ -155,7 +154,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: cham-serve [--addr HOST:PORT] [--params test|default|large] \
-                            [--workers N] [--queue N] [--max-batch N] \
+                            [--workers N] [--queue N] \
                             [--key-cache N] [--matrix-cache N] [--max-frame BYTES] \
                             [--faults SPEC] [--stats-every SECS] \
                             [--flight N] [--flight-dump PATH] \
@@ -285,8 +284,8 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "params={} workers={} queue={} max_batch={}",
-        args.params, args.config.workers, args.config.queue_capacity, args.config.max_batch
+        "params={} workers={} queue={}",
+        args.params, args.config.workers, args.config.queue_capacity
     );
 
     let every = args.stats_every.map(Duration::from_secs);
@@ -296,16 +295,13 @@ fn main() -> ExitCode {
             let s = server.stats();
             println!(
                 "accepted={} completed={} busy={} timed_out={} failed={} \
-                 internal={} batches={} avg_batch={:.2} peak_queue={} \
-                 faults_injected={}",
+                 internal={} peak_queue={} faults_injected={}",
                 s.accepted,
                 s.completed,
                 s.rejected_busy,
                 s.timed_out,
                 s.failed,
                 s.internal_errors,
-                s.batches,
-                s.avg_batch_size(),
                 s.peak_queue_depth,
                 s.faults_injected
             );

@@ -110,18 +110,12 @@ fn render(snap: &IntrospectSnapshot) {
         s.accepted, s.completed, s.rejected_busy, s.timed_out, s.failed, s.internal_errors
     );
     println!(
-        "batching  batches={} avg_batch={:.2} peak_queue={} faults_injected={}",
-        s.batches,
-        s.avg_batch_size(),
-        s.peak_queue_depth,
-        s.faults_injected
-    );
-    println!(
-        "occupancy queue={}/{} workers={} max_batch={} pool_threads={} pool_tasks={} pool_deque_steals={}",
+        "occupancy queue={}/{} peak_queue={} workers={} faults_injected={} pool_threads={} pool_tasks={} pool_deque_steals={}",
         snap.queue_depth,
         snap.queue_capacity,
+        s.peak_queue_depth,
         snap.workers,
-        snap.max_batch,
+        s.faults_injected,
         snap.pool_threads,
         snap.pool_tasks,
         snap.pool_steals

@@ -114,14 +114,13 @@ fn run(args: &Args) -> Result<(), String> {
     }
     let rs = client.stats();
     println!(
-        "smoke ok: {} requests, {}x{} matrix, server workers={} queue={} max_batch={} \
+        "smoke ok: {} requests, {}x{} matrix, server workers={} queue={} \
          (retries={} reconnects={} reuploads={} faults_recovered={})",
         args.requests,
         args.rows,
         args.cols,
         info.workers,
         info.queue_capacity,
-        info.max_batch,
         rs.retries,
         rs.reconnects,
         rs.reuploads,

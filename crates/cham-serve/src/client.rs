@@ -2,8 +2,8 @@
 //!
 //! One [`ServeClient`] wraps one TCP connection and issues one request at
 //! a time (the protocol is strictly request/response per connection).
-//! Open several clients from several threads to exercise the server's
-//! batching — that is exactly what the loopback integration tests do.
+//! Open several clients from several threads to run requests
+//! concurrently — that is exactly what the loopback integration tests do.
 //!
 //! Every socket operation is bounded by [`ClientConfig`] timeouts, so a
 //! dead or wedged server surfaces as a timely [`ServeError::Io`] instead
@@ -30,7 +30,7 @@ use std::time::Duration;
 /// Socket timeout policy for one client connection.
 ///
 /// The defaults are deliberately generous (connect 5 s, read/write 30 s):
-/// HMVP batches at production sizes take real compute time, and a read
+/// HMVPs at production sizes take real compute time, and a read
 /// timeout that fires mid-computation desyncs the stream for no benefit.
 /// `None` disables the corresponding timeout entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,12 +70,10 @@ pub struct ChunkUpload {
 /// Server shape reported in the hello exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerInfo {
-    /// Worker pool size.
+    /// Kernels the server runs at once.
     pub workers: u16,
-    /// Bounded queue capacity.
+    /// Bound on requests waiting to run.
     pub queue_capacity: u32,
-    /// Maximum coalesced batch size.
-    pub max_batch: u32,
     /// The server's cluster identity (`None` from a standalone server).
     pub cluster: Option<crate::shard::ClusterIdentity>,
 }
@@ -140,7 +138,6 @@ impl ServeClient {
             info: ServerInfo {
                 workers: 0,
                 queue_capacity: 0,
-                max_batch: 0,
                 cluster: None,
             },
         };
@@ -149,7 +146,7 @@ impl ServeClient {
         let Response::Hello {
             workers,
             queue_capacity,
-            max_batch,
+            max_batch: _,
             version,
             cluster,
         } = resp
@@ -162,7 +159,6 @@ impl ServeClient {
         client.info = ServerInfo {
             workers,
             queue_capacity,
-            max_batch,
             cluster,
         };
         Ok(client)
@@ -176,7 +172,7 @@ impl ServeClient {
 
     /// Health check: round-trips an empty `Ping` frame and returns the
     /// server's live counter snapshot. Cheap enough to poll — it touches
-    /// no cache and enqueues no work.
+    /// no cache and takes no permit.
     ///
     /// # Errors
     /// Transport errors.

@@ -14,10 +14,10 @@
 //! | [`Fault::CorruptFrame`] | wire | request body truncated → `BadFrame` reply, connection closed |
 //! | [`Fault::ConnReset`] | wire | connection dropped before the reply |
 //! | [`Fault::DelayedRead`] | wire | request processing delayed by a bounded sleep |
-//! | [`Fault::SpuriousBusy`] | scheduler | `Busy` despite queue capacity |
+//! | [`Fault::SpuriousBusy`] | gate | `Busy` despite room at the admission gate |
 //! | [`Fault::ForcedEviction`] | cache | key/matrix evicted mid-flight → `UnknownKey`/`UnknownMatrix` |
-//! | [`Fault::SlowBatch`] | worker | batch execution delayed by a bounded sleep |
-//! | [`Fault::WorkerPanic`] | worker | worker panics mid-batch → typed `Internal` reply |
+//! | [`Fault::SlowBatch`] | kernel | bounded delay while holding a permit (a straggler) |
+//! | [`Fault::WorkerPanic`] | kernel | panic inside the kernel call → typed `Internal` reply |
 //! | [`Fault::TornSnapshot`] | store | segment snapshot torn mid-write → recovery quarantines it |
 //!
 //! **Zero cost when disabled.** The server holds an
@@ -51,13 +51,14 @@ pub enum Fault {
     ConnReset,
     /// Sleep a bounded random delay before processing a request.
     DelayedRead,
-    /// Reject a submit with `Busy` despite available queue capacity.
+    /// Reject a request with `Busy` despite room at the admission gate.
     SpuriousBusy,
     /// Evict the referenced cache entry just before the lookup.
     ForcedEviction,
-    /// Sleep a bounded random delay before executing a batch.
+    /// Sleep a bounded random delay while holding a permit, before the
+    /// kernel call.
     SlowBatch,
-    /// Panic inside the worker mid-batch.
+    /// Panic inside the kernel call.
     WorkerPanic,
     /// Tear a persistent-store segment write mid-snapshot: the segment
     /// file is left truncated (header promising more payload than is on
@@ -131,13 +132,13 @@ pub struct FaultConfig {
     pub conn_reset: f64,
     /// Probability of delaying a request before processing.
     pub delayed_read: f64,
-    /// Probability of a spurious `Busy` per submit.
+    /// Probability of a spurious `Busy` per request.
     pub spurious_busy: f64,
     /// Probability of evicting the referenced entry per cache lookup.
     pub forced_eviction: f64,
-    /// Probability of delaying a batch before execution.
+    /// Probability of delaying a request while it holds a permit.
     pub slow_batch: f64,
-    /// Probability of a worker panic per batch.
+    /// Probability of a panic inside the kernel call per request.
     pub worker_panic: f64,
     /// Probability of tearing a store segment write per snapshot.
     pub torn_snapshot: f64,

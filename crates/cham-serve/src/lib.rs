@@ -1,4 +1,4 @@
-//! # cham-serve — the batched, multi-worker HMVP service layer
+//! # cham-serve — the HMVP service layer
 //!
 //! The paper's end-to-end claims (§V, Fig. 7) are about *serving*
 //! HMVP-heavy workloads — HeteroLR iterations and Beaver triple batches —
@@ -14,13 +14,12 @@
 //! * [`cache`] — a content-addressed session cache: Galois key sets and
 //!   NTT-form [`cham_he::hmvp::EncodedMatrix`] encodings are stored once
 //!   per distinct content hash with an LRU eviction bound,
-//! * [`scheduler`] — a bounded request queue with per-request deadlines;
-//!   queued requests against the same matrix coalesce into one batch, and
-//!   a full queue rejects with [`ServeError::Busy`] instead of growing,
-//! * [`worker`] — a fixed-size pool of `std::thread` workers with graceful
-//!   shutdown; a batch is a loop of `Hmvp::multiply_parallel` calls on the
-//!   worker that dequeued it,
-//! * [`server`] / [`client`] — the blocking TCP server and client library,
+//! * [`gate`] — the admission gate: `workers` permits in front of a
+//!   bounded FIFO line of waiters with per-request deadlines; a full line
+//!   rejects with [`ServeError::Busy`] instead of growing,
+//! * [`server`] / [`client`] — the blocking TCP server (a request's
+//!   `Hmvp::multiply_parallel` runs on the connection thread that read it,
+//!   holding a permit) and client library,
 //! * [`retry`] — a resilient client wrapper: bounded exponential backoff
 //!   with deterministic jitter, reconnect-and-re-handshake on transport
 //!   faults, automatic re-upload of evicted keys/matrices, and a total
@@ -38,21 +37,21 @@
 //!
 //! Every request is traced end to end: clients stamp a
 //! `cham_telemetry::span::TraceId` into the `Hmvp` frame, the server
-//! propagates it through queue → batch → kernel phases → serialization
+//! propagates it through permit wait → kernel phases → serialization
 //! via a [`cham_telemetry::span::SpanRecorder`], and the completed
 //! breakdown lands in both the per-phase histograms (`Introspect`) and
 //! the bounded [`cham_telemetry::flight::FlightRecorder`] ring
 //! (`FlightDump`, Perfetto-loadable JSON).
 //!
 //! ```text
-//!   clients ──TCP──▶ conn threads ──▶ bounded queue ──▶ worker pool
-//!                        │                (Busy when full,   │
-//!                        │                 TimedOut on       ▼
-//!                        │                 expiry)   multiply_parallel
-//!                        ◀───────────── mpsc reply ──────────┘
+//!   clients ──TCP──▶ conn thread ──▶ gate.acquire ──▶ multiply_parallel
+//!      ◀──── reply ────── (same       (`workers` permits;   (on the conn
+//!                          thread)     Busy when the line    thread, under
+//!                                      is full, TimedOut     the permit)
+//!                                      at the deadline)
 //! ```
 //!
-//! See `DESIGN.md` § Serving for the frame layout and scheduling policy,
+//! See `DESIGN.md` § Serving for the frame layout and admission policy,
 //! and `README.md` § Serving for a quick-start.
 
 #![warn(missing_docs)]
@@ -60,14 +59,13 @@
 pub mod cache;
 pub mod client;
 pub mod faults;
+pub mod gate;
 pub mod protocol;
 pub mod retry;
-pub mod scheduler;
 pub mod server;
 pub mod shard;
 pub mod stats;
 pub mod store;
-pub mod worker;
 
 use std::error::Error;
 use std::fmt;
@@ -75,8 +73,8 @@ use std::fmt;
 pub use cache::SessionCache;
 pub use client::{ChunkUpload, ClientConfig, ServeClient, ServerInfo};
 pub use faults::{Fault, FaultConfig, FaultInjector};
+pub use gate::{Gate, Permit};
 pub use retry::{Endpoints, RetryClient, RetryPolicy, RetryStatsSnapshot};
-pub use scheduler::Scheduler;
 pub use server::{Server, ServerConfig};
 pub use shard::{ClusterIdentity, HashRing, ShardSpec};
 pub use stats::{IntrospectSnapshot, PhaseHistograms, PhaseStat, ServeStats, StatsSnapshot};
@@ -86,9 +84,10 @@ pub use store::{SegmentStore, StoreStats};
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum ServeError {
-    /// The request queue is full; retry later (explicit backpressure).
+    /// The line of requests waiting to run is full; retry later (explicit
+    /// backpressure).
     Busy,
-    /// The request's deadline expired before a worker could run it.
+    /// The request's deadline passed before it could run.
     TimedOut,
     /// A frame or payload failed to parse.
     BadFrame(&'static str),
@@ -124,8 +123,8 @@ pub enum ServeError {
         /// the whole reassembled body mismatched at commit.
         index: u32,
     },
-    /// The server failed internally — a worker panic or a dead worker
-    /// pool. The request may be retried; the input was never at fault.
+    /// The server failed internally — a panic caught around the kernel.
+    /// The request may be retried; the input was never at fault.
     Internal(String),
     /// An HE-layer failure while executing the request.
     He(cham_he::HeError),

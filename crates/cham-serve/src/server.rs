@@ -1,21 +1,22 @@
 //! The blocking TCP server.
 //!
-//! One accept thread, one thread per connection, and the shared
-//! [`Scheduler`] + [`WorkerPool`] behind them. Connection threads parse
-//! frames, resolve cache handles, and block on the job's `mpsc` reply —
-//! so a connection issues one HMVP at a time, and concurrency comes from
-//! multiple connections (which is what lets the scheduler coalesce).
+//! One accept thread and one thread per connection; there are no others.
+//! A connection thread parses a frame, resolves its cache handles, and
+//! runs the request's multiply itself while holding a permit of the
+//! shared admission [`Gate`] — so a connection issues one HMVP at a time,
+//! concurrency comes from multiple connections, and at most `workers`
+//! kernels run at once.
 //!
 //! Shutdown order matters and is encoded in [`Server::shutdown`]:
 //! 1. flip the shutdown flag (connection threads stop reading new work
 //!    and briefly drain late arrivals with typed `Shutdown` errors),
 //! 2. self-connect to wake the blocking `accept`, join the accept thread,
-//! 3. join connection threads (in-flight replies still delivered),
-//! 4. drain the scheduler and join the workers.
+//! 3. join connection threads — a request already past the gate's `Busy`
+//!    check, running or waiting for a permit, completes and is answered.
 //!
 //! **Failure posture.** Every way a request can go wrong maps to a typed
-//! `Error` frame, never a silent hang: worker panics become `Internal`
-//! (caught in [`crate::worker`]), a dead worker pool becomes `Internal`,
+//! `Error` frame, never a silent hang: a panic inside the kernel call
+//! becomes `Internal` (caught on the connection thread, which survives),
 //! oversized frames and malformed bodies become `BadFrame` (followed by a
 //! connection close, since framing may be desynced), and requests racing
 //! shutdown get `Shutdown` during a bounded grace window instead of a
@@ -25,12 +26,11 @@
 
 use crate::cache::{content_hash, SessionCache};
 use crate::faults::{Fault, FaultInjector};
+use crate::gate::Gate;
 use crate::protocol::{self, FrameKind, Hello, Response};
-use crate::scheduler::{HmvpJob, Scheduler};
 use crate::shard::{ClusterIdentity, ShardSpec};
 use crate::stats::{IntrospectSnapshot, PhaseHistograms, ServeStats, StatsSnapshot};
 use crate::store::SegmentStore;
-use crate::worker::{WorkerContext, WorkerPool};
 use crate::{Result, ServeError};
 use cham_he::params::ChamParams;
 use cham_telemetry::flight::{FlightEventKind, FlightRecorder, RequestTrace};
@@ -38,9 +38,10 @@ use cham_telemetry::span::{self, phase, SpanRecorder, TraceId};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,17 +56,16 @@ struct ChunkAssembly {
     touched: Instant,
 }
 
-/// Serving shape: pool size, queue bound, batching and cache limits.
+/// Serving shape: concurrent kernels, waiter bound and cache limits.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing batches. A batch is a loop on the worker
-    /// that dequeued it, and each request in it may fan its tiles and rows
-    /// out into at most `max(1, kernel-pool threads / workers)` pool tasks.
+    /// Kernels that may run at once — the admission gate's permits. A
+    /// request runs on the connection thread that read it and may fan its
+    /// tiles and rows out into at most
+    /// `max(1, kernel-pool threads / workers)` pool tasks.
     pub workers: usize,
-    /// Bounded queue capacity (requests beyond it get `Busy`).
+    /// Bound on requests waiting for a permit (one more gets `Busy`).
     pub queue_capacity: usize,
-    /// Maximum requests coalesced into one batch.
-    pub max_batch: usize,
     /// LRU bound on cached Galois key sets.
     pub key_cache: usize,
     /// LRU bound on cached NTT-form matrices.
@@ -121,7 +121,6 @@ impl Default for ServerConfig {
         Self {
             workers: 2,
             queue_capacity: 64,
-            max_batch: 8,
             key_cache: 4,
             matrix_cache: 8,
             max_frame_bytes: protocol::MAX_FRAME_BYTES,
@@ -139,12 +138,19 @@ impl Default for ServerConfig {
     }
 }
 
-/// Everything connection threads share: caches, scheduler, counters, the
-/// phase histograms, the flight recorder, and the config that shaped
-/// them. One `Arc<ServerShared>` per server, cloned per connection.
+/// Everything connection threads share: caches, the admission gate,
+/// counters, the phase histograms, the flight recorder, and the config
+/// that shaped them. One `Arc<ServerShared>` per server, cloned per
+/// connection.
 struct ServerShared {
     cache: Arc<SessionCache>,
-    scheduler: Arc<Scheduler>,
+    gate: Arc<Gate>,
+    /// Cap on one request's own tile/row fan-out:
+    /// `max(1, pool threads / workers)` — 1 (fully inline, the connection
+    /// thread *is* the kernel thread) whenever `workers` already covers
+    /// the process-wide `cham-pool`, so kernel concurrency never exceeds
+    /// workers + pool threads.
+    kernel_threads: usize,
     stats: Arc<ServeStats>,
     phases: Arc<PhaseHistograms>,
     flight: Arc<FlightRecorder>,
@@ -155,7 +161,7 @@ struct ServerShared {
 }
 
 impl ServerShared {
-    /// The counters `Pong` serves: the scheduler-side [`ServeStats`] plus
+    /// The counters `Pong` serves: the request-path [`ServeStats`] plus
     /// the store errors the cache swallowed.
     fn stats(&self) -> StatsSnapshot {
         StatsSnapshot {
@@ -174,10 +180,9 @@ impl ServerShared {
         let (simd_vector_elems, simd_tail_elems) = simd.totals();
         IntrospectSnapshot {
             stats: self.stats(),
-            queue_depth: self.scheduler.queue_len() as u32,
-            queue_capacity: self.scheduler.capacity() as u32,
+            queue_depth: self.gate.waiting() as u32,
+            queue_capacity: self.config.queue_capacity as u32,
             workers: self.config.workers as u32,
-            max_batch: self.scheduler.max_batch() as u32,
             key_cache_len: key_cache_len as u32,
             matrix_cache_len: matrix_cache_len as u32,
             pool_threads: pool.as_ref().map_or(0, |p| p.threads as u32),
@@ -215,6 +220,19 @@ impl ServerShared {
         })
     }
 
+    /// A fault site: `fault`'s draw when an injector is armed. A firing is
+    /// booked and put on the flight timeline here, and the injector comes
+    /// back for the sites that also draw a delay.
+    fn inject(&self, fault: Fault, trace_id: Option<TraceId>) -> Option<&FaultInjector> {
+        let fired = self.config.faults.as_deref().filter(|f| f.should(fault));
+        if fired.is_some() {
+            self.stats.on_fault_injected();
+            self.flight
+                .record_event(FlightEventKind::Fault, fault.name(), trace_id);
+        }
+        fired
+    }
+
     /// Rejects a content hash this shard does not own.
     fn check_owned(&self, id: u64) -> Result<()> {
         match &self.config.shard {
@@ -235,12 +253,11 @@ pub struct Server {
     shared: Arc<ServerShared>,
     accept_handle: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    pool: Option<WorkerPool>,
 }
 
 impl Server {
     /// Binds `addr` (use `"127.0.0.1:0"` for an ephemeral port), spawns
-    /// the worker pool and accept thread, and returns the handle.
+    /// the accept thread, and returns the handle.
     ///
     /// # Errors
     /// Bind failures.
@@ -250,11 +267,11 @@ impl Server {
         let stats = Arc::new(ServeStats::new());
         let phases = Arc::new(PhaseHistograms::new());
         let flight = Arc::new(FlightRecorder::new(config.flight_capacity));
-        let scheduler = Arc::new(
-            Scheduler::new(config.queue_capacity, config.max_batch, Arc::clone(&stats))
-                .with_faults(config.faults.clone())
-                .with_flight(Some(Arc::clone(&flight))),
-        );
+        let gate = Arc::new(Gate::new(
+            config.workers,
+            config.queue_capacity,
+            Arc::clone(&stats),
+        ));
         let store = match &config.store_dir {
             Some(dir) => Some(Arc::new(
                 SegmentStore::open(dir, config.store_cap_bytes)?.with_faults(config.faults.clone()),
@@ -266,20 +283,12 @@ impl Server {
                 .with_telemetry(Some(Arc::clone(&phases)), Some(Arc::clone(&flight)))
                 .with_store(store),
         );
-        let pool = WorkerPool::spawn(
-            Arc::clone(&scheduler),
-            config.workers,
-            WorkerContext {
-                cache: Arc::clone(&cache),
-                stats: Arc::clone(&stats),
-                faults: config.faults.clone(),
-                flight: Arc::clone(&flight),
-                dump_path: config.flight_dump_path.clone().map(Arc::new),
-            },
-        );
         let shared = Arc::new(ServerShared {
             cache,
-            scheduler,
+            gate,
+            // Connection threads are plain threads, so the pool their
+            // kernels resolve is the global one.
+            kernel_threads: (cham_pool::global().threads() / config.workers).max(1),
             stats,
             phases,
             flight,
@@ -307,7 +316,14 @@ impl Server {
                                 let _ = handle_connection(stream, &shared);
                             })
                             .expect("spawn connection thread");
-                        conns.lock().expect("conn list poisoned").push(handle);
+                        // Reap the connections that have ended, so the
+                        // list (and the stacks unjoined threads keep
+                        // mapped) is bounded by the live ones.
+                        let mut conns = conns.lock().expect("conn list poisoned");
+                        for ended in conns.extract_if(.., |h| h.is_finished()) {
+                            let _ = ended.join();
+                        }
+                        conns.push(handle);
                     }
                 })
                 .expect("spawn accept thread")
@@ -318,7 +334,6 @@ impl Server {
             shared,
             accept_handle: Some(accept_handle),
             conns,
-            pool: Some(pool),
         })
     }
 
@@ -359,15 +374,17 @@ impl Server {
         &self.shared.cache
     }
 
-    /// The shared scheduler (for in-process serving and tests).
+    /// The admission gate. A test that holds a permit decides exactly
+    /// when the server has room to run a request.
     #[must_use]
-    pub fn scheduler(&self) -> &Arc<Scheduler> {
-        &self.shared.scheduler
+    pub fn gate(&self) -> &Arc<Gate> {
+        &self.shared.gate
     }
 
     /// Gracefully stops the server: refuses new work (with typed
-    /// `Shutdown` errors during a bounded grace window), drains queued
-    /// requests, joins every thread, and returns the final counters.
+    /// `Shutdown` errors during a bounded grace window), lets admitted
+    /// requests finish, joins every thread, and returns the final
+    /// counters.
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Wake the blocking accept() so the accept thread sees the flag.
@@ -379,11 +396,7 @@ impl Server {
         for h in conns {
             let _ = h.join();
         }
-        self.shared.scheduler.shutdown();
-        if let Some(pool) = self.pool.take() {
-            pool.join();
-        }
-        // The last thing workers will ever have recorded is now in the
+        // The last thing a request will ever have recorded is now in the
         // ring — stamp the shutdown and persist the timeline if asked.
         self.shared
             .flight
@@ -447,6 +460,10 @@ fn read_frame_interruptible(
     let mut body = vec![0u8; len - 1];
     stream.read_exact(&mut body)?;
     Ok(ReadOutcome::Frame(kind, body))
+}
+
+fn elapsed_ns(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 fn send_error(stream: &mut TcpStream, e: &ServeError) -> Result<()> {
@@ -529,7 +546,6 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
     stream.set_nodelay(true)?;
     let config = &shared.config;
     let stats = &shared.stats;
-    let faults = config.faults.as_deref();
     loop {
         let (kind, mut body) =
             match read_frame_interruptible(&mut stream, &shared.shutdown, config.max_frame_bytes) {
@@ -555,51 +571,31 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
                     return Err(e);
                 }
             };
-        if let Some(f) = faults {
-            if f.should(Fault::DelayedRead) {
-                stats.on_fault_injected();
-                shared
-                    .flight
-                    .record_event(FlightEventKind::Fault, "delayed_read", None);
-                std::thread::sleep(f.delay());
-            }
-            if !body.is_empty() && f.should(Fault::CorruptFrame) {
-                stats.on_fault_injected();
-                shared
-                    .flight
-                    .record_event(FlightEventKind::Fault, "corrupt_frame", None);
-                body.truncate(body.len() - 1);
-            }
+        if let Some(f) = shared.inject(Fault::DelayedRead, None) {
+            std::thread::sleep(f.delay());
+        }
+        if !body.is_empty() && shared.inject(Fault::CorruptFrame, None).is_some() {
+            body.truncate(body.len() - 1);
         }
         match handle_frame(kind, &body, shared) {
             Ok(outcome) => {
                 let trace_id = outcome.trace.as_ref().map(|(rec, _, _)| rec.trace_id());
-                if let Some(f) = faults {
-                    if f.should(Fault::ConnReset) {
-                        stats.on_fault_injected();
-                        shared
-                            .flight
-                            .record_event(FlightEventKind::Fault, "conn_reset", trace_id);
-                        let _ = stream.shutdown(NetShutdown::Both);
-                        return Ok(());
-                    }
-                    if f.should(Fault::TornWrite) {
-                        stats.on_fault_injected();
-                        shared
-                            .flight
-                            .record_event(FlightEventKind::Fault, "torn_write", trace_id);
-                        let resp = outcome.response.to_bytes();
-                        let mut wire = Vec::with_capacity(5 + resp.len());
-                        wire.extend_from_slice(&((resp.len() + 1) as u32).to_le_bytes());
-                        wire.push(FrameKind::Result as u8);
-                        wire.extend_from_slice(&resp);
-                        let _ = stream.write_all(&wire[..wire.len() / 2]);
-                        let _ = stream.flush();
-                        let _ = stream.shutdown(NetShutdown::Both);
-                        return Ok(());
-                    }
+                if shared.inject(Fault::ConnReset, trace_id).is_some() {
+                    let _ = stream.shutdown(NetShutdown::Both);
+                    return Ok(());
                 }
-                match outcome.trace {
+                if shared.inject(Fault::TornWrite, trace_id).is_some() {
+                    let resp = outcome.response.to_bytes();
+                    let mut wire = Vec::with_capacity(5 + resp.len());
+                    wire.extend_from_slice(&((resp.len() + 1) as u32).to_le_bytes());
+                    wire.push(FrameKind::Result as u8);
+                    wire.extend_from_slice(&resp);
+                    let _ = stream.write_all(&wire[..wire.len() / 2]);
+                    let _ = stream.flush();
+                    let _ = stream.shutdown(NetShutdown::Both);
+                    return Ok(());
+                }
+                let parts = match outcome.trace {
                     Some((rec, started, start_ns)) => {
                         // Serialize the reply under the last attributed
                         // phase and close out the trace *before* the
@@ -612,8 +608,7 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
                             let _sp = span::Span::enter(phase::SERIALIZE);
                             outcome.response.to_parts()
                         });
-                        let total_ns =
-                            u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                        let total_ns = elapsed_ns(started);
                         let spans = rec.finish();
                         shared.phases.record_request(&spans, total_ns);
                         shared.flight.record_trace(RequestTrace {
@@ -622,18 +617,15 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
                             total_ns,
                             phases: spans,
                         });
-                        // Scatter-gather write: ciphertext payloads go to
-                        // the socket from where they already are instead
-                        // of through one contiguous staging copy.
-                        let slices: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
-                        protocol::write_frame_vectored(&mut stream, FrameKind::Result, &slices)?;
+                        parts
                     }
-                    None => {
-                        let parts = outcome.response.to_parts();
-                        let slices: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
-                        protocol::write_frame_vectored(&mut stream, FrameKind::Result, &slices)?;
-                    }
-                }
+                    None => outcome.response.to_parts(),
+                };
+                // Scatter-gather write: ciphertext payloads go to the
+                // socket from where they already are instead of through
+                // one contiguous staging copy.
+                let slices: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+                protocol::write_frame_vectored(&mut stream, FrameKind::Result, &slices)?;
             }
             Err(e) => {
                 send_error(&mut stream, &e)?;
@@ -647,10 +639,20 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
     }
 }
 
-/// Dispatches one request frame to the cache/scheduler.
+/// Renders a `catch_unwind` payload into the message clients see.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        format!("worker panicked: {s}")
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        format!("worker panicked: {s}")
+    } else {
+        "worker panicked".to_string()
+    }
+}
+
+/// Serves one request frame — for `Hmvp`, the whole request path.
 fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<FrameOutcome> {
     let cache = &shared.cache;
-    let scheduler = &shared.scheduler;
     let stats = &shared.stats;
     let config = &shared.config;
     match kind {
@@ -658,8 +660,10 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
             Hello::from_bytes(body)?.check(cache.params())?;
             Ok(FrameOutcome::plain(Response::Hello {
                 workers: config.workers as u16,
-                queue_capacity: scheduler.capacity() as u32,
-                max_batch: scheduler.max_batch() as u32,
+                queue_capacity: config.queue_capacity as u32,
+                // Requests are not coalesced; the word leaves the frame
+                // with the next wire revision.
+                max_batch: 1,
                 version: protocol::PROTOCOL_VERSION,
                 cluster: shared.cluster_identity(),
             }))
@@ -702,20 +706,13 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
             let trace = Arc::new(SpanRecorder::new(trace_id));
             let started = Instant::now();
             let start_ns = shared.flight.now_ns();
-            if let Some(f) = config.faults.as_deref() {
+            let inject = |fault| shared.inject(fault, Some(trace_id));
+            if inject(Fault::ForcedEviction).is_some() {
                 // Evict the referenced entries just before the lookup —
                 // the client must recover via re-upload (idempotent
                 // thanks to content addressing).
-                if f.should(Fault::ForcedEviction) {
-                    stats.on_fault_injected();
-                    shared.flight.record_event(
-                        FlightEventKind::Fault,
-                        "forced_eviction",
-                        Some(trace_id),
-                    );
-                    let _ = cache.evict_keys(req.key_id);
-                    let _ = cache.evict_matrix(req.matrix_id);
-                }
+                let _ = cache.evict_keys(req.key_id);
+                let _ = cache.evict_matrix(req.matrix_id);
             }
             let keys = cache.get_keys(req.key_id)?;
             let matrix = cache.get_matrix(req.matrix_id)?;
@@ -724,43 +721,72 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
                     "ciphertext count does not match the matrix's column tiles",
                 ));
             }
-            let deadline = if req.deadline_ms == protocol::DEADLINE_NONE {
-                None
-            } else {
-                Some(Instant::now() + Duration::from_millis(u64::from(req.deadline_ms)))
-            };
-            let (tx, rx) = mpsc::channel();
-            scheduler.submit(HmvpJob {
-                key_id: req.key_id,
-                matrix_id: req.matrix_id,
-                keys,
-                matrix,
-                cts: req.cts,
-                deadline,
-                enqueued: Instant::now(),
-                trace: Arc::clone(&trace),
-                reply: tx,
-            })?;
-            // The worker always replies (success, HE failure, TimedOut,
-            // or Internal on a caught panic); a disconnected channel
-            // means the pool itself died — also a typed Internal, so the
-            // client can retry elsewhere instead of diagnosing a hang.
+            // Measured from when the frame was decoded: a lookup that sat
+            // behind a disk restore has already spent the client's time.
+            let deadline = (req.deadline_ms != protocol::DEADLINE_NONE)
+                .then(|| started + Duration::from_millis(u64::from(req.deadline_ms)));
+            if inject(Fault::SpuriousBusy).is_some() {
+                stats.on_rejected_busy();
+                return Err(ServeError::Busy);
+            }
+            let entered = Instant::now();
+            let permit = shared.gate.acquire(deadline)?;
+            if let Some(f) = inject(Fault::SlowBatch) {
+                // A straggler: the delay is spent holding the permit.
+                std::thread::sleep(f.delay());
+            }
+            // No span can cover a wait, so it goes straight into the
+            // recorder.
+            trace.record(phase::QUEUE, elapsed_ns(entered));
             let recorded_before = trace.total_recorded_ns();
-            let recv_started = Instant::now();
-            let result = rx.recv().map_err(|_| {
-                stats.on_internal_error(1);
-                ServeError::Internal("worker pool terminated".into())
-            });
-            // Everything the scheduler and worker attributed (queue,
-            // batch, kernel phases) happened inside this recv block; the
-            // residual is reply handoff — the worker's send racing this
-            // thread's wakeup — and charges to `serialize`, the reply
-            // path, so phase coverage holds on saturated machines where
-            // wakeup latency is real.
-            let recv_ns = u64::try_from(recv_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let attributed = trace.total_recorded_ns().saturating_sub(recorded_before);
-            trace.record(phase::SERIALIZE, recv_ns.saturating_sub(attributed));
-            let result = result??;
+            let kernel_started = Instant::now();
+            // The unwind boundary: whatever the kernel does, this thread
+            // survives to give the permit back and answer the client.
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                if inject(Fault::WorkerPanic).is_some() {
+                    panic!("injected worker panic");
+                }
+                span::with_recorder(Arc::clone(&trace), || {
+                    cache
+                        .hmvp()
+                        .multiply_parallel(&matrix, &req.cts, &keys, shared.kernel_threads)
+                })
+            }));
+            drop(permit);
+            // What no kernel span covers of the permit-held window: pool
+            // dispatch and join when the request fans out, result
+            // assembly. Booked so the phases still sum to end-to-end.
+            let own_ns = trace.total_recorded_ns().saturating_sub(recorded_before);
+            trace.record(
+                phase::DISPATCH,
+                elapsed_ns(kernel_started).saturating_sub(own_ns),
+            );
+            let result = match outcome {
+                Ok(Ok(result)) => {
+                    stats.on_completed(1);
+                    result
+                }
+                Ok(Err(e)) => {
+                    stats.on_failed(1);
+                    return Err(ServeError::He(e));
+                }
+                Err(payload) => {
+                    let message = panic_message(payload.as_ref());
+                    stats.on_internal_error(1);
+                    shared.flight.record_event(
+                        FlightEventKind::Panic,
+                        message.clone(),
+                        Some(trace_id),
+                    );
+                    // A caught panic is exactly the moment the flight
+                    // recorder exists for: dump what the last requests
+                    // were doing.
+                    if let Some(path) = &config.flight_dump_path {
+                        let _ = shared.flight.dump_to(path);
+                    }
+                    return Err(ServeError::Internal(message));
+                }
+            };
             Ok(FrameOutcome {
                 response: Response::HmvpDone {
                     len: result.len as u64,
@@ -969,5 +995,40 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
         FrameKind::Result | FrameKind::Error => {
             Err(ServeError::BadFrame("response frame sent to server"))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::ServeClient;
+
+    /// The accept loop joins the connections that have ended, so a peer
+    /// that connects and leaves (a health probe does, every interval)
+    /// costs nothing once it is gone.
+    #[test]
+    fn ended_connections_are_reaped() {
+        let params = Arc::new(ChamParams::insecure_test_default().unwrap());
+        let server = Server::start("127.0.0.1:0", Arc::clone(&params), &ServerConfig::default())
+            .expect("bind loopback");
+        let cycle = || {
+            drop(ServeClient::connect(
+                server.local_addr(),
+                Arc::clone(&params),
+            ))
+        };
+        for _ in 0..64 {
+            cycle();
+        }
+        // A connection's thread ends a moment after its peer hangs up and
+        // is joined at the next accept: keep knocking until the list has
+        // caught up. Without the reaping it only grows.
+        let retained = || server.conns.lock().unwrap().len();
+        let give_up = Instant::now() + Duration::from_secs(20);
+        while retained() > 4 && Instant::now() < give_up {
+            cycle();
+        }
+        assert!(retained() <= 4, "{} handles retained", retained());
+        server.shutdown();
     }
 }

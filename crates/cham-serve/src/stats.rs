@@ -1,11 +1,11 @@
 //! Per-instance service counters and per-phase latency accounting.
 //!
-//! The scheduler and worker pool record what the service actually did —
-//! accepted/rejected/expired requests, batches, queue depth — into plain
-//! relaxed atomics owned by one server instance. Several servers share a
-//! test process and `Pong`/`Introspect` answer per node, so this struct
-//! is the one record of those events: nothing in this crate books into
-//! the process-wide `cham-telemetry` registries.
+//! The admission gate and the request path record what the service
+//! actually did — accepted/rejected/expired requests, how many waited for
+//! a permit — into plain relaxed atomics owned by one server instance.
+//! Several servers share a test process and `Pong`/`Introspect` answer
+//! per node, so this struct is the one record of those events: nothing in
+//! this crate books into the process-wide `cham-telemetry` registries.
 //!
 //! [`PhaseHistograms`] does the same for latency: one [`LiveHistogram`]
 //! per request phase (plus end-to-end and matrix-encode), folded from
@@ -66,8 +66,6 @@ pub struct ServeStats {
     timed_out: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
-    batches: AtomicU64,
-    batch_requests: AtomicU64,
     peak_queue_depth: AtomicU64,
     internal_errors: AtomicU64,
     rejected_shutdown: AtomicU64,
@@ -82,20 +80,21 @@ impl ServeStats {
         Self::default()
     }
 
-    /// A request entered the queue; `depth` is the queue depth after the
-    /// push (tracked as a high-water mark).
+    /// A request got past the gate's `Busy` check; `depth` is how many
+    /// requests now wait for a permit, this one included — 0 when it was
+    /// granted one on arrival (tracked as a high-water mark).
     pub fn on_accepted(&self, depth: usize) {
         self.accepted.fetch_add(1, Ordering::Relaxed);
         self.peak_queue_depth
             .fetch_max(depth as u64, Ordering::Relaxed);
     }
 
-    /// A request bounced off a full queue.
+    /// A request bounced off a full line of waiters.
     pub fn on_rejected_busy(&self) {
         self.rejected_busy.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A request's deadline expired before execution.
+    /// A request's deadline passed before it held a permit.
     pub fn on_timed_out(&self) {
         self.timed_out.fetch_add(1, Ordering::Relaxed);
     }
@@ -110,15 +109,8 @@ impl ServeStats {
         self.failed.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    /// One coalesced batch of `size` requests was dispatched.
-    pub fn on_batch(&self, size: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_requests
-            .fetch_add(size as u64, Ordering::Relaxed);
-    }
-
-    /// `n` requests were answered with a typed `Internal` error (worker
-    /// panic or dead pool) instead of hanging their connections.
+    /// `n` requests were answered with a typed `Internal` error (a panic
+    /// caught around the kernel) instead of hanging their connections.
     pub fn on_internal_error(&self, n: usize) {
         self.internal_errors.fetch_add(n as u64, Ordering::Relaxed);
     }
@@ -147,8 +139,6 @@ impl ServeStats {
             timed_out: self.timed_out.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batch_requests: self.batch_requests.load(Ordering::Relaxed),
             peak_queue_depth: self.peak_queue_depth.load(Ordering::Relaxed),
             internal_errors: self.internal_errors.load(Ordering::Relaxed),
             rejected_shutdown: self.rejected_shutdown.load(Ordering::Relaxed),
@@ -165,23 +155,20 @@ impl ServeStats {
 /// Frozen view of [`ServeStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
-    /// Requests admitted to the queue.
+    /// Requests past the gate's `Busy` check.
     pub accepted: u64,
-    /// Requests rejected with `Busy` (queue full).
+    /// Requests rejected with `Busy` (line of waiters full).
     pub rejected_busy: u64,
-    /// Requests dropped with `TimedOut` (deadline expired in queue).
+    /// Requests answered `TimedOut` (deadline passed before a permit).
     pub timed_out: u64,
     /// Requests that produced a result.
     pub completed: u64,
     /// Requests that failed in the HE layer.
     pub failed: u64,
-    /// Coalesced batches dispatched to the worker pool.
-    pub batches: u64,
-    /// Total requests across all dispatched batches.
-    pub batch_requests: u64,
-    /// High-water mark of the queue depth.
+    /// High-water mark of requests waiting for a permit at once; one
+    /// granted on arrival never waited and counts 0.
     pub peak_queue_depth: u64,
-    /// Requests answered with a typed `Internal` error (worker panics
+    /// Requests answered with a typed `Internal` error (kernel panics
     /// caught and reported rather than hanging the connection).
     pub internal_errors: u64,
     /// Requests answered `Shutdown` because they arrived mid-drain.
@@ -209,8 +196,6 @@ impl StatsSnapshot {
         timed_out,
         completed,
         failed,
-        batches,
-        batch_requests,
         peak_queue_depth,
         internal_errors,
         rejected_shutdown,
@@ -231,13 +216,15 @@ impl StatsSnapshot {
         Field::write_one(Self::FIELDS, self, name, value)
     }
 
-    /// Mean requests per dispatched batch (0 when no batch ran).
+    /// Requests are not coalesced: 1 once any request ran. Kept only
+    /// because `bench/` compiles against it (ROADMAP, `[benchmark]` item).
+    #[doc(hidden)]
     #[must_use]
     pub fn avg_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
+        if self.completed + self.failed > 0 {
+            1.0
         } else {
-            self.batch_requests as f64 / self.batches as f64
+            0.0
         }
     }
 }
@@ -253,7 +240,7 @@ impl StatsSnapshot {
 #[derive(Debug, Default)]
 pub struct PhaseHistograms {
     queue: LiveHistogram,
-    batch: LiveHistogram,
+    dispatch: LiveHistogram,
     encode: LiveHistogram,
     dot: LiveHistogram,
     keyswitch: LiveHistogram,
@@ -279,7 +266,7 @@ impl PhaseHistograms {
     fn by_name(&self, name: &str) -> Option<&LiveHistogram> {
         match name {
             phase::QUEUE => Some(&self.queue),
-            phase::BATCH => Some(&self.batch),
+            phase::DISPATCH => Some(&self.dispatch),
             phase::ENCODE => Some(&self.encode),
             phase::DOT => Some(&self.dot),
             phase::KEYSWITCH => Some(&self.keyswitch),
@@ -314,7 +301,7 @@ impl PhaseHistograms {
     pub fn snapshot(&self) -> Vec<PhaseStat> {
         let named: [(&'static str, &LiveHistogram); 9] = [
             (phase::QUEUE, &self.queue),
-            (phase::BATCH, &self.batch),
+            (phase::DISPATCH, &self.dispatch),
             (phase::ENCODE, &self.encode),
             (phase::DOT, &self.dot),
             (phase::KEYSWITCH, &self.keyswitch),
@@ -367,20 +354,19 @@ impl PhaseStat {
 // --------------------------------------------------------- introspection
 
 /// The structured snapshot served by the `Introspect` wire op: live
-/// counters, queue/pool occupancy, cache sizes, and the per-phase
+/// counters, gate/pool occupancy, cache sizes, and the per-phase
 /// latency breakdown.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct IntrospectSnapshot {
     /// Service counters at the moment of the probe.
     pub stats: StatsSnapshot,
-    /// Requests currently waiting in the scheduler queue.
+    /// Requests currently waiting for a permit of the admission gate (one
+    /// granted on arrival never waits).
     pub queue_depth: u32,
-    /// The queue's bound.
+    /// The bound on waiters.
     pub queue_capacity: u32,
-    /// Worker pool size.
+    /// The gate's permits: kernels that may run at once.
     pub workers: u32,
-    /// Maximum coalesced batch size.
-    pub max_batch: u32,
     /// Cached Galois key sets.
     pub key_cache_len: u32,
     /// Cached matrices.
@@ -425,7 +411,6 @@ impl IntrospectSnapshot {
         queue_depth,
         queue_capacity,
         workers,
-        max_batch,
         key_cache_len,
         matrix_cache_len,
         pool_threads,
@@ -510,8 +495,6 @@ mod tests {
         s.on_accepted(1);
         s.on_rejected_busy();
         s.on_timed_out();
-        s.on_batch(4);
-        s.on_batch(2);
         s.on_completed(5);
         s.on_failed(1);
         s.on_internal_error(2);
@@ -526,15 +509,11 @@ mod tests {
         assert_eq!(snap.timed_out, 1);
         assert_eq!(snap.completed, 5);
         assert_eq!(snap.failed, 1);
-        assert_eq!(snap.batches, 2);
-        assert_eq!(snap.batch_requests, 6);
         assert_eq!(snap.peak_queue_depth, 3);
         assert_eq!(snap.internal_errors, 2);
         assert_eq!(snap.rejected_shutdown, 1);
         assert_eq!(snap.faults_injected, 3);
         assert_eq!(snap.reaped_uploads, 2);
-        assert!((snap.avg_batch_size() - 3.0).abs() < f64::EPSILON);
-        assert_eq!(StatsSnapshot::default().avg_batch_size(), 0.0);
     }
 
     #[test]
@@ -602,7 +581,6 @@ mod tests {
             queue_depth: 1,
             queue_capacity: 64,
             workers: 2,
-            max_batch: 8,
             phases: h.snapshot(),
             ..IntrospectSnapshot::default()
         };

@@ -73,7 +73,6 @@ fn soak(seed: u64) -> (u64, u64, u64, u64) {
         &ServerConfig {
             workers: 2,
             queue_capacity: 16,
-            max_batch: 4,
             faults: Some(Arc::clone(&faults)),
             ..ServerConfig::default()
         },

@@ -110,8 +110,6 @@ fn full_stats() -> StatsSnapshot {
         timed_out: 3,
         completed: 4,
         failed: 5,
-        batches: 6,
-        batch_requests: 7,
         peak_queue_depth: 8,
         internal_errors: 9,
         rejected_shutdown: 10,
@@ -139,7 +137,6 @@ fn full_introspect() -> IntrospectSnapshot {
         queue_depth: 21,
         queue_capacity: 22,
         workers: 23,
-        max_batch: 24,
         key_cache_len: 25,
         matrix_cache_len: 26,
         pool_threads: 27,

@@ -3,13 +3,16 @@
 //! product. Uses the insecure N=256 test parameters so the suite stays
 //! fast in debug builds (tier-1 runs `cargo test -q` unoptimized).
 
+use cham_he::ciphertext::RlweCiphertext;
 use cham_he::encrypt::{Decryptor, Encryptor};
 use cham_he::hmvp::{Hmvp, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::ChamParams;
 use cham_serve::protocol::ErrorCode;
 use cham_serve::server::{Server, ServerConfig};
-use cham_serve::{FaultConfig, FaultInjector, RetryClient, RetryPolicy, ServeClient, ServeError};
+use cham_serve::{
+    Fault, FaultConfig, FaultInjector, RetryClient, RetryPolicy, ServeClient, ServeError,
+};
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -48,16 +51,24 @@ fn connect(server: &Server) -> ServeClient {
     ServeClient::connect(server.local_addr(), Arc::clone(&fixture().params)).unwrap()
 }
 
-/// Rows for a matrix whose multiply pins a worker for ≥1 s in the
-/// *current* build profile — packing cost is per row, but debug builds
-/// run it an order of magnitude slower than release. Recalibrated after
-/// the lazy-reduction datapath (DESIGN.md §11) made the release-mode
-/// dot/pack phases ≈3× faster.
-fn slow_rows() -> usize {
-    if cfg!(debug_assertions) {
-        1024
-    } else {
-        16384
+/// Keys and an 8 × 32 matrix loaded through `client`, plus one encrypted
+/// input for it: `(key_id, matrix_id, cts)`.
+fn load_small(client: &mut ServeClient, seed: u64) -> (u64, u64, Vec<RlweCiphertext>) {
+    let f = fixture();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let matrix = Matrix::random(8, 32, f.params.plain_modulus().value(), &mut rng);
+    let key_id = client.load_keys(&f.gkeys, &f.indices).unwrap();
+    let matrix_id = client.load_matrix(&matrix).unwrap();
+    let cts = Hmvp::from_arc(Arc::clone(&f.params))
+        .encrypt_vector(&[2u64; 32], &Encryptor::new(&f.params, &f.sk), &mut rng)
+        .unwrap();
+    (key_id, matrix_id, cts)
+}
+
+/// Blocks until `n` requests wait at the server's admission gate.
+fn until_waiting(server: &Server, n: u32) {
+    while server.introspect().queue_depth != n {
+        std::thread::yield_now();
     }
 }
 
@@ -69,7 +80,6 @@ fn concurrent_clients_all_match_reference() {
     let server = start_server(&ServerConfig {
         workers: 2,
         queue_capacity: 64,
-        max_batch: 8,
         ..ServerConfig::default()
     });
 
@@ -110,120 +120,128 @@ fn concurrent_clients_all_match_reference() {
     let total = THREADS * PER_THREAD as u64;
     assert_eq!(stats.accepted, total);
     assert_eq!(stats.completed, total);
-    assert_eq!(stats.batch_requests, total);
     assert_eq!(stats.rejected_busy, 0);
     assert_eq!(stats.timed_out, 0);
     assert_eq!(stats.failed, 0);
-    assert!(stats.batches >= 2 && stats.batches <= total);
 }
 
-/// With one worker and a queue bound of one, a third in-flight request
-/// deterministically bounces with `Busy`.
+/// With one permit and room for one waiter, a third in-flight request
+/// bounces with `Busy`. The test holds the permit itself, so nothing
+/// depends on how long a multiply takes.
 #[test]
 fn full_queue_rejects_with_busy() {
-    let f = fixture();
     let server = start_server(&ServerConfig {
         workers: 1,
         queue_capacity: 1,
-        max_batch: 1,
         ..ServerConfig::default()
     });
-
     let mut main_client = connect(&server);
-    let t = f.params.plain_modulus();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    // Pins the worker for ≥1 s while the queue fills behind it.
-    let slow = Matrix::random(slow_rows(), 32, t.value(), &mut rng);
-    let small = Matrix::random(8, 32, t.value(), &mut rng);
-    let key_id = main_client.load_keys(&f.gkeys, &f.indices).unwrap();
-    let slow_id = main_client.load_matrix(&slow).unwrap();
-    let small_id = main_client.load_matrix(&small).unwrap();
+    let (key_id, matrix_id, cts) = load_small(&mut main_client, 2);
 
-    let hmvp = Hmvp::from_arc(Arc::clone(&f.params));
-    let enc = Encryptor::new(&f.params, &f.sk);
-    let slow_cts = hmvp.encrypt_vector(&[1u64; 32], &enc, &mut rng).unwrap();
-    let small_cts = hmvp.encrypt_vector(&[2u64; 32], &enc, &mut rng).unwrap();
-
+    // A: the only permit.
+    let held = server.gate().acquire(None).unwrap();
     std::thread::scope(|scope| {
-        // A: occupies the single worker.
-        let a = {
-            let cts = slow_cts.clone();
-            let server = &server;
-            scope.spawn(move || connect(server).hmvp(key_id, slow_id, &cts, None))
-        };
-        std::thread::sleep(Duration::from_millis(400));
-        // B: fills the one queue slot.
-        let b = {
-            let cts = small_cts.clone();
-            let server = &server;
-            scope.spawn(move || connect(server).hmvp(key_id, small_id, &cts, None))
-        };
-        std::thread::sleep(Duration::from_millis(200));
-        // C: queue full, worker busy → explicit backpressure.
-        let c = main_client.hmvp(key_id, small_id, &small_cts, None);
+        // B: fills the one place in line.
+        let b = scope.spawn(|| connect(&server).hmvp(key_id, matrix_id, &cts, None));
+        until_waiting(&server, 1);
+        // C: line full, permit held → explicit backpressure.
+        let c = main_client.hmvp(key_id, matrix_id, &cts, None);
         assert!(
             matches!(c, Err(ServeError::Busy)),
             "expected Busy, got {c:?}"
         );
-        assert!(a.join().unwrap().is_ok());
+        drop(held);
         assert!(b.join().unwrap().is_ok());
     });
 
     let stats = server.shutdown();
     assert_eq!(stats.rejected_busy, 1);
-    assert_eq!(stats.completed, 2);
+    assert_eq!(stats.completed, 1);
+    assert_eq!(stats.peak_queue_depth, 1);
 }
 
-/// A queued request whose deadline expires while the worker is pinned
-/// comes back `TimedOut` — the server never computes for it.
+/// A request whose deadline passes while every permit is held comes back
+/// `TimedOut` at the deadline — the server never computes for it.
 #[test]
 fn expired_deadline_returns_timed_out() {
-    let f = fixture();
     let server = start_server(&ServerConfig {
         workers: 1,
         queue_capacity: 4,
-        max_batch: 1,
         ..ServerConfig::default()
     });
+    let mut client = connect(&server);
+    let (key_id, matrix_id, cts) = load_small(&mut client, 3);
 
-    let mut main_client = connect(&server);
-    let t = f.params.plain_modulus();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    let slow = Matrix::random(slow_rows(), 32, t.value(), &mut rng);
-    let small = Matrix::random(8, 32, t.value(), &mut rng);
-    let key_id = main_client.load_keys(&f.gkeys, &f.indices).unwrap();
-    let slow_id = main_client.load_matrix(&slow).unwrap();
-    let small_id = main_client.load_matrix(&small).unwrap();
-
-    let hmvp = Hmvp::from_arc(Arc::clone(&f.params));
-    let enc = Encryptor::new(&f.params, &f.sk);
-    let slow_cts = hmvp.encrypt_vector(&[3u64; 32], &enc, &mut rng).unwrap();
-    let small_cts = hmvp.encrypt_vector(&[4u64; 32], &enc, &mut rng).unwrap();
-
-    std::thread::scope(|scope| {
-        let a = {
-            let cts = slow_cts.clone();
-            let server = &server;
-            scope.spawn(move || connect(server).hmvp(key_id, slow_id, &cts, None))
-        };
-        std::thread::sleep(Duration::from_millis(400));
-        // Deadline far shorter than the slow request pinning the worker.
-        let r = main_client.hmvp(
-            key_id,
-            small_id,
-            &small_cts,
-            Some(Duration::from_millis(100)),
-        );
-        assert!(
-            matches!(r, Err(ServeError::TimedOut)),
-            "expected TimedOut, got {r:?}"
-        );
-        assert!(a.join().unwrap().is_ok());
-    });
+    let held = server.gate().acquire(None).unwrap();
+    let r = client.hmvp(key_id, matrix_id, &cts, Some(Duration::from_millis(100)));
+    assert!(
+        matches!(r, Err(ServeError::TimedOut)),
+        "expected TimedOut, got {r:?}"
+    );
+    // Answered while the permit was still held, not when it freed up.
+    drop(held);
 
     let stats = server.shutdown();
     assert_eq!(stats.timed_out, 1);
+    assert_eq!(stats.completed, 0);
+}
+
+/// An injected spurious `Busy` is a typed rejection booked as both a
+/// fault and a rejection, and the request never reaches the gate.
+#[test]
+fn spurious_busy_fault_injects_typed_rejection() {
+    let injector = Arc::new(FaultInjector::new(FaultConfig {
+        spurious_busy: 1.0,
+        ..FaultConfig::default()
+    }));
+    let server = start_server(&ServerConfig {
+        faults: Some(Arc::clone(&injector)),
+        ..ServerConfig::default()
+    });
+    let mut client = connect(&server);
+    let (key_id, matrix_id, cts) = load_small(&mut client, 10);
+
+    let r = client.hmvp(key_id, matrix_id, &cts, None);
+    assert!(
+        matches!(r, Err(ServeError::Busy)),
+        "expected Busy, got {r:?}"
+    );
+    let stats = server.shutdown();
+    assert_eq!(stats.faults_injected, 1);
+    assert_eq!(stats.rejected_busy, 1);
+    assert_eq!(stats.accepted, 0);
+    assert_eq!(injector.injected(Fault::SpuriousBusy), 1);
+}
+
+/// A request waiting at the gate when shutdown begins is not dropped: it
+/// gets its permit, runs, and is answered before the server is gone.
+#[test]
+fn request_waiting_at_shutdown_still_completes() {
+    let server = start_server(&ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let addr = server.local_addr();
+    let mut client = connect(&server);
+    let (key_id, matrix_id, cts) = load_small(&mut client, 11);
+
+    let gate = Arc::clone(server.gate());
+    let held = gate.acquire(None).unwrap();
+    let stats = std::thread::scope(|scope| {
+        let waiter = scope.spawn(move || client.hmvp(key_id, matrix_id, &cts, None));
+        until_waiting(&server, 1);
+        let shutdown = scope.spawn(move || server.shutdown());
+        // The listener closes once shutdown has joined the accept thread;
+        // from then on it is blocked joining the waiter's connection.
+        while std::net::TcpStream::connect(addr).is_ok() {
+            std::thread::yield_now();
+        }
+        drop(held);
+        assert!(waiter.join().unwrap().is_ok());
+        shutdown.join().unwrap()
+    });
     assert_eq!(stats.completed, 1);
+    assert_eq!(stats.rejected_shutdown, 0);
 }
 
 /// Unknown ids and incompatible parameter sets travel as typed error
@@ -288,10 +306,9 @@ fn wire_errors_are_typed() {
     assert_eq!(stats.failed, 0);
 }
 
-/// `Ping` round-trips a live counter snapshot without enqueuing work.
+/// `Ping` round-trips a live counter snapshot without taking a permit.
 #[test]
 fn ping_reports_live_counters() {
-    let f = fixture();
     let server = start_server(&ServerConfig::default());
     let mut client = connect(&server);
 
@@ -299,14 +316,7 @@ fn ping_reports_live_counters() {
     assert_eq!(before.accepted, 0);
     assert_eq!(before.completed, 0);
 
-    let t = f.params.plain_modulus();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-    let matrix = Matrix::random(4, 8, t.value(), &mut rng);
-    let hmvp = Hmvp::from_arc(Arc::clone(&f.params));
-    let enc = Encryptor::new(&f.params, &f.sk);
-    let cts = hmvp.encrypt_vector(&[1u64; 8], &enc, &mut rng).unwrap();
-    let key_id = client.load_keys(&f.gkeys, &f.indices).unwrap();
-    let matrix_id = client.load_matrix(&matrix).unwrap();
+    let (key_id, matrix_id, cts) = load_small(&mut client, 6);
     client.hmvp(key_id, matrix_id, &cts, None).unwrap();
 
     let after = client.ping().unwrap();
@@ -316,8 +326,9 @@ fn ping_reports_live_counters() {
     server.shutdown();
 }
 
-/// An injected worker panic surfaces as a typed `Internal` error frame —
-/// the connection stays alive and the worker survives for further work.
+/// An injected kernel panic surfaces as a typed `Internal` error frame —
+/// the connection and its thread stay alive, and the unwound permit goes
+/// back to the gate (`workers = 1`: the second request needs it).
 #[test]
 fn worker_panic_is_a_typed_internal_error() {
     let f = fixture();
@@ -361,7 +372,6 @@ fn worker_panic_is_a_typed_internal_error() {
 /// during the grace window instead of a slammed socket.
 #[test]
 fn shutdown_answers_late_requests_with_typed_error() {
-    let f = fixture();
     // A generous grace window keeps the race deterministic even when the
     // rest of the (parallel) suite is pinning every core.
     let server = start_server(&ServerConfig {
@@ -369,15 +379,7 @@ fn shutdown_answers_late_requests_with_typed_error() {
         ..ServerConfig::default()
     });
     let mut client = connect(&server);
-
-    let t = f.params.plain_modulus();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-    let matrix = Matrix::random(4, 8, t.value(), &mut rng);
-    let hmvp = Hmvp::from_arc(Arc::clone(&f.params));
-    let enc = Encryptor::new(&f.params, &f.sk);
-    let cts = hmvp.encrypt_vector(&[3u64; 8], &enc, &mut rng).unwrap();
-    let key_id = client.load_keys(&f.gkeys, &f.indices).unwrap();
-    let matrix_id = client.load_matrix(&matrix).unwrap();
+    let (key_id, matrix_id, cts) = load_small(&mut client, 8);
 
     let stats = std::thread::scope(|scope| {
         let shutdown = scope.spawn(move || server.shutdown());

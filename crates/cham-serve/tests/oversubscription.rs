@@ -1,10 +1,10 @@
 //! Oversubscription stress test: kernel-pool threads > serve workers >
 //! physical cores, driven by more client connections than either.
 //!
-//! The workers all feed one fixed-size pool (each request under a cap of
+//! The running requests all feed one fixed-size pool (each under a cap of
 //! pool threads / workers = 2 here), so this configuration must (a)
-//! finish without deadlock — workers block on pool results while pool
-//! threads outnumber cores, (b) deliver every reply bit-correctly, and
+//! finish without deadlock — connection threads block on pool results
+//! while pool threads outnumber cores, (b) deliver every reply bit-correctly, and
 //! (c) keep the process's OS thread count bounded by configuration, not
 //! by request volume.
 //!
@@ -57,7 +57,6 @@ fn oversubscribed_pool_serves_every_request_with_bounded_threads() {
         &ServerConfig {
             workers: WORKERS,
             queue_capacity: 64,
-            max_batch: 4,
             ..ServerConfig::default()
         },
     )
@@ -71,10 +70,10 @@ fn oversubscribed_pool_serves_every_request_with_bounded_threads() {
 
     // Configuration-derived ceiling: main + test harness, CLIENTS client
     // threads, accept + one connection thread per client (+1 for
-    // main_client), WORKERS workers, POOL_THREADS kernel threads — plus
-    // slack for runtime helpers. The point is that the bound does NOT
+    // main_client; they run the kernels themselves, WORKERS at a time),
+    // POOL_THREADS kernel threads — plus slack for runtime helpers. The point is that the bound does NOT
     // scale with the CLIENTS × PER_CLIENT request volume.
-    let thread_budget = 4 + CLIENTS as usize + (CLIENTS as usize + 2) + WORKERS + POOL_THREADS;
+    let thread_budget = 4 + CLIENTS as usize + (CLIENTS as usize + 2) + POOL_THREADS;
     let peak = AtomicUsize::new(os_thread_count().unwrap_or(0));
 
     let hmvp = Hmvp::from_arc(Arc::clone(&params));

@@ -85,7 +85,6 @@ fn introspect_and_flight_dump_round_trip() {
     let server = start_server(&ServerConfig {
         workers: 2,
         queue_capacity: 16,
-        max_batch: 4,
         ..ServerConfig::default()
     });
     let mut client = ServeClient::connect(server.local_addr(), Arc::clone(&f.params)).unwrap();
@@ -99,7 +98,6 @@ fn introspect_and_flight_dump_round_trip() {
     assert_eq!(snap.stats.completed, REQUESTS as u64);
     assert_eq!(snap.queue_capacity, 16);
     assert_eq!(snap.workers, 2);
-    assert_eq!(snap.max_batch, 4);
     assert_eq!(snap.key_cache_len, 1);
     assert_eq!(snap.matrix_cache_len, 1);
     assert_eq!(snap.flight_traces, REQUESTS as u32);
@@ -124,8 +122,8 @@ fn introspect_and_flight_dump_round_trip() {
     // Attributed phase time tiles the end-to-end latency within 10 % (this
     // assertion is the gate on that invariant): the kernel's `dot`,
     // `rescale` and `keyswitch` spans interleave per row and per pack
-    // carry, and whatever of the execution they miss is booked to `batch`,
-    // so the remainder is channel handoff.
+    // carry, and whatever of the permit-held window they miss is booked to
+    // `dispatch`, so the remainder is the cache lookups before the gate.
     let attributed: u64 = snap
         .phases
         .iter()

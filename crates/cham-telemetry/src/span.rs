@@ -39,10 +39,12 @@ use std::time::Instant;
 /// kernel annotations, and the introspection consumers so the breakdown
 /// keys agree everywhere.
 pub mod phase {
-    /// Waiting in the scheduler's bounded queue.
+    /// Admission-gate entry to kernel start: the wait for a permit (plus
+    /// any injected delay while holding it).
     pub const QUEUE: &str = "queue";
-    /// Batch coalescing and pre-execution setup in the worker.
-    pub const BATCH: &str = "batch";
+    /// Inside the permit, outside every kernel span: pool dispatch / join
+    /// when the request fans out, result assembly.
+    pub const DISPATCH: &str = "dispatch";
     /// NTT-encoding (lifting) the request's input ciphertexts.
     pub const ENCODE: &str = "encode";
     /// Fused NTT-domain multiply-accumulate over matrix rows.
@@ -56,7 +58,7 @@ pub mod phase {
 
     /// Every phase a server-side request trace may contain, in
     /// canonical (pipeline) order.
-    pub const ALL: [&str; 7] = [QUEUE, BATCH, ENCODE, DOT, KEYSWITCH, RESCALE, SERIALIZE];
+    pub const ALL: [&str; 7] = [QUEUE, DISPATCH, ENCODE, DOT, KEYSWITCH, RESCALE, SERIALIZE];
 }
 
 /// A request's wire-visible identity: non-zero, random.
@@ -125,10 +127,10 @@ struct RecorderInner {
 
 /// Accumulates phase durations for one request.
 ///
-/// Cloned (via `Arc`) across every thread that touches the request —
-/// the connection thread, the scheduler, the batch worker, and any pool
-/// workers it fans out to — and folded into a [`Vec<PhaseSpan>`] once
-/// by [`SpanRecorder::finish`].
+/// Installed on the thread that owns the request (a server's connection
+/// thread) and folded into a [`Vec<PhaseSpan>`] once by
+/// [`SpanRecorder::finish`]; the only other threads that see it are the
+/// pool workers a [`fan_out`] hands a scratch recorder to.
 #[derive(Debug)]
 pub struct SpanRecorder {
     trace_id: TraceId,

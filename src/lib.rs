@@ -13,9 +13,9 @@
 //!   (pipeline, resources, roofline, DSE, host/FPGA overlap),
 //! * [`apps`] (crate `cham-apps`) — HeteroLR federated logistic
 //!   regression, Beaver triple generation, and the Paillier baseline,
-//! * [`serve`] (crate `cham-serve`) — the batched multi-worker HMVP
-//!   service: framed TCP wire protocol, content-addressed session/key
-//!   cache, bounded batching scheduler with deadlines and backpressure.
+//! * [`serve`] (crate `cham-serve`) — the HMVP service: framed TCP wire
+//!   protocol, content-addressed session/key cache, one admission gate
+//!   with deadlines and backpressure in front of the kernel.
 //!
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory, and
 //! `EXPERIMENTS.md` for the paper-vs-measured record.
@@ -60,5 +60,5 @@ pub use cham_sim as sim;
 /// Privacy-preserving applications (re-export of `cham-apps`).
 pub use cham_apps as apps;
 
-/// Batched multi-worker HMVP serving layer (re-export of `cham-serve`).
+/// HMVP serving layer (re-export of `cham-serve`).
 pub use cham_serve as serve;
