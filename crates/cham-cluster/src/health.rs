@@ -23,14 +23,14 @@
 //! together does not probe in lockstep.
 //!
 //! Verdicts are plain data ([`HealthTransition`]); feeding a `Down`
-//! verdict into routing (`ClusterClient::quarantine_node`, backed by
+//! verdict into routing (`ClusterClient::quarantine_node`: one
+//! per-node table per client, so the verdict is fleet-wide, for
 //! `RetryPolicy::down_quarantine`) is the caller's choice — the
 //! monitor never mutates routing state behind the client's back.
 //! An attached [`FlightRecorder`] gets one event per state change.
 
-use crate::topology::Topology;
 use cham_he::params::ChamParams;
-use cham_serve::{ClientConfig, ServeClient};
+use cham_serve::{ClientConfig, ServeClient, Topology};
 use cham_telemetry::flight::{FlightEventKind, FlightRecorder};
 use std::sync::Arc;
 use std::time::Duration;

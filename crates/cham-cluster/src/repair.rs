@@ -28,10 +28,9 @@
 //! re-sends only the chunks the target still lacks.
 
 use crate::ring::HashRing;
-use crate::topology::Topology;
 use cham_he::params::ChamParams;
 use cham_serve::protocol::DEFAULT_CHUNK_BYTES;
-use cham_serve::{ClientConfig, Result, ServeClient, ServeError};
+use cham_serve::{ClientConfig, Result, ServeClient, ServeError, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 

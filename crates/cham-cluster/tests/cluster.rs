@@ -7,9 +7,11 @@
 //!    across shard-held row bands reassembles to packed ciphertexts
 //!    *bit-identical* to a single standalone server computing the same
 //!    matrix (bands are aligned to multiples of `N`, so each band's
-//!    packing is the corresponding slice of the single-node packing).
+//!    packing is the corresponding slice of the single-node packing) —
+//!    the same client type over a one-slot and a three-slot topology —
+//!    and every band reaches the fleet under one trace id.
 //! 2. **Replica failover is invisible**: killing a replica mid-run
-//!    loses zero requests — the routes quarantine the dead node and the
+//!    loses zero requests — the client quarantines the dead node and the
 //!    surviving replica (which holds every band by replication) serves,
 //!    also with concurrent clients and seeded faults firing on a
 //!    survivor.
@@ -18,7 +20,8 @@
 //!    rebuilds the map from the fleet's own hello answers, and
 //!    succeeds — with zero blind retries.
 //! 4. **The fleet self-heals**: a killed replica is condemned by the
-//!    heartbeat monitor (feeding the router's quarantine), rejoins
+//!    heartbeat monitor (feeding the client's quarantine, which binds
+//!    even a client that has not dialed anything yet), rejoins
 //!    empty on restart, and anti-entropy repair streams its replica
 //!    share back until the inventory diff is zero — post-repair
 //!    answers bit-identical to pre-kill.
@@ -33,7 +36,7 @@ use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::{ChamParams, ChamParamsBuilder};
 use cham_serve::server::{Server, ServerConfig};
 use cham_serve::shard::{HashRing, ShardSpec};
-use cham_serve::{ClientConfig, FaultConfig, FaultInjector, RetryClient, RetryPolicy, ServeClient};
+use cham_serve::{ClientConfig, FaultConfig, FaultInjector, RetryPolicy, ServeClient};
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -169,7 +172,7 @@ fn sharded_hmvp_is_bit_exact_vs_single_node() {
     )
     .unwrap();
     let mut sc =
-        RetryClient::connect(single.local_addr().to_string(), Arc::clone(&f.params)).unwrap();
+        ClusterClient::connect(single.local_addr().to_string(), Arc::clone(&f.params)).unwrap();
     let key_id = sc.load_keys(&f.gkeys, &f.indices).unwrap();
     let matrix_id = sc.load_matrix(&matrix).unwrap();
     let reference = sc.hmvp(key_id, matrix_id, &cts, None).unwrap();
@@ -196,6 +199,16 @@ fn sharded_hmvp_is_bit_exact_vs_single_node() {
     assert_bit_identical(&reference, &fanned);
     let got = hmvp.decrypt_result(&fanned, &dec).unwrap();
     assert_eq!(got, matrix.mul_vector_mod(&v, t).unwrap());
+
+    // One logical request, one trace id: every band's sub-request
+    // reached its node's flight recorder under the same id.
+    let trace_ids: BTreeSet<u64> = servers
+        .iter()
+        .flatten()
+        .flat_map(|s| s.flight().snapshot().traces)
+        .map(|tr| tr.trace_id.as_u64())
+        .collect();
+    assert_eq!(trace_ids.len(), 1, "bands carried {trace_ids:x?}");
 
     for s in &mut servers {
         s.take().unwrap().shutdown();
@@ -363,12 +376,12 @@ fn wrong_shard_triggers_reroute_not_retry_loop() {
     );
 
     let key_id = cc.load_keys(&f.gkeys, &f.indices).unwrap();
-    let handle = cc.load_matrix(&matrix).unwrap();
+    let matrix_id = cc.load_matrix(&matrix).unwrap();
     let v: Vec<u64> = (0..matrix.cols())
         .map(|_| rng.gen_range(0..t.value()))
         .collect();
     let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
-    let result = cc.hmvp(key_id, handle.id, &cts, None).unwrap();
+    let result = cc.hmvp(key_id, matrix_id, &cts, None).unwrap();
     let got = hmvp.decrypt_result(&result, &dec).unwrap();
     assert_eq!(got, matrix.mul_vector_mod(&v, t).unwrap());
 
@@ -385,6 +398,64 @@ fn wrong_shard_triggers_reroute_not_retry_loop() {
     // the fleet's epoch.
     assert_eq!(cc.topology().nodes(), topology.nodes());
     assert_eq!(cc.topology().epoch(), 7);
+
+    for s in &mut servers {
+        s.take().unwrap().shutdown();
+    }
+}
+
+/// A down verdict delivered to a client that has not dialed anything
+/// yet still binds its first request: the condemned primary is never
+/// contacted, and skipping it is not a failover.
+#[test]
+fn down_verdict_before_first_dial_is_honoured() {
+    let f = fixture();
+    let t = f.params.plain_modulus();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xD0A);
+    let matrix = Matrix::random(DEGREE, DEGREE, t.value(), &mut rng);
+    let hmvp = Hmvp::from_arc(Arc::clone(&f.params));
+    let enc = Encryptor::new(&f.params, &f.sk);
+    let dec = Decryptor::new(&f.params, &f.sk);
+    let (mut servers, topology) = start_fleet(2, 1, None);
+    let connect = |seed| {
+        ClusterClient::with_config(
+            topology.clone(),
+            Arc::clone(&f.params),
+            ClientConfig::default(),
+            quick_policy(seed),
+        )
+    };
+
+    let mut uploader = connect(0xD0A);
+    let key_id = uploader.load_keys(&f.gkeys, &f.indices).unwrap();
+    let sharded = uploader.load_matrix_sharded(&matrix, DEGREE).unwrap();
+    assert_eq!(sharded.bands.len(), 1);
+    let (primary, secondary) = (sharded.bands[0].replicas[0], sharded.bands[0].replicas[1]);
+
+    // A second, fresh client hears the monitor's verdict before its
+    // first operation.
+    let mut cc = connect(0xD0B);
+    assert!(cc.quarantine_node(topology.addr(primary)));
+    let v: Vec<u64> = (0..matrix.cols())
+        .map(|_| rng.gen_range(0..t.value()))
+        .collect();
+    let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
+    let result = cc.hmvp_sharded(key_id, &sharded, &cts, None).unwrap();
+    let got = hmvp.decrypt_result(&result, &dec).unwrap();
+    assert_eq!(got, matrix.mul_vector_mod(&v, t).unwrap());
+
+    let stats = cc.stats();
+    assert_eq!((stats.retries, stats.failovers), (0, 0), "{stats:?}");
+    assert_eq!(
+        stats.per_node_requests[usize::from(primary)],
+        0,
+        "{stats:?}"
+    );
+    assert_eq!(
+        stats.per_node_requests[usize::from(secondary)],
+        1,
+        "{stats:?}"
+    );
 
     for s in &mut servers {
         s.take().unwrap().shutdown();
@@ -464,8 +535,8 @@ fn killed_replica_rejoins_and_repair_converges() {
     for tr in &t2 {
         if tr.to == NodeHealth::Down {
             assert!(
-                cc.quarantine_node(&tr.addr) >= 1,
-                "the dead node was in no route"
+                cc.quarantine_node(&tr.addr),
+                "the dead node is not in the topology"
             );
         }
     }

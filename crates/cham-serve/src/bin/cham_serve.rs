@@ -46,7 +46,7 @@
 use cham_he::params::ChamParams;
 use cham_serve::cache::content_hash;
 use cham_serve::server::{Server, ServerConfig};
-use cham_serve::shard::{HashRing, ShardSpec, DEFAULT_REPLICATION, DEFAULT_VNODES};
+use cham_serve::shard::{Topology, DEFAULT_REPLICATION, DEFAULT_VNODES};
 use cham_serve::{FaultConfig, FaultInjector};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -57,30 +57,12 @@ struct Args {
     params: String,
     config: ServerConfig,
     stats_every: Option<u64>,
-    cluster: Option<Vec<String>>,
+    cluster: Option<Topology>,
     shard_index: Option<u16>,
     node_id: Option<u64>,
     vnodes: u32,
     replication: u16,
     epoch: u64,
-}
-
-fn parse_cluster_list(spec: &str) -> Result<Vec<String>, String> {
-    let nodes: Vec<String> = spec
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect();
-    if nodes.is_empty() {
-        return Err("cluster list is empty".into());
-    }
-    for node in &nodes {
-        if !node.contains(':') {
-            return Err(format!("cluster node {node} is missing a :port"));
-        }
-    }
-    Ok(nodes)
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -129,7 +111,10 @@ fn parse_args() -> Result<Args, String> {
                 args.config.upload_idle_reap =
                     Duration::from_secs(parse_num(&value("--upload-reap-secs")?)? as u64);
             }
-            "--cluster" => args.cluster = Some(parse_cluster_list(&value("--cluster")?)?),
+            "--cluster" => {
+                args.cluster =
+                    Some(Topology::parse(&value("--cluster")?).map_err(|e| e.to_string())?);
+            }
             "--shard-index" => {
                 args.shard_index = Some(
                     value("--shard-index")?
@@ -209,47 +194,43 @@ fn main() -> ExitCode {
         eprintln!("fault injection ARMED: {:?}", f.config());
     }
     if args.cluster.is_none() {
-        if let Ok(spec) = std::env::var("CHAM_CLUSTER") {
-            if !spec.trim().is_empty() {
-                args.cluster = match parse_cluster_list(&spec) {
-                    Ok(nodes) => Some(nodes),
-                    Err(msg) => {
-                        eprintln!("CHAM_CLUSTER: {msg}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+        args.cluster = match Topology::from_env() {
+            Ok(topology) => topology,
+            Err(e) => {
+                eprintln!("CHAM_CLUSTER: {e}");
+                return ExitCode::FAILURE;
             }
-        }
-    }
-    if let Some(nodes) = &args.cluster {
-        let index = match args.shard_index {
-            Some(i) => i,
-            None => match nodes.iter().position(|n| *n == args.addr) {
-                Some(i) => i as u16,
-                None => {
-                    eprintln!(
-                        "--addr {} is not in the cluster list; pass --shard-index",
-                        args.addr
-                    );
-                    return ExitCode::FAILURE;
-                }
-            },
         };
-        if usize::from(index) >= nodes.len() {
+    }
+    if let Some(topology) = args.cluster.take() {
+        let topology = topology
+            .with_vnodes(args.vnodes)
+            .with_replication(args.replication)
+            .with_epoch(args.epoch);
+        let position = args
+            .shard_index
+            .or_else(|| topology.shard_index_of(&args.addr));
+        let Some(index) = position else {
             eprintln!(
-                "--shard-index {index} out of range for {} nodes",
-                nodes.len()
+                "--addr {} is not in the cluster list; pass --shard-index",
+                args.addr
             );
             return ExitCode::FAILURE;
-        }
-        let ring = HashRing::new(nodes.len() as u16, args.vnodes, args.replication);
-        args.config.shard = Some(ShardSpec::new(ring, index, args.epoch));
+        };
+        let Some(spec) = topology.shard_spec(index) else {
+            eprintln!(
+                "--shard-index {index} out of range for {} nodes",
+                topology.len()
+            );
+            return ExitCode::FAILURE;
+        };
+        args.config.shard = Some(spec);
         args.config.node_id = args
             .node_id
             .unwrap_or_else(|| content_hash(args.addr.as_bytes()));
         println!(
             "cluster: shard {index}/{} epoch={} node_id={:#018x} vnodes={} replication={}",
-            nodes.len(),
+            topology.len(),
             args.epoch,
             args.config.node_id,
             args.vnodes,

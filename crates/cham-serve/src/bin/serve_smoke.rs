@@ -11,16 +11,17 @@
 //! `smoke ok …` on success; exits 1 on any mismatch or transport error.
 //! CI runs this against the `cham-serve` binary over loopback.
 //!
-//! The smoke speaks through [`RetryClient`], so it doubles as an
-//! integration check of the resilient path: against a fault-armed server
-//! (`cham-serve --faults …`) it still must verify every result, and it
-//! reports how many retries/reuploads that took.
+//! The smoke speaks through [`ClusterClient`] (one server is a one-slot
+//! topology), so it doubles as an integration check of the resilient
+//! path: against a fault-armed server (`cham-serve --faults …`) it still
+//! must verify every result, and it reports how many retries/reuploads
+//! that took.
 
 use cham_he::encrypt::{Decryptor, Encryptor};
 use cham_he::hmvp::{Hmvp, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::ChamParams;
-use cham_serve::{ClientConfig, RetryClient, RetryPolicy};
+use cham_serve::{ClientConfig, ClusterClient, RetryPolicy};
 use rand::{Rng, SeedableRng};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -81,14 +82,16 @@ fn run(args: &Args) -> Result<(), String> {
     let t = params.plain_modulus();
     let matrix = Matrix::random(args.rows, args.cols, t.value(), &mut rng);
 
-    let mut client = RetryClient::connect_with(
+    let mut client = ClusterClient::connect_with(
         args.addr.clone(),
         Arc::clone(&params),
         ClientConfig::default(),
         RetryPolicy::default(),
     )
     .map_err(|e| e.to_string())?;
-    let info = client.server_info().ok_or("no server info after connect")?;
+    let info = client
+        .server_info(0)
+        .ok_or("no server info after connect")?;
     let key_id = client
         .load_keys(&gkeys, &indices)
         .map_err(|e| e.to_string())?;

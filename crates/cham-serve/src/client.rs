@@ -7,9 +7,10 @@
 //!
 //! Every socket operation is bounded by [`ClientConfig`] timeouts, so a
 //! dead or wedged server surfaces as a timely [`ServeError::Io`] instead
-//! of an indefinite hang. For automatic recovery from transient failures
-//! (resets, torn writes, `Busy`, evictions), wrap the connection in a
-//! [`crate::retry::RetryClient`] instead of using this type directly.
+//! of an indefinite hang. This type carries no policy: for automatic
+//! recovery from transient failures (resets, torn writes, `Busy`,
+//! evictions) use [`crate::ClusterClient`] — a single server is its
+//! one-slot case — which drives connections of this type.
 
 use crate::cache::content_hash;
 use crate::protocol::{

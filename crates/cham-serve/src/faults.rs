@@ -261,7 +261,7 @@ impl FaultConfig {
 }
 
 /// SplitMix64 — the crate's deterministic draw stream. Public within the
-/// crate so [`crate::retry`] shares the same reproducible jitter source.
+/// crate so [`crate::cluster`] shares the same reproducible jitter source.
 #[derive(Debug, Clone)]
 pub(crate) struct SplitMix64(u64);
 

@@ -19,11 +19,16 @@
 //!   rejects with [`ServeError::Busy`] instead of growing,
 //! * [`server`] / [`client`] — the blocking TCP server (a request's
 //!   `Hmvp::multiply_parallel` runs on the connection thread that read it,
-//!   holding a permit) and client library,
-//! * [`retry`] — a resilient client wrapper: bounded exponential backoff
-//!   with deterministic jitter, reconnect-and-re-handshake on transport
-//!   faults, automatic re-upload of evicted keys/matrices, and a total
-//!   deadline budget across attempts,
+//!   holding a permit) and [`ServeClient`]: one connection, one request
+//!   at a time, no policy,
+//! * [`shard`] — the consistent-hash ring, a server's [`ShardSpec`], and
+//!   the [`Topology`] that says which address serves which ring slot,
+//! * [`cluster`] — [`ClusterClient`], the one resilient client, over a
+//!   [`Topology`] of any size (a single server is a one-slot topology):
+//!   bounded exponential backoff with deterministic jitter,
+//!   reconnect-and-re-handshake on transport faults, replay of evicted
+//!   keys/matrices, replica failover, row-band fan-out, topology refresh
+//!   on `WrongShard`, and a total deadline budget across attempts,
 //! * [`faults`] — the seeded, deterministic fault-injection harness the
 //!   chaos soak test drives (zero-cost when disabled),
 //! * [`store`] — the crash-safe persistent tier: a file-backed,
@@ -58,10 +63,10 @@
 
 pub mod cache;
 pub mod client;
+pub mod cluster;
 pub mod faults;
 pub mod gate;
 pub mod protocol;
-pub mod retry;
 pub mod server;
 pub mod shard;
 pub mod stats;
@@ -72,11 +77,11 @@ use std::fmt;
 
 pub use cache::SessionCache;
 pub use client::{ChunkUpload, ClientConfig, ServeClient, ServerInfo};
+pub use cluster::{Band, ClientStats, ClusterClient, RetryPolicy, ShardedMatrix};
 pub use faults::{Fault, FaultConfig, FaultInjector};
 pub use gate::{Gate, Permit};
-pub use retry::{Endpoints, RetryClient, RetryPolicy, RetryStatsSnapshot};
 pub use server::{Server, ServerConfig};
-pub use shard::{ClusterIdentity, HashRing, ShardSpec};
+pub use shard::{ClusterIdentity, HashRing, ShardSpec, Topology};
 pub use stats::{IntrospectSnapshot, PhaseHistograms, PhaseStat, ServeStats, StatsSnapshot};
 pub use store::{SegmentStore, StoreStats};
 

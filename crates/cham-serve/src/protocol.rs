@@ -73,7 +73,7 @@
 //! and matrix ids are content hashes (FNV-1a 64 of the raw payload
 //! bytes), so retransmitting the same material from any connection
 //! resolves to the same cache entry — which is what makes uploads
-//! idempotent and therefore safe for [`crate::retry::RetryClient`] to
+//! idempotent and therefore safe for [`crate::ClusterClient`] to
 //! replay after an eviction.
 
 use crate::shard::ClusterIdentity;
@@ -288,7 +288,7 @@ fn parse_wrong_shard_message(message: &str) -> Option<(u64, u16, u16)> {
 
 /// Parses the `{id:#018x}` message an `UnknownKey`/`UnknownMatrix` error
 /// travels as back into the id, so the client-side error is as typed as
-/// the server-side one (and [`crate::retry::RetryClient`] knows which
+/// the server-side one (and [`crate::ClusterClient`] knows which
 /// entry to re-upload).
 fn parse_id_message(message: &str) -> Option<u64> {
     let hex = message.trim().strip_prefix("0x")?;

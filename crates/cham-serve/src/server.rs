@@ -22,7 +22,7 @@
 //! shutdown get `Shutdown` during a bounded grace window instead of a
 //! slammed socket. The one deliberate exception is a transport-layer
 //! fault (torn write, reset) — those surface client-side as I/O errors,
-//! which [`crate::retry::RetryClient`] treats as reconnect-and-retry.
+//! which [`crate::ClusterClient`] treats as reconnect-and-retry.
 
 use crate::cache::{content_hash, SessionCache};
 use crate::faults::{Fault, FaultInjector};

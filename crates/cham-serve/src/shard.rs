@@ -12,11 +12,30 @@
 //! hashing contract the `cham-cluster` property tests pin.
 //!
 //! The ring deliberately speaks in **slot indices**, not addresses. The
-//! address a slot answers at lives in the client's `Topology`
-//! (`cham-cluster`), which can go stale; a server knows only its own
+//! address a slot answers at lives in a [`Topology`] — the one place
+//! that knows "which address serves which slot", read by the server
+//! binary (to find its own [`ShardSpec`]) and by every client (to
+//! dial). A client's copy can go stale; a server knows only its own
 //! [`ShardSpec`] and answers misrouted requests with a typed
 //! [`crate::ServeError::WrongShard`] carrying the ring epoch, so a
 //! stale client refreshes its address map instead of retrying blindly.
+//!
+//! A [`Topology`] is an *ordered* list of node addresses plus the ring
+//! shape (vnodes per slot, replication factor) and a monotonically
+//! increasing epoch. Slot `i` of the [`HashRing`] is served by
+//! `nodes[i]` — the order is load-bearing, which is why every node in
+//! a fleet must be started from the same `--cluster` list (or the same
+//! `CHAM_CLUSTER` value) and why the hello response advertises each
+//! server's believed `shard_index`: a client that routed to the wrong
+//! node can rebuild the assignment from the fleet's own answers (see
+//! [`crate::ClusterClient::refresh_topology`]).
+//!
+//! Epochs exist to make staleness detectable rather than silent: a
+//! server rejecting a misrouted request reports the epoch its ring was
+//! built from, and a refreshed client adopts the highest epoch any
+//! node advertises.
+
+use crate::{Result, ServeError};
 
 /// Default virtual nodes per slot. 64 is the floor at which the
 /// distribution-balance property holds within 15%; the default doubles
@@ -195,6 +214,159 @@ pub struct ClusterIdentity {
     pub epoch: u64,
 }
 
+/// Environment variable naming the fleet, same syntax as `--cluster`:
+/// a comma-separated `host:port` list.
+pub const CLUSTER_ENV: &str = "CHAM_CLUSTER";
+
+/// An ordered fleet of serving nodes and the ring shape they share.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Topology {
+    nodes: Vec<String>,
+    epoch: u64,
+    vnodes: u32,
+    replication: u16,
+}
+
+impl Topology {
+    /// Builds a topology over an ordered node list with default ring
+    /// shape (128 vnodes, 2-way replication capped at the fleet size).
+    ///
+    /// # Errors
+    /// [`ServeError::BadFrame`] when the list is empty or larger than a
+    /// `u16` slot index can address.
+    pub fn new(nodes: Vec<String>) -> Result<Self> {
+        if nodes.is_empty() {
+            return Err(ServeError::BadFrame("cluster topology has no nodes"));
+        }
+        if nodes.len() > usize::from(u16::MAX) {
+            return Err(ServeError::BadFrame("cluster topology exceeds u16 slots"));
+        }
+        Ok(Self {
+            nodes,
+            epoch: 0,
+            vnodes: DEFAULT_VNODES,
+            replication: DEFAULT_REPLICATION,
+        })
+    }
+
+    /// Parses a `host:port,host:port,...` list (the `--cluster` flag
+    /// syntax). Whitespace around entries is tolerated; empty entries
+    /// are not.
+    ///
+    /// # Errors
+    /// [`ServeError::BadFrame`] for an empty list, a blank entry, or an
+    /// entry without a `:port` suffix.
+    pub fn parse(spec: &str) -> Result<Self> {
+        let mut nodes = Vec::new();
+        for raw in spec.split(',') {
+            let addr = raw.trim();
+            if addr.is_empty() {
+                return Err(ServeError::BadFrame("empty entry in cluster list"));
+            }
+            if !addr.contains(':') {
+                return Err(ServeError::BadFrame("cluster entry lacks a :port"));
+            }
+            nodes.push(addr.to_string());
+        }
+        Self::new(nodes)
+    }
+
+    /// Reads the topology from [`CLUSTER_ENV`]; `Ok(None)` when the
+    /// variable is unset or blank (both mean "standalone").
+    ///
+    /// # Errors
+    /// [`ServeError::BadFrame`] when the variable is set but malformed.
+    pub fn from_env() -> Result<Option<Self>> {
+        match std::env::var(CLUSTER_ENV) {
+            Ok(spec) if !spec.trim().is_empty() => Self::parse(&spec).map(Some),
+            _ => Ok(None),
+        }
+    }
+
+    /// Sets the ring epoch (defaults to 0).
+    #[must_use]
+    pub fn with_epoch(mut self, epoch: u64) -> Self {
+        self.epoch = epoch;
+        self
+    }
+
+    /// Sets the virtual-node count per slot (clamped to ≥ 1).
+    #[must_use]
+    pub fn with_vnodes(mut self, vnodes: u32) -> Self {
+        self.vnodes = vnodes.max(1);
+        self
+    }
+
+    /// Sets the replication factor (clamped to ≥ 1; the ring further
+    /// caps it at the fleet size).
+    #[must_use]
+    pub fn with_replication(mut self, replication: u16) -> Self {
+        self.replication = replication.max(1);
+        self
+    }
+
+    /// The ordered node list.
+    #[must_use]
+    pub fn nodes(&self) -> &[String] {
+        &self.nodes
+    }
+
+    /// Number of nodes (= ring slots).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Whether the fleet is empty (never true for a constructed value).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// The ring epoch this topology was built at.
+    #[must_use]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Replication factor (uncapped; the ring caps at fleet size).
+    #[must_use]
+    pub fn replication(&self) -> u16 {
+        self.replication
+    }
+
+    /// The address serving ring slot `i`.
+    ///
+    /// # Panics
+    /// Panics when `i` is outside the fleet.
+    #[must_use]
+    pub fn addr(&self, i: u16) -> &str {
+        &self.nodes[usize::from(i)]
+    }
+
+    /// The slot an address serves, if it is part of this topology.
+    #[must_use]
+    pub fn shard_index_of(&self, addr: &str) -> Option<u16> {
+        self.nodes.iter().position(|n| n == addr).map(|i| i as u16)
+    }
+
+    /// The consistent-hash ring this topology routes with.
+    #[must_use]
+    pub fn ring(&self) -> HashRing {
+        HashRing::new(self.nodes.len() as u16, self.vnodes, self.replication)
+    }
+
+    /// The shard spec node `i` should enforce (`None` when `i` is
+    /// outside the fleet) — what a server passes to `ServerConfig`.
+    #[must_use]
+    pub fn shard_spec(&self, i: u16) -> Option<ShardSpec> {
+        if usize::from(i) >= self.nodes.len() {
+            return None;
+        }
+        Some(ShardSpec::new(self.ring(), i, self.epoch))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,5 +419,53 @@ mod tests {
             let owners = (0..4u16).filter(|&s| ring.owns(key, s)).count();
             assert_eq!(owners, reps.len());
         }
+    }
+
+    #[test]
+    fn parse_accepts_csv_and_rejects_malformed() {
+        let t = Topology::parse("10.0.0.1:7000, 10.0.0.2:7000,10.0.0.3:7001").unwrap();
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.addr(1), "10.0.0.2:7000");
+        assert_eq!(t.shard_index_of("10.0.0.3:7001"), Some(2));
+        assert_eq!(t.shard_index_of("10.0.0.9:7000"), None);
+        assert!(Topology::parse("").is_err());
+        // An empty fleet is unrepresentable: no client ever sees an
+        // empty replica pool.
+        assert!(Topology::new(Vec::new()).is_err());
+        assert!(Topology::parse("a:1,,b:2").is_err());
+        assert!(Topology::parse("no-port").is_err());
+    }
+
+    #[test]
+    fn ring_and_shard_specs_share_one_shape() {
+        let t = Topology::parse("a:1,b:2,c:3")
+            .unwrap()
+            .with_vnodes(64)
+            .with_replication(2)
+            .with_epoch(7);
+        let ring = t.ring();
+        assert_eq!(ring.nodes(), 3);
+        assert_eq!(ring.vnodes(), 64);
+        assert_eq!(ring.replication(), 2);
+        let spec = t.shard_spec(2).unwrap();
+        assert_eq!(spec.shard_index, 2);
+        assert_eq!(spec.epoch, 7);
+        // Same routing decisions on both sides of the wire.
+        assert_eq!(spec.ring.primary(0xFEED), ring.primary(0xFEED));
+        assert!(t.shard_spec(3).is_none());
+    }
+
+    #[test]
+    fn env_round_trip() {
+        // Serialized by hand: the env var uses the same CSV syntax.
+        std::env::set_var(CLUSTER_ENV, "x:1,y:2");
+        let t = Topology::from_env().unwrap().unwrap();
+        assert_eq!(t.nodes(), ["x:1".to_string(), "y:2".to_string()]);
+        // Blank and unset both mean standalone — the server binary
+        // starts shardless on either.
+        std::env::set_var(CLUSTER_ENV, "");
+        assert!(Topology::from_env().unwrap().is_none());
+        std::env::remove_var(CLUSTER_ENV);
+        assert!(Topology::from_env().unwrap().is_none());
     }
 }

@@ -1,5 +1,5 @@
 //! Chaos soak: a real server with every fault site armed, hammered by
-//! concurrent [`RetryClient`]s.
+//! concurrent [`ClusterClient`]s (each over a one-slot topology).
 //!
 //! The invariant under test is the serving layer's whole robustness
 //! claim: **under seeded fault pressure at every layer, every request
@@ -17,7 +17,7 @@ use cham_he::hmvp::{Hmvp, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::ChamParams;
 use cham_serve::server::{Server, ServerConfig};
-use cham_serve::{ClientConfig, FaultConfig, FaultInjector, RetryClient, RetryPolicy};
+use cham_serve::{ClientConfig, ClusterClient, FaultConfig, FaultInjector, RetryPolicy};
 use cham_telemetry::flight::FlightEventKind;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, OnceLock};
@@ -107,8 +107,13 @@ fn soak(seed: u64) -> (u64, u64, u64, u64) {
             let mut policy = policy;
             policy.jitter_seed = seed ^ (thread_id + 1);
             handles.push(scope.spawn(move || {
-                let mut client =
-                    RetryClient::new(addr, Arc::clone(&f.params), ClientConfig::default(), policy);
+                let mut client = ClusterClient::connect_with(
+                    addr,
+                    Arc::clone(&f.params),
+                    ClientConfig::default(),
+                    policy,
+                )
+                .unwrap();
                 let enc = Encryptor::new(&f.params, &f.sk);
                 let dec = Decryptor::new(&f.params, &f.sk);
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ (0x1000 + thread_id));
@@ -205,8 +210,8 @@ fn run_seed(seed: u64) {
         )
         .unwrap();
         let mut client =
-            RetryClient::connect(server.local_addr().to_string(), Arc::clone(&f.params)).unwrap();
-        client.ping().unwrap();
+            ClusterClient::connect(server.local_addr().to_string(), Arc::clone(&f.params)).unwrap();
+        client.ping(0).unwrap();
         server.shutdown();
     }
     let baseline = thread_count();

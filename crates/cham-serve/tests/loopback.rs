@@ -11,7 +11,7 @@ use cham_he::params::ChamParams;
 use cham_serve::protocol::ErrorCode;
 use cham_serve::server::{Server, ServerConfig};
 use cham_serve::{
-    Fault, FaultConfig, FaultInjector, RetryClient, RetryPolicy, ServeClient, ServeError,
+    ClusterClient, Fault, FaultConfig, FaultInjector, RetryPolicy, ServeClient, ServeError,
 };
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, OnceLock};
@@ -260,7 +260,7 @@ fn wire_errors_are_typed() {
     let enc = Encryptor::new(&f.params, &f.sk);
     let cts = hmvp.encrypt_vector(&[1u64; 8], &enc, &mut rng).unwrap();
     // Unknown ids come back as the *typed* client-side variants, with
-    // the id intact — that is what lets RetryClient know what to replay.
+    // the id intact — that is what lets ClusterClient know what to replay.
     let r = client.hmvp(0xDEAD, 0xBEEF, &cts, None);
     assert!(matches!(r, Err(ServeError::UnknownKey(0xDEAD))));
     let key_id = client.load_keys(&f.gkeys, &f.indices).unwrap();
@@ -397,13 +397,13 @@ fn shutdown_answers_late_requests_with_typed_error() {
     assert_eq!(stats.rejected_shutdown, 1);
 }
 
-/// RetryClient recovers transparently from a mid-session eviction by
+/// ClusterClient recovers transparently from a mid-session eviction by
 /// replaying its stored uploads (idempotent via content addressing).
 #[test]
 fn retry_client_reuploads_after_eviction() {
     let f = fixture();
     let server = start_server(&ServerConfig::default());
-    let mut client = RetryClient::connect_with(
+    let mut client = ClusterClient::connect_with(
         server.local_addr().to_string(),
         Arc::clone(&f.params),
         cham_serve::ClientConfig::default(),

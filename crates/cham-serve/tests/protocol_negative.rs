@@ -16,7 +16,7 @@ use cham_serve::protocol::{
     self, ErrorCode, FrameKind, Hello, Response, DEADLINE_NONE, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use cham_serve::server::{Server, ServerConfig};
-use cham_serve::{ClientConfig, RetryClient, RetryPolicy, ServeClient, ServeError};
+use cham_serve::{ClientConfig, ClusterClient, RetryPolicy, ServeClient, ServeError};
 use rand::SeedableRng;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -236,7 +236,7 @@ fn revision_mismatch_is_one_typed_error() {
     assert_eq!(offers(), vec![PROTOCOL_VERSION]);
 
     let (addr, offers) = hello_recorder(refuse);
-    let err = RetryClient::connect_with(
+    let err = ClusterClient::connect_with(
         addr.to_string(),
         Arc::clone(&p),
         ClientConfig::default(),
