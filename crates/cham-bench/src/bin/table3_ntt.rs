@@ -8,13 +8,15 @@
 
 use cham_bench::{si, BenchRun, CpuCosts};
 use cham_he::params::ChamParams;
+use cham_math::simd::{self, RescaleLimb};
 use cham_math::{Backend, NttTable};
 use cham_sim::baselines::published_ntt;
 use cham_sim::pipeline::HmvpCycleModel;
 use cham_sim::report::table3;
 use std::time::Instant;
 
-/// Best-of-3 seconds for `reps` transforms of one N-point limb.
+/// Best-of-3 seconds for `reps` calls of one kernel (a transform of one
+/// N-point limb, or one key-switch's worth of a key-switch kernel).
 fn time_ntt(reps: usize, mut transform: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..3 {
@@ -98,8 +100,10 @@ fn main() {
     // `with_backend` (the in-process equivalent of `CHAM_SIMD=scalar` /
     // `=avx2` / … runs). `NttTable::new` above already captured the
     // env-selected backend, so `ntt_lazy_seconds` stays the production
-    // path; the rows below isolate the vectorization factor per tier. The
-    // un-suffixed metrics are the tier `CHAM_SIMD=auto` resolves to.
+    // path; the rows below isolate the vectorization factor per tier, one
+    // row per kernel family with an arm of its own (a backend without one
+    // runs the scalar arm and reads ≈ 1.0×). The un-suffixed metrics are
+    // the tier `CHAM_SIMD=auto` resolves to.
     let auto_backend = Backend::detect_auto();
     let scalar_table = NttTable::with_backend(n, q, Backend::Scalar).expect("NTT table");
     let fwd_scalar_s = time_ntt(reps, || scalar_table.forward(&mut poly));
@@ -121,6 +125,43 @@ fn main() {
     };
     run.param("degree", params.degree());
     run.param("simd_ablation_backend", auto_backend.name());
+    // The key-switch's element-wise families on their production shape:
+    // the digit product of one key-switch (every digit against both key
+    // components, one call per augmented limb) and the rescale of one
+    // augmented polynomial into the normal basis. Any canonical residues
+    // do; the digit product writes canonical sums back over its inputs.
+    let aug = params.augmented_context();
+    let (moduli, lanes) = (aug.moduli(), aug.len() * n);
+    let digits = params.ciphertext_context().len();
+    let residues = |limbs: usize| -> Vec<u64> {
+        (0..limbs * n)
+            .map(|i| (i as u64).wrapping_mul(0x9E37_79B9) % moduli[(i / n) % moduli.len()].value())
+            .collect()
+    };
+    let key = residues(moduli.len());
+    let key_limbs: Vec<Vec<&[u64]>> = key.chunks_exact(n).map(|l| vec![l; digits]).collect();
+    let mut words = residues(digits.max(2) * moduli.len());
+    let keyswitch_dot = |backend: Backend, words: &mut [u64]| {
+        for (l, (q, key)) in moduli.iter().zip(&key_limbs).enumerate() {
+            simd::digit_product(backend, &mut words[l * n..], lanes, key, key, q);
+        }
+    };
+    let (p, surviving) = moduli.split_last().expect("augmented chain");
+    let rescale_limbs: Vec<RescaleLimb> = surviving
+        .iter()
+        .map(|&q| RescaleLimb::new(q, *p).expect("chain primes are coprime"))
+        .collect();
+    let src = residues(moduli.len());
+    let mut rescaled = vec![0u64; surviving.len() * n];
+    let rescale = |backend: Backend, out: &mut [u64]| {
+        let last = &src[surviving.len() * n..];
+        for (i, limb) in rescale_limbs.iter().enumerate() {
+            let (x, out) = (&src[i * n..(i + 1) * n], &mut out[i * n..(i + 1) * n]);
+            simd::rescale_into(backend, limb, x, last, out);
+        }
+    };
+    let dot_scalar_s = time_ntt(reps, || keyswitch_dot(Backend::Scalar, &mut words));
+    let rescale_scalar_s = time_ntt(reps, || rescale(Backend::Scalar, &mut rescaled));
     for backend in Backend::all_available() {
         if backend == Backend::Scalar {
             continue;
@@ -128,8 +169,12 @@ fn main() {
         let table = NttTable::with_backend(n, q, backend).expect("NTT table");
         let fwd_s = time_ntt(reps, || table.forward(&mut poly));
         let inv_s = time_ntt(reps, || table.inverse(&mut poly));
+        let dot_s = time_ntt(reps, || keyswitch_dot(backend, &mut words));
+        let rescale_s = time_ntt(reps, || rescale(backend, &mut rescaled));
         row(backend, "forward NTT", fwd_scalar_s / per, fwd_s / per);
         row(backend, "inverse NTT", inv_scalar_s / per, inv_s / per);
+        row(backend, "keyswitch dot", dot_scalar_s / per, dot_s / per);
+        row(backend, "rescale", rescale_scalar_s / per, rescale_s / per);
         run.metric(
             format!("simd_speedup_fwd_ntt_{backend}"),
             fwd_scalar_s / fwd_s,
@@ -137,6 +182,14 @@ fn main() {
         .metric(
             format!("simd_speedup_inv_ntt_{backend}"),
             inv_scalar_s / inv_s,
+        )
+        .metric(
+            format!("simd_speedup_keyswitch_dot_{backend}"),
+            dot_scalar_s / dot_s,
+        )
+        .metric(
+            format!("simd_speedup_rescale_{backend}"),
+            rescale_scalar_s / rescale_s,
         );
         if backend == auto_backend {
             run.metric("ntt_simd_seconds", fwd_s / per)

@@ -14,7 +14,8 @@ use crate::keys::{GaloisKeys, KeySwitchKey};
 use crate::params::ChamParams;
 use crate::scratch::{DotScratch, ScratchPool};
 use crate::{HeError, Result};
-use cham_math::rns::{Form, FusedAccumulator, RnsContext, RnsPoly};
+use cham_math::rns::{Form, RnsContext, RnsPoly};
+use cham_math::simd::{digit_product, DIGIT_PRODUCT_MAX_DIGITS};
 use cham_math::Modulus;
 use std::borrow::Cow;
 
@@ -245,41 +246,69 @@ pub(crate) fn monomial_butterfly(even: &mut [u64], odd: &mut [u64], g: usize, q:
     }
 }
 
-/// Writes the key-switch digits of `σ_k(a)` into `words` in coefficient
-/// form: digit `d` is limb `d` of the automorphed polynomial — integers
-/// below `q_d` — re-embedded into every limb of `aug` (`len·N` words per
-/// digit, limb-major). `k = 1, rot = 0` is the plain decomposition.
-///
-/// Re-embedding a value `v < q_d` modulo `q_l` is a per-pair decision made
-/// outside the loop: nothing when `q_d ≤ q_l`, one compare-subtract when
-/// `q_d < 2·q_l` (every pair of the CHAM chain), Barrett otherwise.
-fn write_digits(a: &RnsPoly, k: usize, rot: usize, aug: &RnsContext, words: &mut [u64]) {
-    let n = aug.degree();
-    let lanes = aug.len() * n;
-    for (d, (limb, from)) in a.limbs().iter().zip(a.context().moduli()).enumerate() {
-        let src = limb.coeffs();
-        let digit = &mut words[d * lanes..(d + 1) * lanes];
-        for (dst, to) in digit.chunks_exact_mut(n).zip(aug.moduli()) {
-            let q = to.value();
-            if from.value() <= q {
-                automorph_scatter(src, dst, k, rot, from, |slot, v| *slot = v);
-            } else if from.value() < 2 * q {
-                automorph_scatter(src, dst, k, rot, from, |slot, v| {
-                    *slot = if v >= q { v - q } else { v };
-                });
-            } else {
-                automorph_scatter(src, dst, k, rot, from, |slot, v| *slot = to.reduce(v));
-            }
+/// `dst[j] ← src[j] mod to` for residues `src[j] < from` — re-embedding a
+/// digit into another limb. The reduction is a per-pair decision made
+/// outside the loop: a copy when `from ≤ to`, one compare-subtract when
+/// `from < 2·to` (every pair of the CHAM chain), Barrett otherwise.
+fn re_embed(src: &[u64], dst: &mut [u64], from: &Modulus, to: &Modulus) {
+    let q = to.value();
+    if from.value() <= q {
+        dst.copy_from_slice(src);
+    } else if from.value() < 2 * q {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = if v >= q { v - q } else { v };
+        }
+    } else {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = to.reduce(v);
         }
     }
 }
 
+/// Writes the key-switch digits of `σ_k(a)` into `words` in coefficient
+/// form: digit `d` is limb `d` of the automorphed polynomial — integers
+/// below `q_d` — in every limb of `aug` (`len·N` words per digit,
+/// limb-major). `k = 1, rot = 0` is the plain decomposition.
+///
+/// One scatter per digit, into the digit's own limb (`aug`'s limb `d` is
+/// `q_d`, so it needs no reduction); the other limbs are sequential
+/// re-embeddings of that one.
+fn write_digits(a: &RnsPoly, k: usize, rot: usize, aug: &RnsContext, words: &mut [u64]) {
+    let n = aug.degree();
+    let lanes = aug.len() * n;
+    let digits = a.limbs().iter().zip(a.context().moduli());
+    for (d, (limb, from)) in digits.enumerate() {
+        let (before, rest) = words[d * lanes..(d + 1) * lanes].split_at_mut(d * n);
+        let (own, after) = rest.split_at_mut(n);
+        automorph_scatter(limb.coeffs(), own, k, rot, from, |slot, v| *slot = v);
+        let others = before.chunks_exact_mut(n).chain(after.chunks_exact_mut(n));
+        let moduli = aug.moduli()[..d].iter().chain(&aug.moduli()[d + 1..]);
+        for (dst, to) in others.zip(moduli) {
+            re_embed(own, dst, from, to);
+        }
+    }
+}
+
+/// Limb `l` of each key polynomial, in digit order (unused slots empty).
+fn key_limbs(polys: &[RnsPoly], l: usize) -> [&[u64]; DIGIT_PRODUCT_MAX_DIGITS] {
+    let mut limbs: [&[u64]; DIGIT_PRODUCT_MAX_DIGITS] = Default::default();
+    for (slot, poly) in limbs.iter_mut().zip(polys) {
+        *slot = poly.limbs()[l].coeffs();
+    }
+    limbs
+}
+
 /// The KEYSWITCH functional unit on scratch: RNS digit decomposition of
-/// `σ_k(a)`, one NTT-domain multiply-accumulate per digit against the
-/// KSK, inverse transform. On return `s.words[..lanes]` and
-/// `s.words[lanes..2·lanes]` hold the `(b, a)` correction pair over the
-/// augmented basis in coefficient form — one [`rescale_lanes_into`] /
-/// [`rescale_lanes_add`] away from the normal basis.
+/// `σ_k(a)`, forward transforms, the digit product against the KSK, inverse
+/// transforms. On return `s.words[..lanes]` and `s.words[lanes..2·lanes]`
+/// hold the `(b, a)` correction pair over the augmented basis in
+/// coefficient form — one [`rescale_lanes_into`] / [`rescale_lanes_add`]
+/// away from the normal basis.
+///
+/// The digit sums have no accumulator: a sum of `digits` products per
+/// coefficient is formed and reduced in one pass per limb
+/// ([`cham_math::simd::digit_product`], on the limb's table backend) and
+/// written over the digits it consumed.
 ///
 /// Everything runs on the calling thread: callers are already one task of
 /// a parallel region (a pack subtree, a batch member), and a nested
@@ -303,17 +332,16 @@ fn keyswitch_to_scratch(
             "key-switch expects a coefficient-form mask of the ring degree",
         ));
     }
-    if digits != ksk.digit_count() || digits + 1 != aug.len() {
+    if digits != ksk.digit_count()
+        || digits + 1 != aug.len()
+        || digits > DIGIT_PRODUCT_MAX_DIGITS
+        || a.context().moduli() != &aug.moduli()[..digits]
+    {
         return Err(HeError::Incompatible(
-            "digit count does not match the key-switch key",
+            "mask basis or digit count does not match the key-switch key",
         ));
     }
-    let DotScratch {
-        b_acc,
-        a_acc,
-        words,
-        ..
-    } = s;
+    let words = &mut s.words;
     write_digits(a, k, rot, aug, words);
     let transform = |words: &mut [u64], f: fn(&cham_math::NttTable, &mut [u64])| {
         for (limb, table) in words.chunks_exact_mut(n).zip(aug.tables().iter().cycle()) {
@@ -321,17 +349,17 @@ fn keyswitch_to_scratch(
         }
     };
     transform(&mut words[..digits * lanes], cham_math::NttTable::forward);
-    // Deferred reduction over per-worker scratch: the sum of products is
-    // the same residues the strict multiply/add sequence produces.
-    let mut acc_b = FusedAccumulator::new(aug, b_acc)?;
-    let mut acc_a = FusedAccumulator::new(aug, a_acc)?;
-    for (d, digit) in words[..digits * lanes].chunks_exact(lanes).enumerate() {
-        acc_b.accumulate_lanes(digit, &ksk.b[d])?;
-        acc_a.accumulate_lanes(digit, &ksk.a[d])?;
+    for (l, table) in aug.tables().iter().enumerate() {
+        let (kb, ka) = (key_limbs(&ksk.b, l), key_limbs(&ksk.a, l));
+        digit_product(
+            table.backend(),
+            &mut words[l * n..],
+            lanes,
+            &kb[..digits],
+            &ka[..digits],
+            table.modulus(),
+        );
     }
-    // The digits are consumed; their storage takes the two sums.
-    acc_b.finish_lanes_into(&mut words[..lanes])?;
-    acc_a.finish_lanes_into(&mut words[lanes..2 * lanes])?;
     transform(&mut words[..2 * lanes], cham_math::NttTable::inverse);
     Ok(())
 }
@@ -349,17 +377,13 @@ pub(crate) fn rescale_lanes_into(aug: &RnsContext, words: &[u64], at: usize, dst
 }
 
 /// [`rescale_lanes_into`] that adds the rescaled polynomial to what `dst`
-/// already holds, staging one limb at a time in the tail of `words`.
-fn rescale_lanes_add(aug: &RnsContext, words: &mut [u64], at: usize, dst: &mut RnsPoly) {
+/// already holds.
+fn rescale_lanes_add(aug: &RnsContext, words: &[u64], at: usize, dst: &mut RnsPoly) {
     let n = aug.degree();
-    let (body, stage) = words.split_at_mut(words.len() - n);
-    let src = &body[at..at + aug.len() * n];
+    let src = &words[at..at + aug.len() * n];
     let last = &src[(aug.len() - 1) * n..];
-    for (i, (limb, q)) in dst.limbs_mut().iter_mut().zip(aug.moduli()).enumerate() {
-        aug.rescale_limb_into(i, &src[i * n..(i + 1) * n], last, stage);
-        for (o, &v) in limb.coeffs_mut().iter_mut().zip(stage.iter()) {
-            *o = q.add(*o, v);
-        }
+    for (i, limb) in dst.limbs_mut().iter_mut().enumerate() {
+        aug.rescale_limb_add(i, &src[i * n..(i + 1) * n], last, limb.coeffs_mut());
     }
 }
 
@@ -416,8 +440,8 @@ pub(crate) fn add_galois_of(
             *slot = q.add(*slot, v);
         });
     }
-    rescale_lanes_add(aug, &mut s.words, 0, &mut acc.b);
-    rescale_lanes_add(aug, &mut s.words, lanes, &mut acc.a);
+    rescale_lanes_add(aug, &s.words, 0, &mut acc.b);
+    rescale_lanes_add(aug, &s.words, lanes, &mut acc.a);
     Ok(())
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Everything after the input lift — the row MAC, the rescale→extract
 //! tail, the key-switch inside every `PACKTWOLWES` — works in caller-owned
-//! flat buffers: two `u128` deferred-reduction accumulators and a `u64`
-//! staging area for key-switch digits and pre-rescale polynomials. Backing
+//! flat buffers: the row MAC's two `u128` deferred-reduction accumulators
+//! and a `u64` area for key-switch digits and pre-rescale polynomials. Backing
 //! those with fresh vectors would put a dozen heap allocations on every
 //! row and every pack step; instead, workers check a [`DotScratch`] out of
 //! a small pool keyed by the `cham-pool` worker index, so the steady state
@@ -36,13 +36,13 @@ const MAX_PER_SLOT: usize = 4;
 /// Reusable working memory for one row or one pack subtree over an
 /// augmented basis of `limbs × degree` lanes.
 pub(crate) struct DotScratch {
-    /// Deferred-reduction accumulators for the `b` and `a` components,
-    /// `lanes` each.
+    /// The row MAC's deferred-reduction accumulators for the `b` and `a`
+    /// components, `lanes` each.
     pub(crate) b_acc: Vec<u128>,
     pub(crate) a_acc: Vec<u128>,
-    /// `max(limbs − 1, 2) · lanes` words holding the key-switch digits
-    /// (and, once the MAC has consumed them, the two accumulated
-    /// polynomials), followed by one limb (`degree` words) of staging.
+    /// `max(limbs − 1, 2) · lanes` words: the key-switch digits (and, once
+    /// the digit product has consumed them, its two sums), or a row tail's
+    /// `a` limbs and `b₀` residues (`lanes + 2 · limbs ≤ 2 · lanes`).
     pub(crate) words: Vec<u64>,
     degree: usize,
 }
@@ -54,7 +54,7 @@ impl DotScratch {
         Self {
             b_acc: vec![0; lanes],
             a_acc: vec![0; lanes],
-            words: vec![0; digits * lanes + degree],
+            words: vec![0; digits * lanes],
             degree,
         }
     }
@@ -163,7 +163,7 @@ mod tests {
         pool.with(&c, |s| {
             assert_eq!(s.b_acc.len(), 48);
             assert_eq!(s.a_acc.len(), 48);
-            assert_eq!(s.words.len(), 2 * 48 + 16);
+            assert_eq!(s.words.len(), 2 * 48);
         });
         assert_eq!(pool.stats(), (0, 1), "first call was a miss");
         // Every subsequent same-shape call on this thread reuses the buffer.

@@ -10,6 +10,7 @@ use cham_he::hmvp::{Hmvp, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::ChamParams;
 use cham_math::simd::{simd_stats, Kernel};
+use cham_math::Backend;
 use cham_telemetry::json::JsonValue;
 use cham_telemetry::RunRecord;
 use rand::{Rng, SeedableRng};
@@ -94,6 +95,30 @@ fn one_multiply_books_each_operation_once() {
     }
     let (vector, tail) = simd_after.totals();
     assert!(vector + tail > 0);
+
+    // MAC lanes: the row MAC books `2 · lanes` products per row (one
+    // column tile) with no vector arm; every key-switch books
+    // `2 · digits · lanes` digit products, in vector lanes where the
+    // augmented limbs' tables resolved to IFMA.
+    let aug = params.augmented_context();
+    let lanes = (aug.len() * n) as u64;
+    let digits = params.ciphertext_context().len() as u64;
+    let (row_mac, keyswitch) = (rows * 2 * lanes, (rows - 1) * 2 * digits * lanes);
+    let ifma = aug
+        .tables()
+        .iter()
+        .all(|t| t.backend() == Backend::Avx512Ifma);
+    assert_eq!(
+        (
+            delta("cham_math.simd.mac.vector"),
+            delta("cham_math.simd.mac.tail")
+        ),
+        if ifma {
+            (keyswitch, row_mac)
+        } else {
+            (0, row_mac + keyswitch)
+        }
+    );
 
     // A run record written now carries all of it, one key per name.
     let text = RunRecord::start("op_counts").to_json().to_string();

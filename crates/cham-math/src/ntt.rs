@@ -268,13 +268,11 @@ impl NttTable {
             crate::simd::record_kernel(Kernel::InvButterfly, half * u64::from(self.log_n), 0);
             return;
         }
-        let (mut vec_bf, mut tail_bf) = (0u64, 0u64);
         let mut t = 1usize;
         let mut m = self.n;
         while m > 2 {
             let h = m >> 1;
             crate::simd::inv_ntt_stage(
-                backend,
                 a,
                 h,
                 t,
@@ -282,18 +280,13 @@ impl NttTable {
                 &self.inv_root_powers_shoup,
                 q,
             );
-            if backend.vectorises_stage(t) {
-                vec_bf += half;
-            } else {
-                tail_bf += half;
-            }
             t <<= 1;
             m = h;
         }
-        // The fused final stage below is scalar on these backends: it runs
-        // strict Shoup multiplies with per-leg constants, not the lazy GS
-        // kernel.
-        crate::simd::record_kernel(Kernel::InvButterfly, vec_bf, tail_bf + half);
+        // Outside the IFMA transform every inverse stage is scalar — the GS
+        // stages (no backend has a per-stage arm) and the fused final one,
+        // which runs strict Shoup multiplies with per-leg constants.
+        crate::simd::record_kernel(Kernel::InvButterfly, 0, half * u64::from(self.log_n));
         // Last stage (m == 2): a single twiddle across n/2 butterflies;
         // scale both legs by n^{-1} via pre-scaled constants, producing
         // canonical output directly — the full-array scaling loop is gone.

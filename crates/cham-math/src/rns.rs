@@ -21,6 +21,7 @@
 use crate::modulus::Modulus;
 use crate::ntt::NttTable;
 use crate::poly::Poly;
+use crate::simd::{self, RescaleLimb};
 use crate::{MathError, Result};
 use std::sync::Arc;
 
@@ -53,18 +54,7 @@ pub struct RnsContext {
     moduli: Arc<Vec<Modulus>>,
     tables: Arc<Vec<NttTable>>,
     /// Divide-and-round constants for each limb i < len-1.
-    rescale: Arc<Vec<RescaleConst>>,
-}
-
-/// Per-surviving-limb constants of the rescale by the last prime `p`.
-#[derive(Debug, Clone, Copy)]
-struct RescaleConst {
-    /// `p^{-1} mod q_i` and its Shoup companion word.
-    inv: u64,
-    inv_shoup: u64,
-    /// The smallest multiple of `q_i` that is `>= p`: added before the
-    /// dropped residue is subtracted so the difference never goes negative.
-    offset: u64,
+    rescale: Arc<Vec<RescaleLimb>>,
 }
 
 impl PartialEq for RnsContext {
@@ -107,17 +97,10 @@ impl RnsContext {
             .iter()
             .map(|&m| NttTable::new(degree, m))
             .collect::<Result<_>>()?;
-        let last = *primes.last().expect("non-empty");
-        let rescale = moduli[..moduli.len() - 1]
+        let (last, surviving) = moduli.split_last().expect("non-empty");
+        let rescale = surviving
             .iter()
-            .map(|m| {
-                let inv = m.inv(last % m.value())?;
-                Ok(RescaleConst {
-                    inv,
-                    inv_shoup: m.shoup(inv),
-                    offset: last.div_ceil(m.value()) * m.value(),
-                })
-            })
+            .map(|&m| RescaleLimb::new(m, *last))
             .collect::<Result<Vec<_>>>()?;
         Ok(Self {
             degree,
@@ -198,26 +181,24 @@ impl RnsContext {
     /// The centred lift never materialises: `x + offset (+ p) − r` is a
     /// non-negative representative of the difference (`offset` is a
     /// multiple of `q_i` no smaller than `p`), and a Shoup multiply by the
-    /// precomputed `p^{−1}` accepts any `u64` operand.
+    /// precomputed `p^{−1}` accepts it ([`simd::rescale_into`]). The kernel
+    /// runs on limb `i`'s table backend ([`NttTable::backend`]).
     ///
     /// # Panics
     /// Panics if `i` is not a surviving limb or the slice lengths differ.
     pub fn rescale_limb_into(&self, i: usize, x: &[u64], last: &[u64], out: &mut [u64]) {
         assert!(i + 1 < self.len(), "limb {i} does not survive the rescale");
-        assert!(
-            x.len() == last.len() && x.len() == out.len(),
-            "operand length mismatch"
-        );
-        let q = &self.moduli[i];
-        let p = self.moduli[self.len() - 1].value();
-        let half = p / 2;
-        let c = self.rescale[i];
-        // q_i, p < 2^62, so x + offset + p < q_i + (p + q_i) + p < 2^64.
-        let (keep, wrap) = (c.offset, c.offset + p);
-        for ((o, &xi), &r) in out.iter_mut().zip(x).zip(last) {
-            let lifted = xi + if r > half { wrap } else { keep } - r;
-            *o = q.mul_shoup(lifted, c.inv, c.inv_shoup);
-        }
+        simd::rescale_into(self.tables[i].backend(), &self.rescale[i], x, last, out);
+    }
+
+    /// [`Self::rescale_limb_into`] that adds the rescaled residues to the
+    /// canonical ones `out` already holds, mod `q_i`.
+    ///
+    /// # Panics
+    /// Panics if `i` is not a surviving limb or the slice lengths differ.
+    pub fn rescale_limb_add(&self, i: usize, x: &[u64], last: &[u64], out: &mut [u64]) {
+        assert!(i + 1 < self.len(), "limb {i} does not survive the rescale");
+        simd::rescale_add(self.tables[i].backend(), &self.rescale[i], x, last, out);
     }
 
     /// True when `target` is this chain with the last prime dropped (same
@@ -756,8 +737,9 @@ impl RnsPoly {
 }
 
 /// Deferred-reduction multiply-accumulate over RNS polynomials in NTT form —
-/// the fused kernel behind the HMVP dot phase, keyswitch digit accumulation
-/// and the pack tree.
+/// the fused kernel behind the HMVP row MAC, where one row sums a product
+/// per column tile. (A key-switch sums only one product per digit and runs
+/// the register-resident [`crate::simd::digit_product`] instead.)
 ///
 /// Products are accumulated into a caller-owned `u128` scratch slice
 /// (flattened `limbs × degree`, typically borrowed from a per-worker scratch
@@ -819,34 +801,10 @@ impl<'a> FusedAccumulator<'a> {
     /// [`MathError::ContextMismatch`] unless both operands are in NTT form
     /// over this accumulator's context.
     pub fn accumulate(&mut self, a: &RnsPoly, b: &RnsPoly) -> Result<()> {
-        if a.ctx != self.ctx || a.form != Form::Ntt {
-            return Err(MathError::ContextMismatch);
-        }
-        self.accumulate_with(|i| a.limbs[i].coeffs(), b)
-    }
-
-    /// [`Self::accumulate`] for a left operand that lives in flat scratch
-    /// rather than an [`RnsPoly`]: `a` holds `len · degree` NTT-domain
-    /// residues, limb-major — the layout of the accumulator itself.
-    ///
-    /// # Errors
-    /// [`MathError::ContextMismatch`] unless `a` has `len · degree` lanes
-    /// and `b` is in NTT form over this accumulator's context.
-    pub fn accumulate_lanes(&mut self, a: &[u64], b: &RnsPoly) -> Result<()> {
-        if a.len() != self.acc.len() {
-            return Err(MathError::ContextMismatch);
-        }
-        let n = self.ctx.degree();
-        self.accumulate_with(|i| &a[i * n..(i + 1) * n], b)
-    }
-
-    fn accumulate_with<'s>(
-        &mut self,
-        a_limb: impl Fn(usize) -> &'s [u64],
-        b: &RnsPoly,
-    ) -> Result<()> {
-        if b.ctx != self.ctx || b.form != Form::Ntt {
-            return Err(MathError::ContextMismatch);
+        for x in [a, b] {
+            if x.ctx != self.ctx || x.form != Form::Ntt {
+                return Err(MathError::ContextMismatch);
+            }
         }
         if self.pending == crate::poly::LAZY_ACC_BOUND {
             self.flush();
@@ -857,8 +815,12 @@ impl<'a> FusedAccumulator<'a> {
         } else {
             crate::poly::mul_pointwise_accumulate
         };
-        for (i, lb) in b.limbs.iter().enumerate() {
-            write(&mut self.acc[i * n..(i + 1) * n], a_limb(i), lb.coeffs());
+        let limbs = self
+            .acc
+            .chunks_exact_mut(n)
+            .zip(a.limbs.iter().zip(&b.limbs));
+        for (acc, (la, lb)) in limbs {
+            write(acc, la.coeffs(), lb.coeffs());
         }
         self.fresh = false;
         self.pending += 1;
@@ -1286,25 +1248,18 @@ mod tests {
             fn run<'s>(
                 c: &RnsContext,
                 pairs: &[(RnsPoly, RnsPoly)],
-                lanes: bool,
                 scratch: &'s mut [u128],
             ) -> FusedAccumulator<'s> {
                 let mut acc = FusedAccumulator::new(c, scratch).unwrap();
                 for (a, b) in pairs {
-                    if lanes {
-                        let flat: Vec<u64> =
-                            a.limbs().iter().flat_map(|l| l.coeffs().to_vec()).collect();
-                        acc.accumulate_lanes(&flat, b).unwrap();
-                    } else {
-                        acc.accumulate(a, b).unwrap();
-                    }
+                    acc.accumulate(a, b).unwrap();
                 }
                 acc
             }
             let mut scratch = vec![u128::MAX; c.len() * n];
-            let want = run(&c, &pairs, false, &mut scratch).finish();
+            let want = run(&c, &pairs, &mut scratch).finish();
             let mut flat = vec![0u64; c.len() * n];
-            run(&c, &pairs, true, &mut scratch)
+            run(&c, &pairs, &mut scratch)
                 .finish_lanes_into(&mut flat)
                 .unwrap();
             let want_flat: Vec<u64> = want
@@ -1315,7 +1270,7 @@ mod tests {
             assert_eq!(flat, want_flat, "terms={terms}");
             // Constant coefficients without the inverse transform.
             let mut constant = vec![0u64; c.len()];
-            run(&c, &pairs, true, &mut scratch)
+            run(&c, &pairs, &mut scratch)
                 .finish_constant_coeffs(&mut constant)
                 .unwrap();
             let mut coeff = want.clone();
@@ -1338,8 +1293,7 @@ mod tests {
             .unwrap();
         assert!(flat.iter().all(|&x| x == 0));
         // Shape checks.
-        let mut acc = FusedAccumulator::new(&c, &mut scratch).unwrap();
-        assert!(acc.accumulate_lanes(&flat[1..], &top).is_err());
+        let acc = FusedAccumulator::new(&c, &mut scratch).unwrap();
         assert!(acc.finish_lanes_into(&mut flat[1..]).is_err());
         let acc = FusedAccumulator::new(&c, &mut scratch).unwrap();
         assert!(acc.finish_constant_coeffs(&mut constant[1..]).is_err());

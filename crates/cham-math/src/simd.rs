@@ -10,7 +10,13 @@
 //! * element-wise [`Modulus::mul_shoup_lazy`] against a constant table
 //!   (the CG ψ-twist and any Shoup-prepared pointwise multiply),
 //! * the `u128` multiply-accumulate lanes behind
-//!   [`crate::rns::FusedAccumulator`] / [`crate::poly::mul_pointwise_accumulate`],
+//!   [`crate::rns::FusedAccumulator`] / [`crate::poly::mul_pointwise_accumulate`]
+//!   (the HMVP row MAC),
+//! * the key-switch **digit product** ([`digit_product`]): both key
+//!   components' digit sums for one limb in one pass, reduced in registers
+//!   — no accumulator plane,
+//! * the **rescale** by the last prime of a chain ([`rescale_into`] /
+//!   [`rescale_add`], behind [`crate::rns::RnsContext::rescale_limb_into`]),
 //!
 //! plus the `[0, 4q) → [0, q)` normalization pass that finishes a lazy
 //! forward transform.
@@ -42,27 +48,32 @@
 //!
 //! * `scalar` — the PR 4 lazy datapath; always available and the
 //!   correctness oracle for everything else.
-//! * `avx2` — `std::arch::x86_64`, 4 × u64 lanes, butterfly stages and the
-//!   normalization pass. AVX2 has no 64×64→128 multiply, so the Shoup
-//!   high-half is computed exactly with the classic 32-bit split
+//! * `avx2` — `std::arch::x86_64`, 4 × u64 lanes, forward butterfly
+//!   stages and the normalization pass. AVX2 has no 64×64→128 multiply, so
+//!   the Shoup high-half is computed exactly with the classic 32-bit split
 //!   (`_mm256_mul_epu32` partial products + carry folding) — the same
 //!   construction Intel HEXL uses on pre-IFMA parts.
 //!   Strides below four butterflies run the scalar kernel. Its `u128` MAC
-//!   arm lost to scalar (0.47–0.63×) and its element-wise multiply arm
-//!   never beat it beyond noise (0.71–1.14× across records), so both were
-//!   deleted: on every backend those two kernels *are* the scalar ones.
+//!   arm lost to scalar (0.47–0.63×), its element-wise multiply arm never
+//!   beat it beyond noise (0.71–1.14× across records), and its inverse
+//!   stage arm made `hmvp_tall` slower in 9 of 10 pairs, so all three were
+//!   deleted: on every backend those kernels *are* the scalar ones.
 //!   ([`crate::CgNttTable`] — the hardware golden model, reached by no HE
 //!   path and no committed record — runs scalar stage loops of its own.)
-//! * `avx512ifma` — 8 × u64 lanes, whole [`crate::NttTable`] transforms:
-//!   every stage, the forward normalization and the inverse's `n⁻¹` last
-//!   stage run in 512-bit registers on the 52-bit multiply-add
-//!   (`vpmadd52{lo,hi}uq`), strides 8/4/2/1 in-register with lane permutes
-//!   (the HEXL recipe). The 52-bit Shoup companion is the table's 64-bit
-//!   one shifted right by 12, so the tier adds no tables. It needs every
-//!   lazy value (`< 4q`) to fit 52 bits: a table whose modulus is 2^50 or
-//!   more — a property of the input, nothing to configure — resolves to
-//!   `avx2` instead. Every other kernel under this backend runs the best
-//!   arm that exists (AVX2 stages/normalization, scalar element-wise).
+//! * `avx512ifma` — 8 × u64 lanes on the 52-bit multiply-add
+//!   (`vpmadd52{lo,hi}uq`), with arms of its own for three kernels:
+//!   whole [`crate::NttTable`] transforms (every stage, the forward
+//!   normalization and the inverse's `n⁻¹` last stage in 512-bit
+//!   registers, strides 8/4/2/1 in-register with lane permutes — the HEXL
+//!   recipe), the key-switch digit product, and the rescale. Every 52-bit
+//!   Shoup companion is a 64-bit one shifted right by 12, so the tier adds
+//!   no tables. It needs every value it multiplies to fit 52 bits: a
+//!   modulus of 2^50 or more — a property of the input, nothing to
+//!   configure — resolves the table to `avx2`, and the element-wise
+//!   kernels follow the table's backend, so they run scalar there (as they
+//!   do for `n < 16`, a slice shorter than one register, and every tail).
+//!   Every other kernel under this backend runs the best arm that exists
+//!   (AVX2 stages/normalization, scalar row MAC and element-wise multiply).
 //!   `auto` picks it when `avx512f` + `avx512ifma` are detected.
 //!
 //! ## The equivalence contract
@@ -75,7 +86,11 @@
 //! quotient estimate is 52-bit where the scalar one is 64-bit, so an
 //! intermediate may sit a multiple of `q` from the scalar kernel's — always
 //! congruent, always inside the documented `[0, 4q)` / `[0, 2q)` range, and
-//! gone by the time the last stage writes canonical values.
+//! gone by the time the last stage writes canonical values. The digit
+//! product and the rescale write canonical residues on every arm — a sum
+//! of products mod `q` is exact in any order and the rescale's Shoup
+//! multiply is finished with one conditional subtraction — so their
+//! outputs are bit-identical to the scalar arm's, lane for lane.
 //! `tests/simd_equivalence.rs`, the per-backend golden KATs and the
 //! per-stage congruence test beside the IFMA kernels pin this.
 
@@ -247,8 +262,8 @@ impl Backend {
     }
 
     /// The backend whose arm the per-stage and normalization kernels run
-    /// under `self`: `Avx512Ifma` has arms only for whole [`crate::NttTable`]
-    /// transforms, so those kernels run it on the AVX2 arm.
+    /// under `self`: `Avx512Ifma` has no per-stage arm (its transforms are
+    /// whole-table kernels), so those kernels run it on the AVX2 arm.
     #[inline]
     const fn stage_arm(self) -> Self {
         match self {
@@ -257,8 +272,9 @@ impl Backend {
         }
     }
 
-    /// True when the per-stage kernels run a stage of `stride` butterflies
-    /// per twiddle group in vector lanes rather than on the scalar kernel.
+    /// True when the forward per-stage kernel runs a stage of `stride`
+    /// butterflies per twiddle group in vector lanes rather than on the
+    /// scalar kernel (no backend has an inverse per-stage arm).
     #[inline]
     pub(crate) const fn vectorises_stage(self, stride: usize) -> bool {
         let arm = self.stage_arm();
@@ -415,10 +431,12 @@ pub fn simd_stats() -> SimdStats {
 
 // ------------------------------------------------------- kernel dispatch
 //
-// `Avx512Ifma` has arms of its own only for the whole `NttTable`
-// transforms (`ifma_forward`/`ifma_inverse`); every per-stage and per-slice
-// kernel below runs it on the best arm that exists — `stage_arm()` (AVX2)
-// for the stage and normalization kernels, scalar for the element-wise ones.
+// `Avx512Ifma` has arms of its own for the whole `NttTable` transforms
+// (`ifma_forward`/`ifma_inverse`), the digit product and the rescale; every
+// other per-stage and per-slice kernel below runs it on the best arm that
+// exists — `stage_arm()` (AVX2) for the forward stage and normalization
+// kernels, scalar for the inverse stage, the row MAC and the element-wise
+// multiply.
 
 /// One forward CT stage over `a` in Harvey lazy form: `m` twiddle groups of
 /// `t` butterflies, constants from `roots[m..2m]`. Inputs/outputs `[0, 4q)`.
@@ -444,9 +462,11 @@ pub(crate) fn fwd_ntt_stage(
 
 /// One inverse GS stage over `a` in lazy form: `h` twiddle groups of `t`
 /// butterflies, constants from `roots[h..2h]`. Values stay in `[0, 2q)`.
+/// Every backend runs the scalar kernel here: `avx512ifma` runs whole
+/// inverse transforms instead, and the AVX2 arm lost to scalar end to end
+/// (DESIGN.md §16) and was deleted.
 #[inline]
 pub(crate) fn inv_ntt_stage(
-    backend: Backend,
     a: &mut [u64],
     h: usize,
     t: usize,
@@ -454,12 +474,7 @@ pub(crate) fn inv_ntt_stage(
     shoups: &[u64],
     q: &Modulus,
 ) {
-    match backend.stage_arm() {
-        #[cfg(target_arch = "x86_64")]
-        // Safety: see `fwd_ntt_stage`.
-        Backend::Avx2 => unsafe { avx2::inv_ntt_stage(a, h, t, roots, shoups, q) },
-        _ => scalar::inv_ntt_stage(a, h, t, roots, shoups, q),
-    }
+    scalar::inv_ntt_stage(a, h, t, roots, shoups, q);
 }
 
 /// Panics unless the IFMA kernels can run a transform of `n` points over
@@ -559,6 +574,153 @@ fn mac(acc: &mut [u128], a: &[u64], b: &[u64], overwrite: bool) {
     record_kernel(Kernel::Mac, 0, acc.len() as u64);
 }
 
+/// True when an element-wise IFMA arm asked for by an `Avx512Ifma` backend
+/// may run over `moduli`: the values it multiplies stay below 2^52 only
+/// when every modulus is below 2^50, and it needs the host's `avx512ifma`.
+/// The backend is normally a table's ([`crate::NttTable::backend`]), which
+/// is `Avx512Ifma` only where this already held at construction.
+#[cfg(target_arch = "x86_64")]
+fn ifma_elementwise(moduli: &[&Modulus]) -> bool {
+    moduli.iter().all(|q| q.bits() <= IFMA_MAX_MODULUS_BITS) && Backend::Avx512Ifma.available()
+}
+
+/// The most digits one [`digit_product`] call sums, on every arm.
+///
+/// Digits and key limbs are canonical, so each product is at most
+/// `(q − 1)²`. **Scalar arm** (`q < 2^62`): sixteen products stay below
+/// `16·(2^62 − 1)² < 2^128`, the `u128` sum. **IFMA arm** (`q < 2^50`): the
+/// low and high 52-bit halves of each product are summed in separate
+/// `u64` lanes — sixteen low halves stay below `16·2^52 = 2^56` — and the
+/// exact sum `V ≤ 16·(q − 1)² < 2^104`, so its high part
+/// `⌊V / 2^52⌋ < 2^52` is still a valid input of the 52-bit Shoup multiply
+/// that folds it. A 17th digit could break both bounds, so a longer digit
+/// list is refused rather than summed with a wrap.
+pub const DIGIT_PRODUCT_MAX_DIGITS: usize = 16;
+
+/// The key-switch digit product for one limb over `q`: for every
+/// coefficient `j`,
+///
+/// `x₀[j] ← Σ_d x_d[j]·kb[d][j]` and `x₁[j] ← Σ_d x_d[j]·ka[d][j]` mod `q`,
+///
+/// canonical, written over the first two digit slots. Digit `d` of the limb
+/// is `x[d·stride..][..n]` (canonical NTT-domain residues, `n = kb[0].len()`,
+/// `stride ≥ n`); with one digit, slot 1 is an output only. Each sum is
+/// exact before its one reduction, so every arm writes the same residues.
+/// Books `2 · digits · n` products under [`Kernel::Mac`].
+///
+/// # Panics
+/// Panics unless `kb` and `ka` hold the same number of digits, between one
+/// and [`DIGIT_PRODUCT_MAX_DIGITS`], every key slice has length `n`, and
+/// `x` holds both output slots and every digit.
+pub fn digit_product(
+    backend: Backend,
+    x: &mut [u64],
+    stride: usize,
+    kb: &[&[u64]],
+    ka: &[&[u64]],
+    q: &Modulus,
+) {
+    let digits = kb.len();
+    assert!(
+        digits == ka.len() && (1..=DIGIT_PRODUCT_MAX_DIGITS).contains(&digits),
+        "digit product over {digits} digits: outside 1..={DIGIT_PRODUCT_MAX_DIGITS}"
+    );
+    let n = kb[0].len();
+    assert!(
+        kb.iter().chain(ka).all(|k| k.len() == n)
+            && stride >= n
+            && x.len() >= (digits.max(2) - 1) * stride + n,
+        "operand length mismatch"
+    );
+    let done = match backend {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: `ifma_elementwise` just detected `avx512f` + `avx512ifma`.
+        Backend::Avx512Ifma if ifma_elementwise(&[q]) => unsafe {
+            ifma::digit_product(x, stride, kb, ka, q)
+        },
+        _ => 0,
+    };
+    scalar::digit_product(x, stride, kb, ka, done, q);
+    let products = 2 * digits as u64;
+    record_kernel(
+        Kernel::Mac,
+        products * done as u64,
+        products * (n - done) as u64,
+    );
+}
+
+/// One surviving limb's constants for the rescale by the last prime `p` of
+/// a chain: `p^{−1} mod q` with its Shoup companion, and the smallest
+/// multiple of `q` that is `≥ p` — added before the dropped residue is
+/// subtracted so the difference never goes negative.
+#[derive(Debug, Clone, Copy)]
+pub struct RescaleLimb {
+    q: Modulus,
+    p: Modulus,
+    inv: u64,
+    inv_shoup: u64,
+    offset: u64,
+}
+
+impl RescaleLimb {
+    /// The constants for dropping `p` from a chain in which `q` survives.
+    ///
+    /// # Errors
+    /// [`crate::MathError::NotInvertible`] when `p` is a multiple of `q`.
+    pub fn new(q: Modulus, p: Modulus) -> crate::Result<Self> {
+        let inv = q.inv(p.value() % q.value())?;
+        Ok(Self {
+            q,
+            p,
+            inv,
+            inv_shoup: q.shoup(inv),
+            offset: p.value().div_ceil(q.value()) * q.value(),
+        })
+    }
+}
+
+/// The rescale kernel: `out[j] = (x[j] − [last[j]]) · p^{−1} mod q`, where
+/// `[·]` is the centred lift of the dropped residue (`r > p/2 ? r − p : r`)
+/// — see [`crate::rns::RnsContext::rescale_limb_into`]. `x` holds canonical
+/// residues mod `q`, `last` the matching ones mod `p`; any common length.
+///
+/// # Panics
+/// Panics if the slice lengths differ.
+pub fn rescale_into(backend: Backend, r: &RescaleLimb, x: &[u64], last: &[u64], out: &mut [u64]) {
+    rescale::<false>(backend, r, x, last, out);
+}
+
+/// [`rescale_into`] that adds the rescaled values to the canonical residues
+/// `out` already holds, mod `q`.
+///
+/// # Panics
+/// Panics if the slice lengths differ.
+pub fn rescale_add(backend: Backend, r: &RescaleLimb, x: &[u64], last: &[u64], out: &mut [u64]) {
+    rescale::<true>(backend, r, x, last, out);
+}
+
+fn rescale<const ADD: bool>(
+    backend: Backend,
+    r: &RescaleLimb,
+    x: &[u64],
+    last: &[u64],
+    out: &mut [u64],
+) {
+    assert!(
+        x.len() == last.len() && x.len() == out.len(),
+        "operand length mismatch"
+    );
+    let done = match backend {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: `ifma_elementwise` just detected `avx512f` + `avx512ifma`.
+        Backend::Avx512Ifma if ifma_elementwise(&[&r.q, &r.p]) => unsafe {
+            ifma::rescale::<ADD>(x, last, out, r)
+        },
+        _ => 0,
+    };
+    scalar::rescale::<ADD>(&x[done..], &last[done..], &mut out[done..], r);
+}
+
 /// Normalization pass: maps every `a[i] ∈ [0, 4q)` to canonical `[0, q)`
 /// with two masked subtractions — the single pass that finishes a lazy
 /// forward transform.
@@ -593,7 +755,7 @@ fn split_elems(lanes: usize, len: usize) -> (u64, u64) {
 /// `chunks_exact_mut`/`split_at_mut` pairs, so the butterflies carry no
 /// bounds checks.
 mod scalar {
-    use super::Modulus;
+    use super::{Modulus, RescaleLimb};
 
     pub(super) fn fwd_ntt_stage(
         a: &mut [u64],
@@ -669,6 +831,58 @@ mod scalar {
     pub(super) fn reduce_from_lazy_slice(a: &mut [u64], q: &Modulus) {
         for x in a.iter_mut() {
             *x = q.reduce_from_lazy(*x);
+        }
+    }
+
+    /// The digit product from coefficient `from` on: exact `u128` sums
+    /// (see [`super::DIGIT_PRODUCT_MAX_DIGITS`]), one Barrett reduction per
+    /// output.
+    pub(super) fn digit_product(
+        x: &mut [u64],
+        stride: usize,
+        kb: &[&[u64]],
+        ka: &[&[u64]],
+        from: usize,
+        q: &Modulus,
+    ) {
+        for j in from..kb[0].len() {
+            let (mut b, mut a) = (0u128, 0u128);
+            for (d, (kb, ka)) in kb.iter().zip(ka).enumerate() {
+                let v = u128::from(x[d * stride + j]);
+                b += v * u128::from(kb[j]);
+                a += v * u128::from(ka[j]);
+            }
+            x[j] = q.reduce_u128(b);
+            x[stride + j] = q.reduce_u128(a);
+        }
+    }
+
+    /// The rescale, one coefficient at a time. The centred lift never
+    /// materialises: `x + offset (+ p) − r` is a non-negative
+    /// representative of the difference, and a Shoup multiply by `p^{−1}`
+    /// accepts any `u64` operand; `q, p < 2^62`, so
+    /// `x + offset + p < q + (p + q) + p < 2^64`. The add form's
+    /// conditional subtraction is `min(s, s − q)`: a data-dependent branch
+    /// here mispredicts on half the coefficients (measured 1.9× slower
+    /// than rescaling and adding in two loops).
+    pub(super) fn rescale<const ADD: bool>(
+        x: &[u64],
+        last: &[u64],
+        out: &mut [u64],
+        r: &RescaleLimb,
+    ) {
+        let (q, p) = (&r.q, r.p.value());
+        let half = p / 2;
+        let (keep, wrap) = (r.offset, r.offset + p);
+        for ((o, &xi), &ri) in out.iter_mut().zip(x).zip(last) {
+            let lifted = xi + if ri > half { wrap } else { keep } - ri;
+            let v = q.mul_shoup(lifted, r.inv, r.inv_shoup);
+            *o = if ADD {
+                let sum = *o + v;
+                sum.min(sum.wrapping_sub(q.value()))
+            } else {
+                v
+            };
         }
     }
 }
@@ -789,41 +1003,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn inv_ntt_stage(
-        a: &mut [u64],
-        h: usize,
-        t: usize,
-        roots: &[u64],
-        shoups: &[u64],
-        q: &Modulus,
-    ) {
-        if t < LANES {
-            return super::scalar::inv_ntt_stage(a, h, t, roots, shoups, q);
-        }
-        let qv = _mm256_set1_epi64x(q.value() as i64);
-        let two_qv = _mm256_set1_epi64x(q.two_q() as i64);
-        let sign = _mm256_set1_epi64x(i64::MIN);
-        let base = a.as_mut_ptr();
-        for i in 0..h {
-            let wv = _mm256_set1_epi64x(roots[h + i] as i64);
-            let wsv = _mm256_set1_epi64x(shoups[h + i] as i64);
-            let lo = base.add(2 * i * t);
-            let hi = lo.add(t);
-            for j in (0..t).step_by(LANES) {
-                let u = _mm256_loadu_si256(lo.add(j).cast::<__m256i>());
-                let v = _mm256_loadu_si256(hi.add(j).cast::<__m256i>());
-                let s = csub(_mm256_add_epi64(u, v), two_qv, sign);
-                let d = _mm256_sub_epi64(_mm256_add_epi64(u, two_qv), v);
-                _mm256_storeu_si256(lo.add(j).cast::<__m256i>(), s);
-                _mm256_storeu_si256(
-                    hi.add(j).cast::<__m256i>(),
-                    mul_shoup_lazy_v(d, wv, wsv, qv),
-                );
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn reduce_from_lazy_slice(a: &mut [u64], q: &Modulus) {
         let qv = _mm256_set1_epi64x(q.value() as i64);
         let two_qv = _mm256_set1_epi64x(q.two_q() as i64);
@@ -844,9 +1023,12 @@ mod avx2 {
 
 // -------------------------------------------------------- AVX-512 IFMA52
 
-/// AVX-512 IFMA52 datapath: 8 × u64 lanes, whole transforms only. Reached
-/// through [`ifma_forward`]/[`ifma_inverse`], i.e. only from a table that
-/// resolved to [`Backend::Avx512Ifma`]: `n ≥ 16` and `q < 2^50`.
+/// AVX-512 IFMA52 datapath: 8 × u64 lanes — whole transforms, the digit
+/// product and the rescale. The transforms are reached through
+/// [`ifma_forward`]/[`ifma_inverse`], i.e. only from a table that resolved
+/// to [`Backend::Avx512Ifma`] (`n ≥ 16`, `q < 2^50`); the element-wise
+/// kernels through [`digit_product`] / [`rescale_into`] / [`rescale_add`]
+/// under the same modulus bound, with the scalar arm finishing the tail.
 ///
 /// `vpmadd52{lo,hi}uq` multiply the low 52 bits of two lanes and add the
 /// low / high 52 bits of the 104-bit product to a third. With every lazy
@@ -871,7 +1053,7 @@ mod avx2 {
 /// functions, so calling them is what needs the detection proof.
 #[cfg(target_arch = "x86_64")]
 mod ifma {
-    use super::Modulus;
+    use super::{Modulus, RescaleLimb};
     use std::arch::x86_64::*;
 
     const LANES: usize = 8;
@@ -1153,6 +1335,108 @@ mod ifma {
             store(h, csub(mul_lazy(diff, twiddle, &c), c.q));
         }
     }
+
+    /// The 8 words of `s` from `at` on.
+    #[inline]
+    fn lanes_at(s: &[u64], at: usize) -> &Lanes {
+        s[at..at + LANES].try_into().expect("a whole register")
+    }
+
+    #[inline]
+    fn lanes_at_mut(s: &mut [u64], at: usize) -> &mut Lanes {
+        (&mut s[at..at + LANES])
+            .try_into()
+            .expect("a whole register")
+    }
+
+    /// `V mod q`, canonical, for `V = hi·2^52 + lo` summed from products
+    /// of values below `q < 2^50` (headroom: `DIGIT_PRODUCT_MAX_DIGITS`).
+    /// The carry out of `lo` moves into `hi`, which then stays below 2^52;
+    /// `hi·(2^52 mod q)` and `lo mod q` are each one 52-bit Shoup multiply
+    /// into `[0, 2q)`, and their sum below `4q` takes two conditional
+    /// subtractions.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn fold(lo: __m512i, hi: __m512i, radix: Twiddle, one: Twiddle, c: &Consts) -> __m512i {
+        let hi = _mm512_add_epi64(hi, _mm512_srli_epi64::<52>(lo));
+        let lo = _mm512_and_si512(lo, c.mask52);
+        let sum = _mm512_add_epi64(mul_lazy(hi, radix, c), mul_lazy(lo, one, c));
+        csub(csub(sum, c.two_q), c.q)
+    }
+
+    /// The digit product over the whole registers of the limb; returns how
+    /// many coefficients it wrote (the caller's scalar arm takes the rest).
+    /// Both sums of a register live in four accumulators that never leave
+    /// the register file: `vpmadd52lo/hi` add the low and high 52-bit
+    /// halves of each product to their own lane.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn digit_product(
+        x: &mut [u64],
+        stride: usize,
+        kb: &[&[u64]],
+        ka: &[&[u64]],
+        q: &Modulus,
+    ) -> usize {
+        let n = kb[0].len();
+        let whole = n - n % LANES;
+        let c = consts(q);
+        let radix = (1u64 << 52) % q.value();
+        let (radix, one) = (splat(radix, q.shoup(radix)), splat(1, q.shoup(1)));
+        for j in (0..whole).step_by(LANES) {
+            let zero = _mm512_setzero_si512();
+            let [mut b_lo, mut b_hi, mut a_lo, mut a_hi] = [zero; 4];
+            for (d, (kb, ka)) in kb.iter().zip(ka).enumerate() {
+                let v = load(lanes_at(x, d * stride + j));
+                let (wb, wa) = (load(lanes_at(kb, j)), load(lanes_at(ka, j)));
+                b_lo = _mm512_madd52lo_epu64(b_lo, v, wb);
+                b_hi = _mm512_madd52hi_epu64(b_hi, v, wb);
+                a_lo = _mm512_madd52lo_epu64(a_lo, v, wa);
+                a_hi = _mm512_madd52hi_epu64(a_hi, v, wa);
+            }
+            store(lanes_at_mut(x, j), fold(b_lo, b_hi, radix, one, &c));
+            store(
+                lanes_at_mut(x, stride + j),
+                fold(a_lo, a_hi, radix, one, &c),
+            );
+        }
+        whole
+    }
+
+    /// The rescale over the whole registers of the slice; returns how many
+    /// coefficients it wrote. The lifted difference `x + offset (+ p) − r`
+    /// is below `q + (p + q) + p = 2q + 2p < 2^52` for `q, p < 2^50`, so
+    /// the 52-bit Shoup multiply by `p^{−1}` (companion: the 64-bit one
+    /// shifted right by 12, as in the transforms) lands in `[0, 2q)` and
+    /// one conditional subtraction makes it canonical — the scalar arm's
+    /// value exactly.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn rescale<const ADD: bool>(
+        x: &[u64],
+        last: &[u64],
+        out: &mut [u64],
+        r: &RescaleLimb,
+    ) -> usize {
+        let c = consts(&r.q);
+        let p = r.p.value();
+        let half = _mm512_set1_epi64((p / 2) as i64);
+        let keep = _mm512_set1_epi64(r.offset as i64);
+        let wrap = _mm512_set1_epi64((r.offset + p) as i64);
+        let inv = splat(r.inv, r.inv_shoup);
+        let (out, _) = out.as_chunks_mut::<LANES>();
+        let rows = x.as_chunks::<LANES>().0.iter().zip(last.as_chunks().0);
+        for (o, (x, last)) in out.iter_mut().zip(rows) {
+            let (x, last) = (load(x), load(last));
+            let centre = _mm512_mask_blend_epi64(_mm512_cmpgt_epu64_mask(last, half), keep, wrap);
+            let lifted = _mm512_sub_epi64(_mm512_add_epi64(x, centre), last);
+            let mut v = csub(mul_lazy(lifted, inv, &c), c.q);
+            if ADD {
+                v = csub(_mm512_add_epi64(load(o), v), c.q);
+            }
+            store(o, v);
+        }
+        out.len() * LANES
+    }
+
     #[cfg(test)]
     mod tests {
         use super::*;

@@ -12,6 +12,12 @@
 //! of `q` from the scalar ones — its own per-stage test in `simd.rs` pins
 //! residue and range — but every public output is canonical and equal.
 //!
+//! The element-wise kernels with an IFMA arm — the key-switch digit
+//! product and the rescale — are held to the same contract: bit-identical
+//! to their scalar arm at every digit count up to the stated headroom, on
+//! every workspace modulus and one just under 2^50, for whole registers and
+//! tails alike; and the scalar arm to the textbook formula.
+//!
 //! Backends the host cannot run are absent from `Backend::all_available`,
 //! so their arms skip rather than fail.
 
@@ -219,6 +225,183 @@ fn mac_matches_scalar_at_the_accumulation_bound() {
                     simd::mac_accumulate(backend, &mut got, &worst, &worst);
                 }
                 assert_eq!(got, expect, "n={n} q={q} backend={backend}");
+            }
+        }
+    }
+}
+
+/// Every workspace modulus plus one just under 2^50 — the widest the IFMA
+/// arms take, where their headroom bounds are tightest.
+fn moduli_to_2_pow_50() -> Vec<Modulus> {
+    let mut all = moduli();
+    all.push(largest_ntt_prime(50, 4096));
+    all
+}
+
+/// `Σ_d x_d·k_d mod q` coefficient by coefficient — the textbook sum the
+/// scalar arm must equal.
+fn textbook_digit_sum(digits: &[Vec<u64>], key: &[Vec<u64>], q: &Modulus) -> Vec<u64> {
+    (0..key[0].len())
+        .map(|j| {
+            digits
+                .iter()
+                .zip(key)
+                .fold(0, |acc, (x, k)| q.add(acc, q.mul(x[j], k[j])))
+        })
+        .collect()
+}
+
+#[test]
+fn digit_product_matches_scalar_bit_for_bit() {
+    let mut rng = rng();
+    let max = simd::DIGIT_PRODUCT_MAX_DIGITS;
+    for q in moduli_to_2_pow_50() {
+        for n in [16usize, 256, 4096] {
+            for digits in [1usize, 2, 3, max] {
+                // A stride past `n` as well as the packed one: the digits of
+                // a key-switch limb sit one augmented polynomial apart.
+                for stride in [n, n + 5] {
+                    let slots = digits.max(2);
+                    let random = |rng: &mut rand::rngs::StdRng| {
+                        (0..n)
+                            .map(|_| rng.gen_range(0..q.value()))
+                            .collect::<Vec<_>>()
+                    };
+                    let top = vec![q.value() - 1; n];
+                    for worst in [false, true] {
+                        let draw = |rng: &mut rand::rngs::StdRng| {
+                            (0..digits)
+                                .map(|_| if worst { top.clone() } else { random(rng) })
+                                .collect::<Vec<_>>()
+                        };
+                        let (xs, kb, ka) = (draw(&mut rng), draw(&mut rng), draw(&mut rng));
+                        let mut x = vec![7u64; (slots - 1) * stride + n];
+                        for (d, digit) in xs.iter().enumerate() {
+                            x[d * stride..d * stride + n].copy_from_slice(digit);
+                        }
+                        let kb_refs: Vec<&[u64]> = kb.iter().map(Vec::as_slice).collect();
+                        let ka_refs: Vec<&[u64]> = ka.iter().map(Vec::as_slice).collect();
+                        let run = |backend: Backend| {
+                            let mut out = x.clone();
+                            simd::digit_product(backend, &mut out, stride, &kb_refs, &ka_refs, &q);
+                            out
+                        };
+                        let want = run(Backend::Scalar);
+                        let case = format!("q={q} n={n} digits={digits} stride={stride}");
+                        assert_eq!(&want[..n], textbook_digit_sum(&xs, &kb, &q), "b {case}");
+                        assert_eq!(
+                            &want[stride..stride + n],
+                            textbook_digit_sum(&xs, &ka, &q),
+                            "a {case}"
+                        );
+                        for backend in vector_backends() {
+                            assert_eq!(run(backend), want, "{case} worst={worst} {backend}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "outside 1..=16")]
+fn digit_product_refuses_digits_past_its_headroom() {
+    // Seventeen all-(q−1) digits under a modulus just below 2^50 would
+    // carry the IFMA arm's high sum past 52 bits (and, at 62 bits, wrap
+    // the scalar arm's u128): the call is refused, never summed.
+    let q = largest_ntt_prime(50, 16);
+    let digits = simd::DIGIT_PRODUCT_MAX_DIGITS + 1;
+    let key = vec![q.value() - 1; 16];
+    let keys = vec![key.as_slice(); digits];
+    let mut x = vec![q.value() - 1; digits * 16];
+    simd::digit_product(Backend::detect_auto(), &mut x, 16, &keys, &keys, &q);
+}
+
+/// The chains of `properties.rs`'s rescale suite — every workspace modulus
+/// as dropped prime and as survivor — plus two primes just under 2^50,
+/// where the IFMA arm's lifted values come closest to 2^52.
+fn rescale_chains() -> Vec<Vec<Modulus>> {
+    let wide = [largest_ntt_prime(50, 16), largest_ntt_prime(49, 16)];
+    [
+        vec![Q0, Q1, SPECIAL_P],
+        vec![Q0, Q1],
+        vec![Q1, SPECIAL_P, Q0],
+        vec![SPECIAL_P, Q0, Q1],
+    ]
+    .into_iter()
+    .map(|chain| {
+        chain
+            .into_iter()
+            .map(|q| Modulus::new(q).unwrap())
+            .collect()
+    })
+    .chain([wide.to_vec(), vec![wide[1], wide[0]]])
+    .collect()
+}
+
+#[test]
+fn rescale_into_and_add_match_scalar_bit_for_bit() {
+    let mut rng = rng();
+    for chain in rescale_chains() {
+        let (p, surviving) = chain.split_last().unwrap();
+        let pv = p.value();
+        for &q in surviving {
+            let limb = simd::RescaleLimb::new(q, *p).unwrap();
+            let inv_p = q.inv(pv % q.value()).unwrap();
+            for len in [1usize, 7, 8, 9, 4096] {
+                for r in [0, pv / 2, pv / 2 + 1, pv - 1] {
+                    // Dropped residues at every rounding boundary (and
+                    // random ones), surviving residues random and q − 1.
+                    let last: Vec<u64> = (0..len)
+                        .map(|j| if j % 3 == 2 { rng.gen_range(0..pv) } else { r })
+                        .collect();
+                    for top in [false, true] {
+                        let x: Vec<u64> = (0..len)
+                            .map(|_| {
+                                if top {
+                                    q.value() - 1
+                                } else {
+                                    rng.gen_range(0..q.value())
+                                }
+                            })
+                            .collect();
+                        let held: Vec<u64> =
+                            (0..len).map(|_| rng.gen_range(0..q.value())).collect();
+                        let run = |backend: Backend| {
+                            let mut into = vec![u64::MAX; len];
+                            simd::rescale_into(backend, &limb, &x, &last, &mut into);
+                            let mut add = held.clone();
+                            simd::rescale_add(backend, &limb, &x, &last, &mut add);
+                            (into, add)
+                        };
+                        let want = run(Backend::Scalar);
+                        // The scalar arm against the textbook formula.
+                        let textbook: Vec<u64> = x
+                            .iter()
+                            .zip(&last)
+                            .map(|(&xi, &ri)| {
+                                let centred = if ri > pv / 2 {
+                                    q.neg(q.reduce(pv - ri))
+                                } else {
+                                    q.reduce(ri)
+                                };
+                                q.mul(q.sub(xi, centred), inv_p)
+                            })
+                            .collect();
+                        let case = format!("q={q} p={p} len={len} r={r} top={top}");
+                        assert_eq!(want.0, textbook, "into {case}");
+                        let summed: Vec<u64> = held
+                            .iter()
+                            .zip(&textbook)
+                            .map(|(&h, &t)| q.add(h, t))
+                            .collect();
+                        assert_eq!(want.1, summed, "add {case}");
+                        for backend in vector_backends() {
+                            assert_eq!(run(backend), want, "{case} backend={backend}");
+                        }
+                    }
+                }
             }
         }
     }
