@@ -70,14 +70,6 @@ impl FixedCodec {
         Ok(self.t.from_signed(scaled as i64))
     }
 
-    /// Encodes a slice.
-    ///
-    /// # Errors
-    /// [`AppError::OutOfRange`] on any overflow.
-    pub fn encode_vec(&self, xs: &[f64]) -> Result<Vec<u64>> {
-        xs.iter().map(|&x| self.encode(x)).collect()
-    }
-
     /// Decodes one residue at the base scale.
     pub fn decode(&self, v: u64) -> f64 {
         self.decode_scaled(v, 1)
@@ -148,8 +140,8 @@ mod tests {
     #[test]
     fn vector_roundtrip() {
         let c = codec();
-        let xs = vec![0.5, -1.25, 3.0];
-        let enc = c.encode_vec(&xs).unwrap();
+        let xs = [0.5, -1.25, 3.0];
+        let enc: Vec<u64> = xs.iter().map(|&x| c.encode(x).unwrap()).collect();
         let dec = c.decode_vec_scaled(&enc, 1);
         for (a, b) in xs.iter().zip(&dec) {
             assert!((a - b).abs() < 0.02);

@@ -7,8 +7,6 @@
 //!   crypto backends: FATE's original Paillier or the CHAM B/FV HMVP,
 //! * [`beaver`] — **Beaver triple generation** for cryptographic
 //!   neural-network inference (Delphi-style preprocessing),
-//! * [`inference`] — the Delphi *online* phase consuming those triples
-//!   (crypto-free linear layers over masked inputs),
 //! * [`paillier`] — the semi-HE baseline algorithm, on an in-repo
 //!   [`bigint`] substrate,
 //! * [`secretshare`] — additive secret sharing over `Z_t`,
@@ -27,7 +25,6 @@ pub mod beaver;
 pub mod bigint;
 pub mod datasets;
 pub mod fixed;
-pub mod inference;
 pub mod lr;
 pub mod paillier;
 pub mod protocol;

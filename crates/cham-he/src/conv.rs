@@ -82,8 +82,10 @@ impl Image {
     /// Plain valid-mode 2-D convolution (reference oracle).
     ///
     /// # Errors
+    /// [`HeError::InvalidParams`] for an empty kernel;
     /// [`HeError::ShapeMismatch`] when the kernel is larger than the image.
     pub fn conv2d_plain(&self, kernel: &Image, t: &cham_math::Modulus) -> Result<Image> {
+        check_non_empty(kernel.height, kernel.width)?;
         if kernel.height > self.height || kernel.width > self.width {
             return Err(HeError::ShapeMismatch {
                 expected: self.height * self.width,
@@ -108,6 +110,14 @@ impl Image {
     }
 }
 
+/// An image or kernel with a zero dimension has no valid convolution.
+fn check_non_empty(height: usize, width: usize) -> Result<()> {
+    if height == 0 || width == 0 {
+        return Err(HeError::InvalidParams("image and kernel must be non-empty"));
+    }
+    Ok(())
+}
+
 /// Homomorphic 2-D convolution engine.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
@@ -125,6 +135,7 @@ impl Conv2d {
     }
 
     fn check_fit(&self, img_h: usize, img_w: usize) -> Result<()> {
+        check_non_empty(img_h, img_w)?;
         if img_h * img_w > self.params.degree() {
             return Err(HeError::InvalidParams(
                 "image does not fit in one ciphertext (tile it first)",
@@ -136,7 +147,8 @@ impl Conv2d {
     /// Encrypts an image (flattened coefficient layout, augmented basis).
     ///
     /// # Errors
-    /// [`HeError::InvalidParams`] when the image exceeds the ring degree.
+    /// [`HeError::InvalidParams`] when the image is empty or exceeds the
+    /// ring degree.
     pub fn encrypt_image<R: Rng + ?Sized>(
         &self,
         img: &Image,
@@ -151,9 +163,10 @@ impl Conv2d {
     /// Encodes a kernel for an image of width `img_w` (reversed layout).
     ///
     /// # Errors
-    /// [`HeError::InvalidParams`] when the kernel footprint exceeds the
-    /// ring degree.
+    /// [`HeError::InvalidParams`] when the kernel is empty or its footprint
+    /// exceeds the ring degree.
     pub fn encode_kernel(&self, kernel: &Image, img_w: usize) -> Result<Plaintext> {
+        check_non_empty(kernel.height, kernel.width)?;
         let n = self.params.degree();
         let footprint = (kernel.height - 1) * img_w + kernel.width;
         if footprint > n {
@@ -243,226 +256,6 @@ pub struct ConvResult {
     pub out_w: usize,
 }
 
-/// A dense 3-D volume over `Z_t` (depth-major, then rows, then columns).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Volume {
-    depth: usize,
-    height: usize,
-    width: usize,
-    data: Vec<u64>,
-}
-
-impl Volume {
-    /// Builds a volume from `depth × height × width` data.
-    ///
-    /// # Errors
-    /// [`HeError::ShapeMismatch`] on a size mismatch.
-    pub fn from_data(depth: usize, height: usize, width: usize, data: Vec<u64>) -> Result<Self> {
-        if data.len() != depth * height * width {
-            return Err(HeError::ShapeMismatch {
-                expected: depth * height * width,
-                got: data.len(),
-            });
-        }
-        Ok(Self {
-            depth,
-            height,
-            width,
-            data,
-        })
-    }
-
-    /// A random volume with entries below `t`.
-    pub fn random<R: Rng + ?Sized>(
-        depth: usize,
-        height: usize,
-        width: usize,
-        t: u64,
-        rng: &mut R,
-    ) -> Self {
-        let data = (0..depth * height * width)
-            .map(|_| rng.gen_range(0..t))
-            .collect();
-        Self {
-            depth,
-            height,
-            width,
-            data,
-        }
-    }
-
-    /// Dimensions `(depth, height, width)`.
-    pub fn shape(&self) -> (usize, usize, usize) {
-        (self.depth, self.height, self.width)
-    }
-
-    /// Voxel at `(d, i, j)`.
-    ///
-    /// # Panics
-    /// Panics when out of range.
-    pub fn at(&self, d: usize, i: usize, j: usize) -> u64 {
-        self.data[(d * self.height + i) * self.width + j]
-    }
-
-    /// Plain valid-mode 3-D convolution (reference oracle).
-    ///
-    /// # Errors
-    /// [`HeError::ShapeMismatch`] when the kernel exceeds the volume.
-    pub fn conv3d_plain(&self, kernel: &Volume, t: &cham_math::Modulus) -> Result<Volume> {
-        let (kd, kh, kw) = kernel.shape();
-        if kd > self.depth || kh > self.height || kw > self.width {
-            return Err(HeError::ShapeMismatch {
-                expected: self.data.len(),
-                got: kernel.data.len(),
-            });
-        }
-        let (od, oh, ow) = (
-            self.depth - kd + 1,
-            self.height - kh + 1,
-            self.width - kw + 1,
-        );
-        let mut out = vec![0u64; od * oh * ow];
-        for d in 0..od {
-            for i in 0..oh {
-                for j in 0..ow {
-                    let mut acc = 0u64;
-                    for a in 0..kd {
-                        for b in 0..kh {
-                            for c in 0..kw {
-                                acc = t.add(
-                                    acc,
-                                    t.mul(kernel.at(a, b, c), self.at(d + a, i + b, j + c)),
-                                );
-                            }
-                        }
-                    }
-                    out[(d * oh + i) * ow + j] = acc;
-                }
-            }
-        }
-        Volume::from_data(od, oh, ow, out)
-    }
-}
-
-/// Homomorphic 3-D convolution engine — the same flattening trick as
-/// [`Conv2d`] with a depth-major linear index `d·H·W + i·W + j`.
-#[derive(Debug, Clone)]
-pub struct Conv3d {
-    params: ChamParams,
-    coder: CoeffEncoder,
-}
-
-impl Conv3d {
-    /// Creates a 3-D convolution engine.
-    pub fn new(params: &ChamParams) -> Self {
-        Self {
-            params: params.clone(),
-            coder: CoeffEncoder::new(params),
-        }
-    }
-
-    /// Encrypts a volume (flattened coefficient layout, augmented basis).
-    ///
-    /// # Errors
-    /// [`HeError::InvalidParams`] when the volume exceeds the ring degree.
-    pub fn encrypt_volume<R: Rng + ?Sized>(
-        &self,
-        vol: &Volume,
-        enc: &Encryptor,
-        rng: &mut R,
-    ) -> Result<RlweCiphertext> {
-        if vol.data.len() > self.params.degree() {
-            return Err(HeError::InvalidParams(
-                "volume does not fit in one ciphertext (tile it first)",
-            ));
-        }
-        let pt = self.coder.encode_vector(&vol.data)?;
-        Ok(enc.encrypt_augmented(&pt, rng))
-    }
-
-    /// Homomorphic valid-mode 3-D convolution.
-    ///
-    /// # Errors
-    /// Shape errors; missing Galois keys for packing.
-    pub fn convolve(
-        &self,
-        ct_vol: &RlweCiphertext,
-        kernel: &Volume,
-        vol_shape: (usize, usize, usize),
-        gkeys: &GaloisKeys,
-    ) -> Result<Conv3dResult> {
-        let (vd, vh, vw) = vol_shape;
-        let (kd, kh, kw) = kernel.shape();
-        if vd * vh * vw > self.params.degree() {
-            return Err(HeError::InvalidParams("volume exceeds the ring degree"));
-        }
-        if kd > vd || kh > vh || kw > vw {
-            return Err(HeError::ShapeMismatch {
-                expected: vd * vh * vw,
-                got: kd * kh * kw,
-            });
-        }
-        // Kernel reversed in all three axes, positioned in the flattened
-        // index space of the volume.
-        let t = self.params.plain_modulus();
-        let mut vals = vec![0u64; self.params.degree()];
-        for a in 0..kd {
-            for b in 0..kh {
-                for c in 0..kw {
-                    let pos = ((kd - 1 - a) * vh + (kh - 1 - b)) * vw + (kw - 1 - c);
-                    vals[pos] = t.reduce(kernel.at(a, b, c));
-                }
-            }
-        }
-        let pt_k = Plaintext::from_values(vals);
-        let prod = mul_plain(ct_vol, &pt_k, &self.params)?;
-        let prod = rescale(&prod, &self.params)?;
-        let (od, oh, ow) = (vd - kd + 1, vh - kh + 1, vw - kw + 1);
-        let mut lwes = Vec::with_capacity(od * oh * ow);
-        for d in 0..od {
-            for i in 0..oh {
-                for j in 0..ow {
-                    let idx = ((d + kd - 1) * vh + (i + kh - 1)) * vw + (j + kw - 1);
-                    lwes.push(extract_lwe(&prod, idx)?);
-                }
-            }
-        }
-        let n = self.params.degree();
-        let packed = lwes
-            .chunks(n)
-            .map(|chunk| pack_lwes(chunk, gkeys, &self.params))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Conv3dResult {
-            packed,
-            out_shape: (od, oh, ow),
-        })
-    }
-
-    /// Decrypts a 3-D convolution result.
-    ///
-    /// # Errors
-    /// Decode errors from the packing layer.
-    pub fn decrypt_result(&self, res: &Conv3dResult, dec: &Decryptor) -> Result<Volume> {
-        let (od, oh, ow) = res.out_shape;
-        let mut vals = Vec::with_capacity(od * oh * ow);
-        for packed in &res.packed {
-            let pt = dec.decrypt(&packed.ciphertext);
-            vals.extend(packed.decode(&pt, &self.params)?);
-        }
-        vals.truncate(od * oh * ow);
-        Volume::from_data(od, oh, ow, vals)
-    }
-}
-
-/// Packed homomorphic 3-D convolution output.
-#[derive(Debug, Clone)]
-pub struct Conv3dResult {
-    /// Packed output ciphertexts in depth/row-major output order.
-    pub packed: Vec<PackedRlwe>,
-    /// Output shape `(depth, height, width)`.
-    pub out_shape: (usize, usize, usize),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,48 +323,13 @@ mod tests {
         let huge_kernel = Image::random(9, 9, 10, &mut rng);
         assert!(c.convolve(&ct, &huge_kernel, 8, 8, &gkeys).is_err());
         assert!(Image::from_data(2, 2, vec![1, 2, 3]).is_err());
-    }
-
-    fn run_conv3d(vd: usize, vh: usize, vw: usize, kd: usize, kh: usize, kw: usize) {
-        let (params, enc, dec, gkeys, mut rng) = setup();
-        let vol = Volume::random(vd, vh, vw, 64, &mut rng);
-        let ker = Volume::random(kd, kh, kw, 8, &mut rng);
-        let c = Conv3d::new(&params);
-        let ct = c.encrypt_volume(&vol, &enc, &mut rng).unwrap();
-        let res = c.convolve(&ct, &ker, (vd, vh, vw), &gkeys).unwrap();
-        let got = c.decrypt_result(&res, &dec).unwrap();
-        let expect = vol.conv3d_plain(&ker, params.plain_modulus()).unwrap();
-        assert_eq!(got, expect, "{vd}x{vh}x{vw} * {kd}x{kh}x{kw}");
-    }
-
-    #[test]
-    fn conv3d_cubic() {
-        run_conv3d(4, 6, 6, 2, 3, 3);
-    }
-
-    #[test]
-    fn conv3d_flat_depth_matches_2d() {
-        // Depth-1 3-D convolution degenerates to the 2-D case.
-        run_conv3d(1, 8, 8, 1, 3, 3);
-    }
-
-    #[test]
-    fn conv3d_kernel_equals_volume() {
-        run_conv3d(3, 4, 4, 3, 4, 4);
-    }
-
-    #[test]
-    fn conv3d_validation() {
-        let (params, enc, _, gkeys, mut rng) = setup();
-        let c = Conv3d::new(&params);
-        // 8*8*8 = 512 > 256.
-        let big = Volume::random(8, 8, 8, 10, &mut rng);
-        assert!(c.encrypt_volume(&big, &enc, &mut rng).is_err());
-        let vol = Volume::random(2, 8, 8, 10, &mut rng);
-        let ct = c.encrypt_volume(&vol, &enc, &mut rng).unwrap();
-        let huge = Volume::random(3, 3, 3, 10, &mut rng);
-        assert!(c.convolve(&ct, &huge, (2, 8, 8), &gkeys).is_err());
-        assert!(Volume::from_data(2, 2, 2, vec![0; 7]).is_err());
+        // An empty kernel or image is a typed error, not a panic or a
+        // zero-filled output.
+        let empty = Image::from_data(0, 0, vec![]).unwrap();
+        assert!(c.convolve(&ct, &empty, 8, 8, &gkeys).is_err());
+        let small = Image::random(4, 4, 10, &mut rng);
+        assert!(small.conv2d_plain(&empty, params.plain_modulus()).is_err());
+        assert!(c.encrypt_image(&empty, &enc, &mut rng).is_err());
     }
 
     #[test]

@@ -90,30 +90,6 @@ impl SecretKey {
         &self.s_aug_ntt
     }
 
-    /// The coefficients of `s²` in the negacyclic ring (bounded by `N` for
-    /// a ternary secret) — the "old key" a relinearisation key switches
-    /// away from.
-    pub fn squared_coeffs(&self) -> Vec<i64> {
-        let n = self.params.degree();
-        let s = &self.coeffs;
-        let mut s2 = vec![0i64; n];
-        for i in 0..n {
-            if s[i] == 0 {
-                continue;
-            }
-            for j in 0..n {
-                let k = i + j;
-                let prod = s[i] * s[j];
-                if k < n {
-                    s2[k] += prod;
-                } else {
-                    s2[k - n] -= prod;
-                }
-            }
-        }
-        s2
-    }
-
     /// The secret key after the Galois map `X → X^k` — the "old key" a
     /// Galois key switches away from.
     ///

@@ -22,10 +22,8 @@
 //! * [`hmvp`] — the end-to-end HMVP with tiling for arbitrary shapes,
 //! * [`baseline`] — batch-encoded rotate-and-sum and diagonal HMVP, the
 //!   `O(m log N)` / `O(m)` comparators of §II-E,
-//! * [`conv`] — 2-D and 3-D convolution via coefficient encoding (the
-//!   paper's "easily extended" claim),
-//! * [`ckks`] — a CKKS scheme over the same substrate (the hybrid-scheme
-//!   motivation of §I),
+//! * [`conv`] — 2-D convolution via coefficient encoding (the paper's
+//!   "easily extended" claim),
 //! * [`noise`] — analytic noise bounds validated against the exact meter,
 //! * [`wire`] — versioned byte serialization for ciphertexts.
 //!
@@ -51,9 +49,7 @@
 
 #![warn(missing_docs)]
 pub mod baseline;
-pub mod bfv_mul;
 pub mod ciphertext;
-pub mod ckks;
 pub mod conv;
 pub mod encoding;
 pub mod encrypt;

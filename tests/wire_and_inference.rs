@@ -1,11 +1,7 @@
 //! Cross-crate integration: serialized two-party protocol flow (keys and
-//! ciphertexts crossing a byte boundary), wire-parser robustness against
-//! corruption, and the Delphi online inference phase end to end.
+//! ciphertexts crossing a byte boundary) and wire-parser robustness against
+//! corruption.
 
-use cham::apps::beaver::BeaverGenerator;
-use cham::apps::fixed::FixedCodec;
-use cham::apps::inference::MlpInference;
-use cham::apps::protocol::Transcript;
 use cham::he::hmvp::{Hmvp, Matrix};
 use cham::he::prelude::*;
 use cham::he::wire;
@@ -81,52 +77,4 @@ fn wire_parser_never_panics_on_corruption() {
         let noise: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
         assert!(wire::rlwe_from_bytes(&noise, &params).is_err());
     }
-}
-
-#[test]
-fn delphi_online_inference_end_to_end() {
-    // Preprocessing (HE Beaver triples) + online (masked linear layers):
-    // the full Delphi flow over this repository's stack.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-    let params = ChamParamsBuilder::new()
-        .degree(256)
-        .plain_modulus((1 << 24) + 1)
-        .build()
-        .unwrap();
-    let generator = BeaverGenerator::new(&params, &mut rng).unwrap();
-    let codec = FixedCodec::new(*params.plain_modulus(), 6).unwrap();
-    let t = params.plain_modulus();
-
-    // Quantized 3-layer MLP.
-    let quant = |rows: usize, cols: usize, rng: &mut rand::rngs::StdRng| {
-        let data: Vec<u64> = (0..rows * cols)
-            .map(|_| t.from_signed(rng.gen_range(-64..=64)))
-            .collect();
-        Matrix::from_data(rows, cols, data).unwrap()
-    };
-    let weights = vec![
-        quant(10, 12, &mut rng),
-        quant(6, 10, &mut rng),
-        quant(2, 6, &mut rng),
-    ];
-    let mut transcript = Transcript::new();
-    let mlp = MlpInference::setup(weights, &generator, codec, &mut transcript, &mut rng).unwrap();
-    assert_eq!(mlp.layer_count(), 3);
-    let preprocessing_bytes = transcript.total_bytes();
-    assert!(preprocessing_bytes > 0);
-
-    let x: Vec<f64> = (0..12).map(|i| ((i * 7) % 5) as f64 / 5.0 - 0.4).collect();
-    let online = mlp.infer(&x, &mut transcript).unwrap();
-    let plain = mlp.infer_plain(&x).unwrap();
-    assert_eq!(online.len(), 2);
-    for (a, b) in online.iter().zip(&plain) {
-        assert!((a - b).abs() < 1e-9, "online {a} vs plain {b}");
-    }
-    // The online phase is crypto-free: its traffic is tiny next to the
-    // HE preprocessing.
-    let online_bytes = transcript.total_bytes() - preprocessing_bytes;
-    assert!(
-        online_bytes * 10 < preprocessing_bytes,
-        "online {online_bytes} vs prep {preprocessing_bytes}"
-    );
 }
