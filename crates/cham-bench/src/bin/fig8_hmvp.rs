@@ -69,9 +69,9 @@ fn main() {
     println!("higher gains for matrices with more rows — see ratio columns.");
 
     // Measured (not modelled) dot-product-phase speedup: the same rows ×
-    // N workload, first capped at 1 row task, then fanned out at the
-    // requested cap on the shared pool. On a single-core host this stays
-    // ≈ 1.0 regardless of --threads; the pool's benefit needs real cores.
+    // N workload, first at a cap of 1 (inline), then fanned out over the
+    // requested number of threads. On a single-core host this stays
+    // ≈ 1.0 regardless of --threads; the fan-out's benefit needs real cores.
     let rows = (threads.max(1) * 16).max(32);
     let bench = DotPhaseBench::prepare(&params, rows);
     let serial_s = bench.seconds(1, 3);
@@ -88,10 +88,10 @@ fn main() {
     // oracle path: strict per-term MODMUL + MODADD with per-term
     // allocations, a materialised product ciphertext, then the public
     // `rescale` + `extract_lwe` (six inverse transforms per row). The
-    // fused kernel accumulates in u128 lanes over worker-pinned scratch
+    // fused kernel accumulates in u128 lanes over pooled scratch
     // and runs the streaming row tail (three inverse transforms, a lane
     // sum for `b`). Both serial, so the ratio isolates kernel work from
-    // pool parallelism. A second, wide shape (many column tiles per row)
+    // thread parallelism. A second, wide shape (many column tiles per row)
     // exercises the deep accumulation regime — one-tile rows are
     // dominated by the row tail.
     let unfused_s = bench.seconds_unfused(3);

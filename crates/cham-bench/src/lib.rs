@@ -46,9 +46,11 @@ pub fn bench_rng() -> rand::rngs::StdRng {
 /// * `--threads <n>` — CPU-baseline parallelism for measurements that
 ///   support it (see [`CpuCosts::measure_with_threads`]). Defaults to 1;
 ///   always recorded as the `threads` param of the run record. The value
-///   also sizes the process-global `cham-pool` kernel pool (unless
-///   `CHAM_POOL_THREADS` or an earlier pool use already fixed its size),
-///   so tile/row-parallel kernels fan out to exactly this many workers.
+///   also fixes the process thread budget (`cham_pool::configure_global`,
+///   which outranks `CHAM_POOL_THREADS`; only an earlier read of the
+///   budget in-process wins over it), so entry points without a cap of
+///   their own (`Hmvp::multiply`, `pack_lwes`) fan out over exactly this
+///   many threads.
 ///
 /// Binaries call [`BenchRun::from_env`] first, attach `param`s and
 /// `metric`s while printing their usual tables, and end with
@@ -104,13 +106,14 @@ impl BenchRun {
                 }
             }
         }
-        // Route --threads to the shared kernel pool. First configuration
-        // wins pool-wide; an explicit CHAM_POOL_THREADS env (read on first
-        // pool use) or an earlier benchmark in-process takes precedence.
+        // Route --threads to the process thread budget. The first of
+        // `configure_global`, CHAM_POOL_THREADS and the core count fixes
+        // it, so this call outranks the env; only an earlier read of the
+        // budget in-process would keep its own value.
         cham_pool::configure_global(threads);
         let mut record = RunRecord::start(name);
         record.param("threads", threads as u64);
-        record.param("pool_threads", cham_pool::global().threads() as u64);
+        record.param("pool_threads", cham_pool::current_threads() as u64);
         // Active SIMD backend (resolves CHAM_SIMD on first use) so every
         // bench trajectory is attributable to the datapath that produced
         // it. `simd_requested` preserves the raw env (distinguishes an
@@ -166,19 +169,15 @@ impl BenchRun {
     /// record (panicking on I/O errors — a benchmark that cannot write
     /// its results should fail loudly).
     ///
-    /// Pool activity (`pool_tasks`, `pool_steals`, `pool_parks`,
-    /// `pool_idle_ns`) is snapshotted into the record's metrics: the
-    /// pool's counters are per instance, so they are not in the record's
-    /// process-wide `counters` object.
+    /// Fan-out activity (`pool_tasks`, the threads `cham_pool::map_capped`
+    /// spawned) is snapshotted into the record's metrics: it is kept by
+    /// `cham-pool`, not in the record's named `counters` registry.
     ///
     /// # Panics
     /// Panics when the record file cannot be written.
     pub fn finish(mut self) {
         if let Some(stats) = cham_pool::global_stats() {
             self.record.metric("pool_tasks", stats.tasks);
-            self.record.metric("pool_steals", stats.steals);
-            self.record.metric("pool_parks", stats.parks);
-            self.record.metric("pool_idle_ns", stats.idle_ns);
         }
         self.record.finish();
         if let Some(path) = &self.json_path {
@@ -252,7 +251,7 @@ impl CpuCosts {
         let encrypt = t0.elapsed().as_secs_f64() / reps as f64;
 
         // Per-row dot product with a prepared matrix, amortized over
-        // `threads` rows so thread-pool speedup lands in the figure.
+        // `threads` rows so the fan-out's speedup lands in the figure.
         let rows = threads;
         let data: Vec<u64> = (0..rows * n).map(|_| rng.gen_range(0..t)).collect();
         let matrix = Matrix::from_data(rows, n, data).expect("shape");
@@ -341,8 +340,8 @@ impl CpuCosts {
 /// A prepared dot-product-phase benchmark: one encoded `rows × cols` matrix
 /// and one encrypted input vector (one ciphertext per `N`-column tile),
 /// reusable across thread counts so a reported speedup ratio compares the
-/// *same* work at different parallelism caps (the pool itself stays at its
-/// configured size; the cap bounds how many row tasks run concurrently).
+/// *same* work at different parallelism caps (the cap is the number of
+/// threads the rows run on).
 #[derive(Debug)]
 pub struct DotPhaseBench {
     hmvp: Hmvp,
@@ -429,7 +428,7 @@ impl DotPhaseBench {
     /// MODMUL/MODADD with per-term allocations, then `rescale` +
     /// `extract_lwe` on a materialised ciphertext, serial over rows.
     /// Paired with [`DotPhaseBench::seconds`] at `threads = 1` this isolates
-    /// the fused MAC + streaming row tail from pool parallelism.
+    /// the fused MAC + streaming row tail from thread parallelism.
     ///
     /// # Panics
     /// Panics if the dot-product phase fails (cannot happen for the

@@ -13,7 +13,7 @@
 //! 6. **pack** the `m` LWEs into `⌈m/N⌉` RLWE ciphertexts (stages 5–9).
 //!
 //! Steps 4–6 are one streaming pipeline, as on the accelerator: a row's
-//! accumulators are rescaled and extracted in per-worker scratch without
+//! accumulators are rescaled and extracted in pooled scratch without
 //! ever becoming a ciphertext, and [`Hmvp::multiply`] hands each result
 //! straight to the pack's reduce buffer, computing rows in the order the
 //! pack tree consumes them (DESIGN.md, "HMVP back half").
@@ -257,8 +257,9 @@ impl Hmvp {
         Ok(())
     }
 
-    /// Computes the dot-product/extract phase: one LWE ciphertext per row
-    /// (Alg. 1 lines 1–4).
+    /// Computes the dot-product/extract phase on the calling thread: one
+    /// LWE ciphertext per row (Alg. 1 lines 1–4). This is
+    /// [`Hmvp::dot_products_parallel`] at a cap of 1.
     ///
     /// # Errors
     /// [`HeError::ShapeMismatch`] when the ciphertext count differs from
@@ -268,26 +269,20 @@ impl Hmvp {
         matrix: &EncodedMatrix,
         cts: &[RlweCiphertext],
     ) -> Result<Vec<LweCiphertext>> {
-        Self::check_tiling(matrix, cts)?;
-        let cts_ntt = Self::lift_inputs_ntt(cts, 1);
-        matrix
-            .tiles
-            .iter()
-            .map(|row_tiles| self.dot_row(row_tiles, &cts_ntt))
-            .collect()
+        self.dot_products_parallel(matrix, cts, 1)
     }
 
     /// Transforms the input ciphertexts to NTT form once; every matrix row
     /// reuses them (the pipeline keeps the vector resident in the NTT
     /// domain across the whole DOTPRODUCT stage, §V-B.1). A column tile
     /// (one ciphertext, six limb transforms) is the smallest unit that
-    /// becomes a pool task, and only under the caller's `threads` cap.
+    /// crosses threads, and only under the caller's `threads` cap.
     fn lift_inputs_ntt(cts: &[RlweCiphertext], threads: usize) -> Vec<RlweCiphertext> {
         // Request-scoped phase span: free when no recorder is installed
         // (see cham_telemetry::span), so the kernel stays uninstrumented
         // outside the serving stack's traced requests.
         let _span = Span::enter(phase::ENCODE);
-        cham_pool::map_capped(cts, threads.max(1), |_, ct| {
+        cham_pool::map_capped(cts, threads, |_, ct| {
             let mut c = ct.clone();
             c.to_ntt();
             c
@@ -420,12 +415,11 @@ impl Hmvp {
     }
 
     /// Multi-threaded dot-product phase: the input lift fans out over
-    /// column tiles and the rows over the shared `cham-pool` work-stealing
-    /// pool (the multi-thread host side of Fig. 1b; also the honest way to
-    /// measure a parallel CPU baseline). `threads` caps both fan-outs;
-    /// actual concurrency is additionally bounded by the pool's worker
-    /// count. Results are bit-identical to [`Hmvp::dot_products`] at any
-    /// thread count — every row's reduction runs whole on one task.
+    /// column tiles and the rows over `threads` scoped threads, the caller
+    /// among them (`cham_pool::map_capped`; the multi-thread host side of
+    /// Fig. 1b, and the honest way to measure a parallel CPU baseline).
+    /// Results are bit-identical at every thread count — every row's
+    /// reduction runs whole on one thread — and `threads ≤ 1` spawns none.
     ///
     /// # Errors
     /// Same conditions as [`Hmvp::dot_products`].
@@ -437,7 +431,7 @@ impl Hmvp {
     ) -> Result<Vec<LweCiphertext>> {
         Self::check_tiling(matrix, cts)?;
         let cts_ntt = Self::lift_inputs_ntt(cts, threads);
-        cham_pool::map_capped(&matrix.tiles, threads.max(1), |_, row_tiles| {
+        cham_pool::map_capped(&matrix.tiles, threads, |_, row_tiles| {
             self.dot_row(row_tiles, &cts_ntt)
         })
         .into_iter()
@@ -445,7 +439,7 @@ impl Hmvp {
     }
 
     /// Full HMVP (Alg. 1): dot products, extraction, and packing, fanned
-    /// out across the whole shared pool.
+    /// out over the process thread budget (`cham_pool::current_threads`).
     ///
     /// # Errors
     /// Propagates shape mismatches and missing Galois keys.
@@ -455,15 +449,15 @@ impl Hmvp {
         cts: &[RlweCiphertext],
         gkeys: &GaloisKeys,
     ) -> Result<HmvpResult> {
-        self.multiply_parallel(matrix, cts, gkeys, usize::MAX)
+        self.multiply_parallel(matrix, cts, gkeys, cham_pool::current_threads())
     }
 
-    /// Full HMVP with at most `threads` concurrent tasks on the shared
-    /// pool — the cap governs every fan-out inside the call (the lift's
-    /// column tiles, then rows / pack subtrees), and `threads = 1` queues
-    /// no task at all. Each `N`-row block is one `PACKLWES`; its leaves
-    /// are the block's rows, computed on demand in the order the pack tree
-    /// consumes them, so a worker owns one contiguous subtree end to end —
+    /// Full HMVP on at most `threads` threads, the caller among them — the
+    /// cap governs every fan-out inside the call (the lift's column tiles,
+    /// then rows / pack subtrees), and `threads = 1` spawns no thread.
+    /// Each `N`-row block is one `PACKLWES`; its leaves are the block's
+    /// rows, computed on demand in the order the pack tree consumes them,
+    /// so a thread owns one contiguous subtree end to end —
     /// MAC, rescale, extract and every reduction beneath the subtree root
     /// (see [`pack_with`]). No LWE is ever stored.
     ///
@@ -486,7 +480,7 @@ impl Hmvp {
             .map(|rows| {
                 pack_with(
                     rows.len(),
-                    threads.max(1),
+                    threads,
                     |i, leaf, s| self.dot_row_leaf(&rows[i], &cts_ntt, s, leaf),
                     gkeys,
                     &self.params,

@@ -310,9 +310,9 @@ fn key_limbs(polys: &[RnsPoly], l: usize) -> [&[u64]; DIGIT_PRODUCT_MAX_DIGITS] 
 /// ([`cham_math::simd::digit_product`], on the limb's table backend) and
 /// written over the digits it consumed.
 ///
-/// Everything runs on the calling thread: callers are already one task of
-/// a parallel region (a pack subtree, a batch member), and a nested
-/// dispatch of 2–3 limb transforms costs more than it buys.
+/// Everything runs on the calling thread: callers are already one share of
+/// a fan-out (a pack subtree, a row), and a nested dispatch of 2–3 limb
+/// transforms costs more than it buys.
 fn keyswitch_to_scratch(
     a: &RnsPoly,
     k: usize,

@@ -228,11 +228,10 @@ impl<'a> ReduceBuffer<'a> {
 /// bit-reversed (`leaf(bit_reverse(pos))` at tree position `pos`) makes
 /// the output natural-ordered.
 ///
-/// Parallelism is one contiguous power-of-two subtree per worker of the
-/// current `cham-pool` pool, capped at `cap`: subtrees are independent
-/// until the top `log2(subtrees)` levels, which are joined pair-by-pair.
-/// The tree is the same at every worker count, so the result is
-/// bit-identical.
+/// Parallelism is one contiguous power-of-two subtree per thread, with
+/// `cap` threads (`cham_pool::map_capped`): subtrees are independent until
+/// the top `log2(subtrees)` levels, which are joined pair-by-pair. The
+/// tree is the same at every cap, so the result is bit-identical.
 pub(crate) fn pack_with<F>(
     count: usize,
     cap: usize,
@@ -255,8 +254,7 @@ where
     }
     let padded = count.next_power_of_two();
     let log = padded.trailing_zeros();
-    let workers = cham_pool::current_threads().min(cap).max(1);
-    let subtrees = workers.next_power_of_two().min(padded);
+    let subtrees = cap.clamp(1, padded).next_power_of_two();
     let span = padded / subtrees;
     let reduce_subtree = |first: usize| -> Result<RlweCiphertext> {
         ScratchPool::global().with(params.augmented_context(), |s| {
@@ -303,8 +301,9 @@ where
 }
 
 /// `PACKLWES` (Alg. 3): packs up to `N` LWE ciphertexts into one RLWE
-/// ciphertext. Inputs beyond a power of two are padded with transparent
-/// zero ciphertexts.
+/// ciphertext, fanned out over the process thread budget
+/// (`cham_pool::current_threads`). Inputs beyond a power of two are padded
+/// with transparent zero ciphertexts.
 ///
 /// # Errors
 /// * [`HeError::InvalidParams`] for an empty input or more than `N` inputs,
@@ -323,14 +322,22 @@ pub fn pack_lwes(
     }
     pack_with(
         lwes.len(),
-        usize::MAX,
-        |i, dst, _| {
-            lwe_to_rlwe_into(&lwes[i], dst);
-            Ok(())
-        },
+        cham_pool::current_threads(),
+        lwe_leaves(lwes),
         gkeys,
         params,
     )
+}
+
+/// The [`pack_with`] leaves of `PACKLWES`: leaf `i` is `LWE-TO-RLWE` of
+/// `lwes[i]`.
+fn lwe_leaves(
+    lwes: &[LweCiphertext],
+) -> impl Fn(usize, &mut RlweCiphertext, &mut DotScratch) -> Result<()> + Sync + '_ {
+    move |i, dst, _| {
+        lwe_to_rlwe_into(&lwes[i], dst);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -476,14 +483,15 @@ mod tests {
             for count in [1usize, 2, 3, 5, 128, 255, 256] {
                 let want =
                     crate::oracle::pack_lwes_level_order(&lwes[..count], &gkeys, &params).unwrap();
-                for workers in [1usize, 2, 3, 8] {
-                    let got = cham_pool::ThreadPool::new(workers)
-                        .install(|| pack_lwes(&lwes[..count], &gkeys, &params).unwrap());
+                for cap in [1usize, 2, 3, 8] {
+                    let got =
+                        pack_with(count, cap, lwe_leaves(&lwes[..count]), &gkeys, &params)
+                            .unwrap();
                     prop_assert!(
                         got.ciphertext == want.ciphertext,
-                        "count={} workers={}",
+                        "count={} cap={}",
                         count,
-                        workers
+                        cap
                     );
                     prop_assert_eq!((got.log_count, got.count), (want.log_count, want.count));
                 }

@@ -1,24 +1,23 @@
-//! Per-worker scratch buffers for the fused HMVP kernels.
+//! Pooled scratch buffers for the fused HMVP kernels.
 //!
 //! Everything after the input lift — the row MAC, the rescale→extract
 //! tail, the key-switch inside every `PACKTWOLWES` — works in caller-owned
 //! flat buffers: the row MAC's two `u128` deferred-reduction accumulators
 //! and a `u64` area for key-switch digits and pre-rescale polynomials. Backing
 //! those with fresh vectors would put a dozen heap allocations on every
-//! row and every pack step; instead, workers check a [`DotScratch`] out of
-//! a small pool keyed by the `cham-pool` worker index, so the steady state
-//! recycles one scratch per worker with no locking contention (each worker
-//! hits its own slot).
+//! row and every pack step; instead, a row or a pack subtree checks a
+//! [`DotScratch`] out of one shared free list and puts it back when done,
+//! so the steady state recycles as many buffers as were ever checked out
+//! at once and allocates nothing.
 //!
 //! Ownership rules:
 //! * a scratch is owned exclusively for the duration of one
-//!   [`ScratchPool::with`] call and returned to the caller's slot
-//!   afterwards,
+//!   [`ScratchPool::with`] call and returned to the free list afterwards,
 //! * buffers are size-matched, never resized — a request for an unseen
 //!   `(degree, limbs)` shape allocates (a *miss*) and the buffer joins the
-//!   pool on release,
-//! * slot depth is bounded ([`MAX_PER_SLOT`]); excess buffers are dropped
-//!   rather than hoarded.
+//!   list on release,
+//! * the list holds, per shape, at most the peak number of concurrent
+//!   checkouts: a buffer is only created when every fitting one is out.
 //!
 //! Hit/miss counts are kept per pool instance (so a test can watch a
 //! private pool no sibling test touches) and in the process-wide
@@ -28,10 +27,7 @@
 use cham_math::rns::RnsContext;
 use cham_telemetry::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-/// Upper bound on buffers parked per worker slot.
-const MAX_PER_SLOT: usize = 4;
+use std::sync::Mutex;
 
 /// Reusable working memory for one row or one pack subtree over an
 /// augmented basis of `limbs × degree` lanes.
@@ -64,10 +60,9 @@ impl DotScratch {
     }
 }
 
-/// A pool of [`DotScratch`] buffers, one stack per `cham-pool` worker.
+/// A free list of [`DotScratch`] buffers shared by every thread.
 pub(crate) struct ScratchPool {
-    /// Slot 0 serves non-pool threads; slot `i + 1` serves pool worker `i`.
-    slots: Vec<Mutex<Vec<DotScratch>>>,
+    free: Mutex<Vec<DotScratch>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -76,20 +71,19 @@ static HITS: Counter = Counter::new("cham_he.hmvp.scratch.hit");
 static MISSES: Counter = Counter::new("cham_he.hmvp.scratch.miss");
 
 impl ScratchPool {
-    /// A pool with `slots` worker stacks (at least one).
-    pub(crate) fn new(slots: usize) -> Self {
+    /// An empty pool.
+    pub(crate) const fn new() -> Self {
         Self {
-            slots: (0..slots.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
+            free: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// The pool every kernel entry point draws from, sized off the
-    /// `cham-pool` pool current at first use.
+    /// The pool every kernel entry point draws from.
     pub(crate) fn global() -> &'static Self {
-        static POOL: OnceLock<ScratchPool> = OnceLock::new();
-        POOL.get_or_init(|| Self::new(cham_pool::current_threads() + 1))
+        static POOL: ScratchPool = ScratchPool::new();
+        &POOL
     }
 
     /// This pool's `(hits, misses)`.
@@ -101,24 +95,16 @@ impl ScratchPool {
         )
     }
 
-    /// The calling thread's slot. Worker indices from a private
-    /// (non-global) pool may exceed the slot count sized off the global
-    /// pool — the modulo keeps them valid at worst sharing a slot.
-    fn slot_index(&self) -> usize {
-        cham_pool::current_worker_index().map_or(0, |i| (i + 1) % self.slots.len())
-    }
-
     /// Runs `f` with a checked-out scratch shaped for `ctx` (the augmented
-    /// basis), returning the buffer to the worker's slot afterwards.
+    /// basis), returning the buffer to the free list afterwards.
     pub(crate) fn with<T>(&self, ctx: &RnsContext, f: impl FnOnce(&mut DotScratch) -> T) -> T {
-        let idx = self.slot_index();
         let mut scratch = {
-            let mut stack = self.slots[idx].lock().expect("scratch slot poisoned");
-            match stack.iter().position(|s| s.fits(ctx)) {
+            let mut free = self.free.lock().expect("scratch list poisoned");
+            match free.iter().position(|s| s.fits(ctx)) {
                 Some(pos) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     HITS.add(1);
-                    stack.swap_remove(pos)
+                    free.swap_remove(pos)
                 }
                 None => {
                     self.misses.fetch_add(1, Ordering::Relaxed);
@@ -128,12 +114,10 @@ impl ScratchPool {
             }
         };
         let out = f(&mut scratch);
-        // Return to the slot we took it from; a worker migrating between
-        // calls only costs a future miss, never correctness.
-        let mut stack = self.slots[idx].lock().expect("scratch slot poisoned");
-        if stack.len() < MAX_PER_SLOT {
-            stack.push(scratch);
-        }
+        self.free
+            .lock()
+            .expect("scratch list poisoned")
+            .push(scratch);
         out
     }
 }
@@ -158,7 +142,7 @@ mod tests {
     #[test]
     fn reuse_is_a_hit_and_misses_stay_flat() {
         // A private pool: sibling tests hammer the global one in parallel.
-        let pool = ScratchPool::new(1);
+        let pool = ScratchPool::new();
         let c = ctx(16);
         pool.with(&c, |s| {
             assert_eq!(s.b_acc.len(), 48);
@@ -166,7 +150,7 @@ mod tests {
             assert_eq!(s.words.len(), 2 * 48);
         });
         assert_eq!(pool.stats(), (0, 1), "first call was a miss");
-        // Every subsequent same-shape call on this thread reuses the buffer.
+        // Every subsequent same-shape call reuses the buffer.
         for _ in 0..10 {
             pool.with(&c, |_| {});
         }
@@ -178,7 +162,7 @@ mod tests {
 
     #[test]
     fn distinct_shapes_do_not_alias() {
-        let pool = ScratchPool::new(1);
+        let pool = ScratchPool::new();
         let (small, big) = (ctx(16), ctx(32));
         pool.with(&small, |s| s.b_acc.fill(7));
         pool.with(&big, |s| assert_eq!(s.b_acc.len(), 96));
@@ -193,7 +177,7 @@ mod tests {
 
     #[test]
     fn nested_checkouts_get_distinct_buffers() {
-        let pool = ScratchPool::new(1);
+        let pool = ScratchPool::new();
         let c = ctx(16);
         pool.with(&c, |outer| {
             outer.words.fill(1);

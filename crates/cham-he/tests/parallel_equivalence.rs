@@ -1,26 +1,29 @@
-//! Parallel-equivalence suite for the cham-he entry points that ride the
-//! `cham-pool` thread pool: the HMVP dot-product phase, the full
+//! Parallel-equivalence suite for the cham-he entry points that fan out
+//! through `cham_pool::map_capped`: the HMVP dot-product phase, the full
 //! multiply, and the LWE→RLWE pack tree.
 //!
-//! Each test computes a *sequential twin* on a single-thread pool (the
-//! pool's inline fast path — identical code, no tasks queued) and asserts
-//! **bit-exact** equality at pool sizes {1, 2, 3, 7, 8}. HE ciphertexts
-//! make good witnesses here: a single flipped bit anywhere in a limb
-//! shows up directly in the comparison, long before decryption. The last
-//! test pins the grain rule itself with the pool's task counter: the
-//! `threads` cap a caller passes governs every fan-out inside the call.
+//! The dot-product and multiply tests compute a *sequential twin* at a cap
+//! of 1 (the inline path — identical code on the calling thread, nothing
+//! spawned) and assert **bit-exact** equality at caps {1, 2, 3, 7, 8}; the
+//! pack test holds `pack_lwes`, at the process thread budget, to a
+//! level-order twin built from the public `pack_two`. HE ciphertexts make
+//! good witnesses here: a single flipped bit anywhere in a limb shows up
+//! directly in the comparison, long before decryption. That the cap
+//! governs every fan-out inside a call is pinned, with the process-wide
+//! task count, in `scratch_steady_state.rs`, where no sibling test can
+//! move that count.
 
 use cham_he::ciphertext::RlweCiphertext;
 use cham_he::encrypt::Encryptor;
+use cham_he::extract::lwe_to_rlwe;
 use cham_he::hmvp::{Hmvp, HmvpResult, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
-use cham_he::pack::pack_lwes;
+use cham_he::pack::{pack_lwes, pack_two};
 use cham_he::params::ChamParams;
-use cham_pool::ThreadPool;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 7, 8];
+const CAPS: [usize; 5] = [1, 2, 3, 7, 8];
 
 struct Fixture {
     params: ChamParams,
@@ -43,29 +46,22 @@ fn fixture(seed: u64) -> Fixture {
     }
 }
 
-fn sequential<R>(f: impl FnOnce() -> R) -> R {
-    ThreadPool::new(1).install(f)
-}
-
 #[test]
 fn dot_products_bit_exact_across_pool_sizes() {
     let mut f = fixture(0x5EED_0001);
     let t = f.params.plain_modulus();
-    // 37 rows (odd, larger than any tested pool) over 2 column tiles.
+    // 37 rows (odd, larger than any tested cap) over 2 column tiles.
     let a = Matrix::random(37, 300, t.value(), &mut f.rng);
     let v: Vec<u64> = (0..300).map(|_| f.rng.gen_range(0..t.value())).collect();
     let hmvp = Hmvp::new(&f.params);
     let cts = hmvp.encrypt_vector(&v, &f.enc, &mut f.rng).unwrap();
     let em = hmvp.encode_matrix(&a).unwrap();
-    let expect = sequential(|| hmvp.dot_products(&em, &cts).unwrap());
-    for threads in THREAD_COUNTS {
-        let pool = ThreadPool::new(threads);
-        // Cap = pool size, and an uncapped variant: both must agree with
-        // the serial twin bit for bit.
-        let capped = pool.install(|| hmvp.dot_products_parallel(&em, &cts, threads).unwrap());
-        let uncapped = pool.install(|| hmvp.dot_products_parallel(&em, &cts, usize::MAX).unwrap());
-        assert_eq!(capped, expect, "capped threads={threads}");
-        assert_eq!(uncapped, expect, "uncapped threads={threads}");
+    let expect = hmvp.dot_products(&em, &cts).unwrap();
+    // Every cap, and one far above the row count: all must agree with the
+    // serial twin bit for bit.
+    for cap in CAPS.into_iter().chain([64]) {
+        let got = hmvp.dot_products_parallel(&em, &cts, cap).unwrap();
+        assert_eq!(got, expect, "cap={cap}");
     }
 }
 
@@ -92,51 +88,17 @@ fn multiply_parallel_bit_exact_across_pool_sizes() {
             hmvp.encrypt_vector(&v, &f.enc, &mut f.rng).unwrap()
         })
         .collect();
-    let expect = sequential(|| {
-        inputs
-            .iter()
-            .map(|cts| hmvp.multiply(&em, cts, &f.gkeys).unwrap())
-            .collect::<Vec<_>>()
-    });
-    for threads in THREAD_COUNTS {
-        let pool = ThreadPool::new(threads);
-        for (cts, e) in inputs.iter().zip(&expect) {
-            let got = pool.install(|| hmvp.multiply_parallel(&em, cts, &f.gkeys, threads).unwrap());
-            assert_same_packed(&got, e, &format!("threads={threads}"));
+    for cts in &inputs {
+        let expect = hmvp.multiply_parallel(&em, cts, &f.gkeys, 1).unwrap();
+        for cap in CAPS {
+            let got = hmvp.multiply_parallel(&em, cts, &f.gkeys, cap).unwrap();
+            assert_same_packed(&got, &expect, &format!("cap={cap}"));
         }
+        // `multiply` fans out over the process budget (CI runs this file
+        // under several `CHAM_POOL_THREADS` values).
+        let got = hmvp.multiply(&em, cts, &f.gkeys).unwrap();
+        assert_same_packed(&got, &expect, "multiply");
     }
-}
-
-/// The grain rule as a count: a cap of 1 means *no* pool task — not for
-/// the lift's column tiles, not for a limb under them, not for a row or a
-/// pack subtree — and the serial `dot_products` never dispatches either.
-#[test]
-fn threads_cap_governs_every_fan_out_inside_the_call() {
-    let mut f = fixture(0x5EED_0003);
-    let t = f.params.plain_modulus();
-    // 12 rows (≥ 8) over 2 column tiles.
-    let a = Matrix::random(12, 300, t.value(), &mut f.rng);
-    let v: Vec<u64> = (0..300).map(|_| f.rng.gen_range(0..t.value())).collect();
-    let hmvp = Hmvp::new(&f.params);
-    let cts = hmvp.encrypt_vector(&v, &f.enc, &mut f.rng).unwrap();
-    let em = hmvp.encode_matrix(&a).unwrap();
-    assert!(em.col_tiles() >= 2);
-    let pool = ThreadPool::new(4);
-
-    let before = pool.stats().tasks;
-    let serial = pool.install(|| hmvp.multiply_parallel(&em, &cts, &f.gkeys, 1).unwrap());
-    assert_eq!(pool.stats().tasks, before, "threads=1 queued pool tasks");
-
-    let fanned = pool.install(|| hmvp.multiply_parallel(&em, &cts, &f.gkeys, 4).unwrap());
-    assert!(
-        pool.stats().tasks > before,
-        "threads=4 never reached the pool"
-    );
-    assert_same_packed(&fanned, &serial, "threads=4 vs threads=1");
-
-    let before = pool.stats().tasks;
-    pool.install(|| hmvp.dot_products(&em, &cts).unwrap());
-    assert_eq!(pool.stats().tasks, before, "dot_products queued pool tasks");
 }
 
 #[test]
@@ -154,12 +116,22 @@ fn pack_tree_bit_exact_across_pool_sizes() {
             cham_he::extract::extract_lwe(&ct, 0).unwrap()
         })
         .collect();
-    let expect = sequential(|| pack_lwes(&lwes, &f.gkeys, &f.params).unwrap());
-    for threads in THREAD_COUNTS {
-        let pool = ThreadPool::new(threads);
-        let got = pool.install(|| pack_lwes(&lwes, &f.gkeys, &f.params).unwrap());
-        assert_eq!(got.ciphertext, expect.ciphertext, "threads={threads}");
-        assert_eq!(got.log_count, expect.log_count, "threads={threads}");
-        assert_eq!(got.count, expect.count, "threads={threads}");
+    // The sequential twin through the public `pack_two`: leaves placed
+    // bit-reversed, then the tree reduced one level at a time.
+    let log = lwes.len().next_power_of_two().trailing_zeros();
+    let mut level = vec![lwe_to_rlwe(&lwes[0]).zero_like(); 1 << log];
+    for (i, lwe) in lwes.iter().enumerate() {
+        level[cham_math::bit_reverse(i, log)] = lwe_to_rlwe(lwe);
     }
+    for h in 1..=log {
+        level = level
+            .chunks(2)
+            .map(|pair| pack_two(h, &pair[0], &pair[1], &f.gkeys, &f.params).unwrap())
+            .collect();
+    }
+    // `pack_lwes` fans out over the process budget; its subtree split at
+    // each cap is pinned by the crate's own pack proptest.
+    let got = pack_lwes(&lwes, &f.gkeys, &f.params).unwrap();
+    assert_eq!(got.ciphertext, level[0]);
+    assert_eq!((got.log_count, got.count), (log, lwes.len()));
 }

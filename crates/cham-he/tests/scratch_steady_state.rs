@@ -1,68 +1,117 @@
-//! Steady-state allocation witness for the whole HMVP back half: after a
-//! warm-up, repeated `multiply` calls — MAC, rescale→extract tail, every
-//! key-switch of the pack — draw all their working memory from the
-//! per-worker scratch pool, so the process-wide miss count stops moving.
+//! Process-wide counters of the HMVP fan-out, read around whole calls:
 //!
-//! This file holds exactly one test on purpose: the counters it reads are
-//! process totals, and a sibling test running in parallel in the same
-//! binary would move them.
+//! * after a warm-up, repeated `multiply` calls — MAC, rescale→extract
+//!   tail, every key-switch of the pack — draw all their working memory
+//!   from the scratch free list, so the process-wide miss count stops
+//!   moving;
+//! * the `threads` cap a caller passes governs every fan-out inside the
+//!   call, counted by the threads `cham_pool::map_capped` spawned.
+//!
+//! The counters are process totals, so this binary holds nothing else and
+//! its two tests take turns ([`serial`]): a sibling running in parallel
+//! would move them.
 
+use cham_he::ciphertext::RlweCiphertext;
 use cham_he::encrypt::Encryptor;
-use cham_he::hmvp::{Hmvp, Matrix};
+use cham_he::hmvp::{EncodedMatrix, Hmvp, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::ChamParams;
 use cham_he::scratch::scratch_stats;
-use cham_pool::ThreadPool;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-#[test]
-fn repeated_multiplies_stop_missing_scratch() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5C7A_7C11);
+/// Held for the whole of each test, so the two never overlap.
+fn serial() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Threads spawned by fan-outs since process start.
+fn spawned() -> u64 {
+    // Reading the budget fixes it, and with it the stats.
+    let _ = cham_pool::current_threads();
+    cham_pool::global_stats().expect("budget fixed").tasks
+}
+
+/// An `rows × 300` product (2 column tiles) under a fresh key.
+fn setup(seed: u64, rows: usize) -> (ChamParams, GaloisKeys, EncodedMatrix, Vec<RlweCiphertext>) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let params = ChamParams::insecure_test_default().unwrap();
     let sk = SecretKey::generate(&params, &mut rng);
     let enc = Encryptor::new(&params, &sk);
     let gkeys = GaloisKeys::generate_for_packing(&sk, params.max_pack_log(), &mut rng).unwrap();
     let t = params.plain_modulus();
-    // 21 rows (padded to 32) over 2 column tiles.
-    let a = Matrix::random(21, 300, t.value(), &mut rng);
+    let a = Matrix::random(rows, 300, t.value(), &mut rng);
     let v: Vec<u64> = (0..300).map(|_| rng.gen_range(0..t.value())).collect();
     let hmvp = Hmvp::new(&params);
     let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
     let em = hmvp.encode_matrix(&a).unwrap();
+    (params, gkeys, em, cts)
+}
 
-    // On a single-thread pool every task runs inline on this thread, so
-    // the schedule — and with it the miss count — is exact: one miss to
-    // create this thread's scratch, none after.
-    ThreadPool::new(1).install(|| {
-        hmvp.multiply(&em, &cts, &gkeys).unwrap();
-        let (hits_before, misses_before) = scratch_stats();
-        for _ in 0..5 {
-            hmvp.multiply(&em, &cts, &gkeys).unwrap();
-            hmvp.dot_products_parallel(&em, &cts, 4).unwrap();
-        }
-        let (hits_after, misses_after) = scratch_stats();
-        assert_eq!(
-            misses_after, misses_before,
-            "steady state must not allocate"
-        );
-        // One checkout per pack subtree and per LWE row, all hits.
-        assert_eq!(hits_after - hits_before, 5 * (1 + 21));
-    });
+#[test]
+fn repeated_multiplies_stop_missing_scratch() {
+    let _turn = serial();
+    // 21 rows (padded to 32).
+    let (params, gkeys, em, cts) = setup(0x5C7A_7C11, 21);
+    let hmvp = Hmvp::new(&params);
 
-    // On a 4-worker pool which worker runs which subtree is up to the
-    // scheduler, but a scratch is returned to the slot it came from, so
-    // misses are bounded by slots × nesting depth however many multiplies
-    // run — not by rows, packs or calls.
-    ThreadPool::new(4).install(|| {
-        let (_, misses_before) = scratch_stats();
-        for _ in 0..40 {
-            hmvp.multiply(&em, &cts, &gkeys).unwrap();
-        }
-        let (_, misses_after) = scratch_stats();
-        assert!(
-            misses_after - misses_before <= 2 * 5,
-            "{} misses over 40 multiplies",
-            misses_after - misses_before
-        );
-    });
+    // At a cap of 1 everything runs inline on this thread, so the schedule
+    // — and with it the miss count — is exact: at most one miss to create
+    // a scratch, none after.
+    hmvp.multiply_parallel(&em, &cts, &gkeys, 1).unwrap();
+    let (hits_before, misses_before) = scratch_stats();
+    for _ in 0..5 {
+        hmvp.multiply_parallel(&em, &cts, &gkeys, 1).unwrap();
+        hmvp.dot_products_parallel(&em, &cts, 1).unwrap();
+    }
+    let (hits_after, misses_after) = scratch_stats();
+    assert_eq!(
+        misses_after, misses_before,
+        "steady state must not allocate"
+    );
+    // One checkout per pack subtree and per LWE row, all hits.
+    assert_eq!(hits_after - hits_before, 5 * (1 + 21));
+
+    // At a cap of 4, four subtrees hold a scratch at once. The free list
+    // only grows when every fitting buffer is out, so misses are bounded
+    // by that peak however many multiplies run — not by rows, packs or
+    // calls.
+    let (_, misses_before) = scratch_stats();
+    for _ in 0..40 {
+        hmvp.multiply_parallel(&em, &cts, &gkeys, 4).unwrap();
+    }
+    let (_, misses_after) = scratch_stats();
+    assert!(
+        misses_after - misses_before <= 4,
+        "{} misses over 40 multiplies",
+        misses_after - misses_before
+    );
+}
+
+/// The grain rule as a count: a cap of 1 means *no* spawned thread — not
+/// for the lift's column tiles, not for a limb under them, not for a row or
+/// a pack subtree — and the serial `dot_products` never spawns either.
+#[test]
+fn threads_cap_governs_every_fan_out_inside_the_call() {
+    let _turn = serial();
+    // 12 rows (≥ 8).
+    let (params, gkeys, em, cts) = setup(0x5EED_0003, 12);
+    let hmvp = Hmvp::new(&params);
+    assert!(em.col_tiles() >= 2);
+
+    let before = spawned();
+    let inline = hmvp.multiply_parallel(&em, &cts, &gkeys, 1).unwrap();
+    assert_eq!(spawned(), before, "threads=1 spawned a thread");
+
+    let fanned = hmvp.multiply_parallel(&em, &cts, &gkeys, 4).unwrap();
+    assert!(spawned() > before, "threads=4 never fanned out");
+    assert_eq!(fanned.packed.len(), inline.packed.len());
+    for (f, s) in fanned.packed.iter().zip(&inline.packed) {
+        assert_eq!(f.ciphertext, s.ciphertext, "threads=4 vs threads=1");
+    }
+
+    let before = spawned();
+    hmvp.dot_products(&em, &cts).unwrap();
+    assert_eq!(spawned(), before, "dot_products spawned a thread");
 }

@@ -110,15 +110,14 @@ fn render(snap: &IntrospectSnapshot) {
         s.accepted, s.completed, s.rejected_busy, s.timed_out, s.failed, s.internal_errors
     );
     println!(
-        "occupancy queue={}/{} peak_queue={} workers={} faults_injected={} pool_threads={} pool_tasks={} pool_deque_steals={}",
+        "occupancy queue={}/{} peak_queue={} workers={} faults_injected={} pool_threads={} pool_tasks={}",
         snap.queue_depth,
         snap.queue_capacity,
         s.peak_queue_depth,
         snap.workers,
         s.faults_injected,
         snap.pool_threads,
-        snap.pool_tasks,
-        snap.pool_steals
+        snap.pool_tasks
     );
     println!(
         "caches    keys={} matrices={}   flight traces={} dropped={}",

@@ -61,8 +61,8 @@ struct ChunkAssembly {
 pub struct ServerConfig {
     /// Kernels that may run at once — the admission gate's permits. A
     /// request runs on the connection thread that read it and may fan its
-    /// tiles and rows out into at most
-    /// `max(1, kernel-pool threads / workers)` pool tasks.
+    /// tiles and rows out over at most
+    /// `max(1, process thread budget / workers)` threads, itself included.
     pub workers: usize,
     /// Bound on requests waiting for a permit (one more gets `Busy`).
     pub queue_capacity: usize,
@@ -146,10 +146,10 @@ struct ServerShared {
     cache: Arc<SessionCache>,
     gate: Arc<Gate>,
     /// Cap on one request's own tile/row fan-out:
-    /// `max(1, pool threads / workers)` — 1 (fully inline, the connection
+    /// `max(1, thread budget / workers)` — 1 (fully inline, the connection
     /// thread *is* the kernel thread) whenever `workers` already covers
-    /// the process-wide `cham-pool`, so kernel concurrency never exceeds
-    /// workers + pool threads.
+    /// the process budget (`cham_pool::current_threads`), so kernel
+    /// threads never exceed `workers × kernel_threads`.
     kernel_threads: usize,
     stats: Arc<ServeStats>,
     phases: Arc<PhaseHistograms>,
@@ -187,7 +187,6 @@ impl ServerShared {
             matrix_cache_len: matrix_cache_len as u32,
             pool_threads: pool.as_ref().map_or(0, |p| p.threads as u32),
             pool_tasks: pool.as_ref().map_or(0, |p| p.tasks),
-            pool_steals: pool.as_ref().map_or(0, |p| p.steals),
             flight_traces: flight_traces as u32,
             flight_dropped,
             node_id: self.config.node_id,
@@ -286,9 +285,7 @@ impl Server {
         let shared = Arc::new(ServerShared {
             cache,
             gate,
-            // Connection threads are plain threads, so the pool their
-            // kernels resolve is the global one.
-            kernel_threads: (cham_pool::global().threads() / config.workers).max(1),
+            kernel_threads: (cham_pool::current_threads() / config.workers).max(1),
             stats,
             phases,
             flight,
@@ -753,8 +750,8 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
                 })
             }));
             drop(permit);
-            // What no kernel span covers of the permit-held window: pool
-            // dispatch and join when the request fans out, result
+            // What no kernel span covers of the permit-held window: thread
+            // spawn and join when the request fans out, result
             // assembly. Booked so the phases still sum to end-to-end.
             let own_ns = trace.total_recorded_ns().saturating_sub(recorded_before);
             trace.record(

@@ -371,14 +371,10 @@ pub struct IntrospectSnapshot {
     pub key_cache_len: u32,
     /// Cached matrices.
     pub matrix_cache_len: u32,
-    /// Threads in the shared compute pool (0 = inline execution).
+    /// The process thread budget (`cham_pool::current_threads`).
     pub pool_threads: u32,
-    /// Tasks the compute pool has executed.
+    /// Threads kernel fan-outs have spawned since process start.
     pub pool_tasks: u64,
-    /// Tasks popped from a sibling pool worker's deque
-    /// (`cham_pool::PoolStats::steals`): a request's own fan-out enters
-    /// through the injector and never counts, whoever runs it.
-    pub pool_steals: u64,
     /// Request traces currently held by the flight recorder.
     pub flight_traces: u32,
     /// Request traces evicted from the flight recorder ring so far.
@@ -415,7 +411,6 @@ impl IntrospectSnapshot {
         matrix_cache_len,
         pool_threads,
         pool_tasks,
-        pool_steals,
         flight_traces,
         flight_dropped,
         node_id,

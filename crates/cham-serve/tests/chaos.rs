@@ -200,7 +200,7 @@ fn run_seed(seed: u64) {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let f = fixture();
-    // Warm up process-wide lazy state (kernel thread pool, telemetry
+    // Warm up process-wide lazy state (the thread budget, telemetry
     // registries) with a fault-free round so the leak baseline is honest.
     {
         let server = Server::start(

@@ -141,7 +141,6 @@ fn full_introspect() -> IntrospectSnapshot {
         matrix_cache_len: 26,
         pool_threads: 27,
         pool_tasks: 28,
-        pool_steals: 29,
         flight_traces: 30,
         flight_dropped: 31,
         node_id: 0xC0FFEE,

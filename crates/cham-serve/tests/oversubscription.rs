@@ -1,15 +1,14 @@
-//! Oversubscription stress test: kernel-pool threads > serve workers >
+//! Oversubscription stress test: a thread budget > serve workers >
 //! physical cores, driven by more client connections than either.
 //!
-//! The running requests all feed one fixed-size pool (each under a cap of
-//! pool threads / workers = 2 here), so this configuration must (a)
-//! finish without deadlock — connection threads block on pool results
-//! while pool threads outnumber cores, (b) deliver every reply bit-correctly, and
-//! (c) keep the process's OS thread count bounded by configuration, not
-//! by request volume.
+//! Each running request fans out under a cap of budget / workers = 2
+//! threads here, so this configuration must (a) finish without deadlock
+//! while kernel threads outnumber cores, (b) deliver every reply
+//! bit-correctly, and (c) keep the process's OS thread count bounded by
+//! configuration, not by request volume.
 //!
 //! Lives in its own integration-test binary (one process) because it
-//! pins the global pool size with `configure_global`, which is
+//! pins the process thread budget with `configure_global`, which is
 //! first-configuration-wins for the process lifetime.
 
 use cham_he::encrypt::{Decryptor, Encryptor};
@@ -41,8 +40,9 @@ fn os_thread_count() -> Option<usize> {
 fn oversubscribed_pool_serves_every_request_with_bounded_threads() {
     assert!(
         cham_pool::configure_global(POOL_THREADS),
-        "global pool must not be configured before this test"
+        "the thread budget must not be fixed before this test"
     );
+    let kernel_threads = POOL_THREADS / WORKERS;
 
     let params = Arc::new(ChamParams::insecure_test_default().unwrap());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5CA1E);
@@ -71,9 +71,11 @@ fn oversubscribed_pool_serves_every_request_with_bounded_threads() {
     // Configuration-derived ceiling: main + test harness, CLIENTS client
     // threads, accept + one connection thread per client (+1 for
     // main_client; they run the kernels themselves, WORKERS at a time),
-    // POOL_THREADS kernel threads — plus slack for runtime helpers. The point is that the bound does NOT
+    // and what each running kernel spawns beside its own thread — plus
+    // slack for runtime helpers. The point is that the bound does NOT
     // scale with the CLIENTS × PER_CLIENT request volume.
-    let thread_budget = 4 + CLIENTS as usize + (CLIENTS as usize + 2) + POOL_THREADS;
+    let thread_budget =
+        4 + CLIENTS as usize + (CLIENTS as usize + 2) + WORKERS * (kernel_threads - 1);
     let peak = AtomicUsize::new(os_thread_count().unwrap_or(0));
 
     let hmvp = Hmvp::from_arc(Arc::clone(&params));
@@ -109,7 +111,7 @@ fn oversubscribed_pool_serves_every_request_with_bounded_threads() {
 
     // No lost replies: every accepted request completed, none timed out,
     // bounced, or failed — and the scope join above already proves no
-    // deadlock (a wedged pool would hang the test, not fail an assert).
+    // deadlock (a wedged fan-out would hang the test, not fail an assert).
     let stats = server.shutdown();
     let total = CLIENTS * PER_CLIENT as u64;
     assert_eq!(stats.accepted, total);
@@ -126,8 +128,8 @@ fn oversubscribed_pool_serves_every_request_with_bounded_threads() {
         );
     }
 
-    // The kernel pool really did the work: pool task counters moved.
-    let stats = cham_pool::global_stats().expect("global pool was configured");
+    // At a cap of 2 the kernels really fanned out: threads were spawned.
+    let stats = cham_pool::global_stats().expect("the budget was configured");
     assert_eq!(stats.threads, POOL_THREADS);
-    assert!(stats.tasks > 0, "kernel work never reached the shared pool");
+    assert!(stats.tasks > 0, "no kernel ever fanned out");
 }

@@ -25,9 +25,10 @@
 //! Scope rule: the named registries here are **process-wide**, which
 //! fits the kernel crates (`cham-math`, `cham-he`, `cham-sim`) whose
 //! work belongs to no instance. Crates whose state is per instance
-//! (`cham-pool`, `cham-serve`, `cham-cluster` — several servers share
-//! one test process) keep their counts on the instance and serve them
-//! per node; they book nothing here.
+//! (`cham-serve`, `cham-cluster` — several servers share one test
+//! process) keep their counts on the instance and serve them per node;
+//! they book nothing here, and neither does `cham-pool`, whose one
+//! budget and spawn count are read through its own `global_stats`.
 //!
 //! Naming convention: `<crate>.<module>.<op>[.<qualifier>]`, all
 //! lower-snake segments joined by dots. Qualifiers name a modulus

@@ -21,7 +21,7 @@
 //!
 //! Kernel phases execute many times per request (one `dot` span per
 //! matrix row) and — when intra-request parallelism is on — on several
-//! pool workers at once, so raw start/end pairs would interleave and
+//! fan-out threads at once, so raw start/end pairs would interleave and
 //! overlap. The recorder therefore **aggregates durations by phase
 //! name** (insertion-ordered, bounded), and [`SpanRecorder::finish`]
 //! lays the aggregated phases out *sequentially* on a cumulative
@@ -42,7 +42,7 @@ pub mod phase {
     /// Admission-gate entry to kernel start: the wait for a permit (plus
     /// any injected delay while holding it).
     pub const QUEUE: &str = "queue";
-    /// Inside the permit, outside every kernel span: pool dispatch / join
+    /// Inside the permit, outside every kernel span: thread spawn / join
     /// when the request fans out, result assembly.
     pub const DISPATCH: &str = "dispatch";
     /// NTT-encoding (lifting) the request's input ciphertexts.
@@ -130,7 +130,7 @@ struct RecorderInner {
 /// Installed on the thread that owns the request (a server's connection
 /// thread) and folded into a [`Vec<PhaseSpan>`] once by
 /// [`SpanRecorder::finish`]; the only other threads that see it are the
-/// pool workers a [`fan_out`] hands a scratch recorder to.
+/// fan-out threads a [`fan_out`] hands a scratch recorder to.
 #[derive(Debug)]
 pub struct SpanRecorder {
     trace_id: TraceId,
@@ -244,7 +244,7 @@ pub fn with_recorder<R>(recorder: Arc<SpanRecorder>, f: impl FnOnce() -> R) -> R
 }
 
 /// Runs `f` with `recorder` installed when it is `Some`, plain
-/// otherwise. The form worker pools use to forward a spawner's context.
+/// otherwise. The form a fan-out uses to forward a spawner's context.
 pub fn with_maybe<R>(recorder: Option<Arc<SpanRecorder>>, f: impl FnOnce() -> R) -> R {
     match recorder {
         Some(rec) => with_recorder(rec, f),
@@ -260,7 +260,7 @@ pub fn current_recorder() -> Option<Arc<SpanRecorder>> {
 
 /// Captures the current recorder for handoff to another thread — named
 /// for its one call site pattern: capture at spawn, re-install in the
-/// spawned task via [`with_maybe`].
+/// spawned thread via [`with_maybe`].
 #[must_use]
 pub fn propagate() -> Option<Arc<SpanRecorder>> {
     current_recorder()

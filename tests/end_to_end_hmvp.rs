@@ -193,8 +193,10 @@ const KAT_DIGESTS: [&[u64]; 3] = [
 /// Which `Hmvp` entry point a KAT arm drives.
 #[derive(Debug, Clone, Copy)]
 enum KatEntry {
+    /// `multiply`, at the process thread budget.
     Multiply,
-    Parallel,
+    /// `multiply_parallel` at this cap.
+    Parallel(usize),
 }
 
 #[test]
@@ -216,31 +218,29 @@ fn golden_kat_pins_packed_ciphertext_bytes() {
                 (hmvp.encode_matrix(&a).unwrap(), cts)
             })
             .collect();
-        for threads in [1usize, 2, 4] {
-            let pool = cham_pool::ThreadPool::new(threads);
-            for entry in [KatEntry::Multiply, KatEntry::Parallel] {
-                let results: Vec<_> = pool.install(|| {
-                    cases
-                        .iter()
-                        .map(|(em, cts)| match entry {
-                            KatEntry::Multiply => hmvp.multiply(em, cts, &gkeys).unwrap(),
-                            KatEntry::Parallel => {
-                                hmvp.multiply_parallel(em, cts, &gkeys, threads).unwrap()
-                            }
-                        })
-                        .collect()
-                });
-                let want = KAT_DIGESTS.concat();
-                let got: Vec<u64> = results
-                    .iter()
-                    .flat_map(|r| &r.packed)
-                    .map(|p| fnv1a64(&cham::he::wire::rlwe_to_bytes(&p.ciphertext)))
-                    .collect();
-                assert_eq!(
-                    got, want,
-                    "backend={backend} pool={threads} entry={entry:?}: {got:#018x?}"
-                );
-            }
+        let entries = [
+            KatEntry::Multiply,
+            KatEntry::Parallel(1),
+            KatEntry::Parallel(2),
+            KatEntry::Parallel(4),
+        ];
+        for entry in entries {
+            let results: Vec<_> = cases
+                .iter()
+                .map(|(em, cts)| match entry {
+                    KatEntry::Multiply => hmvp.multiply(em, cts, &gkeys).unwrap(),
+                    KatEntry::Parallel(cap) => {
+                        hmvp.multiply_parallel(em, cts, &gkeys, cap).unwrap()
+                    }
+                })
+                .collect();
+            let want = KAT_DIGESTS.concat();
+            let got: Vec<u64> = results
+                .iter()
+                .flat_map(|r| &r.packed)
+                .map(|p| fnv1a64(&cham::he::wire::rlwe_to_bytes(&p.ciphertext)))
+                .collect();
+            assert_eq!(got, want, "backend={backend} entry={entry:?}: {got:#018x?}");
         }
     }
     Backend::force(Backend::detect_auto());
