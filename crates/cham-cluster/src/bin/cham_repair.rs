@@ -35,7 +35,7 @@ use cham_he::hmvp::{Hmvp, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::ChamParams;
 use cham_serve::shard::{DEFAULT_REPLICATION, DEFAULT_VNODES};
-use cham_serve::{ClientConfig, RetryPolicy};
+use cham_serve::{parse_count, ClientConfig, RetryPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::process::ExitCode;
@@ -43,7 +43,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 struct Args {
-    cluster: Option<String>,
+    cluster: Option<Topology>,
     params: String,
     vnodes: u32,
     replication: u16,
@@ -76,20 +76,23 @@ fn parse_args() -> Result<Args, String> {
             it.next().ok_or_else(|| format!("{name} needs a value"))
         };
         match flag.as_str() {
-            "--cluster" => args.cluster = Some(value("--cluster")?),
+            "--cluster" => {
+                args.cluster =
+                    Some(Topology::parse(&value("--cluster")?).map_err(|e| e.to_string())?);
+            }
             "--params" => args.params = value("--params")?,
-            "--vnodes" => args.vnodes = parse_num(&value("--vnodes")?)? as u32,
-            "--replication" => args.replication = parse_num(&value("--replication")?)? as u16,
+            "--vnodes" => args.vnodes = parse_count(&value("--vnodes")?)? as u32,
+            "--replication" => args.replication = parse_count(&value("--replication")?)? as u16,
             "--epoch" => {
                 args.epoch = value("--epoch")?
                     .parse::<u64>()
                     .map_err(|_| "not an epoch".to_string())?;
             }
-            "--max-rounds" => args.max_rounds = parse_num(&value("--max-rounds")?)?,
+            "--max-rounds" => args.max_rounds = parse_count(&value("--max-rounds")?)?,
             "--load" => args.load = true,
-            "--rows" => args.rows = parse_num(&value("--rows")?)?,
-            "--cols" => args.cols = parse_num(&value("--cols")?)?,
-            "--requests" => args.requests = parse_num(&value("--requests")?)?,
+            "--rows" => args.rows = parse_count(&value("--rows")?)?,
+            "--cols" => args.cols = parse_count(&value("--cols")?)?,
+            "--requests" => args.requests = parse_count(&value("--requests")?)?,
             "--seed" => {
                 args.seed = value("--seed")?
                     .parse::<u64>()
@@ -107,29 +110,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-fn parse_num(s: &str) -> Result<usize, String> {
-    s.parse::<usize>()
-        .map_err(|_| format!("not a number: {s}"))
-        .and_then(|n| {
-            if n == 0 {
-                Err(format!("must be positive: {s}"))
-            } else {
-                Ok(n)
-            }
-        })
-}
-
-fn params_by_name(name: &str) -> Result<ChamParams, String> {
-    match name {
-        "test" => ChamParams::insecure_test_default().map_err(|e| e.to_string()),
-        "default" => ChamParams::cham_default().map_err(|e| e.to_string()),
-        "large" => ChamParams::cham_large().map_err(|e| e.to_string()),
-        other => Err(format!(
-            "unknown params preset {other} (test|default|large)"
-        )),
-    }
 }
 
 fn run_repair(topology: &Topology, params: &Arc<ChamParams>, max_rounds: usize) -> ExitCode {
@@ -287,31 +267,28 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let spec = match args
-        .cluster
-        .clone()
-        .or_else(|| std::env::var("CHAM_CLUSTER").ok())
-    {
-        Some(s) => s,
-        None => {
-            eprintln!("cham-repair: no fleet (pass --cluster or set CHAM_CLUSTER)");
-            return ExitCode::FAILURE;
-        }
+    let fleet = match args.cluster.clone() {
+        Some(topology) => Ok(Some(topology)),
+        None => Topology::from_env(),
     };
-    let topology = match Topology::parse(&spec) {
-        Ok(t) => t
+    let topology = match fleet {
+        Ok(Some(t)) => t
             .with_vnodes(args.vnodes)
             .with_replication(args.replication)
             .with_epoch(args.epoch),
+        Ok(None) => {
+            eprintln!("cham-repair: no fleet (pass --cluster or set CHAM_CLUSTER)");
+            return ExitCode::FAILURE;
+        }
         Err(e) => {
-            eprintln!("cham-repair: bad cluster list: {e}");
+            eprintln!("CHAM_CLUSTER: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let params = match params_by_name(&args.params) {
+    let params = match ChamParams::by_name(&args.params) {
         Ok(p) => Arc::new(p),
-        Err(msg) => {
-            eprintln!("{msg}");
+        Err(e) => {
+            eprintln!("--params {}: {e}", args.params);
             return ExitCode::FAILURE;
         }
     };

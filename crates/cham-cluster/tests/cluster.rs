@@ -143,14 +143,21 @@ fn assert_bit_identical(a: &HmvpResult, b: &HmvpResult) {
     }
 }
 
-/// Fan-out over 3 shards is bit-identical to one standalone server.
+/// Fan-out over 3 shards is bit-identical to one standalone server —
+/// with 3 bands, and with 6, where by pigeonhole some node serves two
+/// and the fan-out takes a second wave.
 #[test]
 fn sharded_hmvp_is_bit_exact_vs_single_node() {
+    // 160 rows over a 64-degree ring: bands of 64, 64, 32.
+    sharded_matches_single_node(160, &[64, 64, 32]);
+    sharded_matches_single_node(6 * DEGREE, &[DEGREE; 6]);
+}
+
+fn sharded_matches_single_node(rows: usize, band_rows: &[usize]) {
     let f = fixture();
     let t = f.params.plain_modulus();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xFA0);
-    // 160 rows over a 64-degree ring: bands of 64, 64, 32.
-    let matrix = Matrix::random(160, DEGREE, t.value(), &mut rng);
+    let matrix = Matrix::random(rows, DEGREE, t.value(), &mut rng);
     let v: Vec<u64> = (0..matrix.cols())
         .map(|_| rng.gen_range(0..t.value()))
         .collect();
@@ -189,10 +196,9 @@ fn sharded_hmvp_is_bit_exact_vs_single_node() {
     let ckey_id = cc.load_keys(&f.gkeys, &f.indices).unwrap();
     assert_eq!(ckey_id, key_id, "key content ids are address-independent");
     let sharded = cc.load_matrix_sharded(&matrix, DEGREE).unwrap();
-    assert_eq!(sharded.bands.len(), 3);
     assert_eq!(
         sharded.bands.iter().map(|b| b.rows).collect::<Vec<_>>(),
-        [64, 64, 32]
+        band_rows
     );
     let fanned = cc.hmvp_sharded(ckey_id, &sharded, &cts, None).unwrap();
 

@@ -80,6 +80,23 @@ impl ChamParams {
         ChamParamsBuilder::new().degree(8192).build()
     }
 
+    /// The preset a command line names: `test`
+    /// ([`Self::insecure_test_default`]), `default` ([`Self::cham_default`])
+    /// or `large` ([`Self::cham_large`]).
+    ///
+    /// # Errors
+    /// [`HeError::InvalidParams`] for any other name.
+    pub fn by_name(name: &str) -> Result<Self> {
+        match name {
+            "test" => Self::insecure_test_default(),
+            "default" => Self::cham_default(),
+            "large" => Self::cham_large(),
+            _ => Err(HeError::InvalidParams(
+                "unknown params preset (test|default|large)",
+            )),
+        }
+    }
+
     /// Ring degree `N`.
     #[inline]
     pub fn degree(&self) -> usize {

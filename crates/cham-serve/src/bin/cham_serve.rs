@@ -24,10 +24,9 @@
 //! prints a one-line counter snapshot periodically.
 //!
 //! `--faults` arms the fault-injection harness with a spec like
-//! `seed=42,all=0.05,worker_panic=0.0` (see [`cham_serve::FaultConfig`]);
-//! without the flag, the `CHAM_SERVE_FAULTS` environment variable is
-//! consulted. Production runs leave both unset: a disabled injector is
-//! never constructed and costs nothing.
+//! `seed=42,all=0.05,worker_panic=0.0` (see [`cham_serve::FaultConfig`]).
+//! It is the only way to arm it, so an inherited environment cannot:
+//! without the flag the injector is never constructed and costs nothing.
 //!
 //! `--flight N` sizes the flight recorder (last N request traces);
 //! `--flight-dump PATH` writes its Perfetto JSON there on a caught
@@ -47,7 +46,7 @@ use cham_he::params::ChamParams;
 use cham_serve::cache::content_hash;
 use cham_serve::server::{Server, ServerConfig};
 use cham_serve::shard::{Topology, DEFAULT_REPLICATION, DEFAULT_VNODES};
-use cham_serve::{FaultConfig, FaultInjector};
+use cham_serve::{parse_count, FaultConfig, FaultInjector};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -86,30 +85,32 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--addr" => args.addr = value("--addr")?,
             "--params" => args.params = value("--params")?,
-            "--workers" => args.config.workers = parse_num(&value("--workers")?)?,
-            "--queue" => args.config.queue_capacity = parse_num(&value("--queue")?)?,
-            "--key-cache" => args.config.key_cache = parse_num(&value("--key-cache")?)?,
-            "--matrix-cache" => args.config.matrix_cache = parse_num(&value("--matrix-cache")?)?,
-            "--max-frame" => args.config.max_frame_bytes = parse_num(&value("--max-frame")?)?,
+            "--workers" => args.config.workers = parse_count(&value("--workers")?)?,
+            "--queue" => args.config.queue_capacity = parse_count(&value("--queue")?)?,
+            "--key-cache" => args.config.key_cache = parse_count(&value("--key-cache")?)?,
+            "--matrix-cache" => args.config.matrix_cache = parse_count(&value("--matrix-cache")?)?,
+            "--max-frame" => args.config.max_frame_bytes = parse_count(&value("--max-frame")?)?,
             "--faults" => {
                 let config = FaultConfig::parse(&value("--faults")?)?;
                 args.config.faults = Some(Arc::new(FaultInjector::new(config)));
             }
-            "--stats-every" => args.stats_every = Some(parse_num(&value("--stats-every")?)? as u64),
-            "--flight" => args.config.flight_capacity = parse_num(&value("--flight")?)?,
+            "--stats-every" => {
+                args.stats_every = Some(parse_count(&value("--stats-every")?)? as u64)
+            }
+            "--flight" => args.config.flight_capacity = parse_count(&value("--flight")?)?,
             "--flight-dump" => {
                 args.config.flight_dump_path = Some(value("--flight-dump")?.into());
             }
             "--store-dir" => args.config.store_dir = Some(value("--store-dir")?.into()),
             "--store-cap-bytes" => {
-                args.config.store_cap_bytes = parse_num(&value("--store-cap-bytes")?)? as u64;
+                args.config.store_cap_bytes = parse_count(&value("--store-cap-bytes")?)? as u64;
             }
             "--max-pending-uploads" => {
-                args.config.max_pending_uploads = parse_num(&value("--max-pending-uploads")?)?;
+                args.config.max_pending_uploads = parse_count(&value("--max-pending-uploads")?)?;
             }
             "--upload-reap-secs" => {
                 args.config.upload_idle_reap =
-                    Duration::from_secs(parse_num(&value("--upload-reap-secs")?)? as u64);
+                    Duration::from_secs(parse_count(&value("--upload-reap-secs")?)? as u64);
             }
             "--cluster" => {
                 args.cluster =
@@ -129,8 +130,8 @@ fn parse_args() -> Result<Args, String> {
                     .map_or_else(|| v.parse::<u64>(), |hex| u64::from_str_radix(hex, 16));
                 args.node_id = Some(parsed.map_err(|_| format!("not a node id: {v}"))?);
             }
-            "--vnodes" => args.vnodes = parse_num(&value("--vnodes")?)? as u32,
-            "--replication" => args.replication = parse_num(&value("--replication")?)? as u16,
+            "--vnodes" => args.vnodes = parse_count(&value("--vnodes")?)? as u32,
+            "--replication" => args.replication = parse_count(&value("--replication")?)? as u16,
             "--epoch" => {
                 args.epoch = value("--epoch")?
                     .parse::<u64>()
@@ -156,29 +157,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn parse_num(s: &str) -> Result<usize, String> {
-    s.parse::<usize>()
-        .map_err(|_| format!("not a number: {s}"))
-        .and_then(|n| {
-            if n == 0 {
-                Err(format!("must be positive: {s}"))
-            } else {
-                Ok(n)
-            }
-        })
-}
-
-fn params_by_name(name: &str) -> Result<ChamParams, String> {
-    match name {
-        "test" => ChamParams::insecure_test_default().map_err(|e| e.to_string()),
-        "default" => ChamParams::cham_default().map_err(|e| e.to_string()),
-        "large" => ChamParams::cham_large().map_err(|e| e.to_string()),
-        other => Err(format!(
-            "unknown params preset {other} (test|default|large)"
-        )),
-    }
-}
-
 fn main() -> ExitCode {
     let mut args = match parse_args() {
         Ok(a) => a,
@@ -187,9 +165,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if args.config.faults.is_none() {
-        args.config.faults = FaultInjector::from_env();
-    }
     if let Some(f) = &args.config.faults {
         eprintln!("fault injection ARMED: {:?}", f.config());
     }
@@ -239,10 +214,10 @@ fn main() -> ExitCode {
     } else if let Some(id) = args.node_id {
         args.config.node_id = id;
     }
-    let params = match params_by_name(&args.params) {
+    let params = match ChamParams::by_name(&args.params) {
         Ok(p) => Arc::new(p),
-        Err(msg) => {
-            eprintln!("{msg}");
+        Err(e) => {
+            eprintln!("--params {}: {e}", args.params);
             return ExitCode::FAILURE;
         }
     };

@@ -84,17 +84,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn params_by_name(name: &str) -> Result<ChamParams, String> {
-    match name {
-        "test" => ChamParams::insecure_test_default().map_err(|e| e.to_string()),
-        "default" => ChamParams::cham_default().map_err(|e| e.to_string()),
-        "large" => ChamParams::cham_large().map_err(|e| e.to_string()),
-        other => Err(format!(
-            "unknown params preset {other} (test|default|large)"
-        )),
-    }
-}
-
 fn render(snap: &IntrospectSnapshot) {
     let s = &snap.stats;
     if snap.shard_count > 0 {
@@ -182,10 +171,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let params = match params_by_name(&args.params) {
+    let params = match ChamParams::by_name(&args.params) {
         Ok(p) => Arc::new(p),
-        Err(msg) => {
-            eprintln!("{msg}");
+        Err(e) => {
+            eprintln!("--params {}: {e}", args.params);
             return ExitCode::FAILURE;
         }
     };

@@ -21,7 +21,7 @@ use cham_he::encrypt::{Decryptor, Encryptor};
 use cham_he::hmvp::{Hmvp, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::ChamParams;
-use cham_serve::{ClientConfig, ClusterClient, RetryPolicy};
+use cham_serve::{parse_count, ClientConfig, ClusterClient, RetryPolicy};
 use rand::{Rng, SeedableRng};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -47,13 +47,12 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |name: &str| -> Result<String, String> {
             it.next().ok_or_else(|| format!("{name} needs a value"))
         };
-        let num = |s: String| s.parse::<usize>().map_err(|_| format!("not a number: {s}"));
         match flag.as_str() {
             "--addr" => args.addr = value("--addr")?,
             "--params" => args.params = value("--params")?,
-            "--rows" => args.rows = num(value("--rows")?)?,
-            "--cols" => args.cols = num(value("--cols")?)?,
-            "--requests" => args.requests = num(value("--requests")?)?,
+            "--rows" => args.rows = parse_count(&value("--rows")?)?,
+            "--cols" => args.cols = parse_count(&value("--cols")?)?,
+            "--requests" => args.requests = parse_count(&value("--requests")?)?,
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -61,14 +60,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn run(args: &Args) -> Result<(), String> {
-    let params = match args.params.as_str() {
-        "test" => ChamParams::insecure_test_default(),
-        "default" => ChamParams::cham_default(),
-        "large" => ChamParams::cham_large(),
-        other => return Err(format!("unknown params preset {other}")),
-    }
-    .map_err(|e| e.to_string())?;
-    let params = Arc::new(params);
+    let params = Arc::new(ChamParams::by_name(&args.params).map_err(|e| e.to_string())?);
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xC4A7);
 
     let sk = SecretKey::generate(&params, &mut rng);

@@ -3,7 +3,9 @@
 //! One [`ServeClient`] wraps one TCP connection and issues one request at
 //! a time (the protocol is strictly request/response per connection).
 //! Open several clients from several threads to run requests
-//! concurrently — that is exactly what the loopback integration tests do.
+//! concurrently — that is exactly what the loopback integration tests do
+//! — or, as [`crate::ClusterClient`]'s fan-out does, write one request on
+//! each of several connections before reading any reply.
 //!
 //! Every socket operation is bounded by [`ClientConfig`] timeouts, so a
 //! dead or wedged server surfaces as a timely [`ServeError::Io`] instead
@@ -426,13 +428,37 @@ impl ServeClient {
         deadline: Option<Duration>,
         trace_id: u64,
     ) -> Result<HmvpResult> {
+        let payload = protocol::hmvp_request_payload(cts);
+        self.send_hmvp(key_id, matrix_id, deadline, trace_id, &payload)?;
+        self.recv_hmvp()
+    }
+
+    /// The sending half of [`Self::hmvp_traced`]: writes one `Hmvp` frame
+    /// whose ciphertexts are `payload`, already encoded by
+    /// [`protocol::hmvp_request_payload`], and returns without waiting.
+    /// The connection then owes exactly one [`Self::recv_hmvp`] before it
+    /// carries another request.
+    pub(crate) fn send_hmvp(
+        &mut self,
+        key_id: u64,
+        matrix_id: u64,
+        deadline: Option<Duration>,
+        trace_id: u64,
+        payload: &[u8],
+    ) -> Result<()> {
         let deadline_ms = deadline.map_or(DEADLINE_NONE, |d| {
             u32::try_from(d.as_millis())
                 .unwrap_or(DEADLINE_NONE - 1)
                 .clamp(1, DEADLINE_NONE - 1)
         });
-        let body = protocol::hmvp_request_to_bytes(key_id, matrix_id, deadline_ms, trace_id, cts);
-        match self.roundtrip(FrameKind::Hmvp, &body)? {
+        let head = protocol::hmvp_request_head(key_id, matrix_id, deadline_ms, trace_id);
+        self.send(FrameKind::Hmvp, &[&head, payload])
+    }
+
+    /// The receiving half of [`Self::hmvp_traced`]: reads the reply to the
+    /// request [`Self::send_hmvp`] wrote.
+    pub(crate) fn recv_hmvp(&mut self) -> Result<HmvpResult> {
+        match self.recv()? {
             Response::HmvpDone { len, packed } => Ok(HmvpResult {
                 packed,
                 len: len as usize,
@@ -469,10 +495,20 @@ impl ServeClient {
         }
     }
 
-    /// Sends one frame and parses the response, turning `Error` frames
-    /// back into their local [`ServeError`] variants.
+    /// Sends one frame and parses the response.
     fn roundtrip(&mut self, kind: FrameKind, body: &[u8]) -> Result<Response> {
-        protocol::write_frame(&mut self.stream, kind, body)?;
+        self.send(kind, &[body])?;
+        self.recv()
+    }
+
+    /// Writes one request frame whose body is `parts` back to back.
+    fn send(&mut self, kind: FrameKind, parts: &[&[u8]]) -> Result<()> {
+        protocol::write_frame_vectored(&mut self.stream, kind, parts)
+    }
+
+    /// Reads one reply frame and parses it, turning `Error` frames back
+    /// into their local [`ServeError`] variants.
+    fn recv(&mut self) -> Result<Response> {
         let (kind, body) = protocol::read_frame(&mut self.stream)?;
         match kind {
             FrameKind::Result => Response::from_bytes(&body, &self.params),

@@ -21,7 +21,10 @@
 //! matrices are split into row *bands* — each band its own
 //! content-addressed object on its own replica set — and an HMVP against
 //! a sharded matrix fans one sub-request per band out across the fleet,
-//! reassembling the packed outputs in row order. Bands are aligned to
+//! reassembling the packed outputs in row order. The fan-out runs on the
+//! calling thread in waves — write one band to every serving node, then
+//! read those replies — so the nodes compute in parallel while the client
+//! holds no thread of its own. Bands are aligned to
 //! multiples of the ring dimension `N`, so each band's packed
 //! ciphertexts are bit-identical to the corresponding slice of a
 //! single-node result: sharding changes *where* rows are computed,
@@ -62,9 +65,11 @@
 //! [`RetryPolicy::max_backoff`], scaled by a jitter factor in
 //! `[0.5, 1.0]` drawn from a seeded SplitMix64 stream — deterministic
 //! for a fixed [`RetryPolicy::jitter_seed`], so chaos-test schedules are
-//! replayable. [`RetryPolicy::total_deadline`] bounds the *sum* of an
-//! operation's attempts and sleeps; when the budget is exhausted the
-//! last error surfaces rather than another sleep starting.
+//! replayable. [`RetryPolicy::total_deadline`] is one budget per
+//! operation, fixed when the operation starts — for an HMVP, when its
+//! fan-out starts, so the first attempts and every band's recovery draw
+//! on the same budget. Once it is spent the last error surfaces rather
+//! than another sleep starting.
 
 use crate::cache::content_hash;
 use crate::client::{ClientConfig, ServeClient, ServerInfo};
@@ -79,7 +84,7 @@ use cham_he::keys::GaloisKeys;
 use cham_he::params::ChamParams;
 use cham_he::wire;
 use cham_telemetry::span::TraceId;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -95,7 +100,8 @@ pub struct RetryPolicy {
     /// Seed for the deterministic jitter stream.
     pub jitter_seed: u64,
     /// Bound on the total wall-clock an operation may spend across all
-    /// attempts and sleeps; `None` bounds only by `max_attempts`.
+    /// attempts and sleeps — for an HMVP, across all its bands; `None`
+    /// bounds only by `max_attempts`.
     pub total_deadline: Option<Duration>,
     /// How long a failed node sits out of rotation before it is
     /// dialed again — long enough that a dead replica is not hot-looped
@@ -209,22 +215,6 @@ struct Node {
 }
 
 impl Node {
-    /// The node's live connection, dialing `addr` first when there is
-    /// none. Takes the node alone (not the client) so fan-out threads
-    /// can each hold a different one.
-    fn connected(
-        &mut self,
-        addr: &str,
-        params: &Arc<ChamParams>,
-        config: &ClientConfig,
-    ) -> Result<&mut ServeClient> {
-        if self.conn.is_none() {
-            self.conn = Some(ServeClient::connect_with(addr, Arc::clone(params), config)?);
-            self.connects += 1;
-        }
-        Ok(self.conn.as_mut().expect("connection just ensured"))
-    }
-
     /// Drops the connection and takes the node out of rotation for
     /// `cooldown`.
     fn quarantine(&mut self, cooldown: Duration) {
@@ -323,7 +313,7 @@ impl ClusterClient {
     ) -> Result<Self> {
         let topology = Topology::new(vec![addr.into()])?;
         let mut client = Self::with_config(topology, params, config, policy);
-        client.run(&[0], None, |_| Ok(()))?;
+        client.run(client.budget(), &[0], None, |_| Ok(()))?;
         Ok(client)
     }
 
@@ -374,7 +364,8 @@ impl ClusterClient {
     /// # Panics
     /// Panics when `slot` is outside the fleet.
     pub fn ping(&mut self, slot: u16) -> Result<StatsSnapshot> {
-        self.run(&[slot], None, ServeClient::ping).map(|(_, s)| s)
+        self.run(self.budget(), &[slot], None, ServeClient::ping)
+            .map(|(_, s)| s)
     }
 
     /// Uploads a Galois key set to *every* node — any shard may be
@@ -386,9 +377,10 @@ impl ClusterClient {
     /// The first node whose upload exhausts the retry policy.
     pub fn load_keys(&mut self, keys: &GaloisKeys, indices: &[usize]) -> Result<u64> {
         let bytes = wire::galois_keys_to_bytes(keys, indices)?;
+        let give_up = self.budget();
         let mut id = 0;
         for slot in 0..self.nodes.len() as u16 {
-            (_, id) = self.run(&[slot], None, |c| c.load_keys_bytes(&bytes))?;
+            (_, id) = self.run(give_up, &[slot], None, |c| c.load_keys_bytes(&bytes))?;
         }
         self.keys.insert(id, bytes);
         Ok(id)
@@ -406,9 +398,10 @@ impl ClusterClient {
         // The id is the hash of the wire encoding — computable locally,
         // which is what lets the client route *before* uploading.
         let id = content_hash(&protocol::matrix_to_bytes(matrix));
+        let give_up = self.budget();
         self.rerouted(|this| {
             for slot in this.ring.replicas(id) {
-                let (_, up) = this.run(&[slot], None, |c| {
+                let (_, up) = this.run(give_up, &[slot], None, |c| {
                     c.load_matrix_streamed(matrix, protocol::DEFAULT_CHUNK_BYTES)
                 })?;
                 this.stats.chunks_sent += u64::from(up.chunks_sent);
@@ -490,8 +483,8 @@ impl ClusterClient {
 
     /// One HMVP against a sharded matrix: fans one sub-request per band
     /// out across the fleet (bands served by one node share its
-    /// connection and thread), reassembles the packed outputs in row
-    /// order. On any band answering `WrongShard`, refreshes the
+    /// connection, one band per wave), reassembles the packed outputs in
+    /// row order. On any band answering `WrongShard`, refreshes the
     /// topology and replays the whole fan-out once.
     ///
     /// # Errors
@@ -631,11 +624,20 @@ impl ClusterClient {
     }
 
     /// HMVPs `ids` (one matrix, or the bands of one) under a single
-    /// trace id, returning one result per id in order. First attempts
-    /// run concurrently, one thread per serving node; whatever did not
-    /// succeed there continues through [`Self::run`] one band at a
-    /// time, so recovery exists in one place and never runs
-    /// concurrently with itself.
+    /// trace id and a single retry budget, returning one result per id
+    /// in order. The ciphertexts are encoded once; every band and every
+    /// retry sends that payload behind its own head.
+    ///
+    /// First attempts run in waves on the calling thread: a wave writes
+    /// the next band of every serving node's group (dialing if needed),
+    /// then reads those replies in the order it wrote them, so the nodes
+    /// compute side by side while the client waits on the first. No
+    /// connection ever has two requests outstanding and each server
+    /// reads a whole frame before it answers, so a wave cannot deadlock.
+    /// A band whose write or read fails ends its node's group: it and
+    /// the rest of that group continue through [`Self::run`] one band at
+    /// a time, the failure counting as the band's first attempt — so
+    /// recovery exists in one place.
     fn fan_out(
         &mut self,
         key_id: u64,
@@ -643,61 +645,51 @@ impl ClusterClient {
         cts: &[RlweCiphertext],
         deadline: Option<Duration>,
     ) -> Result<Vec<HmvpResult>> {
+        let give_up = self.budget();
         // Every band and every retry of one logical request carries the
         // same id into the fleet's flight recorders.
         let trace_id = TraceId::generate().as_u64();
+        let payload = protocol::hmvp_request_payload(cts);
         // Replica sets under the *current* ring (which after a refresh
         // may differ from upload time), grouped by the node `pick` sends
         // each first attempt to.
         let replicas: Vec<Vec<u16>> = ids.iter().map(|&id| self.ring.replicas(id)).collect();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
+        let mut groups: Vec<VecDeque<usize>> = vec![VecDeque::new(); self.nodes.len()];
         for (band, slots) in replicas.iter().enumerate() {
-            groups[usize::from(self.pick(slots))].push(band);
+            groups[usize::from(self.pick(slots))].push_back(band);
         }
         let mut first: Vec<Option<(u16, Result<HmvpResult>)>> = ids.iter().map(|_| None).collect();
         let mut stale = None;
-        if groups.iter().filter(|g| !g.is_empty()).count() > 1 {
-            let (topology, params, config) = (&self.topology, &self.params, &self.config);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .nodes
-                    .iter_mut()
-                    .zip(&groups)
-                    .enumerate()
-                    .filter(|(_, (_, group))| !group.is_empty())
-                    .map(|(slot, (node, group))| {
-                        let slot = slot as u16;
-                        scope.spawn(move || {
-                            let mut outs = Vec::with_capacity(group.len());
-                            for &band in group {
-                                let r = node
-                                    .connected(topology.addr(slot), params, config)
-                                    .and_then(|c| {
-                                        c.hmvp_traced(key_id, ids[band], cts, deadline, trace_id)
-                                    });
-                                let failed = r.is_err();
-                                outs.push((band, r));
-                                // The rest of the group waits for the
-                                // sequential pass: recovery may move it
-                                // to another node.
-                                if failed {
-                                    break;
-                                }
-                            }
-                            (slot, outs)
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    let (slot, outs) = handle.join().expect("fan-out thread panicked");
-                    for (band, r) in outs {
-                        match r {
-                            Err(e @ ServeError::WrongShard { .. }) => stale = Some(e),
-                            r => first[band] = Some((slot, r)),
-                        }
-                    }
+        loop {
+            let mut wave = Vec::new();
+            for (slot, group) in groups.iter_mut().enumerate() {
+                let Some(band) = group.pop_front() else {
+                    continue;
+                };
+                let slot = slot as u16;
+                let sent = self
+                    .connected(slot)
+                    .and_then(|c| c.send_hmvp(key_id, ids[band], deadline, trace_id, &payload));
+                wave.push((slot, band, sent));
+            }
+            if wave.is_empty() {
+                break;
+            }
+            for (slot, band, sent) in wave {
+                let r = sent.and_then(|()| {
+                    let conn = self.nodes[usize::from(slot)].conn.as_mut();
+                    conn.expect("the wave wrote on it").recv_hmvp()
+                });
+                if r.is_err() {
+                    // The rest of the group waits for the sequential
+                    // pass: recovery may move it to another node.
+                    groups[usize::from(slot)].clear();
                 }
-            });
+                match r {
+                    Err(e @ ServeError::WrongShard { .. }) => stale = Some(e),
+                    r => first[band] = Some((slot, r)),
+                }
+            }
         }
         // A stale map is the one failure recovery cannot absorb and the
         // caller can: it outranks every other band's error.
@@ -706,11 +698,14 @@ impl ClusterClient {
         }
         let mut done = Vec::with_capacity(ids.len());
         for ((&id, slots), attempt) in ids.iter().zip(&replicas).zip(first) {
-            let op = |c: &mut ServeClient| c.hmvp_traced(key_id, id, cts, deadline, trace_id);
+            let op = |c: &mut ServeClient| {
+                c.send_hmvp(key_id, id, deadline, trace_id, &payload)?;
+                c.recv_hmvp()
+            };
             let (slot, result) = match attempt {
                 Some((slot, Ok(result))) => (slot, result),
-                Some((slot, Err(e))) => self.run(slots, Some((slot, e)), op)?,
-                None => self.run(slots, None, op)?,
+                Some((slot, Err(e))) => self.run(give_up, slots, Some((slot, e)), op)?,
+                None => self.run(give_up, slots, None, op)?,
             };
             self.stats.per_node_requests[usize::from(slot)] += 1;
             done.push(result);
@@ -718,20 +713,42 @@ impl ClusterClient {
         Ok(done)
     }
 
+    /// When an operation starting now must give up: the policy's
+    /// [`RetryPolicy::total_deadline`] from now, if it sets one.
+    fn budget(&self) -> Option<Instant> {
+        self.policy.total_deadline.map(|d| Instant::now() + d)
+    }
+
+    /// Node `slot`'s live connection, dialing it first when there is
+    /// none.
+    fn connected(&mut self, slot: u16) -> Result<&mut ServeClient> {
+        let node = &mut self.nodes[usize::from(slot)];
+        if node.conn.is_none() {
+            let addr = self.topology.addr(slot);
+            node.conn = Some(ServeClient::connect_with(
+                addr,
+                Arc::clone(&self.params),
+                &self.config,
+            )?);
+            node.connects += 1;
+        }
+        Ok(node.conn.as_mut().expect("connection just ensured"))
+    }
+
     /// The retry loop every operation runs under: attempts `op` on the
     /// replica [`Self::pick`] names until it succeeds,
-    /// [`Self::recover`] says the error is final, or the policy's
-    /// attempts / total deadline run out. `first`, when given, is an
-    /// attempt the caller already made (and on which slot). Returns the
-    /// slot that answered beside the value.
+    /// [`Self::recover`] says the error is final, the policy's attempts
+    /// run out, or `give_up` passes — the operation's budget, fixed by
+    /// the caller when the operation started ([`Self::budget`]). `first`,
+    /// when given, is an attempt the caller already made (and on which
+    /// slot). Returns the slot that answered beside the value.
     fn run<T>(
         &mut self,
+        give_up: Option<Instant>,
         slots: &[u16],
         mut first: Option<(u16, ServeError)>,
         mut op: impl FnMut(&mut ServeClient) -> Result<T>,
     ) -> Result<(u16, T)> {
-        let start = Instant::now();
-        let hard_deadline = self.policy.total_deadline.map(|d| start + d);
         let mut absorbed: u64 = 0;
         let mut attempt: u32 = 0;
         loop {
@@ -739,10 +756,7 @@ impl ClusterClient {
                 Some((slot, e)) => (slot, Err(e)),
                 None => {
                     let slot = self.pick(slots);
-                    let result = self.nodes[usize::from(slot)]
-                        .connected(self.topology.addr(slot), &self.params, &self.config)
-                        .and_then(&mut op);
-                    (slot, result)
+                    (slot, self.connected(slot).and_then(&mut op))
                 }
             };
             match result {
@@ -760,7 +774,7 @@ impl ClusterClient {
                     absorbed += 1;
                     self.stats.retries += 1;
                     let mut sleep = backoff_for(&self.policy, &mut self.rng, attempt - 1);
-                    if let Some(hard) = hard_deadline {
+                    if let Some(hard) = give_up {
                         let now = Instant::now();
                         if now >= hard {
                             return Err(e);
@@ -921,6 +935,68 @@ mod tests {
                 backoff_for(&policy, &mut b, attempt)
             );
         }
+    }
+
+    /// One budget covers a whole fan-out. Every band of a 3-band matrix
+    /// on a one-matrix cache answers its first attempt `UnknownMatrix`
+    /// and recovers by one replay and one 40–80 ms backoff: each band
+    /// fits a 100 ms `total_deadline` alone, the three do not together.
+    #[test]
+    fn total_deadline_bounds_the_whole_fan_out() {
+        use crate::server::{Server, ServerConfig};
+        use cham_he::encrypt::Encryptor;
+        use cham_he::hmvp::Hmvp;
+        use cham_he::keys::SecretKey;
+        use cham_he::params::ChamParamsBuilder;
+        use rand::SeedableRng;
+
+        let degree = 64;
+        let params = Arc::new(ChamParamsBuilder::new().degree(degree).build().unwrap());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB0D6);
+        let sk = SecretKey::generate(&params, &mut rng);
+        let max_log = params.max_pack_log();
+        let gkeys = GaloisKeys::generate_for_packing(&sk, max_log, &mut rng).unwrap();
+        let indices: Vec<usize> = (1..=max_log).map(|j| (1usize << j) + 1).collect();
+        let config = ServerConfig {
+            matrix_cache: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::start("127.0.0.1:0", Arc::clone(&params), &config).unwrap();
+        let policy = RetryPolicy {
+            max_attempts: 20,
+            base_backoff: Duration::from_millis(80),
+            max_backoff: Duration::from_millis(80),
+            total_deadline: Some(Duration::from_millis(100)),
+            ..RetryPolicy::default()
+        };
+        let mut client = ClusterClient::connect_with(
+            server.local_addr().to_string(),
+            Arc::clone(&params),
+            ClientConfig::default(),
+            policy,
+        )
+        .unwrap();
+        let key_id = client.load_keys(&gkeys, &indices).unwrap();
+        let t = params.plain_modulus().value();
+        // Each band's upload evicts the one before it.
+        let matrix = Matrix::random(3 * degree, degree, t, &mut rng);
+        let sharded = client.load_matrix_sharded(&matrix, degree).unwrap();
+        assert_eq!(sharded.bands.len(), 3);
+        let enc = Encryptor::new(&params, &sk);
+        let cts = Hmvp::from_arc(Arc::clone(&params))
+            .encrypt_vector(&vec![1; degree], &enc, &mut rng)
+            .unwrap();
+
+        let started = Instant::now();
+        let r = client.hmvp_sharded(key_id, &sharded, &cts, None);
+        let took = started.elapsed();
+        assert!(
+            matches!(r, Err(ServeError::UnknownMatrix(_))),
+            "{:?} after {took:?}",
+            r.map(|_| ())
+        );
+        assert!(took < Duration::from_millis(200), "{took:?}");
+        server.shutdown();
     }
 
     #[test]

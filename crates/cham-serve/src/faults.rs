@@ -304,25 +304,6 @@ impl FaultInjector {
         }
     }
 
-    /// Reads `CHAM_SERVE_FAULTS` (same spec as [`FaultConfig::parse`])
-    /// and returns an injector when set and non-empty. A malformed spec
-    /// is reported on stderr and ignored rather than silently arming
-    /// faults a production operator did not ask for.
-    #[must_use]
-    pub fn from_env() -> Option<std::sync::Arc<Self>> {
-        let spec = std::env::var("CHAM_SERVE_FAULTS").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        match FaultConfig::parse(&spec) {
-            Ok(config) => Some(std::sync::Arc::new(Self::new(config))),
-            Err(msg) => {
-                eprintln!("CHAM_SERVE_FAULTS ignored: {msg}");
-                None
-            }
-        }
-    }
-
     /// The config the injector was built with.
     #[must_use]
     pub fn config(&self) -> &FaultConfig {

@@ -204,3 +204,16 @@ impl From<std::io::Error> for ServeError {
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ServeError>;
+
+/// Parses a positive count given on a command line (`--workers 2`) —
+/// the one spelling the service binaries share.
+///
+/// # Errors
+/// A message naming `s` when it is not a positive integer.
+pub fn parse_count(s: &str) -> std::result::Result<usize, String> {
+    match s.parse::<usize>() {
+        Ok(0) => Err(format!("must be positive: {s}")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("not a number: {s}")),
+    }
+}

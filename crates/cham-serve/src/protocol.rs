@@ -329,30 +329,20 @@ pub fn wire_to_error(code: ErrorCode, message: String) -> ServeError {
     }
 }
 
-/// Writes one frame.
+/// Writes one frame: [`write_frame_vectored`] over one part.
 ///
 /// # Errors
 /// Propagates transport errors; rejects oversized bodies.
 pub fn write_frame(w: &mut impl Write, kind: FrameKind, body: &[u8]) -> Result<()> {
-    if body.len() + 1 > MAX_FRAME_BYTES {
-        return Err(ServeError::BadFrame("frame exceeds MAX_FRAME_BYTES"));
-    }
-    let len = (body.len() + 1) as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&[kind as u8])?;
-    w.write_all(body)?;
-    w.flush()?;
-    Ok(())
+    write_frame_vectored(w, kind, &[body])
 }
 
 /// Writes one frame whose body is scattered across `parts`, using
-/// `write_vectored` so the pieces reach the kernel without first being
-/// gathered into one contiguous buffer — the serialize-path copy the
-/// `HmvpDone` reply otherwise pays per packed ciphertext. On the wire
-/// the result is byte-identical to `write_frame` over the concatenated
-/// parts. Bumps the `cham_serve.wire.vectored_writes` /
-/// `cham_serve.wire.gathered_parts` counters so run records can surface
-/// how many copies the scatter-gather path avoided.
+/// `write_vectored` so the header and the pieces reach the kernel in one
+/// call without first being gathered into one contiguous buffer — the
+/// copy the `HmvpDone` reply would otherwise pay per packed ciphertext,
+/// and a request its shared ciphertext payload. On the wire the result
+/// is the header followed by the concatenated parts.
 ///
 /// # Errors
 /// Propagates transport errors; rejects oversized bodies.
@@ -399,19 +389,34 @@ pub fn write_frame_vectored(w: &mut impl Write, kind: FrameKind, parts: &[&[u8]]
     Ok(())
 }
 
-/// Reads one frame (blocking).
+/// Reads one frame (blocking) of at most [`MAX_FRAME_BYTES`].
 ///
 /// # Errors
 /// Transport errors, zero/oversized length prefixes, unknown kinds.
 pub fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>)> {
+    read_frame_bounded(r, MAX_FRAME_BYTES)
+}
+
+/// Reads one frame (blocking) whose length prefix is at most
+/// `max_frame_bytes`. A zero or larger prefix is rejected before the
+/// body is allocated or read.
+///
+/// # Errors
+/// Transport errors, zero/oversized length prefixes, unknown kinds.
+pub fn read_frame_bounded(
+    r: &mut impl Read,
+    max_frame_bytes: usize,
+) -> Result<(FrameKind, Vec<u8>)> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf) as usize;
     if len == 0 {
         return Err(ServeError::BadFrame("zero-length frame"));
     }
-    if len > MAX_FRAME_BYTES {
-        return Err(ServeError::BadFrame("frame exceeds MAX_FRAME_BYTES"));
+    if len > max_frame_bytes {
+        return Err(ServeError::BadFrame(
+            "frame exceeds the reader's size bound",
+        ));
     }
     let mut kind_buf = [0u8; 1];
     r.read_exact(&mut kind_buf)?;
@@ -878,7 +883,8 @@ pub struct HmvpRequest {
 }
 
 /// Serializes an `Hmvp` request body (`trace_id` 0 = "unset", letting
-/// the server assign one).
+/// the server assign one): [`hmvp_request_head`] followed by
+/// [`hmvp_request_payload`].
 #[must_use]
 pub fn hmvp_request_to_bytes(
     key_id: u64,
@@ -887,11 +893,28 @@ pub fn hmvp_request_to_bytes(
     trace_id: u64,
     cts: &[RlweCiphertext],
 ) -> Vec<u8> {
+    let head = hmvp_request_head(key_id, matrix_id, deadline_ms, trace_id);
+    [&head[..], &hmvp_request_payload(cts)].concat()
+}
+
+/// The per-request head of an `Hmvp` body:
+/// `[key_id u64][matrix_id u64][deadline_ms u32][trace_id u64]`.
+#[must_use]
+pub fn hmvp_request_head(key_id: u64, matrix_id: u64, deadline_ms: u32, trace_id: u64) -> [u8; 28] {
+    let mut head = [0u8; 28];
+    head[..8].copy_from_slice(&key_id.to_le_bytes());
+    head[8..16].copy_from_slice(&matrix_id.to_le_bytes());
+    head[16..20].copy_from_slice(&deadline_ms.to_le_bytes());
+    head[20..].copy_from_slice(&trace_id.to_le_bytes());
+    head
+}
+
+/// The ciphertext payload that follows the head of an `Hmvp` body:
+/// `[k u16]([len u32][rlwe])×k`. It depends on the vector alone, so one
+/// encoding serves every band and every retry of a request.
+#[must_use]
+pub fn hmvp_request_payload(cts: &[RlweCiphertext]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&key_id.to_le_bytes());
-    out.extend_from_slice(&matrix_id.to_le_bytes());
-    out.extend_from_slice(&deadline_ms.to_le_bytes());
-    out.extend_from_slice(&trace_id.to_le_bytes());
     out.extend_from_slice(&(cts.len() as u16).to_le_bytes());
     for ct in cts {
         let bytes = wire::rlwe_to_bytes(ct);
@@ -1081,6 +1104,17 @@ impl Response {
     /// Serializes the response into a `Result` frame body.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.to_parts().concat()
+    }
+
+    /// Serializes the response as a sequence of buffers suitable for
+    /// [`write_frame_vectored`]; concatenated, they are the frame body.
+    /// `HmvpDone` (the data-plane reply) scatters into a head plus, per
+    /// packed ciphertext, its bookkeeping and its payload, so no payload
+    /// is re-copied into one contiguous body. Every other variant is a
+    /// single part.
+    #[must_use]
+    pub fn to_parts(&self) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
         match self {
             Response::Hello {
@@ -1124,13 +1158,18 @@ impl Response {
                 out.push(ResponseTag::HmvpDone as u8);
                 out.extend_from_slice(&len.to_le_bytes());
                 out.extend_from_slice(&(packed.len() as u16).to_le_bytes());
+                let mut parts = Vec::with_capacity(1 + 2 * packed.len());
+                parts.push(out);
                 for p in packed {
                     let bytes = wire::rlwe_to_bytes(&p.ciphertext);
-                    out.push(p.log_count as u8);
-                    out.extend_from_slice(&(p.count as u32).to_le_bytes());
-                    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                    out.extend_from_slice(&bytes);
+                    let mut meta = Vec::with_capacity(9);
+                    meta.push(p.log_count as u8);
+                    meta.extend_from_slice(&(p.count as u32).to_le_bytes());
+                    meta.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                    parts.push(meta);
+                    parts.push(bytes);
                 }
+                return parts;
             }
             Response::Pong { stats } => {
                 out.push(ResponseTag::Pong as u8);
@@ -1180,38 +1219,7 @@ impl Response {
                 out.extend_from_slice(bytes);
             }
         }
-        out
-    }
-
-    /// Serializes the response as a sequence of buffers suitable for
-    /// [`write_frame_vectored`]. Concatenated, the parts are byte-exact
-    /// [`Response::to_bytes`] output; the split avoids re-copying each
-    /// packed ciphertext's payload into one contiguous body on the
-    /// `HmvpDone` serialize path (the data-plane reply). Every other
-    /// variant is a single part.
-    #[must_use]
-    pub fn to_parts(&self) -> Vec<Vec<u8>> {
-        match self {
-            Response::HmvpDone { len, packed } => {
-                let mut head = Vec::with_capacity(11);
-                head.push(ResponseTag::HmvpDone as u8);
-                head.extend_from_slice(&len.to_le_bytes());
-                head.extend_from_slice(&(packed.len() as u16).to_le_bytes());
-                let mut parts = Vec::with_capacity(1 + 2 * packed.len());
-                parts.push(head);
-                for p in packed {
-                    let bytes = wire::rlwe_to_bytes(&p.ciphertext);
-                    let mut meta = Vec::with_capacity(9);
-                    meta.push(p.log_count as u8);
-                    meta.extend_from_slice(&(p.count as u32).to_le_bytes());
-                    meta.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                    parts.push(meta);
-                    parts.push(bytes);
-                }
-                parts
-            }
-            other => vec![other.to_bytes()],
-        }
+        vec![out]
     }
 
     /// Parses a `Result` frame body.
@@ -1500,6 +1508,12 @@ mod tests {
         assert_eq!(req.trace_id, 0xFACE);
         assert_eq!(req.cts.len(), 1);
         assert_eq!(req.cts[0], ct);
+
+        // A per-band head in front of a payload encoded once is the same
+        // body, byte for byte.
+        let payload = hmvp_request_payload(std::slice::from_ref(&ct));
+        let head = hmvp_request_head(7, 9, 250, 0xFACE);
+        assert_eq!([&head[..], &payload].concat(), body);
 
         // The no-deadline sentinel round-trips.
         let none_body = hmvp_request_to_bytes(7, 9, DEADLINE_NONE, 0, std::slice::from_ref(&ct));

@@ -36,7 +36,7 @@ use cham_he::params::ChamParams;
 use cham_telemetry::flight::{FlightEventKind, FlightRecorder, RequestTrace};
 use cham_telemetry::span::{self, phase, SpanRecorder, TraceId};
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -417,22 +417,22 @@ enum ReadOutcome {
 
 /// Reads one frame, polling the shutdown flag while idle.
 ///
-/// The 250 ms read timeout only gates the *first* byte of a frame; once
-/// a frame has started, the remainder is read with a long timeout so a
-/// slow client mid-frame is not mistaken for an idle one. Length
-/// prefixes beyond `max_frame_bytes` are rejected before any allocation.
+/// Idleness is a `peek` under a 250 ms timeout, which consumes nothing;
+/// once a frame's first byte is there, the frame is read whole by
+/// [`protocol::read_frame_bounded`] under a long timeout, so a slow
+/// client mid-frame is not mistaken for an idle one. Length prefixes
+/// beyond `max_frame_bytes` are rejected before any allocation.
 fn read_frame_interruptible(
     stream: &mut TcpStream,
     shutdown: &AtomicBool,
     max_frame_bytes: usize,
 ) -> Result<ReadOutcome> {
-    let mut first = [0u8; 1];
+    stream.set_read_timeout(Some(Duration::from_millis(250)))?;
     loop {
         if shutdown.load(Ordering::SeqCst) {
             return Ok(ReadOutcome::ShuttingDown);
         }
-        stream.set_read_timeout(Some(Duration::from_millis(250)))?;
-        match stream.read(&mut first) {
+        match stream.peek(&mut [0u8; 1]) {
             Ok(0) => return Ok(ReadOutcome::Eof),
             Ok(_) => break,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
@@ -440,22 +440,7 @@ fn read_frame_interruptible(
         }
     }
     stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    let mut rest = [0u8; 3];
-    stream.read_exact(&mut rest)?;
-    let len = u32::from_le_bytes([first[0], rest[0], rest[1], rest[2]]) as usize;
-    if len == 0 {
-        return Err(ServeError::BadFrame("zero-length frame"));
-    }
-    if len > max_frame_bytes.min(protocol::MAX_FRAME_BYTES) {
-        return Err(ServeError::BadFrame(
-            "frame exceeds the server's size bound",
-        ));
-    }
-    let mut kind = [0u8; 1];
-    stream.read_exact(&mut kind)?;
-    let kind = FrameKind::from_u8(kind[0])?;
-    let mut body = vec![0u8; len - 1];
-    stream.read_exact(&mut body)?;
+    let (kind, body) = protocol::read_frame_bounded(stream, max_frame_bytes)?;
     Ok(ReadOutcome::Frame(kind, body))
 }
 
@@ -488,28 +473,14 @@ fn drain_shutdown(
         if remaining.is_zero() {
             break;
         }
-        stream.set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
-        let mut len_buf = [0u8; 4];
-        let mut read = 0;
-        // Assemble the length prefix byte-wise so a timeout mid-prefix
-        // exits cleanly instead of surfacing as a read_exact error.
-        while read < 4 {
-            match stream.read(&mut len_buf[read..]) {
-                Ok(0) => return Ok(()),
-                Ok(n) => read += n,
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return Ok(())
-                }
-                Err(_) => return Ok(()),
-            }
-        }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if len == 0 || len > max_frame_bytes.min(protocol::MAX_FRAME_BYTES) {
+        // Idle until the window closes, the peer leaves, or a frame
+        // starts; then the frame is read whole, as outside the drain.
+        stream.set_read_timeout(Some(remaining))?;
+        if !matches!(stream.peek(&mut [0u8; 1]), Ok(n) if n > 0) {
             break;
         }
         stream.set_read_timeout(Some(Duration::from_secs(1)))?;
-        let mut frame = vec![0u8; len];
-        if stream.read_exact(&mut frame).is_err() {
+        if protocol::read_frame_bounded(stream, max_frame_bytes).is_err() {
             break;
         }
         stats.on_rejected_shutdown();
@@ -543,16 +514,17 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
     stream.set_nodelay(true)?;
     let config = &shared.config;
     let stats = &shared.stats;
+    let max_frame_bytes = config.max_frame_bytes.min(protocol::MAX_FRAME_BYTES);
     loop {
         let (kind, mut body) =
-            match read_frame_interruptible(&mut stream, &shared.shutdown, config.max_frame_bytes) {
+            match read_frame_interruptible(&mut stream, &shared.shutdown, max_frame_bytes) {
                 Ok(ReadOutcome::Frame(kind, body)) => (kind, body),
                 Ok(ReadOutcome::Eof) => return Ok(()),
                 Ok(ReadOutcome::ShuttingDown) => {
                     return drain_shutdown(
                         &mut stream,
                         stats,
-                        config.max_frame_bytes,
+                        max_frame_bytes,
                         config.shutdown_grace,
                     )
                 }
@@ -582,11 +554,12 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
                     return Ok(());
                 }
                 if shared.inject(Fault::TornWrite, trace_id).is_some() {
-                    let resp = outcome.response.to_bytes();
-                    let mut wire = Vec::with_capacity(5 + resp.len());
-                    wire.extend_from_slice(&((resp.len() + 1) as u32).to_le_bytes());
-                    wire.push(FrameKind::Result as u8);
-                    wire.extend_from_slice(&resp);
+                    let mut wire = Vec::new();
+                    let _ = protocol::write_frame(
+                        &mut wire,
+                        FrameKind::Result,
+                        &outcome.response.to_bytes(),
+                    );
                     let _ = stream.write_all(&wire[..wire.len() / 2]);
                     let _ = stream.flush();
                     let _ = stream.shutdown(NetShutdown::Both);
