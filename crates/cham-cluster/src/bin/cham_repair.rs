@@ -1,7 +1,7 @@
 //! `cham-repair` — anti-entropy repair driver for a cham-serve fleet.
 //!
 //! ```text
-//! cham-repair [--cluster HOST:PORT,...] [--params test|default|large]
+//! cham-repair --cluster HOST:PORT,... [--params test|default|large]
 //!             [--vnodes N] [--replication N] [--epoch N]
 //!             [--max-rounds N]
 //!             [--load] [--rows N] [--cols N] [--requests N] [--seed N]
@@ -26,8 +26,8 @@
 //! node that rejoined empty is backfilled by the next repair pass
 //! rather than by the client.
 //!
-//! The node list comes from `--cluster` or the `CHAM_CLUSTER`
-//! environment variable, same as `cham-serve`.
+//! The node list comes from `--cluster` (required), same as
+//! `cham-serve`.
 
 use cham_cluster::{repair, ClusterClient, Topology};
 use cham_he::encrypt::{Decryptor, Encryptor};
@@ -81,8 +81,8 @@ fn parse_args() -> Result<Args, String> {
                     Some(Topology::parse(&value("--cluster")?).map_err(|e| e.to_string())?);
             }
             "--params" => args.params = value("--params")?,
-            "--vnodes" => args.vnodes = parse_count(&value("--vnodes")?)? as u32,
-            "--replication" => args.replication = parse_count(&value("--replication")?)? as u16,
+            "--vnodes" => args.vnodes = parse_count(&value("--vnodes")?)?,
+            "--replication" => args.replication = parse_count(&value("--replication")?)?,
             "--epoch" => {
                 args.epoch = value("--epoch")?
                     .parse::<u64>()
@@ -100,7 +100,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: cham-repair [--cluster HOST:PORT,...] [--params test|default|large] \
+                    "usage: cham-repair --cluster HOST:PORT,... [--params test|default|large] \
                             [--vnodes N] [--replication N] [--epoch N] [--max-rounds N] \
                             [--load] [--rows N] [--cols N] [--requests N] [--seed N]"
                         .into(),
@@ -267,24 +267,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let fleet = match args.cluster.clone() {
-        Some(topology) => Ok(Some(topology)),
-        None => Topology::from_env(),
+    let Some(topology) = args.cluster.clone() else {
+        eprintln!("cham-repair: no fleet (pass --cluster)");
+        return ExitCode::FAILURE;
     };
-    let topology = match fleet {
-        Ok(Some(t)) => t
-            .with_vnodes(args.vnodes)
-            .with_replication(args.replication)
-            .with_epoch(args.epoch),
-        Ok(None) => {
-            eprintln!("cham-repair: no fleet (pass --cluster or set CHAM_CLUSTER)");
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("CHAM_CLUSTER: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let topology = topology
+        .with_vnodes(args.vnodes)
+        .with_replication(args.replication)
+        .with_epoch(args.epoch);
     let params = match ChamParams::by_name(&args.params) {
         Ok(p) => Arc::new(p),
         Err(e) => {

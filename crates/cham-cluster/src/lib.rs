@@ -8,19 +8,15 @@
 //! that fleet lives in `cham_serve` itself — the consistent-hash ring,
 //! the [`Topology`] (which address serves which ring slot) and the one
 //! resilient client, [`ClusterClient`], which routes by content id, fans
-//! row bands out, fails over between replicas and refreshes its map on
+//! row bands out, fails over between replicas (its per-node quarantine
+//! is the fleet's failure detector) and refreshes its map on
 //! `WrongShard`; a single server is its one-slot case. They are
-//! re-exported here. What this crate adds is what keeps a fleet healthy
+//! re-exported here. What this crate adds is what keeps a fleet whole
 //! from the outside:
 //!
 //! * [`ring`] — analysis of the ring (`cham_serve::shard::HashRing`,
 //!   re-exported): per-slot key distribution and remap fraction, the
 //!   functions its quality contract is stated in.
-//! * [`health`] — [`HealthMonitor`]: a seeded-jitter heartbeat loop
-//!   over the protocol's `Ping` frames with a per-node
-//!   up/suspect/down state machine; confirmed-down verdicts feed
-//!   [`ClusterClient::quarantine_node`] so routing stops dialing dead
-//!   replicas for longer than the optimistic per-failure cooldown.
 //! * [`repair`] — anti-entropy: diff each node's reported inventory
 //!   (`StoreList`) against the ring's replica sets, then
 //!   stream missing segments replica→replica over the resumable
@@ -33,12 +29,10 @@
 //! cluster block every hello response carries (`node_id`,
 //! `shard_index`, `shard_count`, ring epoch) and the `WrongShard` error.
 
-pub mod health;
 pub mod repair;
 pub mod ring;
 
 pub use cham_serve::cluster::{Band, ClientStats, ClusterClient, ShardedMatrix};
 pub use cham_serve::shard::Topology;
-pub use health::{HealthConfig, HealthMonitor, HealthTransition, NodeHealth};
 pub use repair::{RepairPlan, RepairReport, Transfer};
 pub use ring::{distribution, remap_fraction, HashRing};

@@ -20,23 +20,23 @@
 //!    rebuilds the map from the fleet's own hello answers, and
 //!    succeeds — with zero blind retries.
 //! 4. **The fleet self-heals**: a killed replica is condemned by the
-//!    heartbeat monitor (feeding the client's quarantine, which binds
-//!    even a client that has not dialed anything yet), rejoins
-//!    empty on restart, and anti-entropy repair streams its replica
-//!    share back until the inventory diff is zero — post-repair
-//!    answers bit-identical to pre-kill.
+//!    client's own quarantine on the one attempt that fails on it —
+//!    after which the connected stand-in keeps its bands and the dead
+//!    node answers nothing — rejoins empty on restart, and anti-entropy
+//!    repair streams its replica share back until the inventory diff is
+//!    zero — post-repair answers bit-identical to pre-kill.
 //!
 //! Everything runs on degree-64 parameters: band alignment is the ring
 //! dimension, so small `N` keeps multi-band matrices cheap.
 
-use cham_cluster::{repair, ClusterClient, HealthConfig, HealthMonitor, NodeHealth, Topology};
+use cham_cluster::{repair, ClusterClient, Topology};
 use cham_he::encrypt::{Decryptor, Encryptor};
 use cham_he::hmvp::{Hmvp, HmvpResult, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::{ChamParams, ChamParamsBuilder};
 use cham_serve::server::{Server, ServerConfig};
 use cham_serve::shard::{HashRing, ShardSpec};
-use cham_serve::{ClientConfig, FaultConfig, FaultInjector, RetryPolicy, ServeClient};
+use cham_serve::{ClientConfig, FaultConfig, FaultInjector, RetryPolicy};
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -410,69 +410,12 @@ fn wrong_shard_triggers_reroute_not_retry_loop() {
     }
 }
 
-/// A down verdict delivered to a client that has not dialed anything
-/// yet still binds its first request: the condemned primary is never
-/// contacted, and skipping it is not a failover.
-#[test]
-fn down_verdict_before_first_dial_is_honoured() {
-    let f = fixture();
-    let t = f.params.plain_modulus();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xD0A);
-    let matrix = Matrix::random(DEGREE, DEGREE, t.value(), &mut rng);
-    let hmvp = Hmvp::from_arc(Arc::clone(&f.params));
-    let enc = Encryptor::new(&f.params, &f.sk);
-    let dec = Decryptor::new(&f.params, &f.sk);
-    let (mut servers, topology) = start_fleet(2, 1, None);
-    let connect = |seed| {
-        ClusterClient::with_config(
-            topology.clone(),
-            Arc::clone(&f.params),
-            ClientConfig::default(),
-            quick_policy(seed),
-        )
-    };
-
-    let mut uploader = connect(0xD0A);
-    let key_id = uploader.load_keys(&f.gkeys, &f.indices).unwrap();
-    let sharded = uploader.load_matrix_sharded(&matrix, DEGREE).unwrap();
-    assert_eq!(sharded.bands.len(), 1);
-    let (primary, secondary) = (sharded.bands[0].replicas[0], sharded.bands[0].replicas[1]);
-
-    // A second, fresh client hears the monitor's verdict before its
-    // first operation.
-    let mut cc = connect(0xD0B);
-    assert!(cc.quarantine_node(topology.addr(primary)));
-    let v: Vec<u64> = (0..matrix.cols())
-        .map(|_| rng.gen_range(0..t.value()))
-        .collect();
-    let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
-    let result = cc.hmvp_sharded(key_id, &sharded, &cts, None).unwrap();
-    let got = hmvp.decrypt_result(&result, &dec).unwrap();
-    assert_eq!(got, matrix.mul_vector_mod(&v, t).unwrap());
-
-    let stats = cc.stats();
-    assert_eq!((stats.retries, stats.failovers), (0, 0), "{stats:?}");
-    assert_eq!(
-        stats.per_node_requests[usize::from(primary)],
-        0,
-        "{stats:?}"
-    );
-    assert_eq!(
-        stats.per_node_requests[usize::from(secondary)],
-        1,
-        "{stats:?}"
-    );
-
-    for s in &mut servers {
-        s.take().unwrap().shutdown();
-    }
-}
-
 /// The self-healing loop end to end: a replica dies under load (zero
-/// failed requests), the heartbeat condemns it and quarantines routing,
-/// the node rejoins empty, and anti-entropy repair streams its replica
-/// share back over resumable chunks until the inventory diff is zero —
-/// with post-repair answers bit-identical to pre-kill.
+/// failed requests), the first attempt that fails on it quarantines it
+/// and its bands stay on the connected stand-in, the node rejoins empty,
+/// and anti-entropy repair streams its replica share back over resumable
+/// chunks until the inventory diff is zero — with post-repair answers
+/// bit-identical to pre-kill.
 #[test]
 fn killed_replica_rejoins_and_repair_converges() {
     let f = fixture();
@@ -512,46 +455,29 @@ fn killed_replica_rejoins_and_repair_converges() {
 
     // Kill the primary of the first band.
     let victim = sharded.bands[0].replicas[0];
-    let victim_addr = topology.nodes()[usize::from(victim)].clone();
     servers[usize::from(victim)].take().unwrap().shutdown();
 
-    // The heartbeat loop condemns it over real probes — Up -> Suspect
-    // -> Down — and the Down verdict feeds the router's quarantine.
-    let mut monitor = HealthMonitor::new(
-        topology.clone(),
-        Arc::clone(&f.params),
-        HealthConfig {
-            suspect_after: 1,
-            down_after: 2,
-            recover_after: 1,
-            probe_timeout: Duration::from_millis(200),
-            ..HealthConfig::default()
-        },
-    );
-    let t1 = monitor.tick();
-    assert_eq!(t1.len(), 1);
-    assert_eq!((t1[0].slot, t1[0].to), (victim, NodeHealth::Suspect));
-    let t2 = monitor.tick();
-    assert_eq!(t2.len(), 1);
-    assert_eq!(
-        (t2[0].from, t2[0].to),
-        (NodeHealth::Suspect, NodeHealth::Down)
-    );
-    assert_eq!(monitor.down_slots(), vec![victim]);
-    for tr in &t2 {
-        if tr.to == NodeHealth::Down {
-            assert!(
-                cc.quarantine_node(&tr.addr),
-                "the dead node is not in the topology"
-            );
-        }
-    }
-
-    // Degraded window: every request still answers, bit-identical.
+    // Degraded window: every request still answers, bit-identical. No
+    // probe loop condemns the victim first, so the client pays for
+    // detection with exactly one failed attempt — the first band sent to
+    // it — which quarantines it; from then on `pick` keeps its bands on
+    // the connected stand-in, so the dead node is never credited.
+    let before = cc.stats();
     for (cts, expect) in cts_list.iter().zip(&reference) {
         let got = cc.hmvp_sharded(key_id, &sharded, cts, None).unwrap();
         assert_bit_identical(expect, &got);
     }
+    let after = cc.stats();
+    let v = usize::from(victim);
+    assert_eq!(
+        after.per_node_requests[v], before.per_node_requests[v],
+        "the dead node answered: {after:?}"
+    );
+    assert_eq!(
+        after.failovers - before.failovers,
+        1,
+        "detection cost one failed attempt: {before:?} -> {after:?}"
+    );
 
     // Rejoin: same slot and node id, fresh (empty) state, new port —
     // loopback tests cannot rebind the old port without tripping
@@ -569,43 +495,14 @@ fn killed_replica_rejoins_and_repair_converges() {
         },
     )
     .unwrap();
-    let new_addr = restarted.local_addr().to_string();
-    servers[usize::from(victim)] = Some(restarted);
     let mut nodes2 = topology.nodes().to_vec();
-    nodes2[usize::from(victim)] = new_addr.clone();
+    nodes2[usize::from(victim)] = restarted.local_addr().to_string();
+    servers[usize::from(victim)] = Some(restarted);
     let topology2 = Topology::new(nodes2)
         .unwrap()
         .with_vnodes(VNODES)
         .with_replication(2)
         .with_epoch(1);
-
-    // Health sees it come back sticky: Down -> Suspect on the first
-    // answered probe, Up only after the recover streak. The monitor
-    // still probes the old address, so the probe maps it to the new
-    // port — exactly what a same-port restart looks like to it.
-    let mut probe = |addr: &str| {
-        let real = if addr == victim_addr {
-            new_addr.as_str()
-        } else {
-            addr
-        };
-        ServeClient::connect_with(real, Arc::clone(&f.params), &ClientConfig::default())
-            .and_then(|mut c| c.ping())
-            .is_ok()
-    };
-    let back = monitor.tick_with(&mut probe);
-    assert_eq!(back.len(), 1);
-    assert_eq!(
-        (back[0].from, back[0].to),
-        (NodeHealth::Down, NodeHealth::Suspect)
-    );
-    let back = monitor.tick_with(&mut probe);
-    assert_eq!(back.len(), 1);
-    assert_eq!(
-        (back[0].from, back[0].to),
-        (NodeHealth::Suspect, NodeHealth::Up)
-    );
-    assert!(monitor.down_slots().is_empty());
 
     // Anti-entropy: the first plan is exactly "backfill the rejoiner",
     // then rounds run until one plans nothing.

@@ -33,12 +33,14 @@
 //! worker panic and at shutdown. Live inspection needs no flag — point
 //! `cham-serve-top` at the server.
 //!
-//! **Cluster membership.** `--cluster host:port,host:port,...` (or the
-//! `CHAM_CLUSTER` environment variable) declares the fleet; this node's
-//! slot is the position of `--addr` in that list unless `--shard-index`
-//! overrides it. The node then enforces shard ownership: requests for
-//! keys outside its ring slice are answered with `WrongShard` carrying
-//! `--epoch`, which cluster clients use to refresh their topology.
+//! **Cluster membership.** `--cluster host:port,host:port,...` declares
+//! the fleet; this node's slot is the position of `--addr` in that list
+//! unless `--shard-index` overrides it. It is the only way to make a
+//! node a shard, so an inherited environment cannot turn a standalone
+//! server into an enforcing one. The node then enforces shard
+//! ownership: requests for keys outside its ring slice are answered
+//! with `WrongShard` carrying `--epoch`, which cluster clients use to
+//! refresh their topology.
 //! `--vnodes` and `--replication` must match across the fleet — every
 //! node hashes the same ring.
 
@@ -94,23 +96,21 @@ fn parse_args() -> Result<Args, String> {
                 let config = FaultConfig::parse(&value("--faults")?)?;
                 args.config.faults = Some(Arc::new(FaultInjector::new(config)));
             }
-            "--stats-every" => {
-                args.stats_every = Some(parse_count(&value("--stats-every")?)? as u64)
-            }
+            "--stats-every" => args.stats_every = Some(parse_count(&value("--stats-every")?)?),
             "--flight" => args.config.flight_capacity = parse_count(&value("--flight")?)?,
             "--flight-dump" => {
                 args.config.flight_dump_path = Some(value("--flight-dump")?.into());
             }
             "--store-dir" => args.config.store_dir = Some(value("--store-dir")?.into()),
             "--store-cap-bytes" => {
-                args.config.store_cap_bytes = parse_count(&value("--store-cap-bytes")?)? as u64;
+                args.config.store_cap_bytes = parse_count(&value("--store-cap-bytes")?)?;
             }
             "--max-pending-uploads" => {
                 args.config.max_pending_uploads = parse_count(&value("--max-pending-uploads")?)?;
             }
             "--upload-reap-secs" => {
                 args.config.upload_idle_reap =
-                    Duration::from_secs(parse_count(&value("--upload-reap-secs")?)? as u64);
+                    Duration::from_secs(parse_count(&value("--upload-reap-secs")?)?);
             }
             "--cluster" => {
                 args.cluster =
@@ -130,8 +130,8 @@ fn parse_args() -> Result<Args, String> {
                     .map_or_else(|| v.parse::<u64>(), |hex| u64::from_str_radix(hex, 16));
                 args.node_id = Some(parsed.map_err(|_| format!("not a node id: {v}"))?);
             }
-            "--vnodes" => args.vnodes = parse_count(&value("--vnodes")?)? as u32,
-            "--replication" => args.replication = parse_count(&value("--replication")?)? as u16,
+            "--vnodes" => args.vnodes = parse_count(&value("--vnodes")?)?,
+            "--replication" => args.replication = parse_count(&value("--replication")?)?,
             "--epoch" => {
                 args.epoch = value("--epoch")?
                     .parse::<u64>()
@@ -167,15 +167,6 @@ fn main() -> ExitCode {
     };
     if let Some(f) = &args.config.faults {
         eprintln!("fault injection ARMED: {:?}", f.config());
-    }
-    if args.cluster.is_none() {
-        args.cluster = match Topology::from_env() {
-            Ok(topology) => topology,
-            Err(e) => {
-                eprintln!("CHAM_CLUSTER: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
     }
     if let Some(topology) = args.cluster.take() {
         let topology = topology

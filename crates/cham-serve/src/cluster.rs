@@ -11,9 +11,9 @@
 //! and one quarantine deadline per node — plus *one* replay store of
 //! everything it uploaded, one counter set and one seeded jitter stream.
 //! Whatever replica set an operation addresses, it reads and writes that
-//! one table, so a failure learned by one request is known to the next,
-//! and a health verdict ([`ClusterClient::quarantine_node`]) is
-//! fleet-wide the moment it is delivered.
+//! one table, so a failure learned by one request is known to the next.
+//! That table is the fleet's one failure detector: a node is condemned
+//! by the first attempt that fails on it, not by a separate probe loop.
 //!
 //! **Routing** is by content id. Keys broadcast to every node (any shard
 //! may be asked to rotate with them); a matrix goes to the `R` replicas
@@ -76,7 +76,6 @@ use crate::client::{ClientConfig, ServeClient, ServerInfo};
 use crate::faults::SplitMix64;
 use crate::protocol::{self, ErrorCode};
 use crate::shard::{HashRing, Topology};
-use crate::stats::StatsSnapshot;
 use crate::{Result, ServeError};
 use cham_he::ciphertext::RlweCiphertext;
 use cham_he::hmvp::{HmvpResult, Matrix};
@@ -110,11 +109,6 @@ pub struct RetryPolicy {
     /// a fleet of clients does not re-dial a recovering node in
     /// lockstep.
     pub quarantine: Duration,
-    /// Quarantine applied when an *external authority* (the cluster
-    /// health loop) has confirmed a node dead — much longer than
-    /// the optimistic per-failure `quarantine`, because a down verdict
-    /// already absorbed several consecutive probe misses.
-    pub down_quarantine: Duration,
 }
 
 impl Default for RetryPolicy {
@@ -126,7 +120,6 @@ impl Default for RetryPolicy {
             jitter_seed: 0,
             total_deadline: None,
             quarantine: Duration::from_millis(500),
-            down_quarantine: Duration::from_secs(5),
         }
     }
 }
@@ -212,15 +205,6 @@ struct Node {
     quarantined_until: Option<Instant>,
     /// Successful dials so far; every one past the first is a reconnect.
     connects: u64,
-}
-
-impl Node {
-    /// Drops the connection and takes the node out of rotation for
-    /// `cooldown`.
-    fn quarantine(&mut self, cooldown: Duration) {
-        self.conn = None;
-        self.quarantined_until = Some(Instant::now() + cooldown);
-    }
 }
 
 /// A client that survives transient failures, for a single server or a
@@ -353,19 +337,6 @@ impl ClusterClient {
             .conn
             .as_ref()
             .map(ServeClient::server_info)
-    }
-
-    /// Health check of node `slot` with retry; returns the server's
-    /// counter snapshot.
-    ///
-    /// # Errors
-    /// The last error once the policy's attempts/budget are exhausted.
-    ///
-    /// # Panics
-    /// Panics when `slot` is outside the fleet.
-    pub fn ping(&mut self, slot: u16) -> Result<StatsSnapshot> {
-        self.run(self.budget(), &[slot], None, ServeClient::ping)
-            .map(|(_, s)| s)
     }
 
     /// Uploads a Galois key set to *every* node — any shard may be
@@ -504,23 +475,6 @@ impl ClusterClient {
             packed: done.into_iter().flat_map(|r| r.packed).collect(),
             len: sharded.rows,
         })
-    }
-
-    /// Takes one node out of rotation for the policy's
-    /// `down_quarantine`, dropping its connection — the sink for the
-    /// health loop's confirmed-down verdicts. The cooldown outlasts the
-    /// optimistic per-failure one, so routing stops re-dialing a node
-    /// the monitor has condemned until it has actually answered probes
-    /// again; and because the table is per client, not per replica
-    /// set, the verdict binds every later operation whether or not this
-    /// client has dialed the node yet. Returns whether `addr` is part of
-    /// the topology.
-    pub fn quarantine_node(&mut self, addr: &str) -> bool {
-        let Some(slot) = self.topology.shard_index_of(addr) else {
-            return false;
-        };
-        self.nodes[usize::from(slot)].quarantine(self.policy.down_quarantine);
-        true
     }
 
     /// Rebuilds the slot→address assignment from the fleet's own hello
@@ -851,7 +805,9 @@ impl ClusterClient {
             .policy
             .quarantine
             .mul_f64(1.0 + 0.5 * self.rng.next_f64());
-        self.nodes[usize::from(slot)].quarantine(cooldown);
+        let node = &mut self.nodes[usize::from(slot)];
+        node.conn = None;
+        node.quarantined_until = Some(Instant::now() + cooldown);
         if multi {
             self.stats.failovers += 1;
         }
@@ -1068,28 +1024,5 @@ mod tests {
         // caller's first choice is live again.
         std::thread::sleep(Duration::from_millis(80));
         assert_eq!(client.pick(&[0, 1, 2]), 0);
-    }
-
-    #[test]
-    fn a_down_verdict_is_fleet_wide_and_outlasts_the_cooldown() {
-        let policy = RetryPolicy {
-            quarantine: Duration::from_millis(5),
-            down_quarantine: Duration::from_millis(120),
-            ..RetryPolicy::default()
-        };
-        // A fresh client: nothing dialed, no operation run yet.
-        let mut client = client(&["a:1", "b:2"], policy);
-        assert!(client.quarantine_node("a:1"));
-        assert!(!client.quarantine_node("ghost:3"));
-        // Every replica set containing the node sees the verdict...
-        assert_eq!(client.pick(&[0, 1]), 1);
-        assert_eq!(client.pick(&[1, 0]), 1);
-        // ...an operation that has only that node is still offered it...
-        assert_eq!(client.pick(&[0]), 0);
-        // ...and it outlasts the optimistic per-failure cooldown.
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(client.pick(&[0, 1]), 1);
-        std::thread::sleep(Duration::from_millis(120));
-        assert_eq!(client.pick(&[0, 1]), 0);
     }
 }

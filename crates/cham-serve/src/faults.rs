@@ -85,7 +85,8 @@ impl Fault {
         Fault::TornSnapshot,
     ];
 
-    /// Stable snake-case name (used in env specs and counter names).
+    /// Stable snake-case name: the key a `--faults` spec sets its rate
+    /// by, and the label of its per-kind count and flight events.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

@@ -205,15 +205,39 @@ impl From<std::io::Error> for ServeError {
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ServeError>;
 
-/// Parses a positive count given on a command line (`--workers 2`) —
-/// the one spelling the service binaries share.
+/// Parses a positive count given on a command line (`--workers 2`) into
+/// the integer type of the field it sets — the one spelling the service
+/// binaries share. A value the field cannot hold is refused, never
+/// wrapped.
 ///
 /// # Errors
-/// A message naming `s` when it is not a positive integer.
-pub fn parse_count(s: &str) -> std::result::Result<usize, String> {
-    match s.parse::<usize>() {
+/// A message naming `s` when it is not a positive integer or does not
+/// fit `T`.
+pub fn parse_count<T: TryFrom<u64>>(s: &str) -> std::result::Result<T, String> {
+    match s.parse::<u64>() {
         Ok(0) => Err(format!("must be positive: {s}")),
-        Ok(n) => Ok(n),
+        Ok(n) => T::try_from(n).map_err(|_| format!("out of range: {s}")),
         Err(_) => Err(format!("not a number: {s}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_count;
+
+    #[test]
+    fn parse_count_refuses_what_its_field_cannot_hold() {
+        assert_eq!(parse_count::<u16>("65535"), Ok(65535));
+        assert_eq!(
+            parse_count::<u16>("65536"),
+            Err("out of range: 65536".to_string())
+        );
+        assert!(parse_count::<u16>("65538").is_err());
+        assert_eq!(
+            parse_count::<u16>("0"),
+            Err("must be positive: 0".to_string())
+        );
+        assert!(parse_count::<usize>("-1").is_err());
+        assert_eq!(parse_count::<u64>("4096"), Ok(4096));
     }
 }

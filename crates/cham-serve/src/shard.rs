@@ -24,9 +24,9 @@
 //! shape (vnodes per slot, replication factor) and a monotonically
 //! increasing epoch. Slot `i` of the [`HashRing`] is served by
 //! `nodes[i]` — the order is load-bearing, which is why every node in
-//! a fleet must be started from the same `--cluster` list (or the same
-//! `CHAM_CLUSTER` value) and why the hello response advertises each
-//! server's believed `shard_index`: a client that routed to the wrong
+//! a fleet must be started from the same `--cluster` list and why the
+//! hello response advertises each server's believed `shard_index`: a
+//! client that routed to the wrong
 //! node can rebuild the assignment from the fleet's own answers (see
 //! [`crate::ClusterClient::refresh_topology`]).
 //!
@@ -98,12 +98,6 @@ impl HashRing {
             vnodes,
             replication: replication.max(1),
         }
-    }
-
-    /// Ring with the default vnode count and replication factor.
-    #[must_use]
-    pub fn with_defaults(nodes: u16) -> Self {
-        Self::new(nodes, DEFAULT_VNODES, DEFAULT_REPLICATION)
     }
 
     /// Number of shard slots.
@@ -214,10 +208,6 @@ pub struct ClusterIdentity {
     pub epoch: u64,
 }
 
-/// Environment variable naming the fleet, same syntax as `--cluster`:
-/// a comma-separated `host:port` list.
-pub const CLUSTER_ENV: &str = "CHAM_CLUSTER";
-
 /// An ordered fleet of serving nodes and the ring shape they share.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
@@ -255,7 +245,8 @@ impl Topology {
     ///
     /// # Errors
     /// [`ServeError::BadFrame`] for an empty list, a blank entry, or an
-    /// entry without a `:port` suffix.
+    /// entry that is not a non-empty host, a `:` and a `u16` port (the
+    /// last `:` splits, so `[::1]:7000` parses).
     pub fn parse(spec: &str) -> Result<Self> {
         let mut nodes = Vec::new();
         for raw in spec.split(',') {
@@ -263,24 +254,18 @@ impl Topology {
             if addr.is_empty() {
                 return Err(ServeError::BadFrame("empty entry in cluster list"));
             }
-            if !addr.contains(':') {
+            let Some((host, port)) = addr.rsplit_once(':') else {
                 return Err(ServeError::BadFrame("cluster entry lacks a :port"));
+            };
+            if host.is_empty() {
+                return Err(ServeError::BadFrame("cluster entry lacks a host"));
+            }
+            if port.parse::<u16>().is_err() {
+                return Err(ServeError::BadFrame("cluster entry port is not a u16"));
             }
             nodes.push(addr.to_string());
         }
         Self::new(nodes)
-    }
-
-    /// Reads the topology from [`CLUSTER_ENV`]; `Ok(None)` when the
-    /// variable is unset or blank (both mean "standalone").
-    ///
-    /// # Errors
-    /// [`ServeError::BadFrame`] when the variable is set but malformed.
-    pub fn from_env() -> Result<Option<Self>> {
-        match std::env::var(CLUSTER_ENV) {
-            Ok(spec) if !spec.trim().is_empty() => Self::parse(&spec).map(Some),
-            _ => Ok(None),
-        }
     }
 
     /// Sets the ring epoch (defaults to 0).
@@ -407,7 +392,7 @@ mod tests {
         assert_eq!(ring.vnodes(), 1);
         assert_eq!(ring.replication(), 1);
         assert_eq!(ring.primary(99), 0);
-        let spec = ShardSpec::new(HashRing::with_defaults(3), 9, 1);
+        let spec = ShardSpec::new(HashRing::new(3, DEFAULT_VNODES, DEFAULT_REPLICATION), 9, 1);
         assert_eq!(spec.shard_index, 2);
     }
 
@@ -434,6 +419,12 @@ mod tests {
         assert!(Topology::new(Vec::new()).is_err());
         assert!(Topology::parse("a:1,,b:2").is_err());
         assert!(Topology::parse("no-port").is_err());
+        // An entry needs a host and a port that fits a u16.
+        for bad in ["a:", ":7000", "a:x", "a:70000"] {
+            assert!(Topology::parse(bad).is_err(), "{bad} parsed");
+        }
+        let v6 = Topology::parse("[::1]:7000").unwrap();
+        assert_eq!(v6.addr(0), "[::1]:7000");
     }
 
     #[test]
@@ -453,19 +444,5 @@ mod tests {
         // Same routing decisions on both sides of the wire.
         assert_eq!(spec.ring.primary(0xFEED), ring.primary(0xFEED));
         assert!(t.shard_spec(3).is_none());
-    }
-
-    #[test]
-    fn env_round_trip() {
-        // Serialized by hand: the env var uses the same CSV syntax.
-        std::env::set_var(CLUSTER_ENV, "x:1,y:2");
-        let t = Topology::from_env().unwrap().unwrap();
-        assert_eq!(t.nodes(), ["x:1".to_string(), "y:2".to_string()]);
-        // Blank and unset both mean standalone — the server binary
-        // starts shardless on either.
-        std::env::set_var(CLUSTER_ENV, "");
-        assert!(Topology::from_env().unwrap().is_none());
-        std::env::remove_var(CLUSTER_ENV);
-        assert!(Topology::from_env().unwrap().is_none());
     }
 }

@@ -209,9 +209,9 @@ fn run_seed(seed: u64) {
             &ServerConfig::default(),
         )
         .unwrap();
-        let mut client =
+        // `connect` round-trips a hello before it returns.
+        let _client =
             ClusterClient::connect(server.local_addr().to_string(), Arc::clone(&f.params)).unwrap();
-        client.ping(0).unwrap();
         server.shutdown();
     }
     let baseline = thread_count();
