@@ -14,11 +14,13 @@
 //!
 //! `--dump PATH` additionally requests a `FlightDump`, writes the
 //! Perfetto-loadable JSON to PATH, and round-trips it through the trace
-//! reader to prove the artifact is well-formed before exiting.
+//! reader to prove the artifact is well-formed before exiting. Without
+//! `--count` it polls once, so the dump is written at once. It is the one
+//! way the flight recorder leaves a running server.
 
 use cham_he::params::ChamParams;
 use cham_serve::stats::{IntrospectSnapshot, PHASE_TOTAL};
-use cham_serve::{ClientConfig, ServeClient};
+use cham_serve::{parse_count, ClientConfig, ServeClient};
 use cham_telemetry::fmt::eng_nanos;
 use cham_telemetry::span::phase;
 use cham_telemetry::trace::read_chrome_trace;
@@ -26,6 +28,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+#[derive(Debug)]
 struct Args {
     addr: String,
     params: String,
@@ -35,7 +38,7 @@ struct Args {
     json: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         addr: String::new(),
         params: "default".into(),
@@ -44,7 +47,7 @@ fn parse_args() -> Result<Args, String> {
         dump: None,
         json: false,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> Result<String, String> {
             it.next().ok_or_else(|| format!("{name} needs a value"))
@@ -53,19 +56,14 @@ fn parse_args() -> Result<Args, String> {
             "--addr" => args.addr = value("--addr")?,
             "--params" => args.params = value("--params")?,
             "--interval" => {
-                args.interval = Duration::from_secs_f64(
-                    value("--interval")?
-                        .parse::<f64>()
-                        .map_err(|_| "bad --interval".to_string())?,
-                );
+                let v = value("--interval")?;
+                args.interval = v
+                    .parse::<f64>()
+                    .ok()
+                    .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+                    .ok_or_else(|| format!("bad --interval {v}: not a duration in seconds"))?;
             }
-            "--count" => {
-                args.count = Some(
-                    value("--count")?
-                        .parse::<u64>()
-                        .map_err(|_| "bad --count".to_string())?,
-                );
-            }
+            "--count" => args.count = Some(parse_count(&value("--count")?)?),
             "--dump" => args.dump = Some(value("--dump")?),
             "--json" => args.json = true,
             "--help" | "-h" => {
@@ -80,6 +78,9 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.addr.is_empty() {
         return Err("--addr is required".into());
+    }
+    if args.dump.is_some() && args.count.is_none() {
+        args.count = Some(1);
     }
     Ok(args)
 }
@@ -164,7 +165,7 @@ fn render(snap: &IntrospectSnapshot) {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -236,4 +237,38 @@ fn main() -> ExitCode {
         println!("wrote {path}: {} trace events", events.len());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|s| (*s).to_string()))
+    }
+
+    #[test]
+    fn dump_without_count_polls_once() {
+        let args = parse(&["--addr", "127.0.0.1:1", "--dump", "f.json"]).unwrap();
+        assert_eq!(args.count, Some(1));
+        let args = parse(&["--addr", "127.0.0.1:1", "--dump", "f.json", "--count", "3"]).unwrap();
+        assert_eq!(args.count, Some(3));
+        assert_eq!(parse(&["--addr", "127.0.0.1:1"]).unwrap().count, None);
+    }
+
+    #[test]
+    fn interval_must_be_a_finite_non_negative_duration() {
+        for bad in ["-1", "nan", "inf", "soon"] {
+            let err = parse(&["--addr", "127.0.0.1:1", "--interval", bad]).unwrap_err();
+            assert!(err.contains(bad), "{err}");
+        }
+        let args = parse(&["--addr", "127.0.0.1:1", "--interval", "0.5"]).unwrap();
+        assert_eq!(args.interval, Duration::from_millis(500));
+    }
+
+    #[test]
+    fn count_must_be_positive() {
+        let err = parse(&["--addr", "127.0.0.1:1", "--count", "0"]).unwrap_err();
+        assert!(err.contains('0'), "{err}");
+    }
 }

@@ -72,7 +72,7 @@ pub enum Fault {
 pub const FAULT_KINDS: usize = 9;
 
 impl Fault {
-    /// All fault kinds, in counter-index order.
+    /// All fault kinds, in counter-index (= discriminant) order.
     pub const ALL: [Fault; FAULT_KINDS] = [
         Fault::TornWrite,
         Fault::CorruptFrame,
@@ -103,102 +103,40 @@ impl Fault {
     }
 
     fn index(self) -> usize {
-        match self {
-            Fault::TornWrite => 0,
-            Fault::CorruptFrame => 1,
-            Fault::ConnReset => 2,
-            Fault::DelayedRead => 3,
-            Fault::SpuriousBusy => 4,
-            Fault::ForcedEviction => 5,
-            Fault::SlowBatch => 6,
-            Fault::WorkerPanic => 7,
-            Fault::TornSnapshot => 8,
-        }
+        self as usize
     }
 }
 
-/// Per-kind probabilities plus the seed and delay bound.
+/// Per-kind probabilities plus the seed and delay bound, built from the
+/// same spec `--faults` takes ([`FaultConfig::parse`]).
 ///
 /// Probabilities are clamped to `[0, 1]` at draw time; `0.0` (the
 /// default) disables the kind entirely without touching the RNG.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Seed for the deterministic draw stream.
-    pub seed: u64,
-    /// Probability of a torn response write per reply.
-    pub torn_write: f64,
-    /// Probability of truncating a received frame body per request.
-    pub corrupt_frame: f64,
-    /// Probability of dropping the connection before the reply.
-    pub conn_reset: f64,
-    /// Probability of delaying a request before processing.
-    pub delayed_read: f64,
-    /// Probability of a spurious `Busy` per request.
-    pub spurious_busy: f64,
-    /// Probability of evicting the referenced entry per cache lookup.
-    pub forced_eviction: f64,
-    /// Probability of delaying a request while it holds a permit.
-    pub slow_batch: f64,
-    /// Probability of a panic inside the kernel call per request.
-    pub worker_panic: f64,
-    /// Probability of tearing a store segment write per snapshot.
-    pub torn_snapshot: f64,
+    seed: u64,
     /// Upper bound (milliseconds) for injected delays.
-    pub delay_max_ms: u64,
+    delay_max_ms: u64,
+    /// Probability per site visit, indexed by the kind's discriminant.
+    rates: [f64; FAULT_KINDS],
 }
 
 impl Default for FaultConfig {
     fn default() -> Self {
         Self {
             seed: 0,
-            torn_write: 0.0,
-            corrupt_frame: 0.0,
-            conn_reset: 0.0,
-            delayed_read: 0.0,
-            spurious_busy: 0.0,
-            forced_eviction: 0.0,
-            slow_batch: 0.0,
-            worker_panic: 0.0,
-            torn_snapshot: 0.0,
             delay_max_ms: 10,
+            rates: [0.0; FAULT_KINDS],
         }
     }
 }
 
 impl FaultConfig {
-    /// A config injecting every fault kind at probability `p` under
-    /// `seed` — the usual chaos-soak shape.
-    #[must_use]
-    pub fn uniform(seed: u64, p: f64) -> Self {
-        Self {
-            seed,
-            torn_write: p,
-            corrupt_frame: p,
-            conn_reset: p,
-            delayed_read: p,
-            spurious_busy: p,
-            forced_eviction: p,
-            slow_batch: p,
-            worker_panic: p,
-            torn_snapshot: p,
-            delay_max_ms: 10,
-        }
-    }
-
     /// The probability configured for `fault`.
     #[must_use]
     pub fn probability(&self, fault: Fault) -> f64 {
-        match fault {
-            Fault::TornWrite => self.torn_write,
-            Fault::CorruptFrame => self.corrupt_frame,
-            Fault::ConnReset => self.conn_reset,
-            Fault::DelayedRead => self.delayed_read,
-            Fault::SpuriousBusy => self.spurious_busy,
-            Fault::ForcedEviction => self.forced_eviction,
-            Fault::SlowBatch => self.slow_batch,
-            Fault::WorkerPanic => self.worker_panic,
-            Fault::TornSnapshot => self.torn_snapshot,
-        }
+        self.rates[fault.index()]
     }
 
     fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
@@ -218,30 +156,22 @@ impl FaultConfig {
                     .parse::<u64>()
                     .map_err(|_| format!("fault spec: not an integer delay: {value}"))?;
             }
-            "all" => {
-                let p = num()?;
-                let seed = self.seed;
-                let delay = self.delay_max_ms;
-                *self = Self::uniform(seed, p);
-                self.delay_max_ms = delay;
+            "all" => self.rates = [num()?; FAULT_KINDS],
+            _ => {
+                let fault = Fault::ALL
+                    .into_iter()
+                    .find(|f| f.name() == key)
+                    .ok_or_else(|| format!("fault spec: unknown key {key}"))?;
+                self.rates[fault.index()] = num()?;
             }
-            "torn_write" => self.torn_write = num()?,
-            "corrupt_frame" => self.corrupt_frame = num()?,
-            "conn_reset" => self.conn_reset = num()?,
-            "delayed_read" => self.delayed_read = num()?,
-            "spurious_busy" => self.spurious_busy = num()?,
-            "forced_eviction" => self.forced_eviction = num()?,
-            "slow_batch" => self.slow_batch = num()?,
-            "worker_panic" => self.worker_panic = num()?,
-            "torn_snapshot" => self.torn_snapshot = num()?,
-            other => return Err(format!("fault spec: unknown key {other}")),
         }
         Ok(())
     }
 
     /// Parses a comma-separated `key=value` spec, e.g.
-    /// `"seed=42,all=0.05,worker_panic=0.2,delay_max_ms=20"`.
-    /// `all=p` sets every probability at once; later keys override it.
+    /// `"seed=42,all=0.05,worker_panic=0.2,delay_max_ms=20"`. A key is
+    /// `seed`, `delay_max_ms`, `all` or a [`Fault::name`]; `all=p` sets
+    /// every probability at once, and later keys override it.
     ///
     /// # Errors
     /// A message naming the malformed key or value.
@@ -372,8 +302,8 @@ mod tests {
         let c = FaultConfig::parse("seed=42, all=0.25, worker_panic=1.0, delay_max_ms=7").unwrap();
         assert_eq!(c.seed, 42);
         assert_eq!(c.delay_max_ms, 7);
-        assert!((c.torn_write - 0.25).abs() < f64::EPSILON);
-        assert!((c.worker_panic - 1.0).abs() < f64::EPSILON);
+        assert!((c.probability(Fault::TornWrite) - 0.25).abs() < f64::EPSILON);
+        assert!((c.probability(Fault::WorkerPanic) - 1.0).abs() < f64::EPSILON);
 
         assert!(FaultConfig::parse("nonsense").is_err());
         assert!(FaultConfig::parse("torn_write=maybe").is_err());
@@ -383,8 +313,9 @@ mod tests {
 
     #[test]
     fn draws_are_deterministic_per_seed() {
-        let a = FaultInjector::new(FaultConfig::uniform(7, 0.5));
-        let b = FaultInjector::new(FaultConfig::uniform(7, 0.5));
+        let config = FaultConfig::parse("seed=7,all=0.5").unwrap();
+        let a = FaultInjector::new(config.clone());
+        let b = FaultInjector::new(config);
         let seq_a: Vec<bool> = (0..64).map(|_| a.should(Fault::ConnReset)).collect();
         let seq_b: Vec<bool> = (0..64).map(|_| b.should(Fault::ConnReset)).collect();
         assert_eq!(seq_a, seq_b);
@@ -395,10 +326,7 @@ mod tests {
 
     #[test]
     fn zero_probability_is_free_and_one_is_certain() {
-        let inj = FaultInjector::new(FaultConfig {
-            worker_panic: 1.0,
-            ..FaultConfig::default()
-        });
+        let inj = FaultInjector::new(FaultConfig::parse("worker_panic=1.0").unwrap());
         // Disabled kinds never fire and never consume a draw.
         for _ in 0..16 {
             assert!(!inj.should(Fault::TornWrite));
@@ -417,17 +345,11 @@ mod tests {
 
     #[test]
     fn delays_respect_the_bound() {
-        let inj = FaultInjector::new(FaultConfig {
-            delay_max_ms: 5,
-            ..FaultConfig::default()
-        });
+        let inj = FaultInjector::new(FaultConfig::parse("delay_max_ms=5").unwrap());
         for _ in 0..64 {
             assert!(inj.delay() <= Duration::from_millis(5));
         }
-        let zero = FaultInjector::new(FaultConfig {
-            delay_max_ms: 0,
-            ..FaultConfig::default()
-        });
+        let zero = FaultInjector::new(FaultConfig::parse("delay_max_ms=0").unwrap());
         assert_eq!(zero.delay(), Duration::ZERO);
     }
 }

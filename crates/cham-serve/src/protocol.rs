@@ -389,31 +389,20 @@ pub fn write_frame_vectored(w: &mut impl Write, kind: FrameKind, parts: &[&[u8]]
     Ok(())
 }
 
-/// Reads one frame (blocking) of at most [`MAX_FRAME_BYTES`].
-///
-/// # Errors
-/// Transport errors, zero/oversized length prefixes, unknown kinds.
-pub fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>)> {
-    read_frame_bounded(r, MAX_FRAME_BYTES)
-}
-
 /// Reads one frame (blocking) whose length prefix is at most
-/// `max_frame_bytes`. A zero or larger prefix is rejected before the
+/// [`MAX_FRAME_BYTES`]. A zero or larger prefix is rejected before the
 /// body is allocated or read.
 ///
 /// # Errors
 /// Transport errors, zero/oversized length prefixes, unknown kinds.
-pub fn read_frame_bounded(
-    r: &mut impl Read,
-    max_frame_bytes: usize,
-) -> Result<(FrameKind, Vec<u8>)> {
+pub fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>)> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf) as usize;
     if len == 0 {
         return Err(ServeError::BadFrame("zero-length frame"));
     }
-    if len > max_frame_bytes {
+    if len > MAX_FRAME_BYTES {
         return Err(ServeError::BadFrame(
             "frame exceeds the reader's size bound",
         ));

@@ -56,6 +56,12 @@ struct ChunkAssembly {
     touched: Instant,
 }
 
+/// LRU bound on cached Galois key sets (one per client secret key).
+const KEY_CACHE: usize = 4;
+
+/// How many completed request traces the flight recorder retains.
+const FLIGHT_CAPACITY: usize = 64;
+
 /// Serving shape: concurrent kernels, waiter bound and cache limits.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -66,14 +72,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bound on requests waiting for a permit (one more gets `Busy`).
     pub queue_capacity: usize,
-    /// LRU bound on cached Galois key sets.
-    pub key_cache: usize,
     /// LRU bound on cached NTT-form matrices.
     pub matrix_cache: usize,
-    /// Per-connection frame size bound. Length prefixes above it are
-    /// rejected with `BadFrame` before any allocation; capped at the
-    /// protocol-wide [`protocol::MAX_FRAME_BYTES`].
-    pub max_frame_bytes: usize,
     /// How long each connection keeps answering late requests with typed
     /// `Shutdown` errors after the shutdown flag flips, instead of
     /// closing the socket on them mid-flight.
@@ -81,12 +81,6 @@ pub struct ServerConfig {
     /// Seeded fault injection (`None` on a production server — every
     /// fault site then costs one null check and nothing else).
     pub faults: Option<Arc<FaultInjector>>,
-    /// How many completed request traces the flight recorder retains.
-    pub flight_capacity: usize,
-    /// When set, the flight recorder dumps its Chrome-trace JSON here on
-    /// a caught worker panic and at shutdown (on-demand dumps go over
-    /// the wire via the `FlightDump` op regardless).
-    pub flight_dump_path: Option<PathBuf>,
     /// Cluster membership (`None` = standalone). A shard-configured
     /// server enforces ring ownership: matrix uploads and `Hmvp` requests
     /// whose content hash it does not own are answered with a typed
@@ -94,8 +88,9 @@ pub struct ServerConfig {
     /// clients refresh their topology instead of retrying blindly.
     /// Galois key uploads are exempt — every shard needs the keys.
     pub shard: Option<ShardSpec>,
-    /// Operator-assigned node id surfaced in hello responses and
-    /// introspection (`0` = unset).
+    /// Node id surfaced in hello responses and introspection (`0` =
+    /// unset); the `cham-serve` binary derives a cluster node's from the
+    /// hash of its `--addr`.
     pub node_id: u64,
     /// When set, encoded matrices persist to a crash-safe
     /// [`SegmentStore`] at this directory and a restarted server
@@ -121,13 +116,9 @@ impl Default for ServerConfig {
         Self {
             workers: 2,
             queue_capacity: 64,
-            key_cache: 4,
             matrix_cache: 8,
-            max_frame_bytes: protocol::MAX_FRAME_BYTES,
             shutdown_grace: Duration::from_millis(300),
             faults: None,
-            flight_capacity: 64,
-            flight_dump_path: None,
             shard: None,
             node_id: 0,
             store_dir: None,
@@ -265,7 +256,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let stats = Arc::new(ServeStats::new());
         let phases = Arc::new(PhaseHistograms::new());
-        let flight = Arc::new(FlightRecorder::new(config.flight_capacity));
+        let flight = Arc::new(FlightRecorder::new(FLIGHT_CAPACITY));
         let gate = Arc::new(Gate::new(
             config.workers,
             config.queue_capacity,
@@ -278,7 +269,7 @@ impl Server {
             None => None,
         };
         let cache = Arc::new(
-            SessionCache::new(params, config.key_cache, config.matrix_cache)
+            SessionCache::new(params, KEY_CACHE, config.matrix_cache)
                 .with_telemetry(Some(Arc::clone(&phases)), Some(Arc::clone(&flight)))
                 .with_store(store),
         );
@@ -340,12 +331,6 @@ impl Server {
         self.addr
     }
 
-    /// Point-in-time service counters.
-    #[must_use]
-    pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats()
-    }
-
     /// Structured introspection snapshot — the same data the `Introspect`
     /// wire op serves, available in-process without a socket.
     #[must_use]
@@ -357,12 +342,6 @@ impl Server {
     #[must_use]
     pub fn flight(&self) -> &Arc<FlightRecorder> {
         &self.shared.flight
-    }
-
-    /// The per-phase latency histograms.
-    #[must_use]
-    pub fn phases(&self) -> &Arc<PhaseHistograms> {
-        &self.shared.phases
     }
 
     /// The shared session cache (for in-process serving and tests).
@@ -394,13 +373,10 @@ impl Server {
             let _ = h.join();
         }
         // The last thing a request will ever have recorded is now in the
-        // ring — stamp the shutdown and persist the timeline if asked.
+        // ring — stamp the shutdown on the timeline.
         self.shared
             .flight
             .record_event(FlightEventKind::Shutdown, "graceful shutdown", None);
-        if let Some(path) = &self.shared.config.flight_dump_path {
-            let _ = self.shared.flight.dump_to(path);
-        }
         self.shared.stats()
     }
 }
@@ -419,14 +395,10 @@ enum ReadOutcome {
 ///
 /// Idleness is a `peek` under a 250 ms timeout, which consumes nothing;
 /// once a frame's first byte is there, the frame is read whole by
-/// [`protocol::read_frame_bounded`] under a long timeout, so a slow
-/// client mid-frame is not mistaken for an idle one. Length prefixes
-/// beyond `max_frame_bytes` are rejected before any allocation.
-fn read_frame_interruptible(
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-    max_frame_bytes: usize,
-) -> Result<ReadOutcome> {
+/// [`protocol::read_frame`] under a long timeout, so a slow client
+/// mid-frame is not mistaken for an idle one. Length prefixes beyond
+/// [`protocol::MAX_FRAME_BYTES`] are rejected before any allocation.
+fn read_frame_interruptible(stream: &mut TcpStream, shutdown: &AtomicBool) -> Result<ReadOutcome> {
     stream.set_read_timeout(Some(Duration::from_millis(250)))?;
     loop {
         if shutdown.load(Ordering::SeqCst) {
@@ -440,7 +412,7 @@ fn read_frame_interruptible(
         }
     }
     stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    let (kind, body) = protocol::read_frame_bounded(stream, max_frame_bytes)?;
+    let (kind, body) = protocol::read_frame(stream)?;
     Ok(ReadOutcome::Frame(kind, body))
 }
 
@@ -461,12 +433,7 @@ fn send_error(stream: &mut TcpStream, e: &ServeError) -> Result<()> {
 /// a bounded window, then closes. Without this, a request written just
 /// before the flag flipped would see a slammed socket and could not
 /// distinguish "server going away, try another" from a crash.
-fn drain_shutdown(
-    stream: &mut TcpStream,
-    stats: &ServeStats,
-    max_frame_bytes: usize,
-    grace: Duration,
-) -> Result<()> {
+fn drain_shutdown(stream: &mut TcpStream, stats: &ServeStats, grace: Duration) -> Result<()> {
     let deadline = Instant::now() + grace;
     loop {
         let remaining = deadline.saturating_duration_since(Instant::now());
@@ -480,7 +447,7 @@ fn drain_shutdown(
             break;
         }
         stream.set_read_timeout(Some(Duration::from_secs(1)))?;
-        if protocol::read_frame_bounded(stream, max_frame_bytes).is_err() {
+        if protocol::read_frame(stream).is_err() {
             break;
         }
         stats.on_rejected_shutdown();
@@ -514,32 +481,25 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
     stream.set_nodelay(true)?;
     let config = &shared.config;
     let stats = &shared.stats;
-    let max_frame_bytes = config.max_frame_bytes.min(protocol::MAX_FRAME_BYTES);
     loop {
-        let (kind, mut body) =
-            match read_frame_interruptible(&mut stream, &shared.shutdown, max_frame_bytes) {
-                Ok(ReadOutcome::Frame(kind, body)) => (kind, body),
-                Ok(ReadOutcome::Eof) => return Ok(()),
-                Ok(ReadOutcome::ShuttingDown) => {
-                    return drain_shutdown(
-                        &mut stream,
-                        stats,
-                        max_frame_bytes,
-                        config.shutdown_grace,
-                    )
+        let (kind, mut body) = match read_frame_interruptible(&mut stream, &shared.shutdown) {
+            Ok(ReadOutcome::Frame(kind, body)) => (kind, body),
+            Ok(ReadOutcome::Eof) => return Ok(()),
+            Ok(ReadOutcome::ShuttingDown) => {
+                return drain_shutdown(&mut stream, stats, config.shutdown_grace)
+            }
+            Err(e) => {
+                // Tell the peer *why* before closing — an oversized or
+                // malformed header earns a typed BadFrame, not a silent
+                // reset (transport errors get no reply; the stream is
+                // already gone).
+                if matches!(e, ServeError::BadFrame(_)) {
+                    let _ = send_error(&mut stream, &e);
                 }
-                Err(e) => {
-                    // Tell the peer *why* before closing — an oversized
-                    // or malformed header earns a typed BadFrame, not a
-                    // silent reset (transport errors get no reply; the
-                    // stream is already gone).
-                    if matches!(e, ServeError::BadFrame(_)) {
-                        let _ = send_error(&mut stream, &e);
-                    }
-                    let _ = stream.shutdown(NetShutdown::Both);
-                    return Err(e);
-                }
-            };
+                let _ = stream.shutdown(NetShutdown::Both);
+                return Err(e);
+            }
+        };
         if let Some(f) = shared.inject(Fault::DelayedRead, None) {
             std::thread::sleep(f.delay());
         }
@@ -748,12 +708,6 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
                         message.clone(),
                         Some(trace_id),
                     );
-                    // A caught panic is exactly the moment the flight
-                    // recorder exists for: dump what the last requests
-                    // were doing.
-                    if let Some(path) = &config.flight_dump_path {
-                        let _ = shared.flight.dump_to(path);
-                    }
                     return Err(ServeError::Internal(message));
                 }
             };

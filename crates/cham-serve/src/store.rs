@@ -593,10 +593,9 @@ mod tests {
     #[test]
     fn torn_snapshot_fault_tears_the_write_and_recovery_cleans_up() {
         let dir = temp_dir("fault");
-        let faults = Arc::new(FaultInjector::new(FaultConfig {
-            torn_snapshot: 1.0,
-            ..FaultConfig::default()
-        }));
+        let faults = Arc::new(FaultInjector::new(
+            FaultConfig::parse("torn_snapshot=1.0").unwrap(),
+        ));
         let store = SegmentStore::open(&dir, 0)
             .unwrap()
             .with_faults(Some(Arc::clone(&faults)));

@@ -7,7 +7,7 @@
 //! and checked against the plain reference product) or a typed error.
 //! No hangs, no silently wrong answers, no leaked threads.
 //!
-//! The fault schedule is seeded ([`FaultConfig::uniform`]) so a failure
+//! The fault schedule is seeded ([`FaultConfig::parse`]) so a failure
 //! reproduces by seed; the test runs two fixed seeds, and CI runs the
 //! whole file in both debug and release (the `chaos` job), which varies
 //! the timing envelope around the same draw sequences.
@@ -60,13 +60,10 @@ fn thread_count() -> Option<usize> {
 /// retries, client reuploads, client faults recovered).
 fn soak(seed: u64) -> (u64, u64, u64, u64) {
     let f = fixture();
-    let faults = Arc::new(FaultInjector::new(FaultConfig {
-        // Wire and scheduler faults at visible pressure; worker panics a
-        // little rarer (each one burns a whole batch for every rider).
-        delay_max_ms: 5,
-        worker_panic: 0.05,
-        ..FaultConfig::uniform(seed, 0.08)
-    }));
+    // Wire and scheduler faults at visible pressure; worker panics a
+    // little rarer (each one burns a whole batch for every rider).
+    let spec = format!("seed={seed},all=0.08,worker_panic=0.05,delay_max_ms=5");
+    let faults = Arc::new(FaultInjector::new(FaultConfig::parse(&spec).unwrap()));
     let server = Server::start(
         "127.0.0.1:0",
         Arc::clone(&f.params),

@@ -190,10 +190,9 @@ fn expired_deadline_returns_timed_out() {
 /// fault and a rejection, and the request never reaches the gate.
 #[test]
 fn spurious_busy_fault_injects_typed_rejection() {
-    let injector = Arc::new(FaultInjector::new(FaultConfig {
-        spurious_busy: 1.0,
-        ..FaultConfig::default()
-    }));
+    let injector = Arc::new(FaultInjector::new(
+        FaultConfig::parse("spurious_busy=1.0").unwrap(),
+    ));
     let server = start_server(&ServerConfig {
         faults: Some(Arc::clone(&injector)),
         ..ServerConfig::default()
@@ -334,10 +333,9 @@ fn worker_panic_is_a_typed_internal_error() {
     let f = fixture();
     let server = start_server(&ServerConfig {
         workers: 1,
-        faults: Some(Arc::new(FaultInjector::new(FaultConfig {
-            worker_panic: 1.0,
-            ..FaultConfig::default()
-        }))),
+        faults: Some(Arc::new(FaultInjector::new(
+            FaultConfig::parse("worker_panic=1.0").unwrap(),
+        ))),
         ..ServerConfig::default()
     });
     let mut client = connect(&server);

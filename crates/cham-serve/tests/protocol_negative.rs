@@ -91,21 +91,13 @@ fn client_rejects_request_kind_frame_from_server() {
     handle.join().unwrap();
 }
 
-/// The server's per-connection frame bound answers an oversized length
-/// prefix with a typed `BadFrame` error frame, then closes — before
-/// allocating or reading the promised body.
+/// The server's frame bound answers an oversized length prefix with a
+/// typed `BadFrame` error frame, then closes — before allocating or
+/// reading the promised body.
 #[test]
 fn server_rejects_oversized_frame_with_typed_error() {
     let p = params();
-    let server = Server::start(
-        "127.0.0.1:0",
-        Arc::clone(&p),
-        &ServerConfig {
-            max_frame_bytes: 1024,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Server::start("127.0.0.1:0", Arc::clone(&p), &ServerConfig::default()).unwrap();
 
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     // A well-formed hello first: the bound is per-frame, not per-connection.
@@ -114,11 +106,9 @@ fn server_rejects_oversized_frame_with_typed_error() {
     let (kind, _) = protocol::read_frame(&mut stream).unwrap();
     assert_eq!(kind, FrameKind::Result);
 
-    // Promise a frame past the server's 1 KiB bound (but far under the
-    // protocol-wide MAX_FRAME_BYTES, so it is this server's config that
-    // rejects it), then watch the typed reply.
-    let oversized = 1_000_000u32;
-    assert!((oversized as usize) < MAX_FRAME_BYTES);
+    // Promise one byte more than the protocol-wide bound, send none of
+    // it, then watch the typed reply.
+    let oversized = u32::try_from(MAX_FRAME_BYTES + 1).unwrap();
     stream.write_all(&oversized.to_le_bytes()).unwrap();
     stream.flush().unwrap();
     let (kind, body) = protocol::read_frame(&mut stream).unwrap();

@@ -71,10 +71,8 @@ fn start_server(dir: &Path, faults: Option<Arc<FaultInjector>>) -> Server {
 
 fn matrix_encode_count(server: &Server) -> u64 {
     server
-        .phases()
-        .snapshot()
-        .iter()
-        .find(|p| p.name == PHASE_MATRIX_ENCODE)
+        .introspect()
+        .phase(PHASE_MATRIX_ENCODE)
         .map_or(0, |p| p.count)
 }
 
@@ -174,11 +172,8 @@ fn every_kill_point_recovers_a_consistent_prefix() {
         // disk mid-write (seeded fault), then the process "dies". The
         // RAM entry still served, so the client saw success — exactly
         // the durability-vs-correctness split the store promises. ---
-        let faults = Arc::new(FaultInjector::new(FaultConfig {
-            torn_snapshot: 1.0,
-            seed: 0xDEAD_0000 + kill_point as u64,
-            ..FaultConfig::default()
-        }));
+        let spec = format!("seed={},torn_snapshot=1.0", 0xDEAD_0000 + kill_point as u64);
+        let faults = Arc::new(FaultInjector::new(FaultConfig::parse(&spec).unwrap()));
         {
             let server = start_server(&dir, Some(Arc::clone(&faults)));
             let mut client =
@@ -274,11 +269,8 @@ fn seeded_fault_schedule_recovers_exactly_the_untorn_segments() {
             .map(|_| Matrix::random(2, 16, t.value(), &mut rng))
             .collect();
 
-        let faults = Arc::new(FaultInjector::new(FaultConfig {
-            torn_snapshot: 0.5,
-            seed,
-            ..FaultConfig::default()
-        }));
+        let spec = format!("seed={seed},torn_snapshot=0.5");
+        let faults = Arc::new(FaultInjector::new(FaultConfig::parse(&spec).unwrap()));
         let mut ids = Vec::new();
         let mut durable = Vec::new();
         {

@@ -30,10 +30,8 @@ fn temp_store_dir(tag: &str) -> PathBuf {
 
 fn matrix_encode_count(server: &Server) -> u64 {
     server
-        .phases()
-        .snapshot()
-        .iter()
-        .find(|p| p.name == PHASE_MATRIX_ENCODE)
+        .introspect()
+        .phase(PHASE_MATRIX_ENCODE)
         .map_or(0, |p| p.count)
 }
 

@@ -11,9 +11,9 @@
 //! Perfetto-loadable timeline — request tracks laid out on the
 //! recorder's epoch clock, phases nested within each request.
 //!
-//! Dump triggers are the *owner's* policy (the serving stack dumps on
-//! worker panic, at shutdown, and on demand over the wire); this module
-//! only provides the ring and the exporter.
+//! When to dump is the *owner's* policy (the serving stack dumps on
+//! demand over the wire); this module only provides the ring and the
+//! exporter.
 
 use crate::json::JsonValue;
 use crate::span::{PhaseSpan, TraceId};
@@ -239,14 +239,6 @@ impl FlightRecorder {
         }
         trace
     }
-
-    /// Writes the Chrome-trace JSON rendering to `path`.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn dump_to(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        self.to_chrome_trace().write(path)
-    }
 }
 
 #[cfg(test)]
@@ -301,19 +293,5 @@ mod tests {
         assert!(json.contains("evict: keys 0xabc"));
         assert!(json.contains("request 0x0000000000000009"));
         assert!(json.contains("\"dot\""));
-    }
-
-    #[test]
-    fn dump_writes_loadable_json() {
-        let fr = FlightRecorder::new(4);
-        fr.record_trace(req(1, 0));
-        fr.record_event(FlightEventKind::Shutdown, "drain", None);
-        let dir = std::env::temp_dir().join("cham_flight_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("dump_{}.json", std::process::id()));
-        fr.dump_to(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"traceEvents\""));
-        std::fs::remove_file(&path).ok();
     }
 }
