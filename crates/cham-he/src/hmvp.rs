@@ -32,7 +32,8 @@ use crate::pack::{pack_with, PackedRlwe};
 use crate::params::ChamParams;
 use crate::scratch::{DotScratch, ScratchPool};
 use crate::{HeError, Result};
-use cham_math::rns::{FusedAccumulator, RnsPoly};
+use cham_math::rns::{Form, RnsPoly};
+use cham_math::simd::{row_product, row_product_add, DIGIT_PRODUCT_MAX_DIGITS};
 use cham_telemetry::span::{phase, Span};
 use rand::Rng;
 use std::sync::Arc;
@@ -291,19 +292,27 @@ impl Hmvp {
 
     /// One row through pipeline stages 1–4 in `s`, nothing allocated:
     ///
-    /// * **MAC** — fused pointwise multiply-accumulate per column tile ("a
-    ///   row residing in multiple ciphertexts needs to be aggregated",
-    ///   §V-B.2) with reduction deferred ([`FusedAccumulator`]),
-    /// * **`a`** — reduced into scratch, inverse-transformed there and
-    ///   rescaled straight into `a_out` (normal basis, coefficient form),
+    /// * **MAC** — per limb, one [`row_product`] per block of up to
+    ///   [`DIGIT_PRODUCT_MAX_DIGITS`] column tiles ("a row residing in
+    ///   multiple ciphertexts needs to be aggregated", §V-B.2): the first
+    ///   block writes the canonical `a` sums into scratch and every later
+    ///   one adds into them mod `q`, sums held in registers and no
+    ///   accumulator plane,
+    /// * **`a`** — inverse-transformed in scratch and rescaled straight
+    ///   into `a_out` (normal basis, coefficient form),
     /// * **`b`** — only its constant coefficient survives extraction, and
-    ///   coefficient 0 of a negacyclic INTT is `n⁻¹·Σ lanes`: a lane sum
-    ///   and a scalar rescale per limb replace three transforms.
+    ///   coefficient 0 of a negacyclic INTT is `n⁻¹·Σ lanes`: the kernel
+    ///   returns the lane sum as an inner product, and a scalar rescale per
+    ///   limb replaces three transforms.
     ///
     /// Returns the rescaled `b₀` residues (one per normal-basis limb),
     /// borrowed from `s`. Bit-identical to `extract_lwe(&rescale(ct)?, 0)`
     /// up to the Eq. 3 rearrangement of `a`, which the caller applies (or
     /// cancels against the pack's own).
+    ///
+    /// # Errors
+    /// [`cham_math::MathError::ContextMismatch`] unless every plaintext
+    /// tile and ciphertext half is in NTT form over the augmented basis.
     fn dot_row_fused<'s>(
         &self,
         row_tiles: &[RnsPoly],
@@ -313,28 +322,47 @@ impl Hmvp {
     ) -> Result<&'s [u64]> {
         let aug = self.params.augmented_context();
         let (n, limbs) = (aug.degree(), aug.len());
-        let lanes = limbs * n;
         debug_assert_eq!(a_out.context(), self.params.ciphertext_context());
+        let halves = cts_ntt.iter().flat_map(|ct| [ct.b(), ct.a()]);
+        if row_tiles
+            .iter()
+            .chain(halves)
+            .any(|x| x.context() != aug || x.form() != Form::Ntt)
+        {
+            return Err(cham_math::MathError::ContextMismatch.into());
+        }
         let dot_span = Span::enter(phase::DOT);
-        let mut b_acc = FusedAccumulator::new(aug, &mut s.b_acc)?;
-        let mut a_acc = FusedAccumulator::new(aug, &mut s.a_acc)?;
-        for (pt_ntt, ct) in row_tiles.iter().zip(cts_ntt) {
-            b_acc.accumulate(ct.b(), pt_ntt)?;
-            a_acc.accumulate(ct.a(), pt_ntt)?;
+        let (words, staged) = s.words[..limbs * (n + 2)].split_at_mut(limbs * n);
+        // b₀ over the augmented basis, then over the normal basis, staged
+        // just past the `a` lanes.
+        let (b0_aug, b0) = staged.split_at_mut(limbs);
+        let blocks = row_tiles
+            .chunks(DIGIT_PRODUCT_MAX_DIGITS)
+            .zip(cts_ntt.chunks(DIGIT_PRODUCT_MAX_DIGITS));
+        for (l, (limb, table)) in words.chunks_exact_mut(n).zip(aug.tables()).enumerate() {
+            let q = table.modulus();
+            let mut sum = 0;
+            for (k, (pts, cts)) in blocks.clone().enumerate() {
+                let mut ops = [[&[][..]; DIGIT_PRODUCT_MAX_DIGITS]; 3];
+                for (t, (pt, ct)) in pts.iter().zip(cts).enumerate() {
+                    ops[0][t] = pt.limbs()[l].coeffs();
+                    ops[1][t] = ct.a().limbs()[l].coeffs();
+                    ops[2][t] = ct.b().limbs()[l].coeffs();
+                }
+                let [pt, ct_a, ct_b] = ops.each_ref().map(|o| &o[..pts.len()]);
+                let kernel = if k == 0 { row_product } else { row_product_add };
+                sum = q.add(sum, kernel(table.backend(), limb, pt, ct_a, ct_b, q));
+            }
+            b0_aug[l] = table.scale_by_n_inv(sum);
         }
         drop(dot_span);
         let _span = Span::enter(phase::RESCALE);
         cham_telemetry::counter_add!("cham_he.ops.rescale", 1);
         cham_telemetry::counter_add!("cham_he.extract.extract_lwe", 1);
-        a_acc.finish_lanes_into(&mut s.words[..lanes])?;
-        for (limb, table) in s.words[..lanes].chunks_exact_mut(n).zip(aug.tables()) {
+        for (limb, table) in words.chunks_exact_mut(n).zip(aug.tables()) {
             table.inverse(limb);
         }
-        rescale_lanes_into(aug, &s.words, 0, a_out);
-        // b₀ over the augmented basis, then over the normal basis, staged
-        // just past the `a` lanes.
-        let (b0_aug, b0) = s.words[lanes..lanes + 2 * limbs].split_at_mut(limbs);
-        b_acc.finish_constant_coeffs(b0_aug)?;
+        rescale_lanes_into(aug, words, 0, a_out);
         for i in 0..limbs - 1 {
             aug.rescale_limb_into(i, &b0_aug[i..=i], &b0_aug[limbs - 1..], &mut b0[i..=i]);
         }
@@ -660,7 +688,7 @@ mod tests {
         #[test]
         fn fused_row_tail_matches_rescale_then_extract(
             rows in 1usize..10,
-            cols in proptest::sample::select(vec![1usize, 255, 256, 257, 700]),
+            cols in proptest::sample::select(vec![1usize, 255, 256, 257, 700, 4096, 4353]),
             seed in any::<u64>(),
         ) {
             let (params, _, enc, _, _, _) = setup();

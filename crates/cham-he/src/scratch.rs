@@ -1,14 +1,15 @@
 //! Pooled scratch buffers for the fused HMVP kernels.
 //!
 //! Everything after the input lift — the row MAC, the rescale→extract
-//! tail, the key-switch inside every `PACKTWOLWES` — works in caller-owned
-//! flat buffers: the row MAC's two `u128` deferred-reduction accumulators
-//! and a `u64` area for key-switch digits and pre-rescale polynomials. Backing
-//! those with fresh vectors would put a dozen heap allocations on every
-//! row and every pack step; instead, a row or a pack subtree checks a
-//! [`DotScratch`] out of one shared free list and puts it back when done,
-//! so the steady state recycles as many buffers as were ever checked out
-//! at once and allocates nothing.
+//! tail, the key-switch inside every `PACKTWOLWES` — works in one
+//! caller-owned flat `u64` area: a row's canonical `a` sums and `b₀`
+//! residues (the row MAC and the key-switch's digit product sum in
+//! registers and keep no accumulator plane), or a key-switch's digits and
+//! their two sums. Backing that with fresh vectors would put heap
+//! allocations on every row and every pack step; instead, a row or a pack
+//! subtree checks a [`DotScratch`] out of one shared free list and puts it
+//! back when done, so the steady state recycles as many buffers as were
+//! ever checked out at once and allocates nothing.
 //!
 //! Ownership rules:
 //! * a scratch is owned exclusively for the duration of one
@@ -32,10 +33,6 @@ use std::sync::Mutex;
 /// Reusable working memory for one row or one pack subtree over an
 /// augmented basis of `limbs × degree` lanes.
 pub(crate) struct DotScratch {
-    /// The row MAC's deferred-reduction accumulators for the `b` and `a`
-    /// components, `lanes` each.
-    pub(crate) b_acc: Vec<u128>,
-    pub(crate) a_acc: Vec<u128>,
     /// `max(limbs − 1, 2) · lanes` words: the key-switch digits (and, once
     /// the digit product has consumed them, its two sums), or a row tail's
     /// `a` limbs and `b₀` residues (`lanes + 2 · limbs ≤ 2 · lanes`).
@@ -44,19 +41,20 @@ pub(crate) struct DotScratch {
 }
 
 impl DotScratch {
+    /// The length of `words` for `ctx`.
+    fn words_for(ctx: &RnsContext) -> usize {
+        (ctx.len() - 1).max(2) * ctx.len() * ctx.degree()
+    }
+
     fn new(ctx: &RnsContext) -> Self {
-        let (lanes, degree) = (ctx.len() * ctx.degree(), ctx.degree());
-        let digits = (ctx.len() - 1).max(2);
         Self {
-            b_acc: vec![0; lanes],
-            a_acc: vec![0; lanes],
-            words: vec![0; digits * lanes],
-            degree,
+            words: vec![0; Self::words_for(ctx)],
+            degree: ctx.degree(),
         }
     }
 
     fn fits(&self, ctx: &RnsContext) -> bool {
-        self.b_acc.len() == ctx.len() * ctx.degree() && self.degree == ctx.degree()
+        self.words.len() == Self::words_for(ctx) && self.degree == ctx.degree()
     }
 }
 
@@ -144,11 +142,7 @@ mod tests {
         // A private pool: sibling tests hammer the global one in parallel.
         let pool = ScratchPool::new();
         let c = ctx(16);
-        pool.with(&c, |s| {
-            assert_eq!(s.b_acc.len(), 48);
-            assert_eq!(s.a_acc.len(), 48);
-            assert_eq!(s.words.len(), 2 * 48);
-        });
+        pool.with(&c, |s| assert_eq!(s.words.len(), 2 * 48));
         assert_eq!(pool.stats(), (0, 1), "first call was a miss");
         // Every subsequent same-shape call reuses the buffer.
         for _ in 0..10 {
@@ -164,13 +158,13 @@ mod tests {
     fn distinct_shapes_do_not_alias() {
         let pool = ScratchPool::new();
         let (small, big) = (ctx(16), ctx(32));
-        pool.with(&small, |s| s.b_acc.fill(7));
-        pool.with(&big, |s| assert_eq!(s.b_acc.len(), 96));
+        pool.with(&small, |s| s.words.fill(7));
+        pool.with(&big, |s| assert_eq!(s.words.len(), 2 * 96));
         // The 16-degree buffer is still pooled and comes back dirty —
-        // callers (FusedAccumulator::new) never read before writing.
+        // callers never read a word before writing it.
         pool.with(&small, |s| {
-            assert_eq!(s.b_acc.len(), 48);
-            assert!(s.b_acc.iter().all(|&x| x == 7));
+            assert_eq!(s.words.len(), 2 * 48);
+            assert!(s.words.iter().all(|&x| x == 7));
         });
         assert_eq!(pool.stats(), (1, 2));
     }

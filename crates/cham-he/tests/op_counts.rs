@@ -97,9 +97,9 @@ fn one_multiply_books_each_operation_once() {
     assert!(vector + tail > 0);
 
     // MAC lanes: the row MAC books `2 · lanes` products per row (one
-    // column tile) with no vector arm; every key-switch books
-    // `2 · digits · lanes` digit products, in vector lanes where the
-    // augmented limbs' tables resolved to IFMA.
+    // column tile) and every key-switch `2 · digits · lanes` digit
+    // products — all in vector lanes where the augmented limbs' tables
+    // resolved to IFMA (`n` is whole registers), all tail everywhere else.
     let aug = params.augmented_context();
     let lanes = (aug.len() * n) as u64;
     let digits = params.ciphertext_context().len() as u64;
@@ -114,7 +114,7 @@ fn one_multiply_books_each_operation_once() {
             delta("cham_math.simd.mac.tail")
         ),
         if ifma {
-            (keyswitch, row_mac)
+            (row_mac + keyswitch, 0)
         } else {
             (0, row_mac + keyswitch)
         }

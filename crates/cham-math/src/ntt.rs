@@ -234,7 +234,8 @@ impl NttTable {
     /// own, for callers that need a single output coefficient of the
     /// inverse transform rather than all `n`.
     #[inline]
-    pub(crate) fn scale_by_n_inv(&self, x: u64) -> u64 {
+    #[must_use]
+    pub fn scale_by_n_inv(&self, x: u64) -> u64 {
         self.q.mul_shoup(x, self.n_inv, self.n_inv_shoup)
     }
 

@@ -736,10 +736,12 @@ impl RnsPoly {
     }
 }
 
-/// Deferred-reduction multiply-accumulate over RNS polynomials in NTT form —
-/// the fused kernel behind the HMVP row MAC, where one row sums a product
-/// per column tile. (A key-switch sums only one product per digit and runs
-/// the register-resident [`crate::simd::digit_product`] instead.)
+/// Deferred-reduction multiply-accumulate over RNS polynomials in NTT form,
+/// into `u128` planes. No HE path runs it: the HMVP row MAC sums in
+/// registers ([`crate::simd::row_product`]) and so does the key-switch
+/// ([`crate::simd::digit_product`]). It stays only because the benchmark's
+/// per-layer replay (`he.mac_ms`, `math.mac_us`, `math.mac_stream_us`)
+/// compiles against it, and with it its tests.
 ///
 /// Products are accumulated into a caller-owned `u128` scratch slice
 /// (flattened `limbs × degree`, typically borrowed from a per-worker scratch

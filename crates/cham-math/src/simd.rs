@@ -9,12 +9,16 @@
 //! * the inverse Gentleman–Sande butterfly (`[0, 2q)` lazy),
 //! * element-wise [`Modulus::mul_shoup_lazy`] against a constant table
 //!   (the CG ψ-twist and any Shoup-prepared pointwise multiply),
+//! * the HMVP **row product** ([`row_product`] / [`row_product_add`]): one
+//!   limb of a row's `a` sums over up to 16 column tiles and its `b` inner
+//!   product in one pass, reduced in registers — no accumulator plane,
+//! * the key-switch **digit product** ([`digit_product`]): both key
+//!   components' digit sums for one limb in one pass, the same shape with
+//!   the roles swapped,
 //! * the `u128` multiply-accumulate lanes behind
 //!   [`crate::rns::FusedAccumulator`] / [`crate::poly::mul_pointwise_accumulate`]
-//!   (the HMVP row MAC),
-//! * the key-switch **digit product** ([`digit_product`]): both key
-//!   components' digit sums for one limb in one pass, reduced in registers
-//!   — no accumulator plane,
+//!   — no HE path runs them; they stay as the twin the benchmark's replay
+//!   and the tests drive,
 //! * the **rescale** by the last prime of a chain ([`rescale_into`] /
 //!   [`rescale_add`], behind [`crate::rns::RnsContext::rescale_limb_into`]),
 //!
@@ -61,20 +65,21 @@
 //!   ([`crate::CgNttTable`] — the hardware golden model, reached by no HE
 //!   path and no committed record — runs scalar stage loops of its own.)
 //! * `avx512ifma` — 8 × u64 lanes on the 52-bit multiply-add
-//!   (`vpmadd52{lo,hi}uq`), with arms of its own for three kernels:
+//!   (`vpmadd52{lo,hi}uq`), with arms of its own for four kernels:
 //!   whole [`crate::NttTable`] transforms (every stage, the forward
 //!   normalization and the inverse's `n⁻¹` last stage in 512-bit
 //!   registers, strides 8/4/2/1 in-register with lane permutes — the HEXL
-//!   recipe), the key-switch digit product, and the rescale. Every 52-bit
-//!   Shoup companion is a 64-bit one shifted right by 12, so the tier adds
-//!   no tables. It needs every value it multiplies to fit 52 bits: a
-//!   modulus of 2^50 or more — a property of the input, nothing to
-//!   configure — resolves the table to `avx2`, and the element-wise
-//!   kernels follow the table's backend, so they run scalar there (as they
-//!   do for `n < 16`, a slice shorter than one register, and every tail).
-//!   Every other kernel under this backend runs the best arm that exists
-//!   (AVX2 stages/normalization, scalar row MAC and element-wise multiply).
-//!   `auto` picks it when `avx512f` + `avx512ifma` are detected.
+//!   recipe), the row product, the key-switch digit product, and the
+//!   rescale. Every 52-bit Shoup companion is a 64-bit one shifted right
+//!   by 12, so the tier adds no tables. It needs every value it multiplies
+//!   to fit 52 bits: a modulus of 2^50 or more — a property of the input,
+//!   nothing to configure — resolves the table to `avx2`, and the
+//!   element-wise kernels follow the table's backend, so they run scalar
+//!   there (as they do for `n < 16`, a slice shorter than one register,
+//!   and every tail). Every other kernel under this backend runs the best
+//!   arm that exists (AVX2 stages/normalization, scalar `u128` MAC and
+//!   element-wise multiply). `auto` picks it when `avx512f` +
+//!   `avx512ifma` are detected.
 //!
 //! ## The equivalence contract
 //!
@@ -86,11 +91,11 @@
 //! quotient estimate is 52-bit where the scalar one is 64-bit, so an
 //! intermediate may sit a multiple of `q` from the scalar kernel's — always
 //! congruent, always inside the documented `[0, 4q)` / `[0, 2q)` range, and
-//! gone by the time the last stage writes canonical values. The digit
-//! product and the rescale write canonical residues on every arm — a sum
-//! of products mod `q` is exact in any order and the rescale's Shoup
-//! multiply is finished with one conditional subtraction — so their
-//! outputs are bit-identical to the scalar arm's, lane for lane.
+//! gone by the time the last stage writes canonical values. The row
+//! product, the digit product and the rescale write canonical residues on
+//! every arm — a sum of products mod `q` is exact in any order and the
+//! rescale's Shoup multiply is finished with one conditional subtraction —
+//! so their outputs are bit-identical to the scalar arm's, lane for lane.
 //! `tests/simd_equivalence.rs`, the per-backend golden KATs and the
 //! per-stage congruence test beside the IFMA kernels pin this.
 
@@ -432,11 +437,11 @@ pub fn simd_stats() -> SimdStats {
 // ------------------------------------------------------- kernel dispatch
 //
 // `Avx512Ifma` has arms of its own for the whole `NttTable` transforms
-// (`ifma_forward`/`ifma_inverse`), the digit product and the rescale; every
-// other per-stage and per-slice kernel below runs it on the best arm that
-// exists — `stage_arm()` (AVX2) for the forward stage and normalization
-// kernels, scalar for the inverse stage, the row MAC and the element-wise
-// multiply.
+// (`ifma_forward`/`ifma_inverse`), the row product, the digit product and
+// the rescale; every other per-stage and per-slice kernel below runs it on
+// the best arm that exists — `stage_arm()` (AVX2) for the forward stage
+// and normalization kernels, scalar for the inverse stage, the `u128` MAC
+// and the element-wise multiply.
 
 /// One forward CT stage over `a` in Harvey lazy form: `m` twiddle groups of
 /// `t` butterflies, constants from `roots[m..2m]`. Inputs/outputs `[0, 4q)`.
@@ -547,8 +552,10 @@ pub fn mul_shoup_lazy_slice(_backend: Backend, a: &mut [u64], w: &[u64], ws: &[u
 }
 
 /// Fused multiply-accumulate: `acc[i] += a[i] · b[i]` with the reduction
-/// deferred — the lanes behind [`crate::poly::mul_pointwise_accumulate`].
-/// Callers own the [`crate::poly::LAZY_ACC_BOUND`] headroom obligation.
+/// deferred — the lanes behind [`crate::poly::mul_pointwise_accumulate`]
+/// and [`crate::rns::FusedAccumulator`], which no HE path runs (the HMVP
+/// row MAC is [`row_product`]). Callers own the
+/// [`crate::poly::LAZY_ACC_BOUND`] headroom obligation.
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
@@ -584,18 +591,35 @@ fn ifma_elementwise(moduli: &[&Modulus]) -> bool {
     moduli.iter().all(|q| q.bits() <= IFMA_MAX_MODULUS_BITS) && Backend::Avx512Ifma.available()
 }
 
-/// The most digits one [`digit_product`] call sums, on every arm.
+/// The most digits one [`digit_product`] call sums, and the most column
+/// tiles one [`row_product`] / [`row_product_add`] call sums, on every arm.
 ///
-/// Digits and key limbs are canonical, so each product is at most
-/// `(q − 1)²`. **Scalar arm** (`q < 2^62`): sixteen products stay below
-/// `16·(2^62 − 1)² < 2^128`, the `u128` sum. **IFMA arm** (`q < 2^50`): the
-/// low and high 52-bit halves of each product are summed in separate
-/// `u64` lanes — sixteen low halves stay below `16·2^52 = 2^56` — and the
-/// exact sum `V ≤ 16·(q − 1)² < 2^104`, so its high part
-/// `⌊V / 2^52⌋ < 2^52` is still a valid input of the 52-bit Shoup multiply
-/// that folds it. A 17th digit could break both bounds, so a longer digit
+/// Digits, key limbs, plaintext and ciphertext limbs are canonical, so each
+/// product is at most `(q − 1)²`. **Scalar arm** (`q < 2^62`): sixteen
+/// products stay below `16·(2^62 − 1)² < 2^128`, the `u128` sum. **IFMA
+/// arm** (`q < 2^50`): the low and high 52-bit halves of each product are
+/// summed in separate `u64` lanes — sixteen low halves stay below
+/// `16·2^52 = 2^56` — and the exact sum `V ≤ 16·(q − 1)² < 2^104`, so its
+/// high part `⌊V / 2^52⌋ < 2^52` is still a valid input of the 52-bit Shoup
+/// multiply that folds it. A 17th term could break both bounds, so a longer
 /// list is refused rather than summed with a wrap.
+///
+/// The row product's `b` inner product also sums across coefficients.
+/// **Scalar arm**: each coefficient's 16-term sum `V < 2^128` is split into
+/// 64-bit halves summed in two `u128`s, each below `n·2^64` — far inside
+/// 2^128 for any slice length. **IFMA arm**: each lane keeps one running
+/// pair `(hi, lo)` with `hi·2^52 + lo` equal to the exact sum of its
+/// products. After every register step the carry out of `lo` moves into
+/// `hi`, so `lo < 2^52 + 16·2^52 < 2^57`. `hi` is at most that exact sum
+/// over 2^52. A lane sees one coefficient in eight, so over
+/// `ROW_PRODUCT_SPAN` = 2^14 coefficients its sum stays below
+/// `2^11·16·2^100 = 2^115` and `hi < 2^63`. Longer slices drain the lanes
+/// into a `u128` once per span.
 pub const DIGIT_PRODUCT_MAX_DIGITS: usize = 16;
+
+/// The most coefficients whose `b` products the IFMA row product sums in
+/// its lanes before draining them (headroom: [`DIGIT_PRODUCT_MAX_DIGITS`]).
+const ROW_PRODUCT_SPAN: usize = 1 << 14;
 
 /// The key-switch digit product for one limb over `q`: for every
 /// coefficient `j`,
@@ -647,6 +671,89 @@ pub fn digit_product(
         products * done as u64,
         products * (n - done) as u64,
     );
+}
+
+/// The HMVP row product for one limb over `q` on up to
+/// [`DIGIT_PRODUCT_MAX_DIGITS`] column tiles `t`: for every coefficient `j`,
+///
+/// `out[j] ← Σ_t pt_t[j]·ct_a,t[j] mod q`, canonical,
+///
+/// and the return value is the inner product
+/// `Σ_t Σ_j pt_t[j]·ct_b,t[j] mod q`. Of the `b` half only coefficient 0
+/// survives extraction, and coefficient 0 of a negacyclic inverse transform
+/// is `n⁻¹ · Σ lanes` (Eq. 3), so `b` never becomes a plane. Operands are
+/// canonical NTT-domain residues. Each sum is exact before its one
+/// reduction, so every arm writes and returns the same residues. Books
+/// `2 · tiles · n` products under [`Kernel::Mac`].
+///
+/// # Panics
+/// Panics unless `pt`, `ct_a` and `ct_b` hold the same number of tiles,
+/// between one and [`DIGIT_PRODUCT_MAX_DIGITS`], and every slice has the
+/// length of `out`.
+pub fn row_product(
+    backend: Backend,
+    out: &mut [u64],
+    pt: &[&[u64]],
+    ct_a: &[&[u64]],
+    ct_b: &[&[u64]],
+    q: &Modulus,
+) -> u64 {
+    row::<false>(backend, out, pt, ct_a, ct_b, q)
+}
+
+/// [`row_product`] that adds the `a` sums to the canonical residues `out`
+/// already holds, mod `q` — how a row of more than
+/// [`DIGIT_PRODUCT_MAX_DIGITS`] tiles folds its later blocks in.
+///
+/// # Panics
+/// Same conditions as [`row_product`].
+pub fn row_product_add(
+    backend: Backend,
+    out: &mut [u64],
+    pt: &[&[u64]],
+    ct_a: &[&[u64]],
+    ct_b: &[&[u64]],
+    q: &Modulus,
+) -> u64 {
+    row::<true>(backend, out, pt, ct_a, ct_b, q)
+}
+
+fn row<const ADD: bool>(
+    backend: Backend,
+    out: &mut [u64],
+    pt: &[&[u64]],
+    ct_a: &[&[u64]],
+    ct_b: &[&[u64]],
+    q: &Modulus,
+) -> u64 {
+    let tiles = pt.len();
+    assert!(
+        tiles == ct_a.len()
+            && tiles == ct_b.len()
+            && (1..=DIGIT_PRODUCT_MAX_DIGITS).contains(&tiles),
+        "row product over {tiles} tiles: outside 1..={DIGIT_PRODUCT_MAX_DIGITS}"
+    );
+    let n = out.len();
+    assert!(
+        pt.iter().chain(ct_a).chain(ct_b).all(|s| s.len() == n),
+        "operand length mismatch"
+    );
+    let (done, sum) = match backend {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: `ifma_elementwise` just detected `avx512f` + `avx512ifma`.
+        Backend::Avx512Ifma if ifma_elementwise(&[q]) => unsafe {
+            ifma::row_product::<ADD>(out, pt, ct_a, ct_b, q)
+        },
+        _ => (0, 0),
+    };
+    let tail = scalar::row_product::<ADD>(out, pt, ct_a, ct_b, done, q);
+    let products = 2 * tiles as u64;
+    record_kernel(
+        Kernel::Mac,
+        products * done as u64,
+        products * (n - done) as u64,
+    );
+    q.add(sum, tail)
 }
 
 /// One surviving limb's constants for the rescale by the last prime `p` of
@@ -857,6 +964,69 @@ mod scalar {
         }
     }
 
+    /// Coefficients per block of the scalar row product: its two `u128`
+    /// block accumulators (16 KiB) stay in L1 while every tile streams
+    /// through them, so each pass reads three streams, not `3 · tiles`,
+    /// each for a 4 KiB run. Runs of 1 KiB (128 coefficients) left
+    /// `hmvp_wide` slower than the parent's planes under `CHAM_SIMD=avx2`.
+    const ROW_BLOCK: usize = 512;
+
+    /// The row product from coefficient `from` on, tile-major over blocks
+    /// of [`ROW_BLOCK`] coefficients: exact `u128` sums (see
+    /// [`super::DIGIT_PRODUCT_MAX_DIGITS`]), one Barrett reduction per `a`
+    /// output, and the `b` sums' 64-bit halves added up for one reduction
+    /// per call. Returns the `b` inner product mod `q`.
+    pub(super) fn row_product<const ADD: bool>(
+        out: &mut [u64],
+        pt: &[&[u64]],
+        ct_a: &[&[u64]],
+        ct_b: &[&[u64]],
+        from: usize,
+        q: &Modulus,
+    ) -> u64 {
+        let (mut a_blk, mut b_blk) = ([0u128; ROW_BLOCK], [0u128; ROW_BLOCK]);
+        let (mut hi, mut lo) = (0u128, 0u128);
+        let mut start = from;
+        while start < out.len() {
+            let end = (start + ROW_BLOCK).min(out.len());
+            let (a_blk, b_blk) = (&mut a_blk[..end - start], &mut b_blk[..end - start]);
+            for (t, ((p, x), y)) in pt.iter().zip(ct_a).zip(ct_b).enumerate() {
+                let tile = p[start..end].iter().zip(&x[start..end]).zip(&y[start..end]);
+                let sums = a_blk.iter_mut().zip(b_blk.iter_mut());
+                // The first tile writes, so a block is never cleared.
+                if t == 0 {
+                    for ((sa, sb), ((&p, &x), &y)) in sums.zip(tile) {
+                        let p = u128::from(p);
+                        (*sa, *sb) = (p * u128::from(x), p * u128::from(y));
+                    }
+                } else {
+                    for ((sa, sb), ((&p, &x), &y)) in sums.zip(tile) {
+                        let p = u128::from(p);
+                        *sa += p * u128::from(x);
+                        *sb += p * u128::from(y);
+                    }
+                }
+            }
+            for (o, &s) in out[start..end].iter_mut().zip(a_blk.iter()) {
+                let v = q.reduce_u128(s);
+                *o = if ADD {
+                    // `min(s, s − q)`, as in `rescale`: no branch to mispredict.
+                    let sum = *o + v;
+                    sum.min(sum.wrapping_sub(q.value()))
+                } else {
+                    v
+                };
+            }
+            for &s in b_blk.iter() {
+                hi += s >> 64;
+                lo += u128::from(s as u64);
+            }
+            start = end;
+        }
+        let radix = q.reduce_u128(1 << 64);
+        q.add(q.mul(q.reduce_u128(hi), radix), q.reduce_u128(lo))
+    }
+
     /// The rescale, one coefficient at a time. The centred lift never
     /// materialises: `x + offset (+ p) − r` is a non-negative
     /// representative of the difference, and a Shoup multiply by `p^{−1}`
@@ -1023,12 +1193,13 @@ mod avx2 {
 
 // -------------------------------------------------------- AVX-512 IFMA52
 
-/// AVX-512 IFMA52 datapath: 8 × u64 lanes — whole transforms, the digit
-/// product and the rescale. The transforms are reached through
-/// [`ifma_forward`]/[`ifma_inverse`], i.e. only from a table that resolved
-/// to [`Backend::Avx512Ifma`] (`n ≥ 16`, `q < 2^50`); the element-wise
-/// kernels through [`digit_product`] / [`rescale_into`] / [`rescale_add`]
-/// under the same modulus bound, with the scalar arm finishing the tail.
+/// AVX-512 IFMA52 datapath: 8 × u64 lanes — whole transforms, the row
+/// product, the digit product and the rescale. The transforms are reached
+/// through [`ifma_forward`]/[`ifma_inverse`], i.e. only from a table that
+/// resolved to [`Backend::Avx512Ifma`] (`n ≥ 16`, `q < 2^50`); the
+/// element-wise kernels through [`row_product`] / [`row_product_add`] /
+/// [`digit_product`] / [`rescale_into`] / [`rescale_add`] under the same
+/// modulus bound, with the scalar arm finishing the tail.
 ///
 /// `vpmadd52{lo,hi}uq` multiply the low 52 bits of two lanes and add the
 /// low / high 52 bits of the 104-bit product to a third. With every lazy
@@ -1400,6 +1571,77 @@ mod ifma {
             );
         }
         whole
+    }
+
+    /// Column tiles one pass of the IFMA row product streams: `3 · 4`
+    /// slices at once. All sixteen tiles in one pass (48 slices) made
+    /// `hmvp_wide` slower end to end (DESIGN.md §11); the extra passes only
+    /// re-read and add into `out`, one limb.
+    const ROW_PASS_TILES: usize = 4;
+
+    /// The row product over the whole registers of the limb; returns how
+    /// many coefficients it wrote (the caller's scalar arm takes the rest)
+    /// and the `b` inner product over them mod `q`. Tiles go in passes of
+    /// [`ROW_PASS_TILES`], the first writing `out` (unless `ADD`) and the
+    /// rest adding into it. Four accumulators per register: `a`'s two
+    /// halves start at zero and are folded and stored after the pass's
+    /// tiles; `b`'s two run across passes and coefficients, its low half's
+    /// carry moving into the high half once per register step, and their
+    /// lanes are summed once per `ROW_PRODUCT_SPAN` coefficients
+    /// (headroom: [`super::DIGIT_PRODUCT_MAX_DIGITS`]).
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn row_product<const ADD: bool>(
+        out: &mut [u64],
+        pt: &[&[u64]],
+        ct_a: &[&[u64]],
+        ct_b: &[&[u64]],
+        q: &Modulus,
+    ) -> (usize, u64) {
+        let n = out.len();
+        let whole = n - n % LANES;
+        let c = consts(q);
+        let radix = (1u64 << 52) % q.value();
+        let (radix, one) = (splat(radix, q.shoup(radix)), splat(1, q.shoup(1)));
+        let zero = _mm512_setzero_si512();
+        let passes = pt
+            .chunks(ROW_PASS_TILES)
+            .zip(ct_a.chunks(ROW_PASS_TILES))
+            .zip(ct_b.chunks(ROW_PASS_TILES));
+        let mut sum = 0;
+        for span in (0..whole).step_by(super::ROW_PRODUCT_SPAN) {
+            let (mut b_lo, mut b_hi) = (zero, zero);
+            for (pass, ((pt, ct_a), ct_b)) in passes.clone().enumerate() {
+                let add = ADD || pass > 0;
+                for j in (span..whole.min(span + super::ROW_PRODUCT_SPAN)).step_by(LANES) {
+                    let (mut a_lo, mut a_hi) = (zero, zero);
+                    for ((p, x), y) in pt.iter().zip(ct_a).zip(ct_b) {
+                        let p = load(lanes_at(p, j));
+                        let (x, y) = (load(lanes_at(x, j)), load(lanes_at(y, j)));
+                        a_lo = _mm512_madd52lo_epu64(a_lo, p, x);
+                        a_hi = _mm512_madd52hi_epu64(a_hi, p, x);
+                        b_lo = _mm512_madd52lo_epu64(b_lo, p, y);
+                        b_hi = _mm512_madd52hi_epu64(b_hi, p, y);
+                    }
+                    b_hi = _mm512_add_epi64(b_hi, _mm512_srli_epi64::<52>(b_lo));
+                    b_lo = _mm512_and_si512(b_lo, c.mask52);
+                    let o = lanes_at_mut(out, j);
+                    let mut v = fold(a_lo, a_hi, radix, one, &c);
+                    if add {
+                        v = csub(_mm512_add_epi64(load(o), v), c.q);
+                    }
+                    store(o, v);
+                }
+            }
+            let (mut hi, mut lo) = ([0; LANES], [0; LANES]);
+            store(&mut hi, b_hi);
+            store(&mut lo, b_lo);
+            let lanes = hi.iter().zip(&lo);
+            let exact: u128 = lanes
+                .map(|(&h, &l)| (u128::from(h) << 52) + u128::from(l))
+                .sum();
+            sum = q.add(sum, q.reduce_u128(exact));
+        }
+        (whole, sum)
     }
 
     /// The rescale over the whole registers of the slice; returns how many

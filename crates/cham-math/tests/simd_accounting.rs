@@ -82,10 +82,32 @@ fn counters_follow_the_arm_that_ran() {
             keyswitch,
             "key-switch digit products backend={backend}"
         );
-        // The u128 row MAC has no vector arm (the AVX2 one lost to scalar
-        // and was deleted), and neither does the element-wise multiply:
-        // every backend books them as tail. A digit product over a slice
-        // that is not whole registers books its tail as tail.
+        // One row's products over the same limbs, three column tiles in
+        // one call per limb: `2 · tiles · lanes`, booked like the digit
+        // product.
+        let tiles = 3usize;
+        let rows = (2 * tiles * lanes) as u64;
+        let tile = vec![vec![1u64; n]; tiles];
+        let tile: Vec<&[u64]> = tile.iter().map(Vec::as_slice).collect();
+        assert_eq!(
+            booked(Kernel::Mac, || {
+                for (l, table) in tables.iter().enumerate() {
+                    let out = &mut words[l * n..(l + 1) * n];
+                    simd::row_product(table.backend(), out, &tile, &tile, &tile, table.modulus());
+                }
+            }),
+            if backend == Backend::Avx512Ifma {
+                (rows, 0)
+            } else {
+                (0, rows)
+            },
+            "row products backend={backend}"
+        );
+        // The u128 MAC behind `FusedAccumulator` has no vector arm (the
+        // AVX2 one lost to scalar and was deleted), and neither does the
+        // element-wise multiply: every backend books them as tail. A digit
+        // or row product over a slice that is not whole registers books
+        // its tail as tail.
         let len = 37;
         let (w, mut x, mut acc) = (vec![1u64; len], vec![2u64; len], vec![0u128; len]);
         assert_eq!(
@@ -101,6 +123,14 @@ fn counters_follow_the_arm_that_ran() {
             }),
             (2 * 32 * ifma, 2 * (len as u64 - 32 * ifma)),
             "digit product tail backend={backend}"
+        );
+        let (mut out, two) = (vec![0u64; len], [&w[..], &w[..]]);
+        assert_eq!(
+            booked(Kernel::Mac, || {
+                simd::row_product_add(backend, &mut out, &two, &two, &two, &q);
+            }),
+            (2 * 2 * 32 * ifma, 2 * 2 * (len as u64 - 32 * ifma)),
+            "row product tail backend={backend}"
         );
         let ws: Vec<u64> = w.iter().map(|&v| q.shoup(v)).collect();
         assert_eq!(

@@ -13,10 +13,11 @@
 //! residue and range — but every public output is canonical and equal.
 //!
 //! The element-wise kernels with an IFMA arm — the key-switch digit
-//! product and the rescale — are held to the same contract: bit-identical
-//! to their scalar arm at every digit count up to the stated headroom, on
-//! every workspace modulus and one just under 2^50, for whole registers and
-//! tails alike; and the scalar arm to the textbook formula.
+//! product, the HMVP row product and the rescale — are held to the same
+//! contract: bit-identical to their scalar arm at every digit or tile
+//! count up to the stated headroom, on every workspace modulus and one
+//! just under 2^50, for whole registers and tails alike; and the scalar
+//! arm to the textbook formula.
 //!
 //! Backends the host cannot run are absent from `Backend::all_available`,
 //! so their arms skip rather than fail.
@@ -316,6 +317,100 @@ fn digit_product_refuses_digits_past_its_headroom() {
     let keys = vec![key.as_slice(); digits];
     let mut x = vec![q.value() - 1; digits * 16];
     simd::digit_product(Backend::detect_auto(), &mut x, 16, &keys, &keys, &q);
+}
+
+/// The row product the textbook way: per coefficient
+/// `Σ_t pt_t[j]·ct_a,t[j] mod q` added to `prior`, and the inner product
+/// `Σ_t Σ_j pt_t[j]·ct_b,t[j] mod q`.
+fn textbook_row(
+    prior: &[u64],
+    pt: &[Vec<u64>],
+    ct_a: &[Vec<u64>],
+    ct_b: &[Vec<u64>],
+    q: &Modulus,
+) -> (Vec<u64>, u64) {
+    let a = (0..prior.len())
+        .map(|j| {
+            pt.iter()
+                .zip(ct_a)
+                .fold(prior[j], |acc, (p, x)| q.add(acc, q.mul(p[j], x[j])))
+        })
+        .collect();
+    let b = pt.iter().zip(ct_b).fold(0, |acc, (p, y)| {
+        p.iter()
+            .zip(y)
+            .fold(acc, |acc, (&p, &y)| q.add(acc, q.mul(p, y)))
+    });
+    (a, b)
+}
+
+#[test]
+fn row_product_matches_scalar_bit_for_bit() {
+    let mut rng = rng();
+    let max = simd::DIGIT_PRODUCT_MAX_DIGITS;
+    // Every tile count on whole registers and odd tails; the long slices
+    // at the edges of the tile range, and one past the IFMA arm's 2^14
+    // coefficient span at the full sixteen.
+    let mut cases: Vec<(usize, usize)> = [8usize, 13, 16]
+        .into_iter()
+        .flat_map(|n| (1..=max).map(move |tiles| (n, tiles)))
+        .collect();
+    for n in [4096usize, 4099] {
+        cases.extend([1, 2, max].map(|tiles| (n, tiles)));
+    }
+    cases.push(((1 << 14) + 13, max));
+    for q in moduli_to_2_pow_50() {
+        for &(n, tiles) in &cases {
+            for worst in [false, true] {
+                let draw = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
+                    if worst {
+                        vec![q.value() - 1; n]
+                    } else {
+                        (0..n).map(|_| rng.gen_range(0..q.value())).collect()
+                    }
+                };
+                let tiles_of = |rng: &mut rand::rngs::StdRng| -> Vec<Vec<u64>> {
+                    (0..tiles).map(|_| draw(rng)).collect()
+                };
+                let (pt, ct_a, ct_b) = (tiles_of(&mut rng), tiles_of(&mut rng), tiles_of(&mut rng));
+                let prior = draw(&mut rng);
+                let [p, x, y] =
+                    [&pt, &ct_a, &ct_b].map(|v| v.iter().map(Vec::as_slice).collect::<Vec<_>>());
+                for add in [false, true] {
+                    let run = |backend: Backend| {
+                        let mut out = prior.clone();
+                        let sum = if add {
+                            simd::row_product_add(backend, &mut out, &p, &x, &y, &q)
+                        } else {
+                            simd::row_product(backend, &mut out, &p, &x, &y, &q)
+                        };
+                        (out, sum)
+                    };
+                    let want = run(Backend::Scalar);
+                    let zeros = vec![0; n];
+                    let base = if add { &prior } else { &zeros };
+                    let case = format!("q={q} n={n} tiles={tiles} worst={worst} add={add}");
+                    assert_eq!(want, textbook_row(base, &pt, &ct_a, &ct_b, &q), "{case}");
+                    for backend in vector_backends() {
+                        assert_eq!(run(backend), want, "{case} {backend}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "outside 1..=16")]
+fn row_product_refuses_tiles_past_its_headroom() {
+    // Seventeen all-(q−1) tiles under a modulus just below 2^50 would
+    // carry the IFMA arm's high sum past 52 bits (and, at 62 bits, wrap
+    // the scalar arm's u128): the call is refused, never summed.
+    let q = largest_ntt_prime(50, 16);
+    let tile = vec![q.value() - 1; 16];
+    let tiles = vec![tile.as_slice(); simd::DIGIT_PRODUCT_MAX_DIGITS + 1];
+    let mut out = vec![0; 16];
+    simd::row_product(Backend::detect_auto(), &mut out, &tiles, &tiles, &tiles, &q);
 }
 
 /// The chains of `properties.rs`'s rescale suite — every workspace modulus

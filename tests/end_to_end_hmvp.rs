@@ -176,18 +176,24 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Shapes of the whole-HMVP golden KAT: two packs with a padded second
-/// one, three column tiles, and a full-degree square.
-const KAT_SHAPES: [(usize, usize); 3] = [(300, 16), (8, 700), (256, 256)];
+/// one, three column tiles, a full-degree square, and a row of 18 column
+/// tiles — past the 16 one row-product call sums, so the row MAC folds a
+/// second block into the first.
+const KAT_SHAPES: [(usize, usize); 4] = [(300, 16), (8, 700), (256, 256), (3, 17 * 256 + 1)];
 
 /// Digests of the `cham_he::wire` bytes of every packed ciphertext, one
-/// slice per `KAT_SHAPES` entry, generated at commit e25d67e — before the
-/// streaming row tail and reduce-buffer pack — from seed `0xC4A3_0012`.
+/// slice per `KAT_SHAPES` entry, from seed `0xC4A3_0012`. The first three
+/// were generated at commit e25d67e — before the streaming row tail and
+/// reduce-buffer pack; the fourth at commit ab9248f — before the row MAC
+/// moved onto the row-product kernel. Appending a shape keeps the earlier
+/// digests, because the fixture draws its rng in shape order.
 /// They must never change: a refactor of the back half is a re-ordering
 /// of exact modular arithmetic, not a new function.
-const KAT_DIGESTS: [&[u64]; 3] = [
+const KAT_DIGESTS: [&[u64]; 4] = [
     &[0xd7633eaa27c3e3e5, 0xec40040ae28b97b9],
     &[0xdcb4677655b68872],
     &[0x2a48d6b8996e0217],
+    &[0x1c44e7aecfc2b1f0],
 ];
 
 /// Which `Hmvp` entry point a KAT arm drives.
