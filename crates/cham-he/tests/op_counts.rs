@@ -67,9 +67,25 @@ fn one_multiply_books_each_operation_once() {
     assert_eq!(delta("cham_he.pack.pack_two"), rows - 1);
     assert_eq!(delta("cham_he.ops.keyswitch"), rows - 1);
 
+    // Limb transforms, with `L` augmented limbs and `d` key-switch digits:
+    // the input lift transforms both halves of every column tile
+    // (`2·L·tiles` forward), each row tail brings its `a` back to
+    // coefficient form (`L` inverse), and each key-switch transforms its
+    // `d` digits forward and its `(b, a)` correction back (`d·L` forward,
+    // `2·L` inverse) — 12 per key-switch at `L = 3`, `d = 2`.
+    let aug_limbs = params.augmented_context().len() as u64;
+    let digits = params.ciphertext_context().len() as u64;
+    let tiles = cols.div_ceil(n) as u64;
+    assert_eq!(
+        delta("cham_math.ntt.forward"),
+        2 * aug_limbs * tiles + digits * aug_limbs * (rows - 1)
+    );
+    assert_eq!(
+        delta("cham_math.ntt.inverse"),
+        aug_limbs * rows + 2 * aug_limbs * (rows - 1)
+    );
     // Butterflies are booked by forward and inverse transforms alike.
     let transforms = delta("cham_math.ntt.forward") + delta("cham_math.ntt.inverse");
-    assert!(delta("cham_math.ntt.forward") > 0 && delta("cham_math.ntt.inverse") > 0);
     assert_eq!(
         delta("cham_math.ntt.butterflies"),
         transforms * (n as u64 / 2) * u64::from(n.trailing_zeros())
@@ -101,8 +117,7 @@ fn one_multiply_books_each_operation_once() {
     // products — all in vector lanes where the augmented limbs' tables
     // resolved to IFMA (`n` is whole registers), all tail everywhere else.
     let aug = params.augmented_context();
-    let lanes = (aug.len() * n) as u64;
-    let digits = params.ciphertext_context().len() as u64;
+    let lanes = aug_limbs * n as u64;
     let (row_mac, keyswitch) = (rows * 2 * lanes, (rows - 1) * 2 * digits * lanes);
     let ifma = aug
         .tables()

@@ -1,8 +1,9 @@
 //! # cham-sim — cycle-level model of the CHAM FPGA accelerator
 //!
 //! The architectural half of the CHAM reproduction (DAC'23). The physical
-//! Xilinx VU9P board is replaced by a calibrated simulator (see DESIGN.md,
-//! Substitutions):
+//! Xilinx VU9P board is replaced by a calibrated model over `cham-math`
+//! (see DESIGN.md, Substitutions): it counts cycles and resources and runs
+//! no HE operation — the HMVP itself lives in `cham-he`.
 //!
 //! * [`config`] — the design-space axes (engines, NTT modules, butterfly
 //!   PEs, pack units, pipeline split),
@@ -13,12 +14,13 @@
 //!   columns),
 //! * [`pipeline`] — the 9-stage macro-pipeline cycle model with
 //!   reduce-buffer preemption,
-//! * [`engine`] — functional co-simulation: real `cham-he` computation
-//!   plus modelled cycles,
+//! * [`memory`] — the DDR traffic bound the pipeline model reads,
+//! * [`trace`] — the per-row pipeline schedule the aggregate model is
+//!   checked against (and its Perfetto export),
+//! * [`golden`] — golden vectors for RTL bring-up,
 //! * [`roofline`] — Fig. 2a's op-intensity analysis,
 //! * [`dse`] — Fig. 2b's design-space exploration,
-//! * [`hetero`] — Fig. 1b's host/FPGA overlap schedule with RAS fault
-//!   injection,
+//! * [`sensitivity`] — clock / DDR / engine what-if sweeps,
 //! * [`baselines`] — HEAX / F1 / GPU comparator models,
 //! * [`report`] — Table II / Table III renderers.
 //!
@@ -36,9 +38,7 @@
 pub mod baselines;
 pub mod config;
 pub mod dse;
-pub mod engine;
 pub mod golden;
-pub mod hetero;
 pub mod memory;
 pub mod ntt_unit;
 pub mod pipeline;
@@ -59,12 +59,8 @@ pub enum SimError {
     InvalidConfig(&'static str),
     /// The modelled schedule would violate a hardware invariant.
     StructuralHazard(&'static str),
-    /// The functional co-simulation diverged from the software oracle.
-    FunctionalMismatch,
     /// Underlying arithmetic error.
     Math(cham_math::MathError),
-    /// Underlying HE-layer error.
-    He(cham_he::HeError),
 }
 
 impl fmt::Display for SimError {
@@ -72,9 +68,7 @@ impl fmt::Display for SimError {
         match self {
             SimError::InvalidConfig(m) => write!(f, "invalid configuration: {m}"),
             SimError::StructuralHazard(m) => write!(f, "structural hazard: {m}"),
-            SimError::FunctionalMismatch => write!(f, "functional co-simulation mismatch"),
             SimError::Math(e) => write!(f, "math error: {e}"),
-            SimError::He(e) => write!(f, "he error: {e}"),
         }
     }
 }
@@ -83,7 +77,6 @@ impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimError::Math(e) => Some(e),
-            SimError::He(e) => Some(e),
             _ => None,
         }
     }
@@ -92,12 +85,6 @@ impl Error for SimError {
 impl From<cham_math::MathError> for SimError {
     fn from(e: cham_math::MathError) -> Self {
         SimError::Math(e)
-    }
-}
-
-impl From<cham_he::HeError> for SimError {
-    fn from(e: cham_he::HeError) -> Self {
-        SimError::He(e)
     }
 }
 

@@ -156,12 +156,6 @@ impl HmvpCycleModel {
         &self.config
     }
 
-    /// The ring shape.
-    #[inline]
-    pub fn shape(&self) -> &RingShape {
-        &self.shape
-    }
-
     /// Cycles for a single-engine slice of an HMVP covering `rows` rows of
     /// an `n_cols`-column matrix.
     pub fn engine_cycles(&self, rows: usize, n_cols: usize) -> CycleReport {
@@ -267,9 +261,13 @@ impl HmvpCycleModel {
         self.transform_slots_per_sec() / self.shape.aug_limbs as f64
     }
 
-    /// Key-switch throughput: one key-switch consumes 9 transform slots
-    /// (6 digit-lift NTTs + 3 shared inverse slots) in our reconstruction,
-    /// which reproduces the paper's ≈65k ops/s.
+    /// Key-switch throughput at `3·aug_limbs` = 9 forward-array slots per
+    /// key-switch. The 9 calibrates the paper's 195k / 65k ratio (≈65k
+    /// ops/s); it is not a transform count, since
+    /// [`Self::transform_slots_per_sec`] counts forward arrays only. A
+    /// software key-switch runs 12 limb transforms — 6 forward over the
+    /// digits, 6 inverse over the `(b, a)` correction — which
+    /// `cham-he/tests/op_counts.rs` pins.
     pub fn keyswitch_ops_per_sec(&self) -> f64 {
         self.transform_slots_per_sec() / (3.0 * self.shape.aug_limbs as f64)
     }

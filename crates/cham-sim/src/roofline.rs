@@ -44,14 +44,15 @@ impl OpProfile {
         }
     }
 
-    /// One key-switch invoked standalone: 9 transform-equivalents plus the
-    /// MAC, but the key-switch key (2 digits × 2 polys × `aug` limbs) must
+    /// One key-switch invoked standalone: the model's 9 calibrated
+    /// transform slots (see `HmvpCycleModel::keyswitch_ops_per_sec`) plus
+    /// the MAC, but the key-switch key (2 digits × 2 polys × `aug` limbs) must
     /// stream from off-chip every time.
     pub fn keyswitch(shape: &RingShape) -> Self {
         let n = shape.degree as u64;
         let log_n = shape.degree.trailing_zeros() as u64;
         let la = shape.aug_limbs as u64;
-        let transforms = 3 * la; // digit lifts + inverse slots
+        let transforms = 3 * la; // calibrated slots, not a transform count
         let ops = transforms * (n / 2) * log_n * OPS_PER_MODMUL + 4 * la * n * OPS_PER_MODMUL;
         // ct in/out (2·lc polys each way) + KSK stream (2 digits × 2 polys
         // × la limbs).

@@ -1,6 +1,7 @@
-//! Drive the cycle-level CHAM model: functional co-simulation, pipeline
-//! cycle breakdown, roofline placement, and the host/FPGA overlap
-//! schedule with RAS fault injection (paper §III).
+//! Drive the cycle-level CHAM model: the pipeline cycle breakdown of a
+//! paper-scale HMVP, roofline placement, and the per-row pipeline
+//! schedule exported as a Perfetto trace (paper §III). The model counts
+//! cycles only; it runs no HE operation.
 //!
 //! ```sh
 //! cargo run --release --example accelerator_sim [trace.json]
@@ -11,42 +12,18 @@
 //! <https://ui.perfetto.dev> to see the 9-stage pipeline schedule as a
 //! Gantt timeline, one track per stage.
 
-use cham::he::hmvp::Matrix;
-use cham::he::prelude::*;
 use cham::sim::config::ChamConfig;
-use cham::sim::engine::SimulatedCham;
-use cham::sim::hetero::{FaultEvent, HeteroSystem, HmvpJob};
 use cham::sim::pipeline::{HmvpCycleModel, RingShape};
 use cham::sim::resources::FpgaDevice;
 use cham::sim::roofline::{OpProfile, Roofline};
 use cham::sim::trace::PipelineTrace;
-use rand::{Rng, SeedableRng};
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(404);
-
-    // 1) Functional co-simulation at reduced degree: the simulator's
-    // output is bit-exact with the software stack while cycles accrue.
-    let params = ChamParams::insecure_test_default()?;
-    let sim = SimulatedCham::new(ChamConfig::cham(), &params)?;
-    let sk = SecretKey::generate(&params, &mut rng);
-    let enc = Encryptor::new(&params, &sk);
-    let dec = Decryptor::new(&params, &sk);
-    let gkeys = GaloisKeys::generate_for_packing(&sk, params.max_pack_log(), &mut rng)?;
-    let t = params.plain_modulus().value();
-    let a = Matrix::random(64, 64, t, &mut rng);
-    let v: Vec<u64> = (0..64).map(|_| rng.gen_range(0..t)).collect();
-    let secs = sim.verify_roundtrip(&a, &v, &enc, &dec, &gkeys, &mut rng)?;
-    println!(
-        "co-simulation: 64x64 HMVP functionally verified; modelled FPGA time {:.2} us",
-        secs * 1e6
-    );
-
-    // 2) Paper-scale cycle breakdown.
+    // 1) Paper-scale cycle breakdown.
     let model = HmvpCycleModel::new(ChamConfig::cham(), RingShape::cham())?;
     let report = model.hmvp_cycles(4096, 4096);
-    println!("\n4096x4096 HMVP on the shipped config (2 engines @ 300 MHz):");
+    println!("4096x4096 HMVP on the shipped config (2 engines @ 300 MHz):");
     println!("  total cycles      {:>12}", report.total_cycles);
     println!("  fwd-NTT busy      {:>12}", report.ntt_cycles);
     println!("  INTT busy         {:>12}", report.intt_cycles);
@@ -62,7 +39,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         1e3 * report.seconds(300e6)
     );
 
-    // 3) Roofline placement (Fig. 2a).
+    // 2) Roofline placement (Fig. 2a).
     let roof = Roofline::new(FpgaDevice::u200(), 300e6);
     let shape = RingShape::cham();
     for p in [
@@ -82,7 +59,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
 
-    // 4) Pipeline trace: the first rows flowing through the 9 stages.
+    // 3) Pipeline trace: the first rows flowing through the 9 stages.
     let trace = PipelineTrace::schedule(&ChamConfig::cham(), &RingShape::cham(), 12)?;
     println!("\npipeline schedule for 12 rows (one char = 6144 cycles):");
     print!("{}", trace.render(6144));
@@ -101,36 +78,5 @@ fn main() -> Result<(), Box<dyn Error>> {
         .unwrap_or_else(|| "cham_pipeline_trace.json".to_string());
     trace.write_chrome_trace(&trace_path, 300e6)?;
     println!("wrote Perfetto trace to {trace_path} (open in ui.perfetto.dev)");
-
-    // 5) Host/FPGA overlap with fault injection (Fig. 1b + RAS).
-    let sys = HeteroSystem::new(model, 3, 12e9)?;
-    let jobs = vec![
-        HmvpJob {
-            rows: 2048,
-            cols: 4096
-        };
-        6
-    ];
-    let clean = sys.run(&jobs, &[]);
-    let faulty = sys.run(
-        &jobs,
-        &[FaultEvent::Hang {
-            job: 2,
-            reset_seconds: 0.2,
-        }],
-    );
-    println!(
-        "\nhetero schedule: 6 jobs, 3 host threads -> makespan {:.1} ms (engines {:.0}% busy)",
-        1e3 * clean.makespan,
-        100.0 * clean.engine_utilization
-    );
-    println!(
-        "with an injected FPGA hang on job 2: makespan {:.1} ms, {} retry, {} health probes",
-        1e3 * faulty.makespan,
-        faulty.retries,
-        faulty.health_probes
-    );
-    println!("\noverlap timeline (Fig. 1b; digits are job ids):");
-    print!("{}", clean.render(64));
     Ok(())
 }
