@@ -128,7 +128,7 @@ fn main() {
         });
         rep_hist.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
-    let rep_snap = rep_hist.snapshot("dot_phase_rep", "ns");
+    let rep_snap = rep_hist.snapshot();
     let phase_spans = recorder.finish();
     println!();
     println!(

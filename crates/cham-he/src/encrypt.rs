@@ -112,16 +112,12 @@ impl Encryptor {
         pt: &Plaintext,
         rng: &mut R,
     ) -> RlweCiphertext {
-        cham_telemetry::counter_add!("cham_he.encrypt.encrypt_augmented", 1);
-        cham_telemetry::time_scope!("cham_he.encrypt.encrypt");
         self.encrypt_in(pt, self.params.augmented_context(), rng)
             .expect("contexts are internally consistent")
     }
 
     /// Symmetric encryption over the normal basis `Q`.
     pub fn encrypt<R: Rng + ?Sized>(&self, pt: &Plaintext, rng: &mut R) -> RlweCiphertext {
-        cham_telemetry::counter_add!("cham_he.encrypt.encrypt", 1);
-        cham_telemetry::time_scope!("cham_he.encrypt.encrypt");
         self.encrypt_in(pt, self.params.ciphertext_context(), rng)
             .expect("contexts are internally consistent")
     }
@@ -133,8 +129,6 @@ impl Encryptor {
         pt: &Plaintext,
         rng: &mut R,
     ) -> Result<RlweCiphertext> {
-        cham_telemetry::counter_add!("cham_he.encrypt.encrypt_pk", 1);
-        cham_telemetry::time_scope!("cham_he.encrypt.encrypt");
         let ctx = self.params.augmented_context();
         let (u, _) = ternary_rns_poly(ctx, rng);
         let mut u_ntt = u;
@@ -225,8 +219,6 @@ impl Decryptor {
 
     /// Decrypts and reports the exact invariant noise.
     pub fn decrypt_with_noise(&self, ct: &RlweCiphertext) -> NoiseReport {
-        cham_telemetry::counter_add!("cham_he.encrypt.decrypt", 1);
-        cham_telemetry::time_scope!("cham_he.encrypt.decrypt");
         let phase = self.phase(ct);
         let ctx = phase.context().clone();
         let q = ctx.modulus_product();
@@ -261,7 +253,6 @@ impl Decryptor {
         };
         let capacity_bits = (q as f64).log2() - 1.0 - (t as f64).log2();
         let budget_bits = capacity_bits - noise_bits.max(0.0);
-        crate::telemetry::record_measured_noise(noise_bits, budget_bits);
         NoiseReport {
             plaintext: Plaintext::from_values(values),
             noise_bits,
@@ -272,7 +263,6 @@ impl Decryptor {
     /// Decrypts a single LWE ciphertext: `phase = b + ⟨â, s⟩`, decoded to
     /// one value mod `t`.
     pub fn decrypt_lwe(&self, lwe: &LweCiphertext) -> u64 {
-        cham_telemetry::counter_add!("cham_he.encrypt.decrypt_lwe", 1);
         let ctx = lwe.a().context().clone();
         let q = ctx.modulus_product();
         let t = self.params.plain_modulus().value() as u128;

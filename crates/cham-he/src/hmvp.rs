@@ -499,7 +499,6 @@ impl Hmvp {
         threads: usize,
     ) -> Result<HmvpResult> {
         cham_telemetry::counter_add!("cham_he.hmvp.multiply", 1);
-        cham_telemetry::time_scope!("cham_he.hmvp.multiply");
         Self::check_tiling(matrix, cts)?;
         let cts_ntt = Self::lift_inputs_ntt(cts, threads);
         let packed = matrix

@@ -63,7 +63,6 @@ pub(crate) mod oracle;
 pub mod pack;
 pub mod params;
 pub mod scratch;
-pub(crate) mod telemetry;
 pub mod wire;
 
 use std::error::Error;

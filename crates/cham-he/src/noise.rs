@@ -64,17 +64,13 @@ impl NoiseEstimator {
     /// After multiplying by a plaintext with centred coefficients
     /// (`‖pt‖∞ ≤ t/2`): noise scales by `N·t/2`.
     pub fn after_mul_plain(&self, input: f64) -> f64 {
-        let out = input * self.n * self.t / 2.0 + self.rounding();
-        crate::telemetry::record_estimate_mul_plain(input, out);
-        out
+        input * self.n * self.t / 2.0 + self.rounding()
     }
 
     /// After rescaling by the special prime: divided by `p` plus the
     /// rounding terms `≈ (1 + ‖s‖₁)/2` and the scale remainder.
     pub fn after_rescale(&self, input: f64) -> f64 {
-        let out = input / self.p + (1.0 + self.sk_norm) / 2.0 + self.rounding();
-        crate::telemetry::record_estimate_rescale(input, out);
-        out
+        input / self.p + (1.0 + self.sk_norm) / 2.0 + self.rounding()
     }
 
     /// Additive noise of one key-switch: digit magnitudes `< q_i`, noise
@@ -82,11 +78,9 @@ impl NoiseEstimator {
     pub fn keyswitch_additive(&self) -> f64 {
         let q_max = 2f64.powi(35); // largest ciphertext prime < 2^35
         let digits = 2.0;
-        let out = digits * q_max * self.n * self.fresh_bound / self.p
+        digits * q_max * self.n * self.fresh_bound / self.p
             + (1.0 + self.sk_norm) / 2.0
-            + self.rounding();
-        crate::telemetry::record_estimate_keyswitch(out);
-        out
+            + self.rounding()
     }
 
     /// After packing `2^levels` ciphertexts of bound `input`: each level
@@ -96,7 +90,6 @@ impl NoiseEstimator {
         for _ in 0..levels {
             e = 2.0 * e + self.keyswitch_additive();
         }
-        crate::telemetry::record_estimate_pack(input, e);
         e
     }
 

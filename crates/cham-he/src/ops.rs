@@ -69,7 +69,6 @@ pub fn mul_plain(
     pt: &Plaintext,
     params: &ChamParams,
 ) -> Result<RlweCiphertext> {
-    cham_telemetry::counter_add!("cham_he.ops.mul_plain", 1);
     let ctx = ct.b().context().clone();
     let pt_ntt = lift_plaintext_ntt(pt, params, &ctx)?;
     let mut b = ct.b().clone();
@@ -194,7 +193,6 @@ pub fn rescale(ct: &RlweCiphertext, params: &ChamParams) -> Result<RlweCiphertex
 /// [`HeError::Incompatible`] unless the input is in the normal basis of
 /// `params`.
 pub fn mod_switch_to_single(ct: &RlweCiphertext, params: &ChamParams) -> Result<RlweCiphertext> {
-    cham_telemetry::counter_add!("cham_he.ops.mod_switch", 1);
     if ct.b().context() != params.ciphertext_context() {
         return Err(HeError::Incompatible(
             "mod_switch expects a normal-basis ciphertext",
@@ -322,7 +320,6 @@ fn keyswitch_to_scratch(
     s: &mut DotScratch,
 ) -> Result<()> {
     cham_telemetry::counter_add!("cham_he.ops.keyswitch", 1);
-    cham_telemetry::time_scope!("cham_he.ops.keyswitch");
     let aug = params.augmented_context();
     let n = aug.degree();
     let lanes = aug.len() * n;
@@ -430,7 +427,6 @@ pub(crate) fn add_galois_of(
     params: &ChamParams,
     s: &mut DotScratch,
 ) -> Result<()> {
-    cham_telemetry::counter_add!("cham_he.ops.apply_galois", 1);
     let aug = params.augmented_context();
     let lanes = aug.len() * aug.degree();
     keyswitch_to_scratch(a, k, rot, ksk, params, s)?;

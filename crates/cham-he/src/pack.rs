@@ -242,8 +242,6 @@ pub(crate) fn pack_with<F>(
 where
     F: Fn(usize, &mut RlweCiphertext, &mut DotScratch) -> Result<()> + Sync,
 {
-    cham_telemetry::counter_add!("cham_he.pack.pack_lwes", 1);
-    cham_telemetry::time_scope!("cham_he.pack.pack_lwes");
     if count == 0 {
         return Err(HeError::InvalidParams("cannot pack zero ciphertexts"));
     }

@@ -9,6 +9,8 @@ use cham_he::encrypt::Encryptor;
 use cham_he::hmvp::{Hmvp, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::ChamParams;
+use cham_he::scratch::scratch_stats;
+use cham_math::modulus::lazy_flush_count;
 use cham_math::simd::{simd_stats, Kernel};
 use cham_math::Backend;
 use cham_telemetry::json::JsonValue;
@@ -135,12 +137,58 @@ fn one_multiply_books_each_operation_once() {
         }
     );
 
-    // A run record written now carries all of it, one key per name.
+    // Every counter the process booked is one this file pins or an
+    // accessor reads: `simd_stats()` (the lane counters),
+    // `scratch_stats()` and `lazy_flush_count()`. The set is closed, so a
+    // counter nobody reads cannot come back unnoticed.
+    let mut pinned: BTreeSet<String> = [
+        "cham_he.hmvp.multiply",
+        "cham_he.ops.rescale",
+        "cham_he.extract.extract_lwe",
+        "cham_he.pack.pack_two",
+        "cham_he.ops.keyswitch",
+        "cham_he.hmvp.scratch.hit",
+        "cham_he.hmvp.scratch.miss",
+        "cham_math.ntt.forward",
+        "cham_math.ntt.inverse",
+        "cham_math.ntt.butterflies",
+        "cham_math.modulus.reduce.lazy_flush",
+    ]
+    .map(String::from)
+    .into();
+    for k in Kernel::ALL {
+        for lane in ["vector", "tail"] {
+            pinned.insert(format!("cham_math.simd.{}.{lane}", k.name()));
+        }
+    }
+    let unread: Vec<_> = after
+        .keys()
+        .filter(|&&name| !pinned.contains(name))
+        .collect();
+    assert!(unread.is_empty(), "counters with no reader: {unread:?}");
+    let named = |name: &str| after.get(name).copied().unwrap_or(0);
+    assert_eq!(
+        scratch_stats(),
+        (
+            named("cham_he.hmvp.scratch.hit"),
+            named("cham_he.hmvp.scratch.miss")
+        )
+    );
+    assert_eq!(
+        lazy_flush_count(),
+        named("cham_math.modulus.reduce.lazy_flush")
+    );
+
+    // A run record written now carries the counters, one key per name,
+    // and no second timing path.
     let text = RunRecord::start("op_counts").to_json().to_string();
     let record = JsonValue::parse(&text).unwrap();
     let keys = unique_keys(&record, "counters");
     assert!(keys.contains("cham_he.ops.rescale") && keys.contains("cham_math.ntt.butterflies"));
-    assert!(unique_keys(&record, "timers").contains("cham_he.hmvp.multiply"));
+    assert!(
+        record.get("timers").is_none(),
+        "run record has a timers key"
+    );
     let rescales = record.get("counters").unwrap().get("cham_he.ops.rescale");
     assert_eq!(
         rescales.and_then(JsonValue::as_u64),

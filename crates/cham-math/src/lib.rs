@@ -53,7 +53,6 @@ pub mod primality;
 pub mod rns;
 pub mod sampling;
 pub mod simd;
-pub(crate) mod telemetry;
 
 pub use modulus::Modulus;
 pub use ntt::NttTable;

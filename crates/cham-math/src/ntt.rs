@@ -181,6 +181,25 @@ impl NttTable {
         self.psi
     }
 
+    /// Books one forward transform and its `N/2 · log₂N` butterflies.
+    #[inline]
+    fn book_forward(&self) {
+        cham_telemetry::counter_add!("cham_math.ntt.forward", 1);
+        cham_telemetry::counter_add!("cham_math.ntt.butterflies", self.butterflies());
+    }
+
+    /// Books one inverse transform and its `N/2 · log₂N` butterflies.
+    #[inline]
+    fn book_inverse(&self) {
+        cham_telemetry::counter_add!("cham_math.ntt.inverse", 1);
+        cham_telemetry::counter_add!("cham_math.ntt.butterflies", self.butterflies());
+    }
+
+    #[inline]
+    fn butterflies(&self) -> u64 {
+        (self.n as u64 / 2) * u64::from(self.log_n)
+    }
+
     /// In-place forward negacyclic NTT. Input in normal order, output in
     /// bit-reversed order. Runs the lazy Harvey datapath (see the module
     /// docs); output is canonical, bit-identical to
@@ -190,7 +209,7 @@ impl NttTable {
     /// Panics if `a.len() != self.n()`.
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "operand length mismatch");
-        crate::telemetry::ntt_forward(&self.q, self.n, self.log_n);
+        self.book_forward();
         let q = &self.q;
         let backend = self.backend;
         let half = (self.n / 2) as u64;
@@ -249,7 +268,7 @@ impl NttTable {
     /// Panics if `a.len() != self.n()`.
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "operand length mismatch");
-        crate::telemetry::ntt_inverse(&self.q, self.n, self.log_n);
+        self.book_inverse();
         let q = &self.q;
         let two_q = q.two_q();
         let backend = self.backend;
@@ -313,7 +332,7 @@ impl NttTable {
     /// Panics if `a.len() != self.n()`.
     pub fn forward_strict(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "operand length mismatch");
-        crate::telemetry::ntt_forward(&self.q, self.n, self.log_n);
+        self.book_forward();
         let q = &self.q;
         let mut t = self.n;
         let mut m = 1usize;
@@ -341,7 +360,7 @@ impl NttTable {
     /// Panics if `a.len() != self.n()`.
     pub fn inverse_strict(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "operand length mismatch");
-        crate::telemetry::ntt_inverse(&self.q, self.n, self.log_n);
+        self.book_inverse();
         let q = &self.q;
         let mut t = 1usize;
         let mut m = self.n;

@@ -175,7 +175,6 @@ impl CgNttTable {
     /// Panics if `a.len() != self.n()`.
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "operand length mismatch");
-        crate::telemetry::ntt_cg_forward(&self.q, self.n, self.log_n);
         let q = &self.q;
         // Twist: fold ψ^j into the load stage. Lazy product lands in
         // [0, 2q) ⊂ [0, 4q), the stage input invariant.
@@ -240,7 +239,6 @@ impl CgNttTable {
     /// Panics if `a.len() != self.n()`.
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "operand length mismatch");
-        crate::telemetry::ntt_cg_inverse(&self.q, self.n, self.log_n);
         let q = &self.q;
         let mut scratch = vec![0u64; self.n];
         let mut in_a = true;

@@ -108,8 +108,6 @@ impl Poly {
     /// Panics if the operands have different lengths.
     pub fn add(&self, rhs: &Self, q: &Modulus) -> Self {
         assert_eq!(self.len(), rhs.len(), "operand length mismatch");
-        cham_telemetry::counter_add!("cham_math.poly.modadd", 1);
-        crate::telemetry::record_modadd(q, self.len() as u64);
         Self {
             coeffs: self
                 .coeffs
@@ -126,8 +124,6 @@ impl Poly {
     /// Panics if the operands have different lengths.
     pub fn add_assign(&mut self, rhs: &Self, q: &Modulus) {
         assert_eq!(self.len(), rhs.len(), "operand length mismatch");
-        cham_telemetry::counter_add!("cham_math.poly.modadd", 1);
-        crate::telemetry::record_modadd(q, self.len() as u64);
         for (a, &b) in self.coeffs.iter_mut().zip(&rhs.coeffs) {
             *a = q.add(*a, b);
         }
@@ -139,8 +135,6 @@ impl Poly {
     /// Panics if the operands have different lengths.
     pub fn sub(&self, rhs: &Self, q: &Modulus) -> Self {
         assert_eq!(self.len(), rhs.len(), "operand length mismatch");
-        cham_telemetry::counter_add!("cham_math.poly.modadd", 1);
-        crate::telemetry::record_modadd(q, self.len() as u64);
         Self {
             coeffs: self
                 .coeffs
@@ -157,8 +151,6 @@ impl Poly {
     /// Panics if the operands have different lengths.
     pub fn sub_assign(&mut self, rhs: &Self, q: &Modulus) {
         assert_eq!(self.len(), rhs.len(), "operand length mismatch");
-        cham_telemetry::counter_add!("cham_math.poly.modadd", 1);
-        crate::telemetry::record_modadd(q, self.len() as u64);
         for (a, &b) in self.coeffs.iter_mut().zip(&rhs.coeffs) {
             *a = q.sub(*a, b);
         }
@@ -166,8 +158,6 @@ impl Poly {
 
     /// Coefficient-wise negation.
     pub fn neg(&self, q: &Modulus) -> Self {
-        cham_telemetry::counter_add!("cham_math.poly.modadd", 1);
-        crate::telemetry::record_modadd(q, self.len() as u64);
         Self {
             coeffs: self.coeffs.iter().map(|&a| q.neg(a)).collect(),
         }
@@ -180,8 +170,6 @@ impl Poly {
     /// Panics if the operands have different lengths.
     pub fn mul_pointwise(&self, rhs: &Self, q: &Modulus) -> Self {
         assert_eq!(self.len(), rhs.len(), "operand length mismatch");
-        cham_telemetry::counter_add!("cham_math.poly.modmul", 1);
-        crate::telemetry::record_modmul(q, self.len() as u64);
         Self {
             coeffs: self
                 .coeffs
@@ -199,8 +187,6 @@ impl Poly {
     /// Panics if the operands have different lengths.
     pub fn mul_pointwise_assign(&mut self, rhs: &Self, q: &Modulus) {
         assert_eq!(self.len(), rhs.len(), "operand length mismatch");
-        cham_telemetry::counter_add!("cham_math.poly.modmul", 1);
-        crate::telemetry::record_modmul(q, self.len() as u64);
         for (a, &b) in self.coeffs.iter_mut().zip(&rhs.coeffs) {
             *a = q.mul(*a, b);
         }
@@ -208,8 +194,6 @@ impl Poly {
 
     /// Multiplies every coefficient by a scalar.
     pub fn mul_scalar(&self, s: u64, q: &Modulus) -> Self {
-        cham_telemetry::counter_add!("cham_math.poly.modmul", 1);
-        crate::telemetry::record_modmul(q, self.len() as u64);
         let s = q.reduce(s);
         Self {
             coeffs: self.coeffs.iter().map(|&a| q.mul(a, s)).collect(),
@@ -229,7 +213,6 @@ impl Poly {
 
     /// `REV`: reverses the coefficient order, `[a_{N-1}, …, a_1, a_0]`.
     pub fn rev(&self) -> Self {
-        cham_telemetry::counter_add!("cham_math.poly.rev", 1);
         let mut coeffs = self.coeffs.clone();
         coeffs.reverse();
         Self { coeffs }
@@ -239,7 +222,6 @@ impl Poly {
     /// ring — a circular shift by `s` with negation of the wrapped-around
     /// coefficients. Accepts any `s` (reduced mod `2N`, since `X^N = −1`).
     pub fn shift_neg(&self, s: usize, q: &Modulus) -> Self {
-        cham_telemetry::counter_add!("cham_math.poly.shiftneg", 1);
         let n = self.len();
         let s2 = s % (2 * n);
         let (s, negate_all) = if s2 >= n { (s2 - n, true) } else { (s2, false) };
@@ -260,7 +242,6 @@ impl Poly {
     /// Returns [`MathError::InvalidParameter`] unless `k` is odd (even `k`
     /// is not a ring automorphism of `Z_q[X]/(X^N+1)`).
     pub fn automorph(&self, k: usize, q: &Modulus) -> Result<Self> {
-        cham_telemetry::counter_add!("cham_math.poly.automorph", 1);
         if k.is_multiple_of(2) {
             return Err(MathError::InvalidParameter(
                 "automorphism index must be odd",
@@ -309,7 +290,6 @@ pub const LAZY_ACC_BOUND: usize = 16;
 /// # Panics
 /// Panics if the slice lengths differ.
 pub fn mul_pointwise_accumulate(acc: &mut [u128], a: &[u64], b: &[u64]) {
-    cham_telemetry::counter_add!("cham_math.poly.modmul_acc", 1);
     crate::simd::mac_accumulate(crate::simd::Backend::active(), acc, a, b);
 }
 
@@ -320,7 +300,6 @@ pub fn mul_pointwise_accumulate(acc: &mut [u128], a: &[u64], b: &[u64]) {
 /// # Panics
 /// Panics if the slice lengths differ.
 pub fn mul_pointwise_write(acc: &mut [u128], a: &[u64], b: &[u64]) {
-    cham_telemetry::counter_add!("cham_math.poly.modmul_acc", 1);
     crate::simd::mac_write(crate::simd::Backend::active(), acc, a, b);
 }
 

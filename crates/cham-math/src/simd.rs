@@ -300,7 +300,6 @@ impl Backend {
     /// built *before* the call keep their captured backend.
     pub fn force(backend: Self) {
         GLOBAL.store(backend.code(), Ordering::Relaxed);
-        record_dispatch(backend);
     }
 }
 
@@ -379,17 +378,6 @@ pub(crate) fn record_kernel(kernel: Kernel, vector_elems: u64, tail_elems: u64) 
     TAIL[kernel as usize].add(tail_elems);
 }
 
-/// Records a backend selection into the `cham_math.simd.dispatch.*` family.
-fn record_dispatch(backend: Backend) {
-    match backend {
-        Backend::Scalar => cham_telemetry::counter_add!("cham_math.simd.dispatch.scalar", 1),
-        Backend::Avx2 => cham_telemetry::counter_add!("cham_math.simd.dispatch.avx2", 1),
-        Backend::Avx512Ifma => {
-            cham_telemetry::counter_add!("cham_math.simd.dispatch.avx512ifma", 1);
-        }
-    }
-}
-
 /// One kernel family's lane accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
@@ -420,7 +408,7 @@ impl SimdStats {
     }
 }
 
-/// Snapshot of the dispatch counters.
+/// Snapshot of the lane counters.
 #[must_use]
 pub fn simd_stats() -> SimdStats {
     let mut kernels = [KernelStats::default(); KERNELS];
@@ -1914,30 +1902,5 @@ mod tests {
                 assert_eq!(got, expect, "backend={backend} q={q}");
             }
         }
-    }
-
-    #[test]
-    fn stats_accounting_splits_vector_and_tail() {
-        let q = Modulus::new(Q0).unwrap();
-        let before = simd_stats();
-        let mut a = vec![1u64; 11];
-        // Four lanes where the host has a vector arm, all tail otherwise.
-        let (backend, vector, tail) = if Backend::Avx2.available() {
-            (Backend::Avx2, 8, 3)
-        } else {
-            (Backend::Scalar, 0, 11)
-        };
-        reduce_from_lazy_slice(backend, &mut a, &q);
-        let after = simd_stats();
-        let k = Kernel::Normalize as usize;
-        assert_eq!(
-            after.kernels[k].vector_elems - before.kernels[k].vector_elems,
-            vector
-        );
-        assert_eq!(
-            after.kernels[k].tail_elems - before.kernels[k].tail_elems,
-            tail
-        );
-        assert!(after.totals().0 >= after.kernels[k].vector_elems);
     }
 }

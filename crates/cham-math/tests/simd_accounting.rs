@@ -1,4 +1,4 @@
-//! Vector/tail accounting of the dispatch counters, per backend.
+//! Vector/tail accounting of the lane counters, per backend.
 //!
 //! The counters are process-wide, so this file holds exactly one test:
 //! nothing else runs in its process and the deltas are exact. A stage (or
@@ -53,6 +53,21 @@ fn counters_follow_the_arm_that_ran() {
             booked(Kernel::Normalize, || table.forward(&mut a)),
             normalize,
             "normalize backend={backend}"
+        );
+        // A normalization pass that is not whole registers: 11 elements
+        // run on the stage arm (AVX2's four lanes under IFMA too), two
+        // registers and a 3-element tail; all tail under scalar.
+        let mut odd = vec![1u64; 11];
+        assert_eq!(
+            booked(Kernel::Normalize, || {
+                simd::reduce_from_lazy_slice(backend, &mut odd, &q);
+            }),
+            if backend == Backend::Scalar {
+                (0, 11)
+            } else {
+                (8, 3)
+            },
+            "normalize tail backend={backend}"
         );
         // One key-switch's digit products over the CHAM chain: two digits,
         // three limbs, one call per limb on that limb's table backend —

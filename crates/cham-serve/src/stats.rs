@@ -313,7 +313,7 @@ impl PhaseHistograms {
         named
             .into_iter()
             .filter(|(_, h)| h.count() > 0)
-            .map(|(name, h)| PhaseStat::from_snapshot(name, &h.snapshot(name, "ns")))
+            .map(|(name, h)| PhaseStat::from_snapshot(name, &h.snapshot()))
             .collect()
     }
 }
@@ -392,10 +392,12 @@ pub struct IntrospectSnapshot {
     pub simd_backend: u32,
     /// Lane width of the resolved backend (1 = scalar fallback).
     pub simd_lanes: u32,
-    /// Elements processed by vector kernels since process start
-    /// (`cham_math.simd.dispatch` counter family).
+    /// Elements processed by vector kernels since process start: the
+    /// first half of `simd_stats().totals()`, the sum of the
+    /// `cham_math.simd.<kernel>.vector` lane counters.
     pub simd_vector_elems: u64,
-    /// Elements handled by scalar tails/fallback since process start.
+    /// Elements handled by scalar tails/fallback since process start: the
+    /// second half, the sum of the `cham_math.simd.<kernel>.tail` counters.
     pub simd_tail_elems: u64,
     /// Per-phase latency summaries (phases with at least one sample).
     pub phases: Vec<PhaseStat>,

@@ -159,7 +159,6 @@ impl HmvpCycleModel {
     /// Cycles for a single-engine slice of an HMVP covering `rows` rows of
     /// an `n_cols`-column matrix.
     pub fn engine_cycles(&self, rows: usize, n_cols: usize) -> CycleReport {
-        cham_telemetry::counter_add!("cham_sim.pipeline.engine_cycles", 1);
         let e = &self.config.engine;
         let n = self.shape.degree as u64;
         let la = self.shape.aug_limbs as u64; // 3

@@ -92,8 +92,6 @@ impl PipelineTrace {
     /// # Errors
     /// [`SimError::InvalidConfig`] for zero rows or invalid configs.
     pub fn schedule(config: &ChamConfig, shape: &RingShape, rows: usize) -> Result<Self> {
-        cham_telemetry::counter_add!("cham_sim.trace.schedule", 1);
-        cham_telemetry::time_scope!("cham_sim.trace.schedule");
         config.validate()?;
         if rows == 0 {
             return Err(SimError::InvalidConfig("at least one row required"));

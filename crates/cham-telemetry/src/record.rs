@@ -3,12 +3,12 @@
 //! Every `cham-bench` binary can emit one [`RunRecord`] per run via
 //! `--json <path>`: who ran (git SHA, rustc, CPU, threads), with what
 //! (parameter set), and what happened (wall time, named metrics, the
-//! full telemetry counter and timer snapshot). The schema is documented
+//! full telemetry counter snapshot). The schema is documented
 //! in `DESIGN.md` § Observability; records are pretty-printed JSON so
 //! consecutive runs diff cleanly.
 
+use crate::counters;
 use crate::json::JsonValue;
-use crate::report;
 use std::process::Command;
 use std::time::Instant;
 
@@ -62,7 +62,7 @@ pub fn thread_count() -> usize {
 }
 
 /// One structured benchmark run: environment, parameters, results, and
-/// the telemetry snapshot at the moment [`RunRecord::finish`] (or
+/// the counter snapshot at the moment [`RunRecord::finish`] (or
 /// serialisation) was called.
 #[derive(Debug)]
 pub struct RunRecord {
@@ -114,8 +114,8 @@ impl RunRecord {
         self
     }
 
-    /// Renders the record, embedding the current telemetry counter and
-    /// timer snapshots.
+    /// Renders the record, embedding the current counter snapshot (one
+    /// key per name: the registry sums same-named statics).
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
         let wall = self
@@ -134,8 +134,15 @@ impl RunRecord {
             ("params".into(), JsonValue::Object(self.params.clone())),
             ("wall_seconds".into(), JsonValue::Float(wall)),
             ("metrics".into(), JsonValue::Object(self.metrics.clone())),
-            ("counters".into(), report::counters_json()),
-            ("timers".into(), report::histograms_json()),
+            (
+                "counters".into(),
+                JsonValue::Object(
+                    counters::snapshot()
+                        .into_iter()
+                        .map(|(name, value)| (name.to_string(), JsonValue::UInt(value)))
+                        .collect(),
+                ),
+            ),
         ])
     }
 
@@ -155,7 +162,7 @@ mod tests {
     #[test]
     fn record_captures_environment_and_fields() {
         let _guard = crate::test_guard();
-        crate::reset();
+        counters::reset();
         crate::counter_add!("cham_telemetry.record.test_counter", 3);
         let mut rec = RunRecord::start("unit_test");
         rec.param("n", 4096u64).param("label", "cham");
@@ -172,7 +179,8 @@ mod tests {
         assert!(json.contains("\"answer\":42"));
         assert!(json.contains("\"wall_seconds\":"));
         assert!(json.contains("\"cham_telemetry.record.test_counter\":3"));
+        assert!(!json.contains("\"timers\""));
         assert!(rec.threads >= 1);
-        crate::reset();
+        counters::reset();
     }
 }

@@ -1,9 +1,9 @@
 //! Request-scoped tracing: trace IDs, phase spans, and per-request
 //! recorders.
 //!
-//! Process-wide counters and histograms answer *"how slow is phase X on
-//! average"*; this module answers *"where did **this** request's time
-//! go"*:
+//! Process-wide counters answer *"how many transforms did that cost"*;
+//! this module answers *"where did **this** request's time go"* — it is
+//! the one way the workspace times a phase:
 //!
 //! * **ID propagation is free.** A [`TraceId`] is a plain `u64` that
 //!   travels over the wire and through thread hops; carrying it costs a
@@ -13,9 +13,6 @@
 //!   ([`with_recorder`]); with none installed (every non-serving code
 //!   path, and every request nobody is tracing) constructing and
 //!   dropping a `Span` is one thread-local `Option` check.
-//! * **Global histogram timing is separate** (the
-//!   [`crate::time_scope!`] machinery) — this module does not replace
-//!   it, it rides alongside.
 //!
 //! ## Aggregation model
 //!

@@ -53,7 +53,7 @@ proptest! {
             h.record(v);
         }
         vals.sort_unstable();
-        let s = h.snapshot("prop.pct", "ns");
+        let s = h.snapshot();
         let truth = oracle_rank_value(&vals, p);
         let b = bucket_index(truth);
         let est = s.percentile(p);
@@ -69,31 +69,12 @@ proptest! {
     }
 
     #[test]
-    fn quantile_upper_bounds_the_oracle(vals in values(), p in probability()) {
-        let mut vals = vals;
-        let h = LiveHistogram::new();
-        for &v in &vals {
-            h.record(v);
-        }
-        vals.sort_unstable();
-        let s = h.snapshot("prop.qub", "ns");
-        let truth = oracle_rank_value(&vals, p);
-        let ub = s.quantile_upper_nanos(p);
-        prop_assert!(
-            ub >= truth,
-            "p={p}: upper-bound estimate {ub} below true rank value {truth}"
-        );
-        // Over-reporting is bounded by the containing bucket's edge.
-        prop_assert!(ub <= bucket_upper_bound(bucket_index(truth)));
-    }
-
-    #[test]
     fn percentiles_are_monotone_in_p(vals in values()) {
         let h = LiveHistogram::new();
         for &v in &vals {
             h.record(v);
         }
-        let s = h.snapshot("prop.mono", "ns");
+        let s = h.snapshot();
         let ps = [0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0];
         for w in ps.windows(2) {
             prop_assert!(
