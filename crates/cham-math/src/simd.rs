@@ -1903,4 +1903,31 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn stats_accounting_splits_vector_and_tail() {
+        // The split an 11-element normalization pass books: two four-lane
+        // registers and a 3-element tail on the AVX2 stage arm (which IFMA
+        // runs too), all tail under scalar. The booked deltas of the
+        // process-wide counters are pinned alone in `tests/simd_accounting.rs`,
+        // since sibling tests here book `Normalize` too.
+        for backend in Backend::all_available() {
+            let expect = if backend == Backend::Scalar {
+                (0, 11)
+            } else {
+                (8, 3)
+            };
+            assert_eq!(
+                split_elems(backend.stage_arm().lanes(), 11),
+                expect,
+                "backend={backend}"
+            );
+        }
+        assert_eq!(split_elems(Backend::Avx512Ifma.lanes(), 37), (32, 5));
+        assert_eq!(split_elems(Backend::Avx2.lanes(), 8), (8, 0));
+        // One snapshot's totals are the sums over its kernels.
+        let s = simd_stats();
+        let sum = |f: fn(&KernelStats) -> u64| s.kernels.iter().map(f).sum::<u64>();
+        assert_eq!(s.totals(), (sum(|k| k.vector_elems), sum(|k| k.tail_elems)));
+    }
 }
