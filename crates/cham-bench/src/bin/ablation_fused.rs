@@ -9,13 +9,12 @@
 //! `max(compute, bytes/bandwidth)`; the fused pipeline streams only the
 //! matrix plaintexts.
 
-use cham_bench::{eng, si, BenchRun};
+use cham_bench::{eng, no_args, si};
 use cham_sim::memory::DdrModel;
 use cham_sim::pipeline::{HmvpCycleModel, RingShape};
-use cham_telemetry::json::JsonValue;
 
 fn main() {
-    let mut run = BenchRun::from_env("ablation_fused");
+    no_args("ablation_fused");
     let model = HmvpCycleModel::cham();
     let shape = RingShape::cham();
     let ddr = DdrModel::default();
@@ -29,7 +28,6 @@ fn main() {
         "{:>6} {:>6} {:>14} {:>14} {:>8}",
         "m", "n", "fused", "op-by-op", "penalty"
     );
-    let mut points = Vec::new();
     for (m, n) in [(1024usize, 4096usize), (4096, 4096), (8192, 4096)] {
         let fused = model.hmvp_seconds(m, n);
         // Op-by-op: per row, each stage reads and writes its operands
@@ -53,13 +51,6 @@ fn main() {
             eng(op_by_op),
             op_by_op / fused
         );
-        points.push(JsonValue::Object(vec![
-            ("rows".into(), JsonValue::from(m)),
-            ("cols".into(), JsonValue::from(n)),
-            ("fused_seconds".into(), JsonValue::Float(fused)),
-            ("op_by_op_seconds".into(), JsonValue::Float(op_by_op)),
-            ("penalty".into(), JsonValue::Float(op_by_op / fused)),
-        ]));
     }
     println!(
         "\n(effective DDR bandwidth {}B/s; one limb transform {} at 300 MHz)",
@@ -67,9 +58,4 @@ fn main() {
         eng(tn)
     );
     println!("the fused pipeline's advantage is the paper's core §III-B design claim.");
-
-    run.param("clock_hz", clock)
-        .param("ddr_bandwidth_bytes_per_sec", bw);
-    run.metric("points", JsonValue::Array(points));
-    run.finish();
 }

@@ -5,14 +5,13 @@
 //! HMVP, reproducing the figure's argument: individual HE operators are
 //! memory-bound; the fused HMVP approaches the compute roof.
 
-use cham_bench::{si, BenchRun};
+use cham_bench::{no_args, si};
 use cham_sim::pipeline::RingShape;
 use cham_sim::resources::FpgaDevice;
 use cham_sim::roofline::{OpProfile, Roofline};
-use cham_telemetry::json::JsonValue;
 
 fn main() {
-    let mut run = BenchRun::from_env("fig2a_roofline");
+    no_args("fig2a_roofline");
     let device = FpgaDevice::u200();
     let roof = Roofline::new(device, 300e6);
     let shape = RingShape::cham();
@@ -56,28 +55,4 @@ fn main() {
     println!();
     println!("paper claim: \"the compute intensity of HE operations (e.g., NTT and");
     println!("key-switch) is much smaller than HMVP\" — reproduced above.");
-
-    run.param("device", "u200").param("clock_hz", 300e6);
-    run.metric("peak_ops_per_sec", roof.peak_ops())
-        .metric("ridge_intensity", roof.ridge_intensity());
-    run.metric(
-        "operators",
-        JsonValue::Array(
-            profiles
-                .iter()
-                .map(|p| {
-                    JsonValue::Object(vec![
-                        ("name".into(), JsonValue::from(p.name.as_str())),
-                        ("intensity".into(), JsonValue::Float(p.intensity())),
-                        (
-                            "attainable_ops_per_sec".into(),
-                            JsonValue::Float(roof.attainable_for(p)),
-                        ),
-                        ("memory_bound".into(), JsonValue::Bool(roof.memory_bound(p))),
-                    ])
-                })
-                .collect(),
-        ),
-    );
-    run.finish();
 }

@@ -5,12 +5,12 @@
 //! frontier, and checks that the paper's two chosen points are on or near
 //! it.
 
-use cham_bench::{si, BenchRun};
+use cham_bench::{no_args, si};
 use cham_sim::config::ChamConfig;
 use cham_sim::dse::DesignSpace;
 
 fn main() {
-    let mut run = BenchRun::from_env("fig2b_dse");
+    no_args("fig2b_dse");
     let ds = DesignSpace::default();
     let points = ds.explore().expect("grid evaluates");
     println!("=== Fig. 2b: design-space exploration (VU9P, HMVP 4096x4096) ===");
@@ -62,16 +62,4 @@ fn main() {
         "{infeasible} of {} candidates exceed the device budget",
         points.len()
     );
-
-    run.param("candidates", points.len());
-    run.metric("pareto_points", pareto.len())
-        .metric("infeasible", infeasible)
-        .metric("best_throughput_macs", best.throughput)
-        .metric("shipped_throughput_macs", shipped.throughput)
-        .metric("wide_throughput_macs", wide.throughput)
-        .metric(
-            "shipped_fraction_of_best",
-            shipped.throughput / best.throughput,
-        );
-    run.finish();
 }

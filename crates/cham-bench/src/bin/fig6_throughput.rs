@@ -4,13 +4,12 @@
 //! `m` before saturating; the column count matters little until a row
 //! spans multiple ciphertexts (`n > N`); CHAM sustains ≈4.5× the GPU.
 
-use cham_bench::{si, BenchRun};
+use cham_bench::{no_args, si};
 use cham_sim::baselines::GpuModel;
 use cham_sim::pipeline::HmvpCycleModel;
-use cham_telemetry::json::JsonValue;
 
 fn main() {
-    let mut run = BenchRun::from_env("fig6_throughput");
+    no_args("fig6_throughput");
     let model = HmvpCycleModel::cham();
     let gpu = GpuModel::default();
     println!("=== Fig. 6: HMVP throughput (MAC/s) vs matrix shape ===");
@@ -20,17 +19,10 @@ fn main() {
     );
     let ms = [256usize, 512, 1024, 2048, 4096, 8192];
     let ns = [256usize, 1024, 4096, 8192];
-    let mut points = Vec::new();
     for &n in &ns {
         for &m in &ms {
             let cham = model.hmvp_throughput_macs(m, n);
             let g = gpu.hmvp_throughput_macs(&model, m, n);
-            points.push(JsonValue::Object(vec![
-                ("rows".into(), JsonValue::from(m)),
-                ("cols".into(), JsonValue::from(n)),
-                ("cham_macs".into(), JsonValue::Float(cham)),
-                ("gpu_macs".into(), JsonValue::Float(g)),
-            ]));
             println!(
                 "{:>6} {:>6} {:>12}/s {:>12}/s {:>7.1}x",
                 m,
@@ -50,9 +42,4 @@ fn main() {
     println!(
         "column-tiling penalty at n=8192 vs 4096: {tile_penalty:.2}x (rows span two ciphertexts)"
     );
-
-    run.metric("row_scaling_gain", grow)
-        .metric("column_tiling_penalty", tile_penalty)
-        .metric("points", JsonValue::Array(points));
-    run.finish();
 }

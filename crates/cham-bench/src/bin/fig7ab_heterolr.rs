@@ -14,10 +14,9 @@
 
 use cham_apps::bigint::BigUint;
 use cham_apps::paillier::PaillierPrivateKey;
-use cham_bench::{bench_rng, eng, BenchRun, CpuCosts};
+use cham_bench::{bench_rng, eng, threads_from_env, usage_error, CpuCosts};
 use cham_he::params::ChamParams;
 use cham_sim::pipeline::HmvpCycleModel;
-use cham_telemetry::json::JsonValue;
 use rand::Rng;
 use std::time::Instant;
 
@@ -65,7 +64,7 @@ fn measure_paillier(bits: u32) -> PaillierCosts {
 }
 
 fn main() {
-    let mut run = BenchRun::from_env("fig7ab_heterolr");
+    threads_from_env("fig7ab_heterolr").unwrap_or_else(|e| usage_error(&e));
     println!("fitting Paillier modexp scaling (128 -> 256 bit)...");
     let p128 = measure_paillier(128);
     let p256 = measure_paillier(256);
@@ -106,7 +105,6 @@ fn main() {
         (8192, 8192),
     ];
     println!("\n=== Fig. 7a/7b: HeteroLR per-iteration step times ===");
-    let mut datasets = Vec::new();
     for (samples, features) in shapes {
         // Step models (one iteration, both parties' gradients).
         let cts_g = features.div_ceil(n_ring) as f64;
@@ -175,23 +173,7 @@ fn main() {
             fate_total / cham_total,
             bfv_total / cham_total
         );
-        datasets.push(JsonValue::Object(vec![
-            ("samples".into(), JsonValue::from(samples)),
-            ("features".into(), JsonValue::from(features)),
-            ("fate_total_seconds".into(), JsonValue::Float(fate_total)),
-            ("bfv_total_seconds".into(), JsonValue::Float(bfv_total)),
-            ("cham_total_seconds".into(), JsonValue::Float(cham_total)),
-            ("matvec_speedup".into(), JsonValue::Float(bfv_mv / cham_mv)),
-            (
-                "end_to_end_vs_fate".into(),
-                JsonValue::Float(fate_total / cham_total),
-            ),
-        ]));
     }
     println!("\npaper claims: matvec 30-1800x vs CPU; end-to-end 2-36x; large");
     println!("matrices gain most because matvec dominates — see rows above.");
-
-    run.param("degree", n_ring);
-    run.metric("datasets", JsonValue::Array(datasets));
-    run.finish();
 }

@@ -10,13 +10,12 @@
 //! * CHAM: the cycle model's HMVP time (mask subtraction is free in the
 //!   packed domain).
 
-use cham_bench::{delphi_triple_seconds, eng, BenchRun, CpuCosts};
+use cham_bench::{delphi_triple_seconds, eng, threads_from_env, usage_error, CpuCosts};
 use cham_he::params::ChamParams;
 use cham_sim::pipeline::HmvpCycleModel;
-use cham_telemetry::json::JsonValue;
 
 fn main() {
-    let mut run = BenchRun::from_env("fig7c_beaver");
+    threads_from_env("fig7c_beaver").unwrap_or_else(|e| usage_error(&e));
     let params = ChamParams::cham_default().expect("paper params");
     println!("measuring CPU per-op costs (N = 4096)...");
     let cpu = CpuCosts::measure(&params);
@@ -35,7 +34,6 @@ fn main() {
         (4096, 4096, 16),
         (8192, 4096, 16),
     ];
-    let mut layer_metrics = Vec::new();
     for (m, n, count) in layers {
         // Delphi baseline: BSGS diagonal matvec on the CPU (see lib docs).
         let delphi = count as f64 * delphi_triple_seconds(&cpu, m, n, n_ring);
@@ -53,21 +51,8 @@ fn main() {
             eng(cham),
             delphi / cham
         );
-        layer_metrics.push(JsonValue::Object(vec![
-            ("rows".into(), JsonValue::from(m)),
-            ("cols".into(), JsonValue::from(n)),
-            ("triples".into(), JsonValue::from(count)),
-            ("delphi_seconds".into(), JsonValue::Float(delphi)),
-            ("coeff_cpu_seconds".into(), JsonValue::Float(coeff_cpu)),
-            ("cham_seconds".into(), JsonValue::Float(cham)),
-            ("speedup".into(), JsonValue::Float(delphi / cham)),
-        ]));
     }
     println!("\npaper claim: 49x-144x over the original Delphi implementation.");
     println!("(absolute CPU costs differ from the paper's Xeon 6130 + SEAL; the");
     println!("ordering and order of magnitude are the reproduced shape.)");
-
-    run.param("degree", n_ring);
-    run.metric("layers", JsonValue::Array(layer_metrics));
-    run.finish();
 }

@@ -6,20 +6,18 @@
 //! 90% of compute offloaded, larger matrices gain more, and CHAM latency
 //! is 0.3–0.7× the GPU's.
 
-use cham_bench::{eng, BenchRun, CpuCosts, DotPhaseBench};
+use cham_bench::{eng, threads_from_env, usage_error, CpuCosts, DotPhaseBench};
 use cham_he::params::ChamParams;
 use cham_sim::baselines::GpuModel;
 use cham_sim::pipeline::HmvpCycleModel;
 use cham_telemetry::histogram::LiveHistogram;
-use cham_telemetry::json::JsonValue;
 use cham_telemetry::span::{self, SpanRecorder, TraceId};
 use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    let mut run = BenchRun::from_env("fig8_hmvp");
+    let threads = threads_from_env("fig8_hmvp").unwrap_or_else(|e| usage_error(&e));
     let params = ChamParams::cham_default().expect("paper params");
-    let threads = run.threads();
     let backend = cham_math::Backend::active();
     println!(
         "SIMD backend: {backend} ({} lanes; override with CHAM_SIMD)",
@@ -30,7 +28,6 @@ fn main() {
     let model = HmvpCycleModel::cham();
     let gpu = GpuModel::default();
 
-    let mut points = Vec::new();
     for n in [256usize, 4096] {
         println!(
             "\n=== Fig. 8{}: HMVP latency, no. of columns = {n} ===",
@@ -44,15 +41,6 @@ fn main() {
             let cpu_s = cpu.hmvp_seconds(m, n, params.degree());
             let cham_s = model.hmvp_seconds(m, n);
             let gpu_s = gpu.hmvp_seconds(&model, m, n);
-            points.push(JsonValue::Object(vec![
-                ("rows".into(), JsonValue::from(m)),
-                ("cols".into(), JsonValue::from(n)),
-                ("cpu_seconds".into(), JsonValue::Float(cpu_s)),
-                ("gpu_seconds".into(), JsonValue::Float(gpu_s)),
-                ("cham_seconds".into(), JsonValue::Float(cham_s)),
-                ("speedup_vs_cpu".into(), JsonValue::Float(cpu_s / cham_s)),
-                ("ratio_vs_gpu".into(), JsonValue::Float(cham_s / gpu_s)),
-            ]));
             println!(
                 "{:>6} {:>14} {:>14} {:>14} {:>9.0}x {:>9.2}x",
                 m,
@@ -88,9 +76,10 @@ fn main() {
     // oracle path: strict per-term MODMUL + MODADD with per-term
     // allocations, a materialised product ciphertext, then the public
     // `rescale` + `extract_lwe` (six inverse transforms per row). The
-    // fused kernel accumulates in u128 lanes over pooled scratch
-    // and runs the streaming row tail (three inverse transforms, a lane
-    // sum for `b`). Both serial, so the ratio isolates kernel work from
+    // fused kernel runs `simd::row_product` per limb, which holds the `a`
+    // sums in registers and returns `b` as an inner product, then the
+    // streaming row tail (three inverse transforms for `a`, a scalar
+    // rescale for `b`). Both serial, so the ratio isolates kernel work from
     // thread parallelism. A second, wide shape (many column tiles per row)
     // exercises the deep accumulation regime — one-tile rows are
     // dominated by the row tail.
@@ -145,35 +134,4 @@ fn main() {
             p.count
         );
     }
-
-    run.param("degree", params.degree())
-        .param("clock_hz", model.config().clock_hz);
-    run.metric("rep_count", DIST_REPS);
-    run.metric("rep_p50_ns", JsonValue::Float(rep_snap.percentile(0.50)));
-    run.metric("rep_p99_ns", JsonValue::Float(rep_snap.percentile(0.99)));
-    run.metric("rep_p999_ns", JsonValue::Float(rep_snap.percentile(0.999)));
-    for p in &phase_spans {
-        run.metric(format!("phase_ns.{}", p.name), p.dur_ns);
-    }
-    run.metric("points", JsonValue::Array(points));
-    run.metric("dot_phase_rows", rows);
-    run.metric("dot_phase_serial_seconds", JsonValue::Float(serial_s));
-    run.metric("dot_phase_parallel_seconds", JsonValue::Float(parallel_s));
-    run.metric("dot_phase_speedup", JsonValue::Float(dot_speedup));
-    run.metric("dot_phase_unfused_seconds", JsonValue::Float(unfused_s));
-    run.metric("dot_phase_fused_speedup", JsonValue::Float(fused_speedup));
-    run.metric("dot_phase_wide_tiles", wide_tiles);
-    run.metric(
-        "dot_phase_wide_fused_seconds",
-        JsonValue::Float(wide_fused_s),
-    );
-    run.metric(
-        "dot_phase_wide_unfused_seconds",
-        JsonValue::Float(wide_unfused_s),
-    );
-    run.metric(
-        "dot_phase_wide_fused_speedup",
-        JsonValue::Float(wide_fused_speedup),
-    );
-    run.finish();
 }

@@ -7,25 +7,11 @@
 //! Arguments (positional, optional): `degree` (default 4096), `per_unit`
 //! vector count (default 2), `seed` (default 1).
 
-use cham_bench::BenchRun;
 use cham_math::modulus::{Modulus, Q0};
 use cham_sim::golden::GoldenGenerator;
 
 fn main() {
-    // Positional args keep their historic meaning; `--json <path>` is
-    // routed to the shared benchmark CLI.
-    let mut positional = Vec::new();
-    let mut flags = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            flags.push(a);
-            flags.extend(args.next());
-        } else {
-            positional.push(a);
-        }
-    }
-    let mut run = BenchRun::from_args("golden_dump", flags);
+    let positional: Vec<String> = std::env::args().skip(1).collect();
     let degree: usize = positional
         .first()
         .and_then(|s| s.parse().ok())
@@ -39,12 +25,6 @@ fn main() {
         Ok(dump) => {
             println!("# CHAM golden vectors: degree={degree} q={Q0} seed={seed}");
             print!("{dump}");
-            run.param("degree", degree)
-                .param("per_unit", per_unit)
-                .param("seed", seed)
-                .param("q", Q0);
-            run.metric("dump_bytes", dump.len());
-            run.finish();
         }
         Err(e) => {
             eprintln!("golden-vector generation failed: {e}");

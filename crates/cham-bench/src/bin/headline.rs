@@ -9,14 +9,13 @@
 //! paper's SEAL-on-Xeon-6130, so absolute ratios differ; the table prints
 //! both side by side (see EXPERIMENTS.md for the discussion).
 
-use cham_bench::{delphi_triple_seconds, BenchRun, CpuCosts};
+use cham_bench::{delphi_triple_seconds, threads_from_env, usage_error, CpuCosts};
 use cham_he::params::ChamParams;
 use cham_sim::pipeline::HmvpCycleModel;
 
 fn main() {
-    let mut run = BenchRun::from_env("headline");
+    let threads = threads_from_env("headline").unwrap_or_else(|e| usage_error(&e));
     let params = ChamParams::cham_default().expect("paper params");
-    let threads = run.threads();
     println!("measuring CPU per-op costs (N = 4096, {threads} thread(s))...");
     let cpu = CpuCosts::measure_with_threads(&params, threads);
     let model = HmvpCycleModel::cham();
@@ -62,14 +61,4 @@ fn main() {
     println!("note: our CPU baseline is an optimized Rust implementation; the");
     println!("paper's ratios are against SEAL-class software on a Xeon 6130. The");
     println!("directions and orders of magnitude are the reproduction target.");
-
-    run.param("rows", m)
-        .param("cols", n)
-        .param("degree", n_ring);
-    run.metric("cpu_hmvp_seconds", cpu_mv)
-        .metric("cham_hmvp_seconds", cham_mv)
-        .metric("hmvp_speedup", hmvp_x)
-        .metric("heterolr_speedup", lr_x)
-        .metric("beaver_speedup", beaver_x);
-    run.finish();
 }

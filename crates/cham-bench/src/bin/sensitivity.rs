@@ -1,12 +1,12 @@
 //! Environmental sensitivity of the shipped design (ablation bench):
 //! throughput vs clock frequency, DDR bandwidth, and engine count.
 
-use cham_bench::{si, BenchRun};
+use cham_bench::{no_args, si};
 use cham_sim::config::ChamConfig;
 use cham_sim::sensitivity::Sensitivity;
 
 fn main() {
-    let mut run = BenchRun::from_env("sensitivity");
+    no_args("sensitivity");
     let s = Sensitivity::new(ChamConfig::cham());
     println!("=== sensitivity analysis (HMVP 4096x4096, shipped engine) ===\n");
 
@@ -41,7 +41,4 @@ fn main() {
     }
     println!("\ntakeaways: compute-bound at the shipped point (throughput tracks the");
     println!("clock); engines scale until the shared DDR link saturates.");
-
-    run.metric("memory_bound_threshold_bytes_per_sec", knee);
-    run.finish();
 }

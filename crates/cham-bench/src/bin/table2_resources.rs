@@ -1,12 +1,12 @@
 //! Table II — resource utilisation on the Xilinx VU9P.
 
-use cham_bench::BenchRun;
+use cham_bench::no_args;
 use cham_sim::config::ChamConfig;
 use cham_sim::report::{table2, utilization_summary};
 use cham_sim::resources::{FpgaDevice, ResourceModel};
 
 fn main() {
-    let mut run = BenchRun::from_env("table2_resources");
+    no_args("table2_resources");
     let model = ResourceModel::default();
     let cfg = ChamConfig::cham();
     println!("=== Table II: resource utilization on the Xilinx VU9P ===");
@@ -14,23 +14,4 @@ fn main() {
     println!();
     println!("{}", utilization_summary(&model, &cfg, &FpgaDevice::vu9p()));
     println!("paper's P&R criterion: every class below 75% (met)");
-
-    let device = FpgaDevice::vu9p();
-    let usage = model.chip(&cfg);
-    run.param("device", device.name);
-    run.metric(
-        "lut_fraction",
-        usage.lut as f64 / device.capacity.lut as f64,
-    )
-    .metric("ff_fraction", usage.ff as f64 / device.capacity.ff as f64)
-    .metric(
-        "dsp_fraction",
-        usage.dsp as f64 / device.capacity.dsp as f64,
-    )
-    .metric(
-        "bram_fraction",
-        usage.bram as f64 / device.capacity.bram as f64,
-    )
-    .metric("max_utilization", usage.max_utilization(&device));
-    run.finish();
 }

@@ -6,7 +6,7 @@
 //! the ratio will differ from the paper's Xeon 6130 but the ordering and
 //! magnitude reproduce.
 
-use cham_bench::{si, BenchRun, CpuCosts};
+use cham_bench::{si, threads_from_env, usage_error, CpuCosts};
 use cham_he::params::ChamParams;
 use cham_math::simd::{self, RescaleLimb};
 use cham_math::{Backend, NttTable};
@@ -30,7 +30,7 @@ fn time_ntt(reps: usize, mut transform: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    let mut run = BenchRun::from_env("table3_ntt");
+    threads_from_env("table3_ntt").unwrap_or_else(|e| usage_error(&e));
     println!("=== Table III: comparison of a single NTT module ===");
     print!("{}", table3());
     println!();
@@ -99,11 +99,11 @@ fn main() {
     // backend and to every vector backend the host can run via
     // `with_backend` (the in-process equivalent of `CHAM_SIMD=scalar` /
     // `=avx2` / … runs). `NttTable::new` above already captured the
-    // env-selected backend, so `ntt_lazy_seconds` stays the production
+    // env-selected backend, so the lazy row above stays the production
     // path; the rows below isolate the vectorization factor per tier, one
     // row per kernel family with an arm of its own (a backend without one
-    // runs the scalar arm and reads ≈ 1.0×). The un-suffixed metrics are
-    // the tier `CHAM_SIMD=auto` resolves to.
+    // runs the scalar arm and reads ≈ 1.0×). The heading names the tier
+    // `CHAM_SIMD=auto` resolves to.
     let auto_backend = Backend::detect_auto();
     let scalar_table = NttTable::with_backend(n, q, Backend::Scalar).expect("NTT table");
     let fwd_scalar_s = time_ntt(reps, || scalar_table.forward(&mut poly));
@@ -123,8 +123,6 @@ fn main() {
             scalar_s / simd_s
         );
     };
-    run.param("degree", params.degree());
-    run.param("simd_ablation_backend", auto_backend.name());
     // The key-switch's element-wise families on their production shape:
     // the digit product of one key-switch (every digit against both key
     // components, one call per augmented limb) and the rescale of one
@@ -175,35 +173,5 @@ fn main() {
         row(backend, "inverse NTT", inv_scalar_s / per, inv_s / per);
         row(backend, "keyswitch dot", dot_scalar_s / per, dot_s / per);
         row(backend, "rescale", rescale_scalar_s / per, rescale_s / per);
-        run.metric(
-            format!("simd_speedup_fwd_ntt_{backend}"),
-            fwd_scalar_s / fwd_s,
-        )
-        .metric(
-            format!("simd_speedup_inv_ntt_{backend}"),
-            inv_scalar_s / inv_s,
-        )
-        .metric(
-            format!("simd_speedup_keyswitch_dot_{backend}"),
-            dot_scalar_s / dot_s,
-        )
-        .metric(
-            format!("simd_speedup_rescale_{backend}"),
-            rescale_scalar_s / rescale_s,
-        );
-        if backend == auto_backend {
-            run.metric("ntt_simd_seconds", fwd_s / per)
-                .metric("simd_speedup_fwd_ntt", fwd_scalar_s / fwd_s)
-                .metric("simd_speedup_inv_ntt", inv_scalar_s / inv_s);
-        }
     }
-    run.metric("ntt_strict_seconds", strict_s / reps as f64)
-        .metric("ntt_lazy_seconds", lazy_s / reps as f64)
-        .metric("ntt_lazy_speedup", lazy_speedup);
-    run.metric("cham_ntt_ops_per_sec", model.ntt_ops_per_sec())
-        .metric("cham_keyswitch_ops_per_sec", model.keyswitch_ops_per_sec())
-        .metric("cpu_ntt_ops_per_sec", cpu_ntt)
-        .metric("cpu_keyswitch_ops_per_sec", cpu_ks)
-        .metric("keyswitch_speedup", model.keyswitch_ops_per_sec() / cpu_ks);
-    run.finish();
 }

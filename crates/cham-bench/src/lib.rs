@@ -1,19 +1,26 @@
 //! # cham-bench — the figure/table reproduction harness
 //!
 //! One binary per paper artifact (run with `cargo run -p cham-bench
-//! --release --bin <name>`):
+//! --release --bin <name>`); each prints its tables to stdout:
 //!
-//! | binary | artifact |
-//! |--------|----------|
-//! | `fig2a_roofline` | Fig. 2a roofline: NTT / key-switch / HMVP intensity |
-//! | `fig2b_dse` | Fig. 2b design-space exploration |
-//! | `table2_resources` | Table II resource utilisation |
-//! | `table3_ntt` | Table III NTT comparison + throughput claims |
-//! | `fig6_throughput` | Fig. 6 HMVP throughput vs matrix shape |
-//! | `fig8_hmvp` | Fig. 8 HMVP latency: CPU vs GPU vs CHAM |
-//! | `fig7ab_heterolr` | Fig. 7a/7b HeteroLR step breakdown |
-//! | `fig7c_beaver` | Fig. 7c Beaver triple generation |
-//! | `headline` | the abstract's 1800× / 36× / 144× claims |
+//! | binary | artifact | arguments |
+//! |--------|----------|-----------|
+//! | `fig2a_roofline` | Fig. 2a roofline: NTT / key-switch / HMVP intensity | none |
+//! | `fig2b_dse` | Fig. 2b design-space exploration | none |
+//! | `table2_resources` | Table II resource utilisation | none |
+//! | `table3_ntt` | Table III NTT comparison + throughput claims | `--threads n` |
+//! | `fig6_throughput` | Fig. 6 HMVP throughput vs matrix shape | none |
+//! | `fig8_hmvp` | Fig. 8 HMVP latency: CPU vs GPU vs CHAM | `--threads n` |
+//! | `fig7ab_heterolr` | Fig. 7a/7b HeteroLR step breakdown | `--threads n` |
+//! | `fig7c_beaver` | Fig. 7c Beaver triple generation | `--threads n` |
+//! | `headline` | the abstract's 1800× / 36× / 144× claims | `--threads n` |
+//! | `ablation_fused` | fused pipeline vs op-by-op invocation (§III-B) | none |
+//! | `sensitivity` | clock / DDR bandwidth / engine-count sweeps | none |
+//! | `golden_dump` | RTL golden vectors | positional `degree per_unit seed` |
+//!
+//! The five binaries that run HE take `--threads n` (default 1, parsed by
+//! [`threads_from_env`]), which fixes the process thread budget; the
+//! model-only ones take no argument ([`no_args`]).
 //!
 //! This library holds the shared measurement helpers: CPU-baseline timing
 //! of the software HE stack with extrapolation to paper-scale shapes, and
@@ -28,9 +35,7 @@ use cham_he::keys::{GaloisKeys, KeySwitchKey, SecretKey};
 use cham_he::ops::{keyswitch_mask, mul_plain_prepared, rescale};
 use cham_he::pack::pack_two;
 use cham_he::params::ChamParams;
-use cham_telemetry::record::RunRecord;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// A deterministic RNG for reproducible measurements.
@@ -38,157 +43,68 @@ pub fn bench_rng() -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(0xCAB1E)
 }
 
-/// The shared CLI of every figure binary:
+/// Parses the one flag of the binaries that run HE, `--threads <n>`: the
+/// CPU-baseline parallelism for measurements that support it (see
+/// [`CpuCosts::measure_with_threads`]), default 1. `Ok(None)` means
+/// `--help`.
 ///
-/// * `--json <path>` — write a structured [`RunRecord`]
-///   (`cham-run-record/v1`, see `DESIGN.md` § Observability) when the
-///   run finishes; it embeds the full counter/timer snapshot.
-/// * `--threads <n>` — CPU-baseline parallelism for measurements that
-///   support it (see [`CpuCosts::measure_with_threads`]). Defaults to 1;
-///   always recorded as the `threads` param of the run record. The value
-///   also fixes the process thread budget (`cham_pool::configure_global`,
-///   which outranks `CHAM_POOL_THREADS`; only an earlier read of the
-///   budget in-process wins over it), so entry points without a cap of
-///   their own (`Hmvp::multiply`, `pack_lwes`) fan out over exactly this
-///   many threads.
-///
-/// Binaries call [`BenchRun::from_env`] first, attach `param`s and
-/// `metric`s while printing their usual tables, and end with
-/// [`BenchRun::finish`].
-#[derive(Debug)]
-pub struct BenchRun {
-    record: RunRecord,
-    json_path: Option<PathBuf>,
-    threads: usize,
+/// # Errors
+/// A message naming the bad argument: `--threads` without a positive
+/// integer after it, or any other argument.
+pub fn parse_threads(args: impl IntoIterator<Item = String>) -> Result<Option<usize>, String> {
+    let mut threads = 1;
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--threads" => match args.next().and_then(|s| s.parse().ok()) {
+                Some(n) if n > 0 => threads = n,
+                _ => return Err("--threads requires a positive integer".into()),
+            },
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok(Some(threads))
 }
 
-impl BenchRun {
-    /// Parses `std::env::args` for the benchmark `name`.
-    ///
-    /// Prints usage and exits with status 2 on unknown arguments, and
-    /// with status 0 on `--help`.
-    #[must_use]
-    pub fn from_env(name: &str) -> Self {
-        Self::from_args(name, std::env::args().skip(1))
-    }
+/// [`parse_threads`] over the process arguments of the binary `name`,
+/// which then fixes the process thread budget at the parsed value
+/// (`cham_pool::configure_global`, which outranks `CHAM_POOL_THREADS`;
+/// only an earlier read of the budget in-process wins over it), so entry
+/// points without a cap of their own (`Hmvp::multiply`, `pack_lwes`) fan
+/// out over exactly this many threads. Prints usage and exits with status
+/// 0 on `--help`.
+///
+/// # Errors
+/// The [`parse_threads`] error; `main` passes it to [`usage_error`].
+pub fn threads_from_env(name: &str) -> Result<usize, String> {
+    let Some(threads) = parse_threads(std::env::args().skip(1))? else {
+        println!("usage: {name} [--threads <n>]");
+        println!("  --threads <n>  CPU-baseline thread count (default 1)");
+        std::process::exit(0);
+    };
+    cham_pool::configure_global(threads);
+    Ok(threads)
+}
 
-    /// [`Self::from_env`] over an explicit argument list (testable).
-    #[must_use]
-    pub fn from_args(name: &str, args: impl IntoIterator<Item = String>) -> Self {
-        let mut json_path = None;
-        let mut threads = 1usize;
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--json" => match args.next() {
-                    Some(p) => json_path = Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("error: --json requires a path");
-                        std::process::exit(2);
-                    }
-                },
-                "--threads" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => threads = n,
-                    _ => {
-                        eprintln!("error: --threads requires a positive integer");
-                        std::process::exit(2);
-                    }
-                },
-                "--help" | "-h" => {
-                    println!("usage: {name} [--json <path>] [--threads <n>]");
-                    println!("  --json <path>  write a cham-run-record/v1 JSON run record");
-                    println!("  --threads <n>  CPU-baseline thread count (default 1)");
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("error: unknown argument `{other}` (try --help)");
-                    std::process::exit(2);
-                }
-            }
+/// The CLI of the model-only binaries, which take no argument: `--help`
+/// prints usage and exits with status 0, any other argument exits with
+/// status 2.
+pub fn no_args(name: &str) {
+    match std::env::args().nth(1).as_deref() {
+        None => {}
+        Some("--help" | "-h") => {
+            println!("usage: {name}");
+            std::process::exit(0);
         }
-        // Route --threads to the process thread budget. The first of
-        // `configure_global`, CHAM_POOL_THREADS and the core count fixes
-        // it, so this call outranks the env; only an earlier read of the
-        // budget in-process would keep its own value.
-        cham_pool::configure_global(threads);
-        let mut record = RunRecord::start(name);
-        record.param("threads", threads as u64);
-        record.param("pool_threads", cham_pool::current_threads() as u64);
-        // Active SIMD backend (resolves CHAM_SIMD on first use) so every
-        // bench trajectory is attributable to the datapath that produced
-        // it. `simd_requested` preserves the raw env (distinguishes an
-        // explicit `scalar` pin from auto-resolution), and
-        // `simd_expect_vector` is computed from raw feature detection —
-        // independent of the Backend dispatch logic — so a dispatch bug
-        // that silently falls back to scalar cannot mask itself.
-        let backend = cham_math::Backend::active();
-        let requested = std::env::var("CHAM_SIMD").unwrap_or_else(|_| "auto".into());
-        #[cfg(target_arch = "x86_64")]
-        let host_vector = std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let host_vector = false;
-        let expect_vector = host_vector && !requested.trim().eq_ignore_ascii_case("scalar");
-        record.param("simd_backend", backend.name());
-        record.param("simd_lanes", backend.lanes() as u64);
-        record.param("simd_requested", requested);
-        record.param("simd_expect_vector", u64::from(expect_vector));
-        Self {
-            record,
-            json_path,
-            threads,
-        }
+        Some(other) => usage_error(&format!("unknown argument `{other}`")),
     }
+}
 
-    /// The `--threads` value (1 when the flag was not given).
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Records an input parameter on the run record.
-    pub fn param(
-        &mut self,
-        key: impl Into<String>,
-        value: impl Into<cham_telemetry::json::JsonValue>,
-    ) -> &mut Self {
-        self.record.param(key, value);
-        self
-    }
-
-    /// Records a result metric on the run record.
-    pub fn metric(
-        &mut self,
-        key: impl Into<String>,
-        value: impl Into<cham_telemetry::json::JsonValue>,
-    ) -> &mut Self {
-        self.record.metric(key, value);
-        self
-    }
-
-    /// Stops the wall clock and, when `--json` was given, writes the
-    /// record (panicking on I/O errors — a benchmark that cannot write
-    /// its results should fail loudly).
-    ///
-    /// Fan-out activity (`pool_tasks`, the threads `cham_pool::map_capped`
-    /// spawned) is snapshotted into the record's metrics: it is kept by
-    /// `cham-pool`, not in the record's named `counters` registry.
-    ///
-    /// # Panics
-    /// Panics when the record file cannot be written.
-    pub fn finish(mut self) {
-        if let Some(stats) = cham_pool::global_stats() {
-            self.record.metric("pool_tasks", stats.tasks);
-        }
-        self.record.finish();
-        if let Some(path) = &self.json_path {
-            self.record
-                .write(path)
-                .unwrap_or_else(|e| panic!("writing run record {}: {e}", path.display()));
-            // stderr: several binaries have their stdout redirected into
-            // result files (e.g. golden_dump).
-            eprintln!("wrote run record to {}", path.display());
-        }
-    }
+/// Prints an argument error and exits with status 2.
+pub fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message} (try --help)");
+    std::process::exit(2);
 }
 
 /// Measured per-operation CPU costs of the software HE stack at the
@@ -403,8 +319,10 @@ impl DotPhaseBench {
         self.rows
     }
 
-    /// Best-of-`reps` wall-clock seconds for one dot-product phase at the
-    /// given row-parallelism cap.
+    /// Best-of-`reps` wall-clock seconds for one dot-product phase through
+    /// the fused path (`dot_products_parallel`: one `simd::row_product` per
+    /// limb, sums held in registers and `b` an inner product, then the
+    /// streaming row tail) at the given row-parallelism cap.
     ///
     /// # Panics
     /// Panics if the dot-product phase fails (cannot happen for the
@@ -472,34 +390,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_run_parses_json_flag() {
-        let run = BenchRun::from_args("t", ["--json".to_string(), "/tmp/x.json".to_string()]);
-        assert_eq!(
-            run.json_path.as_deref(),
-            Some(std::path::Path::new("/tmp/x.json"))
-        );
-        let run = BenchRun::from_args("t", std::iter::empty());
-        assert!(run.json_path.is_none());
-    }
-
-    #[test]
-    fn bench_run_writes_record() {
-        let dir = std::env::temp_dir().join("cham_bench_run_record_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("rec.json");
-        let mut run = BenchRun::from_args(
-            "unit",
-            ["--json".into(), path.to_str().unwrap().to_string()],
-        );
-        run.param("rows", 8u64);
-        run.metric("speedup", 2.5f64);
-        run.finish();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"schema\": \"cham-run-record/v1\""));
-        assert!(body.contains("\"name\": \"unit\""));
-        assert!(body.contains("\"rows\": 8"));
-        assert!(body.contains("\"speedup\": 2.5"));
-        std::fs::remove_dir_all(&dir).ok();
+    fn parse_threads_accepts_positive_integers_and_help() {
+        let args = |a: &[&str]| a.iter().map(ToString::to_string).collect::<Vec<_>>();
+        assert_eq!(parse_threads(args(&[])), Ok(Some(1)));
+        assert_eq!(parse_threads(args(&["--threads", "4"])), Ok(Some(4)));
+        assert_eq!(parse_threads(args(&["--help"])), Ok(None));
+        for bad in [
+            &["--threads", "0"][..],
+            &["--threads", "two"],
+            &["--threads", "-1"],
+            &["--threads"],
+            &["--json", "out.json"],
+        ] {
+            assert!(parse_threads(args(bad)).is_err(), "{bad:?} accepted");
+        }
     }
 
     #[test]

@@ -138,19 +138,6 @@ impl BatchHmvp {
         out
     }
 
-    /// Automorphism indices needed by [`Self::diagonal`] for an `n`-column
-    /// matrix: `3^d mod 2N` for `d = 1..n−1`.
-    pub fn diagonal_galois_indices(&self, cols: usize) -> Vec<usize> {
-        let n2 = 2 * self.params.degree();
-        let mut k = 1usize;
-        (1..cols)
-            .map(|_| {
-                k = (k * 3) % n2;
-                k
-            })
-            .collect()
-    }
-
     /// Encrypts a vector into logical slots (normal basis).
     ///
     /// # Errors

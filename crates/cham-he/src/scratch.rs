@@ -22,8 +22,8 @@
 //!
 //! Hit/miss counts are kept per pool instance (so a test can watch a
 //! private pool no sibling test touches) and in the process-wide
-//! `cham_he.hmvp.scratch.{hit,miss}` counters that [`scratch_stats`] and
-//! run records read.
+//! `cham_he.hmvp.scratch.{hit,miss}` counters that [`scratch_stats`]
+//! reads.
 
 use cham_math::rns::RnsContext;
 use cham_telemetry::Counter;
@@ -122,7 +122,7 @@ impl ScratchPool {
 
 /// Scratch hit and miss totals `(hits, misses)` since process start, over
 /// every pool instance. A flat miss count across repeated multiplies is
-/// the zero-allocation steady-state witness reported in run records.
+/// the zero-allocation steady-state witness `bench_all` reports.
 #[must_use]
 pub fn scratch_stats() -> (u64, u64) {
     (HITS.get(), MISSES.get())

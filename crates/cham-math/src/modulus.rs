@@ -24,7 +24,7 @@ static LAZY_FLUSH: Counter = Counter::new("cham_math.modulus.reduce.lazy_flush")
 
 /// Number of deferred-reduction flushes performed by lazy accumulation
 /// kernels since process start (the `cham_math.modulus.reduce.lazy_flush`
-/// counter of a run record).
+/// counter).
 pub fn lazy_flush_count() -> u64 {
     LAZY_FLUSH.get()
 }
@@ -272,26 +272,6 @@ impl Modulus {
     #[inline]
     pub const fn two_q(&self) -> u64 {
         self.value << 1
-    }
-
-    /// Lazy addition: `a + b` with **no** modular correction. For operands
-    /// in `[0, 2q)` the result is in `[0, 4q)`, which still fits in `u64`
-    /// thanks to the `q < 2^62` headroom bound enforced by
-    /// [`Modulus::new`]. Feed results to [`Modulus::reduce_from_lazy`] (or
-    /// keep them in the lazy pipeline) before comparing against canonical
-    /// values.
-    #[inline]
-    pub fn add_lazy(&self, a: u64, b: u64) -> u64 {
-        debug_assert!(a < self.two_q() && b < self.two_q());
-        a + b
-    }
-
-    /// Lazy subtraction: `a + 2q − b`, correction-free. For `a, b` in
-    /// `[0, 2q)` the result is in `(0, 4q)` and congruent to `a − b mod q`.
-    #[inline]
-    pub fn sub_lazy(&self, a: u64, b: u64) -> u64 {
-        debug_assert!(a < self.two_q() && b <= self.two_q());
-        a + self.two_q() - b
     }
 
     /// Shoup multiplication without the final conditional subtraction:

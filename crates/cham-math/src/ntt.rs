@@ -399,17 +399,6 @@ impl NttTable {
         self.forward(dst);
     }
 
-    /// Out-of-place inverse transform: `dst = INTT(src)`, allocation-free.
-    ///
-    /// # Panics
-    /// Panics if either slice's length differs from `self.n()`.
-    pub fn inverse_into(&self, src: &[u64], dst: &mut [u64]) {
-        assert_eq!(src.len(), self.n, "operand length mismatch");
-        assert_eq!(dst.len(), self.n, "operand length mismatch");
-        dst.copy_from_slice(src);
-        self.inverse(dst);
-    }
-
     /// Convenience: returns `NTT(a)` without mutating the input.
     pub fn forward_to_vec(&self, a: &[u64]) -> Vec<u64> {
         let mut v = vec![0u64; self.n];

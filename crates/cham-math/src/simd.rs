@@ -153,7 +153,7 @@ impl Backend {
         }
     }
 
-    /// Stable numeric code for wire formats and run records.
+    /// Stable numeric code for wire formats.
     #[inline]
     #[must_use]
     pub const fn code(self) -> u8 {
@@ -330,7 +330,7 @@ pub enum Kernel {
 const KERNELS: usize = 5;
 
 impl Kernel {
-    /// Kernel family name as used in counter keys and run records.
+    /// Kernel family name as used in counter keys.
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
@@ -354,7 +354,7 @@ impl Kernel {
 
 /// Elements processed by full vector lanes vs the scalar tail, per kernel
 /// family, indexed like [`Kernel::ALL`]. These named counters are the one
-/// booking: [`simd_stats`] and run records both read them.
+/// booking: [`simd_stats`] and the counter snapshot both read them.
 static VECTOR: [Counter; KERNELS] = [
     Counter::new("cham_math.simd.fwd_butterfly.vector"),
     Counter::new("cham_math.simd.inv_butterfly.vector"),
@@ -1808,6 +1808,36 @@ mod tests {
         assert_eq!(Backend::from_name("amx"), None);
         assert_eq!(Backend::from_name("auto"), Some(Backend::detect_auto()));
         assert_eq!(Backend::from_name("  AVX2 "), Some(Backend::Avx2));
+    }
+
+    /// `auto` lands on the best tier the CPU reports, read from the
+    /// `flags` line of `/proc/cpuinfo` here, outside the dispatch code, so
+    /// a detection bug that quietly falls back to a lower tier fails.
+    #[test]
+    fn auto_resolves_to_the_best_tier_cpuinfo_reports() {
+        let Ok(cpuinfo) = std::fs::read_to_string("/proc/cpuinfo") else {
+            return; // no procfs
+        };
+        let flags: Vec<&str> = cpuinfo
+            .lines()
+            .find(|l| l.starts_with("flags"))
+            .and_then(|l| l.split_once(':'))
+            .map(|(_, f)| f.split_whitespace().collect())
+            .unwrap_or_default();
+        let has = |f: &str| flags.contains(&f);
+        let expected = if has("avx512ifma") && has("avx512f") && has("avx2") {
+            Backend::Avx512Ifma
+        } else if has("avx2") {
+            Backend::Avx2
+        } else {
+            Backend::Scalar
+        };
+        assert_eq!(
+            Backend::from_name("auto"),
+            Some(expected),
+            "cpuinfo flags: {flags:?}"
+        );
+        assert!(expected.available());
     }
 
     #[test]

@@ -76,38 +76,6 @@ impl CycleReport {
     pub fn seconds(&self, clock_hz: f64) -> f64 {
         self.total_cycles as f64 / clock_hz
     }
-
-    /// Fraction of `total_cycles` the steady-state pipeline loses to
-    /// stalls and fill/drain overhead (0.0 = perfectly overlapped).
-    pub fn stall_fraction(&self) -> f64 {
-        if self.total_cycles == 0 {
-            return 0.0;
-        }
-        (self.stall_cycles + self.overhead_cycles) as f64 / self.total_cycles as f64
-    }
-
-    /// All cycle-accounting fields plus the derived stall fraction as a
-    /// JSON object, for embedding in benchmark run records.
-    pub fn to_json(&self) -> cham_telemetry::json::JsonValue {
-        use cham_telemetry::json::JsonValue;
-        JsonValue::Object(vec![
-            ("total_cycles".into(), JsonValue::UInt(self.total_cycles)),
-            ("ntt_cycles".into(), JsonValue::UInt(self.ntt_cycles)),
-            ("intt_cycles".into(), JsonValue::UInt(self.intt_cycles)),
-            ("mult_cycles".into(), JsonValue::UInt(self.mult_cycles)),
-            ("ppu_cycles".into(), JsonValue::UInt(self.ppu_cycles)),
-            ("pack_cycles".into(), JsonValue::UInt(self.pack_cycles)),
-            ("stall_cycles".into(), JsonValue::UInt(self.stall_cycles)),
-            (
-                "overhead_cycles".into(),
-                JsonValue::UInt(self.overhead_cycles),
-            ),
-            (
-                "stall_fraction".into(),
-                JsonValue::Float(self.stall_fraction()),
-            ),
-        ])
-    }
 }
 
 /// The HMVP cycle model for a full accelerator configuration.

@@ -233,36 +233,6 @@ impl PipelineTrace {
         busy as f64 / (Stage::ALL.len() as u64 * self.total_cycles) as f64
     }
 
-    /// Per-stage busy/stall/utilisation plus makespan and occupancy, as a
-    /// JSON object suitable for embedding in a benchmark run record.
-    pub fn metrics_json(&self) -> JsonValue {
-        let stages: Vec<(String, JsonValue)> = Stage::ALL
-            .iter()
-            .map(|&s| {
-                (
-                    s.to_string(),
-                    JsonValue::Object(vec![
-                        (
-                            "events".into(),
-                            JsonValue::from(self.stage_events(s).count()),
-                        ),
-                        ("busy_cycles".into(), JsonValue::UInt(self.stage_busy(s))),
-                        ("stall_cycles".into(), JsonValue::UInt(self.stage_stall(s))),
-                        (
-                            "utilization".into(),
-                            JsonValue::Float(self.stage_utilization(s)),
-                        ),
-                    ]),
-                )
-            })
-            .collect();
-        JsonValue::Object(vec![
-            ("total_cycles".into(), JsonValue::UInt(self.total_cycles)),
-            ("occupancy".into(), JsonValue::Float(self.occupancy())),
-            ("stages".into(), JsonValue::Object(stages)),
-        ])
-    }
-
     /// Converts the schedule to a Chrome Trace Event (Perfetto) trace:
     /// one named track per pipeline stage, one complete event per
     /// scheduled interval. Cycles are mapped to microseconds at
@@ -439,20 +409,6 @@ mod tests {
         for s in Stage::ALL {
             assert!(t.stage_busy(s) + t.stage_stall(s) <= t.total_cycles, "{s}");
         }
-    }
-
-    #[test]
-    fn metrics_json_shape() {
-        let t = trace(4);
-        let json = t.metrics_json().to_string();
-        assert!(json.contains("\"total_cycles\""));
-        assert!(json.contains("\"occupancy\""));
-        for s in Stage::ALL {
-            assert!(json.contains(&format!("\"{s}\"")), "{s} missing");
-        }
-        assert!(json.contains("\"busy_cycles\""));
-        assert!(json.contains("\"stall_cycles\""));
-        assert!(json.contains("\"utilization\""));
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! A dependency-free JSON value, writer, and parser.
 //!
 //! The build environment cannot fetch `serde_json`, and the telemetry
-//! crate's needs are write-mostly (metric dumps, trace files, run
-//! records), so this module provides a small owned [`JsonValue`] tree
-//! with compact and pretty rendering. Object key order is preserved as
-//! inserted (deliberate: run records diff cleanly). [`JsonValue::parse`]
-//! reads documents back — used to validate that emitted traces and
-//! introspection snapshots round-trip.
+//! crate's needs are write-mostly (introspection snapshots, trace
+//! files), so this module provides a small owned [`JsonValue`] tree with
+//! compact rendering. Object key order is preserved as inserted.
+//! [`JsonValue::parse`] reads documents back — used to validate that
+//! emitted traces and introspection snapshots round-trip.
 
 use std::fmt::Write as _;
 
@@ -37,12 +36,6 @@ impl From<&str> for JsonValue {
     }
 }
 
-impl From<String> for JsonValue {
-    fn from(s: String) -> Self {
-        JsonValue::Str(s)
-    }
-}
-
 impl From<u64> for JsonValue {
     fn from(v: u64) -> Self {
         JsonValue::UInt(v)
@@ -52,24 +45,6 @@ impl From<u64> for JsonValue {
 impl From<usize> for JsonValue {
     fn from(v: usize) -> Self {
         JsonValue::UInt(v as u64)
-    }
-}
-
-impl From<i64> for JsonValue {
-    fn from(v: i64) -> Self {
-        JsonValue::Int(v)
-    }
-}
-
-impl From<f64> for JsonValue {
-    fn from(v: f64) -> Self {
-        JsonValue::Float(v)
-    }
-}
-
-impl From<bool> for JsonValue {
-    fn from(v: bool) -> Self {
-        JsonValue::Bool(v)
     }
 }
 
@@ -142,59 +117,6 @@ impl JsonValue {
                 out.push('}');
             }
         }
-    }
-
-    fn write_pretty(&self, out: &mut String, indent: usize) {
-        const STEP: usize = 2;
-        match self {
-            JsonValue::Array(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    for _ in 0..indent + STEP {
-                        out.push(' ');
-                    }
-                    item.write_pretty(out, indent + STEP);
-                }
-                out.push('\n');
-                for _ in 0..indent {
-                    out.push(' ');
-                }
-                out.push(']');
-            }
-            JsonValue::Object(entries) if !entries.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    for _ in 0..indent + STEP {
-                        out.push(' ');
-                    }
-                    out.push('"');
-                    escape_into(out, k);
-                    out.push_str("\": ");
-                    v.write_pretty(out, indent + STEP);
-                }
-                out.push('\n');
-                for _ in 0..indent {
-                    out.push(' ');
-                }
-                out.push('}');
-            }
-            other => other.write_compact(out),
-        }
-    }
-
-    /// Renders with two-space indentation (trailing newline included).
-    #[must_use]
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out.push('\n');
-        out
     }
 
     /// Parses a JSON document.
@@ -540,20 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn pretty_rendering_is_indented_and_reparses_shape() {
-        let v = JsonValue::Object(vec![
-            ("empty_arr".into(), JsonValue::Array(vec![])),
-            ("empty_obj".into(), JsonValue::Object(vec![])),
-            ("nested".into(), JsonValue::Array(vec![JsonValue::UInt(7)])),
-        ]);
-        let p = v.pretty();
-        assert!(p.contains("\"empty_arr\": []"));
-        assert!(p.contains("\"empty_obj\": {}"));
-        assert!(p.contains("  \"nested\": [\n    7\n  ]"));
-        assert!(p.ends_with('\n'));
-    }
-
-    #[test]
     fn non_finite_floats_become_null() {
         assert_eq!(JsonValue::Float(f64::NAN).to_string(), "null");
         assert_eq!(JsonValue::Float(f64::INFINITY).to_string(), "null");
@@ -578,7 +486,14 @@ mod tests {
             ("f".into(), JsonValue::UInt(u64::MAX)),
         ]);
         assert_eq!(JsonValue::parse(&v.to_string()).unwrap(), v);
-        assert_eq!(JsonValue::parse(&v.pretty()).unwrap(), v);
+        let spaced = " {\"a\" : [ 1 ,\n\t2 ] }\n";
+        assert_eq!(
+            JsonValue::parse(spaced).unwrap(),
+            JsonValue::Object(vec![(
+                "a".into(),
+                JsonValue::Array(vec![JsonValue::UInt(1), JsonValue::UInt(2)])
+            )])
+        );
     }
 
     #[test]

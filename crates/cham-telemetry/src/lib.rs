@@ -2,8 +2,7 @@
 //!
 //! Every other crate in the workspace reports *what it actually did*
 //! through this one: how many NTTs, row tails and key-switches an HMVP
-//! cost, where one request's time went, and what a whole benchmark run
-//! looked like. The primitives:
+//! cost and where one request's time went. The primitives:
 //!
 //! * **Counters** ([`counter_add!`]) — process-wide relaxed atomics named
 //!   `<crate>.<module>.<op>`, e.g. `cham_math.ntt.forward`.
@@ -14,9 +13,7 @@
 //! * **Latency distributions** ([`LiveHistogram`]) — a caller-owned log₂
 //!   histogram, the one histogram type (the serving stack's per-phase
 //!   `Introspect` breakdown, `fig8_hmvp`'s per-rep spread).
-//! * **Exporters** — the structured benchmark [`record::RunRecord`]
-//!   schema that `cham-bench --json` binaries emit (the counter snapshot
-//!   included, one key per name), and Chrome trace JSON ([`trace`]).
+//! * **Chrome trace JSON** ([`trace`]) — span timelines for Perfetto.
 //!
 //! There is one build and every hook in it is live: a counter add is one
 //! relaxed flag load plus one relaxed `fetch_add`. Instrumented code
@@ -46,7 +43,6 @@ pub mod flight;
 pub mod fmt;
 pub mod histogram;
 pub mod json;
-pub mod record;
 pub mod span;
 pub mod trace;
 
@@ -54,7 +50,6 @@ pub use counters::Counter;
 pub use flight::FlightRecorder;
 pub use histogram::LiveHistogram;
 pub use json::JsonValue;
-pub use record::RunRecord;
 pub use span::{Span, SpanRecorder, TraceId};
 
 /// Adds `$n` to the process-wide counter named `$name`.
