@@ -80,13 +80,6 @@ impl FixedCodec {
         let centred = self.t.center(self.t.reduce(v));
         centred as f64 / (1i64 << (self.frac_bits * scale_power)) as f64
     }
-
-    /// Decodes a slice at an accumulated scale.
-    pub fn decode_vec_scaled(&self, vs: &[u64], scale_power: u32) -> Vec<f64> {
-        vs.iter()
-            .map(|&v| self.decode_scaled(v, scale_power))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -142,9 +135,8 @@ mod tests {
         let c = codec();
         let xs = [0.5, -1.25, 3.0];
         let enc: Vec<u64> = xs.iter().map(|&x| c.encode(x).unwrap()).collect();
-        let dec = c.decode_vec_scaled(&enc, 1);
-        for (a, b) in xs.iter().zip(&dec) {
-            assert!((a - b).abs() < 0.02);
+        for (a, &v) in xs.iter().zip(&enc) {
+            assert!((a - c.decode(v)).abs() < 0.02);
         }
     }
 }

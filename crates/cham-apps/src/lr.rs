@@ -113,11 +113,6 @@ impl StepTiming {
     pub fn total(&self) -> f64 {
         self.encrypt + self.add_vec + self.matvec + self.decrypt
     }
-
-    /// Total with the matvec offloaded to the modelled accelerator.
-    pub fn total_with_accelerator(&self) -> f64 {
-        self.encrypt + self.add_vec + self.matvec_simulated + self.decrypt
-    }
 }
 
 /// The outcome of a training run.
@@ -211,12 +206,19 @@ impl HeteroLr {
     /// measured per-step timings.
     ///
     /// # Errors
-    /// Shape or overflow failures from the fixed-point plan.
+    /// [`AppError::InvalidConfig`] for an empty dataset or a zero batch
+    /// size; shape or overflow failures from the fixed-point plan.
     pub fn train<R: Rng + ?Sized>(
         &self,
         data: &VerticalDataset,
         rng: &mut R,
     ) -> Result<TrainingResult> {
+        if data.samples() == 0 {
+            return Err(AppError::InvalidConfig("dataset is empty"));
+        }
+        if self.config.batch_size == Some(0) {
+            return Err(AppError::InvalidConfig("batch size must be positive"));
+        }
         let da = data.features_a[0].len();
         let db = data.features_b[0].len();
         let mut wa = vec![0.0f64; da];
@@ -553,20 +555,6 @@ pub fn train_plain(data: &VerticalDataset, config: &LrConfig) -> TrainingResult 
     }
 }
 
-/// Validates a config/dataset combination before training (mirrors the
-/// checks `train` performs lazily).
-pub fn validate_shapes(config: &LrConfig, data: &VerticalDataset) -> Result<()> {
-    if data.samples() == 0 {
-        return Err(AppError::InvalidConfig("dataset is empty"));
-    }
-    if let Some(b) = config.batch_size {
-        if b == 0 {
-            return Err(AppError::InvalidConfig("batch size must be positive"));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,7 +600,7 @@ mod tests {
         assert!(result
             .timings
             .iter()
-            .all(|t| t.total_with_accelerator() <= t.total()));
+            .all(|t| t.matvec_simulated <= t.matvec));
         assert!(result.transcript.total_bytes() > 0);
     }
 
@@ -663,7 +651,6 @@ mod tests {
             iterations: 15,
             ..small_config()
         };
-        validate_shapes(&cfg, &data).unwrap();
         let lr = HeteroLr::new(cfg, &mut rng).unwrap();
         let result = lr.train(&data, &mut rng).unwrap();
         assert!(*result.accuracy_history.last().unwrap() > 0.7);
@@ -681,10 +668,25 @@ mod tests {
     fn validate_rejects_bad_shapes() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(47);
         let data = VerticalDataset::generate(10, 2, 2, 0.0, &mut rng);
+        let lr = HeteroLr::new(small_config(), &mut rng).unwrap();
+        let empty = VerticalDataset {
+            features_a: vec![],
+            features_b: vec![],
+            labels: vec![],
+            true_weights: vec![],
+        };
+        assert!(matches!(
+            lr.train(&empty, &mut rng),
+            Err(AppError::InvalidConfig(_))
+        ));
         let cfg = LrConfig {
             batch_size: Some(0),
             ..small_config()
         };
-        assert!(validate_shapes(&cfg, &data).is_err());
+        let lr = HeteroLr::new(cfg, &mut rng).unwrap();
+        assert!(matches!(
+            lr.train(&data, &mut rng),
+            Err(AppError::InvalidConfig(_))
+        ));
     }
 }

@@ -82,15 +82,6 @@ impl Transcript {
             .filter(|w| (w[0].from, w[0].to) != (w[1].from, w[1].to))
             .count()
     }
-
-    /// Bytes sent by one role.
-    pub fn bytes_from(&self, role: Role) -> usize {
-        self.messages
-            .iter()
-            .filter(|m| m.from == role)
-            .map(|m| m.bytes)
-            .sum()
-    }
 }
 
 /// Serialized size of an RLWE ciphertext in bytes (limbs × degree × 8 per
@@ -111,7 +102,6 @@ mod tests {
         t.send(Role::PartyB, Role::Arbiter, "[[grad]]", 2000);
         assert_eq!(t.total_bytes(), 3500);
         assert_eq!(t.rounds(), 2);
-        assert_eq!(t.bytes_from(Role::PartyA), 1500);
         assert_eq!(t.messages().len(), 3);
     }
 

@@ -116,31 +116,6 @@ impl CoeffEncoder {
         }
         Ok(Plaintext { values })
     }
-
-    /// Encodes signed values (e.g. fixed-point shares), mapping into
-    /// `[0, t)`.
-    ///
-    /// # Errors
-    /// [`HeError::ShapeMismatch`] if `v` is longer than the degree.
-    pub fn encode_vector_signed(&self, v: &[i64]) -> Result<Plaintext> {
-        let n = self.params.degree();
-        if v.len() > n {
-            return Err(HeError::ShapeMismatch {
-                expected: n,
-                got: v.len(),
-            });
-        }
-        let t = self.t();
-        let mut values: Vec<u64> = v.iter().map(|&x| t.from_signed(x)).collect();
-        values.resize(n, 0);
-        Ok(Plaintext { values })
-    }
-
-    /// Decodes a plaintext back to centred signed values.
-    pub fn decode_signed(&self, pt: &Plaintext) -> Vec<i64> {
-        let t = self.t();
-        pt.values().iter().map(|&v| t.center(v)).collect()
-    }
 }
 
 /// Batch (SIMD) encoder over the plaintext modulus — requires
@@ -287,16 +262,6 @@ mod tests {
         assert_eq!(&pt.values()[..4], &[1, 2, 3, 0]);
         assert!(enc.encode_vector(&vec![0; p.degree() + 1]).is_err());
         assert!(enc.encode_row(&vec![0; p.degree() + 1]).is_err());
-    }
-
-    #[test]
-    fn signed_roundtrip() {
-        let p = params();
-        let enc = CoeffEncoder::new(&p);
-        let vals = vec![-5i64, 0, 7, -32768, 32767];
-        let pt = enc.encode_vector_signed(&vals).unwrap();
-        let back = enc.decode_signed(&pt);
-        assert_eq!(&back[..5], &vals[..]);
     }
 
     #[test]

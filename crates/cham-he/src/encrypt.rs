@@ -211,12 +211,6 @@ impl Decryptor {
         self.decrypt_with_noise(ct).plaintext
     }
 
-    /// Decrypts an augmented-basis ciphertext (alias of [`Self::decrypt`],
-    /// kept for API symmetry with [`Encryptor::encrypt_augmented`]).
-    pub fn decrypt_augmented(&self, ct: &RlweCiphertext) -> Plaintext {
-        self.decrypt(ct)
-    }
-
     /// Decrypts and reports the exact invariant noise.
     pub fn decrypt_with_noise(&self, ct: &RlweCiphertext) -> NoiseReport {
         let phase = self.phase(ct);
@@ -336,7 +330,7 @@ mod tests {
     fn roundtrip_normal_basis() {
         let (params, _, enc, dec, mut rng) = setup();
         let coder = CoeffEncoder::new(&params);
-        let pt = coder.encode_vector_signed(&[-3, 7, 0, 12345]).unwrap();
+        let pt = coder.encode_vector(&[65534, 7, 0, 12345]).unwrap();
         let ct = enc.encrypt(&pt, &mut rng);
         assert_eq!(dec.decrypt(&ct).values(), pt.values());
     }

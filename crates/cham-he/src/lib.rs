@@ -42,7 +42,7 @@
 //! let v = vec![5u64; params.degree()];
 //! let pt = CoeffEncoder::new(&params).encode_vector(&v)?;
 //! let ct = enc.encrypt_augmented(&pt, &mut rng);
-//! let out = dec.decrypt_augmented(&ct);
+//! let out = dec.decrypt(&ct);
 //! assert_eq!(out.values()[0], 5);
 //! # Ok::<(), cham_he::HeError>(())
 //! ```

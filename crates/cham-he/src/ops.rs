@@ -145,25 +145,6 @@ pub fn add_plain(
     RlweCiphertext::new(scaled, ct.a().clone())
 }
 
-/// Small-scalar multiplication: `ct' = c·ct`, multiplying the plaintext by
-/// the *centred* representative of `c mod t` (noise scales with `|c|`, so
-/// keep `c` small).
-pub fn mul_plain_scalar(ct: &RlweCiphertext, c: u64, params: &ChamParams) -> RlweCiphertext {
-    let t = params.plain_modulus();
-    let centred = t.center(t.reduce(c));
-    let ctx = ct.b().context();
-    let apply = |p: &RnsPoly| {
-        let limbs = p
-            .limbs()
-            .iter()
-            .zip(ctx.moduli())
-            .map(|(l, m)| l.mul_scalar(m.from_signed(centred), m))
-            .collect();
-        RnsPoly::from_limbs(ctx, limbs, p.form()).expect("limbs match context")
-    };
-    RlweCiphertext::new(apply(ct.b()), apply(ct.a())).expect("components consistent")
-}
-
 /// RESCALE (pipeline stage-4): divide an augmented-basis ciphertext by the
 /// special modulus `p`, producing a normal-basis ciphertext and shrinking
 /// the multiplication noise by `≈ log2 p` bits.
@@ -667,11 +648,17 @@ mod tests {
         let got = dec.decrypt(&sum);
         assert_eq!(got.values()[0], 107);
         assert_eq!(got.values()[1], t.add(65530, 10));
-        // Scalar multiply by 3 and by t−1 (i.e. −1).
-        let tripled = mul_plain_scalar(&ct, 3, &params);
-        assert_eq!(dec.decrypt(&tripled).values()[0], 300);
-        let negated = mul_plain_scalar(&ct, t.value() - 1, &params);
-        assert_eq!(dec.decrypt(&negated).values()[0], t.value() - 100);
+        // Scalar multiply (a constant plaintext, then rescale) by 3 and by
+        // t−1 (i.e. −1).
+        let scale = |c: u64| {
+            let pt = coder.encode_vector(&[c]).unwrap();
+            rescale(&mul_plain(&ct, &pt, &params).unwrap(), &params).unwrap()
+        };
+        assert_eq!(dec.decrypt(&scale(3)).values()[0], 300);
+        assert_eq!(
+            dec.decrypt(&scale(t.value() - 1)).values()[0],
+            t.value() - 100
+        );
     }
 
     #[test]

@@ -139,12 +139,6 @@ impl ChamParams {
         self.q_product() / self.plain_modulus.value() as u128
     }
 
-    /// `⌊Qp/t⌋`, the plaintext scale of augmented ciphertexts.
-    #[inline]
-    pub fn delta_augmented(&self) -> u128 {
-        self.aug_ctx.modulus_product() / self.plain_modulus.value() as u128
-    }
-
     /// Total ciphertext modulus bits (the paper's "109 bit" figure:
     /// 34 + 34.3 + 38 ≈ 106–109 depending on rounding convention).
     pub fn total_modulus_bits(&self) -> u32 {
@@ -345,8 +339,8 @@ mod tests {
     fn delta_scales() {
         let p = ChamParams::insecure_test_default().unwrap();
         let d = p.delta();
-        let da = p.delta_augmented();
-        // delta_aug / delta ≈ p
+        // ⌊Qp/t⌋, the scale of augmented ciphertexts, over Δ ≈ p.
+        let da = p.augmented_context().modulus_product() / p.plain_modulus().value() as u128;
         let ratio = da / d;
         let sp = p.special_prime() as u128;
         assert!(ratio >= sp - 1 && ratio <= sp + 1, "ratio={ratio}");

@@ -1,22 +1,27 @@
-//! Wire format: byte serialization for ciphertexts and plaintexts.
+//! Wire format: byte serialization for ciphertexts, keys and encoded
+//! matrices.
 //!
-//! The two-party protocols (§II-F) ship ciphertexts between machines; this
-//! module defines the byte layout the `cham-apps` transcripts charge for
-//! and round-trips it losslessly. The format is deliberately simple and
-//! versioned:
+//! Every extracted LWE is packed back into an RLWE before a result leaves
+//! the pipeline (§II-D), so what crosses a machine boundary is RLWE
+//! ciphertexts, Galois key sets and pre-encoded matrices: `cham-serve`
+//! frames and its store segments carry this layout and round-trip it
+//! losslessly. The format is deliberately simple and versioned:
 //!
 //! ```text
 //! [magic u16 = 0xC4A7] [version u8] [kind u8]
-//! [degree u32 LE] [limb_count u8] [limb moduli u64 LE ...]
+//! [degree u32 LE] [limb_count u8 > 0] [limb moduli u64 LE ...]
 //! payload (kind-specific), all coefficients u64 LE
 //! ```
+//!
+//! A Galois key set is the exception: after its kind byte it carries a
+//! count and length-prefixed key-switch-key frames, each with a header of
+//! its own.
 //!
 //! Deserialization validates the header against the receiver's parameter
 //! set — a ciphertext for foreign parameters is rejected, not
 //! misinterpreted.
 
-use crate::ciphertext::{LweCiphertext, RlweCiphertext};
-use crate::encoding::Plaintext;
+use crate::ciphertext::RlweCiphertext;
 use crate::hmvp::EncodedMatrix;
 use crate::params::ChamParams;
 use crate::{HeError, Result};
@@ -26,13 +31,13 @@ use cham_math::rns::{Form, RnsContext, RnsPoly};
 const MAGIC: u16 = 0xC4A7;
 const VERSION: u8 = 1;
 
-/// Payload discriminator.
+/// Payload discriminator. 2 and 3 are retired (an LWE ciphertext and a
+/// bare plaintext, which nothing sent): they are rejected as unknown and
+/// are not to be reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 enum Kind {
     Rlwe = 1,
-    Lwe = 2,
-    Plain = 3,
     Ksk = 4,
     GaloisSet = 5,
     EncodedMatrix = 6,
@@ -42,8 +47,6 @@ impl Kind {
     fn from_u8(v: u8) -> Result<Self> {
         match v {
             1 => Ok(Kind::Rlwe),
-            2 => Ok(Kind::Lwe),
-            3 => Ok(Kind::Plain),
             4 => Ok(Kind::Ksk),
             5 => Ok(Kind::GaloisSet),
             6 => Ok(Kind::EncodedMatrix),
@@ -52,19 +55,14 @@ impl Kind {
     }
 }
 
-fn write_header(out: &mut Vec<u8>, kind: Kind, ctx: Option<&RnsContext>, degree: usize) {
+fn write_header(out: &mut Vec<u8>, kind: Kind, ctx: &RnsContext) {
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.push(VERSION);
     out.push(kind as u8);
-    out.extend_from_slice(&(degree as u32).to_le_bytes());
-    match ctx {
-        Some(ctx) => {
-            out.push(ctx.len() as u8);
-            for m in ctx.moduli() {
-                out.extend_from_slice(&m.value().to_le_bytes());
-            }
-        }
-        None => out.push(0),
+    out.extend_from_slice(&(ctx.degree() as u32).to_le_bytes());
+    out.push(ctx.len() as u8);
+    for m in ctx.moduli() {
+        out.extend_from_slice(&m.value().to_le_bytes());
     }
 }
 
@@ -108,10 +106,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn read_header<'a>(
-    r: &mut Reader<'a>,
-    params: &ChamParams,
-) -> Result<(Kind, usize, Option<RnsContext>)> {
+fn read_header(r: &mut Reader<'_>, params: &ChamParams) -> Result<(Kind, RnsContext)> {
     if r.u16()? != MAGIC {
         return Err(HeError::Incompatible("bad wire magic"));
     }
@@ -127,40 +122,38 @@ fn read_header<'a>(
         });
     }
     let limbs = r.u8()? as usize;
-    let ctx = if limbs == 0 {
-        None
+    if limbs == 0 {
+        return Err(HeError::Incompatible("wire payload missing modulus chain"));
+    }
+    let mut primes = Vec::with_capacity(limbs);
+    for _ in 0..limbs {
+        primes.push(r.u64()?);
+    }
+    // Only the receiver's known bases are acceptable.
+    let ct_primes: Vec<u64> = params
+        .ciphertext_context()
+        .moduli()
+        .iter()
+        .map(|m| m.value())
+        .collect();
+    let aug_primes: Vec<u64> = params
+        .augmented_context()
+        .moduli()
+        .iter()
+        .map(|m| m.value())
+        .collect();
+    let ctx = if primes == ct_primes {
+        params.ciphertext_context().clone()
+    } else if primes == aug_primes {
+        params.augmented_context().clone()
+    } else if primes.len() == 1 && primes[0] == ct_primes[0] {
+        params.ciphertext_context().drop_last()?
     } else {
-        let mut primes = Vec::with_capacity(limbs);
-        for _ in 0..limbs {
-            primes.push(r.u64()?);
-        }
-        // Only the receiver's known bases are acceptable.
-        let ct_primes: Vec<u64> = params
-            .ciphertext_context()
-            .moduli()
-            .iter()
-            .map(|m| m.value())
-            .collect();
-        let aug_primes: Vec<u64> = params
-            .augmented_context()
-            .moduli()
-            .iter()
-            .map(|m| m.value())
-            .collect();
-        let ctx = if primes == ct_primes {
-            params.ciphertext_context().clone()
-        } else if primes == aug_primes {
-            params.augmented_context().clone()
-        } else if primes.len() == 1 && primes[0] == ct_primes[0] {
-            params.ciphertext_context().drop_last()?
-        } else {
-            return Err(HeError::Incompatible(
-                "wire payload uses a foreign modulus chain",
-            ));
-        };
-        Some(ctx)
+        return Err(HeError::Incompatible(
+            "wire payload uses a foreign modulus chain",
+        ));
     };
-    Ok((kind, degree, ctx))
+    Ok((kind, ctx))
 }
 
 fn write_rns_poly(out: &mut Vec<u8>, p: &RnsPoly) {
@@ -196,7 +189,7 @@ pub fn rlwe_to_bytes(ct: &RlweCiphertext) -> Vec<u8> {
     c.to_coeff();
     let ctx = c.b().context().clone();
     let mut out = Vec::with_capacity(16 + 2 * ctx.len() * ctx.degree() * 8);
-    write_header(&mut out, Kind::Rlwe, Some(&ctx), ctx.degree());
+    write_header(&mut out, Kind::Rlwe, &ctx);
     write_rns_poly(&mut out, c.b());
     write_rns_poly(&mut out, c.a());
     out
@@ -209,11 +202,10 @@ pub fn rlwe_to_bytes(ct: &RlweCiphertext) -> Vec<u8> {
 /// truncated, foreign-parameter, or trailing-garbage payloads.
 pub fn rlwe_from_bytes(data: &[u8], params: &ChamParams) -> Result<RlweCiphertext> {
     let mut r = Reader::new(data);
-    let (kind, _, ctx) = read_header(&mut r, params)?;
+    let (kind, ctx) = read_header(&mut r, params)?;
     if kind != Kind::Rlwe {
         return Err(HeError::Incompatible("expected an rlwe payload"));
     }
-    let ctx = ctx.ok_or(HeError::Incompatible("rlwe payload missing modulus chain"))?;
     let b = read_rns_poly(&mut r, &ctx)?;
     let a = read_rns_poly(&mut r, &ctx)?;
     if !r.done() {
@@ -222,51 +214,11 @@ pub fn rlwe_from_bytes(data: &[u8], params: &ChamParams) -> Result<RlweCiphertex
     RlweCiphertext::new(b, a)
 }
 
-/// Serializes an LWE ciphertext.
-pub fn lwe_to_bytes(ct: &LweCiphertext) -> Vec<u8> {
-    let ctx = ct.a().context().clone();
-    let mut out = Vec::with_capacity(16 + (ctx.len() + ctx.len() * ctx.degree()) * 8);
-    write_header(&mut out, Kind::Lwe, Some(&ctx), ctx.degree());
-    for &b in ct.b() {
-        out.extend_from_slice(&b.to_le_bytes());
-    }
-    write_rns_poly(&mut out, ct.a());
-    out
-}
-
-/// Deserializes an LWE ciphertext.
-///
-/// # Errors
-/// Same conditions as [`rlwe_from_bytes`].
-pub fn lwe_from_bytes(data: &[u8], params: &ChamParams) -> Result<LweCiphertext> {
-    let mut r = Reader::new(data);
-    let (kind, _, ctx) = read_header(&mut r, params)?;
-    if kind != Kind::Lwe {
-        return Err(HeError::Incompatible("expected an lwe payload"));
-    }
-    let ctx = ctx.ok_or(HeError::Incompatible("lwe payload missing modulus chain"))?;
-    let mut b = Vec::with_capacity(ctx.len());
-    for m in ctx.moduli() {
-        let v = r.u64()?;
-        if v >= m.value() {
-            return Err(HeError::Incompatible(
-                "wire coefficient out of canonical range",
-            ));
-        }
-        b.push(v);
-    }
-    let a = read_rns_poly(&mut r, &ctx)?;
-    if !r.done() {
-        return Err(HeError::Incompatible("trailing bytes after lwe payload"));
-    }
-    LweCiphertext::new(b, a)
-}
-
 /// Serializes a key-switch key (NTT-form digits over the augmented basis).
 pub fn ksk_to_bytes(ksk: &crate::keys::KeySwitchKey) -> Vec<u8> {
     let ctx = ksk.b[0].context().clone();
     let mut out = Vec::new();
-    write_header(&mut out, Kind::Ksk, Some(&ctx), ctx.degree());
+    write_header(&mut out, Kind::Ksk, &ctx);
     out.push(ksk.digit_count() as u8);
     for i in 0..ksk.digit_count() {
         write_rns_poly(&mut out, &ksk.b[i]);
@@ -281,11 +233,10 @@ pub fn ksk_to_bytes(ksk: &crate::keys::KeySwitchKey) -> Vec<u8> {
 /// Same conditions as [`rlwe_from_bytes`].
 pub fn ksk_from_bytes(data: &[u8], params: &ChamParams) -> Result<crate::keys::KeySwitchKey> {
     let mut r = Reader::new(data);
-    let (kind, _, ctx) = read_header(&mut r, params)?;
+    let (kind, ctx) = read_header(&mut r, params)?;
     if kind != Kind::Ksk {
         return Err(HeError::Incompatible("expected a key-switch-key payload"));
     }
-    let ctx = ctx.ok_or(HeError::Incompatible("ksk payload missing modulus chain"))?;
     if ctx != *params.augmented_context() {
         return Err(HeError::Incompatible(
             "ksk must live in the augmented basis",
@@ -392,7 +343,7 @@ pub fn encoded_matrix_to_bytes(m: &EncodedMatrix) -> Result<Vec<u8>> {
     let (rows, cols) = m.shape();
     let col_tiles = m.col_tiles();
     let mut out = Vec::with_capacity(28 + rows * col_tiles * ctx.len() * ctx.degree() * 8);
-    write_header(&mut out, Kind::EncodedMatrix, Some(&ctx), ctx.degree());
+    write_header(&mut out, Kind::EncodedMatrix, &ctx);
     out.extend_from_slice(&(rows as u32).to_le_bytes());
     out.extend_from_slice(&(cols as u32).to_le_bytes());
     out.extend_from_slice(&(col_tiles as u32).to_le_bytes());
@@ -415,13 +366,11 @@ pub fn encoded_matrix_to_bytes(m: &EncodedMatrix) -> Result<Vec<u8>> {
 /// exactly (checked before any tile allocation).
 pub fn encoded_matrix_from_bytes(data: &[u8], params: &ChamParams) -> Result<EncodedMatrix> {
     let mut r = Reader::new(data);
-    let (kind, degree, ctx) = read_header(&mut r, params)?;
+    let (kind, ctx) = read_header(&mut r, params)?;
     if kind != Kind::EncodedMatrix {
         return Err(HeError::Incompatible("expected an encoded-matrix payload"));
     }
-    let ctx = ctx.ok_or(HeError::Incompatible(
-        "encoded-matrix payload missing modulus chain",
-    ))?;
+    let degree = ctx.degree();
     if ctx != *params.augmented_context() {
         return Err(HeError::Incompatible(
             "encoded matrix must live in the augmented basis",
@@ -461,49 +410,11 @@ pub fn encoded_matrix_from_bytes(data: &[u8], params: &ChamParams) -> Result<Enc
     Ok(EncodedMatrix::from_tiles(rows, cols, tiles))
 }
 
-/// Serializes a plaintext.
-pub fn plaintext_to_bytes(pt: &Plaintext) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + pt.len() * 8);
-    write_header(&mut out, Kind::Plain, None, pt.len());
-    for &v in pt.values() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Deserializes a plaintext.
-///
-/// # Errors
-/// Same conditions as [`rlwe_from_bytes`], plus values must be below `t`.
-pub fn plaintext_from_bytes(data: &[u8], params: &ChamParams) -> Result<Plaintext> {
-    let mut r = Reader::new(data);
-    let (kind, degree, _) = read_header(&mut r, params)?;
-    if kind != Kind::Plain {
-        return Err(HeError::Incompatible("expected a plaintext payload"));
-    }
-    let t = params.plain_modulus().value();
-    let mut values = Vec::with_capacity(degree);
-    for _ in 0..degree {
-        let v = r.u64()?;
-        if v >= t {
-            return Err(HeError::Incompatible("plaintext value exceeds the modulus"));
-        }
-        values.push(v);
-    }
-    if !r.done() {
-        return Err(HeError::Incompatible(
-            "trailing bytes after plaintext payload",
-        ));
-    }
-    Ok(Plaintext::from_values(values))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoding::CoeffEncoder;
     use crate::encrypt::{Decryptor, Encryptor};
-    use crate::extract::extract_lwe;
     use crate::keys::SecretKey;
     use rand::SeedableRng;
 
@@ -558,24 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn lwe_roundtrip() {
-        let (params, enc, dec, coder, mut rng) = setup();
-        let ct = enc.encrypt(&coder.encode_vector(&[777]).unwrap(), &mut rng);
-        let lwe = extract_lwe(&ct, 0).unwrap();
-        let back = lwe_from_bytes(&lwe_to_bytes(&lwe), &params).unwrap();
-        assert_eq!(dec.decrypt_lwe(&back), 777);
-        assert_eq!(back, lwe);
-    }
-
-    #[test]
-    fn plaintext_roundtrip() {
-        let (params, _, _, coder, _) = setup();
-        let pt = coder.encode_vector(&[1, 2, 3]).unwrap();
-        let back = plaintext_from_bytes(&plaintext_to_bytes(&pt), &params).unwrap();
-        assert_eq!(back, pt);
-    }
-
-    #[test]
     fn malformed_payloads_rejected() {
         let (params, enc, _, coder, mut rng) = setup();
         let ct = enc.encrypt(&coder.encode_vector(&[1]).unwrap(), &mut rng);
@@ -589,10 +482,19 @@ mod tests {
         let mut bad = good.clone();
         bad[2] = 99;
         assert!(rlwe_from_bytes(&bad, &params).is_err());
-        // Wrong kind.
+        // Wrong kind, including the retired LWE (2) and plaintext (3).
+        for kind in [2, 3, Kind::Ksk as u8] {
+            let mut bad = good.clone();
+            bad[3] = kind;
+            assert!(rlwe_from_bytes(&bad, &params).is_err());
+        }
+        // Zero limb count: every payload carries its modulus chain.
         let mut bad = good.clone();
-        bad[3] = Kind::Lwe as u8;
-        assert!(rlwe_from_bytes(&bad, &params).is_err());
+        bad[8] = 0;
+        assert!(matches!(
+            rlwe_from_bytes(&bad, &params),
+            Err(HeError::Incompatible(_))
+        ));
         // Truncated.
         assert!(rlwe_from_bytes(&good[..good.len() - 1], &params).is_err());
         // Trailing garbage.

@@ -2,13 +2,12 @@
 //! plus rejection of truncated and corrupted inputs.
 //!
 //! Round-trips are asserted two ways: structural equality where the type
-//! supports it (RLWE/LWE), and re-serialization equality everywhere
+//! supports it (RLWE), and re-serialization equality everywhere
 //! (`to_bytes(from_bytes(b)) == b`), which also pins the byte layout —
 //! a codec that "round-trips" by normalizing would fail it.
 
 use cham_he::encoding::CoeffEncoder;
 use cham_he::encrypt::Encryptor;
-use cham_he::extract::extract_lwe;
 use cham_he::keys::{GaloisKeys, KeySwitchKey, SecretKey};
 use cham_he::params::ChamParams;
 use cham_he::wire;
@@ -68,24 +67,19 @@ fn assert_all_truncations_fail<T>(
 
 /// Header layout: `[magic u16][version u8][kind u8][degree u32]
 /// [limb_count u8][moduli u64 …]`. Corrupting any of these fields must
-/// be rejected. Payloads without a modulus chain (plaintext) pass
-/// `with_chain = false` since offset 9 is already payload there.
+/// be rejected.
 fn assert_header_corruptions_fail<T>(
     bytes: &[u8],
-    with_chain: bool,
     parse: impl Fn(&[u8]) -> cham_he::Result<T>,
 ) -> std::result::Result<(), TestCaseError> {
-    let mut offsets = vec![
+    for (offset, what) in [
         (0, "magic"),
         (2, "version"),
         (3, "kind"),
         (4, "degree"),
         (8, "limb count"),
-    ];
-    if with_chain {
-        offsets.push((9, "modulus value"));
-    }
-    for (offset, what) in offsets {
+        (9, "modulus value"),
+    ] {
         let mut bad = bytes.to_vec();
         bad[offset] ^= 0xFF;
         prop_assert!(parse(&bad).is_err(), "corrupted {what} accepted");
@@ -117,7 +111,7 @@ proptest! {
         prop_assert_eq!(wire::rlwe_to_bytes(&back), bytes.clone());
 
         assert_all_truncations_fail(&bytes, cut, |b| wire::rlwe_from_bytes(b, &fix.params))?;
-        assert_header_corruptions_fail(&bytes, true, |b| wire::rlwe_from_bytes(b, &fix.params))?;
+        assert_header_corruptions_fail(&bytes, |b| wire::rlwe_from_bytes(b, &fix.params))?;
         // An out-of-range coefficient (≥ modulus) must be rejected, not
         // silently reduced: the first payload coefficient lives right
         // after the header.
@@ -125,49 +119,6 @@ proptest! {
         let mut bad = bytes.clone();
         bad[header..header + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         prop_assert!(wire::rlwe_from_bytes(&bad, &fix.params).is_err());
-    }
-
-    #[test]
-    fn lwe_roundtrip_and_rejection(
-        vals in vec(0..tval(), 1..48),
-        index in any::<usize>(),
-        seed in any::<u64>(),
-        cut in any::<usize>(),
-    ) {
-        let fix = fixture();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let pt = fix.coder.encode_vector(&vals).unwrap();
-        let ct = fix.enc.encrypt(&pt, &mut rng);
-        let lwe = extract_lwe(&ct, index % fix.params.degree()).unwrap();
-        let bytes = wire::lwe_to_bytes(&lwe);
-        let back = wire::lwe_from_bytes(&bytes, &fix.params).unwrap();
-        prop_assert_eq!(&back, &lwe);
-        prop_assert_eq!(wire::lwe_to_bytes(&back), bytes.clone());
-
-        assert_all_truncations_fail(&bytes, cut, |b| wire::lwe_from_bytes(b, &fix.params))?;
-        assert_header_corruptions_fail(&bytes, true, |b| wire::lwe_from_bytes(b, &fix.params))?;
-    }
-
-    #[test]
-    fn plaintext_roundtrip_and_rejection(
-        vals in vec(0..tval(), 1..48),
-        cut in any::<usize>(),
-    ) {
-        let fix = fixture();
-        let pt = fix.coder.encode_vector(&vals).unwrap();
-        let bytes = wire::plaintext_to_bytes(&pt);
-        let back = wire::plaintext_from_bytes(&bytes, &fix.params).unwrap();
-        // Plaintext has no PartialEq; byte-level identity pins both the
-        // decode and the layout.
-        prop_assert_eq!(wire::plaintext_to_bytes(&back), bytes.clone());
-        prop_assert_eq!(&back.values()[..vals.len()], &vals[..]);
-
-        assert_all_truncations_fail(&bytes, cut, |b| wire::plaintext_from_bytes(b, &fix.params))?;
-        assert_header_corruptions_fail(&bytes, false, |b| wire::plaintext_from_bytes(b, &fix.params))?;
-        // An out-of-range value (≥ t) must be rejected, not reduced.
-        let mut bad = bytes.clone();
-        bad[9..17].copy_from_slice(&u64::MAX.to_le_bytes());
-        prop_assert!(wire::plaintext_from_bytes(&bad, &fix.params).is_err());
     }
 
     #[test]
@@ -180,7 +131,7 @@ proptest! {
         prop_assert_eq!(wire::ksk_to_bytes(&back), bytes.clone());
 
         assert_all_truncations_fail(&bytes, cut, |b| wire::ksk_from_bytes(b, &fix.params))?;
-        assert_header_corruptions_fail(&bytes, true, |b| wire::ksk_from_bytes(b, &fix.params))?;
+        assert_header_corruptions_fail(&bytes, |b| wire::ksk_from_bytes(b, &fix.params))?;
     }
 
     #[test]

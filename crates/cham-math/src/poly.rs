@@ -47,8 +47,8 @@ impl Poly {
         Self { coeffs: vec![0; n] }
     }
 
-    /// Wraps a coefficient vector. Callers must ensure canonical form; use
-    /// [`Poly::reduce_in_place`] when unsure.
+    /// Wraps a coefficient vector. Callers must ensure canonical form;
+    /// [`Poly::from_signed`] maps arbitrary signed values into it.
     pub fn from_coeffs(coeffs: Vec<u64>) -> Self {
         Self { coeffs }
     }
@@ -88,13 +88,6 @@ impl Poly {
     #[inline]
     pub fn into_coeffs(self) -> Vec<u64> {
         self.coeffs
-    }
-
-    /// Reduce every coefficient into canonical form.
-    pub fn reduce_in_place(&mut self, q: &Modulus) {
-        for c in &mut self.coeffs {
-            *c = q.reduce(*c);
-        }
     }
 
     /// True when every coefficient is zero.
@@ -522,11 +515,7 @@ mod tests {
 
     #[test]
     fn zero_checks() {
-        let q = q17();
         assert!(Poly::zero(8).is_zero());
         assert!(!Poly::from_coeffs(vec![0, 1]).is_zero());
-        let mut p = Poly::from_coeffs(vec![18, 34]);
-        p.reduce_in_place(&q);
-        assert_eq!(p.coeffs(), &[1, 0]);
     }
 }

@@ -404,25 +404,6 @@ impl RnsPoly {
         self.form = Form::Coeff;
     }
 
-    /// Out-of-place batch domain conversion: fills `dst`'s existing limb
-    /// buffers with `NTT(self)` via [`NttTable::forward_into`], so repeated
-    /// conversions (e.g. lifting rows into scratch) allocate nothing.
-    /// `self` stays in coefficient form; `dst` ends in NTT form.
-    ///
-    /// # Errors
-    /// [`MathError::ContextMismatch`] unless `self` is in coefficient form
-    /// and `dst` shares this context.
-    pub fn to_ntt_into(&self, dst: &mut Self) -> Result<()> {
-        if self.form != Form::Coeff || self.ctx != dst.ctx {
-            return Err(MathError::ContextMismatch);
-        }
-        for ((table, src), limb) in self.ctx.tables.iter().zip(&self.limbs).zip(&mut dst.limbs) {
-            table.forward_into(src.coeffs(), limb.coeffs_mut());
-        }
-        dst.form = Form::Ntt;
-        Ok(())
-    }
-
     /// Limb-wise addition.
     ///
     /// # Errors
@@ -843,91 +824,25 @@ impl<'a> FusedAccumulator<'a> {
         self.pending = 0;
     }
 
-    /// Final reduction into `out`'s existing limb buffers (no allocation).
-    /// `out` ends in NTT form; the scratch is released for reuse.
-    ///
-    /// # Errors
-    /// [`MathError::ContextMismatch`] if `out`'s context differs.
-    pub fn finish_into(self, out: &mut RnsPoly) -> Result<()> {
-        if out.ctx != self.ctx {
-            return Err(MathError::ContextMismatch);
-        }
-        for (i, limb) in out.limbs.iter_mut().enumerate() {
-            self.finish_limb(i, limb.coeffs_mut());
+    /// Final reduction into a freshly allocated [`RnsPoly`] (NTT form);
+    /// the scratch is released for reuse.
+    pub fn finish(self) -> RnsPoly {
+        let n = self.ctx.degree();
+        let mut out = RnsPoly::zero(&self.ctx);
+        for (i, (limb, m)) in out.limbs.iter_mut().zip(self.ctx.moduli()).enumerate() {
+            if self.fresh {
+                // No term was ever accumulated: the sum is zero and the
+                // scratch contents are stale — do not reduce them.
+                limb.coeffs_mut().fill(0);
+            } else {
+                crate::poly::finish_accumulator(
+                    &self.acc[i * n..(i + 1) * n],
+                    m,
+                    limb.coeffs_mut(),
+                );
+            }
         }
         out.form = Form::Ntt;
-        Ok(())
-    }
-
-    /// [`Self::finish_into`] for flat scratch: `out` receives the
-    /// `len · degree` canonical NTT-domain residues, limb-major.
-    ///
-    /// # Errors
-    /// [`MathError::ContextMismatch`] if `out.len() != len · degree`.
-    pub fn finish_lanes_into(self, out: &mut [u64]) -> Result<()> {
-        if out.len() != self.acc.len() {
-            return Err(MathError::ContextMismatch);
-        }
-        for (i, limb) in out.chunks_exact_mut(self.ctx.degree()).enumerate() {
-            self.finish_limb(i, limb);
-        }
-        Ok(())
-    }
-
-    fn finish_limb(&self, i: usize, limb: &mut [u64]) {
-        let n = self.ctx.degree();
-        if self.fresh {
-            // No term was ever accumulated: the sum is zero and the
-            // scratch contents are stale — do not reduce them.
-            limb.fill(0);
-        } else {
-            let m = &self.ctx.moduli()[i];
-            crate::poly::finish_accumulator(&self.acc[i * n..(i + 1) * n], m, limb);
-        }
-    }
-
-    /// The constant coefficient of the accumulated sum, per limb, without
-    /// an inverse transform: coefficient 0 of a negacyclic INTT is
-    /// `n^{−1} · Σ lanes`, because every twiddle `ψ^{−(2k+1)·0}` it weighs
-    /// the lanes with is 1. `out[i]` is exactly what
-    /// `finish()` → `to_coeff()` would leave at index 0 of limb `i`.
-    ///
-    /// # Errors
-    /// [`MathError::ContextMismatch`] if `out.len() != len`.
-    pub fn finish_constant_coeffs(self, out: &mut [u64]) -> Result<()> {
-        if out.len() != self.ctx.len() {
-            return Err(MathError::ContextMismatch);
-        }
-        if self.fresh {
-            out.fill(0);
-            return Ok(());
-        }
-        let n = self.ctx.degree();
-        for (i, (o, m)) in out.iter_mut().zip(self.ctx.moduli()).enumerate() {
-            // Lanes are unreduced and may each be close to 2^128, so sum
-            // their 64-bit halves separately (n ≤ 2^20 of them fit a u128
-            // with room to spare) and reduce once:
-            // Σ lanes = Σ hi · 2^64 + Σ lo.
-            let (hi, lo) = self.acc[i * n..(i + 1) * n]
-                .iter()
-                .fold((0u128, 0u128), |(hi, lo), &lane| {
-                    (hi + (lane >> 64), lo + (lane as u64) as u128)
-                });
-            let sum = m.add(
-                m.mul(m.reduce_u128(hi), m.reduce_u128(1 << 64)),
-                m.reduce_u128(lo),
-            );
-            *o = self.ctx.tables[i].scale_by_n_inv(sum);
-        }
-        Ok(())
-    }
-
-    /// Final reduction into a freshly allocated [`RnsPoly`] (NTT form).
-    pub fn finish(self) -> RnsPoly {
-        let mut out = RnsPoly::zero(&self.ctx);
-        let ctx = self.ctx.clone();
-        self.finish_into(&mut out).expect("context matches");
-        debug_assert_eq!(out.ctx, ctx);
         out
     }
 }
@@ -1157,24 +1072,6 @@ mod tests {
     }
 
     #[test]
-    fn to_ntt_into_matches_in_place() {
-        let c = ctx3(64);
-        let mut rng = rng();
-        let coeffs: Vec<i64> = (0..64).map(|_| rng.gen_range(-100..100)).collect();
-        let a = RnsPoly::from_signed(&c, &coeffs).unwrap();
-        // dst starts as arbitrary garbage (a stale NTT-form value).
-        let mut dst = RnsPoly::from_signed(&c, &vec![7i64; 64]).unwrap();
-        dst.to_ntt();
-        a.to_ntt_into(&mut dst).unwrap();
-        let mut expect = a.clone();
-        expect.to_ntt();
-        assert_eq!(dst, expect);
-        assert_eq!(a.form(), Form::Coeff, "source untouched");
-        // NTT-form source is rejected.
-        assert!(expect.to_ntt_into(&mut dst).is_err());
-    }
-
-    #[test]
     fn fused_accumulator_matches_mul_add() {
         let c = ctx3(16);
         let mut rng = rng();
@@ -1232,73 +1129,34 @@ mod tests {
             Form::Ntt,
         )
         .unwrap();
+        let mut zero = RnsPoly::zero(&c);
+        zero.to_ntt();
+        // The scratch starts dirty every time.
+        let mut scratch = vec![u128::MAX; c.len() * n];
         for terms in [
             1usize,
             2,
             crate::poly::LAZY_ACC_BOUND,
             crate::poly::LAZY_ACC_BOUND + 1,
         ] {
-            let pairs: Vec<(RnsPoly, RnsPoly)> = (0..terms)
-                .map(|t| {
-                    if t % 2 == 0 {
-                        (top.clone(), top.clone())
-                    } else {
-                        (uniform(&mut rng), uniform(&mut rng))
-                    }
-                })
-                .collect();
-            fn run<'s>(
-                c: &RnsContext,
-                pairs: &[(RnsPoly, RnsPoly)],
-                scratch: &'s mut [u128],
-            ) -> FusedAccumulator<'s> {
-                let mut acc = FusedAccumulator::new(c, scratch).unwrap();
-                for (a, b) in pairs {
-                    acc.accumulate(a, b).unwrap();
-                }
-                acc
+            scratch.fill(u128::MAX);
+            let mut acc = FusedAccumulator::new(&c, &mut scratch).unwrap();
+            let mut strict = zero.clone();
+            for t in 0..terms {
+                let (a, b) = if t % 2 == 0 {
+                    (top.clone(), top.clone())
+                } else {
+                    (uniform(&mut rng), uniform(&mut rng))
+                };
+                acc.accumulate(&a, &b).unwrap();
+                strict = strict.add(&a.mul_pointwise(&b).unwrap()).unwrap();
             }
-            let mut scratch = vec![u128::MAX; c.len() * n];
-            let want = run(&c, &pairs, &mut scratch).finish();
-            let mut flat = vec![0u64; c.len() * n];
-            run(&c, &pairs, &mut scratch)
-                .finish_lanes_into(&mut flat)
-                .unwrap();
-            let want_flat: Vec<u64> = want
-                .limbs()
-                .iter()
-                .flat_map(|l| l.coeffs().to_vec())
-                .collect();
-            assert_eq!(flat, want_flat, "terms={terms}");
-            // Constant coefficients without the inverse transform.
-            let mut constant = vec![0u64; c.len()];
-            run(&c, &pairs, &mut scratch)
-                .finish_constant_coeffs(&mut constant)
-                .unwrap();
-            let mut coeff = want.clone();
-            coeff.to_coeff();
-            let want_constant: Vec<u64> = coeff.limbs().iter().map(|l| l.coeffs()[0]).collect();
-            assert_eq!(constant, want_constant, "terms={terms}");
+            assert_eq!(acc.finish(), strict, "terms={terms}");
         }
         // Nothing accumulated: zero, not the stale scratch.
-        let mut scratch = vec![u128::MAX; c.len() * n];
-        let mut constant = vec![7u64; c.len()];
-        FusedAccumulator::new(&c, &mut scratch)
-            .unwrap()
-            .finish_constant_coeffs(&mut constant)
-            .unwrap();
-        assert_eq!(constant, vec![0; c.len()]);
-        let mut flat = vec![7u64; c.len() * n];
-        FusedAccumulator::new(&c, &mut scratch)
-            .unwrap()
-            .finish_lanes_into(&mut flat)
-            .unwrap();
-        assert!(flat.iter().all(|&x| x == 0));
-        // Shape checks.
-        let acc = FusedAccumulator::new(&c, &mut scratch).unwrap();
-        assert!(acc.finish_lanes_into(&mut flat[1..]).is_err());
-        let acc = FusedAccumulator::new(&c, &mut scratch).unwrap();
-        assert!(acc.finish_constant_coeffs(&mut constant[1..]).is_err());
+        scratch.fill(u128::MAX);
+        let empty = FusedAccumulator::new(&c, &mut scratch).unwrap().finish();
+        assert_eq!(empty, zero);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //!   `σ ≈ 3.2` (the standard RLWE error distribution; CB(21) has
 //!   `σ = √(21/2) ≈ 3.24`).
 
-use crate::modulus::Modulus;
 use crate::poly::Poly;
 use crate::rns::{RnsContext, RnsPoly};
 use rand::Rng;
@@ -15,11 +14,6 @@ use rand::Rng;
 /// Default centred-binomial parameter: `CB(21)` gives `σ ≈ 3.24`, matching
 /// the `σ ≈ 3.2` convention of mainstream RLWE parameter sets.
 pub const DEFAULT_CBD_K: u32 = 21;
-
-/// Samples a uniform polynomial over `[0, q)`.
-pub fn uniform_poly<R: Rng + ?Sized>(n: usize, q: &Modulus, rng: &mut R) -> Poly {
-    (0..n).map(|_| rng.gen_range(0..q.value())).collect()
-}
 
 /// Samples a uniform RNS polynomial (independent uniform limbs, which is a
 /// uniform element of `Z_Q` by CRT).
@@ -89,13 +83,16 @@ mod tests {
 
     #[test]
     fn uniform_in_range() {
-        let q = Modulus::new(Q0).unwrap();
+        let ctx = RnsContext::new(1024, &[Q0, Q1, SPECIAL_P]).unwrap();
         let mut rng = rng();
-        let p = uniform_poly(1024, &q, &mut rng);
-        assert!(p.coeffs().iter().all(|&c| c < Q0));
-        // Should use the full range (probability of failure ~ 2^-1000).
-        assert!(p.coeffs().iter().any(|&c| c > Q0 / 2));
-        assert!(p.coeffs().iter().any(|&c| c < Q0 / 2));
+        let p = uniform_rns_poly(&ctx, &mut rng);
+        for (limb, m) in p.limbs().iter().zip(ctx.moduli()) {
+            let q = m.value();
+            assert!(limb.coeffs().iter().all(|&c| c < q));
+            // Should use the full range (probability of failure ~ 2^-1000).
+            assert!(limb.coeffs().iter().any(|&c| c > q / 2));
+            assert!(limb.coeffs().iter().any(|&c| c < q / 2));
+        }
     }
 
     #[test]

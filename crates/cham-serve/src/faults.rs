@@ -33,6 +33,7 @@
 //! interleaving varies, which is precisely the space of schedules the
 //! resilience layer must survive.
 
+use crate::shard::mix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -202,11 +203,9 @@ impl SplitMix64 {
     }
 
     pub(crate) fn next_u64(&mut self) -> u64 {
+        let z = mix64(self.0);
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        z
     }
 
     /// Uniform draw in `[0, 1)`.
@@ -309,6 +308,16 @@ mod tests {
         assert!(FaultConfig::parse("torn_write=maybe").is_err());
         assert!(FaultConfig::parse("unknown_fault=0.5").is_err());
         assert_eq!(FaultConfig::parse("").unwrap(), FaultConfig::default());
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_outputs() {
+        // First three outputs of Vigna's splitmix64.c seeded with 0.
+        let mut g = SplitMix64::new(0);
+        assert_eq!(g.next_u64(), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(g.next_u64(), 0x6E78_9E6A_A1B9_65F4);
+        assert_eq!(g.next_u64(), 0x06C4_5D18_8009_454F);
+        assert_eq!(mix64(0), 0xE220_A839_7B1D_CDAF);
     }
 
     #[test]

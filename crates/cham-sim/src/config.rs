@@ -163,12 +163,6 @@ impl ChamConfig {
         }
         self.engine.validate()
     }
-
-    /// Seconds per clock cycle.
-    #[inline]
-    pub fn cycle_time(&self) -> f64 {
-        1.0 / self.clock_hz
-    }
 }
 
 #[cfg(test)]
@@ -205,11 +199,5 @@ mod tests {
         let mut c = ChamConfig::cham();
         c.clock_hz = 0.0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn cycle_time() {
-        let c = ChamConfig::cham();
-        assert!((c.cycle_time() - 1.0 / 300e6).abs() < 1e-18);
     }
 }

@@ -54,11 +54,6 @@ impl DdrModel {
         let per_engine_bw = self.effective() / engines as f64;
         (bytes as f64 / per_engine_bw * clock_hz).ceil() as u64
     }
-
-    /// The row rate (rows/s per engine) the memory system can sustain.
-    pub fn max_rows_per_sec(&self, shape: &RingShape, tiles: u64, engines: usize) -> f64 {
-        self.effective() / engines as f64 / self.bytes_per_row(shape, tiles) as f64
-    }
 }
 
 #[cfg(test)]
@@ -77,12 +72,10 @@ mod tests {
     #[test]
     fn shipped_point_is_not_bandwidth_bound() {
         // Two engines at 48,828 rows/s each need 2 × 4.8 GB/s — far below
-        // the 65 GB/s effective bandwidth.
+        // the 65 GB/s effective bandwidth: streaming cycles per row << the
+        // 6144-cycle compute interval.
         let ddr = DdrModel::default();
         let s = RingShape::cham();
-        let sustained = ddr.max_rows_per_sec(&s, 1, 2);
-        assert!(sustained > 300_000.0, "rows/s {sustained}");
-        // Streaming cycles per row << the 6144-cycle compute interval.
         let per_row = ddr.stream_cycles(&s, 1, 1, 2, 300e6);
         assert!(per_row < 2000, "stream cycles {per_row}");
     }

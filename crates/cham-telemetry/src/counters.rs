@@ -98,13 +98,6 @@ pub fn snapshot() -> Vec<(&'static str, u64)> {
     out
 }
 
-/// Zeroes every registered counter (keeps registrations).
-pub fn reset() {
-    for c in registry().lock().expect("counter registry poisoned").iter() {
-        c.value.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,7 +112,6 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_snapshot() {
-        let _guard = crate::test_guard();
         static C: Counter = Counter::new("cham_telemetry.counters.test_unit");
         let before = C.get();
         C.add(3);
@@ -129,23 +121,17 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_but_keeps_registration() {
-        let _guard = crate::test_guard();
-        static C: Counter = Counter::new("cham_telemetry.counters.test_reset");
-        C.add(10);
-        reset();
-        assert_eq!(C.get(), 0);
-        assert_eq!(value_of("cham_telemetry.counters.test_reset"), Some(0));
-    }
-
-    #[test]
     fn same_named_statics_sum_into_one_entry() {
-        let _guard = crate::test_guard();
         static A: Counter = Counter::new("cham_telemetry.counters.test_twin");
         static B: Counter = Counter::new("cham_telemetry.counters.test_twin");
-        reset();
+        // Register both, then read the one entry's delta.
+        A.add(1);
+        B.add(1);
+        let before = value_of("cham_telemetry.counters.test_twin").expect("registered");
         A.add(859);
         B.add(121);
-        assert_eq!(value_of("cham_telemetry.counters.test_twin"), Some(980));
+        let after = value_of("cham_telemetry.counters.test_twin").expect("registered");
+        assert_eq!(after - before, 980);
+        assert_eq!(after, A.get() + B.get());
     }
 }

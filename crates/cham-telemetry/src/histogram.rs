@@ -84,17 +84,6 @@ impl LiveHistogram {
                 .collect(),
         }
     }
-
-    /// Zeroes the histogram.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Bucket index for a nanosecond value: 0 for 0, else the smallest `i`
@@ -233,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn live_histogram_is_anonymous_and_resettable() {
+    fn live_histogram_is_anonymous() {
         let h = LiveHistogram::new();
         for v in [8u64, 8, 8, 8] {
             h.record(v);
@@ -246,8 +235,6 @@ mod tests {
         // All mass on a single value: every percentile is that value.
         assert_eq!(s.percentile(0.5), 8.0);
         assert_eq!(s.percentile(0.99), 8.0);
-        h.reset();
-        assert_eq!(h.count(), 0);
     }
 
     #[test]

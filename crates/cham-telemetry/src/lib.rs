@@ -69,22 +69,19 @@ macro_rules! counter_add {
     }};
 }
 
-/// Serialises unit tests that mutate the process-wide counter registry.
-#[cfg(test)]
-pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-    LOCK.get_or_init(|| std::sync::Mutex::new(()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn macros_record_into_the_registries() {
-        let _guard = crate::test_guard();
+        const NAME: &str = "cham_telemetry.test.macro_counter";
+        let value = || {
+            crate::counters::snapshot()
+                .into_iter()
+                .find(|&(n, _)| n == NAME)
+                .map_or(0, |(_, v)| v)
+        };
+        let before = value();
         crate::counter_add!("cham_telemetry.test.macro_counter", 2);
-        assert!(crate::counters::snapshot().contains(&("cham_telemetry.test.macro_counter", 2)));
-        crate::counters::reset();
+        assert_eq!(value() - before, 2);
     }
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerates every paper table/figure into results/, then runs the test
-# suite and Criterion benches. Usage: scripts/reproduce.sh [results_dir]
+# suite. Usage: scripts/reproduce.sh [results_dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 OUT="${1:-results}"
@@ -33,8 +33,5 @@ cargo run --release -p cham-bench --bin golden_dump -- \
 
 echo "== test suite =="
 cargo test --workspace --release 2>&1 | tee "$OUT/test_output.txt"
-
-echo "== criterion benches =="
-cargo bench -p cham-bench 2>&1 | tee "$OUT/bench_output.txt"
 
 echo "all artifacts in $OUT/"

@@ -57,14 +57,15 @@ fn wire_parser_never_panics_on_corruption() {
 
     // Random single-byte corruptions: must return Ok or Err, never panic,
     // and a corrupted header must never be accepted as a different kind.
+    // Every decoder that the network or the store reaches gets the bytes.
     for _ in 0..300 {
         let mut bad = good.clone();
         let pos = rng.gen_range(0..bad.len());
         bad[pos] ^= 1 << rng.gen_range(0..8);
         let _ = wire::rlwe_from_bytes(&bad, &params);
-        let _ = wire::lwe_from_bytes(&bad, &params);
-        let _ = wire::plaintext_from_bytes(&bad, &params);
+        let _ = wire::ksk_from_bytes(&bad, &params);
         let _ = wire::galois_keys_from_bytes(&bad, &params);
+        let _ = wire::encoded_matrix_from_bytes(&bad, &params);
     }
     // Random truncations.
     for _ in 0..100 {
