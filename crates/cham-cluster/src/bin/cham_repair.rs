@@ -7,8 +7,8 @@
 //!
 //! Runs anti-entropy rounds against the fleet: diff each node's reported
 //! segment inventory (`StoreList`) against the ring's replica sets,
-//! stream missing segments replica→replica over the resumable chunked
-//! path, and repeat until a round plans nothing. Prints one line per
+//! re-upload each missing matrix body replica→replica over the resumable
+//! chunked path, and repeat until a round plans nothing. Prints one line per
 //! round and `repair: converged after N round(s)`; exits non-zero when
 //! `--max-rounds` passes without convergence (some segment has no live
 //! source, or a node keeps dropping transfers).

@@ -19,8 +19,8 @@
 //!   functions its quality contract is stated in.
 //! * [`repair`] — anti-entropy: diff each node's reported inventory
 //!   (`StoreList`) against the ring's replica sets, then
-//!   stream missing segments replica→replica over the resumable
-//!   chunked-upload path until the fleet converges back to full
+//!   re-upload each missing matrix body replica→replica over the
+//!   ordinary chunked-upload path until the fleet converges back to full
 //!   replication — including backfilling a restarted node that
 //!   rejoined with a stale (or empty) store. The `cham-repair` binary
 //!   drives it.

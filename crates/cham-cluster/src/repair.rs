@@ -19,17 +19,20 @@
 //! missing `(id, replica)` pair with a live source. Ids nobody holds
 //! cannot be planned and land in [`RepairPlan::unsourced`].
 //!
-//! Execution streams each segment replica→replica through the existing
-//! resumable chunked-upload path (`StoreFetch` on the source, then
-//! `MatrixChunkStart`/`MatrixChunk`/`MatrixChunkCommit` in segment
-//! mode on the target), so per-chunk checksums, the received-bitmap
-//! resume, and whole-body verification from the PR 8 upload path guard
-//! repair traffic end to end — a repair interrupted mid-segment
-//! re-sends only the chunks the target still lacks.
+//! Execution is an ordinary client upload: `StoreFetch` pulls the
+//! matrix body from a source, a body whose content hash is not the
+//! transfer's id is refused (the next source is tried), and the parsed
+//! matrix goes to the target through [`ServeClient::load_matrix_streamed`].
+//! The target therefore checks ownership and the content hash exactly as
+//! it does for a client, and per-chunk checksums and the received-bitmap
+//! resume guard repair traffic end to end — a repair interrupted
+//! mid-matrix re-sends only the chunks the target still lacks.
 
 use crate::ring::HashRing;
+use cham_he::hmvp::Matrix;
 use cham_he::params::ChamParams;
-use cham_serve::protocol::DEFAULT_CHUNK_BYTES;
+use cham_serve::cache::content_hash;
+use cham_serve::protocol::{matrix_from_bytes, DEFAULT_CHUNK_BYTES};
 use cham_serve::{ClientConfig, Result, ServeClient, ServeError, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -169,9 +172,10 @@ pub fn plan(ring: &HashRing, inventories: &[Option<Vec<u64>>], expected: &[u64])
     }
 }
 
-/// Executes a plan: for each transfer, fetch the segment bytes from
-/// the first source that answers and stream them onto the target in
-/// resumable chunks. Connections are cached per slot across transfers.
+/// Executes a plan: for each transfer, fetch the matrix body from the
+/// first source whose answer hashes to the transfer's id, and upload it
+/// to the target in resumable chunks. Connections are cached per slot
+/// across transfers.
 /// Individual transfer failures are counted, not fatal — anti-entropy
 /// is a loop, and the next round replans whatever is still missing.
 #[must_use]
@@ -195,7 +199,7 @@ pub fn execute(
         Ok(())
     };
     for t in &plan.transfers {
-        let mut segment: Option<Vec<u8>> = None;
+        let mut fetched: Option<Matrix> = None;
         for &source in &t.sources {
             if connect(&mut conns, source).is_err() {
                 continue;
@@ -205,9 +209,13 @@ pub fn execute(
                 .expect("just connected")
                 .store_fetch(t.id)
             {
-                Ok(bytes) => {
-                    segment = Some(bytes);
-                    break;
+                // A body that does not hash to the id is not this matrix:
+                // it is refused, and the next source is tried.
+                Ok(body) if content_hash(&body) == t.id => {
+                    if let Ok(matrix) = matrix_from_bytes(&body, params) {
+                        fetched = Some(matrix);
+                        break;
+                    }
                 }
                 Err(ServeError::Io(_)) => {
                     // The connection died — drop it so a later transfer
@@ -215,15 +223,15 @@ pub fn execute(
                     // desynced stream.
                     conns.remove(&source);
                 }
-                Err(_) => {}
+                Ok(_) | Err(_) => {}
             }
         }
-        let installed = segment.as_ref().is_some_and(|bytes| {
+        let installed = fetched.as_ref().is_some_and(|matrix| {
             if connect(&mut conns, t.target).is_err() {
                 return false;
             }
             let target = conns.get_mut(&t.target).expect("just connected");
-            match target.load_segment_streamed(t.id, bytes, DEFAULT_CHUNK_BYTES) {
+            match target.load_matrix_streamed(matrix, DEFAULT_CHUNK_BYTES) {
                 Ok(up) => {
                     report.chunks_sent += u64::from(up.chunks_sent);
                     report.chunks_skipped += u64::from(up.chunks_skipped);

@@ -134,17 +134,6 @@ impl EncodedMatrix {
         (self.rows, self.cols)
     }
 
-    /// Rebuilds an encoded matrix from already-prepared tiles (the
-    /// wire/restore path — tiles must be NTT-form over the augmented
-    /// basis, exactly as [`Hmvp::encode_matrix`] produces them).
-    pub(crate) fn from_tiles(rows: usize, cols: usize, tiles: Vec<Vec<RnsPoly>>) -> Self {
-        Self {
-            rows,
-            cols,
-            tiles: Arc::new(tiles),
-        }
-    }
-
     /// The prepared tiles, row-major.
     pub(crate) fn tiles(&self) -> &[Vec<RnsPoly>] {
         &self.tiles

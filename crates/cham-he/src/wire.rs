@@ -3,9 +3,10 @@
 //!
 //! Every extracted LWE is packed back into an RLWE before a result leaves
 //! the pipeline (§II-D), so what crosses a machine boundary is RLWE
-//! ciphertexts, Galois key sets and pre-encoded matrices: `cham-serve`
-//! frames and its store segments carry this layout and round-trip it
-//! losslessly. The format is deliberately simple and versioned:
+//! ciphertexts and Galois key sets: `cham-serve` frames carry this layout
+//! and round-trip it losslessly. (A matrix crosses as its plaintext
+//! upload body, not in this layout.) The format is deliberately simple
+//! and versioned:
 //!
 //! ```text
 //! [magic u16 = 0xC4A7] [version u8] [kind u8]
@@ -326,9 +327,12 @@ pub fn galois_keys_from_bytes(data: &[u8], params: &ChamParams) -> Result<crate:
 
 /// Serializes a pre-encoded matrix: the `rows × col_tiles` NTT-form
 /// plaintexts over the augmented basis that [`crate::hmvp::Hmvp::encode_matrix`]
-/// prepares. Persisting this form (rather than the raw matrix) lets a
-/// restore skip the one-time encode entirely — the encode-once economics
-/// the HMVP throughput case rests on survive a process restart.
+/// prepares, three times the size of the plaintext matrix.
+///
+/// Nothing decodes this layout and nothing persists or sends it: the
+/// service stores and moves the plaintext upload body, whose content
+/// hash is its id. Its one reader is the benchmark's store probe, which
+/// uses it as a payload of known size.
 ///
 /// # Errors
 /// [`HeError::InvalidParams`] for an empty tile grid (cannot happen for a
@@ -353,61 +357,6 @@ pub fn encoded_matrix_to_bytes(m: &EncodedMatrix) -> Result<Vec<u8>> {
         }
     }
     Ok(out)
-}
-
-/// Deserializes a pre-encoded matrix.
-///
-/// Tile words are stored NTT-domain verbatim (same convention as key
-/// material) and re-tagged on read; no transform runs.
-///
-/// # Errors
-/// Same conditions as [`rlwe_from_bytes`], plus the payload must live in
-/// the augmented basis and its byte length must match the declared shape
-/// exactly (checked before any tile allocation).
-pub fn encoded_matrix_from_bytes(data: &[u8], params: &ChamParams) -> Result<EncodedMatrix> {
-    let mut r = Reader::new(data);
-    let (kind, ctx) = read_header(&mut r, params)?;
-    if kind != Kind::EncodedMatrix {
-        return Err(HeError::Incompatible("expected an encoded-matrix payload"));
-    }
-    let degree = ctx.degree();
-    if ctx != *params.augmented_context() {
-        return Err(HeError::Incompatible(
-            "encoded matrix must live in the augmented basis",
-        ));
-    }
-    let rows = r.u32()? as usize;
-    let cols = r.u32()? as usize;
-    let col_tiles = r.u32()? as usize;
-    if rows == 0 || cols == 0 || col_tiles != cols.div_ceil(degree) {
-        return Err(HeError::Incompatible("implausible encoded-matrix shape"));
-    }
-    // Exact-length check before allocating anything tile-sized: the
-    // declared shape fixes the payload size to the byte.
-    let tile_bytes = ctx.len() * degree * 8;
-    let expected = rows
-        .checked_mul(col_tiles)
-        .and_then(|t| t.checked_mul(tile_bytes))
-        .ok_or(HeError::Incompatible("implausible encoded-matrix shape"))?;
-    if data.len() - r.pos != expected {
-        return Err(HeError::Incompatible(
-            "encoded-matrix payload length does not match its shape",
-        ));
-    }
-    let mut tiles = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let mut row = Vec::with_capacity(col_tiles);
-        for _ in 0..col_tiles {
-            row.push(retag_ntt(read_rns_poly(&mut r, &ctx)?));
-        }
-        tiles.push(row);
-    }
-    if !r.done() {
-        return Err(HeError::Incompatible(
-            "trailing bytes after encoded-matrix payload",
-        ));
-    }
-    Ok(EncodedMatrix::from_tiles(rows, cols, tiles))
 }
 
 #[cfg(test)]
@@ -550,79 +499,6 @@ mod tests {
         bad.push(0);
         assert!(galois_keys_from_bytes(&bad, &params).is_err());
         assert!(galois_keys_from_bytes(&bytes[..10], &params).is_err());
-    }
-
-    #[test]
-    fn encoded_matrix_roundtrip_bit_exact() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-        let params = ChamParams::insecure_test_default().unwrap();
-        let sk = SecretKey::generate(&params, &mut rng);
-        let enc = Encryptor::new(&params, &sk);
-        let dec = Decryptor::new(&params, &sk);
-        let hmvp = crate::hmvp::Hmvp::new(&params);
-        let t = params.plain_modulus().value();
-        // A shape spanning multiple column tiles.
-        let a = crate::hmvp::Matrix::random(3, params.degree() + 5, t, &mut rng);
-        let encoded = hmvp.encode_matrix(&a).unwrap();
-        let bytes = encoded_matrix_to_bytes(&encoded).unwrap();
-        let back = encoded_matrix_from_bytes(&bytes, &params).unwrap();
-        assert_eq!(back.shape(), encoded.shape());
-        assert_eq!(back.col_tiles(), encoded.col_tiles());
-        // The restored encoding is byte-identical on re-serialization...
-        assert_eq!(encoded_matrix_to_bytes(&back).unwrap(), bytes);
-        // ...and produces the exact same decrypted HMVP result.
-        let v: Vec<u64> = (0..a.cols()).map(|i| (i as u64 * 7 + 1) % t).collect();
-        let gkeys =
-            crate::keys::GaloisKeys::generate_for_packing(&sk, params.max_pack_log(), &mut rng)
-                .unwrap();
-        let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
-        let from_original = hmvp.multiply(&encoded, &cts, &gkeys).unwrap();
-        let from_restored = hmvp.multiply(&back, &cts, &gkeys).unwrap();
-        let got_a = hmvp.decrypt_result(&from_original, &dec).unwrap();
-        let got_b = hmvp.decrypt_result(&from_restored, &dec).unwrap();
-        assert_eq!(got_a, got_b);
-        assert_eq!(got_a, a.mul_vector_mod(&v, params.plain_modulus()).unwrap());
-    }
-
-    #[test]
-    fn encoded_matrix_malformed_rejected() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(78);
-        let params = ChamParams::insecure_test_default().unwrap();
-        let hmvp = crate::hmvp::Hmvp::new(&params);
-        let t = params.plain_modulus().value();
-        let a = crate::hmvp::Matrix::random(2, 6, t, &mut rng);
-        let good = encoded_matrix_to_bytes(&hmvp.encode_matrix(&a).unwrap()).unwrap();
-
-        // Wrong kind byte.
-        let mut bad = good.clone();
-        bad[3] = Kind::Ksk as u8;
-        assert!(encoded_matrix_from_bytes(&bad, &params).is_err());
-        // Truncated.
-        assert!(encoded_matrix_from_bytes(&good[..good.len() - 1], &params).is_err());
-        // Trailing garbage.
-        let mut bad = good.clone();
-        bad.push(0);
-        assert!(encoded_matrix_from_bytes(&bad, &params).is_err());
-        // Zero rows.
-        let limbs = params.augmented_context().len();
-        let shape_at = 8 + limbs * 8; // magic+ver+kind+degree + limb moduli
-        let mut bad = good.clone();
-        bad[shape_at..shape_at + 4].copy_from_slice(&0u32.to_le_bytes());
-        assert!(encoded_matrix_from_bytes(&bad, &params).is_err());
-        // Inflated row count: shape no longer matches the byte length,
-        // rejected before any tile is allocated.
-        let mut bad = good.clone();
-        bad[shape_at..shape_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(encoded_matrix_from_bytes(&bad, &params).is_err());
-        // col_tiles inconsistent with cols.
-        let mut bad = good.clone();
-        bad[shape_at + 8..shape_at + 12].copy_from_slice(&7u32.to_le_bytes());
-        assert!(encoded_matrix_from_bytes(&bad, &params).is_err());
-        // Out-of-range tile word.
-        let mut bad = good;
-        let words_at = shape_at + 12;
-        bad[words_at..words_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(encoded_matrix_from_bytes(&bad, &params).is_err());
     }
 
     #[test]

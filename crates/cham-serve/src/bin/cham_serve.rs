@@ -7,9 +7,10 @@
 //!            [--cluster HOST:PORT,...] [--shard-index N] [--epoch N]
 //! ```
 //!
-//! `--store-dir` arms the persistent data plane: encoded matrices spill
-//! to a crash-safe segment store there, and a restart against the same
-//! directory comes back warm (no re-encode). `--store-cap-bytes` bounds
+//! `--store-dir` arms the persistent data plane: uploaded matrix bodies
+//! spill to a crash-safe segment store there, and a restart against the
+//! same directory comes back warm (no re-upload; one encode per restored
+//! matrix). `--store-cap-bytes` bounds
 //! the store's on-disk footprint (LRU-evicted past it; default
 //! unbounded).
 //!

@@ -7,7 +7,13 @@
 //! resolve to the same cache entry and the server encodes it once. Each
 //! cache is bounded; inserting past the bound evicts the least recently
 //! used entry, so a long-running server cannot grow without limit.
+//!
+//! A cached matrix keeps its upload body beside its encoding. The body is
+//! the only form of a matrix that leaves RAM — it is what spills to the
+//! persistent store and what a repair fetches — because it is the only
+//! form its id can be checked against.
 
+use crate::protocol::matrix_from_bytes;
 use crate::stats::PhaseHistograms;
 use crate::store::SegmentStore;
 use crate::{Result, ServeError};
@@ -99,6 +105,13 @@ impl<V> LruMap<V> {
     }
 }
 
+/// One cached matrix: the upload body its id hashes, and the NTT-form
+/// encoding of that body which HMVPs read.
+struct CachedMatrix {
+    body: Vec<u8>,
+    encoded: EncodedMatrix,
+}
+
 /// Shared session state: the parameter set, the HMVP engine built on it,
 /// and the two content-addressed LRU caches.
 ///
@@ -107,7 +120,7 @@ pub struct SessionCache {
     params: Arc<ChamParams>,
     hmvp: Hmvp,
     keys: Mutex<LruMap<GaloisKeys>>,
-    matrices: Mutex<LruMap<EncodedMatrix>>,
+    matrices: Mutex<LruMap<CachedMatrix>>,
     phases: Option<Arc<PhaseHistograms>>,
     flight: Option<Arc<FlightRecorder>>,
     store: Option<Arc<SegmentStore>>,
@@ -151,10 +164,10 @@ impl SessionCache {
     }
 
     /// Attaches the persistent segment store as a spill/restore tier
-    /// under the matrix LRU: every freshly encoded matrix is snapshotted
-    /// to the store (crash-safely, best-effort), and a RAM miss restores
-    /// the NTT-form bytes from disk instead of re-encoding — which is
-    /// what makes a restarted server come back warm.
+    /// under the matrix LRU: every freshly encoded matrix's upload body is
+    /// snapshotted to the store (crash-safely, best-effort), and a RAM
+    /// miss reads the body back and encodes it — which is what lets a
+    /// restarted server serve a matrix without a re-upload.
     #[must_use]
     pub fn with_store(mut self, store: Option<Arc<SegmentStore>>) -> Self {
         self.store = store;
@@ -167,52 +180,42 @@ impl SessionCache {
         self.store.as_ref()
     }
 
-    /// Matrices restored from the persistent store into the RAM LRU
-    /// without an NTT encode — the warm-restart savings.
+    /// Matrices restored from the persistent store into the RAM LRU —
+    /// re-uploads a warm restart saved. Each restore cost one encode.
     #[must_use]
     pub fn store_restores(&self) -> u64 {
         self.store_restores.load(Ordering::Relaxed)
     }
 
-    /// Spills to the persistent store that failed (serialize or write).
+    /// Spills to the persistent store that failed to write.
     /// The spill is best-effort and the failure is swallowed here, so
-    /// this count — served as `spill_errors` in `Pong`/`Introspect` — is
+    /// this count — served as `spill_errors` in `Introspect` — is
     /// the only place a store that has stopped persisting shows up.
     #[must_use]
     pub fn spill_errors(&self) -> u64 {
         self.spill_errors.load(Ordering::Relaxed)
     }
 
-    /// Stored segments that passed their CRC but failed to decode against
+    /// Stored bodies that passed their CRC but failed to parse against
     /// this cache's parameters; each was dropped from the store and read
-    /// as a miss. Served as `decode_errors` in `Pong`/`Introspect`.
+    /// as a miss. Served as `decode_errors` in `Introspect`.
     #[must_use]
     pub fn decode_errors(&self) -> u64 {
         self.decode_errors.load(Ordering::Relaxed)
     }
 
-    /// Tries to restore the encoded matrix `id` from the persistent
-    /// store into the RAM LRU. No NTT encode happens on this path — the
-    /// stored bytes are already in NTT form and deserialization is a
-    /// copy plus validation. A stored payload that fails to decode
-    /// against this cache's params is dropped from the store (it belongs
-    /// to some other parameter set) and reads as a miss.
-    fn restore_matrix(&self, id: u64) -> Option<Arc<EncodedMatrix>> {
+    /// Tries to restore matrix `id` from the persistent store into the
+    /// RAM LRU: reads the stored body, parses it, and encodes it. A
+    /// stored body that fails to parse against this cache's params is
+    /// dropped from the store (it belongs to some other parameter set)
+    /// and reads as a miss.
+    fn restore_matrix(&self, id: u64) -> Option<EncodedMatrix> {
         let store = self.store.as_ref()?;
-        let bytes = store.get(id)?;
-        match cham_he::wire::encoded_matrix_from_bytes(&bytes, &self.params) {
+        let body = store.get(id)?;
+        match matrix_from_bytes(&body, &self.params).and_then(|matrix| self.encode(&matrix)) {
             Ok(encoded) => {
-                let encoded = Arc::new(encoded);
-                let evicted = self
-                    .matrices
-                    .lock()
-                    .expect("matrix cache poisoned")
-                    .insert(id, Arc::clone(&encoded));
                 self.store_restores.fetch_add(1, Ordering::Relaxed);
-                if evicted {
-                    self.on_evict("matrix (lru, store restore)".into());
-                }
-                Some(encoded)
+                Some(self.insert_matrix(id, body, encoded))
             }
             Err(_) => {
                 store.remove(id);
@@ -222,18 +225,36 @@ impl SessionCache {
         }
     }
 
-    /// Snapshots a freshly encoded matrix to the persistent store.
-    /// Best-effort: a spill failure (disk full, injected torn snapshot)
-    /// costs durability, not correctness — the RAM entry still serves.
-    fn spill_matrix(&self, id: u64, encoded: &EncodedMatrix) {
-        let Some(store) = self.store.as_ref() else {
-            return;
-        };
-        let spilled = cham_he::wire::encoded_matrix_to_bytes(encoded)
-            .is_ok_and(|bytes| store.put(id, &bytes).is_ok());
-        if !spilled {
-            self.spill_errors.fetch_add(1, Ordering::Relaxed);
+    /// NTT-encodes a matrix (the expensive, reusable step) and books the
+    /// time in the `matrix_encode` phase. An upload and a store restore
+    /// both come through here.
+    fn encode(&self, matrix: &Matrix) -> Result<EncodedMatrix> {
+        let encode_started = Instant::now();
+        let encoded = self.hmvp.encode_matrix(matrix)?;
+        if let Some(phases) = &self.phases {
+            phases.record_matrix_encode(
+                u64::try_from(encode_started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            );
         }
+        Ok(encoded)
+    }
+
+    /// Caches `encoded` beside the `body` it was encoded from; returns
+    /// the encoding.
+    fn insert_matrix(&self, id: u64, body: Vec<u8>, encoded: EncodedMatrix) -> EncodedMatrix {
+        let entry = Arc::new(CachedMatrix {
+            body,
+            encoded: encoded.clone(),
+        });
+        let evicted = self
+            .matrices
+            .lock()
+            .expect("matrix cache poisoned")
+            .insert(id, entry);
+        if evicted {
+            self.on_evict("matrix (lru)".into());
+        }
+        encoded
     }
 
     fn on_evict(&self, detail: String) {
@@ -294,14 +315,15 @@ impl SessionCache {
             .ok_or(ServeError::UnknownKey(id))
     }
 
-    /// Encodes a plaintext matrix to NTT form (the expensive, reusable
-    /// step) and caches it under the content hash of `bytes` — the raw
-    /// `LoadMatrix` payload it arrived as. Returns the content id.
+    /// Encodes `matrix` to NTT form and caches it beside `body` — the
+    /// upload body it was parsed from — under the content hash of
+    /// `body`. Returns the content id. The body spills to the persistent
+    /// store, which skips an id it already holds.
     ///
     /// # Errors
     /// HE-layer encoding errors.
-    pub fn put_matrix(&self, bytes: &[u8], matrix: &Matrix) -> Result<u64> {
-        let id = content_hash(bytes);
+    pub fn put_matrix(&self, body: Vec<u8>, matrix: &Matrix) -> Result<u64> {
+        let id = content_hash(&body);
         {
             let mut matrices = self.matrices.lock().expect("matrix cache poisoned");
             if matrices.contains(id) {
@@ -309,43 +331,30 @@ impl SessionCache {
                 return Ok(id);
             }
         }
-        // A warm store can satisfy a re-upload without any NTT work:
-        // the segment is keyed by the same content hash, so identical
-        // bytes restore the previously encoded form.
-        if self.restore_matrix(id).is_some() {
-            return Ok(id);
-        }
         // Encode outside the lock: this is seconds of NTT work at
         // production sizes and must not serialize unrelated lookups.
-        let encode_started = Instant::now();
-        let encoded = self.hmvp.encode_matrix(matrix)?;
-        if let Some(phases) = &self.phases {
-            phases.record_matrix_encode(
-                u64::try_from(encode_started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
+        let encoded = self.encode(matrix)?;
+        // Best-effort: a spill failure (disk full, injected torn
+        // snapshot) costs durability, not correctness — the RAM entry
+        // still serves.
+        if let Some(store) = &self.store {
+            if store.put(id, &body).is_err() {
+                self.spill_errors.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        self.spill_matrix(id, &encoded);
-        let evicted = self
-            .matrices
-            .lock()
-            .expect("matrix cache poisoned")
-            .insert(id, Arc::new(encoded));
-        if evicted {
-            self.on_evict("matrix (lru)".into());
-        }
+        self.insert_matrix(id, body, encoded);
         Ok(id)
     }
 
-    /// Looks up a cached encoded matrix.
+    /// Looks up a cached encoded matrix; a RAM miss restores it from the
+    /// persistent store when that holds the id.
     ///
     /// # Errors
     /// [`ServeError::UnknownMatrix`] when absent (or already evicted).
-    pub fn get_matrix(&self, id: u64) -> Result<Arc<EncodedMatrix>> {
+    pub fn get_matrix(&self, id: u64) -> Result<EncodedMatrix> {
         if let Some(hit) = self.matrices.lock().expect("matrix cache poisoned").get(id) {
-            return Ok(hit);
+            return Ok(hit.encoded.clone());
         }
-        // RAM miss: the persistent tier may still hold the encoding
-        // (server restart, or LRU pressure spilled it out from under us).
         self.restore_matrix(id).ok_or(ServeError::UnknownMatrix(id))
     }
 
@@ -364,56 +373,20 @@ impl SessionCache {
         ids
     }
 
-    /// The encoded (NTT-form) wire bytes of matrix `id`, for a
-    /// replica→replica repair transfer. Prefers the persistent segment
-    /// (already serialized, CRC-verified); a store miss re-serializes
-    /// the RAM entry.
+    /// The upload body of matrix `id` — the bytes `id` hashes — for a
+    /// replica→replica repair transfer. Answers from the RAM entry, else
+    /// from the persistent store (without restoring into RAM).
     ///
     /// # Errors
-    /// [`ServeError::UnknownMatrix`] when the id is resident nowhere;
-    /// HE-layer errors re-serializing a RAM entry.
+    /// [`ServeError::UnknownMatrix`] when the id is resident nowhere.
     pub fn segment_bytes(&self, id: u64) -> Result<Vec<u8>> {
-        if let Some(store) = &self.store {
-            if let Some(bytes) = store.get(id) {
-                return Ok(bytes);
-            }
+        if let Some(entry) = self.matrices.lock().expect("matrix cache poisoned").get(id) {
+            return Ok(entry.body.clone());
         }
-        let encoded = self
-            .matrices
-            .lock()
-            .expect("matrix cache poisoned")
-            .get(id)
-            .ok_or(ServeError::UnknownMatrix(id))?;
-        cham_he::wire::encoded_matrix_to_bytes(&encoded).map_err(ServeError::He)
-    }
-
-    /// Installs an encoded matrix received from another replica (the
-    /// segment-mode commit path): validates the wire bytes against this
-    /// cache's params, inserts into the RAM LRU under `id`, and persists
-    /// to the segment store (best-effort, like any fresh encode).
-    /// Returns the accepted shape. No NTT encode happens here — that is
-    /// the whole point of transferring the encoded form.
-    ///
-    /// # Errors
-    /// HE-layer validation errors for bytes that do not decode against
-    /// this parameter set.
-    pub fn put_segment_bytes(&self, id: u64, bytes: &[u8]) -> Result<(usize, usize)> {
-        let encoded = cham_he::wire::encoded_matrix_from_bytes(bytes, &self.params)?;
-        let shape = encoded.shape();
-        if let Some(store) = &self.store {
-            if store.put(id, bytes).is_err() {
-                self.spill_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let evicted = self
-            .matrices
-            .lock()
-            .expect("matrix cache poisoned")
-            .insert(id, Arc::new(encoded));
-        if evicted {
-            self.on_evict("matrix (lru, repair install)".into());
-        }
-        Ok(shape)
+        self.store
+            .as_ref()
+            .and_then(|store| store.get(id))
+            .ok_or(ServeError::UnknownMatrix(id))
     }
 
     /// Evicts a cached key set by id; returns whether it was present.
@@ -457,6 +430,7 @@ impl SessionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::matrix_to_bytes;
     use cham_he::keys::SecretKey;
     use rand::SeedableRng;
 
@@ -513,8 +487,7 @@ mod tests {
         for seed in 0..3u64 {
             let mut mrng = rand::rngs::StdRng::seed_from_u64(seed);
             let m = Matrix::random(2, 3, t, &mut mrng);
-            let bytes = crate::protocol::matrix_to_bytes(&m);
-            ids.push(cache.put_matrix(&bytes, &m).unwrap());
+            ids.push(cache.put_matrix(matrix_to_bytes(&m), &m).unwrap());
         }
         assert_eq!(cache.lens().1, 2);
         assert!(matches!(
@@ -539,14 +512,15 @@ mod tests {
 
     #[test]
     fn undecodable_stored_segment_is_dropped_and_counted() {
-        // A segment that is sound on disk (CRC passes) but is not an
-        // encoding under these params: the restore reads as a miss, the
-        // segment leaves the store, and the swallowed error is counted.
+        // A segment that is sound on disk (CRC passes) but is not a
+        // matrix body under these params: the restore reads as a miss,
+        // the segment leaves the store, and the swallowed error is
+        // counted.
         let params = Arc::new(ChamParams::insecure_test_default().unwrap());
         let dir = std::env::temp_dir().join(format!("cham-cache-decode-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(SegmentStore::open(&dir, 0).unwrap());
-        store.put(7, b"not an encoded matrix").unwrap();
+        store.put(7, b"not a matrix body").unwrap();
         let cache = SessionCache::new(params, 1, 2).with_store(Some(Arc::clone(&store)));
         assert!(matches!(
             cache.get_matrix(7),
@@ -560,35 +534,57 @@ mod tests {
 
     #[test]
     fn segment_bytes_roundtrip_between_caches() {
-        // A segment pulled off one cache installs into another without
-        // any NTT encode — the replica→replica repair transfer in
-        // miniature, store-less on both ends (RAM serialization path).
+        // The body pulled off one cache uploads into another under the
+        // same id — the replica→replica repair transfer in miniature,
+        // store-less on both ends.
         let params = Arc::new(ChamParams::insecure_test_default().unwrap());
         let source = SessionCache::new(Arc::clone(&params), 1, 4);
         let target = SessionCache::new(Arc::clone(&params), 1, 4);
         let t = params.plain_modulus().value();
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         let m = Matrix::random(2, 3, t, &mut rng);
-        let bytes = crate::protocol::matrix_to_bytes(&m);
-        let id = source.put_matrix(&bytes, &m).unwrap();
+        let id = source.put_matrix(matrix_to_bytes(&m), &m).unwrap();
 
         assert_eq!(source.matrix_inventory(), vec![id]);
         assert!(target.matrix_inventory().is_empty());
-        let segment = source.segment_bytes(id).unwrap();
+        let body = source.segment_bytes(id).unwrap();
+        assert_eq!(body, matrix_to_bytes(&m));
         assert!(matches!(
             source.segment_bytes(id ^ 1),
             Err(ServeError::UnknownMatrix(_))
         ));
-        let shape = target.put_segment_bytes(id, &segment).unwrap();
-        assert_eq!(shape, (2, 3));
+        let parsed = matrix_from_bytes(&body, &params).unwrap();
+        assert_eq!(target.put_matrix(body.clone(), &parsed).unwrap(), id);
         assert_eq!(target.matrix_inventory(), vec![id]);
-        // The installed encoding is the same artifact bit for bit.
-        assert_eq!(target.segment_bytes(id).unwrap(), segment);
-        // Garbage bytes are rejected, not installed.
-        assert!(target.put_segment_bytes(7, &[0u8; 16]).is_err());
-        assert!(matches!(
-            target.get_matrix(7),
-            Err(ServeError::UnknownMatrix(_))
-        ));
+        assert_eq!(target.segment_bytes(id).unwrap(), body);
+    }
+
+    #[test]
+    fn segment_bytes_hash_to_their_id_from_ram_and_from_the_store() {
+        let params = Arc::new(ChamParams::insecure_test_default().unwrap());
+        let dir = std::env::temp_dir().join(format!("cham-cache-body-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(SegmentStore::open(&dir, 0).unwrap());
+        let cache =
+            SessionCache::new(Arc::clone(&params), 1, 1).with_store(Some(Arc::clone(&store)));
+        let t = params.plain_modulus().value();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(100);
+        let a = Matrix::random(2, 3, t, &mut rng);
+        let b = Matrix::random(3, 2, t, &mut rng);
+
+        let id_a = cache.put_matrix(matrix_to_bytes(&a), &a).unwrap();
+        assert_eq!(content_hash(&cache.segment_bytes(id_a).unwrap()), id_a);
+        // The one-entry LRU drops `a` for `b`; the store still holds
+        // `a`'s body, and answers with the same bytes.
+        cache.put_matrix(matrix_to_bytes(&b), &b).unwrap();
+        assert_eq!(cache.lens().1, 1);
+        let stored = cache.segment_bytes(id_a).unwrap();
+        assert_eq!(content_hash(&stored), id_a);
+        assert_eq!(stored, matrix_to_bytes(&a));
+        assert_eq!(cache.store_restores(), 0, "a fetch restores nothing");
+        // A lookup restores `a` by encoding its stored body.
+        assert_eq!(cache.get_matrix(id_a).unwrap().shape(), (2, 3));
+        assert_eq!(cache.store_restores(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -18,7 +18,7 @@ use crate::cache::content_hash;
 use crate::protocol::{
     self, FrameKind, Hello, MatrixChunkStart, Response, DEADLINE_NONE, PROTOCOL_VERSION,
 };
-use crate::stats::{IntrospectSnapshot, StatsSnapshot};
+use crate::stats::IntrospectSnapshot;
 use crate::{Result, ServeError};
 use cham_he::ciphertext::RlweCiphertext;
 use cham_he::hmvp::{HmvpResult, Matrix};
@@ -173,19 +173,6 @@ impl ServeClient {
         self.info
     }
 
-    /// Health check: round-trips an empty `Ping` frame and returns the
-    /// server's live counter snapshot. Cheap enough to poll — it touches
-    /// no cache and takes no permit.
-    ///
-    /// # Errors
-    /// Transport errors.
-    pub fn ping(&mut self) -> Result<StatsSnapshot> {
-        match self.roundtrip(FrameKind::Ping, &[])? {
-            Response::Pong { stats } => Ok(stats),
-            _ => Err(ServeError::BadFrame("ping answered with wrong response")),
-        }
-    }
-
     /// Uploads a Galois key set and returns its content id. `indices`
     /// selects which automorphism keys to ship (usually the packing
     /// ladder `2^j + 1`).
@@ -236,13 +223,48 @@ impl ServeClient {
         chunk_bytes: usize,
     ) -> Result<ChunkUpload> {
         let body = protocol::matrix_to_bytes(matrix);
-        let shape = (matrix.rows() as u32, matrix.cols() as u32);
-        // The upload id of a matrix body is its matrix id.
-        let (upload, loaded) = self.stream_body(&body, chunk_bytes, shape)?;
-        if loaded != (upload.matrix_id, shape.0, shape.1) {
-            return Err(ServeError::BadFrame("server committed a different matrix"));
+        let (rows, cols) = (matrix.rows() as u32, matrix.cols() as u32);
+        // Clamp the chunk size into the protocol's bounds, growing it if
+        // needed so the count stays under MAX_CHUNK_COUNT (the caps
+        // guarantee a compliant size always exists for a legal body).
+        let chunk_bytes = chunk_bytes
+            .max(body.len().div_ceil(protocol::MAX_CHUNK_COUNT))
+            .clamp(1, protocol::MAX_CHUNK_BYTES);
+        let matrix_id = content_hash(&body);
+        let start = MatrixChunkStart::new(matrix_id, body.len(), chunk_bytes, rows, cols);
+        let mut bitmap = self.chunk_ack(FrameKind::MatrixChunkStart, &start.to_bytes(), &start)?;
+        let mut upload = ChunkUpload {
+            matrix_id,
+            chunks_sent: 0,
+            chunks_skipped: 0,
+        };
+        for index in 0..start.chunk_count {
+            if protocol::bitmap_get(&bitmap, index as usize) {
+                upload.chunks_skipped += 1;
+                continue;
+            }
+            let off = index as usize * chunk_bytes;
+            let data = &body[off..off + start.len_of_chunk(index)];
+            let frame = protocol::matrix_chunk_to_bytes(matrix_id, index, content_hash(data), data);
+            bitmap = self.chunk_ack(FrameKind::MatrixChunk, &frame, &start)?;
+            upload.chunks_sent += 1;
         }
-        Ok(upload)
+        match self.roundtrip(
+            FrameKind::MatrixChunkCommit,
+            &protocol::matrix_chunk_commit_to_bytes(matrix_id),
+        )? {
+            Response::MatrixLoaded {
+                matrix_id: loaded,
+                rows: r,
+                cols: c,
+            } if (loaded, r, c) == (matrix_id, rows, cols) => Ok(upload),
+            Response::MatrixLoaded { .. } => {
+                Err(ServeError::BadFrame("server committed a different matrix"))
+            }
+            _ => Err(ServeError::BadFrame(
+                "chunk commit answered with wrong response",
+            )),
+        }
     }
 
     /// Lists the server's matrix inventory — every content id resident
@@ -260,12 +282,14 @@ impl ServeClient {
         }
     }
 
-    /// Fetches one encoded segment's bytes by content id — the source
-    /// side of a replica→replica repair transfer.
+    /// Fetches one matrix body by content id — the source side of a
+    /// replica→replica repair transfer. The server's answer is not
+    /// checked here: the caller compares its content hash with
+    /// `store_id`.
     ///
     /// # Errors
     /// [`ServeError::UnknownMatrix`] when the server holds no such
-    /// segment, transport errors.
+    /// matrix, transport errors.
     pub fn store_fetch(&mut self, store_id: u64) -> Result<Vec<u8>> {
         match self.roundtrip(
             FrameKind::StoreFetch,
@@ -282,84 +306,6 @@ impl ServeClient {
             }
             _ => Err(ServeError::BadFrame(
                 "store-fetch answered with wrong response",
-            )),
-        }
-    }
-
-    /// Streams an already-encoded segment to this server under its
-    /// store id — the target side of a repair transfer. Rides the
-    /// resumable chunked-upload path end to end: the body is
-    /// `[store_id][segment bytes]`, the synthetic upload id is that
-    /// body's content hash, so per-chunk checksums, the received-bitmap
-    /// resume, and the whole-body verification all apply unchanged.
-    ///
-    /// # Errors
-    /// [`ServeError::WrongShard`] when the target does not own the id,
-    /// [`ServeError::ChunkMismatch`] on a failed content check,
-    /// transport or server-side validation errors.
-    pub fn load_segment_streamed(
-        &mut self,
-        store_id: u64,
-        segment: &[u8],
-        chunk_bytes: usize,
-    ) -> Result<ChunkUpload> {
-        let body = protocol::segment_body_to_bytes(store_id, segment);
-        // (0, 0) is the segment-mode shape sentinel.
-        let (mut upload, (loaded_id, _, _)) = self.stream_body(&body, chunk_bytes, (0, 0))?;
-        if loaded_id != store_id {
-            return Err(ServeError::BadFrame("server installed a different segment"));
-        }
-        upload.matrix_id = store_id;
-        Ok(upload)
-    }
-
-    /// The chunked upload both body kinds share: declare `body` under
-    /// its content hash with the given `(rows, cols)`, send the chunks
-    /// the server's bitmap lacks, commit. Returns the chunk counts
-    /// (`matrix_id` holding the upload id) and the `(id, rows, cols)` the
-    /// server reported loading, which the caller checks.
-    fn stream_body(
-        &mut self,
-        body: &[u8],
-        chunk_bytes: usize,
-        (rows, cols): (u32, u32),
-    ) -> Result<(ChunkUpload, (u64, u32, u32))> {
-        // Clamp the chunk size into the protocol's bounds, growing it if
-        // needed so the count stays under MAX_CHUNK_COUNT (the caps
-        // guarantee a compliant size always exists for a legal body).
-        let chunk_bytes = chunk_bytes
-            .max(body.len().div_ceil(protocol::MAX_CHUNK_COUNT))
-            .clamp(1, protocol::MAX_CHUNK_BYTES);
-        let upload_id = content_hash(body);
-        let start = MatrixChunkStart::new(upload_id, body.len(), chunk_bytes, rows, cols);
-        let mut bitmap = self.chunk_ack(FrameKind::MatrixChunkStart, &start.to_bytes(), &start)?;
-        let mut upload = ChunkUpload {
-            matrix_id: upload_id,
-            chunks_sent: 0,
-            chunks_skipped: 0,
-        };
-        for index in 0..start.chunk_count {
-            if protocol::bitmap_get(&bitmap, index as usize) {
-                upload.chunks_skipped += 1;
-                continue;
-            }
-            let off = index as usize * chunk_bytes;
-            let data = &body[off..off + start.len_of_chunk(index)];
-            let frame = protocol::matrix_chunk_to_bytes(upload_id, index, content_hash(data), data);
-            bitmap = self.chunk_ack(FrameKind::MatrixChunk, &frame, &start)?;
-            upload.chunks_sent += 1;
-        }
-        match self.roundtrip(
-            FrameKind::MatrixChunkCommit,
-            &protocol::matrix_chunk_commit_to_bytes(upload_id),
-        )? {
-            Response::MatrixLoaded {
-                matrix_id,
-                rows,
-                cols,
-            } => Ok((upload, (matrix_id, rows, cols))),
-            _ => Err(ServeError::BadFrame(
-                "chunk commit answered with wrong response",
             )),
         }
     }

@@ -12,8 +12,9 @@
 //!   (`Hello`/`LoadKeys`/`MatrixChunk*`/`Hmvp`/`Result`/`Error`) whose
 //!   ciphertext payloads reuse `cham_he::wire`,
 //! * [`cache`] — a content-addressed session cache: Galois key sets and
-//!   NTT-form [`cham_he::hmvp::EncodedMatrix`] encodings are stored once
-//!   per distinct content hash with an LRU eviction bound,
+//!   NTT-form [`cham_he::hmvp::EncodedMatrix`] encodings (each beside the
+//!   upload body it was encoded from) are stored once per distinct
+//!   content hash with an LRU eviction bound,
 //! * [`gate`] — the admission gate: `workers` permits in front of a
 //!   bounded FIFO line of waiters with per-request deadlines; a full line
 //!   rejects with [`ServeError::Busy`] instead of growing,
@@ -34,8 +35,8 @@
 //! * [`store`] — the crash-safe persistent tier: a file-backed,
 //!   content-addressed segment store (write-temp + fsync + atomic
 //!   rename, CRC-guarded headers, quarantine-on-corruption recovery)
-//!   spilling NTT-form encodings under the LRU so restarts come back
-//!   warm with zero re-encodes,
+//!   spilling matrix upload bodies under the LRU so a restart comes back
+//!   without a re-upload (each restored matrix is encoded once),
 //! * [`stats`] — per-instance service counters, per-phase latency
 //!   histograms, and the [`stats::IntrospectSnapshot`] served by the
 //!   `Introspect` wire op.

@@ -21,14 +21,14 @@
 //! | `Hmvp` (4) | c→s | `[key_id u64] [matrix_id u64] [deadline_ms u32] [trace_id u64] [k u16] ([len u32] [rlwe bytes])×k` |
 //! | `Result` (5) | s→c | `[tag u8] [tag-specific payload]` (see [`Response`]) |
 //! | `Error` (6) | s→c | `[code u8] [msg_len u16] [utf-8 message]` |
-//! | `Ping` (7) | c→s | empty — health check; answered with a [`Response::Pong`] counter snapshot |
+//! | (7) | — | retired (the `Ping` health check; `Introspect` serves the same counters); rejected as an unknown kind |
 //! | `Introspect` (8) | c→s | empty — answered with a [`Response::IntrospectReport`] snapshot |
 //! | `FlightDump` (9) | c→s | empty — answered with a [`Response::FlightDump`] trace JSON |
 //! | `MatrixChunkStart` (10) | c→s | `[matrix_id u64] [total_len u64] [chunk_size u32] [chunk_count u32] [rows u32] [cols u32]` |
 //! | `MatrixChunk` (11) | c→s | `[matrix_id u64] [index u32] [checksum u64] [data]` |
 //! | `MatrixChunkCommit` (12) | c→s | `[matrix_id u64]` |
 //! | `StoreList` (13) | c→s | empty — segment inventory; answered with a [`Response::StoreListReport`] |
-//! | `StoreFetch` (14) | c→s | `[store_id u64]` — answered with a [`Response::SegmentData`] encoded segment |
+//! | `StoreFetch` (14) | c→s | `[store_id u64]` — answered with a [`Response::SegmentData`] matrix body |
 //!
 //! There is one revision, [`PROTOCOL_VERSION`]: a hello carrying any
 //! other value is answered with one `Incompatible` error, and a client
@@ -53,17 +53,12 @@
 //! ## Anti-entropy repair
 //!
 //! `StoreList` answers with every content id resident in RAM or on disk,
-//! and `StoreFetch` returns the `cham_he::wire` encoded-matrix bytes (the
-//! plaintext was discarded at encode time, so the NTT-form segment is
-//! the only transferable artifact). The repaired bytes travel
-//! replica→replica over the same chunk frames in *segment mode*: a
-//! `MatrixChunkStart` whose `rows` and `cols` are both the `0` sentinel
-//! declares a body of shape `[store_id u64][encoded segment bytes]`,
-//! content-hashed exactly like a matrix body so the per-chunk checksums,
-//! received-bitmaps and whole-body verification apply unchanged. At
-//! commit the server strips the prefix, validates the segment through
-//! the wire codec, installs it under `store_id` (RAM + persistent
-//! store), and answers `MatrixLoaded` for that id.
+//! and `StoreFetch` returns that id's matrix body — the exact bytes the
+//! id hashes, which is all a node keeps of a matrix outside its RAM
+//! encoding. A repair is then an ordinary upload of that body to the
+//! replica that lacks it, so the target checks ownership and the content
+//! hash exactly as it does for a client. Nothing else can install a
+//! matrix under an id.
 //!
 //! ## Deadlines and ids
 //!
@@ -77,7 +72,7 @@
 //! replay after an eviction.
 
 use crate::shard::ClusterIdentity;
-use crate::stats::{IntrospectSnapshot, PhaseStat, StatsSnapshot};
+use crate::stats::{IntrospectSnapshot, PhaseStat};
 use crate::{Result, ServeError};
 use cham_he::ciphertext::RlweCiphertext;
 use cham_he::hmvp::Matrix;
@@ -128,8 +123,6 @@ pub enum FrameKind {
     Result = 5,
     /// Failure response.
     Error = 6,
-    /// Health check: empty body, answered with a stats snapshot.
-    Ping = 7,
     /// Live introspection: empty body, answered with a structured
     /// snapshot of stats, queue/pool occupancy, and per-phase latency
     /// histograms.
@@ -150,9 +143,8 @@ pub enum FrameKind {
     /// resident in RAM or the persistent store; empty body, answered
     /// with a [`Response::StoreListReport`].
     StoreList = 13,
-    /// Pulls one encoded matrix segment back off the node for
-    /// replica→replica repair; answered with a
-    /// [`Response::SegmentData`].
+    /// Pulls one matrix body back off the node for replica→replica
+    /// repair; answered with a [`Response::SegmentData`].
     StoreFetch = 14,
 }
 
@@ -161,7 +153,7 @@ impl FrameKind {
     ///
     /// # Errors
     /// [`ServeError::BadFrame`] for unknown discriminators (including
-    /// the retired kind 3).
+    /// the retired kinds 3 and 7).
     pub fn from_u8(v: u8) -> Result<Self> {
         match v {
             1 => Ok(FrameKind::Hello),
@@ -169,7 +161,6 @@ impl FrameKind {
             4 => Ok(FrameKind::Hmvp),
             5 => Ok(FrameKind::Result),
             6 => Ok(FrameKind::Error),
-            7 => Ok(FrameKind::Ping),
             8 => Ok(FrameKind::Introspect),
             9 => Ok(FrameKind::FlightDump),
             10 => Ok(FrameKind::MatrixChunkStart),
@@ -582,8 +573,8 @@ pub fn matrix_to_bytes(m: &Matrix) -> Vec<u8> {
     out
 }
 
-/// Parses a reassembled matrix body. Entries must be below the
-/// plaintext modulus.
+/// Parses a matrix body — a reassembled upload, a stored segment or a
+/// body fetched for repair. Entries must be below the plaintext modulus.
 ///
 /// # Errors
 /// [`ServeError::BadFrame`] for truncation, trailing bytes, implausible
@@ -601,6 +592,13 @@ pub fn matrix_from_bytes(body: &[u8], params: &ChamParams) -> Result<Matrix> {
     if n.checked_mul(8).is_none_or(|bytes| bytes > MAX_FRAME_BYTES) {
         return Err(ServeError::BadFrame("matrix exceeds frame bound"));
     }
+    // Checked before the entries are allocated: a declared shape never
+    // reserves more than the body actually carries.
+    if r.remaining() != 8 * n {
+        return Err(ServeError::BadFrame(
+            "matrix body length disagrees with its shape",
+        ));
+    }
     let t = params.plain_modulus().value();
     let mut data = Vec::with_capacity(n);
     for _ in 0..n {
@@ -610,7 +608,6 @@ pub fn matrix_from_bytes(body: &[u8], params: &ChamParams) -> Result<Matrix> {
         }
         data.push(v);
     }
-    r.done()?;
     Matrix::from_data(rows, cols, data).map_err(ServeError::He)
 }
 
@@ -634,11 +631,8 @@ pub struct MatrixChunkStart {
     /// Number of chunks (`⌈total_len / chunk_size⌉`).
     pub chunk_count: u32,
     /// Declared row count (validated against `total_len` up front).
-    /// `rows == 0 && cols == 0` is the *segment mode* sentinel: the
-    /// body is `[store_id u64][encoded segment bytes]` instead of a
-    /// matrix body, and no shape validation applies.
     pub rows: u32,
-    /// Declared column count (see `rows` for the zero sentinel).
+    /// Declared column count.
     pub cols: u32,
 }
 
@@ -655,20 +649,6 @@ impl MatrixChunkStart {
             rows,
             cols,
         }
-    }
-
-    /// Builds the declaration for a segment-mode transfer: the body
-    /// is `[store_id u64][encoded segment bytes]` and `upload_id` is its
-    /// content hash (distinct from the `store_id` it installs under).
-    #[must_use]
-    pub fn for_segment(upload_id: u64, total_len: usize, chunk_size: usize) -> Self {
-        Self::new(upload_id, total_len, chunk_size, 0, 0)
-    }
-
-    /// Whether this declaration is a segment-mode transfer.
-    #[must_use]
-    pub fn is_segment(&self) -> bool {
-        self.rows == 0 && self.cols == 0
     }
 
     /// The byte length chunk `index` must carry.
@@ -723,15 +703,6 @@ impl MatrixChunkStart {
         }
         if start.chunk_count as usize > MAX_CHUNK_COUNT {
             return Err(ServeError::BadFrame("too many chunks"));
-        }
-        if start.is_segment() {
-            // Segment mode: the body is an opaque prefixed segment, so no
-            // plaintext-shape arithmetic applies — but it must at least
-            // hold the 8-byte store-id prefix plus one byte.
-            if start.total_len <= 8 {
-                return Err(ServeError::BadFrame("segment transfer too short"));
-            }
-            return Ok(start);
         }
         if start.rows == 0 || start.cols == 0 {
             return Err(ServeError::BadFrame("empty matrix"));
@@ -812,33 +783,6 @@ pub fn store_fetch_from_bytes(body: &[u8]) -> Result<u64> {
     let store_id = r.u64()?;
     r.done()?;
     Ok(store_id)
-}
-
-/// Builds the body of a segment-mode transfer:
-/// `[store_id u64][encoded segment bytes]`. Its FNV-1a content hash is
-/// the transfer's upload id, so the per-chunk checksums and whole-body
-/// commit verification apply to repair traffic unchanged.
-#[must_use]
-pub fn segment_body_to_bytes(store_id: u64, segment: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + segment.len());
-    out.extend_from_slice(&store_id.to_le_bytes());
-    out.extend_from_slice(segment);
-    out
-}
-
-/// Splits a reassembled segment-mode body back into
-/// `(store_id, encoded segment bytes)`.
-///
-/// # Errors
-/// [`ServeError::BadFrame`] when the prefix or segment is missing.
-pub fn segment_body_from_bytes(body: &[u8]) -> Result<(u64, &[u8])> {
-    let mut r = Reader::new(body);
-    let store_id = r.u64()?;
-    let segment = r.take(r.remaining())?;
-    if segment.is_empty() {
-        return Err(ServeError::BadFrame("segment transfer carries no bytes"));
-    }
-    Ok((store_id, segment))
 }
 
 /// Reads bit `i` of a received-chunk bitmap.
@@ -964,7 +908,7 @@ enum ResponseTag {
     KeysLoaded = 2,
     MatrixLoaded = 3,
     HmvpDone = 4,
-    Pong = 5,
+    // 5 is retired (`Pong`, the answer to the retired `Ping`).
     IntrospectReport = 6,
     FlightDump = 7,
     ChunkAck = 8,
@@ -1041,12 +985,6 @@ pub enum Response {
         /// Packed outputs, each covering up to `N` entries.
         packed: Vec<PackedRlwe>,
     },
-    /// Answer to `Ping`: a point-in-time counter snapshot — the health
-    /// probe a load balancer or retry loop can poll without issuing work.
-    Pong {
-        /// The server's service counters at the moment of the ping.
-        stats: StatsSnapshot,
-    },
     /// Answer to `Introspect`: the full structured snapshot.
     IntrospectReport {
         /// Live stats, occupancy, and per-phase latency breakdown.
@@ -1079,12 +1017,13 @@ pub enum Response {
         /// Resident content ids, sorted ascending.
         ids: Vec<u64>,
     },
-    /// Answer to `StoreFetch`: one encoded matrix segment pulled for
+    /// Answer to `StoreFetch`: one matrix body pulled for
     /// replica→replica repair.
     SegmentData {
-        /// The content id the segment is stored under.
+        /// The content id the body is stored under.
         store_id: u64,
-        /// `cham_he::wire` encoded-matrix bytes.
+        /// The matrix body ([`matrix_to_bytes`]); its content hash is
+        /// `store_id`.
         bytes: Vec<u8>,
     },
 }
@@ -1159,10 +1098,6 @@ impl Response {
                     parts.push(bytes);
                 }
                 return parts;
-            }
-            Response::Pong { stats } => {
-                out.push(ResponseTag::Pong as u8);
-                put_named(&mut out, stats.named());
             }
             Response::IntrospectReport { snapshot } => {
                 out.push(ResponseTag::IntrospectReport as u8);
@@ -1274,13 +1209,6 @@ impl Response {
                 }
                 Response::HmvpDone { len, packed }
             }
-            t if t == ResponseTag::Pong as u8 => {
-                let mut stats = StatsSnapshot::default();
-                read_named(&mut r, |name, v| {
-                    stats.set_named(name, v);
-                })?;
-                Response::Pong { stats }
-            }
             t if t == ResponseTag::IntrospectReport as u8 => {
                 let mut snapshot = IntrospectSnapshot::default();
                 read_named(&mut r, |name, v| snapshot.set_named(name, v))?;
@@ -1376,6 +1304,7 @@ pub fn error_from_body(body: &[u8]) -> Result<(ErrorCode, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::StatsSnapshot;
     use cham_he::encoding::CoeffEncoder;
     use cham_he::encrypt::Encryptor;
     use cham_he::keys::SecretKey;
@@ -1794,47 +1723,24 @@ mod tests {
     }
 
     #[test]
-    fn segment_mode_chunk_start() {
-        // rows = cols = 0 declares a segment transfer: shape checks are
-        // skipped, the structural bounds still apply.
-        let start = MatrixChunkStart::for_segment(0xABCD, 200, 64);
-        assert!(start.is_segment());
-        assert_eq!(start.chunk_count, 4);
-        let back = MatrixChunkStart::from_bytes(&start.to_bytes()).unwrap();
-        assert_eq!(back, start);
-        assert!(back.is_segment());
-
-        // A body that cannot hold the store-id prefix is malformed.
-        let tiny = MatrixChunkStart::for_segment(1, 8, 8);
-        assert!(matches!(
-            MatrixChunkStart::from_bytes(&tiny.to_bytes()),
-            Err(ServeError::BadFrame(_))
-        ));
-        // Half-zero shapes are still plain empty matrices, not segments.
-        let mut half = MatrixChunkStart::new(1, 176, 64, 0, 7);
-        assert!(!half.is_segment());
-        assert!(MatrixChunkStart::from_bytes(&half.to_bytes()).is_err());
-        half.rows = 3;
-        half.cols = 0;
-        assert!(MatrixChunkStart::from_bytes(&half.to_bytes()).is_err());
-        // Structural bounds survive segment mode.
-        let mut huge = start;
-        huge.total_len = (MAX_FRAME_BYTES as u64) + 1;
-        assert!(MatrixChunkStart::from_bytes(&huge.to_bytes()).is_err());
+    fn zero_shape_chunk_start_is_an_empty_matrix() {
+        // A zero anywhere in the declared shape is an empty matrix, the
+        // `(0, 0)` shape included: no declaration skips the shape check.
+        for (rows, cols) in [(0, 0), (0, 7), (3, 0)] {
+            let start = MatrixChunkStart::new(1, 176, 64, rows, cols);
+            assert!(matches!(
+                MatrixChunkStart::from_bytes(&start.to_bytes()),
+                Err(ServeError::BadFrame("empty matrix"))
+            ));
+        }
     }
 
     #[test]
-    fn segment_body_roundtrip() {
-        let body = segment_body_to_bytes(0xFEED, &[9, 8, 7]);
-        let (store_id, segment) = segment_body_from_bytes(&body).unwrap();
-        assert_eq!(store_id, 0xFEED);
-        assert_eq!(segment, &[9, 8, 7]);
-        // Prefix-only and truncated bodies are malformed.
-        assert!(segment_body_from_bytes(&segment_body_to_bytes(1, &[])).is_err());
-        assert!(segment_body_from_bytes(&body[..7]).is_err());
-        // StoreFetch bodies round-trip and reject trailing bytes.
+    fn store_fetch_body_roundtrip() {
+        // StoreFetch bodies round-trip and reject short or trailing bytes.
         let fetch = store_fetch_to_bytes(0xFEED);
         assert_eq!(store_fetch_from_bytes(&fetch).unwrap(), 0xFEED);
+        assert!(store_fetch_from_bytes(&fetch[..7]).is_err());
         let mut bad = fetch;
         bad.push(0);
         assert!(store_fetch_from_bytes(&bad).is_err());
@@ -1864,9 +1770,9 @@ mod tests {
     #[test]
     fn stats_travel_by_name() {
         let p = params();
-        // A hand-built pong: one known counter, one this build has never
-        // heard of, and a name that is not even UTF-8.
-        let mut body = vec![5u8, 3]; // Pong tag, three entries
+        // A hand-built report: one known counter, one this build has
+        // never heard of, and a name that is not even UTF-8.
+        let mut body = vec![6u8, 3]; // IntrospectReport tag, three entries
         for (name, value) in [
             (&b"completed"[..], 7u64),
             (&b"invented_later"[..], 99),
@@ -1876,10 +1782,11 @@ mod tests {
             body.extend_from_slice(name);
             body.extend_from_slice(&value.to_le_bytes());
         }
+        body.push(0); // no phases
         match Response::from_bytes(&body, &p).unwrap() {
             // Unknown names are skipped; absent ones read 0.
-            Response::Pong { stats } => assert_eq!(
-                stats,
+            Response::IntrospectReport { snapshot } => assert_eq!(
+                snapshot.stats,
                 StatsSnapshot {
                     completed: 7,
                     ..StatsSnapshot::default()
@@ -1887,8 +1794,8 @@ mod tests {
             ),
             other => panic!("unexpected response {other:?}"),
         }
-        // The same rule covers the gauges of an introspection report, and
-        // a value too wide for its field saturates.
+        // The same rule covers the gauges, and a value too wide for its
+        // field saturates.
         let mut body = vec![6u8, 3]; // IntrospectReport tag, three entries
         for (name, value) in [("workers", u64::MAX), ("timed_out", 4), ("novel_gauge", 1)] {
             body.push(name.len() as u8);

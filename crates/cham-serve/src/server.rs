@@ -152,8 +152,8 @@ struct ServerShared {
 }
 
 impl ServerShared {
-    /// The counters `Pong` serves: the request-path [`ServeStats`] plus
-    /// the store errors the cache swallowed.
+    /// The counters `Introspect` serves: the request-path [`ServeStats`]
+    /// plus the store errors the cache swallowed.
     fn stats(&self) -> StatsSnapshot {
         StatsSnapshot {
             spill_errors: self.cache.spill_errors(),
@@ -598,14 +598,6 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
                 cluster: shared.cluster_identity(),
             }))
         }
-        FrameKind::Ping => {
-            if !body.is_empty() {
-                return Err(ServeError::BadFrame("ping frame with a body"));
-            }
-            Ok(FrameOutcome::plain(Response::Pong {
-                stats: shared.stats(),
-            }))
-        }
         FrameKind::Introspect => {
             if !body.is_empty() {
                 return Err(ServeError::BadFrame("introspect frame with a body"));
@@ -724,19 +716,14 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
             // Ownership is enforced before a byte of assembly memory is
             // spent: a misrouted upload costs the cluster nothing but
             // this frame, and the typed reply tells the client which map
-            // revision to refresh against. A repair transfer is checked
-            // against the *store id* inside its body at commit time
-            // instead — its upload id is a synthetic content hash of the
-            // prefixed body, which the ring never keyed.
-            if !start.is_segment() {
-                shared.check_owned(start.matrix_id)?;
-            }
+            // revision to refresh against.
+            shared.check_owned(start.matrix_id)?;
             let bitmap_len = (start.chunk_count as usize).div_ceil(8);
             // Already resident (RAM, or restored from the persistent
             // store): ack everything received so the client skips
             // straight to commit — content addressing makes a re-upload
             // idempotent.
-            if !start.is_segment() && cache.get_matrix(start.matrix_id).is_ok() {
+            if cache.get_matrix(start.matrix_id).is_ok() {
                 let mut bitmap = vec![0u8; bitmap_len];
                 for i in 0..start.chunk_count as usize {
                     protocol::bitmap_set(&mut bitmap, i);
@@ -876,23 +863,8 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
                     index: protocol::CHUNK_INDEX_NONE,
                 });
             }
-            if asm.start.is_segment() {
-                // Repair install: the body is `[store_id][encoded
-                // segment]`. Ownership is enforced on the *store id* —
-                // the synthetic upload id was never a ring key — and the
-                // segment lands in the store + RAM cache exactly as if
-                // this node had encoded it itself.
-                let (store_id, segment) = protocol::segment_body_from_bytes(&asm.buf)?;
-                shared.check_owned(store_id)?;
-                let (rows, cols) = cache.put_segment_bytes(store_id, segment)?;
-                return Ok(FrameOutcome::plain(Response::MatrixLoaded {
-                    matrix_id: store_id,
-                    rows: rows as u32,
-                    cols: cols as u32,
-                }));
-            }
             let matrix = protocol::matrix_from_bytes(&asm.buf, cache.params())?;
-            let loaded_id = cache.put_matrix(&asm.buf, &matrix)?;
+            let loaded_id = cache.put_matrix(asm.buf, &matrix)?;
             debug_assert_eq!(loaded_id, matrix_id);
             Ok(FrameOutcome::plain(Response::MatrixLoaded {
                 matrix_id: loaded_id,

@@ -3,7 +3,7 @@
 //! The admission gate and the request path record what the service
 //! actually did — accepted/rejected/expired requests, how many waited for
 //! a permit — into plain relaxed atomics owned by one server instance.
-//! Several servers share a test process and `Pong`/`Introspect` answer
+//! Several servers share a test process and `Introspect` answers
 //! per node, so this struct is the one record of those events: nothing in
 //! this crate books into the process-wide `cham-telemetry` registries.
 //!
@@ -181,8 +181,8 @@ pub struct StatsSnapshot {
     /// Best-effort spills to the persistent store that failed and were
     /// swallowed (`SessionCache::spill_errors`).
     pub spill_errors: u64,
-    /// Stored segments dropped because they did not decode against this
-    /// node's parameters (`SessionCache::decode_errors`).
+    /// Stored matrix bodies dropped because they did not parse against
+    /// this node's parameters (`SessionCache::decode_errors`).
     pub decode_errors: u64,
 }
 
@@ -205,7 +205,8 @@ impl StatsSnapshot {
         decode_errors,
     ];
 
-    /// The counters as `(name, value)` pairs — the `Pong` body.
+    /// The counters as `(name, value)` pairs, ahead of the gauges in
+    /// the `IntrospectReport` body.
     pub(crate) fn named(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         Field::read_all(Self::FIELDS, self)
     }

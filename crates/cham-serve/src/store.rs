@@ -3,11 +3,12 @@
 //!
 //! The paper's serving economics rest on paying the NTT matrix encode
 //! once and amortizing it over many HMVPs. The [`crate::cache`] LRU makes
-//! that true within one process lifetime; this module makes it true
-//! *across* lifetimes: encoded matrices spill to content-addressed
-//! segment files, and a restarted server restores them instead of
-//! re-encoding (see the warm-restart integration test, which pins the
-//! `matrix_encode` histogram at zero after a restart).
+//! that true within one process lifetime; this module keeps a matrix
+//! *across* lifetimes: each matrix's upload body — the exact bytes its
+//! content id hashes — spills to a segment file, and a restarted server
+//! reads the body back and encodes it once instead of asking for a
+//! re-upload (see the warm-restart integration test, which pins one
+//! `matrix_encode` per restore and zero re-sent chunks).
 //!
 //! ## Segment format
 //!
@@ -15,13 +16,17 @@
 //!
 //! ```text
 //! offset  size  field
-//!      0     4  magic "CHS1"
+//!      0     4  magic "CHS2"
 //!      4     8  content id (u64 LE) — must match the filename
 //!     12     8  payload length (u64 LE)
 //!     20     4  CRC-32 of the payload
 //!     24     4  CRC-32 of bytes [0, 24) — the header guard
-//!     28     …  payload (cham_he::wire encoded-matrix bytes)
+//!     28     …  payload (the matrix upload body, `protocol::matrix_to_bytes`)
 //! ```
+//!
+//! A `CHS1` segment (the NTT-form encoding an older build spilled) fails
+//! the magic check and is quarantined at [`SegmentStore::open`] like any
+//! corrupt one.
 //!
 //! ## Crash-safety protocol
 //!
@@ -39,7 +44,7 @@
 //! *quarantined* — renamed to `.corrupt` so the bytes survive for
 //! forensics while the store stops serving them. Payload CRCs are
 //! verified on every read; a payload mismatch quarantines the same way.
-//! Both paths count `cham_serve.store.corrupt_segments`.
+//! Both paths count [`StoreStats::quarantined`].
 
 use crate::faults::{Fault, FaultInjector};
 use crate::{Result, ServeError};
@@ -51,7 +56,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Magic bytes opening every segment header.
-pub const SEGMENT_MAGIC: [u8; 4] = *b"CHS1";
+pub const SEGMENT_MAGIC: [u8; 4] = *b"CHS2";
 
 /// Fixed segment header size (see the module docs for the layout).
 pub const SEGMENT_HEADER_BYTES: usize = 28;
@@ -344,9 +349,8 @@ impl SegmentStore {
 
     /// Reads and CRC-verifies the payload for `id`. A corrupt segment is
     /// quarantined (renamed to `.corrupt`, dropped from the index,
-    /// counted under `cham_serve.store.corrupt_segments`) and reads as a
-    /// miss, so one bad sector degrades to a re-encode, never a wrong
-    /// answer.
+    /// counted in [`StoreStats::quarantined`]) and reads as a miss, so
+    /// one bad sector degrades to a re-upload, never a wrong answer.
     #[must_use]
     pub fn get(&self, id: u64) -> Option<Vec<u8>> {
         {
@@ -571,6 +575,30 @@ mod tests {
         assert!(store.get(4).is_some());
         assert!(store.get(1).is_some());
         assert!(!dir.join("seg-00000000000000ff.chs.tmp").exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn previous_format_segment_is_quarantined_at_open() {
+        // A segment written under the `CHS1` magic is sound in every other
+        // respect (header CRC, name, length), yet it carries a payload this
+        // build does not read: open() quarantines it.
+        let dir = temp_dir("chs1");
+        let store = SegmentStore::open(&dir, 0).unwrap();
+        store.put(5, b"an encoding an older build spilled").unwrap();
+        drop(store);
+        let seg = dir.join(format!("seg-{:016x}.chs", 5));
+        let mut bytes = fs::read(&seg).unwrap();
+        bytes[..4].copy_from_slice(b"CHS1");
+        let header_crc = crc32(&bytes[..24]);
+        bytes[24..28].copy_from_slice(&header_crc.to_le_bytes());
+        fs::write(&seg, &bytes).unwrap();
+
+        let store = SegmentStore::open(&dir, 0).unwrap();
+        assert_eq!(store.stats().recovered, 0);
+        assert_eq!(store.stats().quarantined, 1);
+        assert!(!store.contains(5));
+        assert!(seg.with_extension("chs.corrupt").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,9 +1,11 @@
 //! Wire-level negatives of the chunked upload: oversize chunks,
 //! out-of-range indexes, undeclared uploads, checksum and body-hash
-//! mismatches and premature commits must come back as *typed* errors
-//! before the server commits a byte to its assembly.
+//! mismatches, premature commits and a zero shape must come back as
+//! *typed* errors before the server commits a byte to its assembly.
 
-use cham_he::hmvp::Matrix;
+use cham_he::encrypt::{Decryptor, Encryptor};
+use cham_he::hmvp::{Hmvp, Matrix};
+use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::ChamParams;
 use cham_serve::cache::content_hash;
 use cham_serve::protocol::{
@@ -105,6 +107,82 @@ fn out_of_range_chunk_index_is_rejected() {
     let (code, message) = roundtrip_err(&mut s, FrameKind::MatrixChunk, &frame);
     assert_eq!(code, ErrorCode::BadFrame);
     assert!(message.contains("index"), "got {message:?}");
+    server.shutdown();
+}
+
+/// A `(0, 0)` shape once declared a body of `[id][NTT-form encoding]`
+/// that the commit installed under whatever id it named — an encoding
+/// no content hash can be checked against. Replaying that exact
+/// exchange against an id another connection uploaded must be refused
+/// at the start, and the owner's next HMVP must still compute `A·v`.
+#[test]
+fn zero_shape_upload_cannot_overwrite_another_matrix() {
+    let p = params();
+    let server = start_server();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x4F);
+    let sk = SecretKey::generate(p, &mut rng);
+    let gkeys = GaloisKeys::generate_for_packing(&sk, p.max_pack_log(), &mut rng).unwrap();
+    let indices: Vec<usize> = (1..=p.max_pack_log()).map(|j| (1usize << j) + 1).collect();
+    let hmvp = Hmvp::from_arc(Arc::clone(p));
+    let t = p.plain_modulus();
+    let a = test_matrix(0x50);
+    let b = test_matrix(0x51);
+    let v: Vec<u64> = (0..a.cols() as u64)
+        .map(|i| (3 * i + 1) % t.value())
+        .collect();
+    let cts = hmvp
+        .encrypt_vector(&v, &Encryptor::new(p, &sk), &mut rng)
+        .unwrap();
+
+    // Connection 1 uploads A.
+    let mut owner = ServeClient::connect(server.local_addr(), Arc::clone(p)).unwrap();
+    let key_id = owner.load_keys(&gkeys, &indices).unwrap();
+    let id_a = owner.load_matrix(&a).unwrap();
+
+    // Connection 2 replays the segment-mode exchange: B's encoding
+    // behind A's id, declared with the zero shape.
+    let mut body = id_a.to_le_bytes().to_vec();
+    body.extend(cham_he::wire::encoded_matrix_to_bytes(&hmvp.encode_matrix(&b).unwrap()).unwrap());
+    let upload_id = content_hash(&body);
+    let chunk_bytes = 1 << 16;
+    let start = MatrixChunkStart::new(upload_id, body.len(), chunk_bytes, 0, 0);
+    let mut s = raw_connect(&server);
+    protocol::write_frame(&mut s, FrameKind::MatrixChunkStart, &start.to_bytes()).unwrap();
+    let (kind, reply) = protocol::read_frame(&mut s).unwrap();
+    let refused = match kind {
+        FrameKind::Error => Some(protocol::error_from_body(&reply).unwrap()),
+        _ => {
+            // Accepted: finish the exchange, so the check below sees
+            // what a finished one does.
+            for (index, data) in body.chunks(chunk_bytes).enumerate() {
+                let frame = protocol::matrix_chunk_to_bytes(
+                    upload_id,
+                    index as u32,
+                    content_hash(data),
+                    data,
+                );
+                protocol::write_frame(&mut s, FrameKind::MatrixChunk, &frame).unwrap();
+                let _ = protocol::read_frame(&mut s).unwrap();
+            }
+            let commit = protocol::matrix_chunk_commit_to_bytes(upload_id);
+            protocol::write_frame(&mut s, FrameKind::MatrixChunkCommit, &commit).unwrap();
+            let _ = protocol::read_frame(&mut s).unwrap();
+            None
+        }
+    };
+
+    let result = owner.hmvp(key_id, id_a, &cts, None).unwrap();
+    let got = hmvp
+        .decrypt_result(&result, &Decryptor::new(p, &sk))
+        .unwrap();
+    assert_eq!(
+        got,
+        a.mul_vector_mod(&v, t).unwrap(),
+        "id_A no longer multiplies by A"
+    );
+    let (code, message) = refused.expect("the zero-shape start was accepted");
+    assert_eq!(code, ErrorCode::BadFrame);
+    assert!(message.contains("empty matrix"), "got {message:?}");
     server.shutdown();
 }
 
@@ -281,7 +359,7 @@ fn stale_assembly_does_not_block_a_resident_matrix() {
     let _ = protocol::read_frame(&mut s).unwrap();
     // ...while the content lands in the cache without it.
     assert_eq!(
-        server.cache().put_matrix(&body, &matrix).unwrap(),
+        server.cache().put_matrix(body.clone(), &matrix).unwrap(),
         matrix_id
     );
 

@@ -6,23 +6,25 @@
 //!
 //! Two reply kinds are looser on mutated input and are held to a fixed
 //! point there (re-encoding, decoding and re-encoding again changes
-//! nothing): the self-describing stats replies skip names they do not
+//! nothing): the self-describing stats reply skips names it does not
 //! know, and `Error` bodies repair invalid UTF-8 in the human-readable
 //! message. Their canonical encodings are still exact: every corpus body
-//! re-encodes byte for byte, and the fully populated `Pong` and
-//! `IntrospectReport` decode back to equal structs.
+//! re-encodes byte for byte, and the fully populated `IntrospectReport`
+//! decodes back to an equal struct.
 //!
 //! Seeded from the test name by the vendored proptest, so a failure
 //! names the case and replays identically.
 
 use cham_he::encoding::CoeffEncoder;
 use cham_he::encrypt::Encryptor;
+use cham_he::hmvp::Matrix;
 use cham_he::keys::SecretKey;
 use cham_he::pack::PackedRlwe;
 use cham_he::params::ChamParams;
 use cham_serve::protocol::{
-    error_body, error_from_body, hmvp_request_from_bytes, hmvp_request_to_bytes, ErrorCode,
-    FrameKind, Hello, MatrixChunkStart, Response, DEADLINE_NONE, PROTOCOL_VERSION,
+    error_body, error_from_body, hmvp_request_from_bytes, hmvp_request_to_bytes, matrix_from_bytes,
+    matrix_to_bytes, ErrorCode, FrameKind, Hello, MatrixChunkStart, Response, DEADLINE_NONE,
+    PROTOCOL_VERSION,
 };
 use cham_serve::shard::ClusterIdentity;
 use cham_serve::stats::{IntrospectSnapshot, PhaseStat, StatsSnapshot};
@@ -44,14 +46,18 @@ enum Decoder {
     ChunkStart,
     Response,
     Error,
+    /// The matrix body: an upload's reassembled bytes, a stored segment,
+    /// a repair's fetched body.
+    Matrix,
 }
 
-const DECODERS: [Decoder; 5] = [
+const DECODERS: [Decoder; 6] = [
     Decoder::Hello,
     Decoder::HmvpRequest,
     Decoder::ChunkStart,
     Decoder::Response,
     Decoder::Error,
+    Decoder::Matrix,
 ];
 
 /// Decodes `body` and re-encodes an `Ok`; the flag says whether the
@@ -69,16 +75,14 @@ fn recode(decoder: Decoder, body: &[u8]) -> Result<(Vec<u8>, bool), ServeError> 
         Decoder::ChunkStart => (MatrixChunkStart::from_bytes(body)?.to_bytes(), true),
         Decoder::Response => {
             let resp = Response::from_bytes(body, p)?;
-            let exact = !matches!(
-                resp,
-                Response::Pong { .. } | Response::IntrospectReport { .. }
-            );
+            let exact = !matches!(resp, Response::IntrospectReport { .. });
             (resp.to_bytes(), exact)
         }
         Decoder::Error => {
             let (code, message) = error_from_body(body)?;
             (error_body(code, &message), false)
         }
+        Decoder::Matrix => (matrix_to_bytes(&matrix_from_bytes(body, p)?), true),
     })
 }
 
@@ -195,9 +199,6 @@ fn corpus() -> &'static [(Decoder, Vec<u8>)] {
                     count: 3,
                 }],
             },
-            Response::Pong {
-                stats: full_stats(),
-            },
             Response::IntrospectReport {
                 snapshot: full_introspect(),
             },
@@ -228,8 +229,8 @@ fn corpus() -> &'static [(Decoder, Vec<u8>)] {
                 MatrixChunkStart::new(0xFEED, 176, 64, 3, 7).to_bytes(),
             ),
             (
-                Decoder::ChunkStart,
-                MatrixChunkStart::for_segment(0xABCD, 200, 64).to_bytes(),
+                Decoder::Matrix,
+                matrix_to_bytes(&Matrix::random(3, 5, p.plain_modulus().value(), &mut rng)),
             ),
             (
                 Decoder::Error,
@@ -242,8 +243,8 @@ fn corpus() -> &'static [(Decoder, Vec<u8>)] {
 }
 
 /// Every kind byte decodes to the kind with that discriminant or to a
-/// typed error; the retired kind 3 is among the errors. Exhaustive, so
-/// no sampling.
+/// typed error; the retired kinds 3 and 7 are among the errors.
+/// Exhaustive, so no sampling.
 #[test]
 fn frame_kind_bytes_are_exact_or_rejected() {
     for v in 0..=u8::MAX {
@@ -253,6 +254,7 @@ fn frame_kind_bytes_are_exact_or_rejected() {
         }
     }
     assert!(FrameKind::from_u8(3).is_err());
+    assert!(FrameKind::from_u8(7).is_err());
 }
 
 /// Every message shape re-encodes byte for byte — the stats replies and
@@ -275,17 +277,13 @@ fn corpus_bodies_round_trip_and_reject_trailing_bytes() {
 }
 
 /// The named stats list carries every counter, gauge and phase by value:
-/// with each field set to its own number, the decoded snapshots equal
-/// the encoded ones. A decoder that dropped, zeroed or crossed fields
+/// with each field set to its own number, the decoded snapshot equals
+/// the encoded one. A decoder that dropped, zeroed or crossed fields
 /// fails here.
 #[test]
 fn stats_replies_round_trip_every_value() {
     let decode = |r: Response| Response::from_bytes(&r.to_bytes(), params()).unwrap();
-    let (stats, snapshot) = (full_stats(), full_introspect());
-    match decode(Response::Pong { stats }) {
-        Response::Pong { stats } => assert_eq!(stats, full_stats()),
-        other => panic!("unexpected response {other:?}"),
-    }
+    let snapshot = full_introspect();
     match decode(Response::IntrospectReport { snapshot }) {
         Response::IntrospectReport { snapshot } => assert_eq!(snapshot, full_introspect()),
         other => panic!("unexpected response {other:?}"),

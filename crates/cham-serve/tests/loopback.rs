@@ -305,20 +305,21 @@ fn wire_errors_are_typed() {
     assert_eq!(stats.failed, 0);
 }
 
-/// `Ping` round-trips a live counter snapshot without taking a permit.
+/// `Introspect` round-trips a live counter snapshot without taking a
+/// permit.
 #[test]
-fn ping_reports_live_counters() {
+fn introspect_reports_live_counters() {
     let server = start_server(&ServerConfig::default());
     let mut client = connect(&server);
 
-    let before = client.ping().unwrap();
+    let before = client.introspect().unwrap().stats;
     assert_eq!(before.accepted, 0);
     assert_eq!(before.completed, 0);
 
     let (key_id, matrix_id, cts) = load_small(&mut client, 6);
     client.hmvp(key_id, matrix_id, &cts, None).unwrap();
 
-    let after = client.ping().unwrap();
+    let after = client.introspect().unwrap().stats;
     assert_eq!(after.accepted, 1);
     assert_eq!(after.completed, 1);
     assert_eq!(after.faults_injected, 0);
@@ -356,8 +357,8 @@ fn worker_panic_is_a_typed_internal_error() {
             other => panic!("expected typed Internal, got {other:?}"),
         }
     }
-    // The connection survived both panics; the health probe still works.
-    let snap = client.ping().unwrap();
+    // The connection survived both panics; introspection still answers.
+    let snap = client.introspect().unwrap().stats;
     assert_eq!(snap.internal_errors, 2);
     assert!(snap.faults_injected >= 2);
 

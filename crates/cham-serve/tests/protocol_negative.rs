@@ -156,7 +156,7 @@ fn server_rejects_zero_deadline_on_the_wire() {
 
 /// A rogue listener that answers every hello with `reply` and records
 /// the revision each one offered. Calling the returned closure stops it
-/// (with a `Ping` on a connection of its own, queued behind any attempt
+/// (with an `Introspect` on a connection of its own, queued behind any attempt
 /// the client made) and returns the offers — one per connection attempt.
 fn hello_recorder(
     reply: impl Fn(&mut TcpStream) + Send + 'static,
@@ -177,7 +177,7 @@ fn hello_recorder(
     });
     (addr, move || {
         let mut stop = TcpStream::connect(addr).unwrap();
-        protocol::write_frame(&mut stop, FrameKind::Ping, &[]).unwrap();
+        protocol::write_frame(&mut stop, FrameKind::Introspect, &[]).unwrap();
         handle.join().unwrap()
     })
 }

@@ -3,7 +3,7 @@
 //! same store directory, and prove recovery lands on a consistent
 //! prefix — corrupt segments quarantined and counted, clean segments
 //! serving HMVPs bit-identical to their pre-crash references with zero
-//! re-encodes.
+//! re-sent chunks and one encode per restored matrix.
 //!
 //! "Kill" here is the [`cham_serve::Fault::TornSnapshot`] class: the
 //! segment write is torn on disk exactly as a crash between `write` and
@@ -125,8 +125,8 @@ fn assert_no_partial_segments(dir: &Path) {
 /// cleanly, the (k+1)-th snapshot is torn by the seeded fault, and the
 /// restarted server recovers exactly the k-segment prefix — serving each
 /// restored matrix bit-identical to its pre-crash reference without a
-/// single re-encode, quarantining the torn segment, and accepting a
-/// clean re-upload of the lost matrix.
+/// re-sent chunk and at one encode per restore, quarantining the torn
+/// segment, and accepting a clean re-upload of the lost matrix.
 #[test]
 fn every_kill_point_recovers_a_consistent_prefix() {
     let f = fixture();
@@ -188,9 +188,9 @@ fn every_kill_point_recovers_a_consistent_prefix() {
                     .unwrap()
             );
             assert_eq!(faults.injected(Fault::TornSnapshot), 1);
-            // The cache swallowed the failed spill; `Pong` is where an
-            // operator can still see it.
-            assert_eq!(client.ping().unwrap().spill_errors, 1);
+            // The cache swallowed the failed spill; `Introspect` is where
+            // an operator can still see it.
+            assert_eq!(client.introspect().unwrap().stats.spill_errors, 1);
             server.shutdown();
         }
 
@@ -229,15 +229,15 @@ fn every_kill_point_recovers_a_consistent_prefix() {
             let got = run_hmvp(&mut client, key_id, *id, &inputs[i]);
             assert_eq!(got, references[i], "kill point {kill_point}, matrix {i}");
         }
+        assert_eq!(server.cache().store_restores(), kill_point as u64);
         assert_eq!(
             matrix_encode_count(&server),
-            0,
-            "kill point {kill_point}: restored prefix must cost zero re-encodes"
+            server.cache().store_restores(),
+            "kill point {kill_point}: restored prefix must cost one encode per restore"
         );
-        assert_eq!(server.cache().store_restores(), kill_point as u64);
 
         // The lost matrix is simply gone — its clean re-upload encodes
-        // once and persists durably this time.
+        // once more and persists durably this time.
         let id = client.load_matrix(&matrices[kill_point]).unwrap();
         let got = run_hmvp(&mut client, key_id, id, &inputs[kill_point]);
         assert_eq!(
@@ -246,7 +246,7 @@ fn every_kill_point_recovers_a_consistent_prefix() {
                 .mul_vector_mod(&vectors[kill_point], t)
                 .unwrap()
         );
-        assert_eq!(matrix_encode_count(&server), 1);
+        assert_eq!(matrix_encode_count(&server), kill_point as u64 + 1);
         assert_eq!(store.stats().segments, kill_point + 1);
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -255,8 +255,8 @@ fn every_kill_point_recovers_a_consistent_prefix() {
 
 /// Seeded probabilistic schedule: with `torn_snapshot` armed at 0.5 over
 /// many uploads, whichever snapshots the seed tears must be exactly the
-/// segments missing after restart — and every survivor serves with zero
-/// re-encodes. Replays deterministically by seed.
+/// segments missing after restart — and every survivor is restored with
+/// no re-sent chunk and one encode. Replays deterministically by seed.
 #[test]
 fn seeded_fault_schedule_recovers_exactly_the_untorn_segments() {
     let f = fixture();
@@ -307,7 +307,7 @@ fn seeded_fault_schedule_recovers_exactly_the_untorn_segments() {
             assert_eq!(store.contains(*id), *durable, "seed {seed:#x}");
         }
 
-        // Every survivor restores without an encode.
+        // Every survivor restores without a re-sent chunk, at one encode.
         let mut client = ServeClient::connect(server.local_addr(), Arc::clone(&f.params)).unwrap();
         let mut restored = 0;
         for (i, id) in ids.iter().enumerate() {
@@ -321,8 +321,8 @@ fn seeded_fault_schedule_recovers_exactly_the_untorn_segments() {
             assert_eq!(up.chunks_sent, 0);
             restored += 1;
         }
-        assert_eq!(matrix_encode_count(&server), 0);
         assert_eq!(server.cache().store_restores(), restored);
+        assert_eq!(matrix_encode_count(&server), restored);
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
