@@ -36,7 +36,36 @@ use cham_math::rns::{Form, RnsPoly};
 use cham_math::simd::{row_product, row_product_add, DIGIT_PRODUCT_MAX_DIGITS};
 use cham_telemetry::span::{phase, Span};
 use rand::Rng;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Rows per MAC block: each tile of the lifted input is read from memory
+/// once per `ROW_BLOCK` rows instead of once per row. Sized on `hmvp_wide`'s
+/// row-product loop (8 rows × 64 tiles at N = 4096) on a 2-core AVX-512 VM
+/// with 2 MiB of L2 per core: blocks of 1, 2, 4 and 8 rows took 9.1,
+/// 7.1–7.9, 6.5–6.8 and 5.6–5.8 ms. Eight rows' `a` limbs (256 KB) and one
+/// tile block's lifted limb (up to 1 MB) stay in L2 across the block.
+pub(crate) const ROW_BLOCK: usize = 8;
+
+/// The input vector in NTT form over the augmented basis, in a pooled
+/// buffer: per column tile, `b`'s limbs then `a`'s, `lanes` words each.
+struct LiftedInput<'w> {
+    words: &'w [u64],
+    n: usize,
+    limbs: usize,
+}
+
+impl LiftedInput<'_> {
+    /// Number of column tiles.
+    fn tiles(&self) -> usize {
+        self.words.len() / (2 * self.limbs * self.n)
+    }
+
+    /// Limb `l` of column tile `t`'s `b` (`half = 0`) or `a` (`half = 1`).
+    fn limb(&self, t: usize, half: usize, l: usize) -> &[u64] {
+        let at = ((2 * t + half) * self.limbs + l) * self.n;
+        &self.words[at..at + self.n]
+    }
+}
 
 /// A dense row-major matrix over `Z_t`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -237,12 +266,30 @@ impl Hmvp {
         })
     }
 
-    fn check_tiling(matrix: &EncodedMatrix, cts: &[RlweCiphertext]) -> Result<()> {
+    /// Everything a product needs of its operands, checked before the lift
+    /// writes a word: one ciphertext per column tile, both halves of every
+    /// ciphertext over this engine's augmented basis (in either form — the
+    /// lift transforms or copies), and every matrix tile in NTT form over
+    /// it.
+    ///
+    /// # Errors
+    /// [`HeError::ShapeMismatch`] for a ciphertext count other than the
+    /// matrix's column tiling, [`cham_math::MathError::ContextMismatch`]
+    /// for an operand over another basis or ring degree.
+    fn check_inputs(&self, matrix: &EncodedMatrix, cts: &[RlweCiphertext]) -> Result<()> {
         if cts.len() != matrix.col_tiles() {
             return Err(HeError::ShapeMismatch {
                 expected: matrix.col_tiles(),
                 got: cts.len(),
             });
+        }
+        let aug = self.params.augmented_context();
+        let mut halves = cts.iter().flat_map(|ct| [ct.b(), ct.a()]);
+        let mut tiles = matrix.tiles.iter().flatten();
+        if halves.any(|x| x.context() != aug)
+            || tiles.any(|pt| pt.context() != aug || pt.form() != Form::Ntt)
+        {
+            return Err(cham_math::MathError::ContextMismatch.into());
         }
         Ok(())
     }
@@ -252,8 +299,7 @@ impl Hmvp {
     /// [`Hmvp::dot_products_parallel`] at a cap of 1.
     ///
     /// # Errors
-    /// [`HeError::ShapeMismatch`] when the ciphertext count differs from
-    /// the matrix's column tiling.
+    /// Same conditions as [`Hmvp::dot_products_parallel`].
     pub fn dot_products(
         &self,
         matrix: &EncodedMatrix,
@@ -262,132 +308,191 @@ impl Hmvp {
         self.dot_products_parallel(matrix, cts, 1)
     }
 
-    /// Transforms the input ciphertexts to NTT form once; every matrix row
-    /// reuses them (the pipeline keeps the vector resident in the NTT
-    /// domain across the whole DOTPRODUCT stage, §V-B.1). A column tile
-    /// (one ciphertext, six limb transforms) is the smallest unit that
-    /// crosses threads, and only under the caller's `threads` cap.
-    fn lift_inputs_ntt(cts: &[RlweCiphertext], threads: usize) -> Vec<RlweCiphertext> {
-        // Request-scoped phase span: free when no recorder is installed
-        // (see cham_telemetry::span), so the kernel stays uninstrumented
-        // outside the serving stack's traced requests.
-        let _span = Span::enter(phase::ENCODE);
-        cham_pool::map_capped(cts, threads, |_, ct| {
-            let mut c = ct.clone();
-            c.to_ntt();
-            c
+    /// Lifts the input ciphertexts to NTT form over the augmented basis, in
+    /// a pooled buffer, and runs `f` on it: every row block of the product
+    /// reuses the one lift (the pipeline keeps the vector resident in the
+    /// NTT domain across the whole DOTPRODUCT stage, §V-B.1). A
+    /// coefficient-form limb is transformed straight into the buffer
+    /// ([`cham_math::NttTable::forward_into`]), an NTT-form one copied;
+    /// nothing is cloned. A column tile (six limb transforms) is the
+    /// smallest unit that crosses threads, and only under the caller's
+    /// `threads` cap. The caller has run [`Hmvp::check_inputs`].
+    fn with_lifted_input<T>(
+        &self,
+        cts: &[RlweCiphertext],
+        threads: usize,
+        f: impl FnOnce(&LiftedInput<'_>) -> T,
+    ) -> T {
+        let aug = self.params.augmented_context();
+        let (n, limbs) = (aug.degree(), aug.len());
+        let tile_words = 2 * limbs * n;
+        ScratchPool::global().with_lift(cts.len() * tile_words, |words| {
+            {
+                // Request-scoped phase span: free when no recorder is
+                // installed (see cham_telemetry::span), so the kernel stays
+                // uninstrumented outside the serving stack's traced requests.
+                let _span = Span::enter(phase::ENCODE);
+                let tiles: Vec<Mutex<&mut [u64]>> =
+                    words.chunks_exact_mut(tile_words).map(Mutex::new).collect();
+                cham_pool::map_capped(&tiles, threads, |t, dst| {
+                    let mut dst = dst.lock().expect("one lock per tile");
+                    let limbs = [cts[t].b(), cts[t].a()].into_iter().flat_map(|half| {
+                        let form = half.form();
+                        half.limbs()
+                            .iter()
+                            .zip(aug.tables())
+                            .map(move |(l, tb)| (form, l, tb))
+                    });
+                    for ((form, limb, table), dst) in limbs.zip(dst.chunks_exact_mut(n)) {
+                        match form {
+                            Form::Coeff => table.forward_into(limb.coeffs(), dst),
+                            Form::Ntt => dst.copy_from_slice(limb.coeffs()),
+                        }
+                    }
+                });
+            }
+            f(&LiftedInput { words, n, limbs })
         })
     }
 
-    /// One row through pipeline stages 1–4 in `s`, nothing allocated:
+    /// One block of up to [`ROW_BLOCK`] rows through pipeline stages 1–4
+    /// in `s`, nothing allocated:
     ///
-    /// * **MAC** — per limb, one [`row_product`] per block of up to
-    ///   [`DIGIT_PRODUCT_MAX_DIGITS`] column tiles ("a row residing in
-    ///   multiple ciphertexts needs to be aggregated", §V-B.2): the first
-    ///   block writes the canonical `a` sums into scratch and every later
-    ///   one adds into them mod `q`, sums held in registers and no
-    ///   accumulator plane,
+    /// * **MAC** — per limb and per block of up to
+    ///   [`DIGIT_PRODUCT_MAX_DIGITS`] column tiles, one [`row_product`] per
+    ///   row ("a row residing in multiple ciphertexts needs to be
+    ///   aggregated", §V-B.2): the tile block's lifted input is read from
+    ///   memory for the first row and from cache for the others. The first
+    ///   tile block writes each row's canonical `a` sums into its plane and
+    ///   every later one adds into them mod `q`, sums held in registers and
+    ///   no accumulator plane,
     /// * **`a`** — inverse-transformed in scratch and rescaled straight
-    ///   into `a_out` (normal basis, coefficient form),
+    ///   into the row's item of `a_out` (normal basis, coefficient form),
     /// * **`b`** — only its constant coefficient survives extraction, and
     ///   coefficient 0 of a negacyclic INTT is `n⁻¹·Σ lanes`: the kernel
     ///   returns the lane sum as an inner product, and a scalar rescale per
     ///   limb replaces three transforms.
     ///
-    /// Returns the rescaled `b₀` residues (one per normal-basis limb),
-    /// borrowed from `s`. Bit-identical to `extract_lwe(&rescale(ct)?, 0)`
-    /// up to the Eq. 3 rearrangement of `a`, which the caller applies (or
-    /// cancels against the pack's own).
-    ///
-    /// # Errors
-    /// [`cham_math::MathError::ContextMismatch`] unless every plaintext
-    /// tile and ciphertext half is in NTT form over the augmented basis.
-    fn dot_row_fused<'s>(
+    /// Returns the rescaled `b₀` residues, `limbs − 1` per row (one per
+    /// normal-basis limb), borrowed from `s`. Bit-identical, row by row, to
+    /// `extract_lwe(&rescale(ct)?, 0)` up to the Eq. 3 rearrangement of
+    /// `a`, which the caller applies (or cancels against the pack's own).
+    /// The caller has run [`Hmvp::check_inputs`].
+    fn dot_rows_fused<'s, 'o, R: AsRef<[RnsPoly]>>(
         &self,
-        row_tiles: &[RnsPoly],
-        cts_ntt: &[RlweCiphertext],
+        rows: &[R],
+        input: &LiftedInput<'_>,
         s: &'s mut DotScratch,
-        a_out: &mut RnsPoly,
-    ) -> Result<&'s [u64]> {
+        a_out: impl IntoIterator<Item = &'o mut RnsPoly>,
+    ) -> &'s [u64] {
         let aug = self.params.augmented_context();
         let (n, limbs) = (aug.degree(), aug.len());
-        debug_assert_eq!(a_out.context(), self.params.ciphertext_context());
-        let halves = cts_ntt.iter().flat_map(|ct| [ct.b(), ct.a()]);
-        if row_tiles
-            .iter()
-            .chain(halves)
-            .any(|x| x.context() != aug || x.form() != Form::Ntt)
-        {
-            return Err(cham_math::MathError::ContextMismatch.into());
-        }
+        let count = rows.len();
+        debug_assert!(count <= ROW_BLOCK);
         let dot_span = Span::enter(phase::DOT);
-        let (words, staged) = s.words[..limbs * (n + 2)].split_at_mut(limbs * n);
+        let (planes, staged) = s.words[..count * limbs * (n + 2)].split_at_mut(count * limbs * n);
         // b₀ over the augmented basis, then over the normal basis, staged
-        // just past the `a` lanes.
-        let (b0_aug, b0) = staged.split_at_mut(limbs);
-        let blocks = row_tiles
-            .chunks(DIGIT_PRODUCT_MAX_DIGITS)
-            .zip(cts_ntt.chunks(DIGIT_PRODUCT_MAX_DIGITS));
-        for (l, (limb, table)) in words.chunks_exact_mut(n).zip(aug.tables()).enumerate() {
+        // just past the `a` planes.
+        let (b0_aug, b0) = staged.split_at_mut(count * limbs);
+        let tiles = input.tiles();
+        for (l, table) in aug.tables().iter().enumerate() {
             let q = table.modulus();
-            let mut sum = 0;
-            for (k, (pts, cts)) in blocks.clone().enumerate() {
+            let mut sums = [0; ROW_BLOCK];
+            for (k, first) in (0..tiles).step_by(DIGIT_PRODUCT_MAX_DIGITS).enumerate() {
+                let block = first..tiles.min(first + DIGIT_PRODUCT_MAX_DIGITS);
+                let width = block.len();
                 let mut ops = [[&[][..]; DIGIT_PRODUCT_MAX_DIGITS]; 3];
-                for (t, (pt, ct)) in pts.iter().zip(cts).enumerate() {
-                    ops[0][t] = pt.limbs()[l].coeffs();
-                    ops[1][t] = ct.a().limbs()[l].coeffs();
-                    ops[2][t] = ct.b().limbs()[l].coeffs();
+                for (t, tile) in block.clone().enumerate() {
+                    ops[1][t] = input.limb(tile, 1, l);
+                    ops[2][t] = input.limb(tile, 0, l);
                 }
-                let [pt, ct_a, ct_b] = ops.each_ref().map(|o| &o[..pts.len()]);
                 let kernel = if k == 0 { row_product } else { row_product_add };
-                sum = q.add(sum, kernel(table.backend(), limb, pt, ct_a, ct_b, q));
+                let row_planes = rows.iter().zip(planes.chunks_exact_mut(limbs * n));
+                for ((row, plane), sum) in row_planes.zip(&mut sums) {
+                    for (t, pt) in row.as_ref()[block.clone()].iter().enumerate() {
+                        ops[0][t] = pt.limbs()[l].coeffs();
+                    }
+                    let [pt, ct_a, ct_b] = ops.each_ref().map(|o| &o[..width]);
+                    let limb = &mut plane[l * n..(l + 1) * n];
+                    *sum = q.add(*sum, kernel(table.backend(), limb, pt, ct_a, ct_b, q));
+                }
             }
-            b0_aug[l] = table.scale_by_n_inv(sum);
+            for (b0_row, &sum) in b0_aug.chunks_exact_mut(limbs).zip(&sums) {
+                b0_row[l] = table.scale_by_n_inv(sum);
+            }
         }
         drop(dot_span);
         let _span = Span::enter(phase::RESCALE);
-        cham_telemetry::counter_add!("cham_he.ops.rescale", 1);
-        cham_telemetry::counter_add!("cham_he.extract.extract_lwe", 1);
-        for (limb, table) in words.chunks_exact_mut(n).zip(aug.tables()) {
-            table.inverse(limb);
+        cham_telemetry::counter_add!("cham_he.ops.rescale", count as u64);
+        cham_telemetry::counter_add!("cham_he.extract.extract_lwe", count as u64);
+        let b0 = &mut b0[..count * (limbs - 1)];
+        let outs = planes.chunks_exact_mut(limbs * n).zip(a_out);
+        let residues = b0_aug
+            .chunks_exact(limbs)
+            .zip(b0.chunks_exact_mut(limbs - 1));
+        for ((plane, a_out), (b0_aug, b0)) in outs.zip(residues) {
+            debug_assert_eq!(a_out.context(), self.params.ciphertext_context());
+            for (limb, table) in plane.chunks_exact_mut(n).zip(aug.tables()) {
+                table.inverse(limb);
+            }
+            rescale_lanes_into(aug, plane, 0, a_out);
+            for (i, b0) in b0.iter_mut().enumerate() {
+                let out = std::slice::from_mut(b0);
+                aug.rescale_limb_into(i, &b0_aug[i..=i], &b0_aug[limbs - 1..], out);
+            }
         }
-        rescale_lanes_into(aug, words, 0, a_out);
-        for i in 0..limbs - 1 {
-            aug.rescale_limb_into(i, &b0_aug[i..=i], &b0_aug[limbs - 1..], &mut b0[i..=i]);
-        }
-        Ok(&b0[..limbs - 1])
+        b0
     }
 
-    /// One row's LWE ciphertext: [`Hmvp::dot_row_fused`] plus the Eq. 3
-    /// rearrangement, applied once in place.
-    fn dot_row(&self, row_tiles: &[RnsPoly], cts_ntt: &[RlweCiphertext]) -> Result<LweCiphertext> {
-        let mut a = RnsPoly::zero(self.params.ciphertext_context());
-        let b = ScratchPool::global().with(self.params.augmented_context(), |s| {
-            self.dot_row_fused(row_tiles, cts_ntt, s, &mut a)
-                .map(<[u64]>::to_vec)
-        })?;
-        rearrange_in_place(&mut a);
-        LweCiphertext::new(b, a)
-    }
-
-    /// The row as a pack leaf `(b₀·X⁰, a)`: `EXTRACTLWES` followed by
-    /// `LWE-TO-RLWE` applies the Eq. 3 involution twice, so the fused path
-    /// applies it not at all.
-    fn dot_row_leaf(
+    /// A block of rows' LWE ciphertexts: [`Hmvp::dot_rows_fused`] plus the
+    /// Eq. 3 rearrangement of each mask, applied once in place.
+    fn dot_rows_lwe(
         &self,
-        row_tiles: &[RnsPoly],
-        cts_ntt: &[RlweCiphertext],
-        s: &mut DotScratch,
-        leaf: &mut RlweCiphertext,
-    ) -> Result<()> {
-        let b0 = self.dot_row_fused(row_tiles, cts_ntt, s, &mut leaf.a)?;
-        write_constant(&mut leaf.b, b0);
-        Ok(())
+        rows: &[Vec<RnsPoly>],
+        input: &LiftedInput<'_>,
+    ) -> Result<Vec<LweCiphertext>> {
+        let ctx = self.params.ciphertext_context();
+        let mut masks: Vec<RnsPoly> = rows.iter().map(|_| RnsPoly::zero(ctx)).collect();
+        ScratchPool::global().with(self.params.augmented_context(), |s| {
+            let b0 = self.dot_rows_fused(rows, input, s, &mut masks);
+            masks
+                .into_iter()
+                .zip(b0.chunks_exact(ctx.len()))
+                .map(|(mut a, b)| {
+                    rearrange_in_place(&mut a);
+                    LweCiphertext::new(b.to_vec(), a)
+                })
+                .collect()
+        })
     }
 
-    /// The oracle for [`Hmvp::dot_row`]: strict per-tile multiply/add, then
-    /// the public `rescale` + `extract_lwe(_, 0)` composition on a
-    /// materialised ciphertext.
+    /// Rows `rows[idx[k]]` as pack leaves `(b₀·X⁰, a)` over every
+    /// coefficient of `leaves[k]`: `EXTRACTLWES` followed by `LWE-TO-RLWE`
+    /// applies the Eq. 3 involution twice, so the fused path applies it
+    /// not at all.
+    fn dot_rows_leaves(
+        &self,
+        rows: &[Vec<RnsPoly>],
+        idx: &[usize],
+        input: &LiftedInput<'_>,
+        s: &mut DotScratch,
+        leaves: &mut [RlweCiphertext],
+    ) {
+        let mut block: [&[RnsPoly]; ROW_BLOCK] = [&[]; ROW_BLOCK];
+        for (tiles, &i) in block.iter_mut().zip(idx) {
+            *tiles = &rows[i];
+        }
+        let masks = leaves.iter_mut().map(|leaf| &mut leaf.a);
+        let b0 = self.dot_rows_fused(&block[..idx.len()], input, s, masks);
+        let b0 = b0.chunks_exact(self.params.ciphertext_context().len());
+        for (leaf, b0) in leaves.iter_mut().zip(b0) {
+            write_constant(&mut leaf.b, b0);
+        }
+    }
+
+    /// The oracle for one row of [`Hmvp::dot_rows_fused`]: strict per-tile
+    /// multiply/add, then the public `rescale` + `extract_lwe(_, 0)`
+    /// composition on a materialised ciphertext.
     fn dot_row_unfused(
         &self,
         row_tiles: &[RnsPoly],
@@ -407,23 +512,30 @@ impl Hmvp {
         extract_lwe(&rescaled, 0)
     }
 
-    /// Dot-product phase through the oracle path: strict per-tile
-    /// multiply/add (no deferred reduction, two allocations per row×tile),
-    /// a materialised product ciphertext, six inverse transforms and the
-    /// public `rescale` + `extract_lwe` per row. Kept for the equivalence
-    /// tests and the `fig8_hmvp` ablation column; results are bit-identical
-    /// to [`Hmvp::dot_products`].
+    /// Dot-product phase through the oracle path: a cloned, transformed
+    /// input, strict per-tile multiply/add (no deferred reduction, two
+    /// allocations per row×tile), a materialised product ciphertext, six
+    /// inverse transforms and the public `rescale` + `extract_lwe` per row.
+    /// Kept for the equivalence tests and the `fig8_hmvp` ablation column;
+    /// results are bit-identical to [`Hmvp::dot_products`].
     ///
     /// # Errors
-    /// Same conditions as [`Hmvp::dot_products`].
+    /// Same conditions as [`Hmvp::dot_products_parallel`].
     #[doc(hidden)]
     pub fn dot_products_unfused(
         &self,
         matrix: &EncodedMatrix,
         cts: &[RlweCiphertext],
     ) -> Result<Vec<LweCiphertext>> {
-        Self::check_tiling(matrix, cts)?;
-        let cts_ntt = Self::lift_inputs_ntt(cts, 1);
+        self.check_inputs(matrix, cts)?;
+        let cts_ntt: Vec<RlweCiphertext> = cts
+            .iter()
+            .map(|ct| {
+                let mut c = ct.clone();
+                c.to_ntt();
+                c
+            })
+            .collect();
         matrix
             .tiles
             .iter()
@@ -432,34 +544,42 @@ impl Hmvp {
     }
 
     /// Multi-threaded dot-product phase: the input lift fans out over
-    /// column tiles and the rows over `threads` scoped threads, the caller
-    /// among them (`cham_pool::map_capped`; the multi-thread host side of
-    /// Fig. 1b, and the honest way to measure a parallel CPU baseline).
-    /// Results are bit-identical at every thread count — every row's
-    /// reduction runs whole on one thread — and `threads ≤ 1` spawns none.
+    /// column tiles and the blocks of [`ROW_BLOCK`] rows over `threads`
+    /// scoped threads, the caller among them (`cham_pool::map_capped`; the
+    /// multi-thread host side of Fig. 1b, and the honest way to measure a
+    /// parallel CPU baseline). Results are bit-identical at every thread
+    /// count — every row's reduction runs whole on one thread — and
+    /// `threads ≤ 1` spawns none.
     ///
     /// # Errors
-    /// Same conditions as [`Hmvp::dot_products`].
+    /// [`HeError::ShapeMismatch`] when the ciphertext count differs from
+    /// the matrix's column tiling, and
+    /// [`cham_math::MathError::ContextMismatch`] for an operand over
+    /// another basis or ring degree — both before any work is done.
     pub fn dot_products_parallel(
         &self,
         matrix: &EncodedMatrix,
         cts: &[RlweCiphertext],
         threads: usize,
     ) -> Result<Vec<LweCiphertext>> {
-        Self::check_tiling(matrix, cts)?;
-        let cts_ntt = Self::lift_inputs_ntt(cts, threads);
-        cham_pool::map_capped(&matrix.tiles, threads, |_, row_tiles| {
-            self.dot_row(row_tiles, &cts_ntt)
-        })
-        .into_iter()
-        .collect()
+        self.check_inputs(matrix, cts)?;
+        let blocks: Vec<&[Vec<RnsPoly>]> = matrix.tiles.chunks(ROW_BLOCK).collect();
+        let lwes = self.with_lifted_input(cts, threads, |input| {
+            cham_pool::map_capped(&blocks, threads, |_, rows| self.dot_rows_lwe(rows, input))
+        });
+        Ok(lwes
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?
+            .into_iter()
+            .flatten()
+            .collect())
     }
 
     /// Full HMVP (Alg. 1): dot products, extraction, and packing, fanned
     /// out over the process thread budget (`cham_pool::current_threads`).
     ///
     /// # Errors
-    /// Propagates shape mismatches and missing Galois keys.
+    /// Same conditions as [`Hmvp::multiply_parallel`].
     pub fn multiply(
         &self,
         matrix: &EncodedMatrix,
@@ -471,15 +591,23 @@ impl Hmvp {
 
     /// Full HMVP on at most `threads` threads, the caller among them — the
     /// cap governs every fan-out inside the call (the lift's column tiles,
-    /// then rows / pack subtrees), and `threads = 1` spawns no thread.
-    /// Each `N`-row block is one `PACKLWES`; its leaves are the block's
-    /// rows, computed on demand in the order the pack tree consumes them,
-    /// so a thread owns one contiguous subtree end to end —
-    /// MAC, rescale, extract and every reduction beneath the subtree root
-    /// (see [`pack_with`]). No LWE is ever stored.
+    /// then pack subtrees), and `threads = 1` spawns no thread.
+    ///
+    /// The input is lifted once into a pooled buffer. Each `N`-row block is
+    /// one `PACKLWES` whose leaves are the block's rows, computed on demand
+    /// in the order the pack tree consumes them, [`ROW_BLOCK`] tree
+    /// positions at a time so that each tile of the lifted input is read
+    /// once per [`ROW_BLOCK`] rows. A thread owns one contiguous subtree
+    /// end to end — MAC, rescale, extract and every reduction beneath the
+    /// subtree root (see [`pack_with`]). No LWE is ever stored, and after
+    /// a warm-up a call draws all its working memory from the scratch
+    /// pool.
     ///
     /// # Errors
-    /// Propagates shape mismatches and missing Galois keys.
+    /// [`HeError::ShapeMismatch`] and
+    /// [`cham_math::MathError::ContextMismatch`] as for
+    /// [`Hmvp::dot_products_parallel`], before any work is done; missing
+    /// Galois keys from the pack.
     pub fn multiply_parallel(
         &self,
         matrix: &EncodedMatrix,
@@ -488,21 +616,21 @@ impl Hmvp {
         threads: usize,
     ) -> Result<HmvpResult> {
         cham_telemetry::counter_add!("cham_he.hmvp.multiply", 1);
-        Self::check_tiling(matrix, cts)?;
-        let cts_ntt = Self::lift_inputs_ntt(cts, threads);
-        let packed = matrix
-            .tiles
-            .chunks(self.params.degree())
-            .map(|rows| {
-                pack_with(
-                    rows.len(),
-                    threads,
-                    |i, leaf, s| self.dot_row_leaf(&rows[i], &cts_ntt, s, leaf),
-                    gkeys,
-                    &self.params,
-                )
-            })
-            .collect::<Result<Vec<_>>>()?;
+        self.check_inputs(matrix, cts)?;
+        let packed = self.with_lifted_input(cts, threads, |input| {
+            matrix
+                .tiles
+                .chunks(self.params.degree())
+                .map(|rows| {
+                    let leaves =
+                        |idx: &[usize], leaves: &mut [RlweCiphertext], s: &mut DotScratch| {
+                            self.dot_rows_leaves(rows, idx, input, s, leaves);
+                            Ok(())
+                        };
+                    pack_with(rows.len(), threads, leaves, gkeys, &self.params)
+                })
+                .collect::<Result<Vec<_>>>()
+        })?;
         Ok(HmvpResult {
             packed,
             len: matrix.rows,
@@ -689,20 +817,145 @@ mod tests {
             let em = hmvp.encode_matrix(&a).unwrap();
             let oracle = hmvp.dot_products_unfused(&em, &cts).unwrap();
             prop_assert!(hmvp.dot_products(&em, &cts).unwrap() == oracle, "lwe path");
-            let cts_ntt = Hmvp::lift_inputs_ntt(&cts, 1);
-            // One dirty leaf reused for every row: the tail must overwrite
+            // Dirty leaves reused for every block, rows taken in reverse (a
+            // block's rows need not be adjacent): the tail must overwrite
             // every coefficient.
-            let mut leaf = crate::extract::lwe_to_rlwe(&oracle[0]);
-            leaf.b = leaf.a.clone();
-            for (row_tiles, lwe) in em.tiles().iter().zip(&oracle) {
-                ScratchPool::global()
-                    .with(params.augmented_context(), |s| {
-                        hmvp.dot_row_leaf(row_tiles, &cts_ntt, s, &mut leaf)
-                    })
+            let mut dirty = crate::extract::lwe_to_rlwe(&oracle[0]);
+            dirty.b = dirty.a.clone();
+            let mut leaves = vec![dirty; ROW_BLOCK];
+            let order: Vec<usize> = (0..rows).rev().collect();
+            hmvp.with_lifted_input(&cts, 1, |input| {
+                for idx in order.chunks(ROW_BLOCK) {
+                    let leaves = &mut leaves[..idx.len()];
+                    ScratchPool::global().with(params.augmented_context(), |s| {
+                        hmvp.dot_rows_leaves(em.tiles(), idx, input, s, leaves);
+                    });
+                    for (leaf, &i) in leaves.iter().zip(idx) {
+                        prop_assert!(*leaf == crate::extract::lwe_to_rlwe(&oracle[i]), "leaf path");
+                    }
+                }
+                Ok(())
+            })?;
+        }
+    }
+
+    /// Row blocks that are partial, exact and spilling, a tile count that
+    /// spills past one row-product call, and pack caps whose subtree spans
+    /// (cap 3 → span 4 of 8, 8 of 32) are not multiples of [`ROW_BLOCK`]:
+    /// every LWE matches the oracle path and every packed ciphertext the
+    /// level-by-level pack of those LWEs.
+    #[test]
+    fn row_block_edges_match_unfused_and_level_order() {
+        let (params, _, enc, _, gkeys, mut rng) = setup();
+        let (n, t) = (params.degree(), params.plain_modulus().value());
+        let hmvp = Hmvp::new(&params);
+        for tiles in [1usize, 17] {
+            let cols = (tiles - 1) * n + 1;
+            let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t)).collect();
+            let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
+            for rows in [
+                1,
+                ROW_BLOCK - 1,
+                ROW_BLOCK,
+                ROW_BLOCK + 1,
+                2 * ROW_BLOCK + 3,
+            ] {
+                let em = hmvp
+                    .encode_matrix(&Matrix::random(rows, cols, t, &mut rng))
                     .unwrap();
-                prop_assert!(leaf == crate::extract::lwe_to_rlwe(lwe), "leaf path");
+                let oracle = hmvp.dot_products_unfused(&em, &cts).unwrap();
+                let want = crate::oracle::pack_lwes_level_order(&oracle, &gkeys, &params).unwrap();
+                for cap in 1..=4 {
+                    let case = format!("rows={rows} tiles={tiles} cap={cap}");
+                    let lwes = hmvp.dot_products_parallel(&em, &cts, cap).unwrap();
+                    assert!(lwes == oracle, "{case}: LWEs");
+                    let got = hmvp.multiply_parallel(&em, &cts, &gkeys, cap).unwrap();
+                    assert_eq!(got.packed.len(), 1, "{case}");
+                    let got = &got.packed[0];
+                    assert!(got.ciphertext == want.ciphertext, "{case}: packed");
+                    assert_eq!((got.log_count, got.count), (want.log_count, want.count));
+                }
             }
         }
+    }
+
+    /// Operands over the wrong basis or ring degree are typed errors,
+    /// raised before the lift writes its pooled buffer — also when only
+    /// the last tile is wrong — and they leave the pool serving the next
+    /// well-formed call the bytes a fresh engine computed.
+    #[test]
+    fn malformed_operands_fail_typed_before_the_lift() {
+        use crate::params::ChamParamsBuilder;
+        let (params, _, enc, _, gkeys, mut rng) = setup();
+        let t = params.plain_modulus().value();
+        let cols = 2 * params.degree() + 5; // 3 column tiles
+        let a = Matrix::random(5, cols, t, &mut rng);
+        let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t)).collect();
+        let fresh = Hmvp::new(&params);
+        let em = fresh.encode_matrix(&a).unwrap();
+        let good = fresh.encrypt_vector(&v, &enc, &mut rng).unwrap();
+        let want = fresh.multiply_parallel(&em, &good, &gkeys, 1).unwrap();
+
+        // A ciphertext outside the augmented basis …
+        let normal = enc.encrypt(&fresh.encoder().encode_vector(&v[..1]).unwrap(), &mut rng);
+        // … and one from another ring degree.
+        let other = ChamParamsBuilder::new().degree(512).build().unwrap();
+        let other_sk = SecretKey::generate(&other, &mut rng);
+        let other_hmvp = Hmvp::new(&other);
+        let other_enc = Encryptor::new(&other, &other_sk);
+        let wide = other_hmvp
+            .encrypt_vector(&[1], &other_enc, &mut rng)
+            .unwrap()
+            .remove(0);
+        let with_last = |bad: &RlweCiphertext| {
+            let mut cts = good.clone();
+            *cts.last_mut().unwrap() = bad.clone();
+            cts
+        };
+        let cases = [
+            ("every tile normal-basis", &em, vec![normal.clone(); 3]),
+            ("last tile normal-basis", &em, with_last(&normal)),
+            ("last tile at N = 512", &em, with_last(&wide)),
+        ];
+        // A matrix encoded at N = 512 (2 tiles of 600 columns), too.
+        let other_em = other_hmvp
+            .encode_matrix(&Matrix::random(3, 600, t, &mut rng))
+            .unwrap();
+        let other_case = ("matrix at N = 512", &other_em, good[..2].to_vec());
+
+        let hmvp = Hmvp::new(&params);
+        let mismatch =
+            |r: Result<()>| matches!(r, Err(HeError::Math(cham_math::MathError::ContextMismatch)));
+        for (name, em, cts) in cases.iter().chain([&other_case]) {
+            assert!(
+                mismatch(hmvp.multiply(em, cts, &gkeys).map(drop)),
+                "{name}: multiply"
+            );
+            assert!(
+                mismatch(hmvp.dot_products(em, cts).map(drop)),
+                "{name}: dot_products"
+            );
+            let unfused = hmvp.dot_products_unfused(em, cts).map(drop);
+            assert!(mismatch(unfused), "{name}: dot_products_unfused");
+            for cap in [1, 2] {
+                let packed = hmvp.multiply_parallel(em, cts, &gkeys, cap).map(drop);
+                assert!(mismatch(packed), "{name}: multiply_parallel cap {cap}");
+                let lwes = hmvp.dot_products_parallel(em, cts, cap).map(drop);
+                assert!(mismatch(lwes), "{name}: dot_products_parallel cap {cap}");
+            }
+        }
+
+        let got = hmvp.multiply_parallel(&em, &good, &gkeys, 1).unwrap();
+        assert_eq!(got.packed[0].ciphertext, want.packed[0].ciphertext);
+        // An input already in NTT form is copied, not transformed again.
+        let mut ntt = good.clone();
+        ntt.iter_mut().for_each(RlweCiphertext::to_ntt);
+        let got = hmvp.multiply_parallel(&em, &ntt, &gkeys, 2).unwrap();
+        assert_eq!(got.packed[0].ciphertext, want.packed[0].ciphertext);
+        assert_eq!(
+            hmvp.dot_products(&em, &ntt).unwrap(),
+            hmvp.dot_products(&em, &good).unwrap()
+        );
     }
 
     #[test]

@@ -25,17 +25,21 @@
 //!
 //! The paper's stages 5–9 never hold a tree level: LWEs stream out of
 //! stage 4 and are folded into a *reduce buffer* as they arrive. The
-//! software does the same. Leaves are visited in tree order and reduced
-//! depth-first with a binary-counter carry stack — after leaf `j` the
-//! stack holds one partial result per set bit of `j + 1` — so at most
-//! `log2(count) + 1` ciphertexts are live and both operands of every
-//! `PACKTWOLWES` are still in cache. Consumed operands are recycled as the
-//! next leaves' storage, so a pack allocates `O(log count)` ciphertexts in
-//! total. The tree, and the operand order inside it, are exactly those of
-//! the level-by-level formulation, so the output bytes are too.
+//! software does the same. Leaves are produced in tree order, a block of
+//! [`ROW_BLOCK`] tree positions at a time (so the HMVP reads its lifted
+//! input once per block, not once per row), and reduced depth-first with a
+//! binary-counter carry stack — after leaf `j` the stack holds one partial
+//! result per set bit of `j + 1` — so at most `log2(count) + 1 +
+//! ROW_BLOCK`, i.e. `O(log count + R)`, ciphertexts are live and both
+//! operands of every `PACKTWOLWES` are still in cache. Consumed operands
+//! are recycled as the next leaves' storage and kept in the subtree's
+//! pooled scratch across calls, so a pack in the steady state allocates
+//! only its result. The tree, and the operand order inside it, are exactly
+//! those of the level-by-level formulation, so the output bytes are too.
 
 use crate::ciphertext::{LweCiphertext, RlweCiphertext};
 use crate::extract::lwe_to_rlwe_into;
+use crate::hmvp::ROW_BLOCK;
 use crate::keys::GaloisKeys;
 use crate::ops::{add_galois_of, in_coeff_form, monomial_butterfly};
 use crate::params::ChamParams;
@@ -43,6 +47,7 @@ use crate::scratch::{DotScratch, ScratchPool};
 use crate::{HeError, Result};
 use cham_math::rns::RnsPoly;
 use cham_telemetry::span::{phase, Span};
+use std::ops::Range;
 
 /// The result of `PACKLWES`: the packed ciphertext plus the bookkeeping a
 /// decoder needs (stride and scale).
@@ -174,32 +179,45 @@ struct ReduceBuffer<'a> {
 }
 
 impl<'a> ReduceBuffer<'a> {
-    fn new(gkeys: &'a GaloisKeys, params: &'a ChamParams) -> Self {
+    /// A buffer recycling `spare`, a pooled scratch's kept ciphertexts; any
+    /// over another chain of the scratch's shape are dropped.
+    fn new(mut spare: Vec<RlweCiphertext>, gkeys: &'a GaloisKeys, params: &'a ChamParams) -> Self {
+        spare.retain(|ct| ct.b.context() == params.ciphertext_context());
         Self {
             stack: Vec::new(),
-            spare: Vec::new(),
+            spare,
             gkeys,
             params,
         }
     }
 
-    /// Pushes the next leaf — `fill` must overwrite every coefficient of
-    /// the (possibly recycled) ciphertext it is handed — and carries:
-    /// while the two topmost partial results sit at the same level they
-    /// are the even and odd halves of one `PACKTWOLWES`.
-    fn push(
-        &mut self,
-        s: &mut DotScratch,
-        fill: impl FnOnce(&mut RlweCiphertext, &mut DotScratch) -> Result<()>,
-    ) -> Result<()> {
-        let mut ct = self.spare.pop().unwrap_or_else(|| {
+    /// Storage for the next leaf: a recycled operand, or a fresh zero
+    /// ciphertext.
+    fn take(&mut self) -> RlweCiphertext {
+        self.spare.pop().unwrap_or_else(|| {
             let ctx = self.params.ciphertext_context();
             RlweCiphertext {
                 b: RnsPoly::zero(ctx),
                 a: RnsPoly::zero(ctx),
             }
-        });
-        fill(&mut ct, s)?;
+        })
+    }
+
+    /// A transparent zero leaf (padding).
+    fn zero(&mut self) -> RlweCiphertext {
+        let mut ct = self.take();
+        for poly in [&mut ct.b, &mut ct.a] {
+            for limb in poly.limbs_mut() {
+                limb.coeffs_mut().fill(0);
+            }
+        }
+        ct
+    }
+
+    /// Pushes the next leaf and carries: while the two topmost partial
+    /// results sit at the same level they are the even and odd halves of
+    /// one `PACKTWOLWES`.
+    fn push(&mut self, mut ct: RlweCiphertext, s: &mut DotScratch) -> Result<()> {
         let mut level = 0;
         while self.stack.last().is_some_and(|(l, _)| *l == level) {
             let (_, mut even) = self.stack.pop().expect("checked non-empty");
@@ -211,22 +229,59 @@ impl<'a> ReduceBuffer<'a> {
         Ok(())
     }
 
-    /// The single result left after a power-of-two number of pushes.
-    fn finish(mut self) -> RlweCiphertext {
+    /// Reduces the leaves at the power-of-two run of tree positions
+    /// `positions` to their subtree root. Position `pos` holds payload
+    /// `i = bit_reverse(pos, log)`, a zero leaf when `i ≥ count`. The
+    /// payload leaves of each block of [`ROW_BLOCK`] positions come from one
+    /// `leaves` call, then every leaf of the block is pushed in tree order.
+    fn reduce<F>(
+        &mut self,
+        positions: Range<usize>,
+        log: u32,
+        count: usize,
+        leaves: &F,
+        s: &mut DotScratch,
+    ) -> Result<RlweCiphertext>
+    where
+        F: Fn(&[usize], &mut [RlweCiphertext], &mut DotScratch) -> Result<()>,
+    {
+        let mut block = Vec::with_capacity(ROW_BLOCK);
+        for start in positions.clone().step_by(ROW_BLOCK) {
+            let tree = start..positions.end.min(start + ROW_BLOCK);
+            let payload = |pos| Some(cham_math::bit_reverse(pos, log)).filter(|&i| i < count);
+            let mut rows = [0; ROW_BLOCK];
+            let mut real = 0;
+            for i in tree.clone().filter_map(payload) {
+                rows[real] = i;
+                real += 1;
+            }
+            block.extend(std::iter::repeat_with(|| self.take()).take(real));
+            leaves(&rows[..real], &mut block, s)?;
+            let mut computed = block.drain(..);
+            for pos in tree {
+                let ct = match payload(pos) {
+                    Some(_) => computed.next().expect("one leaf per payload position"),
+                    None => self.zero(),
+                };
+                self.push(ct, s)?;
+            }
+        }
         debug_assert_eq!(self.stack.len(), 1, "leaf count must be a power of two");
-        self.stack.pop().expect("at least one leaf was pushed").1
+        Ok(self.stack.pop().expect("at least one leaf was pushed").1)
     }
 }
 
 /// `PACKLWES` (Alg. 3) over `count ≤ N` leaves produced on demand:
-/// `leaf(i, dst, scratch)` writes the RLWE form of payload `i` (constant
-/// coefficient = payload) over every coefficient of `dst`. Payloads beyond
-/// a power of two are padded with transparent zero ciphertexts.
+/// `leaves(rows, dst, scratch)` writes the RLWE form of payload `rows[k]`
+/// (constant coefficient = payload) over every coefficient of `dst[k]`, for
+/// up to [`ROW_BLOCK`] payloads a call. Payloads beyond a power of two are
+/// padded with transparent zero ciphertexts.
 ///
 /// The even/odd recursion consumes index bits LSB-first, which would
 /// deliver payloads in bit-reversed coefficient order; visiting the leaves
-/// bit-reversed (`leaf(bit_reverse(pos))` at tree position `pos`) makes
-/// the output natural-ordered.
+/// bit-reversed (payload `bit_reverse(pos)` at tree position `pos`) makes
+/// the output natural-ordered. The payloads of a call are those of
+/// [`ROW_BLOCK`] consecutive tree positions.
 ///
 /// Parallelism is one contiguous power-of-two subtree per thread, with
 /// `cap` threads (`cham_pool::map_capped`): subtrees are independent until
@@ -235,12 +290,12 @@ impl<'a> ReduceBuffer<'a> {
 pub(crate) fn pack_with<F>(
     count: usize,
     cap: usize,
-    leaf: F,
+    leaves: F,
     gkeys: &GaloisKeys,
     params: &ChamParams,
 ) -> Result<PackedRlwe>
 where
-    F: Fn(usize, &mut RlweCiphertext, &mut DotScratch) -> Result<()> + Sync,
+    F: Fn(&[usize], &mut [RlweCiphertext], &mut DotScratch) -> Result<()> + Sync,
 {
     if count == 0 {
         return Err(HeError::InvalidParams("cannot pack zero ciphertexts"));
@@ -256,23 +311,10 @@ where
     let span = padded / subtrees;
     let reduce_subtree = |first: usize| -> Result<RlweCiphertext> {
         ScratchPool::global().with(params.augmented_context(), |s| {
-            let mut buffer = ReduceBuffer::new(gkeys, params);
-            for pos in first..first + span {
-                let i = cham_math::bit_reverse(pos, log);
-                buffer.push(s, |dst, s| {
-                    if i < count {
-                        return leaf(i, dst, s);
-                    }
-                    // Transparent zero padding.
-                    for poly in [&mut dst.b, &mut dst.a] {
-                        for limb in poly.limbs_mut() {
-                            limb.coeffs_mut().fill(0);
-                        }
-                    }
-                    Ok(())
-                })?;
-            }
-            Ok(buffer.finish())
+            let mut buffer = ReduceBuffer::new(std::mem::take(&mut s.spare), gkeys, params);
+            let root = buffer.reduce(first..first + span, log, count, &leaves, s);
+            s.spare = buffer.spare;
+            root
         })
     };
     let firsts: Vec<usize> = (0..subtrees).map(|t| t * span).collect();
@@ -331,9 +373,11 @@ pub fn pack_lwes(
 /// `lwes[i]`.
 fn lwe_leaves(
     lwes: &[LweCiphertext],
-) -> impl Fn(usize, &mut RlweCiphertext, &mut DotScratch) -> Result<()> + Sync + '_ {
-    move |i, dst, _| {
-        lwe_to_rlwe_into(&lwes[i], dst);
+) -> impl Fn(&[usize], &mut [RlweCiphertext], &mut DotScratch) -> Result<()> + Sync + '_ {
+    move |rows, dst, _| {
+        for (&i, dst) in rows.iter().zip(dst) {
+            lwe_to_rlwe_into(&lwes[i], dst);
+        }
         Ok(())
     }
 }

@@ -1,54 +1,74 @@
 //! Pooled scratch buffers for the fused HMVP kernels.
 //!
-//! Everything after the input lift — the row MAC, the rescale→extract
-//! tail, the key-switch inside every `PACKTWOLWES` — works in one
-//! caller-owned flat `u64` area: a row's canonical `a` sums and `b₀`
-//! residues (the row MAC and the key-switch's digit product sum in
-//! registers and keep no accumulator plane), or a key-switch's digits and
-//! their two sums. Backing that with fresh vectors would put heap
-//! allocations on every row and every pack step; instead, a row or a pack
-//! subtree checks a [`DotScratch`] out of one shared free list and puts it
-//! back when done, so the steady state recycles as many buffers as were
-//! ever checked out at once and allocates nothing.
+//! Every working buffer of a product comes from one shared [`ScratchPool`]:
+//!
+//! * the **lifted input** — the input vector in NTT form over the
+//!   augmented basis, `2 · limbs · lanes` words per column tile, written by
+//!   the lift and read by every row block of the product,
+//! * a [`DotScratch`] per row block or pack subtree — one flat `u64` area
+//!   for a block's canonical `a` sums and `b₀` residues (the row MAC and
+//!   the key-switch's digit product sum in registers and keep no
+//!   accumulator plane), or a key-switch's digits and their two sums —
+//!   together with the pack's spare ciphertexts.
+//!
+//! Backing these with fresh vectors would put heap allocations, and page
+//! faults, on every product, every row block and every pack step; instead
+//! a call checks its buffers out of the pool and puts them back when done,
+//! so the steady state recycles as many buffers as were ever checked out
+//! at once and allocates nothing but its result.
 //!
 //! Ownership rules:
-//! * a scratch is owned exclusively for the duration of one
-//!   [`ScratchPool::with`] call and returned to the free list afterwards,
-//! * buffers are size-matched, never resized — a request for an unseen
-//!   `(degree, limbs)` shape allocates (a *miss*) and the buffer joins the
-//!   list on release,
-//! * the list holds, per shape, at most the peak number of concurrent
-//!   checkouts: a buffer is only created when every fitting one is out.
+//! * a buffer is owned exclusively for the duration of one
+//!   [`ScratchPool::with`] or [`ScratchPool::with_lift`] call and returned
+//!   to the free list afterwards,
+//! * a [`DotScratch`] is size-matched, never resized — a request for an
+//!   unseen `(degree, limbs)` shape allocates (a *miss*) and the buffer
+//!   joins the list on release,
+//! * a lift buffer is served by the smallest kept one that is long enough;
+//!   when none is, the longest is dropped and one of the requested length
+//!   allocated (a miss). A kept lift buffer therefore retains the widest
+//!   input served, one per peak concurrent checkout,
+//! * the lists hold at most the peak number of concurrent checkouts (per
+//!   shape for a [`DotScratch`]): a buffer is only created when every
+//!   fitting one is out.
 //!
 //! Hit/miss counts are kept per pool instance (so a test can watch a
 //! private pool no sibling test touches) and in the process-wide
 //! `cham_he.hmvp.scratch.{hit,miss}` counters that [`scratch_stats`]
 //! reads.
 
+use crate::ciphertext::RlweCiphertext;
+use crate::hmvp::ROW_BLOCK;
 use cham_math::rns::RnsContext;
 use cham_telemetry::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Reusable working memory for one row or one pack subtree over an
+/// Reusable working memory for one row block or one pack subtree over an
 /// augmented basis of `limbs × degree` lanes.
 pub(crate) struct DotScratch {
-    /// `max(limbs − 1, 2) · lanes` words: the key-switch digits (and, once
-    /// the digit product has consumed them, its two sums), or a row tail's
-    /// `a` limbs and `b₀` residues (`lanes + 2 · limbs ≤ 2 · lanes`).
+    /// `max(max(limbs − 1, 2) · limbs · lanes, ROW_BLOCK · limbs ·
+    /// (lanes + 2))` words: the key-switch digits (and, once the digit
+    /// product has consumed them, its two sums), or a row block's `a`
+    /// planes followed by its `b₀` residues.
     pub(crate) words: Vec<u64>,
+    /// Normal-basis ciphertexts a pack subtree consumed, kept as the next
+    /// subtree's leaf storage.
+    pub(crate) spare: Vec<RlweCiphertext>,
     degree: usize,
 }
 
 impl DotScratch {
     /// The length of `words` for `ctx`.
     fn words_for(ctx: &RnsContext) -> usize {
-        (ctx.len() - 1).max(2) * ctx.len() * ctx.degree()
+        let (n, limbs) = (ctx.degree(), ctx.len());
+        ((limbs - 1).max(2) * limbs * n).max(ROW_BLOCK * limbs * (n + 2))
     }
 
     fn new(ctx: &RnsContext) -> Self {
         Self {
             words: vec![0; Self::words_for(ctx)],
+            spare: Vec::new(),
             degree: ctx.degree(),
         }
     }
@@ -58,9 +78,10 @@ impl DotScratch {
     }
 }
 
-/// A free list of [`DotScratch`] buffers shared by every thread.
+/// Free lists of [`DotScratch`] and lift buffers shared by every thread.
 pub(crate) struct ScratchPool {
     free: Mutex<Vec<DotScratch>>,
+    lifts: Mutex<Vec<Vec<u64>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -73,6 +94,7 @@ impl ScratchPool {
     pub(crate) const fn new() -> Self {
         Self {
             free: Mutex::new(Vec::new()),
+            lifts: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -93,22 +115,26 @@ impl ScratchPool {
         )
     }
 
+    fn book(&self, hit: bool) {
+        if hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            HITS.add(1);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            MISSES.add(1);
+        }
+    }
+
     /// Runs `f` with a checked-out scratch shaped for `ctx` (the augmented
     /// basis), returning the buffer to the free list afterwards.
     pub(crate) fn with<T>(&self, ctx: &RnsContext, f: impl FnOnce(&mut DotScratch) -> T) -> T {
         let mut scratch = {
             let mut free = self.free.lock().expect("scratch list poisoned");
-            match free.iter().position(|s| s.fits(ctx)) {
-                Some(pos) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    HITS.add(1);
-                    free.swap_remove(pos)
-                }
-                None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    MISSES.add(1);
-                    DotScratch::new(ctx)
-                }
+            let pos = free.iter().position(|s| s.fits(ctx));
+            self.book(pos.is_some());
+            match pos {
+                Some(pos) => free.swap_remove(pos),
+                None => DotScratch::new(ctx),
             }
         };
         let out = f(&mut scratch);
@@ -116,6 +142,36 @@ impl ScratchPool {
             .lock()
             .expect("scratch list poisoned")
             .push(scratch);
+        out
+    }
+
+    /// Runs `f` on the first `words` words of a checked-out lift buffer,
+    /// returning the buffer to the free list afterwards. The words come
+    /// back dirty: `f` writes every one before reading it.
+    pub(crate) fn with_lift<T>(&self, words: usize, f: impl FnOnce(&mut [u64]) -> T) -> T {
+        let mut buf = {
+            let mut free = self.lifts.lock().expect("lift list poisoned");
+            let by_len = |(_, b): &(usize, &Vec<u64>)| b.len();
+            let fit = free
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| b.len() >= words)
+                .min_by_key(by_len)
+                .map(|(pos, _)| pos);
+            self.book(fit.is_some());
+            match fit {
+                Some(pos) => free.swap_remove(pos),
+                None => {
+                    // Replace the longest kept buffer rather than add one.
+                    if let Some((pos, _)) = free.iter().enumerate().max_by_key(by_len) {
+                        free.swap_remove(pos);
+                    }
+                    vec![0; words]
+                }
+            }
+        };
+        let out = f(&mut buf[..words]);
+        self.lifts.lock().expect("lift list poisoned").push(buf);
         out
     }
 }
@@ -142,7 +198,7 @@ mod tests {
         // A private pool: sibling tests hammer the global one in parallel.
         let pool = ScratchPool::new();
         let c = ctx(16);
-        pool.with(&c, |s| assert_eq!(s.words.len(), 2 * 48));
+        pool.with(&c, |s| assert_eq!(s.words.len(), ROW_BLOCK * 3 * 18));
         assert_eq!(pool.stats(), (0, 1), "first call was a miss");
         // Every subsequent same-shape call reuses the buffer.
         for _ in 0..10 {
@@ -159,11 +215,11 @@ mod tests {
         let pool = ScratchPool::new();
         let (small, big) = (ctx(16), ctx(32));
         pool.with(&small, |s| s.words.fill(7));
-        pool.with(&big, |s| assert_eq!(s.words.len(), 2 * 96));
+        pool.with(&big, |s| assert_eq!(s.words.len(), ROW_BLOCK * 3 * 34));
         // The 16-degree buffer is still pooled and comes back dirty —
         // callers never read a word before writing it.
         pool.with(&small, |s| {
-            assert_eq!(s.words.len(), 2 * 48);
+            assert_eq!(s.words.len(), ROW_BLOCK * 3 * 18);
             assert!(s.words.iter().all(|&x| x == 7));
         });
         assert_eq!(pool.stats(), (1, 2));
@@ -179,5 +235,36 @@ mod tests {
             assert!(outer.words.iter().all(|&w| w == 1));
         });
         assert_eq!(pool.stats(), (0, 2));
+    }
+
+    #[test]
+    fn a_kept_lift_buffer_serves_every_narrower_input() {
+        let pool = ScratchPool::new();
+        pool.with_lift(10, |w| {
+            assert_eq!(w.len(), 10);
+            w.fill(3);
+        });
+        // Narrower and equal requests reuse it, dirty.
+        pool.with_lift(4, |w| assert_eq!(w, [3; 4]));
+        pool.with_lift(10, |w| assert_eq!(w.len(), 10));
+        assert_eq!(pool.stats(), (2, 1));
+        // A wider one replaces it, and then serves the narrow one too.
+        pool.with_lift(20, |w| assert_eq!(w.len(), 20));
+        pool.with_lift(10, |_| {});
+        assert_eq!(pool.stats(), (3, 2));
+        assert_eq!(pool.lifts.lock().unwrap().len(), 1, "one buffer kept");
+    }
+
+    #[test]
+    fn nested_lift_checkouts_get_distinct_buffers() {
+        let pool = ScratchPool::new();
+        pool.with_lift(8, |outer| {
+            outer.fill(1);
+            pool.with_lift(8, |inner| inner.fill(2));
+            assert!(outer.iter().all(|&w| w == 1));
+        });
+        assert_eq!(pool.stats(), (0, 2));
+        // The peak was two concurrent checkouts, so two are kept.
+        assert_eq!(pool.lifts.lock().unwrap().len(), 2);
     }
 }
