@@ -7,6 +7,13 @@
 //! * stage 4 — [`rescale`]: divide by the special modulus,
 //! * stage 5–9 — monomial multiply / add / sub (on [`RlweCiphertext`]),
 //!   [`apply_galois`] (AUTOMORPHISM + KEYSWITCH).
+//!
+//! The pack's element-wise passes — the monomial butterfly of Alg. 2
+//! lines 1–3, the automorphism and the key-switch digits' re-embedding —
+//! are `cham_math::simd` kernels ([`cham_math::simd::monomial_butterfly`],
+//! [`cham_math::simd::automorph_add`], [`cham_math::simd::write_digit`]),
+//! run on each limb's table backend; this module walks the limbs and
+//! chains the key-switch around them.
 
 use crate::ciphertext::RlweCiphertext;
 use crate::encoding::Plaintext;
@@ -15,8 +22,7 @@ use crate::params::ChamParams;
 use crate::scratch::{DotScratch, ScratchPool};
 use crate::{HeError, Result};
 use cham_math::rns::{Form, RnsContext, RnsPoly};
-use cham_math::simd::{digit_product, DIGIT_PRODUCT_MAX_DIGITS};
-use cham_math::Modulus;
+use cham_math::simd::{self, digit_product, DIGIT_PRODUCT_MAX_DIGITS};
 use std::borrow::Cow;
 
 /// `p` in coefficient form: borrowed when it already is, one clone and
@@ -184,87 +190,41 @@ pub fn mod_switch_to_single(ct: &RlweCiphertext, params: &ChamParams) -> Result<
     RlweCiphertext::new(b.rescale_by_last(&target)?, a.rescale_by_last(&target)?)
 }
 
-/// `dst[σ_k(j)] ← put(±src[i])` for every coefficient: the `AUTOMORPH`
-/// pass `X → X^k` (odd `k`) as a scatter, with the sign of each wrap past
-/// `X^N = −1` applied in `q`. `src` may be stored rotated — `src[i]` holds
-/// logical coefficient `j = (i + rot) mod N` — which is how
-/// [`monomial_butterfly`] leaves its difference.
-fn automorph_scatter(
-    src: &[u64],
-    dst: &mut [u64],
-    k: usize,
-    rot: usize,
-    q: &Modulus,
-    put: impl Fn(&mut u64, u64),
+/// Lines 1–3 of Alg. 2 in one in-place pass over every limb of a pair of
+/// coefficient-form polynomials over `ctx`: `even ← even + X^g·odd` and
+/// `odd ← even − X^g·odd`, left rotated by `g`
+/// ([`cham_math::simd::monomial_butterfly`], on each limb's table
+/// backend). [`add_galois_of`] takes `rot = g` and undoes the rotation.
+pub(crate) fn monomial_butterfly(
+    ctx: &RnsContext,
+    even: &mut RnsPoly,
+    odd: &mut RnsPoly,
+    g: usize,
 ) {
-    let n = src.len();
-    let mask = n - 1;
-    for (i, &v) in src.iter().enumerate() {
-        let jk = ((i + rot) & mask) * k;
-        // (−1)^{⌊jk/N⌋}: bit log2(N) of jk.
-        let v = if jk & n != 0 { q.neg(v) } else { v };
-        put(&mut dst[jk & mask], v);
-    }
-}
-
-/// Lines 1–3 of Alg. 2 in one in-place pass over a limb:
-/// `even ← even + X^g·odd` and `odd[i] ← (even − X^g·odd)[(i + g) mod N]`.
-/// The difference is left rotated by `g` so that no coefficient is read
-/// after it has been overwritten; [`automorph_scatter`] undoes the
-/// rotation for free.
-pub(crate) fn monomial_butterfly(even: &mut [u64], odd: &mut [u64], g: usize, q: &Modulus) {
-    let n = even.len();
-    let (even_wrapped, even_shifted) = even.split_at_mut(g);
-    let (odd_shifted, odd_wrapped) = odd.split_at_mut(n - g);
-    for (e, o) in even_shifted.iter_mut().zip(odd_shifted) {
-        (*e, *o) = (q.add(*e, *o), q.sub(*e, *o));
-    }
-    // Coefficients shifted past X^N come back negated: the term is −odd[i].
-    for (e, o) in even_wrapped.iter_mut().zip(odd_wrapped) {
-        (*e, *o) = (q.sub(*e, *o), q.add(*e, *o));
-    }
-}
-
-/// `dst[j] ← src[j] mod to` for residues `src[j] < from` — re-embedding a
-/// digit into another limb. The reduction is a per-pair decision made
-/// outside the loop: a copy when `from ≤ to`, one compare-subtract when
-/// `from < 2·to` (every pair of the CHAM chain), Barrett otherwise.
-fn re_embed(src: &[u64], dst: &mut [u64], from: &Modulus, to: &Modulus) {
-    let q = to.value();
-    if from.value() <= q {
-        dst.copy_from_slice(src);
-    } else if from.value() < 2 * q {
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = if v >= q { v - q } else { v };
-        }
-    } else {
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = to.reduce(v);
-        }
+    let limbs = even.limbs_mut().iter_mut().zip(odd.limbs_mut());
+    for ((e, o), table) in limbs.zip(ctx.tables()) {
+        simd::monomial_butterfly(
+            table.backend(),
+            e.coeffs_mut(),
+            o.coeffs_mut(),
+            g,
+            table.modulus(),
+        );
     }
 }
 
 /// Writes the key-switch digits of `σ_k(a)` into `words` in coefficient
 /// form: digit `d` is limb `d` of the automorphed polynomial — integers
 /// below `q_d` — in every limb of `aug` (`len·N` words per digit,
-/// limb-major). `k = 1, rot = 0` is the plain decomposition.
-///
-/// One scatter per digit, into the digit's own limb (`aug`'s limb `d` is
-/// `q_d`, so it needs no reduction); the other limbs are sequential
-/// re-embeddings of that one.
+/// limb-major). `k = 1, rot = 0` is the plain decomposition. Each digit is
+/// one [`cham_math::simd::write_digit`] on the backend of its own limb's
+/// table (`aug`'s limb `d` is `q_d`).
 fn write_digits(a: &RnsPoly, k: usize, rot: usize, aug: &RnsContext, words: &mut [u64]) {
-    let n = aug.degree();
-    let lanes = aug.len() * n;
-    let digits = a.limbs().iter().zip(a.context().moduli());
-    for (d, (limb, from)) in digits.enumerate() {
-        let (before, rest) = words[d * lanes..(d + 1) * lanes].split_at_mut(d * n);
-        let (own, after) = rest.split_at_mut(n);
-        automorph_scatter(limb.coeffs(), own, k, rot, from, |slot, v| *slot = v);
-        let others = before.chunks_exact_mut(n).chain(after.chunks_exact_mut(n));
-        let moduli = aug.moduli()[..d].iter().chain(&aug.moduli()[d + 1..]);
-        for (dst, to) in others.zip(moduli) {
-            re_embed(own, dst, from, to);
-        }
+    let lanes = aug.len() * aug.degree();
+    let digits = words.chunks_exact_mut(lanes).zip(a.limbs());
+    for (d, (out, limb)) in digits.enumerate() {
+        let backend = aug.tables()[d].backend();
+        simd::write_digit(backend, limb.coeffs(), k, rot, out, aug.moduli(), d);
     }
 }
 
@@ -411,11 +371,10 @@ pub(crate) fn add_galois_of(
     let aug = params.augmented_context();
     let lanes = aug.len() * aug.degree();
     keyswitch_to_scratch(a, k, rot, ksk, params, s)?;
-    let moduli = b.context().moduli();
-    for ((dst, src), q) in acc.b.limbs_mut().iter_mut().zip(b.limbs()).zip(moduli) {
-        automorph_scatter(src.coeffs(), dst.coeffs_mut(), k, rot, q, |slot, v| {
-            *slot = q.add(*slot, v);
-        });
+    let tables = b.context().tables();
+    for ((dst, src), table) in acc.b.limbs_mut().iter_mut().zip(b.limbs()).zip(tables) {
+        let (backend, q) = (table.backend(), table.modulus());
+        simd::automorph_add(backend, src.coeffs(), dst.coeffs_mut(), k, rot, q);
     }
     rescale_lanes_add(aug, &s.words, 0, &mut acc.b);
     rescale_lanes_add(aug, &s.words, lanes, &mut acc.a);

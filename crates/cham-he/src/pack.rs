@@ -105,6 +105,10 @@ impl PackedRlwe {
 
 /// `PACKTWOLWES` (Alg. 2): one reduction step at recursion level `h ≥ 1`,
 /// combining two ciphertexts whose payloads sit at stride `N/2^{h−1}`.
+/// Lines 1–3 are one monomial butterfly per limb, and lines 4–6 one
+/// key-switch whose digits and whose `σ_k(b)` are destination-order
+/// automorphisms: the `cham_math::simd` element-wise kernels around the
+/// key-switch's limb transforms (twelve at the CHAM chain).
 ///
 /// # Errors
 /// * [`HeError::MissingGaloisKey`] when `σ_{2^h+1}` has no key,
@@ -154,14 +158,8 @@ fn pack_two_in_place(
     let k = (1usize << h) + 1; // automorphism index 2^h + 1
     let ksk = gkeys.get(k)?;
     // Lines 1–3: even ← even + X^g·odd, odd ← even − X^g·odd (rotated).
-    let butterfly = |even: &mut RnsPoly, odd: &mut RnsPoly| {
-        let limbs = even.limbs_mut().iter_mut().zip(odd.limbs_mut());
-        for ((e, o), q) in limbs.zip(ctx.moduli()) {
-            monomial_butterfly(e.coeffs_mut(), o.coeffs_mut(), g, q);
-        }
-    };
-    butterfly(&mut even.b, &mut odd.b);
-    butterfly(&mut even.a, &mut odd.a);
+    monomial_butterfly(ctx, &mut even.b, &mut odd.b, g);
+    monomial_butterfly(ctx, &mut even.a, &mut odd.a, g);
     // Lines 4–6: even ← even + KS(σ_k(odd)).
     add_galois_of(even, &odd.b, &odd.a, g, k, ksk, params, s)
 }
@@ -389,6 +387,7 @@ mod tests {
     use crate::encrypt::{Decryptor, Encryptor};
     use crate::extract::{extract_lwe, lwe_to_rlwe};
     use crate::keys::SecretKey;
+    use cham_math::Backend;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
@@ -554,6 +553,108 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The largest prime below `limit` that hosts a negacyclic transform
+    /// of size `n` (`≡ 1 mod 2n`).
+    fn ntt_prime_below(limit: u64, n: usize) -> u64 {
+        let step = 2 * n as u64;
+        let mut q = (limit - 2) / step * step + 1;
+        while !cham_math::primality::is_prime(q) {
+            q -= step;
+        }
+        q
+    }
+
+    /// The key-switch's backend branches, on every backend the host runs:
+    /// - the CHAM chain: copies, and a compare-subtract from `q0` into `q1`;
+    /// - a chain whose second ciphertext prime is at least twice the first,
+    ///   so its digit re-embeds into `q0` by Barrett under the vector arm,
+    ///   with a special prime of 2^50 or more, whose digit product and
+    ///   rescale run the scalar arm;
+    /// - a chain whose second ciphertext prime is itself of 2^50 or more:
+    ///   its butterflies, automorphism and digit run the scalar arm beside
+    ///   the first prime's vector ones (which is small enough for the
+    ///   chain's product to fit `u128`).
+    ///
+    /// `keyswitch_mask`, `apply_galois` and `pack_two` at every level must
+    /// equal the oracle's bytes.
+    #[test]
+    fn keyswitch_and_pack_match_the_oracle_on_every_chain() {
+        let n = 256;
+        let (q0, q1, p) = (
+            cham_math::modulus::Q0,
+            cham_math::modulus::Q1,
+            cham_math::modulus::SPECIAL_P,
+        );
+        let wide = ntt_prime_below(1 << 51, n);
+        let chains = [
+            (vec![q0, q1], p),
+            (vec![q0, ntt_prime_below(1 << 37, n)], wide),
+            (
+                vec![ntt_prime_below(1 << 20, n), ntt_prime_below(wide, n)],
+                wide,
+            ),
+        ];
+        let restore = Backend::active();
+        for backend in Backend::all_available() {
+            Backend::force(backend);
+            for (primes, p) in &chains {
+                let params = crate::params::ChamParamsBuilder::new()
+                    .degree(n)
+                    .ciphertext_primes(primes)
+                    .special_prime(*p)
+                    .build()
+                    .unwrap();
+                // Each table runs what `backend` resolves to for its prime.
+                for (table, &q) in params
+                    .augmented_context()
+                    .tables()
+                    .iter()
+                    .zip(primes.iter().chain([p]))
+                {
+                    let wide = q >= 1 << 50;
+                    let expect = if backend == Backend::Avx512Ifma && wide {
+                        Backend::Avx2
+                    } else {
+                        backend
+                    };
+                    assert_eq!(table.backend(), expect, "q={q}");
+                }
+                let mut rng = rand::rngs::StdRng::seed_from_u64(*p);
+                let sk = SecretKey::generate(&params, &mut rng);
+                let enc = Encryptor::new(&params, &sk);
+                let coder = CoeffEncoder::new(&params);
+                let gkeys =
+                    GaloisKeys::generate_for_packing(&sk, params.max_pack_log(), &mut rng).unwrap();
+                let ct = |rng: &mut rand::rngs::StdRng| {
+                    let vals: Vec<u64> = (0..n).map(|_| rng.gen_range(0..65537)).collect();
+                    enc.encrypt(&coder.encode_vector(&vals).unwrap(), rng)
+                };
+                let (even, odd) = (ct(&mut rng), ct(&mut rng));
+                let case = format!("backend={backend} chain={primes:?}+{p}");
+                for h in 1..=params.max_pack_log() {
+                    let k = (1usize << h) + 1;
+                    let ksk = gkeys.get(k).unwrap();
+                    assert_eq!(
+                        crate::ops::keyswitch_mask(odd.a(), ksk, &params).unwrap(),
+                        crate::oracle::keyswitch_mask(odd.a(), ksk, &params).unwrap(),
+                        "keyswitch k={k} {case}"
+                    );
+                    assert_eq!(
+                        crate::ops::apply_galois(&odd, k, &gkeys, &params).unwrap(),
+                        crate::oracle::apply_galois(&odd, k, &gkeys, &params).unwrap(),
+                        "apply_galois k={k} {case}"
+                    );
+                    assert_eq!(
+                        pack_two(h, &even, &odd, &gkeys, &params).unwrap(),
+                        crate::oracle::pack_two(h, &even, &odd, &gkeys, &params).unwrap(),
+                        "pack_two h={h} {case}"
+                    );
+                }
+            }
+        }
+        Backend::force(restore);
     }
 
     #[test]

@@ -123,6 +123,22 @@ fn one_multiply_books_each_operation_once() {
         }
     );
 
+    // The pack's element-wise passes, per key-switch merge over `d`
+    // normal-basis limbs and `L` augmented ones: the monomial butterfly
+    // over both halves (`2·d·N` pairs), the digits written into every
+    // augmented limb (`d·L·N`) and `b`'s automorphism added into the
+    // accumulator (`d·N`) — `12·N` at `L = 3`, `d = 2`. Every pack level
+    // here has `g = N >> h ≥ 32`, whole registers, so it is all vector
+    // where the tables resolved to IFMA and all tail everywhere else.
+    let eltwise = (rows - 1) * (2 * digits + digits * aug_limbs + digits) * n as u64;
+    assert_eq!(
+        (
+            delta("cham_math.simd.eltwise.vector"),
+            delta("cham_math.simd.eltwise.tail")
+        ),
+        if ifma { (eltwise, 0) } else { (0, eltwise) }
+    );
+
     // Every counter the process booked is one this file pins or an
     // accessor reads: `simd_stats()` (the lane counters),
     // `scratch_stats()` and `lazy_flush_count()`. The set is closed, so a

@@ -21,6 +21,11 @@
 //!   and the tests drive,
 //! * the **rescale** by the last prime of a chain ([`rescale_into`] /
 //!   [`rescale_add`], behind [`crate::rns::RnsContext::rescale_limb_into`]),
+//! * the pack's element-wise passes — PAPER.md Table I's MODADD/MODSUB,
+//!   MULTMONO and AUTOMORPH: the **monomial butterfly**
+//!   ([`monomial_butterfly`]), the automorphism added into a limb
+//!   ([`automorph_add`]) and a key-switch digit written into every limb
+//!   of the augmented basis ([`write_digit`]),
 //!
 //! plus the `[0, 4q) → [0, q)` normalization pass that finishes a lazy
 //! forward transform.
@@ -70,16 +75,18 @@
 //!   normalization and the inverse's `n⁻¹` last stage in 512-bit
 //!   registers, strides 8/4/2/1 in-register with lane permutes — the HEXL
 //!   recipe), the row product, the key-switch digit product, and the
-//!   rescale. Every 52-bit Shoup companion is a 64-bit one shifted right
-//!   by 12, so the tier adds no tables. It needs every value it multiplies
-//!   to fit 52 bits: a modulus of 2^50 or more — a property of the input,
-//!   nothing to configure — resolves the table to `avx2`, and the
-//!   element-wise kernels follow the table's backend, so they run scalar
-//!   there (as they do for `n < 16`, a slice shorter than one register,
-//!   and every tail). Every other kernel under this backend runs the best
-//!   arm that exists (AVX2 stages/normalization, scalar `u128` MAC and
-//!   element-wise multiply). `auto` picks it when `avx512f` +
-//!   `avx512ifma` are detected.
+//!   rescale — and for the pack's three element-wise passes, which
+//!   multiply nothing and need only AVX-512F (`min_epu64`
+//!   compare-subtracts and an 8-lane gather). Every 52-bit Shoup
+//!   companion is a 64-bit one shifted right by 12, so the tier adds no
+//!   tables. It needs every value it multiplies to fit 52 bits: a modulus
+//!   of 2^50 or more — a property of the input, nothing to configure —
+//!   resolves the table to `avx2`, and the element-wise kernels follow
+//!   the table's backend, so they run scalar there (as they do for
+//!   `n < 16`, a slice shorter than one register, and every tail). Every
+//!   other kernel under this backend runs the best arm that exists (AVX2
+//!   stages/normalization, scalar `u128` MAC and element-wise multiply).
+//!   `auto` picks it when `avx512f` + `avx512ifma` are detected.
 //!
 //! ## The equivalence contract
 //!
@@ -96,6 +103,9 @@
 //! every arm — a sum of products mod `q` is exact in any order and the
 //! rescale's Shoup multiply is finished with one conditional subtraction —
 //! so their outputs are bit-identical to the scalar arm's, lane for lane.
+//! So do the pack's passes: an add, a subtract, a negation and a
+//! re-embedding each have one canonical result, whichever order the
+//! coefficients are visited in.
 //! `tests/simd_equivalence.rs`, the per-backend golden KATs and the
 //! per-stage congruence test beside the IFMA kernels pin this.
 
@@ -325,9 +335,13 @@ pub enum Kernel {
     Mac = 3,
     /// `[0, 4q) → [0, q)` normalization passes (count unit: elements).
     Normalize = 4,
+    /// The pack's element-wise passes — [`monomial_butterfly`],
+    /// [`automorph_add`], [`write_digit`] (count unit: coefficients
+    /// written per limb; a butterfly's `(even, odd)` pair is one).
+    Eltwise = 5,
 }
 
-const KERNELS: usize = 5;
+const KERNELS: usize = 6;
 
 impl Kernel {
     /// Kernel family name as used in counter keys.
@@ -339,6 +353,7 @@ impl Kernel {
             Kernel::MulShoupLazy => "mul_shoup_lazy",
             Kernel::Mac => "mac",
             Kernel::Normalize => "normalize",
+            Kernel::Eltwise => "eltwise",
         }
     }
 
@@ -349,6 +364,7 @@ impl Kernel {
         Kernel::MulShoupLazy,
         Kernel::Mac,
         Kernel::Normalize,
+        Kernel::Eltwise,
     ];
 }
 
@@ -361,6 +377,7 @@ static VECTOR: [Counter; KERNELS] = [
     Counter::new("cham_math.simd.mul_shoup_lazy.vector"),
     Counter::new("cham_math.simd.mac.vector"),
     Counter::new("cham_math.simd.normalize.vector"),
+    Counter::new("cham_math.simd.eltwise.vector"),
 ];
 static TAIL: [Counter; KERNELS] = [
     Counter::new("cham_math.simd.fwd_butterfly.tail"),
@@ -368,6 +385,7 @@ static TAIL: [Counter; KERNELS] = [
     Counter::new("cham_math.simd.mul_shoup_lazy.tail"),
     Counter::new("cham_math.simd.mac.tail"),
     Counter::new("cham_math.simd.normalize.tail"),
+    Counter::new("cham_math.simd.eltwise.tail"),
 ];
 
 /// Records one kernel invocation's lane accounting. Callers batch: one call
@@ -425,11 +443,12 @@ pub fn simd_stats() -> SimdStats {
 // ------------------------------------------------------- kernel dispatch
 //
 // `Avx512Ifma` has arms of its own for the whole `NttTable` transforms
-// (`ifma_forward`/`ifma_inverse`), the row product, the digit product and
-// the rescale; every other per-stage and per-slice kernel below runs it on
-// the best arm that exists — `stage_arm()` (AVX2) for the forward stage
-// and normalization kernels, scalar for the inverse stage, the `u128` MAC
-// and the element-wise multiply.
+// (`ifma_forward`/`ifma_inverse`), the row product, the digit product,
+// the rescale and the pack's three element-wise passes; every other
+// per-stage and per-slice kernel below runs it on the best arm that
+// exists — `stage_arm()` (AVX2) for the forward stage and normalization
+// kernels, scalar for the inverse stage, the `u128` MAC and the
+// element-wise multiply.
 
 /// One forward CT stage over `a` in Harvey lazy form: `m` twiddle groups of
 /// `t` butterflies, constants from `roots[m..2m]`. Inputs/outputs `[0, 4q)`.
@@ -831,6 +850,212 @@ pub fn reduce_from_lazy_slice(backend: Backend, a: &mut [u64], q: &Modulus) {
     record_kernel(Kernel::Normalize, vec, tail);
 }
 
+// ------------------------------------------------- the pack's PPU passes
+//
+// PAPER.md Table I's MODADD/MODSUB, SHIFTNEG/MULTMONO and AUTOMORPH as
+// `PACKTWOLWES` runs them: no multiply, only adds, compare-subtracts and
+// data movement, so the vector arm needs AVX-512F alone and takes any
+// modulus the scalar arm takes. They are dispatched like the other
+// element-wise kernels: the callers pass the limb table's backend, so
+// a modulus of 2^50 or more runs the scalar arm, and `avx2` runs it
+// everywhere.
+
+/// True when an element-wise arm asked for by `backend` may run in 512-bit
+/// lanes: the backend is `Avx512Ifma` and the host has it.
+#[cfg(target_arch = "x86_64")]
+fn avx512_lanes(backend: Backend) -> bool {
+    backend == Backend::Avx512Ifma && Backend::Avx512Ifma.available()
+}
+
+/// Lines 1–3 of Alg. 2 on one limb over `q`, in place:
+/// `even ← even + X^g·odd` and `odd[i] ← (even − X^g·odd)[(i + g) mod N]`.
+/// The difference is left rotated by `g` so that no coefficient is read
+/// after it has been overwritten; [`automorph_add`] and [`write_digit`]
+/// take `rot = g` and undo the rotation for free. It is two contiguous
+/// segment pairs: `(e, o) ← (e + o, e − o)` over `even[g..]`/`odd[..N−g]`,
+/// and `(e − o, e + o)` over `even[..g]`/`odd[N−g..]`, whose terms wrapped
+/// past `X^N = −1`. Canonical in and out; each segment's whole registers
+/// run in vector lanes and the rest (a segment shorter than a register at
+/// the top pack levels) on the scalar arm. Books `N` under
+/// [`Kernel::Eltwise`].
+///
+/// # Panics
+/// Panics if the limbs differ in length or `g` exceeds it.
+pub fn monomial_butterfly(
+    backend: Backend,
+    even: &mut [u64],
+    odd: &mut [u64],
+    g: usize,
+    q: &Modulus,
+) {
+    let n = even.len();
+    assert!(odd.len() == n && g <= n, "operand length mismatch");
+    let (even_wrapped, even_shifted) = even.split_at_mut(g);
+    let (odd_shifted, odd_wrapped) = odd.split_at_mut(n - g);
+    let vector = butterfly_segment::<false>(backend, even_shifted, odd_shifted, q)
+        + butterfly_segment::<true>(backend, even_wrapped, odd_wrapped, q);
+    record_kernel(Kernel::Eltwise, vector as u64, (n - vector) as u64);
+}
+
+/// One segment pair of [`monomial_butterfly`]; returns how many pairs ran
+/// in vector lanes.
+fn butterfly_segment<const WRAPPED: bool>(
+    backend: Backend,
+    even: &mut [u64],
+    odd: &mut [u64],
+    q: &Modulus,
+) -> usize {
+    let done = match backend {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: `avx512_lanes` just detected `avx512f`.
+        b if avx512_lanes(b) => unsafe { ifma::butterfly_segment::<WRAPPED>(even, odd, q) },
+        _ => 0,
+    };
+    scalar::butterfly_segment::<WRAPPED>(&mut even[done..], &mut odd[done..], q);
+    done
+}
+
+/// `k⁻¹ mod 2N` for an odd Galois element `k`: Newton's iteration
+/// `x ← x·(2 − k·x)` doubles the correct low bits of `x`, and `x = k` is
+/// right to three (`k² ≡ 1 mod 8`), so five steps cover 64.
+/// Callers check `k` is odd first ([`check_automorph`]).
+#[cfg(target_arch = "x86_64")]
+fn galois_inverse(k: usize, n: usize) -> usize {
+    let k = k as u64;
+    let mut x = k;
+    for _ in 0..5 {
+        x = x.wrapping_mul(2u64.wrapping_sub(k.wrapping_mul(x)));
+    }
+    x as usize & (2 * n - 1)
+}
+
+/// Checks an automorphism's operands: `src` and every destination limb
+/// have the power-of-two length `n`, and `k` is odd.
+fn check_automorph(src: &[u64], dst_len: usize, k: usize) {
+    let n = src.len();
+    assert!(
+        n.is_power_of_two() && dst_len == n,
+        "operand length mismatch"
+    );
+    assert!(k % 2 == 1, "automorphism index {k} is even");
+}
+
+/// AUTOMORPH, added: `dst ← dst + σ_k(src) mod q` for the map `X → X^k`
+/// (odd `k`) on one limb of canonical residues. `src` may be stored
+/// rotated: `src[i]` holds logical coefficient `(i + rot) mod N`, which is
+/// how [`monomial_butterfly`] leaves its difference.
+///
+/// The scalar arm scatters: source coefficient `j` goes to `j·k mod N`,
+/// negated when bit `N` of `j·k` is set (`X^N = −1`). The vector arm walks
+/// the destination instead: `dst[t]` reads `src[(c − rot) mod N]` for
+/// `c = t·k⁻¹ mod 2N`, negated when `c ≥ N` (a zero stays zero). `c`
+/// steps by `8·k⁻¹ mod 2N` per register, so a register is one add and one
+/// mask, one 8-lane gather, a masked `q − v` and a contiguous
+/// add-and-subtract — no index table and no state. Books `N` under
+/// [`Kernel::Eltwise`].
+///
+/// # Panics
+/// Panics unless both slices have the same power-of-two length and `k` is
+/// odd.
+pub fn automorph_add(
+    backend: Backend,
+    src: &[u64],
+    dst: &mut [u64],
+    k: usize,
+    rot: usize,
+    q: &Modulus,
+) {
+    check_automorph(src, dst.len(), k);
+    let n = src.len();
+    let vector = automorph::<true>(backend, src, dst, k, rot, q);
+    record_kernel(Kernel::Eltwise, vector as u64, (n - vector) as u64);
+}
+
+/// `σ_k(src)` stored into or added into `dst` on the arm `backend` picks;
+/// returns how many words ran in vector lanes (all or none).
+fn automorph<const ADD: bool>(
+    backend: Backend,
+    src: &[u64],
+    dst: &mut [u64],
+    k: usize,
+    rot: usize,
+    q: &Modulus,
+) -> usize {
+    let n = src.len();
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: `avx512_lanes` just detected `avx512f`; `check_automorph`
+        // made `n` a power of two, so the arm's masked indices stay in `src`.
+        b if avx512_lanes(b) && n >= b.lanes() => unsafe {
+            ifma::automorph::<ADD>(src, dst, galois_inverse(k, n), rot, q);
+            n
+        },
+        _ => {
+            scalar::automorph::<ADD>(src, dst, k, rot, q);
+            0
+        }
+    }
+}
+
+/// One key-switch digit, written into every limb of the augmented basis:
+/// `out[l·N..][..N] ← σ_k(src) mod to[l]`, where `src` is limb `own` of the
+/// mask — residues below `to[own]`, stored rotated by `rot` as in
+/// [`automorph_add`] — and `out` holds `to.len()` limbs of `N` words,
+/// limb-major. `k = 1, rot = 0` is the plain decomposition.
+///
+/// The digit is gathered once, into limb `own` (a scatter on the scalar
+/// arm, [`automorph_add`]'s destination-order gather on the vector arm),
+/// and that limb is re-embedded into each other one: a copy when
+/// `to[own] ≤ to[l]`, one compare-subtract (`min_epu64` on the vector arm)
+/// when `to[own] < 2·to[l]` — every pair of the CHAM chain — and Barrett
+/// otherwise, which stays scalar (no shipped chain reaches it). Books `N`
+/// per limb under [`Kernel::Eltwise`]; on the vector arm a Barrett limb is
+/// booked as tail.
+///
+/// # Panics
+/// Panics unless `src` has a power-of-two length `N`, `out` holds
+/// `to.len()` limbs of it, `own < to.len()` and `k` is odd.
+pub fn write_digit(
+    backend: Backend,
+    src: &[u64],
+    k: usize,
+    rot: usize,
+    out: &mut [u64],
+    to: &[Modulus],
+    own: usize,
+) {
+    let (n, limbs) = (src.len(), to.len());
+    assert!(own < limbs, "digit limb {own} outside a basis of {limbs}");
+    check_automorph(src, out.len() / limbs, k);
+    assert_eq!(out.len(), limbs * n, "operand length mismatch");
+    let from = &to[own];
+    let (before, rest) = out.split_at_mut(own * n);
+    let (own_limb, after) = rest.split_at_mut(n);
+    let mut vector = automorph::<false>(backend, src, own_limb, k, rot, from);
+    let on_lanes = vector > 0;
+    let others = before.chunks_exact_mut(n).chain(after.chunks_exact_mut(n));
+    let moduli = to[..own].iter().chain(&to[own + 1..]);
+    for (dst, to) in others.zip(moduli) {
+        let done = match () {
+            () if from.value() <= to.value() => {
+                dst.copy_from_slice(own_limb);
+                n
+            }
+            #[cfg(target_arch = "x86_64")]
+            // Safety: `on_lanes` means `avx512_lanes` detected `avx512f`.
+            () if on_lanes && from.value() < 2 * to.value() => unsafe {
+                ifma::cmp_sub(own_limb, dst, to)
+            },
+            () => 0,
+        };
+        scalar::re_embed(&own_limb[done..], &mut dst[done..], from, to);
+        if on_lanes {
+            vector += done;
+        }
+    }
+    record_kernel(Kernel::Eltwise, vector as u64, (limbs * n - vector) as u64);
+}
+
 /// Splits a slice length into `(vector, tail)` element counts for an arm
 /// `lanes` wide.
 #[inline]
@@ -1041,6 +1266,58 @@ mod scalar {
             } else {
                 v
             };
+        }
+    }
+
+    /// One segment pair of the monomial butterfly: `(e + o, e − o)`, or
+    /// `(e − o, e + o)` for the segment whose terms wrapped past `X^N`.
+    pub(super) fn butterfly_segment<const WRAPPED: bool>(
+        even: &mut [u64],
+        odd: &mut [u64],
+        q: &Modulus,
+    ) {
+        for (e, o) in even.iter_mut().zip(odd) {
+            let (sum, diff) = (q.add(*e, *o), q.sub(*e, *o));
+            (*e, *o) = if WRAPPED { (diff, sum) } else { (sum, diff) };
+        }
+    }
+
+    /// The automorphism as a scatter: `dst[σ_k(j)] ← (or +=) ±src[i]` for
+    /// the logical coefficient `j = (i + rot) mod N`, negated when bit
+    /// `log2 N` of `j·k` is set.
+    pub(super) fn automorph<const ADD: bool>(
+        src: &[u64],
+        dst: &mut [u64],
+        k: usize,
+        rot: usize,
+        q: &Modulus,
+    ) {
+        let n = src.len();
+        let mask = n - 1;
+        for (i, &v) in src.iter().enumerate() {
+            let jk = ((i + rot) & mask) * k;
+            // (−1)^{⌊jk/N⌋}: bit log2(N) of jk.
+            let v = if jk & n != 0 { q.neg(v) } else { v };
+            let slot = &mut dst[jk & mask];
+            *slot = if ADD { q.add(*slot, v) } else { v };
+        }
+    }
+
+    /// `dst[j] ← src[j] mod to` for residues `src[j] < from`: a copy when
+    /// `from ≤ to`, one compare-subtract when `from < 2·to`, Barrett
+    /// otherwise.
+    pub(super) fn re_embed(src: &[u64], dst: &mut [u64], from: &Modulus, to: &Modulus) {
+        let q = to.value();
+        if from.value() <= q {
+            dst.copy_from_slice(src);
+        } else if from.value() < 2 * q {
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = if v >= q { v - q } else { v };
+            }
+        } else {
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = to.reduce(v);
+            }
         }
     }
 }
@@ -1665,6 +1942,81 @@ mod ifma {
             store(o, v);
         }
         out.len() * LANES
+    }
+
+    /// One segment pair of the monomial butterfly over its whole
+    /// registers; returns how many pairs it wrote. `e + o` and
+    /// `e + q − o` are below `2q`, so one `min_epu64` subtraction each
+    /// makes them canonical.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn butterfly_segment<const WRAPPED: bool>(
+        even: &mut [u64],
+        odd: &mut [u64],
+        q: &Modulus,
+    ) -> usize {
+        let q = _mm512_set1_epi64(q.value() as i64);
+        let (even, _) = even.as_chunks_mut::<LANES>();
+        let (odd, _) = odd.as_chunks_mut::<LANES>();
+        for (e, o) in even.iter_mut().zip(odd.iter_mut()) {
+            let (x, y) = (load(e), load(o));
+            let sum = csub(_mm512_add_epi64(x, y), q);
+            let diff = csub(_mm512_sub_epi64(_mm512_add_epi64(x, q), y), q);
+            let (x, y) = if WRAPPED { (diff, sum) } else { (sum, diff) };
+            store(e, x);
+            store(o, y);
+        }
+        even.len().min(odd.len()) * LANES
+    }
+
+    /// The automorphism in destination order over `n = src.len()` words
+    /// (a power of two, at least one register): for every register of
+    /// destinations `t`, `c = t·k⁻¹ mod 2N` picks the source word
+    /// `(c − rot) mod N` and its sign (`c ≥ N`), one gather reads the
+    /// eight, and a masked `q − v` (skipped for zeros) negates them before
+    /// they are stored into `dst`, or added into it when `ADD`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn automorph<const ADD: bool>(
+        src: &[u64],
+        dst: &mut [u64],
+        k_inv: usize,
+        rot: usize,
+        q: &Modulus,
+    ) {
+        let n = src.len();
+        let two_n = 2 * n as u64;
+        let set1 = |x: u64| _mm512_set1_epi64(x as i64);
+        let (mask, sign, wrap) = (set1(n as u64 - 1), set1(n as u64), set1(two_n - 1));
+        let (rot, q) = (set1(rot as u64), set1(q.value()));
+        let step = set1(LANES as u64 * k_inv as u64 % two_n);
+        let mut c = load(&std::array::from_fn(|l| l as u64 * k_inv as u64 % two_n));
+        for o in dst.as_chunks_mut::<LANES>().0 {
+            let at = _mm512_and_si512(_mm512_sub_epi64(c, rot), mask);
+            // Safety: `at` is masked to `[0, n)`, inside `src`.
+            let v = unsafe { _mm512_i64gather_epi64::<8>(at, src.as_ptr().cast()) };
+            let negate = _mm512_test_epi64_mask(c, sign) & _mm512_test_epi64_mask(v, v);
+            let v = _mm512_mask_sub_epi64(v, negate, q, v);
+            c = _mm512_and_si512(_mm512_add_epi64(c, step), wrap);
+            store(
+                o,
+                if ADD {
+                    csub(_mm512_add_epi64(load(o), v), q)
+                } else {
+                    v
+                },
+            );
+        }
+    }
+
+    /// `dst ← src − (src ≥ q ? q : 0)` over the whole registers of `src`;
+    /// returns how many words it wrote.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn cmp_sub(src: &[u64], dst: &mut [u64], q: &Modulus) -> usize {
+        let q = _mm512_set1_epi64(q.value() as i64);
+        let (dst, _) = dst.as_chunks_mut::<LANES>();
+        for (d, s) in dst.iter_mut().zip(src.as_chunks::<LANES>().0) {
+            store(d, csub(load(s), q));
+        }
+        dst.len() * LANES
     }
 
     #[cfg(test)]

@@ -147,6 +147,77 @@ fn counters_follow_the_arm_that_ran() {
             (2 * 2 * 32 * ifma, 2 * 2 * (len as u64 - 32 * ifma)),
             "row product tail backend={backend}"
         );
+        // The pack's element-wise passes: one coefficient per limb written
+        // (a butterfly pair is one), in vector lanes under IFMA for every
+        // whole register and on the scalar arm everywhere else.
+        let on_lanes = |elems: u64| {
+            if backend == Backend::Avx512Ifma {
+                (elems, 0)
+            } else {
+                (0, elems)
+            }
+        };
+        let (mut even, mut odd) = (vec![1u64; n], vec![2u64; n]);
+        assert_eq!(
+            booked(Kernel::Eltwise, || {
+                simd::monomial_butterfly(backend, &mut even, &mut odd, n / 2, &q);
+            }),
+            on_lanes(n as u64),
+            "butterfly backend={backend}"
+        );
+        // At `g = 4` the wrapped segment is shorter than a register and
+        // the shifted one (`n − 4` pairs) ends in a four-pair tail.
+        assert_eq!(
+            booked(Kernel::Eltwise, || {
+                simd::monomial_butterfly(backend, &mut even, &mut odd, 4, &q);
+            }),
+            if backend == Backend::Avx512Ifma {
+                (n as u64 - 8, 8)
+            } else {
+                (0, n as u64)
+            },
+            "butterfly tail backend={backend}"
+        );
+        assert_eq!(
+            booked(Kernel::Eltwise, || {
+                simd::automorph_add(backend, &even, &mut odd, 5, 3, &q);
+            }),
+            on_lanes(n as u64),
+            "automorph backend={backend}"
+        );
+        // Four coefficients are less than a register: the scalar arm.
+        assert_eq!(
+            booked(Kernel::Eltwise, || {
+                simd::automorph_add(backend, &even[..4], &mut odd[..4], 5, 3, &q);
+            }),
+            (0, 4),
+            "automorph tail backend={backend}"
+        );
+        // One digit over `q0` into the CHAM chain's three limbs (a
+        // compare-subtract into `q1 < q0`, a copy into `p`); then a digit
+        // over `p` into `[q0, p]`, where `p ≥ 2·q0` re-embeds by Barrett on
+        // the scalar arm, booked as tail.
+        let chain = [Q0, Q1, SPECIAL_P].map(|q| Modulus::new(q).unwrap());
+        let mut digits = vec![0u64; 3 * n];
+        assert_eq!(
+            booked(Kernel::Eltwise, || {
+                simd::write_digit(backend, &even, 3, 0, &mut digits, &chain, 0);
+            }),
+            on_lanes(3 * n as u64),
+            "digits backend={backend}"
+        );
+        let barrett = [chain[0], chain[2]];
+        assert_eq!(
+            booked(Kernel::Eltwise, || {
+                simd::write_digit(backend, &even, 3, 0, &mut digits[..2 * n], &barrett, 1);
+            }),
+            if backend == Backend::Avx512Ifma {
+                (n as u64, n as u64)
+            } else {
+                (0, 2 * n as u64)
+            },
+            "digits Barrett backend={backend}"
+        );
         let ws: Vec<u64> = w.iter().map(|&v| q.shoup(v)).collect();
         assert_eq!(
             booked(Kernel::MulShoupLazy, || {

@@ -17,7 +17,11 @@
 //! contract: bit-identical to their scalar arm at every digit or tile
 //! count up to the stated headroom, on every workspace modulus and one
 //! just under 2^50, for whole registers and tails alike; and the scalar
-//! arm to the textbook formula.
+//! arm to the textbook formula. So are the pack's element-wise passes —
+//! the monomial butterfly, the automorphism added into a limb and the
+//! digit written into every limb — at every pack level, with the
+//! difference stored plain and rotated, on random, all-(q−1) and all-zero
+//! inputs.
 //!
 //! Backends the host cannot run are absent from `Backend::all_available`,
 //! so their arms skip rather than fail.
@@ -500,6 +504,166 @@ fn rescale_into_and_add_match_scalar_bit_for_bit() {
             }
         }
     }
+}
+
+/// The pack's levels at `n`: `(k, rot)` for `k = 2^h + 1` at every level
+/// `h` with the difference stored plain and rotated by `N >> h` (as
+/// `monomial_butterfly` leaves it), plus the plain decomposition
+/// `k = 1, rot = 0`.
+fn pack_levels(n: usize) -> Vec<(usize, usize)> {
+    let levels = (1..=n.trailing_zeros()).flat_map(|h| [((1 << h) + 1, 0), ((1 << h) + 1, n >> h)]);
+    std::iter::once((1, 0)).chain(levels).collect()
+}
+
+/// Random residues below `q` (with 0 and `q − 1` pinned at the front),
+/// all-(q−1) and all-zero: negation must map the zeros to 0, not `q`.
+fn pack_inputs(n: usize, q: &Modulus, rng: &mut impl Rng) -> Vec<Vec<u64>> {
+    let mut random: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.value())).collect();
+    random[0] = 0;
+    if n > 1 {
+        random[1] = q.value() - 1;
+    }
+    vec![random, vec![q.value() - 1; n], vec![0u64; n]]
+}
+
+/// `σ_k` of the polynomial stored in `src` rotated by `rot`, the textbook
+/// way (`Poly::automorph` on the logical coefficients).
+fn textbook_automorph(src: &[u64], k: usize, rot: usize, q: &Modulus) -> Vec<u64> {
+    let n = src.len();
+    let logical: Vec<u64> = (0..n).map(|j| src[(j + n - rot) % n]).collect();
+    cham_math::poly::Poly::from_coeffs(logical)
+        .automorph(k, q)
+        .unwrap()
+        .coeffs()
+        .to_vec()
+}
+
+/// The pack's sizes: the equivalence suite's, plus `N = 4` and `8`, whose
+/// automorphisms are shorter than or exactly one register.
+const PACK_SIZES: [usize; 7] = [4, 8, 16, 32, 256, 1024, 4096];
+
+#[test]
+fn monomial_butterfly_matches_scalar_bit_for_bit() {
+    let mut rng = rng();
+    for q in moduli_to_2_pow_50() {
+        for n in PACK_SIZES {
+            // Every pack level's `g = N >> h`: whole registers in both
+            // segments, and segments shorter than one at the top levels.
+            for g in (0..=n.trailing_zeros()).map(|h| n >> h) {
+                for (even, odd) in pack_inputs(n, &q, &mut rng)
+                    .into_iter()
+                    .zip(pack_inputs(n, &q, &mut rng).into_iter().rev())
+                {
+                    let run = |backend: Backend| {
+                        let (mut e, mut o) = (even.clone(), odd.clone());
+                        simd::monomial_butterfly(backend, &mut e, &mut o, g, &q);
+                        (e, o)
+                    };
+                    let want = run(Backend::Scalar);
+                    // The scalar arm against `even ± X^g·odd`, the
+                    // difference rotated left by `g`.
+                    let shifted = cham_math::poly::Poly::from_coeffs(odd.clone()).shift_neg(g, &q);
+                    let sum: Vec<u64> = even
+                        .iter()
+                        .zip(shifted.coeffs())
+                        .map(|(&e, &o)| q.add(e, o))
+                        .collect();
+                    let diff: Vec<u64> = (0..n)
+                        .map(|i| {
+                            let j = (i + g) % n;
+                            q.sub(even[j], shifted.coeffs()[j])
+                        })
+                        .collect();
+                    let case = format!("q={q} n={n} g={g}");
+                    assert_eq!(want, (sum, diff), "{case}");
+                    for backend in vector_backends() {
+                        assert_eq!(run(backend), want, "{case} {backend}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn automorph_add_matches_scalar_bit_for_bit() {
+    let mut rng = rng();
+    for q in moduli_to_2_pow_50() {
+        for n in PACK_SIZES {
+            for (k, rot) in pack_levels(n) {
+                for src in pack_inputs(n, &q, &mut rng) {
+                    for held in pack_inputs(n, &q, &mut rng) {
+                        let run = |backend: Backend| {
+                            let mut dst = held.clone();
+                            simd::automorph_add(backend, &src, &mut dst, k, rot, &q);
+                            dst
+                        };
+                        let want = run(Backend::Scalar);
+                        let sum: Vec<u64> = held
+                            .iter()
+                            .zip(textbook_automorph(&src, k, rot, &q))
+                            .map(|(&h, a)| q.add(h, a))
+                            .collect();
+                        let case = format!("q={q} n={n} k={k} rot={rot}");
+                        assert_eq!(want, sum, "{case}");
+                        for backend in vector_backends() {
+                            assert_eq!(run(backend), want, "{case} {backend}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn write_digit_matches_scalar_bit_for_bit() {
+    let mut rng = rng();
+    let wide = largest_ntt_prime(50, 4096);
+    let [q0, q1, p] = [Q0, Q1, SPECIAL_P].map(|q| Modulus::new(q).unwrap());
+    // The CHAM chain (copies, and one compare-subtract from q0 into q1),
+    // one limb alone (the automorphism with nothing to re-embed), and a
+    // chain with a prime just under 2^50, which re-embeds into q0 and p by
+    // Barrett.
+    let bases = [vec![q0, q1, p], vec![wide], vec![q0, wide, p]];
+    for to in &bases {
+        for own in 0..to.len() {
+            let from = &to[own];
+            for n in PACK_SIZES {
+                for (k, rot) in pack_levels(n) {
+                    for src in pack_inputs(n, from, &mut rng) {
+                        let run = |backend: Backend| {
+                            // Dirty output: every word must be written.
+                            let mut out = vec![u64::MAX; to.len() * n];
+                            simd::write_digit(backend, &src, k, rot, &mut out, to, own);
+                            out
+                        };
+                        let want = run(Backend::Scalar);
+                        let digit = textbook_automorph(&src, k, rot, from);
+                        let textbook: Vec<u64> = to
+                            .iter()
+                            .flat_map(|m| digit.iter().map(|&v| m.reduce(v)))
+                            .collect();
+                        let case = format!("to={to:?} own={own} n={n} k={k} rot={rot}");
+                        assert_eq!(want, textbook, "{case}");
+                        for backend in vector_backends() {
+                            assert_eq!(run(backend), want, "{case} {backend}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "automorphism index 4 is even")]
+fn automorphisms_refuse_an_even_index() {
+    // An even `k` has no inverse mod 2N; the call is refused before the
+    // destination-order arm would take one.
+    let q = Modulus::new(Q0).unwrap();
+    let (src, mut dst) = (vec![1u64; 16], vec![0u64; 16]);
+    simd::automorph_add(Backend::detect_auto(), &src, &mut dst, 4, 0, &q);
 }
 
 #[test]
