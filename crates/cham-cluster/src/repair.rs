@@ -21,19 +21,18 @@
 //!
 //! Execution is an ordinary client upload: `StoreFetch` pulls the
 //! matrix body from a source, a body whose content hash is not the
-//! transfer's id is refused (the next source is tried), and the parsed
-//! matrix goes to the target through [`ServeClient::load_matrix_streamed`].
+//! transfer's id is refused (the next source is tried), and the fetched
+//! body goes to the target as it is, through [`ServeClient::upload_chunked`]
+//! — hashed once, in the pass that cuts it into chunks.
 //! The target therefore checks ownership and the content hash exactly as
 //! it does for a client, and per-chunk checksums and the received-bitmap
 //! resume guard repair traffic end to end — a repair interrupted
 //! mid-matrix re-sends only the chunks the target still lacks.
 
 use crate::ring::HashRing;
-use cham_he::hmvp::Matrix;
 use cham_he::params::ChamParams;
-use cham_serve::cache::content_hash;
-use cham_serve::protocol::{matrix_from_bytes, DEFAULT_CHUNK_BYTES};
-use cham_serve::{ClientConfig, Result, ServeClient, ServeError, Topology};
+use cham_serve::protocol::DEFAULT_CHUNK_BYTES;
+use cham_serve::{ChunkedBody, ClientConfig, Result, ServeClient, ServeError, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -199,7 +198,7 @@ pub fn execute(
         Ok(())
     };
     for t in &plan.transfers {
-        let mut fetched: Option<Matrix> = None;
+        let mut fetched: Option<ChunkedBody> = None;
         for &source in &t.sources {
             if connect(&mut conns, source).is_err() {
                 continue;
@@ -211,10 +210,12 @@ pub fn execute(
             {
                 // A body that does not hash to the id is not this matrix:
                 // it is refused, and the next source is tried.
-                Ok(body) if content_hash(&body) == t.id => {
-                    if let Ok(matrix) = matrix_from_bytes(&body, params) {
-                        fetched = Some(matrix);
-                        break;
+                Ok(body) => {
+                    if let Ok(upload) = ChunkedBody::from_bytes(body, DEFAULT_CHUNK_BYTES) {
+                        if upload.id() == t.id {
+                            fetched = Some(upload);
+                            break;
+                        }
                     }
                 }
                 Err(ServeError::Io(_)) => {
@@ -223,15 +224,15 @@ pub fn execute(
                     // desynced stream.
                     conns.remove(&source);
                 }
-                Ok(_) | Err(_) => {}
+                Err(_) => {}
             }
         }
-        let installed = fetched.as_ref().is_some_and(|matrix| {
+        let installed = fetched.as_ref().is_some_and(|upload| {
             if connect(&mut conns, t.target).is_err() {
                 return false;
             }
             let target = conns.get_mut(&t.target).expect("just connected");
-            match target.load_matrix_streamed(matrix, DEFAULT_CHUNK_BYTES) {
+            match target.upload_chunked(upload) {
                 Ok(up) => {
                     report.chunks_sent += u64::from(up.chunks_sent);
                     report.chunks_skipped += u64::from(up.chunks_skipped);

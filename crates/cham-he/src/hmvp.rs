@@ -27,13 +27,14 @@ use crate::encoding::CoeffEncoder;
 use crate::encrypt::{Decryptor, Encryptor};
 use crate::extract::{extract_lwe, rearrange_in_place, write_constant};
 use crate::keys::GaloisKeys;
-use crate::ops::{lift_plaintext_ntt, rescale, rescale_lanes_into};
+use crate::ops::{rescale, rescale_lanes_into};
 use crate::pack::{pack_with, PackedRlwe};
 use crate::params::ChamParams;
 use crate::scratch::{DotScratch, ScratchPool};
 use crate::{HeError, Result};
 use cham_math::rns::{Form, RnsPoly};
 use cham_math::simd::{row_product, row_product_add, DIGIT_PRODUCT_MAX_DIGITS};
+use cham_math::Poly;
 use cham_telemetry::span::{phase, Span};
 use rand::Rng;
 use std::sync::{Arc, Mutex};
@@ -247,23 +248,65 @@ impl Hmvp {
             return Err(HeError::InvalidParams("matrix must be non-empty"));
         }
         let n = self.params.degree();
-        let aug = self.params.augmented_context();
         let tiles = (0..a.rows())
             .map(|i| {
                 a.row(i)
                     .chunks(n)
-                    .map(|chunk| {
-                        let pt = self.coder.encode_row(chunk)?;
-                        lift_plaintext_ntt(&pt, &self.params, aug)
-                    })
-                    .collect::<Result<Vec<_>>>()
+                    .map(|chunk| self.encode_tile(chunk))
+                    .collect()
             })
-            .collect::<Result<Vec<_>>>()?;
+            .collect();
         Ok(EncodedMatrix {
             rows: a.rows(),
             cols: a.cols(),
             tiles: Arc::new(tiles),
         })
+    }
+
+    /// One row tile of [`Hmvp::encode_matrix`], each limb written in one
+    /// pass straight from the row chunk and transformed in place: the
+    /// Eq. 1 plaintext (`a_0` at `X^0`, `−a_j mod t` at `X^{N−j}`),
+    /// centred into `(−t/2, t/2]` and lifted into `[0, q_i)`. This is
+    /// [`CoeffEncoder::encode_row`] followed by
+    /// [`crate::ops::lift_plaintext_ntt`], bit for bit, without their
+    /// per-tile temporaries. `t` is below every prime of the basis (a
+    /// [`ChamParams`] invariant), so the lift of a negative value `v − t`
+    /// is `q_i − (t − v)`.
+    fn encode_tile(&self, chunk: &[u64]) -> RnsPoly {
+        let aug = self.params.augmented_context();
+        let t = self.params.plain_modulus();
+        let half = t.value() / 2;
+        let n = aug.degree();
+        debug_assert!(!chunk.is_empty() && chunk.len() <= n);
+        let reduced = |x: u64| if x < t.value() { x } else { t.reduce(x) };
+        let limbs = aug
+            .moduli()
+            .iter()
+            .zip(aug.tables())
+            .map(|(q, table)| {
+                let lift = |v: u64| {
+                    if v > half {
+                        q.value() - (t.value() - v)
+                    } else {
+                        v
+                    }
+                };
+                let mut limb = vec![0u64; n];
+                limb[0] = lift(reduced(chunk[0]));
+                // Entry j ≥ 1 lands at N − j: the tail of the limb,
+                // walked backwards.
+                for (c, &x) in limb[n + 1 - chunk.len()..]
+                    .iter_mut()
+                    .rev()
+                    .zip(&chunk[1..])
+                {
+                    *c = lift(t.neg(reduced(x)));
+                }
+                table.forward(&mut limb);
+                Poly::from_coeffs(limb)
+            })
+            .collect();
+        RnsPoly::from_limbs(aug, limbs, Form::Ntt).expect("one degree-N limb per prime")
     }
 
     /// Everything a product needs of its operands, checked before the lift
@@ -837,6 +880,46 @@ mod tests {
                 Ok(())
             })?;
         }
+    }
+
+    /// The one-pass tile encode is `encode_row` then `lift_plaintext_ntt`,
+    /// bit for bit, on every backend: widths around the ring degree and
+    /// entries at the centring edges (and past `t`, which the encode
+    /// reduces), each entry at every position of some row.
+    #[test]
+    fn fused_encode_matches_encode_row_then_lift() {
+        let restore = cham_math::Backend::active();
+        for backend in cham_math::Backend::all_available() {
+            // Tables capture the backend at construction.
+            cham_math::Backend::force(backend);
+            let params = ChamParams::insecure_test_default().unwrap();
+            let (n, t) = (params.degree(), params.plain_modulus().value());
+            let hmvp = Hmvp::new(&params);
+            let entries = [0, 1, t / 2, t.div_ceil(2), t - 1, t, u64::MAX];
+            for cols in [1, n - 1, n, n + 1, 3 * n + 5] {
+                let rows = entries.len();
+                let data = (0..rows * cols)
+                    .map(|k| entries[(k / cols + k % cols) % rows])
+                    .collect();
+                let a = Matrix::from_data(rows, cols, data).unwrap();
+                let em = hmvp.encode_matrix(&a).unwrap();
+                for (i, tiles) in em.tiles().iter().enumerate() {
+                    let chunks: Vec<_> = a.row(i).chunks(n).collect();
+                    assert_eq!(tiles.len(), chunks.len());
+                    for (tile, chunk) in tiles.iter().zip(chunks) {
+                        let pt = hmvp.encoder().encode_row(chunk).unwrap();
+                        let want = crate::ops::lift_plaintext_ntt(
+                            &pt,
+                            &params,
+                            params.augmented_context(),
+                        )
+                        .unwrap();
+                        assert!(*tile == want, "backend={backend} cols={cols} row={i}");
+                    }
+                }
+            }
+        }
+        cham_math::Backend::force(restore);
     }
 
     /// Row blocks that are partial, exact and spilling, a tile count that

@@ -26,15 +26,142 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+/// FNV-1a 64 offset basis: the state of an empty chain.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64 prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64-bit hash of a byte string — the cache's content address.
 #[must_use]
 pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_update(FNV_OFFSET, bytes)
+}
+
+/// Continues the FNV-1a 64 chain `state` over `bytes`:
+/// `fnv1a_update(content_hash(a), b) == content_hash(a ++ b)`.
+#[must_use]
+fn fnv1a_update(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        state = (state ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
-    h
+    state
+}
+
+/// One pass over `chunk` that advances two chains together: the body
+/// chain `body` continues over it and a fresh chain hashes the chunk by
+/// itself. Returns `(fnv1a_update(body, chunk), content_hash(chunk))`.
+/// FNV-1a is a serial multiply chain per byte, so the second,
+/// independent chain rides in the latency of the first: the pass costs
+/// what one hash does.
+fn fnv1a_fused(body: u64, chunk: &[u8]) -> (u64, u64) {
+    let (mut body, mut own) = (body, FNV_OFFSET);
+    for &b in chunk {
+        let b = u64::from(b);
+        body = (body ^ b).wrapping_mul(FNV_PRIME);
+        own = (own ^ b).wrapping_mul(FNV_PRIME);
+    }
+    (body, own)
+}
+
+/// A matrix upload body beside its content id. Every constructor
+/// computes the id from the bytes, so a body can never carry an id it
+/// does not hash to — which is what lets [`SessionCache::put_matrix`]
+/// take the id as given instead of hashing the body again.
+pub struct MatrixBody {
+    bytes: Vec<u8>,
+    id: u64,
+}
+
+impl MatrixBody {
+    /// Hashes `bytes` once.
+    #[must_use]
+    pub fn new(bytes: Vec<u8>) -> Self {
+        let id = content_hash(&bytes);
+        Self { bytes, id }
+    }
+
+    /// Hashes `bytes` and every `chunk_bytes`-sized chunk of it in one
+    /// pass; returns the body and the chunks' checksums in order (the
+    /// last chunk may be short).
+    ///
+    /// # Panics
+    /// When `chunk_bytes` is zero.
+    #[must_use]
+    pub fn with_chunk_hashes(bytes: Vec<u8>, chunk_bytes: usize) -> (Self, Vec<u64>) {
+        let mut id = FNV_OFFSET;
+        let checksums = bytes
+            .chunks(chunk_bytes)
+            .map(|chunk| {
+                let (body, own) = fnv1a_fused(id, chunk);
+                id = body;
+                own
+            })
+            .collect();
+        (Self { bytes, id }, checksums)
+    }
+
+    /// The content id: the FNV-1a 64 hash of [`MatrixBody::bytes`].
+    #[must_use]
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// The body bytes.
+    #[must_use]
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+/// An upload body being reassembled from chunks, hashed as it lands. A
+/// chunk written at the offset the body hash has reached is folded into
+/// that hash in the same pass that checks the chunk's own checksum;
+/// [`BodyAssembly::finish`] folds whatever arrived out of order. An
+/// in-order upload is thus hashed once, and a shuffled or resumed one
+/// gets the same whole-body check through the same code.
+pub(crate) struct BodyAssembly {
+    buf: Vec<u8>,
+    /// Body chain over `buf[..folded]`.
+    state: u64,
+    folded: usize,
+}
+
+impl BodyAssembly {
+    /// An all-zero body of `len` bytes, nothing folded.
+    pub(crate) fn zeroed(len: usize) -> Self {
+        Self {
+            buf: vec![0u8; len],
+            state: FNV_OFFSET,
+            folded: 0,
+        }
+    }
+
+    /// Checks `data` against `checksum` and, when they agree, copies it
+    /// to `off`. Returns whether they agreed; a mismatch writes
+    /// nothing. The caller has bounds-checked `off..off + data.len()`.
+    pub(crate) fn write_checked(&mut self, off: usize, data: &[u8], checksum: u64) -> bool {
+        if off == self.folded {
+            let (state, own) = fnv1a_fused(self.state, data);
+            if own != checksum {
+                return false;
+            }
+            self.state = state;
+            self.folded += data.len();
+        } else if content_hash(data) != checksum {
+            return false;
+        }
+        self.buf[off..off + data.len()].copy_from_slice(data);
+        true
+    }
+
+    /// Folds the bytes not yet hashed and returns the whole body.
+    pub(crate) fn finish(self) -> MatrixBody {
+        let id = fnv1a_update(self.state, &self.buf[self.folded..]);
+        MatrixBody {
+            bytes: self.buf,
+            id,
+        }
+    }
 }
 
 /// A bounded map with least-recently-used eviction.
@@ -316,14 +443,15 @@ impl SessionCache {
     }
 
     /// Encodes `matrix` to NTT form and caches it beside `body` — the
-    /// upload body it was parsed from — under the content hash of
-    /// `body`. Returns the content id. The body spills to the persistent
-    /// store, which skips an id it already holds.
+    /// upload body it was parsed from — under the body's id, which its
+    /// constructor computed: nothing here hashes the body again. Returns
+    /// the content id. The body spills to the persistent store, which
+    /// skips an id it already holds.
     ///
     /// # Errors
     /// HE-layer encoding errors.
-    pub fn put_matrix(&self, body: Vec<u8>, matrix: &Matrix) -> Result<u64> {
-        let id = content_hash(&body);
+    pub fn put_matrix(&self, body: MatrixBody, matrix: &Matrix) -> Result<u64> {
+        let MatrixBody { bytes: body, id } = body;
         {
             let mut matrices = self.matrices.lock().expect("matrix cache poisoned");
             if matrices.contains(id) {
@@ -443,6 +571,52 @@ mod tests {
     }
 
     #[test]
+    fn fused_chunk_hashes_match_separate_hashes() {
+        let body: Vec<u8> = (0u32..300).map(|i| (i * 7 + 3) as u8).collect();
+        let len = body.len();
+        for chunk_bytes in [1, 7, 64, len - 1, len, len + 5] {
+            let (hashed, sums) = MatrixBody::with_chunk_hashes(body.clone(), chunk_bytes);
+            assert_eq!(hashed.id(), content_hash(&body), "chunk={chunk_bytes}");
+            let want: Vec<u64> = body.chunks(chunk_bytes).map(content_hash).collect();
+            assert_eq!(sums, want, "chunk={chunk_bytes}");
+            assert_eq!(hashed.bytes(), &body[..]);
+        }
+        let (empty, sums) = MatrixBody::with_chunk_hashes(Vec::new(), 7);
+        assert_eq!((empty.id(), sums.len()), (content_hash(b""), 0));
+        assert_eq!(MatrixBody::new(body.clone()).id(), content_hash(&body));
+        let (head, tail) = body.split_at(100);
+        assert_eq!(fnv1a_update(content_hash(head), tail), content_hash(&body));
+    }
+
+    #[test]
+    fn body_assembly_hashes_the_whole_body_in_any_order() {
+        let body: Vec<u8> = (0u32..200).map(|i| (i * 13 + 1) as u8).collect();
+        let chunk_bytes = 16;
+        let offsets: Vec<usize> = (0..body.len()).step_by(chunk_bytes).collect();
+        let in_order = offsets.clone();
+        let reversed: Vec<usize> = offsets.iter().rev().copied().collect();
+        // A prefix in order, then the rest out of order: part folded as
+        // it lands, part at finish.
+        let mixed: Vec<usize> = offsets[..3]
+            .iter()
+            .chain(offsets[3..].iter().rev())
+            .copied()
+            .collect();
+        for order in [in_order, reversed, mixed] {
+            let mut asm = BodyAssembly::zeroed(body.len());
+            for &off in &order {
+                let data = &body[off..(off + chunk_bytes).min(body.len())];
+                // A lying checksum writes nothing and folds nothing.
+                assert!(!asm.write_checked(off, data, content_hash(data) ^ 1));
+                assert!(asm.write_checked(off, data, content_hash(data)));
+            }
+            let done = asm.finish();
+            assert_eq!(done.id(), content_hash(&body), "order={order:?}");
+            assert_eq!(done.bytes(), &body[..]);
+        }
+    }
+
+    #[test]
     fn lru_evicts_least_recently_used() {
         let mut m: LruMap<u32> = LruMap::new(2);
         assert!(!m.insert(1, Arc::new(10)));
@@ -487,7 +661,11 @@ mod tests {
         for seed in 0..3u64 {
             let mut mrng = rand::rngs::StdRng::seed_from_u64(seed);
             let m = Matrix::random(2, 3, t, &mut mrng);
-            ids.push(cache.put_matrix(matrix_to_bytes(&m), &m).unwrap());
+            ids.push(
+                cache
+                    .put_matrix(MatrixBody::new(matrix_to_bytes(&m)), &m)
+                    .unwrap(),
+            );
         }
         assert_eq!(cache.lens().1, 2);
         assert!(matches!(
@@ -543,7 +721,9 @@ mod tests {
         let t = params.plain_modulus().value();
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         let m = Matrix::random(2, 3, t, &mut rng);
-        let id = source.put_matrix(matrix_to_bytes(&m), &m).unwrap();
+        let id = source
+            .put_matrix(MatrixBody::new(matrix_to_bytes(&m)), &m)
+            .unwrap();
 
         assert_eq!(source.matrix_inventory(), vec![id]);
         assert!(target.matrix_inventory().is_empty());
@@ -554,7 +734,12 @@ mod tests {
             Err(ServeError::UnknownMatrix(_))
         ));
         let parsed = matrix_from_bytes(&body, &params).unwrap();
-        assert_eq!(target.put_matrix(body.clone(), &parsed).unwrap(), id);
+        assert_eq!(
+            target
+                .put_matrix(MatrixBody::new(body.clone()), &parsed)
+                .unwrap(),
+            id
+        );
         assert_eq!(target.matrix_inventory(), vec![id]);
         assert_eq!(target.segment_bytes(id).unwrap(), body);
     }
@@ -572,11 +757,15 @@ mod tests {
         let a = Matrix::random(2, 3, t, &mut rng);
         let b = Matrix::random(3, 2, t, &mut rng);
 
-        let id_a = cache.put_matrix(matrix_to_bytes(&a), &a).unwrap();
+        let id_a = cache
+            .put_matrix(MatrixBody::new(matrix_to_bytes(&a)), &a)
+            .unwrap();
         assert_eq!(content_hash(&cache.segment_bytes(id_a).unwrap()), id_a);
         // The one-entry LRU drops `a` for `b`; the store still holds
         // `a`'s body, and answers with the same bytes.
-        cache.put_matrix(matrix_to_bytes(&b), &b).unwrap();
+        cache
+            .put_matrix(MatrixBody::new(matrix_to_bytes(&b)), &b)
+            .unwrap();
         assert_eq!(cache.lens().1, 1);
         let stored = cache.segment_bytes(id_a).unwrap();
         assert_eq!(content_hash(&stored), id_a);

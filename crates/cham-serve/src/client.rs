@@ -14,7 +14,7 @@
 //! evictions) use [`crate::ClusterClient`] — a single server is its
 //! one-slot case — which drives connections of this type.
 
-use crate::cache::content_hash;
+use crate::cache::MatrixBody;
 use crate::protocol::{
     self, FrameKind, Hello, MatrixChunkStart, Response, DEADLINE_NONE, PROTOCOL_VERSION,
 };
@@ -68,6 +68,81 @@ pub struct ChunkUpload {
     pub chunks_sent: u32,
     /// Chunks skipped because the server already held them.
     pub chunks_skipped: u32,
+}
+
+/// A matrix body cut for a chunked upload: the body with its content
+/// id, the chunk size, and every chunk's checksum, all from one hashing
+/// pass. Built once, it uploads to any number of servers (every replica
+/// of a fleet, a repair target) without being serialized or hashed
+/// again.
+pub struct ChunkedBody {
+    body: MatrixBody,
+    chunk_bytes: usize,
+    checksums: Vec<u64>,
+    rows: u32,
+    cols: u32,
+}
+
+impl ChunkedBody {
+    /// Serializes `matrix` ([`protocol::matrix_to_bytes`]) and cuts it
+    /// into `chunk_bytes`-sized chunks.
+    #[must_use]
+    pub fn new(matrix: &Matrix, chunk_bytes: usize) -> Self {
+        Self::cut(
+            protocol::matrix_to_bytes(matrix),
+            chunk_bytes,
+            matrix.rows() as u32,
+            matrix.cols() as u32,
+        )
+    }
+
+    /// Cuts a body already in wire form — one fetched for a repair —
+    /// as it is, reading the shape from its header.
+    ///
+    /// # Errors
+    /// [`ServeError::BadFrame`] when the body is shorter than its header
+    /// or its length disagrees with the shape it declares.
+    pub fn from_bytes(bytes: Vec<u8>, chunk_bytes: usize) -> Result<Self> {
+        let word = |at: usize| {
+            bytes
+                .get(at..at + 4)
+                .map(|w| u32::from_le_bytes(w.try_into().expect("slice length")))
+        };
+        let (Some(rows), Some(cols)) = (word(0), word(4)) else {
+            return Err(ServeError::BadFrame("matrix body shorter than its header"));
+        };
+        let declared = u128::from(rows) * u128::from(cols) * 8 + 8;
+        if declared != bytes.len() as u128 {
+            return Err(ServeError::BadFrame(
+                "matrix body length disagrees with its shape",
+            ));
+        }
+        Ok(Self::cut(bytes, chunk_bytes, rows, cols))
+    }
+
+    /// Clamps the chunk size into the protocol's bounds — growing it if
+    /// needed so the count stays under `MAX_CHUNK_COUNT` (the caps
+    /// guarantee a compliant size always exists for a legal body) — and
+    /// hashes the body and its chunks in one pass.
+    fn cut(bytes: Vec<u8>, chunk_bytes: usize, rows: u32, cols: u32) -> Self {
+        let chunk_bytes = chunk_bytes
+            .max(bytes.len().div_ceil(protocol::MAX_CHUNK_COUNT))
+            .clamp(1, protocol::MAX_CHUNK_BYTES);
+        let (body, checksums) = MatrixBody::with_chunk_hashes(bytes, chunk_bytes);
+        Self {
+            body,
+            chunk_bytes,
+            checksums,
+            rows,
+            cols,
+        }
+    }
+
+    /// The content id the body hashes to.
+    #[must_use]
+    pub fn id(&self) -> u64 {
+        self.body.id()
+    }
 }
 
 /// Server shape reported in the hello exchange.
@@ -208,44 +283,45 @@ impl ServeClient {
             .map(|u| u.matrix_id)
     }
 
-    /// Uploads a matrix in `chunk_bytes`-sized chunks: declares the
-    /// upload, reads the server's received-bitmap, sends only the chunks
-    /// the server lacks, and commits. On a fresh upload every chunk is
-    /// sent; on a resume after a disconnect the bitmap makes the
-    /// re-upload incremental — the returned [`ChunkUpload`] counts both.
+    /// Uploads a matrix in `chunk_bytes`-sized chunks: serializes and
+    /// hashes it ([`ChunkedBody::new`]), then [`ServeClient::upload_chunked`].
     ///
     /// # Errors
-    /// [`ServeError::ChunkMismatch`] when the server refuses a chunk's
-    /// content check, transport or server-side validation errors.
+    /// As [`ServeClient::upload_chunked`].
     pub fn load_matrix_streamed(
         &mut self,
         matrix: &Matrix,
         chunk_bytes: usize,
     ) -> Result<ChunkUpload> {
-        let body = protocol::matrix_to_bytes(matrix);
-        let (rows, cols) = (matrix.rows() as u32, matrix.cols() as u32);
-        // Clamp the chunk size into the protocol's bounds, growing it if
-        // needed so the count stays under MAX_CHUNK_COUNT (the caps
-        // guarantee a compliant size always exists for a legal body).
-        let chunk_bytes = chunk_bytes
-            .max(body.len().div_ceil(protocol::MAX_CHUNK_COUNT))
-            .clamp(1, protocol::MAX_CHUNK_BYTES);
-        let matrix_id = content_hash(&body);
-        let start = MatrixChunkStart::new(matrix_id, body.len(), chunk_bytes, rows, cols);
+        self.upload_chunked(&ChunkedBody::new(matrix, chunk_bytes))
+    }
+
+    /// Uploads a cut body: declares the upload, reads the server's
+    /// received-bitmap, sends only the chunks the server lacks, and
+    /// commits. On a fresh upload every chunk is sent; on a resume after
+    /// a disconnect the bitmap makes the re-upload incremental — the
+    /// returned [`ChunkUpload`] counts both.
+    ///
+    /// # Errors
+    /// [`ServeError::ChunkMismatch`] when the server refuses a chunk's
+    /// content check, transport or server-side validation errors.
+    pub fn upload_chunked(&mut self, body: &ChunkedBody) -> Result<ChunkUpload> {
+        let (matrix_id, bytes) = (body.id(), body.body.bytes());
+        let (rows, cols) = (body.rows, body.cols);
+        let start = MatrixChunkStart::new(matrix_id, bytes.len(), body.chunk_bytes, rows, cols);
         let mut bitmap = self.chunk_ack(FrameKind::MatrixChunkStart, &start.to_bytes(), &start)?;
         let mut upload = ChunkUpload {
             matrix_id,
             chunks_sent: 0,
             chunks_skipped: 0,
         };
-        for index in 0..start.chunk_count {
+        let chunks = bytes.chunks(body.chunk_bytes).zip(&body.checksums);
+        for (index, (data, &checksum)) in (0..start.chunk_count).zip(chunks) {
             if protocol::bitmap_get(&bitmap, index as usize) {
                 upload.chunks_skipped += 1;
                 continue;
             }
-            let off = index as usize * chunk_bytes;
-            let data = &body[off..off + start.len_of_chunk(index)];
-            let frame = protocol::matrix_chunk_to_bytes(matrix_id, index, content_hash(data), data);
+            let frame = protocol::matrix_chunk_to_bytes(matrix_id, index, checksum, data);
             bitmap = self.chunk_ack(FrameKind::MatrixChunk, &frame, &start)?;
             upload.chunks_sent += 1;
         }

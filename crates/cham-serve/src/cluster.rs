@@ -71,8 +71,7 @@
 //! on the same budget. Once it is spent the last error surfaces rather
 //! than another sleep starting.
 
-use crate::cache::content_hash;
-use crate::client::{ClientConfig, ServeClient, ServerInfo};
+use crate::client::{ChunkedBody, ClientConfig, ServeClient, ServerInfo};
 use crate::faults::SplitMix64;
 use crate::protocol::{self, ErrorCode};
 use crate::shard::{HashRing, Topology};
@@ -210,7 +209,7 @@ struct Node {
 /// A client that survives transient failures, for a single server or a
 /// sharded, replicated fleet.
 ///
-/// Stores every key set and matrix it uploads — once — so it can replay
+/// Stores every key set and matrix body it uploads — once — so it can replay
 /// them after a server-side eviction, or onto a failover replica that
 /// never saw them. The memory cost mirrors what the caller already holds
 /// (the material had to exist to be uploaded); callers that cannot
@@ -224,7 +223,7 @@ pub struct ClusterClient {
     /// Indexed by ring slot.
     nodes: Vec<Node>,
     keys: HashMap<u64, Vec<u8>>,
-    matrices: HashMap<u64, Matrix>,
+    matrices: HashMap<u64, ChunkedBody>,
     rng: SplitMix64,
     stats: ClientStats,
 }
@@ -367,14 +366,14 @@ impl ClusterClient {
     /// content id (a corrupted transfer).
     pub fn load_matrix(&mut self, matrix: &Matrix) -> Result<u64> {
         // The id is the hash of the wire encoding — computable locally,
-        // which is what lets the client route *before* uploading.
-        let id = content_hash(&protocol::matrix_to_bytes(matrix));
+        // which is what lets the client route *before* uploading. The
+        // body is cut and hashed once; every replica gets the same one.
+        let upload = ChunkedBody::new(matrix, protocol::DEFAULT_CHUNK_BYTES);
+        let id = upload.id();
         let give_up = self.budget();
         self.rerouted(|this| {
             for slot in this.ring.replicas(id) {
-                let (_, up) = this.run(give_up, &[slot], None, |c| {
-                    c.load_matrix_streamed(matrix, protocol::DEFAULT_CHUNK_BYTES)
-                })?;
+                let (_, up) = this.run(give_up, &[slot], None, |c| c.upload_chunked(&upload))?;
                 this.stats.chunks_sent += u64::from(up.chunks_sent);
                 this.stats.chunks_skipped += u64::from(up.chunks_skipped);
                 if up.matrix_id != id {
@@ -385,7 +384,7 @@ impl ClusterClient {
             }
             Ok(())
         })?;
-        self.matrices.insert(id, matrix.clone());
+        self.matrices.insert(id, upload);
         Ok(id)
     }
 
@@ -836,8 +835,8 @@ impl ClusterClient {
         let Some(conn) = self.nodes[usize::from(slot)].conn.as_mut() else {
             return;
         };
-        for matrix in replay_set(&self.matrices, id) {
-            if let Ok(up) = conn.load_matrix_streamed(matrix, protocol::DEFAULT_CHUNK_BYTES) {
+        for upload in replay_set(&self.matrices, id) {
+            if let Ok(up) = conn.upload_chunked(upload) {
                 self.stats.reuploads += 1;
                 self.stats.chunks_sent += u64::from(up.chunks_sent);
                 self.stats.chunks_skipped += u64::from(up.chunks_skipped);

@@ -77,7 +77,7 @@ use std::error::Error;
 use std::fmt;
 
 pub use cache::SessionCache;
-pub use client::{ChunkUpload, ClientConfig, ServeClient, ServerInfo};
+pub use client::{ChunkUpload, ChunkedBody, ClientConfig, ServeClient, ServerInfo};
 pub use cluster::{Band, ClientStats, ClusterClient, RetryPolicy, ShardedMatrix};
 pub use faults::{Fault, FaultConfig, FaultInjector};
 pub use gate::{Gate, Permit};

@@ -43,7 +43,10 @@
 //! the body (its FNV-1a content hash **is** the `matrix_id`), then
 //! `MatrixChunk` frames carry bounded slices of it — each with its own
 //! FNV checksum, validated *before* any copy into the assembly buffer —
-//! and `MatrixChunkCommit` reassembles, re-hashes and encodes. Start and
+//! and `MatrixChunkCommit` checks the reassembled body against the id
+//! and encodes. The server hashes each body once: a chunk that lands at
+//! the next in-order offset is folded into the body hash in the pass
+//! that checks its checksum, and the commit folds the rest. Start and
 //! every chunk are acknowledged with a [`Response::ChunkAck`] carrying
 //! the received-chunk bitmap, which is what makes re-upload resumable:
 //! after a disconnect the client replays `MatrixChunkStart`, reads the

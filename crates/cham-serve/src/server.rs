@@ -24,7 +24,7 @@
 //! fault (torn write, reset) — those surface client-side as I/O errors,
 //! which [`crate::ClusterClient`] treats as reconnect-and-retry.
 
-use crate::cache::{content_hash, SessionCache};
+use crate::cache::{content_hash, BodyAssembly, SessionCache};
 use crate::faults::{Fault, FaultInjector};
 use crate::gate::Gate;
 use crate::protocol::{self, FrameKind, Hello, Response};
@@ -47,10 +47,12 @@ use std::time::{Duration, Instant};
 
 /// Server-side state of one in-flight streamed matrix upload. Lives in
 /// [`ServerShared`] (not the connection) so a client that reconnects
-/// after a disconnect resumes the same assembly.
+/// after a disconnect resumes the same assembly. Its body hashes the
+/// chunks that land in order as they are checked, so the commit hashes
+/// only what arrived out of order.
 struct ChunkAssembly {
     start: protocol::MatrixChunkStart,
-    buf: Vec<u8>,
+    body: BodyAssembly,
     bitmap: Vec<u8>,
     received: u32,
     touched: Instant,
@@ -772,7 +774,7 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
                 start.matrix_id,
                 ChunkAssembly {
                     start,
-                    buf: vec![0u8; total],
+                    body: BodyAssembly::zeroed(total),
                     bitmap: vec![0u8; bitmap_len],
                     received: 0,
                     touched: Instant::now(),
@@ -800,14 +802,21 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
                     "chunk length disagrees with declaration",
                 ));
             }
-            if content_hash(data) != checksum {
+            // A duplicate chunk is checked and acknowledged, not written
+            // twice. A fresh one is checked in the pass that folds it
+            // into the body hash when it lands in order.
+            let fresh = !protocol::bitmap_get(&asm.bitmap, index as usize);
+            let off = index as usize * asm.start.chunk_size as usize;
+            let sound = if fresh {
+                asm.body.write_checked(off, data, checksum)
+            } else {
+                content_hash(data) == checksum
+            };
+            if !sound {
                 return Err(ServeError::ChunkMismatch { matrix_id, index });
             }
             asm.touched = Instant::now();
-            // A duplicate chunk is acknowledged, not written twice.
-            if !protocol::bitmap_get(&asm.bitmap, index as usize) {
-                let off = index as usize * asm.start.chunk_size as usize;
-                asm.buf[off..off + data.len()].copy_from_slice(data);
+            if fresh {
                 protocol::bitmap_set(&mut asm.bitmap, index as usize);
                 asm.received += 1;
             }
@@ -856,15 +865,18 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
             // The whole-body hash is the content address the client
             // declared — if reassembly disagrees, some chunk lied in a
             // way its own checksum missed, and the only safe answer is
-            // a full re-upload (the assembly is dropped).
-            if content_hash(&asm.buf) != matrix_id {
+            // a full re-upload (the assembly is dropped). The chunks
+            // that landed in order were hashed as they arrived; this
+            // folds only the rest.
+            let body = asm.body.finish();
+            if body.id() != matrix_id {
                 return Err(ServeError::ChunkMismatch {
                     matrix_id,
                     index: protocol::CHUNK_INDEX_NONE,
                 });
             }
-            let matrix = protocol::matrix_from_bytes(&asm.buf, cache.params())?;
-            let loaded_id = cache.put_matrix(asm.buf, &matrix)?;
+            let matrix = protocol::matrix_from_bytes(body.bytes(), cache.params())?;
+            let loaded_id = cache.put_matrix(body, &matrix)?;
             debug_assert_eq!(loaded_id, matrix_id);
             Ok(FrameOutcome::plain(Response::MatrixLoaded {
                 matrix_id: loaded_id,

@@ -64,10 +64,13 @@ pub const SEGMENT_HEADER_BYTES: usize = 28;
 /// Filename extension of a live segment.
 const SEGMENT_EXT: &str = "chs";
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB8_8320`) lookup table,
-/// built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB8_8320`) lookup
+/// tables for slicing-by-8, built at compile time. `CRC32_TABLES[0]` is
+/// the bytewise table; `CRC32_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so eight table reads advance the CRC over
+/// eight bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -80,18 +83,44 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `bytes` — the store's segment guard.
+/// CRC-32 (IEEE) of `bytes` — the store's segment guard. Slicing-by-8:
+/// each 8-byte word costs eight independent table reads instead of a
+/// chain of eight dependent ones.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = u32::from_le_bytes(word[..4].try_into().expect("slice length")) ^ crc;
+        let hi = u32::from_le_bytes(word[4..].try_into().expect("slice length"));
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -273,14 +302,13 @@ impl SegmentStore {
         if self.contains(id) {
             return Ok(());
         }
-        let mut frame = Vec::with_capacity(SEGMENT_HEADER_BYTES + payload.len());
-        frame.extend_from_slice(&SEGMENT_MAGIC);
-        frame.extend_from_slice(&id.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        let header_crc = crc32(&frame[..24]);
-        frame.extend_from_slice(&header_crc.to_le_bytes());
-        frame.extend_from_slice(payload);
+        let mut header = [0u8; SEGMENT_HEADER_BYTES];
+        header[..4].copy_from_slice(&SEGMENT_MAGIC);
+        header[4..12].copy_from_slice(&id.to_le_bytes());
+        header[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        header[20..24].copy_from_slice(&crc32(payload).to_le_bytes());
+        let header_crc = crc32(&header[..24]);
+        header[24..].copy_from_slice(&header_crc.to_le_bytes());
 
         let path = self.segment_path(id);
         if let Some(f) = &self.faults {
@@ -288,9 +316,9 @@ impl SegmentStore {
                 // Simulate dying mid-snapshot with no rename protection:
                 // the *final* file holds a header promising more payload
                 // than follows. Recovery must quarantine it.
-                let torn = SEGMENT_HEADER_BYTES + payload.len() / 2;
                 let mut file = File::create(&path)?;
-                file.write_all(&frame[..torn])?;
+                file.write_all(&header)?;
+                file.write_all(&payload[..payload.len() / 2])?;
                 let _ = file.sync_all();
                 return Err(ServeError::Io(std::io::Error::other(
                     "torn snapshot fault injected",
@@ -300,7 +328,8 @@ impl SegmentStore {
         let tmp = path.with_extension("chs.tmp");
         {
             let mut file = File::create(&tmp)?;
-            file.write_all(&frame)?;
+            file.write_all(&header)?;
+            file.write_all(payload)?;
             file.sync_all()?;
         }
         fs::rename(&tmp, &path)?;
@@ -353,20 +382,23 @@ impl SegmentStore {
     /// one bad sector degrades to a re-upload, never a wrong answer.
     #[must_use]
     pub fn get(&self, id: u64) -> Option<Vec<u8>> {
-        {
+        let payload_len = {
             let mut index = self.index.lock().expect("store index poisoned");
             index.tick += 1;
             let tick = index.tick;
             match index.entries.get_mut(&id) {
-                Some(entry) => entry.tick = tick,
+                Some(entry) => {
+                    entry.tick = tick;
+                    entry.payload_len
+                }
                 None => {
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     return None;
                 }
             }
-        }
+        };
         let path = self.segment_path(id);
-        match read_segment(&path, Some(id)) {
+        match read_segment(&path, id, payload_len) {
             Ok(payload) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(payload)
@@ -451,17 +483,21 @@ fn check_header(header: &[u8; SEGMENT_HEADER_BYTES]) -> Result<(u64, u64)> {
 }
 
 /// Reads one segment end to end, verifying header and payload CRCs.
-/// `expect_id` additionally pins the header id (used on the `get` path;
-/// recovery pins via the filename instead).
-fn read_segment(path: &Path, expect_id: Option<u64>) -> Result<Vec<u8>> {
+/// The header must name `id` and declare the `payload_len` the index
+/// holds for it, and the file must be long enough to carry that payload,
+/// all before a payload byte is allocated: a header whose CRC passes
+/// still cannot make a read reserve more than the index admitted.
+fn read_segment(path: &Path, id: u64, payload_len: u64) -> Result<Vec<u8>> {
     let mut file = File::open(path)?;
     let mut header = [0u8; SEGMENT_HEADER_BYTES];
     file.read_exact(&mut header)?;
-    let (id, payload_len) = check_header(&header)?;
-    if let Some(expected) = expect_id {
-        if id != expected {
-            return Err(ServeError::BadFrame("segment id mismatch"));
-        }
+    if check_header(&header)? != (id, payload_len) {
+        return Err(ServeError::BadFrame(
+            "segment header disagrees with the index",
+        ));
+    }
+    if file.metadata()?.len() < SEGMENT_HEADER_BYTES as u64 + payload_len {
+        return Err(ServeError::BadFrame("torn segment tail"));
     }
     let payload_len = usize::try_from(payload_len)
         .map_err(|_| ServeError::BadFrame("segment payload length overflows"))?;
@@ -495,6 +531,33 @@ mod tests {
             std::env::temp_dir().join(format!("cham-store-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The bytewise CRC-32 loop: the oracle the sliced one must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_loop() {
+        let bytes: Vec<u8> = (0u32..512 * 1024 + 16)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        // Every length around the 8-byte word, from every alignment.
+        for start in 0..8 {
+            for len in 0..=70 {
+                let s = &bytes[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start={start} len={len}");
+            }
+        }
+        for start in [0, 3] {
+            let s = &bytes[start..start + 512 * 1024];
+            assert_eq!(crc32(s), crc32_bytewise(s), "512 KiB from {start}");
+        }
     }
 
     #[test]
@@ -579,6 +642,31 @@ mod tests {
     }
 
     #[test]
+    fn header_declaring_a_huge_payload_is_quarantined_before_allocating() {
+        // After open, the segment is swapped for one whose header CRC is
+        // sound but declares 2^40 payload bytes. The read must check the
+        // length against the index before it allocates: a miss and one
+        // quarantine, not an abort.
+        let dir = temp_dir("huge");
+        let store = SegmentStore::open(&dir, 0).unwrap();
+        store.put(6, b"a small honest payload").unwrap();
+        drop(store);
+        let store = SegmentStore::open(&dir, 0).unwrap();
+        let seg = dir.join(format!("seg-{:016x}.chs", 6));
+        let mut bytes = fs::read(&seg).unwrap();
+        bytes[12..20].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let header_crc = crc32(&bytes[..24]);
+        bytes[24..28].copy_from_slice(&header_crc.to_le_bytes());
+        fs::write(&seg, &bytes).unwrap();
+
+        assert!(store.get(6).is_none());
+        assert_eq!(store.stats().quarantined, 1);
+        assert!(!store.contains(6));
+        assert!(seg.with_extension("chs.corrupt").exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn previous_format_segment_is_quarantined_at_open() {
         // A segment written under the `CHS1` magic is sound in every other
         // respect (header CRC, name, length), yet it carries a payload this
@@ -634,8 +722,9 @@ mod tests {
         // The torn file is on disk under the final name — exactly what a
         // crash without rename protection leaves.
         let seg = dir.join(format!("seg-{:016x}.chs", 9));
+        // Torn halfway through the payload.
         let len = fs::metadata(&seg).unwrap().len();
-        assert!(len < SEGMENT_HEADER_BYTES as u64 + 100);
+        assert_eq!(len, SEGMENT_HEADER_BYTES as u64 + 50);
 
         let reopened = SegmentStore::open(&dir, 0).unwrap();
         assert_eq!(reopened.stats().recovered, 0);

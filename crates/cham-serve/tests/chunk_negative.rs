@@ -7,7 +7,7 @@ use cham_he::encrypt::{Decryptor, Encryptor};
 use cham_he::hmvp::{Hmvp, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::ChamParams;
-use cham_serve::cache::content_hash;
+use cham_serve::cache::{content_hash, MatrixBody};
 use cham_serve::protocol::{
     self, ErrorCode, FrameKind, Hello, MatrixChunkStart, Response, MAX_CHUNK_BYTES,
 };
@@ -261,17 +261,42 @@ fn checksum_mismatch_is_typed_and_recoverable() {
 /// the lying assembly is dropped rather than committed.
 #[test]
 fn commit_body_hash_mismatch_is_typed_with_sentinel_index() {
+    assert_lying_id_commit_refused(64, false);
+}
+
+/// The same lie in one chunk: the server hashes the whole body while it
+/// checks that chunk, and the commit has nothing left to fold.
+#[test]
+fn lying_id_commit_is_refused_as_a_single_chunk() {
+    let len = protocol::matrix_to_bytes(&test_matrix(0x48)).len();
+    assert_lying_id_commit_refused(len, false);
+}
+
+/// The same lie with the chunks sent last to first: only the final chunk
+/// lands where the body hash stands, and the commit folds the rest.
+#[test]
+fn lying_id_commit_is_refused_with_chunks_in_reverse_order() {
+    assert_lying_id_commit_refused(64, true);
+}
+
+/// Uploads an honest body under a declared id it does not hash to —
+/// every per-chunk checksum honest — and checks the commit is refused
+/// with the whole-body sentinel and the assembly dropped.
+fn assert_lying_id_commit_refused(chunk_bytes: usize, reverse: bool) {
     let server = start_server();
     let matrix = test_matrix(0x48);
     let body = protocol::matrix_to_bytes(&matrix);
     // Declare a content id the body will not hash to.
     let lying_id = content_hash(&body) ^ 0xFF;
-    let chunk_bytes = 64usize;
     let start = MatrixChunkStart::new(lying_id, body.len(), chunk_bytes, 4, 32);
     let mut s = raw_connect(&server);
     protocol::write_frame(&mut s, FrameKind::MatrixChunkStart, &start.to_bytes()).unwrap();
     let _ = protocol::read_frame(&mut s).unwrap();
-    for index in 0..start.chunk_count {
+    let mut order: Vec<u32> = (0..start.chunk_count).collect();
+    if reverse {
+        order.reverse();
+    }
+    for index in order {
         let off = index as usize * chunk_bytes;
         let data = &body[off..(off + chunk_bytes).min(body.len())];
         // Per-chunk checksums are honest; only the declared id lies.
@@ -301,6 +326,7 @@ fn commit_body_hash_mismatch_is_typed_with_sentinel_index() {
     );
     // No assembly and no cached matrix under the lying id.
     assert_eq!(code, ErrorCode::UnknownMatrix);
+    assert_eq!(server.cache().lens().1, 0);
     server.shutdown();
 }
 
@@ -359,7 +385,10 @@ fn stale_assembly_does_not_block_a_resident_matrix() {
     let _ = protocol::read_frame(&mut s).unwrap();
     // ...while the content lands in the cache without it.
     assert_eq!(
-        server.cache().put_matrix(body.clone(), &matrix).unwrap(),
+        server
+            .cache()
+            .put_matrix(MatrixBody::new(body.clone()), &matrix)
+            .unwrap(),
         matrix_id
     );
 

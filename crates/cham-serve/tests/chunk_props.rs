@@ -156,6 +156,53 @@ proptest! {
         server.shutdown();
     }
 
+    /// The server hashes chunks that land in order as they arrive and
+    /// the rest at commit. Whatever the split — all in order, none, or an
+    /// in-order prefix then a shuffled tail — the body commits under its
+    /// own id and is kept byte for byte.
+    #[test]
+    fn partly_shuffled_uploads_commit_under_the_right_id(
+        rows in 1usize..4,
+        cols in 2usize..10,
+        chunk_bytes in 1usize..64,
+        prefix_pick in any::<u32>(),
+        shuffle_seed in any::<u64>(),
+        cells in prop::collection::vec(any::<u64>(), 1..12)
+    ) {
+        let server = start_server();
+        let matrix = matrix_from_cells(rows, cols, &cells);
+        let body = protocol::matrix_to_bytes(&matrix);
+        let matrix_id = content_hash(&body);
+        let start = MatrixChunkStart::new(matrix_id, body.len(), chunk_bytes, rows as u32, cols as u32);
+        // Anywhere from no chunk in order to all of them.
+        let prefix = prefix_pick as usize % (start.chunk_count as usize + 1);
+        let mut order: Vec<u32> = (0..start.chunk_count).collect();
+        let mut state = shuffle_seed | 1;
+        for i in (prefix + 1..order.len()).rev() {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            order.swap(i, prefix + (state >> 33) as usize % (i + 1 - prefix));
+        }
+
+        let mut s = raw_connect(&server);
+        roundtrip_ack(&mut s, FrameKind::MatrixChunkStart, &start.to_bytes());
+        for &index in &order {
+            let off = index as usize * chunk_bytes;
+            let data = &body[off..(off + chunk_bytes).min(body.len())];
+            let chunk = protocol::matrix_chunk_to_bytes(matrix_id, index, content_hash(data), data);
+            roundtrip_ack(&mut s, FrameKind::MatrixChunk, &chunk);
+        }
+        protocol::write_frame(&mut s, FrameKind::MatrixChunkCommit,
+            &protocol::matrix_chunk_commit_to_bytes(matrix_id)).unwrap();
+        let (kind, resp) = protocol::read_frame(&mut s).unwrap();
+        prop_assert_eq!(kind, FrameKind::Result);
+        match Response::from_bytes(&resp, params()).unwrap() {
+            Response::MatrixLoaded { matrix_id: got, .. } => prop_assert_eq!(got, matrix_id),
+            other => panic!("expected MatrixLoaded, got {other:?}"),
+        }
+        prop_assert_eq!(server.cache().segment_bytes(matrix_id).unwrap(), body);
+        server.shutdown();
+    }
+
     /// A resumed upload after a disconnect re-sends *only* the chunks
     /// the server never received — pinned by the per-chunk counters in
     /// [`cham_serve::ChunkUpload`].
