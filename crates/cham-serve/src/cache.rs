@@ -13,7 +13,9 @@
 //! persistent store and what a repair fetches — because it is the only
 //! form its id can be checked against.
 
-use crate::protocol::matrix_from_bytes;
+use crate::protocol::{
+    bitmap_get, bitmap_set, matrix_from_bytes, MatrixChunkStart, CHUNK_INDEX_NONE,
+};
 use crate::stats::PhaseHistograms;
 use crate::store::SegmentStore;
 use crate::{Result, ServeError};
@@ -24,7 +26,7 @@ use cham_telemetry::flight::{FlightEventKind, FlightRecorder};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// FNV-1a 64 offset basis: the state of an empty chain.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -113,54 +115,207 @@ impl MatrixBody {
     }
 }
 
+/// Upper bound on concurrently pending streamed uploads. With the
+/// per-upload `total_len` bound it caps the server's assembly memory.
+pub const MAX_PENDING_UPLOADS: usize = 4;
+
+/// Idle age past which a pending upload may be reaped to make room: a
+/// client that vanished mid-stream must not pin a slot forever.
+const UPLOAD_REAP_AGE: Duration = Duration::from_secs(30);
+
 /// An upload body being reassembled from chunks, hashed as it lands. A
 /// chunk written at the offset the body hash has reached is folded into
 /// that hash in the same pass that checks the chunk's own checksum;
 /// [`BodyAssembly::finish`] folds whatever arrived out of order. An
 /// in-order upload is thus hashed once, and a shuffled or resumed one
 /// gets the same whole-body check through the same code.
-pub(crate) struct BodyAssembly {
+struct BodyAssembly {
+    start: MatrixChunkStart,
     buf: Vec<u8>,
     /// Body chain over `buf[..folded]`.
     state: u64,
     folded: usize,
+    /// The chunks that have landed — the only record of which did.
+    bitmap: Vec<u8>,
+    touched: Instant,
 }
 
 impl BodyAssembly {
-    /// An all-zero body of `len` bytes, nothing folded.
-    pub(crate) fn zeroed(len: usize) -> Self {
+    /// An all-zero body of the declared length, nothing landed.
+    fn new(start: MatrixChunkStart, now: Instant) -> Self {
         Self {
-            buf: vec![0u8; len],
+            start,
+            // `MatrixChunkStart::from_bytes` bounds the total by
+            // `MAX_FRAME_BYTES`.
+            buf: vec![0u8; start.total_len as usize],
             state: FNV_OFFSET,
             folded: 0,
+            bitmap: vec![0u8; (start.chunk_count as usize).div_ceil(8)],
+            touched: now,
         }
     }
 
-    /// Checks `data` against `checksum` and, when they agree, copies it
-    /// to `off`. Returns whether they agreed; a mismatch writes
-    /// nothing. The caller has bounds-checked `off..off + data.len()`.
-    pub(crate) fn write_checked(&mut self, off: usize, data: &[u8], checksum: u64) -> bool {
-        if off == self.folded {
-            let (state, own) = fnv1a_fused(self.state, data);
-            if own != checksum {
-                return false;
-            }
-            self.state = state;
-            self.folded += data.len();
-        } else if content_hash(data) != checksum {
-            return false;
+    /// Checks chunk `index`'s placement, and its bytes against
+    /// `checksum`, before a byte lands. A duplicate is checked and
+    /// acknowledged, not written twice.
+    fn place(&mut self, index: u32, data: &[u8], checksum: u64) -> Result<()> {
+        if index >= self.start.chunk_count {
+            return Err(ServeError::BadFrame("chunk index out of range"));
         }
-        self.buf[off..off + data.len()].copy_from_slice(data);
-        true
+        if data.len() != self.start.len_of_chunk(index) {
+            return Err(ServeError::BadFrame(
+                "chunk length disagrees with declaration",
+            ));
+        }
+        // The body chain rides along at no extra cost, and is kept when
+        // a fresh chunk lands where it stands.
+        let (state, own) = fnv1a_fused(self.state, data);
+        if own != checksum {
+            return Err(ServeError::ChunkMismatch {
+                matrix_id: self.start.matrix_id,
+                index,
+            });
+        }
+        let off = index as usize * self.start.chunk_size as usize;
+        if !bitmap_get(&self.bitmap, index as usize) {
+            if off == self.folded {
+                self.state = state;
+                self.folded += data.len();
+            }
+            self.buf[off..off + data.len()].copy_from_slice(data);
+            bitmap_set(&mut self.bitmap, index as usize);
+        }
+        Ok(())
+    }
+
+    /// Whether every declared chunk has landed.
+    fn complete(&self) -> bool {
+        let landed: u32 = self.bitmap.iter().map(|b| b.count_ones()).sum();
+        landed == self.start.chunk_count
     }
 
     /// Folds the bytes not yet hashed and returns the whole body.
-    pub(crate) fn finish(self) -> MatrixBody {
+    fn finish(self) -> MatrixBody {
         let id = fnv1a_update(self.state, &self.buf[self.folded..]);
         MatrixBody {
             bytes: self.buf,
             id,
         }
+    }
+}
+
+/// The streamed uploads in flight, keyed by declared matrix id: the one
+/// place a streamed body becomes a cached matrix. It lives in the
+/// [`SessionCache`], not a connection, so a client that reconnects after
+/// a disconnect resumes the same assembly.
+#[derive(Default)]
+pub(crate) struct Uploads {
+    pending: Mutex<HashMap<u64, BodyAssembly>>,
+    reaped: AtomicU64,
+}
+
+impl Uploads {
+    /// Opens or resumes the upload `start` declares; returns its
+    /// received-chunk bitmap, all set when `cache` already holds the
+    /// matrix, so the client skips straight to commit. When the table is
+    /// full the idlest assembly past the reap age is reaped, else `Busy`.
+    pub(crate) fn start(
+        &self,
+        cache: &SessionCache,
+        start: MatrixChunkStart,
+        now: Instant,
+    ) -> Result<Vec<u8>> {
+        if cache.get_matrix(start.matrix_id).is_ok() {
+            let mut bitmap = vec![0u8; (start.chunk_count as usize).div_ceil(8)];
+            (0..start.chunk_count as usize).for_each(|i| bitmap_set(&mut bitmap, i));
+            return Ok(bitmap);
+        }
+        let mut pending = self.pending.lock().expect("uploads table poisoned");
+        if let Some(asm) = pending.get_mut(&start.matrix_id) {
+            // A different declaration means one of the two uploads is
+            // lying about the content behind this id.
+            if asm.start != start {
+                return Err(ServeError::BadFrame(
+                    "streamed upload redeclared with different geometry",
+                ));
+            }
+            asm.touched = now;
+            return Ok(asm.bitmap.clone());
+        }
+        if pending.len() >= MAX_PENDING_UPLOADS {
+            let stale = pending
+                .iter()
+                .filter(|(_, a)| now.saturating_duration_since(a.touched) >= UPLOAD_REAP_AGE)
+                .min_by_key(|(_, a)| a.touched)
+                .map(|(&id, _)| id)
+                .ok_or(ServeError::Busy)?;
+            pending.remove(&stale);
+            self.reaped.fetch_add(1, Ordering::Relaxed);
+        }
+        let asm = BodyAssembly::new(start, now);
+        let bitmap = asm.bitmap.clone();
+        pending.insert(start.matrix_id, asm);
+        Ok(bitmap)
+    }
+
+    /// Checks and places chunk `index` of upload `matrix_id`; returns
+    /// the declared chunk count and the received-chunk bitmap.
+    pub(crate) fn chunk(
+        &self,
+        matrix_id: u64,
+        index: u32,
+        checksum: u64,
+        data: &[u8],
+        now: Instant,
+    ) -> Result<(u32, Vec<u8>)> {
+        let mut pending = self.pending.lock().expect("uploads table poisoned");
+        let asm = pending
+            .get_mut(&matrix_id)
+            .ok_or(ServeError::BadFrame("chunk for an undeclared upload"))?;
+        asm.place(index, data, checksum)?;
+        asm.touched = now;
+        Ok((asm.start.chunk_count, asm.bitmap.clone()))
+    }
+
+    /// Commits upload `matrix_id` into `cache`; returns `(rows, cols)`.
+    /// A body that does not hash to the id is dropped: some chunk lied in
+    /// a way its own checksum missed. Without a complete assembly (the
+    /// start answered from the cache, a duplicate commit, or the content
+    /// came by another route) resident content makes the commit
+    /// idempotent; a partial assembly is kept for its uploader.
+    pub(crate) fn commit(&self, cache: &SessionCache, matrix_id: u64) -> Result<(usize, usize)> {
+        let mut pending = self.pending.lock().expect("uploads table poisoned");
+        let held = pending.get(&matrix_id).map(BodyAssembly::complete);
+        let Some(true) = held else {
+            drop(pending);
+            return cache
+                .get_matrix(matrix_id)
+                .map(|resident| resident.shape())
+                .map_err(|e| match held {
+                    Some(false) => ServeError::BadFrame("commit before every chunk was received"),
+                    _ => e,
+                });
+        };
+        let asm = pending
+            .remove(&matrix_id)
+            .expect("complete assembly is pending");
+        // Parse and encode outside the lock.
+        drop(pending);
+        let body = asm.finish();
+        if body.id() != matrix_id {
+            return Err(ServeError::ChunkMismatch {
+                matrix_id,
+                index: CHUNK_INDEX_NONE,
+            });
+        }
+        let matrix = matrix_from_bytes(body.bytes(), cache.params())?;
+        cache.put_matrix(body, &matrix)?;
+        Ok((matrix.rows(), matrix.cols()))
+    }
+
+    /// Assemblies reaped to make room; served as `reaped_uploads`.
+    pub(crate) fn reaped(&self) -> u64 {
+        self.reaped.load(Ordering::Relaxed)
     }
 }
 
@@ -240,7 +395,8 @@ struct CachedMatrix {
 }
 
 /// Shared session state: the parameter set, the HMVP engine built on it,
-/// and the two content-addressed LRU caches.
+/// the two content-addressed LRU caches and the streamed uploads in
+/// flight.
 ///
 /// Cheap to share (`Arc` internally); all methods take `&self`.
 pub struct SessionCache {
@@ -248,6 +404,7 @@ pub struct SessionCache {
     hmvp: Hmvp,
     keys: Mutex<LruMap<GaloisKeys>>,
     matrices: Mutex<LruMap<CachedMatrix>>,
+    uploads: Uploads,
     phases: Option<Arc<PhaseHistograms>>,
     flight: Option<Arc<FlightRecorder>>,
     store: Option<Arc<SegmentStore>>,
@@ -266,6 +423,7 @@ impl SessionCache {
             hmvp,
             keys: Mutex::new(LruMap::new(key_capacity)),
             matrices: Mutex::new(LruMap::new(matrix_capacity)),
+            uploads: Uploads::default(),
             phases: None,
             flight: None,
             store: None,
@@ -394,6 +552,11 @@ impl SessionCache {
     #[must_use]
     pub fn params(&self) -> &Arc<ChamParams> {
         &self.params
+    }
+
+    /// The streamed uploads in flight.
+    pub(crate) fn uploads(&self) -> &Uploads {
+        &self.uploads
     }
 
     /// The shared HMVP engine (borrows the same params `Arc`).
@@ -558,7 +721,7 @@ impl SessionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::matrix_to_bytes;
+    use crate::protocol::{self, matrix_to_bytes};
     use cham_he::keys::SecretKey;
     use rand::SeedableRng;
 
@@ -602,17 +765,87 @@ mod tests {
             .chain(offsets[3..].iter().rev())
             .copied()
             .collect();
+        let start = MatrixChunkStart::new(content_hash(&body), body.len(), chunk_bytes, 0, 0);
         for order in [in_order, reversed, mixed] {
-            let mut asm = BodyAssembly::zeroed(body.len());
+            let mut asm = BodyAssembly::new(start, Instant::now());
             for &off in &order {
                 let data = &body[off..(off + chunk_bytes).min(body.len())];
+                let index = (off / chunk_bytes) as u32;
                 // A lying checksum writes nothing and folds nothing.
-                assert!(!asm.write_checked(off, data, content_hash(data) ^ 1));
-                assert!(asm.write_checked(off, data, content_hash(data)));
+                assert!(asm.place(index, data, content_hash(data) ^ 1).is_err());
+                assert!(!asm.complete());
+                asm.place(index, data, content_hash(data)).unwrap();
             }
+            assert!(asm.complete());
             let done = asm.finish();
             assert_eq!(done.id(), content_hash(&body), "order={order:?}");
             assert_eq!(done.bytes(), &body[..]);
+        }
+    }
+
+    /// The reap policy, on explicit clocks: past the bound a start is
+    /// `Busy` until an assembly idles past the reap age; then the least
+    /// recently touched one goes (and is counted), its chunks are
+    /// refused as undeclared, and the survivors keep what landed.
+    #[test]
+    fn pending_uploads_are_bounded_and_the_idlest_is_reaped() {
+        let params = Arc::new(ChamParams::insecure_test_default().unwrap());
+        let cache = SessionCache::new(Arc::clone(&params), 1, 1);
+        let uploads = cache.uploads();
+        let t = params.plain_modulus().value();
+        let bodies: Vec<Vec<u8>> = (0..=MAX_PENDING_UPLOADS as u64)
+            .map(|seed| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                matrix_to_bytes(&Matrix::random(2, 3, t, &mut rng))
+            })
+            .collect();
+        let declare =
+            |body: &Vec<u8>| MatrixChunkStart::new(content_hash(body), body.len(), 8, 2, 3);
+        let chunk0 = |body: &Vec<u8>, now| {
+            let id = content_hash(body);
+            uploads.chunk(id, 0, content_hash(&body[..8]), &body[..8], now)
+        };
+
+        // Fill the table, each upload with chunk 0 landed. A duplicate
+        // chunk touches upload 0 last, which leaves upload 1, not the
+        // first one started, the least recently touched.
+        let t0 = Instant::now();
+        for (i, body) in bodies[..MAX_PENDING_UPLOADS].iter().enumerate() {
+            let at = t0 + Duration::from_secs(i as u64);
+            uploads.start(&cache, declare(body), at).unwrap();
+            chunk0(body, at).unwrap();
+        }
+        let late = t0 + Duration::from_secs(MAX_PENDING_UPLOADS as u64);
+        chunk0(&bodies[0], late).unwrap();
+        let extra = declare(&bodies[MAX_PENDING_UPLOADS]);
+        assert!(matches!(
+            uploads.start(&cache, extra, late),
+            Err(ServeError::Busy)
+        ));
+        // Upload 1 has idled a second short of the reap age: still busy.
+        let almost = t0 + UPLOAD_REAP_AGE;
+        assert!(matches!(
+            uploads.start(&cache, extra, almost),
+            Err(ServeError::Busy)
+        ));
+        assert_eq!(uploads.reaped(), 0);
+
+        // Past the age of every assembly, the idlest goes.
+        let idle = late + UPLOAD_REAP_AGE;
+        let bitmap = uploads.start(&cache, extra, idle).unwrap();
+        assert!(bitmap.iter().all(|&b| b == 0));
+        assert_eq!(uploads.reaped(), 1);
+        assert!(matches!(
+            chunk0(&bodies[1], idle),
+            Err(ServeError::BadFrame("chunk for an undeclared upload"))
+        ));
+        for (i, body) in bodies[..MAX_PENDING_UPLOADS].iter().enumerate() {
+            if i == 1 {
+                continue;
+            }
+            let bitmap = uploads.start(&cache, declare(body), idle).unwrap();
+            assert!(protocol::bitmap_get(&bitmap, 0));
+            assert!(!protocol::bitmap_get(&bitmap, 1));
         }
     }
 

@@ -100,23 +100,11 @@ impl ChunkedBody {
     /// as it is, reading the shape from its header.
     ///
     /// # Errors
-    /// [`ServeError::BadFrame`] when the body is shorter than its header
-    /// or its length disagrees with the shape it declares.
+    /// [`ServeError::BadFrame`] when the body is shorter than its header,
+    /// declares a zero dimension, or its length disagrees with the shape
+    /// it declares.
     pub fn from_bytes(bytes: Vec<u8>, chunk_bytes: usize) -> Result<Self> {
-        let word = |at: usize| {
-            bytes
-                .get(at..at + 4)
-                .map(|w| u32::from_le_bytes(w.try_into().expect("slice length")))
-        };
-        let (Some(rows), Some(cols)) = (word(0), word(4)) else {
-            return Err(ServeError::BadFrame("matrix body shorter than its header"));
-        };
-        let declared = u128::from(rows) * u128::from(cols) * 8 + 8;
-        if declared != bytes.len() as u128 {
-            return Err(ServeError::BadFrame(
-                "matrix body length disagrees with its shape",
-            ));
-        }
+        let (rows, cols) = protocol::matrix_shape(&bytes)?;
         Ok(Self::cut(bytes, chunk_bytes, rows, cols))
     }
 

@@ -44,14 +44,16 @@
 //! `MatrixChunk` frames carry bounded slices of it — each with its own
 //! FNV checksum, validated *before* any copy into the assembly buffer —
 //! and `MatrixChunkCommit` checks the reassembled body against the id
-//! and encodes. The server hashes each body once: a chunk that lands at
-//! the next in-order offset is folded into the body hash in the pass
-//! that checks its checksum, and the commit folds the rest. Start and
-//! every chunk are acknowledged with a [`Response::ChunkAck`] carrying
-//! the received-chunk bitmap, which is what makes re-upload resumable:
-//! after a disconnect the client replays `MatrixChunkStart`, reads the
-//! bitmap, and sends only the missing chunks. Chunks may arrive in any
-//! order and duplicates are idempotent.
+//! and encodes. One server-side owner, `cache::Uploads` in the session
+//! cache, holds every assembly: it answers the start, checks and places
+//! each chunk, and commits the body. It hashes each body once: a chunk
+//! that lands at the next in-order offset is folded into the body hash in
+//! the pass that checks its checksum, and the commit folds the rest.
+//! Start and every chunk are acknowledged with a [`Response::ChunkAck`]
+//! carrying the received-chunk bitmap, which is what makes re-upload
+//! resumable: after a disconnect the client replays `MatrixChunkStart`,
+//! reads the bitmap, and sends only the missing chunks. Chunks may arrive
+//! in any order and duplicates are idempotent.
 //!
 //! ## Anti-entropy repair
 //!
@@ -576,6 +578,21 @@ pub fn matrix_to_bytes(m: &Matrix) -> Vec<u8> {
     out
 }
 
+/// The byte length of a `rows × cols` matrix body, `8 + 8·rows·cols`, or
+/// a `BadFrame` for a zero dimension or a body beyond [`MAX_FRAME_BYTES`]
+/// — never an overflow. Every reader of a declared shape calls it.
+pub(crate) fn matrix_body_len(rows: u32, cols: u32) -> Result<usize> {
+    if rows == 0 || cols == 0 {
+        return Err(ServeError::BadFrame("empty matrix"));
+    }
+    (u64::from(rows) * u64::from(cols))
+        .checked_mul(8)
+        .and_then(|values| values.checked_add(8))
+        .filter(|&len| len <= MAX_FRAME_BYTES as u64)
+        .map(|len| len as usize)
+        .ok_or(ServeError::BadFrame("matrix exceeds frame bound"))
+}
+
 /// Parses a matrix body — a reassembled upload, a stored segment or a
 /// body fetched for repair. Entries must be below the plaintext modulus.
 ///
@@ -583,35 +600,33 @@ pub fn matrix_to_bytes(m: &Matrix) -> Vec<u8> {
 /// [`ServeError::BadFrame`] for truncation, trailing bytes, implausible
 /// shapes, or out-of-range entries.
 pub fn matrix_from_bytes(body: &[u8], params: &ChamParams) -> Result<Matrix> {
-    let mut r = Reader::new(body);
-    let rows = r.u32()? as usize;
-    let cols = r.u32()? as usize;
-    if rows == 0 || cols == 0 {
-        return Err(ServeError::BadFrame("empty matrix"));
-    }
-    let Some(n) = rows.checked_mul(cols) else {
-        return Err(ServeError::BadFrame("matrix shape overflows"));
-    };
-    if n.checked_mul(8).is_none_or(|bytes| bytes > MAX_FRAME_BYTES) {
-        return Err(ServeError::BadFrame("matrix exceeds frame bound"));
-    }
     // Checked before the entries are allocated: a declared shape never
     // reserves more than the body actually carries.
-    if r.remaining() != 8 * n {
-        return Err(ServeError::BadFrame(
-            "matrix body length disagrees with its shape",
-        ));
-    }
+    let (rows, cols) = matrix_shape(body)?;
+    let (rows, cols) = (rows as usize, cols as usize);
     let t = params.plain_modulus().value();
-    let mut data = Vec::with_capacity(n);
-    for _ in 0..n {
-        let v = r.u64()?;
+    let mut data = Vec::with_capacity(rows * cols);
+    for v in body[8..].chunks_exact(8) {
+        let v = u64::from_le_bytes(v.try_into().expect("len 8"));
         if v >= t {
             return Err(ServeError::BadFrame("matrix entry exceeds the modulus"));
         }
         data.push(v);
     }
     Matrix::from_data(rows, cols, data).map_err(ServeError::He)
+}
+
+/// The `(rows, cols)` a matrix body's header declares, checked against
+/// the body's length.
+pub(crate) fn matrix_shape(body: &[u8]) -> Result<(u32, u32)> {
+    let mut r = Reader::new(body);
+    let (rows, cols) = (r.u32()?, r.u32()?);
+    if body.len() != matrix_body_len(rows, cols)? {
+        return Err(ServeError::BadFrame(
+            "matrix body length disagrees with its shape",
+        ));
+    }
+    Ok((rows, cols))
 }
 
 // ------------------------------------------------------ upload chunks
@@ -707,11 +722,7 @@ impl MatrixChunkStart {
         if start.chunk_count as usize > MAX_CHUNK_COUNT {
             return Err(ServeError::BadFrame("too many chunks"));
         }
-        if start.rows == 0 || start.cols == 0 {
-            return Err(ServeError::BadFrame("empty matrix"));
-        }
-        let cells = u64::from(start.rows) * u64::from(start.cols);
-        if start.total_len != 8 + 8 * cells {
+        if start.total_len != matrix_body_len(start.rows, start.cols)? as u64 {
             return Err(ServeError::BadFrame("chunked shape disagrees with total"));
         }
         Ok(start)
@@ -1736,6 +1747,27 @@ mod tests {
                 Err(ServeError::BadFrame("empty matrix"))
             ));
         }
+    }
+
+    #[test]
+    fn matrix_body_len_is_checked_for_every_reader() {
+        assert_eq!(matrix_body_len(3, 7).unwrap(), 8 + 8 * 21);
+        // 8·2^31·2^30 wraps u64 to 0; it is out of bounds, not 8 bytes.
+        for (rows, cols) in [(0, 7), (3, 0), (1 << 31, 1 << 30), (u32::MAX, u32::MAX)] {
+            assert!(matrix_body_len(rows, cols).is_err(), "{rows}x{cols}");
+        }
+        // A zero dimension is refused by a parsed body and by a body
+        // cut for a repair alike.
+        let params = ChamParams::insecure_test_default().unwrap();
+        let empty = [0u8; 8].to_vec();
+        assert!(matches!(
+            matrix_from_bytes(&empty, &params),
+            Err(ServeError::BadFrame("empty matrix"))
+        ));
+        assert!(matches!(
+            crate::client::ChunkedBody::from_bytes(empty, DEFAULT_CHUNK_BYTES),
+            Err(ServeError::BadFrame("empty matrix"))
+        ));
     }
 
     #[test]

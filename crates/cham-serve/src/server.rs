@@ -24,7 +24,7 @@
 //! fault (torn write, reset) — those surface client-side as I/O errors,
 //! which [`crate::ClusterClient`] treats as reconnect-and-retry.
 
-use crate::cache::{content_hash, BodyAssembly, SessionCache};
+use crate::cache::SessionCache;
 use crate::faults::{Fault, FaultInjector};
 use crate::gate::Gate;
 use crate::protocol::{self, FrameKind, Hello, Response};
@@ -35,7 +35,6 @@ use crate::{Result, ServeError};
 use cham_he::params::ChamParams;
 use cham_telemetry::flight::{FlightEventKind, FlightRecorder, RequestTrace};
 use cham_telemetry::span::{self, phase, SpanRecorder, TraceId};
-use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -44,19 +43,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Server-side state of one in-flight streamed matrix upload. Lives in
-/// [`ServerShared`] (not the connection) so a client that reconnects
-/// after a disconnect resumes the same assembly. Its body hashes the
-/// chunks that land in order as they are checked, so the commit hashes
-/// only what arrived out of order.
-struct ChunkAssembly {
-    start: protocol::MatrixChunkStart,
-    body: BodyAssembly,
-    bitmap: Vec<u8>,
-    received: u32,
-    touched: Instant,
-}
 
 /// LRU bound on cached Galois key sets (one per client secret key).
 const KEY_CACHE: usize = 4;
@@ -94,23 +80,14 @@ pub struct ServerConfig {
     /// unset); the `cham-serve` binary derives a cluster node's from the
     /// hash of its `--addr`.
     pub node_id: u64,
-    /// When set, encoded matrices persist to a crash-safe
-    /// [`SegmentStore`] at this directory and a restarted server
-    /// restores them instead of re-encoding (`None` = RAM only).
+    /// When set, every cached matrix's upload body persists to a
+    /// crash-safe [`SegmentStore`] at this directory, and a restarted
+    /// server restores a matrix by reading its body and encoding it —
+    /// no re-upload (`None` = RAM only).
     pub store_dir: Option<PathBuf>,
     /// Byte cap on the persistent store's live segments (`0` =
     /// unbounded); past it the least recently used segments are evicted.
     pub store_cap_bytes: u64,
-    /// Upper bound on concurrently pending streamed uploads. Together
-    /// with the per-upload `total_len` bound this caps the server's
-    /// assembly memory; a further `MatrixChunkStart` is answered `Busy`
-    /// unless an existing assembly has sat idle past
-    /// [`ServerConfig::upload_idle_reap`].
-    pub max_pending_uploads: usize,
-    /// Idle age after which a pending upload is reclaimed under pressure
-    /// — a client that vanished mid-stream must not pin an assembly slot
-    /// forever. Reaps are counted in `StatsSnapshot::reaped_uploads`.
-    pub upload_idle_reap: Duration,
 }
 
 impl Default for ServerConfig {
@@ -125,8 +102,6 @@ impl Default for ServerConfig {
             node_id: 0,
             store_dir: None,
             store_cap_bytes: 0,
-            max_pending_uploads: 4,
-            upload_idle_reap: Duration::from_secs(30),
         }
     }
 }
@@ -149,15 +124,15 @@ struct ServerShared {
     flight: Arc<FlightRecorder>,
     config: ServerConfig,
     shutdown: AtomicBool,
-    /// In-flight streamed uploads, keyed by declared matrix id.
-    uploads: Mutex<HashMap<u64, ChunkAssembly>>,
 }
 
 impl ServerShared {
     /// The counters `Introspect` serves: the request-path [`ServeStats`]
-    /// plus the store errors the cache swallowed.
+    /// plus the uploads the cache reaped and the store errors it
+    /// swallowed.
     fn stats(&self) -> StatsSnapshot {
         StatsSnapshot {
+            reaped_uploads: self.cache.uploads().reaped(),
             spill_errors: self.cache.spill_errors(),
             decode_errors: self.cache.decode_errors(),
             ..self.stats.snapshot()
@@ -284,7 +259,6 @@ impl Server {
             flight,
             config: config.clone(),
             shutdown: AtomicBool::new(false),
-            uploads: Mutex::new(HashMap::new()),
         });
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -720,168 +694,32 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
             // this frame, and the typed reply tells the client which map
             // revision to refresh against.
             shared.check_owned(start.matrix_id)?;
-            let bitmap_len = (start.chunk_count as usize).div_ceil(8);
-            // Already resident (RAM, or restored from the persistent
-            // store): ack everything received so the client skips
-            // straight to commit — content addressing makes a re-upload
-            // idempotent.
-            if cache.get_matrix(start.matrix_id).is_ok() {
-                let mut bitmap = vec![0u8; bitmap_len];
-                for i in 0..start.chunk_count as usize {
-                    protocol::bitmap_set(&mut bitmap, i);
-                }
-                return Ok(FrameOutcome::plain(Response::ChunkAck {
-                    matrix_id: start.matrix_id,
-                    chunk_count: start.chunk_count,
-                    bitmap,
-                }));
-            }
-            let mut uploads = shared.uploads.lock().expect("uploads table poisoned");
-            if let Some(asm) = uploads.get_mut(&start.matrix_id) {
-                // Resume: the declaration must match what we already
-                // hold, else one of the two uploads is lying about the
-                // content behind this id.
-                if asm.start != start {
-                    return Err(ServeError::BadFrame(
-                        "streamed upload redeclared with different geometry",
-                    ));
-                }
-                asm.touched = Instant::now();
-                return Ok(FrameOutcome::plain(Response::ChunkAck {
-                    matrix_id: start.matrix_id,
-                    chunk_count: start.chunk_count,
-                    bitmap: asm.bitmap.clone(),
-                }));
-            }
-            if uploads.len() >= config.max_pending_uploads.max(1) {
-                // Reclaim an abandoned assembly before refusing.
-                let stale = uploads
-                    .iter()
-                    .filter(|(_, a)| a.touched.elapsed() >= config.upload_idle_reap)
-                    .min_by_key(|(_, a)| a.touched)
-                    .map(|(&k, _)| k);
-                match stale {
-                    Some(k) => {
-                        uploads.remove(&k);
-                        stats.on_reaped_uploads(1);
-                    }
-                    None => return Err(ServeError::Busy),
-                }
-            }
-            let total = usize::try_from(start.total_len)
-                .map_err(|_| ServeError::BadFrame("chunked upload total out of bounds"))?;
-            uploads.insert(
-                start.matrix_id,
-                ChunkAssembly {
-                    start,
-                    body: BodyAssembly::zeroed(total),
-                    bitmap: vec![0u8; bitmap_len],
-                    received: 0,
-                    touched: Instant::now(),
-                },
-            );
+            let bitmap = cache.uploads().start(cache, start, Instant::now())?;
             Ok(FrameOutcome::plain(Response::ChunkAck {
                 matrix_id: start.matrix_id,
                 chunk_count: start.chunk_count,
-                bitmap: vec![0u8; bitmap_len],
+                bitmap,
             }))
         }
         FrameKind::MatrixChunk => {
             let (matrix_id, index, checksum, data) = protocol::matrix_chunk_from_bytes(body)?;
-            let mut uploads = shared.uploads.lock().expect("uploads table poisoned");
-            let asm = uploads
-                .get_mut(&matrix_id)
-                .ok_or(ServeError::BadFrame("chunk for an undeclared upload"))?;
-            // Placement and content are validated before a single byte
-            // lands in the assembly buffer.
-            if index >= asm.start.chunk_count {
-                return Err(ServeError::BadFrame("chunk index out of range"));
-            }
-            if data.len() != asm.start.len_of_chunk(index) {
-                return Err(ServeError::BadFrame(
-                    "chunk length disagrees with declaration",
-                ));
-            }
-            // A duplicate chunk is checked and acknowledged, not written
-            // twice. A fresh one is checked in the pass that folds it
-            // into the body hash when it lands in order.
-            let fresh = !protocol::bitmap_get(&asm.bitmap, index as usize);
-            let off = index as usize * asm.start.chunk_size as usize;
-            let sound = if fresh {
-                asm.body.write_checked(off, data, checksum)
-            } else {
-                content_hash(data) == checksum
-            };
-            if !sound {
-                return Err(ServeError::ChunkMismatch { matrix_id, index });
-            }
-            asm.touched = Instant::now();
-            if fresh {
-                protocol::bitmap_set(&mut asm.bitmap, index as usize);
-                asm.received += 1;
-            }
+            let (chunk_count, bitmap) =
+                cache
+                    .uploads()
+                    .chunk(matrix_id, index, checksum, data, Instant::now())?;
             Ok(FrameOutcome::plain(Response::ChunkAck {
                 matrix_id,
-                chunk_count: asm.start.chunk_count,
-                bitmap: asm.bitmap.clone(),
+                chunk_count,
+                bitmap,
             }))
         }
         FrameKind::MatrixChunkCommit => {
             let matrix_id = protocol::matrix_chunk_commit_from_bytes(body)?;
-            let asm = {
-                let mut uploads = shared.uploads.lock().expect("uploads table poisoned");
-                match uploads.get(&matrix_id) {
-                    Some(asm) if asm.received == asm.start.chunk_count => {
-                        uploads.remove(&matrix_id).expect("assembly vanished")
-                    }
-                    partial => {
-                        // No complete assembly: the Start may have answered
-                        // from cache, this is a duplicate commit, or the
-                        // content arrived by another route while someone
-                        // else's upload of it sits half-filled. Resident
-                        // content makes the commit idempotent; the partial
-                        // assembly is left to its uploader (or the reaper).
-                        let premature = partial.is_some();
-                        drop(uploads);
-                        // Not resident and chunks missing: keep the assembly;
-                        // the client reads the error, re-sends them, and
-                        // commits again.
-                        let encoded = cache.get_matrix(matrix_id).map_err(|e| {
-                            if premature {
-                                ServeError::BadFrame("commit before every chunk was received")
-                            } else {
-                                e
-                            }
-                        })?;
-                        let (rows, cols) = encoded.shape();
-                        return Ok(FrameOutcome::plain(Response::MatrixLoaded {
-                            matrix_id,
-                            rows: rows as u32,
-                            cols: cols as u32,
-                        }));
-                    }
-                }
-            };
-            // The whole-body hash is the content address the client
-            // declared — if reassembly disagrees, some chunk lied in a
-            // way its own checksum missed, and the only safe answer is
-            // a full re-upload (the assembly is dropped). The chunks
-            // that landed in order were hashed as they arrived; this
-            // folds only the rest.
-            let body = asm.body.finish();
-            if body.id() != matrix_id {
-                return Err(ServeError::ChunkMismatch {
-                    matrix_id,
-                    index: protocol::CHUNK_INDEX_NONE,
-                });
-            }
-            let matrix = protocol::matrix_from_bytes(body.bytes(), cache.params())?;
-            let loaded_id = cache.put_matrix(body, &matrix)?;
-            debug_assert_eq!(loaded_id, matrix_id);
+            let (rows, cols) = cache.uploads().commit(cache, matrix_id)?;
             Ok(FrameOutcome::plain(Response::MatrixLoaded {
-                matrix_id: loaded_id,
-                rows: matrix.rows() as u32,
-                cols: matrix.cols() as u32,
+                matrix_id,
+                rows: rows as u32,
+                cols: cols as u32,
             }))
         }
         FrameKind::StoreList => {

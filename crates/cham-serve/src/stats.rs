@@ -70,7 +70,6 @@ pub struct ServeStats {
     internal_errors: AtomicU64,
     rejected_shutdown: AtomicU64,
     faults_injected: AtomicU64,
-    reaped_uploads: AtomicU64,
 }
 
 impl ServeStats {
@@ -125,11 +124,6 @@ impl ServeStats {
         self.faults_injected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// `n` idle pending chunk-upload assemblies were reaped.
-    pub fn on_reaped_uploads(&self, n: usize) {
-        self.reaped_uploads.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
     /// A point-in-time copy of every counter.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
@@ -143,9 +137,9 @@ impl ServeStats {
             internal_errors: self.internal_errors.load(Ordering::Relaxed),
             rejected_shutdown: self.rejected_shutdown.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            reaped_uploads: self.reaped_uploads.load(Ordering::Relaxed),
-            // Booked on the `SessionCache` that swallows them; the server
-            // fills them in when it serves a snapshot.
+            // Booked on the `SessionCache` that reaps or swallows them;
+            // the server fills them in when it serves a snapshot.
+            reaped_uploads: 0,
             spill_errors: 0,
             decode_errors: 0,
         }
@@ -175,8 +169,8 @@ pub struct StatsSnapshot {
     pub rejected_shutdown: u64,
     /// Fault-injection sites that fired (0 on a production server).
     pub faults_injected: u64,
-    /// Pending chunk-upload assemblies reaped for idling past the
-    /// configured deadline.
+    /// Pending chunk-upload assemblies reaped for idling past the reap
+    /// age (`Uploads::reaped`).
     pub reaped_uploads: u64,
     /// Best-effort spills to the persistent store that failed and were
     /// swallowed (`SessionCache::spill_errors`).
@@ -500,7 +494,6 @@ mod tests {
         s.on_fault_injected();
         s.on_fault_injected();
         s.on_fault_injected();
-        s.on_reaped_uploads(2);
         let snap = s.snapshot();
         assert_eq!(snap.accepted, 2);
         assert_eq!(snap.rejected_busy, 1);
@@ -511,7 +504,6 @@ mod tests {
         assert_eq!(snap.internal_errors, 2);
         assert_eq!(snap.rejected_shutdown, 1);
         assert_eq!(snap.faults_injected, 3);
-        assert_eq!(snap.reaped_uploads, 2);
     }
 
     #[test]

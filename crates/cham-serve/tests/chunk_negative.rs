@@ -1,13 +1,14 @@
 //! Wire-level negatives of the chunked upload: oversize chunks,
 //! out-of-range indexes, undeclared uploads, checksum and body-hash
-//! mismatches, premature commits and a zero shape must come back as
-//! *typed* errors before the server commits a byte to its assembly.
+//! mismatches, premature commits, a zero or overflowing shape and a start
+//! past the pending bound must come back as *typed* errors before the
+//! server commits a byte to its assembly.
 
 use cham_he::encrypt::{Decryptor, Encryptor};
 use cham_he::hmvp::{Hmvp, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::ChamParams;
-use cham_serve::cache::{content_hash, MatrixBody};
+use cham_serve::cache::{content_hash, MatrixBody, MAX_PENDING_UPLOADS};
 use cham_serve::protocol::{
     self, ErrorCode, FrameKind, Hello, MatrixChunkStart, Response, MAX_CHUNK_BYTES,
 };
@@ -16,7 +17,6 @@ use cham_serve::{ServeClient, ServeError};
 use rand::SeedableRng;
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 fn params() -> &'static Arc<ChamParams> {
     static PARAMS: OnceLock<Arc<ChamParams>> = OnceLock::new();
@@ -404,80 +404,41 @@ fn stale_assembly_does_not_block_a_resident_matrix() {
     server.shutdown();
 }
 
-/// Pending uploads are bounded: past `max_pending_uploads` a fresh
-/// declaration is answered `Busy` until an assembly has sat idle past
-/// `upload_idle_reap`; then the least recently touched one is reaped
-/// (and counted), its chunks are refused, and the others resume intact.
+/// Pending uploads are bounded: with [`MAX_PENDING_UPLOADS`] declared
+/// and none idle past the reap age, one more declaration is answered
+/// `Busy`. (The reap itself is pinned on explicit clocks by the cache's
+/// own tests.)
 #[test]
-fn pending_uploads_are_bounded_and_idle_ones_reaped() {
-    let server = Server::start(
-        "127.0.0.1:0",
-        Arc::clone(params()),
-        &ServerConfig {
-            max_pending_uploads: 2,
-            upload_idle_reap: Duration::from_millis(100),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let uploads: Vec<(Vec<u8>, MatrixChunkStart)> = (0..3)
-        .map(|i| {
-            let body = protocol::matrix_to_bytes(&test_matrix(0x4B + i));
-            let start = MatrixChunkStart::new(content_hash(&body), body.len(), 64, 4, 32);
-            (body, start)
-        })
-        .collect();
-    let ack = |s: &mut TcpStream, kind: FrameKind, body: &[u8]| -> Vec<u8> {
-        protocol::write_frame(s, kind, body).unwrap();
-        let (kind, resp) = protocol::read_frame(s).unwrap();
-        assert_eq!(kind, FrameKind::Result, "expected an ack");
-        match Response::from_bytes(&resp, params()).unwrap() {
-            Response::ChunkAck { bitmap, .. } => bitmap,
-            other => panic!("expected ChunkAck, got {other:?}"),
+fn a_start_past_the_pending_bound_is_busy() {
+    let server = start_server();
+    let mut s = raw_connect(&server);
+    for seed in 0..=MAX_PENDING_UPLOADS as u64 {
+        let body = protocol::matrix_to_bytes(&test_matrix(0x4B + seed));
+        let start = MatrixChunkStart::new(content_hash(&body), body.len(), 64, 4, 32);
+        protocol::write_frame(&mut s, FrameKind::MatrixChunkStart, &start.to_bytes()).unwrap();
+        let (kind, reply) = protocol::read_frame(&mut s).unwrap();
+        if seed < MAX_PENDING_UPLOADS as u64 {
+            assert_eq!(kind, FrameKind::Result, "start {seed} is within the bound");
+        } else {
+            assert_eq!(kind, FrameKind::Error);
+            let (code, _) = protocol::error_from_body(&reply).unwrap();
+            assert_eq!(code, ErrorCode::Busy);
         }
-    };
-    let chunk0 = |(body, start): &(Vec<u8>, MatrixChunkStart)| {
-        protocol::matrix_chunk_to_bytes(start.matrix_id, 0, content_hash(&body[..64]), &body[..64])
-    };
-
-    // Two fresh declarations fill the table, each with chunk 0 landed;
-    // the first is the least recently touched.
-    let mut s = raw_connect(&server);
-    for upload in &uploads[..2] {
-        ack(&mut s, FrameKind::MatrixChunkStart, &upload.1.to_bytes());
-        ack(&mut s, FrameKind::MatrixChunk, &chunk0(upload));
     }
-    let (code, _) = roundtrip_err(
-        &mut s,
-        FrameKind::MatrixChunkStart,
-        &uploads[2].1.to_bytes(),
-    );
-    assert_eq!(code, ErrorCode::Busy);
     assert_eq!(server.introspect().stats.reaped_uploads, 0);
+    server.shutdown();
+}
 
-    // Once both sit idle past the reap age, the third declaration takes
-    // the oldest one's slot.
-    std::thread::sleep(Duration::from_millis(150));
-    let bitmap = ack(
-        &mut s,
-        FrameKind::MatrixChunkStart,
-        &uploads[2].1.to_bytes(),
-    );
-    assert!(bitmap.iter().all(|&b| b == 0));
-    assert_eq!(server.introspect().stats.reaped_uploads, 1);
-
-    let (code, message) = roundtrip_err(&mut s, FrameKind::MatrixChunk, &chunk0(&uploads[0]));
-    assert_eq!(code, ErrorCode::BadFrame);
-    assert!(message.contains("undeclared"), "got {message:?}");
-
-    // The survivor resumes with its landed chunk on a fresh connection.
+/// A shape whose body length overflows 64 bits — `8 + 8·2^31·2^30`
+/// wraps to the declared total of 8 — is a typed `BadFrame`, not a
+/// panicked connection thread or an accepted declaration.
+#[test]
+fn overflowing_shape_declaration_is_a_bad_frame() {
+    let server = start_server();
     let mut s = raw_connect(&server);
-    let bitmap = ack(
-        &mut s,
-        FrameKind::MatrixChunkStart,
-        &uploads[1].1.to_bytes(),
-    );
-    assert!(protocol::bitmap_get(&bitmap, 0));
-    assert!(!protocol::bitmap_get(&bitmap, 1));
+    let start = MatrixChunkStart::new(0xBAD, 8, 8, 1 << 31, 1 << 30);
+    let (code, message) = roundtrip_err(&mut s, FrameKind::MatrixChunkStart, &start.to_bytes());
+    assert_eq!(code, ErrorCode::BadFrame);
+    assert!(message.contains("frame bound"), "got {message:?}");
     server.shutdown();
 }
