@@ -3,8 +3,9 @@
 //! Three systems per dataset shape (samples × features):
 //! * **Paillier (FATE)** — element-wise semi-HE, measured at a reduced
 //!   modulus and extrapolated to 2048-bit by the fitted modexp scaling,
-//! * **B/FV CPU** — this repository's software stack, per-op measured and
-//!   extrapolated per shape,
+//! * **B/FV CPU** — this repository's software stack: matvec is
+//!   `multiply_parallel` timed at each shape (median of three runs, each
+//!   decrypt-verified), the host steps per-op measured and counted,
 //! * **B/FV + CHAM** — matvec offloaded to the modelled accelerator; the
 //!   host keeps encryption/add_vec/decryption.
 //!
@@ -14,7 +15,7 @@
 
 use cham_apps::bigint::BigUint;
 use cham_apps::paillier::PaillierPrivateKey;
-use cham_bench::{bench_rng, eng, threads_from_env, usage_error, CpuCosts};
+use cham_bench::{bench_rng, eng, threads_from_env, usage_error, CpuCosts, CpuHmvp, HMVP_REPS};
 use cham_he::params::ChamParams;
 use cham_sim::pipeline::HmvpCycleModel;
 use rand::Rng;
@@ -64,7 +65,7 @@ fn measure_paillier(bits: u32) -> PaillierCosts {
 }
 
 fn main() {
-    threads_from_env("fig7ab_heterolr").unwrap_or_else(|e| usage_error(&e));
+    let threads = threads_from_env("fig7ab_heterolr").unwrap_or_else(|e| usage_error(&e));
     println!("fitting Paillier modexp scaling (128 -> 256 bit)...");
     let p128 = measure_paillier(128);
     let p256 = measure_paillier(256);
@@ -90,9 +91,10 @@ fn main() {
         eng(pail.decrypt)
     );
 
-    println!("\nmeasuring B/FV CPU per-op costs (N = 4096)...");
+    println!("\nmeasuring B/FV CPU per-op costs (N = 4096); matvec = 2 timed multiply_parallel");
     let params = ChamParams::cham_default().expect("paper params");
     let cpu = CpuCosts::measure(&params);
+    let mut cpu_hmvp = CpuHmvp::new(&params, threads);
     let model = HmvpCycleModel::cham();
     let n_ring = params.degree();
 
@@ -126,7 +128,8 @@ fn main() {
         // end-to-end speed-up at 2-36x rather than matvec's 30-1800x.
         let bfv_enc = samples as f64 * cpu.encrypt;
         let bfv_add = samples as f64 * cpu.encrypt * 0.02; // per-value ct add
-        let bfv_mv = 2.0 * cpu.hmvp_seconds(features, samples, n_ring);
+        let mv = cpu_hmvp.time(features, samples);
+        let bfv_mv = 2.0 * mv.median;
         let bfv_dec = 2.0 * cts_g * cpu.decrypt;
 
         let cham_mv = 2.0 * model.hmvp_seconds(features, samples);
@@ -136,6 +139,7 @@ fn main() {
         let cham_total = bfv_enc + bfv_add + cham_mv + bfv_dec;
 
         println!("\n--- dataset {samples} x {features} ---");
+        println!("one matvec {features}x{samples}, median of {HMVP_REPS}, decrypt-verified: {mv}");
         println!(
             "{:<14} {:>12} {:>12} {:>12} {:>12} {:>12}",
             "system", "encrypt", "add_vec", "matvec", "decrypt", "total"

@@ -1,12 +1,13 @@
 //! Fig. 8 — HMVP performance: CPU vs GPU vs CHAM, at n = 256 and n = 4096.
 //!
-//! The CPU series is measured from this repository's software stack and
-//! extrapolated per row; CHAM comes from the cycle model; the GPU from the
+//! The CPU series is measured at every shape: this repository's
+//! `multiply_parallel` timed on this machine, median of three runs, each
+//! decrypt-verified; CHAM comes from the cycle model; the GPU from the
 //! calibrated ratio model. Reproduced claims: >10× over CPU with more than
 //! 90% of compute offloaded, larger matrices gain more, and CHAM latency
 //! is 0.3–0.7× the GPU's.
 
-use cham_bench::{eng, threads_from_env, usage_error, CpuCosts, DotPhaseBench};
+use cham_bench::{eng, threads_from_env, usage_error, CpuHmvp, HMVP_REPS};
 use cham_he::params::ChamParams;
 use cham_sim::baselines::GpuModel;
 use cham_sim::pipeline::HmvpCycleModel;
@@ -14,6 +15,17 @@ use cham_telemetry::histogram::LiveHistogram;
 use cham_telemetry::span::{self, SpanRecorder, TraceId};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Best-of-3 wall-clock seconds of `run`.
+fn best_of_3(mut run: impl FnMut()) -> f64 {
+    (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            run();
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
 
 fn main() {
     let threads = threads_from_env("fig8_hmvp").unwrap_or_else(|e| usage_error(&e));
@@ -23,8 +35,8 @@ fn main() {
         "SIMD backend: {backend} ({} lanes; override with CHAM_SIMD)",
         backend.lanes()
     );
-    println!("measuring CPU per-op costs (N = 4096, {threads} thread(s))...");
-    let cpu = CpuCosts::measure_with_threads(&params, threads);
+    println!("CPU: {threads}-thread multiply_parallel, median of {HMVP_REPS}, decrypt-verified");
+    let mut cpu = CpuHmvp::new(&params, threads);
     let model = HmvpCycleModel::cham();
     let gpu = GpuModel::default();
 
@@ -34,20 +46,20 @@ fn main() {
             if n == 256 { "a" } else { "b" }
         );
         println!(
-            "{:>6} {:>14} {:>14} {:>14} {:>10} {:>10}",
+            "{:>6} {:>36} {:>14} {:>14} {:>10} {:>10}",
             "rows", "CPU", "GPU", "CHAM", "vs CPU", "vs GPU"
         );
         for m in [256usize, 1024, 4096, 8192] {
-            let cpu_s = cpu.hmvp_seconds(m, n, params.degree());
+            let cpu_t = cpu.time(m, n);
             let cham_s = model.hmvp_seconds(m, n);
             let gpu_s = gpu.hmvp_seconds(&model, m, n);
             println!(
-                "{:>6} {:>14} {:>14} {:>14} {:>9.0}x {:>9.2}x",
+                "{:>6} {:>36} {:>14} {:>14} {:>9.0}x {:>9.2}x",
                 m,
-                eng(cpu_s),
+                cpu_t.to_string(),
                 eng(gpu_s),
                 eng(cham_s),
-                cpu_s / cham_s,
+                cpu_t.median / cham_s,
                 cham_s / gpu_s
             );
         }
@@ -56,54 +68,59 @@ fn main() {
     println!("paper claims: >10x over the CPU baseline, 0.3x–0.7x of GPU latency,");
     println!("higher gains for matrices with more rows — see ratio columns.");
 
-    // Measured (not modelled) dot-product-phase speedup: the same rows ×
-    // N workload, first at a cap of 1 (inline), then fanned out over the
-    // requested number of threads. On a single-core host this stays
-    // ≈ 1.0 regardless of --threads; the fan-out's benefit needs real cores.
-    let rows = (threads.max(1) * 16).max(32);
-    let bench = DotPhaseBench::prepare(&params, rows);
-    let serial_s = bench.seconds(1, 3);
-    let parallel_s = bench.seconds(threads, 3);
-    let dot_speedup = serial_s / parallel_s;
+    // The same 32-row product, first at a cap of 1 (inline), then fanned
+    // out over the requested number of threads. On a single-core host this
+    // stays ≈ 1.0 regardless of --threads; the fan-out needs real cores.
+    let n = params.degree();
+    let (small_a, small_v, _) = cpu.operands(32, n);
+    let (wide_a, wide_v, _) = cpu.operands(8, 8 * n);
+    let (hmvp, gkeys) = (cpu.hmvp(), cpu.gkeys());
+    let multiply = |cap| {
+        best_of_3(|| {
+            hmvp.multiply_parallel(&small_a, &small_v, gkeys, cap)
+                .expect("multiply");
+        })
+    };
+    let serial_s = multiply(1);
+    let parallel_s = multiply(threads);
     println!();
     println!(
-        "dot-product phase ({rows} rows): {} serial vs {} at {threads} thread(s) => {dot_speedup:.2}x",
+        "multiply (32 rows): {} serial vs {} at {threads} thread(s) => {:.2}x",
         eng(serial_s),
         eng(parallel_s),
+        serial_s / parallel_s
     );
 
-    // Fused-vs-unfused ablation on the same workload. "Unfused" is the
+    // Fused-vs-unfused ablation of the dot-product phase. "Unfused" is the
     // oracle path: strict per-term MODMUL + MODADD with per-term
     // allocations, a materialised product ciphertext, then the public
     // `rescale` + `extract_lwe` (six inverse transforms per row). The
     // fused kernel runs `simd::row_product` per limb, which holds the `a`
     // sums in registers and returns `b` as an inner product, then the
     // streaming row tail (three inverse transforms for `a`, a scalar
-    // rescale for `b`). Both serial, so the ratio isolates kernel work from
-    // thread parallelism. A second, wide shape (many column tiles per row)
-    // exercises the deep accumulation regime — one-tile rows are
-    // dominated by the row tail.
-    let unfused_s = bench.seconds_unfused(3);
-    let fused_speedup = unfused_s / serial_s;
-    println!(
-        "dot-product phase ({rows} rows, 1 tile/row): {} unfused (oracle path) vs {} fused => {fused_speedup:.2}x",
-        eng(unfused_s),
-        eng(serial_s),
-    );
-    let n = params.degree();
-    let (wide_rows, wide_tiles) = (8usize, 8usize);
-    let wide = DotPhaseBench::prepare_cols(&params, wide_rows, wide_tiles * n);
-    let wide_fused_s = wide.seconds(1, 3);
-    let wide_unfused_s = wide.seconds_unfused(3);
-    let wide_fused_speedup = wide_unfused_s / wide_fused_s;
-    println!(
-        "dot-product phase ({wide_rows} rows, {wide_tiles} tiles/row): {} unfused (oracle path) vs {} fused => {wide_fused_speedup:.2}x",
-        eng(wide_unfused_s),
-        eng(wide_fused_s),
-    );
+    // rescale for `b`). Both run on the calling thread. A second, wide
+    // shape (many column tiles per row) exercises the deep accumulation
+    // regime — one-tile rows are dominated by the row tail.
+    for (matrix, input, shape) in [
+        (&small_a, &small_v, "32 rows, 1 tile/row"),
+        (&wide_a, &wide_v, "8 rows, 8 tiles/row"),
+    ] {
+        let fused_s = best_of_3(|| {
+            hmvp.dot_products(matrix, input).expect("dot");
+        });
+        let unfused_s = best_of_3(|| {
+            hmvp.dot_products_unfused(matrix, input).expect("dot");
+        });
+        println!(
+            "dot-product phase ({shape}): {} unfused (oracle path) vs {} fused => {:.2}x",
+            eng(unfused_s),
+            eng(fused_s),
+            unfused_s / fused_s
+        );
+    }
 
     // Per-rep latency distribution + kernel phase attribution for the
-    // serial dot phase, via the same tracing layer the serving stack
+    // 32-row dot phase, via the same tracing layer the serving stack
     // uses: each rep runs under a SpanRecorder, so the in-kernel
     // dot/rescale spans accumulate while a live histogram captures the
     // rep-to-rep spread that a best-of summary hides.
@@ -113,7 +130,7 @@ fn main() {
     for _ in 0..DIST_REPS {
         let t0 = Instant::now();
         span::with_recorder(Arc::clone(&recorder), || {
-            let _ = bench.seconds(1, 1);
+            hmvp.dot_products(&small_a, &small_v).expect("dot");
         });
         rep_hist.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }

@@ -7,23 +7,28 @@
 //!
 //! Our CPU baseline is this repository's own Rust implementation, not the
 //! paper's SEAL-on-Xeon-6130, so absolute ratios differ; the table prints
-//! both side by side (see EXPERIMENTS.md for the discussion).
+//! both side by side (see EXPERIMENTS.md for the discussion). The CPU
+//! matvec is measured at the compared shape: `multiply_parallel` timed,
+//! median of three runs, each decrypt-verified.
 
-use cham_bench::{delphi_triple_seconds, threads_from_env, usage_error, CpuCosts};
+use cham_bench::{
+    delphi_triple_seconds, threads_from_env, usage_error, CpuCosts, CpuHmvp, HMVP_REPS,
+};
 use cham_he::params::ChamParams;
 use cham_sim::pipeline::HmvpCycleModel;
 
 fn main() {
     let threads = threads_from_env("headline").unwrap_or_else(|e| usage_error(&e));
     let params = ChamParams::cham_default().expect("paper params");
-    println!("measuring CPU per-op costs (N = 4096, {threads} thread(s))...");
-    let cpu = CpuCosts::measure_with_threads(&params, threads);
+    println!("measuring CPU per-op costs and timing the CPU matvec (N = 4096)...");
+    let cpu = CpuCosts::measure(&params);
     let model = HmvpCycleModel::cham();
     let n_ring = params.degree();
 
     // 1) HMVP speed-up at the largest evaluated shape (8192 x 8192).
     let (m, n) = (8192usize, 8192usize);
-    let cpu_mv = cpu.hmvp_seconds(m, n, n_ring);
+    let cpu_t = CpuHmvp::new(&params, threads).time(m, n);
+    let cpu_mv = cpu_t.median;
     let cham_mv = model.hmvp_seconds(m, n);
     let hmvp_x = cpu_mv / cham_mv;
 
@@ -54,10 +59,8 @@ fn main() {
         "Beaver triples vs Delphi", "144x", beaver_x
     );
     println!();
-    println!(
-        "CPU matvec {:.2} s -> CHAM {:.4} s at 8192x8192 (modelled 300 MHz FPGA)",
-        cpu_mv, cham_mv
-    );
+    println!("CPU matvec {cpu_t}: multiply_parallel, median of {HMVP_REPS}, decrypt-verified");
+    println!("  -> CHAM {cham_mv:.4} s at 8192x8192 (modelled 300 MHz FPGA)");
     println!("note: our CPU baseline is an optimized Rust implementation; the");
     println!("paper's ratios are against SEAL-class software on a Xeon 6130. The");
     println!("directions and orders of magnitude are the reproduction target.");

@@ -22,18 +22,18 @@
 //! [`threads_from_env`]), which fixes the process thread budget; the
 //! model-only ones take no argument ([`no_args`]).
 //!
-//! This library holds the shared measurement helpers: CPU-baseline timing
-//! of the software HE stack with extrapolation to paper-scale shapes, and
-//! table formatting.
+//! This library holds the shared measurement helpers: [`CpuHmvp`], the
+//! CPU baseline of every HMVP the binaries compare against (a
+//! decrypt-verified `multiply_parallel` timed at the compared shape),
+//! [`CpuCosts`], the per-operation costs of the cost models, and table
+//! formatting.
 
 #![warn(missing_docs)]
 use cham_he::ciphertext::RlweCiphertext;
 use cham_he::encrypt::{Decryptor, Encryptor};
-use cham_he::extract::extract_lwe;
 use cham_he::hmvp::{EncodedMatrix, Hmvp, Matrix};
 use cham_he::keys::{GaloisKeys, KeySwitchKey, SecretKey};
-use cham_he::ops::{keyswitch_mask, mul_plain_prepared, rescale};
-use cham_he::pack::pack_two;
+use cham_he::ops::{keyswitch_mask, lift_plaintext_ntt, mul_plain_prepared};
 use cham_he::params::ChamParams;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -44,9 +44,8 @@ pub fn bench_rng() -> rand::rngs::StdRng {
 }
 
 /// Parses the one flag of the binaries that run HE, `--threads <n>`: the
-/// CPU-baseline parallelism for measurements that support it (see
-/// [`CpuCosts::measure_with_threads`]), default 1. `Ok(None)` means
-/// `--help`.
+/// CPU-baseline parallelism, the cap of every [`CpuHmvp`] product,
+/// default 1. `Ok(None)` means `--help`.
 ///
 /// # Errors
 /// A message naming the bad argument: `--threads` without a positive
@@ -108,23 +107,24 @@ pub fn usage_error(message: &str) -> ! {
 }
 
 /// Measured per-operation CPU costs of the software HE stack at the
-/// paper's full parameters (`N = 4096`), used to extrapolate CPU baselines
-/// to paper-scale workloads without running hours of software HE.
+/// paper's full parameters (`N = 4096`): the inputs of the models whose
+/// work is a count of these operations (HeteroLR's host steps, the
+/// Delphi baseline, Table III's throughputs). An HMVP is never modelled
+/// from them; [`CpuHmvp`] times it.
 #[derive(Debug, Clone, Copy)]
 pub struct CpuCosts {
     /// One augmented symmetric encryption (seconds).
     pub encrypt: f64,
-    /// One per-row dot product: prepared-plaintext multiply + rescale +
-    /// extract (seconds).
-    pub dot_row: f64,
-    /// One `PACKTWOLWES` reduction: automorphism + key-switch (seconds).
-    pub pack_reduction: f64,
     /// One raw key-switch of a mask polynomial (seconds).
     pub keyswitch: f64,
     /// One full decryption (seconds).
     pub decrypt: f64,
     /// One limb NTT of size `N` (seconds).
     pub ntt: f64,
+    /// One diagonal pass of a BSGS matvec: a slot-wise product of the
+    /// augmented input ciphertext with a prepared plaintext, added into
+    /// an accumulator (seconds).
+    pub diag_pass: f64,
 }
 
 impl CpuCosts {
@@ -134,29 +134,18 @@ impl CpuCosts {
     /// # Panics
     /// Panics if key setup fails (cannot happen for valid parameters).
     pub fn measure(params: &ChamParams) -> Self {
-        Self::measure_with_threads(params, 1)
-    }
-
-    /// [`Self::measure`] with `threads`-way parallelism for the per-row
-    /// dot product (the only stage the HMVP pipeline parallelizes): the
-    /// amortized `dot_row` is measured over a `threads`-row matrix run
-    /// through `dot_products_parallel`, so extrapolations reflect the
-    /// multi-threaded CPU baseline selected by `--threads`.
-    ///
-    /// # Panics
-    /// Panics if key setup fails (cannot happen for valid parameters).
-    pub fn measure_with_threads(params: &ChamParams, threads: usize) -> Self {
-        let threads = threads.max(1);
         let mut rng = bench_rng();
         let sk = SecretKey::generate(params, &mut rng);
         let enc = Encryptor::new(params, &sk);
         let dec = Decryptor::new(params, &sk);
         let coder = cham_he::encoding::CoeffEncoder::new(params);
-        let hmvp = Hmvp::new(params);
         let t = params.plain_modulus().value();
         let n = params.degree();
-        let v: Vec<u64> = (0..n).map(|_| rng.gen_range(0..t)).collect();
-        let pt = coder.encode_vector(&v).expect("vector fits");
+        let mut random = || (0..n).map(|_| rng.gen_range(0..t)).collect::<Vec<u64>>();
+        let pt = coder.encode_vector(&random()).expect("vector fits");
+        let diagonal = coder.encode_row(&random()).expect("row fits");
+        let diagonal =
+            lift_plaintext_ntt(&diagonal, params, params.augmented_context()).expect("lift");
 
         let reps = 3;
         let t0 = Instant::now();
@@ -166,79 +155,54 @@ impl CpuCosts {
         }
         let encrypt = t0.elapsed().as_secs_f64() / reps as f64;
 
-        // Per-row dot product with a prepared matrix, amortized over
-        // `threads` rows so the fan-out's speedup lands in the figure.
-        let rows = threads;
-        let data: Vec<u64> = (0..rows * n).map(|_| rng.gen_range(0..t)).collect();
-        let matrix = Matrix::from_data(rows, n, data).expect("shape");
-        let em = hmvp.encode_matrix(&matrix).expect("encode");
-        let t1 = Instant::now();
-        for _ in 0..reps {
-            let _ = hmvp
-                .dot_products_parallel(&em, std::slice::from_ref(&ct), threads)
-                .expect("dot");
-        }
-        let dot_row = t1.elapsed().as_secs_f64() / (reps * rows) as f64;
+        // A diagonal pass is short, and a fresh process runs its first
+        // ones about twice as slowly: the fastest of twenty is kept.
+        let mut acc = ct.zero_like();
+        let diag_pass = (0..20)
+            .map(|_| {
+                let t1 = Instant::now();
+                let product = mul_plain_prepared(&ct, &diagonal).expect("mul");
+                acc = acc.add(&product).expect("add");
+                t1.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min);
 
-        // One pack reduction at level 1.
-        let gkeys = GaloisKeys::generate_for_packing(&sk, 1, &mut rng).expect("gk");
-        let row_pt = coder
-            .encode_row(&(0..n).map(|_| rng.gen_range(0..t)).collect::<Vec<_>>())
-            .expect("row fits");
-        let prepared =
-            cham_he::ops::lift_plaintext_ntt(&row_pt, params, params.augmented_context())
-                .expect("lift");
-        let prod = mul_plain_prepared(&ct, &prepared).expect("mul");
-        let normal = rescale(&prod, params).expect("rescale");
-        let lwe = extract_lwe(&normal, 0).expect("extract");
-        let as_rlwe = cham_he::extract::lwe_to_rlwe(&lwe);
-        let t2 = Instant::now();
-        for _ in 0..reps {
-            let _ = pack_two(1, &as_rlwe, &as_rlwe, &gkeys, params).expect("pack");
-        }
-        let pack_reduction = t2.elapsed().as_secs_f64() / reps as f64;
-
-        // Raw key-switch.
+        // Raw key-switch, and a decryption, of a normal-basis ciphertext.
+        // One untimed key-switch first: the timed ones do not pay the
+        // scratch pool's first allocation.
+        let normal = enc.encrypt(&pt, &mut rng);
         let ksk = KeySwitchKey::generate(&sk, sk.coeffs(), &mut rng).expect("ksk");
-        let t3 = Instant::now();
+        let _ = keyswitch_mask(normal.a(), &ksk, params).expect("ks");
+        let t2 = Instant::now();
         for _ in 0..reps {
             let _ = keyswitch_mask(normal.a(), &ksk, params).expect("ks");
         }
-        let keyswitch = t3.elapsed().as_secs_f64() / reps as f64;
+        let keyswitch = t2.elapsed().as_secs_f64() / reps as f64;
 
-        let t4 = Instant::now();
+        let t3 = Instant::now();
         for _ in 0..reps {
             let _ = dec.decrypt(&normal);
         }
-        let decrypt = t4.elapsed().as_secs_f64() / reps as f64;
+        let decrypt = t3.elapsed().as_secs_f64() / reps as f64;
 
         // One limb NTT.
         let q = params.ciphertext_context().moduli()[0];
         let table = cham_math::NttTable::new(n, q).expect("ntt");
         let mut poly: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.value())).collect();
-        let t5 = Instant::now();
+        let t4 = Instant::now();
         let ntt_reps = 20;
         for _ in 0..ntt_reps {
             table.forward(&mut poly);
         }
-        let ntt = t5.elapsed().as_secs_f64() / ntt_reps as f64;
+        let ntt = t4.elapsed().as_secs_f64() / ntt_reps as f64;
 
         Self {
             encrypt,
-            dot_row,
-            pack_reduction,
             keyswitch,
             decrypt,
             ntt,
+            diag_pass,
         }
-    }
-
-    /// Extrapolated CPU seconds for a full `rows × cols` HMVP (dot
-    /// products + packing; encryption/decryption excluded to match the
-    /// paper's matvec step).
-    pub fn hmvp_seconds(&self, rows: usize, cols: usize, degree: usize) -> f64 {
-        let tiles = cols.div_ceil(degree) as f64;
-        rows as f64 * self.dot_row * tiles + (rows.saturating_sub(1)) as f64 * self.pack_reduction
     }
 
     /// CPU key-switch throughput in ops/s.
@@ -253,131 +217,145 @@ impl CpuCosts {
     }
 }
 
-/// A prepared dot-product-phase benchmark: one encoded `rows × cols` matrix
-/// and one encrypted input vector (one ciphertext per `N`-column tile),
-/// reusable across thread counts so a reported speedup ratio compares the
-/// *same* work at different parallelism caps (the cap is the number of
-/// threads the rows run on).
+/// The CPU baseline of an HMVP, measured: `Hmvp::multiply_parallel` timed
+/// at the requested shape on this machine, [`HMVP_REPS`] times, each
+/// result decrypted and compared with the plain product. The keys — the
+/// Galois keys up to `max_pack_log()` among them — are generated once,
+/// so a shape pays only its own encode.
 #[derive(Debug)]
-pub struct DotPhaseBench {
+pub struct CpuHmvp {
     hmvp: Hmvp,
-    em: EncodedMatrix,
-    cts: Vec<RlweCiphertext>,
-    rows: usize,
+    gkeys: GaloisKeys,
+    enc: Encryptor,
+    dec: Decryptor,
+    threads: usize,
+    rng: rand::rngs::StdRng,
 }
 
-impl DotPhaseBench {
-    /// Encrypts an input vector and encodes a random `rows × N` matrix at
-    /// the given parameters.
-    ///
-    /// # Panics
-    /// Panics if encoding/encryption fails (cannot happen for valid
-    /// parameters and `rows ≥ 1`).
-    #[must_use]
-    pub fn prepare(params: &ChamParams, rows: usize) -> Self {
-        Self::prepare_cols(params, rows, params.degree())
-    }
+/// Timed runs per shape of a [`CpuHmvp`].
+pub const HMVP_REPS: usize = 3;
 
-    /// [`Self::prepare`] with an explicit column count: `⌈cols/N⌉` column
-    /// tiles per row, so the per-row accumulation depth (the regime the
-    /// fused kernel targets) scales with `cols`.
+/// Wall-clock seconds of the [`HMVP_REPS`] timed runs of one product.
+#[derive(Debug, Clone, Copy)]
+pub struct HmvpTiming {
+    /// The median run.
+    pub median: f64,
+    /// The fastest run.
+    pub min: f64,
+    /// The slowest run.
+    pub max: f64,
+    /// Every run decrypted to the plain product.
+    pub verified: bool,
+}
+
+impl std::fmt::Display for HmvpTiming {
+    /// `median (min–max)`, marked when a run decrypted to a wrong product.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [median, min, max] = [self.median, self.min, self.max].map(eng);
+        let mark = if self.verified { "" } else { " UNVERIFIED" };
+        write!(f, "{median} ({min}–{max}){mark}")
+    }
+}
+
+impl CpuHmvp {
+    /// Generates the keys at `params`; every product runs on at most
+    /// `threads` threads.
     ///
     /// # Panics
-    /// Panics if encoding/encryption fails (cannot happen for valid
-    /// parameters, `rows ≥ 1` and `cols ≥ 1`).
-    #[must_use]
-    pub fn prepare_cols(params: &ChamParams, rows: usize, cols: usize) -> Self {
+    /// Panics if key setup fails (cannot happen for valid parameters).
+    pub fn new(params: &ChamParams, threads: usize) -> Self {
         let mut rng = bench_rng();
         let sk = SecretKey::generate(params, &mut rng);
-        let enc = Encryptor::new(params, &sk);
-        let coder = cham_he::encoding::CoeffEncoder::new(params);
-        let hmvp = Hmvp::new(params);
-        let t = params.plain_modulus().value();
-        let n = params.degree();
-        let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t)).collect();
-        let cts: Vec<RlweCiphertext> = v
-            .chunks(n)
-            .map(|tile| {
-                enc.encrypt_augmented(&coder.encode_vector(tile).expect("vector fits"), &mut rng)
-            })
-            .collect();
-        let data: Vec<u64> = (0..rows * cols).map(|_| rng.gen_range(0..t)).collect();
-        let em = hmvp
-            .encode_matrix(&Matrix::from_data(rows, cols, data).expect("shape"))
-            .expect("encode");
+        let gkeys = GaloisKeys::generate_for_packing(&sk, params.max_pack_log(), &mut rng)
+            .expect("galois keys");
         Self {
-            hmvp,
-            em,
-            cts,
-            rows,
+            hmvp: Hmvp::new(params),
+            enc: Encryptor::new(params, &sk),
+            dec: Decryptor::new(params, &sk),
+            gkeys,
+            threads: threads.max(1),
+            rng,
         }
     }
 
-    /// Number of matrix rows per run.
+    /// The engine the products run on.
     #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
+    pub fn hmvp(&self) -> &Hmvp {
+        &self.hmvp
     }
 
-    /// Best-of-`reps` wall-clock seconds for one dot-product phase through
-    /// the fused path (`dot_products_parallel`: one `simd::row_product` per
-    /// limb, sums held in registers and `b` an inner product, then the
-    /// streaming row tail) at the given row-parallelism cap.
+    /// Packing keys for every level up to `max_pack_log()`, under the key
+    /// [`Self::operands`] encrypts with.
+    #[must_use]
+    pub fn gkeys(&self) -> &GaloisKeys {
+        &self.gkeys
+    }
+
+    /// A random `rows × cols` matrix, encoded, an input vector encrypted
+    /// under the key, and their plain product `A·v mod t`; the plain
+    /// matrix is dropped once its product is known.
     ///
     /// # Panics
-    /// Panics if the dot-product phase fails (cannot happen for the
-    /// shapes [`DotPhaseBench::prepare`] builds).
-    #[must_use]
-    pub fn seconds(&self, threads: usize, reps: usize) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let t0 = Instant::now();
-            let _ = self
-                .hmvp
-                .dot_products_parallel(&self.em, &self.cts, threads)
-                .expect("dot phase");
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
+    /// Panics on an empty shape.
+    pub fn operands(
+        &mut self,
+        rows: usize,
+        cols: usize,
+    ) -> (EncodedMatrix, Vec<RlweCiphertext>, Vec<u64>) {
+        let t = self.hmvp.params().plain_modulus();
+        let a = Matrix::random(rows, cols, t.value(), &mut self.rng);
+        let v: Vec<u64> = (0..cols)
+            .map(|_| self.rng.gen_range(0..t.value()))
+            .collect();
+        let expected = a.mul_vector_mod(&v, t).expect("shape");
+        let input = self
+            .hmvp
+            .encrypt_vector(&v, &self.enc, &mut self.rng)
+            .expect("vector");
+        let matrix = self.hmvp.encode_matrix(&a).expect("encode");
+        (matrix, input, expected)
     }
 
-    /// Best-of-`reps` wall-clock seconds for one dot-product phase through
-    /// the oracle path (`dot_products_unfused`): strict per-term
-    /// MODMUL/MODADD with per-term allocations, then `rescale` +
-    /// `extract_lwe` on a materialised ciphertext, serial over rows.
-    /// Paired with [`DotPhaseBench::seconds`] at `threads = 1` this isolates
-    /// the fused MAC + streaming row tail from thread parallelism.
+    /// Times [`HMVP_REPS`] runs of `multiply_parallel` on a random
+    /// `rows × cols` product and checks each result by decryption.
     ///
     /// # Panics
-    /// Panics if the dot-product phase fails (cannot happen for the
-    /// shapes [`DotPhaseBench::prepare`] builds).
-    #[must_use]
-    pub fn seconds_unfused(&self, reps: usize) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
+    /// Panics on an empty shape.
+    pub fn time(&mut self, rows: usize, cols: usize) -> HmvpTiming {
+        let (matrix, input, expected) = self.operands(rows, cols);
+        let mut runs = [0.0; HMVP_REPS];
+        let mut verified = true;
+        for run in &mut runs {
             let t0 = Instant::now();
-            let _ = self
+            let result = self
                 .hmvp
-                .dot_products_unfused(&self.em, &self.cts)
-                .expect("dot phase");
-            best = best.min(t0.elapsed().as_secs_f64());
+                .multiply_parallel(&matrix, &input, &self.gkeys, self.threads)
+                .expect("multiply");
+            *run = t0.elapsed().as_secs_f64();
+            verified &= self
+                .hmvp
+                .decrypt_result(&result, &self.dec)
+                .is_ok_and(|got| got == expected);
         }
-        best
+        runs.sort_by(f64::total_cmp);
+        HmvpTiming {
+            median: runs[HMVP_REPS / 2],
+            min: runs[0],
+            max: runs[HMVP_REPS - 1],
+            verified,
+        }
     }
 }
 
 /// Cost model for the *original Delphi* triple generation: a batch-encoded
 /// diagonal matvec with baby-step/giant-step rotations (GAZELLE-style),
-/// evaluated on the CPU — `≈ 2√n` key-switches plus `n` slot-wise
-/// multiply-accumulate passes per output block of `N/2` rows.
+/// evaluated on the CPU — `≈ 2√n` key-switches plus `n` measured
+/// diagonal passes per output block of `N/2` rows.
 pub fn delphi_triple_seconds(cpu: &CpuCosts, rows: usize, cols: usize, degree: usize) -> f64 {
     let slots = (degree / 2) as f64;
     let blocks = (rows as f64 / slots).ceil();
     let rotations = 2.0 * (cols as f64).sqrt();
-    // A slot-wise diagonal multiply-accumulate costs roughly one NTT-domain
-    // pass of the dot-product pipeline (no INTT per diagonal).
-    let diag_pass = cpu.dot_row * 0.3;
-    blocks * (rotations * cpu.keyswitch + cols as f64 * diag_pass)
+    blocks * (rotations * cpu.keyswitch + cols as f64 * cpu.diag_pass)
 }
 
 // The `eng`/`si` formatters moved to `cham_telemetry::fmt` (single home
@@ -407,37 +385,36 @@ mod tests {
     }
 
     #[test]
-    fn cpu_costs_measure_and_extrapolate() {
-        // Measured at the reduced test parameters so the smoke test stays
-        // fast; the figure binaries use the full N = 4096 set.
+    fn cpu_hmvp_times_a_verified_multiply() {
+        // The reduced test parameters keep the smoke test fast; the figure
+        // binaries use the full N = 4096 set.
         let params = ChamParams::insecure_test_default().expect("test params");
-        let costs = CpuCosts::measure(&params);
-        for v in [
-            costs.encrypt,
-            costs.dot_row,
-            costs.pack_reduction,
-            costs.keyswitch,
-            costs.decrypt,
-            costs.ntt,
-        ] {
-            assert!(v > 0.0 && v.is_finite(), "cost {v}");
-        }
-        // Extrapolation is linear in rows and tiles.
         let n = params.degree();
-        let one = costs.hmvp_seconds(64, n, n);
-        let two_rows = costs.hmvp_seconds(128, n, n);
-        assert!(two_rows > 1.8 * one && two_rows < 2.2 * one);
-        let two_tiles = costs.hmvp_seconds(64, 2 * n, n);
-        assert!(two_tiles > one);
-        // Derived throughputs are positive.
-        assert!(costs.keyswitch_ops_per_sec() > 0.0);
-        assert!(costs.ntt_ops_per_sec(3) > 0.0);
+        let mut cpu = CpuHmvp::new(&params, 1);
+        // One tile, then three tiles over two pack blocks.
+        for (rows, cols) in [(5, n), (n + 3, 2 * n + 1)] {
+            let t = cpu.time(rows, cols);
+            assert!(t.verified, "{rows}x{cols} decrypted wrong");
+            assert!(t.median > 0.0 && t.median.is_finite(), "{t}");
+            assert!(t.min <= t.median && t.median <= t.max, "{t}");
+        }
     }
 
     #[test]
     fn delphi_model_scales_sanely() {
         let params = ChamParams::insecure_test_default().expect("test params");
         let costs = CpuCosts::measure(&params);
+        for v in [
+            costs.encrypt,
+            costs.keyswitch,
+            costs.decrypt,
+            costs.ntt,
+            costs.diag_pass,
+        ] {
+            assert!(v > 0.0 && v.is_finite(), "cost {v}");
+        }
+        assert!(costs.keyswitch_ops_per_sec() > 0.0);
+        assert!(costs.ntt_ops_per_sec(3) > 0.0);
         let n = params.degree();
         let small = delphi_triple_seconds(&costs, 64, 64, n);
         let wide = delphi_triple_seconds(&costs, 64, 256, n);

@@ -338,17 +338,31 @@ impl Hmvp {
     }
 
     /// Computes the dot-product/extract phase on the calling thread: one
-    /// LWE ciphertext per row (Alg. 1 lines 1–4). This is
-    /// [`Hmvp::dot_products_parallel`] at a cap of 1.
+    /// LWE ciphertext per row (Alg. 1 lines 1–4), blocks of [`ROW_BLOCK`]
+    /// rows over one pooled lift of the input. `map_capped` at a cap of 1
+    /// runs every block inline: nothing is spawned.
     ///
     /// # Errors
-    /// Same conditions as [`Hmvp::dot_products_parallel`].
+    /// [`HeError::ShapeMismatch`] when the ciphertext count differs from
+    /// the matrix's column tiling, and
+    /// [`cham_math::MathError::ContextMismatch`] for an operand over
+    /// another basis or ring degree — both before any work is done.
     pub fn dot_products(
         &self,
         matrix: &EncodedMatrix,
         cts: &[RlweCiphertext],
     ) -> Result<Vec<LweCiphertext>> {
-        self.dot_products_parallel(matrix, cts, 1)
+        self.check_inputs(matrix, cts)?;
+        let blocks: Vec<&[Vec<RnsPoly>]> = matrix.tiles.chunks(ROW_BLOCK).collect();
+        let lwes = self.with_lifted_input(cts, 1, |input| {
+            cham_pool::map_capped(&blocks, 1, |_, rows| self.dot_rows_lwe(rows, input))
+        });
+        Ok(lwes
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?
+            .into_iter()
+            .flatten()
+            .collect())
     }
 
     /// Lifts the input ciphertexts to NTT form over the augmented basis, in
@@ -563,7 +577,7 @@ impl Hmvp {
     /// results are bit-identical to [`Hmvp::dot_products`].
     ///
     /// # Errors
-    /// Same conditions as [`Hmvp::dot_products_parallel`].
+    /// Same conditions as [`Hmvp::dot_products`].
     #[doc(hidden)]
     pub fn dot_products_unfused(
         &self,
@@ -584,38 +598,6 @@ impl Hmvp {
             .iter()
             .map(|row_tiles| self.dot_row_unfused(row_tiles, &cts_ntt))
             .collect()
-    }
-
-    /// Multi-threaded dot-product phase: the input lift fans out over
-    /// column tiles and the blocks of [`ROW_BLOCK`] rows over `threads`
-    /// scoped threads, the caller among them (`cham_pool::map_capped`; the
-    /// multi-thread host side of Fig. 1b, and the honest way to measure a
-    /// parallel CPU baseline). Results are bit-identical at every thread
-    /// count — every row's reduction runs whole on one thread — and
-    /// `threads ≤ 1` spawns none.
-    ///
-    /// # Errors
-    /// [`HeError::ShapeMismatch`] when the ciphertext count differs from
-    /// the matrix's column tiling, and
-    /// [`cham_math::MathError::ContextMismatch`] for an operand over
-    /// another basis or ring degree — both before any work is done.
-    pub fn dot_products_parallel(
-        &self,
-        matrix: &EncodedMatrix,
-        cts: &[RlweCiphertext],
-        threads: usize,
-    ) -> Result<Vec<LweCiphertext>> {
-        self.check_inputs(matrix, cts)?;
-        let blocks: Vec<&[Vec<RnsPoly>]> = matrix.tiles.chunks(ROW_BLOCK).collect();
-        let lwes = self.with_lifted_input(cts, threads, |input| {
-            cham_pool::map_capped(&blocks, threads, |_, rows| self.dot_rows_lwe(rows, input))
-        });
-        Ok(lwes
-            .into_iter()
-            .collect::<Result<Vec<_>>>()?
-            .into_iter()
-            .flatten()
-            .collect())
     }
 
     /// Full HMVP (Alg. 1): dot products, extraction, and packing, fanned
@@ -649,7 +631,7 @@ impl Hmvp {
     /// # Errors
     /// [`HeError::ShapeMismatch`] and
     /// [`cham_math::MathError::ContextMismatch`] as for
-    /// [`Hmvp::dot_products_parallel`], before any work is done; missing
+    /// [`Hmvp::dot_products`], before any work is done; missing
     /// Galois keys from the pack.
     pub fn multiply_parallel(
         &self,
@@ -820,21 +802,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_dot_products_match_serial() {
+    fn dot_products_reject_a_tile_count_mismatch() {
         let (params, _, enc, _, _, mut rng) = setup();
         let t = params.plain_modulus();
-        let a = Matrix::random(37, 300, t.value(), &mut rng); // odd row count, 2 tiles
+        let a = Matrix::random(37, 300, t.value(), &mut rng); // 2 tiles
         let v: Vec<u64> = (0..300).map(|_| rng.gen_range(0..t.value())).collect();
         let hmvp = Hmvp::new(&params);
         let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
         let em = hmvp.encode_matrix(&a).unwrap();
-        let serial = hmvp.dot_products(&em, &cts).unwrap();
-        for threads in [1usize, 2, 4, 64] {
-            let par = hmvp.dot_products_parallel(&em, &cts, threads).unwrap();
-            assert_eq!(par, serial, "threads={threads}");
-        }
-        // Shape mismatch propagates from workers too.
-        assert!(hmvp.dot_products_parallel(&em, &cts[..1], 2).is_err());
+        assert!(matches!(
+            hmvp.dot_products(&em, &cts[..1]),
+            Err(HeError::ShapeMismatch { .. })
+        ));
     }
 
     proptest! {
@@ -947,11 +926,11 @@ mod tests {
                     .encode_matrix(&Matrix::random(rows, cols, t, &mut rng))
                     .unwrap();
                 let oracle = hmvp.dot_products_unfused(&em, &cts).unwrap();
+                let lwes = hmvp.dot_products(&em, &cts).unwrap();
+                assert!(lwes == oracle, "rows={rows} tiles={tiles}: LWEs");
                 let want = crate::oracle::pack_lwes_level_order(&oracle, &gkeys, &params).unwrap();
                 for cap in 1..=4 {
                     let case = format!("rows={rows} tiles={tiles} cap={cap}");
-                    let lwes = hmvp.dot_products_parallel(&em, &cts, cap).unwrap();
-                    assert!(lwes == oracle, "{case}: LWEs");
                     let got = hmvp.multiply_parallel(&em, &cts, &gkeys, cap).unwrap();
                     assert_eq!(got.packed.len(), 1, "{case}");
                     let got = &got.packed[0];
@@ -1023,8 +1002,6 @@ mod tests {
             for cap in [1, 2] {
                 let packed = hmvp.multiply_parallel(em, cts, &gkeys, cap).map(drop);
                 assert!(mismatch(packed), "{name}: multiply_parallel cap {cap}");
-                let lwes = hmvp.dot_products_parallel(em, cts, cap).map(drop);
-                assert!(mismatch(lwes), "{name}: dot_products_parallel cap {cap}");
             }
         }
 

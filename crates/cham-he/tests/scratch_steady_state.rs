@@ -73,7 +73,7 @@ fn repeated_multiplies_stop_missing_scratch() {
     let (hits_before, misses_before) = scratch_stats();
     for _ in 0..5 {
         hmvp.multiply_parallel(&em, &cts, &gkeys, 1).unwrap();
-        hmvp.dot_products_parallel(&em, &cts, 1).unwrap();
+        hmvp.dot_products(&em, &cts).unwrap();
     }
     let (hits_after, misses_after) = scratch_stats();
     assert_eq!(

@@ -257,12 +257,35 @@ fn frame_kind_bytes_are_exact_or_rejected() {
     assert!(FrameKind::from_u8(7).is_err());
 }
 
+/// A canonical chunked-upload start the decoder refuses: its total and
+/// chunk size pass, and its 2^31 × 2^30 shape wraps the `u64` body length
+/// `8·rows·cols` to 0, so single-byte mutations land on both sides of
+/// `matrix_body_len`'s overflow check.
+fn overflowing_start() -> Vec<u8> {
+    MatrixChunkStart::new(0xFEED, 176, 64, 1 << 31, 1 << 30).to_bytes()
+}
+
+/// What the mutations start from: the corpus and [`overflowing_start`].
+fn seeds() -> &'static [(Decoder, Vec<u8>)] {
+    static SEEDS: OnceLock<Vec<(Decoder, Vec<u8>)>> = OnceLock::new();
+    SEEDS.get_or_init(|| {
+        let refused = (Decoder::ChunkStart, overflowing_start());
+        corpus().iter().cloned().chain([refused]).collect()
+    })
+}
+
 /// Every message shape re-encodes byte for byte — the stats replies and
 /// error text included, since a corpus body is a canonical encoding — so
 /// the mutations below start from inside each decoder's accepted set.
-/// None tolerates a trailing byte or an unknown response tag.
+/// None tolerates a trailing byte or an unknown response tag, and the
+/// overflowing start is a typed `BadFrame`.
 #[test]
 fn corpus_bodies_round_trip_and_reject_trailing_bytes() {
+    let refusal = MatrixChunkStart::from_bytes(&overflowing_start());
+    assert!(
+        matches!(refusal, Err(ServeError::BadFrame(_))),
+        "{refusal:?}"
+    );
     for (decoder, body) in corpus() {
         let (again, _) = recode(*decoder, body).unwrap();
         assert_eq!(&again, body, "{decoder:?} dropped or changed a value");
@@ -309,25 +332,25 @@ proptest! {
         }
     }
 
-    /// One byte of a valid body changed.
+    /// One byte of a valid or a refused canonical body changed.
     #[test]
     fn single_byte_mutations_never_panic(
         pick in any::<usize>(),
         at in any::<usize>(),
         flip in 1u8..=255
     ) {
-        let (decoder, body) = &corpus()[pick % corpus().len()];
+        let (decoder, body) = &seeds()[pick % seeds().len()];
         let mut body = body.clone();
         let at = at % body.len();
         body[at] ^= flip;
         check(*decoder, &body)?;
     }
 
-    /// A valid body cut short anywhere is never accepted as exact input
-    /// for a different message and never panics.
+    /// A valid or refused body cut short anywhere is never accepted as
+    /// exact input for a different message and never panics.
     #[test]
     fn truncations_never_panic(pick in any::<usize>(), at in any::<usize>()) {
-        let (decoder, body) = &corpus()[pick % corpus().len()];
+        let (decoder, body) = &seeds()[pick % seeds().len()];
         check(*decoder, &body[..at % body.len()])?;
     }
 }
