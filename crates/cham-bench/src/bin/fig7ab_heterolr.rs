@@ -15,7 +15,9 @@
 
 use cham_apps::bigint::BigUint;
 use cham_apps::paillier::PaillierPrivateKey;
-use cham_bench::{bench_rng, eng, threads_from_env, usage_error, CpuCosts, CpuHmvp, HMVP_REPS};
+use cham_bench::{
+    bench_rng, eng, threads_from_env, usage_error, CpuCosts, CpuHmvp, HeteroLrHost, HMVP_REPS,
+};
 use cham_he::params::ChamParams;
 use cham_sim::pipeline::HmvpCycleModel;
 use rand::Rng;
@@ -109,8 +111,6 @@ fn main() {
     println!("\n=== Fig. 7a/7b: HeteroLR per-iteration step times ===");
     for (samples, features) in shapes {
         // Step models (one iteration, both parties' gradients).
-        let cts_g = features.div_ceil(n_ring) as f64;
-
         // FATE parallelizes Paillier over worker processes; 16-way is a
         // typical deployment (documented substitution — single-core
         // numbers would be 16x larger).
@@ -126,17 +126,15 @@ fn main() {
         // packed on the way into the HMVP). Encryption therefore scales
         // with the sample count, which is what keeps the paper's
         // end-to-end speed-up at 2-36x rather than matvec's 30-1800x.
-        let bfv_enc = samples as f64 * cpu.encrypt;
-        let bfv_add = samples as f64 * cpu.encrypt * 0.02; // per-value ct add
+        let host = HeteroLrHost::new(&cpu, samples, features, n_ring);
         let mv = cpu_hmvp.time(features, samples);
         let bfv_mv = 2.0 * mv.median;
-        let bfv_dec = 2.0 * cts_g * cpu.decrypt;
-
-        let cham_mv = 2.0 * model.hmvp_seconds(features, samples);
+        let cham_one = model.hmvp_seconds(features, samples);
+        let cham_mv = 2.0 * cham_one;
 
         let fate_total = fate_enc + fate_add + fate_mv + fate_dec;
-        let bfv_total = bfv_enc + bfv_add + bfv_mv + bfv_dec;
-        let cham_total = bfv_enc + bfv_add + cham_mv + bfv_dec;
+        let bfv_total = host.iteration_seconds(mv.median);
+        let cham_total = host.iteration_seconds(cham_one);
 
         println!("\n--- dataset {samples} x {features} ---");
         println!("one matvec {features}x{samples}, median of {HMVP_REPS}, decrypt-verified: {mv}");
@@ -156,19 +154,19 @@ fn main() {
         println!(
             "{:<14} {:>12} {:>12} {:>12} {:>12} {:>12}",
             "B/FV CPU",
-            eng(bfv_enc),
-            eng(bfv_add),
+            eng(host.encrypt),
+            eng(host.add_vec),
             eng(bfv_mv),
-            eng(bfv_dec),
+            eng(host.decrypt),
             eng(bfv_total)
         );
         println!(
             "{:<14} {:>12} {:>12} {:>12} {:>12} {:>12}",
             "B/FV + CHAM",
-            eng(bfv_enc),
-            eng(bfv_add),
+            eng(host.encrypt),
+            eng(host.add_vec),
             eng(cham_mv),
-            eng(bfv_dec),
+            eng(host.decrypt),
             eng(cham_total)
         );
         println!(

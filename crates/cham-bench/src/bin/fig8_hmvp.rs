@@ -11,7 +11,6 @@ use cham_bench::{eng, threads_from_env, usage_error, CpuHmvp, HMVP_REPS};
 use cham_he::params::ChamParams;
 use cham_sim::baselines::GpuModel;
 use cham_sim::pipeline::HmvpCycleModel;
-use cham_telemetry::histogram::LiveHistogram;
 use cham_telemetry::span::{self, SpanRecorder, TraceId};
 use std::sync::Arc;
 use std::time::Instant;
@@ -119,29 +118,30 @@ fn main() {
         );
     }
 
-    // Per-rep latency distribution + kernel phase attribution for the
-    // 32-row dot phase, via the same tracing layer the serving stack
-    // uses: each rep runs under a SpanRecorder, so the in-kernel
-    // dot/rescale spans accumulate while a live histogram captures the
-    // rep-to-rep spread that a best-of summary hides.
+    // Per-rep latency spread + kernel phase attribution for the 32-row
+    // dot phase, via the same tracing layer the serving stack uses: each
+    // rep runs under a SpanRecorder, so the in-kernel dot/rescale spans
+    // accumulate while the sorted rep times show the rep-to-rep spread
+    // that a best-of summary hides.
     const DIST_REPS: usize = 20;
-    let rep_hist = LiveHistogram::new();
     let recorder = Arc::new(SpanRecorder::new(TraceId::generate()));
-    for _ in 0..DIST_REPS {
-        let t0 = Instant::now();
-        span::with_recorder(Arc::clone(&recorder), || {
-            hmvp.dot_products(&small_a, &small_v).expect("dot");
-        });
-        rep_hist.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    }
-    let rep_snap = rep_hist.snapshot();
+    let mut reps: Vec<f64> = (0..DIST_REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            span::with_recorder(Arc::clone(&recorder), || {
+                hmvp.dot_products(&small_a, &small_v).expect("dot");
+            });
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    reps.sort_by(f64::total_cmp);
     let phase_spans = recorder.finish();
     println!();
     println!(
-        "dot-phase rep distribution ({DIST_REPS} reps): p50 {} p99 {} p999 {}",
-        eng(rep_snap.percentile(0.50) / 1e9),
-        eng(rep_snap.percentile(0.99) / 1e9),
-        eng(rep_snap.percentile(0.999) / 1e9),
+        "dot-phase rep distribution ({DIST_REPS} reps): min {} median {} max {}",
+        eng(reps[0]),
+        eng((reps[DIST_REPS / 2 - 1] + reps[DIST_REPS / 2]) / 2.0),
+        eng(reps[DIST_REPS - 1]),
     );
     for p in &phase_spans {
         println!(

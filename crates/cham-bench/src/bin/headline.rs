@@ -12,7 +12,8 @@
 //! median of three runs, each decrypt-verified.
 
 use cham_bench::{
-    delphi_triple_seconds, threads_from_env, usage_error, CpuCosts, CpuHmvp, HMVP_REPS,
+    delphi_triple_seconds, threads_from_env, usage_error, CpuCosts, CpuHmvp, HeteroLrHost,
+    HMVP_REPS,
 };
 use cham_he::params::ChamParams;
 use cham_sim::pipeline::HmvpCycleModel;
@@ -32,13 +33,10 @@ fn main() {
     let cham_mv = model.hmvp_seconds(m, n);
     let hmvp_x = cpu_mv / cham_mv;
 
-    // 2) HeteroLR end-to-end (8192 x 8192): the FATE integration keeps
-    // per-value ciphertexts, so encryption scales with the sample count
-    // (see fig7ab_heterolr); matvec runs on the CPU vs CHAM.
-    let host = m as f64 * cpu.encrypt * 1.02 + 2.0 * 2.0 * cpu.decrypt;
-    let lr_cpu = host + 2.0 * cpu_mv;
-    let lr_cham = host + 2.0 * cham_mv;
-    let lr_x = lr_cpu / lr_cham;
+    // 2) HeteroLR end-to-end (8192 samples x 8192 features): the host
+    // steps of fig7ab_heterolr, with the matvecs on the CPU vs CHAM.
+    let host = HeteroLrHost::new(&cpu, m, n, n_ring);
+    let lr_x = host.iteration_seconds(cpu_mv) / host.iteration_seconds(cham_mv);
 
     // 3) Beaver triples vs the original Delphi (BSGS diagonal on CPU).
     let delphi = delphi_triple_seconds(&cpu, m, n, n_ring);

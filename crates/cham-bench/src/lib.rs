@@ -358,6 +358,41 @@ pub fn delphi_triple_seconds(cpu: &CpuCosts, rows: usize, cols: usize, degree: u
     blocks * (rotations * cpu.keyswitch + cols as f64 * cpu.diag_pass)
 }
 
+/// The host side of one HeteroLR iteration (Fig. 7a/7b) on a
+/// `samples × features` dataset, in seconds. The B/FV integration keeps
+/// FATE's per-value ciphertext interface, so the host encrypts one
+/// ciphertext per sample and adds them element-wise (modelled as 2 % of
+/// an encryption each); the two gradients decrypt `⌈features / N⌉`
+/// ciphertexts each. `headline` and `fig7ab_heterolr` both read it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HeteroLrHost {
+    /// Per-sample encryption.
+    pub encrypt: f64,
+    /// Per-value ciphertext additions.
+    pub add_vec: f64,
+    /// Decryption of both gradients.
+    pub decrypt: f64,
+}
+
+impl HeteroLrHost {
+    /// The host steps from measured per-op costs at ring degree `degree`.
+    #[must_use]
+    pub fn new(cpu: &CpuCosts, samples: usize, features: usize, degree: usize) -> Self {
+        Self {
+            encrypt: samples as f64 * cpu.encrypt,
+            add_vec: samples as f64 * cpu.encrypt * 0.02,
+            decrypt: 2.0 * features.div_ceil(degree) as f64 * cpu.decrypt,
+        }
+    }
+
+    /// One iteration's seconds when each of its two matvecs (one per
+    /// party's gradient) takes `matvec` seconds.
+    #[must_use]
+    pub fn iteration_seconds(&self, matvec: f64) -> f64 {
+        self.encrypt + self.add_vec + 2.0 * matvec + self.decrypt
+    }
+}
+
 // The `eng`/`si` formatters moved to `cham_telemetry::fmt` (single home
 // for human-number rendering); re-exported here so the figure binaries
 // keep their `cham_bench::eng(..)` call sites.
@@ -422,5 +457,24 @@ mod tests {
         assert!(small > 0.0);
         assert!(wide > small, "more columns cost more");
         assert!(tall > small, "more row blocks cost more");
+    }
+
+    #[test]
+    fn heterolr_host_counts_its_steps() {
+        let cpu = CpuCosts {
+            encrypt: 1.0,
+            keyswitch: 0.0,
+            decrypt: 10.0,
+            ntt: 0.0,
+            diag_pass: 0.0,
+        };
+        let host = HeteroLrHost::new(&cpu, 8192, 8192, 4096);
+        assert_eq!(host.encrypt, 8192.0);
+        assert!((host.add_vec - 8192.0 * 0.02).abs() < 1e-9);
+        assert_eq!(host.decrypt, 40.0);
+        let host_s = host.encrypt + host.add_vec + host.decrypt;
+        assert!((host.iteration_seconds(3.0) - (host_s + 6.0)).abs() < 1e-9);
+        // A partial ciphertext of features still decrypts whole.
+        assert_eq!(HeteroLrHost::new(&cpu, 1, 4097, 4096).decrypt, 40.0);
     }
 }

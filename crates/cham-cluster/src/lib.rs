@@ -26,8 +26,8 @@
 //!   drives it.
 //!
 //! On the wire the cluster layer adds nothing of its own: it reads the
-//! cluster block every hello response carries (`node_id`,
-//! `shard_index`, `shard_count`, ring epoch) and the `WrongShard` error.
+//! cluster block every hello response carries (`shard_index`,
+//! `shard_count`, ring epoch) and the `WrongShard` error.
 
 pub mod repair;
 pub mod ring;

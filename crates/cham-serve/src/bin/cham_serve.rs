@@ -70,9 +70,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         match flag.as_str() {
             "--addr" => args.addr = value("--addr")?,
             "--params" => args.params = value("--params")?,
-            // The Hello advertises the permit count as a u16.
+            // `Introspect` serves the permit count as a u32.
             "--workers" => {
-                args.config.workers = usize::from(parse_count::<u16>(&value("--workers")?)?);
+                args.config.workers = parse_count::<u32>(&value("--workers")?)? as usize;
             }
             "--queue" => args.config.queue_capacity = parse_count(&value("--queue")?)?,
             "--matrix-cache" => args.config.matrix_cache = parse_count(&value("--matrix-cache")?)?,
@@ -222,13 +222,13 @@ mod tests {
     }
 
     #[test]
-    fn workers_must_fit_the_hello_word() {
+    fn workers_must_fit_the_introspect_word() {
         assert_eq!(
-            parse(&["--workers", "65535"]).unwrap().config.workers,
-            65535
+            parse(&["--workers", "4294967295"]).unwrap().config.workers,
+            4_294_967_295
         );
-        let err = parse(&["--workers", "65536"]).unwrap_err();
-        assert!(err.contains("65536"), "{err}");
+        let err = parse(&["--workers", "4294967296"]).unwrap_err();
+        assert!(err.contains("4294967296"), "{err}");
         assert!(parse(&["--workers", "0"]).is_err());
     }
 }

@@ -18,6 +18,7 @@ use crate::cache::MatrixBody;
 use crate::protocol::{
     self, FrameKind, Hello, MatrixChunkStart, Response, DEADLINE_NONE, PROTOCOL_VERSION,
 };
+use crate::shard::ClusterIdentity;
 use crate::stats::IntrospectSnapshot;
 use crate::{Result, ServeError};
 use cham_he::ciphertext::RlweCiphertext;
@@ -133,22 +134,11 @@ impl ChunkedBody {
     }
 }
 
-/// Server shape reported in the hello exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerInfo {
-    /// Kernels the server runs at once.
-    pub workers: u16,
-    /// Bound on requests waiting to run.
-    pub queue_capacity: u32,
-    /// The server's cluster identity (`None` from a standalone server).
-    pub cluster: Option<crate::shard::ClusterIdentity>,
-}
-
 /// A connected, hello-verified client.
 pub struct ServeClient {
     stream: TcpStream,
     params: Arc<ChamParams>,
-    info: ServerInfo,
+    cluster: Option<ClusterIdentity>,
 }
 
 impl ServeClient {
@@ -201,39 +191,25 @@ impl ServeClient {
         let mut client = Self {
             stream,
             params,
-            info: ServerInfo {
-                workers: 0,
-                queue_capacity: 0,
-                cluster: None,
-            },
+            cluster: None,
         };
         let hello = Hello::for_params(&client.params);
         let resp = client.roundtrip(FrameKind::Hello, &hello.to_bytes())?;
-        let Response::Hello {
-            workers,
-            queue_capacity,
-            max_batch: _,
-            version,
-            cluster,
-        } = resp
-        else {
+        let Response::Hello { version, cluster } = resp else {
             return Err(ServeError::BadFrame("hello answered with wrong response"));
         };
         if version != PROTOCOL_VERSION {
             return Err(ServeError::Incompatible("protocol revision mismatch"));
         }
-        client.info = ServerInfo {
-            workers,
-            queue_capacity,
-            cluster,
-        };
+        client.cluster = cluster;
         Ok(client)
     }
 
-    /// The serving shape the server reported at connect time.
+    /// The cluster identity the server reported at connect time (`None`
+    /// from a standalone server).
     #[must_use]
-    pub fn server_info(&self) -> ServerInfo {
-        self.info
+    pub fn cluster(&self) -> Option<ClusterIdentity> {
+        self.cluster
     }
 
     /// Uploads a Galois key set and returns its content id. `indices`
@@ -522,10 +498,7 @@ impl ServeClient {
         let (kind, body) = protocol::read_frame(&mut self.stream)?;
         match kind {
             FrameKind::Result => Response::from_bytes(&body, &self.params),
-            FrameKind::Error => {
-                let (code, message) = protocol::error_from_body(&body)?;
-                Err(protocol::wire_to_error(code, message))
-            }
+            FrameKind::Error => Err(protocol::error_from_body(&body)?),
             _ => Err(ServeError::BadFrame("server sent a request frame")),
         }
     }

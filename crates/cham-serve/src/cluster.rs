@@ -71,7 +71,7 @@
 //! on the same budget. Once it is spent the last error surfaces rather
 //! than another sleep starting.
 
-use crate::client::{ChunkedBody, ClientConfig, ServeClient, ServerInfo};
+use crate::client::{ChunkedBody, ClientConfig, ServeClient};
 use crate::faults::SplitMix64;
 use crate::protocol::{self, ErrorCode};
 use crate::shard::{HashRing, Topology};
@@ -325,19 +325,6 @@ impl ClusterClient {
         }
     }
 
-    /// The serving shape node `slot` reported in its most recent hello,
-    /// if a connection to it is currently live.
-    ///
-    /// # Panics
-    /// Panics when `slot` is outside the fleet.
-    #[must_use]
-    pub fn server_info(&self, slot: u16) -> Option<ServerInfo> {
-        self.nodes[usize::from(slot)]
-            .conn
-            .as_ref()
-            .map(ServeClient::server_info)
-    }
-
     /// Uploads a Galois key set to *every* node — any shard may be
     /// asked to rotate with it — and remembers its bytes for replay
     /// after an eviction. Returns the content id (identical on every
@@ -499,7 +486,7 @@ impl ClusterClient {
                 continue;
             };
             reachable += 1;
-            let Some(identity) = client.server_info().cluster else {
+            let Some(identity) = client.cluster() else {
                 // A standalone (unsharded) server: nothing to learn.
                 continue;
             };
@@ -752,13 +739,7 @@ impl ClusterClient {
             // that failed its content check mid-stream is the same: the
             // next attempt replays the upload, and the server's
             // received-bitmap scopes it to what is missing.
-            ServeError::Busy
-            | ServeError::Internal(_)
-            | ServeError::ChunkMismatch { .. }
-            | ServeError::Remote {
-                code: ErrorCode::ChunkMismatch,
-                ..
-            } => true,
+            ServeError::Busy | ServeError::Internal(_) | ServeError::ChunkMismatch { .. } => true,
             // The stream is dead or desynced, or the dial failed:
             // quarantine the node and go (elsewhere, if there is an
             // elsewhere).

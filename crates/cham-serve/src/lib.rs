@@ -77,7 +77,7 @@ use std::error::Error;
 use std::fmt;
 
 pub use cache::SessionCache;
-pub use client::{ChunkUpload, ChunkedBody, ClientConfig, ServeClient, ServerInfo};
+pub use client::{ChunkUpload, ChunkedBody, ClientConfig, ServeClient};
 pub use cluster::{Band, ClientStats, ClusterClient, RetryPolicy, ShardedMatrix};
 pub use faults::{Fault, FaultConfig, FaultInjector};
 pub use gate::{Gate, Permit};
@@ -136,7 +136,8 @@ pub enum ServeError {
     He(cham_he::HeError),
     /// A transport failure.
     Io(std::io::Error),
-    /// An error frame from the remote peer that maps to no local variant.
+    /// A remote `BadFrame` or `Incompatible`: their local variants hold
+    /// a `&'static str`, and the peer's message is owned.
     Remote {
         /// The wire error code.
         code: protocol::ErrorCode,

@@ -20,7 +20,7 @@
 //! | (3) | — | retired (the single-frame matrix upload); rejected as an unknown kind |
 //! | `Hmvp` (4) | c→s | `[key_id u64] [matrix_id u64] [deadline_ms u32] [trace_id u64] [k u16] ([len u32] [rlwe bytes])×k` |
 //! | `Result` (5) | s→c | `[tag u8] [tag-specific payload]` (see [`Response`]) |
-//! | `Error` (6) | s→c | `[code u8] [msg_len u16] [utf-8 message]` |
+//! | `Error` (6) | s→c | `[code u8] [that code's fields]` (see below) |
 //! | (7) | — | retired (the `Ping` health check; `Introspect` serves the same counters); rejected as an unknown kind |
 //! | `Introspect` (8) | c→s | empty — answered with a [`Response::IntrospectReport`] snapshot |
 //! | `FlightDump` (9) | c→s | empty — answered with a [`Response::FlightDump`] trace JSON |
@@ -29,6 +29,22 @@
 //! | `MatrixChunkCommit` (12) | c→s | `[matrix_id u64]` |
 //! | `StoreList` (13) | c→s | empty — segment inventory; answered with a [`Response::StoreListReport`] |
 //! | `StoreFetch` (14) | c→s | `[store_id u64]` — answered with a [`Response::SegmentData`] matrix body |
+//!
+//! A `Result` answering `Hello` is
+//! `[tag u8] [revision u16] [presence u8] ([shard_index u16] [shard_count u16] [epoch u64])`,
+//! the bracketed cluster block present only when the presence byte is 1.
+//!
+//! An `Error` body is its [`ErrorCode`] followed by that code's fields,
+//! so every typed error crosses the wire typed ([`error_body`] /
+//! [`error_from_body`]); a body of any other length is a `BadFrame`:
+//!
+//! | code | fields |
+//! |------|--------|
+//! | `UnknownKey` / `UnknownMatrix` | `[id u64]` |
+//! | `WrongShard` | `[epoch u64] [shard_index u16] [shard_count u16]` |
+//! | `ChunkMismatch` | `[matrix_id u64] [index u32]` |
+//! | `BadFrame` / `Incompatible` / `Internal` | `[len u16] [utf-8 message]` |
+//! | `Busy` / `TimedOut` / `Shutdown` | none |
 //!
 //! There is one revision, [`PROTOCOL_VERSION`]: a hello carrying any
 //! other value is answered with one `Incompatible` error, and a client
@@ -88,7 +104,7 @@ use std::io::{Read, Write};
 
 /// The one protocol revision this crate speaks; both ends refuse any
 /// other value.
-pub const PROTOCOL_VERSION: u16 = 7;
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Wire sentinel for "no deadline" in `Hmvp` frames. Any other value is
 /// a deadline in milliseconds; `0` is rejected as malformed.
@@ -198,15 +214,15 @@ pub enum ErrorCode {
     Shutdown = 7,
     /// HE-layer or other internal failure.
     Internal = 8,
-    /// The content hash is not owned by this shard (the message
-    /// carries the server's ring epoch and slot so the client
-    /// can refresh its topology).
+    /// The content hash is not owned by this shard (the body carries
+    /// the server's ring epoch and slot so the client can refresh its
+    /// topology).
     WrongShard = 9,
     /// A matrix chunk failed its content check — per-chunk
     /// checksum mismatch, or a commit whose reassembled bytes hash to
-    /// something other than the declared `matrix_id`. The
-    /// message carries the id and chunk index so the client re-sends
-    /// exactly the bad chunk.
+    /// something other than the declared `matrix_id`. The body
+    /// carries the id and chunk index so the client re-sends exactly
+    /// the bad chunk.
     ChunkMismatch = 10,
 }
 
@@ -225,103 +241,6 @@ impl ErrorCode {
             10 => Ok(ErrorCode::ChunkMismatch),
             _ => Err(ServeError::BadFrame("unknown error code")),
         }
-    }
-}
-
-/// Maps a serve error to the wire code + message it travels as.
-#[must_use]
-pub fn error_to_wire(e: &ServeError) -> (ErrorCode, String) {
-    match e {
-        ServeError::Busy => (ErrorCode::Busy, "request queue is full".into()),
-        ServeError::TimedOut => (ErrorCode::TimedOut, "deadline expired".into()),
-        ServeError::BadFrame(m) => (ErrorCode::BadFrame, (*m).to_string()),
-        ServeError::UnknownKey(id) => (ErrorCode::UnknownKey, format!("{id:#018x}")),
-        ServeError::UnknownMatrix(id) => (ErrorCode::UnknownMatrix, format!("{id:#018x}")),
-        ServeError::Incompatible(m) => (ErrorCode::Incompatible, (*m).to_string()),
-        ServeError::Shutdown => (ErrorCode::Shutdown, "server shutting down".into()),
-        ServeError::Internal(m) => (ErrorCode::Internal, m.clone()),
-        ServeError::WrongShard {
-            epoch,
-            shard_index,
-            shard_count,
-        } => (
-            ErrorCode::WrongShard,
-            format!("epoch={epoch} shard={shard_index}/{shard_count}"),
-        ),
-        ServeError::ChunkMismatch { matrix_id, index } => (
-            ErrorCode::ChunkMismatch,
-            format!("matrix={matrix_id:#018x} chunk={index}"),
-        ),
-        other => (ErrorCode::Internal, other.to_string()),
-    }
-}
-
-/// Parses the `matrix=0x… chunk=I` message a `ChunkMismatch` error
-/// travels as back into its fields, mirroring [`parse_id_message`] — the
-/// retrying client needs the chunk index typed to re-send exactly the
-/// corrupted piece.
-fn parse_chunk_mismatch_message(message: &str) -> Option<(u64, u32)> {
-    let rest = message.trim().strip_prefix("matrix=")?;
-    let (id, rest) = rest.split_once(' ')?;
-    let index = rest.strip_prefix("chunk=")?;
-    Some((parse_id_message(id)?, index.parse().ok()?))
-}
-
-/// Parses the `epoch=E shard=I/N` message a `WrongShard` error travels
-/// as back into its fields, mirroring [`parse_id_message`] — the client
-/// side needs the epoch typed to decide whether its topology is stale.
-fn parse_wrong_shard_message(message: &str) -> Option<(u64, u16, u16)> {
-    let rest = message.trim().strip_prefix("epoch=")?;
-    let (epoch, rest) = rest.split_once(' ')?;
-    let rest = rest.strip_prefix("shard=")?;
-    let (index, count) = rest.split_once('/')?;
-    Some((
-        epoch.parse().ok()?,
-        index.parse().ok()?,
-        count.parse().ok()?,
-    ))
-}
-
-/// Parses the `{id:#018x}` message an `UnknownKey`/`UnknownMatrix` error
-/// travels as back into the id, so the client-side error is as typed as
-/// the server-side one (and [`crate::ClusterClient`] knows which
-/// entry to re-upload).
-fn parse_id_message(message: &str) -> Option<u64> {
-    let hex = message.trim().strip_prefix("0x")?;
-    u64::from_str_radix(hex, 16).ok()
-}
-
-/// Reconstructs the local error a wire code stands for (so client callers
-/// can match on [`ServeError::Busy`] / [`ServeError::TimedOut`] /
-/// [`ServeError::UnknownKey`] / [`ServeError::Internal`] directly).
-#[must_use]
-pub fn wire_to_error(code: ErrorCode, message: String) -> ServeError {
-    match code {
-        ErrorCode::Busy => ServeError::Busy,
-        ErrorCode::TimedOut => ServeError::TimedOut,
-        ErrorCode::Shutdown => ServeError::Shutdown,
-        ErrorCode::Internal => ServeError::Internal(message),
-        ErrorCode::UnknownKey => match parse_id_message(&message) {
-            Some(id) => ServeError::UnknownKey(id),
-            None => ServeError::Remote { code, message },
-        },
-        ErrorCode::UnknownMatrix => match parse_id_message(&message) {
-            Some(id) => ServeError::UnknownMatrix(id),
-            None => ServeError::Remote { code, message },
-        },
-        ErrorCode::WrongShard => match parse_wrong_shard_message(&message) {
-            Some((epoch, shard_index, shard_count)) => ServeError::WrongShard {
-                epoch,
-                shard_index,
-                shard_count,
-            },
-            None => ServeError::Remote { code, message },
-        },
-        ErrorCode::ChunkMismatch => match parse_chunk_mismatch_message(&message) {
-            Some((matrix_id, index)) => ServeError::ChunkMismatch { matrix_id, index },
-            None => ServeError::Remote { code, message },
-        },
-        ErrorCode::BadFrame | ErrorCode::Incompatible => ServeError::Remote { code, message },
     }
 }
 
@@ -962,15 +881,9 @@ fn read_named(r: &mut Reader<'_>, mut set: impl FnMut(&str, u64)) -> Result<()> 
 /// A parsed `Result` frame.
 #[derive(Debug, Clone)]
 pub enum Response {
-    /// Answer to `Hello`: the server's serving shape plus the revision
-    /// it speaks.
+    /// Answer to `Hello`: the revision the server speaks and its place
+    /// in a cluster.
     Hello {
-        /// Worker pool size.
-        workers: u16,
-        /// Bounded queue capacity.
-        queue_capacity: u32,
-        /// Maximum coalesced batch size.
-        max_batch: u32,
         /// The server's protocol revision; the client refuses anything
         /// but [`PROTOCOL_VERSION`].
         version: u16,
@@ -1059,22 +972,12 @@ impl Response {
     pub fn to_parts(&self) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
         match self {
-            Response::Hello {
-                workers,
-                queue_capacity,
-                max_batch,
-                version,
-                cluster,
-            } => {
+            Response::Hello { version, cluster } => {
                 out.push(ResponseTag::Hello as u8);
-                out.extend_from_slice(&workers.to_le_bytes());
-                out.extend_from_slice(&queue_capacity.to_le_bytes());
-                out.extend_from_slice(&max_batch.to_le_bytes());
                 out.extend_from_slice(&version.to_le_bytes());
                 match cluster {
                     Some(id) => {
                         out.push(1);
-                        out.extend_from_slice(&id.node_id.to_le_bytes());
                         out.extend_from_slice(&id.shard_index.to_le_bytes());
                         out.extend_from_slice(&id.shard_count.to_le_bytes());
                         out.extend_from_slice(&id.epoch.to_le_bytes());
@@ -1170,27 +1073,17 @@ impl Response {
         let tag = r.u8()?;
         let resp = match tag {
             t if t == ResponseTag::Hello as u8 => {
-                let workers = r.u16()?;
-                let queue_capacity = r.u32()?;
-                let max_batch = r.u32()?;
                 let version = r.u16()?;
                 let cluster = match r.u8()? {
                     0 => None,
                     1 => Some(ClusterIdentity {
-                        node_id: r.u64()?,
                         shard_index: r.u16()?,
                         shard_count: r.u16()?,
                         epoch: r.u64()?,
                     }),
                     _ => return Err(ServeError::BadFrame("bad cluster presence byte")),
                 };
-                Response::Hello {
-                    workers,
-                    queue_capacity,
-                    max_batch,
-                    version,
-                    cluster,
-                }
+                Response::Hello { version, cluster }
             }
             t if t == ResponseTag::KeysLoaded as u8 => Response::KeysLoaded { key_id: r.u64()? },
             t if t == ResponseTag::MatrixLoaded as u8 => Response::MatrixLoaded {
@@ -1290,29 +1183,100 @@ impl Response {
     }
 }
 
-/// Serializes an `Error` frame body.
+/// Serializes an `Error` frame body: the code, then that code's own
+/// fields. A failure with no wire code of its own (`He`, `Io`) travels as
+/// `Internal` with its rendered text.
 #[must_use]
-pub fn error_body(code: ErrorCode, message: &str) -> Vec<u8> {
-    let msg = message.as_bytes();
-    let take = msg.len().min(u16::MAX as usize);
-    let mut out = Vec::with_capacity(3 + take);
-    out.push(code as u8);
-    out.extend_from_slice(&(take as u16).to_le_bytes());
-    out.extend_from_slice(&msg[..take]);
+pub fn error_body(e: &ServeError) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16);
+    // `[len u16][utf-8]`, cut at the last char boundary the length holds.
+    let mut message = |code: ErrorCode, m: &str| {
+        let mut take = m.len().min(u16::MAX as usize);
+        while !m.is_char_boundary(take) {
+            take -= 1;
+        }
+        out.push(code as u8);
+        out.extend_from_slice(&(take as u16).to_le_bytes());
+        out.extend_from_slice(&m.as_bytes()[..take]);
+    };
+    match e {
+        ServeError::BadFrame(m) => message(ErrorCode::BadFrame, m),
+        ServeError::Incompatible(m) => message(ErrorCode::Incompatible, m),
+        ServeError::Internal(m) => message(ErrorCode::Internal, m),
+        ServeError::Remote {
+            code: code @ (ErrorCode::BadFrame | ErrorCode::Incompatible),
+            message: m,
+        } => message(*code, m),
+        ServeError::Busy => out.push(ErrorCode::Busy as u8),
+        ServeError::TimedOut => out.push(ErrorCode::TimedOut as u8),
+        ServeError::Shutdown => out.push(ErrorCode::Shutdown as u8),
+        ServeError::UnknownKey(id) => {
+            out.push(ErrorCode::UnknownKey as u8);
+            out.extend_from_slice(&id.to_le_bytes());
+        }
+        ServeError::UnknownMatrix(id) => {
+            out.push(ErrorCode::UnknownMatrix as u8);
+            out.extend_from_slice(&id.to_le_bytes());
+        }
+        ServeError::WrongShard {
+            epoch,
+            shard_index,
+            shard_count,
+        } => {
+            out.push(ErrorCode::WrongShard as u8);
+            out.extend_from_slice(&epoch.to_le_bytes());
+            out.extend_from_slice(&shard_index.to_le_bytes());
+            out.extend_from_slice(&shard_count.to_le_bytes());
+        }
+        ServeError::ChunkMismatch { matrix_id, index } => {
+            out.push(ErrorCode::ChunkMismatch as u8);
+            out.extend_from_slice(&matrix_id.to_le_bytes());
+            out.extend_from_slice(&index.to_le_bytes());
+        }
+        other => message(ErrorCode::Internal, &other.to_string()),
+    }
     out
 }
 
-/// Parses an `Error` frame body into `(code, message)`.
+/// Parses an `Error` frame body back into the [`ServeError`] it carries:
+/// every code with fields comes back as its typed variant, and only a
+/// remote `BadFrame` or `Incompatible` — whose local variants hold a
+/// `&'static str` — as [`ServeError::Remote`].
 ///
 /// # Errors
-/// [`ServeError::BadFrame`] for framing faults.
-pub fn error_from_body(body: &[u8]) -> Result<(ErrorCode, String)> {
+/// [`ServeError::BadFrame`] for an unknown code, a body longer or
+/// shorter than its code's fields, or a message that is not UTF-8.
+pub fn error_from_body(body: &[u8]) -> Result<ServeError> {
     let mut r = Reader::new(body);
     let code = ErrorCode::from_u8(r.u8()?)?;
-    let len = r.u16()? as usize;
-    let msg = String::from_utf8_lossy(r.take(len)?).into_owned();
+    let mut message = || -> Result<String> {
+        let len = r.u16()? as usize;
+        String::from_utf8(r.take(len)?.to_vec())
+            .map_err(|_| ServeError::BadFrame("error message is not UTF-8"))
+    };
+    let e = match code {
+        ErrorCode::Busy => ServeError::Busy,
+        ErrorCode::TimedOut => ServeError::TimedOut,
+        ErrorCode::Shutdown => ServeError::Shutdown,
+        ErrorCode::Internal => ServeError::Internal(message()?),
+        ErrorCode::BadFrame | ErrorCode::Incompatible => ServeError::Remote {
+            code,
+            message: message()?,
+        },
+        ErrorCode::UnknownKey => ServeError::UnknownKey(r.u64()?),
+        ErrorCode::UnknownMatrix => ServeError::UnknownMatrix(r.u64()?),
+        ErrorCode::WrongShard => ServeError::WrongShard {
+            epoch: r.u64()?,
+            shard_index: r.u16()?,
+            shard_count: r.u16()?,
+        },
+        ErrorCode::ChunkMismatch => ServeError::ChunkMismatch {
+            matrix_id: r.u64()?,
+            index: r.u32()?,
+        },
+    };
     r.done()?;
-    Ok((code, msg))
+    Ok(e)
 }
 
 #[cfg(test)]
@@ -1487,26 +1451,24 @@ mod tests {
     fn hello_response_cluster_block() {
         let p = params();
         let id = ClusterIdentity {
-            node_id: 42,
             shard_index: 2,
             shard_count: 3,
             epoch: 5,
         };
         let hello = |cluster| Response::Hello {
-            workers: 1,
-            queue_capacity: 2,
-            max_batch: 3,
             version: PROTOCOL_VERSION,
             cluster,
         };
         // A standalone response carries an explicit "absent" byte...
         let alone_bytes = hello(None).to_bytes();
+        assert_eq!(alone_bytes.len(), 1 + 2 + 1);
         match Response::from_bytes(&alone_bytes, &p).unwrap() {
             Response::Hello { cluster, .. } => assert_eq!(cluster, None),
             other => panic!("unexpected response {other:?}"),
         }
         // ...and a clustered one round-trips the identity.
         let bytes = hello(Some(id)).to_bytes();
+        assert_eq!(bytes.len(), 1 + 2 + 1 + 2 + 2 + 8);
         match Response::from_bytes(&bytes, &p).unwrap() {
             Response::Hello {
                 version, cluster, ..
@@ -1526,73 +1488,105 @@ mod tests {
         assert!(Response::from_bytes(&bad, &p).is_err());
     }
 
-    #[test]
-    fn error_codes_roundtrip() {
-        for (code, expect_local) in [
-            (ErrorCode::Busy, true),
-            (ErrorCode::TimedOut, true),
-            (ErrorCode::Shutdown, true),
-            (ErrorCode::Internal, true),
-            (ErrorCode::UnknownKey, false),
-            (ErrorCode::BadFrame, false),
-        ] {
-            let body = error_body(code, "msg");
-            let (back, msg) = error_from_body(&body).unwrap();
-            assert_eq!(back, code);
-            assert_eq!(msg, "msg");
-            let local = wire_to_error(back, msg);
-            match (expect_local, &local) {
-                (
-                    true,
-                    ServeError::Busy
-                    | ServeError::TimedOut
-                    | ServeError::Shutdown
-                    | ServeError::Internal(_),
-                ) => {}
-                (false, ServeError::Remote { .. }) => {}
-                other => panic!("unexpected mapping {other:?}"),
-            }
-        }
-        // Unknown ids reconstruct the typed variant when the message is
-        // the canonical {id:#018x} form the server sends...
-        let (code, msg) = error_to_wire(&ServeError::UnknownKey(0xAB));
-        assert!(matches!(
-            wire_to_error(code, msg),
-            ServeError::UnknownKey(0xAB)
-        ));
-        let (code, msg) = error_to_wire(&ServeError::UnknownMatrix(7));
-        assert!(matches!(
-            wire_to_error(code, msg),
-            ServeError::UnknownMatrix(7)
-        ));
-        // WrongShard reconstructs its typed fields from the canonical
-        // "epoch=E shard=I/N" message...
-        let (code, msg) = error_to_wire(&ServeError::WrongShard {
-            epoch: 12,
-            shard_index: 1,
-            shard_count: 3,
-        });
-        assert_eq!(code, ErrorCode::WrongShard);
-        assert_eq!(msg, "epoch=12 shard=1/3");
-        assert!(matches!(
-            wire_to_error(code, msg),
+    /// One error of every code, each field at a value of its own.
+    fn every_code() -> Vec<ServeError> {
+        vec![
+            ServeError::Busy,
+            ServeError::TimedOut,
+            ServeError::Shutdown,
+            ServeError::Internal("worker panicked".into()),
+            ServeError::UnknownKey(0xAB),
+            ServeError::UnknownMatrix(7),
             ServeError::WrongShard {
                 epoch: 12,
                 shard_index: 1,
                 shard_count: 3,
+            },
+            ServeError::ChunkMismatch {
+                matrix_id: 0xAB,
+                index: 3,
+            },
+            ServeError::Remote {
+                code: ErrorCode::BadFrame,
+                message: "truncated".into(),
+            },
+            ServeError::Remote {
+                code: ErrorCode::Incompatible,
+                message: "prime chain".into(),
+            },
+        ]
+    }
+
+    #[test]
+    fn error_codes_roundtrip() {
+        // Every code comes back as the variant it left as, fields and
+        // message included: the rendering is the same on both ends.
+        for e in every_code() {
+            let back = error_from_body(&error_body(&e)).unwrap();
+            assert_eq!(back.to_string(), e.to_string(), "{e:?}");
+            assert_eq!(error_body(&back), error_body(&e), "{e:?}");
+        }
+        // A local BadFrame or Incompatible arrives as Remote with its
+        // code and text; nothing typed does.
+        assert!(matches!(
+            error_from_body(&error_body(&ServeError::BadFrame("desync"))),
+            Ok(ServeError::Remote { code: ErrorCode::BadFrame, message }) if message == "desync"
+        ));
+        assert!(matches!(
+            error_from_body(&error_body(&ServeError::Incompatible("revision"))),
+            Ok(ServeError::Remote {
+                code: ErrorCode::Incompatible,
+                ..
+            })
+        ));
+        assert!(matches!(
+            error_from_body(&error_body(&ServeError::UnknownKey(0xAB))),
+            Ok(ServeError::UnknownKey(0xAB))
+        ));
+        // Unknown codes and torn bodies are malformed.
+        assert!(matches!(
+            error_from_body(&[42]),
+            Err(ServeError::BadFrame("unknown error code"))
+        ));
+        assert!(error_from_body(&[]).is_err());
+        assert!(error_from_body(&error_body(&ServeError::Internal("m".into()))[..2]).is_err());
+    }
+
+    #[test]
+    fn typed_error_bodies_of_the_wrong_length_are_bad_frames() {
+        for e in every_code() {
+            let body = error_body(&e);
+            let short = &body[..body.len() - 1];
+            let mut long = body.clone();
+            long.push(0);
+            for bad in [short, &long] {
+                assert!(
+                    matches!(error_from_body(bad), Err(ServeError::BadFrame(_))),
+                    "{e:?} decoded from {} bytes",
+                    bad.len()
+                );
             }
-        ));
+        }
+    }
+
+    #[test]
+    fn error_messages_are_utf8_and_fit_their_length_field() {
+        // A message that is not UTF-8 is malformed, never repaired.
+        let mut body = error_body(&ServeError::Internal("ab".into()));
+        body[3] = 0xFF;
         assert!(matches!(
-            wire_to_error(ErrorCode::WrongShard, "garbled".into()),
-            ServeError::Remote { .. }
+            error_from_body(&body),
+            Err(ServeError::BadFrame("error message is not UTF-8"))
         ));
-        // ...and fall back to Remote for anything else.
-        assert!(matches!(
-            wire_to_error(ErrorCode::UnknownKey, "not an id".into()),
-            ServeError::Remote { .. }
-        ));
-        assert!(error_from_body(&[42, 0, 0]).is_err());
-        assert!(error_from_body(&error_body(ErrorCode::Busy, "m")[..2]).is_err());
+        // An over-long message is cut at the last char boundary that
+        // fits a u16 length: 32 767 two-byte chars, then a split one.
+        let long = "é".repeat(40_000);
+        let body = error_body(&ServeError::Internal(long.clone()));
+        assert_eq!(body.len(), 1 + 2 + 65_534);
+        match error_from_body(&body).unwrap() {
+            ServeError::Internal(m) => assert_eq!(m, long[..65_534]),
+            other => panic!("got {other:?}"),
+        }
     }
 
     #[test]
@@ -1704,35 +1698,36 @@ mod tests {
 
     #[test]
     fn chunk_mismatch_error_roundtrip() {
-        let (code, msg) = error_to_wire(&ServeError::ChunkMismatch {
+        let body = error_body(&ServeError::ChunkMismatch {
             matrix_id: 0xAB,
             index: 3,
         });
-        assert_eq!(code, ErrorCode::ChunkMismatch);
-        assert_eq!(msg, "matrix=0x00000000000000ab chunk=3");
+        assert_eq!(body[0], ErrorCode::ChunkMismatch as u8);
+        assert_eq!(body[1..9], 0xABu64.to_le_bytes());
+        assert_eq!(body[9..], 3u32.to_le_bytes());
         assert!(matches!(
-            wire_to_error(code, msg),
-            ServeError::ChunkMismatch {
+            error_from_body(&body),
+            Ok(ServeError::ChunkMismatch {
                 matrix_id: 0xAB,
                 index: 3,
-            }
+            })
         ));
         // The commit-level sentinel survives the round trip too.
-        let (code, msg) = error_to_wire(&ServeError::ChunkMismatch {
+        let body = error_body(&ServeError::ChunkMismatch {
             matrix_id: 9,
             index: CHUNK_INDEX_NONE,
         });
         assert!(matches!(
-            wire_to_error(code, msg),
-            ServeError::ChunkMismatch {
+            error_from_body(&body),
+            Ok(ServeError::ChunkMismatch {
                 matrix_id: 9,
                 index: CHUNK_INDEX_NONE,
-            }
+            })
         ));
-        // Garbled messages fall back to Remote.
+        // A torn body is malformed, not an untyped remote error.
         assert!(matches!(
-            wire_to_error(ErrorCode::ChunkMismatch, "garbled".into()),
-            ServeError::Remote { .. }
+            error_from_body(&body[..9]),
+            Err(ServeError::BadFrame(_))
         ));
     }
 
@@ -1913,18 +1908,20 @@ mod tests {
     }
 
     #[test]
-    fn serve_error_to_wire_covers_variants() {
-        let (c, _) = error_to_wire(&ServeError::Busy);
-        assert_eq!(c, ErrorCode::Busy);
-        let (c, _) = error_to_wire(&ServeError::TimedOut);
-        assert_eq!(c, ErrorCode::TimedOut);
-        let (c, m) = error_to_wire(&ServeError::UnknownKey(16));
-        assert_eq!(c, ErrorCode::UnknownKey);
-        assert!(m.contains("0x"));
-        let (c, _) = error_to_wire(&ServeError::He(cham_he::HeError::NoiseBudgetExhausted));
-        assert_eq!(c, ErrorCode::Internal);
-        let (c, m) = error_to_wire(&ServeError::Internal("worker panicked".into()));
-        assert_eq!(c, ErrorCode::Internal);
-        assert_eq!(m, "worker panicked");
+    fn error_body_covers_every_variant() {
+        let code = |e: &ServeError| error_body(e)[0];
+        assert_eq!(code(&ServeError::Busy), ErrorCode::Busy as u8);
+        assert_eq!(code(&ServeError::TimedOut), ErrorCode::TimedOut as u8);
+        assert_eq!(error_body(&ServeError::UnknownKey(16)).len(), 9);
+        // Failures with no code of their own travel as Internal text.
+        let he = ServeError::He(cham_he::HeError::NoiseBudgetExhausted);
+        match error_from_body(&error_body(&he)).unwrap() {
+            ServeError::Internal(m) => assert_eq!(m, he.to_string()),
+            other => panic!("got {other:?}"),
+        }
+        match error_from_body(&error_body(&ServeError::Internal("worker panicked".into()))) {
+            Ok(ServeError::Internal(m)) => assert_eq!(m, "worker panicked"),
+            other => panic!("got {other:?}"),
+        }
     }
 }

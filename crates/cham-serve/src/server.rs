@@ -76,9 +76,9 @@ pub struct ServerConfig {
     /// clients refresh their topology instead of retrying blindly.
     /// Galois key uploads are exempt — every shard needs the keys.
     pub shard: Option<ShardSpec>,
-    /// Node id surfaced in hello responses and introspection (`0` =
-    /// unset); the `cham-serve` binary derives a cluster node's from the
-    /// hash of its `--addr`.
+    /// Node id surfaced in introspection (`0` = unset); the
+    /// `cham-serve` binary derives a cluster node's from the hash of its
+    /// `--addr`.
     pub node_id: u64,
     /// When set, every cached matrix's upload body persists to a
     /// crash-safe [`SegmentStore`] at this directory, and a restarted
@@ -180,7 +180,6 @@ impl ServerShared {
     /// server is standalone).
     fn cluster_identity(&self) -> Option<ClusterIdentity> {
         self.config.shard.as_ref().map(|s| ClusterIdentity {
-            node_id: self.config.node_id,
             shard_index: s.shard_index,
             shard_count: s.ring.nodes(),
             epoch: s.epoch,
@@ -397,12 +396,7 @@ fn elapsed_ns(since: Instant) -> u64 {
 }
 
 fn send_error(stream: &mut TcpStream, e: &ServeError) -> Result<()> {
-    let (code, message) = protocol::error_to_wire(e);
-    protocol::write_frame(
-        stream,
-        FrameKind::Error,
-        &protocol::error_body(code, &message),
-    )
+    protocol::write_frame(stream, FrameKind::Error, &protocol::error_body(e))
 }
 
 /// Answers requests that race shutdown with typed `Shutdown` errors for
@@ -560,16 +554,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<FrameOutcome> {
     let cache = &shared.cache;
     let stats = &shared.stats;
-    let config = &shared.config;
     match kind {
         FrameKind::Hello => {
             Hello::from_bytes(body)?.check(cache.params())?;
             Ok(FrameOutcome::plain(Response::Hello {
-                workers: config.workers as u16,
-                queue_capacity: config.queue_capacity as u32,
-                // Requests are not coalesced; the word leaves the frame
-                // with the next wire revision.
-                max_batch: 1,
                 version: protocol::PROTOCOL_VERSION,
                 cluster: shared.cluster_identity(),
             }))

@@ -197,8 +197,6 @@ impl ShardSpec {
 /// out-of-band discovery service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterIdentity {
-    /// Operator-assigned node id (for log/top attribution; `0` = unset).
-    pub node_id: u64,
     /// The slot this server serves.
     pub shard_index: u16,
     /// Total slots in the ring (`0` never appears — standalone servers

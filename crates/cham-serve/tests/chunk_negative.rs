@@ -49,11 +49,22 @@ fn raw_connect(server: &Server) -> TcpStream {
 }
 
 /// Sends one frame and returns the typed error the server answers with.
-fn roundtrip_err(s: &mut TcpStream, kind: FrameKind, body: &[u8]) -> (ErrorCode, String) {
+fn roundtrip_err(s: &mut TcpStream, kind: FrameKind, body: &[u8]) -> ServeError {
     protocol::write_frame(s, kind, body).unwrap();
     let (kind, body) = protocol::read_frame(s).unwrap();
     assert_eq!(kind, FrameKind::Error, "expected a typed error");
     protocol::error_from_body(&body).unwrap()
+}
+
+/// The server's message in a remote `BadFrame`; panics on any other error.
+fn bad_frame(e: ServeError) -> String {
+    match e {
+        ServeError::Remote {
+            code: ErrorCode::BadFrame,
+            message,
+        } => message,
+        other => panic!("expected a remote BadFrame, got {other:?}"),
+    }
 }
 
 /// An oversize chunk-size declaration is refused before the server
@@ -69,8 +80,11 @@ fn oversize_chunk_declaration_is_rejected_before_allocation() {
     // Keep the count arithmetically consistent so the size bound is the
     // check that fires.
     start.chunk_count = (body.len() as u64).div_ceil(start.chunk_size as u64) as u32;
-    let (code, message) = roundtrip_err(&mut s, FrameKind::MatrixChunkStart, &start.to_bytes());
-    assert_eq!(code, ErrorCode::BadFrame);
+    let message = bad_frame(roundtrip_err(
+        &mut s,
+        FrameKind::MatrixChunkStart,
+        &start.to_bytes(),
+    ));
     assert!(message.contains("chunk size"), "got {message:?}");
     server.shutdown();
 }
@@ -83,8 +97,7 @@ fn oversize_chunk_data_is_rejected() {
     let mut s = raw_connect(&server);
     let data = vec![0u8; MAX_CHUNK_BYTES + 1];
     let frame = protocol::matrix_chunk_to_bytes(1, 0, content_hash(&data), &data);
-    let (code, message) = roundtrip_err(&mut s, FrameKind::MatrixChunk, &frame);
-    assert_eq!(code, ErrorCode::BadFrame);
+    let message = bad_frame(roundtrip_err(&mut s, FrameKind::MatrixChunk, &frame));
     assert!(message.contains("MAX_CHUNK_BYTES"), "got {message:?}");
     server.shutdown();
 }
@@ -104,8 +117,7 @@ fn out_of_range_chunk_index_is_rejected() {
     let data = &body[..64];
     let frame =
         protocol::matrix_chunk_to_bytes(matrix_id, start.chunk_count, content_hash(data), data);
-    let (code, message) = roundtrip_err(&mut s, FrameKind::MatrixChunk, &frame);
-    assert_eq!(code, ErrorCode::BadFrame);
+    let message = bad_frame(roundtrip_err(&mut s, FrameKind::MatrixChunk, &frame));
     assert!(message.contains("index"), "got {message:?}");
     server.shutdown();
 }
@@ -180,8 +192,7 @@ fn zero_shape_upload_cannot_overwrite_another_matrix() {
         a.mul_vector_mod(&v, t).unwrap(),
         "id_A no longer multiplies by A"
     );
-    let (code, message) = refused.expect("the zero-shape start was accepted");
-    assert_eq!(code, ErrorCode::BadFrame);
+    let message = bad_frame(refused.expect("the zero-shape start was accepted"));
     assert!(message.contains("empty matrix"), "got {message:?}");
     server.shutdown();
 }
@@ -194,8 +205,7 @@ fn chunk_for_undeclared_upload_is_rejected() {
     let mut s = raw_connect(&server);
     let data = [7u8; 32];
     let frame = protocol::matrix_chunk_to_bytes(0xDEAD, 0, content_hash(&data), &data);
-    let (code, message) = roundtrip_err(&mut s, FrameKind::MatrixChunk, &frame);
-    assert_eq!(code, ErrorCode::BadFrame);
+    let message = bad_frame(roundtrip_err(&mut s, FrameKind::MatrixChunk, &frame));
     assert!(message.contains("undeclared"), "got {message:?}");
     server.shutdown();
 }
@@ -218,10 +228,8 @@ fn checksum_mismatch_is_typed_and_recoverable() {
     // Chunk 1 arrives with a checksum computed over different bytes.
     let data = &body[chunk_bytes..2 * chunk_bytes];
     let bad = protocol::matrix_chunk_to_bytes(matrix_id, 1, content_hash(data) ^ 1, data);
-    let (code, message) = roundtrip_err(&mut s, FrameKind::MatrixChunk, &bad);
-    assert_eq!(code, ErrorCode::ChunkMismatch);
-    // The message round-trips to the typed form with the chunk index.
-    match protocol::wire_to_error(code, message) {
+    // The error arrives typed, with the chunk index.
+    match roundtrip_err(&mut s, FrameKind::MatrixChunk, &bad) {
         ServeError::ChunkMismatch {
             matrix_id: id,
             index,
@@ -305,13 +313,11 @@ fn assert_lying_id_commit_refused(chunk_bytes: usize, reverse: bool) {
         let (kind, _) = protocol::read_frame(&mut s).unwrap();
         assert_eq!(kind, FrameKind::Result);
     }
-    let (code, message) = roundtrip_err(
+    match roundtrip_err(
         &mut s,
         FrameKind::MatrixChunkCommit,
         &protocol::matrix_chunk_commit_to_bytes(lying_id),
-    );
-    assert_eq!(code, ErrorCode::ChunkMismatch);
-    match protocol::wire_to_error(code, message) {
+    ) {
         ServeError::ChunkMismatch { matrix_id, index } => {
             assert_eq!(matrix_id, lying_id);
             assert_eq!(index, protocol::CHUNK_INDEX_NONE);
@@ -319,13 +325,16 @@ fn assert_lying_id_commit_refused(chunk_bytes: usize, reverse: bool) {
         other => panic!("expected typed ChunkMismatch, got {other:?}"),
     }
     // The assembly is gone: a retry must redeclare from scratch.
-    let (code, _) = roundtrip_err(
+    let e = roundtrip_err(
         &mut s,
         FrameKind::MatrixChunkCommit,
         &protocol::matrix_chunk_commit_to_bytes(lying_id),
     );
     // No assembly and no cached matrix under the lying id.
-    assert_eq!(code, ErrorCode::UnknownMatrix);
+    assert!(
+        matches!(e, ServeError::UnknownMatrix(id) if id == lying_id),
+        "{e:?}"
+    );
     assert_eq!(server.cache().lens().1, 0);
     server.shutdown();
 }
@@ -349,12 +358,11 @@ fn premature_commit_keeps_the_assembly() {
     let frame = protocol::matrix_chunk_to_bytes(matrix_id, 0, content_hash(data), data);
     protocol::write_frame(&mut s, FrameKind::MatrixChunk, &frame).unwrap();
     let _ = protocol::read_frame(&mut s).unwrap();
-    let (code, message) = roundtrip_err(
+    let message = bad_frame(roundtrip_err(
         &mut s,
         FrameKind::MatrixChunkCommit,
         &protocol::matrix_chunk_commit_to_bytes(matrix_id),
-    );
-    assert_eq!(code, ErrorCode::BadFrame);
+    ));
     assert!(message.contains("commit"), "got {message:?}");
     drop(s);
 
@@ -421,8 +429,8 @@ fn a_start_past_the_pending_bound_is_busy() {
             assert_eq!(kind, FrameKind::Result, "start {seed} is within the bound");
         } else {
             assert_eq!(kind, FrameKind::Error);
-            let (code, _) = protocol::error_from_body(&reply).unwrap();
-            assert_eq!(code, ErrorCode::Busy);
+            let e = protocol::error_from_body(&reply).unwrap();
+            assert!(matches!(e, ServeError::Busy), "{e:?}");
         }
     }
     assert_eq!(server.introspect().stats.reaped_uploads, 0);
@@ -437,8 +445,11 @@ fn overflowing_shape_declaration_is_a_bad_frame() {
     let server = start_server();
     let mut s = raw_connect(&server);
     let start = MatrixChunkStart::new(0xBAD, 8, 8, 1 << 31, 1 << 30);
-    let (code, message) = roundtrip_err(&mut s, FrameKind::MatrixChunkStart, &start.to_bytes());
-    assert_eq!(code, ErrorCode::BadFrame);
+    let message = bad_frame(roundtrip_err(
+        &mut s,
+        FrameKind::MatrixChunkStart,
+        &start.to_bytes(),
+    ));
     assert!(message.contains("frame bound"), "got {message:?}");
     server.shutdown();
 }

@@ -113,9 +113,13 @@ fn server_rejects_oversized_frame_with_typed_error() {
     stream.flush().unwrap();
     let (kind, body) = protocol::read_frame(&mut stream).unwrap();
     assert_eq!(kind, FrameKind::Error);
-    let (code, message) = protocol::error_from_body(&body).unwrap();
-    assert_eq!(code, ErrorCode::BadFrame);
-    assert!(message.contains("size bound"), "message: {message}");
+    match protocol::error_from_body(&body).unwrap() {
+        ServeError::Remote {
+            code: ErrorCode::BadFrame,
+            message,
+        } => assert!(message.contains("size bound"), "message: {message}"),
+        other => panic!("got {other:?}"),
+    }
     // The stream is desynced from the server's perspective — it closes.
     let mut rest = Vec::new();
     let _ = stream.read_to_end(&mut rest);
@@ -147,9 +151,13 @@ fn server_rejects_zero_deadline_on_the_wire() {
     protocol::write_frame(&mut stream, FrameKind::Hmvp, &body).unwrap();
     let (kind, body) = protocol::read_frame(&mut stream).unwrap();
     assert_eq!(kind, FrameKind::Error);
-    let (code, message) = protocol::error_from_body(&body).unwrap();
-    assert_eq!(code, ErrorCode::BadFrame);
-    assert!(message.contains("deadline_ms"), "message: {message}");
+    match protocol::error_from_body(&body).unwrap() {
+        ServeError::Remote {
+            code: ErrorCode::BadFrame,
+            message,
+        } => assert!(message.contains("deadline_ms"), "message: {message}"),
+        other => panic!("got {other:?}"),
+    }
     assert_ne!(DEADLINE_NONE, 0);
     server.shutdown();
 }
@@ -190,6 +198,16 @@ fn hello_recorder(
 fn revision_mismatch_is_one_typed_error() {
     let p = params();
 
+    let incompatible = |e: &ServeError| {
+        matches!(
+            e,
+            ServeError::Remote {
+                code: ErrorCode::Incompatible,
+                ..
+            }
+        )
+    };
+
     // Server side: a raw socket offering a neighbouring revision.
     let server = Server::start("127.0.0.1:0", Arc::clone(&p), &ServerConfig::default()).unwrap();
     for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
@@ -201,24 +219,15 @@ fn revision_mismatch_is_one_typed_error() {
         protocol::write_frame(&mut stream, FrameKind::Hello, &hello.to_bytes()).unwrap();
         let (kind, body) = protocol::read_frame(&mut stream).unwrap();
         assert_eq!(kind, FrameKind::Error, "revision {version} was accepted");
-        let (code, _) = protocol::error_from_body(&body).unwrap();
-        assert_eq!(code, ErrorCode::Incompatible);
+        let err = protocol::error_from_body(&body).unwrap();
+        assert!(incompatible(&err), "got {err:?}");
     }
     server.shutdown();
 
     // Client side, refused: exactly one hello, at the one revision.
     let refuse = |stream: &mut TcpStream| {
-        let body = protocol::error_body(ErrorCode::Incompatible, "go away");
+        let body = protocol::error_body(&ServeError::Incompatible("go away"));
         protocol::write_frame(stream, FrameKind::Error, &body).unwrap();
-    };
-    let incompatible = |e: &ServeError| {
-        matches!(
-            e,
-            ServeError::Remote {
-                code: ErrorCode::Incompatible,
-                ..
-            }
-        )
     };
     let (addr, offers) = hello_recorder(refuse);
     let err = ServeClient::connect(addr, Arc::clone(&p)).err().unwrap();
@@ -240,9 +249,6 @@ fn revision_mismatch_is_one_typed_error() {
     // Client side, answered at another revision: same ending.
     let (addr, offers) = hello_recorder(|stream| {
         let resp = Response::Hello {
-            workers: 1,
-            queue_capacity: 8,
-            max_batch: 4,
             version: PROTOCOL_VERSION + 1,
             cluster: None,
         };
@@ -316,58 +322,71 @@ fn forged_hmvp_done_bookkeeping_is_a_typed_error() {
     }
 }
 
-/// Every wire error code maps back to the intended client-side variant —
-/// typed where a typed variant exists, `Remote` where only the server
-/// has the context.
+/// Every wire error code maps back to the intended client-side variant:
+/// typed wherever a typed variant exists, `Remote` only for the two codes
+/// whose local variants hold a `&'static str` — and a typed code whose
+/// body does not carry its fields is a `BadFrame`, never a `Remote`.
 #[test]
 fn every_wire_code_maps_to_the_intended_variant() {
-    use protocol::wire_to_error;
+    use protocol::{error_body, error_from_body};
+    let decode =
+        |code: ErrorCode, fields: &[u8]| error_from_body(&[&[code as u8][..], fields].concat());
+    let text = |m: &str| [&(m.len() as u16).to_le_bytes()[..], m.as_bytes()].concat();
+    assert!(matches!(decode(ErrorCode::Busy, &[]), Ok(ServeError::Busy)));
     assert!(matches!(
-        wire_to_error(ErrorCode::Busy, "queue full".into()),
-        ServeError::Busy
+        decode(ErrorCode::TimedOut, &[]),
+        Ok(ServeError::TimedOut)
     ));
     assert!(matches!(
-        wire_to_error(ErrorCode::TimedOut, "deadline".into()),
-        ServeError::TimedOut
+        decode(ErrorCode::Shutdown, &[]),
+        Ok(ServeError::Shutdown)
     ));
-    assert!(matches!(
-        wire_to_error(ErrorCode::Shutdown, "going away".into()),
-        ServeError::Shutdown
-    ));
-    match wire_to_error(ErrorCode::Internal, "worker panicked: boom".into()) {
-        ServeError::Internal(m) => assert_eq!(m, "worker panicked: boom"),
+    match decode(ErrorCode::Internal, &text("worker panicked: boom")) {
+        Ok(ServeError::Internal(m)) => assert_eq!(m, "worker panicked: boom"),
         other => panic!("got {other:?}"),
     }
-    // Unknown ids reconstruct typed variants from the canonical message…
+    // Unknown ids travel as their eight bytes…
     assert!(matches!(
-        wire_to_error(ErrorCode::UnknownKey, format!("{:#018x}", 0xFEEDu64)),
-        ServeError::UnknownKey(0xFEED)
+        decode(ErrorCode::UnknownKey, &0xFEEDu64.to_le_bytes()),
+        Ok(ServeError::UnknownKey(0xFEED))
     ));
     assert!(matches!(
-        wire_to_error(ErrorCode::UnknownMatrix, format!("{:#018x}", 0xBEEFu64)),
-        ServeError::UnknownMatrix(0xBEEF)
+        decode(ErrorCode::UnknownMatrix, &0xBEEFu64.to_le_bytes()),
+        Ok(ServeError::UnknownMatrix(0xBEEF))
     ));
-    // …and degrade to Remote when the message is not an id.
+    // …and a body that is text, not an id, is malformed.
     assert!(matches!(
-        wire_to_error(ErrorCode::UnknownKey, "gone".into()),
-        ServeError::Remote {
-            code: ErrorCode::UnknownKey,
-            ..
-        }
+        decode(ErrorCode::UnknownKey, &text("gone")),
+        Err(ServeError::BadFrame(_))
     ));
     // BadFrame/Incompatible carry server-side context only.
     assert!(matches!(
-        wire_to_error(ErrorCode::BadFrame, "truncated".into()),
-        ServeError::Remote {
+        decode(ErrorCode::BadFrame, &text("truncated")),
+        Ok(ServeError::Remote {
             code: ErrorCode::BadFrame,
             ..
-        }
+        })
     ));
     assert!(matches!(
-        wire_to_error(ErrorCode::Incompatible, "prime chain".into()),
-        ServeError::Remote {
+        decode(ErrorCode::Incompatible, &text("prime chain")),
+        Ok(ServeError::Remote {
             code: ErrorCode::Incompatible,
             ..
-        }
+        })
     ));
+    // What the server sends for each typed error decodes to it.
+    for e in [
+        ServeError::WrongShard {
+            epoch: 12,
+            shard_index: 1,
+            shard_count: 3,
+        },
+        ServeError::ChunkMismatch {
+            matrix_id: 0xAB,
+            index: 3,
+        },
+    ] {
+        let back = error_from_body(&error_body(&e)).unwrap();
+        assert_eq!(back.to_string(), e.to_string());
+    }
 }
