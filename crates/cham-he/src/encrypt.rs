@@ -6,6 +6,12 @@
 //! (paper §III-A stage-4, "reduce the noise introduced by polynomial
 //! multiplication").
 //!
+//! Every encryption returns its ciphertext in NTT form, the form the
+//! HMVP's dot product reads: the mask is sampled, then transformed, and
+//! `b` is formed in the NTT domain, so no inverse transform runs. A
+//! caller that needs coefficient form (a monomial shift, an automorphism)
+//! converts explicitly with [`RlweCiphertext::to_coeff`].
+//!
 //! The noise meter computes the *exact* invariant noise via CRT lifting —
 //! this is how the repository checks the paper's "30 bit before rescale,
 //! 26 bit after" claim quantitatively (see `tests/` and EXPERIMENTS.md).
@@ -82,31 +88,34 @@ impl Encryptor {
         Ok(RnsPoly::from_limbs(ctx, limbs, Form::Coeff)?)
     }
 
+    /// `(b, a)` with `b + a·s = Δμ + e`, in NTT form: `a` and `Δμ + e` are
+    /// sampled in coefficient form (in that RNG order) and transformed
+    /// forward, and `b = NTT(Δμ + e) − NTT(a)·s` needs no inverse.
     fn encrypt_in(
         &self,
         pt: &Plaintext,
         ctx: &RnsContext,
         rng: &mut (impl Rng + ?Sized),
     ) -> Result<RlweCiphertext> {
-        let a = uniform_rns_poly(ctx, rng);
+        let mut a = uniform_rns_poly(ctx, rng);
         let e = noise_rns_poly(ctx, rng);
         let s_ntt = if ctx == self.params.augmented_context() {
             self.sk.s_aug_ntt()
         } else {
             self.sk.s_ct_ntt()
         };
-        let mut a_ntt = a.clone();
-        a_ntt.to_ntt();
-        let mut a_s = a_ntt.mul_pointwise(s_ntt)?;
-        a_s.to_coeff();
-        // b = Δμ + e − a·s   (so that b + a·s = Δμ + e)
-        let b = self.scaled_plaintext(pt, ctx)?.add(&e)?.sub(&a_s)?;
+        a.to_ntt();
+        let mut b = self.scaled_plaintext(pt, ctx)?;
+        b.add_assign(&e)?;
+        b.to_ntt();
+        b.sub_assign(&a.mul_pointwise(s_ntt)?)?;
         RlweCiphertext::new(b, a)
     }
 
-    /// Symmetric encryption over the **augmented** basis `Q·p` — the form
-    /// HMVP inputs take (paper: "The DOTPRODUCT module takes augmented
-    /// plaintext and ciphertext as input").
+    /// Symmetric encryption over the **augmented** basis `Q·p`, in NTT
+    /// form — the only form HMVP inputs take (paper: "The DOTPRODUCT
+    /// module takes augmented plaintext and ciphertext as input"; the
+    /// product reads the limbs in place, with no transform).
     pub fn encrypt_augmented<R: Rng + ?Sized>(
         &self,
         pt: &Plaintext,
@@ -116,13 +125,15 @@ impl Encryptor {
             .expect("contexts are internally consistent")
     }
 
-    /// Symmetric encryption over the normal basis `Q`.
+    /// Symmetric encryption over the normal basis `Q`, in NTT form.
     pub fn encrypt<R: Rng + ?Sized>(&self, pt: &Plaintext, rng: &mut R) -> RlweCiphertext {
         self.encrypt_in(pt, self.params.ciphertext_context(), rng)
             .expect("contexts are internally consistent")
     }
 
-    /// Public-key encryption over the augmented basis.
+    /// Public-key encryption over the augmented basis, in NTT form:
+    /// `(pk.b·u + NTT(e0 + Δμ), pk.a·u + NTT(e1))`, with `u`, `e0` and
+    /// `e1` drawn in that order.
     pub fn encrypt_with_pk<R: Rng + ?Sized>(
         &self,
         pk: &PublicKey,
@@ -130,17 +141,17 @@ impl Encryptor {
         rng: &mut R,
     ) -> Result<RlweCiphertext> {
         let ctx = self.params.augmented_context();
-        let (u, _) = ternary_rns_poly(ctx, rng);
-        let mut u_ntt = u;
-        u_ntt.to_ntt();
-        let e0 = noise_rns_poly(ctx, rng);
-        let e1 = noise_rns_poly(ctx, rng);
-        let mut b = pk.b.mul_pointwise(&u_ntt)?;
-        let mut a = pk.a.mul_pointwise(&u_ntt)?;
-        b.to_coeff();
-        a.to_coeff();
-        let b = b.add(&e0)?.add(&self.scaled_plaintext(pt, ctx)?)?;
-        let a = a.add(&e1)?;
+        let (mut u, _) = ternary_rns_poly(ctx, rng);
+        u.to_ntt();
+        let mut e0 = noise_rns_poly(ctx, rng);
+        let mut e1 = noise_rns_poly(ctx, rng);
+        e0.add_assign(&self.scaled_plaintext(pt, ctx)?)?;
+        e0.to_ntt();
+        e1.to_ntt();
+        let mut b = pk.b.mul_pointwise(&u)?;
+        let mut a = pk.a.mul_pointwise(&u)?;
+        b.add_assign(&e0)?;
+        a.add_assign(&e1)?;
         RlweCiphertext::new(b, a)
     }
 
@@ -333,6 +344,53 @@ mod tests {
         let pt = coder.encode_vector(&[65534, 7, 0, 12345]).unwrap();
         let ct = enc.encrypt(&pt, &mut rng);
         assert_eq!(dec.decrypt(&ct).values(), pt.values());
+    }
+
+    /// Both encryptions emit NTT form, and the value is the coefficient
+    /// form formula of the same draws, transformed: `b = Δμ + e − a·s`
+    /// and `(pk.b·u + e0 + Δμ, pk.a·u + e1)`.
+    #[test]
+    fn ntt_form_encryptions_are_the_coefficient_formula_transformed() {
+        let (params, sk, enc, _, _) = setup();
+        let pk = PublicKey::generate(&sk, &mut rand::rngs::StdRng::seed_from_u64(5));
+        let pt = CoeffEncoder::new(&params)
+            .encode_vector(&[3, 65536, 17])
+            .unwrap();
+        let ctx = params.augmented_context();
+        let intt = |mut p: RnsPoly| {
+            p.to_coeff();
+            p
+        };
+        let want = |b: RnsPoly, a: RnsPoly| {
+            let mut ct = RlweCiphertext::new(b, a).unwrap();
+            ct.to_ntt();
+            ct
+        };
+        let scaled = enc.scaled_plaintext(&pt, ctx).unwrap();
+        let seed = |s| rand::rngs::StdRng::seed_from_u64(s);
+
+        let got = enc.encrypt_augmented(&pt, &mut seed(7));
+        let mut rng = seed(7);
+        let a = uniform_rns_poly(ctx, &mut rng);
+        let e = noise_rns_poly(ctx, &mut rng);
+        let mut a_ntt = a.clone();
+        a_ntt.to_ntt();
+        let a_s = intt(a_ntt.mul_pointwise(sk.s_aug_ntt()).unwrap());
+        let b = scaled.add(&e).unwrap().sub(&a_s).unwrap();
+        assert_eq!(got.form(), Form::Ntt);
+        assert_eq!(got, want(b, a), "symmetric");
+
+        let got = enc.encrypt_with_pk(&pk, &pt, &mut seed(8)).unwrap();
+        let mut rng = seed(8);
+        let (mut u, _) = ternary_rns_poly(ctx, &mut rng);
+        u.to_ntt();
+        let e0 = noise_rns_poly(ctx, &mut rng);
+        let e1 = noise_rns_poly(ctx, &mut rng);
+        let b = intt(pk.b.mul_pointwise(&u).unwrap());
+        let b = b.add(&e0).unwrap().add(&scaled).unwrap();
+        let a = intt(pk.a.mul_pointwise(&u).unwrap()).add(&e1).unwrap();
+        assert_eq!(got.form(), Form::Ntt);
+        assert_eq!(got, want(b, a), "public key");
     }
 
     #[test]

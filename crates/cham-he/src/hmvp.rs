@@ -2,12 +2,13 @@
 //!
 //! For an `m × n` matrix `A` and encrypted vector `v`:
 //!
-//! 1. `v` is coefficient-encoded and encrypted (augmented basis), one
-//!    ciphertext per `N`-column tile,
+//! 1. `v` is coefficient-encoded and encrypted (augmented basis, NTT
+//!    form), one ciphertext per `N`-column tile,
 //! 2. every row tile is encoded per Eq. 1 and lifted to NTT form
 //!    (precomputable — the matrix is plaintext),
 //! 3. **dot product**: NTT-domain multiply-accumulate across column tiles
-//!    (pipeline stages 1–3),
+//!    (pipeline stages 1–3), reading the input ciphertexts' limbs in
+//!    place,
 //! 4. **rescale** by the special modulus (stage 4),
 //! 5. **extract** the constant coefficient as an LWE ciphertext (stage 4),
 //! 6. **pack** the `m` LWEs into `⌈m/N⌉` RLWE ciphertexts (stages 5–9).
@@ -37,36 +38,15 @@ use cham_math::simd::{row_product, row_product_add, DIGIT_PRODUCT_MAX_DIGITS};
 use cham_math::Poly;
 use cham_telemetry::span::{phase, Span};
 use rand::Rng;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// Rows per MAC block: each tile of the lifted input is read from memory
+/// Rows per MAC block: each tile of the input is read from memory
 /// once per `ROW_BLOCK` rows instead of once per row. Sized on `hmvp_wide`'s
 /// row-product loop (8 rows × 64 tiles at N = 4096) on a 2-core AVX-512 VM
 /// with 2 MiB of L2 per core: blocks of 1, 2, 4 and 8 rows took 9.1,
 /// 7.1–7.9, 6.5–6.8 and 5.6–5.8 ms. Eight rows' `a` limbs (256 KB) and one
-/// tile block's lifted limb (up to 1 MB) stay in L2 across the block.
+/// tile block's input limb (up to 1 MB) stay in L2 across the block.
 pub(crate) const ROW_BLOCK: usize = 8;
-
-/// The input vector in NTT form over the augmented basis, in a pooled
-/// buffer: per column tile, `b`'s limbs then `a`'s, `lanes` words each.
-struct LiftedInput<'w> {
-    words: &'w [u64],
-    n: usize,
-    limbs: usize,
-}
-
-impl LiftedInput<'_> {
-    /// Number of column tiles.
-    fn tiles(&self) -> usize {
-        self.words.len() / (2 * self.limbs * self.n)
-    }
-
-    /// Limb `l` of column tile `t`'s `b` (`half = 0`) or `a` (`half = 1`).
-    fn limb(&self, t: usize, half: usize, l: usize) -> &[u64] {
-        let at = ((2 * t + half) * self.limbs + l) * self.n;
-        &self.words[at..at + self.n]
-    }
-}
 
 /// A dense row-major matrix over `Z_t`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -216,7 +196,8 @@ impl Hmvp {
         &self.coder
     }
 
-    /// Encrypts a vector as `⌈len/N⌉` augmented-basis ciphertexts.
+    /// Encrypts a vector as `⌈len/N⌉` augmented-basis ciphertexts in NTT
+    /// form, the form [`Hmvp::multiply`] reads.
     ///
     /// # Errors
     /// [`HeError::InvalidParams`] for an empty vector.
@@ -309,16 +290,16 @@ impl Hmvp {
         RnsPoly::from_limbs(aug, limbs, Form::Ntt).expect("one degree-N limb per prime")
     }
 
-    /// Everything a product needs of its operands, checked before the lift
-    /// writes a word: one ciphertext per column tile, both halves of every
-    /// ciphertext over this engine's augmented basis (in either form — the
-    /// lift transforms or copies), and every matrix tile in NTT form over
-    /// it.
+    /// Everything a product needs of its operands, checked before any
+    /// work: one ciphertext per column tile, every ciphertext over this
+    /// engine's augmented basis and in NTT form (the MAC reads its limbs
+    /// in place), and every matrix tile in NTT form over that basis.
     ///
     /// # Errors
     /// [`HeError::ShapeMismatch`] for a ciphertext count other than the
     /// matrix's column tiling, [`cham_math::MathError::ContextMismatch`]
-    /// for an operand over another basis or ring degree.
+    /// for an operand over another basis or ring degree, and
+    /// [`HeError::Incompatible`] for a coefficient-form ciphertext.
     fn check_inputs(&self, matrix: &EncodedMatrix, cts: &[RlweCiphertext]) -> Result<()> {
         if cts.len() != matrix.col_tiles() {
             return Err(HeError::ShapeMismatch {
@@ -327,26 +308,32 @@ impl Hmvp {
             });
         }
         let aug = self.params.augmented_context();
-        let mut halves = cts.iter().flat_map(|ct| [ct.b(), ct.a()]);
+        let halves = || cts.iter().flat_map(|ct| [ct.b(), ct.a()]);
         let mut tiles = matrix.tiles.iter().flatten();
-        if halves.any(|x| x.context() != aug)
+        if halves().any(|x| x.context() != aug)
             || tiles.any(|pt| pt.context() != aug || pt.form() != Form::Ntt)
         {
             return Err(cham_math::MathError::ContextMismatch.into());
+        }
+        if halves().any(|x| x.form() != Form::Ntt) {
+            return Err(HeError::Incompatible(
+                "hmvp input ciphertexts must be in NTT form",
+            ));
         }
         Ok(())
     }
 
     /// Computes the dot-product/extract phase on the calling thread: one
     /// LWE ciphertext per row (Alg. 1 lines 1–4), blocks of [`ROW_BLOCK`]
-    /// rows over one pooled lift of the input. `map_capped` at a cap of 1
-    /// runs every block inline: nothing is spawned.
+    /// rows over the input ciphertexts. `map_capped` at a cap of 1 runs
+    /// every block inline: nothing is spawned.
     ///
     /// # Errors
     /// [`HeError::ShapeMismatch`] when the ciphertext count differs from
-    /// the matrix's column tiling, and
+    /// the matrix's column tiling,
     /// [`cham_math::MathError::ContextMismatch`] for an operand over
-    /// another basis or ring degree — both before any work is done.
+    /// another basis or ring degree, and [`HeError::Incompatible`] for a
+    /// coefficient-form ciphertext — all before any work is done.
     pub fn dot_products(
         &self,
         matrix: &EncodedMatrix,
@@ -354,9 +341,7 @@ impl Hmvp {
     ) -> Result<Vec<LweCiphertext>> {
         self.check_inputs(matrix, cts)?;
         let blocks: Vec<&[Vec<RnsPoly>]> = matrix.tiles.chunks(ROW_BLOCK).collect();
-        let lwes = self.with_lifted_input(cts, 1, |input| {
-            cham_pool::map_capped(&blocks, 1, |_, rows| self.dot_rows_lwe(rows, input))
-        });
+        let lwes = cham_pool::map_capped(&blocks, 1, |_, rows| self.dot_rows_lwe(rows, cts));
         Ok(lwes
             .into_iter()
             .collect::<Result<Vec<_>>>()?
@@ -365,64 +350,18 @@ impl Hmvp {
             .collect())
     }
 
-    /// Lifts the input ciphertexts to NTT form over the augmented basis, in
-    /// a pooled buffer, and runs `f` on it: every row block of the product
-    /// reuses the one lift (the pipeline keeps the vector resident in the
-    /// NTT domain across the whole DOTPRODUCT stage, §V-B.1). A
-    /// coefficient-form limb is transformed straight into the buffer
-    /// ([`cham_math::NttTable::forward_into`]), an NTT-form one copied;
-    /// nothing is cloned. A column tile (six limb transforms) is the
-    /// smallest unit that crosses threads, and only under the caller's
-    /// `threads` cap. The caller has run [`Hmvp::check_inputs`].
-    fn with_lifted_input<T>(
-        &self,
-        cts: &[RlweCiphertext],
-        threads: usize,
-        f: impl FnOnce(&LiftedInput<'_>) -> T,
-    ) -> T {
-        let aug = self.params.augmented_context();
-        let (n, limbs) = (aug.degree(), aug.len());
-        let tile_words = 2 * limbs * n;
-        ScratchPool::global().with_lift(cts.len() * tile_words, |words| {
-            {
-                // Request-scoped phase span: free when no recorder is
-                // installed (see cham_telemetry::span), so the kernel stays
-                // uninstrumented outside the serving stack's traced requests.
-                let _span = Span::enter(phase::ENCODE);
-                let tiles: Vec<Mutex<&mut [u64]>> =
-                    words.chunks_exact_mut(tile_words).map(Mutex::new).collect();
-                cham_pool::map_capped(&tiles, threads, |t, dst| {
-                    let mut dst = dst.lock().expect("one lock per tile");
-                    let limbs = [cts[t].b(), cts[t].a()].into_iter().flat_map(|half| {
-                        let form = half.form();
-                        half.limbs()
-                            .iter()
-                            .zip(aug.tables())
-                            .map(move |(l, tb)| (form, l, tb))
-                    });
-                    for ((form, limb, table), dst) in limbs.zip(dst.chunks_exact_mut(n)) {
-                        match form {
-                            Form::Coeff => table.forward_into(limb.coeffs(), dst),
-                            Form::Ntt => dst.copy_from_slice(limb.coeffs()),
-                        }
-                    }
-                });
-            }
-            f(&LiftedInput { words, n, limbs })
-        })
-    }
-
     /// One block of up to [`ROW_BLOCK`] rows through pipeline stages 1–4
     /// in `s`, nothing allocated:
     ///
     /// * **MAC** — per limb and per block of up to
     ///   [`DIGIT_PRODUCT_MAX_DIGITS`] column tiles, one [`row_product`] per
     ///   row ("a row residing in multiple ciphertexts needs to be
-    ///   aggregated", §V-B.2): the tile block's lifted input is read from
-    ///   memory for the first row and from cache for the others. The first
-    ///   tile block writes each row's canonical `a` sums into its plane and
-    ///   every later one adds into them mod `q`, sums held in registers and
-    ///   no accumulator plane,
+    ///   aggregated", §V-B.2): the tile block's input limbs, read in place
+    ///   from the NTT-form ciphertexts, come from memory for the first row
+    ///   and from cache for the others. The first tile block writes each
+    ///   row's canonical `a` sums into its plane and every later one adds
+    ///   into them mod `q`, sums held in registers and no accumulator
+    ///   plane,
     /// * **`a`** — inverse-transformed in scratch and rescaled straight
     ///   into the row's item of `a_out` (normal basis, coefficient form),
     /// * **`b`** — only its constant coefficient survives extraction, and
@@ -438,7 +377,7 @@ impl Hmvp {
     fn dot_rows_fused<'s, 'o, R: AsRef<[RnsPoly]>>(
         &self,
         rows: &[R],
-        input: &LiftedInput<'_>,
+        cts: &[RlweCiphertext],
         s: &'s mut DotScratch,
         a_out: impl IntoIterator<Item = &'o mut RnsPoly>,
     ) -> &'s [u64] {
@@ -451,7 +390,7 @@ impl Hmvp {
         // b₀ over the augmented basis, then over the normal basis, staged
         // just past the `a` planes.
         let (b0_aug, b0) = staged.split_at_mut(count * limbs);
-        let tiles = input.tiles();
+        let tiles = cts.len();
         for (l, table) in aug.tables().iter().enumerate() {
             let q = table.modulus();
             let mut sums = [0; ROW_BLOCK];
@@ -459,9 +398,9 @@ impl Hmvp {
                 let block = first..tiles.min(first + DIGIT_PRODUCT_MAX_DIGITS);
                 let width = block.len();
                 let mut ops = [[&[][..]; DIGIT_PRODUCT_MAX_DIGITS]; 3];
-                for (t, tile) in block.clone().enumerate() {
-                    ops[1][t] = input.limb(tile, 1, l);
-                    ops[2][t] = input.limb(tile, 0, l);
+                for (t, ct) in cts[block.clone()].iter().enumerate() {
+                    ops[1][t] = ct.a().limbs()[l].coeffs();
+                    ops[2][t] = ct.b().limbs()[l].coeffs();
                 }
                 let kernel = if k == 0 { row_product } else { row_product_add };
                 let row_planes = rows.iter().zip(planes.chunks_exact_mut(limbs * n));
@@ -506,12 +445,12 @@ impl Hmvp {
     fn dot_rows_lwe(
         &self,
         rows: &[Vec<RnsPoly>],
-        input: &LiftedInput<'_>,
+        cts: &[RlweCiphertext],
     ) -> Result<Vec<LweCiphertext>> {
         let ctx = self.params.ciphertext_context();
         let mut masks: Vec<RnsPoly> = rows.iter().map(|_| RnsPoly::zero(ctx)).collect();
         ScratchPool::global().with(self.params.augmented_context(), |s| {
-            let b0 = self.dot_rows_fused(rows, input, s, &mut masks);
+            let b0 = self.dot_rows_fused(rows, cts, s, &mut masks);
             masks
                 .into_iter()
                 .zip(b0.chunks_exact(ctx.len()))
@@ -531,7 +470,7 @@ impl Hmvp {
         &self,
         rows: &[Vec<RnsPoly>],
         idx: &[usize],
-        input: &LiftedInput<'_>,
+        cts: &[RlweCiphertext],
         s: &mut DotScratch,
         leaves: &mut [RlweCiphertext],
     ) {
@@ -540,7 +479,7 @@ impl Hmvp {
             *tiles = &rows[i];
         }
         let masks = leaves.iter_mut().map(|leaf| &mut leaf.a);
-        let b0 = self.dot_rows_fused(&block[..idx.len()], input, s, masks);
+        let b0 = self.dot_rows_fused(&block[..idx.len()], cts, s, masks);
         let b0 = b0.chunks_exact(self.params.ciphertext_context().len());
         for (leaf, b0) in leaves.iter_mut().zip(b0) {
             write_constant(&mut leaf.b, b0);
@@ -553,10 +492,10 @@ impl Hmvp {
     fn dot_row_unfused(
         &self,
         row_tiles: &[RnsPoly],
-        cts_ntt: &[RlweCiphertext],
+        cts: &[RlweCiphertext],
     ) -> Result<LweCiphertext> {
         let mut acc: Option<(RnsPoly, RnsPoly)> = None;
-        for (pt_ntt, ct) in row_tiles.iter().zip(cts_ntt) {
+        for (pt_ntt, ct) in row_tiles.iter().zip(cts) {
             let b = ct.b().mul_pointwise(pt_ntt)?;
             let a = ct.a().mul_pointwise(pt_ntt)?;
             acc = Some(match acc {
@@ -569,10 +508,10 @@ impl Hmvp {
         extract_lwe(&rescaled, 0)
     }
 
-    /// Dot-product phase through the oracle path: a cloned, transformed
-    /// input, strict per-tile multiply/add (no deferred reduction, two
-    /// allocations per row×tile), a materialised product ciphertext, six
-    /// inverse transforms and the public `rescale` + `extract_lwe` per row.
+    /// Dot-product phase through the oracle path: strict per-tile
+    /// multiply/add (no deferred reduction, two allocations per row×tile),
+    /// a materialised product ciphertext, six inverse transforms and the
+    /// public `rescale` + `extract_lwe` per row.
     /// Kept for the equivalence tests and the `fig8_hmvp` ablation column;
     /// results are bit-identical to [`Hmvp::dot_products`].
     ///
@@ -585,18 +524,10 @@ impl Hmvp {
         cts: &[RlweCiphertext],
     ) -> Result<Vec<LweCiphertext>> {
         self.check_inputs(matrix, cts)?;
-        let cts_ntt: Vec<RlweCiphertext> = cts
-            .iter()
-            .map(|ct| {
-                let mut c = ct.clone();
-                c.to_ntt();
-                c
-            })
-            .collect();
         matrix
             .tiles
             .iter()
-            .map(|row_tiles| self.dot_row_unfused(row_tiles, &cts_ntt))
+            .map(|row_tiles| self.dot_row_unfused(row_tiles, cts))
             .collect()
     }
 
@@ -615,24 +546,25 @@ impl Hmvp {
     }
 
     /// Full HMVP on at most `threads` threads, the caller among them — the
-    /// cap governs every fan-out inside the call (the lift's column tiles,
-    /// then pack subtrees), and `threads = 1` spawns no thread.
+    /// cap governs every fan-out inside the call (the pack subtrees), and
+    /// `threads = 1` spawns no thread.
     ///
-    /// The input is lifted once into a pooled buffer. Each `N`-row block is
-    /// one `PACKLWES` whose leaves are the block's rows, computed on demand
-    /// in the order the pack tree consumes them, [`ROW_BLOCK`] tree
-    /// positions at a time so that each tile of the lifted input is read
-    /// once per [`ROW_BLOCK`] rows. A thread owns one contiguous subtree
+    /// The MAC reads the NTT-form input ciphertexts in place: no
+    /// transform, no copy. Each `N`-row block is one `PACKLWES` whose
+    /// leaves are the block's rows, computed on demand in the order the
+    /// pack tree consumes them, [`ROW_BLOCK`] tree positions at a time so
+    /// that each tile of the input is read once per [`ROW_BLOCK`] rows.
+    /// A thread owns one contiguous subtree
     /// end to end — MAC, rescale, extract and every reduction beneath the
     /// subtree root (see [`pack_with`]). No LWE is ever stored, and after
     /// a warm-up a call draws all its working memory from the scratch
     /// pool.
     ///
     /// # Errors
-    /// [`HeError::ShapeMismatch`] and
-    /// [`cham_math::MathError::ContextMismatch`] as for
-    /// [`Hmvp::dot_products`], before any work is done; missing
-    /// Galois keys from the pack.
+    /// [`HeError::ShapeMismatch`],
+    /// [`cham_math::MathError::ContextMismatch`] and
+    /// [`HeError::Incompatible`] as for [`Hmvp::dot_products`], before
+    /// any work is done; missing Galois keys from the pack.
     pub fn multiply_parallel(
         &self,
         matrix: &EncodedMatrix,
@@ -642,20 +574,17 @@ impl Hmvp {
     ) -> Result<HmvpResult> {
         cham_telemetry::counter_add!("cham_he.hmvp.multiply", 1);
         self.check_inputs(matrix, cts)?;
-        let packed = self.with_lifted_input(cts, threads, |input| {
-            matrix
-                .tiles
-                .chunks(self.params.degree())
-                .map(|rows| {
-                    let leaves =
-                        |idx: &[usize], leaves: &mut [RlweCiphertext], s: &mut DotScratch| {
-                            self.dot_rows_leaves(rows, idx, input, s, leaves);
-                            Ok(())
-                        };
-                    pack_with(rows.len(), threads, leaves, gkeys, &self.params)
-                })
-                .collect::<Result<Vec<_>>>()
-        })?;
+        let packed = matrix
+            .tiles
+            .chunks(self.params.degree())
+            .map(|rows| {
+                let leaves = |idx: &[usize], leaves: &mut [RlweCiphertext], s: &mut DotScratch| {
+                    self.dot_rows_leaves(rows, idx, cts, s, leaves);
+                    Ok(())
+                };
+                pack_with(rows.len(), threads, leaves, gkeys, &self.params)
+            })
+            .collect::<Result<Vec<_>>>()?;
         Ok(HmvpResult {
             packed,
             len: matrix.rows,
@@ -846,18 +775,15 @@ mod tests {
             dirty.b = dirty.a.clone();
             let mut leaves = vec![dirty; ROW_BLOCK];
             let order: Vec<usize> = (0..rows).rev().collect();
-            hmvp.with_lifted_input(&cts, 1, |input| {
-                for idx in order.chunks(ROW_BLOCK) {
-                    let leaves = &mut leaves[..idx.len()];
-                    ScratchPool::global().with(params.augmented_context(), |s| {
-                        hmvp.dot_rows_leaves(em.tiles(), idx, input, s, leaves);
-                    });
-                    for (leaf, &i) in leaves.iter().zip(idx) {
-                        prop_assert!(*leaf == crate::extract::lwe_to_rlwe(&oracle[i]), "leaf path");
-                    }
+            for idx in order.chunks(ROW_BLOCK) {
+                let leaves = &mut leaves[..idx.len()];
+                ScratchPool::global().with(params.augmented_context(), |s| {
+                    hmvp.dot_rows_leaves(em.tiles(), idx, &cts, s, leaves);
+                });
+                for (leaf, &i) in leaves.iter().zip(idx) {
+                    prop_assert!(*leaf == crate::extract::lwe_to_rlwe(&oracle[i]), "leaf path");
                 }
-                Ok(())
-            })?;
+            }
         }
     }
 
@@ -941,10 +867,11 @@ mod tests {
         }
     }
 
-    /// Operands over the wrong basis or ring degree are typed errors,
-    /// raised before the lift writes its pooled buffer — also when only
-    /// the last tile is wrong — and they leave the pool serving the next
-    /// well-formed call the bytes a fresh engine computed.
+    /// Operands over the wrong basis or ring degree, and coefficient-form
+    /// inputs, are typed errors on every entry point, raised before any
+    /// work — also when only the last tile is wrong — and they leave the
+    /// pool serving the next well-formed call the bytes a fresh engine
+    /// computed.
     #[test]
     fn malformed_operands_fail_typed_before_the_lift() {
         use crate::params::ChamParamsBuilder;
@@ -960,7 +887,7 @@ mod tests {
 
         // A ciphertext outside the augmented basis …
         let normal = enc.encrypt(&fresh.encoder().encode_vector(&v[..1]).unwrap(), &mut rng);
-        // … and one from another ring degree.
+        // … one from another ring degree …
         let other = ChamParamsBuilder::new().degree(512).build().unwrap();
         let other_sk = SecretKey::generate(&other, &mut rng);
         let other_hmvp = Hmvp::new(&other);
@@ -969,53 +896,66 @@ mod tests {
             .encrypt_vector(&[1], &other_enc, &mut rng)
             .unwrap()
             .remove(0);
+        // … and the right ones in coefficient form.
+        let mut coeff = good.clone();
+        coeff.iter_mut().for_each(RlweCiphertext::to_coeff);
         let with_last = |bad: &RlweCiphertext| {
             let mut cts = good.clone();
             *cts.last_mut().unwrap() = bad.clone();
             cts
         };
-        let cases = [
-            ("every tile normal-basis", &em, vec![normal.clone(); 3]),
-            ("last tile normal-basis", &em, with_last(&normal)),
-            ("last tile at N = 512", &em, with_last(&wide)),
-        ];
         // A matrix encoded at N = 512 (2 tiles of 600 columns), too.
         let other_em = other_hmvp
             .encode_matrix(&Matrix::random(3, 600, t, &mut rng))
             .unwrap();
-        let other_case = ("matrix at N = 512", &other_em, good[..2].to_vec());
+        type Typed = fn(&Result<()>) -> bool;
+        let mismatch: Typed =
+            |r| matches!(r, Err(HeError::Math(cham_math::MathError::ContextMismatch)));
+        let incompatible: Typed = |r| matches!(r, Err(HeError::Incompatible(_)));
+        let cases = [
+            (
+                "every tile normal-basis",
+                &em,
+                vec![normal.clone(); 3],
+                mismatch,
+            ),
+            ("last tile normal-basis", &em, with_last(&normal), mismatch),
+            ("last tile at N = 512", &em, with_last(&wide), mismatch),
+            ("matrix at N = 512", &other_em, good[..2].to_vec(), mismatch),
+            (
+                "every tile coefficient-form",
+                &em,
+                coeff.clone(),
+                incompatible,
+            ),
+            (
+                "last tile coefficient-form",
+                &em,
+                with_last(&coeff[2]),
+                incompatible,
+            ),
+        ];
 
         let hmvp = Hmvp::new(&params);
-        let mismatch =
-            |r: Result<()>| matches!(r, Err(HeError::Math(cham_math::MathError::ContextMismatch)));
-        for (name, em, cts) in cases.iter().chain([&other_case]) {
+        for (name, em, cts, typed) in &cases {
             assert!(
-                mismatch(hmvp.multiply(em, cts, &gkeys).map(drop)),
+                typed(&hmvp.multiply(em, cts, &gkeys).map(drop)),
                 "{name}: multiply"
             );
             assert!(
-                mismatch(hmvp.dot_products(em, cts).map(drop)),
+                typed(&hmvp.dot_products(em, cts).map(drop)),
                 "{name}: dot_products"
             );
             let unfused = hmvp.dot_products_unfused(em, cts).map(drop);
-            assert!(mismatch(unfused), "{name}: dot_products_unfused");
+            assert!(typed(&unfused), "{name}: dot_products_unfused");
             for cap in [1, 2] {
                 let packed = hmvp.multiply_parallel(em, cts, &gkeys, cap).map(drop);
-                assert!(mismatch(packed), "{name}: multiply_parallel cap {cap}");
+                assert!(typed(&packed), "{name}: multiply_parallel cap {cap}");
             }
         }
 
         let got = hmvp.multiply_parallel(&em, &good, &gkeys, 1).unwrap();
         assert_eq!(got.packed[0].ciphertext, want.packed[0].ciphertext);
-        // An input already in NTT form is copied, not transformed again.
-        let mut ntt = good.clone();
-        ntt.iter_mut().for_each(RlweCiphertext::to_ntt);
-        let got = hmvp.multiply_parallel(&em, &ntt, &gkeys, 2).unwrap();
-        assert_eq!(got.packed[0].ciphertext, want.packed[0].ciphertext);
-        assert_eq!(
-            hmvp.dot_products(&em, &ntt).unwrap(),
-            hmvp.dot_products(&em, &good).unwrap()
-        );
     }
 
     #[test]

@@ -491,7 +491,8 @@ mod tests {
         // Switching from s to s itself must be (nearly) a no-op.
         let (params, sk, enc, dec, coder, mut rng) = setup();
         let pt = coder.encode_vector(&[42, 17, 65000]).unwrap();
-        let ct = enc.encrypt(&pt, &mut rng);
+        let mut ct = enc.encrypt(&pt, &mut rng);
+        ct.to_coeff();
         let ksk = KeySwitchKey::generate(&sk, sk.coeffs(), &mut rng).unwrap();
         let (ks_b, ks_a) = keyswitch_mask(ct.a(), &ksk, &params).unwrap();
         let new_ct = RlweCiphertext::new(ct.b().clone().add(&ks_b).unwrap(), ks_a).unwrap();

@@ -26,7 +26,7 @@
 //! The paper's stages 5–9 never hold a tree level: LWEs stream out of
 //! stage 4 and are folded into a *reduce buffer* as they arrive. The
 //! software does the same. Leaves are produced in tree order, a block of
-//! [`ROW_BLOCK`] tree positions at a time (so the HMVP reads its lifted
+//! [`ROW_BLOCK`] tree positions at a time (so the HMVP reads its NTT-form
 //! input once per block, not once per row), and reduced depth-first with a
 //! binary-counter carry stack — after leaf `j` the stack holds one partial
 //! result per set bit of `j + 1` — so at most `log2(count) + 1 +
@@ -629,7 +629,9 @@ mod tests {
                     GaloisKeys::generate_for_packing(&sk, params.max_pack_log(), &mut rng).unwrap();
                 let ct = |rng: &mut rand::rngs::StdRng| {
                     let vals: Vec<u64> = (0..n).map(|_| rng.gen_range(0..65537)).collect();
-                    enc.encrypt(&coder.encode_vector(&vals).unwrap(), rng)
+                    let mut ct = enc.encrypt(&coder.encode_vector(&vals).unwrap(), rng);
+                    ct.to_coeff();
+                    ct
                 };
                 let (even, odd) = (ct(&mut rng), ct(&mut rng));
                 let case = format!("backend={backend} chain={primes:?}+{p}");

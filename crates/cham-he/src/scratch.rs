@@ -1,15 +1,12 @@
 //! Pooled scratch buffers for the fused HMVP kernels.
 //!
-//! Every working buffer of a product comes from one shared [`ScratchPool`]:
-//!
-//! * the **lifted input** — the input vector in NTT form over the
-//!   augmented basis, `2 · limbs · lanes` words per column tile, written by
-//!   the lift and read by every row block of the product,
-//! * a [`DotScratch`] per row block or pack subtree — one flat `u64` area
-//!   for a block's canonical `a` sums and `b₀` residues (the row MAC and
-//!   the key-switch's digit product sum in registers and keep no
-//!   accumulator plane), or a key-switch's digits and their two sums —
-//!   together with the pack's spare ciphertexts.
+//! Every working buffer of a product is a [`DotScratch`] from one shared
+//! [`ScratchPool`], one per row block or pack subtree: one flat `u64` area
+//! for a block's canonical `a` sums and `b₀` residues (the row MAC and the
+//! key-switch's digit product sum in registers and keep no accumulator
+//! plane), or a key-switch's digits and their two sums — together with
+//! the pack's spare ciphertexts. The input needs no buffer: it arrives in
+//! NTT form and the MAC reads its limbs in place.
 //!
 //! Backing these with fresh vectors would put heap allocations, and page
 //! faults, on every product, every row block and every pack step; instead
@@ -19,18 +16,12 @@
 //!
 //! Ownership rules:
 //! * a buffer is owned exclusively for the duration of one
-//!   [`ScratchPool::with`] or [`ScratchPool::with_lift`] call and returned
-//!   to the free list afterwards,
+//!   [`ScratchPool::with`] call and returned to the free list afterwards,
 //! * a [`DotScratch`] is size-matched, never resized — a request for an
 //!   unseen `(degree, limbs)` shape allocates (a *miss*) and the buffer
 //!   joins the list on release,
-//! * a lift buffer is served by the smallest kept one that is long enough;
-//!   when none is, the longest is dropped and one of the requested length
-//!   allocated (a miss). A kept lift buffer therefore retains the widest
-//!   input served, one per peak concurrent checkout,
-//! * the lists hold at most the peak number of concurrent checkouts (per
-//!   shape for a [`DotScratch`]): a buffer is only created when every
-//!   fitting one is out.
+//! * the list holds at most the peak number of concurrent checkouts per
+//!   shape: a buffer is only created when every fitting one is out.
 //!
 //! Hit/miss counts are kept per pool instance (so a test can watch a
 //! private pool no sibling test touches) and in the process-wide
@@ -78,10 +69,9 @@ impl DotScratch {
     }
 }
 
-/// Free lists of [`DotScratch`] and lift buffers shared by every thread.
+/// A free list of [`DotScratch`] shared by every thread.
 pub(crate) struct ScratchPool {
     free: Mutex<Vec<DotScratch>>,
-    lifts: Mutex<Vec<Vec<u64>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -94,7 +84,6 @@ impl ScratchPool {
     pub(crate) const fn new() -> Self {
         Self {
             free: Mutex::new(Vec::new()),
-            lifts: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -142,36 +131,6 @@ impl ScratchPool {
             .lock()
             .expect("scratch list poisoned")
             .push(scratch);
-        out
-    }
-
-    /// Runs `f` on the first `words` words of a checked-out lift buffer,
-    /// returning the buffer to the free list afterwards. The words come
-    /// back dirty: `f` writes every one before reading it.
-    pub(crate) fn with_lift<T>(&self, words: usize, f: impl FnOnce(&mut [u64]) -> T) -> T {
-        let mut buf = {
-            let mut free = self.lifts.lock().expect("lift list poisoned");
-            let by_len = |(_, b): &(usize, &Vec<u64>)| b.len();
-            let fit = free
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.len() >= words)
-                .min_by_key(by_len)
-                .map(|(pos, _)| pos);
-            self.book(fit.is_some());
-            match fit {
-                Some(pos) => free.swap_remove(pos),
-                None => {
-                    // Replace the longest kept buffer rather than add one.
-                    if let Some((pos, _)) = free.iter().enumerate().max_by_key(by_len) {
-                        free.swap_remove(pos);
-                    }
-                    vec![0; words]
-                }
-            }
-        };
-        let out = f(&mut buf[..words]);
-        self.lifts.lock().expect("lift list poisoned").push(buf);
         out
     }
 }
@@ -235,36 +194,5 @@ mod tests {
             assert!(outer.words.iter().all(|&w| w == 1));
         });
         assert_eq!(pool.stats(), (0, 2));
-    }
-
-    #[test]
-    fn a_kept_lift_buffer_serves_every_narrower_input() {
-        let pool = ScratchPool::new();
-        pool.with_lift(10, |w| {
-            assert_eq!(w.len(), 10);
-            w.fill(3);
-        });
-        // Narrower and equal requests reuse it, dirty.
-        pool.with_lift(4, |w| assert_eq!(w, [3; 4]));
-        pool.with_lift(10, |w| assert_eq!(w.len(), 10));
-        assert_eq!(pool.stats(), (2, 1));
-        // A wider one replaces it, and then serves the narrow one too.
-        pool.with_lift(20, |w| assert_eq!(w.len(), 20));
-        pool.with_lift(10, |_| {});
-        assert_eq!(pool.stats(), (3, 2));
-        assert_eq!(pool.lifts.lock().unwrap().len(), 1, "one buffer kept");
-    }
-
-    #[test]
-    fn nested_lift_checkouts_get_distinct_buffers() {
-        let pool = ScratchPool::new();
-        pool.with_lift(8, |outer| {
-            outer.fill(1);
-            pool.with_lift(8, |inner| inner.fill(2));
-            assert!(outer.iter().all(|&w| w == 1));
-        });
-        assert_eq!(pool.stats(), (0, 2));
-        // The peak was two concurrent checkouts, so two are kept.
-        assert_eq!(pool.lifts.lock().unwrap().len(), 2);
     }
 }

@@ -18,6 +18,13 @@
 //! count and length-prefixed key-switch-key frames, each with a header of
 //! its own.
 //!
+//! An RLWE ciphertext is written in the form it is in, and the kind byte
+//! says which: `Rlwe` (1) for coefficient-form words, `RlweNtt` (7) for
+//! NTT-domain words. An HMVP request's inputs therefore cross as they
+//! were encrypted, in NTT form, and a packed reply in coefficient form;
+//! the decoder restores the form tag and transforms nothing. Either way
+//! every word must be canonical (`< qᵢ`).
+//!
 //! Deserialization validates the header against the receiver's parameter
 //! set — a ciphertext for foreign parameters is rejected, not
 //! misinterpreted.
@@ -34,7 +41,8 @@ const VERSION: u8 = 1;
 
 /// Payload discriminator. 2 and 3 are retired (an LWE ciphertext and a
 /// bare plaintext, which nothing sent): they are rejected as unknown and
-/// are not to be reused.
+/// are not to be reused. An RLWE ciphertext travels in the form it is in:
+/// `Rlwe` carries coefficient-form words, `RlweNtt` NTT-domain words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 enum Kind {
@@ -42,6 +50,7 @@ enum Kind {
     Ksk = 4,
     GaloisSet = 5,
     EncodedMatrix = 6,
+    RlweNtt = 7,
 }
 
 impl Kind {
@@ -51,6 +60,7 @@ impl Kind {
             4 => Ok(Kind::Ksk),
             5 => Ok(Kind::GaloisSet),
             6 => Ok(Kind::EncodedMatrix),
+            7 => Ok(Kind::RlweNtt),
             _ => Err(HeError::Incompatible("unknown wire payload kind")),
         }
     }
@@ -165,7 +175,9 @@ fn write_rns_poly(out: &mut Vec<u8>, p: &RnsPoly) {
     }
 }
 
-fn read_rns_poly(r: &mut Reader<'_>, ctx: &RnsContext) -> Result<RnsPoly> {
+/// Reads one polynomial's words, each checked canonical (`< qᵢ`), and tags
+/// them with `form` without transforming them.
+fn read_rns_poly(r: &mut Reader<'_>, ctx: &RnsContext, form: Form) -> Result<RnsPoly> {
     let n = ctx.degree();
     let mut limbs = Vec::with_capacity(ctx.len());
     for m in ctx.moduli() {
@@ -181,22 +193,26 @@ fn read_rns_poly(r: &mut Reader<'_>, ctx: &RnsContext) -> Result<RnsPoly> {
         }
         limbs.push(Poly::from_coeffs(coeffs));
     }
-    Ok(RnsPoly::from_limbs(ctx, limbs, Form::Coeff)?)
+    Ok(RnsPoly::from_limbs(ctx, limbs, form)?)
 }
 
-/// Serializes an RLWE ciphertext (converted to coefficient form).
+/// Serializes an RLWE ciphertext in the form it is in: an NTT-form one
+/// (an HMVP request's input) as `RlweNtt`, a coefficient-form one (a
+/// packed reply) as `Rlwe`. Nothing is cloned or transformed.
 pub fn rlwe_to_bytes(ct: &RlweCiphertext) -> Vec<u8> {
-    let mut c = ct.clone();
-    c.to_coeff();
-    let ctx = c.b().context().clone();
+    let ctx = ct.b().context();
+    let kind = match ct.form() {
+        Form::Coeff => Kind::Rlwe,
+        Form::Ntt => Kind::RlweNtt,
+    };
     let mut out = Vec::with_capacity(16 + 2 * ctx.len() * ctx.degree() * 8);
-    write_header(&mut out, Kind::Rlwe, &ctx);
-    write_rns_poly(&mut out, c.b());
-    write_rns_poly(&mut out, c.a());
+    write_header(&mut out, kind, ctx);
+    write_rns_poly(&mut out, ct.b());
+    write_rns_poly(&mut out, ct.a());
     out
 }
 
-/// Deserializes an RLWE ciphertext.
+/// Deserializes an RLWE ciphertext, in the form its kind names.
 ///
 /// # Errors
 /// [`HeError::Incompatible`] / [`HeError::ShapeMismatch`] for malformed,
@@ -204,11 +220,13 @@ pub fn rlwe_to_bytes(ct: &RlweCiphertext) -> Vec<u8> {
 pub fn rlwe_from_bytes(data: &[u8], params: &ChamParams) -> Result<RlweCiphertext> {
     let mut r = Reader::new(data);
     let (kind, ctx) = read_header(&mut r, params)?;
-    if kind != Kind::Rlwe {
-        return Err(HeError::Incompatible("expected an rlwe payload"));
-    }
-    let b = read_rns_poly(&mut r, &ctx)?;
-    let a = read_rns_poly(&mut r, &ctx)?;
+    let form = match kind {
+        Kind::Rlwe => Form::Coeff,
+        Kind::RlweNtt => Form::Ntt,
+        _ => return Err(HeError::Incompatible("expected an rlwe payload")),
+    };
+    let b = read_rns_poly(&mut r, &ctx, form)?;
+    let a = read_rns_poly(&mut r, &ctx, form)?;
     if !r.done() {
         return Err(HeError::Incompatible("trailing bytes after rlwe payload"));
     }
@@ -250,27 +268,13 @@ pub fn ksk_from_bytes(data: &[u8], params: &ChamParams) -> Result<crate::keys::K
     let mut b = Vec::with_capacity(digits);
     let mut a = Vec::with_capacity(digits);
     for _ in 0..digits {
-        let mut bp = read_rns_poly(&mut r, &ctx)?;
-        let mut ap = read_rns_poly(&mut r, &ctx)?;
-        // Stored coefficients are the NTT-domain words; restore the form
-        // tag by converting coeff->ntt-tagged without touching data.
-        bp = retag_ntt(bp);
-        ap = retag_ntt(ap);
-        b.push(bp);
-        a.push(ap);
+        b.push(read_rns_poly(&mut r, &ctx, Form::Ntt)?);
+        a.push(read_rns_poly(&mut r, &ctx, Form::Ntt)?);
     }
     if !r.done() {
         return Err(HeError::Incompatible("trailing bytes after ksk payload"));
     }
     Ok(crate::keys::KeySwitchKey { b, a })
-}
-
-/// Re-tags a freshly-read polynomial as NTT-form without transforming
-/// (the wire format for keys stores NTT-domain words verbatim).
-fn retag_ntt(p: RnsPoly) -> RnsPoly {
-    let ctx = p.context().clone();
-    let limbs = p.limbs().to_vec();
-    RnsPoly::from_limbs(&ctx, limbs, Form::Ntt).expect("limbs match context")
 }
 
 /// Serializes a Galois key set (sorted by automorphism index for a
@@ -383,6 +387,12 @@ mod tests {
         (params, enc, dec, coder, rng)
     }
 
+    /// Byte offset of a payload's first word behind a header naming
+    /// `limbs` moduli: magic, version, kind, degree, limb count, moduli.
+    fn first_word(limbs: usize) -> usize {
+        2 + 1 + 1 + 4 + 1 + 8 * limbs
+    }
+
     #[test]
     fn rlwe_roundtrip_both_bases() {
         let (params, enc, dec, coder, mut rng) = setup();
@@ -393,6 +403,7 @@ mod tests {
         ] {
             let bytes = rlwe_to_bytes(&ct);
             let back = rlwe_from_bytes(&bytes, &params).unwrap();
+            assert_eq!(back, ct);
             assert_eq!(dec.decrypt(&back).values()[..3], [11, 22, 33]);
         }
     }
@@ -408,13 +419,50 @@ mod tests {
         assert!(rlwe_to_bytes(&small).len() < rlwe_to_bytes(&ct).len());
     }
 
+    /// A ciphertext crosses in the form it is in — NTT as `RlweNtt`,
+    /// coefficient as `Rlwe` — with the same words, and comes back with
+    /// that form and re-encodes to the same bytes. An NTT-domain word at
+    /// or above its prime is refused like a coefficient.
     #[test]
     fn ntt_form_ciphertext_serializes() {
         let (params, enc, dec, coder, mut rng) = setup();
-        let mut ct = enc.encrypt(&coder.encode_vector(&[5]).unwrap(), &mut rng);
-        ct.to_ntt();
-        let back = rlwe_from_bytes(&rlwe_to_bytes(&ct), &params).unwrap();
-        assert_eq!(dec.decrypt(&back).values()[0], 5);
+        let ntt = enc.encrypt_augmented(&coder.encode_vector(&[5]).unwrap(), &mut rng);
+        let mut coeff = ntt.clone();
+        coeff.to_coeff();
+        for (ct, form, kind) in [
+            (&ntt, Form::Ntt, Kind::RlweNtt),
+            (&coeff, Form::Coeff, Kind::Rlwe),
+        ] {
+            let bytes = rlwe_to_bytes(ct);
+            assert_eq!(bytes[3], kind as u8);
+            let payload: Vec<u64> = bytes[first_word(ct.b().context().len())..]
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+                .collect();
+            let halves = [ct.b(), ct.a()];
+            let limbs = halves.iter().flat_map(|p| p.limbs());
+            let words: Vec<u64> = limbs.flat_map(|l| l.coeffs()).copied().collect();
+            assert_eq!(payload, words);
+            let back = rlwe_from_bytes(&bytes, &params).unwrap();
+            assert_eq!(back.form(), form);
+            assert_eq!(&back, ct);
+            assert_eq!(rlwe_to_bytes(&back), bytes);
+            assert_eq!(dec.decrypt(&back).values()[0], 5);
+        }
+
+        let bytes = rlwe_to_bytes(&ntt);
+        let limbs = params.augmented_context().moduli();
+        for (limb, q) in limbs.iter().enumerate() {
+            let at = first_word(limbs.len()) + 8 * limb * params.degree();
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&q.value().to_le_bytes());
+            assert!(matches!(
+                rlwe_from_bytes(&bad, &params),
+                Err(HeError::Incompatible(
+                    "wire coefficient out of canonical range"
+                ))
+            ));
+        }
     }
 
     #[test]
@@ -431,11 +479,15 @@ mod tests {
         let mut bad = good.clone();
         bad[2] = 99;
         assert!(rlwe_from_bytes(&bad, &params).is_err());
-        // Wrong kind, including the retired LWE (2) and plaintext (3).
-        for kind in [2, 3, Kind::Ksk as u8] {
+        // Wrong kind, including the retired LWE (2) and plaintext (3)
+        // and the unassigned 8.
+        for kind in [2, 3, 8, Kind::Ksk as u8] {
             let mut bad = good.clone();
             bad[3] = kind;
-            assert!(rlwe_from_bytes(&bad, &params).is_err());
+            assert!(matches!(
+                rlwe_from_bytes(&bad, &params),
+                Err(HeError::Incompatible(_))
+            ));
         }
         // Zero limb count: every payload carries its modulus chain.
         let mut bad = good.clone();
@@ -456,9 +508,14 @@ mod tests {
         assert!(rlwe_from_bytes(&bad, &params).is_err());
         // Out-of-range coefficient.
         let mut bad = good;
-        let coeff_start = 8 + 2 * 8; // header + 2 limb moduli
-        bad[coeff_start..coeff_start + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(rlwe_from_bytes(&bad, &params).is_err());
+        let at = first_word(2);
+        bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            rlwe_from_bytes(&bad, &params),
+            Err(HeError::Incompatible(
+                "wire coefficient out of canonical range"
+            ))
+        ));
     }
 
     #[test]
@@ -472,7 +529,8 @@ mod tests {
         // A KSK round-trips and still key-switches correctly.
         let ksk = crate::keys::KeySwitchKey::generate(&sk, sk.coeffs(), &mut rng).unwrap();
         let back = ksk_from_bytes(&ksk_to_bytes(&ksk), &params).unwrap();
-        let ct = enc.encrypt(&coder.encode_vector(&[321]).unwrap(), &mut rng);
+        let mut ct = enc.encrypt(&coder.encode_vector(&[321]).unwrap(), &mut rng);
+        ct.to_coeff();
         let (ks_b, ks_a) = crate::ops::keyswitch_mask(ct.a(), &back, &params).unwrap();
         let switched =
             crate::ciphertext::RlweCiphertext::new(ct.b().clone().add(&ks_b).unwrap(), ks_a)

@@ -37,14 +37,28 @@ fn one_multiply_books_each_operation_once() {
     let a = Matrix::random(rows, cols, t, &mut rng);
     let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t)).collect();
     let hmvp = Hmvp::new(&params);
+    let between = |before: &BTreeMap<_, u64>, after: &BTreeMap<_, u64>, name: &str| {
+        after.get(name).copied().unwrap_or(0) - before.get(name).copied().unwrap_or(0)
+    };
+    let aug_limbs = params.augmented_context().len() as u64;
+
+    // Encryption emits the NTT form the product reads: per ciphertext it
+    // transforms `a` and `Δμ + e` forward (`2·L`) and inverts nothing.
+    let enc_before = counters();
     let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
+    let enc_after = counters();
+    let encrypted = cts.len() as u64;
+    assert_eq!(
+        between(&enc_before, &enc_after, "cham_math.ntt.forward"),
+        2 * aug_limbs * encrypted
+    );
+    assert_eq!(between(&enc_before, &enc_after, "cham_math.ntt.inverse"), 0);
     let em = hmvp.encode_matrix(&a).unwrap();
 
     let (before, simd_before) = (counters(), simd_stats());
     hmvp.multiply(&em, &cts, &gkeys).unwrap();
     let (after, simd_after) = (counters(), simd_stats());
-    let delta =
-        |name: &str| after.get(name).copied().unwrap_or(0) - before.get(name).copied().unwrap_or(0);
+    let delta = |name: &str| between(&before, &after, name);
 
     let rows = rows as u64;
     assert_eq!(delta("cham_he.hmvp.multiply"), 1);
@@ -56,17 +70,15 @@ fn one_multiply_books_each_operation_once() {
     assert_eq!(delta("cham_he.ops.keyswitch"), rows - 1);
 
     // Limb transforms, with `L` augmented limbs and `d` key-switch digits:
-    // the input lift transforms both halves of every column tile
-    // (`2·L·tiles` forward), each row tail brings its `a` back to
-    // coefficient form (`L` inverse), and each key-switch transforms its
-    // `d` digits forward and its `(b, a)` correction back (`d·L` forward,
-    // `2·L` inverse) — 12 per key-switch at `L = 3`, `d = 2`.
-    let aug_limbs = params.augmented_context().len() as u64;
+    // the NTT-form input is read in place (no forward transform of it),
+    // each row tail brings its `a` back to coefficient form (`L` inverse),
+    // and each key-switch transforms its `d` digits forward and its
+    // `(b, a)` correction back (`d·L` forward, `2·L` inverse) — 12 per
+    // key-switch at `L = 3`, `d = 2`.
     let digits = params.ciphertext_context().len() as u64;
-    let tiles = cols.div_ceil(n) as u64;
     assert_eq!(
         delta("cham_math.ntt.forward"),
-        2 * aug_limbs * tiles + digits * aug_limbs * (rows - 1)
+        digits * aug_limbs * (rows - 1)
     );
     assert_eq!(
         delta("cham_math.ntt.inverse"),

@@ -1,7 +1,8 @@
 //! Process-wide counters of the HMVP fan-out, read around whole calls:
 //!
-//! * after a warm-up, repeated `multiply` calls — the input lift, MAC,
-//!   rescale→extract tail, every key-switch of the pack — draw all their
+//! * after a warm-up, repeated `multiply` calls — the MAC over the
+//!   NTT-form input read in place, the rescale→extract tail, every
+//!   key-switch of the pack — draw all their
 //!   working memory from the scratch free lists, so the process-wide miss
 //!   count stops moving, also when widths and parameter sets alternate;
 //! * the `threads` cap a caller passes governs every fan-out inside the
@@ -80,9 +81,9 @@ fn repeated_multiplies_stop_missing_scratch() {
         misses_after, misses_before,
         "steady state must not allocate"
     );
-    // All hits: per multiply the lift and the one pack subtree; per
-    // `dot_products` the lift and one per block of 8 rows (3 for 21).
-    assert_eq!(hits_after - hits_before, 5 * ((1 + 1) + (1 + 3)));
+    // All hits: per multiply the one pack subtree; per `dot_products` one
+    // per block of 8 rows (3 for 21). The input takes no scratch.
+    assert_eq!(hits_after - hits_before, 5 * (1 + 3));
 
     // At a cap of 4, four subtrees hold a scratch at once. The free list
     // only grows when every fitting buffer is out, so misses are bounded
@@ -101,9 +102,9 @@ fn repeated_multiplies_stop_missing_scratch() {
 }
 
 /// Widths and parameter sets taking turns through the one pool: after one
-/// warm-up of each shape the kept buffers serve them all — a lift buffer
-/// keeps the widest input it served, a row scratch is kept per ring
-/// degree — and every result equals the first one of its shape.
+/// warm-up of each shape the kept buffers serve them all — a row scratch
+/// is kept per ring degree, whatever the input width — and every result
+/// equals the first one of its shape.
 #[test]
 fn alternating_widths_and_parameter_sets_stop_missing_after_one_warm_up() {
     let _turn = serial();
@@ -145,8 +146,8 @@ fn alternating_widths_and_parameter_sets_stop_missing_after_one_warm_up() {
 }
 
 /// The grain rule as a count: a cap of 1 means *no* spawned thread — not
-/// for the lift's column tiles, not for a limb under them, not for a row or
-/// a pack subtree — and the serial `dot_products` never spawns either.
+/// for a row block, a limb or a pack subtree — and the serial
+/// `dot_products` never spawns either.
 #[test]
 fn threads_cap_governs_every_fan_out_inside_the_call() {
     let _turn = serial();

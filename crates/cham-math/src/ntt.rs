@@ -386,23 +386,10 @@ impl NttTable {
         }
     }
 
-    /// Out-of-place forward transform: `dst = NTT(src)` without touching
-    /// `src` and without allocating — the batch-call-site replacement for
-    /// [`NttTable::forward_to_vec`].
-    ///
-    /// # Panics
-    /// Panics if either slice's length differs from `self.n()`.
-    pub fn forward_into(&self, src: &[u64], dst: &mut [u64]) {
-        assert_eq!(src.len(), self.n, "operand length mismatch");
-        assert_eq!(dst.len(), self.n, "operand length mismatch");
-        dst.copy_from_slice(src);
-        self.forward(dst);
-    }
-
     /// Convenience: returns `NTT(a)` without mutating the input.
     pub fn forward_to_vec(&self, a: &[u64]) -> Vec<u64> {
-        let mut v = vec![0u64; self.n];
-        self.forward_into(a, &mut v);
+        let mut v = a.to_vec();
+        self.forward(&mut v);
         v
     }
 

@@ -18,7 +18,7 @@
 //! | `Hello` (1) | c→s | `[revision u16] [degree u32] [t u64] [n u8] [ct primes u64×n] [special u64]` |
 //! | `LoadKeys` (2) | c→s | `cham_he::wire::galois_keys_to_bytes` payload |
 //! | (3) | — | retired (the single-frame matrix upload); rejected as an unknown kind |
-//! | `Hmvp` (4) | c→s | `[key_id u64] [matrix_id u64] [deadline_ms u32] [trace_id u64] [k u16] ([len u32] [rlwe bytes])×k` |
+//! | `Hmvp` (4) | c→s | `[key_id u64] [matrix_id u64] [deadline_ms u32] [trace_id u64] [k u16] ([len u32] [rlwe bytes])×k`, each ciphertext an NTT-form `RlweNtt` payload |
 //! | `Result` (5) | s→c | `[tag u8] [tag-specific payload]` (see [`Response`]) |
 //! | `Error` (6) | s→c | `[code u8] [that code's fields]` (see below) |
 //! | (7) | — | retired (the `Ping` health check; `Introspect` serves the same counters); rejected as an unknown kind |
@@ -50,6 +50,12 @@
 //! other value is answered with one `Incompatible` error, and a client
 //! that reads any other value back in the hello response gives up with
 //! the same error after that one connection attempt.
+//!
+//! Request ciphertexts cross in the form they were encrypted in, NTT
+//! (`cham_he::wire`'s `RlweNtt` kind): the server's product reads their
+//! limbs in place, and refuses a coefficient-form input with a typed
+//! `Incompatible`. A `HmvpDone` reply's packed ciphertexts are
+//! coefficient-form `Rlwe` payloads.
 //!
 //! ## Matrix uploads
 //!
@@ -104,7 +110,7 @@ use std::io::{Read, Write};
 
 /// The one protocol revision this crate speaks; both ends refuse any
 /// other value.
-pub const PROTOCOL_VERSION: u16 = 8;
+pub const PROTOCOL_VERSION: u16 = 9;
 
 /// Wire sentinel for "no deadline" in `Hmvp` frames. Any other value is
 /// a deadline in milliseconds; `0` is rejected as malformed.

@@ -236,7 +236,6 @@ impl StatsSnapshot {
 pub struct PhaseHistograms {
     queue: LiveHistogram,
     dispatch: LiveHistogram,
-    encode: LiveHistogram,
     dot: LiveHistogram,
     keyswitch: LiveHistogram,
     rescale: LiveHistogram,
@@ -262,7 +261,6 @@ impl PhaseHistograms {
         match name {
             phase::QUEUE => Some(&self.queue),
             phase::DISPATCH => Some(&self.dispatch),
-            phase::ENCODE => Some(&self.encode),
             phase::DOT => Some(&self.dot),
             phase::KEYSWITCH => Some(&self.keyswitch),
             phase::RESCALE => Some(&self.rescale),
@@ -294,10 +292,9 @@ impl PhaseHistograms {
     /// canonical pipeline order (`total` and `matrix_encode` last).
     #[must_use]
     pub fn snapshot(&self) -> Vec<PhaseStat> {
-        let named: [(&'static str, &LiveHistogram); 9] = [
+        let named: [(&'static str, &LiveHistogram); 8] = [
             (phase::QUEUE, &self.queue),
             (phase::DISPATCH, &self.dispatch),
-            (phase::ENCODE, &self.encode),
             (phase::DOT, &self.dot),
             (phase::KEYSWITCH, &self.keyswitch),
             (phase::RESCALE, &self.rescale),
@@ -555,7 +552,7 @@ mod tests {
         let h = PhaseHistograms::new();
         h.record_request(
             &[PhaseSpan {
-                name: phase::ENCODE,
+                name: phase::QUEUE,
                 start_ns: 0,
                 dur_ns: 10,
                 count: 1,
@@ -586,12 +583,12 @@ mod tests {
             Some(4)
         );
         let phases = json.get("phases").and_then(JsonValue::as_array).unwrap();
-        assert_eq!(phases.len(), 2); // encode + total
+        assert_eq!(phases.len(), 2); // queue + total
         assert_eq!(
             phases[0].get("name").and_then(JsonValue::as_str),
-            Some(phase::ENCODE)
+            Some(phase::QUEUE)
         );
-        assert!(snap.phase(phase::ENCODE).is_some());
+        assert!(snap.phase(phase::QUEUE).is_some());
         assert!(snap.phase(phase::DOT).is_none());
         // Node identity renders additively (zeros on a standalone node).
         assert_eq!(json.get("node_id").and_then(JsonValue::as_u64), Some(0));

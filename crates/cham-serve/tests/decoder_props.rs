@@ -21,6 +21,7 @@ use cham_he::hmvp::Matrix;
 use cham_he::keys::SecretKey;
 use cham_he::pack::PackedRlwe;
 use cham_he::params::ChamParams;
+use cham_math::rns::Form;
 use cham_serve::protocol::{
     error_body, error_from_body, hmvp_request_from_bytes, hmvp_request_to_bytes, matrix_from_bytes,
     matrix_to_bytes, ErrorCode, FrameKind, Hello, MatrixChunkStart, Response, CHUNK_INDEX_NONE,
@@ -197,8 +198,12 @@ fn corpus() -> &'static [(Decoder, Vec<u8>)] {
         let sk = SecretKey::generate(p, &mut rng);
         let enc = Encryptor::new(p, &sk);
         let pt = CoeffEncoder::new(p).encode_vector(&[1, 2, 3]).unwrap();
+        // A request ciphertext crosses in NTT form (`RlweNtt`), a packed
+        // reply in coefficient form (`Rlwe`): the corpus holds one of each.
         let request_ct = enc.encrypt_augmented(&pt, &mut rng);
-        let reply_ct = enc.encrypt(&pt, &mut rng);
+        assert_eq!(request_ct.form(), Form::Ntt);
+        let mut reply_ct = enc.encrypt(&pt, &mut rng);
+        reply_ct.to_coeff();
         let identity = ClusterIdentity {
             shard_index: 1,
             shard_count: 3,

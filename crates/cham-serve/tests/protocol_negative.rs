@@ -208,9 +208,11 @@ fn revision_mismatch_is_one_typed_error() {
         )
     };
 
-    // Server side: a raw socket offering a neighbouring revision.
+    // Server side: a raw socket offering a neighbouring revision, 8 (the
+    // last with coefficient-form request ciphertexts) among them.
+    assert_eq!(PROTOCOL_VERSION, 9);
     let server = Server::start("127.0.0.1:0", Arc::clone(&p), &ServerConfig::default()).unwrap();
-    for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+    for version in [8, PROTOCOL_VERSION + 1] {
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         let hello = Hello {
             version,

@@ -42,8 +42,6 @@ pub mod phase {
     /// Inside the permit, outside every kernel span: thread spawn / join
     /// when the request fans out, result assembly.
     pub const DISPATCH: &str = "dispatch";
-    /// NTT-encoding (lifting) the request's input ciphertexts.
-    pub const ENCODE: &str = "encode";
     /// Fused NTT-domain multiply-accumulate over matrix rows.
     pub const DOT: &str = "dot";
     /// Galois key-switching during LWE packing.
@@ -55,7 +53,7 @@ pub mod phase {
 
     /// Every phase a server-side request trace may contain, in
     /// canonical (pipeline) order.
-    pub const ALL: [&str; 7] = [QUEUE, DISPATCH, ENCODE, DOT, KEYSWITCH, RESCALE, SERIALIZE];
+    pub const ALL: [&str; 6] = [QUEUE, DISPATCH, DOT, KEYSWITCH, RESCALE, SERIALIZE];
 }
 
 /// A request's wire-visible identity: non-zero, random.
@@ -360,7 +358,7 @@ mod tests {
     #[test]
     fn recorder_aggregates_by_name_and_finishes_sequentially() {
         let rec = SpanRecorder::new(TraceId(1));
-        rec.record(phase::ENCODE, 10);
+        rec.record(phase::QUEUE, 10);
         rec.record(phase::DOT, 5);
         rec.record(phase::DOT, 7);
         rec.record(phase::RESCALE, 3);
@@ -369,7 +367,7 @@ mod tests {
         assert_eq!(
             spans[0],
             PhaseSpan {
-                name: phase::ENCODE,
+                name: phase::QUEUE,
                 start_ns: 0,
                 dur_ns: 10,
                 count: 1
@@ -449,7 +447,7 @@ mod tests {
             });
             // Spans that fit inside the window are folded unscaled.
             fan_out(|| {
-                current_recorder().unwrap().record(phase::ENCODE, 1);
+                current_recorder().unwrap().record(phase::QUEUE, 1);
                 std::thread::sleep(std::time::Duration::from_millis(1));
             });
         });
@@ -460,7 +458,7 @@ mod tests {
         let (dot, ks) = (by_name(phase::DOT), by_name(phase::KEYSWITCH));
         assert_eq!((dot.count, ks.count), (2, 1));
         assert!(dot.dur_ns > 0 && dot.dur_ns.abs_diff(3 * ks.dur_ns) <= 3);
-        assert_eq!(by_name(phase::ENCODE).dur_ns, 1);
+        assert_eq!(by_name(phase::QUEUE).dur_ns, 1);
         // No recorder installed: a plain call.
         assert_eq!(fan_out(|| 7), 7);
     }
