@@ -2,10 +2,12 @@
 //!
 //! Three systems per dataset shape (samples × features):
 //! * **Paillier (FATE)** — element-wise semi-HE, measured at a reduced
-//!   modulus and extrapolated to 2048-bit by the fitted modexp scaling,
+//!   modulus (each op the fastest of `COST_REPS` calls) and extrapolated
+//!   to 2048-bit by the fitted modexp scaling,
 //! * **B/FV CPU** — this repository's software stack: matvec is
-//!   `multiply_parallel` timed at each shape (median of three runs, each
-//!   decrypt-verified), the host steps per-op measured and counted,
+//!   `multiply_parallel` timed at each shape (median of three runs after a
+//!   warm-up, every product decrypt-verified), the host steps per-op
+//!   measured (`CpuCosts`, each the fastest of `COST_REPS`) and counted,
 //! * **B/FV + CHAM** — matvec offloaded to the modelled accelerator; the
 //!   host keeps encryption/add_vec/decryption.
 //!
@@ -16,12 +18,12 @@
 use cham_apps::bigint::BigUint;
 use cham_apps::paillier::PaillierPrivateKey;
 use cham_bench::{
-    bench_rng, eng, threads_from_env, usage_error, CpuCosts, CpuHmvp, HeteroLrHost, HMVP_REPS,
+    bench_rng, eng, threads_from_env, usage_error, CpuCosts, CpuHmvp, HeteroLrHost, Timing,
+    COST_REPS, HMVP_REPS,
 };
 use cham_he::params::ChamParams;
 use cham_sim::pipeline::HmvpCycleModel;
 use rand::Rng;
-use std::time::Instant;
 
 /// Measured Paillier per-op costs at a given modulus size.
 struct PaillierCosts {
@@ -31,38 +33,20 @@ struct PaillierCosts {
     decrypt: f64,
 }
 
+/// Each cost is the fastest of [`COST_REPS`] calls at a `bits`-bit
+/// modulus.
 fn measure_paillier(bits: u32) -> PaillierCosts {
     let mut rng = bench_rng();
     let sk = PaillierPrivateKey::generate(bits, &mut rng);
     let pk = sk.public_key().clone();
-    let reps = 5;
     let m = BigUint::from_u64(12345);
-    let t0 = Instant::now();
-    let cts: Vec<_> = (0..reps)
-        .map(|_| pk.encrypt(&m, &mut rng).unwrap())
-        .collect();
-    let encrypt = t0.elapsed().as_secs_f64() / reps as f64;
-    let t1 = Instant::now();
-    for ct in &cts {
-        let _ = pk.add_plain(ct, &m);
-    }
-    let add_plain = t1.elapsed().as_secs_f64() / reps as f64;
     let k = BigUint::from_u64(rng.gen::<u32>() as u64);
-    let t2 = Instant::now();
-    for ct in &cts {
-        let _ = pk.mul_scalar(ct, &k);
-    }
-    let mul_scalar = t2.elapsed().as_secs_f64() / reps as f64;
-    let t3 = Instant::now();
-    for ct in &cts {
-        let _ = sk.decrypt(ct);
-    }
-    let decrypt = t3.elapsed().as_secs_f64() / reps as f64;
+    let ct = pk.encrypt(&m, &mut rng).expect("encrypt");
     PaillierCosts {
-        encrypt,
-        add_plain,
-        mul_scalar,
-        decrypt,
+        encrypt: Timing::of(COST_REPS, || pk.encrypt(&m, &mut rng).expect("encrypt")).min,
+        add_plain: Timing::of(COST_REPS, || pk.add_plain(&ct, &m)).min,
+        mul_scalar: Timing::of(COST_REPS, || pk.mul_scalar(&ct, &k)).min,
+        decrypt: Timing::of(COST_REPS, || sk.decrypt(&ct)).min,
     }
 }
 

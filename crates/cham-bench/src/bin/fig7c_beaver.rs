@@ -5,10 +5,11 @@
 //! the coefficient-encoded HMVP on CHAM and reports 49–144× speed-up:
 //!
 //! * Delphi baseline: a BSGS diagonal matvec on the CPU, modelled from
-//!   measured per-op costs ([`delphi_triple_seconds`]),
+//!   measured per-op costs ([`delphi_triple_seconds`] over `CpuCosts`,
+//!   each the fastest of `COST_REPS` calls),
 //! * coeff (CPU): the coefficient-encoded HMVP on the CPU — per HMVP,
-//!   `multiply_parallel` timed at the layer shape (median of three runs,
-//!   each decrypt-verified),
+//!   `multiply_parallel` timed at the layer shape (median of three runs
+//!   after a warm-up, every product decrypt-verified),
 //! * CHAM: the cycle model's HMVP time (mask subtraction is free in the
 //!   packed domain).
 

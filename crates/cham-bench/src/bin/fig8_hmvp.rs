@@ -1,30 +1,21 @@
 //! Fig. 8 — HMVP performance: CPU vs GPU vs CHAM, at n = 256 and n = 4096.
 //!
 //! The CPU series is measured at every shape: this repository's
-//! `multiply_parallel` timed on this machine, median of three runs, each
-//! decrypt-verified; CHAM comes from the cycle model; the GPU from the
-//! calibrated ratio model. Reproduced claims: >10× over CPU with more than
-//! 90% of compute offloaded, larger matrices gain more, and CHAM latency
-//! is 0.3–0.7× the GPU's.
+//! `multiply_parallel` timed on this machine, median of three runs after
+//! a warm-up, every product decrypt-verified; CHAM comes from the cycle
+//! model; the GPU from the calibrated ratio model. The ablations below the
+//! table (serial vs `--threads`, fused vs unfused dot phase) read the
+//! fastest of `COST_REPS` calls. Every time is a `cham_bench::Timing`.
+//! Reproduced claims: >10× over CPU with more than 90% of compute
+//! offloaded, larger matrices gain more, and CHAM latency is 0.3–0.7× the
+//! GPU's.
 
-use cham_bench::{eng, threads_from_env, usage_error, CpuHmvp, HMVP_REPS};
+use cham_bench::{eng, threads_from_env, usage_error, CpuHmvp, Timing, COST_REPS, HMVP_REPS};
 use cham_he::params::ChamParams;
 use cham_sim::baselines::GpuModel;
 use cham_sim::pipeline::HmvpCycleModel;
 use cham_telemetry::span::{self, SpanRecorder, TraceId};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Best-of-3 wall-clock seconds of `run`.
-fn best_of_3(mut run: impl FnMut()) -> f64 {
-    (0..3)
-        .map(|_| {
-            let t0 = Instant::now();
-            run();
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
 
 fn main() {
     let threads = threads_from_env("fig8_hmvp").unwrap_or_else(|e| usage_error(&e));
@@ -75,10 +66,11 @@ fn main() {
     let (wide_a, wide_v, _) = cpu.operands(8, 8 * n);
     let (hmvp, gkeys) = (cpu.hmvp(), cpu.gkeys());
     let multiply = |cap| {
-        best_of_3(|| {
+        Timing::of(COST_REPS, || {
             hmvp.multiply_parallel(&small_a, &small_v, gkeys, cap)
-                .expect("multiply");
+                .expect("multiply")
         })
+        .min
     };
     let serial_s = multiply(1);
     let parallel_s = multiply(threads);
@@ -104,12 +96,11 @@ fn main() {
         (&small_a, &small_v, "32 rows, 1 tile/row"),
         (&wide_a, &wide_v, "8 rows, 8 tiles/row"),
     ] {
-        let fused_s = best_of_3(|| {
-            hmvp.dot_products(matrix, input).expect("dot");
-        });
-        let unfused_s = best_of_3(|| {
-            hmvp.dot_products_unfused(matrix, input).expect("dot");
-        });
+        let fused_s = Timing::of(COST_REPS, || hmvp.dot_products(matrix, input).expect("dot")).min;
+        let unfused_s = Timing::of(COST_REPS, || {
+            hmvp.dot_products_unfused(matrix, input).expect("dot")
+        })
+        .min;
         println!(
             "dot-product phase ({shape}): {} unfused (oracle path) vs {} fused => {:.2}x",
             eng(unfused_s),
@@ -118,31 +109,21 @@ fn main() {
         );
     }
 
-    // Per-rep latency spread + kernel phase attribution for the 32-row
-    // dot phase, via the same tracing layer the serving stack uses: each
-    // rep runs under a SpanRecorder, so the in-kernel dot/rescale spans
-    // accumulate while the sorted rep times show the rep-to-rep spread
-    // that a best-of summary hides.
-    const DIST_REPS: usize = 20;
+    // Rep-to-rep spread + kernel phase attribution for the 32-row dot
+    // phase, via the same tracing layer the serving stack uses: each call
+    // runs under a SpanRecorder, so the in-kernel dot/rescale spans
+    // accumulate (over the warm-up call too) while the timing shows the
+    // spread that a fastest-of summary hides.
     let recorder = Arc::new(SpanRecorder::new(TraceId::generate()));
-    let mut reps: Vec<f64> = (0..DIST_REPS)
-        .map(|_| {
-            let t0 = Instant::now();
-            span::with_recorder(Arc::clone(&recorder), || {
-                hmvp.dot_products(&small_a, &small_v).expect("dot");
-            });
-            t0.elapsed().as_secs_f64()
+    let spread = Timing::of(COST_REPS, || {
+        span::with_recorder(Arc::clone(&recorder), || {
+            hmvp.dot_products(&small_a, &small_v).expect("dot")
         })
-        .collect();
-    reps.sort_by(f64::total_cmp);
+    });
     let phase_spans = recorder.finish();
     println!();
-    println!(
-        "dot-phase rep distribution ({DIST_REPS} reps): min {} median {} max {}",
-        eng(reps[0]),
-        eng((reps[DIST_REPS / 2 - 1] + reps[DIST_REPS / 2]) / 2.0),
-        eng(reps[DIST_REPS - 1]),
-    );
+    println!("dot-phase spread ({COST_REPS} timed calls): {spread}");
+    println!("kernel phases summed over all {} calls:", COST_REPS + 1);
     for p in &phase_spans {
         println!(
             "  kernel phase {:<10} {} across {} spans",

@@ -9,11 +9,13 @@
 //! paper's SEAL-on-Xeon-6130, so absolute ratios differ; the table prints
 //! both side by side (see EXPERIMENTS.md for the discussion). The CPU
 //! matvec is measured at the compared shape: `multiply_parallel` timed,
-//! median of three runs, each decrypt-verified.
+//! median of three runs after a warm-up, every product decrypt-verified.
+//! The HeteroLR host steps and the Delphi model read `CpuCosts`, each
+//! cost the fastest of `COST_REPS` calls.
 
 use cham_bench::{
-    delphi_triple_seconds, threads_from_env, usage_error, CpuCosts, CpuHmvp, HeteroLrHost,
-    HMVP_REPS,
+    delphi_triple_seconds, eng, threads_from_env, usage_error, CpuCosts, CpuHmvp, HeteroLrHost,
+    COST_REPS, HMVP_REPS,
 };
 use cham_he::params::ChamParams;
 use cham_sim::pipeline::HmvpCycleModel;
@@ -59,6 +61,12 @@ fn main() {
     println!();
     println!("CPU matvec {cpu_t}: multiply_parallel, median of {HMVP_REPS}, decrypt-verified");
     println!("  -> CHAM {cham_mv:.4} s at 8192x8192 (modelled 300 MHz FPGA)");
+    println!(
+        "CPU per-op costs, fastest of {COST_REPS}: encrypt {}, diagonal pass {}, key-switch {}",
+        eng(cpu.encrypt),
+        eng(cpu.diag_pass),
+        eng(cpu.keyswitch)
+    );
     println!("note: our CPU baseline is an optimized Rust implementation; the");
     println!("paper's ratios are against SEAL-class software on a Xeon 6130. The");
     println!("directions and orders of magnitude are the reproduction target.");

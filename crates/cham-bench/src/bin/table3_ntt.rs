@@ -4,29 +4,24 @@
 //!
 //! The CPU column is *measured* on this machine from the software stack;
 //! the ratio will differ from the paper's Xeon 6130 but the ordering and
-//! magnitude reproduce.
+//! magnitude reproduce. Every CPU figure is the fastest of `COST_REPS`
+//! calls after a warm-up (`cham_bench::Timing`), and the one measured
+//! `q0` forward transform (`CpuCosts::ntt`) is both the throughput line
+//! and the ablation's lazy row.
 
-use cham_bench::{si, threads_from_env, usage_error, CpuCosts};
+use cham_bench::{si, threads_from_env, usage_error, CpuCosts, Timing, COST_REPS};
 use cham_he::params::ChamParams;
 use cham_math::simd::{self, RescaleLimb};
 use cham_math::{Backend, NttTable};
 use cham_sim::baselines::published_ntt;
 use cham_sim::pipeline::HmvpCycleModel;
 use cham_sim::report::table3;
-use std::time::Instant;
 
-/// Best-of-3 seconds for `reps` calls of one kernel (a transform of one
-/// N-point limb, or one key-switch's worth of a key-switch kernel).
-fn time_ntt(reps: usize, mut transform: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            transform();
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
+/// The fastest of [`COST_REPS`] calls of one kernel (a transform of one
+/// N-point limb, or one key-switch's worth of a key-switch kernel), in
+/// seconds.
+fn fastest(kernel: impl FnMut()) -> f64 {
+    Timing::of(COST_REPS, kernel).min
 }
 
 fn main() {
@@ -67,38 +62,32 @@ fn main() {
         model.keyswitch_ops_per_sec() / cpu_ks
     );
 
-    // Strict-vs-lazy ablation on one single-limb N = 4096 forward NTT:
-    // the same table, the same buffer, only the reduction discipline
-    // differs (canonical per butterfly vs Harvey [0, 4q) + one final pass).
+    // Strict-vs-lazy ablation on one single-limb N = 4096 forward NTT
+    // over `q0`: only the reduction discipline differs (canonical per
+    // butterfly vs Harvey [0, 4q) + one final pass). The lazy row is the
+    // production transform `CpuCosts::ntt` measured above.
     let n = params.degree();
     let q = params.ciphertext_context().moduli()[0];
     let table = NttTable::new(n, q).expect("NTT table");
     let mut poly: Vec<u64> = (0..n as u64).map(|i| i % q.value()).collect();
-    let reps = 200;
-    let strict_s = time_ntt(reps, || table.forward_strict(&mut poly));
-    let lazy_s = time_ntt(reps, || table.forward(&mut poly));
+    let strict_s = fastest(|| table.forward_strict(&mut poly));
+    let lazy_s = cpu.ntt;
     let lazy_speedup = strict_s / lazy_s;
     println!();
     println!("=== Ablation: strict vs lazy reduction (single-limb forward NTT, N = {n}) ===");
     println!("{:>24} {:>14} {:>14}", "datapath", "sec/transform", "ops/s");
-    println!(
-        "{:>24} {:>14.3e} {:>14}",
-        "strict (reference)",
-        strict_s / reps as f64,
-        si(reps as f64 / strict_s)
-    );
-    println!(
-        "{:>24} {:>14.3e} {:>14}",
-        "lazy (production)",
-        lazy_s / reps as f64,
-        si(reps as f64 / lazy_s)
-    );
+    for (datapath, seconds) in [
+        ("strict (reference)", strict_s),
+        ("lazy (production)", lazy_s),
+    ] {
+        println!("{datapath:>24} {seconds:>14.3e} {:>14}", si(1.0 / seconds));
+    }
     println!("lazy-reduction speedup:         {lazy_speedup:.2}x");
 
     // Scalar-vs-SIMD ablation: the same lazy datapath, pinned to the scalar
     // backend and to every vector backend the host can run via
     // `with_backend` (the in-process equivalent of `CHAM_SIMD=scalar` /
-    // `=avx2` / … runs). `NttTable::new` above already captured the
+    // `=avx2` / … runs). `CpuCosts::measure` built its table with the
     // env-selected backend, so the lazy row above stays the production
     // path; the rows below isolate the vectorization factor per tier, one
     // row per kernel family with an arm of its own (a backend without one
@@ -106,9 +95,8 @@ fn main() {
     // `CHAM_SIMD=auto` resolves to.
     let auto_backend = Backend::detect_auto();
     let scalar_table = NttTable::with_backend(n, q, Backend::Scalar).expect("NTT table");
-    let fwd_scalar_s = time_ntt(reps, || scalar_table.forward(&mut poly));
-    let inv_scalar_s = time_ntt(reps, || scalar_table.inverse(&mut poly));
-    let per = reps as f64;
+    let fwd_scalar_s = fastest(|| scalar_table.forward(&mut poly));
+    let inv_scalar_s = fastest(|| scalar_table.inverse(&mut poly));
     println!();
     println!("=== Ablation: scalar vs SIMD backends (N = {n}, `auto` = {auto_backend}) ===");
     println!(
@@ -158,20 +146,20 @@ fn main() {
             simd::rescale_into(backend, limb, x, last, out);
         }
     };
-    let dot_scalar_s = time_ntt(reps, || keyswitch_dot(Backend::Scalar, &mut words));
-    let rescale_scalar_s = time_ntt(reps, || rescale(Backend::Scalar, &mut rescaled));
+    let dot_scalar_s = fastest(|| keyswitch_dot(Backend::Scalar, &mut words));
+    let rescale_scalar_s = fastest(|| rescale(Backend::Scalar, &mut rescaled));
     for backend in Backend::all_available() {
         if backend == Backend::Scalar {
             continue;
         }
         let table = NttTable::with_backend(n, q, backend).expect("NTT table");
-        let fwd_s = time_ntt(reps, || table.forward(&mut poly));
-        let inv_s = time_ntt(reps, || table.inverse(&mut poly));
-        let dot_s = time_ntt(reps, || keyswitch_dot(backend, &mut words));
-        let rescale_s = time_ntt(reps, || rescale(backend, &mut rescaled));
-        row(backend, "forward NTT", fwd_scalar_s / per, fwd_s / per);
-        row(backend, "inverse NTT", inv_scalar_s / per, inv_s / per);
-        row(backend, "keyswitch dot", dot_scalar_s / per, dot_s / per);
-        row(backend, "rescale", rescale_scalar_s / per, rescale_s / per);
+        let fwd_s = fastest(|| table.forward(&mut poly));
+        let inv_s = fastest(|| table.inverse(&mut poly));
+        let dot_s = fastest(|| keyswitch_dot(backend, &mut words));
+        let rescale_s = fastest(|| rescale(backend, &mut rescaled));
+        row(backend, "forward NTT", fwd_scalar_s, fwd_s);
+        row(backend, "inverse NTT", inv_scalar_s, inv_s);
+        row(backend, "keyswitch dot", dot_scalar_s, dot_s);
+        row(backend, "rescale", rescale_scalar_s, rescale_s);
     }
 }

@@ -22,11 +22,13 @@
 //! [`threads_from_env`]), which fixes the process thread budget; the
 //! model-only ones take no argument ([`no_args`]).
 //!
-//! This library holds the shared measurement helpers: [`CpuHmvp`], the
-//! CPU baseline of every HMVP the binaries compare against (a
-//! decrypt-verified `multiply_parallel` timed at the compared shape),
-//! [`CpuCosts`], the per-operation costs of the cost models, and table
-//! formatting.
+//! This library holds the shared measurement helpers: [`Timing`], the one
+//! timer of every CPU figure the binaries print (one untimed call, then
+//! timed ones; `median (min–max)`), [`CpuHmvp`], the CPU baseline of
+//! every HMVP the binaries compare against (a decrypt-verified
+//! `multiply_parallel` timed at the compared shape, median of
+//! [`HMVP_REPS`]), [`CpuCosts`], the per-operation costs of the cost
+//! models (each the fastest of [`COST_REPS`]), and table formatting.
 
 #![warn(missing_docs)]
 use cham_he::ciphertext::RlweCiphertext;
@@ -131,7 +133,8 @@ pub struct CpuCosts {
 
 impl CpuCosts {
     /// Measures the cost table on this machine at the given parameters,
-    /// single-threaded (the paper's CPU baseline).
+    /// single-threaded (the paper's CPU baseline): each cost is the
+    /// [`Timing::min`] of [`COST_REPS`] timed calls.
     ///
     /// # Panics
     /// Panics if key setup fails (cannot happen for valid parameters).
@@ -149,63 +152,38 @@ impl CpuCosts {
         let diagonal =
             lift_plaintext_ntt(&diagonal, params, params.augmented_context()).expect("lift");
 
-        // One untimed encryption first, as for the key-switch below: the
-        // timed ones do not pay the first call's costs. Then the median of
-        // ENCRYPT_REPS.
+        let encrypt = Timing::of(COST_REPS, || enc.encrypt_augmented(&pt, &mut rng)).min;
         let mut ct = enc.encrypt_augmented(&pt, &mut rng);
-        let mut runs = [0.0; ENCRYPT_REPS];
-        for run in &mut runs {
-            let t0 = Instant::now();
-            ct = enc.encrypt_augmented(&pt, &mut rng);
-            *run = t0.elapsed().as_secs_f64();
-        }
-        runs.sort_by(f64::total_cmp);
-        let encrypt = runs[ENCRYPT_REPS / 2];
-
         let other = enc.encrypt_augmented(&pt, &mut rng);
-        let add = fastest_of_20(|| drop(std::hint::black_box(ct.add(&other).expect("add"))));
+        let add = Timing::of(COST_REPS, || ct.add(&other).expect("add")).min;
         // The Delphi pass multiplies a coefficient-form ciphertext (its
         // transforms are part of the pass): the input is converted once,
         // outside the timer.
         ct.to_coeff();
         let mut acc = ct.zero_like();
-        let diag_pass = fastest_of_20(|| {
+        let diag_pass = Timing::of(COST_REPS, || {
             let product = mul_plain_prepared(&ct, &diagonal).expect("mul");
             acc = acc.add(&product).expect("add");
-        });
+        })
+        .min;
 
         // Raw key-switch, and a decryption, of a normal-basis ciphertext in
         // coefficient form, as the pack's key-switch and a reply's
-        // decryption read it (converted outside the timers). One untimed
-        // key-switch first: the timed ones do not pay the scratch pool's
-        // first allocation.
-        let reps = 3;
+        // decryption read it (converted outside the timers).
         let mut normal = enc.encrypt(&pt, &mut rng);
         normal.to_coeff();
         let ksk = KeySwitchKey::generate(&sk, sk.coeffs(), &mut rng).expect("ksk");
-        let _ = keyswitch_mask(normal.a(), &ksk, params).expect("ks");
-        let t2 = Instant::now();
-        for _ in 0..reps {
-            let _ = keyswitch_mask(normal.a(), &ksk, params).expect("ks");
-        }
-        let keyswitch = t2.elapsed().as_secs_f64() / reps as f64;
-
-        let t3 = Instant::now();
-        for _ in 0..reps {
-            let _ = dec.decrypt(&normal);
-        }
-        let decrypt = t3.elapsed().as_secs_f64() / reps as f64;
+        let keyswitch = Timing::of(COST_REPS, || {
+            keyswitch_mask(normal.a(), &ksk, params).expect("ks")
+        })
+        .min;
+        let decrypt = Timing::of(COST_REPS, || dec.decrypt(&normal)).min;
 
         // One limb NTT.
         let q = params.ciphertext_context().moduli()[0];
         let table = cham_math::NttTable::new(n, q).expect("ntt");
         let mut poly: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.value())).collect();
-        let t4 = Instant::now();
-        let ntt_reps = 20;
-        for _ in 0..ntt_reps {
-            table.forward(&mut poly);
-        }
-        let ntt = t4.elapsed().as_secs_f64() / ntt_reps as f64;
+        let ntt = Timing::of(COST_REPS, || table.forward(&mut poly)).min;
 
         Self {
             encrypt,
@@ -229,28 +207,64 @@ impl CpuCosts {
     }
 }
 
-/// Timed encryptions behind [`CpuCosts::encrypt`], after one untimed
-/// warm-up; the median is kept.
-const ENCRYPT_REPS: usize = 9;
+/// Timed calls behind a per-operation cost: [`CpuCosts`]' fields and the
+/// binaries' per-kernel rows each read the [`Timing::min`] of this many.
+/// The operations timed this way are short, and on a shared host the
+/// fastest call is the most repeatable of the three statistics.
+pub const COST_REPS: usize = 20;
 
-/// The fastest of twenty timed calls of `op`, in seconds: the operations
-/// timed this way are short, and a fresh process runs its first ones about
-/// twice as slowly.
-fn fastest_of_20(mut op: impl FnMut()) -> f64 {
-    (0..20)
-        .map(|_| {
-            let t0 = Instant::now();
-            op();
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
+/// Wall-clock seconds of the timed calls of one operation; its
+/// `Display` is `median (min–max)`.
+#[derive(Debug, Clone, Copy)]
+pub struct Timing {
+    /// The fastest call.
+    pub min: f64,
+    /// The median call (the mean of the middle two for an even count).
+    pub median: f64,
+    /// The slowest call.
+    pub max: f64,
+}
+
+impl Timing {
+    /// Calls `op` once untimed, so that no timed call pays a first call's
+    /// costs (page faults, scratch allocation, cold caches), then `reps`
+    /// times timed. This is the one timer of every CPU figure the
+    /// binaries print.
+    ///
+    /// # Panics
+    /// Panics if `reps` is 0.
+    pub fn of<T>(reps: usize, mut op: impl FnMut() -> T) -> Self {
+        assert!(reps > 0, "a timing needs at least one timed call");
+        std::hint::black_box(op());
+        let mut runs: Vec<f64> = (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                std::hint::black_box(op());
+                t0.elapsed().as_secs_f64()
+            })
+            .collect();
+        runs.sort_by(f64::total_cmp);
+        Self {
+            min: runs[0],
+            median: (runs[(reps - 1) / 2] + runs[reps / 2]) / 2.0,
+            max: runs[reps - 1],
+        }
+    }
+}
+
+impl std::fmt::Display for Timing {
+    /// `median (min–max)`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [median, min, max] = [self.median, self.min, self.max].map(eng);
+        write!(f, "{median} ({min}–{max})")
+    }
 }
 
 /// The CPU baseline of an HMVP, measured: `Hmvp::multiply_parallel` timed
-/// at the requested shape on this machine, [`HMVP_REPS`] times, each
-/// result decrypted and compared with the plain product. The keys — the
-/// Galois keys up to `max_pack_log()` among them — are generated once,
-/// so a shape pays only its own encode.
+/// at the requested shape on this machine, [`HMVP_REPS`] times after one
+/// warm-up, every result decrypted and compared with the plain product.
+/// The keys — the Galois keys up to `max_pack_log()` among them — are
+/// generated once, so a shape pays only its own encode.
 #[derive(Debug)]
 pub struct CpuHmvp {
     hmvp: Hmvp,
@@ -263,28 +277,6 @@ pub struct CpuHmvp {
 
 /// Timed runs per shape of a [`CpuHmvp`].
 pub const HMVP_REPS: usize = 3;
-
-/// Wall-clock seconds of the [`HMVP_REPS`] timed runs of one product.
-#[derive(Debug, Clone, Copy)]
-pub struct HmvpTiming {
-    /// The median run.
-    pub median: f64,
-    /// The fastest run.
-    pub min: f64,
-    /// The slowest run.
-    pub max: f64,
-    /// Every run decrypted to the plain product.
-    pub verified: bool,
-}
-
-impl std::fmt::Display for HmvpTiming {
-    /// `median (min–max)`, marked when a run decrypted to a wrong product.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let [median, min, max] = [self.median, self.min, self.max].map(eng);
-        let mark = if self.verified { "" } else { " UNVERIFIED" };
-        write!(f, "{median} ({min}–{max}){mark}")
-    }
-}
 
 impl CpuHmvp {
     /// Generates the keys at `params`; every product runs on at most
@@ -346,33 +338,30 @@ impl CpuHmvp {
     }
 
     /// Times [`HMVP_REPS`] runs of `multiply_parallel` on a random
-    /// `rows × cols` product and checks each result by decryption.
+    /// `rows × cols` product, after one warm-up, then decrypts every
+    /// product, the warm-up's included, outside the timer.
     ///
     /// # Panics
-    /// Panics on an empty shape.
-    pub fn time(&mut self, rows: usize, cols: usize) -> HmvpTiming {
+    /// Panics on an empty shape, and when a product decrypts to anything
+    /// but the plain `A·v`.
+    pub fn time(&mut self, rows: usize, cols: usize) -> Timing {
         let (matrix, input, expected) = self.operands(rows, cols);
-        let mut runs = [0.0; HMVP_REPS];
-        let mut verified = true;
-        for run in &mut runs {
-            let t0 = Instant::now();
-            let result = self
+        let mut products = Vec::with_capacity(HMVP_REPS + 1);
+        let timing = Timing::of(HMVP_REPS, || {
+            let product = self
                 .hmvp
                 .multiply_parallel(&matrix, &input, &self.gkeys, self.threads)
                 .expect("multiply");
-            *run = t0.elapsed().as_secs_f64();
-            verified &= self
-                .hmvp
-                .decrypt_result(&result, &self.dec)
-                .is_ok_and(|got| got == expected);
+            products.push(product);
+        });
+        for product in &products {
+            let got = self.hmvp.decrypt_result(product, &self.dec);
+            assert!(
+                got.is_ok_and(|got| got == expected),
+                "the {rows}x{cols} product decrypted wrong"
+            );
         }
-        runs.sort_by(f64::total_cmp);
-        HmvpTiming {
-            median: runs[HMVP_REPS / 2],
-            min: runs[0],
-            max: runs[HMVP_REPS - 1],
-            verified,
-        }
+        timing
     }
 }
 
@@ -449,6 +438,26 @@ mod tests {
     }
 
     #[test]
+    fn timing_excludes_the_warm_up_call() {
+        let mut calls = 0;
+        let t = Timing::of(5, || {
+            calls += 1;
+            if calls == 1 {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            }
+        });
+        assert_eq!(calls, 6, "one untimed call, then five timed");
+        assert!(t.max < 0.05, "the slow first call was timed: {t:?}");
+        assert!(t.min <= t.median && t.median <= t.max, "{t:?}");
+        let shown = Timing {
+            min: 1.5e-3,
+            median: 2.5e-3,
+            max: 1.25,
+        };
+        assert_eq!(shown.to_string(), "2.500 ms (1.500 ms–1.250 s)");
+    }
+
+    #[test]
     fn cpu_hmvp_times_a_verified_multiply() {
         // The reduced test parameters keep the smoke test fast; the figure
         // binaries use the full N = 4096 set.
@@ -458,7 +467,6 @@ mod tests {
         // One tile, then three tiles over two pack blocks.
         for (rows, cols) in [(5, n), (n + 3, 2 * n + 1)] {
             let t = cpu.time(rows, cols);
-            assert!(t.verified, "{rows}x{cols} decrypted wrong");
             assert!(t.median > 0.0 && t.median.is_finite(), "{t}");
             assert!(t.min <= t.median && t.median <= t.max, "{t}");
         }

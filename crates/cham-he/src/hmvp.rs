@@ -325,8 +325,8 @@ impl Hmvp {
 
     /// Computes the dot-product/extract phase on the calling thread: one
     /// LWE ciphertext per row (Alg. 1 lines 1–4), blocks of [`ROW_BLOCK`]
-    /// rows over the input ciphertexts. `map_capped` at a cap of 1 runs
-    /// every block inline: nothing is spawned.
+    /// rows over the input ciphertexts, in a plain loop: nothing is
+    /// spawned.
     ///
     /// # Errors
     /// [`HeError::ShapeMismatch`] when the ciphertext count differs from
@@ -340,14 +340,11 @@ impl Hmvp {
         cts: &[RlweCiphertext],
     ) -> Result<Vec<LweCiphertext>> {
         self.check_inputs(matrix, cts)?;
-        let blocks: Vec<&[Vec<RnsPoly>]> = matrix.tiles.chunks(ROW_BLOCK).collect();
-        let lwes = cham_pool::map_capped(&blocks, 1, |_, rows| self.dot_rows_lwe(rows, cts));
-        Ok(lwes
-            .into_iter()
-            .collect::<Result<Vec<_>>>()?
-            .into_iter()
-            .flatten()
-            .collect())
+        let mut lwes = Vec::with_capacity(matrix.tiles.len());
+        for rows in matrix.tiles.chunks(ROW_BLOCK) {
+            lwes.extend(self.dot_rows_lwe(rows, cts)?);
+        }
+        Ok(lwes)
     }
 
     /// One block of up to [`ROW_BLOCK`] rows through pipeline stages 1–4

@@ -234,12 +234,8 @@ impl StatsSnapshot {
 /// `LoadMatrix`, outside any traced request).
 #[derive(Debug, Default)]
 pub struct PhaseHistograms {
-    queue: LiveHistogram,
-    dispatch: LiveHistogram,
-    dot: LiveHistogram,
-    keyswitch: LiveHistogram,
-    rescale: LiveHistogram,
-    serialize: LiveHistogram,
+    /// One per request phase, in [`phase::ALL`] order.
+    phases: [LiveHistogram; phase::ALL.len()],
     total: LiveHistogram,
     matrix_encode: LiveHistogram,
 }
@@ -257,18 +253,17 @@ impl PhaseHistograms {
         Self::default()
     }
 
+    /// Every histogram under its name, in canonical pipeline order
+    /// (`total` and `matrix_encode` last).
+    fn named(&self) -> impl Iterator<Item = (&'static str, &LiveHistogram)> {
+        phase::ALL.into_iter().zip(&self.phases).chain([
+            (PHASE_TOTAL, &self.total),
+            (PHASE_MATRIX_ENCODE, &self.matrix_encode),
+        ])
+    }
+
     fn by_name(&self, name: &str) -> Option<&LiveHistogram> {
-        match name {
-            phase::QUEUE => Some(&self.queue),
-            phase::DISPATCH => Some(&self.dispatch),
-            phase::DOT => Some(&self.dot),
-            phase::KEYSWITCH => Some(&self.keyswitch),
-            phase::RESCALE => Some(&self.rescale),
-            phase::SERIALIZE => Some(&self.serialize),
-            PHASE_TOTAL => Some(&self.total),
-            PHASE_MATRIX_ENCODE => Some(&self.matrix_encode),
-            _ => None,
-        }
+        self.named().find(|&(n, _)| n == name).map(|(_, h)| h)
     }
 
     /// Folds one finished request's phase breakdown plus its end-to-end
@@ -292,18 +287,7 @@ impl PhaseHistograms {
     /// canonical pipeline order (`total` and `matrix_encode` last).
     #[must_use]
     pub fn snapshot(&self) -> Vec<PhaseStat> {
-        let named: [(&'static str, &LiveHistogram); 8] = [
-            (phase::QUEUE, &self.queue),
-            (phase::DISPATCH, &self.dispatch),
-            (phase::DOT, &self.dot),
-            (phase::KEYSWITCH, &self.keyswitch),
-            (phase::RESCALE, &self.rescale),
-            (phase::SERIALIZE, &self.serialize),
-            (PHASE_TOTAL, &self.total),
-            (PHASE_MATRIX_ENCODE, &self.matrix_encode),
-        ];
-        named
-            .into_iter()
+        self.named()
             .filter(|(_, h)| h.count() > 0)
             .map(|(name, h)| PhaseStat::from_snapshot(name, &h.snapshot()))
             .collect()
