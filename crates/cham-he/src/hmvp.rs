@@ -324,7 +324,7 @@ impl Hmvp {
     }
 
     /// Computes the dot-product/extract phase on the calling thread: one
-    /// LWE ciphertext per row (Alg. 1 lines 1–4), blocks of [`ROW_BLOCK`]
+    /// LWE ciphertext per row (Alg. 1 lines 1–4), blocks of `ROW_BLOCK`
     /// rows over the input ciphertexts, in a plain loop: nothing is
     /// spawned.
     ///
@@ -549,11 +549,11 @@ impl Hmvp {
     /// The MAC reads the NTT-form input ciphertexts in place: no
     /// transform, no copy. Each `N`-row block is one `PACKLWES` whose
     /// leaves are the block's rows, computed on demand in the order the
-    /// pack tree consumes them, [`ROW_BLOCK`] tree positions at a time so
-    /// that each tile of the input is read once per [`ROW_BLOCK`] rows.
+    /// pack tree consumes them, `ROW_BLOCK` tree positions at a time so
+    /// that each tile of the input is read once per `ROW_BLOCK` rows.
     /// A thread owns one contiguous subtree
     /// end to end — MAC, rescale, extract and every reduction beneath the
-    /// subtree root (see [`pack_with`]). No LWE is ever stored, and after
+    /// subtree root (see `pack_with`). No LWE is ever stored, and after
     /// a warm-up a call draws all its working memory from the scratch
     /// pool.
     ///

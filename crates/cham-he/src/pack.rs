@@ -26,7 +26,7 @@
 //! The paper's stages 5–9 never hold a tree level: LWEs stream out of
 //! stage 4 and are folded into a *reduce buffer* as they arrive. The
 //! software does the same. Leaves are produced in tree order, a block of
-//! [`ROW_BLOCK`] tree positions at a time (so the HMVP reads its NTT-form
+//! `ROW_BLOCK` tree positions at a time (so the HMVP reads its NTT-form
 //! input once per block, not once per row), and reduced depth-first with a
 //! binary-counter carry stack — after leaf `j` the stack holds one partial
 //! result per set bit of `j + 1` — so at most `log2(count) + 1 +

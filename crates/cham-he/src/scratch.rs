@@ -1,7 +1,7 @@
 //! Pooled scratch buffers for the fused HMVP kernels.
 //!
-//! Every working buffer of a product is a [`DotScratch`] from one shared
-//! [`ScratchPool`], one per row block or pack subtree: one flat `u64` area
+//! Every working buffer of a product is a `DotScratch` from one shared
+//! `ScratchPool`, one per row block or pack subtree: one flat `u64` area
 //! for a block's canonical `a` sums and `b₀` residues (the row MAC and the
 //! key-switch's digit product sum in registers and keep no accumulator
 //! plane), or a key-switch's digits and their two sums — together with
@@ -16,8 +16,8 @@
 //!
 //! Ownership rules:
 //! * a buffer is owned exclusively for the duration of one
-//!   [`ScratchPool::with`] call and returned to the free list afterwards,
-//! * a [`DotScratch`] is size-matched, never resized — a request for an
+//!   `ScratchPool::with` call and returned to the free list afterwards,
+//! * a `DotScratch` is size-matched, never resized — a request for an
 //!   unseen `(degree, limbs)` shape allocates (a *miss*) and the buffer
 //!   joins the list on release,
 //! * the list holds at most the peak number of concurrent checkouts per

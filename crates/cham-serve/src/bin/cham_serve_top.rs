@@ -12,18 +12,17 @@
 //! `--json` it prints the raw `cham-introspect/v1` JSON instead of the
 //! table (one document per poll, suitable for piping into `jq`).
 //!
-//! `--dump PATH` additionally requests a `FlightDump`, writes the
-//! Perfetto-loadable JSON to PATH, and round-trips it through the trace
-//! reader to prove the artifact is well-formed before exiting. Without
-//! `--count` it polls once, so the dump is written at once. It is the one
-//! way the flight recorder leaves a running server.
+//! `--dump PATH` additionally requests a `FlightDump`, renders the typed
+//! records it returns as Perfetto-loadable Chrome-trace JSON (the one
+//! JSON writer, `FlightSnapshot::to_chrome_trace`) and writes that to
+//! PATH. Without `--count` it polls once, so the dump is written at once.
+//! It is the one way the flight recorder leaves a running server.
 
 use cham_he::params::ChamParams;
 use cham_serve::stats::{IntrospectSnapshot, PHASE_TOTAL};
 use cham_serve::{parse_count, ClientConfig, ServeClient};
 use cham_telemetry::fmt::eng_nanos;
 use cham_telemetry::span::phase;
-use cham_telemetry::trace::read_chrome_trace;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -214,27 +213,18 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &args.dump {
-        let json = match client.flight_dump() {
-            Ok(j) => j,
+        let trace = match client.flight_dump() {
+            Ok(snapshot) => snapshot.to_chrome_trace(),
             Err(e) => {
                 eprintln!("flight dump failed: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        // Prove the artifact is loadable before claiming success — a
-        // dump nobody can open is worse than no dump.
-        let events = match read_chrome_trace(&json) {
-            Ok(ev) => ev,
-            Err(e) => {
-                eprintln!("flight dump is not a valid Chrome trace: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, &json) {
+        if let Err(e) = trace.write(path) {
             eprintln!("failed to write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("wrote {path}: {} trace events", events.len());
+        println!("wrote {path}: {} trace events", trace.len());
     }
     ExitCode::SUCCESS
 }

@@ -26,6 +26,7 @@ use cham_he::hmvp::{HmvpResult, Matrix};
 use cham_he::keys::GaloisKeys;
 use cham_he::params::ChamParams;
 use cham_he::wire;
+use cham_telemetry::flight::FlightSnapshot;
 use cham_telemetry::span::TraceId;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
@@ -467,14 +468,15 @@ impl ServeClient {
         }
     }
 
-    /// Fetches the server's flight recorder as Chrome-trace JSON (load
-    /// it in Perfetto, or parse with `cham_telemetry::trace_reader`).
+    /// Fetches the server's flight recorder as typed records;
+    /// [`FlightSnapshot::to_chrome_trace`] renders them for Perfetto.
     ///
     /// # Errors
-    /// Transport errors.
-    pub fn flight_dump(&mut self) -> Result<String> {
+    /// Transport errors, and a `BadFrame` for a body that is not a
+    /// snapshot.
+    pub fn flight_dump(&mut self) -> Result<FlightSnapshot> {
         match self.roundtrip(FrameKind::FlightDump, &[])? {
-            Response::FlightDump { json } => Ok(json),
+            Response::FlightDump { snapshot } => Ok(snapshot),
             _ => Err(ServeError::BadFrame(
                 "flight-dump answered with wrong response",
             )),

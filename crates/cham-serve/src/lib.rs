@@ -47,7 +47,8 @@
 //! via a [`cham_telemetry::span::SpanRecorder`], and the completed
 //! breakdown lands in both the per-phase histograms (`Introspect`) and
 //! the bounded [`cham_telemetry::flight::FlightRecorder`] ring
-//! (`FlightDump`, Perfetto-loadable JSON).
+//! (`FlightDump`, which carries the typed records; the client renders
+//! the Perfetto file).
 //!
 //! ```text
 //!   clients ──TCP──▶ conn thread ──▶ gate.acquire ──▶ multiply_parallel

@@ -23,7 +23,7 @@
 //! | `Error` (6) | s→c | `[code u8] [that code's fields]` (see below) |
 //! | (7) | — | retired (the `Ping` health check; `Introspect` serves the same counters); rejected as an unknown kind |
 //! | `Introspect` (8) | c→s | empty — answered with a [`Response::IntrospectReport`] snapshot |
-//! | `FlightDump` (9) | c→s | empty — answered with a [`Response::FlightDump`] trace JSON |
+//! | `FlightDump` (9) | c→s | empty — answered with a [`Response::FlightDump`] flight snapshot |
 //! | `MatrixChunkStart` (10) | c→s | `[matrix_id u64] [total_len u64] [chunk_size u32] [chunk_count u32] [rows u32] [cols u32]` |
 //! | `MatrixChunk` (11) | c→s | `[matrix_id u64] [index u32] [checksum u64] [data]` |
 //! | `MatrixChunkCommit` (12) | c→s | `[matrix_id u64]` |
@@ -33,6 +33,23 @@
 //! A `Result` answering `Hello` is
 //! `[tag u8] [revision u16] [presence u8] ([shard_index u16] [shard_count u16] [epoch u64])`,
 //! the bracketed cluster block present only when the presence byte is 1.
+//!
+//! A `Result` answering `FlightDump` carries the flight recorder's
+//! records, not rendered text; the client renders the Perfetto file
+//! itself ([`FlightSnapshot::to_chrome_trace`]):
+//!
+//! | part | layout |
+//! |------|--------|
+//! | head | `[tag u8 = 7] [dropped_traces u64] [traces u16]` |
+//! | per trace | `[trace_id u64] [start_ns u64] [total_ns u64] [phases u8]` |
+//! | per phase | `[name] [start_ns u64] [dur_ns u64] [count u64]` |
+//! | tail | `[events u16]`, then per event `[kind u8] [trace_id u64, 0 = none] [ts_ns u64] [detail]` |
+//!
+//! `[name]` and `[detail]` are the error message's `[len u16] [utf-8]`
+//! string. A phase name outside `span::phase::ALL`, an event kind past
+//! `FlightEventKind::ALL`, a zero trace id on a trace, a count the bytes
+//! left cannot hold (checked before allocating) or text that is not
+//! UTF-8 is a `BadFrame`.
 //!
 //! An `Error` body is its [`ErrorCode`] followed by that code's fields,
 //! so every typed error crosses the wire typed ([`error_body`] /
@@ -106,11 +123,13 @@ use cham_he::hmvp::Matrix;
 use cham_he::pack::PackedRlwe;
 use cham_he::params::ChamParams;
 use cham_he::wire;
+use cham_telemetry::flight::{FlightEvent, FlightEventKind, FlightSnapshot, RequestTrace};
+use cham_telemetry::span::{phase, PhaseSpan, TraceId};
 use std::io::{Read, Write};
 
 /// The one protocol revision this crate speaks; both ends refuse any
 /// other value.
-pub const PROTOCOL_VERSION: u16 = 9;
+pub const PROTOCOL_VERSION: u16 = 10;
 
 /// Wire sentinel for "no deadline" in `Hmvp` frames. Any other value is
 /// a deadline in milliseconds; `0` is rejected as malformed.
@@ -374,6 +393,23 @@ impl<'a> Reader<'a> {
 
     fn remaining(&self) -> usize {
         self.data.len() - self.pos
+    }
+
+    /// Reads a [`put_str`] string; `not_utf8` is the refusal when its
+    /// bytes are not UTF-8.
+    fn str(&mut self, not_utf8: &'static str) -> Result<&'a str> {
+        let len = usize::from(self.u16()?);
+        std::str::from_utf8(self.take(len)?).map_err(|_| ServeError::BadFrame(not_utf8))
+    }
+
+    /// `n` when the bytes left can hold `n` records of at least `min_len`
+    /// bytes each — the check a count passes before anything is sized by
+    /// it.
+    fn bounded(&self, n: usize, min_len: usize, what: &'static str) -> Result<usize> {
+        if n.checked_mul(min_len).is_none_or(|b| b > self.remaining()) {
+            return Err(ServeError::BadFrame(what));
+        }
+        Ok(n)
     }
 
     fn done(&self) -> Result<()> {
@@ -884,6 +920,102 @@ fn read_named(r: &mut Reader<'_>, mut set: impl FnMut(&str, u64)) -> Result<()> 
     Ok(())
 }
 
+/// Appends `[len u16] [utf-8]`, cut at the last char boundary the length
+/// holds.
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    let mut take = s.len().min(u16::MAX as usize);
+    while !s.is_char_boundary(take) {
+        take -= 1;
+    }
+    out.extend_from_slice(&(take as u16).to_le_bytes());
+    out.extend_from_slice(&s.as_bytes()[..take]);
+}
+
+/// Appends a `FlightDump` body after its tag (the module's flight table).
+/// The recorder's rings keep every count inside its field; past it the
+/// list is cut like a string.
+fn put_flight(out: &mut Vec<u8>, snap: &FlightSnapshot) {
+    let traces = &snap.traces[..snap.traces.len().min(u16::MAX.into())];
+    out.extend_from_slice(&snap.dropped_traces.to_le_bytes());
+    out.extend_from_slice(&(traces.len() as u16).to_le_bytes());
+    for t in traces {
+        for v in [t.trace_id.as_u64(), t.start_ns, t.total_ns] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        let phases = &t.phases[..t.phases.len().min(u8::MAX.into())];
+        out.push(phases.len() as u8);
+        for p in phases {
+            put_str(out, p.name);
+            for v in [p.start_ns, p.dur_ns, p.count] {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+    }
+    let events = &snap.events[..snap.events.len().min(u16::MAX.into())];
+    out.extend_from_slice(&(events.len() as u16).to_le_bytes());
+    for e in events {
+        out.push(e.kind as u8);
+        out.extend_from_slice(&e.trace_id.map_or(0, TraceId::as_u64).to_le_bytes());
+        out.extend_from_slice(&e.ts_ns.to_le_bytes());
+        put_str(out, &e.detail);
+    }
+}
+
+/// Reads a [`put_flight`] body. Phase names map back to the
+/// `&'static str`s of `phase::ALL`. Each count is bounded by its
+/// record's smallest size: 25 bytes for a trace with no phases, 26 for a
+/// phase and 19 for an event with empty text.
+fn read_flight(r: &mut Reader<'_>) -> Result<FlightSnapshot> {
+    let dropped_traces = r.u64()?;
+    let n = usize::from(r.u16()?);
+    let traces = (0..r.bounded(n, 25, "flight trace count out of bounds")?)
+        .map(|_| {
+            let trace_id = TraceId::from_wire(r.u64()?)
+                .ok_or(ServeError::BadFrame("flight trace with a zero id"))?;
+            let (start_ns, total_ns) = (r.u64()?, r.u64()?);
+            let n = usize::from(r.u8()?);
+            let phases = (0..r.bounded(n, 26, "flight phase count out of bounds")?)
+                .map(|_| {
+                    let name = r.str("flight phase name is not UTF-8")?;
+                    Ok(PhaseSpan {
+                        name: phase::ALL
+                            .into_iter()
+                            .find(|p| *p == name)
+                            .ok_or(ServeError::BadFrame("unknown flight phase name"))?,
+                        start_ns: r.u64()?,
+                        dur_ns: r.u64()?,
+                        count: r.u64()?,
+                    })
+                })
+                .collect::<Result<_>>()?;
+            Ok(RequestTrace {
+                trace_id,
+                start_ns,
+                total_ns,
+                phases,
+            })
+        })
+        .collect::<Result<_>>()?;
+    let n = usize::from(r.u16()?);
+    let events = (0..r.bounded(n, 19, "flight event count out of bounds")?)
+        .map(|_| {
+            Ok(FlightEvent {
+                kind: *FlightEventKind::ALL
+                    .get(usize::from(r.u8()?))
+                    .ok_or(ServeError::BadFrame("unknown flight event kind"))?,
+                trace_id: TraceId::from_wire(r.u64()?),
+                ts_ns: r.u64()?,
+                detail: r.str("flight event detail is not UTF-8")?.to_owned(),
+            })
+        })
+        .collect::<Result<_>>()?;
+    Ok(FlightSnapshot {
+        traces,
+        events,
+        dropped_traces,
+    })
+}
+
 /// A parsed `Result` frame.
 #[derive(Debug, Clone)]
 pub enum Response {
@@ -923,11 +1055,11 @@ pub enum Response {
         /// Live stats, occupancy, and per-phase latency breakdown.
         snapshot: IntrospectSnapshot,
     },
-    /// Answer to `FlightDump`: the flight recorder's contents rendered
-    /// as Chrome-trace JSON.
+    /// Answer to `FlightDump`: the flight recorder's records, which the
+    /// client renders ([`FlightSnapshot::to_chrome_trace`]).
     FlightDump {
-        /// Perfetto-loadable trace JSON.
-        json: String,
+        /// The recorder's traces and events, oldest first.
+        snapshot: FlightSnapshot,
     },
     /// Answer to `MatrixChunkStart` and `MatrixChunk`: the server's view
     /// of the upload so far. The bitmap (bit `i` = chunk `i` received) is
@@ -1036,11 +1168,9 @@ impl Response {
                     }
                 }
             }
-            Response::FlightDump { json } => {
+            Response::FlightDump { snapshot } => {
                 out.push(ResponseTag::FlightDump as u8);
-                let bytes = json.as_bytes();
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(bytes);
+                put_flight(&mut out, snapshot);
             }
             Response::ChunkAck {
                 matrix_id,
@@ -1143,12 +1273,9 @@ impl Response {
                 snapshot.phases = phases;
                 Response::IntrospectReport { snapshot }
             }
-            t if t == ResponseTag::FlightDump as u8 => {
-                let len = r.u32()? as usize;
-                let json = String::from_utf8(r.take(len)?.to_vec())
-                    .map_err(|_| ServeError::BadFrame("flight dump is not UTF-8"))?;
-                Response::FlightDump { json }
-            }
+            t if t == ResponseTag::FlightDump as u8 => Response::FlightDump {
+                snapshot: read_flight(&mut r)?,
+            },
             t if t == ResponseTag::ChunkAck as u8 => {
                 let matrix_id = r.u64()?;
                 let chunk_count = r.u32()?;
@@ -1163,10 +1290,8 @@ impl Response {
                 }
             }
             t if t == ResponseTag::StoreListReport as u8 => {
-                let count = r.u32()? as usize;
-                if count.checked_mul(8).is_none_or(|b| b > r.remaining()) {
-                    return Err(ServeError::BadFrame("store list count out of bounds"));
-                }
+                let n = r.u32()? as usize;
+                let count = r.bounded(n, 8, "store list count out of bounds")?;
                 let mut ids = Vec::with_capacity(count);
                 for _ in 0..count {
                     ids.push(r.u64()?);
@@ -1195,15 +1320,9 @@ impl Response {
 #[must_use]
 pub fn error_body(e: &ServeError) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
-    // `[len u16][utf-8]`, cut at the last char boundary the length holds.
     let mut message = |code: ErrorCode, m: &str| {
-        let mut take = m.len().min(u16::MAX as usize);
-        while !m.is_char_boundary(take) {
-            take -= 1;
-        }
         out.push(code as u8);
-        out.extend_from_slice(&(take as u16).to_le_bytes());
-        out.extend_from_slice(&m.as_bytes()[..take]);
+        put_str(&mut out, m);
     };
     match e {
         ServeError::BadFrame(m) => message(ErrorCode::BadFrame, m),
@@ -1255,11 +1374,7 @@ pub fn error_body(e: &ServeError) -> Vec<u8> {
 pub fn error_from_body(body: &[u8]) -> Result<ServeError> {
     let mut r = Reader::new(body);
     let code = ErrorCode::from_u8(r.u8()?)?;
-    let mut message = || -> Result<String> {
-        let len = r.u16()? as usize;
-        String::from_utf8(r.take(len)?.to_vec())
-            .map_err(|_| ServeError::BadFrame("error message is not UTF-8"))
-    };
+    let mut message = || -> Result<String> { Ok(r.str("error message is not UTF-8")?.to_owned()) };
     let e = match code {
         ErrorCode::Busy => ServeError::Busy,
         ErrorCode::TimedOut => ServeError::TimedOut,

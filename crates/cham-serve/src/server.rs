@@ -575,7 +575,7 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
                 return Err(ServeError::BadFrame("flight-dump frame with a body"));
             }
             Ok(FrameOutcome::plain(Response::FlightDump {
-                json: shared.flight.to_chrome_trace().to_json(),
+                snapshot: shared.flight.snapshot(),
             }))
         }
         FrameKind::LoadKeys => {

@@ -555,30 +555,33 @@ mod tests {
             phases: h.snapshot(),
             ..IntrospectSnapshot::default()
         };
-        let json = snap.to_json();
-        assert_eq!(
-            json.get("schema").and_then(JsonValue::as_str),
-            Some("cham-introspect/v1")
-        );
-        assert_eq!(
-            json.get("stats")
-                .and_then(|s| s.get("accepted"))
-                .and_then(JsonValue::as_u64),
-            Some(4)
-        );
-        let phases = json.get("phases").and_then(JsonValue::as_array).unwrap();
-        assert_eq!(phases.len(), 2); // queue + total
-        assert_eq!(
-            phases[0].get("name").and_then(JsonValue::as_str),
-            Some(phase::QUEUE)
-        );
         assert!(snap.phase(phase::QUEUE).is_some());
         assert!(snap.phase(phase::DOT).is_none());
-        // Node identity renders additively (zeros on a standalone node).
-        assert_eq!(json.get("node_id").and_then(JsonValue::as_u64), Some(0));
-        assert_eq!(json.get("shard_count").and_then(JsonValue::as_u64), Some(0));
-        // The rendered JSON parses back (round-trip through the parser).
-        let text = json.to_string();
-        assert!(JsonValue::parse(&text).is_ok());
+        // The whole document, byte for byte: the schema tag, every counter
+        // and gauge by name (node identity renders as zeros on a
+        // standalone node), then the phases with samples in canonical
+        // order — queue, and the end-to-end total.
+        let phase_json = |name: &str| {
+            format!(
+                r#"{{"name":"{name}","count":1,"sum_ns":10,"p50_ns":10,"p99_ns":10,"p999_ns":10,"max_ns":10}}"#
+            )
+        };
+        let expected = [
+            r#"{"schema":"cham-introspect/v1","stats":{"accepted":4,"rejected_busy":0,"#,
+            r#""timed_out":0,"completed":4,"failed":0,"peak_queue_depth":0,"#,
+            r#""internal_errors":0,"rejected_shutdown":0,"faults_injected":0,"#,
+            r#""reaped_uploads":0,"spill_errors":0,"decode_errors":0},"#,
+            r#""queue_depth":1,"queue_capacity":64,"workers":2,"key_cache_len":0,"#,
+            r#""matrix_cache_len":0,"pool_threads":0,"pool_tasks":0,"flight_traces":0,"#,
+            r#""flight_dropped":0,"node_id":0,"shard_index":0,"shard_count":0,"#,
+            r#""simd_backend":0,"simd_lanes":0,"simd_vector_elems":0,"simd_tail_elems":0,"#,
+            r#""phases":["#,
+            &phase_json(phase::QUEUE),
+            ",",
+            &phase_json(PHASE_TOTAL),
+            "]}",
+        ]
+        .concat();
+        assert_eq!(snap.to_json().to_string(), expected);
     }
 }

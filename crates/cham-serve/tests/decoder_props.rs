@@ -11,6 +11,8 @@
 //! re-encodes byte for byte, and the fully populated `IntrospectReport`
 //! decodes back to an equal struct. `Error` bodies are exact: each code
 //! carries its own fields, and a message that is not UTF-8 is refused.
+//! `FlightDump` bodies are exact too, and every corpus snapshot decodes
+//! back to an equal one.
 //!
 //! Seeded from the test name by the vendored proptest, so a failure
 //! names the case and replays identically.
@@ -30,6 +32,8 @@ use cham_serve::protocol::{
 use cham_serve::shard::ClusterIdentity;
 use cham_serve::stats::{IntrospectSnapshot, PhaseStat, StatsSnapshot};
 use cham_serve::ServeError;
+use cham_telemetry::flight::{FlightEvent, FlightEventKind, FlightSnapshot, RequestTrace};
+use cham_telemetry::span::{phase, PhaseSpan, TraceId};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::SeedableRng;
@@ -189,6 +193,70 @@ fn error_bodies() -> Vec<Vec<u8>> {
     errors.iter().map(error_body).collect()
 }
 
+/// Flight snapshots at the edges of their body: empty; one trace holding
+/// every name in `phase::ALL`; every event kind with and without a trace
+/// id; `u64::MAX` in every number; a detail of `u16::MAX` bytes.
+fn flight_snapshots() -> Vec<FlightSnapshot> {
+    let trace = |id, v| RequestTrace {
+        trace_id: TraceId(id),
+        start_ns: v,
+        total_ns: v,
+        phases: phase::ALL
+            .into_iter()
+            .map(|name| PhaseSpan {
+                name,
+                start_ns: v,
+                dur_ns: v,
+                count: v,
+            })
+            .collect(),
+    };
+    let event = |kind, trace_id, ts_ns, detail: &str| FlightEvent {
+        kind,
+        detail: detail.into(),
+        trace_id,
+        ts_ns,
+    };
+    vec![
+        FlightSnapshot::default(),
+        FlightSnapshot {
+            traces: vec![trace(1, 7)],
+            ..FlightSnapshot::default()
+        },
+        FlightSnapshot {
+            events: FlightEventKind::ALL
+                .into_iter()
+                .flat_map(|k| {
+                    [
+                        event(k, None, 5, k.label()),
+                        event(k, Some(TraceId(9)), 6, ""),
+                    ]
+                })
+                .collect(),
+            ..FlightSnapshot::default()
+        },
+        FlightSnapshot {
+            traces: vec![trace(u64::MAX, u64::MAX)],
+            events: vec![event(
+                FlightEventKind::Fault,
+                Some(TraceId(u64::MAX)),
+                u64::MAX,
+                "é",
+            )],
+            dropped_traces: u64::MAX,
+        },
+        FlightSnapshot {
+            events: vec![event(
+                FlightEventKind::Evict,
+                None,
+                0,
+                &"x".repeat(u16::MAX.into()),
+            )],
+            ..FlightSnapshot::default()
+        },
+    ]
+}
+
 /// One valid body per shape each decoder accepts.
 fn corpus() -> &'static [(Decoder, Vec<u8>)] {
     static CORPUS: OnceLock<Vec<(Decoder, Vec<u8>)>> = OnceLock::new();
@@ -213,7 +281,7 @@ fn corpus() -> &'static [(Decoder, Vec<u8>)] {
             version: PROTOCOL_VERSION,
             cluster,
         };
-        let responses = [
+        let mut responses = vec![
             hello(None),
             hello(Some(identity)),
             Response::KeysLoaded { key_id: 0xDEAD },
@@ -233,9 +301,6 @@ fn corpus() -> &'static [(Decoder, Vec<u8>)] {
             Response::IntrospectReport {
                 snapshot: full_introspect(),
             },
-            Response::FlightDump {
-                json: "{\"traceEvents\":[]}".into(),
-            },
             Response::ChunkAck {
                 matrix_id: 0xFEED,
                 chunk_count: 10,
@@ -249,6 +314,11 @@ fn corpus() -> &'static [(Decoder, Vec<u8>)] {
                 bytes: vec![1, 2, 3, 4],
             },
         ];
+        responses.extend(
+            flight_snapshots()
+                .into_iter()
+                .map(|snapshot| Response::FlightDump { snapshot }),
+        );
         let mut corpus = vec![
             (Decoder::Hello, Hello::for_params(p).to_bytes()),
             (
@@ -338,6 +408,21 @@ fn stats_replies_round_trip_every_value() {
     match decode(Response::IntrospectReport { snapshot }) {
         Response::IntrospectReport { snapshot } => assert_eq!(snapshot, full_introspect()),
         other => panic!("unexpected response {other:?}"),
+    }
+}
+
+/// Every corpus snapshot crosses the wire value for value.
+#[test]
+fn flight_snapshots_round_trip_every_value() {
+    for snapshot in flight_snapshots() {
+        let body = Response::FlightDump {
+            snapshot: snapshot.clone(),
+        }
+        .to_bytes();
+        match Response::from_bytes(&body, params()).unwrap() {
+            Response::FlightDump { snapshot: back } => assert_eq!(back, snapshot),
+            other => panic!("unexpected response {other:?}"),
+        }
     }
 }
 

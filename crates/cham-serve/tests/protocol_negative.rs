@@ -209,10 +209,11 @@ fn revision_mismatch_is_one_typed_error() {
     };
 
     // Server side: a raw socket offering a neighbouring revision, 8 (the
-    // last with coefficient-form request ciphertexts) among them.
-    assert_eq!(PROTOCOL_VERSION, 9);
+    // last with coefficient-form request ciphertexts) and 9 (the last
+    // with a JSON flight dump) among them.
+    assert_eq!(PROTOCOL_VERSION, 10);
     let server = Server::start("127.0.0.1:0", Arc::clone(&p), &ServerConfig::default()).unwrap();
-    for version in [8, PROTOCOL_VERSION + 1] {
+    for version in [8, 9, PROTOCOL_VERSION + 1] {
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         let hello = Hello {
             version,
@@ -320,6 +321,81 @@ fn forged_hmvp_done_bookkeeping_is_a_typed_error() {
         match hmvp.decrypt_result(&short, &dec) {
             Err(HeError::ShapeMismatch { expected, got }) => assert_eq!((expected, got), (len, 2)),
             other => panic!("len {len}: {other:?}"),
+        }
+    }
+}
+
+/// A `FlightDump` reply body holding one trace of one phase named `name`
+/// and one event of kind byte `kind` with `detail`, both under
+/// `trace_id` — built by hand, so it can carry what no encoder writes.
+fn flight_body(trace_id: u64, name: &[u8], kind: u8, detail: &[u8]) -> Vec<u8> {
+    let text = |s: &[u8]| [&(s.len() as u16).to_le_bytes()[..], s].concat();
+    let u64s = |vs: &[u64]| vs.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<u8>>();
+    [
+        &[7][..], // the FlightDump tag
+        &u64s(&[0]),
+        &1u16.to_le_bytes(),
+        &u64s(&[trace_id, 100, 30]),
+        &[1],
+        &text(name),
+        &u64s(&[0, 30, 1]),
+        &1u16.to_le_bytes(),
+        &[kind],
+        &u64s(&[trace_id, 120]),
+        &text(detail),
+    ]
+    .concat()
+}
+
+/// A forged flight dump is refused with a typed `BadFrame` for each thing
+/// the decoder cannot trust: a phase name outside `phase::ALL` (the
+/// introspection's `total`, the name after them), an unknown event kind,
+/// a trace without an id, text that is not UTF-8, a count the body cannot
+/// hold (refused before allocating) and a trailing byte.
+#[test]
+fn forged_flight_dumps_are_typed_errors() {
+    use cham_telemetry::flight::FlightEventKind;
+    use cham_telemetry::span::{phase, TraceId};
+    let p = params();
+    let decode = |body: &[u8]| Response::from_bytes(body, &p);
+    let valid = flight_body(9, phase::QUEUE.as_bytes(), 3, b"ab");
+    match decode(&valid) {
+        Ok(Response::FlightDump { snapshot }) => {
+            assert_eq!(snapshot.traces[0].trace_id, TraceId(9));
+            assert_eq!(snapshot.traces[0].phases[0].name, phase::QUEUE);
+            assert_eq!(snapshot.events[0].kind, FlightEventKind::Shutdown);
+            assert_eq!(snapshot.events[0].detail, "ab");
+        }
+        other => panic!("got {other:?}"),
+    }
+    let mut trailing = valid.clone();
+    trailing.push(0);
+    let mut huge = valid[..9].to_vec();
+    huge.extend_from_slice(&u16::MAX.to_le_bytes());
+    huge.extend_from_slice(&[0; 30]);
+    for (body, why) in [
+        (
+            flight_body(9, cham_serve::stats::PHASE_TOTAL.as_bytes(), 0, b"ab"),
+            "unknown flight phase name",
+        ),
+        (
+            flight_body(9, phase::QUEUE.as_bytes(), 4, b"ab"),
+            "unknown flight event kind",
+        ),
+        (
+            flight_body(0, phase::QUEUE.as_bytes(), 0, b"ab"),
+            "flight trace with a zero id",
+        ),
+        (
+            flight_body(9, phase::QUEUE.as_bytes(), 0, &[0xFF, 0xFE]),
+            "flight event detail is not UTF-8",
+        ),
+        (huge, "flight trace count out of bounds"),
+        (trailing, "trailing bytes in frame body"),
+    ] {
+        match decode(&body) {
+            Err(ServeError::BadFrame(m)) => assert_eq!(m, why),
+            other => panic!("expected a BadFrame ({why}), got {other:?}"),
         }
     }
 }

@@ -16,7 +16,6 @@ use cham_serve::server::{Server, ServerConfig};
 use cham_serve::stats::PHASE_TOTAL;
 use cham_serve::{ServeClient, ServeError};
 use cham_telemetry::span::phase;
-use cham_telemetry::trace::read_chrome_trace;
 use rand::{Rng, SeedableRng};
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
@@ -76,9 +75,9 @@ fn run_verified_hmvps(client: &mut ServeClient, count: usize, seed: u64) {
     }
 }
 
-/// The tentpole end to end: traced requests populate the per-phase
-/// histograms, the introspection snapshot, and the flight recorder — and
-/// the flight dump round-trips through the trace reader.
+/// Traced requests end to end: they populate the per-phase histograms,
+/// the introspection snapshot and the flight recorder, and the flight
+/// dump fetched over the wire equals the recorder's own snapshot.
 #[test]
 fn introspect_and_flight_dump_round_trip() {
     let f = fixture();
@@ -142,27 +141,12 @@ fn introspect_and_flight_dump_round_trip() {
     let json = snap.to_json().to_string();
     assert!(json.contains("cham-introspect/v1"), "json: {json}");
 
-    // The flight dump is valid Chrome-trace JSON: one complete-event
-    // span per recorded phase of each request, on per-request tracks.
-    let dump = client.flight_dump().unwrap();
-    let events = read_chrome_trace(&dump).unwrap();
-    let complete: Vec<_> = events.iter().filter(|e| e.ph == "X").collect();
-    assert!(
-        complete.len() >= REQUESTS * phase::ALL.len(),
-        "{} complete events for {REQUESTS} requests",
-        complete.len()
-    );
-    for name in phase::ALL {
-        assert!(
-            complete.iter().any(|e| e.name == name),
-            "no {name} span in the flight dump"
-        );
-    }
-
-    // In-process, the recorder agrees with what went over the wire: one
-    // trace per request, each with a nonzero server-assigned id and
-    // monotonic, non-overlapping phase spans.
-    let flight = server.flight().snapshot();
+    // The flight dump crosses the wire as records: what the client reads
+    // is the recorder's snapshot, value for value — one trace per
+    // request, each with a nonzero server-assigned id and monotonic,
+    // non-overlapping phase spans.
+    let flight = client.flight_dump().unwrap();
+    assert_eq!(flight, server.flight().snapshot());
     assert_eq!(flight.traces.len(), REQUESTS);
     for trace in &flight.traces {
         assert_ne!(trace.trace_id.as_u64(), 0);
@@ -174,6 +158,19 @@ fn introspect_and_flight_dump_round_trip() {
                 "phases must tile the request without gaps or overlap"
             );
         }
+    }
+    // Rendered on the client, it holds one complete event per recorded
+    // phase of each request, and every pipeline phase shows up.
+    let json = flight.to_chrome_trace().to_json();
+    let recorded: usize = flight.traces.iter().map(|t| t.phases.len()).sum();
+    assert!(recorded >= REQUESTS * phase::ALL.len(), "{recorded} phases");
+    assert_eq!(
+        json.matches(r#","cat":"phase","ph":"X","#).count(),
+        recorded
+    );
+    for name in phase::ALL {
+        let span = format!(r#"{{"name":"{name}","cat":"phase","ph":"X","#);
+        assert!(json.contains(&span), "no {name} span in the flight dump");
     }
     server.shutdown();
 }

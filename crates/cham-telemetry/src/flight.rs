@@ -7,13 +7,14 @@
 //! [`RequestTrace`]s (one per completed request, with the per-phase
 //! breakdown from [`crate::span::SpanRecorder::finish`]) and a second
 //! ring of [`FlightEvent`]s (injected faults, worker panics, cache
-//! evictions). [`FlightRecorder::to_chrome_trace`] renders both as one
-//! Perfetto-loadable timeline — request tracks laid out on the
+//! evictions). [`FlightRecorder::snapshot`] copies both out as typed
+//! records, and [`FlightSnapshot::to_chrome_trace`] renders a snapshot as
+//! one Perfetto-loadable timeline — request tracks laid out on the
 //! recorder's epoch clock, phases nested within each request.
 //!
-//! When to dump is the *owner's* policy (the serving stack dumps on
-//! demand over the wire); this module only provides the ring and the
-//! exporter.
+//! When to dump is the *owner's* policy (the serving stack ships the
+//! snapshot over the wire on demand, and its client renders the file);
+//! this module only provides the ring and the exporter.
 
 use crate::json::JsonValue;
 use crate::span::{PhaseSpan, TraceId};
@@ -37,6 +38,7 @@ pub struct RequestTrace {
 
 /// What kind of notable event happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum FlightEventKind {
     /// A fault was injected by the fault harness.
     Fault,
@@ -49,6 +51,14 @@ pub enum FlightEventKind {
 }
 
 impl FlightEventKind {
+    /// Every kind, in discriminant order: `ALL[k as usize] == k`.
+    pub const ALL: [FlightEventKind; 4] = [
+        FlightEventKind::Fault,
+        FlightEventKind::Panic,
+        FlightEventKind::Evict,
+        FlightEventKind::Shutdown,
+    ];
+
     /// Stable lowercase label (used in trace categories and JSON).
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -75,7 +85,7 @@ pub struct FlightEvent {
 }
 
 /// Point-in-time copy of the recorder's contents.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlightSnapshot {
     /// Completed request traces, oldest first.
     pub traces: Vec<RequestTrace>,
@@ -83,6 +93,64 @@ pub struct FlightSnapshot {
     pub events: Vec<FlightEvent>,
     /// Requests evicted from the ring since startup.
     pub dropped_traces: u64,
+}
+
+impl FlightSnapshot {
+    /// Renders the snapshot as a Chrome/Perfetto trace: one track per
+    /// request (phases as nested slices) plus one `events` track for
+    /// faults/panics/evictions.
+    #[must_use]
+    pub fn to_chrome_trace(&self) -> ChromeTrace {
+        let mut trace = ChromeTrace::new();
+        const EVENT_TRACK: u64 = 1;
+        trace.thread_name(EVENT_TRACK, "events");
+        for (i, req) in self.traces.iter().enumerate() {
+            let tid = EVENT_TRACK + 1 + i as u64;
+            trace.thread_name(tid, format!("request {}", req.trace_id));
+            let base_us = req.start_ns as f64 / 1e3;
+            trace.complete(
+                tid,
+                format!("request {}", req.trace_id),
+                "request",
+                base_us,
+                req.total_ns as f64 / 1e3,
+                vec![
+                    ("trace_id".into(), JsonValue::UInt(req.trace_id.as_u64())),
+                    ("total_ns".into(), JsonValue::UInt(req.total_ns)),
+                ],
+            );
+            for p in &req.phases {
+                trace.complete(
+                    tid,
+                    p.name,
+                    "phase",
+                    base_us + p.start_ns as f64 / 1e3,
+                    p.dur_ns as f64 / 1e3,
+                    vec![
+                        ("dur_ns".into(), JsonValue::UInt(p.dur_ns)),
+                        ("count".into(), JsonValue::UInt(p.count)),
+                    ],
+                );
+            }
+        }
+        for e in &self.events {
+            let mut args = vec![("detail".into(), JsonValue::from(e.detail.as_str()))];
+            if let Some(id) = e.trace_id {
+                args.push(("trace_id".into(), JsonValue::UInt(id.as_u64())));
+            }
+            trace.complete(
+                EVENT_TRACK,
+                format!("{}: {}", e.kind.label(), e.detail),
+                e.kind.label(),
+                e.ts_ns as f64 / 1e3,
+                // Zero-duration instants render poorly; give events a
+                // 1 µs sliver so Perfetto shows them.
+                1.0,
+                args,
+            );
+        }
+        trace
+    }
 }
 
 #[derive(Debug, Default)]
@@ -182,63 +250,6 @@ impl FlightRecorder {
             dropped_traces: rings.dropped_traces,
         }
     }
-
-    /// Renders the recorder contents as a Chrome/Perfetto trace: one
-    /// track per request (phases as nested slices) plus one `events`
-    /// track for faults/panics/evictions.
-    #[must_use]
-    pub fn to_chrome_trace(&self) -> ChromeTrace {
-        let snap = self.snapshot();
-        let mut trace = ChromeTrace::new();
-        const EVENT_TRACK: u64 = 1;
-        trace.thread_name(EVENT_TRACK, "events");
-        for (i, req) in snap.traces.iter().enumerate() {
-            let tid = EVENT_TRACK + 1 + i as u64;
-            trace.thread_name(tid, format!("request {}", req.trace_id));
-            let base_us = req.start_ns as f64 / 1e3;
-            trace.complete(
-                tid,
-                format!("request {}", req.trace_id),
-                "request",
-                base_us,
-                req.total_ns as f64 / 1e3,
-                vec![
-                    ("trace_id".into(), JsonValue::UInt(req.trace_id.as_u64())),
-                    ("total_ns".into(), JsonValue::UInt(req.total_ns)),
-                ],
-            );
-            for p in &req.phases {
-                trace.complete(
-                    tid,
-                    p.name,
-                    "phase",
-                    base_us + p.start_ns as f64 / 1e3,
-                    p.dur_ns as f64 / 1e3,
-                    vec![
-                        ("dur_ns".into(), JsonValue::UInt(p.dur_ns)),
-                        ("count".into(), JsonValue::UInt(p.count)),
-                    ],
-                );
-            }
-        }
-        for e in &snap.events {
-            let mut args = vec![("detail".into(), JsonValue::from(e.detail.as_str()))];
-            if let Some(id) = e.trace_id {
-                args.push(("trace_id".into(), JsonValue::UInt(id.as_u64())));
-            }
-            trace.complete(
-                EVENT_TRACK,
-                format!("{}: {}", e.kind.label(), e.detail),
-                e.kind.label(),
-                e.ts_ns as f64 / 1e3,
-                // Zero-duration instants render poorly; give events a
-                // 1 µs sliver so Perfetto shows them.
-                1.0,
-                args,
-            );
-        }
-        trace
-    }
 }
 
 #[cfg(test)]
@@ -287,11 +298,14 @@ mod tests {
         fr.record_trace(req(9, 50));
         fr.record_event(FlightEventKind::Fault, "worker_panic", Some(TraceId(9)));
         fr.record_event(FlightEventKind::Evict, "keys 0xabc", None);
-        let json = fr.to_chrome_trace().to_json();
+        let json = fr.snapshot().to_chrome_trace().to_json();
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("fault: worker_panic"));
         assert!(json.contains("evict: keys 0xabc"));
         assert!(json.contains("request 0x0000000000000009"));
         assert!(json.contains("\"dot\""));
+        for (i, kind) in FlightEventKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i);
+        }
     }
 }

@@ -8,12 +8,14 @@
 //!   `<crate>.<module>.<op>`, e.g. `cham_math.ntt.forward`.
 //! * **Request tracing** ([`span`], [`flight`]) — per-request trace IDs
 //!   and phase recorders plus a bounded flight recorder of recent
-//!   request traces; their cost is opt-in per request at runtime. A
-//!   [`Span`] is the one way a phase is timed.
+//!   request traces, copied out as a typed [`flight::FlightSnapshot`];
+//!   their cost is opt-in per request at runtime. A [`Span`] is the one
+//!   way a phase is timed.
 //! * **Latency distributions** ([`LiveHistogram`]) — a caller-owned log₂
 //!   histogram, the one histogram type (the serving stack's per-phase
 //!   `Introspect` breakdown, `fig8_hmvp`'s per-rep spread).
-//! * **Chrome trace JSON** ([`trace`]) — span timelines for Perfetto.
+//! * **Chrome trace JSON** ([`trace`]) — span timelines for Perfetto,
+//!   rendered by the one JSON writer ([`json`]); nothing here parses JSON.
 //!
 //! There is one build and every hook in it is live: a counter add is one
 //! relaxed flag load plus one relaxed `fetch_add`. Instrumented code

@@ -169,7 +169,7 @@ impl SpanRecorder {
         }
     }
 
-    /// Spans dropped because more than [`MAX_PHASES`] distinct names
+    /// Spans dropped because more than `MAX_PHASES` distinct names
     /// were recorded.
     #[must_use]
     pub fn overflow(&self) -> u64 {

@@ -2,7 +2,7 @@
 //!
 //! A [`ChromeTrace`] is assembled by its producer and written out:
 //! `cham-sim` converts its cycle-accurate Gantt schedule into one (one
-//! track per pipeline stage), and the flight recorder dumps request
+//! track per pipeline stage), and a flight snapshot renders its request
 //! traces as one (one track per request).
 //!
 //! The emitted JSON is the `{"traceEvents": [...]}` object form of the
@@ -140,79 +140,6 @@ impl ChromeTrace {
     }
 }
 
-/// One event read back from a Chrome-trace JSON document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReadEvent {
-    /// Event name.
-    pub name: String,
-    /// Category (`cat`), empty for metadata events.
-    pub cat: String,
-    /// Phase character (`"X"` complete, `"M"` metadata, ...).
-    pub ph: String,
-    /// Track id.
-    pub tid: u64,
-    /// Start microseconds (0 for metadata events).
-    pub ts_us: f64,
-    /// Duration microseconds (0 for metadata events).
-    pub dur_us: f64,
-}
-
-/// Parses Chrome Trace Event JSON (the object form this module writes)
-/// back into its events — the read half of the round-trip that CI uses
-/// to prove dumped flight-recorder traces are loadable.
-///
-/// # Errors
-/// A human-readable description of the first structural problem: bad
-/// JSON, a missing `traceEvents` array, or an event missing a required
-/// field.
-pub fn read_chrome_trace(json: &str) -> Result<Vec<ReadEvent>, String> {
-    let doc = JsonValue::parse(json).map_err(|e| format!("invalid JSON: {e}"))?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "missing traceEvents array".to_string())?;
-    let mut out = Vec::with_capacity(events.len());
-    for (i, ev) in events.iter().enumerate() {
-        let name = ev
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("event {i}: missing name"))?;
-        let ph = ev
-            .get("ph")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("event {i}: missing ph"))?;
-        let tid = ev
-            .get("tid")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("event {i}: missing tid"))?;
-        let (ts_us, dur_us) = if ph == "X" {
-            (
-                ev.get("ts")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| format!("event {i}: complete event missing ts"))?,
-                ev.get("dur")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| format!("event {i}: complete event missing dur"))?,
-            )
-        } else {
-            (0.0, 0.0)
-        };
-        out.push(ReadEvent {
-            name: name.to_string(),
-            cat: ev
-                .get("cat")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("")
-                .to_string(),
-            ph: ph.to_string(),
-            tid,
-            ts_us,
-            dur_us,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,40 +166,5 @@ mod tests {
         assert!(json.contains("\"thread_name\""));
         // Escaped quote from the event name survives round-tripping.
         assert!(json.contains("row \\\"1\\\""));
-    }
-
-    #[test]
-    fn reader_round_trips_writer_output() {
-        let mut t = ChromeTrace::new();
-        t.thread_name(3, "worker");
-        t.complete(
-            3,
-            "dot",
-            "phase",
-            12.5,
-            100.0,
-            vec![("count".into(), JsonValue::UInt(4))],
-        );
-        let events = read_chrome_trace(&t.to_json()).expect("round-trip");
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].ph, "M");
-        assert_eq!(events[0].name, "thread_name");
-        let x = &events[1];
-        assert_eq!(
-            (x.ph.as_str(), x.name.as_str(), x.cat.as_str()),
-            ("X", "dot", "phase")
-        );
-        assert_eq!(x.tid, 3);
-        assert!((x.ts_us - 12.5).abs() < 1e-9 && (x.dur_us - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reader_rejects_malformed_traces() {
-        assert!(read_chrome_trace("not json").is_err());
-        assert!(read_chrome_trace("{}").is_err());
-        assert!(read_chrome_trace(r#"{"traceEvents":[{"ph":"X"}]}"#).is_err());
-        assert!(
-            read_chrome_trace(r#"{"traceEvents":[{"name":"a","ph":"X","tid":1,"ts":0}]}"#).is_err()
-        );
     }
 }
