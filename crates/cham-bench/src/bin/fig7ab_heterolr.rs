@@ -1,10 +1,10 @@
 //! Fig. 7a/7b — HeteroLR per-step performance over dataset sizes.
 //!
 //! Three systems per dataset shape (samples × features):
-//! * **Paillier (FATE)** — element-wise semi-HE, measured at 512 bits
-//!   (each op the fastest of `COST_REPS` calls) and 1024 bits (the
-//!   fastest of `REPS_1024`) and extrapolated one doubling to 2048 bits
-//!   by the 512 → 1024-bit cost ratio,
+//! * **Paillier (FATE)** — element-wise semi-HE, measured at 512 and
+//!   1024 bits in one interleaved loop (each op the fastest of
+//!   `PAILLIER_REPS` calls per size) and extrapolated one doubling to
+//!   2048 bits by the 512 → 1024-bit cost ratio,
 //! * **B/FV CPU** — this repository's software stack: matvec is
 //!   `multiply_parallel` timed at each shape (median of three runs after a
 //!   warm-up, every product decrypt-verified), the host steps per-op
@@ -17,14 +17,15 @@
 //! largest gains where matvec dominates (8192×4096, 8192×8192).
 
 use cham_apps::bigint::BigUint;
-use cham_apps::paillier::PaillierPrivateKey;
+use cham_apps::paillier::{PaillierCiphertext, PaillierPrivateKey};
 use cham_bench::{
     bench_rng, eng, threads_from_env, usage_error, CpuCosts, CpuHmvp, HeteroLrHost, Timing,
-    COST_REPS, HMVP_REPS,
+    HMVP_REPS,
 };
 use cham_he::params::ChamParams;
 use cham_sim::pipeline::HmvpCycleModel;
 use rand::Rng;
+use std::hint::black_box;
 
 /// Measured Paillier per-op costs at a given modulus size.
 struct PaillierCosts {
@@ -34,32 +35,82 @@ struct PaillierCosts {
     decrypt: f64,
 }
 
-/// Timed calls per 1024-bit Paillier cost. One operation there takes
-/// ≈ 0.6 s, so these costs are the fastest of three (after the untimed
-/// first), not of [`COST_REPS`].
-const REPS_1024: usize = 3;
+/// Timed calls per Paillier cost and size. A 1024-bit operation takes
+/// ≈ 0.6 s, so a round of all eight calls takes ≈ 3 s.
+const PAILLIER_REPS: usize = 5;
 
-/// Each cost is the fastest of `reps` calls at a `bits`-bit modulus.
-fn measure_paillier(bits: u32, reps: usize) -> PaillierCosts {
-    let mut rng = bench_rng();
-    let sk = PaillierPrivateKey::generate(bits, &mut rng);
-    let pk = sk.public_key().clone();
-    let m = BigUint::from_u64(12345);
-    let k = BigUint::from_u64(rng.gen::<u32>() as u64);
-    let ct = pk.encrypt(&m, &mut rng).expect("encrypt");
-    PaillierCosts {
-        encrypt: Timing::of(reps, || pk.encrypt(&m, &mut rng).expect("encrypt")).min,
-        add_plain: Timing::of(reps, || pk.add_plain(&ct, &m)).min,
-        mul_scalar: Timing::of(reps, || pk.mul_scalar(&ct, &k)).min,
-        decrypt: Timing::of(reps, || sk.decrypt(&ct)).min,
+/// One size's key, operands and RNG.
+struct PaillierOps {
+    sk: PaillierPrivateKey,
+    m: BigUint,
+    k: BigUint,
+    ct: PaillierCiphertext,
+    rng: rand::rngs::StdRng,
+}
+
+impl PaillierOps {
+    fn new(bits: u32) -> Self {
+        let mut rng = bench_rng();
+        let sk = PaillierPrivateKey::generate(bits, &mut rng);
+        let m = BigUint::from_u64(12345);
+        let k = BigUint::from_u64(rng.gen::<u32>() as u64);
+        let ct = sk.public_key().encrypt(&m, &mut rng).expect("encrypt");
+        Self { sk, m, k, ct, rng }
     }
+}
+
+/// The 512- and 1024-bit costs, timed in one interleaved loop: every round
+/// times each op at both sizes, so a slow window of the host lands on both
+/// sides of each 512 → 1024 ratio. Each cost is the fastest of
+/// [`PAILLIER_REPS`].
+fn measure_paillier() -> [PaillierCosts; 2] {
+    let [mut s, mut l] = [512, 1024].map(PaillierOps::new);
+    let (ps, pl) = (s.sk.public_key().clone(), l.sk.public_key().clone());
+    let [enc_s, enc_l, add_s, add_l, mul_s, mul_l, dec_s, dec_l] = Timing::interleaved(
+        PAILLIER_REPS,
+        [
+            &mut || {
+                black_box(ps.encrypt(&s.m, &mut s.rng).expect("encrypt"));
+            },
+            &mut || {
+                black_box(pl.encrypt(&l.m, &mut l.rng).expect("encrypt"));
+            },
+            &mut || {
+                black_box(ps.add_plain(&s.ct, &s.m));
+            },
+            &mut || {
+                black_box(pl.add_plain(&l.ct, &l.m));
+            },
+            &mut || {
+                black_box(ps.mul_scalar(&s.ct, &s.k));
+            },
+            &mut || {
+                black_box(pl.mul_scalar(&l.ct, &l.k));
+            },
+            &mut || {
+                black_box(s.sk.decrypt(&s.ct));
+            },
+            &mut || {
+                black_box(l.sk.decrypt(&l.ct));
+            },
+        ],
+    );
+    let costs = |[e, a, m, d]: [Timing; 4]| PaillierCosts {
+        encrypt: e.min,
+        add_plain: a.min,
+        mul_scalar: m.min,
+        decrypt: d.min,
+    };
+    [
+        costs([enc_s, add_s, mul_s, dec_s]),
+        costs([enc_l, add_l, mul_l, dec_l]),
+    ]
 }
 
 fn main() {
     let threads = threads_from_env("fig7ab_heterolr").unwrap_or_else(|e| usage_error(&e));
     println!("fitting Paillier modexp scaling (512 -> 1024 bit)...");
-    let p512 = measure_paillier(512, COST_REPS);
-    let p1024 = measure_paillier(1024, REPS_1024);
+    let [p512, p1024] = measure_paillier();
     // Cost ∝ bits^e per op class, fitted on the two sizes: FATE's 2048
     // bits is one more doubling, so its cost is the 1024-bit one times
     // the 512 → 1024-bit ratio.

@@ -228,27 +228,47 @@ pub struct Timing {
 impl Timing {
     /// Calls `op` once untimed, so that no timed call pays a first call's
     /// costs (page faults, scratch allocation, cold caches), then `reps`
-    /// times timed. This is the one timer of every CPU figure the
-    /// binaries print.
+    /// times timed. It and [`Timing::interleaved`], which it calls, are
+    /// the one timer of every CPU figure the binaries print.
     ///
     /// # Panics
     /// Panics if `reps` is 0.
     pub fn of<T>(reps: usize, mut op: impl FnMut() -> T) -> Self {
-        assert!(reps > 0, "a timing needs at least one timed call");
-        std::hint::black_box(op());
-        let mut runs: Vec<f64> = (0..reps)
-            .map(|_| {
-                let t0 = Instant::now();
+        let [timing] = Self::interleaved(
+            reps,
+            [&mut || {
                 std::hint::black_box(op());
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        runs.sort_by(f64::total_cmp);
-        Self {
-            min: runs[0],
-            median: (runs[(reps - 1) / 2] + runs[reps / 2]) / 2.0,
-            max: runs[reps - 1],
+            }],
+        );
+        timing
+    }
+
+    /// [`Timing::of`] for `K` operations at once, interleaved: one untimed
+    /// call of each, then `reps` rounds that time one call of each in
+    /// turn. A slow window of the host then lands on every operation
+    /// alike, so a ratio of their costs keeps less of it.
+    ///
+    /// # Panics
+    /// Panics if `reps` is 0.
+    pub fn interleaved<const K: usize>(reps: usize, mut ops: [&mut dyn FnMut(); K]) -> [Self; K] {
+        assert!(reps > 0, "a timing needs at least one timed call");
+        ops.iter_mut().for_each(|op| op());
+        let mut runs = [(); K].map(|()| Vec::with_capacity(reps));
+        for _ in 0..reps {
+            for (op, runs) in ops.iter_mut().zip(&mut runs) {
+                let t0 = Instant::now();
+                op();
+                runs.push(t0.elapsed().as_secs_f64());
+            }
         }
+        runs.map(|mut runs| {
+            runs.sort_by(f64::total_cmp);
+            Self {
+                min: runs[0],
+                median: (runs[(reps - 1) / 2] + runs[reps / 2]) / 2.0,
+                max: runs[reps - 1],
+            }
+        })
     }
 }
 
@@ -455,6 +475,23 @@ mod tests {
             max: 1.25,
         };
         assert_eq!(shown.to_string(), "2.500 ms (1.500 ms–1.250 s)");
+    }
+
+    #[test]
+    fn interleaved_timing_alternates_its_operations() {
+        let calls = std::cell::RefCell::new(Vec::new());
+        let [a, b] = Timing::interleaved(
+            3,
+            [&mut || calls.borrow_mut().push('a'), &mut || {
+                calls.borrow_mut().push('b');
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }],
+        );
+        assert_eq!(calls.into_inner(), "abababab".chars().collect::<Vec<_>>());
+        assert!(
+            a.max < b.min,
+            "each timing holds its own calls: {a:?} {b:?}"
+        );
     }
 
     #[test]

@@ -12,9 +12,30 @@
 //! caller that needs coefficient form (a monomial shift, an automorphism)
 //! converts explicitly with [`RlweCiphertext::to_coeff`].
 //!
-//! The noise meter computes the *exact* invariant noise via CRT lifting —
-//! this is how the repository checks the paper's "30 bit before rescale,
-//! 26 bit after" claim quantitatively (see `tests/` and EXPERIMENTS.md).
+//! Decryption forms the phase `b + a·s` on one owned copy of `a`. An
+//! NTT-form ciphertext (every fresh encryption) costs `L` inverse
+//! transforms: `a⊙s + b` is formed in the NTT domain. A coefficient-form
+//! one (every HMVP reply) costs `L` forward and `L` inverse transforms,
+//! with `b` added after the inverse. Each coefficient of the phase is then
+//! decoded exactly, in one pass and with nothing allocated per
+//! coefficient:
+//!
+//! * Garner's lift to `v ∈ [0, Q)` from the CRT table the context built
+//!   once ([`RnsPoly::crt_lift_coeff`]);
+//! * the unsigned scale-and-round `m = ⌊(v·t + ⌊Q/2⌋)/Q⌋ mod t`, by a
+//!   reciprocal estimate and one correction.
+//!
+//! The unsigned rounding equals the centred, round-half-away-from-zero
+//! rounding of `[v]_Q·t/Q`. `Q` is odd, so `2vt = (2k+1)Q` has no
+//! solution: no value is a tie and every rounding rule agrees. The two
+//! quotients differ by `t` exactly when `v` centres negative, which
+//! vanishes mod `t`.
+//!
+//! The noise meter is the same pass: `e·t = v·t − m̃·Q`, centred (`m̃` the
+//! unreduced quotient), is the remainder minus `⌊Q/2⌋`, and the meter
+//! keeps its largest magnitude. This is how the repository checks the
+//! paper's "30 bit before rescale, 26 bit after" claim quantitatively (see
+//! `tests/` and EXPERIMENTS.md).
 
 use crate::ciphertext::{LweCiphertext, RlweCiphertext};
 use crate::encoding::Plaintext;
@@ -183,6 +204,80 @@ pub struct NoiseReport {
     pub budget_bits: f64,
 }
 
+/// BFV's scale-and-round on a lift `v ∈ [0, Q)`, exact for an odd `Q`:
+/// `m = ⌊(v·t + ⌊Q/2⌋)/Q⌋ mod t`, plus the scaled noise `|e·t|`.
+///
+/// The division is a reciprocal estimate and one correction. With
+/// `x = v·t + ⌊Q/2⌋ < Q·(t + 1/2)`, `2^s < Q < 2^{s+1}` and
+/// `R = ⌊2^{s+64}/Q⌋ < 2^64`, let `y = ⌊x/2^{s−1}⌋ < 4t + 2` and
+/// `q̂ = ⌊y·R/2^65⌋`. Then `q̂ ≤ x/Q`, and `x/Q − y·R/2^65` is below
+/// `2^{s−1}/Q + y/2^65 < 1/2 + 1/2`, so `q̂` is `⌊x/Q⌋` or one short:
+/// `r = x − q̂·Q` lies in `[0, 2Q)` and one conditional subtraction ends
+/// it. The quotient is exact. Why it equals the centred rounding is in
+/// the module docs.
+#[derive(Debug, Clone, Copy)]
+struct ScaleRound {
+    q: u128,
+    half: u128,
+    t: u64,
+    shift: u32,
+    recip: u64,
+}
+
+impl ScaleRound {
+    /// # Panics
+    /// Panics if `Q` is even (the rounding could tie) or if
+    /// `(Q − 1)·t + ⌊Q/2⌋` does not fit in `u128`.
+    fn new(ctx: &RnsContext, t: u64) -> Self {
+        let (q, half) = (ctx.modulus_product(), ctx.half_modulus());
+        assert!(q & 1 == 1, "decryption needs an odd modulus product");
+        assert!(
+            (q - 1)
+                .checked_mul(t as u128)
+                .and_then(|x| x.checked_add(half))
+                .is_some(),
+            "(Q − 1)·t + ⌊Q/2⌋ must fit in u128"
+        );
+        // `R = ⌊2^{s+64}/Q⌋` by long division from `2^s < Q`; `Q < 2^127`
+        // (as `Q·t` fits and `t ≥ 3`), so `2·rem` never overflows.
+        let s = 127 - q.leading_zeros();
+        let (mut rem, mut recip) = (1u128 << s, 0u64);
+        for _ in 0..64 {
+            rem <<= 1;
+            let bit = rem >= q;
+            if bit {
+                rem -= q;
+            }
+            recip = recip << 1 | bit as u64;
+        }
+        Self {
+            q,
+            half,
+            t,
+            shift: s - 1,
+            recip,
+        }
+    }
+
+    /// `(m, |e·t|)` for the lift `v`: the plaintext digit and the scaled
+    /// noise `|v·t − m̃·Q|`, `m̃` the unreduced quotient.
+    #[inline]
+    fn apply(&self, v: u128) -> (u64, u128) {
+        let x = v * self.t as u128 + self.half;
+        let y = (x >> self.shift) as u64;
+        let quot = ((y as u128 * self.recip as u128) >> 65) as u64;
+        let r = x - quot as u128 * self.q;
+        let (r, quot) = match r.checked_sub(self.q) {
+            Some(r) => (r, quot + 1),
+            None => (r, quot),
+        };
+        // `quot ≤ t`, and `t` is the centred quotient 0 of a lift just
+        // below `Q`.
+        let m = if quot == self.t { 0 } else { quot };
+        (m, r.abs_diff(self.half))
+    }
+}
+
 impl Decryptor {
     /// Creates a decryptor bound to a secret key.
     pub fn new(params: &ChamParams, sk: &SecretKey) -> Self {
@@ -192,6 +287,10 @@ impl Decryptor {
         }
     }
 
+    /// `b + a·s` in coefficient form, formed on one owned copy of `a`:
+    /// a coefficient-form ciphertext costs `L` forward and `L` inverse
+    /// transforms (`b` is added after the inverse), an NTT-form one only
+    /// the `L` inverse transforms (`b` is added before it).
     fn phase(&self, ct: &RlweCiphertext) -> RnsPoly {
         let ctx = ct.b().context();
         // Cached embeddings cover the two standard bases; other contexts
@@ -208,49 +307,50 @@ impl Decryptor {
             s_owned = s;
             &s_owned
         };
-        let mut a = ct.a().clone();
-        a.to_ntt();
-        let mut a_s = a.mul_pointwise(s_ntt).expect("context consistency");
-        a_s.to_coeff();
-        let mut b = ct.b().clone();
-        b.to_coeff();
-        b.add(&a_s).expect("context consistency")
+        let form = ct.form();
+        let mut phase = ct.a().clone();
+        phase.to_ntt();
+        phase
+            .mul_pointwise_assign(s_ntt)
+            .expect("context consistency");
+        if form == Form::Ntt {
+            phase.add_assign(ct.b()).expect("context consistency");
+        }
+        phase.to_coeff();
+        if form == Form::Coeff {
+            phase.add_assign(ct.b()).expect("context consistency");
+        }
+        phase
     }
 
-    /// Decrypts a ciphertext in either basis.
+    /// The decryption kernel: each coefficient of the phase is lifted by
+    /// Garner from the context's CRT table and scale-and-rounded
+    /// ([`ScaleRound`]); `noise` sees each coefficient's `|e·t|`.
+    fn decode(&self, ct: &RlweCiphertext, mut noise: impl FnMut(u128)) -> Plaintext {
+        let phase = self.phase(ct);
+        let round = ScaleRound::new(phase.context(), self.params.plain_modulus().value());
+        let values = (0..phase.context().degree())
+            .map(|j| {
+                let (m, e_t) = round.apply(phase.crt_lift_coeff(j));
+                noise(e_t);
+                m
+            })
+            .collect();
+        Plaintext::from_values(values)
+    }
+
+    /// Decrypts a ciphertext in either basis and either form.
     pub fn decrypt(&self, ct: &RlweCiphertext) -> Plaintext {
-        self.decrypt_with_noise(ct).plaintext
+        self.decode(ct, |_| {})
     }
 
     /// Decrypts and reports the exact invariant noise.
     pub fn decrypt_with_noise(&self, ct: &RlweCiphertext) -> NoiseReport {
-        let phase = self.phase(ct);
-        let ctx = phase.context().clone();
-        let q = ctx.modulus_product();
-        let t = self.params.plain_modulus().value() as u128;
-        let n = self.params.degree();
-        let mut values = Vec::with_capacity(n);
-        let mut max_noise: i128 = 0;
-        for j in 0..n {
-            let residues: Vec<u64> = (0..ctx.len())
-                .map(|i| phase.limbs()[i].coeffs()[j])
-                .collect();
-            let v = ctx.crt_lift_centered(&residues);
-            // m = round(v * t / q) mod t
-            let num = v * t as i128;
-            let half = (q / 2) as i128;
-            let m = if num >= 0 {
-                (num + half) / q as i128
-            } else {
-                (num - half) / q as i128
-            };
-            let m_mod = m.rem_euclid(t as i128) as u64;
-            values.push(m_mod);
-            // Scaled noise: v*t − m*q == e*t (exact integers).
-            let e_scaled = (num - m * q as i128).abs();
-            max_noise = max_noise.max(e_scaled);
-        }
-        // noise_bits = log2(max |e|) where |e| = e_scaled / t.
+        let mut max_noise = 0u128;
+        let plaintext = self.decode(ct, |e_t| max_noise = max_noise.max(e_t));
+        let q = ct.b().context().modulus_product();
+        let t = self.params.plain_modulus().value();
+        // noise_bits = log2(max |e|) where |e| = max_noise / t.
         let noise_bits = if max_noise == 0 {
             0.0
         } else {
@@ -259,7 +359,7 @@ impl Decryptor {
         let capacity_bits = (q as f64).log2() - 1.0 - (t as f64).log2();
         let budget_bits = capacity_bits - noise_bits.max(0.0);
         NoiseReport {
-            plaintext: Plaintext::from_values(values),
+            plaintext,
             noise_bits,
             budget_bits,
         }
@@ -268,9 +368,7 @@ impl Decryptor {
     /// Decrypts a single LWE ciphertext: `phase = b + ⟨â, s⟩`, decoded to
     /// one value mod `t`.
     pub fn decrypt_lwe(&self, lwe: &LweCiphertext) -> u64 {
-        let ctx = lwe.a().context().clone();
-        let q = ctx.modulus_product();
-        let t = self.params.plain_modulus().value() as u128;
+        let ctx = lwe.a().context();
         let residues: Vec<u64> = ctx
             .moduli()
             .iter()
@@ -284,15 +382,8 @@ impl Decryptor {
                 acc
             })
             .collect();
-        let v = ctx.crt_lift_centered(&residues);
-        let num = v * t as i128;
-        let half = (q / 2) as i128;
-        let m = if num >= 0 {
-            (num + half) / q as i128
-        } else {
-            (num - half) / q as i128
-        };
-        m.rem_euclid(t as i128) as u64
+        let round = ScaleRound::new(ctx, self.params.plain_modulus().value());
+        round.apply(ctx.crt_lift(&residues)).0
     }
 
     /// The parameter set.
@@ -306,6 +397,7 @@ impl Decryptor {
 mod tests {
     use super::*;
     use crate::encoding::CoeffEncoder;
+    use cham_math::modulus::Modulus;
     use rand::SeedableRng;
 
     fn setup() -> (
@@ -434,6 +526,120 @@ mod tests {
         // zero budget (tiny positive values are possible by chance).
         assert!(report.budget_bits < 2.0, "budget {}", report.budget_bits);
         assert!(report.noise_bits > 30.0, "noise {}", report.noise_bits);
+    }
+
+    /// The kernel (`crt_lift_coeff` from the context's table, then
+    /// `ScaleRound`) equals the oracle's per-call lift and centred `i128`
+    /// rounding on every coefficient: uniform ciphertexts (phases that
+    /// reach every residue), real encryptions, an HMVP reply, and lifts
+    /// placed by hand at the ends of `[0, Q)` and around the rounding
+    /// boundaries `(2k+1)Q/2t` — among them the largest `v` that still
+    /// rounds down, `v·t ≡ ⌊Q/2⌋ (mod Q)`, where `⌈Q/2⌉` would round up.
+    #[test]
+    fn decrypt_kernel_is_bit_exact_against_the_oracle() {
+        use crate::hmvp::{Hmvp, Matrix};
+        use crate::keys::GaloisKeys;
+        use crate::oracle;
+
+        for params in [
+            ChamParams::insecure_test_default().unwrap(),
+            ChamParams::cham_default().unwrap(),
+        ] {
+            let n = params.degree();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+            let sk = SecretKey::generate(&params, &mut rng);
+            let (enc, dec) = (Encryptor::new(&params, &sk), Decryptor::new(&params, &sk));
+            let t = params.plain_modulus().value();
+            let coder = CoeffEncoder::new(&params);
+            let values: Vec<u64> = (0..n).map(|_| rng.gen_range(0..t)).collect();
+            let pt = coder.encode_vector(&values).unwrap();
+
+            let mut cts = Vec::new();
+            for ctx in [params.ciphertext_context(), params.augmented_context()] {
+                let uniform = RlweCiphertext::new(
+                    uniform_rns_poly(ctx, &mut rng),
+                    uniform_rns_poly(ctx, &mut rng),
+                )
+                .unwrap();
+                let fresh = if ctx == params.augmented_context() {
+                    enc.encrypt_augmented(&pt, &mut rng)
+                } else {
+                    enc.encrypt(&pt, &mut rng)
+                };
+                for mut ct in [uniform, fresh] {
+                    cts.push(ct.clone());
+                    if ct.form() == Form::Ntt {
+                        ct.to_coeff();
+                    } else {
+                        ct.to_ntt();
+                    }
+                    cts.push(ct);
+                }
+
+                // Hand-built lifts: `b` holds them, `a = 0`, so the phase
+                // is `b`.
+                let q = ctx.modulus_product();
+                let h = q / 2;
+                let tq = t as u128;
+                let mut lifts = vec![0, 1, h, h + 1, q - 1];
+                // `k0` is the `k` with `(2k0+1)·Q ≡ 1 (mod 2t)`: there
+                // `⌈(2k0+1)Q/2t⌉ − 1` is the `v` with `v·t ≡ ⌊Q/2⌋`.
+                let two_t = Modulus::new(2 * t).unwrap();
+                let q_inv = two_t.inv((q % (2 * tq)) as u64).unwrap();
+                let k0 = u128::from((q_inv - 1) / 2);
+                for k in [0, 1, 2, tq / 3, tq / 2, tq - 2, tq - 1, k0] {
+                    let edge = ((2 * k + 1) * q).div_ceil(2 * tq);
+                    lifts.extend([edge - 1, edge, edge + 1]);
+                }
+                assert!(lifts.iter().any(|&v| (v * tq) % q == h), "no v·t ≡ ⌊Q/2⌋");
+                lifts.resize(n, 0);
+                let limbs = ctx
+                    .moduli()
+                    .iter()
+                    .map(|m| {
+                        cham_math::poly::Poly::from_coeffs(
+                            lifts
+                                .iter()
+                                .map(|&v| (v % m.value() as u128) as u64)
+                                .collect(),
+                        )
+                    })
+                    .collect();
+                let b = RnsPoly::from_limbs(ctx, limbs, Form::Coeff).unwrap();
+                cts.push(RlweCiphertext::new(b, RnsPoly::zero(ctx)).unwrap());
+            }
+
+            // An HMVP reply: two rows pack with one key-switch.
+            let hmvp = Hmvp::new(&params);
+            let gkeys = GaloisKeys::generate_for_packing(&sk, 1, &mut rng).unwrap();
+            let a = Matrix::random(2, n, t, &mut rng);
+            let em = hmvp.encode_matrix(&a).unwrap();
+            let input = hmvp.encrypt_vector(&values, &enc, &mut rng).unwrap();
+            let reply = hmvp.multiply(&em, &input, &gkeys).unwrap();
+            cts.push(reply.packed[0].ciphertext.clone());
+
+            for (i, ct) in cts.iter().enumerate() {
+                let want = oracle::decrypt_with_noise(&params, &sk, ct);
+                let case = format!(
+                    "n={n} case {i} ({} limbs, {:?})",
+                    ct.b().context().len(),
+                    ct.form()
+                );
+                assert_eq!(dec.decrypt(ct).values(), want.plaintext.values(), "{case}");
+                let got = dec.decrypt_with_noise(ct);
+                assert_eq!(got.plaintext.values(), want.plaintext.values(), "{case}");
+                assert_eq!(
+                    got.noise_bits.to_bits(),
+                    want.noise_bits.to_bits(),
+                    "{case}"
+                );
+                assert_eq!(
+                    got.budget_bits.to_bits(),
+                    want.budget_bits.to_bits(),
+                    "{case}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! What the named counters mean, checked against one `Hmvp::multiply`
-//! whose operation counts are known in closed form.
+//! (and the decryptions of its input and reply) whose operation counts
+//! are known in closed form.
 //!
 //! This file holds exactly one test on purpose: the counters are
 //! process-wide, and a sibling test running in parallel in the same
 //! binary would move them.
 
-use cham_he::encrypt::Encryptor;
+use cham_he::encrypt::{Decryptor, Encryptor};
 use cham_he::hmvp::{Hmvp, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::ChamParams;
 use cham_he::scratch::scratch_stats;
 use cham_math::modulus::lazy_flush_count;
+use cham_math::rns::Form;
 use cham_math::simd::{simd_stats, Kernel};
 use cham_math::Backend;
 use rand::{Rng, SeedableRng};
@@ -56,7 +58,7 @@ fn one_multiply_books_each_operation_once() {
     let em = hmvp.encode_matrix(&a).unwrap();
 
     let (before, simd_before) = (counters(), simd_stats());
-    hmvp.multiply(&em, &cts, &gkeys).unwrap();
+    let reply = hmvp.multiply(&em, &cts, &gkeys).unwrap();
     let (after, simd_after) = (counters(), simd_stats());
     let delta = |name: &str| between(&before, &after, name);
 
@@ -192,4 +194,24 @@ fn one_multiply_books_each_operation_once() {
         lazy_flush_count(),
         named("cham_math.modulus.reduce.lazy_flush")
     );
+
+    // Decryption forms `b + a·s` on one copy of `a`: a coefficient-form
+    // reply costs `L` forward and `L` inverse transforms over its normal
+    // basis, an NTT-form fresh encryption only the `L` inverse ones.
+    let dec = Decryptor::new(&params, &sk);
+    let transforms_of = |ct| {
+        let before = counters();
+        dec.decrypt(ct);
+        let after = counters();
+        (
+            between(&before, &after, "cham_math.ntt.forward"),
+            between(&before, &after, "cham_math.ntt.inverse"),
+        )
+    };
+    let reply = &reply.packed[0].ciphertext;
+    assert_eq!(reply.form(), Form::Coeff);
+    let ct_limbs = params.ciphertext_context().len() as u64;
+    assert_eq!(transforms_of(reply), (ct_limbs, ct_limbs));
+    assert_eq!(cts[0].form(), Form::Ntt);
+    assert_eq!(transforms_of(&cts[0]), (0, aug_limbs));
 }

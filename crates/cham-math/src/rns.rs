@@ -13,7 +13,8 @@
 //! * [`RnsPoly`] — a multi-limb polynomial tracked as coefficient- or
 //!   NTT-domain,
 //! * CRT reconstruction (decryption needs the integer value of each
-//!   coefficient),
+//!   coefficient): Garner's mixed-radix lift from constants built once
+//!   per context ([`RnsContext::crt_lift`], [`RnsPoly::crt_lift_coeff`]),
 //! * **rescale** — divide-and-round by the last prime, pipeline stage-4 of
 //!   the paper,
 //! * digit decomposition for the RNS key-switch used by `cham-he`.
@@ -32,6 +33,89 @@ pub enum Form {
     Coeff,
     /// NTT (evaluation) representation, bit-reversed index order.
     Ntt,
+}
+
+/// Garner's mixed-radix constants for limb `i ≥ 1` of a chain
+/// `q_0, …, q_{L−1}`: the lift after limb `i` is
+/// `v_i = v_{i−1} + radix · ((r_i − v_{i−1}) · inv mod q_i)`.
+#[derive(Debug, Clone)]
+struct GarnerLimb {
+    modulus: Modulus,
+    /// `(q_0 ⋯ q_{i−1})^{−1} mod q_i`, and its Shoup companion.
+    inv: u64,
+    inv_shoup: u64,
+    /// Shoup companion of 1: `mul_shoup_lazy(x, 1, one_shoup)` takes any
+    /// word `x` into `[0, 2q_i)`.
+    one_shoup: u64,
+    /// `2^64 mod q_i`, and its Shoup companion.
+    two64: u64,
+    two64_shoup: u64,
+    /// The mixed-radix weight `q_0 ⋯ q_{i−1}`.
+    radix: u128,
+}
+
+/// The CRT constants of a context, built once in [`RnsContext::new`].
+#[derive(Debug)]
+struct CrtTable {
+    /// `Q = q_0 ⋯ q_{L−1}`.
+    q: u128,
+    /// `⌊Q/2⌋`.
+    half: u128,
+    /// One entry per limb after the first.
+    garner: Vec<GarnerLimb>,
+}
+
+impl CrtTable {
+    fn new(moduli: &[Modulus]) -> Result<Self> {
+        let mut radix: u128 = 1;
+        let mut garner = Vec::with_capacity(moduli.len().saturating_sub(1));
+        for (i, &modulus) in moduli.iter().enumerate() {
+            if i > 0 {
+                let inv = modulus
+                    .inv((radix % modulus.value() as u128) as u64)
+                    .map_err(|_| MathError::InvalidParameter("moduli must be pairwise coprime"))?;
+                let two64 = ((1u128 << 64) % modulus.value() as u128) as u64;
+                garner.push(GarnerLimb {
+                    modulus,
+                    inv,
+                    inv_shoup: modulus.shoup(inv),
+                    one_shoup: modulus.shoup(1),
+                    two64,
+                    two64_shoup: modulus.shoup(two64),
+                    radix,
+                });
+            }
+            let overflow = MathError::InvalidParameter("modulus product overflows u128");
+            radix = radix.checked_mul(modulus.value() as u128).ok_or(overflow)?;
+        }
+        Ok(Self {
+            q: radix,
+            half: radix / 2,
+            garner,
+        })
+    }
+
+    /// Garner's lift of the residues `residue(0), …, residue(L−1)` into
+    /// `[0, Q)`, with nothing allocated. Per limb, `v mod q_i` is its low
+    /// word plus its high word times `2^64`, each a lazy Shoup product in
+    /// `[0, 2q_i)` (`q_i < 2^62`, so the sum fits a word), brought to
+    /// canonical form; one Shoup multiply by the inverse then gives the
+    /// digit.
+    #[inline]
+    fn lift(&self, residue: impl Fn(usize) -> u64) -> u128 {
+        let mut v = residue(0) as u128;
+        for (i, g) in self.garner.iter().enumerate() {
+            let m = &g.modulus;
+            let v_mod = m.reduce_from_lazy(
+                m.mul_shoup_lazy(v as u64, 1, g.one_shoup)
+                    + m.mul_shoup_lazy((v >> 64) as u64, g.two64, g.two64_shoup),
+            );
+            let digit = m.mul_shoup(m.sub(residue(i + 1), v_mod), g.inv, g.inv_shoup);
+            v += g.radix * digit as u128;
+        }
+        debug_assert!(v < self.q);
+        v
+    }
 }
 
 /// A chain of NTT-friendly primes with shared degree and precomputed tables.
@@ -55,6 +139,8 @@ pub struct RnsContext {
     tables: Arc<Vec<NttTable>>,
     /// Divide-and-round constants for each limb i < len-1.
     rescale: Arc<Vec<RescaleLimb>>,
+    /// `Q`, `⌊Q/2⌋` and Garner's constants.
+    crt: Arc<CrtTable>,
 }
 
 impl PartialEq for RnsContext {
@@ -73,8 +159,8 @@ impl RnsContext {
     /// Builds a context over `primes` for ring degree `degree`.
     ///
     /// # Errors
-    /// * [`MathError::InvalidParameter`] when `primes` is empty or contains
-    ///   duplicates,
+    /// * [`MathError::InvalidParameter`] when `primes` is empty, contains
+    ///   duplicates or a common factor, or multiplies past `u128`,
     /// * errors from [`Modulus::new`] / [`NttTable::new`] for unusable
     ///   primes.
     pub fn new(degree: usize, primes: &[u64]) -> Result<Self> {
@@ -93,6 +179,7 @@ impl RnsContext {
             .iter()
             .map(|&p| Modulus::new(p))
             .collect::<Result<_>>()?;
+        let crt = CrtTable::new(&moduli)?;
         let tables: Vec<NttTable> = moduli
             .iter()
             .map(|&m| NttTable::new(degree, m))
@@ -107,6 +194,7 @@ impl RnsContext {
             moduli: Arc::new(moduli),
             tables: Arc::new(tables),
             rescale: Arc::new(rescale),
+            crt: Arc::new(crt),
         })
     }
 
@@ -140,16 +228,17 @@ impl RnsContext {
         &self.tables
     }
 
-    /// Product of all limb moduli as a `u128`.
-    ///
-    /// # Panics
-    /// Panics if the product overflows `u128` (cannot happen for the CHAM
-    /// chain: 34 + 34 + 38 bits).
+    /// Product `Q` of all limb moduli as a `u128` (the constructor rejects
+    /// a chain whose product does not fit).
+    #[inline]
     pub fn modulus_product(&self) -> u128 {
-        self.moduli.iter().fold(1u128, |acc, m| {
-            acc.checked_mul(m.value() as u128)
-                .expect("modulus product overflows u128")
-        })
+        self.crt.q
+    }
+
+    /// `⌊Q/2⌋`: a lift `v ∈ [0, Q)` above it centres to `v − Q`.
+    #[inline]
+    pub fn half_modulus(&self) -> u128 {
+        self.crt.half
     }
 
     /// A context over all limbs except the last — the target of
@@ -216,52 +305,14 @@ impl RnsContext {
     }
 
     /// Reconstructs the integer value of a single coefficient from its limb
-    /// residues via CRT. Result is in `[0, Q)` with `Q` the modulus product.
+    /// residues via CRT: Garner's mixed-radix lift from the constants built
+    /// in [`Self::new`]. Result is in `[0, Q)` with `Q` the modulus product.
     ///
     /// # Panics
     /// Panics if `residues.len() != self.len()`.
     pub fn crt_lift(&self, residues: &[u64]) -> u128 {
         assert_eq!(residues.len(), self.len(), "residue count mismatch");
-        // Garner's algorithm in mixed radix, exact in u128 for <= 90-bit Q.
-        let q = self.modulus_product();
-        let mut result: u128 = 0;
-        let mut radix: u128 = 1;
-        // x = v0 + q0*(v1 + q1*(v2 ...)) with vi computed mod qi.
-        let mut vs = Vec::with_capacity(self.len());
-        for (i, m) in self.moduli.iter().enumerate() {
-            // t = (residues[i] - partial) / (prod of earlier moduli), mod q_i
-            let mut t = residues[i];
-            // subtract the already-fixed mixed-radix digits
-            let mut prod_mod = 1u64;
-            let mut partial = 0u64;
-            for (j, &vj) in vs.iter().enumerate() {
-                partial = m.add(partial, m.mul(prod_mod, vj));
-                prod_mod = m.mul(prod_mod, self.moduli[j].value() % m.value());
-            }
-            t = m.sub(t, partial);
-            let inv = m.inv(prod_mod).expect("moduli are pairwise coprime");
-            let v = m.mul(t, inv);
-            vs.push(v);
-            result += radix * v as u128;
-            radix = radix.saturating_mul(m.value() as u128);
-        }
-        debug_assert!(result < q);
-        result
-    }
-
-    /// Reconstructs the *centred* integer value of a coefficient, in
-    /// `(−Q/2, Q/2]`.
-    ///
-    /// # Panics
-    /// Panics if `residues.len() != self.len()`.
-    pub fn crt_lift_centered(&self, residues: &[u64]) -> i128 {
-        let q = self.modulus_product();
-        let v = self.crt_lift(residues);
-        if v > q / 2 {
-            v as i128 - q as i128
-        } else {
-            v as i128
-        }
+        self.crt.lift(|i| residues[i])
     }
 
     /// Embeds an integer (given as `u128`, reduced mod `Q`) into residues.
@@ -369,6 +420,17 @@ impl RnsPoly {
     #[inline]
     pub fn limbs_mut(&mut self) -> &mut [Poly] {
         &mut self.limbs
+    }
+
+    /// [`RnsContext::crt_lift`] of coefficient `j`'s residues, read from
+    /// the limbs in place: its integer value in `[0, Q)` (in coefficient
+    /// form).
+    ///
+    /// # Panics
+    /// Panics if `j >= degree`.
+    #[inline]
+    pub fn crt_lift_coeff(&self, j: usize) -> u128 {
+        self.ctx.crt.lift(|i| self.limbs[i].coeffs()[j])
     }
 
     fn check_compat(&self, rhs: &Self) -> Result<()> {
@@ -866,6 +928,10 @@ mod tests {
         assert!(RnsContext::new(16, &[]).is_err());
         assert!(RnsContext::new(16, &[Q0, Q0]).is_err());
         assert!(RnsContext::new(64, &[Q0, 97]).is_err()); // 97: 128 ∤ 96
+                                                          // Q must fit in u128; the moduli must be pairwise coprime.
+        let big = [(1 << 61) - 1, (1 << 61) + 1, (1 << 61) + 3];
+        assert!(RnsContext::new(16, &big).is_err());
+        assert!(RnsContext::new(16, &[15, 21]).is_err());
         assert!(RnsContext::new(16, &[Q0, Q1]).is_ok());
     }
 
@@ -884,22 +950,53 @@ mod tests {
         let c = ctx3(16);
         let mut rng = rng();
         let q = c.modulus_product();
-        for _ in 0..500 {
-            let x: u128 = rng.gen::<u128>() % q;
+        let mut xs: Vec<u128> = (0..500).map(|_| rng.gen::<u128>() % q).collect();
+        xs.extend([0, 1, q / 2, q / 2 + 1, q - 1]);
+        for &x in &xs {
             let residues = c.residues_of(x);
             assert_eq!(c.crt_lift(&residues), x);
         }
-        assert_eq!(c.crt_lift(&c.residues_of(0)), 0);
-        assert_eq!(c.crt_lift(&c.residues_of(q - 1)), q - 1);
+        // The in-place lift of a coefficient reads the same table.
+        for chunk in xs.chunks(16) {
+            let limbs = c
+                .moduli()
+                .iter()
+                .map(|m| {
+                    let mut coeffs: Vec<u64> = chunk
+                        .iter()
+                        .map(|&x| (x % m.value() as u128) as u64)
+                        .collect();
+                    coeffs.resize(16, 0);
+                    Poly::from_coeffs(coeffs)
+                })
+                .collect();
+            let p = RnsPoly::from_limbs(&c, limbs, Form::Coeff).unwrap();
+            for (j, &x) in chunk.iter().enumerate() {
+                assert_eq!(p.crt_lift_coeff(j), x);
+            }
+        }
     }
 
     #[test]
     fn crt_centered() {
         let c = RnsContext::new(16, &[Q0, Q1]).unwrap();
-        let q = c.modulus_product();
-        assert_eq!(c.crt_lift_centered(&c.residues_of(1)), 1);
-        assert_eq!(c.crt_lift_centered(&c.residues_of(q - 1)), -1);
-        assert_eq!(c.crt_lift_centered(&c.residues_of(q / 2)), (q / 2) as i128);
+        let q = Q0 as u128 * Q1 as u128;
+        assert_eq!(c.modulus_product(), q);
+        assert_eq!(c.half_modulus(), q / 2);
+        let centred = |v: u128| {
+            if v > c.half_modulus() {
+                v as i128 - q as i128
+            } else {
+                v as i128
+            }
+        };
+        assert_eq!(centred(c.crt_lift(&c.residues_of(1))), 1);
+        assert_eq!(centred(c.crt_lift(&c.residues_of(q - 1))), -1);
+        assert_eq!(centred(c.crt_lift(&c.residues_of(q / 2))), (q / 2) as i128);
+        assert_eq!(
+            centred(c.crt_lift(&c.residues_of(q / 2 + 1))),
+            -((q / 2) as i128)
+        );
     }
 
     #[test]
@@ -988,10 +1085,12 @@ mod tests {
                     num / p as i128
                 };
                 let got = {
-                    let res: Vec<u64> = (0..reduced.len())
-                        .map(|i| r.limbs()[i].coeffs()[j])
-                        .collect();
-                    reduced.crt_lift_centered(&res)
+                    let v = r.crt_lift_coeff(j);
+                    if v > reduced.half_modulus() {
+                        v as i128 - qq as i128
+                    } else {
+                        v as i128
+                    }
                 };
                 let err = (got - exact).abs();
                 assert!(

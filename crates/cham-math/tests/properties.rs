@@ -252,9 +252,11 @@ proptest! {
         let r = a.rescale_by_last(&reduced).unwrap();
         for (j, &x) in xs.iter().enumerate() {
             let centered: i128 = if x > q / 2 { x as i128 - q as i128 } else { x as i128 };
+            // Centred by hand: the lift is in [0, Q'), Q' the reduced product.
             let got = {
-                let res: Vec<u64> = (0..reduced.len()).map(|i| r.limbs()[i].coeffs()[j]).collect();
-                reduced.crt_lift_centered(&res)
+                let v = r.crt_lift_coeff(j);
+                let q_red = reduced.modulus_product();
+                if v > q_red / 2 { v as i128 - q_red as i128 } else { v as i128 }
             };
             let p = SPECIAL_P as i128;
             let exact = {
