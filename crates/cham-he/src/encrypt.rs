@@ -12,6 +12,10 @@
 //! caller that needs coefficient form (a monomial shift, an automorphism)
 //! converts explicitly with [`RlweCiphertext::to_coeff`].
 //!
+//! Both directions form `a·s` with the key's cached NTT-form `s` and its
+//! Shoup companions: one lazy Shoup multiply per word and one normalize
+//! pass per limb, no Barrett reduction.
+//!
 //! Decryption forms the phase `b + a·s` on one owned copy of `a`. An
 //! NTT-form ciphertext (every fresh encryption) costs `L` inverse
 //! transforms: `a⊙s + b` is formed in the NTT domain. A coefficient-form
@@ -120,16 +124,13 @@ impl Encryptor {
     ) -> Result<RlweCiphertext> {
         let mut a = uniform_rns_poly(ctx, rng);
         let e = noise_rns_poly(ctx, rng);
-        let s_ntt = if ctx == self.params.augmented_context() {
-            self.sk.s_aug_ntt()
-        } else {
-            self.sk.s_ct_ntt()
-        };
         a.to_ntt();
         let mut b = self.scaled_plaintext(pt, ctx)?;
         b.add_assign(&e)?;
         b.to_ntt();
-        b.sub_assign(&a.mul_pointwise(s_ntt)?)?;
+        let mut a_s = a.clone();
+        self.sk.ntt_for(ctx).mul_assign(&mut a_s);
+        b.sub_assign(&a_s)?;
         RlweCiphertext::new(b, a)
     }
 
@@ -292,27 +293,10 @@ impl Decryptor {
     /// transforms (`b` is added after the inverse), an NTT-form one only
     /// the `L` inverse transforms (`b` is added before it).
     fn phase(&self, ct: &RlweCiphertext) -> RnsPoly {
-        let ctx = ct.b().context();
-        // Cached embeddings cover the two standard bases; other contexts
-        // (e.g. the single-limb result of MODSWITCH) embed on demand.
-        let s_owned;
-        let s_ntt = if ctx == self.params.augmented_context() {
-            self.sk.s_aug_ntt()
-        } else if ctx == self.params.ciphertext_context() {
-            self.sk.s_ct_ntt()
-        } else {
-            let mut s = RnsPoly::from_signed(ctx, self.sk.coeffs())
-                .expect("secret key length matches any same-degree context");
-            s.to_ntt();
-            s_owned = s;
-            &s_owned
-        };
         let form = ct.form();
         let mut phase = ct.a().clone();
         phase.to_ntt();
-        phase
-            .mul_pointwise_assign(s_ntt)
-            .expect("context consistency");
+        self.sk.ntt_for(ct.b().context()).mul_assign(&mut phase);
         if form == Form::Ntt {
             phase.add_assign(ct.b()).expect("context consistency");
         }

@@ -14,9 +14,11 @@
 
 use crate::params::ChamParams;
 use crate::{HeError, Result};
-use cham_math::rns::RnsPoly;
+use cham_math::rns::{Form, RnsContext, RnsPoly};
 use cham_math::sampling::{noise_rns_poly, ternary_rns_poly, uniform_rns_poly};
+use cham_math::simd;
 use rand::Rng;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// An RLWE secret key: ternary coefficients embedded into both the normal
@@ -26,9 +28,54 @@ pub struct SecretKey {
     params: ChamParams,
     /// Signed ternary coefficients — the canonical representation.
     coeffs: Vec<i64>,
-    /// NTT-form embeddings, cached for fast phase computation.
-    s_ct_ntt: RnsPoly,
-    s_aug_ntt: RnsPoly,
+    /// NTT-form embeddings with Shoup companions, cached for fast
+    /// phase computation.
+    s_ct_ntt: SecretNtt,
+    s_aug_ntt: SecretNtt,
+}
+
+/// `s` in NTT form over one basis, with every word's Shoup companion, so
+/// that `a·s` costs one lazy Shoup multiply per coefficient and one
+/// normalize instead of a Barrett reduction.
+#[derive(Debug, Clone)]
+pub(crate) struct SecretNtt {
+    s: RnsPoly,
+    /// `⌊s_j·2^64 / qᵢ⌋` per limb.
+    shoup: Vec<Vec<u64>>,
+}
+
+impl SecretNtt {
+    fn new(ctx: &RnsContext, coeffs: &[i64]) -> Result<Self> {
+        let mut s = RnsPoly::from_signed(ctx, coeffs)?;
+        s.to_ntt();
+        let shoup = s
+            .limbs()
+            .iter()
+            .zip(ctx.moduli())
+            .map(|(limb, m)| limb.coeffs().iter().map(|&w| m.shoup(w)).collect())
+            .collect();
+        Ok(Self { s, shoup })
+    }
+
+    /// `a ← a·s` for an NTT-form `a` over the same basis, canonical out:
+    /// per limb, [`simd::mul_shoup_lazy_slice`] into `[0, 2q)` and one
+    /// [`simd::reduce_from_lazy_slice`].
+    ///
+    /// # Panics
+    /// Panics if `a` is in coefficient form or over another basis.
+    pub(crate) fn mul_assign(&self, a: &mut RnsPoly) {
+        let ctx = self.s.context();
+        assert!(
+            a.form() == Form::Ntt && a.context() == ctx,
+            "a·s needs an NTT-form operand over the key's basis"
+        );
+        let per_limb = self.s.limbs().iter().zip(&self.shoup).zip(ctx.tables());
+        for (limb, ((s, ws), table)) in a.limbs_mut().iter_mut().zip(per_limb) {
+            let (backend, q) = (table.backend(), table.modulus());
+            simd::mul_shoup_lazy_slice(backend, limb.coeffs_mut(), s.coeffs(), ws, q);
+            simd::reduce_from_lazy_slice(backend, limb.coeffs_mut(), q);
+        }
+    }
 }
 
 impl SecretKey {
@@ -54,15 +101,11 @@ impl SecretKey {
         if coeffs.iter().any(|&c| !(-1..=1).contains(&c)) {
             return Err(HeError::InvalidParams("secret key must be ternary"));
         }
-        let mut s_ct = RnsPoly::from_signed(params.ciphertext_context(), &coeffs)?;
-        let mut s_aug = RnsPoly::from_signed(params.augmented_context(), &coeffs)?;
-        s_ct.to_ntt();
-        s_aug.to_ntt();
         Ok(Self {
+            s_ct_ntt: SecretNtt::new(params.ciphertext_context(), &coeffs)?,
+            s_aug_ntt: SecretNtt::new(params.augmented_context(), &coeffs)?,
             params: params.clone(),
             coeffs,
-            s_ct_ntt: s_ct,
-            s_aug_ntt: s_aug,
         })
     }
 
@@ -78,16 +121,25 @@ impl SecretKey {
         &self.coeffs
     }
 
-    /// NTT-form embedding over the normal ciphertext basis.
-    #[inline]
-    pub(crate) fn s_ct_ntt(&self) -> &RnsPoly {
-        &self.s_ct_ntt
-    }
-
     /// NTT-form embedding over the augmented basis.
     #[inline]
     pub(crate) fn s_aug_ntt(&self) -> &RnsPoly {
-        &self.s_aug_ntt
+        &self.s_aug_ntt.s
+    }
+
+    /// `s` prepared for `a·s` over `ctx`: cached for the two standard
+    /// bases, built on demand for any other (the single-limb result of
+    /// MODSWITCH).
+    pub(crate) fn ntt_for(&self, ctx: &RnsContext) -> Cow<'_, SecretNtt> {
+        if ctx == self.params.augmented_context() {
+            Cow::Borrowed(&self.s_aug_ntt)
+        } else if ctx == self.params.ciphertext_context() {
+            Cow::Borrowed(&self.s_ct_ntt)
+        } else {
+            let s = SecretNtt::new(ctx, &self.coeffs)
+                .expect("secret key length matches any same-degree context");
+            Cow::Owned(s)
+        }
     }
 
     /// The secret key after the Galois map `X → X^k` — the "old key" a

@@ -1,12 +1,13 @@
 //! Test oracles: the HMVP back half as it was first written — one
 //! allocating `RnsPoly` operation per line of Alg. 2/3, a strict rescale,
-//! a level-by-level pack — and decryption as it was first written (a
-//! per-call Garner lift, centred `i128` rounding), kept only so the
+//! a level-by-level pack — decryption as it was first written (a
+//! per-call Garner lift, centred `i128` rounding), and the wire codec as
+//! it was first written ([`wire`]: one word at a time), kept only so the
 //! streaming implementations in [`crate::ops`], [`crate::pack`],
-//! [`crate::hmvp`] and [`crate::encrypt`] have something independent to
-//! be bit-compared against. Nothing here shares a kernel with the code
-//! under test beyond the NTT, Barrett arithmetic and the element-wise
-//! `RnsPoly` operations.
+//! [`crate::hmvp`], [`crate::encrypt`] and [`crate::wire`] have something
+//! independent to be bit-compared against. Nothing here shares a kernel
+//! with the code under test beyond the NTT, Barrett arithmetic and the
+//! element-wise `RnsPoly` operations.
 
 use crate::ciphertext::{LweCiphertext, RlweCiphertext};
 use crate::encoding::Plaintext;
@@ -187,5 +188,265 @@ pub(crate) fn decrypt_with_noise(
         plaintext: Plaintext::from_values(values),
         noise_bits,
         budget_bits: capacity_bits - noise_bits.max(0.0),
+    }
+}
+
+/// The wire codec word by word: one `extend_from_slice` per word out; in,
+/// one bounds-checked read and one range branch per word, behind a header
+/// reader that collects the declared chain and both known chains into
+/// vectors before comparing them. The layout constants are spelled out
+/// here rather than shared with [`crate::wire`].
+pub(crate) mod wire {
+    use crate::ciphertext::RlweCiphertext;
+    use crate::hmvp::EncodedMatrix;
+    use crate::keys::{GaloisKeys, KeySwitchKey};
+    use crate::params::ChamParams;
+    use crate::{HeError, Result};
+    use cham_math::poly::Poly;
+    use cham_math::rns::{Form, RnsContext, RnsPoly};
+
+    const MAGIC: u16 = 0xC4A7;
+    const VERSION: u8 = 1;
+    const RLWE: u8 = 1;
+    const KSK: u8 = 4;
+    const GALOIS_SET: u8 = 5;
+    const ENCODED_MATRIX: u8 = 6;
+    const RLWE_NTT: u8 = 7;
+
+    fn write_header(out: &mut Vec<u8>, kind: u8, ctx: &RnsContext) {
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.push(VERSION);
+        out.push(kind);
+        out.extend_from_slice(&(ctx.degree() as u32).to_le_bytes());
+        out.push(ctx.len() as u8);
+        for m in ctx.moduli() {
+            out.extend_from_slice(&m.value().to_le_bytes());
+        }
+    }
+
+    fn write_rns_poly(out: &mut Vec<u8>, p: &RnsPoly) {
+        for limb in p.limbs() {
+            for &c in limb.coeffs() {
+                out.extend_from_slice(&c.to_le_bytes());
+            }
+        }
+    }
+
+    struct Reader<'a> {
+        data: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> Reader<'a> {
+        fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+            if self.pos + n > self.data.len() {
+                return Err(HeError::Incompatible("truncated wire payload"));
+            }
+            let s = &self.data[self.pos..self.pos + n];
+            self.pos += n;
+            Ok(s)
+        }
+
+        fn u8(&mut self) -> Result<u8> {
+            Ok(self.take(1)?[0])
+        }
+
+        fn u16(&mut self) -> Result<u16> {
+            Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
+        }
+
+        fn u32(&mut self) -> Result<u32> {
+            Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
+        }
+
+        fn u64(&mut self) -> Result<u64> {
+            Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
+        }
+
+        fn done(&self) -> bool {
+            self.pos == self.data.len()
+        }
+    }
+
+    fn read_header(r: &mut Reader<'_>, params: &ChamParams) -> Result<(u8, RnsContext)> {
+        if r.u16()? != MAGIC {
+            return Err(HeError::Incompatible("bad wire magic"));
+        }
+        if r.u8()? != VERSION {
+            return Err(HeError::Incompatible("unsupported wire version"));
+        }
+        let kind = r.u8()?;
+        if ![RLWE, KSK, GALOIS_SET, ENCODED_MATRIX, RLWE_NTT].contains(&kind) {
+            return Err(HeError::Incompatible("unknown wire payload kind"));
+        }
+        let degree = r.u32()? as usize;
+        if degree != params.degree() {
+            return Err(HeError::ShapeMismatch {
+                expected: params.degree(),
+                got: degree,
+            });
+        }
+        let limbs = r.u8()? as usize;
+        if limbs == 0 {
+            return Err(HeError::Incompatible("wire payload missing modulus chain"));
+        }
+        let mut primes = Vec::with_capacity(limbs);
+        for _ in 0..limbs {
+            primes.push(r.u64()?);
+        }
+        let chain = |ctx: &RnsContext| ctx.moduli().iter().map(|m| m.value()).collect::<Vec<_>>();
+        let ct_primes = chain(params.ciphertext_context());
+        let ctx = if primes == ct_primes {
+            params.ciphertext_context().clone()
+        } else if primes == chain(params.augmented_context()) {
+            params.augmented_context().clone()
+        } else if primes.len() == 1 && primes[0] == ct_primes[0] {
+            params.ciphertext_context().drop_last()?
+        } else {
+            return Err(HeError::Incompatible(
+                "wire payload uses a foreign modulus chain",
+            ));
+        };
+        Ok((kind, ctx))
+    }
+
+    fn read_rns_poly(r: &mut Reader<'_>, ctx: &RnsContext, form: Form) -> Result<RnsPoly> {
+        let mut limbs = Vec::with_capacity(ctx.len());
+        for m in ctx.moduli() {
+            let mut coeffs = Vec::with_capacity(ctx.degree());
+            for _ in 0..ctx.degree() {
+                let v = r.u64()?;
+                if v >= m.value() {
+                    return Err(HeError::Incompatible(
+                        "wire coefficient out of canonical range",
+                    ));
+                }
+                coeffs.push(v);
+            }
+            limbs.push(Poly::from_coeffs(coeffs));
+        }
+        Ok(RnsPoly::from_limbs(ctx, limbs, form)?)
+    }
+
+    pub(crate) fn rlwe_to_bytes(ct: &RlweCiphertext) -> Vec<u8> {
+        let kind = match ct.form() {
+            Form::Coeff => RLWE,
+            Form::Ntt => RLWE_NTT,
+        };
+        let mut out = Vec::new();
+        write_header(&mut out, kind, ct.b().context());
+        write_rns_poly(&mut out, ct.b());
+        write_rns_poly(&mut out, ct.a());
+        out
+    }
+
+    pub(crate) fn rlwe_from_bytes(data: &[u8], params: &ChamParams) -> Result<RlweCiphertext> {
+        let mut r = Reader { data, pos: 0 };
+        let (kind, ctx) = read_header(&mut r, params)?;
+        let form = match kind {
+            RLWE => Form::Coeff,
+            RLWE_NTT => Form::Ntt,
+            _ => return Err(HeError::Incompatible("expected an rlwe payload")),
+        };
+        let b = read_rns_poly(&mut r, &ctx, form)?;
+        let a = read_rns_poly(&mut r, &ctx, form)?;
+        if !r.done() {
+            return Err(HeError::Incompatible("trailing bytes after rlwe payload"));
+        }
+        RlweCiphertext::new(b, a)
+    }
+
+    pub(crate) fn ksk_to_bytes(ksk: &KeySwitchKey) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_header(&mut out, KSK, ksk.b[0].context());
+        out.push(ksk.digit_count() as u8);
+        for (b, a) in ksk.b.iter().zip(&ksk.a) {
+            write_rns_poly(&mut out, b);
+            write_rns_poly(&mut out, a);
+        }
+        out
+    }
+
+    pub(crate) fn ksk_from_bytes(data: &[u8], params: &ChamParams) -> Result<KeySwitchKey> {
+        let mut r = Reader { data, pos: 0 };
+        let (kind, ctx) = read_header(&mut r, params)?;
+        if kind != KSK {
+            return Err(HeError::Incompatible("expected a key-switch-key payload"));
+        }
+        if ctx != *params.augmented_context() {
+            return Err(HeError::Incompatible(
+                "ksk must live in the augmented basis",
+            ));
+        }
+        let digits = r.u8()? as usize;
+        if digits == 0 || digits > 8 {
+            return Err(HeError::Incompatible("implausible ksk digit count"));
+        }
+        let (mut b, mut a) = (Vec::new(), Vec::new());
+        for _ in 0..digits {
+            b.push(read_rns_poly(&mut r, &ctx, Form::Ntt)?);
+            a.push(read_rns_poly(&mut r, &ctx, Form::Ntt)?);
+        }
+        if !r.done() {
+            return Err(HeError::Incompatible("trailing bytes after ksk payload"));
+        }
+        Ok(KeySwitchKey { b, a })
+    }
+
+    pub(crate) fn galois_keys_to_bytes(keys: &GaloisKeys, indices: &[usize]) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.push(VERSION);
+        out.push(GALOIS_SET);
+        out.extend_from_slice(&(indices.len() as u32).to_le_bytes());
+        let mut sorted = indices.to_vec();
+        sorted.sort_unstable();
+        for &k in &sorted {
+            let body = ksk_to_bytes(keys.get(k)?);
+            out.extend_from_slice(&(k as u64).to_le_bytes());
+            out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            out.extend_from_slice(&body);
+        }
+        Ok(out)
+    }
+
+    pub(crate) fn galois_keys_from_bytes(data: &[u8], params: &ChamParams) -> Result<GaloisKeys> {
+        let mut r = Reader { data, pos: 0 };
+        if r.u16()? != MAGIC {
+            return Err(HeError::Incompatible("bad wire magic"));
+        }
+        if r.u8()? != VERSION {
+            return Err(HeError::Incompatible("unsupported wire version"));
+        }
+        if r.u8()? != GALOIS_SET {
+            return Err(HeError::Incompatible("expected a galois-key-set payload"));
+        }
+        let count = r.u32()? as usize;
+        if count > 64 {
+            return Err(HeError::Incompatible("implausible galois key count"));
+        }
+        let mut keys = GaloisKeys::new();
+        for _ in 0..count {
+            let k = r.u64()? as usize;
+            let len = r.u32()? as usize;
+            keys.insert(k, ksk_from_bytes(r.take(len)?, params)?);
+        }
+        if !r.done() {
+            return Err(HeError::Incompatible("trailing bytes after galois key set"));
+        }
+        Ok(keys)
+    }
+
+    pub(crate) fn encoded_matrix_to_bytes(m: &EncodedMatrix) -> Vec<u8> {
+        let (rows, cols) = m.shape();
+        let mut out = Vec::new();
+        write_header(&mut out, ENCODED_MATRIX, m.tiles()[0][0].context());
+        out.extend_from_slice(&(rows as u32).to_le_bytes());
+        out.extend_from_slice(&(cols as u32).to_le_bytes());
+        out.extend_from_slice(&(m.col_tiles() as u32).to_le_bytes());
+        for tile in m.tiles().iter().flatten() {
+            write_rns_poly(&mut out, tile);
+        }
+        out
     }
 }

@@ -27,7 +27,18 @@
 //!
 //! Deserialization validates the header against the receiver's parameter
 //! set — a ciphertext for foreign parameters is rejected, not
-//! misinterpreted.
+//! misinterpreted. The declared modulus chain is compared with the
+//! parameter set's moduli in place; nothing is allocated for it.
+//!
+//! Both directions run one pass per limb, at copy speed. The writer grows
+//! its buffer once per limb and stores the limb's `N` words in one
+//! `chunks_exact_mut(8)` pass; [`write_rlwe`] appends into a caller's
+//! buffer, which [`rlwe_encoded_len`] lets the caller size up front, so a
+//! request of `k` ciphertexts is written once into one allocation. The
+//! reader takes each limb as one `8·N`-byte slice, converts it with
+//! `chunks_exact(8)`, and checks that it is canonical (`< qᵢ`) with one
+//! branch-free fold over the limb ([`words_below`]), not a branch per
+//! word.
 
 use crate::ciphertext::RlweCiphertext;
 use crate::hmvp::EncodedMatrix;
@@ -66,6 +77,12 @@ impl Kind {
     }
 }
 
+/// Bytes of a header naming `limbs` moduli: magic, version, kind, degree,
+/// limb count, moduli.
+const fn header_len(limbs: usize) -> usize {
+    2 + 1 + 1 + 4 + 1 + 8 * limbs
+}
+
 fn write_header(out: &mut Vec<u8>, kind: Kind, ctx: &RnsContext) {
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.push(VERSION);
@@ -75,6 +92,42 @@ fn write_header(out: &mut Vec<u8>, kind: Kind, ctx: &RnsContext) {
     for m in ctx.moduli() {
         out.extend_from_slice(&m.value().to_le_bytes());
     }
+}
+
+/// Appends `words` as `u64` LE: one `resize`, then one pass over 8-byte
+/// chunks.
+pub fn put_words(out: &mut Vec<u8>, words: &[u64]) {
+    let at = out.len();
+    out.resize(at + 8 * words.len(), 0);
+    for (dst, w) in out[at..].chunks_exact_mut(8).zip(words) {
+        dst.copy_from_slice(&w.to_le_bytes());
+    }
+}
+
+/// Reads `bytes` as `u64` LE words, or `None` when any word is `≥ bound`.
+///
+/// The words are converted in one pass and range-checked in a second,
+/// one branch-free fold: for `bound ≤ 2^63`, `w < bound` exactly when the
+/// top bit of `(w − bound) & !w` is set (the difference wraps negative,
+/// and `w` itself is below `2^63`), so the AND of those words keeps its
+/// top bit only if every word is in range. (The fold vectorizes on its
+/// own; fused into the conversion loop it did not, and a limb read 4×
+/// slower.)
+///
+/// # Panics
+/// Panics if `bytes.len()` is not a multiple of 8 or `bound > 2^63`.
+#[must_use]
+pub fn words_below(bytes: &[u8], bound: u64) -> Option<Vec<u64>> {
+    assert!(bytes.len().is_multiple_of(8), "a whole number of words");
+    assert!(bound <= 1 << 63, "the range fold needs bound ≤ 2^63");
+    let words: Vec<u64> = bytes
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("len 8")))
+        .collect();
+    let in_range = words
+        .iter()
+        .fold(!0u64, |acc, &w| acc & w.wrapping_sub(bound) & !w);
+    (in_range >> 63 == 1).then_some(words)
 }
 
 struct Reader<'a> {
@@ -136,29 +189,21 @@ fn read_header(r: &mut Reader<'_>, params: &ChamParams) -> Result<(Kind, RnsCont
     if limbs == 0 {
         return Err(HeError::Incompatible("wire payload missing modulus chain"));
     }
-    let mut primes = Vec::with_capacity(limbs);
-    for _ in 0..limbs {
-        primes.push(r.u64()?);
-    }
+    let chain = r.take(8 * limbs)?;
+    let declared = || {
+        chain
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("len 8")))
+    };
     // Only the receiver's known bases are acceptable.
-    let ct_primes: Vec<u64> = params
-        .ciphertext_context()
-        .moduli()
-        .iter()
-        .map(|m| m.value())
-        .collect();
-    let aug_primes: Vec<u64> = params
-        .augmented_context()
-        .moduli()
-        .iter()
-        .map(|m| m.value())
-        .collect();
-    let ctx = if primes == ct_primes {
-        params.ciphertext_context().clone()
-    } else if primes == aug_primes {
-        params.augmented_context().clone()
-    } else if primes.len() == 1 && primes[0] == ct_primes[0] {
-        params.ciphertext_context().drop_last()?
+    let names = |ctx: &RnsContext| declared().eq(ctx.moduli().iter().map(|m| m.value()));
+    let (ct, aug) = (params.ciphertext_context(), params.augmented_context());
+    let ctx = if names(ct) {
+        ct.clone()
+    } else if names(aug) {
+        aug.clone()
+    } else if limbs == 1 && declared().eq([ct.moduli()[0].value()]) {
+        ct.drop_last()?
     } else {
         return Err(HeError::Incompatible(
             "wire payload uses a foreign modulus chain",
@@ -169,46 +214,54 @@ fn read_header(r: &mut Reader<'_>, params: &ChamParams) -> Result<(Kind, RnsCont
 
 fn write_rns_poly(out: &mut Vec<u8>, p: &RnsPoly) {
     for limb in p.limbs() {
-        for &c in limb.coeffs() {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
+        put_words(out, limb.coeffs());
     }
 }
 
-/// Reads one polynomial's words, each checked canonical (`< qᵢ`), and tags
-/// them with `form` without transforming them.
+/// Reads one polynomial's words a limb at a time, each limb checked
+/// canonical (`< qᵢ`), and tags them with `form` without transforming
+/// them.
 fn read_rns_poly(r: &mut Reader<'_>, ctx: &RnsContext, form: Form) -> Result<RnsPoly> {
     let n = ctx.degree();
     let mut limbs = Vec::with_capacity(ctx.len());
     for m in ctx.moduli() {
-        let mut coeffs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = r.u64()?;
-            if v >= m.value() {
-                return Err(HeError::Incompatible(
-                    "wire coefficient out of canonical range",
-                ));
-            }
-            coeffs.push(v);
-        }
+        let coeffs = words_below(r.take(8 * n)?, m.value()).ok_or(HeError::Incompatible(
+            "wire coefficient out of canonical range",
+        ))?;
         limbs.push(Poly::from_coeffs(coeffs));
     }
     Ok(RnsPoly::from_limbs(ctx, limbs, form)?)
 }
 
-/// Serializes an RLWE ciphertext in the form it is in: an NTT-form one
-/// (an HMVP request's input) as `RlweNtt`, a coefficient-form one (a
-/// packed reply) as `Rlwe`. Nothing is cloned or transformed.
-pub fn rlwe_to_bytes(ct: &RlweCiphertext) -> Vec<u8> {
+/// The exact length [`write_rlwe`] appends for `ct`: its header and both
+/// polynomials.
+#[must_use]
+pub fn rlwe_encoded_len(ct: &RlweCiphertext) -> usize {
     let ctx = ct.b().context();
+    header_len(ctx.len()) + 2 * 8 * ctx.len() * ctx.degree()
+}
+
+/// Appends an RLWE ciphertext in the form it is in: an NTT-form one (an
+/// HMVP request's input) as `RlweNtt`, a coefficient-form one (a packed
+/// reply) as `Rlwe`. Nothing is cloned or transformed, and `out` grows at
+/// most once when it was not sized for [`rlwe_encoded_len`] up front.
+pub fn write_rlwe(out: &mut Vec<u8>, ct: &RlweCiphertext) {
     let kind = match ct.form() {
         Form::Coeff => Kind::Rlwe,
         Form::Ntt => Kind::RlweNtt,
     };
-    let mut out = Vec::with_capacity(16 + 2 * ctx.len() * ctx.degree() * 8);
-    write_header(&mut out, kind, ctx);
-    write_rns_poly(&mut out, ct.b());
-    write_rns_poly(&mut out, ct.a());
+    out.reserve(rlwe_encoded_len(ct));
+    write_header(out, kind, ct.b().context());
+    write_rns_poly(out, ct.b());
+    write_rns_poly(out, ct.a());
+}
+
+/// Serializes an RLWE ciphertext: [`write_rlwe`] into a buffer of exactly
+/// [`rlwe_encoded_len`] bytes.
+#[must_use]
+pub fn rlwe_to_bytes(ct: &RlweCiphertext) -> Vec<u8> {
+    let mut out = Vec::with_capacity(rlwe_encoded_len(ct));
+    write_rlwe(&mut out, ct);
     out
 }
 
@@ -235,15 +288,25 @@ pub fn rlwe_from_bytes(data: &[u8], params: &ChamParams) -> Result<RlweCiphertex
 
 /// Serializes a key-switch key (NTT-form digits over the augmented basis).
 pub fn ksk_to_bytes(ksk: &crate::keys::KeySwitchKey) -> Vec<u8> {
-    let ctx = ksk.b[0].context().clone();
-    let mut out = Vec::new();
-    write_header(&mut out, Kind::Ksk, &ctx);
+    let mut out = Vec::with_capacity(ksk_encoded_len(ksk));
+    write_ksk(&mut out, ksk);
+    out
+}
+
+/// The exact length [`write_ksk`] appends: a header, the digit count and
+/// `2·d` polynomials.
+fn ksk_encoded_len(ksk: &crate::keys::KeySwitchKey) -> usize {
+    let ctx = ksk.b[0].context();
+    header_len(ctx.len()) + 1 + 2 * ksk.digit_count() * 8 * ctx.len() * ctx.degree()
+}
+
+fn write_ksk(out: &mut Vec<u8>, ksk: &crate::keys::KeySwitchKey) {
+    write_header(out, Kind::Ksk, ksk.b[0].context());
     out.push(ksk.digit_count() as u8);
     for i in 0..ksk.digit_count() {
-        write_rns_poly(&mut out, &ksk.b[i]);
-        write_rns_poly(&mut out, &ksk.a[i]);
+        write_rns_poly(out, &ksk.b[i]);
+        write_rns_poly(out, &ksk.a[i]);
     }
-    out
 }
 
 /// Deserializes a key-switch key.
@@ -280,19 +343,25 @@ pub fn ksk_from_bytes(data: &[u8], params: &ChamParams) -> Result<crate::keys::K
 /// Serializes a Galois key set (sorted by automorphism index for a
 /// canonical byte representation).
 pub fn galois_keys_to_bytes(keys: &crate::keys::GaloisKeys, indices: &[usize]) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
+    let mut sorted = indices.to_vec();
+    sorted.sort_unstable();
+    let ksks = sorted
+        .iter()
+        .map(|&k| keys.get(k))
+        .collect::<Result<Vec<_>>>()?;
+    let len = 8 + ksks
+        .iter()
+        .map(|ksk| 12 + ksk_encoded_len(ksk))
+        .sum::<usize>();
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.push(VERSION);
     out.push(Kind::GaloisSet as u8);
     out.extend_from_slice(&(indices.len() as u32).to_le_bytes());
-    let mut sorted = indices.to_vec();
-    sorted.sort_unstable();
-    for &k in &sorted {
-        let ksk = keys.get(k)?;
-        let body = ksk_to_bytes(ksk);
+    for (&k, ksk) in sorted.iter().zip(ksks) {
         out.extend_from_slice(&(k as u64).to_le_bytes());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
+        out.extend_from_slice(&(ksk_encoded_len(ksk) as u32).to_le_bytes());
+        write_ksk(&mut out, ksk);
     }
     Ok(out)
 }
@@ -347,11 +416,12 @@ pub fn encoded_matrix_to_bytes(m: &EncodedMatrix) -> Result<Vec<u8>> {
         .first()
         .and_then(|row| row.first())
         .ok_or(HeError::InvalidParams("encoded matrix has no tiles"))?;
-    let ctx = first.context().clone();
+    let ctx = first.context();
     let (rows, cols) = m.shape();
     let col_tiles = m.col_tiles();
-    let mut out = Vec::with_capacity(28 + rows * col_tiles * ctx.len() * ctx.degree() * 8);
-    write_header(&mut out, Kind::EncodedMatrix, &ctx);
+    let len = header_len(ctx.len()) + 12 + rows * col_tiles * 8 * ctx.len() * ctx.degree();
+    let mut out = Vec::with_capacity(len);
+    write_header(&mut out, Kind::EncodedMatrix, ctx);
     out.extend_from_slice(&(rows as u32).to_le_bytes());
     out.extend_from_slice(&(cols as u32).to_le_bytes());
     out.extend_from_slice(&(col_tiles as u32).to_le_bytes());
@@ -369,7 +439,7 @@ mod tests {
     use crate::encoding::CoeffEncoder;
     use crate::encrypt::{Decryptor, Encryptor};
     use crate::keys::SecretKey;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup() -> (
         ChamParams,
@@ -385,12 +455,6 @@ mod tests {
         let dec = Decryptor::new(&params, &sk);
         let coder = CoeffEncoder::new(&params);
         (params, enc, dec, coder, rng)
-    }
-
-    /// Byte offset of a payload's first word behind a header naming
-    /// `limbs` moduli: magic, version, kind, degree, limb count, moduli.
-    fn first_word(limbs: usize) -> usize {
-        2 + 1 + 1 + 4 + 1 + 8 * limbs
     }
 
     #[test]
@@ -435,7 +499,7 @@ mod tests {
         ] {
             let bytes = rlwe_to_bytes(ct);
             assert_eq!(bytes[3], kind as u8);
-            let payload: Vec<u64> = bytes[first_word(ct.b().context().len())..]
+            let payload: Vec<u64> = bytes[header_len(ct.b().context().len())..]
                 .chunks_exact(8)
                 .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
                 .collect();
@@ -453,7 +517,7 @@ mod tests {
         let bytes = rlwe_to_bytes(&ntt);
         let limbs = params.augmented_context().moduli();
         for (limb, q) in limbs.iter().enumerate() {
-            let at = first_word(limbs.len()) + 8 * limb * params.degree();
+            let at = header_len(limbs.len()) + 8 * limb * params.degree();
             let mut bad = bytes.clone();
             bad[at..at + 8].copy_from_slice(&q.value().to_le_bytes());
             assert!(matches!(
@@ -508,7 +572,7 @@ mod tests {
         assert!(rlwe_from_bytes(&bad, &params).is_err());
         // Out-of-range coefficient.
         let mut bad = good;
-        let at = first_word(2);
+        let at = header_len(2);
         bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
             rlwe_from_bytes(&bad, &params),
@@ -557,6 +621,178 @@ mod tests {
         bad.push(0);
         assert!(galois_keys_from_bytes(&bad, &params).is_err());
         assert!(galois_keys_from_bytes(&bytes[..10], &params).is_err());
+    }
+
+    /// The first byte and modulus of every limb of `polys` polynomials
+    /// over `moduli` laid out back to back from byte `first`.
+    fn limbs_from(first: usize, n: usize, moduli: &[u64], polys: usize) -> Vec<(usize, u64)> {
+        let limbs = moduli.iter().cycle().take(polys * moduli.len());
+        limbs
+            .enumerate()
+            .map(|(i, &q)| (first + 8 * n * i, q))
+            .collect()
+    }
+
+    /// `new` against `old` on `good` and on its edits: the words `qᵢ − 1`,
+    /// `qᵢ` and `u64::MAX` at the first and last word of every limb in
+    /// `limbs`, and a cut one byte before, at and after every limb's start
+    /// and the end. Each side re-encodes what it accepts, so they agree on
+    /// the value as well as on the error.
+    fn assert_same_verdicts(
+        good: &[u8],
+        limbs: &[(usize, u64)],
+        n: usize,
+        new: impl Fn(&[u8]) -> Result<Vec<u8>>,
+        old: impl Fn(&[u8]) -> Result<Vec<u8>>,
+    ) {
+        assert_eq!(new(good).as_deref(), Ok(good));
+        assert_eq!(old(good).as_deref(), Ok(good));
+        for &(start, q) in limbs {
+            for at in [start, start + 8 * (n - 1)] {
+                for w in [q - 1, q, u64::MAX] {
+                    let mut bad = good.to_vec();
+                    bad[at..at + 8].copy_from_slice(&w.to_le_bytes());
+                    let got = new(&bad);
+                    assert_eq!(got.is_ok(), w < q, "word {w} at byte {at}");
+                    assert_eq!(got, old(&bad), "word {w} at byte {at}");
+                }
+            }
+        }
+        let ends = limbs.iter().map(|&(start, _)| start).chain([good.len()]);
+        for cut in ends.flat_map(|end| [end - 1, end, end + 1]) {
+            let mut bad = good[..cut.min(good.len())].to_vec();
+            bad.resize(cut, 0);
+            let got = new(&bad);
+            assert_eq!(got.is_ok(), cut == good.len(), "cut at byte {cut}");
+            assert_eq!(got, old(&bad), "cut at byte {cut}");
+        }
+    }
+
+    /// The one-pass codec writes the bytes the per-word codec it replaced
+    /// (`oracle::wire`) writes, and reaches the same verdict on every
+    /// boundary word and every limb-boundary cut: RLWE in both forms,
+    /// both bases and the 1-limb modswitched chain, a key-switch key, a
+    /// Galois set and an encoded matrix.
+    #[test]
+    fn codec_matches_the_per_word_oracle() {
+        use crate::oracle::wire as oracle;
+        let (params, enc, _, coder, mut rng) = setup();
+        let n = params.degree();
+        let pt = coder.encode_vector(&[1, 2, 3]).unwrap();
+        let (normal, augmented) = (
+            enc.encrypt(&pt, &mut rng),
+            enc.encrypt_augmented(&pt, &mut rng),
+        );
+        let small = crate::ops::mod_switch_to_single(&normal, &params).unwrap();
+        let mut cts = vec![normal, augmented, small];
+        for i in 0..cts.len() {
+            let mut other = cts[i].clone();
+            if other.form() == Form::Ntt {
+                other.to_coeff();
+            } else {
+                other.to_ntt();
+            }
+            cts.push(other);
+        }
+        for ct in &cts {
+            let bytes = rlwe_to_bytes(ct);
+            assert_eq!(bytes, oracle::rlwe_to_bytes(ct));
+            assert_eq!(bytes.len(), rlwe_encoded_len(ct));
+            let moduli: Vec<u64> = ct
+                .b()
+                .context()
+                .moduli()
+                .iter()
+                .map(|m| m.value())
+                .collect();
+            assert_same_verdicts(
+                &bytes,
+                &limbs_from(header_len(moduli.len()), n, &moduli, 2),
+                n,
+                |b| rlwe_from_bytes(b, &params).map(|c| rlwe_to_bytes(&c)),
+                |b| oracle::rlwe_from_bytes(b, &params).map(|c| oracle::rlwe_to_bytes(&c)),
+            );
+        }
+
+        let sk = SecretKey::generate(&params, &mut rng);
+        let aug: Vec<u64> = params
+            .augmented_context()
+            .moduli()
+            .iter()
+            .map(|m| m.value())
+            .collect();
+        let ksk = crate::keys::KeySwitchKey::generate(&sk, sk.coeffs(), &mut rng).unwrap();
+        let bytes = ksk_to_bytes(&ksk);
+        assert_eq!(bytes, oracle::ksk_to_bytes(&ksk));
+        let ksk_limbs = limbs_from(header_len(aug.len()) + 1, n, &aug, 2 * ksk.digit_count());
+        assert_same_verdicts(
+            &bytes,
+            &ksk_limbs,
+            n,
+            |b| ksk_from_bytes(b, &params).map(|k| ksk_to_bytes(&k)),
+            |b| oracle::ksk_from_bytes(b, &params).map(|k| oracle::ksk_to_bytes(&k)),
+        );
+
+        let gkeys = crate::keys::GaloisKeys::generate_for_packing(&sk, 2, &mut rng).unwrap();
+        let bytes = galois_keys_to_bytes(&gkeys, &[5, 3]).unwrap();
+        assert_eq!(
+            bytes,
+            oracle::galois_keys_to_bytes(&gkeys, &[5, 3]).unwrap()
+        );
+        let key_len = ksk_encoded_len(gkeys.get(3).unwrap());
+        let set_limbs: Vec<_> = (0..2)
+            .flat_map(|j| {
+                ksk_limbs
+                    .iter()
+                    .map(move |&(at, q)| (8 + 12 * (j + 1) + key_len * j + at, q))
+            })
+            .collect();
+        assert_same_verdicts(
+            &bytes,
+            &set_limbs,
+            n,
+            |b| galois_keys_from_bytes(b, &params).and_then(|k| galois_keys_to_bytes(&k, &[3, 5])),
+            |b| {
+                oracle::galois_keys_from_bytes(b, &params)
+                    .and_then(|k| oracle::galois_keys_to_bytes(&k, &[3, 5]))
+            },
+        );
+
+        let hmvp = crate::hmvp::Hmvp::new(&params);
+        let t = params.plain_modulus().value();
+        let a = crate::hmvp::Matrix::random(3, 2 * n + 1, t, &mut rng);
+        let em = hmvp.encode_matrix(&a).unwrap();
+        assert_eq!(
+            encoded_matrix_to_bytes(&em).unwrap(),
+            oracle::encoded_matrix_to_bytes(&em)
+        );
+    }
+
+    /// The branch-free range fold agrees with `w < bound` word by word,
+    /// at the edges of the word range and of the allowed bounds.
+    #[test]
+    fn words_below_is_exact_at_the_edges() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut bounds = vec![1, 2, 65537, (1 << 62) - 57, 1 << 63];
+        bounds.extend((0..200).map(|_| rng.gen_range(1..=1 << 63)));
+        for bound in bounds {
+            let words = [
+                0,
+                1,
+                bound - 1,
+                bound,
+                bound + 1,
+                (1 << 63) - 1,
+                1 << 63,
+                u64::MAX,
+            ];
+            for w in words.into_iter().chain((0..20).map(|_| rng.gen::<u64>())) {
+                let bytes = [5u64.to_le_bytes(), w.to_le_bytes()].concat();
+                let want = (w < bound && 5 < bound).then_some(vec![5, w]);
+                assert_eq!(words_below(&bytes, bound), want, "{w} against {bound}");
+            }
+        }
+        assert_eq!(words_below(&[], 1), Some(vec![]));
     }
 
     #[test]

@@ -280,9 +280,10 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, body: &[u8]) -> Result<(
 /// Writes one frame whose body is scattered across `parts`, using
 /// `write_vectored` so the header and the pieces reach the kernel in one
 /// call without first being gathered into one contiguous buffer — the
-/// copy the `HmvpDone` reply would otherwise pay per packed ciphertext,
-/// and a request its shared ciphertext payload. On the wire the result
-/// is the header followed by the concatenated parts.
+/// copy an `Hmvp` request would otherwise pay to put its ciphertext
+/// payload, encoded once for every band and retry, behind each 28-byte
+/// head. On the wire the result is the header followed by the
+/// concatenated parts.
 ///
 /// # Errors
 /// Propagates transport errors; rejects oversized bodies.
@@ -331,10 +332,14 @@ pub fn write_frame_vectored(w: &mut impl Write, kind: FrameKind, parts: &[&[u8]]
 
 /// Reads one frame (blocking) whose length prefix is at most
 /// [`MAX_FRAME_BYTES`]. A zero or larger prefix is rejected before the
-/// body is allocated or read.
+/// body is reserved or read. The body is read straight into a buffer
+/// reserved for the declared length, with no zero-fill first; a body that
+/// ends short is the same typed `Io` error (`UnexpectedEof`) a cut
+/// header is.
 ///
 /// # Errors
-/// Transport errors, zero/oversized length prefixes, unknown kinds.
+/// Transport errors, zero/oversized length prefixes, unknown kinds, a
+/// body shorter than its prefix.
 pub fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>)> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
@@ -350,8 +355,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>)> {
     let mut kind_buf = [0u8; 1];
     r.read_exact(&mut kind_buf)?;
     let kind = FrameKind::from_u8(kind_buf[0])?;
-    let mut body = vec![0u8; len - 1];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(len - 1);
+    if r.take(len as u64 - 1).read_to_end(&mut body)? != len - 1 {
+        return Err(ServeError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "frame body ends short",
+        )));
+    }
     Ok((kind, body))
 }
 
@@ -525,16 +535,15 @@ impl Hello {
 // ---------------------------------------------------------- matrix body
 
 /// Serializes a matrix into the body a chunked upload declares and
-/// slices: `[rows u32] [cols u32] [values u64 × rows·cols]`.
+/// slices: `[rows u32] [cols u32] [values u64 × rows·cols]`, written once
+/// into a buffer of exactly that length.
 #[must_use]
 pub fn matrix_to_bytes(m: &Matrix) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + 8 * m.rows() * m.cols());
     out.extend_from_slice(&(m.rows() as u32).to_le_bytes());
     out.extend_from_slice(&(m.cols() as u32).to_le_bytes());
     for i in 0..m.rows() {
-        for &v in m.row(i) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        wire::put_words(&mut out, m.row(i));
     }
     out
 }
@@ -564,17 +573,9 @@ pub fn matrix_from_bytes(body: &[u8], params: &ChamParams) -> Result<Matrix> {
     // Checked before the entries are allocated: a declared shape never
     // reserves more than the body actually carries.
     let (rows, cols) = matrix_shape(body)?;
-    let (rows, cols) = (rows as usize, cols as usize);
-    let t = params.plain_modulus().value();
-    let mut data = Vec::with_capacity(rows * cols);
-    for v in body[8..].chunks_exact(8) {
-        let v = u64::from_le_bytes(v.try_into().expect("len 8"));
-        if v >= t {
-            return Err(ServeError::BadFrame("matrix entry exceeds the modulus"));
-        }
-        data.push(v);
-    }
-    Matrix::from_data(rows, cols, data).map_err(ServeError::He)
+    let data = wire::words_below(&body[8..], params.plain_modulus().value())
+        .ok_or(ServeError::BadFrame("matrix entry exceeds the modulus"))?;
+    Matrix::from_data(rows as usize, cols as usize, data).map_err(ServeError::He)
 }
 
 /// The `(rows, cols)` a matrix body's header declares, checked against
@@ -792,7 +793,7 @@ pub struct HmvpRequest {
 
 /// Serializes an `Hmvp` request body (`trace_id` 0 = "unset", letting
 /// the server assign one): [`hmvp_request_head`] followed by
-/// [`hmvp_request_payload`].
+/// [`hmvp_request_payload`], written once into one buffer.
 #[must_use]
 pub fn hmvp_request_to_bytes(
     key_id: u64,
@@ -802,7 +803,10 @@ pub fn hmvp_request_to_bytes(
     cts: &[RlweCiphertext],
 ) -> Vec<u8> {
     let head = hmvp_request_head(key_id, matrix_id, deadline_ms, trace_id);
-    [&head[..], &hmvp_request_payload(cts)].concat()
+    let mut out = Vec::with_capacity(head.len() + hmvp_payload_len(cts));
+    out.extend_from_slice(&head);
+    put_hmvp_payload(&mut out, cts);
+    out
 }
 
 /// The per-request head of an `Hmvp` body:
@@ -819,17 +823,29 @@ pub fn hmvp_request_head(key_id: u64, matrix_id: u64, deadline_ms: u32, trace_id
 
 /// The ciphertext payload that follows the head of an `Hmvp` body:
 /// `[k u16]([len u32][rlwe])×k`. It depends on the vector alone, so one
-/// encoding serves every band and every retry of a request.
+/// encoding serves every band and every retry of a request. Each
+/// ciphertext is written once, into a buffer sized for the whole payload.
 #[must_use]
 pub fn hmvp_request_payload(cts: &[RlweCiphertext]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(hmvp_payload_len(cts));
+    put_hmvp_payload(&mut out, cts);
+    out
+}
+
+/// The exact length of [`hmvp_request_payload`]`(cts)`.
+fn hmvp_payload_len(cts: &[RlweCiphertext]) -> usize {
+    2 + cts
+        .iter()
+        .map(|ct| 4 + wire::rlwe_encoded_len(ct))
+        .sum::<usize>()
+}
+
+fn put_hmvp_payload(out: &mut Vec<u8>, cts: &[RlweCiphertext]) {
     out.extend_from_slice(&(cts.len() as u16).to_le_bytes());
     for ct in cts {
-        let bytes = wire::rlwe_to_bytes(ct);
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&bytes);
+        out.extend_from_slice(&(wire::rlwe_encoded_len(ct) as u32).to_le_bytes());
+        wire::write_rlwe(out, ct);
     }
-    out
 }
 
 /// Parses an `Hmvp` request body (ciphertexts validated against
@@ -1094,20 +1110,11 @@ pub enum Response {
 }
 
 impl Response {
-    /// Serializes the response into a `Result` frame body.
+    /// Serializes the response into a `Result` frame body. `HmvpDone`
+    /// (the data-plane reply) is sized up front and each packed
+    /// ciphertext written once into it.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_parts().concat()
-    }
-
-    /// Serializes the response as a sequence of buffers suitable for
-    /// [`write_frame_vectored`]; concatenated, they are the frame body.
-    /// `HmvpDone` (the data-plane reply) scatters into a head plus, per
-    /// packed ciphertext, its bookkeeping and its payload, so no payload
-    /// is re-copied into one contiguous body. Every other variant is a
-    /// single part.
-    #[must_use]
-    pub fn to_parts(&self) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
         match self {
             Response::Hello { version, cluster } => {
@@ -1138,21 +1145,17 @@ impl Response {
                 out.extend_from_slice(&cols.to_le_bytes());
             }
             Response::HmvpDone { len, packed } => {
+                let ct_len = |p: &PackedRlwe| wire::rlwe_encoded_len(&p.ciphertext);
+                out.reserve_exact(11 + packed.iter().map(|p| 9 + ct_len(p)).sum::<usize>());
                 out.push(ResponseTag::HmvpDone as u8);
                 out.extend_from_slice(&len.to_le_bytes());
                 out.extend_from_slice(&(packed.len() as u16).to_le_bytes());
-                let mut parts = Vec::with_capacity(1 + 2 * packed.len());
-                parts.push(out);
                 for p in packed {
-                    let bytes = wire::rlwe_to_bytes(&p.ciphertext);
-                    let mut meta = Vec::with_capacity(9);
-                    meta.push(p.log_count as u8);
-                    meta.extend_from_slice(&(p.count as u32).to_le_bytes());
-                    meta.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                    parts.push(meta);
-                    parts.push(bytes);
+                    out.push(p.log_count as u8);
+                    out.extend_from_slice(&(p.count as u32).to_le_bytes());
+                    out.extend_from_slice(&(ct_len(p) as u32).to_le_bytes());
+                    wire::write_rlwe(&mut out, &p.ciphertext);
                 }
-                return parts;
             }
             Response::IntrospectReport { snapshot } => {
                 out.push(ResponseTag::IntrospectReport as u8);
@@ -1196,7 +1199,7 @@ impl Response {
                 out.extend_from_slice(bytes);
             }
         }
-        vec![out]
+        out
     }
 
     /// Parses a `Result` frame body.
@@ -1442,6 +1445,73 @@ mod tests {
         assert!(read_frame(&mut buf[..6].as_ref()).is_err());
     }
 
+    /// A reader that hands out at most 7 bytes per call.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(7).min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// Frames read back byte for byte through 7-byte reads, bodies of
+    /// every length around the read size among them; a body one byte
+    /// short is a typed `UnexpectedEof`, not a zero-padded body.
+    #[test]
+    fn read_frame_survives_short_reads_and_types_a_short_body() {
+        let bodies: Vec<Vec<u8>> = [0usize, 1, 6, 7, 8, 13, 14, 15, 4099]
+            .iter()
+            .map(|&n| (0..n).map(|i| (i * 31 + n) as u8).collect())
+            .collect();
+        let mut wire = Vec::new();
+        for body in &bodies {
+            write_frame(&mut wire, FrameKind::Hmvp, body).unwrap();
+        }
+        let mut r = Trickle(&wire);
+        for body in &bodies {
+            let (kind, got) = read_frame(&mut r).unwrap();
+            assert_eq!((kind, &got), (FrameKind::Hmvp, body));
+        }
+        assert!(r.0.is_empty());
+
+        for body in &bodies {
+            let mut frame = Vec::new();
+            write_frame(&mut frame, FrameKind::Result, body).unwrap();
+            frame.pop();
+            match read_frame(&mut Trickle(&frame)) {
+                Err(ServeError::Io(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);
+                }
+                other => panic!("{}-byte body cut short: {other:?}", body.len()),
+            }
+        }
+    }
+
+    /// A prefix one past [`MAX_FRAME_BYTES`] is refused from the header
+    /// alone: the reader panics if asked for anything past it.
+    #[test]
+    fn oversized_prefix_is_refused_before_the_body() {
+        struct HeaderOnly([u8; 5], usize);
+        impl Read for HeaderOnly {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                assert!(self.1 < 5, "read past the frame header");
+                let n = buf.len().min(5 - self.1);
+                buf[..n].copy_from_slice(&self.0[self.1..self.1 + n]);
+                self.1 += n;
+                Ok(n)
+            }
+        }
+        let mut header = [FrameKind::Hmvp as u8; 5];
+        header[..4].copy_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_le_bytes());
+        assert!(matches!(
+            read_frame(&mut HeaderOnly(header, 0)),
+            Err(ServeError::BadFrame(_))
+        ));
+    }
+
     #[test]
     fn hello_roundtrip_and_check() {
         let p = params();
@@ -1490,6 +1560,21 @@ mod tests {
         let bytes = matrix_to_bytes(&m);
         let back = matrix_from_bytes(&bytes, &p).unwrap();
         assert_eq!(back, m);
+        // The body is the word-by-word layout, and every entry is checked
+        // against `t`: `t − 1` is accepted and `t` refused, first and last.
+        let mut per_word = [3u32.to_le_bytes(), 7u32.to_le_bytes()].concat();
+        for v in (0..3).flat_map(|i| m.row(i)) {
+            per_word.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(bytes, per_word);
+        let t = p.plain_modulus().value();
+        for at in [8, bytes.len() - 8] {
+            for (v, ok) in [(t - 1, true), (t, false)] {
+                let mut edit = bytes.clone();
+                edit[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                assert_eq!(matrix_from_bytes(&edit, &p).is_ok(), ok, "{v} at {at}");
+            }
+        }
 
         // Out-of-range entry.
         let mut bad = bytes.clone();
@@ -1977,37 +2062,18 @@ mod tests {
         let enc = Encryptor::new(&p, &sk);
         let coder = CoeffEncoder::new(&p);
         let ct = enc.encrypt(&coder.encode_vector(&[4]).unwrap(), &mut rng);
-        let resp = Response::HmvpDone {
-            len: 3,
-            packed: vec![
-                PackedRlwe {
-                    ciphertext: ct.clone(),
-                    log_count: 2,
-                    count: 3,
-                },
-                PackedRlwe {
-                    ciphertext: ct,
-                    log_count: 1,
-                    count: 2,
-                },
-            ],
-        };
-        // to_parts concatenates to the exact to_bytes body...
-        let parts = resp.to_parts();
-        assert!(parts.len() > 1, "HmvpDone should scatter");
-        let concat: Vec<u8> = parts.concat();
-        assert_eq!(concat, resp.to_bytes());
-        // ...and the vectored writer emits the exact same frame bytes.
+        // A request goes out as its head and its shared payload, scattered;
+        // the frame is the contiguous body's, byte for byte.
+        let cts = [ct.clone(), ct];
+        let body = hmvp_request_to_bytes(7, 9, DEADLINE_NONE, 3, &cts);
+        let head = hmvp_request_head(7, 9, DEADLINE_NONE, 3);
+        let payload = hmvp_request_payload(&cts);
         let mut contiguous = Vec::new();
-        write_frame(&mut contiguous, FrameKind::Result, &concat).unwrap();
+        write_frame(&mut contiguous, FrameKind::Hmvp, &body).unwrap();
         let mut vectored = Vec::new();
-        let borrowed: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
-        write_frame_vectored(&mut vectored, FrameKind::Result, &borrowed).unwrap();
+        let borrowed: [&[u8]; 3] = [&head, &[], &payload];
+        write_frame_vectored(&mut vectored, FrameKind::Hmvp, &borrowed).unwrap();
         assert_eq!(vectored, contiguous);
-        // Single-part responses scatter trivially and still match.
-        let pong = Response::KeysLoaded { key_id: 1 };
-        let parts = pong.to_parts();
-        assert_eq!(parts.concat(), pong.to_bytes());
         // A writer that dribbles one byte at a time still produces the
         // exact frame (partial-write resumption).
         struct Dribble(Vec<u8>);
@@ -2024,7 +2090,7 @@ mod tests {
             }
         }
         let mut dribble = Dribble(Vec::new());
-        write_frame_vectored(&mut dribble, FrameKind::Result, &borrowed).unwrap();
+        write_frame_vectored(&mut dribble, FrameKind::Hmvp, &borrowed).unwrap();
         assert_eq!(dribble.0, contiguous);
     }
 

@@ -495,7 +495,7 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
                     let _ = stream.shutdown(NetShutdown::Both);
                     return Ok(());
                 }
-                let parts = match outcome.trace {
+                let body = match outcome.trace {
                     Some((rec, started, start_ns)) => {
                         // Serialize the reply under the last attributed
                         // phase and close out the trace *before* the
@@ -504,9 +504,9 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
                         // and the flight recorder — an introspection
                         // probe right after a response never races its
                         // own request.
-                        let parts = span::with_recorder(Arc::clone(&rec), || {
+                        let body = span::with_recorder(Arc::clone(&rec), || {
                             let _sp = span::Span::enter(phase::SERIALIZE);
-                            outcome.response.to_parts()
+                            outcome.response.to_bytes()
                         });
                         let total_ns = elapsed_ns(started);
                         let spans = rec.finish();
@@ -517,15 +517,11 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
                             total_ns,
                             phases: spans,
                         });
-                        parts
+                        body
                     }
-                    None => outcome.response.to_parts(),
+                    None => outcome.response.to_bytes(),
                 };
-                // Scatter-gather write: ciphertext payloads go to the
-                // socket from where they already are instead of through
-                // one contiguous staging copy.
-                let slices: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
-                protocol::write_frame_vectored(&mut stream, FrameKind::Result, &slices)?;
+                protocol::write_frame(&mut stream, FrameKind::Result, &body)?;
             }
             Err(e) => {
                 send_error(&mut stream, &e)?;
