@@ -25,7 +25,7 @@ use cham_he::params::ChamParams;
 use cham_telemetry::flight::{FlightEventKind, FlightRecorder};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// FNV-1a 64 offset basis: the state of an empty chain.
@@ -126,18 +126,41 @@ const UPLOAD_REAP_AGE: Duration = Duration::from_secs(30);
 /// An upload body being reassembled from chunks, hashed as it lands. A
 /// chunk written at the offset the body hash has reached is folded into
 /// that hash in the same pass that checks the chunk's own checksum;
-/// [`BodyAssembly::finish`] folds whatever arrived out of order. An
+/// [`ClaimedBody::id`] folds whatever arrived out of order. An
 /// in-order upload is thus hashed once, and a shuffled or resumed one
 /// gets the same whole-body check through the same code.
 struct BodyAssembly {
     start: MatrixChunkStart,
-    buf: Vec<u8>,
+    /// Shared only once claimed: the cached matrix (and the store's
+    /// spill queue) keep this allocation, not a copy of it. A `Vec`
+    /// behind the `Arc`, because a zeroed `Vec` costs no page until a
+    /// chunk lands, where an `Arc<[u8]>` would be zero-filled up front.
+    buf: Arc<Vec<u8>>,
     /// Body chain over `buf[..folded]`.
     state: u64,
     folded: usize,
     /// The chunks that have landed — the only record of which did.
     bitmap: Vec<u8>,
     touched: Instant,
+    /// A commit has claimed the body and is encoding it; the assembly
+    /// stays until the matrix is cached, so a second commit waits for
+    /// that instead of finding nothing.
+    committing: bool,
+}
+
+/// A complete body handed to its committer: the chain over
+/// `bytes[..folded]` is already folded.
+struct ClaimedBody {
+    bytes: Arc<Vec<u8>>,
+    state: u64,
+    folded: usize,
+}
+
+impl ClaimedBody {
+    /// Folds the bytes not yet hashed: the body's content id.
+    fn id(&self) -> u64 {
+        fnv1a_update(self.state, &self.bytes[self.folded..])
+    }
 }
 
 impl BodyAssembly {
@@ -147,11 +170,12 @@ impl BodyAssembly {
             start,
             // `MatrixChunkStart::from_bytes` bounds the total by
             // `MAX_FRAME_BYTES`.
-            buf: vec![0u8; start.total_len as usize],
+            buf: Arc::new(vec![0u8; start.total_len as usize]),
             state: FNV_OFFSET,
             folded: 0,
             bitmap: vec![0u8; (start.chunk_count as usize).div_ceil(8)],
             touched: now,
+            committing: false,
         }
     }
 
@@ -182,7 +206,11 @@ impl BodyAssembly {
                 self.state = state;
                 self.folded += data.len();
             }
-            self.buf[off..off + data.len()].copy_from_slice(data);
+            // Only a complete body is ever claimed, and a complete
+            // body takes no fresh chunk: the buffer is unshared here.
+            Arc::get_mut(&mut self.buf).expect("an assembly still taking chunks is unshared")
+                [off..off + data.len()]
+                .copy_from_slice(data);
             bitmap_set(&mut self.bitmap, index as usize);
         }
         Ok(())
@@ -194,12 +222,14 @@ impl BodyAssembly {
         landed == self.start.chunk_count
     }
 
-    /// Folds the bytes not yet hashed and returns the whole body.
-    fn finish(self) -> MatrixBody {
-        let id = fnv1a_update(self.state, &self.buf[self.folded..]);
-        MatrixBody {
-            bytes: self.buf,
-            id,
+    /// Marks the assembly committing and shares its body with the
+    /// committer.
+    fn claim(&mut self) -> ClaimedBody {
+        self.committing = true;
+        ClaimedBody {
+            bytes: Arc::clone(&self.buf),
+            state: self.state,
+            folded: self.folded,
         }
     }
 }
@@ -211,7 +241,34 @@ impl BodyAssembly {
 #[derive(Default)]
 pub(crate) struct Uploads {
     pending: Mutex<HashMap<u64, BodyAssembly>>,
+    /// Signalled when a committing assembly leaves `pending`.
+    committed: Condvar,
     reaped: AtomicU64,
+    /// Times a commit waited for another's: lets a test see the wait.
+    #[cfg(test)]
+    waits: AtomicU64,
+}
+
+/// Removes a claimed assembly once its commit is over — cached, refused
+/// or unwound — and wakes the commits waiting on it.
+struct CommitDone<'a> {
+    uploads: &'a Uploads,
+    matrix_id: u64,
+}
+
+impl Drop for CommitDone<'_> {
+    fn drop(&mut self) {
+        // Runs while a panicking commit unwinds, so it must not panic on
+        // a poisoned table; every update leaves the table whole.
+        let mut pending = self
+            .uploads
+            .pending
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        pending.remove(&self.matrix_id);
+        drop(pending);
+        self.uploads.committed.notify_all();
+    }
 }
 
 impl Uploads {
@@ -245,7 +302,9 @@ impl Uploads {
         if pending.len() >= MAX_PENDING_UPLOADS {
             let stale = pending
                 .iter()
-                .filter(|(_, a)| now.saturating_duration_since(a.touched) >= UPLOAD_REAP_AGE)
+                .filter(|(_, a)| {
+                    !a.committing && now.saturating_duration_since(a.touched) >= UPLOAD_REAP_AGE
+                })
                 .min_by_key(|(_, a)| a.touched)
                 .map(|(&id, _)| id)
                 .ok_or(ServeError::Busy)?;
@@ -279,12 +338,22 @@ impl Uploads {
 
     /// Commits upload `matrix_id` into `cache`; returns `(rows, cols)`.
     /// A body that does not hash to the id is dropped: some chunk lied in
-    /// a way its own checksum missed. Without a complete assembly (the
-    /// start answered from the cache, a duplicate commit, or the content
-    /// came by another route) resident content makes the commit
-    /// idempotent; a partial assembly is kept for its uploader.
+    /// a way its own checksum missed. A commit that finds the body
+    /// already claimed by another waits until that one is over. Without a
+    /// complete assembly (the start answered from the cache, a duplicate
+    /// commit, or the content came by another route) resident content
+    /// makes the commit idempotent; a partial assembly is kept for its
+    /// uploader.
     pub(crate) fn commit(&self, cache: &SessionCache, matrix_id: u64) -> Result<(usize, usize)> {
         let mut pending = self.pending.lock().expect("uploads table poisoned");
+        while pending.get(&matrix_id).is_some_and(|a| a.committing) {
+            #[cfg(test)]
+            self.waits.fetch_add(1, Ordering::Relaxed);
+            pending = self
+                .committed
+                .wait(pending)
+                .expect("uploads table poisoned");
+        }
         let held = pending.get(&matrix_id).map(BodyAssembly::complete);
         let Some(true) = held else {
             drop(pending);
@@ -296,20 +365,24 @@ impl Uploads {
                     _ => e,
                 });
         };
-        let asm = pending
-            .remove(&matrix_id)
-            .expect("complete assembly is pending");
-        // Parse and encode outside the lock.
+        let body = pending
+            .get_mut(&matrix_id)
+            .expect("complete assembly is pending")
+            .claim();
+        let _done = CommitDone {
+            uploads: self,
+            matrix_id,
+        };
+        // Hash, parse and encode outside the lock.
         drop(pending);
-        let body = asm.finish();
         if body.id() != matrix_id {
             return Err(ServeError::ChunkMismatch {
                 matrix_id,
                 index: CHUNK_INDEX_NONE,
             });
         }
-        let matrix = matrix_from_bytes(body.bytes(), cache.params())?;
-        cache.put_matrix(body, &matrix)?;
+        let matrix = matrix_from_bytes(&body.bytes, cache.params())?;
+        cache.put_body(matrix_id, body.bytes, &matrix)?;
         Ok((matrix.rows(), matrix.cols()))
     }
 
@@ -388,9 +461,10 @@ impl<V> LruMap<V> {
 }
 
 /// One cached matrix: the upload body its id hashes, and the NTT-form
-/// encoding of that body which HMVPs read.
+/// encoding of that body which HMVPs read. The body is shared with the
+/// store's spill queue until its write lands.
 struct CachedMatrix {
-    body: Vec<u8>,
+    body: Arc<Vec<u8>>,
     encoded: EncodedMatrix,
 }
 
@@ -409,7 +483,6 @@ pub struct SessionCache {
     flight: Option<Arc<FlightRecorder>>,
     store: Option<Arc<SegmentStore>>,
     store_restores: AtomicU64,
-    spill_errors: AtomicU64,
     decode_errors: AtomicU64,
 }
 
@@ -428,7 +501,6 @@ impl SessionCache {
             flight: None,
             store: None,
             store_restores: AtomicU64::new(0),
-            spill_errors: AtomicU64::new(0),
             decode_errors: AtomicU64::new(0),
         }
     }
@@ -450,9 +522,10 @@ impl SessionCache {
 
     /// Attaches the persistent segment store as a spill/restore tier
     /// under the matrix LRU: every freshly encoded matrix's upload body is
-    /// snapshotted to the store (crash-safely, best-effort), and a RAM
-    /// miss reads the body back and encodes it — which is what lets a
-    /// restarted server serve a matrix without a re-upload.
+    /// queued to the store's writer (crash-safely, best-effort, behind
+    /// the reply), and a RAM miss reads the body back and encodes it —
+    /// which is what lets a restarted server serve a matrix without a
+    /// re-upload.
     #[must_use]
     pub fn with_store(mut self, store: Option<Arc<SegmentStore>>) -> Self {
         self.store = store;
@@ -473,12 +546,13 @@ impl SessionCache {
     }
 
     /// Spills to the persistent store that failed to write.
-    /// The spill is best-effort and the failure is swallowed here, so
-    /// this count — served as `spill_errors` in `Introspect` — is
-    /// the only place a store that has stopped persisting shows up.
+    /// The spill is best-effort and runs on the store's writer thread,
+    /// where no caller sees the failure, so this count — served as
+    /// `spill_errors` in `Introspect` — is the only place a store that
+    /// has stopped persisting shows up.
     #[must_use]
     pub fn spill_errors(&self) -> u64 {
-        self.spill_errors.load(Ordering::Relaxed)
+        self.store.as_ref().map_or(0, |s| s.stats().spill_errors)
     }
 
     /// Stored bodies that passed their CRC but failed to parse against
@@ -500,7 +574,7 @@ impl SessionCache {
         match matrix_from_bytes(&body, &self.params).and_then(|matrix| self.encode(&matrix)) {
             Ok(encoded) => {
                 self.store_restores.fetch_add(1, Ordering::Relaxed);
-                Some(self.insert_matrix(id, body, encoded))
+                Some(self.insert_matrix(id, Arc::new(body), encoded))
             }
             Err(_) => {
                 store.remove(id);
@@ -526,7 +600,7 @@ impl SessionCache {
 
     /// Caches `encoded` beside the `body` it was encoded from; returns
     /// the encoding.
-    fn insert_matrix(&self, id: u64, body: Vec<u8>, encoded: EncodedMatrix) -> EncodedMatrix {
+    fn insert_matrix(&self, id: u64, body: Arc<Vec<u8>>, encoded: EncodedMatrix) -> EncodedMatrix {
         let entry = Arc::new(CachedMatrix {
             body,
             encoded: encoded.clone(),
@@ -608,13 +682,20 @@ impl SessionCache {
     /// Encodes `matrix` to NTT form and caches it beside `body` — the
     /// upload body it was parsed from — under the body's id, which its
     /// constructor computed: nothing here hashes the body again. Returns
-    /// the content id. The body spills to the persistent store, which
-    /// skips an id it already holds.
+    /// the content id. The body is queued to spill to the persistent
+    /// store, which skips an id it already holds; the call does not wait
+    /// for the disk.
     ///
     /// # Errors
     /// HE-layer encoding errors.
     pub fn put_matrix(&self, body: MatrixBody, matrix: &Matrix) -> Result<u64> {
-        let MatrixBody { bytes: body, id } = body;
+        let MatrixBody { bytes, id } = body;
+        self.put_body(id, Arc::new(bytes), matrix)
+    }
+
+    /// [`SessionCache::put_matrix`] for a body already shared, whose id
+    /// the caller has checked.
+    fn put_body(&self, id: u64, body: Arc<Vec<u8>>, matrix: &Matrix) -> Result<u64> {
         {
             let mut matrices = self.matrices.lock().expect("matrix cache poisoned");
             if matrices.contains(id) {
@@ -625,15 +706,13 @@ impl SessionCache {
         // Encode outside the lock: this is seconds of NTT work at
         // production sizes and must not serialize unrelated lookups.
         let encoded = self.encode(matrix)?;
-        // Best-effort: a spill failure (disk full, injected torn
-        // snapshot) costs durability, not correctness — the RAM entry
-        // still serves.
+        self.insert_matrix(id, Arc::clone(&body), encoded);
+        // Best-effort and behind the reply: a spill failure (disk full,
+        // injected torn snapshot) costs durability, not correctness —
+        // the RAM entry still serves.
         if let Some(store) = &self.store {
-            if store.put(id, &body).is_err() {
-                self.spill_errors.fetch_add(1, Ordering::Relaxed);
-            }
+            store.spill(id, body);
         }
-        self.insert_matrix(id, body, encoded);
         Ok(id)
     }
 
@@ -650,7 +729,8 @@ impl SessionCache {
     }
 
     /// Every matrix content id this node can serve — the RAM LRU and
-    /// the persistent store combined, sorted ascending. This is the
+    /// the persistent store (queued spills included) combined, sorted
+    /// ascending. This is the
     /// inventory the `StoreList` op reports and the repair planner
     /// diffs against the ring's expected replica sets.
     #[must_use]
@@ -666,13 +746,14 @@ impl SessionCache {
 
     /// The upload body of matrix `id` — the bytes `id` hashes — for a
     /// replica→replica repair transfer. Answers from the RAM entry, else
-    /// from the persistent store (without restoring into RAM).
+    /// from the persistent store, a queued spill included (without
+    /// restoring into RAM).
     ///
     /// # Errors
     /// [`ServeError::UnknownMatrix`] when the id is resident nowhere.
     pub fn segment_bytes(&self, id: u64) -> Result<Vec<u8>> {
         if let Some(entry) = self.matrices.lock().expect("matrix cache poisoned").get(id) {
-            return Ok(entry.body.clone());
+            return Ok(entry.body.as_ref().clone());
         }
         self.store
             .as_ref()
@@ -777,9 +858,9 @@ mod tests {
                 asm.place(index, data, content_hash(data)).unwrap();
             }
             assert!(asm.complete());
-            let done = asm.finish();
+            let done = asm.claim();
             assert_eq!(done.id(), content_hash(&body), "order={order:?}");
-            assert_eq!(done.bytes(), &body[..]);
+            assert_eq!(&done.bytes[..], &body[..]);
         }
     }
 
@@ -1007,6 +1088,124 @@ mod tests {
         // A lookup restores `a` by encoding its stored body.
         assert_eq!(cache.get_matrix(id_a).unwrap().shape(), (2, 3));
         assert_eq!(cache.store_restores(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn temp_store(tag: &str) -> (std::path::PathBuf, Arc<SegmentStore>) {
+        let dir = std::env::temp_dir().join(format!("cham-cache-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(SegmentStore::open(&dir, 0).unwrap());
+        (dir, store)
+    }
+
+    /// Two commits of one complete body — two clients, or a replay,
+    /// uploading identical content. The first is held before its encode
+    /// (the test holds the matrix cache) when the second arrives; the
+    /// second waits for it instead of finding neither an assembly nor a
+    /// cached matrix, or encoding the body again. Both answer the same
+    /// shape, and the body is encoded and spilled once.
+    #[test]
+    fn a_second_commit_of_one_body_waits_for_the_first() {
+        let params = Arc::new(ChamParams::insecure_test_default().unwrap());
+        let (dir, store) = temp_store("commit-race");
+        let phases = Arc::new(PhaseHistograms::new());
+        let cache = SessionCache::new(Arc::clone(&params), 1, 8)
+            .with_telemetry(Some(Arc::clone(&phases)), None)
+            .with_store(Some(Arc::clone(&store)));
+        let uploads = cache.uploads();
+        let t = params.plain_modulus().value();
+        let (rows, cols) = (8, 4096);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let body = matrix_to_bytes(&Matrix::random(rows, cols, t, &mut rng));
+        let id = content_hash(&body);
+        let chunk_bytes = protocol::DEFAULT_CHUNK_BYTES;
+        let start = MatrixChunkStart::new(id, body.len(), chunk_bytes, rows as u32, cols as u32);
+        let now = Instant::now();
+        uploads.start(&cache, start, now).unwrap();
+        for (i, data) in body.chunks(chunk_bytes).enumerate() {
+            uploads
+                .chunk(id, i as u32, content_hash(data), data, now)
+                .unwrap();
+        }
+
+        let await_state = |what: &str, reached: &dyn Fn() -> bool| {
+            let give_up = Instant::now() + Duration::from_secs(20);
+            while !reached() {
+                assert!(Instant::now() < give_up, "{what}");
+                std::thread::yield_now();
+            }
+        };
+        // Every commit stops at the cache's residency check, before it
+        // encodes, until this guard drops.
+        let matrices = cache.matrices.lock().unwrap();
+        let answers = std::thread::scope(|s| {
+            let first = s.spawn(|| uploads.commit(&cache, id));
+            await_state("the first commit never claimed the body", &|| {
+                uploads
+                    .pending
+                    .lock()
+                    .unwrap()
+                    .get(&id)
+                    .is_some_and(|a| a.committing)
+            });
+            let second = s.spawn(|| uploads.commit(&cache, id));
+            await_state("the second commit never waited for the first", &|| {
+                uploads.waits.load(Ordering::Relaxed) > 0
+            });
+            drop(matrices);
+            [first, second].map(|c| c.join().unwrap())
+        });
+        for answer in answers {
+            assert_eq!(answer.unwrap(), (rows, cols));
+        }
+        let encodes = phases
+            .snapshot()
+            .into_iter()
+            .find(|p| p.name == crate::stats::PHASE_MATRIX_ENCODE)
+            .map_or(0, |p| p.count);
+        assert_eq!(encodes, 1, "one encode for one body");
+        store.flush();
+        let stats = store.stats();
+        assert_eq!((stats.segments, stats.bytes), (1, body.len() as u64));
+        assert_eq!(cache.spill_errors(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// With the writer held, a body evicted from a one-entry cache
+    /// before its spill lands is still listed, fetched and served — from
+    /// the queued body — and lands once the writer runs.
+    #[test]
+    fn a_matrix_evicted_before_its_spill_lands_is_still_served() {
+        let params = Arc::new(ChamParams::insecure_test_default().unwrap());
+        let (dir, store) = temp_store("write-behind");
+        let cache =
+            SessionCache::new(Arc::clone(&params), 1, 1).with_store(Some(Arc::clone(&store)));
+        let t = params.plain_modulus().value();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let a = Matrix::random(2, 3, t, &mut rng);
+        let b = Matrix::random(3, 2, t, &mut rng);
+        let seg = |id: u64| dir.join(format!("seg-{id:016x}.chs"));
+        let (id_a, id_b) = {
+            let _held = store.hold_writer();
+            let id_a = cache
+                .put_matrix(MatrixBody::new(matrix_to_bytes(&a)), &a)
+                .unwrap();
+            let id_b = cache
+                .put_matrix(MatrixBody::new(matrix_to_bytes(&b)), &b)
+                .unwrap();
+            assert_eq!(cache.lens().1, 1, "`a` left RAM");
+            assert!(!seg(id_a).exists(), "the held writer wrote nothing");
+            let mut both = vec![id_a, id_b];
+            both.sort_unstable();
+            assert_eq!(cache.matrix_inventory(), both);
+            assert_eq!(cache.segment_bytes(id_a).unwrap(), matrix_to_bytes(&a));
+            assert_eq!(cache.get_matrix(id_a).unwrap().shape(), (2, 3));
+            assert_eq!(cache.store_restores(), 1);
+            (id_a, id_b)
+        };
+        store.flush();
+        assert!(seg(id_a).exists() && seg(id_b).exists());
+        assert_eq!(cache.spill_errors(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,6 +1,7 @@
 //! The blocking TCP server.
 //!
-//! One accept thread and one thread per connection; there are no others.
+//! One accept thread and one thread per connection, plus — once the first
+//! upload spills — the segment store's one writer thread.
 //! A connection thread parses a frame, resolves its cache handles, and
 //! runs the request's multiply itself while holding a permit of the
 //! shared admission [`Gate`] — so a connection issues one HMVP at a time,
@@ -12,7 +13,9 @@
 //!    and briefly drain late arrivals with typed `Shutdown` errors),
 //! 2. self-connect to wake the blocking `accept`, join the accept thread,
 //! 3. join connection threads — a request already past the gate's `Busy`
-//!    check, running or waiting for a permit, completes and is answered.
+//!    check, running or waiting for a permit, completes and is answered,
+//! 4. close the segment store: its writer lands every queued spill and
+//!    is joined.
 //!
 //! **Failure posture.** Every way a request can go wrong maps to a typed
 //! `Error` frame, never a silent hang: a panic inside the kernel call
@@ -240,7 +243,9 @@ impl Server {
         ));
         let store = match &config.store_dir {
             Some(dir) => Some(Arc::new(
-                SegmentStore::open(dir, config.store_cap_bytes)?.with_faults(config.faults.clone()),
+                SegmentStore::open(dir, config.store_cap_bytes)?
+                    .with_faults(config.faults.clone())
+                    .with_phases(Some(Arc::clone(&phases))),
             )),
             None => None,
         };
@@ -334,8 +339,8 @@ impl Server {
 
     /// Gracefully stops the server: refuses new work (with typed
     /// `Shutdown` errors during a bounded grace window), lets admitted
-    /// requests finish, joins every thread, and returns the final
-    /// counters.
+    /// requests finish, drains the store's spill queue, joins every
+    /// thread, and returns the final counters.
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Wake the blocking accept() so the accept thread sees the flag.
@@ -346,6 +351,10 @@ impl Server {
         let conns = std::mem::take(&mut *self.conns.lock().expect("conn list poisoned"));
         for h in conns {
             let _ = h.join();
+        }
+        // No upload can queue a spill any more: land the queued ones.
+        if let Some(store) = self.shared.cache.store() {
+            store.close();
         }
         // The last thing a request will ever have recorded is now in the
         // ring — stamp the shutdown on the timeline.

@@ -230,14 +230,17 @@ impl StatsSnapshot {
 ///
 /// One histogram per canonical phase (see
 /// [`cham_telemetry::span::phase`]), plus `total` (end-to-end
-/// queue→reply) and `matrix_encode` (the NTT-encode cost paid once per
-/// `LoadMatrix`, outside any traced request).
+/// queue→reply), `matrix_encode` (the NTT-encode cost paid once per
+/// `LoadMatrix`, outside any traced request) and `store_spill` (one
+/// write + fsync of a body to the persistent store, on its writer
+/// thread, behind the upload's reply).
 #[derive(Debug, Default)]
 pub struct PhaseHistograms {
     /// One per request phase, in [`phase::ALL`] order.
     phases: [LiveHistogram; phase::ALL.len()],
     total: LiveHistogram,
     matrix_encode: LiveHistogram,
+    store_spill: LiveHistogram,
 }
 
 /// End-to-end request latency pseudo-phase name.
@@ -245,6 +248,8 @@ pub const PHASE_TOTAL: &str = "total";
 /// Matrix NTT-encode pseudo-phase name (per `LoadMatrix`, not per
 /// request).
 pub const PHASE_MATRIX_ENCODE: &str = "matrix_encode";
+/// Store-spill pseudo-phase name (per spilled body, not per request).
+pub const PHASE_STORE_SPILL: &str = "store_spill";
 
 impl PhaseHistograms {
     /// Empty histograms.
@@ -254,11 +259,12 @@ impl PhaseHistograms {
     }
 
     /// Every histogram under its name, in canonical pipeline order
-    /// (`total` and `matrix_encode` last).
+    /// (`total`, `matrix_encode` and `store_spill` last).
     fn named(&self) -> impl Iterator<Item = (&'static str, &LiveHistogram)> {
         phase::ALL.into_iter().zip(&self.phases).chain([
             (PHASE_TOTAL, &self.total),
             (PHASE_MATRIX_ENCODE, &self.matrix_encode),
+            (PHASE_STORE_SPILL, &self.store_spill),
         ])
     }
 
@@ -283,8 +289,14 @@ impl PhaseHistograms {
         self.matrix_encode.record(dur_ns);
     }
 
+    /// Records one spill's write + fsync duration.
+    pub fn record_store_spill(&self, dur_ns: u64) {
+        self.store_spill.record(dur_ns);
+    }
+
     /// Snapshots every phase that has recorded at least one value, in
-    /// canonical pipeline order (`total` and `matrix_encode` last).
+    /// canonical pipeline order (`total`, `matrix_encode` and
+    /// `store_spill` last).
     #[must_use]
     pub fn snapshot(&self) -> Vec<PhaseStat> {
         self.named()
@@ -513,12 +525,19 @@ mod tests {
         h.record_request(&phases, 1000);
         h.record_request(&phases, 1200);
         h.record_matrix_encode(50);
+        h.record_store_spill(70);
         let snap = h.snapshot();
         let names: Vec<&str> = snap.iter().map(|p| p.name.as_str()).collect();
         // Canonical order, only phases with samples, unknowns dropped.
         assert_eq!(
             names,
-            vec![phase::QUEUE, phase::DOT, PHASE_TOTAL, PHASE_MATRIX_ENCODE]
+            vec![
+                phase::QUEUE,
+                phase::DOT,
+                PHASE_TOTAL,
+                PHASE_MATRIX_ENCODE,
+                PHASE_STORE_SPILL
+            ]
         );
         let dot = &snap[1];
         assert_eq!(dot.count, 2);

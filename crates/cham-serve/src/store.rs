@@ -36,6 +36,23 @@
 //! point leaves either no segment or a complete one — never a partially
 //! visible segment under the final name.
 //!
+//! A cached matrix's body spills *behind* the upload's reply
+//! ([`SegmentStore::spill`]): the id is reserved in the index, the body
+//! (the RAM entry's own allocation, shared) goes on a queue of at most
+//! [`MAX_QUEUED_SPILLS`] bodies, and one writer thread runs the protocol
+//! above for each in turn. A full queue blocks the caller — that is the
+//! backpressure. Until its write lands, a queued body is served from
+//! memory: [`SegmentStore::get`], [`SegmentStore::contains`] and
+//! [`SegmentStore::ids`] see it as they see a segment on disk.
+//! [`SegmentStore::close`] (the server's shutdown) and dropping the store
+//! drain the queue and join the writer. A crash loses only the spills
+//! that had not yet landed; ids are content addresses, so a lost one
+//! reads as an unknown matrix and the client's re-upload is idempotent.
+//!
+//! Every write — queued or [`SegmentStore::put`] on the caller's thread —
+//! first reserves its id in the index, so two writers of one id write
+//! the body once and count its bytes once.
+//!
 //! Recovery ([`SegmentStore::open`]) re-establishes the invariant for
 //! whatever a crash (or an injected [`Fault::TornSnapshot`]) left behind:
 //! stale `.tmp` files are deleted, a segment whose file is longer than
@@ -47,13 +64,17 @@
 //! Both paths count [`StoreStats::quarantined`].
 
 use crate::faults::{Fault, FaultInjector};
+use crate::stats::PhaseHistograms;
 use crate::{Result, ServeError};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Magic bytes opening every segment header.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"CHS2";
@@ -63,6 +84,10 @@ pub const SEGMENT_HEADER_BYTES: usize = 28;
 
 /// Filename extension of a live segment.
 const SEGMENT_EXT: &str = "chs";
+
+/// Bodies that may wait on the spill queue (the writer thread holds one
+/// more while it writes). A spill past this blocks its caller.
+pub const MAX_QUEUED_SPILLS: usize = 4;
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB8_8320`) lookup
 /// tables for slicing-by-8, built at compile time. `CRC32_TABLES[0]` is
@@ -128,9 +153,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Point-in-time store shape, for reporting and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Live segments in the index.
+    /// Live segments in the index, queued writes included.
     pub segments: usize,
-    /// Total payload bytes across live segments.
+    /// Total payload bytes across live segments, queued writes included.
     pub bytes: u64,
     /// Segments recovered into the index by the last [`SegmentStore::open`].
     pub recovered: u64,
@@ -141,6 +166,9 @@ pub struct StoreStats {
     pub hits: u64,
     /// Reads that found no live (or no sound) segment.
     pub misses: u64,
+    /// Queued writes that failed, or were refused after
+    /// [`SegmentStore::close`], over this handle's lifetime.
+    pub spill_errors: u64,
 }
 
 /// In-memory index entry for one live segment.
@@ -148,6 +176,11 @@ struct SegmentEntry {
     payload_len: u64,
     /// Monotone recency tick — the byte-cap eviction order.
     tick: u64,
+    /// The body while its write has not landed; reads are served from it.
+    pending: Option<Arc<Vec<u8>>>,
+    /// The tick that reserved this entry: a write lands only into the
+    /// reservation it was made for.
+    reservation: u64,
 }
 
 struct StoreIndex {
@@ -156,19 +189,54 @@ struct StoreIndex {
     tick: u64,
 }
 
+/// The index, the directory and the counters: what every handle and the
+/// writer thread share. It holds no sender and no thread handle, so the
+/// writer keeping it alive keeps nothing else alive.
+struct StoreCore {
+    dir: PathBuf,
+    cap_bytes: u64,
+    index: Mutex<StoreIndex>,
+    /// Signalled whenever a write lands or fails.
+    landed: Condvar,
+    quarantined: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    spill_errors: AtomicU64,
+    /// Held by a test to keep the writer from starting a write.
+    #[cfg(test)]
+    hold: Mutex<()>,
+}
+
+/// One body on the spill queue.
+struct Spill {
+    id: u64,
+    reservation: u64,
+    body: Arc<Vec<u8>>,
+    /// The caller drew [`Fault::TornSnapshot`] for this write.
+    torn: bool,
+}
+
+/// The writer thread's lifecycle: started by the first spill, ended by
+/// [`SegmentStore::close`].
+enum Writer {
+    Idle,
+    Running {
+        queue: SyncSender<Spill>,
+        thread: JoinHandle<()>,
+    },
+    Closed,
+}
+
 /// The file-backed, content-addressed segment store.
 ///
 /// All methods take `&self`; the index lives behind a mutex, while file
 /// I/O for distinct segments proceeds without holding it.
 pub struct SegmentStore {
-    dir: PathBuf,
-    cap_bytes: u64,
-    index: Mutex<StoreIndex>,
-    faults: Option<Arc<FaultInjector>>,
+    core: Arc<StoreCore>,
     recovered: u64,
-    quarantined: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    faults: Option<Arc<FaultInjector>>,
+    phases: Option<Arc<PhaseHistograms>>,
+    writer: Mutex<Writer>,
 }
 
 impl SegmentStore {
@@ -209,7 +277,15 @@ impl SegmentStore {
                 Ok((id, payload_len)) => {
                     tick += 1;
                     total_bytes += payload_len;
-                    entries.insert(id, SegmentEntry { payload_len, tick });
+                    entries.insert(
+                        id,
+                        SegmentEntry {
+                            payload_len,
+                            tick,
+                            pending: None,
+                            reservation: tick,
+                        },
+                    );
                     recovered += 1;
                 }
                 Err(_) => {
@@ -218,18 +294,26 @@ impl SegmentStore {
             }
         }
         Ok(Self {
-            dir,
-            cap_bytes,
-            index: Mutex::new(StoreIndex {
-                entries,
-                total_bytes,
-                tick,
+            core: Arc::new(StoreCore {
+                dir,
+                cap_bytes,
+                index: Mutex::new(StoreIndex {
+                    entries,
+                    total_bytes,
+                    tick,
+                }),
+                landed: Condvar::new(),
+                quarantined,
+                hits: AtomicU64::new(0),
+                misses: AtomicU64::new(0),
+                spill_errors: AtomicU64::new(0),
+                #[cfg(test)]
+                hold: Mutex::new(()),
             }),
-            faults: None,
             recovered,
-            quarantined,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            faults: None,
+            phases: None,
+            writer: Mutex::new(Writer::Idle),
         })
     }
 
@@ -241,34 +325,34 @@ impl SegmentStore {
         self
     }
 
+    /// Attaches the histograms each queued write's time is booked in
+    /// (the `store_spill` phase). Builder style, like
+    /// [`SegmentStore::with_faults`].
+    #[must_use]
+    pub fn with_phases(mut self, phases: Option<Arc<PhaseHistograms>>) -> Self {
+        self.phases = phases;
+        self
+    }
+
     /// The store directory.
     #[must_use]
     pub fn dir(&self) -> &Path {
-        &self.dir
+        &self.core.dir
     }
 
-    /// Whether `id` is live in the index (no file I/O).
+    /// Whether `id` is live in the index, queued writes included (no
+    /// file I/O).
     #[must_use]
     pub fn contains(&self, id: u64) -> bool {
-        self.index
-            .lock()
-            .expect("store index poisoned")
-            .entries
-            .contains_key(&id)
+        self.core.lock().entries.contains_key(&id)
     }
 
-    /// Every live segment id, sorted ascending (no file I/O) — the
-    /// node's persistent inventory as the `StoreList` op reports it.
+    /// Every live segment id, queued writes included, sorted ascending
+    /// (no file I/O) — the node's persistent inventory as the `StoreList`
+    /// op reports it.
     #[must_use]
     pub fn ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .index
-            .lock()
-            .expect("store index poisoned")
-            .entries
-            .keys()
-            .copied()
-            .collect();
+        let mut ids: Vec<u64> = self.core.lock().entries.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -276,32 +360,262 @@ impl SegmentStore {
     /// Point-in-time store shape.
     #[must_use]
     pub fn stats(&self) -> StoreStats {
-        let index = self.index.lock().expect("store index poisoned");
+        let core = &self.core;
+        let index = core.lock();
         StoreStats {
             segments: index.entries.len(),
             bytes: index.total_bytes,
             recovered: self.recovered,
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            quarantined: core.quarantined.load(Ordering::Relaxed),
+            hits: core.hits.load(Ordering::Relaxed),
+            misses: core.misses.load(Ordering::Relaxed),
+            spill_errors: core.spill_errors.load(Ordering::Relaxed),
         }
     }
 
-    fn segment_path(&self, id: u64) -> PathBuf {
-        self.dir.join(format!("seg-{id:016x}.{SEGMENT_EXT}"))
+    /// Whether the caller's next write draws the injected torn write.
+    fn draw_torn(&self) -> bool {
+        self.faults
+            .as_ref()
+            .is_some_and(|f| f.should(Fault::TornSnapshot))
     }
 
-    /// Persists `payload` under `id` with the write-temp → fsync →
-    /// atomic-rename protocol. Idempotent: an id already live is a no-op.
+    /// Persists `payload` under `id` on the caller's thread with the
+    /// write-temp → fsync → atomic-rename protocol, and returns once it
+    /// has landed. Idempotent: an id already live or queued is a no-op.
     ///
     /// # Errors
     /// I/O failures; an injected [`Fault::TornSnapshot`] surfaces as an
     /// I/O error after tearing the segment file on disk (the crash the
     /// recovery path must then clean up).
     pub fn put(&self, id: u64, payload: &[u8]) -> Result<()> {
-        if self.contains(id) {
+        let body = Arc::new(payload.to_vec());
+        let Some(reservation) = self.core.reserve(id, &body) else {
             return Ok(());
+        };
+        let written = self.core.write(id, reservation, &body, self.draw_torn());
+        self.core.land(id, reservation, written.is_ok());
+        written
+    }
+
+    /// Queues `body` to persist under `id` on the writer thread and
+    /// returns without waiting for the disk; the id is served from
+    /// `body` until the write lands. Blocks while [`MAX_QUEUED_SPILLS`]
+    /// bodies already wait. An id already live or queued is a no-op.
+    /// Best-effort: a write that fails — or a spill after
+    /// [`SegmentStore::close`] — is counted in
+    /// [`StoreStats::spill_errors`] and the id leaves the index.
+    pub fn spill(&self, id: u64, body: Arc<Vec<u8>>) {
+        let Some(queue) = self.queue() else {
+            self.core.spill_errors.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        let Some(reservation) = self.core.reserve(id, &body) else {
+            return;
+        };
+        let spill = Spill {
+            id,
+            reservation,
+            body,
+            torn: self.draw_torn(),
+        };
+        if queue.send(spill).is_err() {
+            self.core.spill_errors.fetch_add(1, Ordering::Relaxed);
+            self.core.land(id, reservation, false);
         }
+    }
+
+    /// The spill queue, starting the writer thread on first use; `None`
+    /// once the store is closed or when no thread could be started.
+    fn queue(&self) -> Option<SyncSender<Spill>> {
+        let mut writer = self.writer.lock().expect("store writer poisoned");
+        if matches!(*writer, Writer::Idle) {
+            let (queue, spills) = sync_channel::<Spill>(MAX_QUEUED_SPILLS);
+            let core = Arc::clone(&self.core);
+            let phases = self.phases.clone();
+            let thread = std::thread::Builder::new()
+                .name("cham-store-writer".into())
+                .spawn(move || core.run_writer(&spills, phases.as_deref()))
+                .ok()?;
+            *writer = Writer::Running { queue, thread };
+        }
+        match &*writer {
+            Writer::Running { queue, .. } => Some(queue.clone()),
+            Writer::Idle | Writer::Closed => None,
+        }
+    }
+
+    /// Blocks until every write accepted so far has landed or failed.
+    pub fn flush(&self) {
+        let mut index = self.core.lock();
+        while index.entries.values().any(|e| e.pending.is_some()) {
+            index = self.core.landed.wait(index).expect("store index poisoned");
+        }
+    }
+
+    /// Drains the spill queue and joins the writer thread. Later spills
+    /// are refused and counted as errors; reads and [`SegmentStore::put`]
+    /// still work. Dropping the store closes it.
+    pub fn close(&self) {
+        // Called from `drop`, so it must not panic; every writer state is
+        // whole whenever the lock is released.
+        let writer = std::mem::replace(
+            &mut *self.writer.lock().unwrap_or_else(PoisonError::into_inner),
+            Writer::Closed,
+        );
+        if let Writer::Running { queue, thread } = writer {
+            drop(queue);
+            // The writer panics only on a poisoned index, which has
+            // already panicked the thread that poisoned it.
+            let _ = thread.join();
+        }
+    }
+
+    /// Reads and CRC-verifies the payload for `id` — from memory while
+    /// its write is queued. A corrupt segment is quarantined (renamed to
+    /// `.corrupt`, dropped from the index, counted in
+    /// [`StoreStats::quarantined`]) and reads as a miss, so one bad
+    /// sector degrades to a re-upload, never a wrong answer.
+    #[must_use]
+    pub fn get(&self, id: u64) -> Option<Vec<u8>> {
+        let core = &self.core;
+        let (payload_len, reservation, pending) = {
+            let mut index = core.lock();
+            index.tick += 1;
+            let tick = index.tick;
+            match index.entries.get_mut(&id) {
+                Some(entry) => {
+                    entry.tick = tick;
+                    (entry.payload_len, entry.reservation, entry.pending.clone())
+                }
+                None => {
+                    core.misses.fetch_add(1, Ordering::Relaxed);
+                    return None;
+                }
+            }
+        };
+        if let Some(body) = pending {
+            core.hits.fetch_add(1, Ordering::Relaxed);
+            return Some(body.as_ref().clone());
+        }
+        let path = core.segment_path(id);
+        match read_segment(&path, id, payload_len) {
+            Ok(payload) => {
+                core.hits.fetch_add(1, Ordering::Relaxed);
+                Some(payload)
+            }
+            Err(_) => {
+                let mut index = core.lock();
+                // Quarantine only the segment this read was of: one
+                // removed and written again meanwhile is not corrupt.
+                if index
+                    .entries
+                    .get(&id)
+                    .is_some_and(|e| e.reservation == reservation)
+                {
+                    index.drop_entry(id);
+                    quarantine(&path, &core.quarantined);
+                }
+                core.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    /// Removes `id` from the store (index and file); returns whether it
+    /// was live. A queued write of `id` deletes its file when it lands.
+    pub fn remove(&self, id: u64) -> bool {
+        let mut index = self.core.lock();
+        let was_live = index.drop_entry(id);
+        if was_live {
+            let _ = fs::remove_file(self.core.segment_path(id));
+        }
+        was_live
+    }
+}
+
+#[cfg(test)]
+impl SegmentStore {
+    /// Keeps the writer from starting another write until the guard
+    /// drops.
+    pub(crate) fn hold_writer(&self) -> MutexGuard<'_, ()> {
+        self.core.hold.lock().expect("writer hold poisoned")
+    }
+}
+
+impl Drop for SegmentStore {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+impl StoreIndex {
+    fn drop_entry(&mut self, id: u64) -> bool {
+        match self.entries.remove(&id) {
+            Some(entry) => {
+                self.total_bytes -= entry.payload_len;
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+impl StoreCore {
+    fn lock(&self) -> MutexGuard<'_, StoreIndex> {
+        self.index.lock().expect("store index poisoned")
+    }
+
+    fn segment_path(&self, id: u64) -> PathBuf {
+        self.dir.join(format!("seg-{id:016x}.{SEGMENT_EXT}"))
+    }
+
+    /// The writer thread: lands each queued body in turn, booking its
+    /// write in `store_spill`, until every sender is gone.
+    fn run_writer(&self, spills: &Receiver<Spill>, phases: Option<&PhaseHistograms>) {
+        for spill in spills {
+            #[cfg(test)]
+            drop(self.hold.lock().expect("writer hold poisoned"));
+            let started = Instant::now();
+            let written = self.write(spill.id, spill.reservation, &spill.body, spill.torn);
+            if let Some(phases) = phases {
+                phases.record_store_spill(
+                    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                );
+            }
+            if written.is_err() {
+                self.spill_errors.fetch_add(1, Ordering::Relaxed);
+            }
+            self.land(spill.id, spill.reservation, written.is_ok());
+        }
+    }
+
+    /// Reserves `id` for a write of `body`, counting its bytes; returns
+    /// the reservation, or `None` when `id` is already live or queued.
+    fn reserve(&self, id: u64, body: &Arc<Vec<u8>>) -> Option<u64> {
+        let mut index = self.lock();
+        if index.entries.contains_key(&id) {
+            return None;
+        }
+        index.tick += 1;
+        let tick = index.tick;
+        index.total_bytes += body.len() as u64;
+        index.entries.insert(
+            id,
+            SegmentEntry {
+                payload_len: body.len() as u64,
+                tick,
+                pending: Some(Arc::clone(body)),
+                reservation: tick,
+            },
+        );
+        Some(tick)
+    }
+
+    /// Writes segment `id` with the write-temp → fsync → atomic-rename
+    /// protocol; the temp name carries the reservation, so no two writes
+    /// share one. `torn` writes the injected torn segment instead.
+    fn write(&self, id: u64, reservation: u64, payload: &[u8], torn: bool) -> Result<()> {
         let mut header = [0u8; SEGMENT_HEADER_BYTES];
         header[..4].copy_from_slice(&SEGMENT_MAGIC);
         header[4..12].copy_from_slice(&id.to_le_bytes());
@@ -311,21 +625,21 @@ impl SegmentStore {
         header[24..].copy_from_slice(&header_crc.to_le_bytes());
 
         let path = self.segment_path(id);
-        if let Some(f) = &self.faults {
-            if f.should(Fault::TornSnapshot) {
-                // Simulate dying mid-snapshot with no rename protection:
-                // the *final* file holds a header promising more payload
-                // than follows. Recovery must quarantine it.
-                let mut file = File::create(&path)?;
-                file.write_all(&header)?;
-                file.write_all(&payload[..payload.len() / 2])?;
-                let _ = file.sync_all();
-                return Err(ServeError::Io(std::io::Error::other(
-                    "torn snapshot fault injected",
-                )));
-            }
+        if torn {
+            // Simulate dying mid-snapshot with no rename protection:
+            // the *final* file holds a header promising more payload
+            // than follows. Recovery must quarantine it.
+            let mut file = File::create(&path)?;
+            file.write_all(&header)?;
+            file.write_all(&payload[..payload.len() / 2])?;
+            let _ = file.sync_all();
+            return Err(ServeError::Io(std::io::Error::other(
+                "torn snapshot fault injected",
+            )));
         }
-        let tmp = path.with_extension("chs.tmp");
+        let tmp = self
+            .dir
+            .join(format!("seg-{id:016x}.{SEGMENT_EXT}.{reservation}.tmp"));
         {
             let mut file = File::create(&tmp)?;
             file.write_all(&header)?;
@@ -338,98 +652,52 @@ impl SegmentStore {
         if let Ok(d) = File::open(&self.dir) {
             let _ = d.sync_all();
         }
-
-        let evict: Vec<u64> = {
-            let mut index = self.index.lock().expect("store index poisoned");
-            index.tick += 1;
-            let tick = index.tick;
-            index.total_bytes += payload.len() as u64;
-            index.entries.insert(
-                id,
-                SegmentEntry {
-                    payload_len: payload.len() as u64,
-                    tick,
-                },
-            );
-            let mut evict = Vec::new();
-            if self.cap_bytes > 0 {
-                while index.total_bytes > self.cap_bytes && index.entries.len() > 1 {
-                    let Some(&lru) = index
-                        .entries
-                        .iter()
-                        .filter(|(&k, _)| k != id)
-                        .min_by_key(|(_, e)| e.tick)
-                        .map(|(k, _)| k)
-                    else {
-                        break;
-                    };
-                    let removed = index.entries.remove(&lru).expect("lru entry vanished");
-                    index.total_bytes -= removed.payload_len;
-                    evict.push(lru);
-                }
-            }
-            evict
-        };
-        for id in evict {
-            let _ = fs::remove_file(self.segment_path(id));
-        }
         Ok(())
     }
 
-    /// Reads and CRC-verifies the payload for `id`. A corrupt segment is
-    /// quarantined (renamed to `.corrupt`, dropped from the index,
-    /// counted in [`StoreStats::quarantined`]) and reads as a miss, so
-    /// one bad sector degrades to a re-upload, never a wrong answer.
-    #[must_use]
-    pub fn get(&self, id: u64) -> Option<Vec<u8>> {
-        let payload_len = {
-            let mut index = self.index.lock().expect("store index poisoned");
-            index.tick += 1;
-            let tick = index.tick;
-            match index.entries.get_mut(&id) {
-                Some(entry) => {
-                    entry.tick = tick;
-                    entry.payload_len
-                }
-                None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return None;
+    /// Ends reservation `reservation` of `id`. A landed write stops
+    /// being served from memory and evicts past the byte cap; a failed
+    /// one leaves the index. A write whose id was removed meanwhile
+    /// deletes its file. Files go under the index lock, so no later
+    /// write of the same id can be deleted in their place.
+    fn land(&self, id: u64, reservation: u64, written: bool) {
+        let mut index = self.lock();
+        match index.entries.get_mut(&id) {
+            Some(entry) if entry.reservation == reservation => {
+                if written {
+                    entry.pending = None;
+                    self.evict_past_cap(&mut index, id);
+                } else {
+                    index.drop_entry(id);
                 }
             }
-        };
-        let path = self.segment_path(id);
-        match read_segment(&path, id, payload_len) {
-            Ok(payload) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(payload)
+            None if written => {
+                let _ = fs::remove_file(self.segment_path(id));
             }
-            Err(_) => {
-                self.drop_entry(id);
-                quarantine(&path, &self.quarantined);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            _ => {}
         }
+        drop(index);
+        self.landed.notify_all();
     }
 
-    /// Removes `id` from the store (index and file); returns whether it
-    /// was live.
-    pub fn remove(&self, id: u64) -> bool {
-        let was_live = self.drop_entry(id);
-        if was_live {
-            let _ = fs::remove_file(self.segment_path(id));
+    /// Evicts least recently used landed segments other than `keep`
+    /// until the live bytes fit the cap.
+    fn evict_past_cap(&self, index: &mut StoreIndex, keep: u64) {
+        if self.cap_bytes == 0 {
+            return;
         }
-        was_live
-    }
-
-    fn drop_entry(&self, id: u64) -> bool {
-        let mut index = self.index.lock().expect("store index poisoned");
-        match index.entries.remove(&id) {
-            Some(entry) => {
-                index.total_bytes -= entry.payload_len;
-                true
-            }
-            None => false,
+        while index.total_bytes > self.cap_bytes {
+            let Some(&lru) = index
+                .entries
+                .iter()
+                .filter(|(&k, e)| k != keep && e.pending.is_none())
+                .min_by_key(|(_, e)| e.tick)
+                .map(|(k, _)| k)
+            else {
+                break;
+            };
+            index.drop_entry(lru);
+            let _ = fs::remove_file(self.segment_path(lru));
         }
     }
 }
@@ -525,6 +793,7 @@ fn quarantine(path: &Path, counter: &AtomicU64) {
 mod tests {
     use super::*;
     use crate::faults::FaultConfig;
+    use crate::stats::PHASE_STORE_SPILL;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -733,6 +1002,136 @@ mod tests {
         // A clean retry of the same id succeeds against the recovered dir.
         reopened.put(9, &[9u8; 100]).unwrap();
         assert_eq!(reopened.get(9).as_deref(), Some(&[9u8; 100][..]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The satellite race: two threads put one id at once. The id is
+    /// reserved before the write, so the body is written once, counted
+    /// once, and neither caller errs.
+    #[test]
+    fn concurrent_puts_of_one_id_write_it_once() {
+        let dir = temp_dir("race");
+        let payload: Vec<u8> = (0u32..512 * 1024).map(|i| (i * 7) as u8).collect();
+        let store = SegmentStore::open(&dir, 0).unwrap();
+        for id in 1..=8u64 {
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                let racers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            store.put(id, &payload)
+                        })
+                    })
+                    .collect();
+                for racer in racers {
+                    racer.join().unwrap().unwrap();
+                }
+            });
+            let stats = store.stats();
+            assert_eq!(stats.segments, id as usize);
+            assert_eq!(stats.bytes, id * payload.len() as u64);
+            assert_eq!(store.get(id).as_deref(), Some(payload.as_slice()));
+        }
+        let names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names.len(), 8, "one file per id, no temp left: {names:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A queued body is served from memory until its write lands; a
+    /// flush waits for the landing, and a drop drains what is queued.
+    #[test]
+    fn queued_spills_serve_from_memory_and_land_on_flush_or_drop() {
+        let dir = temp_dir("queued");
+        let store = SegmentStore::open(&dir, 0).unwrap();
+        let seg = |id: u64| dir.join(format!("seg-{id:016x}.chs"));
+        let body = |id: u64| Arc::new(vec![id as u8; 1000 + id as usize]);
+        {
+            let _held = store.hold_writer();
+            for id in 1..=3 {
+                store.spill(id, body(id));
+            }
+            // Queued again while pending: a no-op, counted once.
+            store.spill(2, body(2));
+            assert_eq!(store.ids(), vec![1, 2, 3]);
+            assert!(store.contains(2));
+            assert_eq!(store.get(2).as_deref(), Some(&body(2)[..]));
+            assert_eq!(store.stats().bytes, 1001 + 1002 + 1003);
+            assert!(!seg(3).exists(), "the held writer wrote nothing");
+        }
+        store.flush();
+        assert!((1..=3).all(|id| seg(id).exists()));
+        assert_eq!(store.get(3).as_deref(), Some(&body(3)[..]));
+
+        // Spills queued right before the drop still land.
+        for id in 4..=9 {
+            store.spill(id, body(id));
+        }
+        let core = Arc::downgrade(&store.core);
+        drop(store);
+        assert!(
+            core.upgrade().is_none(),
+            "the writer thread outlived its store"
+        );
+        let reopened = SegmentStore::open(&dir, 0).unwrap();
+        assert_eq!(reopened.stats().recovered, 9);
+        assert_eq!(reopened.stats().quarantined, 0);
+        assert_eq!(reopened.get(9).as_deref(), Some(&body(9)[..]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A torn write on the writer thread is counted where no caller can
+    /// see it, and the id leaves the index; a spill after `close` is
+    /// refused and counted the same way.
+    #[test]
+    fn writer_errors_and_closed_spills_are_counted() {
+        let dir = temp_dir("writer-fault");
+        let faults = Arc::new(FaultInjector::new(
+            FaultConfig::parse("torn_snapshot=1.0").unwrap(),
+        ));
+        let phases = Arc::new(PhaseHistograms::new());
+        let store = SegmentStore::open(&dir, 0)
+            .unwrap()
+            .with_faults(Some(faults))
+            .with_phases(Some(Arc::clone(&phases)));
+        store.spill(9, vec![9u8; 100].into());
+        store.flush();
+        let stats = store.stats();
+        assert_eq!((stats.spill_errors, stats.segments, stats.bytes), (1, 0, 0));
+        assert!(!store.contains(9));
+        let spills = phases.snapshot();
+        assert_eq!(spills.len(), 1);
+        assert_eq!(
+            (spills[0].name.as_str(), spills[0].count),
+            (PHASE_STORE_SPILL, 1)
+        );
+
+        store.close();
+        store.spill(10, vec![10u8; 100].into());
+        assert_eq!(store.stats().spill_errors, 2);
+        assert!(!store.contains(10));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A segment removed while its write is queued does not come back
+    /// when the write lands.
+    #[test]
+    fn removing_a_queued_spill_deletes_its_file_when_it_lands() {
+        let dir = temp_dir("remove-queued");
+        let store = SegmentStore::open(&dir, 0).unwrap();
+        {
+            let _held = store.hold_writer();
+            store.spill(5, vec![5u8; 64].into());
+            assert!(store.remove(5));
+            assert!(store.get(5).is_none());
+        }
+        store.close();
+        assert!(!store.contains(5));
+        assert_eq!(store.stats().bytes, 0);
+        assert!(!dir.join(format!("seg-{:016x}.chs", 5)).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 }

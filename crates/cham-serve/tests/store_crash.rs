@@ -21,7 +21,8 @@ use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::ChamParams;
 use cham_serve::protocol::{self, FrameKind, Hello, MatrixChunkStart, Response};
 use cham_serve::server::{Server, ServerConfig};
-use cham_serve::stats::PHASE_MATRIX_ENCODE;
+use cham_serve::stats::{PHASE_MATRIX_ENCODE, PHASE_STORE_SPILL};
+use cham_serve::store::SegmentStore;
 use cham_serve::{cache::content_hash, Fault, FaultConfig, FaultInjector, ServeClient};
 use rand::{Rng, SeedableRng};
 use std::net::TcpStream;
@@ -187,6 +188,8 @@ fn every_kill_point_recovers_a_consistent_prefix() {
                     .mul_vector_mod(&vectors[kill_point], t)
                     .unwrap()
             );
+            // The spill runs behind the reply: land it before looking.
+            server.cache().store().expect("store configured").flush();
             assert_eq!(faults.injected(Fault::TornSnapshot), 1);
             // The cache swallowed the failed spill; `Introspect` is where
             // an operator can still see it.
@@ -247,6 +250,7 @@ fn every_kill_point_recovers_a_consistent_prefix() {
                 .unwrap()
         );
         assert_eq!(matrix_encode_count(&server), kill_point as u64 + 1);
+        store.flush();
         assert_eq!(store.stats().segments, kill_point + 1);
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -280,8 +284,9 @@ fn seeded_fault_schedule_recovers_exactly_the_untorn_segments() {
                 ServeClient::connect(server.local_addr(), Arc::clone(&f.params)).unwrap();
             for m in &matrices {
                 let id = client.load_matrix(m).unwrap();
-                // Whether this snapshot survived is observable right
-                // away: a torn spill never enters the store index.
+                // Whether this snapshot survived is observable once it
+                // lands: a torn spill leaves the store index.
+                store.flush();
                 durable.push(store.contains(id));
                 ids.push(id);
             }
@@ -391,6 +396,46 @@ fn crash_mid_upload_leaves_no_partial_state() {
     assert!(up.chunks_sent > 0);
     assert_eq!(up.chunks_skipped, 0);
     assert!(store.contains(matrix_id));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An upload is answered before its spill lands. A shutdown right after
+/// the last answer drains the queue, so every spill is on disk for the
+/// next open; each write is timed as `store_spill` in `Introspect`.
+#[test]
+fn shutdown_right_after_uploads_lands_every_spill() {
+    let f = fixture();
+    let t = f.params.plain_modulus();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xD2A1);
+    const UPLOADS: usize = 6;
+    let matrices: Vec<Matrix> = (0..=UPLOADS)
+        .map(|_| Matrix::random(4, 32, t.value(), &mut rng))
+        .collect();
+    let dir = temp_store_dir("drain");
+    let mut ids = Vec::new();
+    {
+        let server = start_server(&dir, None);
+        let mut client = ServeClient::connect(server.local_addr(), Arc::clone(&f.params)).unwrap();
+        for m in &matrices[..UPLOADS] {
+            ids.push(client.load_matrix(m).unwrap());
+        }
+        server.shutdown();
+    }
+    let store = SegmentStore::open(&dir, 0).unwrap();
+    assert_eq!(store.stats().recovered, UPLOADS as u64);
+    assert_eq!(store.stats().quarantined, 0);
+    assert!(ids.iter().all(|&id| store.contains(id)));
+    drop(store);
+    assert_no_partial_segments(&dir);
+
+    let server = start_server(&dir, None);
+    let mut client = ServeClient::connect(server.local_addr(), Arc::clone(&f.params)).unwrap();
+    client.load_matrix(&matrices[UPLOADS]).unwrap();
+    server.cache().store().expect("store configured").flush();
+    let snapshot = client.introspect().unwrap();
+    assert_eq!(snapshot.phase(PHASE_STORE_SPILL).map(|p| p.count), Some(1));
+    assert_eq!(snapshot.stats.spill_errors, 0);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

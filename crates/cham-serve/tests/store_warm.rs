@@ -76,6 +76,8 @@ fn restarted_server_serves_first_hmvp_from_the_store_without_a_reupload() {
         assert_eq!(got, reference);
         assert_eq!(matrix_encode_count(&server), 1);
         let store = server.cache().store().expect("store configured").clone();
+        // The spill runs behind the reply: land it before looking.
+        store.flush();
         assert_eq!(store.stats().segments, 1, "encode must spill one segment");
         server.shutdown();
         got
