@@ -309,14 +309,14 @@ impl Decryptor {
 
     /// The decryption kernel: each coefficient of the phase is lifted by
     /// Garner from the context's CRT table and scale-and-rounded
-    /// ([`ScaleRound`]); `noise` sees each coefficient's `|e·t|`.
-    fn decode(&self, ct: &RlweCiphertext, mut noise: impl FnMut(u128)) -> Plaintext {
+    /// ([`ScaleRound`]); `noise` sees each coefficient's index and `|e·t|`.
+    fn decode(&self, ct: &RlweCiphertext, mut noise: impl FnMut(usize, u128)) -> Plaintext {
         let phase = self.phase(ct);
         let round = ScaleRound::new(phase.context(), self.params.plain_modulus().value());
         let values = (0..phase.context().degree())
             .map(|j| {
                 let (m, e_t) = round.apply(phase.crt_lift_coeff(j));
-                noise(e_t);
+                noise(j, e_t);
                 m
             })
             .collect();
@@ -325,13 +325,29 @@ impl Decryptor {
 
     /// Decrypts a ciphertext in either basis and either form.
     pub fn decrypt(&self, ct: &RlweCiphertext) -> Plaintext {
-        self.decode(ct, |_| {})
+        self.decode(ct, |_, _| {})
     }
 
-    /// Decrypts and reports the exact invariant noise.
+    /// Decrypts and reports the exact invariant noise, over every
+    /// coefficient.
     pub fn decrypt_with_noise(&self, ct: &RlweCiphertext) -> NoiseReport {
+        self.decrypt_with_noise_at(ct, |_| true)
+    }
+
+    /// [`Decryptor::decrypt_with_noise`] whose meter reads only the
+    /// coefficients `j` with `slot(j)`: a partial pack's payload slots,
+    /// whose neighbours hold the leaves' garbage.
+    pub(crate) fn decrypt_with_noise_at(
+        &self,
+        ct: &RlweCiphertext,
+        slot: impl Fn(usize) -> bool,
+    ) -> NoiseReport {
         let mut max_noise = 0u128;
-        let plaintext = self.decode(ct, |e_t| max_noise = max_noise.max(e_t));
+        let plaintext = self.decode(ct, |j, e_t| {
+            if slot(j) {
+                max_noise = max_noise.max(e_t);
+            }
+        });
         let q = ct.b().context().modulus_product();
         let t = self.params.plain_modulus().value();
         // noise_bits = log2(max |e|) where |e| = max_noise / t.

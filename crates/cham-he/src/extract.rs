@@ -82,30 +82,23 @@ pub fn lwe_to_rlwe(lwe: &LweCiphertext) -> RlweCiphertext {
         b: RnsPoly::zero(ctx),
         a: RnsPoly::zero(ctx),
     };
-    lwe_to_rlwe_into(lwe, &mut ct);
+    for (limb, &b0) in ct.b.limbs_mut().iter_mut().zip(lwe.b()) {
+        limb.coeffs_mut()[0] = b0;
+    }
+    write_mask(lwe, &mut ct.a);
     ct
 }
 
-/// [`lwe_to_rlwe`] into an existing coefficient-form ciphertext over the
-/// LWE's basis, overwriting every coefficient (so `dst` may be a recycled
-/// buffer).
-pub(crate) fn lwe_to_rlwe_into(lwe: &LweCiphertext, dst: &mut RlweCiphertext) {
-    debug_assert_eq!(dst.a.context(), lwe.a().context());
-    write_constant(&mut dst.b, lwe.b());
+/// The RLWE mask of an LWE ciphertext (the Eq. 3 rearrangement undone)
+/// written over every coefficient of the coefficient-form `dst`, a
+/// polynomial over the LWE's basis (so `dst` may be a recycled buffer).
+pub(crate) fn write_mask(lwe: &LweCiphertext, dst: &mut RnsPoly) {
+    debug_assert_eq!(dst.context(), lwe.a().context());
     let moduli = lwe.a().context().moduli();
-    let limbs = dst.a.limbs_mut().iter_mut().zip(lwe.a().limbs());
+    let limbs = dst.limbs_mut().iter_mut().zip(lwe.a().limbs());
     for ((out, src), m) in limbs.zip(moduli) {
         out.coeffs_mut().copy_from_slice(src.coeffs());
         rearrange_limb(out.coeffs_mut(), m);
-    }
-}
-
-/// `b(X) ← b₀`: the constant polynomial with one residue per limb.
-pub(crate) fn write_constant(b: &mut RnsPoly, residues: &[u64]) {
-    for (limb, &b0) in b.limbs_mut().iter_mut().zip(residues) {
-        let coeffs = limb.coeffs_mut();
-        coeffs.fill(0);
-        coeffs[0] = b0;
     }
 }
 

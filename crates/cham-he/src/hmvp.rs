@@ -26,10 +26,10 @@
 use crate::ciphertext::{LweCiphertext, RlweCiphertext};
 use crate::encoding::CoeffEncoder;
 use crate::encrypt::{Decryptor, Encryptor};
-use crate::extract::{extract_lwe, rearrange_in_place, write_constant};
+use crate::extract::{extract_lwe, rearrange_in_place};
 use crate::keys::GaloisKeys;
 use crate::ops::{rescale, rescale_lanes_into};
-use crate::pack::{pack_with, PackedRlwe};
+use crate::pack::{pack_with, PackOperand, PackedRlwe};
 use crate::params::ChamParams;
 use crate::scratch::{DotScratch, ScratchPool};
 use crate::{HeError, Result};
@@ -363,14 +363,15 @@ impl Hmvp {
     ///   into the row's item of `a_out` (normal basis, coefficient form),
     /// * **`b`** — only its constant coefficient survives extraction, and
     ///   coefficient 0 of a negacyclic INTT is `n⁻¹·Σ lanes`: the kernel
-    ///   returns the lane sum as an inner product, and a scalar rescale per
-    ///   limb replaces three transforms.
+    ///   returns the lane sum as an inner product, and no transform runs.
     ///
-    /// Returns the rescaled `b₀` residues, `limbs − 1` per row (one per
-    /// normal-basis limb), borrowed from `s`. Bit-identical, row by row, to
-    /// `extract_lwe(&rescale(ct)?, 0)` up to the Eq. 3 rearrangement of
-    /// `a`, which the caller applies (or cancels against the pack's own).
-    /// The caller has run [`Hmvp::check_inputs`].
+    /// Returns the unrescaled `b₀` residues over the augmented basis,
+    /// `limbs` per row, borrowed from `s`: a pack leaf keeps them as they
+    /// are ([`Hmvp::dot_rows_leaves`]), and the LWE path rescales them
+    /// with one scalar rescale per limb. With that rescale, bit-identical,
+    /// row by row, to `extract_lwe(&rescale(ct)?, 0)` up to the Eq. 3
+    /// rearrangement of `a`, which the caller applies (or cancels against
+    /// the pack's own). The caller has run [`Hmvp::check_inputs`].
     fn dot_rows_fused<'s, 'o, R: AsRef<[RnsPoly]>>(
         &self,
         rows: &[R],
@@ -383,10 +384,8 @@ impl Hmvp {
         let count = rows.len();
         debug_assert!(count <= ROW_BLOCK);
         let dot_span = Span::enter(phase::DOT);
-        let (planes, staged) = s.words[..count * limbs * (n + 2)].split_at_mut(count * limbs * n);
-        // b₀ over the augmented basis, then over the normal basis, staged
-        // just past the `a` planes.
-        let (b0_aug, b0) = staged.split_at_mut(count * limbs);
+        // b₀ over the augmented basis, staged just past the `a` planes.
+        let (planes, b0_aug) = s.words[..count * limbs * (n + 1)].split_at_mut(count * limbs * n);
         let tiles = cts.len();
         for (l, table) in aug.tables().iter().enumerate() {
             let q = table.modulus();
@@ -418,23 +417,14 @@ impl Hmvp {
         let _span = Span::enter(phase::RESCALE);
         cham_telemetry::counter_add!("cham_he.ops.rescale", count as u64);
         cham_telemetry::counter_add!("cham_he.extract.extract_lwe", count as u64);
-        let b0 = &mut b0[..count * (limbs - 1)];
-        let outs = planes.chunks_exact_mut(limbs * n).zip(a_out);
-        let residues = b0_aug
-            .chunks_exact(limbs)
-            .zip(b0.chunks_exact_mut(limbs - 1));
-        for ((plane, a_out), (b0_aug, b0)) in outs.zip(residues) {
+        for (plane, a_out) in planes.chunks_exact_mut(limbs * n).zip(a_out) {
             debug_assert_eq!(a_out.context(), self.params.ciphertext_context());
             for (limb, table) in plane.chunks_exact_mut(n).zip(aug.tables()) {
                 table.inverse(limb);
             }
             rescale_lanes_into(aug, plane, 0, a_out);
-            for (i, b0) in b0.iter_mut().enumerate() {
-                let out = std::slice::from_mut(b0);
-                aug.rescale_limb_into(i, &b0_aug[i..=i], &b0_aug[limbs - 1..], out);
-            }
         }
-        b0
+        b0_aug
     }
 
     /// A block of rows' LWE ciphertexts: [`Hmvp::dot_rows_fused`] plus the
@@ -445,31 +435,45 @@ impl Hmvp {
         cts: &[RlweCiphertext],
     ) -> Result<Vec<LweCiphertext>> {
         let ctx = self.params.ciphertext_context();
+        let aug = self.params.augmented_context();
         let mut masks: Vec<RnsPoly> = rows.iter().map(|_| RnsPoly::zero(ctx)).collect();
-        ScratchPool::global().with(self.params.augmented_context(), |s| {
+        ScratchPool::global().with(aug, |s| {
             let b0 = self.dot_rows_fused(rows, cts, s, &mut masks);
             masks
                 .into_iter()
-                .zip(b0.chunks_exact(ctx.len()))
-                .map(|(mut a, b)| {
+                .zip(b0.chunks_exact(aug.len()))
+                .map(|(mut a, b0_aug)| {
                     rearrange_in_place(&mut a);
-                    LweCiphertext::new(b.to_vec(), a)
+                    let (&last, b0_q) = b0_aug.split_last().expect("an augmented basis");
+                    let b = b0_q
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &x)| {
+                            let mut b = 0;
+                            aug.rescale_limb_into(i, &[x], &[last], std::slice::from_mut(&mut b));
+                            b
+                        })
+                        .collect();
+                    LweCiphertext::new(b, a)
                 })
                 .collect()
         })
     }
 
-    /// Rows `rows[idx[k]]` as pack leaves `(b₀·X⁰, a)` over every
-    /// coefficient of `leaves[k]`: `EXTRACTLWES` followed by `LWE-TO-RLWE`
-    /// applies the Eq. 3 involution twice, so the fused path applies it
-    /// not at all.
+    /// Rows `rows[idx[k]]` as pack leaves over every word of `leaves[k]`:
+    /// `a` rescaled into the normal basis, and `b` the row's unrescaled
+    /// `b₀` over `Q·p` — already `p` times the `b₀` a rescale would give,
+    /// up to that rescale's rounding, which the pack's one mod-down does
+    /// instead. `b₀·X⁰` in NTT form is `b₀` in every slot. `EXTRACTLWES`
+    /// followed by `LWE-TO-RLWE` applies the Eq. 3 involution twice, so
+    /// the fused path applies it not at all.
     fn dot_rows_leaves(
         &self,
         rows: &[Vec<RnsPoly>],
         idx: &[usize],
         cts: &[RlweCiphertext],
         s: &mut DotScratch,
-        leaves: &mut [RlweCiphertext],
+        leaves: &mut [PackOperand],
     ) {
         let mut block: [&[RnsPoly]; ROW_BLOCK] = [&[]; ROW_BLOCK];
         for (tiles, &i) in block.iter_mut().zip(idx) {
@@ -477,20 +481,21 @@ impl Hmvp {
         }
         let masks = leaves.iter_mut().map(|leaf| &mut leaf.a);
         let b0 = self.dot_rows_fused(&block[..idx.len()], cts, s, masks);
-        let b0 = b0.chunks_exact(self.params.ciphertext_context().len());
+        let b0 = b0.chunks_exact(self.params.augmented_context().len());
         for (leaf, b0) in leaves.iter_mut().zip(b0) {
-            write_constant(&mut leaf.b, b0);
+            for (limb, &r) in leaf.b.limbs_mut().iter_mut().zip(b0) {
+                limb.coeffs_mut().fill(r);
+            }
         }
     }
 
-    /// The oracle for one row of [`Hmvp::dot_rows_fused`]: strict per-tile
-    /// multiply/add, then the public `rescale` + `extract_lwe(_, 0)`
-    /// composition on a materialised ciphertext.
-    fn dot_row_unfused(
+    /// One row's product ciphertext by the book: strict per-tile
+    /// multiply/add over the augmented basis, NTT form.
+    fn dot_row_product(
         &self,
         row_tiles: &[RnsPoly],
         cts: &[RlweCiphertext],
-    ) -> Result<LweCiphertext> {
+    ) -> Result<RlweCiphertext> {
         let mut acc: Option<(RnsPoly, RnsPoly)> = None;
         for (pt_ntt, ct) in row_tiles.iter().zip(cts) {
             let b = ct.b().mul_pointwise(pt_ntt)?;
@@ -501,8 +506,19 @@ impl Hmvp {
             });
         }
         let (b, a) = acc.expect("at least one column tile");
-        let rescaled = rescale(&RlweCiphertext::new(b, a)?, &self.params)?;
-        extract_lwe(&rescaled, 0)
+        RlweCiphertext::new(b, a)
+    }
+
+    /// The oracle for one row of [`Hmvp::dot_rows_fused`]: the row's
+    /// product ciphertext, then the public `rescale` + `extract_lwe(_, 0)`
+    /// composition on it.
+    fn dot_row_unfused(
+        &self,
+        row_tiles: &[RnsPoly],
+        cts: &[RlweCiphertext],
+    ) -> Result<LweCiphertext> {
+        let product = self.dot_row_product(row_tiles, cts)?;
+        extract_lwe(&rescale(&product, &self.params)?, 0)
     }
 
     /// Dot-product phase through the oracle path: strict per-tile
@@ -575,7 +591,7 @@ impl Hmvp {
             .tiles
             .chunks(self.params.degree())
             .map(|rows| {
-                let leaves = |idx: &[usize], leaves: &mut [RlweCiphertext], s: &mut DotScratch| {
+                let leaves = |idx: &[usize], leaves: &mut [PackOperand], s: &mut DotScratch| {
                     self.dot_rows_leaves(rows, idx, cts, s, leaves);
                     Ok(())
                 };
@@ -742,13 +758,23 @@ mod tests {
         ));
     }
 
+    /// Row `i`'s unrescaled `b₀` over the augmented basis, from the
+    /// oracle's product ciphertext.
+    fn product_b0(hmvp: &Hmvp, em: &EncodedMatrix, cts: &[RlweCiphertext], i: usize) -> Vec<u64> {
+        let mut b = hmvp.dot_row_product(&em.tiles()[i], cts).unwrap().b;
+        b.to_coeff();
+        b.limbs().iter().map(|limb| limb.coeffs()[0]).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         /// The fused row tail against the oracle path — strict MAC, a
         /// materialised product, `rescale` + `extract_lwe(_, 0)` — lane
-        /// for lane, and the pack leaf against `lwe_to_rlwe` of the
-        /// oracle's LWE (the rearrange-involution cancellation).
+        /// for lane, and the pack leaf against the oracle: its mask is
+        /// `lwe_to_rlwe` of the oracle's LWE (the rearrange-involution
+        /// cancellation), its `b` the product's unrescaled `b₀` in every
+        /// NTT slot.
         #[test]
         fn fused_row_tail_matches_rescale_then_extract(
             rows in 1usize..10,
@@ -767,9 +793,11 @@ mod tests {
             prop_assert!(hmvp.dot_products(&em, &cts).unwrap() == oracle, "lwe path");
             // Dirty leaves reused for every block, rows taken in reverse (a
             // block's rows need not be adjacent): the tail must overwrite
-            // every coefficient.
-            let mut dirty = crate::extract::lwe_to_rlwe(&oracle[0]);
-            dirty.b = dirty.a.clone();
+            // every word.
+            let dirty = PackOperand {
+                b: hmvp.dot_row_product(&em.tiles()[0], &cts).unwrap().b,
+                a: crate::extract::lwe_to_rlwe(&oracle[0]).b,
+            };
             let mut leaves = vec![dirty; ROW_BLOCK];
             let order: Vec<usize> = (0..rows).rev().collect();
             for idx in order.chunks(ROW_BLOCK) {
@@ -778,7 +806,11 @@ mod tests {
                     hmvp.dot_rows_leaves(em.tiles(), idx, &cts, s, leaves);
                 });
                 for (leaf, &i) in leaves.iter().zip(idx) {
-                    prop_assert!(*leaf == crate::extract::lwe_to_rlwe(&oracle[i]), "leaf path");
+                    prop_assert!(leaf.a == crate::extract::lwe_to_rlwe(&oracle[i]).a, "leaf mask");
+                    let b0 = product_b0(&hmvp, &em, &cts, i);
+                    let fill = |(limb, &r): (&Poly, &u64)| limb.coeffs().iter().all(|&c| c == r);
+                    prop_assert!(leaf.b.form() == Form::Ntt, "leaf b form");
+                    prop_assert!(leaf.b.limbs().iter().zip(&b0).all(fill), "leaf b");
                 }
             }
         }
@@ -828,7 +860,8 @@ mod tests {
     /// spills past one row-product call, and pack caps whose subtree spans
     /// (cap 3 → span 4 of 8, 8 of 32) are not multiples of [`ROW_BLOCK`]:
     /// every LWE matches the oracle path and every packed ciphertext the
-    /// level-by-level pack of those LWEs.
+    /// level-by-level pack of leaves made of those LWEs' masks and the
+    /// products' unrescaled `b₀`.
     #[test]
     fn row_block_edges_match_unfused_and_level_order() {
         let (params, _, enc, _, gkeys, mut rng) = setup();
@@ -851,7 +884,11 @@ mod tests {
                 let oracle = hmvp.dot_products_unfused(&em, &cts).unwrap();
                 let lwes = hmvp.dot_products(&em, &cts).unwrap();
                 assert!(lwes == oracle, "rows={rows} tiles={tiles}: LWEs");
-                let want = crate::oracle::pack_lwes_level_order(&oracle, &gkeys, &params).unwrap();
+                let leaves: Vec<_> = (0..rows)
+                    .map(|i| (product_b0(&hmvp, &em, &cts, i), oracle[i].clone()))
+                    .collect();
+                let want =
+                    crate::oracle::pack_leaves_level_order(&leaves, &gkeys, &params).unwrap();
                 for cap in 1..=4 {
                     let case = format!("rows={rows} tiles={tiles} cap={cap}");
                     let got = hmvp.multiply_parallel(&em, &cts, &gkeys, cap).unwrap();

@@ -14,6 +14,16 @@
 //! [`cham_math::simd::automorph_add`], [`cham_math::simd::write_digit`]),
 //! run on each limb's table backend; this module walks the limbs and
 //! chains the key-switch around them.
+//!
+//! Inside a pack the `b` half stays in NTT form over `Q·p` (see
+//! [`crate::pack`]): its butterfly is
+//! [`cham_math::simd::ntt_monomial_butterfly`] against the level's short
+//! root table, and `add_galois_lifted` folds `σ_k(b)` and the
+//! key-switch's unscaled `b` correction in with one
+//! [`cham_math::simd::slot_gather_add`] per limb. The key-switch then
+//! inverse-transforms only its `a` lanes: `d·L` forward and `L` inverse
+//! limb transforms per merge, where [`apply_galois`] (and a pack that
+//! rescaled `b` at every merge) runs `d·L` and `2·L`.
 
 use crate::ciphertext::RlweCiphertext;
 use crate::encoding::Plaintext;
@@ -21,6 +31,7 @@ use crate::keys::{GaloisKeys, KeySwitchKey};
 use crate::params::ChamParams;
 use crate::scratch::{DotScratch, ScratchPool};
 use crate::{HeError, Result};
+use cham_math::ntt::GaloisSlots;
 use cham_math::rns::{Form, RnsContext, RnsPoly};
 use cham_math::simd::{self, digit_product, DIGIT_PRODUCT_MAX_DIGITS};
 use std::borrow::Cow;
@@ -213,6 +224,31 @@ pub(crate) fn monomial_butterfly(
     }
 }
 
+/// Lines 1–3 of Alg. 2 on the NTT-form halves of a pair of pack operands
+/// over `ctx` (the augmented basis): `X^g` is each limb's short root table
+/// ([`cham_math::NttTable::monomial_roots`]) and
+/// [`cham_math::simd::ntt_monomial_butterfly`] multiplies by it in place.
+/// Nothing is rotated.
+pub(crate) fn ntt_monomial_butterfly(
+    ctx: &RnsContext,
+    even: &mut RnsPoly,
+    odd: &mut RnsPoly,
+    g: usize,
+) {
+    let limbs = even.limbs_mut().iter_mut().zip(odd.limbs_mut());
+    for ((e, o), table) in limbs.zip(ctx.tables()) {
+        let (roots, shoups) = table.monomial_roots(g);
+        simd::ntt_monomial_butterfly(
+            table.backend(),
+            e.coeffs_mut(),
+            o.coeffs_mut(),
+            roots,
+            shoups,
+            table.modulus(),
+        );
+    }
+}
+
 /// Writes the key-switch digits of `σ_k(a)` into `words` in coefficient
 /// form: digit `d` is limb `d` of the automorphed polynomial — integers
 /// below `q_d` — in every limb of `aug` (`len·N` words per digit,
@@ -240,9 +276,12 @@ fn key_limbs(polys: &[RnsPoly], l: usize) -> [&[u64]; DIGIT_PRODUCT_MAX_DIGITS] 
 /// The KEYSWITCH functional unit on scratch: RNS digit decomposition of
 /// `σ_k(a)`, forward transforms, the digit product against the KSK, inverse
 /// transforms. On return `s.words[..lanes]` and `s.words[lanes..2·lanes]`
-/// hold the `(b, a)` correction pair over the augmented basis in
-/// coefficient form — one [`rescale_lanes_into`] / [`rescale_lanes_add`]
-/// away from the normal basis.
+/// hold the `(b, a)` correction pair over the augmented basis, unscaled:
+/// `a`'s in coefficient form — one [`rescale_lanes_into`] /
+/// [`rescale_lanes_add`] away from the normal basis — and `b`'s in
+/// `b_form`. The pack keeps its `b` half in NTT form over `Q·p`, so it
+/// asks for [`Form::Ntt`] and the `b` lanes skip their `L` inverse
+/// transforms.
 ///
 /// The digit sums have no accumulator: a sum of `digits` products per
 /// coefficient is formed and reduced in one pass per limb
@@ -259,6 +298,7 @@ fn keyswitch_to_scratch(
     ksk: &KeySwitchKey,
     params: &ChamParams,
     s: &mut DotScratch,
+    b_form: Form,
 ) -> Result<()> {
     cham_telemetry::counter_add!("cham_he.ops.keyswitch", 1);
     let aug = params.augmented_context();
@@ -298,7 +338,11 @@ fn keyswitch_to_scratch(
             table.modulus(),
         );
     }
-    transform(&mut words[..2 * lanes], cham_math::NttTable::inverse);
+    let from = match b_form {
+        Form::Coeff => 0,
+        Form::Ntt => lanes,
+    };
+    transform(&mut words[from..2 * lanes], cham_math::NttTable::inverse);
     Ok(())
 }
 
@@ -345,7 +389,7 @@ pub fn keyswitch_mask(
     let lanes = aug.len() * aug.degree();
     let a = in_coeff_form(a);
     ScratchPool::global().with(aug, |s| {
-        keyswitch_to_scratch(&a, 1, 0, ksk, params, s)?;
+        keyswitch_to_scratch(&a, 1, 0, ksk, params, s, Form::Coeff)?;
         let (mut ks_b, mut ks_a) = (RnsPoly::zero(target), RnsPoly::zero(target));
         rescale_lanes_into(aug, &s.words, 0, &mut ks_b);
         rescale_lanes_into(aug, &s.words, lanes, &mut ks_a);
@@ -370,7 +414,7 @@ pub(crate) fn add_galois_of(
 ) -> Result<()> {
     let aug = params.augmented_context();
     let lanes = aug.len() * aug.degree();
-    keyswitch_to_scratch(a, k, rot, ksk, params, s)?;
+    keyswitch_to_scratch(a, k, rot, ksk, params, s, Form::Coeff)?;
     let tables = b.context().tables();
     for ((dst, src), table) in acc.b.limbs_mut().iter_mut().zip(b.limbs()).zip(tables) {
         let (backend, q) = (table.backend(), table.modulus());
@@ -378,6 +422,45 @@ pub(crate) fn add_galois_of(
     }
     rescale_lanes_add(aug, &s.words, 0, &mut acc.b);
     rescale_lanes_add(aug, &s.words, lanes, &mut acc.a);
+    Ok(())
+}
+
+/// Alg. 2 lines 4–6 on pack operands ([`crate::pack`]): `b` halves over
+/// `Q·p` in NTT form carrying `p·b`, `a` halves over `Q` in coefficient
+/// form, `a` stored rotated by `rot`. `acc_b ← acc_b + σ_k(b) + ks_b` is
+/// one slot gather-add per limb ([`cham_math::simd::slot_gather_add`]):
+/// the key-switch's `b` correction is `p` times what a rescale would
+/// return, so it joins `p·b` as it is — no inverse transform and no
+/// rescale. Only `a`'s correction is transformed back and rescaled into
+/// `acc_a`, because the next level splits `a` into digits.
+///
+/// This is exact: with `ks_a = p·⌊ks_a/p⌉ + r`, the invariant
+/// `b + p·a·s ≈ p·Δ·μ` picks up `ks_b + ks_a·s − r·s ≈ p·σ_k(a)·σ_k(s)`,
+/// and the `r·s` term is the one the per-merge rescale of `ks_a` always
+/// left; `b`'s own rounding happens once, at the pack's root.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn add_galois_lifted(
+    acc_b: &mut RnsPoly,
+    acc_a: &mut RnsPoly,
+    b: &RnsPoly,
+    a: &RnsPoly,
+    rot: usize,
+    slots: &GaloisSlots,
+    ksk: &KeySwitchKey,
+    params: &ChamParams,
+    s: &mut DotScratch,
+) -> Result<()> {
+    let aug = params.augmented_context();
+    let n = aug.degree();
+    let lanes = aug.len() * n;
+    keyswitch_to_scratch(a, slots.k(), rot, ksk, params, s, Form::Ntt)?;
+    let ks_b = s.words[..lanes].chunks_exact(n);
+    let limbs = acc_b.limbs_mut().iter_mut().zip(b.limbs());
+    for (((dst, src), ks_b), table) in limbs.zip(ks_b).zip(aug.tables()) {
+        let (backend, q) = (table.backend(), table.modulus());
+        simd::slot_gather_add(backend, dst.coeffs_mut(), src.coeffs(), slots, ks_b, q);
+    }
+    rescale_lanes_add(aug, &s.words, lanes, acc_a);
     Ok(())
 }
 

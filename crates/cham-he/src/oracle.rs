@@ -1,6 +1,7 @@
 //! Test oracles: the HMVP back half as it was first written — one
 //! allocating `RnsPoly` operation per line of Alg. 2/3, a strict rescale,
-//! a level-by-level pack — decryption as it was first written (a
+//! a level-by-level pack that carries `b` over `Q·p` in coefficient form
+//! and rescales it once at the root — decryption as it was first written (a
 //! per-call Garner lift, centred `i128` rounding), and the wire codec as
 //! it was first written ([`wire`]: one word at a time), kept only so the
 //! streaming implementations in [`crate::ops`], [`crate::pack`],
@@ -19,15 +20,15 @@ use crate::params::ChamParams;
 use crate::Result;
 use cham_math::rns::{RnsContext, RnsPoly};
 
-/// KEYSWITCH by the book: `decompose_digits`, one strict pointwise
-/// multiply and add per digit, inverse transform, strict rescale.
-pub(crate) fn keyswitch_mask(
+/// KEYSWITCH by the book up to its rescale: `decompose_digits`, one
+/// strict pointwise multiply and add per digit, inverse transform. The
+/// `(b, a)` correction over the augmented basis, coefficient form.
+fn keyswitch_product(
     a: &RnsPoly,
     ksk: &KeySwitchKey,
     params: &ChamParams,
 ) -> Result<(RnsPoly, RnsPoly)> {
     let aug = params.augmented_context();
-    let target = params.ciphertext_context();
     let mut a = a.clone();
     a.to_coeff();
     let mut sum: Option<(RnsPoly, RnsPoly)> = None;
@@ -45,6 +46,18 @@ pub(crate) fn keyswitch_mask(
     let (mut b, mut a) = sum.expect("at least one digit");
     b.to_coeff();
     a.to_coeff();
+    Ok((b, a))
+}
+
+/// KEYSWITCH by the book: [`keyswitch_product`], then a strict rescale of
+/// both halves.
+pub(crate) fn keyswitch_mask(
+    a: &RnsPoly,
+    ksk: &KeySwitchKey,
+    params: &ChamParams,
+) -> Result<(RnsPoly, RnsPoly)> {
+    let target = params.ciphertext_context();
+    let (b, a) = keyswitch_product(a, ksk, params)?;
     Ok((
         b.rescale_by_last_strict(target)?,
         a.rescale_by_last_strict(target)?,
@@ -79,34 +92,94 @@ pub(crate) fn pack_two(
     ct_plus.add(&ct_auto)
 }
 
-/// `PACKLWES` level by level: every leaf materialised, bit-reversed into
-/// place, then one whole tree level reduced at a time.
-pub(crate) fn pack_lwes_level_order(
-    lwes: &[LweCiphertext],
+/// A pack node as the level-order oracle carries it: `b` over `Q·p`,
+/// `p` times the normal-basis `b`, and `a` over `Q`, both in coefficient
+/// form.
+type Lifted = (RnsPoly, RnsPoly);
+
+/// `PACKTWOLWES` on lifted nodes, one allocating operation per line of
+/// Alg. 2: signed monomial multiplies and automorphisms in coefficient
+/// form on both halves, and the key-switch's `b` correction added
+/// unscaled — only its `a` correction is rescaled.
+fn pack_two_lifted(
+    h: u32,
+    even: &Lifted,
+    odd: &Lifted,
+    gkeys: &GaloisKeys,
+    params: &ChamParams,
+) -> Result<Lifted> {
+    let k = (1usize << h) + 1;
+    let g = params.degree() >> h;
+    let (mono_b, mono_a) = (odd.0.shift_neg(g)?, odd.1.shift_neg(g)?); // line 1
+    let plus = (even.0.add(&mono_b)?, even.1.add(&mono_a)?); // line 2
+    let minus = (even.0.sub(&mono_b)?, even.1.sub(&mono_a)?); // line 3
+    let (ks_b, ks_a) = keyswitch_product(&minus.1.automorph(k)?, gkeys.get(k)?, params)?; // 4–5
+    let auto_b = minus.0.automorph(k)?.add(&ks_b)?;
+    let auto_a = ks_a.rescale_by_last_strict(params.ciphertext_context())?;
+    Ok((plus.0.add(&auto_b)?, plus.1.add(&auto_a)?)) // line 6
+}
+
+/// `PACKLWES` level by level over leaves `(b₀, lwe)`: `b₀` the leaf's
+/// constant `b` over `Q·p` — `p` times a normal-basis LWE's `b`, or an
+/// HMVP row's unrescaled product coefficient — and the mask of `lwe`
+/// (whose own `b` is not read). Every leaf materialised, bit-reversed into
+/// place, one whole tree level reduced at a time, and one strict rescale
+/// of `b` at the root.
+pub(crate) fn pack_leaves_level_order(
+    leaves: &[(Vec<u64>, LweCiphertext)],
     gkeys: &GaloisKeys,
     params: &ChamParams,
 ) -> Result<PackedRlwe> {
-    let count = lwes.len();
+    let (aug, ctx) = (params.augmented_context(), params.ciphertext_context());
+    let count = leaves.len();
     let padded = count.next_power_of_two();
     let log = padded.trailing_zeros();
-    let zero = lwe_to_rlwe(&lwes[0]).zero_like();
-    let mut level = vec![zero; padded];
-    for (i, lwe) in lwes.iter().enumerate() {
-        level[cham_math::bit_reverse(i, log)] = lwe_to_rlwe(lwe);
+    let mut level = vec![(RnsPoly::zero(aug), RnsPoly::zero(ctx)); padded];
+    for (i, (b0, lwe)) in leaves.iter().enumerate() {
+        let mut b = RnsPoly::zero(aug);
+        for (limb, &r) in b.limbs_mut().iter_mut().zip(b0) {
+            limb.coeffs_mut()[0] = r;
+        }
+        level[cham_math::bit_reverse(i, log)] = (b, lwe_to_rlwe(lwe).a().clone());
     }
     let mut h = 1u32;
     while level.len() > 1 {
         level = level
             .chunks(2)
-            .map(|pair| pack_two(h, &pair[0], &pair[1], gkeys, params))
+            .map(|pair| pack_two_lifted(h, &pair[0], &pair[1], gkeys, params))
             .collect::<Result<Vec<_>>>()?;
         h += 1;
     }
+    let (b, a) = level.pop().expect("one node remains");
     Ok(PackedRlwe {
-        ciphertext: level.pop().expect("one ciphertext remains"),
+        ciphertext: RlweCiphertext::new(b.rescale_by_last_strict(ctx)?, a)?,
         log_count: log,
         count,
     })
+}
+
+/// `PACKLWES` level by level ([`pack_leaves_level_order`]) over LWEs,
+/// each leaf's `b` lifted to `p·b` over `Q·p` (zero mod `p`).
+pub(crate) fn pack_lwes_level_order(
+    lwes: &[LweCiphertext],
+    gkeys: &GaloisKeys,
+    params: &ChamParams,
+) -> Result<PackedRlwe> {
+    let p = params.special_prime();
+    let aug = params.augmented_context();
+    let leaves: Vec<_> = lwes
+        .iter()
+        .map(|lwe| {
+            let b0 = aug
+                .moduli()
+                .iter()
+                .enumerate()
+                .map(|(i, q)| lwe.b().get(i).map_or(0, |&b| q.mul(q.reduce(p), b)))
+                .collect();
+            (b0, lwe.clone())
+        })
+        .collect();
+    pack_leaves_level_order(&leaves, gkeys, params)
 }
 
 /// Garner's lift with every constant derived per call: the running

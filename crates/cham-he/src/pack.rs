@@ -21,6 +21,28 @@
 //! exposes the `2^{−h} mod t` correction the decoder applies (exact because
 //! the plaintext modulus is odd).
 //!
+//! ## One mod-down per pack
+//!
+//! Between leaf and root a pack operand keeps its `b` half in NTT form
+//! over the augmented basis `Q·p`, carrying `p·b`, and only its `a` half
+//! in coefficient form over `Q` — the next level splits `a` into
+//! key-switch digits, and nothing splits `b`. The invariant is
+//! `b + p·a·s ≈ p·Δ·μ (mod Q·p)`. So:
+//!
+//! - a leaf's `b` is a constant: an HMVP row's unrescaled `b₀` (or `p·b₀`
+//!   of a normal-basis LWE) in every NTT slot;
+//! - the butterfly's `X^g` on `b` is a pointwise multiply by a short root
+//!   table, and `σ_k` a slot gather with no sign;
+//! - the key-switch's `b` correction is `p` times what its rescale would
+//!   return, so it is added as it is: each merge runs `d·L` forward and
+//!   only `L` inverse limb transforms (9 at the CHAM chain, where rescaling
+//!   `b` at every merge cost 12) and no rescale of `b`;
+//! - the root runs the one mod-down: `L` inverse transforms and a rescale
+//!   by `p` return `b` to the normal basis.
+//!
+//! `b` is rounded once per pack instead of once per leaf and merge, so
+//! the noise bound only shrinks (DESIGN.md §11.1).
+//!
 //! ## The reduce buffer
 //!
 //! The paper's stages 5–9 never hold a tree level: LWEs stream out of
@@ -30,7 +52,7 @@
 //! input once per block, not once per row), and reduced depth-first with a
 //! binary-counter carry stack — after leaf `j` the stack holds one partial
 //! result per set bit of `j + 1` — so at most `log2(count) + 1 +
-//! ROW_BLOCK`, i.e. `O(log count + R)`, ciphertexts are live and both
+//! ROW_BLOCK`, i.e. `O(log count + R)`, operands are live and both
 //! operands of every `PACKTWOLWES` are still in cache. Consumed operands
 //! are recycled as the next leaves' storage and kept in the subtree's
 //! pooled scratch across calls, so a pack in the steady state allocates
@@ -38,14 +60,15 @@
 //! those of the level-by-level formulation, so the output bytes are too.
 
 use crate::ciphertext::{LweCiphertext, RlweCiphertext};
-use crate::extract::lwe_to_rlwe_into;
+use crate::encrypt::{Decryptor, NoiseReport};
+use crate::extract::write_mask;
 use crate::hmvp::ROW_BLOCK;
 use crate::keys::GaloisKeys;
-use crate::ops::{add_galois_of, in_coeff_form, monomial_butterfly};
+use crate::ops::{add_galois_lifted, in_coeff_form, monomial_butterfly, ntt_monomial_butterfly};
 use crate::params::ChamParams;
 use crate::scratch::{DotScratch, ScratchPool};
 use crate::{HeError, Result};
-use cham_math::rns::RnsPoly;
+use cham_math::rns::{Form, RnsPoly};
 use cham_telemetry::span::{phase, Span};
 use std::ops::Range;
 
@@ -88,12 +111,7 @@ impl PackedRlwe {
                 got: pt.len(),
             });
         }
-        if self.log_count > params.max_pack_log() {
-            return Err(HeError::InvalidParams("packed log_count exceeds log2 N"));
-        }
-        if self.count > 1 << self.log_count {
-            return Err(HeError::InvalidParams("packed count exceeds 2^log_count"));
-        }
+        self.check_slots(params)?;
         let stride = self.stride(params);
         let f = self.decode_factor(params);
         let t = params.plain_modulus();
@@ -101,14 +119,130 @@ impl PackedRlwe {
             .map(|j| t.mul(pt.values()[j * stride], f))
             .collect())
     }
+
+    /// Decrypts the pack and meters its noise at the `count` payload
+    /// coefficients `j·stride` only. The other coefficients of a partial
+    /// pack carry its leaves' garbage, on which
+    /// [`Decryptor::decrypt_with_noise`] reads no budget at all.
+    ///
+    /// # Errors
+    /// [`HeError::InvalidParams`] when `log_count` exceeds `log2 N` or
+    /// `count` exceeds `2^log_count`, as for [`PackedRlwe::decode`].
+    pub fn noise_report(&self, dec: &Decryptor, params: &ChamParams) -> Result<NoiseReport> {
+        self.check_slots(params)?;
+        let stride = self.stride(params);
+        let slots = self.count * stride;
+        Ok(dec.decrypt_with_noise_at(&self.ciphertext, |j| j < slots && j % stride == 0))
+    }
+
+    /// The payload-slot fields are in range: they are public and may have
+    /// come off the wire.
+    fn check_slots(&self, params: &ChamParams) -> Result<()> {
+        if self.log_count > params.max_pack_log() {
+            return Err(HeError::InvalidParams("packed log_count exceeds log2 N"));
+        }
+        if self.count > 1 << self.log_count {
+            return Err(HeError::InvalidParams("packed count exceeds 2^log_count"));
+        }
+        Ok(())
+    }
+}
+
+/// A pack operand between leaf and root. `b` lives over the augmented
+/// basis `Q·p` in NTT form and carries `p·b`; `a` lives over `Q` in
+/// coefficient form. With `s` the secret key and `μ` the plaintext,
+///
+/// `b + p·a·s ≈ p·Δ·μ  (mod Q·p)`.
+///
+/// `p·a·s mod Q·p` is well defined for `a mod Q`, so the invariant holds
+/// whichever representative of `a` is meant.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PackOperand {
+    pub(crate) b: RnsPoly,
+    pub(crate) a: RnsPoly,
+}
+
+impl PackOperand {
+    /// The transparent zero (padding): `b` and `a` all zero, in their
+    /// forms.
+    fn zero(params: &ChamParams) -> Self {
+        let aug = params.augmented_context();
+        let limbs = vec![cham_math::Poly::zero(aug.degree()); aug.len()];
+        Self {
+            b: RnsPoly::from_limbs(aug, limbs, Form::Ntt).expect("one limb per prime"),
+            a: RnsPoly::zero(params.ciphertext_context()),
+        }
+    }
+
+    /// `(p·b, a)` of a normal-basis ciphertext in either form: each limb
+    /// of `b` is scaled by `p mod q_i` and transformed unless it already
+    /// is, and `p·b`'s residue mod `p` is zero in either domain.
+    fn lift(ct: &RlweCiphertext, params: &ChamParams) -> Self {
+        let aug = params.augmented_context();
+        let p = params.special_prime();
+        let mut limbs: Vec<_> = ct
+            .b()
+            .limbs()
+            .iter()
+            .zip(aug.tables())
+            .map(|(limb, table)| {
+                let q = table.modulus();
+                let w = q.reduce(p);
+                let ws = q.shoup(w);
+                let mut c: Vec<u64> = limb
+                    .coeffs()
+                    .iter()
+                    .map(|&x| q.mul_shoup(x, w, ws))
+                    .collect();
+                if ct.form() == Form::Coeff {
+                    table.forward(&mut c);
+                }
+                cham_math::Poly::from_coeffs(c)
+            })
+            .collect();
+        limbs.push(cham_math::Poly::zero(aug.degree()));
+        Self {
+            b: RnsPoly::from_limbs(aug, limbs, Form::Ntt).expect("one limb per prime"),
+            a: in_coeff_form(ct.a()).into_owned(),
+        }
+    }
+
+    /// `(p·b₀, â)` of an LWE ciphertext as a pack leaf, over every word of
+    /// `self` (a recycled operand): `p·b₀` is a constant, so every slot of
+    /// its NTT form holds it, and `â` is re-arranged into the RLWE mask.
+    fn set_lwe(&mut self, lwe: &LweCiphertext, params: &ChamParams) {
+        let p = params.special_prime();
+        let aug = params.augmented_context();
+        let limbs = self.b.limbs_mut().iter_mut().zip(aug.moduli());
+        for (i, (limb, q)) in limbs.enumerate() {
+            let b0 = lwe.b().get(i).map_or(0, |&b0| q.mul(q.reduce(p), b0));
+            limb.coeffs_mut().fill(b0);
+        }
+        write_mask(lwe, &mut self.a);
+    }
+
+    /// The pack's one mod-down: `b` back to coefficient form (`L` inverse
+    /// transforms) and rescaled by `p` to the normal basis.
+    fn mod_down(mut self, params: &ChamParams) -> RlweCiphertext {
+        self.b.to_coeff();
+        let b = self
+            .b
+            .rescale_by_last(params.ciphertext_context())
+            .expect("an augmented-basis b drops to the normal basis");
+        RlweCiphertext { b, a: self.a }
+    }
 }
 
 /// `PACKTWOLWES` (Alg. 2): one reduction step at recursion level `h ≥ 1`,
 /// combining two ciphertexts whose payloads sit at stride `N/2^{h−1}`.
-/// Lines 1–3 are one monomial butterfly per limb, and lines 4–6 one
-/// key-switch whose digits and whose `σ_k(b)` are destination-order
-/// automorphisms: the `cham_math::simd` element-wise kernels around the
-/// key-switch's limb transforms (twelve at the CHAM chain).
+///
+/// Both inputs are lifted to pack operands (`b` as `p·b` in NTT form over
+/// `Q·p`), merged as every step inside [`pack_lwes`] is, and brought back
+/// with the one mod-down a pack runs at its root. Because
+/// `⌊(p·B + ks_b)/p⌉ = B + ⌊ks_b/p⌉` exactly, the bytes are those of the
+/// textbook step that rescales the key-switch's `b` correction on its own.
+/// A merge is nine limb transforms at the CHAM chain; this entry point
+/// adds the lift's and the mod-down's.
 ///
 /// # Errors
 /// * [`HeError::MissingGaloisKey`] when `σ_{2^h+1}` has no key,
@@ -121,24 +255,32 @@ pub fn pack_two(
     gkeys: &GaloisKeys,
     params: &ChamParams,
 ) -> Result<RlweCiphertext> {
-    let owned = |ct: &RlweCiphertext| RlweCiphertext {
-        b: in_coeff_form(ct.b()).into_owned(),
-        a: in_coeff_form(ct.a()).into_owned(),
-    };
-    let (mut even, mut odd) = (owned(even), owned(odd));
+    let ctx = params.ciphertext_context();
+    if even.b().context() != ctx || odd.b().context() != ctx {
+        return Err(HeError::Incompatible(
+            "pack_two expects normal-basis ciphertexts",
+        ));
+    }
+    let (mut even, mut odd) = (
+        PackOperand::lift(even, params),
+        PackOperand::lift(odd, params),
+    );
     ScratchPool::global().with(params.augmented_context(), |s| {
-        pack_two_in_place(h, &mut even, &mut odd, gkeys, params, s)
+        merge(h, &mut even, &mut odd, gkeys, params, s)
     })?;
-    Ok(even)
+    Ok(even.mod_down(params))
 }
 
-/// [`pack_two`] on coefficient-form operands it may consume: the result
-/// replaces `even`, and `odd` is left holding garbage for the caller to
-/// recycle.
-fn pack_two_in_place(
+/// One `PACKTWOLWES` on pack operands it may consume: the result replaces
+/// `even`, and `odd` is left holding garbage for the caller to recycle.
+/// Lines 1–3 are a monomial butterfly per limb — pointwise against a
+/// short root table on `b`'s `L` NTT-form limbs, a rotation on `a`'s —
+/// and lines 4–6 one key-switch of `σ_k(a)` ([`add_galois_lifted`]):
+/// `d·L` forward and `L` inverse limb transforms, nine at the CHAM chain.
+fn merge(
     h: u32,
-    even: &mut RlweCiphertext,
-    odd: &mut RlweCiphertext,
+    even: &mut PackOperand,
+    odd: &mut PackOperand,
     gkeys: &GaloisKeys,
     params: &ChamParams,
     s: &mut DotScratch,
@@ -148,20 +290,16 @@ fn pack_two_in_place(
     if h == 0 || h > params.max_pack_log() {
         return Err(HeError::InvalidParams("pack level out of range"));
     }
-    let ctx = params.ciphertext_context();
-    if even.b.context() != ctx || odd.b.context() != ctx {
-        return Err(HeError::Incompatible(
-            "pack_two expects normal-basis ciphertexts",
-        ));
-    }
     let g = params.degree() >> h; // monomial exponent N/2^h
-    let k = (1usize << h) + 1; // automorphism index 2^h + 1
-    let ksk = gkeys.get(k)?;
-    // Lines 1–3: even ← even + X^g·odd, odd ← even − X^g·odd (rotated).
-    monomial_butterfly(ctx, &mut even.b, &mut odd.b, g);
-    monomial_butterfly(ctx, &mut even.a, &mut odd.a, g);
+    let slots = params.pack_slots(h); // σ_k, k = 2^h + 1
+    let ksk = gkeys.get(slots.k())?;
+    // Lines 1–3: even ← even + X^g·odd, odd ← even − X^g·odd (its `a`
+    // rotated).
+    ntt_monomial_butterfly(params.augmented_context(), &mut even.b, &mut odd.b, g);
+    monomial_butterfly(params.ciphertext_context(), &mut even.a, &mut odd.a, g);
     // Lines 4–6: even ← even + KS(σ_k(odd)).
-    add_galois_of(even, &odd.b, &odd.a, g, k, ksk, params, s)
+    let PackOperand { b, a } = even;
+    add_galois_lifted(b, a, &odd.b, &odd.a, g, slots, ksk, params, s)
 }
 
 /// The carry stack of a depth-first `PACKLWES` reduction over one
@@ -169,18 +307,21 @@ fn pack_two_in_place(
 struct ReduceBuffer<'a> {
     /// `(level, partial result)`, levels strictly decreasing towards the
     /// top — the set bits of the number of leaves pushed so far.
-    stack: Vec<(u32, RlweCiphertext)>,
+    stack: Vec<(u32, PackOperand)>,
     /// Consumed operands, reused as storage for later leaves.
-    spare: Vec<RlweCiphertext>,
+    spare: Vec<PackOperand>,
     gkeys: &'a GaloisKeys,
     params: &'a ChamParams,
 }
 
 impl<'a> ReduceBuffer<'a> {
-    /// A buffer recycling `spare`, a pooled scratch's kept ciphertexts; any
+    /// A buffer recycling `spare`, a pooled scratch's kept operands; any
     /// over another chain of the scratch's shape are dropped.
-    fn new(mut spare: Vec<RlweCiphertext>, gkeys: &'a GaloisKeys, params: &'a ChamParams) -> Self {
-        spare.retain(|ct| ct.b.context() == params.ciphertext_context());
+    fn new(mut spare: Vec<PackOperand>, gkeys: &'a GaloisKeys, params: &'a ChamParams) -> Self {
+        spare.retain(|op| {
+            op.b.context() == params.augmented_context()
+                && op.a.context() == params.ciphertext_context()
+        });
         Self {
             stack: Vec::new(),
             spare,
@@ -189,41 +330,36 @@ impl<'a> ReduceBuffer<'a> {
         }
     }
 
-    /// Storage for the next leaf: a recycled operand, or a fresh zero
-    /// ciphertext.
-    fn take(&mut self) -> RlweCiphertext {
-        self.spare.pop().unwrap_or_else(|| {
-            let ctx = self.params.ciphertext_context();
-            RlweCiphertext {
-                b: RnsPoly::zero(ctx),
-                a: RnsPoly::zero(ctx),
-            }
-        })
+    /// Storage for the next leaf: a recycled operand, or a fresh zero one.
+    fn take(&mut self) -> PackOperand {
+        self.spare
+            .pop()
+            .unwrap_or_else(|| PackOperand::zero(self.params))
     }
 
     /// A transparent zero leaf (padding).
-    fn zero(&mut self) -> RlweCiphertext {
-        let mut ct = self.take();
-        for poly in [&mut ct.b, &mut ct.a] {
+    fn zero(&mut self) -> PackOperand {
+        let mut op = self.take();
+        for poly in [&mut op.b, &mut op.a] {
             for limb in poly.limbs_mut() {
                 limb.coeffs_mut().fill(0);
             }
         }
-        ct
+        op
     }
 
     /// Pushes the next leaf and carries: while the two topmost partial
     /// results sit at the same level they are the even and odd halves of
     /// one `PACKTWOLWES`.
-    fn push(&mut self, mut ct: RlweCiphertext, s: &mut DotScratch) -> Result<()> {
+    fn push(&mut self, mut op: PackOperand, s: &mut DotScratch) -> Result<()> {
         let mut level = 0;
         while self.stack.last().is_some_and(|(l, _)| *l == level) {
             let (_, mut even) = self.stack.pop().expect("checked non-empty");
             level += 1;
-            pack_two_in_place(level, &mut even, &mut ct, self.gkeys, self.params, s)?;
-            self.spare.push(std::mem::replace(&mut ct, even));
+            merge(level, &mut even, &mut op, self.gkeys, self.params, s)?;
+            self.spare.push(std::mem::replace(&mut op, even));
         }
-        self.stack.push((level, ct));
+        self.stack.push((level, op));
         Ok(())
     }
 
@@ -239,9 +375,9 @@ impl<'a> ReduceBuffer<'a> {
         count: usize,
         leaves: &F,
         s: &mut DotScratch,
-    ) -> Result<RlweCiphertext>
+    ) -> Result<PackOperand>
     where
-        F: Fn(&[usize], &mut [RlweCiphertext], &mut DotScratch) -> Result<()>,
+        F: Fn(&[usize], &mut [PackOperand], &mut DotScratch) -> Result<()>,
     {
         let mut block = Vec::with_capacity(ROW_BLOCK);
         for start in positions.clone().step_by(ROW_BLOCK) {
@@ -257,11 +393,11 @@ impl<'a> ReduceBuffer<'a> {
             leaves(&rows[..real], &mut block, s)?;
             let mut computed = block.drain(..);
             for pos in tree {
-                let ct = match payload(pos) {
+                let op = match payload(pos) {
                     Some(_) => computed.next().expect("one leaf per payload position"),
                     None => self.zero(),
                 };
-                self.push(ct, s)?;
+                self.push(op, s)?;
             }
         }
         debug_assert_eq!(self.stack.len(), 1, "leaf count must be a power of two");
@@ -270,10 +406,11 @@ impl<'a> ReduceBuffer<'a> {
 }
 
 /// `PACKLWES` (Alg. 3) over `count ≤ N` leaves produced on demand:
-/// `leaves(rows, dst, scratch)` writes the RLWE form of payload `rows[k]`
-/// (constant coefficient = payload) over every coefficient of `dst[k]`, for
-/// up to [`ROW_BLOCK`] payloads a call. Payloads beyond a power of two are
-/// padded with transparent zero ciphertexts.
+/// `leaves(rows, dst, scratch)` writes the pack operand of payload
+/// `rows[k]` (constant coefficient of its phase = `p·Δ·payload`) over
+/// every word of `dst[k]`, for up to [`ROW_BLOCK`] payloads a call.
+/// Payloads beyond a power of two are padded with transparent zero
+/// operands.
 ///
 /// The even/odd recursion consumes index bits LSB-first, which would
 /// deliver payloads in bit-reversed coefficient order; visiting the leaves
@@ -283,8 +420,10 @@ impl<'a> ReduceBuffer<'a> {
 ///
 /// Parallelism is one contiguous power-of-two subtree per thread, with
 /// `cap` threads (`cham_pool::map_capped`): subtrees are independent until
-/// the top `log2(subtrees)` levels, which are joined pair-by-pair. The
-/// tree is the same at every cap, so the result is bit-identical.
+/// the top `log2(subtrees)` levels, which are joined pair-by-pair. Subtree
+/// roots and joins stay pack operands, and the one mod-down runs on the
+/// final root, so the tree and every rounding are the same at every cap
+/// and the result is bit-identical.
 pub(crate) fn pack_with<F>(
     count: usize,
     cap: usize,
@@ -293,7 +432,7 @@ pub(crate) fn pack_with<F>(
     params: &ChamParams,
 ) -> Result<PackedRlwe>
 where
-    F: Fn(&[usize], &mut [RlweCiphertext], &mut DotScratch) -> Result<()> + Sync,
+    F: Fn(&[usize], &mut [PackOperand], &mut DotScratch) -> Result<()> + Sync,
 {
     if count == 0 {
         return Err(HeError::InvalidParams("cannot pack zero ciphertexts"));
@@ -307,8 +446,9 @@ where
     let log = padded.trailing_zeros();
     let subtrees = cap.clamp(1, padded).next_power_of_two();
     let span = padded / subtrees;
-    let reduce_subtree = |first: usize| -> Result<RlweCiphertext> {
-        ScratchPool::global().with(params.augmented_context(), |s| {
+    let aug = params.augmented_context();
+    let reduce_subtree = |first: usize| -> Result<PackOperand> {
+        ScratchPool::global().with(aug, |s| {
             let mut buffer = ReduceBuffer::new(std::mem::take(&mut s.spare), gkeys, params);
             let root = buffer.reduce(first..first + span, log, count, &leaves, s);
             s.spare = buffer.spare;
@@ -324,15 +464,18 @@ where
     let mut h = span.trailing_zeros();
     while level.len() > 1 {
         h += 1;
-        let pairs: Vec<&[RlweCiphertext]> = level.chunks(2).collect();
+        let pairs: Vec<&[PackOperand]> = level.chunks(2).collect();
         level = cham_pool::map_capped(&pairs, cap, |_, pair| {
-            pack_two(h, &pair[0], &pair[1], gkeys, params)
+            let (mut even, mut odd) = (pair[0].clone(), pair[1].clone());
+            ScratchPool::global().with(aug, |s| merge(h, &mut even, &mut odd, gkeys, params, s))?;
+            Ok(even)
         })
         .into_iter()
         .collect::<Result<Vec<_>>>()?;
     }
+    let root = level.pop().expect("one operand remains");
     Ok(PackedRlwe {
-        ciphertext: level.pop().expect("one ciphertext remains"),
+        ciphertext: root.mod_down(params),
         log_count: log,
         count,
     })
@@ -352,29 +495,39 @@ pub fn pack_lwes(
     gkeys: &GaloisKeys,
     params: &ChamParams,
 ) -> Result<PackedRlwe> {
+    pack_lwes_parallel(lwes, gkeys, params, cham_pool::current_threads())
+}
+
+/// [`pack_lwes`] on at most `threads` threads, the caller among them:
+/// `threads = 1` spawns no thread, and the result is bit-identical at
+/// every cap.
+///
+/// # Errors
+/// Same conditions as [`pack_lwes`].
+pub fn pack_lwes_parallel(
+    lwes: &[LweCiphertext],
+    gkeys: &GaloisKeys,
+    params: &ChamParams,
+    threads: usize,
+) -> Result<PackedRlwe> {
     let ctx = params.ciphertext_context();
     if lwes.iter().any(|lwe| lwe.a().context() != ctx) {
         return Err(HeError::Incompatible(
             "pack_lwes expects normal-basis LWE ciphertexts",
         ));
     }
-    pack_with(
-        lwes.len(),
-        cham_pool::current_threads(),
-        lwe_leaves(lwes),
-        gkeys,
-        params,
-    )
+    pack_with(lwes.len(), threads, lwe_leaves(lwes, params), gkeys, params)
 }
 
 /// The [`pack_with`] leaves of `PACKLWES`: leaf `i` is `LWE-TO-RLWE` of
-/// `lwes[i]`.
-fn lwe_leaves(
-    lwes: &[LweCiphertext],
-) -> impl Fn(&[usize], &mut [RlweCiphertext], &mut DotScratch) -> Result<()> + Sync + '_ {
+/// `lwes[i]`, lifted.
+fn lwe_leaves<'a>(
+    lwes: &'a [LweCiphertext],
+    params: &'a ChamParams,
+) -> impl Fn(&[usize], &mut [PackOperand], &mut DotScratch) -> Result<()> + Sync + 'a {
     move |rows, dst, _| {
         for (&i, dst) in rows.iter().zip(dst) {
-            lwe_to_rlwe_into(&lwes[i], dst);
+            dst.set_lwe(&lwes[i], params);
         }
         Ok(())
     }
@@ -384,7 +537,7 @@ fn lwe_leaves(
 mod tests {
     use super::*;
     use crate::encoding::CoeffEncoder;
-    use crate::encrypt::{Decryptor, Encryptor};
+    use crate::encrypt::Encryptor;
     use crate::extract::{extract_lwe, lwe_to_rlwe};
     use crate::keys::SecretKey;
     use cham_math::Backend;
@@ -469,6 +622,38 @@ mod tests {
         assert_eq!(decoded, vals);
     }
 
+    /// On a partial pack the whole-ring meter reads the leaves' garbage
+    /// between the payloads and finds no budget; the payload meter reads
+    /// the payloads alone.
+    #[test]
+    fn noise_report_meters_the_payload_slots_only() {
+        let (params, sk, enc, dec, coder, mut rng) = setup();
+        let gkeys = GaloisKeys::generate_for_packing(&sk, params.max_pack_log(), &mut rng).unwrap();
+        let vals: Vec<u64> = (0..128).map(|_| rng.gen_range(0..65537)).collect();
+        let lwes: Vec<LweCiphertext> = vals
+            .iter()
+            .map(|&v| {
+                let ct = enc.encrypt(&coder.encode_vector(&[v]).unwrap(), &mut rng);
+                extract_lwe(&ct, 0).unwrap()
+            })
+            .collect();
+        let packed = pack_lwes(&lwes, &gkeys, &params).unwrap();
+        assert_eq!(packed.stride(&params), 2);
+        let ring = dec.decrypt_with_noise(&packed.ciphertext);
+        let payload = packed.noise_report(&dec, &params).unwrap();
+        let mut forged = packed.clone();
+        forged.log_count = params.max_pack_log() + 1;
+        assert!(forged.noise_report(&dec, &params).is_err());
+        assert!(ring.budget_bits < 1.0, "whole ring {}", ring.budget_bits);
+        assert!(
+            payload.budget_bits > 10.0,
+            "payload {}",
+            payload.budget_bits
+        );
+        assert_eq!(payload.plaintext, ring.plaintext);
+        assert_eq!(packed.decode(&payload.plaintext, &params).unwrap(), vals);
+    }
+
     #[test]
     fn pack_validation() {
         let (params, sk, enc, _, coder, mut rng) = setup();
@@ -499,11 +684,21 @@ mod tests {
 
     /// `count` LWEs of fresh encryptions under a seeded key.
     fn random_lwes(seed: u64, count: usize) -> (ChamParams, GaloisKeys, Vec<LweCiphertext>) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let params = ChamParams::insecure_test_default().unwrap();
-        let sk = SecretKey::generate(&params, &mut rng);
-        let enc = Encryptor::new(&params, &sk);
-        let coder = CoeffEncoder::new(&params);
+        let (gkeys, lwes) = random_lwes_over(&params, seed, count);
+        (params, gkeys, lwes)
+    }
+
+    /// [`random_lwes`] under `params`.
+    fn random_lwes_over(
+        params: &ChamParams,
+        seed: u64,
+        count: usize,
+    ) -> (GaloisKeys, Vec<LweCiphertext>) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let sk = SecretKey::generate(params, &mut rng);
+        let enc = Encryptor::new(params, &sk);
+        let coder = CoeffEncoder::new(params);
         let gkeys = GaloisKeys::generate_for_packing(&sk, params.max_pack_log(), &mut rng).unwrap();
         let lwes = (0..count)
             .map(|_| {
@@ -512,29 +707,75 @@ mod tests {
                 extract_lwe(&ct, 0).unwrap()
             })
             .collect();
-        (params, gkeys, lwes)
+        (gkeys, lwes)
+    }
+
+    /// The parameter sets of the three chains
+    /// `keyswitch_and_pack_match_the_oracle_on_every_chain` runs, at
+    /// `N = 256`, built under the process backend.
+    fn every_chain() -> Vec<ChamParams> {
+        let n = 256;
+        let (q0, q1, p) = (
+            cham_math::modulus::Q0,
+            cham_math::modulus::Q1,
+            cham_math::modulus::SPECIAL_P,
+        );
+        let wide = ntt_prime_below(1 << 51, n);
+        let chains = [
+            (vec![q0, q1], p),
+            (vec![q0, ntt_prime_below(1 << 37, n)], wide),
+            (
+                vec![ntt_prime_below(1 << 20, n), ntt_prime_below(wide, n)],
+                wide,
+            ),
+        ];
+        chains
+            .iter()
+            .map(|(primes, p)| {
+                crate::params::ChamParamsBuilder::new()
+                    .degree(n)
+                    .ciphertext_primes(primes)
+                    .special_prime(*p)
+                    .build()
+                    .unwrap()
+            })
+            .collect()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
+        /// The reduce buffer at every cap against the level-order oracle
+        /// (`b` over `Q·p` in coefficient form, one rescale at the root),
+        /// on every chain of the key-switch test: every count and cap on
+        /// the CHAM chain, and padded and full packs at two caps on the
+        /// others. The backend is the process's (`CHAM_SIMD`; CI runs
+        /// this under each), not forced here: a forced backend would race
+        /// the key-switch test's check of what each table resolved to.
         #[test]
         fn reduce_buffer_pack_matches_level_order(seed in any::<u64>()) {
-            let (params, gkeys, lwes) = random_lwes(seed, 256);
-            for count in [1usize, 2, 3, 5, 128, 255, 256] {
-                let want =
-                    crate::oracle::pack_lwes_level_order(&lwes[..count], &gkeys, &params).unwrap();
-                for cap in [1usize, 2, 3, 8] {
-                    let got =
-                        pack_with(count, cap, lwe_leaves(&lwes[..count]), &gkeys, &params)
+            for (chain, params) in every_chain().into_iter().enumerate() {
+                let (gkeys, lwes) = random_lwes_over(&params, seed, 256);
+                let (counts, caps): (&[usize], &[usize]) = if chain == 0 {
+                    (&[1, 2, 3, 5, 128, 255, 256], &[1, 2, 3, 8])
+                } else {
+                    (&[1, 3, 5, 40, 255], &[1, 3])
+                };
+                for &count in counts {
+                    let want =
+                        crate::oracle::pack_lwes_level_order(&lwes[..count], &gkeys, &params)
                             .unwrap();
-                    prop_assert!(
-                        got.ciphertext == want.ciphertext,
-                        "count={} cap={}",
-                        count,
-                        cap
-                    );
-                    prop_assert_eq!((got.log_count, got.count), (want.log_count, want.count));
+                    for &cap in caps {
+                        let got = pack_lwes_parallel(&lwes[..count], &gkeys, &params, cap).unwrap();
+                        prop_assert!(
+                            got.ciphertext == want.ciphertext,
+                            "chain={:?} count={} cap={}",
+                            params.augmented_context().moduli(),
+                            count,
+                            cap
+                        );
+                        prop_assert_eq!((got.log_count, got.count), (want.log_count, want.count));
+                    }
                 }
             }
         }

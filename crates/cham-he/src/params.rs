@@ -14,8 +14,10 @@
 
 use crate::{HeError, Result};
 use cham_math::modulus::{Modulus, Q0, Q1, SPECIAL_P};
+use cham_math::ntt::GaloisSlots;
 use cham_math::primality::is_prime;
 use cham_math::rns::RnsContext;
+use std::sync::Arc;
 
 /// Default plaintext modulus: the Fermat prime `2^16 + 1`.
 ///
@@ -47,6 +49,10 @@ pub struct ChamParams {
     ct_ctx: RnsContext,
     aug_ctx: RnsContext,
     special_prime: u64,
+    /// `σ_{2^h+1}` in the NTT slot order for `h = 1..=log2 N`: the pack's
+    /// automorphisms of its NTT-resident `b` half, one table per level,
+    /// built once with the parameters and shared by every clone.
+    pack_slots: Arc<[GaloisSlots]>,
 }
 
 impl ChamParams {
@@ -143,6 +149,12 @@ impl ChamParams {
     /// 34 + 34.3 + 38 ≈ 106–109 depending on rounding convention).
     pub fn total_modulus_bits(&self) -> u32 {
         128 - self.aug_ctx.modulus_product().leading_zeros()
+    }
+
+    /// The slot table of the pack's automorphism `σ_{2^h+1}` at level
+    /// `1 ≤ h ≤ log2 N`.
+    pub(crate) fn pack_slots(&self, h: u32) -> &GaloisSlots {
+        &self.pack_slots[h as usize - 1]
     }
 
     /// Maximum packing depth: `log2 N` levels pack up to `N` LWE
@@ -306,12 +318,16 @@ impl ChamParamsBuilder {
         let mut aug = self.ct_primes.clone();
         aug.push(self.special_prime);
         let aug_ctx = RnsContext::new(self.degree, &aug)?;
+        let pack_slots = (1..=self.degree.trailing_zeros())
+            .map(|h| GaloisSlots::new(self.degree, (1 << h) + 1))
+            .collect();
         Ok(ChamParams {
             degree: self.degree,
             plain_modulus: Modulus::new(self.plain_modulus)?,
             ct_ctx,
             aug_ctx,
             special_prime: self.special_prime,
+            pack_slots,
         })
     }
 }

@@ -5,7 +5,7 @@
 //! for a block's canonical `a` sums and `b₀` residues (the row MAC and the
 //! key-switch's digit product sum in registers and keep no accumulator
 //! plane), or a key-switch's digits and their two sums — together with
-//! the pack's spare ciphertexts. The input needs no buffer: it arrives in
+//! the pack's spare operands. The input needs no buffer: it arrives in
 //! NTT form and the MAC reads its limbs in place.
 //!
 //! Backing these with fresh vectors would put heap allocations, and page
@@ -28,8 +28,8 @@
 //! `cham_he.hmvp.scratch.{hit,miss}` counters that [`scratch_stats`]
 //! reads.
 
-use crate::ciphertext::RlweCiphertext;
 use crate::hmvp::ROW_BLOCK;
+use crate::pack::PackOperand;
 use cham_math::rns::RnsContext;
 use cham_telemetry::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,13 +39,13 @@ use std::sync::Mutex;
 /// augmented basis of `limbs × degree` lanes.
 pub(crate) struct DotScratch {
     /// `max(max(limbs − 1, 2) · limbs · lanes, ROW_BLOCK · limbs ·
-    /// (lanes + 2))` words: the key-switch digits (and, once the digit
+    /// (lanes + 1))` words: the key-switch digits (and, once the digit
     /// product has consumed them, its two sums), or a row block's `a`
     /// planes followed by its `b₀` residues.
     pub(crate) words: Vec<u64>,
-    /// Normal-basis ciphertexts a pack subtree consumed, kept as the next
-    /// subtree's leaf storage.
-    pub(crate) spare: Vec<RlweCiphertext>,
+    /// Pack operands a pack subtree consumed, kept as the next subtree's
+    /// leaf storage.
+    pub(crate) spare: Vec<PackOperand>,
     degree: usize,
 }
 
@@ -53,7 +53,7 @@ impl DotScratch {
     /// The length of `words` for `ctx`.
     fn words_for(ctx: &RnsContext) -> usize {
         let (n, limbs) = (ctx.degree(), ctx.len());
-        ((limbs - 1).max(2) * limbs * n).max(ROW_BLOCK * limbs * (n + 2))
+        ((limbs - 1).max(2) * limbs * n).max(ROW_BLOCK * limbs * (n + 1))
     }
 
     fn new(ctx: &RnsContext) -> Self {
@@ -157,7 +157,7 @@ mod tests {
         // A private pool: sibling tests hammer the global one in parallel.
         let pool = ScratchPool::new();
         let c = ctx(16);
-        pool.with(&c, |s| assert_eq!(s.words.len(), ROW_BLOCK * 3 * 18));
+        pool.with(&c, |s| assert_eq!(s.words.len(), ROW_BLOCK * 3 * 17));
         assert_eq!(pool.stats(), (0, 1), "first call was a miss");
         // Every subsequent same-shape call reuses the buffer.
         for _ in 0..10 {
@@ -174,11 +174,11 @@ mod tests {
         let pool = ScratchPool::new();
         let (small, big) = (ctx(16), ctx(32));
         pool.with(&small, |s| s.words.fill(7));
-        pool.with(&big, |s| assert_eq!(s.words.len(), ROW_BLOCK * 3 * 34));
+        pool.with(&big, |s| assert_eq!(s.words.len(), ROW_BLOCK * 3 * 33));
         // The 16-degree buffer is still pooled and comes back dirty —
         // callers never read a word before writing it.
         pool.with(&small, |s| {
-            assert_eq!(s.words.len(), ROW_BLOCK * 3 * 18);
+            assert_eq!(s.words.len(), ROW_BLOCK * 3 * 17);
             assert!(s.words.iter().all(|&x| x == 7));
         });
         assert_eq!(pool.stats(), (1, 2));

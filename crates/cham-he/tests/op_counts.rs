@@ -74,9 +74,11 @@ fn one_multiply_books_each_operation_once() {
     // Limb transforms, with `L` augmented limbs and `d` key-switch digits:
     // the NTT-form input is read in place (no forward transform of it),
     // each row tail brings its `a` back to coefficient form (`L` inverse),
-    // and each key-switch transforms its `d` digits forward and its
-    // `(b, a)` correction back (`d·L` forward, `2·L` inverse) — 12 per
-    // key-switch at `L = 3`, `d = 2`.
+    // each key-switch transforms its `d` digits forward and only the `a`
+    // half of its correction back (`d·L` forward, `L` inverse) — 9 per
+    // merge at `L = 3`, `d = 2`, where a rescale of `b` at every merge
+    // cost 12 — and the pack's `b` half, NTT-resident over `Q·p` from
+    // leaf to root, comes back once at the root (`L` inverse).
     let digits = params.ciphertext_context().len() as u64;
     assert_eq!(
         delta("cham_math.ntt.forward"),
@@ -84,7 +86,7 @@ fn one_multiply_books_each_operation_once() {
     );
     assert_eq!(
         delta("cham_math.ntt.inverse"),
-        aug_limbs * rows + 2 * aug_limbs * (rows - 1)
+        aug_limbs * rows + aug_limbs * (rows - 1) + aug_limbs
     );
     // Butterflies are booked by forward and inverse transforms alike.
     let transforms = delta("cham_math.ntt.forward") + delta("cham_math.ntt.inverse");
@@ -139,12 +141,14 @@ fn one_multiply_books_each_operation_once() {
 
     // The pack's element-wise passes, per key-switch merge over `d`
     // normal-basis limbs and `L` augmented ones: the monomial butterfly
-    // over both halves (`2·d·N` pairs), the digits written into every
-    // augmented limb (`d·L·N`) and `b`'s automorphism added into the
-    // accumulator (`d·N`) — `12·N` at `L = 3`, `d = 2`. Every pack level
-    // here has `g = N >> h ≥ 32`, whole registers, so it is all vector
-    // where the tables resolved to IFMA and all tail everywhere else.
-    let eltwise = (rows - 1) * (2 * digits + digits * aug_limbs + digits) * n as u64;
+    // over `a` (`d·N` pairs) and, against the level's root table, over
+    // the NTT-form `b` (`L·N` pairs), the digits written into every
+    // augmented limb (`d·L·N`) and `b`'s slot gather-add of `σ_k(b)` and
+    // the key-switch's `b` correction into the accumulator (`L·N`) —
+    // `14·N` at `L = 3`, `d = 2`. Every pack level here has
+    // `g = N >> h ≥ 32`, whole registers, so it is all vector where the
+    // tables resolved to IFMA and all tail everywhere else.
+    let eltwise = (rows - 1) * (digits + aug_limbs + digits * aug_limbs + aug_limbs) * n as u64;
     assert_eq!(
         (
             delta("cham_math.simd.eltwise.vector"),

@@ -5,8 +5,11 @@
 //! The multiply test computes a *sequential twin* at a cap of 1 (the
 //! inline path — identical code on the calling thread, nothing spawned)
 //! and asserts **bit-exact** equality at caps {1, 2, 3, 7, 8}; the
-//! pack test holds `pack_lwes`, at the process thread budget, to a
-//! level-order twin built from the public `pack_two`. HE ciphertexts make
+//! pack test holds `pack_lwes`, at the process thread budget, to
+//! `pack_lwes_parallel` at the same caps. (A level-order twin built from
+//! the public `pack_two` is no twin: `pack_two` rounds `b` at every
+//! merge, the pack once at its root; the crate's own proptest holds the
+//! pack to a level-order oracle that rounds where it does.) HE ciphertexts make
 //! good witnesses here: a single flipped bit anywhere in a limb shows up
 //! directly in the comparison, long before decryption. That the cap
 //! governs every fan-out inside a call is pinned, with the process-wide
@@ -15,10 +18,9 @@
 
 use cham_he::ciphertext::RlweCiphertext;
 use cham_he::encrypt::Encryptor;
-use cham_he::extract::lwe_to_rlwe;
 use cham_he::hmvp::{Hmvp, HmvpResult, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
-use cham_he::pack::{pack_lwes, pack_two};
+use cham_he::pack::{pack_lwes, pack_lwes_parallel};
 use cham_he::params::ChamParams;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -97,22 +99,17 @@ fn pack_tree_bit_exact_across_pool_sizes() {
             cham_he::extract::extract_lwe(&ct, 0).unwrap()
         })
         .collect();
-    // The sequential twin through the public `pack_two`: leaves placed
-    // bit-reversed, then the tree reduced one level at a time.
+    // The sequential twin: the inline path at a cap of 1.
     let log = lwes.len().next_power_of_two().trailing_zeros();
-    let mut level = vec![lwe_to_rlwe(&lwes[0]).zero_like(); 1 << log];
-    for (i, lwe) in lwes.iter().enumerate() {
-        level[cham_math::bit_reverse(i, log)] = lwe_to_rlwe(lwe);
+    let expect = pack_lwes_parallel(&lwes, &f.gkeys, &f.params, 1).unwrap();
+    assert_eq!((expect.log_count, expect.count), (log, lwes.len()));
+    for cap in CAPS {
+        let got = pack_lwes_parallel(&lwes, &f.gkeys, &f.params, cap).unwrap();
+        assert_eq!(got.ciphertext, expect.ciphertext, "cap {cap}");
+        assert_eq!((got.log_count, got.count), (log, lwes.len()), "cap {cap}");
     }
-    for h in 1..=log {
-        level = level
-            .chunks(2)
-            .map(|pair| pack_two(h, &pair[0], &pair[1], &f.gkeys, &f.params).unwrap())
-            .collect();
-    }
-    // `pack_lwes` fans out over the process budget; its subtree split at
-    // each cap is pinned by the crate's own pack proptest.
+    // `pack_lwes` fans out over the process budget.
     let got = pack_lwes(&lwes, &f.gkeys, &f.params).unwrap();
-    assert_eq!(got.ciphertext, level[0]);
+    assert_eq!(got.ciphertext, expect.ciphertext);
     assert_eq!((got.log_count, got.count), (log, lwes.len()));
 }

@@ -181,6 +181,32 @@ impl NttTable {
         self.psi
     }
 
+    /// The monomial `X^g` in the evaluation order of [`NttTable::forward`],
+    /// for a power of two `g < n`, as its short root table.
+    ///
+    /// Slot `i` of the forward transform holds `f(ψ^{2·brv(i)+1})`, and
+    /// `ψ^g` has order `2n/g`, so `X^g` is constant on each block of `g`
+    /// consecutive slots: `+w_j` on block `2j` and `−w_j` on block
+    /// `2j + 1`, with `w_j = ψ^{g·(2·brv(j)+1)}` for `j < r = n/(2g)`.
+    /// Those `w_j` are the forward transform's own twiddles
+    /// `ψ^{brv(r + j)}`: this returns them with their Shoup companions,
+    /// and no table is built.
+    ///
+    /// # Panics
+    /// Panics unless `g` is a power of two below `n`.
+    #[must_use]
+    pub fn monomial_roots(&self, g: usize) -> (&[u64], &[u64]) {
+        assert!(
+            g.is_power_of_two() && g < self.n,
+            "monomial X^{g} outside the transform"
+        );
+        let r = self.n / (2 * g);
+        (
+            &self.root_powers[r..2 * r],
+            &self.root_powers_shoup[r..2 * r],
+        )
+    }
+
     /// Books one forward transform and its `N/2 · log₂N` butterflies.
     #[inline]
     fn book_forward(&self) {
@@ -401,6 +427,71 @@ impl NttTable {
     }
 }
 
+/// The automorphism `σ_k: X → X^k` (odd `k`) in the evaluation order of
+/// [`NttTable::forward`]: slot `i` of `σ_k(f)` is slot `self[i]` of `f`.
+/// It moves values and negates none, on every prime of a degree.
+///
+/// Slot `i` holds `f(ψ^{e})` with `e = 2·brv(i) + 1`, and
+/// `σ_k(f)(ψ^e) = f(ψ^{k·e})`, so in bit-reversed coordinates
+/// `u = brv(i)` the map is affine: `u → k·u + (k − 1)/2 mod n`. The table
+/// is built once per `(n, k)`; every index is below `n` by construction,
+/// which is what lets a vector arm gather through it unchecked.
+#[derive(Clone, PartialEq, Eq)]
+pub struct GaloisSlots {
+    k: usize,
+    slots: Vec<u32>,
+}
+
+impl GaloisSlots {
+    /// The slot table of `σ_k` at transform size `n`.
+    ///
+    /// # Panics
+    /// Panics unless `n` is a power of two of at most 2^31 (a slot is a
+    /// non-negative `i32` to a vector gather) and `k` is odd.
+    #[must_use]
+    pub fn new(n: usize, k: usize) -> Self {
+        assert!(
+            n.is_power_of_two() && n <= 1 << 31,
+            "transform size {n} is not a power of two of at most 2^31"
+        );
+        assert!(k % 2 == 1, "automorphism index {k} is even");
+        let bits = n.trailing_zeros();
+        let (mask, k_n) = (n - 1, k % n);
+        let slots = (0..n)
+            .map(|i| {
+                let u = bit_reverse(i, bits);
+                let image = (k_n * u + (k - 1) / 2) & mask;
+                bit_reverse(image, bits) as u32
+            })
+            .collect();
+        Self { k, slots }
+    }
+
+    /// The automorphism index `k`.
+    #[inline]
+    #[must_use]
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// The source slot of every destination slot, each below
+    /// `self.slots().len()`.
+    #[inline]
+    #[must_use]
+    pub fn slots(&self) -> &[u32] {
+        &self.slots
+    }
+}
+
+impl std::fmt::Debug for GaloisSlots {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GaloisSlots")
+            .field("k", &self.k)
+            .field("n", &self.slots.len())
+            .finish()
+    }
+}
+
 /// Schoolbook negacyclic multiplication — the `O(N^2)` oracle used to
 /// validate both NTT implementations.
 ///
@@ -439,6 +530,62 @@ mod tests {
 
     fn random_poly(n: usize, q: &Modulus, rng: &mut impl Rng) -> Vec<u64> {
         (0..n).map(|_| rng.gen_range(0..q.value())).collect()
+    }
+
+    /// `X^g` transformed is `±w_j` on blocks of `g` slots, the `w_j` read
+    /// off the forward twiddles, at every `g` of every size.
+    #[test]
+    fn monomial_roots_are_the_transformed_monomial() {
+        for qv in [Q0, SPECIAL_P] {
+            let q = Modulus::new(qv).unwrap();
+            for log_n in [2u32, 5, 8] {
+                let n = 1 << log_n;
+                let t = NttTable::new(n, q).unwrap();
+                for h in 1..=log_n {
+                    let g = n >> h;
+                    let mut mono = vec![0u64; n];
+                    mono[g] = 1;
+                    t.forward(&mut mono);
+                    let (roots, shoups) = t.monomial_roots(g);
+                    assert_eq!(roots.len(), 1 << (h - 1));
+                    for (i, &got) in mono.iter().enumerate() {
+                        let w = roots[i / (2 * g)];
+                        let want = if (i / g) % 2 == 0 { w } else { q.neg(w) };
+                        assert_eq!(got, want, "q={qv} n={n} g={g} slot {i}");
+                    }
+                    for (&w, &ws) in roots.iter().zip(shoups) {
+                        assert_eq!(ws, q.shoup(w));
+                    }
+                }
+            }
+        }
+    }
+
+    /// `σ_k` transformed is a gather through `GaloisSlots`, with no sign,
+    /// for every odd `k` below `2n` at small sizes.
+    #[test]
+    fn galois_slots_are_the_transformed_automorphism() {
+        let mut rng = rng();
+        let q = Modulus::new(Q1).unwrap();
+        for log_n in [2u32, 4, 7] {
+            let n = 1 << log_n;
+            let t = NttTable::new(n, q).unwrap();
+            let f = random_poly(n, &q, &mut rng);
+            let mut f_ntt = f.clone();
+            t.forward(&mut f_ntt);
+            for k in (1..2 * n).step_by(2) {
+                let mut image = vec![0u64; n];
+                for (j, &c) in f.iter().enumerate() {
+                    let jk = j * k % (2 * n);
+                    image[jk % n] = if jk >= n { q.neg(c) } else { c };
+                }
+                t.forward(&mut image);
+                let slots = GaloisSlots::new(n, k);
+                assert_eq!(slots.k(), k);
+                let gathered: Vec<u64> = slots.slots().iter().map(|&s| f_ntt[s as usize]).collect();
+                assert_eq!(gathered, image, "n={n} k={k}");
+            }
+        }
     }
 
     #[test]

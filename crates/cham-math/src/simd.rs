@@ -25,7 +25,10 @@
 //!   MULTMONO and AUTOMORPH: the **monomial butterfly**
 //!   ([`monomial_butterfly`]), the automorphism added into a limb
 //!   ([`automorph_add`]) and a key-switch digit written into every limb
-//!   of the augmented basis ([`write_digit`]),
+//!   of the augmented basis ([`write_digit`]) — and their NTT-domain twins
+//!   on the pack's `b` half: the butterfly against a short root table
+//!   ([`ntt_monomial_butterfly`]) and `σ_k` as a signless slot gather-add
+//!   ([`slot_gather_add`]),
 //!
 //! plus the `[0, 4q) → [0, q)` normalization pass that finishes a lazy
 //! forward transform.
@@ -75,9 +78,11 @@
 //!   normalization and the inverse's `n⁻¹` last stage in 512-bit
 //!   registers, strides 8/4/2/1 in-register with lane permutes — the HEXL
 //!   recipe), the row product, the key-switch digit product, and the
-//!   rescale — and for the pack's three element-wise passes, which
-//!   multiply nothing and need only AVX-512F (`min_epu64`
-//!   compare-subtracts and an 8-lane gather). Every 52-bit Shoup
+//!   rescale — and for the pack's element-wise passes: the three in
+//!   coefficient form and the slot gather-add multiply nothing and need
+//!   only AVX-512F (`min_epu64` compare-subtracts and an 8-lane gather),
+//!   and the NTT-domain butterfly multiplies by its root on the 52-bit
+//!   multiplier. Every 52-bit Shoup
 //!   companion is a 64-bit one shifted right by 12, so the tier adds no
 //!   tables. It needs every value it multiplies to fit 52 bits: a modulus
 //!   of 2^50 or more — a property of the input, nothing to configure —
@@ -133,7 +138,9 @@ pub enum Backend {
 /// [`Backend`] code. Resolved lazily from `CHAM_SIMD` + feature detection;
 /// overridable via [`Backend::force`] (last write wins — tables capture the
 /// value at construction, so a flip never changes an existing table).
-static GLOBAL: AtomicU8 = AtomicU8::new(u8::MAX);
+static GLOBAL: AtomicU8 = AtomicU8::new(UNSET);
+/// `GLOBAL` before `CHAM_SIMD` is resolved or a backend is forced.
+const UNSET: u8 = u8::MAX;
 
 /// Largest modulus width the IFMA kernels take: lazy values reach `4q − 1`
 /// and must fit the 52-bit multiplier inputs.
@@ -261,6 +268,11 @@ impl Backend {
     /// An unknown value or a backend the host cannot run degrades to the
     /// detected default / scalar rather than failing — a fleet config
     /// naming `avx2` must not crash the one aarch64 node.
+    ///
+    /// The resolved value is stored only over "unset": a [`Backend::force`]
+    /// that lands while another thread is resolving keeps its pin (a plain
+    /// store here overwrote it, so tables built after the pin could
+    /// capture the environment's backend instead).
     #[must_use]
     pub fn active() -> Self {
         match Self::from_code(GLOBAL.load(Ordering::Relaxed)) {
@@ -270,8 +282,15 @@ impl Backend {
                 let resolved = Self::from_name(&requested)
                     .unwrap_or_else(Self::detect_auto)
                     .or_available();
-                Self::force(resolved);
-                resolved
+                match GLOBAL.compare_exchange(
+                    UNSET,
+                    resolved.code(),
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => resolved,
+                    Err(pinned) => Self::from_code(pinned).unwrap_or(resolved),
+                }
             }
         }
     }
@@ -336,8 +355,9 @@ pub enum Kernel {
     /// `[0, 4q) → [0, q)` normalization passes (count unit: elements).
     Normalize = 4,
     /// The pack's element-wise passes — [`monomial_butterfly`],
-    /// [`automorph_add`], [`write_digit`] (count unit: coefficients
-    /// written per limb; a butterfly's `(even, odd)` pair is one).
+    /// [`automorph_add`], [`write_digit`], [`ntt_monomial_butterfly`],
+    /// [`slot_gather_add`] (count unit: coefficients written per limb; a
+    /// butterfly's `(even, odd)` pair is one).
     Eltwise = 5,
 }
 
@@ -444,7 +464,7 @@ pub fn simd_stats() -> SimdStats {
 //
 // `Avx512Ifma` has arms of its own for the whole `NttTable` transforms
 // (`ifma_forward`/`ifma_inverse`), the row product, the digit product,
-// the rescale and the pack's three element-wise passes; every other
+// the rescale and the pack's five element-wise passes; every other
 // per-stage and per-slice kernel below runs it on the best arm that
 // exists — `stage_arm()` (AVX2) for the forward stage and normalization
 // kernels, scalar for the inverse stage, the `u128` MAC and the
@@ -853,10 +873,13 @@ pub fn reduce_from_lazy_slice(backend: Backend, a: &mut [u64], q: &Modulus) {
 // ------------------------------------------------- the pack's PPU passes
 //
 // PAPER.md Table I's MODADD/MODSUB, SHIFTNEG/MULTMONO and AUTOMORPH as
-// `PACKTWOLWES` runs them: no multiply, only adds, compare-subtracts and
-// data movement, so the vector arm needs AVX-512F alone and takes any
-// modulus the scalar arm takes. They are dispatched like the other
-// element-wise kernels: the callers pass the limb table's backend, so
+// `PACKTWOLWES` runs them. On coefficient-form limbs, and as the NTT-form
+// slot gather-add, they multiply nothing — only adds, compare-subtracts
+// and data movement — so the vector arm needs AVX-512F alone and takes
+// any modulus the scalar arm takes. The NTT-form butterfly multiplies by
+// its block's root on the 52-bit multiplier, so it takes moduli below
+// 2^50 like the other multiplying element-wise kernels. They are
+// dispatched like those: the callers pass the limb table's backend, so
 // a modulus of 2^50 or more runs the scalar arm, and `avx2` runs it
 // everywhere.
 
@@ -1054,6 +1077,93 @@ pub fn write_digit(
         }
     }
     record_kernel(Kernel::Eltwise, vector as u64, (limbs * n - vector) as u64);
+}
+
+/// Lines 1–3 of Alg. 2 on one **NTT-form** limb over `q`, in place:
+/// `even ← even + X^g·odd` and `odd ← even − X^g·odd`. In the evaluation
+/// order of [`crate::NttTable::forward`] the monomial is a pointwise
+/// multiply by a short root table ([`crate::NttTable::monomial_roots`]):
+/// `g = n / (2·roots.len())`, and block `2j` of `g` slots is multiplied by
+/// `roots[j]`, block `2j + 1` by `−roots[j]`; `shoups` are the roots'
+/// Shoup companions. A negated block is the same butterfly with its
+/// outputs swapped, so no root is negated. Canonical in and out. The
+/// vector arm takes limbs whose blocks are whole registers (`g ≥ 8`) over
+/// a modulus below 2^50; any other runs the scalar arm. Books `n` under
+/// [`Kernel::Eltwise`].
+///
+/// # Panics
+/// Panics unless `even` and `odd` have one length `n`, `roots` and
+/// `shoups` one power-of-two length of at most `n/2`.
+pub fn ntt_monomial_butterfly(
+    backend: Backend,
+    even: &mut [u64],
+    odd: &mut [u64],
+    roots: &[u64],
+    shoups: &[u64],
+    q: &Modulus,
+) {
+    let (n, r) = (even.len(), roots.len());
+    assert!(
+        odd.len() == n && shoups.len() == r && r.is_power_of_two() && 2 * r <= n,
+        "operand length mismatch"
+    );
+    let vector = match backend {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: `ifma_elementwise` just detected `avx512f` + `avx512ifma`.
+        Backend::Avx512Ifma if n / (2 * r) >= backend.lanes() && ifma_elementwise(&[q]) => unsafe {
+            ifma::ntt_butterfly(even, odd, roots, shoups, q);
+            n
+        },
+        _ => {
+            scalar::ntt_butterfly(even, odd, roots, shoups, q);
+            0
+        }
+    };
+    record_kernel(Kernel::Eltwise, vector as u64, (n - vector) as u64);
+}
+
+/// AUTOMORPH on **NTT-form** limbs, added with a second addend:
+/// `dst[i] ← dst[i] + src[slots[i]] + extra[i] mod q`. In the evaluation
+/// order of [`crate::NttTable::forward`], `σ_k` moves slots and negates
+/// none ([`crate::ntt::GaloisSlots`]), so this is one gather and two
+/// modular adds per word — the pack folds `σ_k(b)` and the key-switch's
+/// `b` correction into its accumulator in one pass. Canonical in and
+/// out. The vector arm needs AVX-512F alone (it multiplies nothing) and
+/// reads eight 32-bit slot indices per register; a limb shorter than a
+/// register runs the scalar arm. Books `n` under [`Kernel::Eltwise`].
+///
+/// # Panics
+/// Panics unless `dst`, `src`, `extra` and the slot table have one length.
+pub fn slot_gather_add(
+    backend: Backend,
+    dst: &mut [u64],
+    src: &[u64],
+    slots: &crate::ntt::GaloisSlots,
+    extra: &[u64],
+    q: &Modulus,
+) {
+    let (n, slots) = (dst.len(), slots.slots());
+    assert!(
+        src.len() == n && extra.len() == n && slots.len() == n,
+        "operand length mismatch"
+    );
+    let vector = match backend {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: `avx512_lanes` just detected `avx512f`; every slot of a
+        // `GaloisSlots` is below its length, which is `src`'s.
+        b if avx512_lanes(b) && n >= b.lanes() => unsafe {
+            ifma::gather_add(dst, src, slots, extra, q)
+        },
+        _ => 0,
+    };
+    scalar::gather_add(
+        &mut dst[vector..],
+        src,
+        &slots[vector..],
+        &extra[vector..],
+        q,
+    );
+    record_kernel(Kernel::Eltwise, vector as u64, (n - vector) as u64);
 }
 
 /// Splits a slice length into `(vector, tail)` element counts for an arm
@@ -1300,6 +1410,51 @@ mod scalar {
             let v = if jk & n != 0 { q.neg(v) } else { v };
             let slot = &mut dst[jk & mask];
             *slot = if ADD { q.add(*slot, v) } else { v };
+        }
+    }
+
+    /// `x − (x ≥ q ? q : 0)` for `x < 2q`, without a branch: on random
+    /// residues a branch here mispredicts half the time.
+    #[inline]
+    fn csub(x: u64, q: u64) -> u64 {
+        x.min(x.wrapping_sub(q))
+    }
+
+    /// The NTT-domain monomial butterfly, block by block: `t = w·o`
+    /// (a lazy Shoup multiply, `< 2q`), then `(e + t, e − t)`, swapped on
+    /// a negated block.
+    pub(super) fn ntt_butterfly(
+        even: &mut [u64],
+        odd: &mut [u64],
+        roots: &[u64],
+        shoups: &[u64],
+        q: &Modulus,
+    ) {
+        let g = even.len() / (2 * roots.len());
+        let qv = q.value();
+        let blocks = even.chunks_exact_mut(g).zip(odd.chunks_exact_mut(g));
+        for (b, (even, odd)) in blocks.enumerate() {
+            let (w, ws) = (roots[b / 2], shoups[b / 2]);
+            for (e, o) in even.iter_mut().zip(odd) {
+                let t = csub(q.mul_shoup_lazy(*o, w, ws), qv);
+                let sum = csub(*e + t, qv);
+                let diff = csub(*e + qv - t, qv);
+                (*e, *o) = if b % 2 == 1 { (diff, sum) } else { (sum, diff) };
+            }
+        }
+    }
+
+    /// `dst[i] ← dst[i] + src[slots[i]] + extra[i] mod q`.
+    pub(super) fn gather_add(
+        dst: &mut [u64],
+        src: &[u64],
+        slots: &[u32],
+        extra: &[u64],
+        q: &Modulus,
+    ) {
+        let q = q.value();
+        for ((d, &s), &x) in dst.iter_mut().zip(slots).zip(extra) {
+            *d = csub(csub(*d + src[s as usize], q) + x, q);
         }
     }
 
@@ -2005,6 +2160,67 @@ mod ifma {
                 },
             );
         }
+    }
+
+    /// The NTT-domain monomial butterfly over blocks of whole registers:
+    /// one root per block, broadcast; `t = w·o` is a 52-bit Shoup multiply
+    /// into `[0, 2q)` made canonical by one subtraction, and `e + t`,
+    /// `e + q − t` take one more each. A negated block swaps the outputs.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn ntt_butterfly(
+        even: &mut [u64],
+        odd: &mut [u64],
+        roots: &[u64],
+        shoups: &[u64],
+        q: &Modulus,
+    ) {
+        let c = consts(q);
+        let g = even.len() / (2 * roots.len()) / LANES;
+        let (even, _) = even.as_chunks_mut::<LANES>();
+        let (odd, _) = odd.as_chunks_mut::<LANES>();
+        let blocks = even.chunks_exact_mut(g).zip(odd.chunks_exact_mut(g));
+        for (b, (even, odd)) in blocks.enumerate() {
+            let tw = splat(roots[b / 2], shoups[b / 2]);
+            for (e, o) in even.iter_mut().zip(odd.iter_mut()) {
+                let (x, y) = (load(e), load(o));
+                let t = csub(mul_lazy(y, tw, &c), c.q);
+                let sum = csub(_mm512_add_epi64(x, t), c.q);
+                let diff = csub(_mm512_sub_epi64(_mm512_add_epi64(x, c.q), t), c.q);
+                let (x, y) = if b % 2 == 1 { (diff, sum) } else { (sum, diff) };
+                store(e, x);
+                store(o, y);
+            }
+        }
+    }
+
+    /// The slot gather-add over the whole registers of `dst`; returns how
+    /// many words it wrote. Eight 32-bit slots index one gather of `src`.
+    ///
+    /// # Safety
+    /// Every slot must be below `src.len()`, and the host must have
+    /// `avx512f`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn gather_add(
+        dst: &mut [u64],
+        src: &[u64],
+        slots: &[u32],
+        extra: &[u64],
+        q: &Modulus,
+    ) -> usize {
+        let q = _mm512_set1_epi64(q.value() as i64);
+        let (dst, _) = dst.as_chunks_mut::<LANES>();
+        let rows = slots.as_chunks::<LANES>().0.iter().zip(extra.as_chunks().0);
+        for (d, (at, x)) in dst.iter_mut().zip(rows) {
+            // Safety: `at` is 32 readable bytes; the caller bounds every
+            // slot by `src.len()`.
+            let v = unsafe {
+                let at = _mm256_loadu_si256(at.as_ptr().cast());
+                _mm512_i32gather_epi64::<8>(at, src.as_ptr().cast())
+            };
+            let sum = csub(_mm512_add_epi64(load(d), v), q);
+            store(d, csub(_mm512_add_epi64(sum, load(x)), q));
+        }
+        dst.len() * LANES
     }
 
     /// `dst ← src − (src ≥ q ? q : 0)` over the whole registers of `src`;

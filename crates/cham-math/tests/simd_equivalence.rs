@@ -21,12 +21,16 @@
 //! the monomial butterfly, the automorphism added into a limb and the
 //! digit written into every limb — at every pack level, with the
 //! difference stored plain and rotated, on random, all-(q−1) and all-zero
-//! inputs.
+//! inputs; and so are their NTT-domain twins on the pack's `b` half — the
+//! butterfly against a short root table and the slot gather-add — at
+//! every level `h` and every `k = 2^h + 1`, on a modulus of 2^50 or more
+//! (the scalar arm under every backend) as well.
 //!
 //! Backends the host cannot run are absent from `Backend::all_available`,
 //! so their arms skip rather than fail.
 
 use cham_math::modulus::{Q0, Q1, SPECIAL_P};
+use cham_math::ntt::GaloisSlots;
 use cham_math::ntt_cg::CgNttTable;
 use cham_math::primality::is_prime;
 use cham_math::{simd, Backend, Modulus, NttTable};
@@ -646,6 +650,95 @@ fn write_digit_matches_scalar_bit_for_bit() {
                             .collect();
                         let case = format!("to={to:?} own={own} n={n} k={k} rot={rot}");
                         assert_eq!(want, textbook, "{case}");
+                        for backend in vector_backends() {
+                            assert_eq!(run(backend), want, "{case} {backend}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The moduli below 2^50 plus one of 2^50 or more, on which an
+/// `avx512ifma` backend runs the element-wise kernels' scalar arm.
+fn moduli_past_2_pow_50() -> Vec<Modulus> {
+    let mut all = moduli_to_2_pow_50();
+    all.push(largest_ntt_prime(51, 4096));
+    all
+}
+
+#[test]
+fn ntt_monomial_butterfly_matches_scalar_bit_for_bit() {
+    let mut rng = rng();
+    for q in moduli_past_2_pow_50() {
+        for n in PACK_SIZES {
+            let table = NttTable::new(n, q).unwrap();
+            // Every pack level `h`, `g = N >> h`: blocks of whole
+            // registers, and blocks shorter than one at the top levels.
+            for g in (1..=n.trailing_zeros()).map(|h| n >> h) {
+                let (roots, shoups) = table.monomial_roots(g);
+                for (even, odd) in pack_inputs(n, &q, &mut rng)
+                    .into_iter()
+                    .zip(pack_inputs(n, &q, &mut rng).into_iter().rev())
+                {
+                    let run = |backend: Backend| {
+                        let (mut e, mut o) = (even.clone(), odd.clone());
+                        simd::ntt_monomial_butterfly(backend, &mut e, &mut o, roots, shoups, &q);
+                        (e, o)
+                    };
+                    let want = run(Backend::Scalar);
+                    // The scalar arm against `even ± W·odd`, `W` the
+                    // signed root of each slot's block.
+                    let w = |i: usize| {
+                        let w = roots[i / (2 * g)];
+                        if (i / g).is_multiple_of(2) {
+                            w
+                        } else {
+                            q.neg(w)
+                        }
+                    };
+                    let t: Vec<u64> = (0..n).map(|i| q.mul(w(i), odd[i])).collect();
+                    let sum = (0..n).map(|i| q.add(even[i], t[i])).collect();
+                    let diff = (0..n).map(|i| q.sub(even[i], t[i])).collect();
+                    let case = format!("q={q} n={n} g={g}");
+                    assert_eq!(want, (sum, diff), "{case}");
+                    for backend in vector_backends() {
+                        assert_eq!(run(backend), want, "{case} {backend}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn slot_gather_add_matches_scalar_bit_for_bit() {
+    let mut rng = rng();
+    for q in moduli_past_2_pow_50() {
+        for n in PACK_SIZES {
+            // Every pack level's `k = 2^h + 1`, and the identity.
+            for k in std::iter::once(1).chain((1..=n.trailing_zeros()).map(|h| (1 << h) + 1)) {
+                let slots = GaloisSlots::new(n, k);
+                for src in pack_inputs(n, &q, &mut rng) {
+                    for (held, extra) in pack_inputs(n, &q, &mut rng)
+                        .into_iter()
+                        .zip(pack_inputs(n, &q, &mut rng).into_iter().rev())
+                    {
+                        let run = |backend: Backend| {
+                            let mut dst = held.clone();
+                            simd::slot_gather_add(backend, &mut dst, &src, &slots, &extra, &q);
+                            dst
+                        };
+                        let want = run(Backend::Scalar);
+                        let sum: Vec<u64> = (0..n)
+                            .map(|i| {
+                                let gathered = src[slots.slots()[i] as usize];
+                                q.add(q.add(held[i], gathered), extra[i])
+                            })
+                            .collect();
+                        let case = format!("q={q} n={n} k={k}");
+                        assert_eq!(want, sum, "{case}");
                         for backend in vector_backends() {
                             assert_eq!(run(backend), want, "{case} {backend}");
                         }

@@ -233,7 +233,9 @@ impl HmvpCycleModel {
     /// ops/s); it is not a transform count, since
     /// [`Self::transform_slots_per_sec`] counts forward arrays only. A
     /// software key-switch runs 12 limb transforms — 6 forward over the
-    /// digits, 6 inverse over the `(b, a)` correction — which
+    /// digits, 6 inverse over the `(b, a)` correction. Inside a pack,
+    /// whose `b` half stays in NTT form, a merge runs 9 (only the `a`
+    /// correction comes back) plus 3 once at the pack's root, which
     /// `cham-he/tests/op_counts.rs` pins.
     pub fn keyswitch_ops_per_sec(&self) -> f64 {
         self.transform_slots_per_sec() / (3.0 * self.shape.aug_limbs as f64)

@@ -142,18 +142,26 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 const KAT_SHAPES: [(usize, usize); 4] = [(300, 16), (8, 700), (256, 256), (3, 17 * 256 + 1)];
 
 /// Digests of the `cham_he::wire` bytes of every packed ciphertext, one
-/// slice per `KAT_SHAPES` entry, from seed `0xC4A3_0012`. The first three
-/// were generated at commit e25d67e — before the streaming row tail and
-/// reduce-buffer pack; the fourth at commit ab9248f — before the row MAC
-/// moved onto the row-product kernel. Appending a shape keeps the earlier
-/// digests, because the fixture draws its rng in shape order.
-/// They must never change: a refactor of the back half is a re-ordering
-/// of exact modular arithmetic, not a new function.
+/// slice per `KAT_SHAPES` entry, from seed `0xC4A3_0012`. Appending a
+/// shape keeps the earlier digests, because the fixture draws its rng in
+/// shape order.
+///
+/// They were regenerated once, on purpose, when the pack's `b` half
+/// moved into NTT form over `Q·p` with one mod-down at the root: `b` is
+/// now rounded once per pack instead of once per leaf and once per merge,
+/// which is a different (and no noisier) function, not a re-ordering. The
+/// digests they replaced — `[0xd7633eaa27c3e3e5, 0xec40040ae28b97b9]`,
+/// `[0xdcb4677655b68872]`, `[0x2a48d6b8996e0217]`, `[0x1c44e7aecfc2b1f0]`
+/// — dated from commit e25d67e (the first three, before the streaming
+/// row tail and reduce-buffer pack) and ab9248f (the fourth, before the
+/// row MAC moved onto the row-product kernel). Apart from such a
+/// deliberate change of function, they must never change: a refactor of
+/// the back half is a re-ordering of exact modular arithmetic.
 const KAT_DIGESTS: [&[u64]; 4] = [
-    &[0xd7633eaa27c3e3e5, 0xec40040ae28b97b9],
-    &[0xdcb4677655b68872],
-    &[0x2a48d6b8996e0217],
-    &[0x1c44e7aecfc2b1f0],
+    &[0x1cc0205d0004a980, 0x8a557b574969f799],
+    &[0x524b80deb6afc800],
+    &[0x0c16588b626c4ae7],
+    &[0x0515d2d5cc566b0e],
 ];
 
 /// Which `Hmvp` entry point a KAT arm drives.
@@ -165,6 +173,30 @@ enum KatEntry {
     Parallel(usize),
 }
 
+/// One golden-KAT case: the encoded matrix, the encrypted vector and the
+/// plain `A·v`.
+type KatCase = (cham::he::hmvp::EncodedMatrix, Vec<RlweCiphertext>, Vec<u64>);
+
+/// The golden KAT's fixture: keys, then one case per `KAT_SHAPES` entry,
+/// drawn from the fixed seed in shape order.
+fn kat_fixture() -> (ChamParams, Decryptor, GaloisKeys, Hmvp, Vec<KatCase>) {
+    let (params, _, enc, dec, gkeys, mut rng) = setup(0xC4A3_0012);
+    let tm = params.plain_modulus();
+    let t = tm.value();
+    let hmvp = Hmvp::new(&params);
+    let cases = KAT_SHAPES
+        .iter()
+        .map(|&(m, n)| {
+            let a = Matrix::random(m, n, t, &mut rng);
+            let v: Vec<u64> = (0..n).map(|_| rng.gen_range(0..t)).collect();
+            let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
+            let want = a.mul_vector_mod(&v, tm).unwrap();
+            (hmvp.encode_matrix(&a).unwrap(), cts, want)
+        })
+        .collect();
+    (params, dec, gkeys, hmvp, cases)
+}
+
 #[test]
 fn golden_kat_pins_packed_ciphertext_bytes() {
     use cham::math::Backend;
@@ -172,20 +204,7 @@ fn golden_kat_pins_packed_ciphertext_bytes() {
         // Tables capture the SIMD backend at construction, so the whole
         // fixture is rebuilt from the fixed seed under each one.
         Backend::force(backend);
-        let (params, _, enc, dec, gkeys, mut rng) = setup(0xC4A3_0012);
-        let tm = params.plain_modulus();
-        let t = tm.value();
-        let hmvp = Hmvp::new(&params);
-        let cases: Vec<_> = KAT_SHAPES
-            .iter()
-            .map(|&(m, n)| {
-                let a = Matrix::random(m, n, t, &mut rng);
-                let v: Vec<u64> = (0..n).map(|_| rng.gen_range(0..t)).collect();
-                let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
-                let want = a.mul_vector_mod(&v, tm).unwrap();
-                (hmvp.encode_matrix(&a).unwrap(), cts, want)
-            })
-            .collect();
+        let (_, dec, gkeys, hmvp, cases) = kat_fixture();
         let entries = [
             KatEntry::Multiply,
             KatEntry::Parallel(1),
@@ -221,4 +240,54 @@ fn golden_kat_pins_packed_ciphertext_bytes() {
         }
     }
     Backend::force(Backend::detect_auto());
+}
+
+/// Payload-slot noise (`PackedRlwe::noise_report`, in bits) of every
+/// packed ciphertext of the golden KAT, one slice per `KAT_SHAPES` entry,
+/// as the pack measured it when it rounded `b` at every leaf and merge
+/// (commit 5cef027).
+const PER_MERGE_ROUNDING_NOISE_BITS: [&[f64]; 4] =
+    [&[12.0345, 9.6062], &[5.6319], &[11.6164], &[5.0264]];
+
+/// The same noise with `b` rounded once, at the pack's root. The bytes
+/// are pinned by `KAT_DIGESTS`, so these are too; they are spelled out
+/// here so that the comparison below reads as numbers.
+const ROOT_ROUNDING_NOISE_BITS: [&[f64]; 4] =
+    [&[12.0172, 9.5725], &[5.5106], &[11.5697], &[5.0700]];
+
+/// The noise gate of the one-mod-down pack. Dropping the per-merge
+/// rounding of `b` removes `±½` terms (scaled by the levels above them)
+/// from every payload's noise and adds one `±½` at the root: the bound
+/// and the variance shrink, but a single payload may land either side of
+/// where it was. So the gate is on what decides a decryption — the
+/// noisiest payload of the whole KAT, i.e. its smallest budget — which
+/// must be no worse than the parent's; each shape is pinned as measured.
+#[test]
+fn golden_kat_payload_noise_is_no_worse_than_a_rounding_per_merge() {
+    let (params, dec, gkeys, hmvp, cases) = kat_fixture();
+    let mut worst = f64::MIN;
+    for (((em, cts, plain), shape), pinned) in
+        cases.iter().zip(KAT_SHAPES).zip(ROOT_ROUNDING_NOISE_BITS)
+    {
+        let result = hmvp.multiply(em, cts, &gkeys).unwrap();
+        assert_eq!(&hmvp.decrypt_result(&result, &dec).unwrap(), plain);
+        let bits: Vec<f64> = result
+            .packed
+            .iter()
+            .map(|p| p.noise_report(&dec, &params).unwrap().noise_bits)
+            .collect();
+        assert_eq!(bits.len(), pinned.len(), "shape={shape:?}");
+        for (got, &want) in bits.iter().zip(pinned) {
+            assert!(
+                (got - want).abs() < 1e-4,
+                "shape={shape:?}: {got} bits, pinned {want}"
+            );
+            worst = worst.max(*got);
+        }
+    }
+    let parent = PER_MERGE_ROUNDING_NOISE_BITS
+        .concat()
+        .into_iter()
+        .fold(f64::MIN, f64::max);
+    assert!(worst <= parent, "noisiest payload {worst} bits > {parent}");
 }
