@@ -460,11 +460,12 @@ impl Hmvp {
         })
     }
 
-    /// Rows `rows[idx[k]]` as pack leaves over every word of `leaves[k]`:
-    /// `a` rescaled into the normal basis, and `b` the row's unrescaled
-    /// `b₀` over `Q·p` — already `p` times the `b₀` a rescale would give,
-    /// up to that rescale's rounding, which the pack's one mod-down does
-    /// instead. `b₀·X⁰` in NTT form is `b₀` in every slot. `EXTRACTLWES`
+    /// Rows `rows[idx[k]]` as pack leaves in `leaves[k]`: `a` rescaled
+    /// into the normal basis over every word, and `b` the row's
+    /// unrescaled `b₀` over `Q·p` — already `p` times the `b₀` a rescale
+    /// would give, up to that rescale's rounding, which the pack's one
+    /// mod-down does instead. `b₀·X⁰` in NTT form is `b₀` in every slot,
+    /// and a leaf holds it in slot 0 of each limb. `EXTRACTLWES`
     /// followed by `LWE-TO-RLWE` applies the Eq. 3 involution twice, so
     /// the fused path applies it not at all.
     fn dot_rows_leaves(
@@ -484,7 +485,7 @@ impl Hmvp {
         let b0 = b0.chunks_exact(self.params.augmented_context().len());
         for (leaf, b0) in leaves.iter_mut().zip(b0) {
             for (limb, &r) in leaf.b.limbs_mut().iter_mut().zip(b0) {
-                limb.coeffs_mut().fill(r);
+                limb.coeffs_mut()[0] = r;
             }
         }
     }
@@ -773,8 +774,8 @@ mod tests {
         /// materialised product, `rescale` + `extract_lwe(_, 0)` — lane
         /// for lane, and the pack leaf against the oracle: its mask is
         /// `lwe_to_rlwe` of the oracle's LWE (the rearrange-involution
-        /// cancellation), its `b` the product's unrescaled `b₀` in every
-        /// NTT slot.
+        /// cancellation), its `b` the product's unrescaled `b₀` in slot 0
+        /// of each limb (a leaf's constant `b`, see `pack::PackOperand`).
         #[test]
         fn fused_row_tail_matches_rescale_then_extract(
             rows in 1usize..10,
@@ -808,9 +809,9 @@ mod tests {
                 for (leaf, &i) in leaves.iter().zip(idx) {
                     prop_assert!(leaf.a == crate::extract::lwe_to_rlwe(&oracle[i]).a, "leaf mask");
                     let b0 = product_b0(&hmvp, &em, &cts, i);
-                    let fill = |(limb, &r): (&Poly, &u64)| limb.coeffs().iter().all(|&c| c == r);
+                    let slot0 = |(limb, &r): (&Poly, &u64)| limb.coeffs()[0] == r;
                     prop_assert!(leaf.b.form() == Form::Ntt, "leaf b form");
-                    prop_assert!(leaf.b.limbs().iter().zip(&b0).all(fill), "leaf b");
+                    prop_assert!(leaf.b.limbs().iter().zip(&b0).all(slot0), "leaf b");
                 }
             }
         }

@@ -9,21 +9,23 @@
 //!   [`apply_galois`] (AUTOMORPHISM + KEYSWITCH).
 //!
 //! The pack's element-wise passes — the monomial butterfly of Alg. 2
-//! lines 1–3, the automorphism and the key-switch digits' re-embedding —
+//! lines 1–3 and the key-switch digits' automorphism and re-embedding —
 //! are `cham_math::simd` kernels ([`cham_math::simd::monomial_butterfly`],
-//! [`cham_math::simd::automorph_add`], [`cham_math::simd::write_digit`]),
-//! run on each limb's table backend; this module walks the limbs and
-//! chains the key-switch around them.
+//! [`cham_math::simd::write_digit`]), run on each limb's table backend;
+//! this module walks the limbs and chains the key-switch around them.
+//! [`apply_galois`] adds `σ_k(b)` with [`cham_math::simd::automorph_add`].
 //!
 //! Inside a pack the `b` half stays in NTT form over `Q·p` (see
 //! [`crate::pack`]): its butterfly is
 //! [`cham_math::simd::ntt_monomial_butterfly`] against the level's short
-//! root table, and `add_galois_lifted` folds `σ_k(b)` and the
-//! key-switch's unscaled `b` correction in with one
-//! [`cham_math::simd::slot_gather_add`] per limb. The key-switch then
-//! inverse-transforms only its `a` lanes: `d·L` forward and `L` inverse
-//! limb transforms per merge, where [`apply_galois`] (and a pack that
-//! rescaled `b` at every merge) runs `d·L` and `2·L`.
+//! root table, `keyswitch_lifted` inverse-transforms only the `a` lanes
+//! of its correction and hands back the unscaled `b` lanes, and
+//! `gather_add_lifted` folds `σ_k(b)` and that correction in with one
+//! [`cham_math::simd::slot_gather_add`] per limb — or, at the first
+//! level, `add_leaf_pair` with two [`cham_math::simd::add_constant`]
+//! passes. That is `d·L` forward and `L` inverse limb transforms per
+//! merge, where [`apply_galois`] (and a pack that rescaled `b` at every
+//! merge) runs `d·L` and `2·L`.
 
 use crate::ciphertext::RlweCiphertext;
 use crate::encoding::Plaintext;
@@ -205,7 +207,8 @@ pub fn mod_switch_to_single(ct: &RlweCiphertext, params: &ChamParams) -> Result<
 /// coefficient-form polynomials over `ctx`: `even ← even + X^g·odd` and
 /// `odd ← even − X^g·odd`, left rotated by `g`
 /// ([`cham_math::simd::monomial_butterfly`], on each limb's table
-/// backend). [`add_galois_of`] takes `rot = g` and undoes the rotation.
+/// backend). The key-switch's digit writer ([`keyswitch_lifted`]) takes
+/// `rot = g` and undoes the rotation.
 pub(crate) fn monomial_butterfly(
     ctx: &RnsContext,
     even: &mut RnsPoly,
@@ -398,15 +401,12 @@ pub fn keyswitch_mask(
 }
 
 /// AUTOMORPHISM + KEYSWITCH folded into an accumulator (Alg. 2 lines
-/// 4–6): `acc ← acc + KS_k(σ_k((b, a)))`, all in place. `(b, a)` may be
-/// stored rotated by `rot` (see [`monomial_butterfly`]); everything is
+/// 4–6): `acc ← acc + KS_k(σ_k((b, a)))`, all in place; everything is
 /// normal-basis, coefficient form.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn add_galois_of(
+fn add_galois_of(
     acc: &mut RlweCiphertext,
     b: &RnsPoly,
     a: &RnsPoly,
-    rot: usize,
     k: usize,
     ksk: &KeySwitchKey,
     params: &ChamParams,
@@ -414,54 +414,88 @@ pub(crate) fn add_galois_of(
 ) -> Result<()> {
     let aug = params.augmented_context();
     let lanes = aug.len() * aug.degree();
-    keyswitch_to_scratch(a, k, rot, ksk, params, s, Form::Coeff)?;
+    keyswitch_to_scratch(a, k, 0, ksk, params, s, Form::Coeff)?;
     let tables = b.context().tables();
     for ((dst, src), table) in acc.b.limbs_mut().iter_mut().zip(b.limbs()).zip(tables) {
         let (backend, q) = (table.backend(), table.modulus());
-        simd::automorph_add(backend, src.coeffs(), dst.coeffs_mut(), k, rot, q);
+        simd::automorph_add(backend, src.coeffs(), dst.coeffs_mut(), k, q);
     }
     rescale_lanes_add(aug, &s.words, 0, &mut acc.b);
     rescale_lanes_add(aug, &s.words, lanes, &mut acc.a);
     Ok(())
 }
 
-/// Alg. 2 lines 4–6 on pack operands ([`crate::pack`]): `b` halves over
-/// `Q·p` in NTT form carrying `p·b`, `a` halves over `Q` in coefficient
-/// form, `a` stored rotated by `rot`. `acc_b ← acc_b + σ_k(b) + ks_b` is
-/// one slot gather-add per limb ([`cham_math::simd::slot_gather_add`]):
-/// the key-switch's `b` correction is `p` times what a rescale would
+/// Alg. 2 lines 4–6 on pack operands ([`crate::pack`]), up to the `b`
+/// fold: key-switches `σ_k(a)` (`a` over `Q` in coefficient form, stored
+/// rotated by `rot`), rescales `a`'s correction into `acc_a` and returns
+/// `b`'s — `L` limbs of `N` words, limb-major, NTT form over `Q·p` — for
+/// the caller to fold into its `b` half ([`gather_add_lifted`],
+/// [`add_leaf_pair`]). That correction is `p` times what a rescale would
 /// return, so it joins `p·b` as it is — no inverse transform and no
-/// rescale. Only `a`'s correction is transformed back and rescaled into
-/// `acc_a`, because the next level splits `a` into digits.
+/// rescale. Only `a`'s correction is transformed back and rescaled,
+/// because the next level splits `a` into digits.
 ///
 /// This is exact: with `ks_a = p·⌊ks_a/p⌉ + r`, the invariant
 /// `b + p·a·s ≈ p·Δ·μ` picks up `ks_b + ks_a·s − r·s ≈ p·σ_k(a)·σ_k(s)`,
 /// and the `r·s` term is the one the per-merge rescale of `ks_a` always
 /// left; `b`'s own rounding happens once, at the pack's root.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn add_galois_lifted(
-    acc_b: &mut RnsPoly,
+pub(crate) fn keyswitch_lifted<'s>(
     acc_a: &mut RnsPoly,
-    b: &RnsPoly,
     a: &RnsPoly,
     rot: usize,
-    slots: &GaloisSlots,
+    k: usize,
     ksk: &KeySwitchKey,
     params: &ChamParams,
-    s: &mut DotScratch,
-) -> Result<()> {
+    s: &'s mut DotScratch,
+) -> Result<&'s [u64]> {
     let aug = params.augmented_context();
-    let n = aug.degree();
-    let lanes = aug.len() * n;
-    keyswitch_to_scratch(a, slots.k(), rot, ksk, params, s, Form::Ntt)?;
-    let ks_b = s.words[..lanes].chunks_exact(n);
+    let lanes = aug.len() * aug.degree();
+    keyswitch_to_scratch(a, k, rot, ksk, params, s, Form::Ntt)?;
+    rescale_lanes_add(aug, &s.words, lanes, acc_a);
+    Ok(&s.words[..lanes])
+}
+
+/// The `b` fold of a merge on NTT-form limbs over `aug`:
+/// `acc_b ← acc_b + σ_k(b) + ks_b`, one slot gather-add per limb
+/// ([`cham_math::simd::slot_gather_add`]).
+pub(crate) fn gather_add_lifted(
+    aug: &RnsContext,
+    acc_b: &mut RnsPoly,
+    b: &RnsPoly,
+    slots: &GaloisSlots,
+    ks_b: &[u64],
+) {
+    let ks_b = ks_b.chunks_exact(aug.degree());
     let limbs = acc_b.limbs_mut().iter_mut().zip(b.limbs());
     for (((dst, src), ks_b), table) in limbs.zip(ks_b).zip(aug.tables()) {
         let (backend, q) = (table.backend(), table.modulus());
         simd::slot_gather_add(backend, dst.coeffs_mut(), src.coeffs(), slots, ks_b, q);
     }
-    rescale_lanes_add(aug, &s.words, lanes, acc_a);
-    Ok(())
+}
+
+/// The whole `b` half of a first-level merge (`h = 1`, `g = N/2`,
+/// `k = 3`), whose operands are two leaves: constants `c_e` and `c_o`,
+/// held in slot 0 of each limb of `even` and `odd`. Since
+/// `σ_k(X^g) = X^{N+g} = −X^g` and `σ_k` fixes a constant, lines 1–6 give
+/// `even ← 2·c_e + 2·X^g·c_o + ks_b`, and `X^g` is `+w` on the first half
+/// of the NTT slots and `−w` on the second
+/// ([`cham_math::NttTable::monomial_roots`]): two
+/// [`cham_math::simd::add_constant`] passes per limb, no butterfly and no
+/// gather. Bit-identical to the general fold, which computes the same
+/// residues.
+pub(crate) fn add_leaf_pair(aug: &RnsContext, even: &mut RnsPoly, odd: &RnsPoly, ks_b: &[u64]) {
+    let half = aug.degree() / 2;
+    let ks_b = ks_b.chunks_exact(aug.degree());
+    let limbs = even.limbs_mut().iter_mut().zip(odd.limbs());
+    for (((dst, odd), ks_b), table) in limbs.zip(ks_b).zip(aug.tables()) {
+        let (backend, q) = (table.backend(), table.modulus());
+        let (c_e, c_o) = (dst.coeffs()[0], odd.coeffs()[0]);
+        let w = table.monomial_roots(half).0[0];
+        let (e2, wo2) = (q.add(c_e, c_e), q.mul(w, q.add(c_o, c_o)));
+        let (lo, hi) = dst.coeffs_mut().split_at_mut(half);
+        simd::add_constant(backend, lo, &ks_b[..half], q.add(e2, wo2), q);
+        simd::add_constant(backend, hi, &ks_b[half..], q.sub(e2, wo2), q);
+    }
 }
 
 /// AUTOMORPHISM + KEYSWITCH (Alg. 2 lines 4–5): applies the Galois map
@@ -491,7 +525,7 @@ pub fn apply_galois(
     let (b, a) = (in_coeff_form(ct.b()), in_coeff_form(ct.a()));
     let mut acc = ct.zero_like();
     ScratchPool::global().with(params.augmented_context(), |s| {
-        add_galois_of(&mut acc, &b, &a, 0, k, ksk, params, s)
+        add_galois_of(&mut acc, &b, &a, k, ksk, params, s)
     })?;
     Ok(acc)
 }

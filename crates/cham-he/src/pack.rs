@@ -30,9 +30,12 @@
 //! `b + p·a·s ≈ p·Δ·μ (mod Q·p)`. So:
 //!
 //! - a leaf's `b` is a constant: an HMVP row's unrescaled `b₀` (or `p·b₀`
-//!   of a normal-basis LWE) in every NTT slot;
+//!   of a normal-basis LWE), the same in every NTT slot, so a leaf holds
+//!   it in slot 0 of each limb and writes nothing else;
 //! - the butterfly's `X^g` on `b` is a pointwise multiply by a short root
-//!   table, and `σ_k` a slot gather with no sign;
+//!   table, and `σ_k` a slot gather with no sign; at the first level, whose
+//!   operands are two leaves, both collapse into two constant adds per
+//!   limb (`σ_k(X^g) = −X^g`, and `σ_k` fixes a constant);
 //! - the key-switch's `b` correction is `p` times what its rescale would
 //!   return, so it is added as it is: each merge runs `d·L` forward and
 //!   only `L` inverse limb transforms (9 at the CHAM chain, where rescaling
@@ -64,7 +67,10 @@ use crate::encrypt::{Decryptor, NoiseReport};
 use crate::extract::write_mask;
 use crate::hmvp::ROW_BLOCK;
 use crate::keys::GaloisKeys;
-use crate::ops::{add_galois_lifted, in_coeff_form, monomial_butterfly, ntt_monomial_butterfly};
+use crate::ops::{
+    add_leaf_pair, gather_add_lifted, in_coeff_form, keyswitch_lifted, monomial_butterfly,
+    ntt_monomial_butterfly,
+};
 use crate::params::ChamParams;
 use crate::scratch::{DotScratch, ScratchPool};
 use crate::{HeError, Result};
@@ -150,7 +156,9 @@ impl PackedRlwe {
 
 /// A pack operand between leaf and root. `b` lives over the augmented
 /// basis `Q·p` in NTT form and carries `p·b`; `a` lives over `Q` in
-/// coefficient form. With `s` the secret key and `μ` the plaintext,
+/// coefficient form. A leaf's `b` is a constant, held in slot 0 of each
+/// limb (the other slots are not read; [`merge`] is told when both of its
+/// operands are leaves). With `s` the secret key and `μ` the plaintext,
 ///
 /// `b + p·a·s ≈ p·Δ·μ  (mod Q·p)`.
 ///
@@ -207,18 +215,26 @@ impl PackOperand {
         }
     }
 
-    /// `(p·b₀, â)` of an LWE ciphertext as a pack leaf, over every word of
-    /// `self` (a recycled operand): `p·b₀` is a constant, so every slot of
-    /// its NTT form holds it, and `â` is re-arranged into the RLWE mask.
+    /// `(p·b₀, â)` of an LWE ciphertext as a pack leaf, in `self` (a
+    /// recycled operand): the constant `p·b₀` in slot 0 of each limb, and
+    /// `â` re-arranged into the RLWE mask over every word.
     fn set_lwe(&mut self, lwe: &LweCiphertext, params: &ChamParams) {
         let p = params.special_prime();
         let aug = params.augmented_context();
         let limbs = self.b.limbs_mut().iter_mut().zip(aug.moduli());
         for (i, (limb, q)) in limbs.enumerate() {
-            let b0 = lwe.b().get(i).map_or(0, |&b0| q.mul(q.reduce(p), b0));
-            limb.coeffs_mut().fill(b0);
+            limb.coeffs_mut()[0] = lwe.b().get(i).map_or(0, |&b0| q.mul(q.reduce(p), b0));
         }
         write_mask(lwe, &mut self.a);
+    }
+
+    /// A leaf as a whole operand: its constant `b` copied from slot 0 into
+    /// every slot of each limb.
+    fn spread_leaf(&mut self) {
+        for limb in self.b.limbs_mut() {
+            let c = limb.coeffs()[0];
+            limb.coeffs_mut().fill(c);
+        }
     }
 
     /// The pack's one mod-down: `b` back to coefficient form (`L` inverse
@@ -266,7 +282,7 @@ pub fn pack_two(
         PackOperand::lift(odd, params),
     );
     ScratchPool::global().with(params.augmented_context(), |s| {
-        merge(h, &mut even, &mut odd, gkeys, params, s)
+        merge(h, &mut even, &mut odd, false, gkeys, params, s)
     })?;
     Ok(even.mod_down(params))
 }
@@ -275,12 +291,16 @@ pub fn pack_two(
 /// `even`, and `odd` is left holding garbage for the caller to recycle.
 /// Lines 1–3 are a monomial butterfly per limb — pointwise against a
 /// short root table on `b`'s `L` NTT-form limbs, a rotation on `a`'s —
-/// and lines 4–6 one key-switch of `σ_k(a)` ([`add_galois_lifted`]):
-/// `d·L` forward and `L` inverse limb transforms, nine at the CHAM chain.
+/// and lines 4–6 one key-switch of `σ_k(a)` ([`keyswitch_lifted`]): `d·L`
+/// forward and `L` inverse limb transforms, nine at the CHAM chain, and a
+/// slot gather-add on `b`. When `leaves` (both operands are leaves, so
+/// `h = 1`) the `b` half is two constant adds per limb instead
+/// ([`add_leaf_pair`]).
 fn merge(
     h: u32,
     even: &mut PackOperand,
     odd: &mut PackOperand,
+    leaves: bool,
     gkeys: &GaloisKeys,
     params: &ChamParams,
     s: &mut DotScratch,
@@ -290,16 +310,25 @@ fn merge(
     if h == 0 || h > params.max_pack_log() {
         return Err(HeError::InvalidParams("pack level out of range"));
     }
+    debug_assert!(!leaves || h == 1, "leaves meet at the first level");
+    let aug = params.augmented_context();
     let g = params.degree() >> h; // monomial exponent N/2^h
     let slots = params.pack_slots(h); // σ_k, k = 2^h + 1
     let ksk = gkeys.get(slots.k())?;
     // Lines 1–3: even ← even + X^g·odd, odd ← even − X^g·odd (its `a`
     // rotated).
-    ntt_monomial_butterfly(params.augmented_context(), &mut even.b, &mut odd.b, g);
+    if !leaves {
+        ntt_monomial_butterfly(aug, &mut even.b, &mut odd.b, g);
+    }
     monomial_butterfly(params.ciphertext_context(), &mut even.a, &mut odd.a, g);
     // Lines 4–6: even ← even + KS(σ_k(odd)).
-    let PackOperand { b, a } = even;
-    add_galois_lifted(b, a, &odd.b, &odd.a, g, slots, ksk, params, s)
+    let ks_b = keyswitch_lifted(&mut even.a, &odd.a, g, slots.k(), ksk, params, s)?;
+    if leaves {
+        add_leaf_pair(aug, &mut even.b, &odd.b, ks_b);
+    } else {
+        gather_add_lifted(aug, &mut even.b, &odd.b, slots, ks_b);
+    }
+    Ok(())
 }
 
 /// The carry stack of a depth-first `PACKLWES` reduction over one
@@ -340,10 +369,11 @@ impl<'a> ReduceBuffer<'a> {
     /// A transparent zero leaf (padding).
     fn zero(&mut self) -> PackOperand {
         let mut op = self.take();
-        for poly in [&mut op.b, &mut op.a] {
-            for limb in poly.limbs_mut() {
-                limb.coeffs_mut().fill(0);
-            }
+        for limb in op.b.limbs_mut() {
+            limb.coeffs_mut()[0] = 0;
+        }
+        for limb in op.a.limbs_mut() {
+            limb.coeffs_mut().fill(0);
         }
         op
     }
@@ -356,7 +386,15 @@ impl<'a> ReduceBuffer<'a> {
         while self.stack.last().is_some_and(|(l, _)| *l == level) {
             let (_, mut even) = self.stack.pop().expect("checked non-empty");
             level += 1;
-            merge(level, &mut even, &mut op, self.gkeys, self.params, s)?;
+            merge(
+                level,
+                &mut even,
+                &mut op,
+                level == 1,
+                self.gkeys,
+                self.params,
+                s,
+            )?;
             self.spare.push(std::mem::replace(&mut op, even));
         }
         self.stack.push((level, op));
@@ -406,9 +444,10 @@ impl<'a> ReduceBuffer<'a> {
 }
 
 /// `PACKLWES` (Alg. 3) over `count ≤ N` leaves produced on demand:
-/// `leaves(rows, dst, scratch)` writes the pack operand of payload
-/// `rows[k]` (constant coefficient of its phase = `p·Δ·payload`) over
-/// every word of `dst[k]`, for up to [`ROW_BLOCK`] payloads a call.
+/// `leaves(rows, dst, scratch)` writes the pack leaf of payload `rows[k]`
+/// (constant coefficient of its phase = `p·Δ·payload`) into `dst[k]` —
+/// every word of `a`, slot 0 of each limb of `b` ([`PackOperand`]) — for
+/// up to [`ROW_BLOCK`] payloads a call.
 /// Payloads beyond a power of two are padded with transparent zero
 /// operands.
 ///
@@ -467,13 +506,20 @@ where
         let pairs: Vec<&[PackOperand]> = level.chunks(2).collect();
         level = cham_pool::map_capped(&pairs, cap, |_, pair| {
             let (mut even, mut odd) = (pair[0].clone(), pair[1].clone());
-            ScratchPool::global().with(aug, |s| merge(h, &mut even, &mut odd, gkeys, params, s))?;
+            // Subtree roots are leaves when a subtree is one position.
+            let leaves = h == 1;
+            ScratchPool::global().with(aug, |s| {
+                merge(h, &mut even, &mut odd, leaves, gkeys, params, s)
+            })?;
             Ok(even)
         })
         .into_iter()
         .collect::<Result<Vec<_>>>()?;
     }
-    let root = level.pop().expect("one operand remains");
+    let mut root = level.pop().expect("one operand remains");
+    if log == 0 {
+        root.spread_leaf(); // one payload: the root is its leaf
+    }
     Ok(PackedRlwe {
         ciphertext: root.mod_down(params),
         log_count: log,
@@ -495,28 +541,19 @@ pub fn pack_lwes(
     gkeys: &GaloisKeys,
     params: &ChamParams,
 ) -> Result<PackedRlwe> {
-    pack_lwes_parallel(lwes, gkeys, params, cham_pool::current_threads())
-}
-
-/// [`pack_lwes`] on at most `threads` threads, the caller among them:
-/// `threads = 1` spawns no thread, and the result is bit-identical at
-/// every cap.
-///
-/// # Errors
-/// Same conditions as [`pack_lwes`].
-pub fn pack_lwes_parallel(
-    lwes: &[LweCiphertext],
-    gkeys: &GaloisKeys,
-    params: &ChamParams,
-    threads: usize,
-) -> Result<PackedRlwe> {
     let ctx = params.ciphertext_context();
     if lwes.iter().any(|lwe| lwe.a().context() != ctx) {
         return Err(HeError::Incompatible(
             "pack_lwes expects normal-basis LWE ciphertexts",
         ));
     }
-    pack_with(lwes.len(), threads, lwe_leaves(lwes, params), gkeys, params)
+    pack_with(
+        lwes.len(),
+        cham_pool::current_threads(),
+        lwe_leaves(lwes, params),
+        gkeys,
+        params,
+    )
 }
 
 /// The [`pack_with`] leaves of `PACKLWES`: leaf `i` is `LWE-TO-RLWE` of
@@ -745,11 +782,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
-        /// The reduce buffer at every cap against the level-order oracle
-        /// (`b` over `Q·p` in coefficient form, one rescale at the root),
-        /// on every chain of the key-switch test: every count and cap on
-        /// the CHAM chain, and padded and full packs at two caps on the
-        /// others. The backend is the process's (`CHAM_SIMD`; CI runs
+        /// The reduce buffer at every cap, and `pack_lwes` at the process
+        /// thread budget, against the level-order oracle (`b` over `Q·p`
+        /// in coefficient form, one rescale at the root), on every chain
+        /// of the key-switch test: every count and cap on the CHAM chain,
+        /// and padded and full packs at two caps on the others. The backend is the process's (`CHAM_SIMD`; CI runs
         /// this under each), not forced here: a forced backend would race
         /// the key-switch test's check of what each table resolved to.
         #[test]
@@ -766,7 +803,8 @@ mod tests {
                         crate::oracle::pack_lwes_level_order(&lwes[..count], &gkeys, &params)
                             .unwrap();
                     for &cap in caps {
-                        let got = pack_lwes_parallel(&lwes[..count], &gkeys, &params, cap).unwrap();
+                        let leaves = lwe_leaves(&lwes[..count], &params);
+                        let got = pack_with(count, cap, leaves, &gkeys, &params).unwrap();
                         prop_assert!(
                             got.ciphertext == want.ciphertext,
                             "chain={:?} count={} cap={}",
@@ -776,6 +814,9 @@ mod tests {
                         );
                         prop_assert_eq!((got.log_count, got.count), (want.log_count, want.count));
                     }
+                    // `pack_lwes` splits at the process thread budget.
+                    let got = pack_lwes(&lwes[..count], &gkeys, &params).unwrap();
+                    prop_assert!(got.ciphertext == want.ciphertext, "pack_lwes count={}", count);
                 }
             }
         }

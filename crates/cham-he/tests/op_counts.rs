@@ -145,10 +145,14 @@ fn one_multiply_books_each_operation_once() {
     // the NTT-form `b` (`L·N` pairs), the digits written into every
     // augmented limb (`d·L·N`) and `b`'s slot gather-add of `σ_k(b)` and
     // the key-switch's `b` correction into the accumulator (`L·N`) —
-    // `14·N` at `L = 3`, `d = 2`. Every pack level here has
-    // `g = N >> h ≥ 32`, whole registers, so it is all vector where the
-    // tables resolved to IFMA and all tail everywhere else.
-    let eltwise = (rows - 1) * (digits + aug_limbs + digits * aug_limbs + aug_limbs) * n as u64;
+    // `14·N` at `L = 3`, `d = 2`. The `rows / 2` first-level merges join
+    // two leaves, whose constant `b` halves need no butterfly: `b` is
+    // the correction plus a constant per half (`L·N`), `11·N`. Every
+    // pass is whole registers, so it is all vector where the tables
+    // resolved to IFMA and all tail everywhere else.
+    let merge = (digits + aug_limbs + digits * aug_limbs + aug_limbs) * n as u64;
+    let first_level = (digits + digits * aug_limbs + aug_limbs) * n as u64;
+    let eltwise = (rows - 1 - rows / 2) * merge + rows / 2 * first_level;
     assert_eq!(
         (
             delta("cham_math.simd.eltwise.vector"),

@@ -4,23 +4,24 @@
 //!
 //! The multiply test computes a *sequential twin* at a cap of 1 (the
 //! inline path — identical code on the calling thread, nothing spawned)
-//! and asserts **bit-exact** equality at caps {1, 2, 3, 7, 8}; the
-//! pack test holds `pack_lwes`, at the process thread budget, to
-//! `pack_lwes_parallel` at the same caps. (A level-order twin built from
-//! the public `pack_two` is no twin: `pack_two` rounds `b` at every
-//! merge, the pack once at its root; the crate's own proptest holds the
-//! pack to a level-order oracle that rounds where it does.) HE ciphertexts make
-//! good witnesses here: a single flipped bit anywhere in a limb shows up
+//! and asserts **bit-exact** equality at caps {1, 2, 3, 7, 8}. The
+//! pack test runs `pack_lwes` at the process thread budget (CI runs this
+//! file under several `CHAM_POOL_THREADS` values) and holds repeated calls
+//! to one set of bytes that decrypts to its payloads; the pack's subtree
+//! split at every cap is held bit for bit to the level-order oracle by the
+//! crate's own pack proptest. (A level-order twin built from the public
+//! `pack_two` is no twin: `pack_two` rounds `b` at every merge, the pack
+//! once at its root.) HE ciphertexts make good witnesses here: a single flipped bit anywhere in a limb shows up
 //! directly in the comparison, long before decryption. That the cap
 //! governs every fan-out inside a call is pinned, with the process-wide
 //! task count, in `scratch_steady_state.rs`, where no sibling test can
 //! move that count.
 
 use cham_he::ciphertext::RlweCiphertext;
-use cham_he::encrypt::Encryptor;
+use cham_he::encrypt::{Decryptor, Encryptor};
 use cham_he::hmvp::{Hmvp, HmvpResult, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
-use cham_he::pack::{pack_lwes, pack_lwes_parallel};
+use cham_he::pack::pack_lwes;
 use cham_he::params::ChamParams;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -30,6 +31,7 @@ const CAPS: [usize; 5] = [1, 2, 3, 7, 8];
 struct Fixture {
     params: ChamParams,
     enc: Encryptor,
+    dec: Decryptor,
     gkeys: GaloisKeys,
     rng: rand::rngs::StdRng,
 }
@@ -39,10 +41,12 @@ fn fixture(seed: u64) -> Fixture {
     let params = ChamParams::insecure_test_default().unwrap();
     let sk = SecretKey::generate(&params, &mut rng);
     let enc = Encryptor::new(&params, &sk);
+    let dec = Decryptor::new(&params, &sk);
     let gkeys = GaloisKeys::generate_for_packing(&sk, params.max_pack_log(), &mut rng).unwrap();
     Fixture {
         params,
         enc,
+        dec,
         gkeys,
         rng,
     }
@@ -90,26 +94,23 @@ fn pack_tree_bit_exact_across_pool_sizes() {
     let t = f.params.plain_modulus();
     let coder = cham_he::encoding::CoeffEncoder::new(&f.params);
     // 11 inputs: padded to 16, a 4-level tree with odd leftovers.
-    let lwes: Vec<_> = (0..11)
-        .map(|_| {
-            let v = f.rng.gen_range(0..t.value());
+    let values: Vec<u64> = (0..11).map(|_| f.rng.gen_range(0..t.value())).collect();
+    let lwes: Vec<_> = values
+        .iter()
+        .map(|&v| {
             let ct = f
                 .enc
                 .encrypt(&coder.encode_vector(&[v]).unwrap(), &mut f.rng);
             cham_he::extract::extract_lwe(&ct, 0).unwrap()
         })
         .collect();
-    // The sequential twin: the inline path at a cap of 1.
     let log = lwes.len().next_power_of_two().trailing_zeros();
-    let expect = pack_lwes_parallel(&lwes, &f.gkeys, &f.params, 1).unwrap();
+    let expect = pack_lwes(&lwes, &f.gkeys, &f.params).unwrap();
     assert_eq!((expect.log_count, expect.count), (log, lwes.len()));
-    for cap in CAPS {
-        let got = pack_lwes_parallel(&lwes, &f.gkeys, &f.params, cap).unwrap();
-        assert_eq!(got.ciphertext, expect.ciphertext, "cap {cap}");
-        assert_eq!((got.log_count, got.count), (log, lwes.len()), "cap {cap}");
+    let pt = f.dec.decrypt(&expect.ciphertext);
+    assert_eq!(expect.decode(&pt, &f.params).unwrap(), values);
+    for call in 0..3 {
+        let got = pack_lwes(&lwes, &f.gkeys, &f.params).unwrap();
+        assert_eq!(got.ciphertext, expect.ciphertext, "call {call}");
     }
-    // `pack_lwes` fans out over the process budget.
-    let got = pack_lwes(&lwes, &f.gkeys, &f.params).unwrap();
-    assert_eq!(got.ciphertext, expect.ciphertext);
-    assert_eq!((got.log_count, got.count), (log, lwes.len()));
 }

@@ -356,8 +356,8 @@ pub enum Kernel {
     Normalize = 4,
     /// The pack's element-wise passes — [`monomial_butterfly`],
     /// [`automorph_add`], [`write_digit`], [`ntt_monomial_butterfly`],
-    /// [`slot_gather_add`] (count unit: coefficients written per limb; a
-    /// butterfly's `(even, odd)` pair is one).
+    /// [`slot_gather_add`], [`add_constant`] (count unit: coefficients
+    /// written per limb; a butterfly's `(even, odd)` pair is one).
     Eltwise = 5,
 }
 
@@ -893,8 +893,8 @@ fn avx512_lanes(backend: Backend) -> bool {
 /// Lines 1–3 of Alg. 2 on one limb over `q`, in place:
 /// `even ← even + X^g·odd` and `odd[i] ← (even − X^g·odd)[(i + g) mod N]`.
 /// The difference is left rotated by `g` so that no coefficient is read
-/// after it has been overwritten; [`automorph_add`] and [`write_digit`]
-/// take `rot = g` and undo the rotation for free. It is two contiguous
+/// after it has been overwritten; [`write_digit`] takes `rot = g` and
+/// undoes the rotation for free. It is two contiguous
 /// segment pairs: `(e, o) ← (e + o, e − o)` over `even[g..]`/`odd[..N−g]`,
 /// and `(e − o, e + o)` over `even[..g]`/`odd[N−g..]`, whose terms wrapped
 /// past `X^N = −1`. Canonical in and out; each segment's whole registers
@@ -964,13 +964,11 @@ fn check_automorph(src: &[u64], dst_len: usize, k: usize) {
 }
 
 /// AUTOMORPH, added: `dst ← dst + σ_k(src) mod q` for the map `X → X^k`
-/// (odd `k`) on one limb of canonical residues. `src` may be stored
-/// rotated: `src[i]` holds logical coefficient `(i + rot) mod N`, which is
-/// how [`monomial_butterfly`] leaves its difference.
+/// (odd `k`) on one limb of canonical residues.
 ///
 /// The scalar arm scatters: source coefficient `j` goes to `j·k mod N`,
 /// negated when bit `N` of `j·k` is set (`X^N = −1`). The vector arm walks
-/// the destination instead: `dst[t]` reads `src[(c − rot) mod N]` for
+/// the destination instead: `dst[t]` reads `src[c mod N]` for
 /// `c = t·k⁻¹ mod 2N`, negated when `c ≥ N` (a zero stays zero). `c`
 /// steps by `8·k⁻¹ mod 2N` per register, so a register is one add and one
 /// mask, one 8-lane gather, a masked `q − v` and a contiguous
@@ -980,17 +978,10 @@ fn check_automorph(src: &[u64], dst_len: usize, k: usize) {
 /// # Panics
 /// Panics unless both slices have the same power-of-two length and `k` is
 /// odd.
-pub fn automorph_add(
-    backend: Backend,
-    src: &[u64],
-    dst: &mut [u64],
-    k: usize,
-    rot: usize,
-    q: &Modulus,
-) {
+pub fn automorph_add(backend: Backend, src: &[u64], dst: &mut [u64], k: usize, q: &Modulus) {
     check_automorph(src, dst.len(), k);
     let n = src.len();
-    let vector = automorph::<true>(backend, src, dst, k, rot, q);
+    let vector = automorph::<true>(backend, src, dst, k, 0, q);
     record_kernel(Kernel::Eltwise, vector as u64, (n - vector) as u64);
 }
 
@@ -1022,8 +1013,9 @@ fn automorph<const ADD: bool>(
 
 /// One key-switch digit, written into every limb of the augmented basis:
 /// `out[l·N..][..N] ← σ_k(src) mod to[l]`, where `src` is limb `own` of the
-/// mask — residues below `to[own]`, stored rotated by `rot` as in
-/// [`automorph_add`] — and `out` holds `to.len()` limbs of `N` words,
+/// mask — residues below `to[own]`, stored rotated: `src[i]` holds
+/// logical coefficient `(i + rot) mod N`, as [`monomial_butterfly`] leaves
+/// its difference — and `out` holds `to.len()` limbs of `N` words,
 /// limb-major. `k = 1, rot = 0` is the plain decomposition.
 ///
 /// The digit is gathered once, into limb `own` (a scatter on the scalar
@@ -1087,9 +1079,11 @@ pub fn write_digit(
 /// `roots[j]`, block `2j + 1` by `−roots[j]`; `shoups` are the roots'
 /// Shoup companions. A negated block is the same butterfly with its
 /// outputs swapped, so no root is negated. Canonical in and out. The
-/// vector arm takes limbs whose blocks are whole registers (`g ≥ 8`) over
-/// a modulus below 2^50; any other runs the scalar arm. Books `n` under
-/// [`Kernel::Eltwise`].
+/// vector arm takes limbs of at least one register over a modulus below
+/// 2^50: a block of whole registers (`g ≥ 8`) broadcasts its root, and a
+/// register holding several blocks (`g < 8`, a pack's top levels) spreads
+/// their roots over its lanes with one permute. Any other limb runs the
+/// scalar arm. Books `n` under [`Kernel::Eltwise`].
 ///
 /// # Panics
 /// Panics unless `even` and `odd` have one length `n`, `roots` and
@@ -1110,7 +1104,7 @@ pub fn ntt_monomial_butterfly(
     let vector = match backend {
         #[cfg(target_arch = "x86_64")]
         // Safety: `ifma_elementwise` just detected `avx512f` + `avx512ifma`.
-        Backend::Avx512Ifma if n / (2 * r) >= backend.lanes() && ifma_elementwise(&[q]) => unsafe {
+        Backend::Avx512Ifma if n >= backend.lanes() && ifma_elementwise(&[q]) => unsafe {
             ifma::ntt_butterfly(even, odd, roots, shoups, q);
             n
         },
@@ -1163,6 +1157,28 @@ pub fn slot_gather_add(
         &extra[vector..],
         q,
     );
+    record_kernel(Kernel::Eltwise, vector as u64, (n - vector) as u64);
+}
+
+/// `dst[i] ← src[i] + c mod q` on one limb of canonical residues, for a
+/// canonical `c`: the pack's first level adds its two leaves' constant
+/// `b` halves to the key-switch's `b` correction with it. The vector arm
+/// needs AVX-512F alone; a tail shorter than a register runs the scalar
+/// arm. Books `n` under [`Kernel::Eltwise`].
+///
+/// # Panics
+/// Panics unless `dst` and `src` have one length and `c < q`.
+pub fn add_constant(backend: Backend, dst: &mut [u64], src: &[u64], c: u64, q: &Modulus) {
+    let n = dst.len();
+    assert!(src.len() == n, "operand length mismatch");
+    assert!(c < q.value(), "constant {c} is not below {q}");
+    let vector = match backend {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: `avx512_lanes` just detected `avx512f`.
+        b if avx512_lanes(b) => unsafe { ifma::add_constant(dst, src, c, q) },
+        _ => 0,
+    };
+    scalar::add_constant(&mut dst[vector..], &src[vector..], c, q);
     record_kernel(Kernel::Eltwise, vector as u64, (n - vector) as u64);
 }
 
@@ -1441,6 +1457,14 @@ mod scalar {
                 let diff = csub(*e + qv - t, qv);
                 (*e, *o) = if b % 2 == 1 { (diff, sum) } else { (sum, diff) };
             }
+        }
+    }
+
+    /// `dst[i] ← src[i] + c mod q`.
+    pub(super) fn add_constant(dst: &mut [u64], src: &[u64], c: u64, q: &Modulus) {
+        let q = q.value();
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = csub(s + c, q);
         }
     }
 
@@ -2162,10 +2186,11 @@ mod ifma {
         }
     }
 
-    /// The NTT-domain monomial butterfly over blocks of whole registers:
-    /// one root per block, broadcast; `t = w·o` is a 52-bit Shoup multiply
-    /// into `[0, 2q)` made canonical by one subtraction, and `e + t`,
-    /// `e + q − t` take one more each. A negated block swaps the outputs.
+    /// The NTT-domain monomial butterfly over `n ≥ 8` words: `t = w·o` is
+    /// a 52-bit Shoup multiply into `[0, 2q)` made canonical by one
+    /// subtraction, and `e + t`, `e + q − t` take one more each. A negated
+    /// block swaps the outputs. Blocks of whole registers broadcast their
+    /// root; shorter blocks take the short-block loop.
     #[target_feature(enable = "avx512f,avx512ifma")]
     pub(super) fn ntt_butterfly(
         even: &mut [u64],
@@ -2175,22 +2200,71 @@ mod ifma {
         q: &Modulus,
     ) {
         let c = consts(q);
-        let g = even.len() / (2 * roots.len()) / LANES;
+        let g = even.len() / (2 * roots.len());
         let (even, _) = even.as_chunks_mut::<LANES>();
         let (odd, _) = odd.as_chunks_mut::<LANES>();
-        let blocks = even.chunks_exact_mut(g).zip(odd.chunks_exact_mut(g));
+        if g < LANES {
+            return ntt_butterfly_short(even, odd, roots, shoups, g, &c);
+        }
+        let blocks = even
+            .chunks_exact_mut(g / LANES)
+            .zip(odd.chunks_exact_mut(g / LANES));
         for (b, (even, odd)) in blocks.enumerate() {
             let tw = splat(roots[b / 2], shoups[b / 2]);
             for (e, o) in even.iter_mut().zip(odd.iter_mut()) {
-                let (x, y) = (load(e), load(o));
-                let t = csub(mul_lazy(y, tw, &c), c.q);
-                let sum = csub(_mm512_add_epi64(x, t), c.q);
-                let diff = csub(_mm512_sub_epi64(_mm512_add_epi64(x, c.q), t), c.q);
+                let (sum, diff) = monomial_pair(load(e), load(o), tw, &c);
                 let (x, y) = if b % 2 == 1 { (diff, sum) } else { (sum, diff) };
                 store(e, x);
                 store(o, y);
             }
         }
+    }
+
+    /// [`ntt_butterfly`] when a register holds `8/g` blocks (`g < 8`):
+    /// their `4/g` consecutive roots are loaded masked and spread over
+    /// the lanes by one permute, and the lanes of the negated (odd)
+    /// blocks swap their outputs.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn ntt_butterfly_short(
+        even: &mut [Lanes],
+        odd: &mut [Lanes],
+        roots: &[u64],
+        shoups: &[u64],
+        g: usize,
+        c: &Consts,
+    ) {
+        let per = LANES / (2 * g);
+        let spread = load(&std::array::from_fn(|l| (l / (2 * g)) as u64));
+        let swap = (0..LANES)
+            .filter(|l| l / g % 2 == 1)
+            .fold(0, |m, l| m | 1 << l);
+        let take = (1 << per) - 1;
+        let tables = roots.chunks_exact(per).zip(shoups.chunks_exact(per));
+        for ((e, o), (w, ws)) in even.iter_mut().zip(odd.iter_mut()).zip(tables) {
+            // Safety: the masks read only the first `per` words of `w`
+            // and `ws`, which are `per` long.
+            let (w, ws) = unsafe {
+                (
+                    _mm512_maskz_loadu_epi64(take, w.as_ptr().cast()),
+                    _mm512_maskz_loadu_epi64(take, ws.as_ptr().cast()),
+                )
+            };
+            let ws = _mm512_srli_epi64::<12>(_mm512_permutexvar_epi64(spread, ws));
+            let tw = (_mm512_permutexvar_epi64(spread, w), ws);
+            let (sum, diff) = monomial_pair(load(e), load(o), tw, c);
+            store(e, _mm512_mask_blend_epi64(swap, sum, diff));
+            store(o, _mm512_mask_blend_epi64(swap, diff, sum));
+        }
+    }
+
+    /// `(e + w·o, e − w·o)`, canonical, for canonical `e`, `o`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn monomial_pair(x: __m512i, y: __m512i, tw: Twiddle, c: &Consts) -> (__m512i, __m512i) {
+        let t = csub(mul_lazy(y, tw, c), c.q);
+        let sum = csub(_mm512_add_epi64(x, t), c.q);
+        let diff = csub(_mm512_sub_epi64(_mm512_add_epi64(x, c.q), t), c.q);
+        (sum, diff)
     }
 
     /// The slot gather-add over the whole registers of `dst`; returns how
@@ -2219,6 +2293,21 @@ mod ifma {
             };
             let sum = csub(_mm512_add_epi64(load(d), v), q);
             store(d, csub(_mm512_add_epi64(sum, load(x)), q));
+        }
+        dst.len() * LANES
+    }
+
+    /// `dst ← src + c mod q` over the whole registers of `dst`; returns
+    /// how many words it wrote.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn add_constant(dst: &mut [u64], src: &[u64], c: u64, q: &Modulus) -> usize {
+        let (c, q) = (
+            _mm512_set1_epi64(c as i64),
+            _mm512_set1_epi64(q.value() as i64),
+        );
+        let (dst, _) = dst.as_chunks_mut::<LANES>();
+        for (d, s) in dst.iter_mut().zip(src.as_chunks::<LANES>().0) {
+            store(d, csub(_mm512_add_epi64(load(s), c), q));
         }
         dst.len() * LANES
     }

@@ -180,7 +180,7 @@ fn counters_follow_the_arm_that_ran() {
         );
         assert_eq!(
             booked(Kernel::Eltwise, || {
-                simd::automorph_add(backend, &even, &mut odd, 5, 3, &q);
+                simd::automorph_add(backend, &even, &mut odd, 5, &q);
             }),
             on_lanes(n as u64),
             "automorph backend={backend}"
@@ -188,10 +188,34 @@ fn counters_follow_the_arm_that_ran() {
         // Four coefficients are less than a register: the scalar arm.
         assert_eq!(
             booked(Kernel::Eltwise, || {
-                simd::automorph_add(backend, &even[..4], &mut odd[..4], 5, 3, &q);
+                simd::automorph_add(backend, &even[..4], &mut odd[..4], 5, &q);
             }),
             (0, 4),
             "automorph tail backend={backend}"
+        );
+        // The NTT-form butterfly runs in lanes at every block length, a
+        // block shorter than a register (`g = 1`) too; a limb shorter
+        // than a register runs the scalar arm.
+        let ntt = NttTable::new(n, q).unwrap();
+        for g in [n / 2, 8, 1] {
+            let (roots, shoups) = ntt.monomial_roots(g);
+            assert_eq!(
+                booked(Kernel::Eltwise, || {
+                    simd::ntt_monomial_butterfly(backend, &mut even, &mut odd, roots, shoups, &q);
+                }),
+                on_lanes(n as u64),
+                "NTT-form butterfly g={g} backend={backend}"
+            );
+        }
+        let ntt = NttTable::new(4, q).unwrap();
+        let (roots, shoups) = ntt.monomial_roots(1);
+        assert_eq!(
+            booked(Kernel::Eltwise, || {
+                let (even, odd) = (&mut even[..4], &mut odd[..4]);
+                simd::ntt_monomial_butterfly(backend, even, odd, roots, shoups, &q);
+            }),
+            (0, 4),
+            "NTT-form butterfly tail backend={backend}"
         );
         // One digit over `q0` into the CHAM chain's three limbs (a
         // compare-subtract into `q1 < q0`, a copy into `p`); then a digit

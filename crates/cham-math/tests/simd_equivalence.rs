@@ -23,8 +23,9 @@
 //! difference stored plain and rotated, on random, all-(q−1) and all-zero
 //! inputs; and so are their NTT-domain twins on the pack's `b` half — the
 //! butterfly against a short root table and the slot gather-add — at
-//! every level `h` and every `k = 2^h + 1`, on a modulus of 2^50 or more
-//! (the scalar arm under every backend) as well.
+//! every level `h` and every `k = 2^h + 1`, and the constant add of the
+//! first level's leaf pair, on a modulus of 2^50 or more (the scalar arm
+//! under every backend) as well.
 //!
 //! Backends the host cannot run are absent from `Backend::all_available`,
 //! so their arms skip rather than fail.
@@ -594,21 +595,23 @@ fn automorph_add_matches_scalar_bit_for_bit() {
     let mut rng = rng();
     for q in moduli_to_2_pow_50() {
         for n in PACK_SIZES {
-            for (k, rot) in pack_levels(n) {
+            // The rotated cases run through `write_digit`, the one caller
+            // of a rotated source.
+            for (k, _) in pack_levels(n).into_iter().filter(|&(_, rot)| rot == 0) {
                 for src in pack_inputs(n, &q, &mut rng) {
                     for held in pack_inputs(n, &q, &mut rng) {
                         let run = |backend: Backend| {
                             let mut dst = held.clone();
-                            simd::automorph_add(backend, &src, &mut dst, k, rot, &q);
+                            simd::automorph_add(backend, &src, &mut dst, k, &q);
                             dst
                         };
                         let want = run(Backend::Scalar);
                         let sum: Vec<u64> = held
                             .iter()
-                            .zip(textbook_automorph(&src, k, rot, &q))
+                            .zip(textbook_automorph(&src, k, 0, &q))
                             .map(|(&h, a)| q.add(h, a))
                             .collect();
-                        let case = format!("q={q} n={n} k={k} rot={rot}");
+                        let case = format!("q={q} n={n} k={k}");
                         assert_eq!(want, sum, "{case}");
                         for backend in vector_backends() {
                             assert_eq!(run(backend), want, "{case} {backend}");
@@ -750,13 +753,39 @@ fn slot_gather_add_matches_scalar_bit_for_bit() {
 }
 
 #[test]
+fn add_constant_matches_scalar_bit_for_bit() {
+    let mut rng = rng();
+    for q in moduli_past_2_pow_50() {
+        // Every pack size, and lengths with a tail shorter than a register.
+        for n in PACK_SIZES.into_iter().chain([1, 7, 9, 4099]) {
+            for src in pack_inputs(n, &q, &mut rng) {
+                for c in [0, 1, q.value() - 1, rng.gen_range(0..q.value())] {
+                    let run = |backend: Backend| {
+                        let mut dst = vec![u64::MAX; n];
+                        simd::add_constant(backend, &mut dst, &src, c, &q);
+                        dst
+                    };
+                    let want = run(Backend::Scalar);
+                    let sum: Vec<u64> = src.iter().map(|&x| q.add(x, c)).collect();
+                    let case = format!("q={q} n={n} c={c}");
+                    assert_eq!(want, sum, "{case}");
+                    for backend in vector_backends() {
+                        assert_eq!(run(backend), want, "{case} {backend}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
 #[should_panic(expected = "automorphism index 4 is even")]
 fn automorphisms_refuse_an_even_index() {
     // An even `k` has no inverse mod 2N; the call is refused before the
     // destination-order arm would take one.
     let q = Modulus::new(Q0).unwrap();
     let (src, mut dst) = (vec![1u64; 16], vec![0u64; 16]);
-    simd::automorph_add(Backend::detect_auto(), &src, &mut dst, 4, 0, &q);
+    simd::automorph_add(Backend::detect_auto(), &src, &mut dst, 4, &q);
 }
 
 #[test]

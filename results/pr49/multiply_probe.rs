@@ -90,7 +90,7 @@ fn kernels(reps: usize) {
             best(reps, || simd::ntt_monomial_butterfly(be, &mut a, &mut b, r, rs, q)),
             best(reps, || simd::monomial_butterfly(be, &mut a, &mut b, g, q)),
             best(reps, || simd::slot_gather_add(be, &mut a, &b, &slots, &c, q)),
-            best(reps, || simd::automorph_add(be, &b, &mut a, k, 0, q)));
+            best(reps, || simd::automorph_add(be, &b, &mut a, k, q)));
     }
     println!("inverse {:.2} forward {:.2}", best(reps, || table.inverse(&mut a)), best(reps, || table.forward(&mut a)));
 }

@@ -3,6 +3,7 @@
 //! cycle-model consistency checks.
 
 use cham::he::hmvp::{Hmvp, Matrix};
+use cham::he::pack::PackedRlwe;
 use cham::he::prelude::*;
 use cham::sim::config::ChamConfig;
 use cham::sim::pipeline::{HmvpCycleModel, RingShape};
@@ -245,9 +246,18 @@ fn golden_kat_pins_packed_ciphertext_bytes() {
 /// Payload-slot noise (`PackedRlwe::noise_report`, in bits) of every
 /// packed ciphertext of the golden KAT, one slice per `KAT_SHAPES` entry,
 /// as the pack measured it when it rounded `b` at every leaf and merge
-/// (commit 5cef027).
+/// (commit 5cef027). `per_merge_rounding_pack` rebuilds that pack, and
+/// the gate below checks it still reads these values.
 const PER_MERGE_ROUNDING_NOISE_BITS: [&[f64]; 4] =
     [&[12.0345, 9.6062], &[5.6319], &[11.6164], &[5.0264]];
+
+/// The digests of that pack, the ones `KAT_DIGESTS` replaced.
+const PER_MERGE_ROUNDING_DIGESTS: [&[u64]; 4] = [
+    &[0xd7633eaa27c3e3e5, 0xec40040ae28b97b9],
+    &[0xdcb4677655b68872],
+    &[0x2a48d6b8996e0217],
+    &[0x1c44e7aecfc2b1f0],
+];
 
 /// The same noise with `b` rounded once, at the pack's root. The bytes
 /// are pinned by `KAT_DIGESTS`, so these are too; they are spelled out
@@ -255,39 +265,95 @@ const PER_MERGE_ROUNDING_NOISE_BITS: [&[f64]; 4] =
 const ROOT_ROUNDING_NOISE_BITS: [&[f64]; 4] =
     [&[12.0172, 9.5725], &[5.5106], &[11.5697], &[5.0700]];
 
-/// The noise gate of the one-mod-down pack. Dropping the per-merge
-/// rounding of `b` removes `±½` terms (scaled by the levels above them)
-/// from every payload's noise and adds one `±½` at the root: the bound
-/// and the variance shrink, but a single payload may land either side of
-/// where it was. So the gate is on what decides a decryption — the
-/// noisiest payload of the whole KAT, i.e. its smallest budget — which
-/// must be no worse than the parent's; each shape is pinned as measured.
+/// The one KAT shape whose payload noise reads higher with one rounding
+/// at the root than with one per leaf and merge: 5.0264 → 5.0700 bits
+/// (`|e|` 32.6 → 33.6) over its three payloads. Dropping the per-leaf
+/// and per-merge `±½` roundings of `b` and adding one at the root shrinks
+/// the bound and the variance of every payload's noise, but a single
+/// payload may land on either side of where it was, and this one moved
+/// up, so the gate below exempts it by name.
+const NOISIER_THAN_PER_MERGE_ROUNDING: (usize, usize) = (3, 17 * 256 + 1);
+
+/// The pack that rounded `b` at every leaf and merge, rebuilt from
+/// public functions: each row's LWE from `dot_products` (its `b` rounded
+/// at the leaf), placed bit-reversed, then the tree reduced level by
+/// level through the public `pack_two`, which rounds `b` at every merge.
+fn per_merge_rounding_pack(
+    hmvp: &Hmvp,
+    em: &cham::he::hmvp::EncodedMatrix,
+    cts: &[RlweCiphertext],
+    gkeys: &GaloisKeys,
+    params: &ChamParams,
+) -> Vec<PackedRlwe> {
+    use cham::he::extract::lwe_to_rlwe;
+    let lwes = hmvp.dot_products(em, cts).unwrap();
+    lwes.chunks(params.degree())
+        .map(|rows| {
+            let log = rows.len().next_power_of_two().trailing_zeros();
+            let mut level = vec![lwe_to_rlwe(&rows[0]).zero_like(); 1 << log];
+            for (i, lwe) in rows.iter().enumerate() {
+                level[cham::math::bit_reverse(i, log)] = lwe_to_rlwe(lwe);
+            }
+            for h in 1..=log {
+                level = level
+                    .chunks(2)
+                    .map(|pair| {
+                        cham::he::pack::pack_two(h, &pair[0], &pair[1], gkeys, params).unwrap()
+                    })
+                    .collect();
+            }
+            PackedRlwe {
+                ciphertext: level.pop().expect("one root"),
+                log_count: log,
+                count: rows.len(),
+            }
+        })
+        .collect()
+}
+
+/// The noise gate of the one-mod-down pack, shape by shape: the payload
+/// noise of every pack of every KAT shape is pinned as measured, and is
+/// no higher than that of the pack which rounded `b` at every leaf and
+/// merge — rebuilt here, and checked to be that pack by its digests and
+/// its noise — except at `NOISIER_THAN_PER_MERGE_ROUNDING`, which is held
+/// to its pinned value only.
 #[test]
 fn golden_kat_payload_noise_is_no_worse_than_a_rounding_per_merge() {
     let (params, dec, gkeys, hmvp, cases) = kat_fixture();
-    let mut worst = f64::MIN;
-    for (((em, cts, plain), shape), pinned) in
-        cases.iter().zip(KAT_SHAPES).zip(ROOT_ROUNDING_NOISE_BITS)
+    let bits_of = |packs: &[PackedRlwe]| -> Vec<f64> {
+        packs
+            .iter()
+            .map(|p| p.noise_report(&dec, &params).unwrap().noise_bits)
+            .collect()
+    };
+    let pinned = ROOT_ROUNDING_NOISE_BITS
+        .iter()
+        .zip(PER_MERGE_ROUNDING_NOISE_BITS);
+    let parent_digests = PER_MERGE_ROUNDING_DIGESTS.iter();
+    for ((((em, cts, plain), shape), (root, per_merge)), digests) in
+        cases.iter().zip(KAT_SHAPES).zip(pinned).zip(parent_digests)
     {
         let result = hmvp.multiply(em, cts, &gkeys).unwrap();
         assert_eq!(&hmvp.decrypt_result(&result, &dec).unwrap(), plain);
-        let bits: Vec<f64> = result
-            .packed
+        let parent = per_merge_rounding_pack(&hmvp, em, cts, &gkeys, &params);
+        let parent_bytes: Vec<u64> = parent
             .iter()
-            .map(|p| p.noise_report(&dec, &params).unwrap().noise_bits)
+            .map(|p| fnv1a64(&cham::he::wire::rlwe_to_bytes(&p.ciphertext)))
             .collect();
-        assert_eq!(bits.len(), pinned.len(), "shape={shape:?}");
-        for (got, &want) in bits.iter().zip(pinned) {
+        assert_eq!(
+            &parent_bytes, digests,
+            "shape={shape:?}: the per-merge pack"
+        );
+        let (got, was) = (bits_of(&result.packed), bits_of(&parent));
+        assert_eq!((got.len(), was.len()), (root.len(), per_merge.len()));
+        for (((&got, &was), &root), &per_merge) in got.iter().zip(&was).zip(*root).zip(per_merge) {
             assert!(
-                (got - want).abs() < 1e-4,
-                "shape={shape:?}: {got} bits, pinned {want}"
+                (got - root).abs() < 1e-4 && (was - per_merge).abs() < 1e-4,
+                "shape={shape:?}: {got} / {was} bits, pinned {root} / {per_merge}"
             );
-            worst = worst.max(*got);
+            if shape != NOISIER_THAN_PER_MERGE_ROUNDING {
+                assert!(got <= was, "shape={shape:?}: {got} bits > {was}");
+            }
         }
     }
-    let parent = PER_MERGE_ROUNDING_NOISE_BITS
-        .concat()
-        .into_iter()
-        .fold(f64::MIN, f64::max);
-    assert!(worst <= parent, "noisiest payload {worst} bits > {parent}");
 }
