@@ -18,9 +18,13 @@
 //! * [`rns`] — residue-number-system machinery: CRT reconstruction, rescale
 //!   by the special modulus (pipeline stage-4), and modulus switching,
 //! * [`sampling`] — the random distributions used by RLWE key generation
-//!   and encryption (uniform, ternary, centred binomial).
+//!   and encryption (uniform, ternary, centred binomial),
+//! * [`bytes`] — little-endian byte views of coefficient words, which the
+//!   wire codec writes from and reads into without a copy.
 //!
-//! Everything is pure, safe Rust with no external arithmetic dependencies.
+//! There are no external arithmetic dependencies. `unsafe` lives in two
+//! places only: the SIMD kernels of [`simd`] and the two byte views of
+//! [`bytes`].
 //!
 //! ## Example
 //!
@@ -43,6 +47,7 @@
 // and gradient indices); suppress the stylistic lint crate-wide.
 #![allow(clippy::needless_range_loop)]
 
+pub mod bytes;
 pub mod karatsuba;
 pub mod modulus;
 pub mod montgomery;

@@ -16,7 +16,8 @@
 
 use crate::cache::MatrixBody;
 use crate::protocol::{
-    self, FrameKind, Hello, MatrixChunkStart, Response, DEADLINE_NONE, PROTOCOL_VERSION,
+    self, FrameKind, Hello, HmvpCiphertexts, MatrixChunkStart, Response, DEADLINE_NONE,
+    PROTOCOL_VERSION,
 };
 use crate::shard::ClusterIdentity;
 use crate::stats::IntrospectSnapshot;
@@ -415,14 +416,14 @@ impl ServeClient {
         deadline: Option<Duration>,
         trace_id: u64,
     ) -> Result<HmvpResult> {
-        let payload = protocol::hmvp_request_payload(cts);
-        self.send_hmvp(key_id, matrix_id, deadline, trace_id, &payload)?;
+        let cts = HmvpCiphertexts::new(cts);
+        self.send_hmvp(key_id, matrix_id, deadline, trace_id, &cts)?;
         self.recv_hmvp()
     }
 
     /// The sending half of [`Self::hmvp_traced`]: writes one `Hmvp` frame
-    /// whose ciphertexts are `payload`, already encoded by
-    /// [`protocol::hmvp_request_payload`], and returns without waiting.
+    /// carrying `cts`, gathered from their limbs by one vectored write
+    /// ([`HmvpCiphertexts::write_frame`]), and returns without waiting.
     /// The connection then owes exactly one [`Self::recv_hmvp`] before it
     /// carries another request.
     pub(crate) fn send_hmvp(
@@ -431,7 +432,7 @@ impl ServeClient {
         matrix_id: u64,
         deadline: Option<Duration>,
         trace_id: u64,
-        payload: &[u8],
+        cts: &HmvpCiphertexts<'_>,
     ) -> Result<()> {
         let deadline_ms = deadline.map_or(DEADLINE_NONE, |d| {
             u32::try_from(d.as_millis())
@@ -439,7 +440,7 @@ impl ServeClient {
                 .clamp(1, DEADLINE_NONE - 1)
         });
         let head = protocol::hmvp_request_head(key_id, matrix_id, deadline_ms, trace_id);
-        self.send(FrameKind::Hmvp, &[&head, payload])
+        cts.write_frame(&mut self.stream, &head)
     }
 
     /// The receiving half of [`Self::hmvp_traced`]: reads the reply to the
@@ -485,13 +486,8 @@ impl ServeClient {
 
     /// Sends one frame and parses the response.
     fn roundtrip(&mut self, kind: FrameKind, body: &[u8]) -> Result<Response> {
-        self.send(kind, &[body])?;
+        protocol::write_frame(&mut self.stream, kind, body)?;
         self.recv()
-    }
-
-    /// Writes one request frame whose body is `parts` back to back.
-    fn send(&mut self, kind: FrameKind, parts: &[&[u8]]) -> Result<()> {
-        protocol::write_frame_vectored(&mut self.stream, kind, parts)
     }
 
     /// Reads one reply frame and parses it, turning `Error` frames back

@@ -73,7 +73,7 @@
 
 use crate::client::{ChunkedBody, ClientConfig, ServeClient};
 use crate::faults::SplitMix64;
-use crate::protocol::{self, ErrorCode};
+use crate::protocol::{self, ErrorCode, HmvpCiphertexts};
 use crate::shard::{HashRing, Topology};
 use crate::{Result, ServeError};
 use cham_he::ciphertext::RlweCiphertext;
@@ -565,8 +565,9 @@ impl ClusterClient {
 
     /// HMVPs `ids` (one matrix, or the bands of one) under a single
     /// trace id and a single retry budget, returning one result per id
-    /// in order. The ciphertexts are encoded once; every band and every
-    /// retry sends that payload behind its own head.
+    /// in order. Each ciphertext's length and header are written once;
+    /// every band and every retry gathers them and the ciphertexts' own
+    /// limbs behind its own head, in one vectored write.
     ///
     /// First attempts run in waves on the calling thread: a wave writes
     /// the next band of every serving node's group (dialing if needed),
@@ -589,7 +590,7 @@ impl ClusterClient {
         // Every band and every retry of one logical request carries the
         // same id into the fleet's flight recorders.
         let trace_id = TraceId::generate().as_u64();
-        let payload = protocol::hmvp_request_payload(cts);
+        let cts = HmvpCiphertexts::new(cts);
         // Replica sets under the *current* ring (which after a refresh
         // may differ from upload time), grouped by the node `pick` sends
         // each first attempt to.
@@ -609,7 +610,7 @@ impl ClusterClient {
                 let slot = slot as u16;
                 let sent = self
                     .connected(slot)
-                    .and_then(|c| c.send_hmvp(key_id, ids[band], deadline, trace_id, &payload));
+                    .and_then(|c| c.send_hmvp(key_id, ids[band], deadline, trace_id, &cts));
                 wave.push((slot, band, sent));
             }
             if wave.is_empty() {
@@ -639,7 +640,7 @@ impl ClusterClient {
         let mut done = Vec::with_capacity(ids.len());
         for ((&id, slots), attempt) in ids.iter().zip(&replicas).zip(first) {
             let op = |c: &mut ServeClient| {
-                c.send_hmvp(key_id, id, deadline, trace_id, &payload)?;
+                c.send_hmvp(key_id, id, deadline, trace_id, &cts)?;
                 c.recv_hmvp()
             };
             let (slot, result) = match attempt {

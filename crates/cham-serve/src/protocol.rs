@@ -74,6 +74,28 @@
 //! `Incompatible`. A `HmvpDone` reply's packed ciphertexts are
 //! coefficient-form `Rlwe` payloads.
 //!
+//! ## How an `Hmvp` request crosses
+//!
+//! Neither end copies a ciphertext byte outside the kernel. The client
+//! writes each ciphertext's length and wire header once per request
+//! (`HmvpCiphertexts`) and hands [`write_frame_vectored`] the frame
+//! header, the 28-byte head, the count and, per ciphertext, that prefix
+//! and the limbs as they sit in memory — one vectored write, resumed
+//! past whatever each call took. The server reads the frame's head
+//! ([`read_frame_head`]) and streams the body (`HmvpBody`): the head
+//! and count, then per ciphertext its length, its header into a stack
+//! buffer, and each limb's bytes straight into the limb, checked
+//! canonical in place. Fields are read in the order they are checked and
+//! never past the declared length, so [`hmvp_request_from_bytes`] is the
+//! same reader over a slice and refuses exactly what the socket reader
+//! refuses. A ciphertext the HE codec refuses once the framing is sound
+//! (a foreign chain, a word `≥ qᵢ`) is answered with a typed error after
+//! the rest of the body is read and dropped, on a connection that stays
+//! open; a `BadFrame` closes it. A word's wire bytes are its
+//! little-endian `u64`, which is what makes limbs writable and readable
+//! in place: `cham_math::bytes` refuses to compile for a big-endian
+//! target.
+//!
 //! ## Matrix uploads
 //!
 //! A matrix travels as its *declared body* —
@@ -123,9 +145,10 @@ use cham_he::hmvp::Matrix;
 use cham_he::pack::PackedRlwe;
 use cham_he::params::ChamParams;
 use cham_he::wire;
+use cham_math::bytes::as_le_bytes_mut;
 use cham_telemetry::flight::{FlightEvent, FlightEventKind, FlightSnapshot, RequestTrace};
 use cham_telemetry::span::{phase, PhaseSpan, TraceId};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 /// The one protocol revision this crate speaks; both ends refuse any
 /// other value.
@@ -278,12 +301,15 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, body: &[u8]) -> Result<(
 }
 
 /// Writes one frame whose body is scattered across `parts`, using
-/// `write_vectored` so the header and the pieces reach the kernel in one
-/// call without first being gathered into one contiguous buffer — the
-/// copy an `Hmvp` request would otherwise pay to put its ciphertext
-/// payload, encoded once for every band and retry, behind each 28-byte
-/// head. On the wire the result is the header followed by the
-/// concatenated parts.
+/// `write_vectored` so the header and the pieces reach the kernel as they
+/// are, never gathered into one contiguous buffer first — an `Hmvp`
+/// request (`HmvpCiphertexts::write_frame`) passes every limb of every
+/// ciphertext as a part of its own. On the wire the result is the header
+/// followed by the concatenated parts.
+///
+/// A vectored write may take any prefix of what it is offered (a socket
+/// takes at most 1 024 slices per call); the slice list is built once and
+/// advanced past what each call wrote until nothing is left.
 ///
 /// # Errors
 /// Propagates transport errors; rejects oversized bodies.
@@ -296,51 +322,48 @@ pub fn write_frame_vectored(w: &mut impl Write, kind: FrameKind, parts: &[&[u8]]
     let mut header = [0u8; 5];
     header[..4].copy_from_slice(&len.to_le_bytes());
     header[4] = kind as u8;
-    // Flatten to one buffer list, skipping empty parts (a zero-length
-    // IoSlice is legal but wastes an iovec slot).
-    let bufs: Vec<&[u8]> = std::iter::once(&header[..])
+    // Empty parts are skipped: a zero-length slice is legal but wastes a
+    // slot of the call's slice budget.
+    let mut slices: Vec<IoSlice<'_>> = std::iter::once(&header[..])
         .chain(parts.iter().copied())
         .filter(|p| !p.is_empty())
+        .map(IoSlice::new)
         .collect();
-    // write_vectored may accept any prefix of the total; resume from the
-    // first unwritten byte until everything is down.
-    let mut idx = 0;
-    let mut offset = 0;
-    while idx < bufs.len() {
-        let mut slices = Vec::with_capacity(bufs.len() - idx);
-        slices.push(std::io::IoSlice::new(&bufs[idx][offset..]));
-        for buf in &bufs[idx + 1..] {
-            slices.push(std::io::IoSlice::new(buf));
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => {
+                return Err(ServeError::Io(std::io::Error::new(
+                    ErrorKind::WriteZero,
+                    "vectored frame write stalled",
+                )))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
         }
-        let mut n = w.write_vectored(&slices)?;
-        if n == 0 {
-            return Err(ServeError::Io(std::io::Error::new(
-                std::io::ErrorKind::WriteZero,
-                "vectored frame write stalled",
-            )));
-        }
-        while idx < bufs.len() && n >= bufs[idx].len() - offset {
-            n -= bufs[idx].len() - offset;
-            idx += 1;
-            offset = 0;
-        }
-        offset += n;
     }
     w.flush()?;
     Ok(())
 }
 
-/// Reads one frame (blocking) whose length prefix is at most
-/// [`MAX_FRAME_BYTES`]. A zero or larger prefix is rejected before the
-/// body is reserved or read. The body is read straight into a buffer
-/// reserved for the declared length, with no zero-fill first; a body that
-/// ends short is the same typed `Io` error (`UnexpectedEof`) a cut
-/// header is.
+/// Reads one frame (blocking): [`read_frame_head`], then
+/// [`read_frame_body`].
 ///
 /// # Errors
-/// Transport errors, zero/oversized length prefixes, unknown kinds, a
-/// body shorter than its prefix.
+/// Those of the two halves.
 pub fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>)> {
+    let (kind, len) = read_frame_head(r)?;
+    Ok((kind, read_frame_body(r, len)?))
+}
+
+/// Reads a frame's length prefix and kind byte, and returns the kind and
+/// the length of the body that follows. A zero prefix, or one larger than
+/// [`MAX_FRAME_BYTES`], is refused before anything else is read.
+///
+/// # Errors
+/// Transport errors, zero/oversized length prefixes, unknown kinds.
+pub fn read_frame_head(r: &mut impl Read) -> Result<(FrameKind, usize)> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf) as usize;
@@ -354,15 +377,25 @@ pub fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>)> {
     }
     let mut kind_buf = [0u8; 1];
     r.read_exact(&mut kind_buf)?;
-    let kind = FrameKind::from_u8(kind_buf[0])?;
-    let mut body = Vec::with_capacity(len - 1);
-    if r.take(len as u64 - 1).read_to_end(&mut body)? != len - 1 {
+    Ok((FrameKind::from_u8(kind_buf[0])?, len - 1))
+}
+
+/// Reads a body of `len` bytes, the length [`read_frame_head`] returned,
+/// straight into a buffer reserved for it, with no zero-fill first. A
+/// body that ends short is the same typed `Io` error (`UnexpectedEof`) a
+/// cut header is.
+///
+/// # Errors
+/// Transport errors, a body shorter than its prefix.
+pub fn read_frame_body(r: &mut impl Read, len: usize) -> Result<Vec<u8>> {
+    let mut body = Vec::with_capacity(len);
+    if r.take(len as u64).read_to_end(&mut body)? != len {
         return Err(ServeError::Io(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
+            ErrorKind::UnexpectedEof,
             "frame body ends short",
         )));
     }
-    Ok((kind, body))
+    Ok(body)
 }
 
 /// Little-endian cursor over a frame body.
@@ -573,8 +606,11 @@ pub fn matrix_from_bytes(body: &[u8], params: &ChamParams) -> Result<Matrix> {
     // Checked before the entries are allocated: a declared shape never
     // reserves more than the body actually carries.
     let (rows, cols) = matrix_shape(body)?;
-    let data = wire::words_below(&body[8..], params.plain_modulus().value())
-        .ok_or(ServeError::BadFrame("matrix entry exceeds the modulus"))?;
+    let mut data = vec![0u64; (body.len() - 8) / 8];
+    as_le_bytes_mut(&mut data).copy_from_slice(&body[8..]);
+    if !wire::words_below(&data, params.plain_modulus().value()) {
+        return Err(ServeError::BadFrame("matrix entry exceeds the modulus"));
+    }
     Matrix::from_data(rows as usize, cols as usize, data).map_err(ServeError::He)
 }
 
@@ -777,23 +813,20 @@ pub fn bitmap_set(bitmap: &mut [u8], i: usize) {
 // ----------------------------------------------------------------- Hmvp
 
 /// A parsed `Hmvp` request body.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HmvpRequest {
-    /// Content hash of the Galois key set to use.
-    pub key_id: u64,
-    /// Content hash of the matrix to multiply by.
-    pub matrix_id: u64,
-    /// Deadline in milliseconds from receipt; [`DEADLINE_NONE`] = none.
-    pub deadline_ms: u32,
-    /// Client-stamped trace id (`0` = unset: the server assigns one).
-    pub trace_id: u64,
+    /// The fixed fields.
+    pub head: HmvpHead,
     /// The encrypted vector, one ciphertext per column tile.
     pub cts: Vec<RlweCiphertext>,
 }
 
-/// Serializes an `Hmvp` request body (`trace_id` 0 = "unset", letting
-/// the server assign one): [`hmvp_request_head`] followed by
-/// [`hmvp_request_payload`], written once into one buffer.
+/// Serializes an `Hmvp` request body contiguously (`trace_id` 0 =
+/// "unset", letting the server assign one): [`hmvp_request_head`], the
+/// count, then each ciphertext's length and `cham_he::wire::write_rlwe`
+/// payload, written once into one buffer. The bytes
+/// `HmvpCiphertexts::write_frame` gathers behind the same head are
+/// these.
 #[must_use]
 pub fn hmvp_request_to_bytes(
     key_id: u64,
@@ -802,10 +835,14 @@ pub fn hmvp_request_to_bytes(
     trace_id: u64,
     cts: &[RlweCiphertext],
 ) -> Vec<u8> {
-    let head = hmvp_request_head(key_id, matrix_id, deadline_ms, trace_id);
-    let mut out = Vec::with_capacity(head.len() + hmvp_payload_len(cts));
-    out.extend_from_slice(&head);
-    put_hmvp_payload(&mut out, cts);
+    let cts_len: usize = cts.iter().map(|ct| 4 + wire::rlwe_encoded_len(ct)).sum();
+    let mut out = Vec::with_capacity(28 + 2 + cts_len);
+    out.extend_from_slice(&hmvp_request_head(key_id, matrix_id, deadline_ms, trace_id));
+    out.extend_from_slice(&(cts.len() as u16).to_le_bytes());
+    for ct in cts {
+        out.extend_from_slice(&(wire::rlwe_encoded_len(ct) as u32).to_le_bytes());
+        wire::write_rlwe(&mut out, ct);
+    }
     out
 }
 
@@ -821,72 +858,206 @@ pub fn hmvp_request_head(key_id: u64, matrix_id: u64, deadline_ms: u32, trace_id
     head
 }
 
-/// The ciphertext payload that follows the head of an `Hmvp` body:
-/// `[k u16]([len u32][rlwe])×k`. It depends on the vector alone, so one
-/// encoding serves every band and every retry of a request. Each
-/// ciphertext is written once, into a buffer sized for the whole payload.
-#[must_use]
-pub fn hmvp_request_payload(cts: &[RlweCiphertext]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(hmvp_payload_len(cts));
-    put_hmvp_payload(&mut out, cts);
-    out
+/// The ciphertext half of an `Hmvp` body, ready to be gathered behind any
+/// head: every byte of it that is not a limb — `[k u16]`, then each
+/// ciphertext's `[len u32]` and wire header, about 40 bytes apiece — is
+/// written once, and the limbs are borrowed as they are. One serves every
+/// band and every retry of a request.
+pub(crate) struct HmvpCiphertexts<'a> {
+    /// The count, then each ciphertext's length and header.
+    framing: Vec<u8>,
+    /// Where each ciphertext's length and header end in `framing`.
+    ends: Vec<usize>,
+    cts: &'a [RlweCiphertext],
 }
 
-/// The exact length of [`hmvp_request_payload`]`(cts)`.
-fn hmvp_payload_len(cts: &[RlweCiphertext]) -> usize {
-    2 + cts
-        .iter()
-        .map(|ct| 4 + wire::rlwe_encoded_len(ct))
-        .sum::<usize>()
-}
+impl<'a> HmvpCiphertexts<'a> {
+    /// Writes the framing of `cts`; the limbs stay where they are.
+    #[must_use]
+    pub(crate) fn new(cts: &'a [RlweCiphertext]) -> Self {
+        let mut framing = Vec::new();
+        framing.extend_from_slice(&(cts.len() as u16).to_le_bytes());
+        let ends = cts
+            .iter()
+            .map(|ct| {
+                framing.extend_from_slice(&(wire::rlwe_encoded_len(ct) as u32).to_le_bytes());
+                wire::write_rlwe_header(&mut framing, ct);
+                framing.len()
+            })
+            .collect();
+        Self { framing, ends, cts }
+    }
 
-fn put_hmvp_payload(out: &mut Vec<u8>, cts: &[RlweCiphertext]) {
-    out.extend_from_slice(&(cts.len() as u16).to_le_bytes());
-    for ct in cts {
-        out.extend_from_slice(&(wire::rlwe_encoded_len(ct) as u32).to_le_bytes());
-        wire::write_rlwe(out, ct);
+    /// Writes one `Hmvp` frame, `head` then these ciphertexts, with one
+    /// [`write_frame_vectored`] call over the head, the count and, per
+    /// ciphertext, its length and header and its `2·L` limb views
+    /// (`cham_he::wire::rlwe_limbs`). No byte of a limb is copied on
+    /// the way to the kernel.
+    ///
+    /// # Errors
+    /// A `BadFrame` for more than `u16::MAX` ciphertexts, which the count
+    /// cannot hold; those of [`write_frame_vectored`].
+    pub(crate) fn write_frame(&self, w: &mut impl Write, head: &[u8; 28]) -> Result<()> {
+        if self.cts.len() > usize::from(u16::MAX) {
+            return Err(ServeError::BadFrame(
+                "more ciphertexts than a u16 count holds",
+            ));
+        }
+        let limbs = self.cts.first().map_or(0, |ct| 2 * ct.b().limbs().len());
+        let mut parts: Vec<&[u8]> = Vec::with_capacity(2 + self.cts.len() * (1 + limbs));
+        parts.push(head);
+        parts.push(&self.framing[..2]);
+        let mut from = 2;
+        for (ct, &end) in self.cts.iter().zip(&self.ends) {
+            parts.push(&self.framing[from..end]);
+            parts.extend(wire::rlwe_limbs(ct));
+            from = end;
+        }
+        write_frame_vectored(w, FrameKind::Hmvp, &parts)
     }
 }
 
-/// Parses an `Hmvp` request body (ciphertexts validated against
-/// `params`).
+/// The fixed fields at the front of an `Hmvp` body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HmvpHead {
+    /// Content hash of the Galois key set to use.
+    pub key_id: u64,
+    /// Content hash of the matrix to multiply by.
+    pub matrix_id: u64,
+    /// Deadline in milliseconds from receipt; [`DEADLINE_NONE`] = none.
+    pub deadline_ms: u32,
+    /// Client-stamped trace id (`0` = unset: the server assigns one).
+    pub trace_id: u64,
+}
+
+/// An `Hmvp` body being read from a stream: [`Self::head`], then
+/// [`Self::ciphertexts`]. Each field is read in the order it is checked,
+/// and never past the `len` bytes the frame declared, so a refusal is the
+/// same however the bytes arrive — [`hmvp_request_from_bytes`] is this
+/// reader over a slice.
+pub(crate) struct HmvpBody<'r, R> {
+    r: &'r mut R,
+    /// Bytes of the body not yet read.
+    left: usize,
+    /// The ciphertext count the head declared.
+    count: usize,
+}
+
+impl<'r, R: Read> HmvpBody<'r, R> {
+    /// A body of `len` bytes at the front of `r`.
+    pub(crate) fn new(r: &'r mut R, len: usize) -> Self {
+        Self {
+            r,
+            left: len,
+            count: 0,
+        }
+    }
+
+    /// Reads as much of `buf` as the body has left, and returns that.
+    fn fill<'b>(&mut self, buf: &'b mut [u8]) -> Result<&'b [u8]> {
+        let n = buf.len().min(self.left);
+        self.r.read_exact(&mut buf[..n])?;
+        self.left -= n;
+        Ok(&buf[..n])
+    }
+
+    /// Reads the head and the ciphertext count, in one read of at most 30
+    /// bytes.
+    ///
+    /// # Errors
+    /// [`ServeError::BadFrame`] for a body that ends inside them, a zero
+    /// deadline or a zero count; transport errors.
+    pub(crate) fn head(&mut self) -> Result<HmvpHead> {
+        let mut buf = [0u8; 30];
+        let mut r = Reader::new(self.fill(&mut buf)?);
+        let key_id = r.u64()?;
+        let matrix_id = r.u64()?;
+        let deadline_ms = r.u32()?;
+        if deadline_ms == 0 {
+            // An already-expired deadline is always a client bug; reading
+            // it as "no deadline" would be worse than loud.
+            return Err(ServeError::BadFrame(
+                "deadline_ms = 0 (use DEADLINE_NONE for no deadline)",
+            ));
+        }
+        let trace_id = r.u64()?;
+        self.count = usize::from(r.u16()?);
+        if self.count == 0 {
+            return Err(ServeError::BadFrame("hmvp request with no ciphertexts"));
+        }
+        Ok(HmvpHead {
+            key_id,
+            matrix_id,
+            deadline_ms,
+            trace_id,
+        })
+    }
+
+    /// Reads the ciphertexts the head counted, each with
+    /// `cham_he::wire::read_rlwe`: its header into a stack buffer, its
+    /// limbs straight into the ciphertext.
+    ///
+    /// # Errors
+    /// [`ServeError::BadFrame`] for framing faults: a length past the
+    /// body's end, trailing bytes. [`ServeError::He`] for a well-framed
+    /// ciphertext payload the HE codec refuses (foreign modulus,
+    /// out-of-range residue) — and then the rest of the body has been
+    /// read and dropped, so the stream is at the next frame and the
+    /// connection can answer the error and go on. Transport errors.
+    pub(crate) fn ciphertexts(mut self, params: &ChamParams) -> Result<Vec<RlweCiphertext>> {
+        let mut cts = Vec::with_capacity(self.count.min(self.left / 4));
+        for _ in 0..self.count {
+            let len = Reader::new(self.fill(&mut [0u8; 4])?).u32()? as usize;
+            if len > self.left {
+                return Err(ServeError::BadFrame("truncated frame body"));
+            }
+            self.left -= len;
+            match wire::read_rlwe(self.r, len, params)? {
+                Ok(ct) => cts.push(ct),
+                Err(e) => {
+                    let rest = self.left as u64;
+                    if std::io::copy(&mut self.r.by_ref().take(rest), &mut std::io::sink())? != rest
+                    {
+                        return Err(ServeError::Io(ErrorKind::UnexpectedEof.into()));
+                    }
+                    return Err(ServeError::He(e));
+                }
+            }
+        }
+        if self.left != 0 {
+            return Err(ServeError::BadFrame("trailing bytes in frame body"));
+        }
+        Ok(cts)
+    }
+}
+
+/// Reads an `Hmvp` body of `len` bytes from `r`: the head, then the
+/// ciphertexts, as the server reads them off its socket (`HmvpBody`).
 ///
 /// # Errors
-/// [`ServeError::BadFrame`] for framing faults; [`ServeError::He`] for a
-/// well-framed ciphertext payload the HE codec refuses (foreign modulus,
-/// out-of-range residue). A body without the trace-id field desyncs the
-/// count and lengths behind it and ends in whichever comes first.
+/// [`ServeError::BadFrame`] for framing faults: a body that ends inside a
+/// field, a zero deadline or count, a length past the body's end,
+/// trailing bytes. [`ServeError::He`] for a well-framed ciphertext the HE
+/// codec refuses, after the rest of the body has been read. Transport
+/// errors. A body without the trace-id field desyncs the count and
+/// lengths behind it and ends in whichever comes first.
+pub fn read_hmvp_request(
+    r: &mut impl Read,
+    len: usize,
+    params: &ChamParams,
+) -> Result<HmvpRequest> {
+    let mut body = HmvpBody::new(r, len);
+    let head = body.head()?;
+    let cts = body.ciphertexts(params)?;
+    Ok(HmvpRequest { head, cts })
+}
+
+/// Parses an `Hmvp` request body: [`read_hmvp_request`] over the slice.
+///
+/// # Errors
+/// Those of [`read_hmvp_request`].
 pub fn hmvp_request_from_bytes(body: &[u8], params: &ChamParams) -> Result<HmvpRequest> {
-    let mut r = Reader::new(body);
-    let key_id = r.u64()?;
-    let matrix_id = r.u64()?;
-    let deadline_ms = r.u32()?;
-    if deadline_ms == 0 {
-        // An already-expired deadline is always a client bug; reading it
-        // as "no deadline" would be worse than loud.
-        return Err(ServeError::BadFrame(
-            "deadline_ms = 0 (use DEADLINE_NONE for no deadline)",
-        ));
-    }
-    let trace_id = r.u64()?;
-    let k = r.u16()? as usize;
-    if k == 0 {
-        return Err(ServeError::BadFrame("hmvp request with no ciphertexts"));
-    }
-    let mut cts = Vec::with_capacity(k);
-    for _ in 0..k {
-        let len = r.u32()? as usize;
-        let bytes = r.take(len)?;
-        cts.push(wire::rlwe_from_bytes(bytes, params)?);
-    }
-    r.done()?;
-    Ok(HmvpRequest {
-        key_id,
-        matrix_id,
-        deadline_ms,
-        trace_id,
-        cts,
-    })
+    read_hmvp_request(&mut &body[..], body.len(), params)
 }
 
 // ------------------------------------------------------------- Response
@@ -1604,24 +1775,18 @@ mod tests {
         let ct = enc.encrypt_augmented(&coder.encode_vector(&[1, 2, 3]).unwrap(), &mut rng);
         let body = hmvp_request_to_bytes(7, 9, 250, 0xFACE, std::slice::from_ref(&ct));
         let req = hmvp_request_from_bytes(&body, &p).unwrap();
-        assert_eq!(req.key_id, 7);
-        assert_eq!(req.matrix_id, 9);
-        assert_eq!(req.deadline_ms, 250);
-        assert_eq!(req.trace_id, 0xFACE);
+        assert_eq!(req.head.key_id, 7);
+        assert_eq!(req.head.matrix_id, 9);
+        assert_eq!(req.head.deadline_ms, 250);
+        assert_eq!(req.head.trace_id, 0xFACE);
         assert_eq!(req.cts.len(), 1);
         assert_eq!(req.cts[0], ct);
-
-        // A per-band head in front of a payload encoded once is the same
-        // body, byte for byte.
-        let payload = hmvp_request_payload(std::slice::from_ref(&ct));
-        let head = hmvp_request_head(7, 9, 250, 0xFACE);
-        assert_eq!([&head[..], &payload].concat(), body);
 
         // The no-deadline sentinel round-trips.
         let none_body = hmvp_request_to_bytes(7, 9, DEADLINE_NONE, 0, std::slice::from_ref(&ct));
         let req = hmvp_request_from_bytes(&none_body, &p).unwrap();
-        assert_eq!(req.deadline_ms, DEADLINE_NONE);
-        assert_eq!(req.trace_id, 0);
+        assert_eq!(req.head.deadline_ms, DEADLINE_NONE);
+        assert_eq!(req.head.trace_id, 0);
 
         // A literal zero deadline is a malformed frame, not "no deadline".
         let zero = hmvp_request_to_bytes(7, 9, 0, 0, std::slice::from_ref(&ct));
@@ -2054,44 +2219,95 @@ mod tests {
         assert!(Response::from_bytes(&body[..body.len() - 4], &p).is_err());
     }
 
+    /// A writer that takes at most 1 024 slices per vectored call, as a
+    /// socket does, and at most `cap` bytes of them; it records how many
+    /// slices each call was offered.
+    struct Capped {
+        out: Vec<u8>,
+        cap: usize,
+        offered: Vec<usize>,
+    }
+
+    impl Write for Capped {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[std::io::IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+            self.offered.push(bufs.len());
+            let mut n = 0;
+            for buf in bufs.iter().take(1024) {
+                let take = buf.len().min(self.cap - n);
+                self.out.extend_from_slice(&buf[..take]);
+                n += take;
+                if n == self.cap {
+                    break;
+                }
+            }
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn vectored_writes_match_contiguous_frames() {
+        let body: Vec<u8> = (0..100u8).collect();
+        let mut contiguous = Vec::new();
+        write_frame(&mut contiguous, FrameKind::Hmvp, &body).unwrap();
+        let parts: [&[u8]; 4] = [&body[..28], &[], &body[28..29], &body[29..]];
+        let mut vectored = Vec::new();
+        write_frame_vectored(&mut vectored, FrameKind::Hmvp, &parts).unwrap();
+        assert_eq!(vectored, contiguous);
+        // A writer that takes one byte per call still gets the exact frame
+        // (partial-write resumption), one call per byte.
+        let mut dribble = Capped {
+            out: Vec::new(),
+            cap: 1,
+            offered: Vec::new(),
+        };
+        write_frame_vectored(&mut dribble, FrameKind::Hmvp, &parts).unwrap();
+        assert_eq!(dribble.out, contiguous);
+        assert_eq!(dribble.offered.len(), contiguous.len());
+        // An empty part takes no slot: the header and three parts.
+        assert_eq!(dribble.offered[0], 4);
+    }
+
+    /// An `Hmvp` frame gathered from the limbs is the contiguous body's
+    /// frame, byte for byte, at 1, 16 and 200 tiles — into a buffer that
+    /// takes every slice at once, and through a writer that takes at most
+    /// 1 024 slices and an odd number of bytes per call. At 200 tiles the
+    /// frame is 1 403 slices: the header, the head, the count and, per
+    /// ciphertext, its length and header and its `2·L` limbs.
+    #[test]
+    fn gathered_requests_are_the_contiguous_frames() {
         let p = params();
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
         let sk = SecretKey::generate(&p, &mut rng);
         let enc = Encryptor::new(&p, &sk);
         let coder = CoeffEncoder::new(&p);
-        let ct = enc.encrypt(&coder.encode_vector(&[4]).unwrap(), &mut rng);
-        // A request goes out as its head and its shared payload, scattered;
-        // the frame is the contiguous body's, byte for byte.
-        let cts = [ct.clone(), ct];
-        let body = hmvp_request_to_bytes(7, 9, DEADLINE_NONE, 3, &cts);
-        let head = hmvp_request_head(7, 9, DEADLINE_NONE, 3);
-        let payload = hmvp_request_payload(&cts);
-        let mut contiguous = Vec::new();
-        write_frame(&mut contiguous, FrameKind::Hmvp, &body).unwrap();
-        let mut vectored = Vec::new();
-        let borrowed: [&[u8]; 3] = [&head, &[], &payload];
-        write_frame_vectored(&mut vectored, FrameKind::Hmvp, &borrowed).unwrap();
-        assert_eq!(vectored, contiguous);
-        // A writer that dribbles one byte at a time still produces the
-        // exact frame (partial-write resumption).
-        struct Dribble(Vec<u8>);
-        impl Write for Dribble {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                if buf.is_empty() {
-                    return Ok(0);
-                }
-                self.0.push(buf[0]);
-                Ok(1)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
+        let ct = enc.encrypt_augmented(&coder.encode_vector(&[4]).unwrap(), &mut rng);
+        let limbs = 2 * ct.b().limbs().len();
+        for tiles in [1, 16, 200] {
+            let cts = vec![ct.clone(); tiles];
+            let body = hmvp_request_to_bytes(7, 9, 250, 0xFACE, &cts);
+            let mut want = Vec::new();
+            write_frame(&mut want, FrameKind::Hmvp, &body).unwrap();
+            let head = hmvp_request_head(7, 9, 250, 0xFACE);
+            let gathered = HmvpCiphertexts::new(&cts);
+            let mut got = Vec::new();
+            gathered.write_frame(&mut got, &head).unwrap();
+            assert_eq!(got, want, "{tiles} tiles");
+            let mut capped = Capped {
+                out: Vec::new(),
+                cap: 100_003,
+                offered: Vec::new(),
+            };
+            gathered.write_frame(&mut capped, &head).unwrap();
+            assert_eq!(capped.out, want, "{tiles} tiles, capped");
+            assert_eq!(capped.offered[0], 3 + tiles * (1 + limbs));
         }
-        let mut dribble = Dribble(Vec::new());
-        write_frame_vectored(&mut dribble, FrameKind::Hmvp, &borrowed).unwrap();
-        assert_eq!(dribble.0, contiguous);
+        assert_eq!(3 + 200 * (1 + limbs), 1403);
     }
 
     #[test]

@@ -30,15 +30,16 @@
 use crate::cache::SessionCache;
 use crate::faults::{Fault, FaultInjector};
 use crate::gate::Gate;
-use crate::protocol::{self, FrameKind, Hello, Response};
+use crate::protocol::{self, FrameKind, Hello, HmvpBody, HmvpHead, Response};
 use crate::shard::{ClusterIdentity, ShardSpec};
 use crate::stats::{IntrospectSnapshot, PhaseHistograms, ServeStats, StatsSnapshot};
 use crate::store::SegmentStore;
 use crate::{Result, ServeError};
+use cham_he::ciphertext::RlweCiphertext;
 use cham_he::params::ChamParams;
 use cham_telemetry::flight::{FlightEventKind, FlightRecorder, RequestTrace};
 use cham_telemetry::span::{self, phase, SpanRecorder, TraceId};
-use std::io::{ErrorKind, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -367,20 +368,21 @@ impl Server {
 
 /// What one interruptible read produced.
 enum ReadOutcome {
-    /// A complete frame.
-    Frame(FrameKind, Vec<u8>),
+    /// A frame's kind and body length; the body is still on the socket.
+    Frame(FrameKind, usize),
     /// Clean EOF — the peer is gone; close without ceremony.
     Eof,
     /// The shutdown flag flipped while idle — enter the grace drain.
     ShuttingDown,
 }
 
-/// Reads one frame, polling the shutdown flag while idle.
+/// Reads one frame's head, polling the shutdown flag while idle.
 ///
 /// Idleness is a `peek` under a 250 ms timeout, which consumes nothing;
-/// once a frame's first byte is there, the frame is read whole by
-/// [`protocol::read_frame`] under a long timeout, so a slow client
-/// mid-frame is not mistaken for an idle one. Length prefixes beyond
+/// once a frame's first byte is there, its head is read by
+/// [`protocol::read_frame_head`] and the timeout raised to a long one for
+/// the body the caller reads next, so a slow client mid-frame is not
+/// mistaken for an idle one. Length prefixes beyond
 /// [`protocol::MAX_FRAME_BYTES`] are rejected before any allocation.
 fn read_frame_interruptible(stream: &mut TcpStream, shutdown: &AtomicBool) -> Result<ReadOutcome> {
     stream.set_read_timeout(Some(Duration::from_millis(250)))?;
@@ -396,8 +398,8 @@ fn read_frame_interruptible(stream: &mut TcpStream, shutdown: &AtomicBool) -> Re
         }
     }
     stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    let (kind, body) = protocol::read_frame(stream)?;
-    Ok(ReadOutcome::Frame(kind, body))
+    let (kind, len) = protocol::read_frame_head(stream)?;
+    Ok(ReadOutcome::Frame(kind, len))
 }
 
 fn elapsed_ns(since: Instant) -> u64 {
@@ -461,8 +463,8 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
     let config = &shared.config;
     let stats = &shared.stats;
     loop {
-        let (kind, mut body) = match read_frame_interruptible(&mut stream, &shared.shutdown) {
-            Ok(ReadOutcome::Frame(kind, body)) => (kind, body),
+        let (kind, len) = match read_frame_interruptible(&mut stream, &shared.shutdown) {
+            Ok(ReadOutcome::Frame(kind, len)) => (kind, len),
             Ok(ReadOutcome::Eof) => return Ok(()),
             Ok(ReadOutcome::ShuttingDown) => {
                 return drain_shutdown(&mut stream, stats, config.shutdown_grace)
@@ -482,10 +484,32 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
         if let Some(f) = shared.inject(Fault::DelayedRead, None) {
             std::thread::sleep(f.delay());
         }
-        if !body.is_empty() && shared.inject(Fault::CorruptFrame, None).is_some() {
-            body.truncate(body.len() - 1);
-        }
-        match handle_frame(kind, &body, shared) {
+        let corrupt = len > 0 && shared.inject(Fault::CorruptFrame, None).is_some();
+        // A body that does not arrive leaves the stream gone or desynced:
+        // it is closed with no reply.
+        let handled = if kind == FrameKind::Hmvp {
+            match recv_hmvp(&mut stream, len, corrupt, shared) {
+                Err(e @ ServeError::Io(_)) => {
+                    let _ = stream.shutdown(NetShutdown::Both);
+                    return Err(e);
+                }
+                received => received.and_then(|request| serve_hmvp(request, shared)),
+            }
+        } else {
+            match protocol::read_frame_body(&mut stream, len) {
+                Err(e) => {
+                    let _ = stream.shutdown(NetShutdown::Both);
+                    return Err(e);
+                }
+                Ok(mut body) => {
+                    if corrupt {
+                        body.pop();
+                    }
+                    handle_frame(kind, &body, shared)
+                }
+            }
+        };
+        match handled {
             Ok(outcome) => {
                 let trace_id = outcome.trace.as_ref().map(|(rec, _, _)| rec.trace_id());
                 if shared.inject(Fault::ConnReset, trace_id).is_some() {
@@ -555,10 +579,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Serves one request frame — for `Hmvp`, the whole request path.
+/// Serves one request frame whose body was read whole: every kind but
+/// `Hmvp`, whose body [`recv_hmvp`] streams.
 fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<FrameOutcome> {
     let cache = &shared.cache;
-    let stats = &shared.stats;
     match kind {
         FrameKind::Hello => {
             Hello::from_bytes(body)?.check(cache.params())?;
@@ -586,99 +610,6 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
         FrameKind::LoadKeys => {
             let key_id = cache.put_keys_bytes(body)?;
             Ok(FrameOutcome::plain(Response::KeysLoaded { key_id }))
-        }
-        FrameKind::Hmvp => {
-            let req = protocol::hmvp_request_from_bytes(body, cache.params())?;
-            shared.check_owned(req.matrix_id)?;
-            // A client-stamped id continues the client's trace; an unset
-            // one gets a server-side id so every request shows up in the
-            // flight recorder either way.
-            let trace_id = TraceId::from_wire(req.trace_id).unwrap_or_else(TraceId::generate);
-            let trace = Arc::new(SpanRecorder::new(trace_id));
-            let started = Instant::now();
-            let start_ns = shared.flight.now_ns();
-            let inject = |fault| shared.inject(fault, Some(trace_id));
-            if inject(Fault::ForcedEviction).is_some() {
-                // Evict the referenced entries just before the lookup —
-                // the client must recover via re-upload (idempotent
-                // thanks to content addressing).
-                let _ = cache.evict_keys(req.key_id);
-                let _ = cache.evict_matrix(req.matrix_id);
-            }
-            let keys = cache.get_keys(req.key_id)?;
-            let matrix = cache.get_matrix(req.matrix_id)?;
-            if req.cts.len() != matrix.col_tiles() {
-                return Err(ServeError::Incompatible(
-                    "ciphertext count does not match the matrix's column tiles",
-                ));
-            }
-            // Measured from when the frame was decoded: a lookup that sat
-            // behind a disk restore has already spent the client's time.
-            let deadline = (req.deadline_ms != protocol::DEADLINE_NONE)
-                .then(|| started + Duration::from_millis(u64::from(req.deadline_ms)));
-            if inject(Fault::SpuriousBusy).is_some() {
-                stats.on_rejected_busy();
-                return Err(ServeError::Busy);
-            }
-            let entered = Instant::now();
-            let permit = shared.gate.acquire(deadline)?;
-            if let Some(f) = inject(Fault::SlowBatch) {
-                // A straggler: the delay is spent holding the permit.
-                std::thread::sleep(f.delay());
-            }
-            // No span can cover a wait, so it goes straight into the
-            // recorder.
-            trace.record(phase::QUEUE, elapsed_ns(entered));
-            let recorded_before = trace.total_recorded_ns();
-            let kernel_started = Instant::now();
-            // The unwind boundary: whatever the kernel does, this thread
-            // survives to give the permit back and answer the client.
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                if inject(Fault::WorkerPanic).is_some() {
-                    panic!("injected worker panic");
-                }
-                span::with_recorder(Arc::clone(&trace), || {
-                    cache
-                        .hmvp()
-                        .multiply_parallel(&matrix, &req.cts, &keys, shared.kernel_threads)
-                })
-            }));
-            drop(permit);
-            // What no kernel span covers of the permit-held window: thread
-            // spawn and join when the request fans out, result
-            // assembly. Booked so the phases still sum to end-to-end.
-            let own_ns = trace.total_recorded_ns().saturating_sub(recorded_before);
-            trace.record(
-                phase::DISPATCH,
-                elapsed_ns(kernel_started).saturating_sub(own_ns),
-            );
-            let result = match outcome {
-                Ok(Ok(result)) => {
-                    stats.on_completed(1);
-                    result
-                }
-                Ok(Err(e)) => {
-                    stats.on_failed(1);
-                    return Err(ServeError::He(e));
-                }
-                Err(payload) => {
-                    let message = panic_message(payload.as_ref());
-                    stats.on_internal_error(1);
-                    shared.flight.record_event(
-                        FlightEventKind::Panic,
-                        message.clone(),
-                        Some(trace_id),
-                    );
-                    return Err(ServeError::Internal(message));
-                }
-            };
-            Ok(FrameOutcome {
-                response: Response::HmvpDone {
-                    len: result.len as u64,
-                    packed: result.packed,
-                },
-                trace: Some((trace, started, start_ns)),
-            })
         }
         FrameKind::MatrixChunkStart => {
             let start = protocol::MatrixChunkStart::from_bytes(body)?;
@@ -734,7 +665,163 @@ fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<F
         FrameKind::Result | FrameKind::Error => {
             Err(ServeError::BadFrame("response frame sent to server"))
         }
+        FrameKind::Hmvp => unreachable!("an Hmvp body is streamed by recv_hmvp"),
     }
+}
+
+/// An `Hmvp` request off the wire, with the trace it opened.
+struct Received {
+    head: HmvpHead,
+    cts: Vec<RlweCiphertext>,
+    trace: Arc<SpanRecorder>,
+    /// When the trace opened — the head was in — and the request's
+    /// end-to-end clock started.
+    started: Instant,
+    /// The same moment on the flight recorder's clock.
+    start_ns: u64,
+}
+
+/// Reads an `Hmvp` body of `len` bytes off `stream`: the head first,
+/// which opens the request's trace under its id, then the ciphertexts,
+/// read straight into their limbs under the `recv` phase. A `corrupt`
+/// body is decoded without its last byte, which is read after, so the
+/// decoder sees a body cut short and the stream stays in step.
+///
+/// # Errors
+/// Those of [`HmvpBody`]: a `BadFrame`, an `He` after which the body has
+/// been drained, or a transport error.
+fn recv_hmvp(
+    stream: &mut TcpStream,
+    len: usize,
+    corrupt: bool,
+    shared: &ServerShared,
+) -> Result<Received> {
+    let received = read_hmvp(stream, len - usize::from(corrupt), shared);
+    if corrupt && !matches!(received, Err(ServeError::Io(_))) {
+        stream.read_exact(&mut [0u8; 1])?;
+    }
+    received
+}
+
+fn read_hmvp(stream: &mut TcpStream, len: usize, shared: &ServerShared) -> Result<Received> {
+    let mut body = HmvpBody::new(stream, len);
+    let head = body.head()?;
+    // A client-stamped id continues the client's trace; an unset one gets
+    // a server-side id so every request shows up in the flight recorder
+    // either way.
+    let trace_id = TraceId::from_wire(head.trace_id).unwrap_or_else(TraceId::generate);
+    let trace = Arc::new(SpanRecorder::new(trace_id));
+    let started = Instant::now();
+    let start_ns = shared.flight.now_ns();
+    let cts = span::with_recorder(Arc::clone(&trace), || {
+        let _sp = span::Span::enter(phase::RECV);
+        body.ciphertexts(shared.cache.params())
+    })?;
+    Ok(Received {
+        head,
+        cts,
+        trace,
+        started,
+        start_ns,
+    })
+}
+
+/// Serves one received `Hmvp` request: ownership, lookups, the admission
+/// gate, the kernel.
+fn serve_hmvp(request: Received, shared: &ServerShared) -> Result<FrameOutcome> {
+    let Received {
+        head: req,
+        cts,
+        trace,
+        started,
+        start_ns,
+    } = request;
+    let cache = &shared.cache;
+    let stats = &shared.stats;
+    shared.check_owned(req.matrix_id)?;
+    let trace_id = trace.trace_id();
+    // The deadline runs from here, once the request is decoded and
+    // owned: a lookup that sat behind a disk restore has already spent
+    // the client's time.
+    let decoded = Instant::now();
+    let inject = |fault| shared.inject(fault, Some(trace_id));
+    if inject(Fault::ForcedEviction).is_some() {
+        // Evict the referenced entries just before the lookup —
+        // the client must recover via re-upload (idempotent
+        // thanks to content addressing).
+        let _ = cache.evict_keys(req.key_id);
+        let _ = cache.evict_matrix(req.matrix_id);
+    }
+    let keys = cache.get_keys(req.key_id)?;
+    let matrix = cache.get_matrix(req.matrix_id)?;
+    if cts.len() != matrix.col_tiles() {
+        return Err(ServeError::Incompatible(
+            "ciphertext count does not match the matrix's column tiles",
+        ));
+    }
+    let deadline = (req.deadline_ms != protocol::DEADLINE_NONE)
+        .then(|| decoded + Duration::from_millis(u64::from(req.deadline_ms)));
+    if inject(Fault::SpuriousBusy).is_some() {
+        stats.on_rejected_busy();
+        return Err(ServeError::Busy);
+    }
+    let entered = Instant::now();
+    let permit = shared.gate.acquire(deadline)?;
+    if let Some(f) = inject(Fault::SlowBatch) {
+        // A straggler: the delay is spent holding the permit.
+        std::thread::sleep(f.delay());
+    }
+    // No span can cover a wait, so it goes straight into the
+    // recorder.
+    trace.record(phase::QUEUE, elapsed_ns(entered));
+    let recorded_before = trace.total_recorded_ns();
+    let kernel_started = Instant::now();
+    // The unwind boundary: whatever the kernel does, this thread
+    // survives to give the permit back and answer the client.
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        if inject(Fault::WorkerPanic).is_some() {
+            panic!("injected worker panic");
+        }
+        span::with_recorder(Arc::clone(&trace), || {
+            cache
+                .hmvp()
+                .multiply_parallel(&matrix, &cts, &keys, shared.kernel_threads)
+        })
+    }));
+    drop(permit);
+    // What no kernel span covers of the permit-held window: thread
+    // spawn and join when the request fans out, result
+    // assembly. Booked so the phases still sum to end-to-end.
+    let own_ns = trace.total_recorded_ns().saturating_sub(recorded_before);
+    trace.record(
+        phase::DISPATCH,
+        elapsed_ns(kernel_started).saturating_sub(own_ns),
+    );
+    let result = match outcome {
+        Ok(Ok(result)) => {
+            stats.on_completed(1);
+            result
+        }
+        Ok(Err(e)) => {
+            stats.on_failed(1);
+            return Err(ServeError::He(e));
+        }
+        Err(payload) => {
+            let message = panic_message(payload.as_ref());
+            stats.on_internal_error(1);
+            shared
+                .flight
+                .record_event(FlightEventKind::Panic, message.clone(), Some(trace_id));
+            return Err(ServeError::Internal(message));
+        }
+    };
+    Ok(FrameOutcome {
+        response: Response::HmvpDone {
+            len: result.len as u64,
+            packed: result.packed,
+        },
+        trace: Some((trace, started, start_ns)),
+    })
 }
 
 #[cfg(test)]

@@ -14,6 +14,11 @@
 //! `FlightDump` bodies are exact too, and every corpus snapshot decodes
 //! back to an equal one.
 //!
+//! Every `Hmvp` request body is also read the way the server reads it,
+//! off a stream, here one byte per read, and must reach the whole-slice
+//! verdict: the same request or the same error, with the body read to
+//! its end whenever the stream is to stay open.
+//!
 //! Seeded from the test name by the vendored proptest, so a failure
 //! names the case and replays identically.
 
@@ -26,8 +31,8 @@ use cham_he::params::ChamParams;
 use cham_math::rns::Form;
 use cham_serve::protocol::{
     error_body, error_from_body, hmvp_request_from_bytes, hmvp_request_to_bytes, matrix_from_bytes,
-    matrix_to_bytes, ErrorCode, FrameKind, Hello, MatrixChunkStart, Response, CHUNK_INDEX_NONE,
-    DEADLINE_NONE, PROTOCOL_VERSION,
+    matrix_to_bytes, read_hmvp_request, ErrorCode, FrameKind, Hello, HmvpRequest, MatrixChunkStart,
+    Response, CHUNK_INDEX_NONE, DEADLINE_NONE, PROTOCOL_VERSION,
 };
 use cham_serve::shard::ClusterIdentity;
 use cham_serve::stats::{IntrospectSnapshot, PhaseStat, StatsSnapshot};
@@ -37,6 +42,7 @@ use cham_telemetry::span::{phase, PhaseSpan, TraceId};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::SeedableRng;
+use std::io::Read;
 use std::sync::OnceLock;
 
 fn params() -> &'static ChamParams {
@@ -72,9 +78,14 @@ fn recode(decoder: Decoder, body: &[u8]) -> Result<(Vec<u8>, bool), ServeError> 
     Ok(match decoder {
         Decoder::Hello => (Hello::from_bytes(body)?.to_bytes(), true),
         Decoder::HmvpRequest => {
-            let r = hmvp_request_from_bytes(body, p)?;
-            let bytes =
-                hmvp_request_to_bytes(r.key_id, r.matrix_id, r.deadline_ms, r.trace_id, &r.cts);
+            let HmvpRequest { head, cts } = hmvp_request_from_bytes(body, p)?;
+            let bytes = hmvp_request_to_bytes(
+                head.key_id,
+                head.matrix_id,
+                head.deadline_ms,
+                head.trace_id,
+                &cts,
+            );
             (bytes, true)
         }
         Decoder::ChunkStart => (MatrixChunkStart::from_bytes(body)?.to_bytes(), true),
@@ -88,8 +99,51 @@ fn recode(decoder: Decoder, body: &[u8]) -> Result<(Vec<u8>, bool), ServeError> 
     })
 }
 
+/// A reader that hands out one byte per call.
+struct Trickle<'a>(&'a [u8]);
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(1).min(self.0.len());
+        buf[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        Ok(n)
+    }
+}
+
+/// The `Hmvp` decoder the server runs on its socket, fed one byte per
+/// read, reaches the whole-slice verdict: the same request, or the same
+/// error. It reads nothing past the body, and all of it when it accepts
+/// the body or refuses a ciphertext in it (`He`): the stream is then at
+/// the next frame.
+fn check_streamed(body: &[u8]) -> Result<(), TestCaseError> {
+    let whole = hmvp_request_from_bytes(body, params());
+    let mut trickle = Trickle(body);
+    let streamed = read_hmvp_request(&mut trickle, body.len(), params());
+    match (&whole, &streamed) {
+        (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+        (Err(a), Err(b)) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
+        _ => {
+            return Err(TestCaseError::fail(format!(
+                "whole-slice {whole:?} but streamed {streamed:?}"
+            )))
+        }
+    }
+    if matches!(streamed, Ok(_) | Err(ServeError::He(_))) {
+        prop_assert!(
+            trickle.0.is_empty(),
+            "{} bytes left unread",
+            trickle.0.len()
+        );
+    }
+    Ok(())
+}
+
 /// The property every input is held to.
 fn check(decoder: Decoder, body: &[u8]) -> Result<(), TestCaseError> {
+    if decoder == Decoder::HmvpRequest {
+        check_streamed(body)?;
+    }
     match recode(decoder, body) {
         Ok((again, true)) => prop_assert_eq!(&again[..], body, "{:?} is not exact", decoder),
         Ok((once, false)) => {
@@ -323,7 +377,19 @@ fn corpus() -> &'static [(Decoder, Vec<u8>)] {
             (Decoder::Hello, Hello::for_params(p).to_bytes()),
             (
                 Decoder::HmvpRequest,
-                hmvp_request_to_bytes(7, 9, DEADLINE_NONE, 0xFACE, &[request_ct]),
+                hmvp_request_to_bytes(
+                    7,
+                    9,
+                    DEADLINE_NONE,
+                    0xFACE,
+                    std::slice::from_ref(&request_ct),
+                ),
+            ),
+            // Two ciphertexts: a refusal in the first leaves the second
+            // for the streamed reader to drain.
+            (
+                Decoder::HmvpRequest,
+                hmvp_request_to_bytes(7, 9, 250, 0, &[request_ct.clone(), request_ct]),
             ),
             (
                 Decoder::ChunkStart,

@@ -5,15 +5,16 @@
 
 use cham_he::ciphertext::RlweCiphertext;
 use cham_he::encrypt::{Decryptor, Encryptor};
-use cham_he::hmvp::{Hmvp, Matrix};
+use cham_he::hmvp::{Hmvp, HmvpResult, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::ChamParams;
-use cham_serve::protocol::ErrorCode;
+use cham_serve::protocol::{self, ErrorCode, FrameKind, Hello, Response, DEADLINE_NONE};
 use cham_serve::server::{Server, ServerConfig};
 use cham_serve::{
     ClusterClient, Fault, FaultConfig, FaultInjector, RetryPolicy, ServeClient, ServeError,
 };
 use rand::{Rng, SeedableRng};
+use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -303,6 +304,101 @@ fn wire_errors_are_typed() {
     let stats = server.shutdown();
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.failed, 0);
+}
+
+/// A request whose second of three ciphertexts holds a word `≥ q` is
+/// refused with the codec's error, typed on the wire, after the server
+/// has read the rest of its body: the same connection then serves a
+/// valid request.
+#[test]
+fn refused_ciphertext_mid_request_keeps_the_connection() {
+    let f = fixture();
+    let server = start_server(&ServerConfig::default());
+    let mut client = connect(&server);
+    let t = f.params.plain_modulus();
+    let n = f.params.degree();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xBAD);
+    let matrix = Matrix::random(4, 3 * n, t.value(), &mut rng);
+    let key_id = client.load_keys(&f.gkeys, &f.indices).unwrap();
+    let matrix_id = client.load_matrix(&matrix).unwrap();
+    let hmvp = Hmvp::from_arc(Arc::clone(&f.params));
+    let v: Vec<u64> = (0..matrix.cols())
+        .map(|_| rng.gen_range(0..t.value()))
+        .collect();
+    let cts = hmvp
+        .encrypt_vector(&v, &Encryptor::new(&f.params, &f.sk), &mut rng)
+        .unwrap();
+    assert_eq!(cts.len(), 3);
+    let body = protocol::hmvp_request_to_bytes(key_id, matrix_id, DEADLINE_NONE, 0, &cts);
+    // The second ciphertext's first word, past the head, the count, the
+    // first ciphertext and its own length and header, set to its prime.
+    let ct_len = cham_he::wire::rlwe_encoded_len(&cts[1]);
+    let moduli = cts[1].b().context().moduli();
+    let header = ct_len - 2 * 8 * moduli.len() * n;
+    let at = 28 + 2 + (4 + ct_len) + 4 + header;
+    let mut bad = body.clone();
+    bad[at..at + 8].copy_from_slice(&moduli[0].value().to_le_bytes());
+
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let hello = Hello::for_params(&f.params).to_bytes();
+    protocol::write_frame(&mut stream, FrameKind::Hello, &hello).unwrap();
+    assert_eq!(
+        protocol::read_frame(&mut stream).unwrap().0,
+        FrameKind::Result
+    );
+    protocol::write_frame(&mut stream, FrameKind::Hmvp, &bad).unwrap();
+    let (kind, reply) = protocol::read_frame(&mut stream).unwrap();
+    assert_eq!(kind, FrameKind::Error);
+    match protocol::error_from_body(&reply).unwrap() {
+        ServeError::Internal(m) => assert!(m.contains("out of canonical range"), "{m}"),
+        other => panic!("got {other:?}"),
+    }
+    protocol::write_frame(&mut stream, FrameKind::Hmvp, &body).unwrap();
+    let (kind, reply) = protocol::read_frame(&mut stream).unwrap();
+    assert_eq!(kind, FrameKind::Result);
+    let Response::HmvpDone { len, packed } = Response::from_bytes(&reply, &f.params).unwrap()
+    else {
+        panic!("hmvp answered with the wrong response");
+    };
+    let result = HmvpResult {
+        packed,
+        len: len as usize,
+    };
+    let got = hmvp
+        .decrypt_result(&result, &Decryptor::new(&f.params, &f.sk))
+        .unwrap();
+    assert_eq!(got, matrix.mul_vector_mod(&v, t).unwrap());
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, 1);
+}
+
+/// A 200-tile request is 1 403 slices, more than one vectored write takes
+/// on a socket: it crosses a real one gathered from its limbs and
+/// decrypts to `A·v`.
+#[test]
+fn two_hundred_tile_request_crosses_the_socket() {
+    let f = fixture();
+    let server = start_server(&ServerConfig::default());
+    let mut client = connect(&server);
+    let t = f.params.plain_modulus();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(200);
+    let matrix = Matrix::random(2, 200 * f.params.degree(), t.value(), &mut rng);
+    let key_id = client.load_keys(&f.gkeys, &f.indices).unwrap();
+    let matrix_id = client.load_matrix(&matrix).unwrap();
+    let hmvp = Hmvp::from_arc(Arc::clone(&f.params));
+    let v: Vec<u64> = (0..matrix.cols())
+        .map(|_| rng.gen_range(0..t.value()))
+        .collect();
+    let cts = hmvp
+        .encrypt_vector(&v, &Encryptor::new(&f.params, &f.sk), &mut rng)
+        .unwrap();
+    assert_eq!(cts.len(), 200);
+    let result = client.hmvp(key_id, matrix_id, &cts, None).unwrap();
+    let got = hmvp
+        .decrypt_result(&result, &Decryptor::new(&f.params, &f.sk))
+        .unwrap();
+    assert_eq!(got, matrix.mul_vector_mod(&v, t).unwrap());
+    server.shutdown();
 }
 
 /// `Introspect` round-trips a live counter snapshot without taking a

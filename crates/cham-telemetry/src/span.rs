@@ -36,6 +36,9 @@ use std::time::Instant;
 /// kernel annotations, and the introspection consumers so the breakdown
 /// keys agree everywhere.
 pub mod phase {
+    /// Reading and decoding a request's ciphertexts off the socket, from
+    /// the moment its head (which carries the trace id) is in.
+    pub const RECV: &str = "recv";
     /// Admission-gate entry to kernel start: the wait for a permit (plus
     /// any injected delay while holding it).
     pub const QUEUE: &str = "queue";
@@ -53,7 +56,7 @@ pub mod phase {
 
     /// Every phase a server-side request trace may contain, in
     /// canonical (pipeline) order.
-    pub const ALL: [&str; 6] = [QUEUE, DISPATCH, DOT, KEYSWITCH, RESCALE, SERIALIZE];
+    pub const ALL: [&str; 7] = [RECV, QUEUE, DISPATCH, DOT, KEYSWITCH, RESCALE, SERIALIZE];
 }
 
 /// A request's wire-visible identity: non-zero, random.
