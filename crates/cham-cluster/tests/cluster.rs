@@ -80,7 +80,6 @@ fn quick_policy(seed: u64) -> RetryPolicy {
         max_backoff: Duration::from_millis(20),
         jitter_seed: seed,
         total_deadline: Some(Duration::from_secs(60)),
-        ..RetryPolicy::default()
     }
 }
 

@@ -72,7 +72,7 @@ impl SecretNtt {
         let per_limb = self.s.limbs().iter().zip(&self.shoup).zip(ctx.tables());
         for (limb, ((s, ws), table)) in a.limbs_mut().iter_mut().zip(per_limb) {
             let (backend, q) = (table.backend(), table.modulus());
-            simd::mul_shoup_lazy_slice(backend, limb.coeffs_mut(), s.coeffs(), ws, q);
+            simd::mul_shoup_lazy_slice(limb.coeffs_mut(), s.coeffs(), ws, q);
             simd::reduce_from_lazy_slice(backend, limb.coeffs_mut(), q);
         }
     }

@@ -18,8 +18,8 @@ use crate::{MathError, Result};
 use cham_telemetry::Counter;
 
 /// Deferred-reduction flushes. A *flush* is one canonical-reduction pass
-/// over a lazy `u128` accumulator vector — see
-/// [`crate::poly::flush_accumulator`].
+/// over one limb of a lazy `u128` accumulator — see
+/// [`crate::rns::FusedAccumulator::flush`].
 static LAZY_FLUSH: Counter = Counter::new("cham_math.modulus.reduce.lazy_flush");
 
 /// Number of deferred-reduction flushes performed by lazy accumulation

@@ -178,7 +178,7 @@ impl CgNttTable {
         let q = &self.q;
         // Twist: fold ψ^j into the load stage. Lazy product lands in
         // [0, 2q) ⊂ [0, 4q), the stage input invariant.
-        crate::simd::mul_shoup_lazy_slice(Backend::Scalar, a, &self.twist, &self.twist_shoup, q);
+        crate::simd::mul_shoup_lazy_slice(a, &self.twist, &self.twist_shoup, q);
         let mut scratch = vec![0u64; self.n];
         let mut in_a = true;
         for i in 0..self.log_n as usize {

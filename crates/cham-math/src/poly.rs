@@ -266,58 +266,6 @@ impl Poly {
     }
 }
 
-/// Maximum number of pointwise products that may be accumulated into a
-/// `u128` lane before a [`flush_accumulator`] pass is required.
-///
-/// With `q < 2^62` (enforced by [`Modulus::new`]) each product is below
-/// `(2^62 − 1)^2 = 2^124 − 2^63 + 1`, so sixteen of them plus one canonical
-/// residue left by a previous flush stay below `2^128`:
-/// `16·(2^124 − 2^63 + 1) + 2^62 < 2^128`. A 17th product could wrap.
-pub const LAZY_ACC_BOUND: usize = 16;
-
-/// Fused `MODMUL`+accumulate: adds `a[i]·b[i]` into `acc[i]` with the
-/// modular reduction deferred — the NTT-domain inner kernel of the HMVP dot
-/// phase. Callers must run [`flush_accumulator`] at least every
-/// [`LAZY_ACC_BOUND`] calls on the same accumulator (see its safety bound).
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn mul_pointwise_accumulate(acc: &mut [u128], a: &[u64], b: &[u64]) {
-    crate::simd::mac_accumulate(crate::simd::Backend::active(), acc, a, b);
-}
-
-/// Overwriting variant of [`mul_pointwise_accumulate`]: stores `a[i]·b[i]`
-/// into `acc[i]` instead of adding, so the first term of an accumulation can
-/// reuse a dirty scratch buffer without a separate zeroing pass.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn mul_pointwise_write(acc: &mut [u128], a: &[u64], b: &[u64]) {
-    crate::simd::mac_write(crate::simd::Backend::active(), acc, a, b);
-}
-
-/// Reduces every accumulator lane back to its canonical residue (stored as a
-/// widened `u64`), resetting the headroom so another [`LAZY_ACC_BOUND`]
-/// products can be accumulated. Counts one deferred-reduction flush
-/// (`cham_math.modulus.reduce.lazy_flush`).
-pub fn flush_accumulator(acc: &mut [u128], q: &Modulus) {
-    crate::modulus::record_lazy_flush();
-    for lane in acc.iter_mut() {
-        *lane = q.reduce_u128(*lane) as u128;
-    }
-}
-
-/// Final reduction of an accumulator into canonical `u64` coefficients.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn finish_accumulator(acc: &[u128], q: &Modulus, out: &mut [u64]) {
-    assert_eq!(acc.len(), out.len(), "operand length mismatch");
-    for (o, &lane) in out.iter_mut().zip(acc) {
-        *o = q.reduce_u128(lane);
-    }
-}
-
 impl FromIterator<u64> for Poly {
     fn from_iter<T: IntoIterator<Item = u64>>(iter: T) -> Self {
         Self {
@@ -460,57 +408,6 @@ mod tests {
         let s = 5;
         let b = a.mul_scalar(s, &q);
         assert_eq!(b.coeffs(), &[5, 10, 15, 3]);
-    }
-
-    #[test]
-    fn fused_accumulate_matches_strict_mul_add() {
-        let q = Modulus::new(Q0).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let n = 64;
-        // 3 × LAZY_ACC_BOUND terms forces two mid-run flushes.
-        let terms = 3 * LAZY_ACC_BOUND;
-        let pairs: Vec<(Poly, Poly)> = (0..terms)
-            .map(|_| (random_poly(n, &q, &mut rng), random_poly(n, &q, &mut rng)))
-            .collect();
-
-        let mut strict = Poly::zero(n);
-        for (a, b) in &pairs {
-            strict.add_assign(&a.mul_pointwise(b, &q), &q);
-        }
-
-        let mut acc = vec![0u128; n];
-        for (i, (a, b)) in pairs.iter().enumerate() {
-            if i > 0 && i % LAZY_ACC_BOUND == 0 {
-                flush_accumulator(&mut acc, &q);
-            }
-            mul_pointwise_accumulate(&mut acc, a.coeffs(), b.coeffs());
-        }
-        let mut fused = vec![0u64; n];
-        finish_accumulator(&acc, &q, &mut fused);
-        assert_eq!(fused, strict.coeffs());
-    }
-
-    #[test]
-    fn fused_accumulate_worst_case_no_overflow() {
-        // q−1 everywhere, LAZY_ACC_BOUND products on top of a flushed
-        // residue — the exact headroom edge the bound is proved against.
-        let q = Modulus::new(Q0).unwrap();
-        let n = 8;
-        let worst = Poly::from_coeffs(vec![q.value() - 1; n]);
-        let mut acc = vec![0u128; n];
-        let mut strict = Poly::zero(n);
-        for round in 0..3 {
-            if round > 0 {
-                flush_accumulator(&mut acc, &q);
-            }
-            for _ in 0..LAZY_ACC_BOUND {
-                mul_pointwise_accumulate(&mut acc, worst.coeffs(), worst.coeffs());
-                strict.add_assign(&worst.mul_pointwise(&worst, &q), &q);
-            }
-        }
-        let mut fused = vec![0u64; n];
-        finish_accumulator(&acc, &q, &mut fused);
-        assert_eq!(fused, strict.coeffs());
     }
 
     #[test]

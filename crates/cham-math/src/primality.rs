@@ -3,12 +3,12 @@
 //! CHAM's NTT units need a primitive `2N`-th root of unity `ψ` modulo each
 //! ciphertext modulus; the negacyclic transform evaluates polynomials at odd
 //! powers of `ψ`. This module provides a deterministic Miller–Rabin test for
-//! `u64` and a randomized search for primitive roots, both of which the
-//! parameter validator in `cham-he` uses to reject unusable moduli early.
+//! `u64` and a deterministic search for the smallest primitive root, both
+//! of which the parameter validator in `cham-he` uses to reject unusable
+//! moduli early.
 
 use crate::modulus::Modulus;
 use crate::{MathError, Result};
-use rand::Rng;
 
 /// Deterministic Miller–Rabin for all 64-bit integers.
 ///
@@ -86,54 +86,21 @@ fn is_prime_u128_path(n: u64, d: u64, r: u32, witnesses: &[u64]) -> bool {
     true
 }
 
-/// Finds a primitive `order`-th root of unity modulo the prime `q`.
-///
-/// `order` must be a power of two dividing `q - 1`. The search draws random
-/// candidates `x` and tests `c = x^((q-1)/order)` for exact order by checking
-/// `c^(order/2) == -1`.
-///
-/// # Errors
-/// Returns [`MathError::NoNttSupport`] when `order ∤ q - 1`, and
-/// [`MathError::InvalidParameter`] if the (probabilistic, but overwhelmingly
-/// likely to succeed) search exhausts its iteration budget — which for prime
-/// `q` indicates the modulus is not actually prime.
-pub fn primitive_root_of_unity<R: Rng + ?Sized>(
-    q: &Modulus,
-    order: u64,
-    rng: &mut R,
-) -> Result<u64> {
-    if !order.is_power_of_two() || order < 2 {
-        return Err(MathError::InvalidParameter(
-            "order must be a power of two >= 2",
-        ));
-    }
-    if !(q.value() - 1).is_multiple_of(order) {
-        return Err(MathError::NoNttSupport {
-            modulus: q.value(),
-            degree: (order / 2) as usize,
-        });
-    }
-    let exp = (q.value() - 1) / order;
-    for _ in 0..256 {
-        let x = rng.gen_range(2..q.value());
-        let c = q.pow(x, exp);
-        if q.pow(c, order / 2) == q.value() - 1 {
-            return Ok(c);
-        }
-    }
-    Err(MathError::InvalidParameter(
-        "primitive root search exhausted; modulus is likely not prime",
-    ))
-}
-
 /// Finds the *smallest* primitive `order`-th root of unity, deterministically.
 ///
 /// Useful for reproducible twiddle tables (the CHAM twiddle ROMs are baked at
 /// synthesis time, so determinism matters for comparing against golden
 /// vectors).
 ///
+/// `order` must be a power of two dividing `q - 1`. Each candidate `x`
+/// maps to `c = x^((q-1)/order)`, which has exact order when
+/// `c^(order/2) == -1`.
+///
 /// # Errors
-/// Same conditions as [`primitive_root_of_unity`].
+/// Returns [`MathError::NoNttSupport`] when `order ∤ q - 1`,
+/// [`MathError::InvalidParameter`] when `order` is not a power of two
+/// `>= 2`, or when no small candidate maps to a root — which for prime `q`
+/// indicates the modulus is not actually prime.
 pub fn min_primitive_root_of_unity(q: &Modulus, order: u64) -> Result<u64> {
     if !order.is_power_of_two() || order < 2 {
         return Err(MathError::InvalidParameter(
@@ -167,7 +134,6 @@ pub fn min_primitive_root_of_unity(q: &Modulus, order: u64) -> Result<u64> {
 mod tests {
     use super::*;
     use crate::modulus::{Q0, Q1, SPECIAL_P};
-    use rand::SeedableRng;
 
     #[test]
     fn small_primes() {
@@ -200,12 +166,11 @@ mod tests {
 
     #[test]
     fn roots_have_exact_order() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         for qv in [Q0, Q1, SPECIAL_P] {
             let q = Modulus::new(qv).unwrap();
             for log_order in [1u32, 5, 13] {
                 let order = 1u64 << log_order;
-                let c = primitive_root_of_unity(&q, order, &mut rng).unwrap();
+                let c = min_primitive_root_of_unity(&q, order).unwrap();
                 assert_eq!(q.pow(c, order), 1);
                 assert_eq!(q.pow(c, order / 2), qv - 1);
             }
@@ -225,10 +190,8 @@ mod tests {
     #[test]
     fn rejects_unsupported_order() {
         let q = Modulus::new(97).unwrap(); // 97 - 1 = 96 = 2^5 * 3
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        assert!(primitive_root_of_unity(&q, 32, &mut rng).is_ok());
-        assert!(primitive_root_of_unity(&q, 64, &mut rng).is_err());
-        assert!(primitive_root_of_unity(&q, 3, &mut rng).is_err());
+        assert!(min_primitive_root_of_unity(&q, 32).is_ok());
         assert!(min_primitive_root_of_unity(&q, 64).is_err());
+        assert!(min_primitive_root_of_unity(&q, 3).is_err());
     }
 }

@@ -784,14 +784,17 @@ impl RnsPoly {
 /// registers ([`crate::simd::row_product`]) and so does the key-switch
 /// ([`crate::simd::digit_product`]). It stays only because the benchmark's
 /// per-layer replay (`he.mac_ms`, `math.mac_us`, `math.mac_stream_us`)
-/// compiles against it, and with it its tests.
+/// compiles against it, and with it its tests. Its lane loops are its
+/// own: no other code in the crate accumulates into `u128` planes.
 ///
 /// Products are accumulated into a caller-owned `u128` scratch slice
 /// (flattened `limbs × degree`, typically borrowed from a per-worker scratch
 /// pool so the steady state allocates nothing). Reduction is deferred until
-/// [`crate::poly::LAZY_ACC_BOUND`] terms have been accumulated, then a flush
-/// pass collapses each lane to its canonical residue
-/// (`cham_math.modulus.reduce.lazy_flush` counts these).
+/// [`FusedAccumulator::LAZY_ACC_BOUND`] terms have been accumulated, then
+/// a flush pass collapses each lane to its canonical residue
+/// (`cham_math.modulus.reduce.lazy_flush` counts one per limb). Every
+/// lane a term writes is booked as a [`crate::simd::Kernel::Mac`] tail
+/// element: the loop has no vector arm.
 ///
 /// # Example
 /// ```
@@ -819,6 +822,14 @@ pub struct FusedAccumulator<'a> {
 }
 
 impl<'a> FusedAccumulator<'a> {
+    /// Maximum number of products a `u128` lane takes before a flush.
+    ///
+    /// With `q < 2^62` (enforced by [`Modulus::new`]) each product is below
+    /// `(2^62 − 1)^2 = 2^124 − 2^63 + 1`, so sixteen of them plus one
+    /// canonical residue left by a previous flush stay below `2^128`:
+    /// `16·(2^124 − 2^63 + 1) + 2^62 < 2^128`. A 17th product could wrap.
+    pub const LAZY_ACC_BOUND: usize = 16;
+
     /// Starts an accumulation over `ctx` using `scratch` as backing store.
     /// The scratch is *not* zeroed: the first [`Self::accumulate`] overwrites
     /// every lane, so a pooled buffer can be reused dirty without paying a
@@ -840,7 +851,7 @@ impl<'a> FusedAccumulator<'a> {
 
     /// Adds `a ⊙ b` (pointwise NTT-domain product) into the accumulator,
     /// with reduction deferred. Auto-flushes when the
-    /// [`crate::poly::LAZY_ACC_BOUND`] headroom bound is reached.
+    /// [`Self::LAZY_ACC_BOUND`] headroom bound is reached.
     ///
     /// # Errors
     /// [`MathError::ContextMismatch`] unless both operands are in NTT form
@@ -851,37 +862,46 @@ impl<'a> FusedAccumulator<'a> {
                 return Err(MathError::ContextMismatch);
             }
         }
-        if self.pending == crate::poly::LAZY_ACC_BOUND {
+        if self.pending == Self::LAZY_ACC_BOUND {
             self.flush();
         }
         let n = self.ctx.degree();
-        let write = if self.fresh {
-            crate::poly::mul_pointwise_write
-        } else {
-            crate::poly::mul_pointwise_accumulate
-        };
         let limbs = self
             .acc
             .chunks_exact_mut(n)
             .zip(a.limbs.iter().zip(&b.limbs));
         for (acc, (la, lb)) in limbs {
-            write(acc, la.coeffs(), lb.coeffs());
+            let lanes = acc.iter_mut().zip(la.coeffs().iter().zip(lb.coeffs()));
+            if self.fresh {
+                for (lane, (&x, &y)) in lanes {
+                    *lane = x as u128 * y as u128;
+                }
+            } else {
+                for (lane, (&x, &y)) in lanes {
+                    *lane += x as u128 * y as u128;
+                }
+            }
+            simd::record_kernel(simd::Kernel::Mac, 0, n as u64);
         }
         self.fresh = false;
         self.pending += 1;
         Ok(())
     }
 
-    /// Collapses every lane to its canonical residue, restoring full
-    /// headroom. Called automatically; public for callers that want
+    /// Collapses every lane to its canonical residue (stored as a widened
+    /// `u64`), restoring full headroom, and counts one deferred-reduction
+    /// flush per limb. Called automatically; public for callers that want
     /// deterministic flush points.
     pub fn flush(&mut self) {
         if self.fresh {
             return; // nothing accumulated; the scratch holds stale data
         }
         let n = self.ctx.degree();
-        for (i, m) in self.ctx.moduli().iter().enumerate() {
-            crate::poly::flush_accumulator(&mut self.acc[i * n..(i + 1) * n], m);
+        for (acc, m) in self.acc.chunks_exact_mut(n).zip(self.ctx.moduli()) {
+            crate::modulus::record_lazy_flush();
+            for lane in acc {
+                *lane = m.reduce_u128(*lane) as u128;
+            }
         }
         self.pending = 0;
     }
@@ -891,20 +911,18 @@ impl<'a> FusedAccumulator<'a> {
     pub fn finish(self) -> RnsPoly {
         let n = self.ctx.degree();
         let mut out = RnsPoly::zero(&self.ctx);
-        for (i, (limb, m)) in out.limbs.iter_mut().zip(self.ctx.moduli()).enumerate() {
-            if self.fresh {
-                // No term was ever accumulated: the sum is zero and the
-                // scratch contents are stale — do not reduce them.
-                limb.coeffs_mut().fill(0);
-            } else {
-                crate::poly::finish_accumulator(
-                    &self.acc[i * n..(i + 1) * n],
-                    m,
-                    limb.coeffs_mut(),
-                );
+        out.form = Form::Ntt;
+        if self.fresh {
+            // No term was ever accumulated: the sum is zero and the
+            // scratch contents are stale — do not reduce them.
+            return out;
+        }
+        let limbs = out.limbs.iter_mut().zip(self.ctx.moduli());
+        for ((limb, m), acc) in limbs.zip(self.acc.chunks_exact(n)) {
+            for (o, &lane) in limb.coeffs_mut().iter_mut().zip(acc) {
+                *o = m.reduce_u128(lane);
             }
         }
-        out.form = Form::Ntt;
         out
     }
 }
@@ -1174,7 +1192,7 @@ mod tests {
     fn fused_accumulator_matches_mul_add() {
         let c = ctx3(16);
         let mut rng = rng();
-        let terms = 2 * crate::poly::LAZY_ACC_BOUND + 3; // forces auto-flushes
+        let terms = 2 * FusedAccumulator::LAZY_ACC_BOUND + 3; // forces auto-flushes
         let pairs: Vec<(RnsPoly, RnsPoly)> = (0..terms)
             .map(|_| {
                 let av: Vec<i64> = (0..16).map(|_| rng.gen_range(-1000..1000)).collect();
@@ -1235,8 +1253,8 @@ mod tests {
         for terms in [
             1usize,
             2,
-            crate::poly::LAZY_ACC_BOUND,
-            crate::poly::LAZY_ACC_BOUND + 1,
+            FusedAccumulator::LAZY_ACC_BOUND,
+            FusedAccumulator::LAZY_ACC_BOUND + 1,
         ] {
             scratch.fill(u128::MAX);
             let mut acc = FusedAccumulator::new(&c, &mut scratch).unwrap();
@@ -1256,6 +1274,41 @@ mod tests {
         scratch.fill(u128::MAX);
         let empty = FusedAccumulator::new(&c, &mut scratch).unwrap().finish();
         assert_eq!(empty, zero);
+    }
+
+    #[test]
+    fn fused_accumulator_worst_case_no_overflow() {
+        // q−1 everywhere, 3 × LAZY_ACC_BOUND terms on a dirty scratch: the
+        // first block fills all sixteen products of headroom, and each
+        // later block puts sixteen more on top of a flushed residue — the
+        // exact edge the bound is proved against. Under the largest NTT
+        // prime below 2^62 sixteen products and a residue sit just below
+        // 2^128, so a 17th product would wrap.
+        let n = 8;
+        let top_prime = (1..)
+            .map(|k| (1u64 << 62) + 1 - 2 * n as u64 * k)
+            .find(|&q| crate::primality::is_prime(q))
+            .unwrap();
+        let c = RnsContext::new(n, &[Q0, top_prime]).unwrap();
+        let top = RnsPoly::from_limbs(
+            &c,
+            c.moduli()
+                .iter()
+                .map(|m| Poly::from_coeffs(vec![m.value() - 1; n]))
+                .collect(),
+            Form::Ntt,
+        )
+        .unwrap();
+        let mut scratch = vec![u128::MAX; c.len() * n];
+        let mut acc = FusedAccumulator::new(&c, &mut scratch).unwrap();
+        let mut strict = RnsPoly::zero(&c);
+        strict.to_ntt();
+        let square = top.mul_pointwise(&top).unwrap();
+        for _ in 0..3 * FusedAccumulator::LAZY_ACC_BOUND {
+            acc.accumulate(&top, &top).unwrap();
+            strict = strict.add(&square).unwrap();
+        }
+        assert_eq!(acc.finish(), strict);
     }
 
     #[test]

@@ -15,10 +15,6 @@
 //! * the key-switch **digit product** ([`digit_product`]): both key
 //!   components' digit sums for one limb in one pass, the same shape with
 //!   the roles swapped,
-//! * the `u128` multiply-accumulate lanes behind
-//!   [`crate::rns::FusedAccumulator`] / [`crate::poly::mul_pointwise_accumulate`]
-//!   — no HE path runs them; they stay as the twin the benchmark's replay
-//!   and the tests drive,
 //! * the **rescale** by the last prime of a chain ([`rescale_into`] /
 //!   [`rescale_add`], behind [`crate::rns::RnsContext::rescale_limb_into`]),
 //! * the pack's element-wise passes — PAPER.md Table I's MODADD/MODSUB,
@@ -69,7 +65,10 @@
 //!   arm lost to scalar (0.47–0.63×), its element-wise multiply arm never
 //!   beat it beyond noise (0.71–1.14× across records), and its inverse
 //!   stage arm made `hmvp_tall` slower in 9 of 10 pairs, so all three were
-//!   deleted: on every backend those kernels *are* the scalar ones.
+//!   deleted: on every backend those kernels *are* the scalar ones. The
+//!   `u128` MAC is no kernel here at all — its lanes are a plain loop in
+//!   [`crate::rns::FusedAccumulator`], which no HE path runs — and
+//!   [`mul_shoup_lazy_slice`] takes no backend.
 //!   ([`crate::CgNttTable`] — the hardware golden model, reached by no HE
 //!   path and no committed record — runs scalar stage loops of its own.)
 //! * `avx512ifma` — 8 × u64 lanes on the 52-bit multiply-add
@@ -90,7 +89,7 @@
 //!   the table's backend, so they run scalar there (as they do for
 //!   `n < 16`, a slice shorter than one register, and every tail). Every
 //!   other kernel under this backend runs the best arm that exists (AVX2
-//!   stages/normalization, scalar `u128` MAC and element-wise multiply).
+//!   stages/normalization, the scalar element-wise multiply).
 //!   `auto` picks it when `avx512f` + `avx512ifma` are detected.
 //!
 //! ## The equivalence contract
@@ -467,8 +466,7 @@ pub fn simd_stats() -> SimdStats {
 // the rescale and the pack's five element-wise passes; every other
 // per-stage and per-slice kernel below runs it on the best arm that
 // exists — `stage_arm()` (AVX2) for the forward stage and normalization
-// kernels, scalar for the inverse stage, the `u128` MAC and the
-// element-wise multiply.
+// kernels, scalar for the inverse stage and the element-wise multiply.
 
 /// One forward CT stage over `a` in Harvey lazy form: `m` twiddle groups of
 /// `t` butterflies, constants from `roots[m..2m]`. Inputs/outputs `[0, 4q)`.
@@ -565,47 +563,19 @@ pub(crate) fn ifma_inverse(
 
 /// Element-wise lazy Shoup multiply against a prepared constant table:
 /// `a[i] = mul_shoup_lazy(a[i], w[i], ws[i])`. Any `u64` input, output in
-/// `[0, 2q)` — the ψ-twist or a prepared pointwise multiply. Every backend
-/// runs the scalar kernel (see the module docs), so all elements are
-/// booked as tail.
+/// `[0, 2q)` — the ψ-twist or a prepared pointwise multiply. It has no
+/// vector arm (see the module docs) and takes no backend, so all elements
+/// are booked as tail.
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
-pub fn mul_shoup_lazy_slice(_backend: Backend, a: &mut [u64], w: &[u64], ws: &[u64], q: &Modulus) {
+pub fn mul_shoup_lazy_slice(a: &mut [u64], w: &[u64], ws: &[u64], q: &Modulus) {
     assert_eq!(a.len(), w.len(), "operand length mismatch");
     assert_eq!(a.len(), ws.len(), "operand length mismatch");
-    scalar::mul_shoup_lazy_slice(a, w, ws, q);
+    for (x, (&wi, &wsi)) in a.iter_mut().zip(w.iter().zip(ws)) {
+        *x = q.mul_shoup_lazy(*x, wi, wsi);
+    }
     record_kernel(Kernel::MulShoupLazy, 0, a.len() as u64);
-}
-
-/// Fused multiply-accumulate: `acc[i] += a[i] · b[i]` with the reduction
-/// deferred — the lanes behind [`crate::poly::mul_pointwise_accumulate`]
-/// and [`crate::rns::FusedAccumulator`], which no HE path runs (the HMVP
-/// row MAC is [`row_product`]). Callers own the
-/// [`crate::poly::LAZY_ACC_BOUND`] headroom obligation.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn mac_accumulate(_backend: Backend, acc: &mut [u128], a: &[u64], b: &[u64]) {
-    mac(acc, a, b, false);
-}
-
-/// Overwriting MAC: `acc[i] = a[i] · b[i]` — lets the first term of an
-/// accumulation reuse a dirty scratch buffer without a zeroing pass.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn mac_write(_backend: Backend, acc: &mut [u128], a: &[u64], b: &[u64]) {
-    mac(acc, a, b, true);
-}
-
-/// Every backend runs the scalar `u128` MAC (see the module docs), so all
-/// elements are booked as tail.
-fn mac(acc: &mut [u128], a: &[u64], b: &[u64], overwrite: bool) {
-    assert_eq!(acc.len(), a.len(), "operand length mismatch");
-    assert_eq!(acc.len(), b.len(), "operand length mismatch");
-    scalar::mac(acc, a, b, overwrite);
-    record_kernel(Kernel::Mac, 0, acc.len() as u64);
 }
 
 /// True when an element-wise IFMA arm asked for by an `Avx512Ifma` backend
@@ -1252,24 +1222,6 @@ mod scalar {
                 }
                 *x = s;
                 *y = q.mul_shoup_lazy(u + two_q - v, w, ws);
-            }
-        }
-    }
-
-    pub(super) fn mul_shoup_lazy_slice(a: &mut [u64], w: &[u64], ws: &[u64], q: &Modulus) {
-        for (x, (&wi, &wsi)) in a.iter_mut().zip(w.iter().zip(ws)) {
-            *x = q.mul_shoup_lazy(*x, wi, wsi);
-        }
-    }
-
-    pub(super) fn mac(acc: &mut [u128], a: &[u64], b: &[u64], overwrite: bool) {
-        if overwrite {
-            for ((acc, &x), &y) in acc.iter_mut().zip(a).zip(b) {
-                *acc = x as u128 * y as u128;
-            }
-        } else {
-            for ((acc, &x), &y) in acc.iter_mut().zip(a).zip(b) {
-                *acc += x as u128 * y as u128;
             }
         }
     }
@@ -2512,61 +2464,6 @@ mod tests {
         let all = Backend::all_available();
         assert_eq!(all[0], Backend::Scalar);
         assert!(Backend::detect_auto().available());
-    }
-
-    #[test]
-    fn mul_shoup_lazy_slice_matches_scalar_per_backend() {
-        let mut rng = rng();
-        for q in moduli() {
-            // Inputs cover the full lazy domain [0, 4q), constants < q.
-            let n = 67; // odd: exercises every tail length
-            let a0: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4 * q.value())).collect();
-            let w: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.value())).collect();
-            let ws: Vec<u64> = w.iter().map(|&x| q.shoup(x)).collect();
-            let mut expect = a0.clone();
-            for (i, x) in expect.iter_mut().enumerate() {
-                *x = q.mul_shoup_lazy(*x, w[i], ws[i]);
-            }
-            for backend in Backend::all_available() {
-                let mut got = a0.clone();
-                mul_shoup_lazy_slice(backend, &mut got, &w, &ws, &q);
-                assert_eq!(got, expect, "backend={backend} q={q}");
-            }
-        }
-    }
-
-    #[test]
-    fn mac_matches_scalar_per_backend_including_worst_case() {
-        let mut rng = rng();
-        for q in moduli() {
-            let n = 37;
-            let worst = vec![q.value() - 1; n];
-            let rand_a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.value())).collect();
-            let rand_b: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.value())).collect();
-            for (a, b) in [(&worst, &worst), (&rand_a, &rand_b)] {
-                let mut expect = vec![0u128; n];
-                let mut got = vec![u128::MAX; n]; // dirty scratch
-                for backend in Backend::all_available() {
-                    expect.fill(0);
-                    // LAZY_ACC_BOUND accumulations on top of an overwrite.
-                    for round in 0..crate::poly::LAZY_ACC_BOUND {
-                        for i in 0..n {
-                            let p = a[i] as u128 * b[i] as u128;
-                            if round == 0 {
-                                expect[i] = p;
-                            } else {
-                                expect[i] += p;
-                            }
-                        }
-                    }
-                    mac_write(backend, &mut got, a, b);
-                    for _ in 1..crate::poly::LAZY_ACC_BOUND {
-                        mac_accumulate(backend, &mut got, a, b);
-                    }
-                    assert_eq!(got, expect, "backend={backend} q={q}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -5,10 +5,8 @@ use cham_math::modulus::{Modulus, Q0, Q1, SPECIAL_P};
 use cham_math::montgomery::MontgomeryContext;
 use cham_math::ntt::{negacyclic_mul_schoolbook, NttTable};
 use cham_math::ntt_cg::CgNttTable;
-use cham_math::poly::{
-    finish_accumulator, flush_accumulator, mul_pointwise_accumulate, Poly, LAZY_ACC_BOUND,
-};
-use cham_math::rns::RnsContext;
+use cham_math::poly::Poly;
+use cham_math::rns::{Form, FusedAccumulator, RnsContext, RnsPoly};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -201,7 +199,7 @@ proptest! {
     #[test]
     fn fused_accumulate_matches_strict_twin(
         seeds in vec(any::<u64>(), 8),
-        terms in 1usize..(2 * LAZY_ACC_BOUND + 2),
+        terms in 1usize..(2 * FusedAccumulator::LAZY_ACC_BOUND + 2),
     ) {
         for qv in WORKSPACE_MODULI {
             let q = Modulus::new(qv).unwrap();
@@ -222,16 +220,16 @@ proptest! {
                 strict.add_assign(&a.mul_pointwise(b, &q), &q);
             }
 
-            let mut acc = vec![0u128; n];
-            for (i, (a, b)) in pairs.iter().enumerate() {
-                if i > 0 && i % LAZY_ACC_BOUND == 0 {
-                    flush_accumulator(&mut acc, &q);
-                }
-                mul_pointwise_accumulate(&mut acc, a.coeffs(), b.coeffs());
+            // One limb: the accumulator's lanes are exactly the slices above.
+            let ctx = RnsContext::new(n, &[qv]).unwrap();
+            let limb = |p: &Poly| RnsPoly::from_limbs(&ctx, vec![p.clone()], Form::Ntt).unwrap();
+            let mut scratch = vec![u128::MAX; n];
+            let mut acc = FusedAccumulator::new(&ctx, &mut scratch).unwrap();
+            for (a, b) in &pairs {
+                acc.accumulate(&limb(a), &limb(b)).unwrap();
             }
-            let mut fused = vec![0u64; n];
-            finish_accumulator(&acc, &q, &mut fused);
-            prop_assert_eq!(&fused, strict.coeffs(), "q={}", qv);
+            let fused = acc.finish();
+            prop_assert_eq!(fused.limbs()[0].coeffs(), strict.coeffs(), "q={}", qv);
         }
     }
 

@@ -5,9 +5,10 @@
 //! slice) is booked as vector when the arm that ran it used vector lanes —
 //! not when the backend's nominal lane count would have allowed it.
 
-use cham_math::modulus::{Q0, Q1, SPECIAL_P};
+use cham_math::modulus::{lazy_flush_count, Q0, Q1, SPECIAL_P};
+use cham_math::rns::{Form, FusedAccumulator};
 use cham_math::simd::{self, Kernel};
-use cham_math::{Backend, Modulus, NttTable};
+use cham_math::{Backend, Modulus, NttTable, Poly, RnsContext, RnsPoly};
 
 /// `(vector, tail)` elements booked for `kernel` while `f` ran.
 fn booked(kernel: Kernel, f: impl FnOnce()) -> (u64, u64) {
@@ -118,18 +119,10 @@ fn counters_follow_the_arm_that_ran() {
             },
             "row products backend={backend}"
         );
-        // The u128 MAC behind `FusedAccumulator` has no vector arm (the
-        // AVX2 one lost to scalar and was deleted), and neither does the
-        // element-wise multiply: every backend books them as tail. A digit
-        // or row product over a slice that is not whole registers books
-        // its tail as tail.
+        // A digit or row product over a slice that is not whole registers
+        // books its tail as tail.
         let len = 37;
-        let (w, mut x, mut acc) = (vec![1u64; len], vec![2u64; len], vec![0u128; len]);
-        assert_eq!(
-            booked(Kernel::Mac, || simd::mac_write(backend, &mut acc, &w, &w)),
-            (0, len as u64),
-            "mac backend={backend}"
-        );
+        let w = vec![1u64; len];
         let mut pair = vec![1u64; 2 * len];
         let ifma = u64::from(backend == Backend::Avx512Ifma);
         assert_eq!(
@@ -242,13 +235,45 @@ fn counters_follow_the_arm_that_ran() {
             },
             "digits Barrett backend={backend}"
         );
-        let ws: Vec<u64> = w.iter().map(|&v| q.shoup(v)).collect();
-        assert_eq!(
-            booked(Kernel::MulShoupLazy, || {
-                simd::mul_shoup_lazy_slice(backend, &mut x, &w, &ws, &q);
-            }),
-            (0, len as u64),
-            "mul_shoup_lazy backend={backend}"
-        );
     }
+    // The element-wise multiply has no vector arm and takes no backend:
+    // every element is booked as tail.
+    let len = 37;
+    let (w, mut x) = (vec![1u64; len], vec![2u64; len]);
+    let ws: Vec<u64> = w.iter().map(|&v| q.shoup(v)).collect();
+    assert_eq!(
+        booked(Kernel::MulShoupLazy, || {
+            simd::mul_shoup_lazy_slice(&mut x, &w, &ws, &q);
+        }),
+        (0, len as u64),
+        "mul_shoup_lazy"
+    );
+    // Neither has the u128 MAC inside `FusedAccumulator`: one accumulate
+    // books every lane of every limb as tail, and a flush counts one pass
+    // per limb — two flushes for `2·LAZY_ACC_BOUND + 3` terms (the last
+    // three reach `finish` unflushed).
+    let ones = |ctx: &RnsContext| {
+        let limbs = vec![Poly::from_coeffs(vec![1; n]); ctx.len()];
+        RnsPoly::from_limbs(ctx, limbs, Form::Ntt).unwrap()
+    };
+    let chain = RnsContext::new(n, &[Q0, Q1, SPECIAL_P]).unwrap();
+    let (x, mut scratch) = (ones(&chain), vec![0u128; chain.len() * n]);
+    let mut acc = FusedAccumulator::new(&chain, &mut scratch).unwrap();
+    assert_eq!(
+        booked(Kernel::Mac, || acc.accumulate(&x, &x).unwrap()),
+        (0, (chain.len() * n) as u64),
+        "FusedAccumulator::accumulate"
+    );
+    let flushes = |ctx: &RnsContext| {
+        let (x, mut scratch) = (ones(ctx), vec![0u128; ctx.len() * n]);
+        let before = lazy_flush_count();
+        let mut acc = FusedAccumulator::new(ctx, &mut scratch).unwrap();
+        for _ in 0..2 * FusedAccumulator::LAZY_ACC_BOUND + 3 {
+            acc.accumulate(&x, &x).unwrap();
+        }
+        acc.finish();
+        lazy_flush_count() - before
+    };
+    assert_eq!(flushes(&RnsContext::new(n, &[Q0]).unwrap()), 2);
+    assert_eq!(flushes(&chain), 2 * chain.len() as u64);
 }

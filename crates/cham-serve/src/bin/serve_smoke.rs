@@ -95,7 +95,6 @@ fn run(args: &Args) -> Result<(), String> {
         max_backoff: Duration::from_millis(100),
         jitter_seed: SEED,
         total_deadline: Some(Duration::from_secs(120)),
-        ..RetryPolicy::default()
     };
     let mut client = ClusterClient::with_config(
         args.cluster.clone(),

@@ -101,14 +101,14 @@ pub struct RetryPolicy {
     /// attempts and sleeps — for an HMVP, across all its bands; `None`
     /// bounds only by `max_attempts`.
     pub total_deadline: Option<Duration>,
-    /// How long a failed node sits out of rotation before it is
-    /// dialed again — long enough that a dead replica is not hot-looped
-    /// on every reconnect, short enough that a restarted one rejoins
-    /// promptly. Scaled by jitter in `[1.0, 1.5]` at quarantine time so
-    /// a fleet of clients does not re-dial a recovering node in
-    /// lockstep.
-    pub quarantine: Duration,
 }
+
+/// How long a failed node sits out of rotation before it is dialed
+/// again — long enough that a dead replica is not hot-looped on every
+/// reconnect, short enough that a restarted one rejoins promptly. Scaled
+/// by jitter in `[1.0, 1.5]` at quarantine time so a fleet of clients
+/// does not re-dial a recovering node in lockstep.
+const QUARANTINE: Duration = Duration::from_millis(500);
 
 impl Default for RetryPolicy {
     fn default() -> Self {
@@ -118,7 +118,6 @@ impl Default for RetryPolicy {
             max_backoff: Duration::from_secs(2),
             jitter_seed: 0,
             total_deadline: None,
-            quarantine: Duration::from_millis(500),
         }
     }
 }
@@ -547,7 +546,7 @@ impl ClusterClient {
     /// quarantine, else the one whose quarantine ends soonest — the
     /// table never refuses; the retry policy decides when to give up.
     /// Preferring a connected replica is what makes failover sticky: a
-    /// node that failed is not re-dialed every `quarantine` by requests
+    /// node that failed is not re-dialed every `QUARANTINE` by requests
     /// that have a connected replica to go to, only when an operation
     /// targets it alone or its stand-in fails too.
     fn pick(&self, slots: &[u16]) -> u16 {
@@ -777,15 +776,12 @@ impl ClusterClient {
         }
     }
 
-    /// Drops node `slot`'s connection and quarantines it for the
-    /// policy's per-failure cooldown, scaled by a seeded factor in
-    /// `[1.0, 1.5]` so the clients of one fleet do not re-dial a dead
-    /// node in lockstep. Counts a failover when the operation can move.
+    /// Drops node `slot`'s connection and quarantines it for
+    /// [`QUARANTINE`], scaled by a seeded factor in `[1.0, 1.5]` so the
+    /// clients of one fleet do not re-dial a dead node in lockstep.
+    /// Counts a failover when the operation can move.
     fn fail(&mut self, slot: u16, multi: bool) {
-        let cooldown = self
-            .policy
-            .quarantine
-            .mul_f64(1.0 + 0.5 * self.rng.next_f64());
+        let cooldown = QUARANTINE.mul_f64(1.0 + 0.5 * self.rng.next_f64());
         let node = &mut self.nodes[usize::from(slot)];
         node.conn = None;
         node.quarantined_until = Some(Instant::now() + cooldown);
@@ -977,11 +973,7 @@ mod tests {
 
     #[test]
     fn pick_skips_quarantined_nodes_and_never_refuses() {
-        let policy = RetryPolicy {
-            quarantine: Duration::from_millis(40),
-            ..RetryPolicy::default()
-        };
-        let mut client = client(&["a:1", "b:2", "c:3"], policy);
+        let mut client = client(&["a:1", "b:2", "c:3"], RetryPolicy::default());
         // Replica order is the caller's; repeated calls without a
         // failure stay put.
         assert_eq!(client.pick(&[0, 1, 2]), 0);
@@ -1001,9 +993,12 @@ mod tests {
             .unwrap();
         assert_eq!(client.pick(&[0, 1, 2]), soonest);
         assert_eq!(client.stats().failovers, 3);
-        // After the longest possible cooldown (40 ms × 1.5) the
-        // caller's first choice is live again.
-        std::thread::sleep(Duration::from_millis(80));
+        // Once the longest possible cooldown (QUARANTINE × 1.5) has run
+        // out — wound back here rather than slept — the caller's first
+        // choice is live again.
+        for node in &mut client.nodes {
+            node.quarantined_until = node.quarantined_until.map(|t| t - QUARANTINE.mul_f64(1.5));
+        }
         assert_eq!(client.pick(&[0, 1, 2]), 0);
     }
 }

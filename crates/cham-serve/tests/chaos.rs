@@ -87,7 +87,6 @@ fn soak(seed: u64) -> (u64, u64, u64, u64) {
         max_backoff: Duration::from_millis(20),
         jitter_seed: seed,
         total_deadline: Some(Duration::from_secs(120)),
-        ..RetryPolicy::default()
     };
 
     let t = f.params.plain_modulus();

@@ -129,6 +129,44 @@ fn noise_survives_paper_scale_dot_product() {
     assert!(decoded.iter().all(|&x| x == expect));
 }
 
+/// Payload-slot noise budget (`PackedRlwe::noise_report`, in bits) that
+/// a 4-row multiply at `ChamParams::cham_large` must keep. It read 44.2
+/// bits at the test's seed when it was written; 40 leaves room for the
+/// seed's spread and still fails on a noise growth of ≈ 18× (4.2 bits).
+const LARGE_PAYLOAD_BUDGET_MARGIN_BITS: f64 = 40.0;
+
+#[test]
+fn large_params_multiply_decrypts_with_budget_to_spare() {
+    // `ChamParams::cham_large` (N = 8192, `--params large`) end to end:
+    // one row of column tiles per row, one four-leaf pack.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(8192);
+    let params = ChamParams::cham_large().unwrap();
+    let sk = SecretKey::generate(&params, &mut rng);
+    let enc = Encryptor::new(&params, &sk);
+    let dec = Decryptor::new(&params, &sk);
+    let (rows, cols) = (4, params.degree());
+    let gkeys = GaloisKeys::generate_for_packing(&sk, 2, &mut rng).unwrap();
+    let t = params.plain_modulus();
+    let a = Matrix::random(rows, cols, t.value(), &mut rng);
+    let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t.value())).collect();
+    let hmvp = Hmvp::new(&params);
+    let em = hmvp.encode_matrix(&a).unwrap();
+    let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
+    let result = hmvp.multiply(&em, &cts, &gkeys).unwrap();
+    assert_eq!(
+        hmvp.decrypt_result(&result, &dec).unwrap(),
+        a.mul_vector_mod(&v, t).unwrap()
+    );
+    assert_eq!(result.packed.len(), 1);
+    let report = result.packed[0].noise_report(&dec, &params).unwrap();
+    assert!(
+        report.budget_bits > LARGE_PAYLOAD_BUDGET_MARGIN_BITS,
+        "payload budget {} bits at N = {}",
+        report.budget_bits,
+        params.degree()
+    );
+}
+
 /// FNV-1a 64 over a byte string — the digest the golden KAT pins.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
