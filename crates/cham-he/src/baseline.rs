@@ -1,23 +1,20 @@
-//! Batch-encoded HMVP baselines (paper §II-E, related work).
+//! Batch-encoded HMVP baseline (paper §II-E, related work).
 //!
-//! Two comparators from the GAZELLE line of work, both built on SIMD slot
-//! encoding:
+//! The GAZELLE-style comparator, built on SIMD slot encoding:
+//! **rotate-and-sum** — per row: one slot-wise plaintext multiply plus
+//! `log2` slot-count rotations to fold the products into an inner
+//! product. `O(m log N)` ciphertext operations.
 //!
-//! * **rotate-and-sum** — per row: one slot-wise plaintext multiply plus
-//!   `log2` slot-count rotations to fold the products into an inner
-//!   product. `O(m log N)` ciphertext operations.
-//! * **diagonal method** — the matrix is encoded along generalised
-//!   diagonals; one rotation + multiply per diagonal, `O(n)` rotations
-//!   shared across all rows.
-//!
-//! Coefficient-encoded HMVP (Alg. 1) beats both: `O(m)` with much cheaper
-//! per-op cost — the comparison the `hmvp` bench regenerates.
+//! Coefficient-encoded HMVP (Alg. 1) beats it: `O(m)` with much cheaper
+//! per-op cost. Its readers are Beaver's
+//! `BeaverGenerator::generate_batch_baseline` (`cham-apps`),
+//! `examples/beaver_triples.rs` and `tests/applications.rs`.
 //!
 //! Slot rotations are realised by Galois automorphisms. For negacyclic
 //! batching the automorphism group acts on slots as `Z_2 × Z_{N/2}`
 //! (generated by `σ_3` and `σ_{2N−1}`); [`RotationLayout`] recovers the
 //! `σ_3` orbit structure once, giving `N/2` *logical* slots on which `σ_3`
-//! is a clean cyclic shift. Both baselines therefore handle shapes up to
+//! is a clean cyclic shift. The baseline therefore handles shapes up to
 //! `N/2` — the standard halved capacity of hypercube batching.
 
 use crate::ciphertext::RlweCiphertext;
@@ -159,32 +156,6 @@ impl BatchHmvp {
         Ok(enc.encrypt(&pt, rng))
     }
 
-    /// Encrypts a vector *replicated* with period `v.len()` across all
-    /// logical slots — the layout the diagonal method needs so cyclic slot
-    /// rotation realises rotation modulo `n`.
-    ///
-    /// # Errors
-    /// [`HeError::ShapeMismatch`] unless `v.len()` is a power of two
-    /// dividing the capacity.
-    pub fn encrypt_vector_replicated<R: Rng + ?Sized>(
-        &self,
-        v: &[u64],
-        enc: &Encryptor,
-        rng: &mut R,
-    ) -> Result<RlweCiphertext> {
-        let cap = self.capacity();
-        if v.is_empty() || !v.len().is_power_of_two() || v.len() > cap {
-            return Err(HeError::ShapeMismatch {
-                expected: cap,
-                got: v.len(),
-            });
-        }
-        let replicated: Vec<u64> = (0..cap).map(|i| v[i % v.len()]).collect();
-        let slots = self.layout.scatter(&replicated, self.params.degree());
-        let pt = self.encoder.encode(&slots)?;
-        Ok(enc.encrypt(&pt, rng))
-    }
-
     fn encode_logical(&self, logical: &[u64]) -> Result<Plaintext> {
         let slots = self.layout.scatter(logical, self.params.degree());
         self.encoder.encode(&slots)
@@ -229,59 +200,6 @@ impl BatchHmvp {
                 self.sum_all_slots(&prod, gkeys)
             })
             .collect()
-    }
-
-    /// Diagonal-method HMVP: `ct_out = Σ_d diag_d ⊙ rot_d(ct_v)`, one
-    /// output ciphertext with `(A·v)_i` in logical slot `i`. The matrix is
-    /// zero-padded to `n × n`; `ct_v` must come from
-    /// [`Self::encrypt_vector_replicated`] (period-`n` replication) and `n`
-    /// must be a power of two dividing the capacity. `O(n)` rotations
-    /// shared across rows.
-    ///
-    /// # Errors
-    /// Shape errors; missing Galois keys.
-    pub fn diagonal(
-        &self,
-        a: &Matrix,
-        ct_v: &RlweCiphertext,
-        gkeys: &GaloisKeys,
-    ) -> Result<RlweCiphertext> {
-        let n = a.cols();
-        if n > self.capacity() || a.rows() > n || !n.is_power_of_two() {
-            return Err(HeError::ShapeMismatch {
-                expected: self.capacity(),
-                got: n.max(a.rows()),
-            });
-        }
-        let t = self.params.plain_modulus();
-        let mut acc: Option<RlweCiphertext> = None;
-        let mut rotated = ct_v.clone();
-        let n2 = 2 * self.params.degree();
-        for d in 0..n {
-            if d > 0 {
-                // rot_1 applied iteratively: σ_3 advances the logical index.
-                rotated = apply_galois(&rotated, 3 % n2, gkeys, &self.params)?;
-            }
-            // diag_d[i] = A[i][(i + d) mod n] for i < rows, else 0.
-            let diag: Vec<u64> = (0..n)
-                .map(|i| {
-                    if i < a.rows() {
-                        t.reduce(a.row(i)[(i + d) % n])
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            let pt = self.encode_logical(&diag)?;
-            let prod = mul_plain(&rotated, &pt, &self.params)?;
-            acc = Some(match acc {
-                Some(x) => x.add(&prod)?,
-                None => prod,
-            });
-        }
-        acc.ok_or(HeError::InvalidParams(
-            "matrix must have at least one column",
-        ))
     }
 
     /// Decodes logical slot values from a decrypted ciphertext.
@@ -362,62 +280,10 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_matches_plain() {
-        let (params, sk, enc, dec, mut rng) = setup();
-        let b = BatchHmvp::new(&params).unwrap();
-        let t = params.plain_modulus();
-        let (m, n) = (8usize, 8usize);
-        let a = Matrix::random(m, n, t.value(), &mut rng);
-        let v: Vec<u64> = (0..n).map(|_| rng.gen_range(0..t.value())).collect();
-        let gkeys = GaloisKeys::generate(&sk, &[3], &mut rng).unwrap();
-        let ct_v = b.encrypt_vector_replicated(&v, &enc, &mut rng).unwrap();
-        let out = b.diagonal(&a, &ct_v, &gkeys).unwrap();
-        let got = b.decode(&dec, &out).unwrap();
-        let expect = a.mul_vector_mod(&v, t).unwrap();
-        assert_eq!(&got[..m], &expect[..]);
-    }
-
-    #[test]
-    fn diagonal_rectangular_short() {
-        let (params, sk, enc, dec, mut rng) = setup();
-        let b = BatchHmvp::new(&params).unwrap();
-        let t = params.plain_modulus();
-        let (m, n) = (3usize, 8usize);
-        let a = Matrix::random(m, n, t.value(), &mut rng);
-        let v: Vec<u64> = (0..n).map(|_| rng.gen_range(0..t.value())).collect();
-        let gkeys = GaloisKeys::generate(&sk, &[3], &mut rng).unwrap();
-        let ct_v = b.encrypt_vector_replicated(&v, &enc, &mut rng).unwrap();
-        let out = b.diagonal(&a, &ct_v, &gkeys).unwrap();
-        let got = b.decode(&dec, &out).unwrap();
-        let expect = a.mul_vector_mod(&v, t).unwrap();
-        assert_eq!(&got[..m], &expect[..]);
-    }
-
-    #[test]
     fn capacity_limits_enforced() {
         let (params, _, enc, _, mut rng) = setup();
         let b = BatchHmvp::new(&params).unwrap();
         let too_long = vec![1u64; b.capacity() + 1];
         assert!(b.encrypt_vector(&too_long, &enc, &mut rng).is_err());
-    }
-
-    #[test]
-    fn diagonal_direction_sanity() {
-        // Identity matrix: diagonal method must return v itself, which
-        // pins down the rotation direction convention.
-        let (params, sk, enc, dec, mut rng) = setup();
-        let b = BatchHmvp::new(&params).unwrap();
-        let n = 8usize;
-        let mut data = vec![0u64; n * n];
-        for i in 0..n {
-            data[i * n + i] = 1;
-        }
-        let a = Matrix::from_data(n, n, data).unwrap();
-        let v: Vec<u64> = (1..=n as u64).collect();
-        let gkeys = GaloisKeys::generate(&sk, &[3], &mut rng).unwrap();
-        let ct_v = b.encrypt_vector_replicated(&v, &enc, &mut rng).unwrap();
-        let out = b.diagonal(&a, &ct_v, &gkeys).unwrap();
-        let got = b.decode(&dec, &out).unwrap();
-        assert_eq!(&got[..n], &v[..]);
     }
 }

@@ -7,19 +7,14 @@
 //!
 //! Decryption convention: `phase(b, a) = b + a·s`; a ciphertext encrypts
 //! plaintext `μ` when `phase ≈ Δ·μ` with `Δ = ⌊Q_basis/t⌋`.
+//!
+//! Table I's per-element stages (MODADD/MODSUB, MULTMONO, AUTOMORPH) run
+//! on the HMVP and pack paths as fused `cham_math::simd` kernels over the
+//! limbs, not as methods here; `sub` and `mul_monomial` stay for the test
+//! oracles (`oracle.rs`).
 
-use crate::params::ChamParams;
 use crate::{HeError, Result};
 use cham_math::rns::{Form, RnsPoly};
-
-/// Which modulus basis a ciphertext lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Basis {
-    /// Normal form over `Q = q0·q1`.
-    Normal,
-    /// Augmented form over `Q·p` (fresh HMVP inputs; key-switch internals).
-    Augmented,
-}
 
 /// An RLWE ciphertext `(b(X), a(X))`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,23 +64,6 @@ impl RlweCiphertext {
         self.b.form()
     }
 
-    /// Which basis the ciphertext lives in under `params`.
-    ///
-    /// # Errors
-    /// [`HeError::Incompatible`] when the context matches neither basis of
-    /// `params`.
-    pub fn basis(&self, params: &ChamParams) -> Result<Basis> {
-        if self.b.context() == params.ciphertext_context() {
-            Ok(Basis::Normal)
-        } else if self.b.context() == params.augmented_context() {
-            Ok(Basis::Augmented)
-        } else {
-            Err(HeError::Incompatible(
-                "ciphertext context matches neither basis of the parameter set",
-            ))
-        }
-    }
-
     /// Converts both components to NTT form in place.
     pub fn to_ntt(&mut self) {
         self.b.to_ntt();
@@ -120,14 +98,6 @@ impl RlweCiphertext {
         })
     }
 
-    /// Homomorphic negation.
-    pub fn neg(&self) -> Self {
-        Self {
-            b: self.b.neg(),
-            a: self.a.neg(),
-        }
-    }
-
     /// Multiplication by the monomial `X^s` (`MULTMONO`, built on
     /// `SHIFTNEG`). Coefficient form required.
     ///
@@ -137,19 +107,6 @@ impl RlweCiphertext {
         Ok(Self {
             b: self.b.shift_neg(s)?,
             a: self.a.shift_neg(s)?,
-        })
-    }
-
-    /// Raw Galois map `X → X^k` on both components (`AUTOMORPH`). The
-    /// result decrypts under the automorphed key `σ_k(s)` — follow with a
-    /// key-switch ([`crate::ops::apply_galois`] does both).
-    ///
-    /// # Errors
-    /// [`HeError::Math`] for even `k` or NTT form.
-    pub fn automorph(&self, k: usize) -> Result<Self> {
-        Ok(Self {
-            b: self.b.automorph(k)?,
-            a: self.a.automorph(k)?,
         })
     }
 }
@@ -200,79 +157,12 @@ impl LweCiphertext {
     pub fn a(&self) -> &RnsPoly {
         &self.a
     }
-
-    /// Homomorphic addition of two LWE ciphertexts (phases add).
-    ///
-    /// # Errors
-    /// [`HeError::Incompatible`] on context mismatch.
-    pub fn add(&self, rhs: &Self) -> Result<Self> {
-        if self.a.context() != rhs.a.context() {
-            return Err(HeError::Incompatible(
-                "lwe ciphertexts from different bases",
-            ));
-        }
-        let b = self
-            .b
-            .iter()
-            .zip(&rhs.b)
-            .zip(self.a.context().moduli())
-            .map(|((&x, &y), m)| m.add(x, y))
-            .collect();
-        Ok(Self {
-            b,
-            a: self.a.add(&rhs.a)?,
-        })
-    }
-
-    /// Homomorphic subtraction.
-    ///
-    /// # Errors
-    /// [`HeError::Incompatible`] on context mismatch.
-    pub fn sub(&self, rhs: &Self) -> Result<Self> {
-        if self.a.context() != rhs.a.context() {
-            return Err(HeError::Incompatible(
-                "lwe ciphertexts from different bases",
-            ));
-        }
-        let b = self
-            .b
-            .iter()
-            .zip(&rhs.b)
-            .zip(self.a.context().moduli())
-            .map(|((&x, &y), m)| m.sub(x, y))
-            .collect();
-        Ok(Self {
-            b,
-            a: self.a.sub(&rhs.a)?,
-        })
-    }
-
-    /// Small-scalar multiplication (noise scales with the centred `c`).
-    pub fn mul_scalar(&self, c: u64, params: &ChamParams) -> Self {
-        let t = params.plain_modulus();
-        let centred = t.center(t.reduce(c));
-        let ctx = self.a.context();
-        let b = self
-            .b
-            .iter()
-            .zip(ctx.moduli())
-            .map(|(&x, m)| m.mul(x, m.from_signed(centred)))
-            .collect();
-        let limbs = self
-            .a
-            .limbs()
-            .iter()
-            .zip(ctx.moduli())
-            .map(|(l, m)| l.mul_scalar(m.from_signed(centred), m))
-            .collect();
-        let a = RnsPoly::from_limbs(ctx, limbs, Form::Coeff).expect("limbs match context");
-        Self { b, a }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::ChamParams;
     use cham_math::rns::RnsPoly;
 
     fn params() -> ChamParams {
@@ -292,17 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn basis_detection() {
-        let p = params();
-        let z = RnsPoly::zero(p.ciphertext_context());
-        let ct = RlweCiphertext::new(z.clone(), z).unwrap();
-        assert_eq!(ct.basis(&p).unwrap(), Basis::Normal);
-        let za = RnsPoly::zero(p.augmented_context());
-        let ct2 = RlweCiphertext::new(za.clone(), za).unwrap();
-        assert_eq!(ct2.basis(&p).unwrap(), Basis::Augmented);
-    }
-
-    #[test]
     fn add_sub_neg_algebra() {
         let p = params();
         let ctx = p.ciphertext_context();
@@ -313,7 +192,7 @@ mod tests {
         let sum = ct1.add(&ct1).unwrap();
         assert_eq!(sum, ct2);
         assert_eq!(sum.sub(&ct1).unwrap(), ct1);
-        assert_eq!(ct1.add(&ct1.neg()).unwrap(), ct1.zero_like());
+        assert_eq!(ct1.sub(&ct1).unwrap(), ct1.zero_like());
     }
 
     #[test]
@@ -323,39 +202,10 @@ mod tests {
         let x = RnsPoly::from_signed(ctx, &(0..p.degree() as i64).collect::<Vec<_>>()).unwrap();
         let ct = RlweCiphertext::new(x.clone(), x).unwrap();
         assert_eq!(ct.mul_monomial(2 * p.degree()).unwrap(), ct);
-        assert_eq!(ct.mul_monomial(p.degree()).unwrap(), ct.neg());
-    }
-
-    #[test]
-    fn lwe_arithmetic_is_homomorphic() {
-        use crate::encoding::CoeffEncoder;
-        use crate::encrypt::{Decryptor, Encryptor};
-        use crate::extract::extract_lwe;
-        use crate::keys::SecretKey;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(64);
-        let params = ChamParams::insecure_test_default().unwrap();
-        let sk = SecretKey::generate(&params, &mut rng);
-        let enc = Encryptor::new(&params, &sk);
-        let dec = Decryptor::new(&params, &sk);
-        let coder = CoeffEncoder::new(&params);
-        let t = params.plain_modulus();
-        let make = |v: u64, rng: &mut rand::rngs::StdRng| {
-            let ct = enc.encrypt(&coder.encode_vector(&[v]).unwrap(), rng);
-            extract_lwe(&ct, 0).unwrap()
-        };
-        let la = make(1000, &mut rng);
-        let lb = make(65000, &mut rng);
-        assert_eq!(dec.decrypt_lwe(&la.add(&lb).unwrap()), t.add(1000, 65000));
-        assert_eq!(dec.decrypt_lwe(&la.sub(&lb).unwrap()), t.sub(1000, 65000));
-        assert_eq!(dec.decrypt_lwe(&la.mul_scalar(7, &params)), 7000);
-        // Augmented/normal mixing is rejected.
-        let aug = {
-            let ct = enc.encrypt_augmented(&coder.encode_vector(&[1]).unwrap(), &mut rng);
-            extract_lwe(&ct, 0).unwrap()
-        };
-        assert!(la.add(&aug).is_err());
-        assert!(la.sub(&aug).is_err());
+        // X^N = −1: the half rotation negates, so it cancels the original.
+        let half = ct.mul_monomial(p.degree()).unwrap();
+        assert_ne!(half, ct);
+        assert_eq!(ct.add(&half).unwrap(), ct.zero_like());
     }
 
     #[test]

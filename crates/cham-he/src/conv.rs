@@ -59,18 +59,6 @@ impl Image {
         }
     }
 
-    /// Image height.
-    #[inline]
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// Image width.
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Pixel at `(i, j)`.
     ///
     /// # Panics

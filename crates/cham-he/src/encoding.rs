@@ -35,12 +35,6 @@ impl Plaintext {
         &self.values
     }
 
-    /// Consumes into the value vector.
-    #[inline]
-    pub fn into_values(self) -> Vec<u64> {
-        self.values
-    }
-
     /// Number of values (the ring degree).
     #[inline]
     pub fn len(&self) -> usize {

@@ -176,12 +176,6 @@ impl Encryptor {
         a.add_assign(&e1)?;
         RlweCiphertext::new(b, a)
     }
-
-    /// The parameter set.
-    #[inline]
-    pub fn params(&self) -> &ChamParams {
-        &self.params
-    }
 }
 
 /// Decrypts ciphertexts and measures their noise.
@@ -384,12 +378,6 @@ impl Decryptor {
             .collect();
         let round = ScaleRound::new(ctx, self.params.plain_modulus().value());
         round.apply(ctx.crt_lift(&residues)).0
-    }
-
-    /// The parameter set.
-    #[inline]
-    pub fn params(&self) -> &ChamParams {
-        &self.params
     }
 }
 

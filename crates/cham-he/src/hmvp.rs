@@ -190,12 +190,6 @@ impl Hmvp {
         &self.params
     }
 
-    /// The coefficient encoder in use.
-    #[inline]
-    pub fn encoder(&self) -> &CoeffEncoder {
-        &self.coder
-    }
-
     /// Encrypts a vector as `⌈len/N⌉` augmented-basis ciphertexts in NTT
     /// form, the form [`Hmvp::multiply`] reads.
     ///
@@ -842,7 +836,7 @@ mod tests {
                     let chunks: Vec<_> = a.row(i).chunks(n).collect();
                     assert_eq!(tiles.len(), chunks.len());
                     for (tile, chunk) in tiles.iter().zip(chunks) {
-                        let pt = hmvp.encoder().encode_row(chunk).unwrap();
+                        let pt = hmvp.coder.encode_row(chunk).unwrap();
                         let want = crate::ops::lift_plaintext_ntt(
                             &pt,
                             &params,
@@ -921,7 +915,7 @@ mod tests {
         let want = fresh.multiply_parallel(&em, &good, &gkeys, 1).unwrap();
 
         // A ciphertext outside the augmented basis …
-        let normal = enc.encrypt(&fresh.encoder().encode_vector(&v[..1]).unwrap(), &mut rng);
+        let normal = enc.encrypt(&fresh.coder.encode_vector(&v[..1]).unwrap(), &mut rng);
         // … one from another ring degree …
         let other = ChamParamsBuilder::new().degree(512).build().unwrap();
         let other_sk = SecretKey::generate(&other, &mut rng);

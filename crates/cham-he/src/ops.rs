@@ -88,17 +88,7 @@ pub fn mul_plain(
     pt: &Plaintext,
     params: &ChamParams,
 ) -> Result<RlweCiphertext> {
-    let ctx = ct.b().context().clone();
-    let pt_ntt = lift_plaintext_ntt(pt, params, &ctx)?;
-    let mut b = ct.b().clone();
-    let mut a = ct.a().clone();
-    b.to_ntt();
-    a.to_ntt();
-    b.mul_pointwise_assign(&pt_ntt)?;
-    a.mul_pointwise_assign(&pt_ntt)?;
-    b.to_coeff();
-    a.to_coeff();
-    RlweCiphertext::new(b, a)
+    mul_plain_prepared(ct, &lift_plaintext_ntt(pt, params, ct.b().context())?)
 }
 
 /// Same as [`mul_plain`] but with a pre-lifted NTT-form plaintext — the

@@ -139,12 +139,6 @@ impl ChamParams {
         self.ct_ctx.modulus_product()
     }
 
-    /// `⌊Q/t⌋`, the plaintext scale of normal-form ciphertexts.
-    #[inline]
-    pub fn delta(&self) -> u128 {
-        self.q_product() / self.plain_modulus.value() as u128
-    }
-
     /// Total ciphertext modulus bits (the paper's "109 bit" figure:
     /// 34 + 34.3 + 38 ≈ 106–109 depending on rounding convention).
     pub fn total_modulus_bits(&self) -> u32 {
@@ -354,7 +348,8 @@ mod tests {
     #[test]
     fn delta_scales() {
         let p = ChamParams::insecure_test_default().unwrap();
-        let d = p.delta();
+        // Δ = ⌊Q/t⌋, the scale of normal-form ciphertexts.
+        let d = p.q_product() / p.plain_modulus().value() as u128;
         // ⌊Qp/t⌋, the scale of augmented ciphertexts, over Δ ≈ p.
         let da = p.augmented_context().modulus_product() / p.plain_modulus().value() as u128;
         let ratio = da / d;

@@ -411,24 +411,6 @@ impl Modulus {
     }
 }
 
-/// Returns the three CHAM moduli `(q0, q1, p)` as [`Modulus`] values.
-///
-/// # Example
-/// ```
-/// let (q0, q1, p) = cham_math::modulus::cham_moduli()?;
-/// assert!(q0.low_hamming_form().is_some());
-/// assert!(q1.low_hamming_form().is_some());
-/// assert!(p.low_hamming_form().is_some());
-/// # Ok::<(), cham_math::MathError>(())
-/// ```
-pub fn cham_moduli() -> Result<(Modulus, Modulus, Modulus)> {
-    Ok((
-        Modulus::new(Q0)?,
-        Modulus::new(Q1)?,
-        Modulus::new(SPECIAL_P)?,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,7 +430,7 @@ mod tests {
 
     #[test]
     fn detects_cham_forms() {
-        let (q0, q1, p) = cham_moduli().unwrap();
+        let [q0, q1, p] = [Q0, Q1, SPECIAL_P].map(|v| Modulus::new(v).unwrap());
         assert_eq!(q0.low_hamming_form(), Some(LowHammingForm { a: 34, b: 27 }));
         assert_eq!(q1.low_hamming_form(), Some(LowHammingForm { a: 34, b: 19 }));
         assert_eq!(p.low_hamming_form(), Some(LowHammingForm { a: 38, b: 23 }));

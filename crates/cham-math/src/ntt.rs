@@ -67,7 +67,6 @@ pub struct NttTable {
     /// final full-array scaling loop.
     inv_last_scaled: u64,
     inv_last_scaled_shoup: u64,
-    psi: u64,
     /// SIMD backend captured at construction ([`Backend::active`] unless
     /// pinned via [`NttTable::with_backend`]). Strict twins ignore it.
     backend: Backend,
@@ -144,7 +143,6 @@ impl NttTable {
             n_inv_shoup: q.shoup(n_inv),
             inv_last_scaled,
             inv_last_scaled_shoup: q.shoup(inv_last_scaled),
-            psi,
             backend: backend.for_table(n, &q),
         })
     }
@@ -163,22 +161,10 @@ impl NttTable {
         self.n
     }
 
-    /// `log2` of the transform size.
-    #[inline]
-    pub const fn log_n(&self) -> u32 {
-        self.log_n
-    }
-
     /// The modulus.
     #[inline]
     pub const fn modulus(&self) -> &Modulus {
         &self.q
-    }
-
-    /// The primitive `2n`-th root of unity ψ underlying the tables.
-    #[inline]
-    pub const fn psi(&self) -> u64 {
-        self.psi
     }
 
     /// The monomial `X^g` in the evaluation order of [`NttTable::forward`],

@@ -1,16 +1,18 @@
 //! Polynomials over `Z_q[X]/(X^N + 1)` and the CHAM polynomial-processing-
 //! unit (PPU) operation set.
 //!
-//! Table I of the paper lists the arithmetic the PPUs implement; all of it is
-//! here with the same names:
+//! Table I of the paper lists the arithmetic the PPUs implement; all but
+//! `REV` is here with the same names:
 //!
 //! | paper        | method                      |
 //! |--------------|-----------------------------|
 //! | `MODADD`     | [`Poly::add`]               |
 //! | `MODMUL`     | [`Poly::mul_pointwise`]     |
-//! | `REV`        | [`Poly::rev`]               |
 //! | `SHIFTNEG`   | [`Poly::shift_neg`]         |
 //! | `AUTOMORPH`  | [`Poly::automorph`]         |
+//!
+//! `REV` runs only inside extraction's Eq. 3 rearrangement (`cham-he`'s
+//! `extract`, a reversal with negation in place), so it has no method here.
 //!
 //! On hardware all of these are *vectorized* passes over a coefficient
 //! stream; LWE ciphertext vectors reuse the same storage (a `Poly` is "a
@@ -90,11 +92,6 @@ impl Poly {
         self.coeffs
     }
 
-    /// True when every coefficient is zero.
-    pub fn is_zero(&self) -> bool {
-        self.coeffs.iter().all(|&c| c == 0)
-    }
-
     /// `MODADD`: coefficient-wise addition.
     ///
     /// # Panics
@@ -149,13 +146,6 @@ impl Poly {
         }
     }
 
-    /// Coefficient-wise negation.
-    pub fn neg(&self, q: &Modulus) -> Self {
-        Self {
-            coeffs: self.coeffs.iter().map(|&a| q.neg(a)).collect(),
-        }
-    }
-
     /// `MODMUL`: coefficient-wise (Hadamard) multiplication — the NTT-domain
     /// product.
     ///
@@ -202,13 +192,6 @@ impl Poly {
         Self {
             coeffs: negacyclic_mul_schoolbook(&self.coeffs, &rhs.coeffs, q),
         }
-    }
-
-    /// `REV`: reverses the coefficient order, `[a_{N-1}, …, a_1, a_0]`.
-    pub fn rev(&self) -> Self {
-        let mut coeffs = self.coeffs.clone();
-        coeffs.reverse();
-        Self { coeffs }
     }
 
     /// `SHIFTNEG`: multiplication by the monomial `X^s` in the negacyclic
@@ -305,7 +288,7 @@ mod tests {
         c.add_assign(&b, &q);
         c.sub_assign(&b, &q);
         assert_eq!(c, a);
-        assert_eq!(a.add(&a.neg(&q), &q), Poly::zero(32));
+        assert_eq!(a.sub(&a, &q), Poly::zero(32));
     }
 
     #[test]
@@ -334,15 +317,8 @@ mod tests {
         let q = q17();
         let a = Poly::from_coeffs(vec![1, 2, 3, 4]);
         assert_eq!(a.shift_neg(8, &q), a); // X^{2N} = 1
-        assert_eq!(a.shift_neg(4, &q), a.neg(&q)); // X^N = -1
+        assert_eq!(a.shift_neg(4, &q), Poly::from_coeffs(vec![16, 15, 14, 13])); // X^N = -1
         assert_eq!(a.shift_neg(0, &q), a);
-    }
-
-    #[test]
-    fn rev_involution() {
-        let a = Poly::from_coeffs(vec![5, 6, 7, 8]);
-        assert_eq!(a.rev().rev(), a);
-        assert_eq!(a.rev().coeffs(), &[8, 7, 6, 5]);
     }
 
     #[test]
@@ -408,11 +384,5 @@ mod tests {
         let s = 5;
         let b = a.mul_scalar(s, &q);
         assert_eq!(b.coeffs(), &[5, 10, 15, 3]);
-    }
-
-    #[test]
-    fn zero_checks() {
-        assert!(Poly::zero(8).is_zero());
-        assert!(!Poly::from_coeffs(vec![0, 1]).is_zero());
     }
 }

@@ -542,21 +542,6 @@ impl RnsPoly {
         })
     }
 
-    /// Limb-wise negation.
-    pub fn neg(&self) -> Self {
-        let limbs = self
-            .limbs
-            .iter()
-            .zip(self.ctx.moduli())
-            .map(|(a, m)| a.neg(m))
-            .collect();
-        Self {
-            ctx: self.ctx.clone(),
-            limbs,
-            form: self.form,
-        }
-    }
-
     /// Coefficient-wise product — both operands must be in NTT form (a
     /// coefficient-form product would be a convolution, which callers should
     /// express explicitly via `to_ntt`).
@@ -603,21 +588,6 @@ impl RnsPoly {
             a.mul_pointwise_assign(b, m);
         }
         Ok(())
-    }
-
-    /// Multiplies by a small scalar in either form.
-    pub fn mul_scalar(&self, s: u64) -> Self {
-        let limbs = self
-            .limbs
-            .iter()
-            .zip(self.ctx.moduli())
-            .map(|(a, m)| a.mul_scalar(s, m))
-            .collect();
-        Self {
-            ctx: self.ctx.clone(),
-            limbs,
-            form: self.form,
-        }
     }
 
     /// `SHIFTNEG` across limbs — multiplication by `X^s` (coefficient form

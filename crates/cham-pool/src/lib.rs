@@ -142,7 +142,7 @@ where
     let mut done = span::fan_out(|| {
         // Inside `fan_out`, so the spawned shares record into its
         // side-by-side recorder, as the caller's share does.
-        let recorder = span::propagate();
+        let recorder = span::current_recorder();
         std::thread::scope(|s| {
             let spawned: Vec<_> = (1..workers)
                 .map(|_| {

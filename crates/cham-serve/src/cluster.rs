@@ -305,12 +305,6 @@ impl ClusterClient {
         &self.topology
     }
 
-    /// The ring currently routed with.
-    #[must_use]
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
     /// What this client has had to recover from, and who served it.
     #[must_use]
     pub fn stats(&self) -> ClientStats {
@@ -345,7 +339,7 @@ impl ClusterClient {
     /// Uploads a matrix to the `R` replicas its content id maps to (the
     /// one server, on a one-slot topology) and remembers it for replay
     /// after an eviction. Returns the content id;
-    /// `self.ring().replicas(id)` names its homes.
+    /// the routed ring's `replicas(id)` names its homes.
     ///
     /// # Errors
     /// Upload failures after retry, or a server disagreeing about the

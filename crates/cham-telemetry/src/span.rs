@@ -250,23 +250,16 @@ pub fn with_maybe<R>(recorder: Option<Arc<SpanRecorder>>, f: impl FnOnce() -> R)
     }
 }
 
-/// The current thread's installed recorder, if any.
+/// The current thread's installed recorder, if any. A fan-out captures it
+/// at spawn and re-installs it in each spawned thread via [`with_maybe`].
 #[must_use]
 pub fn current_recorder() -> Option<Arc<SpanRecorder>> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
-/// Captures the current recorder for handoff to another thread — named
-/// for its one call site pattern: capture at spawn, re-install in the
-/// spawned thread via [`with_maybe`].
-#[must_use]
-pub fn propagate() -> Option<Arc<SpanRecorder>> {
-    current_recorder()
-}
-
 /// Runs `f`, a fan-out whose tasks record spans side by side, so that the
 /// request's phases still sum to elapsed time: the tasks record into a
-/// scratch recorder (installed for `f`, so [`propagate`] hands *it* to
+/// scratch recorder (installed for `f`, so [`current_recorder`] hands *it* to
 /// them), and their per-phase sums are folded into the current recorder
 /// scaled by `elapsed / Σ task spans` whenever the tasks together recorded
 /// more than the fan-out took (`k` tasks in parallel record ≈ `k ×` the
@@ -418,7 +411,7 @@ mod tests {
     #[test]
     fn propagate_hands_off_across_threads() {
         let rec = Arc::new(SpanRecorder::new(TraceId(4)));
-        let captured = with_recorder(Arc::clone(&rec), propagate);
+        let captured = with_recorder(Arc::clone(&rec), current_recorder);
         std::thread::spawn(move || {
             with_maybe(captured, || {
                 rec_span_once();
@@ -442,7 +435,7 @@ mod tests {
             // Two "tasks" that claim far more time than really passes —
             // what k parallel workers do to a shared recorder.
             fan_out(|| {
-                let tasks = propagate().expect("fan_out installs a recorder");
+                let tasks = current_recorder().expect("fan_out installs a recorder");
                 assert!(!Arc::ptr_eq(&tasks, &rec));
                 tasks.record(phase::DOT, 3_000_000_000_000);
                 tasks.record(phase::DOT, 3_000_000_000_000);

@@ -42,7 +42,7 @@ fn two_party_share_semantics() {
     // A encrypts her share and sends it to B.
     let ct_a = hmvp.encrypt_vector(&share_a, &enc, &mut rng).unwrap();
     // B adds his share into the ciphertext (add_plain) then multiplies.
-    let coder = hmvp.encoder();
+    let coder = CoeffEncoder::new(&params);
     let pt_b = coder.encode_vector(&share_b).unwrap();
     let combined: Vec<RlweCiphertext> = ct_a
         .iter()
